@@ -7,7 +7,9 @@
 //
 //	internal/core         the evaluation framework (the paper's contribution):
 //	                      Estimate, and EstimateMany for evaluating a model
-//	                      fleet over one shared set of candidate pools
+//	                      fleet over one shared set of candidate pools; Fit
+//	                      fits the recommender only, the static candidate
+//	                      sets are built on demand by their first user
 //	internal/recommender  relation recommenders: PT, DBH(-T), OntoSim,
 //	                      L-WD(-T), PIE-Sim
 //	internal/eval         full + sampled filtered ranking protocols, executed
@@ -45,7 +47,9 @@
 //	internal/kp           Knowledge Persistence baseline
 //	internal/synth        typed synthetic KG generator (dataset substitute)
 //	internal/experiments  regenerates every table and figure of the paper
-//	internal/{kg,sparse,sample,stats}  substrates
+//	internal/{kg,sparse,sample,stats,par}  substrates; sparse.Mul and
+//	                      recommender.BuildStatic run on all cores via par,
+//	                      with results independent of the core count
 //
 // See README.md for a tour, including the kgevald server walkthrough.
 package kgeval

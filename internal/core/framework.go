@@ -9,8 +9,9 @@
 //	// est.MRR ≈ full filtered MRR, at a fraction of the cost.
 //
 // The framework is model-agnostic: anything implementing kgc.Model can be
-// estimated. Fitting the recommender and discretizing candidate sets happen
-// once per graph; each Estimate call then performs only 2·|R| candidate
+// estimated. Fitting the recommender happens once per graph, and so does
+// discretizing its scores into static candidate sets — on the first Static
+// request, not in Fit; each Estimate call then performs only 2·|R| candidate
 // samplings plus the ranking work on the small pools.
 package core
 
@@ -23,6 +24,7 @@ import (
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
 	"kgeval/internal/obs/trace"
+	"kgeval/internal/par"
 	"kgeval/internal/recommender"
 )
 
@@ -87,7 +89,7 @@ type Framework struct {
 
 	mu    sync.Mutex
 	graph *kg.Graph
-	sets  *recommender.CandidateSets
+	sets  *recommender.CandidateSets // built on first need, see staticSets
 }
 
 // New builds an unfitted Framework.
@@ -96,18 +98,25 @@ func New(rec recommender.Recommender, numSamples int, seed int64) *Framework {
 }
 
 // Fit runs the one-time preprocessing on a graph: fitting the relation
-// recommender on the training split and discretizing its score matrix into
-// static candidate sets. Fitting the same graph again is a no-op, and
-// concurrent callers are serialized, so racing requests for the same
-// Framework perform the preprocessing exactly once.
+// recommender on the training split. Fitting the same graph again is a
+// no-op, and concurrent callers are serialized, so racing requests for the
+// same Framework perform the preprocessing exactly once.
+//
+// Fit does not discretize the score matrix: the static candidate sets are
+// built the first time something asks for them — Provider(StrategyStatic),
+// an Estimate with StrategyStatic, or Sets — once per fitted graph, so a
+// Probabilistic- or Random-only user never pays for them. The recommender's
+// Fit and the later discretization each use every core (see sparse.Mul and
+// recommender.BuildStatic); their results do not depend on the core count.
 func (f *Framework) Fit(g *kg.Graph) error {
 	return f.FitCtx(context.Background(), g)
 }
 
 // FitCtx is Fit with trace context: when ctx carries a span, the one-time
 // preprocessing records a "framework.fit" child span (recommender name,
-// whether this call actually fitted or found the graph already fitted), so
-// job traces show when they paid the Fit cost versus rode the cache.
+// whether this call actually fitted or found the graph already fitted) with
+// the recommender's own Fit as a "recommender.fit" child, so job traces show
+// when they paid the Fit cost versus rode the cache.
 func (f *Framework) FitCtx(ctx context.Context, g *kg.Graph) error {
 	span := trace.FromContext(ctx).Child("framework.fit")
 	f.mu.Lock()
@@ -116,28 +125,55 @@ func (f *Framework) FitCtx(ctx context.Context, g *kg.Graph) error {
 		span.End(trace.String("recommender", f.Rec.Name()), trace.Bool("already_fitted", true))
 		return nil
 	}
-	if err := f.Rec.Fit(g); err != nil {
+	recSpan := span.Child("recommender.fit", trace.String("recommender", f.Rec.Name()))
+	err := f.Rec.Fit(g)
+	recSpan.End()
+	if err != nil {
 		span.End(trace.String("error", err.Error()))
 		return fmt.Errorf("core: fitting %s: %w", f.Rec.Name(), err)
 	}
 	f.graph = g
-	f.sets = recommender.BuildStatic(f.Rec.Scores(), g, recommender.DefaultStaticOpts())
+	f.sets = nil // discretized from the previous graph's scores
 	span.End(trace.String("recommender", f.Rec.Name()), trace.Bool("already_fitted", false))
 	return nil
 }
 
-// Sets returns the discretized candidate sets (available after Fit).
+// Sets returns the discretized candidate sets, building them if this is the
+// first request since Fit. Before Fit it returns nil.
 func (f *Framework) Sets() *recommender.CandidateSets {
+	return f.staticSets(context.Background())
+}
+
+// staticSets returns the fitted graph's static candidate sets, discretizing
+// the score matrix on the first call after a Fit. Callers are serialized on
+// the framework mutex, so concurrent first requests build once and all get
+// the same sets. The build records a "framework.build_static" span under
+// ctx's span, so a trace shows which job paid for it.
+func (f *Framework) staticSets(ctx context.Context) *recommender.CandidateSets {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.graph == nil || f.sets != nil {
+		return f.sets
+	}
+	span := trace.FromContext(ctx).Child("framework.build_static", trace.String("recommender", f.Rec.Name()))
+	scores := f.Rec.Scores()
+	f.sets = recommender.BuildStatic(scores, f.graph, recommender.DefaultStaticOpts())
+	span.End(trace.Int("columns", len(f.sets.Sets)), trace.Int("nnz", scores.NNZ()),
+		trace.Int("workers", par.Workers(len(f.sets.Sets))))
 	return f.sets
 }
 
 // Provider returns the candidate provider implementing the strategy.
 // Fit must have been called.
 func (f *Framework) Provider(s Strategy) eval.CandidateProvider {
+	return f.provider(context.Background(), s)
+}
+
+// provider is Provider with the trace context an on-demand static-set build
+// should be recorded under.
+func (f *Framework) provider(ctx context.Context, s Strategy) eval.CandidateProvider {
 	f.mu.Lock()
-	graph, sets := f.graph, f.sets
+	graph := f.graph
 	f.mu.Unlock()
 	if graph == nil {
 		panic("core: Framework used before Fit")
@@ -146,7 +182,7 @@ func (f *Framework) Provider(s Strategy) eval.CandidateProvider {
 	case StrategyRandom:
 		return &eval.RandomProvider{NumEntities: graph.NumEntities, N: f.NumSamples}
 	case StrategyStatic:
-		return &eval.StaticProvider{Sets: sets, N: f.NumSamples}
+		return &eval.StaticProvider{Sets: f.staticSets(ctx), N: f.NumSamples}
 	case StrategyProbabilistic:
 		return &eval.ProbabilisticProvider{Scores: f.Rec.Scores(), N: f.NumSamples}
 	}
@@ -167,7 +203,7 @@ func (f *Framework) seeded(opts eval.Options) eval.Options {
 // with the given strategy, returning estimated ranking metrics. An unset
 // seed (Seed == 0 with SeedSet false) falls back to the framework's seed.
 func (f *Framework) Estimate(m kgc.Model, g *kg.Graph, split []kg.Triple, s Strategy, opts eval.Options) eval.Result {
-	return eval.Evaluate(m, g, split, f.Provider(s), f.seeded(opts))
+	return eval.Evaluate(m, g, split, f.provider(opts.Ctx, s), f.seeded(opts))
 }
 
 // EstimateMany evaluates several models over one shared set of candidate
@@ -178,7 +214,7 @@ func (f *Framework) Estimate(m kgc.Model, g *kg.Graph, split []kg.Triple, s Stra
 // results[i] corresponds to ms[i] and equals what Estimate would return for
 // that model with the same options.
 func (f *Framework) EstimateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, s Strategy, opts eval.Options) []eval.Result {
-	return eval.EvaluateMany(ms, g, split, f.Provider(s), f.seeded(opts))
+	return eval.EvaluateMany(ms, g, split, f.provider(opts.Ctx, s), f.seeded(opts))
 }
 
 // FullEvaluate runs the standard full filtered ranking protocol — the

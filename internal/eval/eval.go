@@ -175,6 +175,10 @@ type CandidateProvider interface {
 	// sorted ascending; the evaluation plan retains it for the duration of
 	// the pass, so providers must return either a fresh slice or a stable
 	// shared one, never a reused scratch buffer.
+	//
+	// Candidates must be safe for concurrent callers that each pass their
+	// own rng: one provider may serve several passes at once, so any state
+	// it builds lazily has to be built under synchronization.
 	Candidates(r int32, tail bool, rng *rand.Rand) []int32
 }
 

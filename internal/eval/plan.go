@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,7 +97,7 @@ func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *pla
 	for r := range counts {
 		relIDs = append(relIDs, r)
 	}
-	sort.Slice(relIDs, func(i, j int) bool { return relIDs[i] < relIDs[j] })
+	slices.Sort(relIDs)
 
 	p := &plan{queries: queries, groups: make([]relGroup, len(relIDs))}
 	pos := make(map[int32]int, len(relIDs))

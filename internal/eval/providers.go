@@ -2,7 +2,8 @@ package eval
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"kgeval/internal/recommender"
 	"kgeval/internal/sample"
@@ -45,7 +46,7 @@ func (*RandomProvider) Name() string { return "Random" }
 // Candidates draws a fresh uniform sample for the relation.
 func (p *RandomProvider) Candidates(r int32, tail bool, rng *rand.Rand) []int32 {
 	s := sample.Uniform(rng, p.NumEntities, p.N)
-	sortInt32(s)
+	slices.Sort(s)
 	return s
 }
 
@@ -67,7 +68,7 @@ func (p *StaticProvider) Candidates(r int32, tail bool, rng *rand.Rand) []int32 
 		col = recommender.RangeCol(int(r), p.Sets.NumRelations)
 	}
 	s := sample.UniformFromSet(rng, p.Sets.Sets[col], p.N)
-	sortInt32(s)
+	slices.Sort(s)
 	return s
 }
 
@@ -90,7 +91,7 @@ func (p *ProbabilisticProvider) Candidates(r int32, tail bool, rng *rand.Rand) [
 	}
 	ids, scores := p.Scores.Column(col)
 	s := sample.Weighted(rng, ids, scores, p.N)
-	sortInt32(s)
+	slices.Sort(s)
 	return s
 }
 
@@ -103,25 +104,31 @@ type ProbabilisticWRProvider struct {
 	Scores *recommender.ScoreMatrix
 	N      int
 
-	aliases []*sample.Alias // lazily built per column
+	once    sync.Once       // guards the one-time build of aliases and ids
+	aliases []*sample.Alias // per column; nil where no score is positive
 	ids     [][]int32
 }
 
 // Name identifies the strategy.
 func (*ProbabilisticWRProvider) Name() string { return "Probabilistic-WR" }
 
+// buildAliases builds every column's alias table. It runs once per provider,
+// on the first Candidates call, so concurrent first callers all see complete
+// tables.
+func (p *ProbabilisticWRProvider) buildAliases() {
+	cols := 2 * p.Scores.NumRelations
+	p.aliases = make([]*sample.Alias, cols)
+	p.ids = make([][]int32, cols)
+	for c := 0; c < cols; c++ {
+		ids, scores := p.Scores.Column(c)
+		p.ids[c] = ids
+		p.aliases[c] = sample.NewAlias(scores)
+	}
+}
+
 // Candidates draws n_s times with replacement and deduplicates.
 func (p *ProbabilisticWRProvider) Candidates(r int32, tail bool, rng *rand.Rand) []int32 {
-	if p.aliases == nil {
-		cols := 2 * p.Scores.NumRelations
-		p.aliases = make([]*sample.Alias, cols)
-		p.ids = make([][]int32, cols)
-		for c := 0; c < cols; c++ {
-			ids, scores := p.Scores.Column(c)
-			p.ids[c] = ids
-			p.aliases[c] = sample.NewAlias(scores)
-		}
-	}
+	p.once.Do(p.buildAliases)
 	col := recommender.DomainCol(int(r), p.Scores.NumRelations)
 	if tail {
 		col = recommender.RangeCol(int(r), p.Scores.NumRelations)
@@ -130,20 +137,10 @@ func (p *ProbabilisticWRProvider) Candidates(r int32, tail bool, rng *rand.Rand)
 	if a == nil {
 		return nil
 	}
-	seen := make(map[int32]struct{}, p.N)
-	out := make([]int32, 0, p.N)
-	for i := 0; i < p.N; i++ {
-		id := p.ids[col][a.Draw(rng)]
-		if _, ok := seen[id]; ok {
-			continue
-		}
-		seen[id] = struct{}{}
-		out = append(out, id)
+	out := make([]int32, p.N)
+	for i := range out {
+		out[i] = p.ids[col][a.Draw(rng)]
 	}
-	sortInt32(out)
-	return out
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -1,6 +1,9 @@
 package kg
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // pairKey packs two int32 ids into one map key.
 func pairKey(a, b int32) uint64 {
@@ -42,15 +45,10 @@ func NewFilterIndex(splits ...[]Triple) *FilterIndex {
 	return f
 }
 
+// sortedUnique sorts v in place and drops duplicates; the result aliases v.
 func sortedUnique(v []int32) []int32 {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-	out := v[:0]
-	for i, x := range v {
-		if i == 0 || x != v[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+	slices.Sort(v)
+	return slices.Compact(v)
 }
 
 // Tails returns the sorted known tails for (h, r, ?). The returned slice is

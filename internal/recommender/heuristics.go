@@ -115,18 +115,31 @@ func (o *OntoSim) Fit(g *kg.Graph) error {
 	b := incidence(g)
 	t := typeMatrix(g)
 	x := sparse.Mul(t, sparse.Mul(t.Transpose(), b))
-	// Binarize: any positive propagated count means membership.
-	bin := make([]sparse.Entry, 0, x.NNZ())
+	o.scores = NewScoreMatrix(positivePattern(x), g.NumRelations)
+	return nil
+}
+
+// positivePattern binarizes x: the all-ones matrix over x's positive
+// entries — any positive propagated count means membership. x's rows are
+// already sorted and duplicate-free, so the pattern is copied row by row
+// with no sort.
+func positivePattern(x *sparse.CSR) *sparse.CSR {
+	out := &sparse.CSR{
+		NumRows: x.NumRows,
+		NumCols: x.NumCols,
+		RowPtr:  make([]int, x.NumRows+1),
+		ColIdx:  make([]int32, 0, x.NNZ()),
+	}
 	for r := 0; r < x.NumRows; r++ {
 		cols, vals := x.Row(r)
 		for i, c := range cols {
 			if vals[i] > 0 {
-				bin = append(bin, sparse.Entry{Row: int32(r), Col: c})
+				out.ColIdx = append(out.ColIdx, c)
 			}
 		}
+		out.RowPtr[r+1] = len(out.ColIdx)
 	}
-	o.scores = NewScoreMatrix(sparse.NewBinaryCSR(g.NumEntities, 2*g.NumRelations, bin), g.NumRelations)
-	return nil
+	return out
 }
 
 // Scores returns the fitted score matrix.

@@ -1,6 +1,8 @@
 package recommender
 
 import (
+	"slices"
+
 	"kgeval/internal/kg"
 	"kgeval/internal/sparse"
 )
@@ -83,7 +85,9 @@ func (l *LWDT) Fit(g *kg.Graph) error {
 // Scores returns the fitted score matrix.
 func (l *LWDT) Scores() *ScoreMatrix { return l.scores }
 
-// truncateCols keeps the first cols columns of m.
+// truncateCols keeps the first cols columns of m. Rows are sorted by column,
+// so the kept part of each row is a prefix; it is counted first so the output
+// is allocated once at its exact size.
 func truncateCols(m *sparse.CSR, cols int) *sparse.CSR {
 	out := &sparse.CSR{
 		NumRows: m.NumRows,
@@ -91,14 +95,17 @@ func truncateCols(m *sparse.CSR, cols int) *sparse.CSR {
 		RowPtr:  make([]int, m.NumRows+1),
 	}
 	for r := 0; r < m.NumRows; r++ {
+		cs, _ := m.Row(r)
+		keep, _ := slices.BinarySearch(cs, int32(cols))
+		out.RowPtr[r+1] = out.RowPtr[r] + keep
+	}
+	out.ColIdx = make([]int32, 0, out.RowPtr[m.NumRows])
+	out.Val = make([]float64, 0, out.RowPtr[m.NumRows])
+	for r := 0; r < m.NumRows; r++ {
 		cs, vs := m.Row(r)
-		for i, c := range cs {
-			if int(c) < cols {
-				out.ColIdx = append(out.ColIdx, c)
-				out.Val = append(out.Val, vs[i])
-			}
-		}
-		out.RowPtr[r+1] = len(out.ColIdx)
+		keep := out.RowPtr[r+1] - out.RowPtr[r]
+		out.ColIdx = append(out.ColIdx, cs[:keep]...)
+		out.Val = append(out.Val, vs[:keep]...)
 	}
 	return out
 }

@@ -54,18 +54,22 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 	b := incidence(g)
 	t := typeMatrix(g)
 
-	// features returns the active input feature ids of entity e.
-	features := func(e int) []int32 {
+	// featIdx[featPtr[e]:featPtr[e+1]] are the input feature ids of entity e:
+	// its incidence columns, then its types offset by nr2.
+	featPtr := make([]int, g.NumEntities+1)
+	featIdx := make([]int32, 0, b.NNZ()+t.NNZ())
+	for e := 0; e < g.NumEntities; e++ {
 		cols, _ := b.Row(e)
-		out := append([]int32(nil), cols...)
+		featIdx = append(featIdx, cols...)
 		if g.EntityTypes != nil {
 			tcols, _ := t.Row(e)
 			for _, c := range tcols {
-				out = append(out, int32(nr2)+c)
+				featIdx = append(featIdx, int32(nr2)+c)
 			}
 		}
-		return out
+		featPtr[e+1] = len(featIdx)
 	}
+	features := func(e int) []int32 { return featIdx[featPtr[e]:featPtr[e+1]] }
 
 	// Parameters: w1[inDim][h], b1[h], w2[h][nr2], b2[nr2].
 	w1 := make([]float64, inDim*h)
@@ -83,6 +87,7 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 
 	hid := make([]float64, h)
 	gradHid := make([]float64, h)
+	var activeBuf []int32
 	order := rng.Perm(g.NumEntities)
 	for epoch := 0; epoch < p.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -92,12 +97,13 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 				continue
 			}
 			// Denoising dropout on input features.
-			active := feats[:0:0]
+			active := activeBuf[:0]
 			for _, f := range feats {
 				if rng.Float64() >= p.Dropout {
 					active = append(active, f)
 				}
 			}
+			activeBuf = active[:0] // keep the grown buffer
 			if len(active) == 0 {
 				active = feats[:1]
 			}
@@ -161,34 +167,41 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 		}
 	}
 
-	// Materialize scores with the full (undropped) input.
-	var entries []sparse.Entry
+	// Materialize scores with the full (undropped) input, row by row and in
+	// column order — which is CSR order, so the matrix is written directly.
+	// All of a row's logits advance together through the hidden units, which
+	// reads w2 contiguously; each logit still adds its h products in the
+	// order j = 0..h-1.
+	x := &sparse.CSR{NumRows: g.NumEntities, NumCols: nr2, RowPtr: make([]int, g.NumEntities+1)}
+	logits := make([]float64, nr2)
 	for e := 0; e < g.NumEntities; e++ {
-		feats := features(e)
 		copy(hid, b1)
-		for _, f := range feats {
+		for _, f := range features(e) {
 			row := w1[int(f)*h : int(f)*h+h]
 			for j := 0; j < h; j++ {
 				hid[j] += row[j]
 			}
 		}
+		copy(logits, b2)
 		for j := 0; j < h; j++ {
-			if hid[j] < 0 {
-				hid[j] = 0
+			hj := hid[j]
+			if hj < 0 { // ReLU
+				hj = 0
+			}
+			for c, w := range w2[j*nr2 : (j+1)*nr2] {
+				logits[c] += hj * w
 			}
 		}
-		for c := 0; c < nr2; c++ {
-			logit := b2[c]
-			for j := 0; j < h; j++ {
-				logit += hid[j] * w2[j*nr2+c]
-			}
+		for c, logit := range logits {
 			score := 1 / (1 + math.Exp(-logit))
 			if score >= p.Cutoff {
-				entries = append(entries, sparse.Entry{Row: int32(e), Col: int32(c), Val: score})
+				x.ColIdx = append(x.ColIdx, int32(c))
+				x.Val = append(x.Val, score)
 			}
 		}
+		x.RowPtr[e+1] = len(x.ColIdx)
 	}
-	p.scores = NewScoreMatrix(sparse.NewCSR(g.NumEntities, nr2, entries), g.NumRelations)
+	p.scores = NewScoreMatrix(x, g.NumRelations)
 	return nil
 }
 

@@ -141,7 +141,11 @@ func incidence(g *kg.Graph) *sparse.CSR {
 
 // typeMatrix builds the binary |E|×|T| entity-type matrix.
 func typeMatrix(g *kg.Graph) *sparse.CSR {
-	var entries []sparse.Entry
+	n := 0
+	for _, ts := range g.EntityTypes {
+		n += len(ts)
+	}
+	entries := make([]sparse.Entry, 0, n)
 	for e, ts := range g.EntityTypes {
 		for _, t := range ts {
 			entries = append(entries, sparse.Entry{Row: int32(e), Col: t})

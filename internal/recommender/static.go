@@ -2,9 +2,11 @@ package recommender
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"kgeval/internal/kg"
+	"kgeval/internal/par"
 )
 
 // CandidateSets holds the discretized ("Static") per-column candidate sets:
@@ -33,6 +35,12 @@ func DefaultStaticOpts() StaticOpts { return StaticOpts{IncludeSeen: true} }
 // the one whose (CR, RR) point — recall over the train-observed members and
 // fraction of entities filtered out — minimizes the l2 distance to the
 // optimum (1, 1).
+//
+// Columns are independent and are processed on par.Workers(2·|R|)
+// goroutines; each writes only its own Sets[col] and Thresholds[col], so the
+// result does not depend on the worker count. Every set is allocated once at
+// its final size; the only other allocation is one score buffer per worker,
+// reused across its columns.
 func BuildStatic(s *ScoreMatrix, g *kg.Graph, opts StaticOpts) *CandidateSets {
 	numCols := 2 * s.NumRelations
 	cs := &CandidateSets{
@@ -42,72 +50,75 @@ func BuildStatic(s *ScoreMatrix, g *kg.Graph, opts StaticOpts) *CandidateSets {
 		Thresholds:   make([]float64, numCols),
 	}
 	domains, ranges := kg.DomainsRanges(g.Train, g.NumRelations)
-	known := func(col int) []int32 {
-		if col < s.NumRelations {
-			return domains[col]
-		}
-		return ranges[col-s.NumRelations]
-	}
-	for col := 0; col < numCols; col++ {
-		ids, scores := s.Column(col)
-		thr := optimalThreshold(ids, scores, known(col), s.NumEntities)
-		cs.Thresholds[col] = thr
-		var set []int32
-		for i, id := range ids {
-			if scores[i] >= thr {
-				set = append(set, id)
+	scratch := make([][]float64, par.Workers(numCols))
+	par.Blocks(numCols, func(w, lo, hi int) {
+		for col := lo; col < hi; col++ {
+			known := domains
+			if col >= s.NumRelations {
+				known = ranges
+			}
+			members := known[col%s.NumRelations]
+			ids, scores := s.Column(col)
+			var thr float64
+			thr, scratch[w] = optimalThreshold(ids, scores, members, s.NumEntities, scratch[w])
+			cs.Thresholds[col] = thr
+			if !opts.IncludeSeen {
+				members = nil
+			}
+			// Size the set with a counting merge, then fill it.
+			if n := unionAbove(nil, ids, scores, thr, members); n > 0 {
+				cs.Sets[col] = make([]int32, n)
+				unionAbove(cs.Sets[col], ids, scores, thr, members)
 			}
 		}
-		if opts.IncludeSeen {
-			set = append(set, known(col)...)
-		}
-		cs.Sets[col] = dedupSorted(set)
-	}
+	})
 	return cs
 }
 
 // optimalThreshold picks, among the distinct score values of a column, the
 // threshold minimizing √((1−CR)² + (1−RR)²), where CR is recall over the
-// knownMembers and RR = 1 − |set|/|E|.
-func optimalThreshold(ids []int32, scores []float64, knownMembers []int32, numEntities int) float64 {
+// knownMembers and RR = 1 − |set|/|E|. ids and knownMembers are both sorted
+// ascending. buf is scratch, returned (possibly grown) for reuse.
+//
+// The sweep needs, per distinct score, how many entities and how many known
+// members score at least that much. Both follow from two plain sorted score
+// lists — the column's, and the known members' within it — so no per-entity
+// record has to be sorted.
+func optimalThreshold(ids []int32, scores []float64, knownMembers []int32, numEntities int, buf []float64) (float64, []float64) {
 	if len(ids) == 0 {
-		return math.Inf(1)
+		return math.Inf(1), buf
 	}
-	type cand struct {
-		score float64
-		known bool
-	}
-	knownSet := make(map[int32]bool, len(knownMembers))
-	for _, m := range knownMembers {
-		knownSet[m] = true
-	}
-	cands := make([]cand, len(ids))
+	buf = append(buf[:0], scores...)
+	ki := 0
 	for i, id := range ids {
-		cands[i] = cand{score: scores[i], known: knownSet[id]}
+		for ki < len(knownMembers) && knownMembers[ki] < id {
+			ki++
+		}
+		if ki < len(knownMembers) && knownMembers[ki] == id {
+			buf = append(buf, scores[i])
+		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
+	all, known := buf[:len(ids)], buf[len(ids):]
+	slices.Sort(all)
+	slices.Sort(known)
 
 	bestThr := math.Inf(1)
-	bestDist := math.Inf(1)
 	// Distance of the empty set: CR=0 (or 1 if nothing is known), RR=1.
-	{
-		cr := 0.0
-		if len(knownMembers) == 0 {
-			cr = 1
-		}
-		bestDist = (1 - cr) * (1 - cr)
+	bestDist := 1.0
+	if len(knownMembers) == 0 {
+		bestDist = 0
 	}
-	kept, knownKept := 0, 0
-	for i := 0; i < len(cands); {
-		// Extend through all candidates tied at this score.
-		thr := cands[i].score
-		for i < len(cands) && cands[i].score == thr {
-			kept++
-			if cands[i].known {
-				knownKept++
-			}
-			i++
+	// Sweep thresholds from the highest score down.
+	i, k := len(all)-1, len(known)-1
+	for i >= 0 {
+		thr := all[i]
+		for i >= 0 && all[i] == thr {
+			i--
 		}
+		for k >= 0 && known[k] >= thr {
+			k--
+		}
+		kept, knownKept := len(all)-1-i, len(known)-1-k
 		cr := 1.0
 		if len(knownMembers) > 0 {
 			cr = float64(knownKept) / float64(len(knownMembers))
@@ -119,18 +130,36 @@ func optimalThreshold(ids []int32, scores []float64, knownMembers []int32, numEn
 			bestThr = thr
 		}
 	}
-	return bestThr
+	return bestThr, buf
 }
 
-func dedupSorted(xs []int32) []int32 {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
+// unionAbove merges {ids[i] : scores[i] ≥ thr} with members into dst and
+// returns the union's size; a nil dst only counts. Both inputs are sorted
+// ascending and duplicate-free, so the union is too.
+func unionAbove(dst, ids []int32, scores []float64, thr float64, members []int32) int {
+	n, mi := 0, 0
+	put := func(id int32) {
+		if dst != nil {
+			dst[n] = id
 		}
+		n++
 	}
-	return out
+	for i, id := range ids {
+		if !(scores[i] >= thr) {
+			continue
+		}
+		for ; mi < len(members) && members[mi] < id; mi++ {
+			put(members[mi])
+		}
+		if mi < len(members) && members[mi] == id {
+			mi++
+		}
+		put(id)
+	}
+	for ; mi < len(members); mi++ {
+		put(members[mi])
+	}
+	return n
 }
 
 // Contains reports whether entity e is in column col's candidate set.

@@ -7,14 +7,15 @@
 package sample
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 )
 
 // Uniform draws k distinct integers from [0, n) uniformly at random using
-// Floyd's algorithm (O(k) expected time, O(k) space). If k >= n, all of
-// [0, n) is returned in shuffled order.
+// Floyd's algorithm (O(k) draws). If k >= n, all of [0, n) is returned in
+// shuffled order. Membership is tracked in an n-bit set, so a call allocates
+// the result plus n/8 bytes and nothing per draw. Serial: the draws are one
+// sequence on the caller's rng, so the result depends on nothing else.
 func Uniform(rng *rand.Rand, n, k int) []int32 {
 	if k >= n {
 		out := make([]int32, n)
@@ -24,15 +25,15 @@ func Uniform(rng *rand.Rand, n, k int) []int32 {
 		rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
 		return out
 	}
-	chosen := make(map[int32]struct{}, k)
+	chosen := make([]uint64, (n+63)/64)
 	out := make([]int32, 0, k)
 	for j := n - k; j < n; j++ {
-		t := int32(rng.Intn(j + 1))
-		if _, ok := chosen[t]; ok {
-			t = int32(j)
+		t := rng.Intn(j + 1)
+		if chosen[t/64]&(1<<(t%64)) != 0 {
+			t = j
 		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
+		chosen[t/64] |= 1 << (t % 64)
+		out = append(out, int32(t))
 	}
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
@@ -49,27 +50,6 @@ func UniformFromSet(rng *rand.Rand, set []int32, k int) []int32 {
 	return out
 }
 
-// weightedItem is a candidate with its Efraimidis–Spirakis key.
-type weightedItem struct {
-	id  int32
-	key float64
-}
-
-// keyHeap is a min-heap over keys, keeping the k largest keys seen.
-type keyHeap []weightedItem
-
-func (h keyHeap) Len() int            { return len(h) }
-func (h keyHeap) Less(i, j int) bool  { return h[i].key < h[j].key }
-func (h keyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *keyHeap) Push(x interface{}) { *h = append(*h, x.(weightedItem)) }
-func (h *keyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Weighted draws up to k items without replacement with probability
 // proportional to their weights, using the Efraimidis–Spirakis scheme: each
 // item i gets key uᵢ^(1/wᵢ) for uᵢ ~ U(0,1) and the k largest keys win.
@@ -77,12 +57,17 @@ func (h *keyHeap) Pop() interface{} {
 // weights[i]; pass nil ids to mean ids[i] = i.
 //
 // Runs in O(n log k); this is what makes the Probabilistic sampling strategy
-// cost only 2·|R| sampling passes per evaluation.
+// cost only 2·|R| sampling passes per evaluation. The k largest keys are
+// kept in a typed binary min-heap held as two parallel arrays, of which the
+// id array is the result: two allocations of min(k, n) elements per call
+// and none per item. Serial, consuming one rng.Float64 per positive weight
+// in index order, so the selected set depends only on the rng stream.
 func Weighted(rng *rand.Rand, ids []int32, weights []float64, k int) []int32 {
 	if k <= 0 {
 		return nil
 	}
-	h := make(keyHeap, 0, k)
+	k = min(k, len(weights))
+	h := keyHeap{ids: make([]int32, 0, k), keys: make([]float64, 0, k)}
 	for i, w := range weights {
 		if w <= 0 || math.IsNaN(w) {
 			continue
@@ -94,24 +79,63 @@ func Weighted(rng *rand.Rand, ids []int32, weights []float64, k int) []int32 {
 			u = rng.Float64()
 		}
 		key := math.Log(u) / w
-		var id int32
-		if ids == nil {
-			id = int32(i)
-		} else {
+		id := int32(i)
+		if ids != nil {
 			id = ids[i]
 		}
-		if len(h) < k {
-			heap.Push(&h, weightedItem{id: id, key: key})
-		} else if key > h[0].key {
-			h[0] = weightedItem{id: id, key: key}
-			heap.Fix(&h, 0)
+		if len(h.keys) < k {
+			h.push(id, key)
+		} else if key > h.keys[0] {
+			h.replaceMin(id, key)
 		}
 	}
-	out := make([]int32, len(h))
-	for i, it := range h {
-		out[i] = it.id
+	return h.ids
+}
+
+// keyHeap is a binary min-heap over Efraimidis–Spirakis keys, holding the
+// largest keys seen so far; ids[i] pairs with keys[i].
+type keyHeap struct {
+	ids  []int32
+	keys []float64
+}
+
+func (h *keyHeap) swap(i, j int) {
+	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
+	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
+}
+
+// push appends an item and sifts it up.
+func (h *keyHeap) push(id int32, key float64) {
+	h.ids = append(h.ids, id)
+	h.keys = append(h.keys, key)
+	for j := len(h.keys) - 1; j > 0; {
+		parent := (j - 1) / 2
+		if !(h.keys[j] < h.keys[parent]) {
+			break
+		}
+		h.swap(parent, j)
+		j = parent
 	}
-	return out
+}
+
+// replaceMin overwrites the root and sifts it down.
+func (h *keyHeap) replaceMin(id int32, key float64) {
+	h.ids[0], h.keys[0] = id, key
+	n := len(h.keys)
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if right := child + 1; right < n && h.keys[right] < h.keys[child] {
+			child = right
+		}
+		if !(h.keys[child] < h.keys[i]) {
+			break
+		}
+		h.swap(i, child)
+		i = child
+	}
 }
 
 // Alias is a Walker alias table for O(1) weighted sampling with replacement.

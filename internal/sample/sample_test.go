@@ -3,6 +3,8 @@ package sample
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -203,5 +205,145 @@ func TestAliasNegativeWeightsTreatedAsZero(t *testing.T) {
 		if a.Draw(rng) == 0 {
 			t.Fatal("negative-weight item drawn")
 		}
+	}
+}
+
+// referenceWeighted is Efraimidis–Spirakis without a heap: key every
+// positive-weight item from the same rng stream, sort all keys, keep the k
+// largest. Ties between keys cannot occur short of identical draws.
+func referenceWeighted(rng *rand.Rand, ids []int32, weights []float64, k int) []int32 {
+	if k <= 0 {
+		return nil // nothing is drawn, so nothing is keyed either
+	}
+	type keyed struct {
+		id  int32
+		key float64
+	}
+	var items []keyed
+	for i, w := range weights {
+		if w <= 0 || math.IsNaN(w) {
+			continue
+		}
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
+		}
+		id := int32(i)
+		if ids != nil {
+			id = ids[i]
+		}
+		items = append(items, keyed{id, math.Log(u) / w})
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i].key > items[j].key })
+	if len(items) > k {
+		items = items[:k]
+	}
+	out := make([]int32, len(items))
+	for i, it := range items {
+		out[i] = it.id
+	}
+	return out
+}
+
+func sortedCopy(xs []int32) []int32 {
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return out
+}
+
+func TestWeightedSelectsReferenceSet(t *testing.T) {
+	gen := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 400; trial++ {
+		n := gen.Intn(200)
+		weights := make([]float64, n)
+		positive := 0
+		for i := range weights {
+			switch gen.Intn(8) {
+			case 0:
+				weights[i] = 0
+			case 1:
+				weights[i] = -gen.Float64()
+			case 2:
+				weights[i] = math.NaN()
+			default:
+				weights[i] = gen.ExpFloat64()
+				positive++
+			}
+		}
+		var ids []int32
+		if trial%2 == 1 {
+			ids = make([]int32, n)
+			for i := range ids {
+				ids[i] = int32(1000 + 3*i)
+			}
+		}
+		// k below, at and above the number of positive weights, and 0.
+		for _, k := range []int{0, 1, positive / 2, positive, positive + 5} {
+			seed := int64(trial*10 + k)
+			rngGot, rngWant := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got := Weighted(rngGot, ids, weights, k)
+			want := referenceWeighted(rngWant, ids, weights, k)
+			if !slices.Equal(sortedCopy(got), sortedCopy(want)) {
+				t.Fatalf("trial %d k=%d: selected %v, reference %v", trial, k, sortedCopy(got), sortedCopy(want))
+			}
+			if rngGot.Int63() != rngWant.Int63() {
+				t.Fatalf("trial %d k=%d: rng consumption differs from one draw per positive weight", trial, k)
+			}
+		}
+	}
+}
+
+// referenceUniform is Floyd's algorithm with a map for membership, as Uniform
+// was written before it switched to a bitset.
+func referenceUniform(rng *rand.Rand, n, k int) []int32 {
+	if k >= n {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(i)
+		}
+		rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	chosen := make(map[int32]struct{}, k)
+	out := make([]int32, 0, k)
+	for j := n - k; j < n; j++ {
+		t := int32(rng.Intn(j + 1))
+		if _, ok := chosen[t]; ok {
+			t = int32(j)
+		}
+		chosen[t] = struct{}{}
+		out = append(out, t)
+	}
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+func TestUniformMatchesMapReference(t *testing.T) {
+	gen := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 1000; trial++ {
+		n := gen.Intn(500)
+		k := gen.Intn(n + 20) // sometimes k >= n
+		seed := gen.Int63()
+		rngGot, rngWant := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got, want := Uniform(rngGot, n, k), referenceUniform(rngWant, n, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d k=%d seed=%d: got %v, want %v", n, k, seed, got, want)
+		}
+		if rngGot.Int63() != rngWant.Int63() {
+			t.Fatalf("n=%d k=%d seed=%d: rng consumption differs", n, k, seed)
+		}
+	}
+}
+
+// TestWeightedAllocations pins the de-boxed heap: two allocations per call
+// (ids and keys), however many items stream through it.
+func TestWeightedAllocations(t *testing.T) {
+	weights := make([]float64, 5000)
+	for i := range weights {
+		weights[i] = float64(1 + i%17)
+	}
+	rng := rand.New(rand.NewSource(1))
+	if got := testing.AllocsPerRun(10, func() { Weighted(rng, nil, weights, 600) }); got != 2 {
+		t.Fatalf("Weighted allocates %v times per call, want 2", got)
 	}
 }

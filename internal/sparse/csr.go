@@ -7,11 +7,18 @@
 //	X = B·W                 (relational scores)
 //
 // Matrices are immutable after construction and safe for concurrent reads.
+// Construction is a counting sort, Mul runs on all cores; Transpose and
+// RowNormalize are single linear sweeps and stay serial. No result depends
+// on the number of cores.
 package sparse
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+
+	"kgeval/internal/par"
 )
 
 // Entry is one (row, col, val) coordinate of a matrix under construction.
@@ -45,74 +52,88 @@ func (m *CSR) valueAt(k int) float64 {
 }
 
 // NewCSR builds a CSR matrix from coordinate entries. Duplicate (row, col)
-// coordinates are summed. Entries out of bounds cause a panic: builders are
-// internal and bounds violations are programming errors.
+// coordinates are summed in input order. Entries out of bounds cause a panic:
+// builders are internal and bounds violations are programming errors. The
+// entries slice is only read.
 func NewCSR(rows, cols int, entries []Entry) *CSR {
-	for _, e := range entries {
-		if e.Row < 0 || int(e.Row) >= rows || e.Col < 0 || int(e.Col) >= cols {
-			panic(fmt.Sprintf("sparse: entry (%d,%d) out of %dx%d bounds", e.Row, e.Col, rows, cols))
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Row != entries[j].Row {
-			return entries[i].Row < entries[j].Row
-		}
-		return entries[i].Col < entries[j].Col
-	})
-	m := &CSR{
-		NumRows: rows,
-		NumCols: cols,
-		RowPtr:  make([]int, rows+1),
-	}
-	m.ColIdx = make([]int32, 0, len(entries))
-	m.Val = make([]float64, 0, len(entries))
-	for i := 0; i < len(entries); {
-		j := i
-		sum := 0.0
-		for j < len(entries) && entries[j].Row == entries[i].Row && entries[j].Col == entries[i].Col {
-			sum += entries[j].Val
-			j++
-		}
-		m.ColIdx = append(m.ColIdx, entries[i].Col)
-		m.Val = append(m.Val, sum)
-		m.RowPtr[entries[i].Row+1]++
-		i = j
-	}
-	for r := 0; r < rows; r++ {
-		m.RowPtr[r+1] += m.RowPtr[r]
-	}
-	return m
+	return fromEntries(rows, cols, entries, false)
 }
 
 // NewBinaryCSR builds an all-ones CSR matrix from (row, col) pairs encoded
 // as entries (Val ignored). Duplicates collapse to a single nonzero.
 func NewBinaryCSR(rows, cols int, entries []Entry) *CSR {
+	return fromEntries(rows, cols, entries, true)
+}
+
+// fromEntries orders the entries by (row, col) with two stable counting
+// sorts — by column, then by row — in O(nnz + rows + cols) and without a
+// comparison sort, then merges runs of equal coordinates in place. It
+// allocates the output arrays at len(entries) plus one int32 per entry of
+// scratch; stability is what fixes the order in which duplicates are summed.
+func fromEntries(rows, cols int, entries []Entry, binary bool) *CSR {
+	if len(entries) > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: %d entries exceed the int32 index range", len(entries)))
+	}
+	m := &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int, rows+1)}
+	colPos := make([]int, cols+1)
 	for _, e := range entries {
 		if e.Row < 0 || int(e.Row) >= rows || e.Col < 0 || int(e.Col) >= cols {
 			panic(fmt.Sprintf("sparse: entry (%d,%d) out of %dx%d bounds", e.Row, e.Col, rows, cols))
 		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Row != entries[j].Row {
-			return entries[i].Row < entries[j].Row
-		}
-		return entries[i].Col < entries[j].Col
-	})
-	m := &CSR{
-		NumRows: rows,
-		NumCols: cols,
-		RowPtr:  make([]int, rows+1),
-	}
-	m.ColIdx = make([]int32, 0, len(entries))
-	for i, e := range entries {
-		if i > 0 && e.Row == entries[i-1].Row && e.Col == entries[i-1].Col {
-			continue
-		}
-		m.ColIdx = append(m.ColIdx, e.Col)
 		m.RowPtr[e.Row+1]++
+		colPos[e.Col+1]++
+	}
+	for c := 0; c < cols; c++ {
+		colPos[c+1] += colPos[c]
 	}
 	for r := 0; r < rows; r++ {
 		m.RowPtr[r+1] += m.RowPtr[r]
+	}
+	byCol := make([]int32, len(entries)) // entry indices, ascending column, ties in input order
+	for i, e := range entries {
+		byCol[colPos[e.Col]] = int32(i)
+		colPos[e.Col]++
+	}
+	rowEnd := append([]int(nil), m.RowPtr[:rows]...)
+	m.ColIdx = make([]int32, len(entries))
+	if !binary {
+		m.Val = make([]float64, len(entries))
+	}
+	for _, i := range byCol {
+		e := entries[i]
+		k := rowEnd[e.Row]
+		rowEnd[e.Row]++
+		m.ColIdx[k] = e.Col
+		if !binary {
+			m.Val[k] = e.Val
+		}
+	}
+	// rowEnd[r] is now the end of row r in the duplicate-carrying layout;
+	// compact towards the front, rewriting RowPtr as rows shrink.
+	w, lo := 0, 0
+	for r := 0; r < rows; r++ {
+		rowStart := w
+		m.RowPtr[r] = rowStart
+		for k := lo; k < rowEnd[r]; k++ {
+			c := m.ColIdx[k]
+			if w > rowStart && m.ColIdx[w-1] == c {
+				if !binary {
+					m.Val[w-1] += m.Val[k]
+				}
+				continue
+			}
+			m.ColIdx[w] = c
+			if !binary {
+				m.Val[w] = m.Val[k]
+			}
+			w++
+		}
+		lo = rowEnd[r]
+	}
+	m.RowPtr[rows] = w
+	m.ColIdx = m.ColIdx[:w]
+	if !binary {
+		m.Val = m.Val[:w]
 	}
 	return m
 }
@@ -173,8 +194,16 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// Mul computes the sparse product a·b with Gustavson's algorithm using a
-// dense per-row accumulator. Panics if the inner dimensions disagree.
+// Mul computes the sparse product a·b with a two-pass Gustavson algorithm.
+// A symbolic pass counts each output row's nonzeros, which sizes RowPtr and
+// lets ColIdx and Val be allocated once at their exact length; a numeric pass
+// then accumulates every row in a dense per-worker accumulator and writes it
+// straight into its slot. Both passes run over contiguous row blocks on
+// par.Workers(a.NumRows) goroutines, each with its own O(b.NumCols) scratch.
+// A row's products are added in the same order whatever the worker count —
+// a's nonzeros left to right, each against b's row left to right — so the
+// result is bit-identical for any GOMAXPROCS. Panics if the inner dimensions
+// disagree.
 func Mul(a, b *CSR) *CSR {
 	if a.NumCols != b.NumRows {
 		panic(fmt.Sprintf("sparse: Mul dimension mismatch %dx%d · %dx%d", a.NumRows, a.NumCols, b.NumRows, b.NumCols))
@@ -184,35 +213,93 @@ func Mul(a, b *CSR) *CSR {
 		NumCols: b.NumCols,
 		RowPtr:  make([]int, a.NumRows+1),
 	}
-	acc := make([]float64, b.NumCols)
-	mark := make([]int, b.NumCols)
-	for i := range mark {
-		mark[i] = -1
+	scratch := make([]mulScratch, par.Workers(a.NumRows))
+	for w := range scratch {
+		scratch[w].init(b.NumCols)
 	}
-	var touched []int32
+	par.Blocks(a.NumRows, func(w, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			out.RowPtr[r+1] = scratch[w].countRow(a, b, r)
+		}
+	})
 	for r := 0; r < a.NumRows; r++ {
-		touched = touched[:0]
-		for ka := a.RowPtr[r]; ka < a.RowPtr[r+1]; ka++ {
-			j := a.ColIdx[ka]
-			av := a.valueAt(ka)
-			for kb := b.RowPtr[j]; kb < b.RowPtr[j+1]; kb++ {
-				c := b.ColIdx[kb]
-				if mark[c] != r {
-					mark[c] = r
-					acc[c] = 0
-					touched = append(touched, c)
-				}
-				acc[c] += av * b.valueAt(kb)
+		out.RowPtr[r+1] += out.RowPtr[r]
+	}
+	out.ColIdx = make([]int32, out.RowPtr[a.NumRows])
+	out.Val = make([]float64, out.RowPtr[a.NumRows])
+	par.Blocks(a.NumRows, func(w, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			k0, k1 := out.RowPtr[r], out.RowPtr[r+1]
+			scratch[w].fillRow(a, b, r, out.ColIdx[k0:k0:k1], out.Val[k0:k1])
+		}
+	})
+	return out
+}
+
+// mulScratch is one Mul worker's dense row state. mark[c] holds the tag of
+// the last row that touched column c; the symbolic pass tags with the row
+// index and the numeric pass with NumRows + row, so no reset is needed
+// between rows or between passes.
+type mulScratch struct {
+	mark []int
+	acc  []float64
+}
+
+func (s *mulScratch) init(cols int) {
+	s.mark = make([]int, cols)
+	for i := range s.mark {
+		s.mark[i] = -1
+	}
+	s.acc = make([]float64, cols)
+}
+
+// countRow returns the number of distinct columns row r of a·b touches.
+func (s *mulScratch) countRow(a, b *CSR, r int) int {
+	n := 0
+	for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
+		for _, c := range b.ColIdx[b.RowPtr[j]:b.RowPtr[j+1]] {
+			if s.mark[c] != r {
+				s.mark[c] = r
+				n++
 			}
 		}
-		sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
-		for _, c := range touched {
-			out.ColIdx = append(out.ColIdx, c)
-			out.Val = append(out.Val, acc[c])
+		if n == len(s.mark) {
+			break // the row is already full
 		}
-		out.RowPtr[r+1] = len(out.ColIdx)
 	}
-	return out
+	return n
+}
+
+// fillRow computes row r of a·b into cols (length 0, capacity the row's
+// count) and vals, columns ascending.
+func (s *mulScratch) fillRow(a, b *CSR, r int, cols []int32, vals []float64) {
+	tag := a.NumRows + r
+	mark, acc := s.mark, s.acc
+	for ka := a.RowPtr[r]; ka < a.RowPtr[r+1]; ka++ {
+		j := a.ColIdx[ka]
+		av := a.valueAt(ka)
+		k0, k1 := b.RowPtr[j], b.RowPtr[j+1]
+		var bvals []float64 // nil for a binary b: every value is 1
+		if b.Val != nil {
+			bvals = b.Val[k0:k1]
+		}
+		for kb, c := range b.ColIdx[k0:k1] {
+			if mark[c] != tag {
+				mark[c] = tag
+				acc[c] = 0
+				cols = append(cols, c)
+			}
+			if bvals != nil {
+				acc[c] += av * bvals[kb]
+			} else {
+				acc[c] += av // av·1
+			}
+		}
+	}
+	slices.Sort(cols)
+	for i, c := range cols {
+		vals[i] = acc[c]
+	}
 }
 
 // GramT computes AᵀA — the co-occurrence matrix at the heart of L-WD, where

@@ -232,7 +232,7 @@ func BenchmarkEvaluateBatchTraced(b *testing.B) {
 func BenchmarkEvaluatePerQuery(b *testing.B) { benchEvalPath(b, true) }
 
 // BenchmarkEvaluateBatchPrecision measures the precision knob on the batch
-// executor: one dot-product model at dim 256 gathered from the float64,
+// executor: one dot-product model at dim 256 scored from the float64,
 // float32 and int8 entity stores.
 func BenchmarkEvaluateBatchPrecision(b *testing.B) {
 	e := batchEnv(b)
@@ -249,49 +249,6 @@ func BenchmarkEvaluateBatchPrecision(b *testing.B) {
 		})
 	}
 }
-
-// benchEvalInt8 runs the batch executor at Int8 through one of its two
-// execution lanes over identical pools. The native lane gathers raw
-// quantized rows and dequantizes tile-locally inside the kernel; the forced
-// lane expands the whole candidate block to float64 first. Both produce
-// bit-identical scores, so the delta is pure memory behavior.
-func benchEvalInt8(b *testing.B, dequant bool) {
-	e := batchEnv(b)
-	for _, name := range []string{"TransE", "DistMult", "ComplEx"} {
-		key := fmt.Sprintf("%s/dim256", name)
-		m, ok := e.models[key]
-		if !ok { // TransE's float benchmarks run at dim 128; build dim 256 here
-			var err error
-			m, err = kgc.New(name, e.g, 256, 23)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e.models[key] = m
-		}
-		b.Run(key, func(b *testing.B) {
-			prov := &eval.RandomProvider{NumEntities: e.g.NumEntities, N: e.g.NumEntities / 10}
-			// 96 query triples (~5 per relation chunk) instead of the float
-			// benchmarks' 512: the lanes differ in gather traffic, not kernel
-			// arithmetic, and a small query fleet — the shape of a quick
-			// per-model estimate — is where per-chunk gather cost matters.
-			opts := eval.Options{
-				Filter: e.filter, Seed: 1, MaxQueries: 96,
-				Precision: store.Int8, Int8Dequant: dequant,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eval.Evaluate(m, e.g, e.g.Test, prov, opts)
-			}
-		})
-	}
-}
-
-// BenchmarkEvaluateBatchInt8Native measures the int8-native kernel lane; CI
-// compares it against BenchmarkEvaluateBatchInt8Dequant and requires the
-// native lane to win on geomean (cmd/benchsnap -check).
-func BenchmarkEvaluateBatchInt8Native(b *testing.B)  { benchEvalInt8(b, false) }
-func BenchmarkEvaluateBatchInt8Dequant(b *testing.B) { benchEvalInt8(b, true) }
 
 // BenchmarkEstimateMany measures the shared-plan multi-model pass against
 // running the same fleet through separate Evaluate calls.

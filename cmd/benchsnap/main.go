@@ -40,7 +40,6 @@ const benchSchema = "kgeval-bench/v1"
 const defaultPattern = "^(BenchmarkFullEvaluation|BenchmarkEstimateRandom|BenchmarkEstimateStatic|" +
 	"BenchmarkEstimateProbabilistic|BenchmarkEvaluateBatch|BenchmarkEvaluateBatchPrecision|" +
 	"BenchmarkEvaluateBatchTraced|" +
-	"BenchmarkEvaluateBatchInt8Native|BenchmarkEvaluateBatchInt8Dequant|" +
 	"BenchmarkEvaluatePerQuery|BenchmarkEstimateMany|BenchmarkLWDFit|BenchmarkBuildStatic|" +
 	"BenchmarkKPScore)$"
 
@@ -99,10 +98,6 @@ func main() {
 			// used on -quick smoke snapshots validates schema only, since
 			// single-iteration timings are too noisy for a 5% budget.
 			if err := checkTracedOverhead(*check); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsnap: %v\n", err)
-				os.Exit(1)
-			}
-			if err := checkInt8Lanes(*check); err != nil {
 				fmt.Fprintf(os.Stderr, "benchsnap: %v\n", err)
 				os.Exit(1)
 			}
@@ -309,69 +304,6 @@ func checkTracedOverhead(path string) error {
 		path, 100*mean, compared, 100*tracedOverhead)
 	if mean > tracedOverhead {
 		return fmt.Errorf("tracing overhead %+.1f%% geomean exceeds %.0f%%", 100*mean, 100*tracedOverhead)
-	}
-	return nil
-}
-
-// int8GateDim is the smallest dim at which the int8-native lane gate
-// applies. Below it, gather traffic is too small a fraction of a pass for
-// the lane choice to matter, and the pairs aren't benchmarked anyway.
-const int8GateDim = 256
-
-// checkInt8Lanes compares each BenchmarkEvaluateBatchInt8Native sub-bench
-// at dim ≥ int8GateDim against its BenchmarkEvaluateBatchInt8Dequant twin
-// in the same snapshot and enforces the native lane's contract:
-//
-//   - per pair, the native lane must allocate strictly fewer bytes per op —
-//     gathering raw int8 rows instead of a dequantized float64 block is the
-//     point of the lane, and B/op is deterministic;
-//   - on geometric mean across the pairs, native ns/op must beat dequant.
-//     Individual pairs scatter by a few percent on shared machines (the
-//     margin is memory traffic, not compute — both lanes run the same tile
-//     micro-kernel), so like the tracing gate this is held on the geomean,
-//     where a lane that is genuinely slower cannot hide.
-//
-// Snapshots predating the native lane (no such benchmarks) pass silently.
-func checkInt8Lanes(path string) error {
-	s, err := loadSnapshot(path)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	deq := make(map[string]Benchmark)
-	for _, b := range s.Benchmarks {
-		if rest, ok := strings.CutPrefix(b.Name, "BenchmarkEvaluateBatchInt8Dequant/"); ok {
-			deq[rest] = b
-		}
-	}
-	var logSum float64
-	compared := 0
-	for _, b := range s.Benchmarks {
-		rest, ok := strings.CutPrefix(b.Name, "BenchmarkEvaluateBatchInt8Native/")
-		if !ok || b.Dim < int8GateDim {
-			continue
-		}
-		was, ok := deq[rest]
-		if !ok {
-			continue
-		}
-		compared++
-		logSum += math.Log(b.NsPerOp / was.NsPerOp)
-		fmt.Printf("  int8-native/%s: %.0f vs %.0f ns/op (%+.1f%%), %d vs %d B/op\n",
-			rest, b.NsPerOp, was.NsPerOp, 100*(b.NsPerOp/was.NsPerOp-1),
-			b.BytesPerOp, was.BytesPerOp)
-		if b.BytesPerOp >= was.BytesPerOp {
-			return fmt.Errorf("int8-native %s allocates %d B/op, not below dequant lane's %d",
-				rest, b.BytesPerOp, was.BytesPerOp)
-		}
-	}
-	if compared == 0 {
-		return nil
-	}
-	mean := math.Exp(logSum/float64(compared)) - 1
-	fmt.Printf("%s: int8-native lane %+.1f%% ns/op geomean vs dequant over %d pairs (must be < 0%%)\n",
-		path, 100*mean, compared)
-	if mean >= 0 {
-		return fmt.Errorf("int8-native lane ns/op geomean %+.1f%% vs dequant lane; the native lane must win", 100*mean)
 	}
 	return nil
 }

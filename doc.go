@@ -39,11 +39,13 @@
 //	                      sites cost one atomic load
 //	internal/kgc          TransE/DistMult/ComplEx/RESCAL/RotatE/TuckER/ConvE;
 //	                      the embedding models implement BatchScorer, scoring
-//	                      all queries of a relation against one gathered
-//	                      candidate block; at int8 precision the translational
-//	                      and dot-product kernels score raw quantized rows
-//	                      (tile-local dequantization, bit-identical scores,
-//	                      no materialized float64 block)
+//	                      all queries of a relation chunk against L1-sized
+//	                      tiles of candidate rows: read in place from the
+//	                      float64 table where the pool's ids are consecutive
+//	                      (always, under the full protocol), otherwise copied
+//	                      or dequantized one tile at a time — one lane and
+//	                      one kernel per model at every precision, never a
+//	                      pool-sized candidate block
 //	internal/kp           Knowledge Persistence baseline
 //	internal/synth        typed synthetic KG generator (dataset substitute)
 //	internal/experiments  regenerates every table and figure of the paper

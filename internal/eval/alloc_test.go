@@ -1,0 +1,69 @@
+package eval
+
+import (
+	"runtime"
+	"testing"
+
+	"kgeval/internal/kg"
+	"kgeval/internal/kgc"
+	"kgeval/internal/kgc/store"
+)
+
+// RotatE's true-triple scores route through the scorer's scratch like every
+// other model's batch scores, and the true-head id buffer lives in the
+// worker's scratch: a RotatE pass makes no more allocations than a DistMult
+// pass over the same plan (it used to make two to three per query).
+func TestRotatEPassAllocatesNoMoreThanDistMult(t *testing.T) {
+	g := evalGraph(t)
+	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
+	prov := &RandomProvider{NumEntities: g.NumEntities, N: 30}
+	opts := Options{Filter: filter, Seed: 4, Workers: 1}
+	allocs := map[string]float64{}
+	for _, name := range []string{"DistMult", "RotatE"} {
+		m, err := kgc.New(name, g, 16, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[name] = testing.AllocsPerRun(3, func() { Evaluate(m, g, g.Test, prov, opts) })
+	}
+	if allocs["RotatE"] > allocs["DistMult"] {
+		t.Errorf("a RotatE pass makes %.0f allocations, a DistMult pass %.0f", allocs["RotatE"], allocs["DistMult"])
+	}
+}
+
+// Under the full protocol every pool is the whole entity set. A worker's
+// candidate state is still one kernel tile — the float64 table is scored in
+// place, a reduced-precision one a tile at a time — so the bytes a pass
+// allocates stay far below one |E| × dim block, where the gather lane
+// allocated one such block per worker.
+func TestFullProtocolPassAllocatesTilesNotPools(t *testing.T) {
+	old := batchFloatBudget
+	batchFloatBudget = 4096 // keep the score buffer out of the measurement's way
+	defer func() { batchFloatBudget = old }()
+
+	const dim, workers = 512, 2
+	g := evalGraph(t)
+	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
+	m, err := kgc.New("DistMult", g, dim, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := uint64(g.NumEntities * dim * 8)
+	tile := kgc.TileFor(g.NumEntities, dim, store.Float64)
+	for _, p := range []store.Precision{store.Float64, store.Int8} {
+		opts := Options{Filter: filter, Seed: 4, Workers: workers, Precision: p}
+		pass := func() { Evaluate(m, g, g.Test, NewFullProvider(g.NumEntities), opts) }
+		pass() // the entity store is built once per model, not per pass
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		pass()
+		runtime.ReadMemStats(&m1)
+		got := m1.TotalAlloc - m0.TotalAlloc
+		// Per worker: one tile of rows, the chunk's query rows, the score
+		// buffer; per pass: the ranks and the plan.
+		if got > block/2 {
+			t.Errorf("%v: a full-protocol pass allocated %d bytes; one %d×%d block is %d (tile %d×%d = %d)",
+				p, got, g.NumEntities, dim, block, tile, dim, tile*dim*8)
+		}
+	}
+}

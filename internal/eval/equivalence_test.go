@@ -52,27 +52,41 @@ func TestBatchPathMatchesPerQueryAllModelsAllStrategies(t *testing.T) {
 	}
 }
 
-// Groups whose pools are too large to amortize an embedding gather fall
-// back to direct per-query scoring inside the batch executor; that path
-// must also match the legacy executor exactly. Shrinking the chunking
-// budget forces the fallback on a small graph.
-func TestBatchPathDirectFallbackMatchesPerQuery(t *testing.T) {
-	oldBudget, oldMin := batchFloatBudget, minBatchQueries
-	batchFloatBudget, minBatchQueries = 64, 4 // pools of 30 → chunk 2 < 4 → direct
-	defer func() { batchFloatBudget, minBatchQueries = oldBudget, oldMin }()
+// A pool larger than the whole score-buffer budget runs one query per
+// task — there is no per-query fallback inside the batch executor any more,
+// so the chunk-of-one still goes through the batch kernels and must still
+// rank exactly as the legacy executor does. Shrinking the budget forces
+// that regime (what a >65k-entity graph sees under the full protocol) on a
+// small graph.
+func TestBatchPathOneQueryChunksMatchPerQuery(t *testing.T) {
+	old := batchFloatBudget
+	batchFloatBudget = 16 // pools of 30 and |E| both exceed it
+	defer func() { batchFloatBudget = old }()
 
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
-	for _, name := range []string{"DistMult", "RotatE", "ConvE"} {
+	providers := map[string]CandidateProvider{
+		"Random": &RandomProvider{NumEntities: g.NumEntities, N: 30},
+		"Full":   NewFullProvider(g.NumEntities),
+	}
+	for _, name := range []string{"TransE", "DistMult", "RotatE", "ConvE"} {
 		m, err := kgc.New(name, g, 16, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := &RandomProvider{NumEntities: g.NumEntities, N: 30}
-		batch := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 2})
-		legacy := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 2, PerQuery: true})
-		if batch.Metrics != legacy.Metrics {
-			t.Errorf("%s: direct fallback %+v != per-query %+v", name, batch.Metrics, legacy.Metrics)
+		for pname, p := range providers {
+			queries := subsample(g.Test, Options{})
+			if pl := newPlan(queries, p, Options{Seed: 9}); len(pl.tasks) != len(queries) {
+				t.Fatalf("%s: %d tasks for %d queries, want one query per task", pname, len(pl.tasks), len(queries))
+			}
+			batch := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 2})
+			legacy := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 2, PerQuery: true})
+			if batch.Metrics != legacy.Metrics {
+				t.Errorf("%s/%s: one-query chunks %+v != per-query %+v", name, pname, batch.Metrics, legacy.Metrics)
+			}
+			if batch.CandidatesScored != legacy.CandidatesScored {
+				t.Errorf("%s/%s: batch scored %d, per-query %d", name, pname, batch.CandidatesScored, legacy.CandidatesScored)
+			}
 		}
 	}
 }

@@ -19,10 +19,12 @@
 // Execution is organized around the same unit the complexity argument is
 // about: the relation. An evaluation pass compiles the split into a
 // relation-grouped plan (plan.go) — queries bucketed per relation, pools in
-// flat slices — and scores each relation's queries in batches against one
-// gathered candidate block via kgc.BatchScorer. EvaluateMany reuses a single
-// plan across many models, amortizing pool construction for multi-model
-// workloads.
+// flat slices — and scores each relation's queries in batches via
+// kgc.BatchScorer, which walks the pool in small tiles of candidate rows
+// read from the entity table in place (or copied/dequantized a tile at a
+// time) and scores every query of the batch against each tile. EvaluateMany
+// reuses a single plan across many models, amortizing pool construction for
+// multi-model workloads.
 package eval
 
 import (
@@ -68,18 +70,17 @@ type Result struct {
 //
 // PlanCompile and PoolDraw are wall-clock (they run once, serially, per
 // plan). Score and RankMerge are summed across worker goroutines, so on a
-// parallel pass they measure CPU time and can exceed Elapsed. Groups that
-// fall back to direct per-query scoring split their time the same way;
-// the legacy PerQuery executor cannot separate the two and reports its
-// whole scoring+ranking loop under Score.
+// parallel pass they measure CPU time and can exceed Elapsed. The legacy
+// PerQuery executor cannot separate the two and reports its whole
+// scoring+ranking loop under Score.
 type StageTimings struct {
 	// PlanCompile covers grouping the split by relation and chunking the
 	// groups into batch tasks.
 	PlanCompile time.Duration
 	// PoolDraw covers the 2·|R| candidate pool samplings.
 	PoolDraw time.Duration
-	// Score covers model scoring: gathered-block batch kernels, true-triple
-	// scoring, and the direct/per-query fallback loops.
+	// Score covers model scoring: query building, the tile-fed batch
+	// kernels and true-triple scoring (or the PerQuery executor's loop).
 	Score time.Duration
 	// RankMerge covers rank counting with the known-positive merge sweep.
 	RankMerge time.Duration
@@ -87,13 +88,6 @@ type StageTimings struct {
 	// plan compile time (kgc.TileFor over pool size × dim × precision); 0
 	// when the pass ran the per-query executor.
 	KernelTile int
-	// KernelLane names the batch execution lane the pass selected:
-	// "int8-native" when Int8 precision ran the raw-quantized-row kernels,
-	// "int8-dequant" when Int8 expanded pools to float64 blocks first
-	// (models without a native kernel, or Options.Int8Dequant), "dequant"
-	// for the float64/float32 gather-expand path, and "" when the pass ran
-	// the per-query executor.
-	KernelLane string
 }
 
 // Options configure an evaluation pass.
@@ -121,20 +115,14 @@ type Options struct {
 	// Metrics; this exists for equivalence testing and benchmarking.
 	PerQuery bool
 	// Precision selects the embedding-store precision the batch executor
-	// gathers candidate (and answer) entities at. The zero value, Float64,
-	// is the bit-exact reference; Float32 and Int8 trade a bounded metric
-	// deviation (< 1e-3 MRR on this repo's equivalence gate) for 2×/4×+
-	// smaller entity stores and less gather bandwidth. Ignored by the
-	// PerQuery executor and by models without a native batch lane, which
-	// always score at float64.
+	// reads candidate (and answer) entities at. The zero value, Float64, is
+	// the bit-exact reference and scores candidate rows in the weight table
+	// itself; Float32 and Int8 trade a bounded metric deviation (< 1e-3 MRR
+	// on this repo's equivalence gate) for 2×/4× smaller entity stores,
+	// dequantized one kernel tile at a time into the same kernels. Ignored
+	// by the PerQuery executor and by models without a native batch lane,
+	// which always score at float64.
 	Precision store.Precision
-	// Int8Dequant forces the dequantize-first execution path when Precision
-	// is Int8, even for models with an int8-native kernel: the pool is
-	// expanded to a float64 block before scoring. Metrics are bit-identical
-	// either way (the native lane runs the same arithmetic tile-locally);
-	// this knob exists as the reference lane for equivalence tests and
-	// paired benchmarks. Ignored at other precisions.
-	Int8Dequant bool
 	// Ctx, when non-nil, allows cancelling an evaluation mid-pass. On
 	// cancellation Evaluate returns early with metrics computed over the
 	// queries completed so far (Result.Queries reflects the partial count).
@@ -189,7 +177,7 @@ type CandidateProvider interface {
 //
 // Execution is relation-grouped: the split is partitioned by relation, each
 // relation's pools are drawn once (2·|R| sampling events), and all queries
-// of a relation are scored in batches against one gathered candidate block
+// of a relation are scored in batches over the pool's candidate tiles
 // (kgc.BatchScorer; plain models run through a per-query adapter). Set
 // Options.PerQuery to force the legacy query-at-a-time executor — both
 // produce bit-identical Metrics.
@@ -286,18 +274,26 @@ func rankTail(m kgc.Model, filter *kg.FilterIndex, q kg.Triple, cands []int32, b
 }
 
 // rankHead ranks the true head of q among the candidates (filtered).
-func rankHead(m kgc.Model, filter *kg.FilterIndex, q kg.Triple, cands []int32, buf []float64) float64 {
-	trueScore := scoreHeadOne(m, q)
+func rankHead(m kgc.Model, filter *kg.FilterIndex, q kg.Triple, cands []int32, buf []float64, one *oneHead) float64 {
+	trueScore := scoreHeadOne(m, q, one)
 	m.ScoreHeads(q.R, q.T, cands, buf)
 	return rankScores(q.H, trueScore, cands, buf, filter.Heads(q.R, q.T))
 }
 
+// oneHead is the one-candidate pool scoreHeadOne scores through. Both
+// arrays escape through the Model interface call, so they live in the
+// worker's scratch instead of being allocated per query.
+type oneHead struct {
+	id    [1]int32
+	score [1]float64
+}
+
 // scoreHeadOne scores the true head through the same code path used for the
 // candidates, so that reciprocal-relation models (ConvE) stay consistent.
-func scoreHeadOne(m kgc.Model, q kg.Triple) float64 {
-	var one [1]float64
-	m.ScoreHeads(q.R, q.T, []int32{q.H}, one[:])
-	return one[0]
+func scoreHeadOne(m kgc.Model, q kg.Triple, one *oneHead) float64 {
+	one.id[0] = q.H
+	m.ScoreHeads(q.R, q.T, one.id[:], one.score[:])
+	return one.score[0]
 }
 
 func metricsFromRanks(ranks []float64) Metrics {

@@ -8,98 +8,51 @@ import (
 	"kgeval/internal/kgc/store"
 )
 
-// The int8-native lane is an execution strategy, not a different protocol:
-// it scores raw quantized rows with tile-local dequantization that is
-// bit-identical to expanding the pool first, so for every opting-in model
-// and every sampling strategy the two Int8 lanes must produce identical
-// ranks — asserted here as exact Metrics equality over identical pools.
-func TestInt8NativeLaneMatchesDequantLane(t *testing.T) {
+// int8Oracle is the oracle lane at this layer: a plain Model (no batch
+// contract visible) whose three methods read candidates and answers from
+// the model's Int8 store one row at a time. Run through the PerQuery
+// executor it shares nothing with the batch executor but the store — no
+// relation chunks, no multi-row tiles, no four-row kernel path. The scorer
+// behind it is pinned bit for bit against store.Gather plus plain loops by
+// kgc's TestTileLaneMatchesGatherOracle.
+type int8Oracle struct{ bs kgc.BatchScorer }
+
+func newInt8Oracle(m kgc.Model) int8Oracle {
+	return int8Oracle{kgc.NewBatchScorer(m, kgc.BatchOptions{Precision: store.Int8, Tile: 1})}
+}
+
+func (o int8Oracle) Name() string                                  { return o.bs.Name() }
+func (o int8Oracle) Dim() int                                      { return o.bs.Dim() }
+func (o int8Oracle) ScoreTriple(h, r, t int32) float64             { return o.bs.ScoreTriple(h, r, t) }
+func (o int8Oracle) ScoreTails(h, r int32, c []int32, s []float64) { o.bs.ScoreTails(h, r, c, s) }
+func (o int8Oracle) ScoreHeads(r, t int32, c []int32, s []float64) { o.bs.ScoreHeads(r, t, c, s) }
+
+// Int8 is an execution precision, not a different protocol: for every model
+// and every sampling strategy the batch executor's Int8 metrics must equal
+// the oracle lane's exactly — same quantization error, same rounding, same
+// ranks — including at a dim that leaves a partial quantization block at
+// the end of every row.
+func TestInt8MetricsMatchOracleLane(t *testing.T) {
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	providers := equivalenceProviders(t, g)
-
-	for _, name := range kgc.ModelNames() {
-		m, err := kgc.New(name, g, 16, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !kgc.SupportsInt8Native(m) {
-			continue
-		}
-		for pname, p := range providers {
-			native := Evaluate(m, g, g.Test, p, Options{
-				Filter: filter, Seed: 9, Workers: 2, Precision: store.Int8})
-			dequant := Evaluate(m, g, g.Test, p, Options{
-				Filter: filter, Seed: 9, Workers: 2, Precision: store.Int8, Int8Dequant: true})
-			if native.Metrics != dequant.Metrics {
-				t.Errorf("%s/%s: native lane %+v != dequantize lane %+v",
-					name, pname, native.Metrics, dequant.Metrics)
+	for _, dim := range []int{16, 20} { // 20: 2.5 blocks per row
+		for _, name := range kgc.ModelNames() {
+			m, err := kgc.New(name, g, dim, 5)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if native.Stages.KernelLane != "int8-native" {
-				t.Errorf("%s/%s: native pass reported lane %q", name, pname, native.Stages.KernelLane)
+			for pname, p := range providers {
+				got := Evaluate(m, g, g.Test, p, Options{
+					Filter: filter, Seed: 9, Workers: 2, Precision: store.Int8})
+				// One worker: the oracle's scorer is not safe to share.
+				want := Evaluate(newInt8Oracle(m), g, g.Test, p, Options{
+					Filter: filter, Seed: 9, Workers: 1, PerQuery: true})
+				if got.Metrics != want.Metrics {
+					t.Errorf("%s/dim%d/%s: int8 batch %+v != oracle lane %+v",
+						name, dim, pname, got.Metrics, want.Metrics)
+				}
 			}
-			if dequant.Stages.KernelLane != "int8-dequant" {
-				t.Errorf("%s/%s: forced-dequant pass reported lane %q", name, pname, dequant.Stages.KernelLane)
-			}
-		}
-	}
-}
-
-// Models without a native int8 kernel must fall back to the dequantize lane
-// (and say so), and the float64 path reports the plain dequant lane.
-func TestKernelLaneReporting(t *testing.T) {
-	g := evalGraph(t)
-	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
-	p := &RandomProvider{NumEntities: g.NumEntities, N: 30}
-
-	rotate, err := kgc.New("RotatE", g, 16, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kgc.SupportsInt8Native(rotate) {
-		t.Fatal("RotatE should not have an int8-native kernel")
-	}
-	res := Evaluate(rotate, g, g.Test, p, Options{Filter: filter, Seed: 9, Precision: store.Int8})
-	if res.Stages.KernelLane != "int8-dequant" {
-		t.Errorf("RotatE int8 pass reported lane %q, want int8-dequant", res.Stages.KernelLane)
-	}
-
-	dm, err := kgc.New("DistMult", g, 16, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := Evaluate(dm, g, g.Test, p, Options{Filter: filter, Seed: 9}); res.Stages.KernelLane != "dequant" {
-		t.Errorf("float64 pass reported lane %q, want dequant", res.Stages.KernelLane)
-	}
-	if res := Evaluate(dm, g, g.Test, p, Options{Filter: filter, Seed: 9, PerQuery: true}); res.Stages.KernelLane != "" {
-		t.Errorf("per-query pass reported lane %q, want empty", res.Stages.KernelLane)
-	}
-}
-
-// Same lane equivalence at a dim that is not a multiple of store.BlockDim:
-// every row ends in a partial quantization block, exercising the tail-block
-// handling of GatherQuantized and the tile-local dequantization.
-func TestInt8NativeLaneNonDivisibleDim(t *testing.T) {
-	const dim = 20 // 2.5 blocks per row
-	g := evalGraph(t)
-	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
-	p := &RandomProvider{NumEntities: g.NumEntities, N: 45}
-
-	for _, name := range []string{"TransE", "DistMult", "ComplEx"} {
-		m, err := kgc.New(name, g, dim, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !kgc.SupportsInt8Native(m) {
-			t.Fatalf("%s should have an int8-native kernel", name)
-		}
-		native := Evaluate(m, g, g.Test, p, Options{
-			Filter: filter, Seed: 3, Workers: 2, Precision: store.Int8})
-		dequant := Evaluate(m, g, g.Test, p, Options{
-			Filter: filter, Seed: 3, Workers: 2, Precision: store.Int8, Int8Dequant: true})
-		if native.Metrics != dequant.Metrics {
-			t.Errorf("%s at dim %d: native lane %+v != dequantize lane %+v",
-				name, dim, native.Metrics, dequant.Metrics)
 		}
 	}
 }

@@ -12,25 +12,18 @@ import (
 	"kgeval/internal/faults"
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
-	"kgeval/internal/kgc/store"
 	"kgeval/internal/obs/trace"
 )
 
 // relGroup is the unit of the relation-grouped execution plan: all queries
 // of one relation, plus the relation's two candidate pools. Keeping pools on
 // the group (flat slices, no map lookups) is what lets the hot loop batch
-// every query of the relation against one gathered candidate block.
+// every query of the relation over each tile of candidate rows.
 type relGroup struct {
 	r        int32
 	idx      []int // indices into plan.queries, ascending
 	tailPool []int32
 	headPool []int32
-	// direct marks groups whose pools are too large for batch scoring: the
-	// gathered embedding block would be huge (for the full protocol it is
-	// the whole entity table) and the few queries per task could never
-	// amortize the copy. These groups score query-at-a-time, streaming the
-	// entity table in place.
-	direct bool
 }
 
 // batchTask is one worker-schedulable slice of a relation group. Groups are
@@ -43,19 +36,15 @@ type batchTask struct {
 }
 
 // Chunking parameters. Variables rather than constants so tests can shrink
-// them to exercise the large-pool fallback on small graphs.
+// them to exercise the large-pool regime on small graphs.
 var (
 	// batchFloatBudget caps a batch task's score buffer at 64k floats
-	// (512 KB per worker).
+	// (512 KB per worker) — or at one query's pool, when a single pool is
+	// larger than that.
 	batchFloatBudget = 1 << 16
 	// maxBatchQueries caps queries per task so cancellation latency and
 	// worker load imbalance stay small even for tiny pools.
 	maxBatchQueries = 64
-	// minBatchQueries is the smallest chunk worth a candidate gather: below
-	// it the per-call block copy (len(pool)·dim floats — the whole entity
-	// table under the full protocol) dominates the scoring it enables, so
-	// the group falls back to direct per-query scoring instead.
-	minBatchQueries = 4
 )
 
 // plan is the shared, read-only structure of one evaluation pass: the (possibly
@@ -67,8 +56,8 @@ type plan struct {
 	queries []kg.Triple
 	groups  []relGroup
 	tasks   []batchTask
-	// maxPool is the largest candidate pool over batch-mode groups, set by
-	// chunk(); together with model dim and precision it keys the kernel tile
+	// maxPool is the largest candidate pool over all groups, set by chunk();
+	// together with model dim and precision it keys the kernel tile
 	// selection (kgc.TileFor).
 	maxPool int
 	// compileTime and poolTime are the plan's one-time setup costs
@@ -137,31 +126,20 @@ func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *pla
 	return p
 }
 
-// chunk slices each group into batchTasks sized to the float budget. Groups
-// whose budgeted chunk falls below minBatchQueries are marked direct (the
-// gather can't be amortized) and chunked only for scheduling granularity.
+// chunk slices each group into batchTasks sized to the float budget: the
+// score buffer (chunk × pool) is the only per-task state that grows with
+// the pool, so a pool larger than the whole budget runs one query per task.
 func (p *plan) chunk() {
 	for gi := range p.groups {
 		g := &p.groups[gi]
-		pool := len(g.tailPool)
-		if len(g.headPool) > pool {
-			pool = len(g.headPool)
-		}
+		pool := max(len(g.tailPool), len(g.headPool))
+		p.maxPool = max(p.maxPool, pool)
 		b := maxBatchQueries
-		if pool > 0 && batchFloatBudget/pool < b {
-			b = batchFloatBudget / pool
-		}
-		if b < minBatchQueries {
-			g.direct = true
-			b = maxBatchQueries
-		} else if pool > p.maxPool {
-			p.maxPool = pool
+		if pool > 0 {
+			b = max(1, min(b, batchFloatBudget/pool))
 		}
 		for lo := 0; lo < len(g.idx); lo += b {
-			hi := lo + b
-			if hi > len(g.idx) {
-				hi = len(g.idx)
-			}
+			hi := min(lo+b, len(g.idx))
 			p.tasks = append(p.tasks, batchTask{group: g, lo: lo, hi: hi})
 		}
 	}
@@ -194,8 +172,9 @@ func (c *stageClock) timings() (score, rank time.Duration) {
 // taskBufs are one worker's reusable scratch buffers.
 type taskBufs struct {
 	scores []float64 // chunk × pool score block
-	ents   []int32   // gathered query entities
+	ents   []int32   // the chunk's query entities
 	trues  []float64 // true-triple scores of the chunk
+	head   oneHead
 }
 
 // runPass executes one model over the plan and returns its metrics. done is
@@ -214,18 +193,15 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 	var scored atomic.Int64
 	var clock stageClock
 	var tile int
-	var lane string
 	if opts.PerQuery {
 		runPerQuery(m, p, opts, progressTotal, done, &scored, &clock, ranks)
 	} else {
 		tile = kgc.TileFor(p.maxPool, m.Dim(), opts.Precision)
-		lane = kernelLane(m, opts)
-		runBatch(m, p, opts, tile, lane, progressTotal, done, &scored, &clock, ranks, pass)
+		runBatch(m, p, opts, tile, progressTotal, done, &scored, &clock, ranks, pass)
 	}
 	res := Result{Metrics: metricsFromRanks(ranks), CandidatesScored: scored.Load()}
 	res.Stages.Score, res.Stages.RankMerge = clock.timings()
 	res.Stages.KernelTile = tile
-	res.Stages.KernelLane = lane
 	if pass != nil {
 		// Score and rank_merge are CPU time summed across workers (see
 		// StageTimings), not wall intervals; they are rendered as synthetic
@@ -236,7 +212,7 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 		pass.ChildRecord("eval.rank_merge", passStart, passStart.Add(res.Stages.RankMerge),
 			trace.String("timing", "cpu-summed"))
 		pass.End(trace.Int("queries", res.Queries), trace.Int64("candidates_scored", res.CandidatesScored),
-			trace.Int("tile", tile), trace.String("lane", lane), trace.Bool("per_query", opts.PerQuery))
+			trace.Int("tile", tile), trace.Bool("per_query", opts.PerQuery))
 	}
 	return res
 }
@@ -270,25 +246,13 @@ func (pr *panicRelay) rethrow() {
 	}
 }
 
-// kernelLane names the batch execution lane runBatch will select for m under
-// opts; see StageTimings.KernelLane for the vocabulary.
-func kernelLane(m kgc.Model, opts Options) string {
-	if opts.Precision != store.Int8 {
-		return "dequant"
-	}
-	if !opts.Int8Dequant && kgc.SupportsInt8Native(m) {
-		return "int8-native"
-	}
-	return "int8-dequant"
-}
-
 // runBatch is the relation-grouped executor: workers pull batchTasks and
 // score whole chunks through the model's BatchScorer, reusing their entity
 // and score buffers across tasks. Each worker builds its own scorer: the
-// store-backed scorer carries per-scorer scratch (gathered block, query
-// rows) that is reused across that worker's tasks but is not safe to share
+// store-backed scorer carries per-scorer scratch (query rows, one candidate
+// tile) that is reused across that worker's tasks but is not safe to share
 // between goroutines.
-func runBatch(m kgc.Model, p *plan, opts Options, tile int, lane string, progressTotal int, done, scored *atomic.Int64, clock *stageClock, ranks []float64, pass *trace.Span) {
+func runBatch(m kgc.Model, p *plan, opts Options, tile int, progressTotal int, done, scored *atomic.Int64, clock *stageClock, ranks []float64, pass *trace.Span) {
 	var cancel <-chan struct{}
 	if opts.Ctx != nil {
 		cancel = opts.Ctx.Done()
@@ -306,11 +270,7 @@ func runBatch(m kgc.Model, p *plan, opts Options, tile int, lane string, progres
 		go func() {
 			defer wg.Done()
 			defer relay.capture()
-			bs := kgc.NewBatchScorer(m, kgc.BatchOptions{
-				Precision:   opts.Precision,
-				Tile:        tile,
-				Int8Dequant: opts.Int8Dequant,
-			})
+			bs := kgc.NewBatchScorer(m, kgc.BatchOptions{Precision: opts.Precision, Tile: tile})
 			var bufs taskBufs
 			var local int64
 			defer func() { scored.Add(local) }()
@@ -333,7 +293,7 @@ func runBatch(m kgc.Model, p *plan, opts Options, tile int, lane string, progres
 				if sample < 0 || (sample > 1 && ti%sample != 0) {
 					chunkSpan = nil
 				}
-				local += runTask(bs, p, p.tasks[ti], opts, tile, lane, progressTotal, done, clock, ranks, &bufs, chunkSpan)
+				local += runTask(bs, p, p.tasks[ti], opts, tile, progressTotal, done, clock, ranks, &bufs, chunkSpan)
 			}
 		}()
 	}
@@ -349,7 +309,7 @@ func runBatch(m kgc.Model, p *plan, opts Options, tile int, lane string, progres
 // timestamp per query. When pass is non-nil the task also records itself as
 // one completed "eval.chunk" child span carrying the relation, pool sizes,
 // precision, kernel tile and its stage split.
-func runTask(bs kgc.BatchScorer, p *plan, t batchTask, opts Options, tile int, lane string, progressTotal int, done *atomic.Int64, clock *stageClock, ranks []float64, bufs *taskBufs, pass *trace.Span) int64 {
+func runTask(bs kgc.BatchScorer, p *plan, t batchTask, opts Options, tile int, progressTotal int, done *atomic.Int64, clock *stageClock, ranks []float64, bufs *taskBufs, pass *trace.Span) int64 {
 	g := t.group
 	idx := g.idx[t.lo:t.hi]
 	nq := len(idx)
@@ -366,49 +326,12 @@ func runTask(bs kgc.BatchScorer, p *plan, t batchTask, opts Options, tile int, l
 				trace.Int("relation", int(g.r)), trace.Int("queries", nq),
 				trace.Int("pool_tail", len(g.tailPool)), trace.Int("pool_head", len(g.headPool)),
 				trace.String("precision", opts.Precision.String()), trace.Int("tile", tile),
-				trace.String("lane", lane), trace.Bool("direct", g.direct),
 				trace.Int64("score_ns", scoreNS), trace.Int64("rank_ns", rankNS))
 		}
 	}()
 
-	if g.direct {
-		// Pool too large to amortize an embedding gather: score each query
-		// in place through the per-query model calls (identical arithmetic
-		// to the legacy executor), splitting scoring from rank counting so
-		// the stage breakdown still holds under the full protocol.
-		var n int64
-		for _, qi := range idx {
-			q := p.queries[qi]
-
-			t0 := time.Now()
-			bufs.scores = growF64(bufs.scores, len(g.tailPool))
-			tailTrue := bs.ScoreTriple(q.H, q.R, q.T)
-			bs.ScoreTails(q.H, q.R, g.tailPool, bufs.scores)
-			t1 := time.Now()
-			ranks[2*qi] = rankScores(q.T, tailTrue, g.tailPool, bufs.scores, opts.Filter.Tails(q.H, q.R))
-			t2 := time.Now()
-			n += int64(len(g.tailPool))
-
-			bufs.scores = growF64(bufs.scores, len(g.headPool))
-			headTrue := scoreHeadOne(bs, q)
-			bs.ScoreHeads(q.R, q.T, g.headPool, bufs.scores)
-			t3 := time.Now()
-			ranks[2*qi+1] = rankScores(q.H, headTrue, g.headPool, bufs.scores, opts.Filter.Heads(q.R, q.T))
-			t4 := time.Now()
-			n += int64(len(g.headPool))
-
-			scoreNS += int64(t1.Sub(t0)) + int64(t3.Sub(t2))
-			rankNS += int64(t2.Sub(t1)) + int64(t4.Sub(t3))
-			d := done.Add(1)
-			if opts.Progress != nil {
-				opts.Progress(int(d), progressTotal)
-			}
-		}
-		return n
-	}
-
-	bufs.ents = growInt32(bufs.ents, nq)
-	bufs.trues = growF64(bufs.trues, nq)
+	bufs.ents = kgc.Grow(bufs.ents, nq)
+	bufs.trues = kgc.Grow(bufs.trues, nq)
 	ents, trues := bufs.ents, bufs.trues
 
 	scoreStart := time.Now()
@@ -416,7 +339,7 @@ func runTask(bs kgc.BatchScorer, p *plan, t batchTask, opts Options, tile int, l
 	for i, qi := range idx {
 		ents[i] = p.queries[qi].H
 	}
-	bufs.scores = growF64(bufs.scores, nq*nc)
+	bufs.scores = kgc.Grow(bufs.scores, nq*nc)
 	scores := bufs.scores
 	bs.ScoreTailsBatch(ents, g.r, g.tailPool, scores)
 	for i, qi := range idx {
@@ -438,11 +361,11 @@ func runTask(bs kgc.BatchScorer, p *plan, t batchTask, opts Options, tile int, l
 	for i, qi := range idx {
 		ents[i] = p.queries[qi].T
 	}
-	bufs.scores = growF64(bufs.scores, nq*hc)
+	bufs.scores = kgc.Grow(bufs.scores, nq*hc)
 	scores = bufs.scores
 	bs.ScoreHeadsBatch(ents, g.r, g.headPool, scores)
 	for i, qi := range idx {
-		trues[i] = scoreHeadOne(bs, p.queries[qi])
+		trues[i] = scoreHeadOne(bs, p.queries[qi], &bufs.head)
 	}
 	scoreNS += int64(time.Since(scoreStart))
 
@@ -498,6 +421,7 @@ func runPerQuery(m kgc.Model, p *plan, opts Options, progressTotal int, done, sc
 			defer wg.Done()
 			defer relay.capture()
 			var buf []float64
+			var head oneHead
 			var local, localNS int64
 			defer func() {
 				scored.Add(local)
@@ -514,13 +438,13 @@ func runPerQuery(m kgc.Model, p *plan, opts Options, progressTotal int, done, sc
 				t0 := time.Now()
 				q := queries[i]
 				tp := tailPools[q.R]
-				buf = growF64(buf, len(tp))
+				buf = kgc.Grow(buf, len(tp))
 				ranks[2*i] = rankTail(m, opts.Filter, q, tp, buf)
 				local += int64(len(tp))
 
 				hp := headPools[q.R]
-				buf = growF64(buf, len(hp))
-				ranks[2*i+1] = rankHead(m, opts.Filter, q, hp, buf)
+				buf = kgc.Grow(buf, len(hp))
+				ranks[2*i+1] = rankHead(m, opts.Filter, q, hp, buf, &head)
 				local += int64(len(hp))
 				localNS += int64(time.Since(t0))
 
@@ -533,18 +457,4 @@ func runPerQuery(m kgc.Model, p *plan, opts Options, progressTotal int, done, sc
 	}
 	wg.Wait()
 	relay.rethrow()
-}
-
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growInt32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
 }

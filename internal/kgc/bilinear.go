@@ -97,12 +97,8 @@ func (m *DistMult) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratc
 	}
 }
 
-func (m *DistMult) kernel(qs, block []float64, nc int, out []float64, tile int) {
-	scoreDotBatch(qs, block, m.dim, nc, out, tile)
-}
-
-func (m *DistMult) kernelInt8(qs []float64, vals []int8, scale, zero []float32, nc int, out []float64, tile int, tbuf []float64) {
-	scoreDotBatchInt8(qs, vals, scale, zero, m.dim, nc, out, tile, tbuf)
+func (m *DistMult) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
+	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
 func (m *DistMult) gradStep(h, r, t int32, coeff, lr float64) {
@@ -234,12 +230,8 @@ func (m *ComplEx) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch
 	}
 }
 
-func (m *ComplEx) kernel(qs, block []float64, nc int, out []float64, tile int) {
-	scoreDotBatch(qs, block, m.dim, nc, out, tile)
-}
-
-func (m *ComplEx) kernelInt8(qs []float64, vals []int8, scale, zero []float32, nc int, out []float64, tile int, tbuf []float64) {
-	scoreDotBatchInt8(qs, vals, scale, zero, m.dim, nc, out, tile, tbuf)
+func (m *ComplEx) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
+	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
 func (m *ComplEx) gradStep(h, r, t int32, coeff, lr float64) {
@@ -373,8 +365,8 @@ func (m *RESCAL) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch)
 	}
 }
 
-func (m *RESCAL) kernel(qs, block []float64, nc int, out []float64, tile int) {
-	scoreDotBatch(qs, block, m.dim, nc, out, tile)
+func (m *RESCAL) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
+	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
 func (m *RESCAL) gradStep(h, r, t int32, coeff, lr float64) {

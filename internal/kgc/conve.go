@@ -241,15 +241,15 @@ func (m *ConvE) buildTailQueries(hs []int32, r int32, qs []float64, sc *scratch)
 	ih, iw := 2*m.dh, m.dw
 	flat := m.channels * ih * iw
 	nq := len(hs)
-	sc.img = growF64(sc.img, ih*iw)
-	sc.feat = growF64(sc.feat, nq*flat)
+	sc.img = Grow(sc.img, ih*iw)
+	sc.feat = Grow(sc.feat, nq*flat)
 	for i, h := range hs {
 		m.convFeatures(h, r, sc.img, nil, sc.feat[i*flat:(i+1)*flat])
 	}
 
 	// Transpose the features to u-major so the FC pass reads each unit's
 	// chunk activations from one contiguous run instead of striding by flat.
-	sc.featT = growF64(sc.featT, flat*nq)
+	sc.featT = Grow(sc.featT, flat*nq)
 	for i := 0; i < nq; i++ {
 		f := sc.feat[i*flat : (i+1)*flat]
 		for u, v := range f {
@@ -324,8 +324,8 @@ func (m *ConvE) buildHeadQueries(ts []int32, r int32, qs []float64, sc *scratch)
 	m.buildTailQueries(ts, r+int32(m.nrel), qs, sc)
 }
 
-func (m *ConvE) kernel(qs, block []float64, nc int, out []float64, tile int) {
-	scoreDotBatch(qs, block, m.dim, nc, out, tile)
+func (m *ConvE) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
+	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
 func (m *ConvE) gradStep(h, r, t int32, coeff, lr float64) {

@@ -41,11 +41,12 @@ func (m *RotatE) defaultLoss() Loss { return LossMargin }
 func (m *RotatE) reciprocal() bool  { return false }
 func (m *RotatE) numRelations() int { return len(m.rel.w) / m.half }
 
-// rotated writes h∘r (complex rotation of h by r's phases) into (qre, qim).
-func (m *RotatE) rotated(hv, phases []float64, qre, qim []float64) {
+// rotated writes the complex rotation of h by sign·phases into (qre, qim):
+// h∘r for sign = 1, the inverse rotation h∘r⁻¹ for sign = −1.
+func (m *RotatE) rotated(hv, phases []float64, sign float64, qre, qim []float64) {
 	d := m.half
 	for i := 0; i < d; i++ {
-		c, s := math.Cos(phases[i]), math.Sin(phases[i])
+		c, s := math.Cos(sign*phases[i]), math.Sin(sign*phases[i])
 		hr, hi := hv[i], hv[d+i]
 		qre[i] = hr*c - hi*s
 		qim[i] = hr*s + hi*c
@@ -57,12 +58,12 @@ func (m *RotatE) ScoreTriple(h, r, t int32) float64 {
 	d := m.half
 	qre := make([]float64, d)
 	qim := make([]float64, d)
-	m.rotated(m.ent.vec(h), m.rel.vec(r), qre, qim)
+	m.rotated(m.ent.vec(h), m.rel.vec(r), 1, qre, qim)
 	tv := m.ent.vec(t)
 	s := 0.0
 	for i := 0; i < d; i++ {
 		dre, dim := qre[i]-tv[i], qim[i]-tv[d+i]
-		s += math.Hypot(dre, dim)
+		s += cmod(dre, dim)
 	}
 	return -s
 }
@@ -72,13 +73,13 @@ func (m *RotatE) ScoreTails(h, r int32, cands []int32, out []float64) {
 	d := m.half
 	qre := make([]float64, d)
 	qim := make([]float64, d)
-	m.rotated(m.ent.vec(h), m.rel.vec(r), qre, qim)
+	m.rotated(m.ent.vec(h), m.rel.vec(r), 1, qre, qim)
 	for c, cand := range cands {
 		tv := m.ent.vec(cand)
 		s := 0.0
 		for i := 0; i < d; i++ {
 			dre, dim := qre[i]-tv[i], qim[i]-tv[d+i]
-			s += math.Hypot(dre, dim)
+			s += cmod(dre, dim)
 		}
 		out[c] = -s
 	}
@@ -88,20 +89,15 @@ func (m *RotatE) ScoreTails(h, r int32, cands []int32, out []float64) {
 // |h∘r − t| = |h − t∘r⁻¹|.
 func (m *RotatE) ScoreHeads(r, t int32, cands []int32, out []float64) {
 	d := m.half
-	phases := m.rel.vec(r)
-	inv := make([]float64, d)
-	for i := range inv {
-		inv[i] = -phases[i]
-	}
 	qre := make([]float64, d)
 	qim := make([]float64, d)
-	m.rotated(m.ent.vec(t), inv, qre, qim)
+	m.rotated(m.ent.vec(t), m.rel.vec(r), -1, qre, qim)
 	for c, cand := range cands {
 		hv := m.ent.vec(cand)
 		s := 0.0
 		for i := 0; i < d; i++ {
 			dre, dim := hv[i]-qre[i], hv[d+i]-qim[i]
-			s += math.Hypot(dre, dim)
+			s += cmod(dre, dim)
 		}
 		out[c] = -s
 	}
@@ -109,36 +105,33 @@ func (m *RotatE) ScoreHeads(r, t int32, cands []int32, out []float64) {
 
 // Universal batch-lane contract (see scoring.go): tail queries rotate h by
 // r's phases, head queries rotate t by the inverse phases (|h∘r − t| =
-// |h − t∘r⁻¹|), scored by the complex-modulus kernel.
+// |h − t∘r⁻¹|), scored by the complex-modulus kernel. singleViaBatch is on:
+// the model's own per-query methods allocate the rotated query per call,
+// while the routed path builds it in scorer scratch.
 
 func (m *RotatE) entityTable() *table      { return m.ent }
 func (m *RotatE) entityStores() *entStores { return &m.stores }
 func (m *RotatE) entityBias() *table       { return nil }
-func (m *RotatE) singleViaBatch() bool     { return false }
+func (m *RotatE) singleViaBatch() bool     { return true }
 
 func (m *RotatE) buildTailQueries(hs []int32, r int32, qs []float64, _ *scratch) {
 	phases := m.rel.vec(r)
 	for i, h := range hs {
 		q := qs[i*m.dim : (i+1)*m.dim]
-		m.rotated(m.ent.vec(h), phases, q[:m.half], q[m.half:])
+		m.rotated(m.ent.vec(h), phases, 1, q[:m.half], q[m.half:])
 	}
 }
 
-func (m *RotatE) buildHeadQueries(ts []int32, r int32, qs []float64, sc *scratch) {
+func (m *RotatE) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch) {
 	phases := m.rel.vec(r)
-	sc.phase = growF64(sc.phase, m.half)
-	inv := sc.phase
-	for i := range inv {
-		inv[i] = -phases[i]
-	}
 	for i, t := range ts {
 		q := qs[i*m.dim : (i+1)*m.dim]
-		m.rotated(m.ent.vec(t), inv, q[:m.half], q[m.half:])
+		m.rotated(m.ent.vec(t), phases, -1, q[:m.half], q[m.half:])
 	}
 }
 
-func (m *RotatE) kernel(qs, block []float64, nc int, out []float64, tile int) {
-	scoreRotBatch(qs, block, m.dim, m.half, nc, out, tile)
+func (m *RotatE) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
+	scoreRotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
 func (m *RotatE) gradStep(h, r, t int32, coeff, lr float64) {
@@ -154,7 +147,7 @@ func (m *RotatE) gradStep(h, r, t int32, coeff, lr float64) {
 		qre := hr*c - hi*s
 		qim := hr*s + hi*c
 		dre, dim := qre-tv[i], qim-tv[d+i]
-		mod := math.Hypot(dre, dim)
+		mod := cmod(dre, dim)
 		if mod < 1e-12 {
 			continue
 		}

@@ -9,27 +9,23 @@ import (
 // BatchOptions selects the execution parameters of a batch scoring lane.
 type BatchOptions struct {
 	// Precision is the entity-store precision candidate (and, for non-default
-	// precisions, answer-side) embeddings are gathered at. Float64 is the
-	// bit-exact reference; Float32 and Int8 trade a bounded score error for
-	// memory footprint and gather bandwidth. Ignored for models without a
-	// native batch lane, which always score at float64.
+	// precisions, answer-side) embeddings are read at. Float64 is the
+	// bit-exact reference and scores consecutive candidate rows in place;
+	// Float32 and Int8 trade a bounded score error for a smaller table,
+	// dequantized one kernel tile at a time. The kernel is the same at every
+	// precision. Ignored for models without a native batch lane, which
+	// always score at float64.
 	Precision store.Precision
 	// Tile is the kernel candidate-tile size; 0 uses the built-in default.
-	// TileFor picks a tuned value from the pool/dim shape.
+	// TileFor sizes it from the dim.
 	Tile int
-	// Int8Dequant forces the dequantize-first execution path at Int8
-	// precision: the pool is expanded to a float64 block before the kernel
-	// runs, even for models with an int8-native kernel. Scores are
-	// bit-identical either way (the native lane runs the same arithmetic
-	// tile-locally); this knob exists as the reference lane for equivalence
-	// tests and paired benchmarks. Ignored at other precisions.
-	Int8Dequant bool
 }
 
 // batchNative is the per-model contract behind the universal batch lane.
-// A model implements it by exposing its entity table and two query-builder
-// hooks; the gathering, tiling and kernel dispatch live in storeScorer, so
-// every model shares one batch execution path instead of reimplementing it.
+// A model implements it by exposing its entity table, two query-builder
+// hooks and its tile micro-kernel; the tile walk and row access live in
+// storeScorer, so every model shares one batch execution path instead of
+// reimplementing it.
 type batchNative interface {
 	Model
 	entityTable() *table
@@ -45,60 +41,30 @@ type batchNative interface {
 	// buildHeadQueries is the head-direction analogue: score(c, r, ts[i]) =
 	// kernel(q, c) (+ bias[c]).
 	buildHeadQueries(ts []int32, r int32, qs []float64, sc *scratch)
-	// kernel scores every query in qs against nc gathered candidate rows,
-	// writing out[i*nc+j]. tile is the candidate blocking factor.
-	kernel(qs, block []float64, nc int, out []float64, tile int)
-	// singleViaBatch reports whether the scorer's per-query entry points
-	// (ScoreTriple/ScoreTails/ScoreHeads) should also route through
-	// buildXQueries+kernel even at float64. Models whose own per-query
-	// methods recompute expensive per-relation state (TuckER's core
-	// contraction, ConvE's conv+FC stack) opt in; the scorer's scratch then
-	// caches that state across the calls of a relation chunk. Opting in
-	// requires the routed path to stay bit-identical to the model's own
-	// per-query methods.
+	// tileKernel scores every query in qs against candidates j0..j1 of an
+	// nc-candidate pool, whose vectors are the rows of tbuf, writing
+	// out[i*nc+j]. tbuf may alias the live entity table: read-only.
+	tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64)
+	// singleViaBatch reports whether the scorer's ScoreTriple should route
+	// through buildTailQueries+tileKernel even at float64, as its
+	// ScoreTails/ScoreHeads always do. Models whose own ScoreTriple
+	// recomputes expensive per-relation state (TuckER's core contraction,
+	// ConvE's conv+FC stack) or allocates per call (RotatE's rotated query)
+	// opt in; the scorer's scratch then carries that state across the calls
+	// of a relation chunk. Opting in requires the model's ScoreTriple to be
+	// bit-identical to its ScoreTails over the one candidate.
 	singleViaBatch() bool
-}
-
-// int8Kernel is the optional batchNative extension behind the int8-native
-// lane: the model scores queries against raw quantized candidate rows (as
-// gathered by store.GatherQuantized) without the pool ever being expanded to
-// a float64 block. tbuf is caller-owned tile scratch of at least
-// effectiveTile(tile)×Dim values. Implementations must stay bit-identical
-// to kernel() over the store.Gather expansion of the same rows — the
-// evaluation engine treats the two lanes as interchangeable.
-//
-// The dot-family models whose kernel streams candidate vectors directly
-// (TransE, DistMult, ComplEx) implement it; RotatE, RESCAL, TuckER and
-// ConvE stay on the dequantize lane.
-type int8Kernel interface {
-	kernelInt8(qs []float64, vals []int8, scale, zero []float32, nc int, out []float64, tile int, tbuf []float64)
-}
-
-// SupportsInt8Native reports whether m has an int8-native kernel, i.e.
-// whether NewBatchScorer at Int8 precision (without Int8Dequant) will score
-// raw quantized rows instead of dequantizing the pool first.
-func SupportsInt8Native(m Model) bool {
-	_, ok := m.(int8Kernel)
-	return ok
 }
 
 // scratch holds one scorer's reusable buffers. Sizes are high-water marks:
 // buffers grow to the largest chunk seen and are reused verbatim after.
+// None of them scales with the candidate pool.
 type scratch struct {
-	block []float64 // gathered candidate rows
+	tbuf  []float64 // one kernel tile of candidate rows, when not scored in place
 	qs    []float64 // query vectors, one per chunk query
-	q1    []float64 // single-query buffer for per-query entry points
-	phase []float64 // RotatE inverse phases
-
-	// int8-native lane: raw quantized candidate rows plus their per-block
-	// parameters, and the tile-sized dequantization buffer.
-	valsI8 []int8
-	cscale []float32
-	czero  []float32
-	tbuf   []float64
-	img    []float64 // ConvE stacked input image
-	feat   []float64 // ConvE flattened conv features, one row per query
-	featT  []float64 // ConvE conv features transposed to unit-major
+	img   []float64 // ConvE stacked input image
+	feat  []float64 // ConvE flattened conv features, one row per query
+	featT []float64 // ConvE conv features transposed to unit-major
 
 	// TuckER's relation matrix M_r = W ×₂ r, cached across the calls of a
 	// relation chunk (tails, trues and heads all share it).
@@ -107,24 +73,12 @@ type scratch struct {
 	relMatOK bool
 }
 
-// growF64 returns buf with length ≥ n, reallocating only to grow.
-func growF64(buf []float64, n int) []float64 {
+// Grow returns buf with length n, reallocating only when its capacity is
+// short — the one way this package and its callers size reusable scratch.
+// The contents are unspecified.
+func Grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growI8(buf []int8, n int) []int8 {
-	if cap(buf) < n {
-		return make([]int8, n)
-	}
-	return buf[:n]
-}
-
-func growF32(buf []float32, n int) []float32 {
-	if cap(buf) < n {
-		return make([]float32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -195,21 +149,22 @@ func IsNativeBatch(m Model) bool {
 //
 // The returned scorer owns reusable scratch buffers and is NOT safe for
 // concurrent use: create one per worker goroutine. Scorers for the same
-// model share the underlying (immutable) entity store, so per-worker
-// creation is cheap after the first.
+// model share the underlying (immutable) entity store — at Float64 the live
+// weight table itself, which they read in place — so per-worker creation is
+// cheap after the first.
 func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 	if bn, ok := m.(batchNative); ok {
-		s := &storeScorer{
+		tile := opts.Tile
+		if tile <= 0 {
+			tile = defaultTile
+		}
+		return &storeScorer{
 			m:    bn,
 			st:   bn.entityStores().get(bn.entityTable(), opts.Precision),
 			bias: bn.entityBias(),
 			prec: opts.Precision,
-			tile: opts.Tile,
+			tile: tile,
 		}
-		if opts.Precision == store.Int8 && !opts.Int8Dequant {
-			s.i8k, _ = m.(int8Kernel)
-		}
-		return s
 	}
 	if bs, ok := m.(BatchScorer); ok {
 		return bs
@@ -217,18 +172,18 @@ func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 	return batchAdapter{m}
 }
 
-// storeScorer is the universal batch lane: it gathers each chunk's
-// candidate pool from the model's entity store at the selected precision
-// into a scratch block, asks the model to build its query vectors, and
-// streams the block through the model's tiled kernel. One instance owns the
-// scratch, so it is not safe for concurrent use.
+// storeScorer is the universal batch lane: it asks the model to build the
+// chunk's query vectors, then walks the candidate pool in kernel tiles,
+// asking the entity store for each tile's rows (store.Tile: the table
+// itself where it can, one tile-sized buffer where it cannot) and handing
+// them to the model's tile micro-kernel. One instance owns the scratch, so
+// it is not safe for concurrent use.
 type storeScorer struct {
 	m    batchNative
 	st   *store.Store
 	bias *table
 	prec store.Precision
 	tile int
-	i8k  int8Kernel // non-nil: score raw quantized rows (int8-native lane)
 	sc   scratch
 
 	oneID [1]int32 // single-query/candidate id buffers for the routed paths
@@ -241,34 +196,30 @@ func (s *storeScorer) Dim() int     { return s.m.Dim() }
 
 // ScoreTailsBatch scores (hs[i], r, cands[j]) into out[i*len(cands)+j].
 func (s *storeScorer) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64) {
-	dim := s.m.Dim()
-	s.sc.qs = growF64(s.sc.qs, len(hs)*dim)
+	s.sc.qs = Grow(s.sc.qs, len(hs)*s.m.Dim())
 	s.m.buildTailQueries(hs, r, s.sc.qs, &s.sc)
-	s.scoreBlock(s.sc.qs, cands, out)
+	s.score(s.sc.qs, cands, out)
 }
 
 // ScoreHeadsBatch scores (cands[j], r, ts[i]) into out[i*len(cands)+j].
 func (s *storeScorer) ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []float64) {
-	dim := s.m.Dim()
-	s.sc.qs = growF64(s.sc.qs, len(ts)*dim)
+	s.sc.qs = Grow(s.sc.qs, len(ts)*s.m.Dim())
 	s.m.buildHeadQueries(ts, r, s.sc.qs, &s.sc)
-	s.scoreBlock(s.sc.qs, cands, out)
+	s.score(s.sc.qs, cands, out)
 }
 
-// scoreBlock gathers cands once and runs the kernel for every query in qs,
-// then adds the per-entity bias when the model has one. On the int8-native
-// lane the gather stays quantized — 1 byte per value plus block parameters —
-// and the kernel dequantizes tile-locally.
-func (s *storeScorer) scoreBlock(qs []float64, cands []int32, out []float64) {
+// score runs every query in qs over cands one kernel tile at a time, then
+// adds the per-entity bias when the model has one. The only candidate state
+// it ever holds is one tile: rows the store could not hand out in place
+// land in sc.tbuf, which stays L1-resident while the queries stream over it.
+func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
 	dim := s.m.Dim()
 	nc := len(cands)
-	if s.i8k != nil {
-		s.gatherQuantized(cands)
-		s.i8k.kernelInt8(qs, s.sc.valsI8, s.sc.cscale, s.sc.czero, nc, out, s.tile, s.sc.tbuf)
-	} else {
-		s.sc.block = growF64(s.sc.block, nc*dim)
-		s.st.Gather(cands, s.sc.block)
-		s.m.kernel(qs, s.sc.block, nc, out, s.tile)
+	tile := min(s.tile, nc)
+	s.sc.tbuf = Grow(s.sc.tbuf, tile*dim)
+	for j0 := 0; j0 < nc; j0 += tile {
+		j1 := min(j0+tile, nc)
+		s.m.tileKernel(qs, s.st.Tile(cands[j0:j1], s.sc.tbuf), j0, j1, nc, out)
 	}
 	if s.bias != nil {
 		nq := len(qs) / dim
@@ -281,17 +232,17 @@ func (s *storeScorer) scoreBlock(qs []float64, cands []int32, out []float64) {
 	}
 }
 
-// routeSingles reports whether the per-query entry points go through the
-// store-backed path: always at reduced precision (candidates and answer
-// entities must come from the same quantized store the batch kernels read),
-// and at float64 only for models that opt in via singleViaBatch.
-func (s *storeScorer) routeSingles() bool {
+// routeTriple reports whether ScoreTriple goes through the store-backed
+// path: always at reduced precision (the answer entity must come from the
+// same quantized store the batch kernels read), and at float64 only for
+// models that opt in via singleViaBatch.
+func (s *storeScorer) routeTriple() bool {
 	return s.prec != store.Float64 || s.m.singleViaBatch()
 }
 
 // ScoreTriple scores one triple, consistent with the batch lane.
 func (s *storeScorer) ScoreTriple(h, r, t int32) float64 {
-	if !s.routeSingles() {
+	if !s.routeTriple() {
 		return s.m.ScoreTriple(h, r, t)
 	}
 	s.oneC[0] = t
@@ -299,75 +250,17 @@ func (s *storeScorer) ScoreTriple(h, r, t int32) float64 {
 	return s.oneS[0]
 }
 
-// ScoreTails scores (h, r, cand) for every candidate tail.
+// ScoreTails scores (h, r, cand) for every candidate tail: a single query
+// is a chunk of one through the batch lane, which is bit-identical to the
+// model's own ScoreTails and builds the query in scorer scratch instead of
+// allocating it per call.
 func (s *storeScorer) ScoreTails(h, r int32, cands []int32, out []float64) {
-	if !s.routeSingles() {
-		s.m.ScoreTails(h, r, cands, out)
-		return
-	}
-	dim := s.m.Dim()
-	s.sc.q1 = growF64(s.sc.q1, dim)
 	s.oneID[0] = h
-	s.m.buildTailQueries(s.oneID[:], r, s.sc.q1, &s.sc)
-	s.scoreSingles(s.sc.q1, cands, out)
+	s.ScoreTailsBatch(s.oneID[:], r, cands, out)
 }
 
-// ScoreHeads scores (cand, r, t) for every candidate head.
+// ScoreHeads scores (cand, r, t) for every candidate head, as ScoreTails.
 func (s *storeScorer) ScoreHeads(r, t int32, cands []int32, out []float64) {
-	if !s.routeSingles() {
-		s.m.ScoreHeads(r, t, cands, out)
-		return
-	}
-	dim := s.m.Dim()
-	s.sc.q1 = growF64(s.sc.q1, dim)
 	s.oneID[0] = t
-	s.m.buildHeadQueries(s.oneID[:], r, s.sc.q1, &s.sc)
-	s.scoreSingles(s.sc.q1, cands, out)
-}
-
-// gatherQuantized sizes the int8-lane scratch for len(cands) rows and fills
-// it from the store.
-func (s *storeScorer) gatherQuantized(cands []int32) {
-	dim, nb := s.m.Dim(), s.st.NBlocks()
-	nc := len(cands)
-	s.sc.valsI8 = growI8(s.sc.valsI8, nc*dim)
-	s.sc.cscale = growF32(s.sc.cscale, nc*nb)
-	s.sc.czero = growF32(s.sc.czero, nc*nb)
-	s.sc.tbuf = growF64(s.sc.tbuf, effectiveTile(s.tile)*dim)
-	s.st.GatherQuantized(cands, s.sc.valsI8, s.sc.cscale, s.sc.czero)
-}
-
-// scoreSingles scores one query against cands, streaming the pool through a
-// bounded gather block so direct (per-query) relation groups don't inflate
-// the scratch to the full entity table.
-func (s *storeScorer) scoreSingles(q []float64, cands []int32, out []float64) {
-	const blockRows = 256
-	dim := s.m.Dim()
-	n := len(cands)
-	rows := blockRows
-	if n < rows {
-		rows = n
-	}
-	if s.i8k == nil {
-		s.sc.block = growF64(s.sc.block, rows*dim)
-	}
-	for lo := 0; lo < n; lo += blockRows {
-		hi := lo + blockRows
-		if hi > n {
-			hi = n
-		}
-		part := cands[lo:hi]
-		if s.i8k != nil {
-			s.gatherQuantized(part)
-			s.i8k.kernelInt8(q, s.sc.valsI8, s.sc.cscale, s.sc.czero, len(part), out[lo:hi], s.tile, s.sc.tbuf)
-		} else {
-			s.st.Gather(part, s.sc.block)
-			s.m.kernel(q, s.sc.block[:len(part)*dim], len(part), out[lo:hi], s.tile)
-		}
-		if s.bias != nil {
-			for j, c := range part {
-				out[lo+j] += s.bias.vec(c)[0]
-			}
-		}
-	}
+	s.ScoreHeadsBatch(s.oneID[:], r, cands, out)
 }

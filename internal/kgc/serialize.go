@@ -165,7 +165,7 @@ func SaveEntityStore(w io.Writer, m Model, p store.Precision) error {
 
 // OpenEntityStore memory-maps an entity store file written by
 // SaveEntityStore and attaches it to m: batch scorers for the store's
-// precision gather from the mapping from then on. The load is O(1) in the
+// precision read rows from the mapping from then on. The load is O(1) in the
 // table size, and concurrent processes opening the same file share one
 // physical copy. The caller owns the returned store and should Close it
 // once m is no longer in use.

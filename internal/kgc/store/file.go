@@ -44,18 +44,16 @@ var hostLittleEndian = func() bool {
 
 func pad8(n int) int { return (n + 7) &^ 7 }
 
+// elemBytes is the stored size of one value at each precision.
+var elemBytes = [numPrecisions]int{Float64: 8, Float32: 4, Int8: 1}
+
 // sectionSizes returns the value and quant section byte sizes (pre-padding).
 func sectionSizes(p Precision, rows, dim, nblocks int) (valBytes, quantBytes int) {
-	n := rows * dim
-	switch p {
-	case Float64:
-		return n * 8, 0
-	case Float32:
-		return n * 4, 0
-	case Int8:
-		return n, rows * nblocks * 4 * 2
+	valBytes = rows * dim * elemBytes[p]
+	if p == Int8 {
+		quantBytes = rows * nblocks * 4 * 2
 	}
-	return 0, 0
+	return valBytes, quantBytes
 }
 
 // WriteTo serializes the store in the versioned columnar format.
@@ -183,10 +181,26 @@ func fromBytes(raw, mapped []byte) (*Store, error) {
 		return nil, fmt.Errorf("store: quantization block dim %d, this build uses %d", bd, BlockDim)
 	}
 	s := &Store{rows: int(rows), dim: int(dim), prec: prec, mapped: mapped}
+	// The shape comes from the file, so its section sizes are bounded
+	// against the bytes actually present in uint64, by division, before
+	// anything multiplies them in int: rows·dim is below 2⁶², but times the
+	// element size it can wrap, to a negative or a small positive int.
+	avail := uint64(len(raw) - headerSize)
+	truncated := func() error {
+		return fmt.Errorf("store: truncated payload: %d bytes cannot hold a %d×%d %v table", len(raw), rows, dim, prec)
+	}
+	if rows*dim > avail/uint64(elemBytes[prec]) {
+		return nil, truncated()
+	}
 	valBytes, quantBytes := sectionSizes(prec, s.rows, s.dim, s.nblocks())
-	want := headerSize + pad8(valBytes) + quantBytes
-	if len(raw) < want {
-		return nil, fmt.Errorf("store: truncated payload: %d bytes, want %d", len(raw), want)
+	// rows·dim ≤ avail now, so neither section (at most 8 bytes per value)
+	// wraps, nor does their sum.
+	if uint64(pad8(valBytes))+uint64(quantBytes) > avail {
+		return nil, truncated()
+	}
+	if dv, dq := binary.LittleEndian.Uint64(raw[40:48]), binary.LittleEndian.Uint64(raw[48:56]); dv != uint64(valBytes) || dq != uint64(quantBytes) {
+		return nil, fmt.Errorf("store: header declares %d value and %d quantization bytes, a %d×%d %v table has %d and %d",
+			dv, dq, rows, dim, prec, valBytes, quantBytes)
 	}
 	vals := raw[headerSize : headerSize+valBytes]
 	n := s.rows * s.dim

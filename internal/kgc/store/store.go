@@ -1,14 +1,18 @@
 // Package store provides a columnar embedding store: dense row-major
 // embedding matrices held at one of three precisions — float64 (the
 // bit-exact reference), float32, and int8 with per-dimension-block
-// scale/zero-point quantization — behind one gather-oriented API.
+// scale/zero-point quantization — behind one row-access API.
 //
-// The store exists for the evaluation hot path: batch kernels gather a
-// candidate pool's rows into one contiguous float64 block and stream it for
-// every query of a relation chunk. Quantized variants shrink the table the
-// gather reads (4× for float32's half plus no accumulator column, 8×+ for
-// int8), trading a bounded per-value dequantization error for memory
-// footprint and gather bandwidth.
+// The store exists for the evaluation hot path: batch kernels walk a
+// candidate pool one kernel tile at a time and ask Tile for that tile's rows
+// as float64. A Float64 store answers a run of consecutive ids with a
+// sub-slice of the table itself — nothing is copied, which is every tile of
+// the full protocol — and otherwise copies or dequantizes at most one tile
+// of rows into the caller's small, cache-resident buffer. Reduced precision
+// shrinks the table a pass reads (2× for float32, 4× for int8 with its
+// block parameters) and so raises how much of it stays cached between
+// tiles; the kernel behind the tile is the same one at every precision,
+// and what it costs is a bounded per-value dequantization error.
 //
 // Stores serialize to a versioned, mmap-able on-disk format (file.go):
 // several processes can Open the same file and share one read-only copy
@@ -95,7 +99,7 @@ func (s *Store) nblocks() int { return (s.dim + BlockDim - 1) / BlockDim }
 // NBlocks returns the number of BlockDim-dimension quantization blocks per
 // row: ⌈Dim/BlockDim⌉. It sizes the scale/zero buffers for GatherQuantized
 // and is meaningful for any precision (Int8 is the only one that stores
-// per-block parameters, but callers size kernel scratch uniformly).
+// per-block parameters).
 func (s *Store) NBlocks() int { return s.nblocks() }
 
 // FromRows builds a store over a rows×dim row-major matrix. Float64 aliases
@@ -202,10 +206,38 @@ func (s *Store) Row(id int32, dst []float64) {
 	s.gatherRow(int(id), dst[:s.dim])
 }
 
+// Tile returns the rows of ids as one contiguous len(ids)×Dim float64 block
+// — the batch kernels' candidate access, called once per kernel tile. When
+// the store is Float64 and ids is a run of consecutive rows the result is a
+// sub-slice of the table itself: no copy, and the caller must treat it as
+// read-only. Otherwise the rows are copied (Float64) or dequantized
+// (Float32, Int8) into buf, which must hold len(ids)*Dim values, and buf's
+// prefix is returned.
+func (s *Store) Tile(ids []int32, buf []float64) []float64 {
+	n, d := len(ids), s.dim
+	if s.prec == Float64 && n > 0 && consecutive(ids) {
+		lo := int(ids[0]) * d
+		return s.f64[lo : lo+n*d]
+	}
+	buf = buf[:n*d]
+	s.Gather(ids, buf)
+	return buf
+}
+
+// consecutive reports whether ids is one ascending run id, id+1, id+2, ...
+func consecutive(ids []int32) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] != ids[i-1]+1 {
+			return false
+		}
+	}
+	return true
+}
+
 // Gather dequantizes the rows of ids into dst as one contiguous
-// len(ids)×dim block. dst must hold len(ids)*Dim values. This is the batch
-// kernels' pool-gather: one sequential write of the block, reading 8, 4 or
-// ~1.5 bytes per value depending on precision.
+// len(ids)×dim block. dst must hold len(ids)*Dim values. It reads 8, 4 or
+// ~1.5 bytes per value depending on precision and writes 8. The scoring
+// lane calls it through Tile, a tile of rows at a time.
 func (s *Store) Gather(ids []int32, dst []float64) {
 	d := s.dim
 	_ = dst[:len(ids)*d]
@@ -218,10 +250,10 @@ func (s *Store) Gather(ids []int32, dst []float64) {
 // the per-block affine parameters — without dequantizing, as three
 // contiguous len(ids)-major blocks: vals holds len(ids)×Dim int8 values,
 // scale and zero hold len(ids)×NBlocks float32 parameters, with
-// value ≈ zero + scale·(q+128). This is the int8-native kernels' pool
-// gather: it moves 1 byte per value (plus 8 bytes per BlockDim-dim block)
-// where Gather writes 8, leaving the rescale to the kernel's per-block
-// epilogue. Panics unless the store's precision is Int8.
+// value ≈ zero + scale·(q+128). It moves 1 byte per value (plus 8 bytes per
+// BlockDim-dim block) where Gather writes 8; the scoring lane does not use
+// it (Tile dequantizes straight from the table). Panics unless the store's
+// precision is Int8.
 func (s *Store) GatherQuantized(ids []int32, vals []int8, scale, zero []float32) {
 	if s.prec != Int8 {
 		panic("store: GatherQuantized on a " + s.prec.String() + " store")

@@ -311,3 +311,140 @@ func TestBytesFootprint(t *testing.T) {
 		t.Fatalf("int8 should be ≥4× smaller than float64, got %.2f×", ratio)
 	}
 }
+
+// header builds a bare 64-byte store header; the payload is whatever the
+// caller appends.
+func header(p Precision, rows, dim, valBytes, quantBytes uint64) []byte {
+	hdr := make([]byte, headerSize)
+	copy(hdr, fileMagic)
+	binary.LittleEndian.PutUint32(hdr[8:12], fileVersion)
+	binary.LittleEndian.PutUint32(hdr[12:16], uint32(p))
+	binary.LittleEndian.PutUint64(hdr[16:24], rows)
+	binary.LittleEndian.PutUint64(hdr[24:32], dim)
+	if p == Int8 {
+		binary.LittleEndian.PutUint64(hdr[32:40], BlockDim)
+	}
+	binary.LittleEndian.PutUint64(hdr[40:48], valBytes)
+	binary.LittleEndian.PutUint64(hdr[48:56], quantBytes)
+	return hdr
+}
+
+// A header is input from outside the program: shapes whose section sizes
+// overflow int — to a negative value, or all the way round to a small
+// positive one — must be reported as a truncated payload, not slip past the
+// length guard and panic in a slice expression. Section sizes the header
+// declares must agree with its shape.
+func TestRejectImplausibleSections(t *testing.T) {
+	const maxDim = math.MaxInt32
+	// rows·dim·8 = 2⁶⁴ + 64: as an int, a value section of 64 bytes. Only
+	// Float64's element size can carry a shape within the MaxInt32 bounds
+	// past 2⁶⁴.
+	wrapRows, wrapDim := uint64(20*107367629), uint64(2*536903681)
+	if wrapped := wrapRows * wrapDim * 8; wrapped != 64 {
+		t.Fatalf("wrap shape gives %d value bytes mod 2⁶⁴, want 64", wrapped)
+	}
+	type tc struct {
+		name      string
+		p         Precision
+		rows, dim uint64
+		val, q    uint64 // declared section sizes
+		payload   int
+		want      string
+	}
+	var cases []tc
+	for _, p := range []Precision{Float64, Float32, Int8} {
+		cases = append(cases,
+			tc{"max shape", p, maxDim, maxDim, 0, 0, 64, "truncated payload"},
+			tc{"max rows", p, maxDim, 8, 0, 0, 64, "truncated payload"},
+		)
+	}
+	cases = append(cases,
+		tc{"wraps to 64", Float64, wrapRows, wrapDim, 64, 0, 64, "truncated payload"},
+		// 2×8 tables with the right payload length, wrong declared sizes.
+		tc{"declared values short", Float64, 2, 8, 64, 0, 128, "header declares"},
+		tc{"declared values short", Float32, 2, 8, 32, 0, 64, "header declares"},
+		tc{"declared quant missing", Int8, 2, 8, 16, 0, 32, "header declares"},
+		tc{"declared quant on float", Float32, 2, 8, 64, 16, 64, "header declares"},
+	)
+	for _, c := range cases {
+		raw := append(header(c.p, c.rows, c.dim, c.val, c.q), make([]byte, c.payload)...)
+		s, err := Read(bytes.NewReader(raw))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v/%s: Read = %v, %v; want an error containing %q", c.p, c.name, s, err, c.want)
+		}
+	}
+}
+
+// FuzzFromBytes: no input, however its header lies, may panic the parser,
+// and anything it accepts must be a store whose every row is readable.
+func FuzzFromBytes(f *testing.F) {
+	for _, p := range []Precision{Float64, Float32, Int8} {
+		s, err := FromRows(randRows(5, 12, 9), 5, 12, p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := fromBytes(raw, nil)
+		if err != nil {
+			return
+		}
+		row := make([]float64, s.Dim())
+		for id := 0; id < s.Rows(); id++ {
+			s.Row(int32(id), row)
+		}
+	})
+}
+
+// Tile hands out the table itself for a consecutive run on a Float64 store
+// and fills the caller's buffer otherwise; either way its rows equal
+// Gather's.
+func TestTileAliasesConsecutiveRuns(t *testing.T) {
+	const rows, dim = 40, 12
+	data := randRows(rows, dim, 10)
+	pools := map[string][]int32{
+		"run":       {7, 8, 9, 10},
+		"to-end":    {37, 38, 39},
+		"single":    {5},
+		"gap":       {7, 8, 10, 11},
+		"unordered": {9, 8, 7},
+		"repeat":    {3, 3, 4},
+		"empty":     {},
+	}
+	inPlace := map[string]bool{"run": true, "to-end": true, "single": true}
+	for _, p := range []Precision{Float64, Float32, Int8} {
+		s, err := FromRows(data, rows, dim, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, ids := range pools {
+			buf := make([]float64, len(ids)*dim)
+			got := s.Tile(ids, buf)
+			want := make([]float64, len(ids)*dim)
+			s.Gather(ids, want)
+			if len(got) != len(want) {
+				t.Fatalf("%v/%s: Tile returned %d values, want %d", p, name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v/%s: value %d = %g, Gather %g", p, name, i, got[i], want[i])
+				}
+			}
+			if len(ids) == 0 {
+				continue
+			}
+			aliased := &got[0] == &data[int(ids[0])*dim]
+			if want := p == Float64 && inPlace[name]; aliased != want {
+				t.Errorf("%v/%s: Tile aliases the table = %v, want %v", p, name, aliased, want)
+			}
+			if !aliased && &got[0] != &buf[0] {
+				t.Errorf("%v/%s: Tile returned neither the table nor the caller's buffer", p, name)
+			}
+		}
+	}
+}

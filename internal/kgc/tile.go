@@ -2,55 +2,31 @@ package kgc
 
 import "kgeval/internal/kgc/store"
 
+// tileBytes is the candidate-row budget of one kernel tile: the L1 data
+// cache of the machines this runs on.
+const tileBytes = 32 << 10
+
 // TileFor picks the batch-kernel candidate tile for a (pool size, dim,
-// precision) shape. The tile is the number of gathered candidate rows kept
-// hot across the queries of a chunk: too small wastes the amortization (each
-// pool row is re-read per tile sweep), too large spills the tile out of L1
-// and every query re-streams it from L2/memory.
+// precision) shape. The tile is the number of candidate rows kept hot
+// across the queries of a chunk: too small wastes the amortization (each
+// row is fetched — and, off the in-place path, copied or dequantized — for
+// fewer (query, row) products in flight), too large spills the tile out of
+// L1 and every query re-streams it from L2/memory.
 //
-// The table below holds measured-good values from the tile sweep in
-// BenchmarkScoreDotBatchTile (64-query chunk, 800-candidate pool — the
-// planner's default shape); shapes between rows use the nearest dim bucket.
-// Mid-range tiles measure within noise of each other on that sweep — what
-// the table really encodes is avoiding the measured cliffs: tiles below 8
-// under-use the four-row unrolled fast path once dim ≥ 256, and tiles past
-// ~32 KB of block rows spill L1 and regress wide dims. Out-of-table dims
-// fall back to sizing the tile to that 32 KB budget, clamped to [4, 64] and
-// rounded to a multiple of 4 to keep the unrolled fast path busy.
-// Float32 shares Float64's entries (both stream a dequantized float64
-// block, so the resident set is identical); Int8 has its own table,
-// maintained by BenchmarkScoreDotBatchTileInt8: the native kernel's tile
-// buffer is float64 like the dequantize lane's block rows, but the tile
-// sweep also re-reads the raw int8 rows and their block parameters, which
-// shifts the measured optimum mildly upward at mid dims.
-func TileFor(pool, dim int, prec store.Precision) int {
-	var tile int
-	switch {
-	case dim <= 0:
-		return defaultTile
-	case prec == store.Int8 && dim <= 48:
-		tile = 16
-	case prec == store.Int8 && dim <= 160:
-		tile = 24
-	case prec == store.Int8 && dim <= 320:
-		tile = 8
-	case dim <= 48:
-		tile = 48
-	case dim <= 96:
-		tile = 16
-	case dim <= 160:
-		tile = 16
-	case dim <= 320:
-		tile = 8
-	default:
-		tile = 32768 / (dim * 8)
+// The tile is sized to tileBytes of float64 rows, rounded down to a
+// multiple of 4 to keep the kernels' four-row path busy and clamped to
+// [4, 64]. An earlier per-dim lookup table, with separate Int8 rows, was
+// tuned for a lane that re-read raw int8 rows next to a pool-sized block;
+// on the tile-fed lane no entry of it beats this formula outside run-to-run
+// noise (±3 %) on BenchmarkScoreDotBatchTile at any dim from 32 to 512, at
+// float64 or int8. Every precision hands the kernel the same float64 tile,
+// so the precision does not enter; the parameter stays for callers.
+func TileFor(pool, dim int, _ store.Precision) int {
+	tile := defaultTile
+	if dim > 0 {
+		tile = tileBytes / (dim * 8)
 		tile -= tile % 4
-	}
-	if tile < 4 {
-		tile = 4
-	}
-	if tile > 64 {
-		tile = 64
+		tile = max(4, min(tile, 64))
 	}
 	// A tile larger than the pool is just the pool; no need to exceed it.
 	if pool > 0 && tile > pool {

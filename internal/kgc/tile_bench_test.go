@@ -3,32 +3,12 @@ package kgc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"kgeval/internal/kg"
 	"kgeval/internal/kgc/store"
 )
-
-// BenchmarkScoreDotBatchTile sweeps the kernel tile across embedding widths
-// on a pool/chunk shape matching the evaluation planner's defaults (64
-// queries, 800 candidates — n_s = 10% of an 8k-entity graph). TileFor's
-// lookup table is maintained against this sweep: re-run it after kernel
-// changes and move the table entries to the fastest tile per dim.
-func BenchmarkScoreDotBatchTile(b *testing.B) {
-	const nq, nc = 64, 800
-	rng := rand.New(rand.NewSource(11))
-	for _, dim := range []int{32, 64, 128, 256, 512} {
-		qs := randVec(rng, nq*dim)
-		block := randVec(rng, nc*dim)
-		out := make([]float64, nq*nc)
-		for _, tile := range []int{4, 8, 16, 24, 32, 48, 64} {
-			b.Run(fmt.Sprintf("dim%d/tile%d", dim, tile), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					scoreDotBatch(qs, block, dim, nc, out, tile)
-				}
-			})
-		}
-	}
-}
 
 func randVec(rng *rand.Rand, n int) []float64 {
 	v := make([]float64, n)
@@ -38,76 +18,122 @@ func randVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// BenchmarkScoreDotBatchTileInt8 is the int8-native twin of the sweep above,
-// maintaining the Int8 branch of TileFor's table. The native kernel's
-// float64 working set is one tile (tbuf), so its tile regime matches the
-// float64 sweep; re-run after kernel changes and move the table entries to
-// the fastest tile per dim.
-func BenchmarkScoreDotBatchTileInt8(b *testing.B) {
-	const nq, nc = 64, 800
-	rng := rand.New(rand.NewSource(11))
-	for _, dim := range []int{32, 64, 128, 256, 512} {
-		qs := randVec(rng, nq*dim)
-		nb := numBlocks(dim)
-		st, err := store.FromRows(randVec(rng, nc*dim), nc, dim, store.Int8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids := make([]int32, nc)
+// perCandDim reports the benchmark's cost per (query, candidate, dim) — the
+// unit the kernels are compared in, and against the machine's scalar FMA
+// roofline (bench/roofline.go).
+func perCandDim(b *testing.B, nq, nc, dim int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nq*nc*dim), "ns/cand·dim")
+}
+
+// benchPool is a sorted pool of k distinct ids below n: one consecutive run
+// starting a third of the way in, or a uniform sample.
+func benchPool(rng *rand.Rand, n, k int, consecutive bool) []int32 {
+	ids := make([]int32, k)
+	if consecutive {
+		lo := (n - k) / 3
 		for i := range ids {
-			ids[i] = int32(i)
+			ids[i] = int32(lo + i)
 		}
-		vals := make([]int8, nc*dim)
-		scale := make([]float32, nc*nb)
-		zero := make([]float32, nc*nb)
-		st.GatherQuantized(ids, vals, scale, zero)
-		out := make([]float64, nq*nc)
-		for _, tile := range []int{4, 8, 16, 24, 32, 48, 64} {
-			tbuf := make([]float64, tile*dim)
-			b.Run(fmt.Sprintf("dim%d/tile%d", dim, tile), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					scoreDotBatchInt8(qs, vals, scale, zero, dim, nc, out, tile, tbuf)
-				}
-			})
+		return ids
+	}
+	for i, id := range rng.Perm(n)[:k] {
+		ids[i] = int32(id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// BenchmarkScoreTile times the three tile micro-kernels alone on an
+// L1-resident tile (8 rows × dim 128 = 8 KB, 16 queries = 16 KB): the floor
+// each model family's scoring can reach in this lane.
+func BenchmarkScoreTile(b *testing.B) {
+	const nq, tile, dim = 16, 8, 128
+	rng := rand.New(rand.NewSource(11))
+	qs, tbuf := randVec(rng, nq*dim), randVec(rng, tile*dim)
+	out := make([]float64, nq*tile)
+	for _, k := range []struct {
+		name string
+		fn   func(qs, tbuf []float64, dim, j0, j1, nc int, out []float64)
+	}{{"Dot", scoreDotTile}, {"L1", scoreL1Tile}, {"Rot", scoreRotTile}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.fn(qs, tbuf, dim, 0, tile, tile, out)
+			}
+			perCandDim(b, nq, tile, dim)
+		})
+	}
+}
+
+// BenchmarkScoreBlock times one relation chunk through the whole lane —
+// query build, tile walk, row access, kernel — at the two chunk shapes the
+// planner produces on a 12 000-entity graph at dim 128: 5 queries × every
+// entity (the full protocol: consecutive ids, scored in place at float64)
+// and 54 queries × a 1 200-candidate sample (scattered ids, one tile copied
+// or dequantized at a time). The scattered pool also runs at 5 queries, the
+// last chunk of a relation, where row access is least amortized.
+func BenchmarkScoreBlock(b *testing.B) {
+	const rows, dim = 12000, 128
+	g := &kg.Graph{NumEntities: rows, NumRelations: 4}
+	m := NewDistMult(g, dim, 5)
+	rng := rand.New(rand.NewSource(11))
+	shapes := map[string][][2]int{
+		"consecutive": {{5, rows}, {54, 1200}},
+		"scattered":   {{5, 1200}, {54, 1200}},
+	}
+	for _, kind := range []string{"consecutive", "scattered"} {
+		for _, p := range []store.Precision{store.Float64, store.Float32, store.Int8} {
+			for _, shape := range shapes[kind] {
+				nq, nc := shape[0], shape[1]
+				cands := benchPool(rng, rows, nc, kind == "consecutive")
+				hs := benchPool(rng, rows, nq, false)
+				out := make([]float64, nq*nc)
+				b.Run(fmt.Sprintf("%s/%v/%dx%d", kind, p, nq, nc), func(b *testing.B) {
+					bs := NewBatchScorer(m, BatchOptions{Precision: p, Tile: TileFor(nc, dim, p)})
+					bs.ScoreTailsBatch(hs, 1, cands, out) // build the store, size the scratch
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						bs.ScoreTailsBatch(hs, 1, cands, out)
+					}
+					perCandDim(b, nq, nc, dim)
+				})
+			}
 		}
 	}
 }
 
-// BenchmarkInt8Lane pits the two int8 chunk pipelines against each other at
-// the batch lane's level — gather plus kernel, the work scoreBlock does per
-// chunk — isolating the native lane's bandwidth win from eval overheads.
-func BenchmarkInt8Lane(b *testing.B) {
+// BenchmarkScoreDotBatchTile sweeps the kernel tile across embedding widths
+// on a pool/chunk shape matching the evaluation planner's defaults (64
+// queries, 800 scattered candidates — n_s = 10% of an 8k-entity graph), at
+// the float64 store (tile rows copied) and the int8 store (tile rows
+// dequantized). TileFor is maintained against this sweep: re-run it after
+// kernel changes and check that no tile beats TileFor's outside noise.
+func BenchmarkScoreDotBatchTile(b *testing.B) {
 	const nq, nc, rows = 64, 800, 8000
+	g := &kg.Graph{NumEntities: rows, NumRelations: 4}
 	rng := rand.New(rand.NewSource(11))
-	for _, dim := range []int{128, 256, 512} {
-		qs := randVec(rng, nq*dim)
-		st, err := store.FromRows(randVec(rng, rows*dim), rows, dim, store.Int8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids := make([]int32, nc)
-		for i := range ids {
-			ids[i] = int32(rng.Intn(rows))
-		}
-		out := make([]float64, nq*nc)
-		tile := TileFor(nc, dim, store.Int8)
-		b.Run(fmt.Sprintf("dequant/dim%d", dim), func(b *testing.B) {
-			block := make([]float64, nc*dim)
-			for i := 0; i < b.N; i++ {
-				st.Gather(ids, block)
-				scoreDotBatch(qs, block, dim, nc, out, tile)
+	cands := benchPool(rng, rows, nc, false)
+	hs := benchPool(rng, rows, nq, false)
+	out := make([]float64, nq*nc)
+	for _, dim := range []int{32, 64, 128, 256, 512} {
+		m := NewDistMult(g, dim, 5)
+		for _, p := range []store.Precision{store.Float64, store.Int8} {
+			for _, tile := range []int{4, 8, 16, 24, 32, 48, 64} {
+				name := fmt.Sprintf("%v/dim%d/tile%d", p, dim, tile)
+				if tile == TileFor(nc, dim, p) {
+					name += "*"
+				}
+				b.Run(name, func(b *testing.B) {
+					bs := NewBatchScorer(m, BatchOptions{Precision: p, Tile: tile})
+					bs.ScoreTailsBatch(hs, 1, cands, out)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						bs.ScoreTailsBatch(hs, 1, cands, out)
+					}
+					perCandDim(b, nq, nc, dim)
+				})
 			}
-		})
-		b.Run(fmt.Sprintf("native/dim%d", dim), func(b *testing.B) {
-			nb := numBlocks(dim)
-			vals := make([]int8, nc*dim)
-			scale := make([]float32, nc*nb)
-			zero := make([]float32, nc*nb)
-			tbuf := make([]float64, effectiveTile(tile)*dim)
-			for i := 0; i < b.N; i++ {
-				st.GatherQuantized(ids, vals, scale, zero)
-				scoreDotBatchInt8(qs, vals, scale, zero, dim, nc, out, tile, tbuf)
-			}
-		})
+		}
 	}
 }

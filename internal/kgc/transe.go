@@ -107,12 +107,8 @@ func (m *TransE) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch)
 	}
 }
 
-func (m *TransE) kernel(qs, block []float64, nc int, out []float64, tile int) {
-	scoreL1Batch(qs, block, m.dim, nc, out, tile)
-}
-
-func (m *TransE) kernelInt8(qs []float64, vals []int8, scale, zero []float32, nc int, out []float64, tile int, tbuf []float64) {
-	scoreL1BatchInt8(qs, vals, scale, zero, m.dim, nc, out, tile, tbuf)
+func (m *TransE) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
+	scoreL1Tile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
 // gradStep: d(−‖h+r−t‖₁)/dh_i = −sign(h_i+r_i−t_i), etc.

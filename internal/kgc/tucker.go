@@ -103,7 +103,7 @@ func (m *TuckER) relMat(r int32, sc *scratch) []float64 {
 	if sc.relMatOK && sc.relMatR == r && len(sc.relMat) == d*d {
 		return sc.relMat
 	}
-	sc.relMat = growF64(sc.relMat, d*d)
+	sc.relMat = Grow(sc.relMat, d*d)
 	m.relMatInto(m.rel.vec(r), sc.relMat)
 	sc.relMatR, sc.relMatOK = r, true
 	return sc.relMat
@@ -159,8 +159,8 @@ func (m *TuckER) buildHeadQueries(ts []int32, r int32, qs []float64, sc *scratch
 	}
 }
 
-func (m *TuckER) kernel(qs, block []float64, nc int, out []float64, tile int) {
-	scoreDotBatch(qs, block, m.dim, nc, out, tile)
+func (m *TuckER) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
+	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
 func (m *TuckER) gradStep(h, r, t int32, coeff, lr float64) {

@@ -118,7 +118,7 @@ func benchEstimate(b *testing.B, s core.Strategy) {
 	}
 }
 
-// --- relation-grouped batch scoring vs the legacy per-query path ---
+// --- relation-grouped batch scoring, one pass per iteration ---
 
 type batchBenchEnv struct {
 	g      *kg.Graph
@@ -129,8 +129,8 @@ type batchBenchEnv struct {
 // batchBenchModels are the model/dim points the batch-path benchmarks cover:
 // every architecture, with the deep models (TuckER, ConvE) at both a small
 // dim and dim 256 — the store-backed batch lane is what makes dim 256
-// tractable for them (the old per-query adapter recomputed the O(d³)/O(conv)
-// projection per candidate row).
+// tractable for them (the relation's O(d³)/O(conv) projection is computed
+// once per chunk, not per candidate row).
 var batchBenchModels = []struct {
 	name string
 	dim  int
@@ -176,20 +176,18 @@ func batchEnv(b *testing.B) *batchBenchEnv {
 	return env
 }
 
-// benchEvalPath runs one sampled evaluation pass per iteration (n_s = 10% of
-// |E|, 512 query triples — ~26 queries per relation and direction, enough to
-// amortize each chunk's candidate gather) through either executor. The
-// acceptance bar for the relation-grouped plan is ≥2× fewer ns/op than
-// per-query for DistMult and ComplEx at dim ≥ 128, and ≥1.5× for TuckER and
-// ConvE at dim 256 (the universal batch lane).
-func benchEvalPath(b *testing.B, perQuery bool) {
+// BenchmarkEvaluateBatch runs one sampled evaluation pass per iteration
+// (n_s = 10% of |E|, 512 query triples — ~26 queries per relation and
+// direction, enough to amortize each chunk's query building) through the
+// relation-grouped executor.
+func BenchmarkEvaluateBatch(b *testing.B) {
 	e := batchEnv(b)
 	for _, mc := range batchBenchModels {
 		key := fmt.Sprintf("%s/dim%d", mc.name, mc.dim)
 		m := e.models[key]
 		b.Run(key, func(b *testing.B) {
 			prov := &eval.RandomProvider{NumEntities: e.g.NumEntities, N: e.g.NumEntities / 10}
-			opts := eval.Options{Filter: e.filter, Seed: 1, MaxQueries: 512, PerQuery: perQuery}
+			opts := eval.Options{Filter: e.filter, Seed: 1, MaxQueries: 512}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -199,13 +197,11 @@ func benchEvalPath(b *testing.B, perQuery bool) {
 	}
 }
 
-// BenchmarkEvaluateBatch measures the relation-grouped batch executor.
-func BenchmarkEvaluateBatch(b *testing.B) { benchEvalPath(b, false) }
-
 // BenchmarkEvaluateBatchTraced is BenchmarkEvaluateBatch with a live trace
 // span in the context, so every pass records plan-compile, pool-draw and
 // per-relation-chunk spans into a flight-recorder store. The delta against
-// BenchmarkEvaluateBatch is the tracing overhead; CI holds it under 5%.
+// BenchmarkEvaluateBatch is the tracing overhead (kgebench reports it as
+// obs.trace_overhead_pct).
 func BenchmarkEvaluateBatchTraced(b *testing.B) {
 	e := batchEnv(b)
 	st := trace.NewStore(4, 0)
@@ -226,10 +222,6 @@ func BenchmarkEvaluateBatchTraced(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkEvaluatePerQuery measures the legacy query-at-a-time executor
-// over identical pools — the baseline the batch plan is judged against.
-func BenchmarkEvaluatePerQuery(b *testing.B) { benchEvalPath(b, true) }
 
 // BenchmarkEvaluateBatchPrecision measures the precision knob on the batch
 // executor: one dot-product model at dim 256 scored from the float64,

@@ -15,8 +15,8 @@
 //	internal/eval         full + sampled filtered ranking protocols, executed
 //	                      as a relation-grouped plan: queries bucketed per
 //	                      relation, pools drawn once, whole relations scored
-//	                      in batches (the legacy per-query executor remains
-//	                      behind Options.PerQuery as the verified baseline);
+//	                      in batches by the one executor (its reference is
+//	                      the naive oracle in oracle_test.go);
 //	                      every Result carries a StageTimings breakdown of
 //	                      plan compile / pool draw / score / rank-merge time
 //	internal/obs          dependency-free metrics: counters, gauges, exact
@@ -49,9 +49,10 @@
 //	internal/kp           Knowledge Persistence baseline
 //	internal/synth        typed synthetic KG generator (dataset substitute)
 //	internal/experiments  regenerates every table and figure of the paper
-//	internal/{kg,sparse,sample,stats,par}  substrates; sparse.Mul and
-//	                      recommender.BuildStatic run on all cores via par,
-//	                      with results independent of the core count
+//	internal/{kg,sparse,sample,stats,par}  substrates; par is the one
+//	                      worker pool: sparse.Mul, recommender.BuildStatic
+//	                      and the evaluation pass run on it, with results
+//	                      independent of the core count
 //
 // See README.md for a tour, including the kgevald server walkthrough.
 package kgeval

@@ -189,19 +189,18 @@ func (f *Framework) provider(ctx context.Context, s Strategy) eval.CandidateProv
 	panic(fmt.Sprintf("core: unknown strategy %d", int(s)))
 }
 
-// seeded substitutes the framework's default seed when the caller left the
-// seed unset. A zero Seed only means "unset" when SeedSet is false: callers
-// that genuinely want seed 0 mark opts.SeedSet.
+// seeded reads an opts.Seed of 0 as the framework's seed.
 func (f *Framework) seeded(opts eval.Options) eval.Options {
-	if opts.Seed == 0 && !opts.SeedSet {
+	if opts.Seed == 0 {
 		opts.Seed = f.Seed
 	}
 	return opts
 }
 
 // Estimate runs a sampled filtered evaluation of the model over the split
-// with the given strategy, returning estimated ranking metrics. An unset
-// seed (Seed == 0 with SeedSet false) falls back to the framework's seed.
+// with the given strategy, returning estimated ranking metrics. A Seed of 0
+// means the framework's seed; for a literal seed 0 call
+// eval.Evaluate(m, g, split, f.Provider(s), opts) directly.
 func (f *Framework) Estimate(m kgc.Model, g *kg.Graph, split []kg.Triple, s Strategy, opts eval.Options) eval.Result {
 	return eval.Evaluate(m, g, split, f.provider(opts.Ctx, s), f.seeded(opts))
 }

@@ -26,10 +26,10 @@ func equivalenceProviders(t *testing.T, g *kg.Graph) map[string]CandidateProvide
 }
 
 // The relation-grouped batch executor is an execution strategy, not a
-// different protocol: for every model architecture (native BatchScorer and
-// adapter fallback alike) and every sampling strategy it must produce
-// bit-identical Metrics to the legacy per-query executor.
-func TestBatchPathMatchesPerQueryAllModelsAllStrategies(t *testing.T) {
+// different protocol: for every model architecture and every sampling
+// strategy it must produce exactly the Metrics and the candidate count of
+// the naive oracle (oracle_test.go).
+func TestExecutorMatchesOracleAllModelsAllStrategies(t *testing.T) {
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	providers := equivalenceProviders(t, g)
@@ -40,25 +40,17 @@ func TestBatchPathMatchesPerQueryAllModelsAllStrategies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pname, p := range providers {
-			batch := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 4})
-			legacy := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 4, PerQuery: true})
-			if batch.Metrics != legacy.Metrics {
-				t.Errorf("%s/%s: batch %+v != per-query %+v", name, pname, batch.Metrics, legacy.Metrics)
-			}
-			if batch.CandidatesScored != legacy.CandidatesScored {
-				t.Errorf("%s/%s: batch scored %d, per-query %d", name, pname, batch.CandidatesScored, legacy.CandidatesScored)
-			}
+			checkAgainstOracle(t, name+"/"+pname, m, m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 4})
 		}
 	}
 }
 
 // A pool larger than the whole score-buffer budget runs one query per
-// task — there is no per-query fallback inside the batch executor any more,
-// so the chunk-of-one still goes through the batch kernels and must still
-// rank exactly as the legacy executor does. Shrinking the budget forces
-// that regime (what a >65k-entity graph sees under the full protocol) on a
-// small graph.
-func TestBatchPathOneQueryChunksMatchPerQuery(t *testing.T) {
+// task: the chunk-of-one still goes through the batch kernels and must
+// still rank exactly as the oracle does. Shrinking the budget forces that
+// regime (what a >65k-entity graph sees under the full protocol) on a small
+// graph.
+func TestOneQueryChunksMatchOracle(t *testing.T) {
 	old := batchFloatBudget
 	batchFloatBudget = 16 // pools of 30 and |E| both exceed it
 	defer func() { batchFloatBudget = old }()
@@ -79,20 +71,13 @@ func TestBatchPathOneQueryChunksMatchPerQuery(t *testing.T) {
 			if pl := newPlan(queries, p, Options{Seed: 9}); len(pl.tasks) != len(queries) {
 				t.Fatalf("%s: %d tasks for %d queries, want one query per task", pname, len(pl.tasks), len(queries))
 			}
-			batch := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 2})
-			legacy := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 2, PerQuery: true})
-			if batch.Metrics != legacy.Metrics {
-				t.Errorf("%s/%s: one-query chunks %+v != per-query %+v", name, pname, batch.Metrics, legacy.Metrics)
-			}
-			if batch.CandidatesScored != legacy.CandidatesScored {
-				t.Errorf("%s/%s: batch scored %d, per-query %d", name, pname, batch.CandidatesScored, legacy.CandidatesScored)
-			}
+			checkAgainstOracle(t, name+"/"+pname+"/one-query chunks", m, m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 2})
 		}
 	}
 }
 
-// MaxQueries subsampling must select identical queries on both paths.
-func TestBatchPathMatchesPerQueryWithMaxQueries(t *testing.T) {
+// MaxQueries subsampling must rank exactly the queries the seed selects.
+func TestMaxQueriesMatchesOracle(t *testing.T) {
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	m, err := kgc.New("ComplEx", g, 16, 5)
@@ -100,10 +85,9 @@ func TestBatchPathMatchesPerQueryWithMaxQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &RandomProvider{NumEntities: g.NumEntities, N: 40}
-	batch := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 2, MaxQueries: 31})
-	legacy := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 2, MaxQueries: 31, PerQuery: true})
-	if batch.Metrics != legacy.Metrics {
-		t.Fatalf("batch %+v != per-query %+v", batch.Metrics, legacy.Metrics)
+	ranks := checkAgainstOracle(t, "MaxQueries", m, m, g, g.Test, p, Options{Filter: filter, Seed: 2, MaxQueries: 31})
+	if len(ranks) != 2*31 {
+		t.Fatalf("oracle ranked %d queries, want %d", len(ranks), 2*31)
 	}
 }
 

@@ -70,9 +70,7 @@ type Result struct {
 //
 // PlanCompile and PoolDraw are wall-clock (they run once, serially, per
 // plan). Score and RankMerge are summed across worker goroutines, so on a
-// parallel pass they measure CPU time and can exceed Elapsed. The legacy
-// PerQuery executor cannot separate the two and reports its whole
-// scoring+ranking loop under Score.
+// parallel pass they measure CPU time and can exceed Elapsed.
 type StageTimings struct {
 	// PlanCompile covers grouping the split by relation and chunking the
 	// groups into batch tasks.
@@ -80,13 +78,12 @@ type StageTimings struct {
 	// PoolDraw covers the 2·|R| candidate pool samplings.
 	PoolDraw time.Duration
 	// Score covers model scoring: query building, the tile-fed batch
-	// kernels and true-triple scoring (or the PerQuery executor's loop).
+	// kernels and true-triple scoring.
 	Score time.Duration
 	// RankMerge covers rank counting with the known-positive merge sweep.
 	RankMerge time.Duration
 	// KernelTile is the batch-kernel candidate tile the pass selected at
-	// plan compile time (kgc.TileFor over pool size × dim × precision); 0
-	// when the pass ran the per-query executor.
+	// plan compile time (kgc.TileFor over pool size × dim × precision).
 	KernelTile int
 }
 
@@ -102,26 +99,18 @@ type Options struct {
 	// the split (after a deterministic shuffle with Seed). Used to bound
 	// experiment cost on large splits.
 	MaxQueries int
-	// Seed drives candidate sampling and the MaxQueries subsample. Evaluate
-	// always uses Seed as given; SeedSet only matters to callers that layer
-	// defaulting on top (core.Framework).
+	// Seed drives candidate sampling and the MaxQueries subsample. This
+	// package uses it as given, 0 included; core.Framework's Estimate methods
+	// read 0 as "the framework's seed".
 	Seed int64
-	// SeedSet marks Seed as deliberately chosen, so that Framework.Estimate
-	// honors an explicit Seed of 0 instead of substituting the framework's
-	// default seed.
-	SeedSet bool
-	// PerQuery forces the legacy query-at-a-time executor instead of the
-	// relation-grouped batch planner. Both executors produce bit-identical
-	// Metrics; this exists for equivalence testing and benchmarking.
-	PerQuery bool
-	// Precision selects the embedding-store precision the batch executor
-	// reads candidate (and answer) entities at. The zero value, Float64, is
+	// Precision selects the embedding-store precision the executor reads
+	// candidate (and answer) entities at. The zero value, Float64, is
 	// the bit-exact reference and scores candidate rows in the weight table
 	// itself; Float32 and Int8 trade a bounded metric deviation (< 1e-3 MRR
 	// on this repo's equivalence gate) for 2×/4× smaller entity stores,
 	// dequantized one kernel tile at a time into the same kernels. Ignored
-	// by the PerQuery executor and by models without a native batch lane,
-	// which always score at float64.
+	// for plain third-party Models (no native batch lane), which always score
+	// at float64 through their own methods.
 	Precision store.Precision
 	// Ctx, when non-nil, allows cancelling an evaluation mid-pass. On
 	// cancellation Evaluate returns early with metrics computed over the
@@ -178,24 +167,15 @@ type CandidateProvider interface {
 // Execution is relation-grouped: the split is partitioned by relation, each
 // relation's pools are drawn once (2·|R| sampling events), and all queries
 // of a relation are scored in batches over the pool's candidate tiles
-// (kgc.BatchScorer; plain models run through a per-query adapter). Set
-// Options.PerQuery to force the legacy query-at-a-time executor — both
-// produce bit-identical Metrics.
+// (kgc.BatchScorer). Any kgc.Model is accepted: the built-in models score
+// through the store-backed batch lane, a plain third-party Model through an
+// adapter that loops its own ScoreTails/ScoreHeads per query.
+//
+// Evaluate is EvaluateMany over a fleet of one, with the plan's construction
+// time counted in Elapsed.
 func Evaluate(m kgc.Model, g *kg.Graph, split []kg.Triple, provider CandidateProvider, opts Options) Result {
-	if opts.Filter == nil {
-		opts.Filter = kg.NewFilterIndex(g.Train, g.Valid, g.Test)
-	}
-	queries := subsample(split, opts)
-	traceID := trace.FromContext(opts.Ctx).TraceID()
-	start := time.Now()
-	p := newPlan(queries, provider, opts)
-	var done atomic.Int64
-	res := runPass(m, p, opts, len(queries), &done)
-	res.Elapsed = time.Since(start)
-	res.Stages.PlanCompile = p.compileTime
-	res.Stages.PoolDraw = p.poolTime
-	observePlan(p, traceID)
-	observePass(res, traceID)
+	res := EvaluateMany([]kgc.Model{m}, g, split, provider, opts)[0]
+	res.Elapsed += res.Stages.PlanCompile + res.Stages.PoolDraw
 	return res
 }
 
@@ -206,10 +186,11 @@ func Evaluate(m kgc.Model, g *kg.Graph, split []kg.Triple, provider CandidatePro
 // workload — and guarantees the models are ranked on the same ground.
 //
 // results[i] corresponds to ms[i]; per-model Elapsed covers that model's
-// scoring only (the shared plan construction is the amortized part). The
-// Progress hook sees one monotone counter across all models, with total =
-// len(ms) × len(queries). Cancellation via Options.Ctx stops mid-model and
-// skips the models not yet started, leaving their Results zero.
+// scoring only (the shared plan construction is the amortized part: every
+// model's Stages carry the same one-time compile/draw cost alongside its own
+// scoring). The Progress hook sees one monotone counter across all models,
+// with total = len(ms) × len(queries). Cancellation via Options.Ctx stops
+// mid-model and skips the models not yet started, leaving their Results zero.
 func EvaluateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, provider CandidateProvider, opts Options) []Result {
 	if opts.Filter == nil {
 		opts.Filter = kg.NewFilterIndex(g.Train, g.Valid, g.Test)
@@ -220,18 +201,11 @@ func EvaluateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, provider Candi
 	observePlan(p, traceID)
 	results := make([]Result, len(ms))
 	var done atomic.Int64
-	total := len(ms) * len(queries)
 	for i, m := range ms {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			break
 		}
-		start := time.Now()
-		results[i] = runPass(m, p, opts, total, &done)
-		results[i].Elapsed = time.Since(start)
-		// The shared plan is the amortized part: every model's Stages carry
-		// the same one-time compile/draw cost alongside its own scoring.
-		results[i].Stages.PlanCompile = p.compileTime
-		results[i].Stages.PoolDraw = p.poolTime
+		results[i] = runPass(m, p, opts, len(ms)*len(queries), &done)
 		observePass(results[i], traceID)
 	}
 	return results
@@ -239,10 +213,10 @@ func EvaluateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, provider Candi
 
 // rankScores ranks the true entity against candidate scores, filtering known
 // positives: rank = 1 + #{strictly better} + #{ties}/2 (LibKGE's "realistic"
-// tie policy). Both executors funnel through this one counting loop. cands
-// and known are both sorted ascending (the CandidateProvider contract and
-// the FilterIndex layout), so known-positive filtering is a single merge
-// sweep instead of one binary search per candidate.
+// tie policy). cands and known are both sorted ascending (the
+// CandidateProvider contract and the FilterIndex layout), so known-positive
+// filtering is a single merge sweep instead of one binary search per
+// candidate.
 func rankScores(truth int32, trueScore float64, cands []int32, scores []float64, known []int32) float64 {
 	better, ties := 0, 0
 	ki := 0
@@ -264,20 +238,6 @@ func rankScores(truth int32, trueScore float64, cands []int32, scores []float64,
 		}
 	}
 	return 1 + float64(better) + float64(ties)/2
-}
-
-// rankTail ranks the true tail of q among the candidates (filtered).
-func rankTail(m kgc.Model, filter *kg.FilterIndex, q kg.Triple, cands []int32, buf []float64) float64 {
-	trueScore := m.ScoreTriple(q.H, q.R, q.T)
-	m.ScoreTails(q.H, q.R, cands, buf)
-	return rankScores(q.T, trueScore, cands, buf, filter.Tails(q.H, q.R))
-}
-
-// rankHead ranks the true head of q among the candidates (filtered).
-func rankHead(m kgc.Model, filter *kg.FilterIndex, q kg.Triple, cands []int32, buf []float64, one *oneHead) float64 {
-	trueScore := scoreHeadOne(m, q, one)
-	m.ScoreHeads(q.R, q.T, cands, buf)
-	return rankScores(q.H, trueScore, cands, buf, filter.Heads(q.R, q.T))
 }
 
 // oneHead is the one-candidate pool scoreHeadOne scores through. Both

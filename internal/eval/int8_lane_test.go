@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"testing"
 
 	"kgeval/internal/kg"
@@ -8,13 +9,13 @@ import (
 	"kgeval/internal/kgc/store"
 )
 
-// int8Oracle is the oracle lane at this layer: a plain Model (no batch
+// int8Oracle is the per-query view of the Int8 lane: a plain Model (no batch
 // contract visible) whose three methods read candidates and answers from
-// the model's Int8 store one row at a time. Run through the PerQuery
-// executor it shares nothing with the batch executor but the store — no
-// relation chunks, no multi-row tiles, no four-row kernel path. The scorer
-// behind it is pinned bit for bit against store.Gather plus plain loops by
-// kgc's TestTileLaneMatchesGatherOracle.
+// the model's Int8 store one row at a time. The naive oracle scores through
+// it, so the reference side shares nothing with the batch executor but the
+// store — no relation chunks, no multi-row tiles, no four-row kernel path.
+// The scorer behind it is pinned bit for bit against store.Gather plus plain
+// loops by kgc's TestTileLaneMatchesGatherOracle.
 type int8Oracle struct{ bs kgc.BatchScorer }
 
 func newInt8Oracle(m kgc.Model) int8Oracle {
@@ -29,9 +30,9 @@ func (o int8Oracle) ScoreHeads(r, t int32, c []int32, s []float64) { o.bs.ScoreH
 
 // Int8 is an execution precision, not a different protocol: for every model
 // and every sampling strategy the batch executor's Int8 metrics must equal
-// the oracle lane's exactly — same quantization error, same rounding, same
-// ranks — including at a dim that leaves a partial quantization block at
-// the end of every row.
+// the naive oracle's over the per-query view exactly — same quantization
+// error, same rounding, same ranks — including at a dim that leaves a
+// partial quantization block at the end of every row.
 func TestInt8MetricsMatchOracleLane(t *testing.T) {
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
@@ -43,15 +44,8 @@ func TestInt8MetricsMatchOracleLane(t *testing.T) {
 				t.Fatal(err)
 			}
 			for pname, p := range providers {
-				got := Evaluate(m, g, g.Test, p, Options{
-					Filter: filter, Seed: 9, Workers: 2, Precision: store.Int8})
-				// One worker: the oracle's scorer is not safe to share.
-				want := Evaluate(newInt8Oracle(m), g, g.Test, p, Options{
-					Filter: filter, Seed: 9, Workers: 1, PerQuery: true})
-				if got.Metrics != want.Metrics {
-					t.Errorf("%s/dim%d/%s: int8 batch %+v != oracle lane %+v",
-						name, dim, pname, got.Metrics, want.Metrics)
-				}
+				checkAgainstOracle(t, fmt.Sprintf("%s/dim%d/%s/int8", name, dim, pname), m, newInt8Oracle(m), g, g.Test, p,
+					Options{Filter: filter, Seed: 9, Workers: 2, Precision: store.Int8})
 			}
 		}
 	}

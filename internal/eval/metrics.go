@@ -37,7 +37,7 @@ func newEvalInstruments(reg *obs.Registry) *evalInstruments {
 		stageScore: stage("score"),
 		stageRank:  stage("rank_merge"),
 		passSeconds: reg.Histogram("kgeval_eval_pass_seconds",
-			"Wall-clock time of one model's evaluation pass.", obs.DurationBuckets),
+			"Wall-clock time of one model's scoring pass over a compiled plan (plan compile and pool draw are in kgeval_eval_stage_seconds).", obs.DurationBuckets),
 		passesTotal: reg.Counter("kgeval_eval_passes_total",
 			"Evaluation passes completed (one per model per Evaluate/EvaluateMany call)."),
 		queriesTotal: reg.Counter("kgeval_eval_queries_total",

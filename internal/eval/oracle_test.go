@@ -1,0 +1,195 @@
+package eval
+
+import (
+	"testing"
+
+	"kgeval/internal/kg"
+	"kgeval/internal/kgc"
+)
+
+// oracleRanks is the filtered ranking protocol written the slow, obvious
+// way over the pools a plan drew: one query at a time, in split order, tail
+// then head, scoring through nothing but the kgc.Model per-query methods —
+// the true tail via ScoreTriple, the true head via ScoreHeads over the one
+// id, so reciprocal-relation models rank it on the path its rivals take.
+// It shares the pool draw (pinned on its own by TestPlanPoolsGolden) with
+// the executor and nothing else: no chunking, no BatchScorer, no merge
+// sweep, no worker pool. Agreement with Evaluate is therefore evidence about
+// the executor's scoring, filtering and tie handling, not a tautology.
+func oracleRanks(m kgc.Model, filter *kg.FilterIndex, p *plan) (ranks []float64, scored int64) {
+	pools := map[int32]*relGroup{}
+	for gi := range p.groups {
+		pools[p.groups[gi].r] = &p.groups[gi]
+	}
+	for _, q := range p.queries {
+		g := pools[q.R]
+		scores := make([]float64, len(g.tailPool))
+		m.ScoreTails(q.H, q.R, g.tailPool, scores)
+		ranks = append(ranks, naiveRank(g.tailPool, scores, m.ScoreTriple(q.H, q.R, q.T), q.T, filter.Tails(q.H, q.R)))
+
+		var truth [1]float64
+		m.ScoreHeads(q.R, q.T, []int32{q.H}, truth[:])
+		scores = make([]float64, len(g.headPool))
+		m.ScoreHeads(q.R, q.T, g.headPool, scores)
+		ranks = append(ranks, naiveRank(g.headPool, scores, truth[0], q.H, filter.Heads(q.R, q.T)))
+		scored += int64(len(g.tailPool) + len(g.headPool))
+	}
+	return ranks, scored
+}
+
+// naiveRank is 1 + #{strictly better} + #{ties}/2 over the candidates that
+// are neither the answer nor a known positive, with a map as the skip-set.
+func naiveRank(pool []int32, scores []float64, trueScore float64, truth int32, known []int32) float64 {
+	skip := map[int32]bool{truth: true}
+	for _, k := range known {
+		skip[k] = true
+	}
+	better, ties := 0, 0
+	for i, c := range pool {
+		switch {
+		case skip[c]:
+		case scores[i] > trueScore:
+			better++
+		case scores[i] == trueScore:
+			ties++
+		}
+	}
+	return 1 + float64(better) + float64(ties)/2
+}
+
+// oracleMetrics reduces ranks the way the Metrics fields are defined,
+// summing in query order so the result can be compared with ==.
+func oracleMetrics(ranks []float64) Metrics {
+	var mrr, mr, h1, h3, h10 float64
+	for _, r := range ranks {
+		mrr += 1 / r
+		mr += r
+		if r <= 1 {
+			h1++
+		}
+		if r <= 3 {
+			h3++
+		}
+		if r <= 10 {
+			h10++
+		}
+	}
+	n := float64(len(ranks))
+	if n == 0 {
+		return Metrics{}
+	}
+	return Metrics{MRR: mrr / n, Hits1: h1 / n, Hits3: h3 / n, Hits10: h10 / n, MR: mr / n, Queries: len(ranks)}
+}
+
+// checkAgainstOracle is the equivalence gate: Evaluate(m) under opts must
+// equal the oracle's Metrics and CandidatesScored exactly. ref is the model
+// the oracle scores through — m itself, or a per-query view of what m's
+// lane is supposed to compute (int8Oracle). opts.Filter must be set. It
+// returns the oracle's per-query ranks for the metamorphic checks.
+//
+// Mutation check, done by hand when this gate was introduced: deleting the
+// `known[ki] == c` skip from rankScores fails every filtered row here (the
+// gate it replaced ran rankScores on both sides and could not see that).
+func checkAgainstOracle(t *testing.T, label string, m, ref kgc.Model, g *kg.Graph, split []kg.Triple, prov CandidateProvider, opts Options) []float64 {
+	t.Helper()
+	got := Evaluate(m, g, split, prov, opts)
+	ranks, scored := oracleRanks(ref, opts.Filter, newPlan(subsample(split, opts), prov, opts))
+	if want := oracleMetrics(ranks); got.Metrics != want {
+		t.Errorf("%s: executor %+v != oracle %+v", label, got.Metrics, want)
+	}
+	if got.CandidatesScored != scored {
+		t.Errorf("%s: executor scored %d candidates, oracle %d", label, got.CandidatesScored, scored)
+	}
+	return ranks
+}
+
+// plainModel hides a model's batch contract, leaving only the Model
+// interface visible: a third-party model, which the executor runs through
+// kgc's per-query adapter.
+type plainModel struct{ m kgc.Model }
+
+func (p plainModel) Name() string                                  { return p.m.Name() }
+func (p plainModel) Dim() int                                      { return p.m.Dim() }
+func (p plainModel) ScoreTriple(h, r, t int32) float64             { return p.m.ScoreTriple(h, r, t) }
+func (p plainModel) ScoreTails(h, r int32, c []int32, o []float64) { p.m.ScoreTails(h, r, c, o) }
+func (p plainModel) ScoreHeads(r, t int32, c []int32, o []float64) { p.m.ScoreHeads(r, t, c, o) }
+
+// constModel scores every triple the same: all candidates tie.
+type constModel struct{}
+
+func (constModel) Name() string                      { return "const" }
+func (constModel) Dim() int                          { return 1 }
+func (constModel) ScoreTriple(h, r, t int32) float64 { return 0.25 }
+func (constModel) ScoreTails(h, r int32, c []int32, out []float64) {
+	for i := range out {
+		out[i] = 0.25
+	}
+}
+func (constModel) ScoreHeads(r, t int32, c []int32, out []float64) {
+	for i := range out {
+		out[i] = 0.25
+	}
+}
+
+// Third-party models and the protocol's metamorphic properties, as further
+// rows of the oracle gate: each row is first held to the oracle with ==, then
+// the oracle's per-query ranks are held to a property that must be true of
+// any correct filtered ranking.
+func TestOracleGatePlainModelsAndProperties(t *testing.T) {
+	g := evalGraph(t)
+	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
+	raw := kg.NewFilterIndex() // no known positives: the unfiltered protocol
+	full := NewFullProvider(g.NumEntities)
+	complEx, err := kgc.New("ComplEx", g, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A plain Model through batchAdapter, on every strategy.
+	for pname, p := range equivalenceProviders(t, g) {
+		for _, m := range []kgc.Model{plainModel{complEx}, formulaModel{}} {
+			checkAgainstOracle(t, "plain "+m.Name()+"/"+pname, m, m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 4})
+		}
+	}
+
+	// Filtering only ever removes rivals: filtered rank <= raw rank, per
+	// query. formulaModel's 101 score levels also put ties on both sides.
+	for _, m := range []kgc.Model{complEx, formulaModel{}} {
+		filtered := checkAgainstOracle(t, "filtered "+m.Name(), m, m, g, g.Test, full, Options{Filter: filter, Seed: 9, Workers: 4})
+		unfiltered := checkAgainstOracle(t, "raw "+m.Name(), m, m, g, g.Test, full, Options{Filter: raw, Seed: 9, Workers: 4})
+		for i := range filtered {
+			if filtered[i] > unfiltered[i] {
+				t.Errorf("%s query %d: filtered rank %v > raw rank %v", m.Name(), i, filtered[i], unfiltered[i])
+			}
+		}
+	}
+
+	// A pool grown to a superset only ever adds rivals: the rank does not
+	// decrease.
+	var third []int32
+	for e := 0; e < g.NumEntities; e += 3 {
+		third = append(third, int32(e))
+	}
+	small := checkAgainstOracle(t, "every third entity", complEx, complEx, g, g.Test, fixedProvider{pool: third}, Options{Filter: filter, Seed: 9, Workers: 4})
+	large := checkAgainstOracle(t, "every entity", complEx, complEx, g, g.Test, full, Options{Filter: filter, Seed: 9, Workers: 4})
+	for i := range small {
+		if small[i] > large[i] {
+			t.Errorf("query %d: rank %v on the pool, %v on its superset", i, small[i], large[i])
+		}
+	}
+
+	// All scores tied: under the full protocol each query ranks at exactly
+	// 1 + (filtered pool − 1)/2, the filtered pool being every entity that
+	// is not another known answer, in both directions.
+	ranks := checkAgainstOracle(t, "const", constModel{}, constModel{}, g, g.Test, full, Options{Filter: filter, Seed: 9, Workers: 4})
+	for i, q := range g.Test {
+		others := len(filter.Tails(q.H, q.R)) - 1
+		if want := 1 + float64(g.NumEntities-others-1)/2; ranks[2*i] != want {
+			t.Errorf("const model, tail query %d: rank %v, want %v", i, ranks[2*i], want)
+		}
+		others = len(filter.Heads(q.R, q.T)) - 1
+		if want := 1 + float64(g.NumEntities-others-1)/2; ranks[2*i+1] != want {
+			t.Errorf("const model, head query %d: rank %v, want %v", i, ranks[2*i+1], want)
+		}
+	}
+}

@@ -1,11 +1,8 @@
 package eval
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime/debug"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,6 +10,7 @@ import (
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
 	"kgeval/internal/obs/trace"
+	"kgeval/internal/par"
 )
 
 // relGroup is the unit of the relation-grouped execution plan: all queries
@@ -70,8 +68,7 @@ type plan struct {
 // newPlan groups the queries by relation and draws every pool. Pools are
 // drawn in ascending relation order, tail before head, from a generator
 // seeded with Seed+1 — the draw sequence is part of the protocol: any two
-// executions (batch or per-query, one model or many) with the same Seed see
-// identical pools.
+// executions (one model or many) with the same Seed see identical pools.
 func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *plan {
 	// On traced passes the compile span covers all of newPlan, with the
 	// 2·|R| pool draws as a child — mirroring how compileTime/poolTime are
@@ -156,191 +153,152 @@ func subsample(split []kg.Triple, opts Options) []kg.Triple {
 	return shuffled[:opts.MaxQueries]
 }
 
-// stageClock accumulates scoring and ranking time across the pass's worker
-// goroutines: each worker adds section durations at task granularity, so the
-// totals measure CPU time spent per stage (they exceed wall time on a
-// parallel pass).
-type stageClock struct {
-	scoreNS atomic.Int64
-	rankNS  atomic.Int64
+// pass is one model's execution over a plan: what every task of the pass
+// shares. Tasks write disjoint entries of ranks, so workers need no lock.
+type pass struct {
+	plan *plan
+	opts Options
+	// tile is the kernel candidate tile selected for this model and plan
+	// (kgc.TileFor over pool size × dim × precision).
+	tile int
+	// done is the cross-model triple counter driving the Progress hook and
+	// progressTotal the hook's total: #models × len(queries).
+	done          *atomic.Int64
+	progressTotal int
+	// ranks holds two entries per query, tail then head. Unprocessed queries
+	// (cancelled mid-pass) leave their rank at 0, which metricsFromRanks
+	// skips; processed ranks are always >= 1.
+	ranks []float64
+	span  *trace.Span
 }
 
-func (c *stageClock) timings() (score, rank time.Duration) {
-	return time.Duration(c.scoreNS.Load()), time.Duration(c.rankNS.Load())
-}
-
-// taskBufs are one worker's reusable scratch buffers.
-type taskBufs struct {
+// worker is one scoring goroutine's private state. The scorer carries
+// per-scorer scratch (query rows, one candidate tile) that is reused across
+// the worker's tasks but is not safe to share between goroutines, so each
+// worker builds its own; the buffers are reused the same way. The tallies
+// are folded into the Result after the join: scoreNS and rankNS add section
+// durations at task granularity, so their totals measure CPU time spent per
+// stage (they exceed wall time on a parallel pass).
+type worker struct {
+	bs     kgc.BatchScorer
 	scores []float64 // chunk × pool score block
 	ents   []int32   // the chunk's query entities
 	trues  []float64 // true-triple scores of the chunk
 	head   oneHead
+
+	scored, scoreNS, rankNS int64
 }
 
-// runPass executes one model over the plan and returns its metrics. done is
-// the cross-model triple counter driving the Progress hook; progressTotal is
-// the hook's total (len(queries) for Evaluate, #models × len(queries) for
-// EvaluateMany). Elapsed and the plan-level Stages are left for the caller
-// to fill.
+// runPass executes one model over the plan — the relation-grouped executor:
+// workers claim batchTasks one at a time (par.Run) and score whole chunks
+// through the model's BatchScorer. Result.Elapsed and the eval.pass span
+// cover exactly this scoring pass; the plan-level Stages are copied in from
+// the plan. A panic in a scoring goroutine resurfaces on the caller with the
+// worker's stack, where the service layer's job-level recovery turns it into
+// one failed job.
 func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic.Int64) Result {
-	pass := trace.FromContext(opts.Ctx).Child("eval.pass",
-		trace.String("model", m.Name()), trace.Int("dim", m.Dim()),
-		trace.String("precision", opts.Precision.String()))
-	passStart := time.Now()
-	// Unprocessed queries (cancelled mid-pass) leave their rank at 0, which
-	// metricsFromRanks skips; processed ranks are always >= 1.
-	ranks := make([]float64, 2*len(p.queries))
-	var scored atomic.Int64
-	var clock stageClock
-	var tile int
-	if opts.PerQuery {
-		runPerQuery(m, p, opts, progressTotal, done, &scored, &clock, ranks)
-	} else {
-		tile = kgc.TileFor(p.maxPool, m.Dim(), opts.Precision)
-		runBatch(m, p, opts, tile, progressTotal, done, &scored, &clock, ranks, pass)
+	start := time.Now()
+	ps := &pass{
+		plan: p, opts: opts,
+		tile: kgc.TileFor(p.maxPool, m.Dim(), opts.Precision),
+		done: done, progressTotal: progressTotal,
+		ranks: make([]float64, 2*len(p.queries)),
+		span: trace.FromContext(opts.Ctx).Child("eval.pass",
+			trace.String("model", m.Name()), trace.Int("dim", m.Dim()),
+			trace.String("precision", opts.Precision.String())),
 	}
-	res := Result{Metrics: metricsFromRanks(ranks), CandidatesScored: scored.Load()}
-	res.Stages.Score, res.Stages.RankMerge = clock.timings()
-	res.Stages.KernelTile = tile
-	if pass != nil {
+	var cancel <-chan struct{} // nil (never ready) without a context
+	if opts.Ctx != nil {
+		cancel = opts.Ctx.Done()
+	}
+	workers := make([]worker, min(opts.workers(), len(p.tasks)))
+	par.Run(len(p.tasks), len(workers), 1, func(wi, lo, hi int) {
+		w := &workers[wi]
+		if w.bs == nil {
+			w.bs = kgc.NewBatchScorer(m, kgc.BatchOptions{Precision: opts.Precision, Tile: ps.tile})
+		}
+		for ti := lo; ti < hi; ti++ {
+			select {
+			case <-cancel:
+				return
+			default:
+			}
+			ps.runTask(w, ti)
+		}
+	})
+
+	res := Result{Metrics: metricsFromRanks(ps.ranks)}
+	res.Stages = StageTimings{PlanCompile: p.compileTime, PoolDraw: p.poolTime, KernelTile: ps.tile}
+	for i := range workers {
+		res.CandidatesScored += workers[i].scored
+		res.Stages.Score += time.Duration(workers[i].scoreNS)
+		res.Stages.RankMerge += time.Duration(workers[i].rankNS)
+	}
+	if ps.span != nil {
 		// Score and rank_merge are CPU time summed across workers (see
 		// StageTimings), not wall intervals; they are rendered as synthetic
 		// spans anchored at the pass start so their widths compare directly,
 		// and tagged so readers don't mistake them for wall clock.
-		pass.ChildRecord("eval.score", passStart, passStart.Add(res.Stages.Score),
+		ps.span.ChildRecord("eval.score", start, start.Add(res.Stages.Score),
 			trace.String("timing", "cpu-summed"))
-		pass.ChildRecord("eval.rank_merge", passStart, passStart.Add(res.Stages.RankMerge),
+		ps.span.ChildRecord("eval.rank_merge", start, start.Add(res.Stages.RankMerge),
 			trace.String("timing", "cpu-summed"))
-		pass.End(trace.Int("queries", res.Queries), trace.Int64("candidates_scored", res.CandidatesScored),
-			trace.Int("tile", tile), trace.Bool("per_query", opts.PerQuery))
+		ps.span.End(trace.Int("queries", res.Queries), trace.Int64("candidates_scored", res.CandidatesScored),
+			trace.Int("tile", ps.tile))
 	}
+	res.Elapsed = time.Since(start)
 	return res
 }
 
-// panicRelay carries the first panic out of a scoring worker goroutine to
-// the goroutine that joins them. Without it a panic mid-scoring (a
-// malformed model state, an injected fault) dies on a goroutine nobody can
-// recover on and kills the whole process; relayed, it resurfaces on the
-// caller — where the service layer's job-level recovery turns it into one
-// failed job. The relayed value keeps the worker's stack, so the failure
-// report points at the scoring site, not the rethrow.
-type panicRelay struct {
-	once sync.Once
-	val  atomic.Value
-}
-
-// capture must be deferred directly in each worker goroutine.
-func (pr *panicRelay) capture() {
-	if r := recover(); r != nil {
-		pr.once.Do(func() {
-			pr.val.Store(fmt.Sprintf("%v\n\nscoring goroutine stack:\n%s", r, debug.Stack()))
-		})
-	}
-}
-
-// rethrow re-panics on the joining goroutine after wg.Wait, if any worker
-// panicked.
-func (pr *panicRelay) rethrow() {
-	if v := pr.val.Load(); v != nil {
-		panic(v)
-	}
-}
-
-// runBatch is the relation-grouped executor: workers pull batchTasks and
-// score whole chunks through the model's BatchScorer, reusing their entity
-// and score buffers across tasks. Each worker builds its own scorer: the
-// store-backed scorer carries per-scorer scratch (query rows, one candidate
-// tile) that is reused across that worker's tasks but is not safe to share
-// between goroutines.
-func runBatch(m kgc.Model, p *plan, opts Options, tile int, progressTotal int, done, scored *atomic.Int64, clock *stageClock, ranks []float64, pass *trace.Span) {
-	var cancel <-chan struct{}
-	if opts.Ctx != nil {
-		cancel = opts.Ctx.Done()
-	}
-	nw := opts.workers()
-	if nw > len(p.tasks) {
-		nw = len(p.tasks)
-	}
-	sample := opts.TraceChunkSample
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var relay panicRelay
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer relay.capture()
-			bs := kgc.NewBatchScorer(m, kgc.BatchOptions{Precision: opts.Precision, Tile: tile})
-			var bufs taskBufs
-			var local int64
-			defer func() { scored.Add(local) }()
-			for {
-				ti := int(next.Add(1)) - 1
-				if ti >= len(p.tasks) {
-					return
-				}
-				if cancel != nil {
-					select {
-					case <-cancel:
-						return
-					default:
-					}
-				}
-				// Chunk spans are sampled by task index so the Nth-task
-				// selection is deterministic regardless of which worker
-				// draws the task.
-				chunkSpan := pass
-				if sample < 0 || (sample > 1 && ti%sample != 0) {
-					chunkSpan = nil
-				}
-				local += runTask(bs, p, p.tasks[ti], opts, tile, progressTotal, done, clock, ranks, &bufs, chunkSpan)
-			}
-		}()
-	}
-	wg.Wait()
-	relay.rethrow()
-}
-
-// runTask ranks one chunk of a relation group in both directions. The true
-// triple is scored through the same single-triple code paths the per-query
-// executor uses, so the two executors are bit-identical. Section timings
-// accumulate locally and land in clock once per task — two timed sections
-// per direction — keeping the instrumentation overhead far below one
-// timestamp per query. When pass is non-nil the task also records itself as
-// one completed "eval.chunk" child span carrying the relation, pool sizes,
-// precision, kernel tile and its stage split.
-func runTask(bs kgc.BatchScorer, p *plan, t batchTask, opts Options, tile int, progressTotal int, done *atomic.Int64, clock *stageClock, ranks []float64, bufs *taskBufs, pass *trace.Span) int64 {
+// runTask ranks task ti — one chunk of a relation group — in both
+// directions. The true tail is scored through the scorer's ScoreTriple and
+// the true head through its ScoreHeads over the one id, the rule the test
+// oracle applies through the plain Model methods. Section timings accumulate
+// locally and land on the worker once per task — two timed sections per
+// direction — keeping the instrumentation overhead far below one timestamp
+// per query. On a traced pass the task also records itself as one completed
+// "eval.chunk" child span carrying the relation, pool sizes, precision,
+// kernel tile and its stage split; chunk spans are sampled by task index so
+// the Nth-task selection is deterministic regardless of which worker draws
+// the task.
+func (ps *pass) runTask(w *worker, ti int) {
+	p, opts := ps.plan, &ps.opts
+	t := p.tasks[ti]
 	g := t.group
 	idx := g.idx[t.lo:t.hi]
 	nq := len(idx)
+	span := ps.span
+	if s := opts.TraceChunkSample; s < 0 || (s > 1 && ti%s != 0) {
+		span = nil
+	}
 	var chunkStart time.Time
-	if pass != nil {
+	if span != nil {
 		chunkStart = time.Now()
 	}
 	var scoreNS, rankNS int64
 	defer func() {
-		clock.scoreNS.Add(scoreNS)
-		clock.rankNS.Add(rankNS)
-		if pass != nil {
-			pass.ChildRecord("eval.chunk", chunkStart, time.Now(),
+		w.scoreNS += scoreNS
+		w.rankNS += rankNS
+		if span != nil {
+			span.ChildRecord("eval.chunk", chunkStart, time.Now(),
 				trace.Int("relation", int(g.r)), trace.Int("queries", nq),
 				trace.Int("pool_tail", len(g.tailPool)), trace.Int("pool_head", len(g.headPool)),
-				trace.String("precision", opts.Precision.String()), trace.Int("tile", tile),
+				trace.String("precision", opts.Precision.String()), trace.Int("tile", ps.tile),
 				trace.Int64("score_ns", scoreNS), trace.Int64("rank_ns", rankNS))
 		}
 	}()
 
-	bufs.ents = kgc.Grow(bufs.ents, nq)
-	bufs.trues = kgc.Grow(bufs.trues, nq)
-	ents, trues := bufs.ents, bufs.trues
+	w.ents = kgc.Grow(w.ents, nq)
+	w.trues = kgc.Grow(w.trues, nq)
+	ents, trues, bs := w.ents, w.trues, w.bs
 
 	scoreStart := time.Now()
 	nc := len(g.tailPool)
 	for i, qi := range idx {
 		ents[i] = p.queries[qi].H
 	}
-	bufs.scores = kgc.Grow(bufs.scores, nq*nc)
-	scores := bufs.scores
+	w.scores = kgc.Grow(w.scores, nq*nc)
+	scores := w.scores
 	bs.ScoreTailsBatch(ents, g.r, g.tailPool, scores)
 	for i, qi := range idx {
 		q := p.queries[qi]
@@ -351,110 +309,35 @@ func runTask(bs kgc.BatchScorer, p *plan, t batchTask, opts Options, tile int, p
 	rankStart := time.Now()
 	for i, qi := range idx {
 		q := p.queries[qi]
-		ranks[2*qi] = rankScores(q.T, trues[i], g.tailPool, scores[i*nc:(i+1)*nc], opts.Filter.Tails(q.H, q.R))
+		ps.ranks[2*qi] = rankScores(q.T, trues[i], g.tailPool, scores[i*nc:(i+1)*nc], opts.Filter.Tails(q.H, q.R))
 	}
 	rankNS += int64(time.Since(rankStart))
-	n := int64(nq) * int64(nc)
 
 	scoreStart = time.Now()
 	hc := len(g.headPool)
 	for i, qi := range idx {
 		ents[i] = p.queries[qi].T
 	}
-	bufs.scores = kgc.Grow(bufs.scores, nq*hc)
-	scores = bufs.scores
+	w.scores = kgc.Grow(w.scores, nq*hc)
+	scores = w.scores
 	bs.ScoreHeadsBatch(ents, g.r, g.headPool, scores)
 	for i, qi := range idx {
-		trues[i] = scoreHeadOne(bs, p.queries[qi], &bufs.head)
+		trues[i] = scoreHeadOne(bs, p.queries[qi], &w.head)
 	}
 	scoreNS += int64(time.Since(scoreStart))
 
 	rankStart = time.Now()
 	for i, qi := range idx {
 		q := p.queries[qi]
-		ranks[2*qi+1] = rankScores(q.H, trues[i], g.headPool, scores[i*hc:(i+1)*hc], opts.Filter.Heads(q.R, q.T))
+		ps.ranks[2*qi+1] = rankScores(q.H, trues[i], g.headPool, scores[i*hc:(i+1)*hc], opts.Filter.Heads(q.R, q.T))
 	}
 	rankNS += int64(time.Since(rankStart))
-	n += int64(nq) * int64(hc)
+	w.scored += int64(nq) * int64(nc+hc)
 
 	for range idx {
-		d := done.Add(1)
+		d := ps.done.Add(1)
 		if opts.Progress != nil {
-			opts.Progress(int(d), progressTotal)
+			opts.Progress(int(d), ps.progressTotal)
 		}
 	}
-	return n
-}
-
-// runPerQuery is the legacy query-at-a-time executor, kept as the reference
-// implementation the batch path is verified against (and benchmarked over).
-// Its scoring and ranking are interleaved inside rankTail/rankHead, so the
-// stage clock attributes the whole loop to Score.
-func runPerQuery(m kgc.Model, p *plan, opts Options, progressTotal int, done, scored *atomic.Int64, clock *stageClock, ranks []float64) {
-	tailPools := make(map[int32][]int32, len(p.groups))
-	headPools := make(map[int32][]int32, len(p.groups))
-	for gi := range p.groups {
-		g := &p.groups[gi]
-		tailPools[g.r] = g.tailPool
-		headPools[g.r] = g.headPool
-	}
-	var cancel <-chan struct{}
-	if opts.Ctx != nil {
-		cancel = opts.Ctx.Done()
-	}
-	queries := p.queries
-	nw := opts.workers()
-	var wg sync.WaitGroup
-	var relay panicRelay
-	chunk := (len(queries) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer relay.capture()
-			var buf []float64
-			var head oneHead
-			var local, localNS int64
-			defer func() {
-				scored.Add(local)
-				clock.scoreNS.Add(localNS)
-			}()
-			for i := lo; i < hi; i++ {
-				if cancel != nil {
-					select {
-					case <-cancel:
-						return
-					default:
-					}
-				}
-				t0 := time.Now()
-				q := queries[i]
-				tp := tailPools[q.R]
-				buf = kgc.Grow(buf, len(tp))
-				ranks[2*i] = rankTail(m, opts.Filter, q, tp, buf)
-				local += int64(len(tp))
-
-				hp := headPools[q.R]
-				buf = kgc.Grow(buf, len(hp))
-				ranks[2*i+1] = rankHead(m, opts.Filter, q, hp, buf, &head)
-				local += int64(len(hp))
-				localNS += int64(time.Since(t0))
-
-				d := done.Add(1)
-				if opts.Progress != nil {
-					opts.Progress(int(d), progressTotal)
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	relay.rethrow()
 }

@@ -1,8 +1,10 @@
 package eval
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
@@ -56,6 +58,53 @@ func TestStageTimingsSharedAcrossMany(t *testing.T) {
 		if r.Stages.Score <= 0 {
 			t.Fatalf("model %d: Score = %v, want > 0", i, r.Stages.Score)
 		}
+	}
+}
+
+// slowProvider delays every pool draw.
+type slowProvider struct {
+	CandidateProvider
+	delay time.Duration
+}
+
+func (p slowProvider) Candidates(r int32, tail bool, rng *rand.Rand) []int32 {
+	time.Sleep(p.delay)
+	return p.CandidateProvider.Candidates(r, tail, rng)
+}
+
+// kgeval_eval_pass_seconds has one definition from either entry point: the
+// model's scoring pass. A provider that is slow to draw pools must show up
+// in stage_seconds{stage="pool_draw"} (and in Evaluate's Elapsed) and leave
+// pass_seconds alone — Evaluate used to observe its plan-inclusive Elapsed
+// into the histogram EvaluateMany fed with scoring-only times.
+func TestPassSecondsCoversScoringOnly(t *testing.T) {
+	g := evalGraph(t)
+	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
+	const delay = 10 * time.Millisecond
+	prov := slowProvider{&RandomProvider{NumEntities: g.NumEntities, N: 20}, delay}
+	rels := map[int32]bool{}
+	for _, q := range g.Test {
+		rels[q.R] = true
+	}
+	slept := (time.Duration(2*len(rels)) * delay).Seconds()
+
+	poolBefore := instruments.stagePool.Snapshot()
+	passBefore := instruments.passSeconds.Snapshot()
+	res := Evaluate(formulaModel{}, g, g.Test, prov, Options{Filter: filter, Seed: 3, Workers: 2})
+	pool := instruments.stagePool.Snapshot().Sum - poolBefore.Sum
+	pass := instruments.passSeconds.Snapshot()
+
+	if pool < slept {
+		t.Errorf("pool_draw stage moved by %.3fs, the draws slept %.3fs", pool, slept)
+	}
+	if n := pass.Count - passBefore.Count; n != 1 {
+		t.Fatalf("pass_seconds took %d observations for one pass", n)
+	}
+	if d := pass.Sum - passBefore.Sum; d >= slept {
+		t.Errorf("pass_seconds moved by %.3fs: it includes the %.3fs pool draw", d, slept)
+	}
+	if res.Elapsed.Seconds() < slept {
+		t.Errorf("Evaluate's Elapsed %v excludes the %.3fs pool draw", res.Elapsed, slept)
 	}
 }
 

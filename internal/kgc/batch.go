@@ -12,8 +12,8 @@ import "math"
 // Batch scoring is an execution strategy, not a different protocol: for any
 // model, ScoreTailsBatch must produce bit-identical scores to the equivalent
 // sequence of ScoreTails calls (and likewise for heads). The evaluation
-// engine relies on this to make the relation-grouped plan interchangeable
-// with the per-query path.
+// engine ranks raw float scores by equality, and its test oracle scores
+// through the per-query methods.
 type BatchScorer interface {
 	Model
 	// ScoreTailsBatch writes the score of (hs[i], r, cands[j]) into
@@ -24,16 +24,13 @@ type BatchScorer interface {
 	ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []float64)
 }
 
-// AsBatchScorer returns a batch lane for m at the reference float64
-// precision and default tile: a store-backed scorer for the native models,
-// m itself if it already implements BatchScorer, or a per-query fallback
-// adapter for externally supplied Models. See NewBatchScorer for the
-// precision/tile knobs and the concurrency contract.
-func AsBatchScorer(m Model) BatchScorer {
-	return NewBatchScorer(m, BatchOptions{})
-}
-
-// batchAdapter implements BatchScorer over any Model by looping per query.
+// batchAdapter is how a plain third-party Model — one that implements
+// neither BatchScorer nor this package's native contract — runs through the
+// relation-grouped executor: it loops the model's own ScoreTails/ScoreHeads
+// per query, at float64, whatever precision and tile were asked for. The
+// evaluation framework is model-agnostic (the paper's Figure 1 contract), so
+// this is a supported input, not a fallback awaiting deletion; eval's oracle
+// gate runs a plain Model through it.
 type batchAdapter struct{ Model }
 
 func (a batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64) {

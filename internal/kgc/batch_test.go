@@ -3,6 +3,8 @@ package kgc
 import (
 	"math/rand"
 	"testing"
+
+	"kgeval/internal/kgc/store"
 )
 
 // Batch scoring is only an execution strategy: for every model, the batch
@@ -16,7 +18,7 @@ func TestBatchScoringBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := AsBatchScorer(m)
+		bs := NewBatchScorer(m, BatchOptions{})
 
 		const nq, nc = 13, 37
 		qsEnt := make([]int32, nq)
@@ -55,36 +57,50 @@ func TestBatchScoringBitIdentical(t *testing.T) {
 }
 
 // All seven built-in models score through the universal store-backed batch
-// lane; only externally supplied plain Models fall back to the per-query
-// adapter.
-func TestAsBatchScorerDispatch(t *testing.T) {
+// lane; an externally supplied plain Model gets batchAdapter, which must
+// reproduce the model's own per-query scores bit for bit whatever options
+// it is handed.
+func TestNewBatchScorerDispatch(t *testing.T) {
 	g := trainGraph(t)
 	for _, name := range ModelNames() {
 		m, err := New(name, g, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !IsNativeBatch(m) {
-			t.Errorf("%s: IsNativeBatch = false, want true", name)
-		}
-		bs := AsBatchScorer(m)
+		bs := NewBatchScorer(m, BatchOptions{})
 		if _, ok := bs.(*storeScorer); !ok {
-			t.Errorf("%s: AsBatchScorer = %T, want *storeScorer", name, bs)
+			t.Errorf("%s: NewBatchScorer = %T, want *storeScorer", name, bs)
 		}
 	}
-	// A plain Model (no native contract) gets the per-query adapter.
 	m, _ := New("TransE", g, 8, 1)
-	plain := plainModel{m}
-	if IsNativeBatch(plain) {
-		t.Error("plain Model reported as native batch")
-	}
-	bs := AsBatchScorer(plain)
+	bs := NewBatchScorer(plainModel{m}, BatchOptions{Precision: store.Int8, Tile: 3})
 	if _, ok := bs.(batchAdapter); !ok {
-		t.Errorf("plain Model: AsBatchScorer = %T, want batchAdapter", bs)
+		t.Fatalf("plain Model: NewBatchScorer = %T, want batchAdapter", bs)
 	}
-	// Idempotent: adapting an existing BatchScorer must not re-wrap.
-	if again := AsBatchScorer(bs); again != bs {
-		t.Error("AsBatchScorer re-wrapped an existing BatchScorer")
+	// Idempotent: an existing BatchScorer must not be re-wrapped.
+	if again := NewBatchScorer(bs, BatchOptions{}); again != bs {
+		t.Error("NewBatchScorer re-wrapped an existing BatchScorer")
+	}
+	qs, cands := []int32{4, 0, 9}, []int32{7, 1, 1, 30, 2}
+	got, want := make([]float64, len(qs)*len(cands)), make([]float64, len(cands))
+	for _, tails := range []bool{true, false} {
+		if tails {
+			bs.ScoreTailsBatch(qs, 2, cands, got)
+		} else {
+			bs.ScoreHeadsBatch(qs, 2, cands, got)
+		}
+		for i, q := range qs {
+			if tails {
+				m.ScoreTails(q, 2, cands, want)
+			} else {
+				m.ScoreHeads(2, q, cands, want)
+			}
+			for j := range want {
+				if got[i*len(cands)+j] != want[j] {
+					t.Fatalf("adapter tails=%v [%d,%d] = %v, model's own = %v", tails, i, j, got[i*len(cands)+j], want[j])
+				}
+			}
+		}
 	}
 }
 
@@ -106,7 +122,7 @@ func TestBatchScoringEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := AsBatchScorer(m)
+		bs := NewBatchScorer(m, BatchOptions{})
 		bs.ScoreTailsBatch(nil, 0, []int32{1, 2}, nil)
 		bs.ScoreTailsBatch([]int32{1, 2}, 0, nil, nil)
 		bs.ScoreHeadsBatch(nil, 0, []int32{1, 2}, nil)

@@ -23,7 +23,7 @@ import (
 //
 // Models may additionally implement BatchScorer to score many queries of one
 // (relation, direction) against a shared candidate pool in a single call;
-// the embedding models here all do. AsBatchScorer adapts any plain Model.
+// the embedding models here all do. NewBatchScorer adapts any plain Model.
 type Model interface {
 	// Name identifies the model in tables ("TransE", "ComplEx", ...).
 	Name() string

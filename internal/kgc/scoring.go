@@ -133,19 +133,11 @@ func ResetStores(m Model) {
 	}
 }
 
-// IsNativeBatch reports whether m scores through the universal store-backed
-// batch lane (true for all seven built-in models) rather than the per-query
-// fallback adapter.
-func IsNativeBatch(m Model) bool {
-	_, ok := m.(batchNative)
-	return ok
-}
-
-// NewBatchScorer returns a batch lane for m with explicit precision and
-// tile. Models implementing the native contract get a store-backed scorer;
-// a model that already implements BatchScorer is returned as-is; anything
-// else is wrapped in the per-query adapter (which ignores opts — it always
-// scores at float64 through the model's own methods).
+// NewBatchScorer returns a batch lane for m, the one way to get one. Models
+// implementing the native contract (all seven built-in models) get a
+// store-backed scorer at opts' precision and tile; a model that already
+// implements BatchScorer is returned as-is; any other Model is wrapped in
+// batchAdapter, which ignores opts.
 //
 // The returned scorer owns reusable scratch buffers and is NOT safe for
 // concurrent use: create one per worker goroutine. Scorers for the same

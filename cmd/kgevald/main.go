@@ -5,7 +5,11 @@
 //
 // The server hosts one knowledge graph (a synthetic preset, or TSV files
 // produced by datagen) and amortizes recommender fitting across jobs through
-// an LRU cache of fitted frameworks. A job carries either one model
+// an LRU cache of fitted frameworks, and model upload and parsing through a
+// registry of loaded models keyed by the SHA-256 of their bytes
+// (PUT /v1/models, bounded by -model-cache-mb; a job names a model by
+// model_id, or carries it inline as a base64 snapshot, which is registered
+// under the same id on the way in). A job carries either one model
 // ({"model": {...}}) or a fleet ({"models": [...]}); fleets are evaluated in
 // one relation-grouped pass over shared candidate pools, with per-model
 // results in the job output.
@@ -24,8 +28,9 @@
 // Production hardening (see README "Operations"): jobs carry end-to-end
 // deadlines (timeout_ms, or the -job-timeout default) and expire terminally
 // when they pass; a full queue sheds load with 429 + Retry-After derived
-// from recent throughput; -mem-budget-mb gates admission on the job's
-// estimated working set, degrading precision to float32 before rejecting;
+// from recent throughput; -mem-budget-mb gates admission on the resident
+// models plus the job's estimated working set, degrading precision to
+// float32 before rejecting;
 // SIGTERM drains gracefully — /readyz flips to 503, queued jobs get a
 // terminal SSE event, running jobs get up to -drain-timeout to finish; fit
 // keys that keep failing are quarantined by a circuit breaker; and -faults
@@ -42,6 +47,7 @@
 //
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/readyz
+//	curl -s -T model.kgm localhost:8080/v1/models
 //	curl -s -X POST localhost:8080/v1/jobs -d @job.json
 //	curl -s localhost:8080/v1/jobs/j000001
 //	curl -N localhost:8080/v1/jobs/j000001/stream
@@ -86,6 +92,7 @@ func main() {
 		evalWorkers = flag.Int("eval-workers", 0, "scoring goroutines per job (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 128, "queued-job limit")
 		cacheSize   = flag.Int("cache", 8, "fitted-framework LRU capacity")
+		modelCache  = flag.Int64("model-cache-mb", 1024, "model registry capacity in MiB: loaded models (and uploads not used yet) kept for jobs to share")
 		ns          = flag.Int("ns", 0, "default candidate samples per relation/direction (0 = 10% of |E|)")
 		seed        = flag.Int64("seed", 1, "default seed for sampling and recommender fitting")
 		logLevel    = flag.String("log-level", "info", "log threshold: debug, info, warn or error")
@@ -99,7 +106,7 @@ func main() {
 
 		jobTimeout   = flag.Duration("job-timeout", 0, "default end-to-end deadline per job, queue wait included (0 = none; jobs can set timeout_ms themselves)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM/SIGINT, how long running jobs get to finish before being canceled")
-		memBudgetMB  = flag.Int64("mem-budget-mb", 0, "estimated per-job working-set budget in MiB; over-budget jobs are degraded to float32 or rejected with 429 (0 = no gate)")
+		memBudgetMB  = flag.Int64("mem-budget-mb", 0, "memory budget in MiB for resident models plus a job's estimated working set; over-budget jobs are degraded to float32 or rejected with 429 (0 = no gate)")
 		faultSpec    = flag.String("faults", "", "arm deterministic fault injection, e.g. 'service/fit=error,every=2;service/worker=stall,stall=5s' (testing only)")
 	)
 	flag.Parse()
@@ -169,6 +176,7 @@ func main() {
 		EvalWorkers:       *evalWorkers,
 		QueueDepth:        *queue,
 		CacheSize:         *cacheSize,
+		ModelCacheBytes:   *modelCache << 20,
 		DefaultNumSamples: *ns,
 		DefaultSeed:       *seed,
 		Traces:            trace.NewStore(*traceStore, *traceSpans),
@@ -197,7 +205,7 @@ func main() {
 	apiHandler.Store(&handler)
 
 	logger.Info("serving", "addr", ln.Addr().String(), "workers", *workers,
-		"cache", *cacheSize, "pprof", *pprofOn,
+		"cache", *cacheSize, "model_cache_mb", *modelCache, "pprof", *pprofOn,
 		"job_timeout", *jobTimeout, "drain_timeout", *drainTimeout)
 
 	// Graceful shutdown: the first SIGTERM/SIGINT flips /readyz to 503 and

@@ -25,9 +25,14 @@
 //	                      negotiated), runtime gauges; obs/trace
 //	                      adds context-propagated spans and the bounded
 //	                      flight-recorder store behind /v1/jobs/{id}/trace
-//	internal/service      evaluation-as-a-service: job engine (single- and
-//	                      multi-model jobs), framework cache and the kgevald
-//	                      HTTP API, production-hardened with end-to-end job
+//	internal/service      evaluation-as-a-service in four layers: jobs (single-
+//	                      and multi-model), the fitted-framework cache, the
+//	                      model registry (a byte-bounded LRU of loaded models
+//	                      keyed by the SHA-256 of their checkpoint bytes, fed
+//	                      by PUT /v1/models or a streamed inline snapshot, so
+//	                      a model is parsed once and shared by every job that
+//	                      names it) and the engine, behind the kgevald HTTP
+//	                      API; production-hardened with end-to-end job
 //	                      deadlines (terminal state "expired"), admission
 //	                      control (429 + Retry-After, memory-budget gate
 //	                      with precision degradation), graceful drain, and a

@@ -1,10 +1,12 @@
 // Evaluation-as-a-service: start the kgevald engine in-process, then drive
-// it purely over HTTP the way external clients would — submit several
-// serialized model snapshots concurrently, compare candidate-sampling
-// strategies, watch live SSE progress, run a multi-model job that scores
-// the whole fleet over shared candidate pools, and cancel a job mid-flight.
-// The second and later jobs per strategy hit the fitted-framework cache, so
-// recommender fitting is paid once across the whole workload.
+// it purely over HTTP the way external clients would — upload serialized
+// model snapshots once, submit jobs that name them concurrently, compare
+// candidate-sampling strategies, watch live SSE progress, run a multi-model
+// job that scores the whole fleet over shared candidate pools, and cancel a
+// job mid-flight. The second and later jobs per strategy hit the
+// fitted-framework cache and every job after a model's first hits the model
+// registry, so recommender fitting and model parsing are each paid once
+// across the whole workload.
 //
 //	go run ./examples/service
 package main
@@ -52,9 +54,11 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("kgevald serving %s at %s\n", g.Name, base)
 
-	// 2. Train two small models and serialize them — the snapshots are what
-	// a training pipeline would ship to the evaluation service.
+	// 2. Train two small models, serialize them, and upload each snapshot
+	// once — what a training pipeline would do per checkpoint. The server
+	// answers with the model's id (the SHA-256 of its bytes); jobs name that.
 	snapshots := map[string][]byte{}
+	ids := map[string]string{}
 	dims := map[string]int{"ComplEx": 32, "DistMult": 24}
 	for name, dim := range dims {
 		m, err := kgc.New(name, g, dim, 1)
@@ -69,7 +73,8 @@ func main() {
 			log.Fatal(err)
 		}
 		snapshots[name] = buf.Bytes()
-		fmt.Printf("trained + serialized %s (%d bytes)\n", name, buf.Len())
+		ids[name] = putModel(base, buf.Bytes())
+		fmt.Printf("trained + uploaded %s (%d bytes) as %.12s…\n", name, buf.Len(), ids[name])
 	}
 
 	// 3. Submit every (model, strategy) pair concurrently over HTTP.
@@ -87,7 +92,7 @@ func main() {
 			go func(name string, dim int, strat string) {
 				defer wg.Done()
 				spec := service.JobSpec{
-					Model:    service.ModelSpec{Name: name, Dim: dim, Seed: 1, Snapshot: snapshots[name]},
+					Model:    service.ModelSpec{Name: name, Dim: dim, Seed: 1, ModelID: ids[name]},
 					Strategy: strat,
 				}
 				st := postJob(base, spec)
@@ -113,10 +118,11 @@ func main() {
 
 	// 6. Submit one multi-model job: both snapshots evaluated over shared
 	// candidate pools in a single pass (pools drawn once, models ranked on
-	// identical ground), with per-model results in the job output.
+	// identical ground), with per-model results in the job output. A model
+	// may also ride inline: the server registers it under the same id.
 	multi := postJob(base, service.JobSpec{
 		Models: []service.ModelSpec{
-			{Name: "ComplEx", Dim: 32, Seed: 1, Snapshot: snapshots["ComplEx"]},
+			{Name: "ComplEx", Dim: 32, Seed: 1, ModelID: ids["ComplEx"]},
 			{Name: "DistMult", Dim: 24, Seed: 1, Snapshot: snapshots["DistMult"]},
 		},
 		Strategy: "P",
@@ -129,7 +135,7 @@ func main() {
 
 	// 7. Submit one more job and cancel it mid-flight via the API.
 	spec := service.JobSpec{
-		Model:    service.ModelSpec{Name: "ComplEx", Dim: 32, Seed: 1, Snapshot: snapshots["ComplEx"]},
+		Model:    service.ModelSpec{Name: "ComplEx", Dim: 32, Seed: 1, ModelID: ids["ComplEx"]},
 		Strategy: "full", // the slow protocol: plenty of time to cancel
 	}
 	doomed := postJob(base, spec)
@@ -165,6 +171,31 @@ func main() {
 	getJSON(base+"/v1/stats", &stats)
 	fmt.Printf("\nframework cache: %d hits / %d misses (size %d) — Fit ran once per (recommender, n_s)\n",
 		stats.Cache.Hits, stats.Cache.Misses, stats.Cache.Size)
+	fmt.Printf("model registry:  %d hits / %d misses (%d models, %d bytes) — each snapshot parsed once\n",
+		stats.Models.Hits, stats.Models.Misses, stats.Models.Entries, stats.Models.Bytes)
+}
+
+// putModel uploads raw kgc.Save bytes and returns the id jobs name them by.
+func putModel(base string, raw []byte) string {
+	req, err := http.NewRequest(http.MethodPut, base+"/v1/models", bytes.NewReader(raw))
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		ModelID string `json:"model_id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		log.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusCreated {
+		log.Fatalf("upload failed: %s", resp.Status)
+	}
+	return out.ModelID
 }
 
 func postJob(base string, spec service.JobSpec) service.Status {

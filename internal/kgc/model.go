@@ -82,14 +82,13 @@ type table struct {
 	clip    float64 // per-coordinate gradient clip (0 = off)
 	lrScale float64 // multiplier on the trainer's learning rate (0 = 1)
 	w       []float64
-	g2      []float64
+	g2      []float64 // allocated by the first adaptive update: a model that is only loaded and scored never pays for it
 }
 
 func newTable(rng *rand.Rand, n, dim int, scale float64) *table {
 	t := &table{
 		dim: dim,
 		w:   make([]float64, n*dim),
-		g2:  make([]float64, n*dim),
 	}
 	for i := range t.w {
 		t.w[i] = (rng.Float64()*2 - 1) * scale
@@ -123,6 +122,9 @@ func (t *table) update(i int32, grad []float64, lr float64) {
 	const eps = 1e-8
 	if t.lrScale > 0 {
 		lr *= t.lrScale
+	}
+	if t.g2 == nil && !t.sgd {
+		t.g2 = make([]float64, len(t.w))
 	}
 	off := int(i) * t.dim
 	for j, g := range grad {

@@ -77,6 +77,10 @@ func Save(w io.Writer, m Model) error {
 
 // Load restores parameters saved by Save into m, which must have been
 // constructed with the same architecture (model name and table shapes).
+//
+// Every length field in the input is checked against the receiver before
+// anything is read or allocated for it, so a hostile checkpoint costs one
+// fixed chunk buffer however large it claims to be.
 func Load(r io.Reader, m Model) error {
 	ts, ok := m.(tableSet)
 	if !ok {
@@ -102,23 +106,20 @@ func Load(r io.Reader, m Model) error {
 	if err != nil {
 		return err
 	}
-	if int(n) != len(tables) {
+	if n != uint64(len(tables)) {
 		return fmt.Errorf("kgc: checkpoint has %d tables, model has %d", n, len(tables))
 	}
+	buf := make([]byte, loadChunk)
 	for i, t := range tables {
 		ln, err := readU64(br)
 		if err != nil {
 			return err
 		}
-		if int(ln) != len(t.w) {
+		if ln != uint64(len(t.w)) {
 			return fmt.Errorf("kgc: table %d has %d params in checkpoint, %d in model", i, ln, len(t.w))
 		}
-		for j := range t.w {
-			v, err := readF64(br)
-			if err != nil {
-				return err
-			}
-			t.w[j] = v
+		if err := readF64s(br, t.w, buf); err != nil {
+			return err
 		}
 	}
 	extras := modelExtras(m)
@@ -126,7 +127,7 @@ func Load(r io.Reader, m Model) error {
 	if err != nil {
 		return err
 	}
-	if int(ne) != len(extras) {
+	if ne != uint64(len(extras)) {
 		return fmt.Errorf("kgc: checkpoint has %d extras, model has %d", ne, len(extras))
 	}
 	for i, e := range extras {
@@ -134,15 +135,11 @@ func Load(r io.Reader, m Model) error {
 		if err != nil {
 			return err
 		}
-		if int(ln) != len(*e) {
+		if ln != uint64(len(*e)) {
 			return fmt.Errorf("kgc: extra %d length mismatch", i)
 		}
-		for j := range *e {
-			v, err := readF64(br)
-			if err != nil {
-				return err
-			}
-			(*e)[j] = v
+		if err := readF64s(br, *e, buf); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -220,9 +217,30 @@ func readU64(r io.Reader) (uint64, error) {
 	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
-func readF64(r io.Reader) (float64, error) {
-	v, err := readU64(r)
-	return math.Float64frombits(v), err
+// loadChunk is how many bytes of weights Load pulls from the reader per
+// call: large enough that the per-read overhead vanishes, small enough to
+// stay cache-resident while it is converted.
+const loadChunk = 64 << 10
+
+// readF64s fills dst with little-endian float64s from r, one read per
+// buf-sized chunk. Input that ends early fails as a per-value reader would:
+// io.EOF on a value boundary, io.ErrUnexpectedEOF inside a value.
+func readF64s(r io.Reader, dst []float64, buf []byte) error {
+	for len(dst) > 0 {
+		n := min(len(dst), len(buf)/8)
+		got, err := io.ReadFull(r, buf[:n*8])
+		if err != nil {
+			if err == io.ErrUnexpectedEOF && got%8 == 0 {
+				err = io.EOF
+			}
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		}
+		dst = dst[n:]
+	}
+	return nil
 }
 
 func readString(r io.Reader) (string, error) {
@@ -230,7 +248,8 @@ func readString(r io.Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > 1<<20 {
+	// The only string in the format is a model name.
+	if n > 64 {
 		return "", fmt.Errorf("kgc: implausible string length %d", n)
 	}
 	buf := make([]byte, n)

@@ -46,6 +46,7 @@ type Recorder struct {
 
 	mu    sync.Mutex
 	ring  []SpanRecord
+	limit int   // ring capacity; the slice grows toward it as spans arrive
 	next  int   // ring insertion cursor
 	wrap  bool  // ring has wrapped at least once
 	total int64 // spans ever recorded
@@ -55,7 +56,10 @@ func newRecorder(id TraceID, name string, capacity int) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Recorder{traceID: id, name: name, start: time.Now(), ring: make([]SpanRecord, 0, capacity)}
+	// The ring is not allocated up front: whoever retains a finished trace
+	// (the store, a retained job) holds what the trace recorded, not what it
+	// was allowed to.
+	return &Recorder{traceID: id, name: name, start: time.Now(), limit: capacity}
 }
 
 // TraceID returns the hex trace ID.
@@ -69,11 +73,11 @@ func (r *Recorder) Start() time.Time { return r.start }
 
 func (r *Recorder) add(rec SpanRecord) {
 	r.mu.Lock()
-	if len(r.ring) < cap(r.ring) {
+	if len(r.ring) < r.limit {
 		r.ring = append(r.ring, rec)
 	} else {
 		r.ring[r.next] = rec
-		r.next = (r.next + 1) % cap(r.ring)
+		r.next = (r.next + 1) % r.limit
 		r.wrap = true
 	}
 	r.total++

@@ -131,6 +131,27 @@ func TestRecorderRingEviction(t *testing.T) {
 	}
 }
 
+// TestRecorderRingGrowsOnDemand: a trace's ring is a bound, not an
+// allocation. A retained recorder (in the store, or behind a finished job's
+// span) must cost what it recorded — a default-sized ring allocated up front
+// pinned ~0.65 MB per finished job in the service's job index.
+func TestRecorderRingGrowsOnDemand(t *testing.T) {
+	store := NewStore(2, DefaultTraceSpans)
+	_, root := store.StartTrace(context.Background(), "small")
+	root.Child("only").End()
+	root.End()
+	rec := store.Traces()[0]
+	if retained, _ := rec.SpanCount(); retained != 2 {
+		t.Fatalf("recorded %d spans, want 2", retained)
+	}
+	rec.mu.Lock()
+	held := cap(rec.ring)
+	rec.mu.Unlock()
+	if held > 16 {
+		t.Fatalf("two-span trace holds a %d-record ring", held)
+	}
+}
+
 // TestStoreEviction checks the FIFO bound on retained traces.
 func TestStoreEviction(t *testing.T) {
 	store := NewStore(3, 16)

@@ -111,7 +111,7 @@ type MemoryBudgetError struct {
 }
 
 func (e *MemoryBudgetError) Error() string {
-	return fmt.Sprintf("service: job needs an estimated %d MiB, over the %d MiB memory budget (reduce models, dim or precision)",
+	return fmt.Sprintf("service: job needs an estimated %d MiB with the models already resident, over the %d MiB memory budget (reduce models, dim or precision)",
 		e.EstimatedBytes>>20, e.BudgetBytes>>20)
 }
 
@@ -137,18 +137,15 @@ func modelWeightBytes(name string, ents, rels, dim int64) int64 {
 	}
 }
 
-// estimateJobBytes approximates the working set a job pins while running:
-// per model, its architecture-aware float64 weight tables
-// (modelWeightBytes) plus the entity store gathered at the scoring
-// precision (|E|·dim·bytes), plus the snapshot bytes held during model
-// reconstruction. A coarse upper-ish bound — the gate exists to refuse
-// obviously-over-budget work before it OOMs the process, not to do exact
-// accounting.
-func (e *Engine) estimateJobBytes(spec JobSpec, prec store.Precision) int64 {
-	specs := spec.Models
-	if len(specs) == 0 {
-		specs = []ModelSpec{spec.Model}
-	}
+// estimateJobBytes approximates what admitting a job adds to the process:
+// per model, the entity store at the scoring precision (|E|·dim·bytes) plus,
+// when the registry does not hold the model yet, the architecture-aware
+// float64 weight tables loading it will pin (modelWeightBytes). A model the
+// registry holds is charged there, once, however many jobs name it — keys
+// are the job's registry keys, nil for a spec not resolved yet. A coarse
+// upper-ish bound — the gate exists to refuse obviously-over-budget work
+// before it OOMs the process, not to do exact accounting.
+func (e *Engine) estimateJobBytes(spec JobSpec, keys []modelKey, prec store.Precision) int64 {
 	precBytes := int64(8)
 	switch prec {
 	case store.Float32:
@@ -159,26 +156,31 @@ func (e *Engine) estimateJobBytes(spec JobSpec, prec store.Precision) int64 {
 	var total int64
 	ents := int64(e.graph.NumEntities)
 	rels := int64(e.graph.NumRelations)
-	for _, ms := range specs {
+	for i, ms := range specModels(&spec) {
 		dim := int64(ms.Dim)
-		total += modelWeightBytes(ms.Name, ents, rels, dim) + ents*dim*precBytes + int64(len(ms.Snapshot))
+		total += ents * dim * precBytes
+		if keys == nil || !e.models.holds(keys[i]) {
+			total += modelWeightBytes(ms.Name, ents, rels, dim)
+		}
 	}
 	return total
 }
 
-// admit applies the memory-budget gate to a validated spec: within budget
-// passes through; over budget at the default float64 precision degrades to
-// float32 (graceful degradation — a bounded-deviation estimate beats an
-// OOM-killed daemon); still (or explicitly) over budget rejects with a
-// *MemoryBudgetError. The returned bool reports whether precision was
-// degraded.
-func (e *Engine) admit(spec JobSpec) (JobSpec, bool, error) {
+// admit applies the memory-budget gate to a validated spec: the bytes the
+// model registry holds plus the job's own estimate must fit the budget.
+// Within budget passes through; over budget at the default float64
+// precision degrades to float32 (graceful degradation — a bounded-deviation
+// estimate beats an OOM-killed daemon); still (or explicitly) over budget
+// rejects with a *MemoryBudgetError. The returned bool reports whether
+// precision was degraded.
+func (e *Engine) admit(spec JobSpec, keys []modelKey) (JobSpec, bool, error) {
 	budget := e.cfg.MemoryBudget
 	if budget <= 0 {
 		return spec, false, nil
 	}
+	resident := e.models.stats().Bytes
 	prec, _ := store.ParsePrecision(spec.Precision) // validated earlier
-	est := e.estimateJobBytes(spec, prec)
+	est := resident + e.estimateJobBytes(spec, keys, prec)
 	if est <= budget {
 		return spec, false, nil
 	}
@@ -186,7 +188,7 @@ func (e *Engine) admit(spec JobSpec) (JobSpec, bool, error) {
 	// for float64 said they need the bit-exact reference, so they get a
 	// structured rejection instead of silently different numbers.
 	if spec.Precision == "" {
-		if e32 := e.estimateJobBytes(spec, store.Float32); e32 <= budget {
+		if resident+e.estimateJobBytes(spec, keys, store.Float32) <= budget {
 			spec.Precision = store.Float32.String()
 			return spec, true, nil
 		}

@@ -24,7 +24,7 @@ func TestEstimateJobBytesModelAware(t *testing.T) {
 	const dim = 64
 	est := func(name string) int64 {
 		spec := JobSpec{Model: ModelSpec{Name: name, Dim: dim, Seed: 1}}
-		return e.estimateJobBytes(spec, store.Float64)
+		return e.estimateJobBytes(spec, nil, store.Float64)
 	}
 
 	transe := est("TransE")

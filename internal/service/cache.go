@@ -1,10 +1,7 @@
 package service
 
 import (
-	"container/list"
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"kgeval/internal/core"
 	"kgeval/internal/obs/trace"
@@ -19,45 +16,19 @@ type CacheKey struct {
 	NumSamples  int
 }
 
-// cacheEntry is a once-built Framework slot. ready is closed when the build
-// finishes; waiters then read fw/err without further synchronization.
-type cacheEntry struct {
-	key   CacheKey
-	ready chan struct{}
-	fw    *core.Framework
-	err   error
-}
-
 // FrameworkCache is an LRU of fitted core.Frameworks with single-flight
 // building: concurrent Get calls for the same key trigger exactly one
 // build, and every other caller blocks on it (and counts as a hit, since
 // the Fit cost is shared). Failed builds are evicted so later requests
 // retry.
 type FrameworkCache struct {
-	mu           sync.Mutex
-	cap          int
-	ll           *list.List // *cacheEntry; front = most recently used
-	entries      map[CacheKey]*list.Element
-	hits         int64
-	misses       int64
-	evictions    int64
-	singleFlight int64
-	// inflight counts builds currently running; decremented outside the
-	// lock when a build finishes, hence atomic.
-	inflight atomic.Int64
+	lru *lru[CacheKey, *core.Framework]
 }
 
 // NewFrameworkCache creates a cache holding at most capacity fitted
 // frameworks (minimum 1).
 func NewFrameworkCache(capacity int) *FrameworkCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FrameworkCache{
-		cap:     capacity,
-		ll:      list.New(),
-		entries: map[CacheKey]*list.Element{},
-	}
+	return &FrameworkCache{lru: newLRU[CacheKey, *core.Framework](int64(max(capacity, 1)))}
 }
 
 // Get returns the framework for key, building it with build on a miss. The
@@ -66,62 +37,12 @@ func NewFrameworkCache(capacity int) *FrameworkCache {
 // (hit, miss, or single-flight join) lands on it as an event, annotating the
 // caller's trace with why it did or didn't pay the Fit cost.
 func (c *FrameworkCache) Get(ctx context.Context, key CacheKey, build func() (*core.Framework, error)) (*core.Framework, bool, error) {
-	span := trace.FromContext(ctx)
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		e := el.Value.(*cacheEntry)
-		joined := false
-		select {
-		case <-e.ready:
-		default:
-			// Joining a build still in flight: this caller's Fit was
-			// deduplicated, the single-flight win the cache exists for.
-			c.singleFlight++
-			joined = true
-		}
-		c.ll.MoveToFront(el)
-		c.mu.Unlock()
-		if joined {
-			span.Event("cache.singleflight_join", trace.String("recommender", key.Recommender))
-		} else {
-			span.Event("cache.hit", trace.String("recommender", key.Recommender))
-		}
-		<-e.ready
-		return e.fw, true, e.err
-	}
-	c.misses++
-	span.Event("cache.miss", trace.String("recommender", key.Recommender))
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
-	el := c.ll.PushFront(e)
-	c.entries[key] = el
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-	c.inflight.Add(1)
-	c.mu.Unlock()
-
-	e.fw, e.err = build()
-	close(e.ready)
-	c.inflight.Add(-1)
-	if e.err != nil {
-		c.remove(key, el)
-	}
-	return e.fw, false, e.err
-}
-
-// remove drops the entry for key if el still holds it (it may already have
-// been evicted, or replaced after an eviction).
-func (c *FrameworkCache) remove(key CacheKey, el *list.Element) {
-	c.mu.Lock()
-	if cur, ok := c.entries[key]; ok && cur == el {
-		c.ll.Remove(el)
-		delete(c.entries, key)
-	}
-	c.mu.Unlock()
+	fw, o, err := c.lru.resolve(c.lru.reserve(key, 1, nil),
+		func(o outcome) {
+			trace.FromContext(ctx).Event("cache."+o.event(), trace.String("recommender", key.Recommender))
+		},
+		func(*core.Framework) (*core.Framework, error) { return build() })
+	return fw, o.hit(), err
 }
 
 // CacheStats reports cumulative cache traffic and current occupancy.
@@ -139,15 +60,10 @@ type CacheStats struct {
 
 // Stats snapshots hit/miss/eviction counters and occupancy.
 func (c *FrameworkCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	s := c.lru.stats()
 	return CacheStats{
-		Hits:         c.hits,
-		Misses:       c.misses,
-		Evictions:    c.evictions,
-		SingleFlight: c.singleFlight,
-		InFlight:     c.inflight.Load(),
-		Size:         c.ll.Len(),
-		Cap:          c.cap,
+		Hits: s.hits, Misses: s.misses, Evictions: s.evictions,
+		SingleFlight: s.joins, InFlight: s.inflight,
+		Size: s.entries, Cap: int(s.cap),
 	}
 }

@@ -349,8 +349,8 @@ func TestServerMemoryBudget(t *testing.T) {
 	}
 	snap := snapshotModel(t, g, "DistMult", 64, 6)
 	spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 64, Seed: 6, Snapshot: snap}, Strategy: "P", MaxQueries: 20}
-	est64 := sizer.estimateJobBytes(spec, store.Float64)
-	est32 := sizer.estimateJobBytes(spec, store.Float32)
+	est64 := sizer.estimateJobBytes(spec, nil, store.Float64)
+	est32 := sizer.estimateJobBytes(spec, nil, store.Float32)
 	sizer.Close()
 	if est32 >= est64 {
 		t.Fatalf("estimates not ordered: float32 %d >= float64 %d", est32, est64)

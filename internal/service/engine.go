@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,6 +35,11 @@ type EngineConfig struct {
 	QueueDepth int
 	// CacheSize bounds the fitted-Framework LRU (default 8 entries).
 	CacheSize int
+	// ModelCacheBytes bounds the model registry, the LRU of loaded models
+	// jobs share (default 1 GiB). It is a cache bound, not a limit on what
+	// can be evaluated: a job keeps its models for as long as it needs them
+	// whatever the registry evicts meanwhile.
+	ModelCacheBytes int64
 	// EvalWorkers is the per-job scoring parallelism (0 = GOMAXPROCS).
 	EvalWorkers int
 	// DefaultNumSamples is the n_s used when a job leaves it 0
@@ -69,11 +73,11 @@ type EngineConfig struct {
 	// TimeoutMS 0 (queue wait + Fit + evaluation). 0 means no default —
 	// only jobs that ask for a deadline get one.
 	DefaultTimeout time.Duration
-	// MemoryBudget, when > 0, gates admission on the job's estimated
-	// working set in bytes: over-budget jobs at the default precision are
-	// degraded to float32; jobs over budget even then (or explicitly
-	// requesting float64) are rejected with a *MemoryBudgetError instead of
-	// being allowed to OOM the process.
+	// MemoryBudget, when > 0, gates admission on the bytes the registry
+	// holds plus the job's own estimated working set: over-budget jobs at
+	// the default precision are degraded to float32; jobs over budget even
+	// then (or explicitly requesting float64) are rejected with a
+	// *MemoryBudgetError instead of being allowed to OOM the process.
 	MemoryBudget int64
 	// FitFailureThreshold is the number of consecutive Fit failures (or
 	// panics) for one cache key before the circuit breaker quarantines it
@@ -105,14 +109,15 @@ var ErrClosed = errors.New("service: engine closed")
 // work is admitted.
 var ErrDraining = errors.New("service: engine draining, not accepting jobs")
 
-// Engine owns a graph, a fitted-Framework cache and a bounded worker pool,
-// executing evaluation jobs submitted against the graph.
+// Engine owns a graph, a fitted-Framework cache, a model registry and a
+// bounded worker pool, executing evaluation jobs submitted against the graph.
 type Engine struct {
 	cfg    EngineConfig
 	graph  *kg.Graph
 	fp     string
 	filter *kg.FilterIndex
 	cache  *FrameworkCache
+	models *modelRegistry
 
 	queue       chan *Job
 	quit        chan struct{}
@@ -148,6 +153,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 8
+	}
+	if cfg.ModelCacheBytes <= 0 {
+		cfg.ModelCacheBytes = 1 << 30
 	}
 	if cfg.DefaultNumSamples <= 0 {
 		cfg.DefaultNumSamples = cfg.Graph.NumEntities / 10
@@ -191,6 +199,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		fp:          core.Fingerprint(cfg.Graph),
 		filter:      kg.NewFilterIndex(cfg.Graph.Train, cfg.Graph.Valid, cfg.Graph.Test),
 		cache:       NewFrameworkCache(cfg.CacheSize),
+		models:      newModelRegistry(cfg.Graph, cfg.ModelCacheBytes),
 		queue:       make(chan *Job, cfg.QueueDepth),
 		quit:        make(chan struct{}),
 		jobs:        map[string]*Job{},
@@ -258,9 +267,17 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 		e.metrics.jobsRejected.Inc()
 		return nil, err
 	}
-	spec, degraded, err := e.admit(spec)
+	// One ingestion path: every model is named by the digest of its bytes
+	// from here on, and the job holds registry slots, never the bytes.
+	keys := modelKeys(&spec)
+	spec, degraded, err := e.admit(spec, keys)
 	if err != nil {
 		e.metrics.shed(shedMemoryBudget)
+		return nil, err
+	}
+	refs, err := e.referenceModels(&spec, keys)
+	if err != nil {
+		e.metrics.jobsRejected.Inc()
 		return nil, err
 	}
 	e.mu.Lock()
@@ -284,6 +301,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 		trace.String("split", spec.Split), trace.Int("num_samples", spec.NumSamples))
 	j := newJob(id, spec, span)
 	j.metrics = e.metrics
+	j.models = refs
 	if degraded {
 		j.degraded = true
 		e.metrics.jobsDegraded.Inc()
@@ -387,15 +405,67 @@ func validateModelSpec(ms ModelSpec) error {
 	if ms.Dim > maxModelDim {
 		return fmt.Errorf("model.dim %d exceeds the maximum %d", ms.Dim, maxModelDim)
 	}
-	if len(ms.Snapshot) == 0 {
-		return errors.New("model.snapshot is required")
+	switch {
+	case len(ms.Snapshot) > 0 && ms.ModelID != "":
+		return errors.New("set model.snapshot or model.model_id, not both")
+	case len(ms.Snapshot) == 0 && ms.ModelID == "":
+		return errors.New("model.snapshot or model.model_id is required")
 	}
 	return nil
 }
 
+// specModels lists the job's models in order: the fleet, or the single
+// model as a fleet of one. The elements alias spec.
+func specModels(spec *JobSpec) []*ModelSpec {
+	if len(spec.Models) == 0 {
+		return []*ModelSpec{&spec.Model}
+	}
+	out := make([]*ModelSpec, len(spec.Models))
+	for i := range spec.Models {
+		out[i] = &spec.Models[i]
+	}
+	return out
+}
+
+// modelKeys names every model of a validated spec by registry key, hashing
+// inline snapshots the HTTP layer has not hashed already, and writes the id
+// back as the spec's ModelID. spec.Models is copied first: the caller's
+// slice is not the job's to edit.
+func modelKeys(spec *JobSpec) []modelKey {
+	spec.Models = append([]ModelSpec(nil), spec.Models...)
+	models := specModels(spec)
+	keys := make([]modelKey, len(models))
+	for i, ms := range models {
+		if len(ms.Snapshot) > 0 {
+			ms.ModelID = ms.digest
+			if ms.ModelID == "" {
+				ms.ModelID = modelDigest(ms.Snapshot)
+			}
+		}
+		keys[i] = modelKey{ID: ms.ModelID, Name: ms.Name, Dim: ms.Dim, Seed: ms.Seed}
+	}
+	return keys
+}
+
+// referenceModels takes the job's hold on each of its models, registering
+// inline snapshots the registry has not seen, and drops the snapshot bytes
+// from the spec: past this point a job is its model ids.
+func (e *Engine) referenceModels(spec *JobSpec, keys []modelKey) ([]*modelRef, error) {
+	refs := make([]*modelRef, len(keys))
+	for i, ms := range specModels(spec) {
+		ref, err := e.models.reference(keys[i], ms.Snapshot)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s", err, keys[i].ID)
+		}
+		refs[i] = ref
+		ms.Snapshot, ms.digest = nil, ""
+	}
+	return refs, nil
+}
+
 func (e *Engine) validate(spec JobSpec) error {
 	if len(spec.Models) > 0 {
-		if spec.Model.Name != "" || len(spec.Model.Snapshot) > 0 {
+		if spec.Model.Name != "" || len(spec.Model.Snapshot) > 0 || spec.Model.ModelID != "" {
 			return errors.New("service: set model or models, not both")
 		}
 		for i, ms := range spec.Models {
@@ -555,7 +625,7 @@ func (e *Engine) run(j *Job) {
 		e.logSlowJob(j)
 		return
 	}
-	names, results, cacheHit, err := e.execute(j)
+	results, cacheHit, err := e.execute(j)
 	switch {
 	case j.ctx.Err() != nil:
 		// Cancellation or deadline already finalized the state (Cancel flips
@@ -563,7 +633,7 @@ func (e *Engine) run(j *Job) {
 	case err != nil:
 		j.fail(err)
 	case len(j.Spec.Models) > 0:
-		j.succeedMany(names, results, cacheHit)
+		j.succeedMany(results, cacheHit)
 	default:
 		j.succeed(results[0], cacheHit)
 	}
@@ -611,7 +681,7 @@ func (e *Engine) logSlowJob(j *Job) {
 		}
 		slowest := make([]spanSummary, len(spans))
 		for i, s := range spans {
-			slowest[i] = spanSummary{Name: s.Name, MS: float64(s.Duration()) / float64(time.Millisecond)}
+			slowest[i] = spanSummary{Name: s.Name, MS: millis(s.Duration())}
 		}
 		if buf, err := json.Marshal(slowest); err == nil {
 			attrs = append(attrs, "slowest_spans", string(buf))
@@ -620,44 +690,33 @@ func (e *Engine) logSlowJob(j *Job) {
 	slog.Warn("slow job", attrs...)
 }
 
-// execute performs the evaluation work of one job: reconstruct the model(s)
-// from their snapshots, resolve (or fit) the framework, and run the
-// protocol. Single- and multi-model jobs share one path — a single model is
-// a fleet of one — so multi-model jobs get the shared-pool evaluation
-// (EstimateMany) for free.
-func (e *Engine) execute(j *Job) ([]string, []eval.Result, bool, error) {
+// execute performs the evaluation work of one job: resolve the model(s) in
+// the registry, resolve (or fit) the framework, and run the protocol.
+// Single- and multi-model jobs share one path — a single model is a fleet of
+// one — so multi-model jobs get the shared-pool evaluation (EstimateMany)
+// for free.
+func (e *Engine) execute(j *Job) ([]eval.Result, bool, error) {
 	spec := j.Spec
-	specs := spec.Models
-	if len(specs) == 0 {
-		specs = []ModelSpec{spec.Model}
+	j.mu.Lock()
+	refs := j.models
+	j.mu.Unlock()
+	if refs == nil {
+		return nil, false, j.ctx.Err() // settled between the worker's claim and here
 	}
-	models := make([]kgc.Model, len(specs))
-	names := make([]string, len(specs))
-	var loadErr error
-	for i, ms := range specs {
-		m, err := kgc.New(ms.Name, e.graph, ms.Dim, ms.Seed)
+
+	stages := jobStages{modelHit: true}
+	loadStart := time.Now()
+	models := make([]kgc.Model, len(refs))
+	for i, ref := range refs {
+		m, hit, err := e.models.load(j.ctx, ref)
 		if err != nil {
-			loadErr = err
-			break
-		}
-		if err := kgc.Load(bytes.NewReader(ms.Snapshot), m); err != nil {
-			loadErr = fmt.Errorf("service: loading %s snapshot: %w", ms.Name, err)
-			break
+			return nil, false, err
 		}
 		models[i] = m
-		names[i] = ms.Name
+		stages.modelHit = stages.modelHit && hit
 	}
-	// The snapshot bytes (potentially many MB each) are never needed again
-	// and never exposed via Status; drop them so retained jobs stay small.
-	j.mu.Lock()
-	j.Spec.Model.Snapshot = nil
-	for i := range j.Spec.Models {
-		j.Spec.Models[i].Snapshot = nil
-	}
-	j.mu.Unlock()
-	if loadErr != nil {
-		return nil, nil, false, loadErr
-	}
+	stages.load = time.Since(loadStart)
+	j.setStages(stages)
 
 	split := e.graph.Test
 	if spec.Split == "valid" {
@@ -666,7 +725,7 @@ func (e *Engine) execute(j *Job) ([]string, []eval.Result, bool, error) {
 	// Validated at submission; ParsePrecision maps "" to Float64.
 	prec, err := store.ParsePrecision(spec.Precision)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	opts := eval.Options{
 		Filter:           e.filter,
@@ -679,21 +738,29 @@ func (e *Engine) execute(j *Job) ([]string, []eval.Result, bool, error) {
 		TraceChunkSample: e.cfg.TraceChunkSample,
 	}
 
+	// The plan is drawn once per job and shared by its models, so no model's
+	// elapsed time covers it: state it beside load and fit.
+	evaluated := func(res []eval.Result) []eval.Result {
+		stages.plan = res[0].Stages.PlanCompile + res[0].Stages.PoolDraw
+		j.setStages(stages)
+		return res
+	}
 	if spec.Strategy == "full" {
-		res := eval.EvaluateMany(models, e.graph, split, eval.NewFullProvider(e.graph.NumEntities), opts)
-		return names, res, false, nil
+		return evaluated(eval.EvaluateMany(models, e.graph, split, eval.NewFullProvider(e.graph.NumEntities), opts)), false, nil
 	}
 
 	strategy, err := core.ParseStrategy(spec.Strategy)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
+	fitStart := time.Now()
 	fw, cacheHit, err := e.fitFramework(j, spec)
+	stages.fit = time.Since(fitStart)
+	j.setStages(stages)
 	if err != nil {
-		return nil, nil, cacheHit, err
+		return nil, cacheHit, err
 	}
-	res := fw.EstimateMany(models, e.graph, split, strategy, opts)
-	return names, res, cacheHit, nil
+	return evaluated(fw.EstimateMany(models, e.graph, split, strategy, opts)), cacheHit, nil
 }
 
 // fitFramework resolves (or builds) the fitted framework for a job, wrapped
@@ -783,13 +850,15 @@ func sleepJittered(ctx context.Context, d time.Duration) bool {
 
 // EngineStats aggregates engine-level counters for the stats endpoint.
 type EngineStats struct {
-	Jobs      map[State]int `json:"jobs"`
-	QueueLen  int           `json:"queue_len"`
-	QueueCap  int           `json:"queue_cap"`
-	Workers   int           `json:"workers"`
-	Cache     CacheStats    `json:"cache"`
-	GraphName string        `json:"graph"`
-	GraphFP   string        `json:"graph_fingerprint"`
+	Jobs     map[State]int `json:"jobs"`
+	QueueLen int           `json:"queue_len"`
+	QueueCap int           `json:"queue_cap"`
+	Workers  int           `json:"workers"`
+	Cache    CacheStats    `json:"cache"`
+	// Models is the model registry's traffic and occupancy.
+	Models    ModelCacheStats `json:"models"`
+	GraphName string          `json:"graph"`
+	GraphFP   string          `json:"graph_fingerprint"`
 	// Draining reports a graceful drain in progress (or a closed engine);
 	// QuarantinedFitKeys counts fit keys currently circuit-broken.
 	Draining           bool `json:"draining,omitempty"`
@@ -807,6 +876,7 @@ func (e *Engine) Stats() EngineStats {
 		QueueCap:           cap(e.queue),
 		Workers:            e.cfg.Workers,
 		Cache:              e.cache.Stats(),
+		Models:             e.models.stats(),
 		GraphName:          e.graph.Name,
 		GraphFP:            e.fp,
 		Draining:           e.Draining(),

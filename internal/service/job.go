@@ -4,7 +4,7 @@
 // constantly, which pays off only when evaluations can be submitted, queued
 // and served behind one API instead of one-shot CLI runs.
 //
-// The package provides three layers:
+// The package provides four layers:
 //
 //	Job             a queued evaluation request — one model or a fleet
 //	                evaluated over shared pools — with observable state
@@ -12,8 +12,14 @@
 //	FrameworkCache  an LRU of fitted core.Frameworks keyed by graph
 //	                fingerprint + recommender + n_s, so Fit cost is paid
 //	                once and amortized across requests;
+//	model registry  a byte-bounded LRU of loaded, immutable models keyed by
+//	                the SHA-256 of their kgc.Save bytes (Engine.PutModel,
+//	                PUT /v1/models, or an inline snapshot), so a model is
+//	                parsed once and shared by every job that names it;
 //	Engine          a bounded worker pool executing jobs against a host
 //	                graph, with per-job context cancellation.
+//
+// Both caches are instances of one cost-bounded single-flight LRU (lru.go).
 //
 // NewServer wraps an Engine in an HTTP/JSON API (job submission, status,
 // SSE progress streaming, cancellation); cmd/kgevald is the binary.
@@ -54,15 +60,25 @@ func (s State) Terminal() bool {
 	return s == StateSucceeded || s == StateFailed || s == StateCanceled || s == StateExpired
 }
 
-// ModelSpec identifies a serialized model snapshot. The snapshot bytes are
-// the kgc.Save wire format; Name/Dim/Seed are the constructor arguments the
-// snapshot was saved under (kgc.Load requires a matching architecture).
-// encoding/json transports Snapshot as base64.
+// ModelSpec names one model to evaluate: the constructor arguments
+// Name/Dim/Seed it was saved under (kgc.Load requires a matching
+// architecture) and its bytes in the kgc.Save wire format — either by
+// reference, as the ModelID a previous upload (PUT /v1/models,
+// Engine.PutModel) or submission returned, or inline as Snapshot, which
+// encoding/json transports as base64. Exactly one of the two is set. An
+// inline snapshot is registered under the SHA-256 of its bytes on the way
+// in, so it is the same as uploading it and naming the id; the accepted
+// job's Status states that id.
 type ModelSpec struct {
 	Name     string `json:"name"`
 	Dim      int    `json:"dim"`
 	Seed     int64  `json:"seed,omitempty"`
-	Snapshot []byte `json:"snapshot"`
+	Snapshot []byte `json:"snapshot,omitempty"`
+	ModelID  string `json:"model_id,omitempty"`
+
+	// digest is the registry id of Snapshot when the HTTP layer already
+	// hashed the bytes while streaming them in; empty means hash at Submit.
+	digest string
 }
 
 // JobSpec is the submission payload for one evaluation.
@@ -145,6 +161,13 @@ type Job struct {
 	results  []ModelResult // multi-model jobs only
 	errMsg   string
 	cacheHit bool
+	// models are the job's holds on its registered models, in spec order,
+	// from submission until the job is terminal; the job never holds
+	// snapshot bytes itself.
+	models []*modelRef
+	// stages is the split of the run outside evaluation, stated once the
+	// worker knows it.
+	stages   jobStages
 	degraded bool // precision lowered by the memory-budget admission gate
 	created  time.Time
 	started  time.Time
@@ -229,7 +252,11 @@ func (j *Job) transition(next State, onApply func()) bool {
 		// here with it (End is idempotent for the common ran-then-finished
 		// path).
 		j.queueSpan.End()
-		j.span.End(trace.String("state", string(next)), trace.Bool("cache_hit", j.cacheHit))
+		j.span.End(trace.String("state", string(next)), trace.Bool("cache_hit", j.cacheHit),
+			trace.Bool("model_cache_hit", j.stages.modelHit))
+		// A terminal job stays in the index for a while; it must not pin its
+		// models there.
+		j.models = nil
 		// Release the context: frees the deadline timer/watcher of jobs with
 		// a timeout and makes ctx.Err() a reliable "job is settled" signal.
 		// AfterFunc watchers run on their own goroutine, so cancelling under
@@ -288,6 +315,27 @@ func (j *Job) setProgress(done, total int) {
 	j.mu.Unlock()
 }
 
+// jobStages says where a job's run time went outside scoring: resolving its
+// models in the registry (parsing them on a miss, waiting on a join),
+// resolving its fitted framework in the cache (Fit on a miss), and compiling
+// the evaluation plan with its candidate pools, which the job's models
+// share. Together with the results' elapsed_ms they account for
+// started→finished.
+type jobStages struct {
+	modelHit bool // no model of the job was parsed by the job itself
+	load     time.Duration
+	fit      time.Duration
+	plan     time.Duration
+}
+
+// setStages records the pre-evaluation split; it shows in Status from then
+// on, whatever state the job ends in.
+func (j *Job) setStages(st jobStages) {
+	j.mu.Lock()
+	j.stages = st
+	j.mu.Unlock()
+}
+
 func (j *Job) succeed(res eval.Result, cacheHit bool) bool {
 	return j.transition(StateSucceeded, func() {
 		j.result = &res
@@ -296,11 +344,11 @@ func (j *Job) succeed(res eval.Result, cacheHit bool) bool {
 }
 
 // succeedMany finalizes a multi-model job with one result per model.
-func (j *Job) succeedMany(names []string, res []eval.Result, cacheHit bool) bool {
+func (j *Job) succeedMany(res []eval.Result, cacheHit bool) bool {
 	return j.transition(StateSucceeded, func() {
 		j.results = make([]ModelResult, len(res))
 		for i, r := range res {
-			j.results[i] = ModelResult{Model: names[i], ResultStatus: resultStatus(r)}
+			j.results[i] = ModelResult{Model: j.Spec.Models[i].Name, ResultStatus: resultStatus(r)}
 		}
 		j.cacheHit = cacheHit
 	})
@@ -382,12 +430,15 @@ type ModelResult struct {
 	ResultStatus
 }
 
+// millis is a duration in the API's unit, fractional milliseconds.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 func resultStatus(r eval.Result) ResultStatus {
 	return ResultStatus{
 		MRR: r.MRR, Hits1: r.Hits1, Hits3: r.Hits3, Hits10: r.Hits10,
 		MR: r.MR, Queries: r.Queries,
 		CandidatesScored: r.CandidatesScored,
-		ElapsedMS:        float64(r.Elapsed) / float64(time.Millisecond),
+		ElapsedMS:        millis(r.Elapsed),
 	}
 }
 
@@ -410,9 +461,27 @@ type Status struct {
 	PrecisionDegraded bool `json:"precision_degraded,omitempty"`
 	// TimeoutMS echoes the job's effective deadline (spec value, or the
 	// engine default applied at submission); 0 = no deadline.
-	TimeoutMS int      `json:"timeout_ms,omitempty"`
-	CacheHit  bool     `json:"cache_hit"`
-	Progress  Progress `json:"progress"`
+	TimeoutMS int  `json:"timeout_ms,omitempty"`
+	CacheHit  bool `json:"cache_hit"`
+	// ModelID (ModelIDs for a fleet) is the registry id of each model the
+	// job evaluates — the SHA-256 of its kgc.Save bytes, whether they
+	// arrived inline or were named by id. Later jobs can name it instead of
+	// sending the bytes again.
+	ModelID  string   `json:"model_id,omitempty"`
+	ModelIDs []string `json:"model_ids,omitempty"`
+	// ModelCacheHit reports that every model of the job came out of the
+	// registry already loaded (or being loaded by another job); LoadMS is
+	// the run time spent obtaining the models either way, FitMS the time
+	// spent obtaining the fitted framework (see CacheHit), PlanMS the time
+	// spent grouping the queries and drawing the candidate pools the job's
+	// models share. With the results' elapsed_ms (scoring and ranking, per
+	// model) they account for started_at → finished_at. Each is stated once
+	// the job has run that far.
+	ModelCacheHit bool     `json:"model_cache_hit"`
+	LoadMS        float64  `json:"load_ms,omitempty"`
+	FitMS         float64  `json:"fit_ms,omitempty"`
+	PlanMS        float64  `json:"plan_ms,omitempty"`
+	Progress      Progress `json:"progress"`
 	// ThroughputTPS and ETAMS enrich progress snapshots of running jobs:
 	// evaluated triples per second since the job started, and the linear
 	// extrapolation of the time remaining. Zero until the first progress.
@@ -447,6 +516,11 @@ func (j *Job) Status() Status {
 		PrecisionDegraded: j.degraded,
 		TimeoutMS:         j.Spec.TimeoutMS,
 		CacheHit:          j.cacheHit,
+		ModelID:           j.Spec.Model.ModelID,
+		ModelCacheHit:     j.stages.modelHit,
+		LoadMS:            millis(j.stages.load),
+		FitMS:             millis(j.stages.fit),
+		PlanMS:            millis(j.stages.plan),
 		Progress:          j.progress,
 		Error:             j.errMsg,
 		CreatedAt:         j.created,
@@ -454,15 +528,16 @@ func (j *Job) Status() Status {
 	}
 	switch {
 	case !j.started.IsZero():
-		st.QueueWaitMS = float64(j.started.Sub(j.created)) / float64(time.Millisecond)
+		st.QueueWaitMS = millis(j.started.Sub(j.created))
 	case j.state == StateQueued:
-		st.QueueWaitMS = float64(time.Since(j.created)) / float64(time.Millisecond)
+		st.QueueWaitMS = millis(time.Since(j.created))
 	case !j.finished.IsZero():
 		// Cancelled while queued: the wait ended at cancellation.
-		st.QueueWaitMS = float64(j.finished.Sub(j.created)) / float64(time.Millisecond)
+		st.QueueWaitMS = millis(j.finished.Sub(j.created))
 	}
 	for _, ms := range j.Spec.Models {
 		st.Models = append(st.Models, ms.Name)
+		st.ModelIDs = append(st.ModelIDs, ms.ModelID)
 	}
 	if !j.started.IsZero() {
 		t := j.started

@@ -106,6 +106,18 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		func() float64 { return float64(e.cache.Stats().InFlight) })
 	reg.GaugeFunc("kgeval_cache_size", "Fitted frameworks resident in the cache.",
 		func() float64 { return float64(e.cache.Stats().Size) })
+
+	modelStat := func(f func(ModelCacheStats) int64) func() int64 {
+		return func() int64 { return f(e.models.stats()) }
+	}
+	reg.CounterFunc("kgeval_model_cache_hits_total", "Model loads served by the registry without a parse (including single-flight joins).",
+		modelStat(func(s ModelCacheStats) int64 { return s.Hits }))
+	reg.CounterFunc("kgeval_model_cache_misses_total", "Model loads that parsed a snapshot (one kgc.Load each).",
+		modelStat(func(s ModelCacheStats) int64 { return s.Misses }))
+	reg.CounterFunc("kgeval_model_cache_evictions_total", "Models and unused uploads evicted from the registry by its byte bound.",
+		modelStat(func(s ModelCacheStats) int64 { return s.Evictions }))
+	reg.GaugeFunc("kgeval_model_cache_bytes", "Bytes of models and unused uploads resident in the registry.",
+		func() float64 { return float64(e.models.stats().Bytes) })
 	return m
 }
 

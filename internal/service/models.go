@@ -1,0 +1,201 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"io"
+	"runtime/debug"
+	"sync"
+
+	"kgeval/internal/kg"
+	"kgeval/internal/kgc"
+	"kgeval/internal/obs/trace"
+)
+
+// ErrUnknownModel is returned by Submit for a model_id the registry does
+// not hold — never uploaded, evicted since, or last used under different
+// constructor arguments. The HTTP layer maps it to 404 with code
+// "unknown_model": upload the bytes again.
+var ErrUnknownModel = errors.New("service: unknown model_id (not uploaded, or evicted since: upload it again)")
+
+// ErrModelTooLarge is returned by PutModel for bytes the registry could
+// not keep resident once loaded. The HTTP layer maps it to 413.
+var ErrModelTooLarge = errors.New("service: model does not fit the model cache")
+
+// modelKey identifies a registry slot: the SHA-256 of the kgc.Save bytes
+// plus the constructor arguments they are loaded under. The zero arguments
+// key an upload no job has named yet, which holds bytes only; the first job
+// that names it turns it into a slot under that job's arguments.
+type modelKey struct {
+	ID   string
+	Name string
+	Dim  int
+	Seed int64
+}
+
+// registered is what a registry slot holds: the bytes as they arrived until
+// the first job needs the model, the loaded model from then on.
+type registered struct {
+	raw   []byte
+	model kgc.Model
+}
+
+// modelRef is a job's hold on one registered model. It keeps working after
+// the registry evicts the slot, so a queued or running job never loses its
+// model to cache pressure and the registry needs no reference counts.
+type modelRef = slot[modelKey, registered]
+
+// modelRegistry is the engine's byte-bounded, single-flight LRU of loaded,
+// immutable models. Every model a job evaluates comes out of it: an uploaded
+// or inline snapshot is hashed, registered under its digest, parsed by the
+// first worker that needs it and shared — together with the float32/int8
+// entity stores the model builds on first use — by every job that names the
+// same bytes and constructor arguments.
+type modelRegistry struct {
+	graph *kg.Graph
+	lru   *lru[modelKey, registered]
+	// refMu makes reference's look-up-then-register one step, so two jobs
+	// naming a fresh upload at once cannot both claim it.
+	refMu sync.Mutex
+}
+
+func newModelRegistry(g *kg.Graph, capacityBytes int64) *modelRegistry {
+	return &modelRegistry{graph: g, lru: newLRU[modelKey, registered](capacityBytes)}
+}
+
+// modelDigest is the registry id of a snapshot: hex SHA-256 of its bytes.
+func modelDigest(raw []byte) string {
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
+}
+
+// put registers uploaded bytes under their digest, taking ownership of raw.
+// A slot charges the capacity len(raw) whether it holds the bytes or the
+// model loaded from them: the float64 weight tables are the same size to
+// within a header. Reduced-precision entity stores a model builds later (at
+// most 5/8 of its entity table) ride uncharged.
+func (r *modelRegistry) put(id string, raw []byte) {
+	r.lru.reserve(modelKey{ID: id}, int64(len(raw)), registered{raw: raw})
+}
+
+// holds reports whether key's model is resident (loaded or about to be).
+func (r *modelRegistry) holds(key modelKey) bool {
+	_, ok := r.lru.lookup(key)
+	return ok
+}
+
+// reference returns the slot for key, registering it on first sight: from
+// an upload of the same digest, which it consumes — the registry holds a
+// model once, as bytes or loaded — or, failing that, from a copy of raw (the
+// inline snapshot; nil when the job named a model_id only).
+func (r *modelRegistry) reference(key modelKey, raw []byte) (*modelRef, error) {
+	r.refMu.Lock()
+	defer r.refMu.Unlock()
+	if s, ok := r.lru.lookup(key); ok {
+		return s, nil
+	}
+	if up, ok := r.lru.lookup(modelKey{ID: key.ID}); ok {
+		raw = up.val.raw
+		r.lru.remove(up)
+	} else if raw != nil {
+		raw = bytes.Clone(raw) // the caller's buffer is theirs to reuse
+	} else {
+		return nil, ErrUnknownModel
+	}
+	return r.lru.reserve(key, int64(len(raw)), registered{raw: raw}), nil
+}
+
+// load returns ref's model, parsing it if this is the first job to need it.
+// The bool reports whether the caller was spared the parse (a hit, or a
+// join of a parse in flight); the outcome lands on ctx's span as a
+// model.hit / model.miss / model.singleflight_join event.
+func (r *modelRegistry) load(ctx context.Context, ref *modelRef) (kgc.Model, bool, error) {
+	v, o, err := r.lru.resolve(ref,
+		func(o outcome) {
+			trace.FromContext(ctx).Event("model."+o.event(),
+				trace.String("model", ref.key.Name), trace.String("model_id", ref.key.ID))
+		},
+		func(seed registered) (registered, error) { return r.parse(ref.key, seed.raw) })
+	return v.model, o.hit(), err
+}
+
+// parse is the registry's build function, the one place a snapshot becomes a
+// model. A panic (a snapshot driving a constructor into an impossible state)
+// is recovered into an error carrying the stack, so it fails the jobs that
+// named the model instead of wedging everyone waiting on the slot.
+func (r *modelRegistry) parse(key modelKey, raw []byte) (v registered, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("service: loading %s snapshot panicked: %v\n\n%s", key.Name, p, debug.Stack())
+		}
+	}()
+	m, err := kgc.New(key.Name, r.graph, key.Dim, key.Seed)
+	if err != nil {
+		return registered{}, err
+	}
+	if err := kgc.Load(bytes.NewReader(raw), m); err != nil {
+		return registered{}, fmt.Errorf("service: loading %s snapshot: %w", key.Name, err)
+	}
+	return registered{model: m}, nil
+}
+
+// PutModel registers a model ahead of the jobs that will evaluate it: it
+// reads kgc.Save bytes from r (size is the expected length, or ≤ 0 when
+// unknown), hashing them as they arrive, and returns the id jobs name in
+// ModelSpec.ModelID plus the byte count. The bytes are held as they are
+// until the first job supplies the constructor arguments to load them
+// under; from then on the id stands for the model loaded under those
+// arguments. An inline ModelSpec.Snapshot is sugar for the same step and
+// yields the same id.
+func (e *Engine) PutModel(r io.Reader, size int64) (string, int64, error) {
+	if e.Draining() {
+		return "", 0, ErrDraining
+	}
+	limit := e.models.lru.cap
+	if size > limit {
+		return "", 0, ErrModelTooLarge
+	}
+	var buf bytes.Buffer
+	if size > 0 {
+		buf.Grow(int(size) + bytes.MinRead) // one allocation, no regrowth
+	}
+	h := sha256.New()
+	n, err := buf.ReadFrom(io.TeeReader(r, h))
+	switch {
+	case err != nil:
+		return "", n, fmt.Errorf("service: reading model: %w", err)
+	case n == 0:
+		return "", 0, errors.New("service: empty model upload")
+	case n > limit:
+		return "", n, ErrModelTooLarge
+	}
+	id := hex.EncodeToString(h.Sum(nil))
+	e.models.put(id, buf.Bytes())
+	return id, n, nil
+}
+
+// ModelCacheStats reports the model registry's cumulative traffic and
+// current occupancy. Hits counts every load served without a parse;
+// SingleFlight is the subset that waited on a parse in flight. Entries and
+// Bytes include uploads no job has named yet.
+type ModelCacheStats struct {
+	Hits         int64 `json:"hits"`
+	Misses       int64 `json:"misses"`
+	SingleFlight int64 `json:"singleflight"`
+	Evictions    int64 `json:"evictions"`
+	Entries      int   `json:"entries"`
+	Bytes        int64 `json:"bytes"`
+	CapBytes     int64 `json:"cap_bytes"`
+}
+
+func (r *modelRegistry) stats() ModelCacheStats {
+	s := r.lru.stats()
+	return ModelCacheStats{
+		Hits: s.hits, Misses: s.misses, SingleFlight: s.joins, Evictions: s.evictions,
+		Entries: s.entries, Bytes: s.used, CapBytes: s.cap,
+	}
+}

@@ -1,0 +1,506 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"kgeval/internal/core"
+	"kgeval/internal/eval"
+	"kgeval/internal/faults"
+	"kgeval/internal/kg"
+	"kgeval/internal/kgc"
+	"kgeval/internal/kgc/store"
+	"kgeval/internal/obs/trace"
+	"kgeval/internal/recommender"
+)
+
+// waitJob blocks until j is terminal and returns its final Status.
+func waitJob(t *testing.T, j *Job) Status {
+	t.Helper()
+	select {
+	case <-jobDone(j):
+	case <-time.After(60 * time.Second):
+		t.Fatalf("job %s stuck in %s", j.ID, j.State())
+	}
+	return j.Status()
+}
+
+// libraryMRR is what a job must return: Framework.Estimate, fitted the way
+// the engine fits (L-WD, engine n_s, engine seed), over a model this test
+// loads privately from the same bytes.
+func libraryMRR(t *testing.T, e *Engine, name string, dim int, seed int64, snap []byte, spec JobSpec) float64 {
+	t.Helper()
+	g := e.Graph()
+	m, err := kgc.New(name, g, dim, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kgc.Load(bytes.NewReader(snap), m); err != nil {
+		t.Fatal(err)
+	}
+	fw := core.New(recommender.NewLWD(), e.cfg.DefaultNumSamples, e.cfg.DefaultSeed)
+	if err := fw.Fit(g); err != nil {
+		t.Fatal(err)
+	}
+	strategy, err := core.ParseStrategy(spec.Strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prec, err := store.ParsePrecision(spec.Precision)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedOpt := spec.Seed
+	if seedOpt == 0 {
+		seedOpt = e.cfg.DefaultSeed
+	}
+	return fw.Estimate(m, g, g.Test, strategy, eval.Options{
+		Filter:     kg.NewFilterIndex(g.Train, g.Valid, g.Test),
+		MaxQueries: spec.MaxQueries, Seed: seedOpt, Precision: prec,
+	}).MRR
+}
+
+// N concurrent submissions of one digest cost exactly one kgc.Load, however
+// the workers interleave: one miss, every other load a hit or a join.
+func TestRegistryConcurrentSubmissionsLoadOnce(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	snap := snapshotModel(t, g, "ComplEx", 16, 3)
+	spec := JobSpec{Model: ModelSpec{Name: "ComplEx", Dim: 16, Seed: 3, Snapshot: snap}, Strategy: "R", MaxQueries: 20}
+
+	const n = 12
+	jobs := make([]*Job, n)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j, err := e.Submit(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			jobs[i] = j
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	var mrr float64
+	for i, j := range jobs {
+		st := waitJob(t, j)
+		if st.State != StateSucceeded {
+			t.Fatalf("job %d: %s (%s)", i, st.State, st.Error)
+		}
+		if st.ModelID != modelDigest(snap) {
+			t.Fatalf("job %d model_id = %q, want the snapshot's digest", i, st.ModelID)
+		}
+		if i == 0 {
+			mrr = st.Result.MRR
+		} else if st.Result.MRR != mrr {
+			t.Fatalf("job %d MRR %v differs from job 0's %v over the same model", i, st.Result.MRR, mrr)
+		}
+	}
+	ms := e.Stats().Models
+	if ms.Misses != 1 || ms.Hits != n-1 {
+		t.Fatalf("registry traffic = %+v, want 1 miss and %d hits", ms, n-1)
+	}
+	if ms.Entries != 1 || ms.Bytes != int64(len(snap)) {
+		t.Fatalf("registry occupancy = %+v, want one entry of %d bytes", ms, len(snap))
+	}
+}
+
+// Two jobs sharing one registered model, running at once, return what two
+// privately loaded models return — at every precision, to the last bit.
+func TestRegistrySharedModelMatchesPrivateLoads(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 2, EvalWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, name := range []string{"ComplEx", "TransE", "ConvE"} {
+		snap := snapshotModel(t, g, name, 16, 5)
+		for _, prec := range []string{"float64", "float32", "int8"} {
+			specs := []JobSpec{
+				{Strategy: "P", MaxQueries: 60, Seed: 2, Precision: prec},
+				{Strategy: "S", MaxQueries: 40, Seed: 3, Precision: prec},
+			}
+			jobs := make([]*Job, len(specs))
+			for i := range specs {
+				specs[i].Model = ModelSpec{Name: name, Dim: 16, Seed: 5, Snapshot: snap}
+				if jobs[i], err = e.Submit(specs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, j := range jobs {
+				st := waitJob(t, j)
+				if st.State != StateSucceeded {
+					t.Fatalf("%s/%s job %d: %s (%s)", name, prec, i, st.State, st.Error)
+				}
+				if want := libraryMRR(t, e, name, 16, 5, snap, specs[i]); st.Result.MRR != want {
+					t.Errorf("%s/%s job %d: shared-model MRR %v, private-model MRR %v", name, prec, i, st.Result.MRR, want)
+				}
+			}
+		}
+	}
+	if ms := e.Stats().Models; ms.Misses != 3 {
+		t.Fatalf("registry parsed %d models for 3 distinct snapshots (%+v)", ms.Misses, ms)
+	}
+}
+
+// The byte bound evicts least recently used first, and an evicted id is
+// unknown to the next job that names it.
+func TestRegistryByteBoundEvictionOrder(t *testing.T) {
+	g := serviceGraph(t)
+	snaps := [][]byte{
+		snapshotModel(t, g, "DistMult", 8, 1),
+		snapshotModel(t, g, "DistMult", 8, 2),
+		snapshotModel(t, g, "DistMult", 8, 3),
+	}
+	size := int64(len(snaps[0]))
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1, ModelCacheBytes: 2*size + size/2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ids := make([]string, len(snaps))
+	put := func(i int) {
+		t.Helper()
+		id, n, err := e.PutModel(bytes.NewReader(snaps[i]), size)
+		if err != nil || n != size || id != modelDigest(snaps[i]) {
+			t.Fatalf("PutModel(%d) = %q, %d, %v", i, id, n, err)
+		}
+		ids[i] = id
+	}
+	byID := func(i int) (*Job, error) {
+		return e.Submit(JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: int64(i + 1), ModelID: ids[i]}, Strategy: "R", MaxQueries: 10})
+	}
+	put(0)
+	put(1)
+	// Using 0 makes 1 the least recently used.
+	j, err := byID(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateSucceeded || st.ModelCacheHit {
+		t.Fatalf("first job over an upload: state %s, model_cache_hit %v (want a parse)", st.State, st.ModelCacheHit)
+	}
+	put(2) // over the bound: evicts 1
+	if ms := e.Stats().Models; ms.Evictions != 1 || ms.Entries != 2 || ms.Bytes != 2*size {
+		t.Fatalf("after the third upload: %+v, want 1 eviction, 2 entries, %d bytes", ms, 2*size)
+	}
+	if _, err := byID(1); !errors.Is(err, ErrUnknownModel) {
+		t.Fatalf("job naming the evicted id: err = %v, want ErrUnknownModel", err)
+	}
+	for _, i := range []int{0, 2} {
+		j, err := byID(i)
+		if err != nil {
+			t.Fatalf("job naming resident id %d: %v", i, err)
+		}
+		if st := waitJob(t, j); st.State != StateSucceeded {
+			t.Fatalf("job over id %d: %s (%s)", i, st.State, st.Error)
+		}
+	}
+	// The loaded model replaced its upload rather than joining it.
+	if ms := e.Stats().Models; ms.Entries != 2 {
+		t.Fatalf("registry holds %d entries for 2 models", ms.Entries)
+	}
+}
+
+// A job keeps its model whatever the registry evicts meanwhile: even with a
+// cache too small to hold anything, queued and running jobs succeed with the
+// library's numbers.
+func TestRegistryEvictWhileReferenced(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1, ModelCacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// Hold the worker so both jobs are queued — referenced, evicted, not yet
+	// loaded — when it starts.
+	armFault(t, faults.SiteWorker, faults.Plan{Action: faults.Stall, Stall: 100 * time.Millisecond, Limit: 1})
+	var jobs []*Job
+	var specs []JobSpec
+	var snaps [][]byte
+	for i, name := range []string{"ComplEx", "DistMult"} {
+		snap := snapshotModel(t, g, name, 16, int64(i+1))
+		spec := JobSpec{Model: ModelSpec{Name: name, Dim: 16, Seed: int64(i + 1), Snapshot: snap}, Strategy: "P", MaxQueries: 40}
+		j, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, specs, snaps = append(jobs, j), append(specs, spec), append(snaps, snap)
+	}
+	if ms := e.Stats().Models; ms.Entries != 0 || ms.Evictions != 2 {
+		t.Fatalf("1-byte registry after two submissions: %+v, want nothing resident, 2 evictions", ms)
+	}
+	for i, j := range jobs {
+		st := waitJob(t, j)
+		if st.State != StateSucceeded {
+			t.Fatalf("job %d: %s (%s)", i, st.State, st.Error)
+		}
+		ms := specs[i].Model
+		if want := libraryMRR(t, e, ms.Name, ms.Dim, ms.Seed, snaps[i], specs[i]); st.Result.MRR != want {
+			t.Errorf("job %d over an evicted model: MRR %v, library %v", i, st.Result.MRR, want)
+		}
+	}
+	// Nothing resident, so the id alone is not enough afterwards.
+	_, err = e.Submit(JobSpec{Model: ModelSpec{Name: "ComplEx", Dim: 16, Seed: 1, ModelID: modelDigest(snaps[0])}})
+	if !errors.Is(err, ErrUnknownModel) {
+		t.Fatalf("job naming an evicted id: err = %v, want ErrUnknownModel", err)
+	}
+}
+
+// A snapshot that does not load fails every job that names it, is not kept,
+// and is tried again by the next submission.
+func TestRegistryFailedLoadFailsJoinersAndRetries(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	good := snapshotModel(t, g, "DistMult", 8, 6)
+	bad := append([]byte(nil), good[:len(good)/2]...) // truncated
+	spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: bad}, Strategy: "R", MaxQueries: 10}
+
+	var jobs []*Job
+	for i := 0; i < 6; i++ {
+		j, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for i, j := range jobs {
+		if st := waitJob(t, j); st.State != StateFailed || !strings.Contains(st.Error, "loading DistMult snapshot") {
+			t.Fatalf("job %d over a truncated snapshot: %s (%q)", i, st.State, st.Error)
+		}
+		j.mu.Lock()
+		held := len(j.models)
+		j.mu.Unlock()
+		if held != 0 {
+			t.Fatalf("terminal job %d still holds %d model references", i, held)
+		}
+	}
+	before := e.Stats().Models
+	if before.Entries != 0 {
+		t.Fatalf("failed load left %d entries resident", before.Entries)
+	}
+	// Jobs submitted while the failed slot was still indexed share its one
+	// parse; the slot is gone now, so this one parses again.
+	j, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateFailed {
+		t.Fatalf("resubmitted truncated snapshot: %s", st.State)
+	}
+	if after := e.Stats().Models; after.Misses != before.Misses+1 {
+		t.Fatalf("resubmission did not retry the load: misses %d → %d", before.Misses, after.Misses)
+	}
+	// And the bytes were the problem, not the slot: the whole snapshot works.
+	spec.Model.Snapshot = good
+	if j, err = e.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateSucceeded {
+		t.Fatalf("good snapshot after a bad one: %s (%s)", st.State, st.Error)
+	}
+}
+
+func putModel(t *testing.T, base string, body io.Reader) (*http.Response, map[string]any) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, base+"/v1/models", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("PUT /v1/models answered %s with an undecodable body: %v", resp.Status, err)
+	}
+	return resp, out
+}
+
+func postRaw(t *testing.T, base, body string) (*http.Response, map[string]any) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("POST /v1/jobs answered %s with an undecodable body: %v", resp.Status, err)
+	}
+	return resp, out
+}
+
+// The register-once workflow over HTTP: PUT the bytes, run jobs by id; an
+// inline snapshot is the same thing and says so in its Status.
+func TestServerPutModelThenJobsByID(t *testing.T) {
+	srv, e := newTestServer(t, EngineConfig{Workers: 1})
+	g := e.Graph()
+	snap := snapshotModel(t, g, "ComplEx", 16, 3)
+
+	resp, out := putModel(t, srv.URL, bytes.NewReader(snap))
+	if resp.StatusCode != http.StatusCreated || out["model_id"] != modelDigest(snap) || out["bytes"] != float64(len(snap)) {
+		t.Fatalf("PUT /v1/models = %s %v", resp.Status, out)
+	}
+	id := out["model_id"].(string)
+
+	byID := JobSpec{Model: ModelSpec{Name: "ComplEx", Dim: 16, Seed: 3, ModelID: id}, Strategy: "P", MaxQueries: 50}
+	first := waitTerminal(t, srv.URL, submitJob(t, srv.URL, byID).ID)
+	if first.State != StateSucceeded || first.ModelCacheHit || first.LoadMS <= 0 {
+		t.Fatalf("first job by id: state %s (%s), model_cache_hit %v, load_ms %v — want a parse", first.State, first.Error, first.ModelCacheHit, first.LoadMS)
+	}
+	second := waitTerminal(t, srv.URL, submitJob(t, srv.URL, byID).ID)
+	if second.State != StateSucceeded || !second.ModelCacheHit {
+		t.Fatalf("second job by id: state %s, model_cache_hit %v", second.State, second.ModelCacheHit)
+	}
+	inline := byID
+	inline.Model.ModelID, inline.Model.Snapshot = "", snap
+	third := waitTerminal(t, srv.URL, submitJob(t, srv.URL, inline).ID)
+	if third.State != StateSucceeded || !third.ModelCacheHit || third.ModelID != id {
+		t.Fatalf("inline job over registered bytes: state %s, model_cache_hit %v, model_id %q", third.State, third.ModelCacheHit, third.ModelID)
+	}
+	if first.Result.MRR != second.Result.MRR || first.Result.MRR != third.Result.MRR {
+		t.Fatalf("one model, one spec, three MRRs: %v %v %v", first.Result.MRR, second.Result.MRR, third.Result.MRR)
+	}
+	if want := libraryMRR(t, e, "ComplEx", 16, 3, snap, byID); first.Result.MRR != want {
+		t.Fatalf("job by id MRR %v, library %v", first.Result.MRR, want)
+	}
+	// run = load + fit + plan + scoring, as the Status itself states it.
+	run := second.FinishedAt.Sub(*second.StartedAt).Seconds() * 1000
+	if stated := second.LoadMS + second.FitMS + second.PlanMS + second.Result.ElapsedMS; stated > run || second.PlanMS <= 0 {
+		t.Fatalf("stated stages %v ms (plan %v) exceed the %v ms run", stated, second.PlanMS, run)
+	}
+
+	// The terminal SSE event is the same Status.
+	events := readSSE(t, srv.URL+"/v1/jobs/"+second.ID+"/stream")
+	if done := events[len(events)-1]; done.typ != "done" || !done.status.ModelCacheHit || done.status.ModelID != id {
+		t.Fatalf("terminal SSE event = %s %+v", done.typ, done.status)
+	}
+
+	// The registry's outcome is on the job's trace next to the cache's.
+	for jobID, want := range map[string]string{first.ID: "model.miss", second.ID: "model.hit"} {
+		var tr trace.Trace
+		if code := getJSON(t, srv.URL+"/v1/jobs/"+jobID+"/trace", &tr); code != http.StatusOK {
+			t.Fatalf("GET job trace: %d", code)
+		}
+		found := false
+		for _, s := range tr.Spans {
+			for _, ev := range s.Events {
+				found = found || ev.Name == want
+			}
+		}
+		if !found {
+			t.Errorf("job %s trace carries no %s event", jobID, want)
+		}
+	}
+
+	var stats EngineStats
+	if code := getJSON(t, srv.URL+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", code)
+	}
+	if m := stats.Models; m.Misses != 1 || m.Hits != 2 || m.Entries != 1 || m.Bytes != int64(len(snap)) {
+		t.Fatalf("stats models block = %+v", m)
+	}
+	body := fetchMetrics(t, srv.URL)
+	for name, want := range map[string]float64{
+		"kgeval_model_cache_hits_total":      2,
+		"kgeval_model_cache_misses_total":    1,
+		"kgeval_model_cache_evictions_total": 0,
+		"kgeval_model_cache_bytes":           float64(len(snap)),
+	} {
+		if got := metricValue(body, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// Submission errors a client can act on: 404 unknown_model (upload again),
+// 400 for a spec that names its model twice or trails garbage, 413 for a
+// body over the cap on either endpoint.
+func TestServerModelSubmissionErrors(t *testing.T) {
+	srv, e := newTestServer(t, EngineConfig{Workers: 1})
+	snap := snapshotModel(t, e.Graph(), "DistMult", 8, 6)
+	b64 := func() string { s, _ := json.Marshal(snap); return string(s) }()
+
+	resp, out := postRaw(t, srv.URL, `{"model":{"name":"DistMult","dim":8,"seed":6,"model_id":"`+strings.Repeat("0", 64)+`"}}`)
+	if resp.StatusCode != http.StatusNotFound || out["code"] != "unknown_model" {
+		t.Errorf("job naming an id never uploaded: %s %v, want 404 unknown_model", resp.Status, out)
+	}
+	resp, out = postRaw(t, srv.URL, `{"model":{"name":"DistMult","dim":8,"seed":6,"snapshot":`+b64+`,"model_id":"`+modelDigest(snap)+`"}}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out["error"].(string), "not both") {
+		t.Errorf("snapshot and model_id together: %s %v, want 400", resp.Status, out)
+	}
+	ok := `{"model":{"name":"DistMult","dim":8,"seed":6,"snapshot":` + b64 + `},"max_queries":10}`
+	for _, tail := range []string{"x", "{}", "]", ` "more"`} {
+		if resp, out = postRaw(t, srv.URL, ok+tail); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body with trailing %q: %s %v, want 400", tail, resp.Status, out)
+		}
+	}
+	if resp, out = postRaw(t, srv.URL, ok+" \n\t"); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("body with trailing whitespace: %s %v, want 202", resp.Status, out)
+	}
+	if resp, out = putModel(t, srv.URL, bytes.NewReader(nil)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("empty upload: %s %v, want 400", resp.Status, out)
+	}
+
+	old := maxSubmitBytes
+	maxSubmitBytes = int64(len(snap)) / 2
+	defer func() { maxSubmitBytes = old }()
+	if resp, out = postRaw(t, srv.URL, ok); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST /v1/jobs: %s %v, want 413", resp.Status, out)
+	}
+	if resp, out = putModel(t, srv.URL, bytes.NewReader(snap)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized PUT /v1/models: %s %v, want 413", resp.Status, out)
+	}
+	// Unknown length (chunked): the cap still holds.
+	if resp, out = putModel(t, srv.URL, io.MultiReader(bytes.NewReader(snap))); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized chunked PUT /v1/models: %s %v, want 413", resp.Status, out)
+	}
+}
+
+// An upload larger than the registry could ever hold is refused up front.
+func TestServerPutModelLargerThanCache(t *testing.T) {
+	srv, e := newTestServer(t, EngineConfig{Workers: 1, ModelCacheBytes: 64})
+	snap := snapshotModel(t, e.Graph(), "DistMult", 8, 6)
+	if resp, out := putModel(t, srv.URL, bytes.NewReader(snap)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("upload over -model-cache-mb: %s %v, want 413", resp.Status, out)
+	}
+}
+
+// Uploads stop with admission: a draining server answers 503 + Retry-After.
+func TestServerPutModelDuringDrain(t *testing.T) {
+	srv, e := newTestServer(t, EngineConfig{Workers: 1})
+	snap := snapshotModel(t, e.Graph(), "DistMult", 8, 6)
+	e.Drain(time.Second)
+	resp, out := putModel(t, srv.URL, bytes.NewReader(snap))
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("PUT during drain: %s (Retry-After %q) %v, want 503 with Retry-After", resp.Status, resp.Header.Get("Retry-After"), out)
+	}
+	if ms := e.Stats().Models; ms.Entries != 0 {
+		t.Fatalf("drained engine registered an upload: %+v", ms)
+	}
+}

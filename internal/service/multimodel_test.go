@@ -102,8 +102,8 @@ func TestMultiModelValidation(t *testing.T) {
 	}
 }
 
-// A corrupt snapshot anywhere in the fleet fails the whole job, and all
-// snapshot bytes are released regardless.
+// A corrupt snapshot anywhere in the fleet fails the whole job, and the job
+// retains neither snapshot bytes nor its hold on the models regardless.
 func TestMultiModelSnapshotErrorAndRelease(t *testing.T) {
 	srv, engine := newTestServer(t, EngineConfig{Workers: 1})
 	g := engine.Graph()
@@ -129,8 +129,14 @@ func TestMultiModelSnapshotErrorAndRelease(t *testing.T) {
 	for _, ms := range j.Spec.Models {
 		held += len(ms.Snapshot)
 	}
+	held += len(j.models)
 	j.mu.Unlock()
 	if held != 0 {
-		t.Fatalf("terminal job still holds %d snapshot bytes", held)
+		t.Fatalf("terminal job still holds snapshot bytes or model references (%d)", held)
 	}
+	// The good model of the fleet stays registered; the corrupt one does not.
+	if ms := engine.Stats().Models; ms.Entries != 1 || ms.Misses != 2 {
+		t.Fatalf("registry after a half-corrupt fleet: %+v, want 1 entry from 2 parses", ms)
+	}
+
 }

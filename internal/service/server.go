@@ -14,6 +14,7 @@ import (
 
 // NewServer wraps an Engine in the kgevald HTTP/JSON API:
 //
+//	PUT    /v1/models            upload kgc.Save bytes, returns their model_id (201)
 //	POST   /v1/jobs              submit a JobSpec, returns the job Status (202)
 //	GET    /v1/jobs              list job Statuses in submission order
 //	GET    /v1/jobs/{id}         one job's Status
@@ -21,7 +22,7 @@ import (
 //	GET    /v1/jobs/{id}/stream  Server-Sent Events progress stream
 //	POST   /v1/jobs/{id}/cancel  cancel a queued or running job
 //	DELETE /v1/jobs/{id}         same as cancel
-//	GET    /v1/stats             engine + cache counters
+//	GET    /v1/stats             engine, cache and model-registry counters
 //	GET    /metrics              Prometheus text exposition (engine + eval)
 //	GET    /healthz              liveness + host graph summary
 //	GET    /readyz               readiness (engine open and queue not full)
@@ -42,6 +43,7 @@ func NewServer(e *Engine) http.Handler {
 	// The engine's registry carries job/queue/cache instruments; obs.Default
 	// carries the eval-layer stage histograms and throughput counters.
 	mux.Handle("GET /metrics", obs.Handler(e.Metrics(), obs.Default))
+	mux.HandleFunc("PUT /v1/models", s.handlePutModel)
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
@@ -244,17 +246,56 @@ func (s *server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	writeTrace(w, r, rec.Snapshot())
 }
 
-// maxSubmitBytes caps a job submission body (snapshots are the bulk; the
-// largest plausible fleet stays far under this) so one oversized POST cannot
-// exhaust the daemon's memory.
-const maxSubmitBytes = 256 << 20
+// maxSubmitBytes caps a job submission or model upload body (snapshots are
+// the bulk; the largest plausible fleet stays far under this) so one
+// oversized request cannot exhaust the daemon's memory. A variable so tests
+// can shrink it.
+var maxSubmitBytes int64 = 256 << 20
 
+// writeBodyError answers a request whose body could not be read: 413 when it
+// ran over maxSubmitBytes, 400 with what was wrong otherwise.
+func writeBodyError(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("%s: body exceeds %d bytes", what, tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("%s: %w", what, err))
+}
+
+// handlePutModel registers raw kgc.Save bytes — no JSON, no base64 — ahead
+// of the jobs that will evaluate them, streaming the body through the
+// hasher straight into the registry's buffer.
+func (s *server) handlePutModel(w http.ResponseWriter, r *http.Request) {
+	if r.ContentLength > maxSubmitBytes {
+		// Refused on the header: PutModel sizes its buffer from the length.
+		writeBodyError(w, "uploading model", &http.MaxBytesError{Limit: maxSubmitBytes})
+		return
+	}
+	id, n, err := s.engine.PutModel(http.MaxBytesReader(w, r.Body, maxSubmitBytes), r.ContentLength)
+	switch {
+	case errors.Is(err, ErrDraining):
+		w.Header().Set("Retry-After", retryAfterSeconds(defaultRetryAfter))
+		writeError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, ErrModelTooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+	case err != nil:
+		writeBodyError(w, "uploading model", err)
+	default:
+		writeJSON(w, http.StatusCreated, map[string]any{"model_id": id, "bytes": n})
+	}
+}
+
+// handleSubmit never buffers a snapshot string or shows one to
+// encoding/json: readJobSpec streams each through base64 and SHA-256 and
+// hands back a spec whose snapshots are already hashed, so a job over a
+// model the registry holds costs one pass over its body.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+	spec, release, err := readJobSpec(http.MaxBytesReader(w, r.Body, maxSubmitBytes), r.ContentLength)
+	defer release()
+	if err != nil {
+		writeBodyError(w, "decoding job spec", err)
 		return
 	}
 	j, err := s.engine.SubmitCtx(r.Context(), spec)
@@ -271,6 +312,12 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusServiceUnavailable, err)
 		case errors.Is(err, ErrClosed):
 			writeError(w, http.StatusServiceUnavailable, err)
+		case errors.Is(err, ErrUnknownModel):
+			// The client holds the bytes: upload them again, then resubmit.
+			writeJSON(w, http.StatusNotFound, map[string]any{
+				"error": err.Error(),
+				"code":  "unknown_model",
+			})
 		case errors.As(err, &memErr):
 			// The structured body tells the client what to shrink.
 			writeJSON(w, http.StatusTooManyRequests, map[string]any{

@@ -415,7 +415,7 @@ func TestJobPrecision(t *testing.T) {
 
 // TestEngineRetentionAndSnapshotRelease checks the two memory bounds of a
 // long-lived server: terminal jobs are pruned beyond RetainJobs, and a
-// job's snapshot bytes are released once the model is reconstructed.
+// retained job holds neither snapshot bytes nor its models.
 func TestEngineRetentionAndSnapshotRelease(t *testing.T) {
 	g := serviceGraph(t)
 	engine, err := NewEngine(EngineConfig{Graph: g, Workers: 1, RetainJobs: 2})
@@ -451,10 +451,14 @@ func TestEngineRetentionAndSnapshotRelease(t *testing.T) {
 		t.Fatal("most recent job was pruned")
 	}
 	last.mu.Lock()
-	held := len(last.Spec.Model.Snapshot)
+	held := len(last.Spec.Model.Snapshot) + len(last.models)
 	last.mu.Unlock()
 	if held != 0 {
-		t.Fatalf("terminal job still holds %d snapshot bytes", held)
+		t.Fatalf("terminal job still holds snapshot bytes or model references (%d)", held)
+	}
+	// The caller's spec is theirs: submission hashed it, it did not edit it.
+	if len(spec.Model.Snapshot) != len(snap) || spec.Model.ModelID != "" {
+		t.Fatal("Submit modified the caller's JobSpec")
 	}
 }
 
@@ -544,6 +548,10 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"kgeval_cache_hits_total 1",
 		"kgeval_cache_misses_total 1",
 		"kgeval_cache_evictions_total 0",
+		"kgeval_model_cache_hits_total 0",
+		"kgeval_model_cache_misses_total 2",
+		"kgeval_model_cache_evictions_total 0",
+		"# TYPE kgeval_model_cache_bytes gauge",
 		"kgeval_job_queue_depth 0",
 		"kgeval_workers 2",
 		"kgeval_workers_busy 0",

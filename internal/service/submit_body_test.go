@@ -1,0 +1,204 @@
+package service
+
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"io"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// chunkReader hands out at most n bytes per Read, so token and escape
+// boundaries land everywhere relative to the decoder's input buffer.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) {
+	if c.n > 0 && len(p) > c.n {
+		p = p[:c.n]
+	}
+	return c.r.Read(p)
+}
+
+// checkAgainstPlainJSON holds readJobSpec to the plain path on one body:
+// encoding/json over the whole thing, then the digest the engine would
+// compute. Same accept/reject, same JobSpec, same digests.
+func checkAgainstPlainJSON(t *testing.T, body []byte, chunk int) {
+	t.Helper()
+	want, wantErr := decodeJobSpecStrict(bytes.NewReader(body))
+	got, release, gotErr := readJobSpec(chunkReader{bytes.NewReader(body), chunk}, int64(len(body)))
+	defer release()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("accept/reject differs on %q (chunk %d): encoding/json err = %v, streaming err = %v", body, chunk, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	unhashed := got
+	unhashed.Models = slices.Clone(got.Models)
+	for _, ms := range specModelsAll(&unhashed) {
+		ms.digest = ""
+	}
+	if !reflect.DeepEqual(want, unhashed) {
+		t.Fatalf("decoded JobSpec differs on %q (chunk %d):\nencoding/json %+v\nstreaming     %+v", body, chunk, want, unhashed)
+	}
+	wantModels := specModelsAll(&want)
+	for i, ms := range specModelsAll(&got) {
+		if ms.digest != "" && ms.digest != modelDigest(wantModels[i].Snapshot) {
+			t.Fatalf("digest of model %d differs on %q: streaming %s, SHA-256 of the decoded payload %s",
+				i, body, ms.digest, modelDigest(wantModels[i].Snapshot))
+		}
+	}
+}
+
+// specModelsAll lists spec.Model and every spec.Models element, valid spec
+// or not.
+func specModelsAll(spec *JobSpec) []*ModelSpec {
+	out := []*ModelSpec{&spec.Model}
+	for i := range spec.Models {
+		out = append(out, &spec.Models[i])
+	}
+	return out
+}
+
+var submitBodySeeds = []string{
+	`{"model":{"name":"ComplEx","dim":16,"seed":3,"snapshot":"S0dFVkFMTTE="},"strategy":"P","max_queries":10}`,
+	`{"models":[{"name":"a","dim":1,"snapshot":"QUJD"},{"name":"b","dim":2,"snapshot":"REVGRw=="}],"seed":7}`,
+	`{"model":{"name":"x","dim":1,"model_id":"abc"}}`,
+	`{"model":{"name":"x","dim":1,"snapshot":"QUJD","model_id":"abc"}}`,
+	// The key spelled every way encoding/json accepts it.
+	`{"model":{"snapshot":"QUJD"}}`,
+	`{"model":{"SNAPSHOT":"QUJD"}}`,
+	`{"model":{"ſnapſhot":"QUJD"}}`,
+	`{"model":{"\u017fnap\u017fhot":"QUJD"}}`,
+	`{"model":{"snap\u0073hot":"QUJD"}}`,
+	`{"model":{"\u0073\u006e\u0061\u0070\u0073\u0068\u006f\u0074":"QUJD"}}`,
+	`{"model":{"snapshot\u0000":"QUJD"}}`,
+	`{"model":{"snap\"shot":"QUJD"}}`,
+	// "snapshot" where it is not a key, or not the spec's key.
+	`{"model":{"name":"snapshot","dim":1,"snapshot":"QUJD"}}`,
+	`{"model":{"name":"\"snapshot\":\"QUJD\"","dim":1}}`,
+	`{"snapshot":"QUJD"}`,
+	`{"strategy":{"snapshot":"QUJD"}}`,
+	`{"model":{"name":{"snapshot":"!!!"},"snapshot":"QUJD"}}`,
+	`[{"snapshot":"QUJD"}]`,
+	`{"models":[["snapshot","QUJD"]]}`,
+	// Duplicates: the last one wins, every one is checked.
+	`{"model":{"snapshot":"QUJD","snapshot":"REVG"}}`,
+	`{"model":{"snapshot":"!!!!","snapshot":"REVG"}}`,
+	`{"model":{"snapshot":"QUJD"},"model":{"name":"x"}}`,
+	`{"model":{"snapshot":"QUJD"},"model":{"model_id":"x"}}`,
+	`{"models":[{"snapshot":"QUJD"}],"models":[{"name":"x"},{"snapshot":"REVG"}]}`,
+	// Values that are not strings.
+	`{"model":{"snapshot":null}}`,
+	`{"model":{"snapshot":[75,71,69]}}`,
+	`{"model":{"snapshot":123}}`,
+	`{"model":{"snapshot":{"snapshot":"QUJD"}}}`,
+	`{"model":{"snapshot":""}}`,
+	// Escapes inside the value.
+	`{"model":{"snapshot":"QUJD\nREVG"}}`,
+	`{"model":{"snapshot":"QU\r\nJD"}}`,
+	`{"model":{"snapshot":"QU\u004aD"}}`,
+	`{"model":{"snapshot":"QUJD\u000a"}}`,
+	`{"model":{"snapshot":"QUJD\u00e9"}}`,
+	`{"model":{"snapshot":"QUJD\ud83d\ude00"}}`,
+	`{"model":{"snapshot":"Pz8\/"}}`,
+	`{"model":{"snapshot":"QUJD\t"}}`,
+	`{"model":{"snapshot":"QUJD\""}}`,
+	`{"model":{"snapshot":"QUJD\\"}}`,
+	`{"model":{"snapshot":"QUéD"}}`,
+	`{"model":{"snapshot":"QU😀"}}`,
+	`{"model":{"snapshot":"QUJD\x"}}`,
+	`{"model":{"snapshot":"QUJD\u00"}}`,
+	`{"model":{"snapshot":"QUJD\u00zz"}}`,
+	// Not base64, or not JSON.
+	"{\"model\":{\"snapshot\":\"QU\nJD\"}}",
+	"{\"model\":{\"snapshot\":\"QUJD\x01\"}}",
+	"{\"model\":{\"snapshot\":\"QUJ\xffRA==\"}}",
+	`{"model":{"snapshot":"QUJ"}}`,
+	`{"model":{"snapshot":"QQ=="}}`,
+	`{"model":{"snapshot":"QQ==QUJD"}}`,
+	`{"model":{"snapshot":"QQ=\n="}}`,
+	`{"model":{"snapshot":"QUJD="}}`,
+	`{"model":{"snapshot":"QU JD"}}`,
+	`{"model":{"snapshot":"QUJD`,
+	`{"model":{"snapshot":"QUJD"`,
+	`{"model":{"snapshot":"QUJD\`,
+	`{"model":{"snapshot" "QUJD"}}`,
+	`{"model":{"snapshot"::"QUJD"}}`,
+	`{"model":{"name":"x" "snapshot":"QUJD"}}`,
+	`{,"model":{"snapshot":"QUJD"}}`,
+	`{"model":{"snapshot":"QUJD"}]`,
+	// Trailing data.
+	`{"model":{"snapshot":"QUJD"}} `,
+	`{"model":{"snapshot":"QUJD"}}x`,
+	`{"model":{"snapshot":"QUJD"}}{"model":{"snapshot":"REVG"}}`,
+	`{"model":{"snapshot":"QUJD"}} {"snapshot":"!!!"}`,
+	`{"model":{"snapshot":"QUJD"},"bogus":1}`,
+	`{"models":[]}`,
+	`"snapshot"`,
+	``,
+	strings.Repeat("[", 70) + `{"snapshot":"QUJD"}` + strings.Repeat("]", 70),
+}
+
+// The seeds are the regression table: they run on every `go test`, each
+// delivered whole and in awkward pieces.
+func TestSubmitBodyMatchesPlainJSON(t *testing.T) {
+	for _, body := range submitBodySeeds {
+		for _, chunk := range []int{0, 1, 3, 7} {
+			checkAgainstPlainJSON(t, []byte(body), chunk)
+		}
+	}
+}
+
+// A real-sized body: the payload crosses many input buffers, and what comes
+// back is the payload, hashed.
+func TestSubmitBodyLargeSnapshot(t *testing.T) {
+	g := serviceGraph(t)
+	snap := snapshotModel(t, g, "ComplEx", 64, 3) // ~0.8 MB
+	want := JobSpec{Model: ModelSpec{Name: "ComplEx", Dim: 64, Seed: 3, Snapshot: snap}, Strategy: "S", MaxQueries: 5}
+	body, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{0, 4093} {
+		got, release, err := readJobSpec(chunkReader{bytes.NewReader(body), chunk}, int64(len(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Model.digest != modelDigest(snap) || !bytes.Equal(got.Model.Snapshot, snap) {
+			t.Fatalf("chunk %d: payload or digest differs (digest %s, want %s)", chunk, got.Model.digest, modelDigest(snap))
+		}
+		got.Model.digest, got.Model.Snapshot = "", snap
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("chunk %d: decoded %+v, want %+v", chunk, got, want)
+		}
+		release()
+	}
+	// The recycled buffer must not leak one body's bytes into the next.
+	small := `{"model":{"name":"x","dim":1,"snapshot":"` + base64.StdEncoding.EncodeToString([]byte("tiny")) + `"}}`
+	got, release, err := readJobSpec(strings.NewReader(small), int64(len(small)))
+	if err != nil || string(got.Model.Snapshot) != "tiny" {
+		t.Fatalf("small body after a large one: %q, %v", got.Model.Snapshot, err)
+	}
+	release()
+}
+
+// FuzzSubmitBody is the differential gate on the streaming reader: for any
+// body and any delivery, it and plain encoding/json agree on accept/reject
+// and on the JobSpec, and every digest is the SHA-256 of the base64-decoded
+// payload.
+func FuzzSubmitBody(f *testing.F) {
+	for _, s := range submitBodySeeds {
+		f.Add([]byte(s), uint8(0))
+		f.Add([]byte(s), uint8(5))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, chunk uint8) {
+		checkAgainstPlainJSON(t, body, int(chunk))
+	})
+}

@@ -29,8 +29,8 @@
 // deadlines (timeout_ms, or the -job-timeout default) and expire terminally
 // when they pass; a full queue sheds load with 429 + Retry-After derived
 // from recent throughput; -mem-budget-mb gates admission on the resident
-// models plus the job's estimated working set, degrading precision to
-// float32 before rejecting;
+// models plus the job's estimated working set, evicting idle models to make
+// room and degrading precision to float32 before rejecting;
 // SIGTERM drains gracefully — /readyz flips to 503, queued jobs get a
 // terminal SSE event, running jobs get up to -drain-timeout to finish; fit
 // keys that keep failing are quarantined by a circuit breaker; and -faults
@@ -47,7 +47,7 @@
 //
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/readyz
-//	curl -s -T model.kgm localhost:8080/v1/models
+//	curl -s -T model.kgm 'localhost:8080/v1/models?name=ComplEx&dim=32&seed=1'
 //	curl -s -X POST localhost:8080/v1/jobs -d @job.json
 //	curl -s localhost:8080/v1/jobs/j000001
 //	curl -N localhost:8080/v1/jobs/j000001/stream
@@ -106,7 +106,7 @@ func main() {
 
 		jobTimeout   = flag.Duration("job-timeout", 0, "default end-to-end deadline per job, queue wait included (0 = none; jobs can set timeout_ms themselves)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM/SIGINT, how long running jobs get to finish before being canceled")
-		memBudgetMB  = flag.Int64("mem-budget-mb", 0, "memory budget in MiB for resident models plus a job's estimated working set; over-budget jobs are degraded to float32 or rejected with 429 (0 = no gate)")
+		memBudgetMB  = flag.Int64("mem-budget-mb", 0, "memory budget in MiB for resident models plus a job's estimated working set; idle models are evicted to make room, jobs over budget on their own are degraded to float32 or rejected with 429 (0 = no gate)")
 		faultSpec    = flag.String("faults", "", "arm deterministic fault injection, e.g. 'service/fit=error,every=2;service/worker=stall,stall=5s' (testing only)")
 	)
 	flag.Parse()

@@ -19,7 +19,9 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -73,7 +75,7 @@ func main() {
 			log.Fatal(err)
 		}
 		snapshots[name] = buf.Bytes()
-		ids[name] = putModel(base, buf.Bytes())
+		ids[name] = putModel(base, name, dim, 1, buf.Bytes())
 		fmt.Printf("trained + uploaded %s (%d bytes) as %.12s…\n", name, buf.Len(), ids[name])
 	}
 
@@ -175,9 +177,11 @@ func main() {
 		stats.Models.Hits, stats.Models.Misses, stats.Models.Entries, stats.Models.Bytes)
 }
 
-// putModel uploads raw kgc.Save bytes and returns the id jobs name them by.
-func putModel(base string, raw []byte) string {
-	req, err := http.NewRequest(http.MethodPut, base+"/v1/models", bytes.NewReader(raw))
+// putModel uploads raw kgc.Save bytes under the constructor arguments jobs
+// will load them with, and returns the id jobs name them by.
+func putModel(base, name string, dim int, seed int64, raw []byte) string {
+	args := url.Values{"name": {name}, "dim": {strconv.Itoa(dim)}, "seed": {strconv.FormatInt(seed, 10)}}
+	req, err := http.NewRequest(http.MethodPut, base+"/v1/models?"+args.Encode(), bytes.NewReader(raw))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -248,7 +248,8 @@ func readString(r io.Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// The only string in the format is a model name.
+	// The only string in the format is a model name; nothing is allocated
+	// on the strength of a longer claim.
 	if n > 64 {
 		return "", fmt.Errorf("kgc: implausible string length %d", n)
 	}

@@ -102,16 +102,16 @@ func (e *Engine) RetryAfter() time.Duration {
 }
 
 // MemoryBudgetError reports a job whose estimated working set exceeds the
-// engine's memory budget even after precision degradation. It is a
-// structured, client-actionable rejection: resubmit with a smaller fleet,
-// a lower dim, or a reduced precision.
+// engine's memory budget even after precision degradation, with nothing
+// else resident. It is a structured, client-actionable rejection: resubmit
+// with a smaller fleet, a lower dim, or a reduced precision.
 type MemoryBudgetError struct {
 	EstimatedBytes int64
 	BudgetBytes    int64
 }
 
 func (e *MemoryBudgetError) Error() string {
-	return fmt.Sprintf("service: job needs an estimated %d MiB with the models already resident, over the %d MiB memory budget (reduce models, dim or precision)",
+	return fmt.Sprintf("service: job needs an estimated %d MiB, over the %d MiB memory budget (reduce models, dim or precision)",
 		e.EstimatedBytes>>20, e.BudgetBytes>>20)
 }
 
@@ -142,9 +142,10 @@ func modelWeightBytes(name string, ents, rels, dim int64) int64 {
 // when the registry does not hold the model yet, the architecture-aware
 // float64 weight tables loading it will pin (modelWeightBytes). A model the
 // registry holds is charged there, once, however many jobs name it — keys
-// are the job's registry keys, nil for a spec not resolved yet. A coarse
-// upper-ish bound — the gate exists to refuse obviously-over-budget work
-// before it OOMs the process, not to do exact accounting.
+// are the job's registry keys; nil charges every model to the job, which is
+// what the job needs with nothing else resident. A coarse upper-ish bound —
+// the gate exists to refuse obviously-over-budget work before it OOMs the
+// process, not to do exact accounting.
 func (e *Engine) estimateJobBytes(spec JobSpec, keys []modelKey, prec store.Precision) int64 {
 	precBytes := int64(8)
 	switch prec {
@@ -167,31 +168,41 @@ func (e *Engine) estimateJobBytes(spec JobSpec, keys []modelKey, prec store.Prec
 }
 
 // admit applies the memory-budget gate to a validated spec: the bytes the
-// model registry holds plus the job's own estimate must fit the budget.
-// Within budget passes through; over budget at the default float64
-// precision degrades to float32 (graceful degradation — a bounded-deviation
-// estimate beats an OOM-killed daemon); still (or explicitly) over budget
-// rejects with a *MemoryBudgetError. The returned bool reports whether
-// precision was degraded.
+// model registry holds plus what the job adds must fit the budget. The
+// registry is a cache, so it is what gives way: a job that fits the budget
+// on its own is admitted, after evicting the least recently used models
+// other than its own until the sum fits — idle models never turn a job away.
+// A job too large on its own at the default float64 precision degrades to
+// float32 (graceful degradation — a bounded-deviation estimate beats an
+// OOM-killed daemon); still (or explicitly) too large rejects with a
+// *MemoryBudgetError. The returned bool reports whether precision was
+// degraded.
+//
+// Evicting a model that queued or running jobs still hold frees nothing
+// until they finish; the gate is then as lenient as it was before models
+// were shared, when every job was judged on its own.
 func (e *Engine) admit(spec JobSpec, keys []modelKey) (JobSpec, bool, error) {
 	budget := e.cfg.MemoryBudget
 	if budget <= 0 {
 		return spec, false, nil
 	}
-	resident := e.models.stats().Bytes
 	prec, _ := store.ParsePrecision(spec.Precision) // validated earlier
-	est := resident + e.estimateJobBytes(spec, keys, prec)
-	if est <= budget {
-		return spec, false, nil
-	}
 	// Only the implicit default is degraded: a caller who explicitly asked
 	// for float64 said they need the bit-exact reference, so they get a
 	// structured rejection instead of silently different numbers.
+	tries := []store.Precision{prec}
 	if spec.Precision == "" {
-		if resident+e.estimateJobBytes(spec, keys, store.Float32) <= budget {
-			spec.Precision = store.Float32.String()
-			return spec, true, nil
-		}
+		tries = append(tries, store.Float32)
 	}
-	return spec, false, &MemoryBudgetError{EstimatedBytes: est, BudgetBytes: budget}
+	for _, p := range tries {
+		if e.estimateJobBytes(spec, nil, p) > budget {
+			continue
+		}
+		e.models.lru.shrink(budget-e.estimateJobBytes(spec, keys, p), keys)
+		if p != prec {
+			spec.Precision = p.String()
+		}
+		return spec, p != prec, nil
+	}
+	return spec, false, &MemoryBudgetError{EstimatedBytes: e.estimateJobBytes(spec, nil, prec), BudgetBytes: budget}
 }

@@ -36,9 +36,10 @@ type EngineConfig struct {
 	// CacheSize bounds the fitted-Framework LRU (default 8 entries).
 	CacheSize int
 	// ModelCacheBytes bounds the model registry, the LRU of loaded models
-	// jobs share (default 1 GiB). It is a cache bound, not a limit on what
-	// can be evaluated: a job keeps its models for as long as it needs them
-	// whatever the registry evicts meanwhile.
+	// jobs share (default 1 GiB, and never more than MemoryBudget when that
+	// is set). It is a cache bound, not a limit on what can be evaluated: a
+	// job keeps its models for as long as it needs them whatever the
+	// registry evicts meanwhile.
 	ModelCacheBytes int64
 	// EvalWorkers is the per-job scoring parallelism (0 = GOMAXPROCS).
 	EvalWorkers int
@@ -74,10 +75,11 @@ type EngineConfig struct {
 	// only jobs that ask for a deadline get one.
 	DefaultTimeout time.Duration
 	// MemoryBudget, when > 0, gates admission on the bytes the registry
-	// holds plus the job's own estimated working set: over-budget jobs at
-	// the default precision are degraded to float32; jobs over budget even
-	// then (or explicitly requesting float64) are rejected with a
-	// *MemoryBudgetError instead of being allowed to OOM the process.
+	// holds plus the job's own estimated working set. Resident models no
+	// job named recently are evicted to make room; jobs over budget on
+	// their own at the default precision are degraded to float32; jobs over
+	// budget even then (or explicitly requesting float64) are rejected with
+	// a *MemoryBudgetError instead of being allowed to OOM the process.
 	MemoryBudget int64
 	// FitFailureThreshold is the number of consecutive Fit failures (or
 	// panics) for one cache key before the circuit breaker quarantines it
@@ -157,6 +159,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.ModelCacheBytes <= 0 {
 		cfg.ModelCacheBytes = 1 << 30
 	}
+	if cfg.MemoryBudget > 0 && cfg.ModelCacheBytes > cfg.MemoryBudget {
+		cfg.ModelCacheBytes = cfg.MemoryBudget // the registry counts against the budget
+	}
 	if cfg.DefaultNumSamples <= 0 {
 		cfg.DefaultNumSamples = cfg.Graph.NumEntities / 10
 		if cfg.DefaultNumSamples < 1 {
@@ -233,12 +238,7 @@ func (e *Engine) Traces() *trace.Store { return e.traces }
 // Accepting reports whether Submit can currently succeed: the engine is
 // open, not draining, and the queue has room. This is the readiness signal
 // behind GET /readyz.
-func (e *Engine) Accepting() bool {
-	e.mu.Lock()
-	unavailable := e.closed || e.draining
-	e.mu.Unlock()
-	return !unavailable && len(e.queue) < cap(e.queue)
-}
+func (e *Engine) Accepting() bool { return e.unavailable() == nil }
 
 // Draining reports whether a graceful drain is in progress (or the engine
 // has been closed).
@@ -267,6 +267,14 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 		e.metrics.jobsRejected.Inc()
 		return nil, err
 	}
+	// Shed before the submission costs a hash or touches the registry: an
+	// overloaded or draining engine must not have its shared models evicted
+	// by work it is turning away. The locked checks below stay the
+	// authority; this one only spares the common case.
+	if err := e.unavailable(); err != nil {
+		e.countRejection(err)
+		return nil, err
+	}
 	// One ingestion path: every model is named by the digest of its bytes
 	// from here on, and the job holds registry slots, never the bytes.
 	keys := modelKeys(&spec)
@@ -282,13 +290,9 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.draining {
-		e.metrics.shed(shedDraining)
-		return nil, ErrDraining
-	}
-	if e.closed {
-		e.metrics.jobsRejected.Inc()
-		return nil, ErrClosed
+	if err := e.stoppedLocked(); err != nil {
+		e.countRejection(err)
+		return nil, err
 	}
 	e.nextID++
 	id := fmt.Sprintf("j%06d", e.nextID)
@@ -313,7 +317,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 	select {
 	case e.queue <- j:
 	default:
-		e.metrics.shed(shedQueueFull)
+		e.countRejection(ErrQueueFull)
 		// Release the rejected job's context so a deadline watcher (if the
 		// spec carried a timeout) can never fire an expired transition for a
 		// job that was never admitted.
@@ -335,6 +339,42 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 	e.metrics.jobsSubmitted.Inc()
 	e.pruneLocked()
 	return j, nil
+}
+
+// stoppedLocked says why the engine admits nothing any more, if it does not.
+// Caller holds e.mu.
+func (e *Engine) stoppedLocked() error {
+	switch {
+	case e.draining:
+		return ErrDraining
+	case e.closed:
+		return ErrClosed
+	}
+	return nil
+}
+
+// unavailable says why a submission arriving now would be turned away, if
+// it would: the engine is draining or closed, or the queue is full.
+func (e *Engine) unavailable() error {
+	e.mu.Lock()
+	err := e.stoppedLocked()
+	e.mu.Unlock()
+	if err == nil && len(e.queue) == cap(e.queue) {
+		err = ErrQueueFull
+	}
+	return err
+}
+
+// countRejection books a submission turned away for err.
+func (e *Engine) countRejection(err error) {
+	switch err {
+	case ErrDraining:
+		e.metrics.shed(shedDraining)
+	case ErrQueueFull:
+		e.metrics.shed(shedQueueFull)
+	default:
+		e.metrics.jobsRejected.Inc()
+	}
 }
 
 // pruneLocked evicts the oldest terminal jobs beyond the retention cap, so
@@ -385,7 +425,9 @@ func (e *Engine) withDefaults(spec JobSpec) JobSpec {
 // of panicking a worker via an overflowing make.
 const maxModelDim = 8192
 
-func validateModelSpec(ms ModelSpec) error {
+// validateModelArgs checks the constructor arguments of a model: what an
+// upload is filed under and what a job loads it with.
+func validateModelArgs(ms ModelSpec) error {
 	if ms.Name == "" {
 		return errors.New("model.name is required")
 	}
@@ -404,6 +446,13 @@ func validateModelSpec(ms ModelSpec) error {
 	}
 	if ms.Dim > maxModelDim {
 		return fmt.Errorf("model.dim %d exceeds the maximum %d", ms.Dim, maxModelDim)
+	}
+	return nil
+}
+
+func validateModelSpec(ms ModelSpec) error {
+	if err := validateModelArgs(ms); err != nil {
+		return err
 	}
 	switch {
 	case len(ms.Snapshot) > 0 && ms.ModelID != "":
@@ -681,7 +730,7 @@ func (e *Engine) logSlowJob(j *Job) {
 		}
 		slowest := make([]spanSummary, len(spans))
 		for i, s := range spans {
-			slowest[i] = spanSummary{Name: s.Name, MS: millis(s.Duration())}
+			slowest[i] = spanSummary{Name: s.Name, MS: float64(s.Duration()) / float64(time.Millisecond)}
 		}
 		if buf, err := json.Marshal(slowest); err == nil {
 			attrs = append(attrs, "slowest_spans", string(buf))
@@ -738,15 +787,8 @@ func (e *Engine) execute(j *Job) ([]eval.Result, bool, error) {
 		TraceChunkSample: e.cfg.TraceChunkSample,
 	}
 
-	// The plan is drawn once per job and shared by its models, so no model's
-	// elapsed time covers it: state it beside load and fit.
-	evaluated := func(res []eval.Result) []eval.Result {
-		stages.plan = res[0].Stages.PlanCompile + res[0].Stages.PoolDraw
-		j.setStages(stages)
-		return res
-	}
 	if spec.Strategy == "full" {
-		return evaluated(eval.EvaluateMany(models, e.graph, split, eval.NewFullProvider(e.graph.NumEntities), opts)), false, nil
+		return eval.EvaluateMany(models, e.graph, split, eval.NewFullProvider(e.graph.NumEntities), opts), false, nil
 	}
 
 	strategy, err := core.ParseStrategy(spec.Strategy)
@@ -760,7 +802,7 @@ func (e *Engine) execute(j *Job) ([]eval.Result, bool, error) {
 	if err != nil {
 		return nil, cacheHit, err
 	}
-	return evaluated(fw.EstimateMany(models, e.graph, split, strategy, opts)), cacheHit, nil
+	return fw.EstimateMany(models, e.graph, split, strategy, opts), cacheHit, nil
 }
 
 // fitFramework resolves (or builds) the fitted framework for a job, wrapped

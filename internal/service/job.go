@@ -63,12 +63,12 @@ func (s State) Terminal() bool {
 // ModelSpec names one model to evaluate: the constructor arguments
 // Name/Dim/Seed it was saved under (kgc.Load requires a matching
 // architecture) and its bytes in the kgc.Save wire format — either by
-// reference, as the ModelID a previous upload (PUT /v1/models,
-// Engine.PutModel) or submission returned, or inline as Snapshot, which
-// encoding/json transports as base64. Exactly one of the two is set. An
-// inline snapshot is registered under the SHA-256 of its bytes on the way
-// in, so it is the same as uploading it and naming the id; the accepted
-// job's Status states that id.
+// reference, as the ModelID a previous upload under the same arguments
+// (PUT /v1/models, Engine.PutModel) or submission returned, or inline as
+// Snapshot, which encoding/json transports as base64. Exactly one of the
+// two is set. An inline snapshot is registered under the SHA-256 of its
+// bytes on the way in, so it is the same as uploading it and naming the
+// id; the accepted job's Status states that id.
 type ModelSpec struct {
 	Name     string `json:"name"`
 	Dim      int    `json:"dim"`
@@ -315,17 +315,13 @@ func (j *Job) setProgress(done, total int) {
 	j.mu.Unlock()
 }
 
-// jobStages says where a job's run time went outside scoring: resolving its
-// models in the registry (parsing them on a miss, waiting on a join),
-// resolving its fitted framework in the cache (Fit on a miss), and compiling
-// the evaluation plan with its candidate pools, which the job's models
-// share. Together with the results' elapsed_ms they account for
-// started→finished.
+// jobStages says where a job's run time went before evaluation: resolving
+// its models in the registry (parsing them on a miss, waiting on a join) and
+// resolving its fitted framework in the cache (Fit on a miss).
 type jobStages struct {
 	modelHit bool // no model of the job was parsed by the job itself
 	load     time.Duration
 	fit      time.Duration
-	plan     time.Duration
 }
 
 // setStages records the pre-evaluation split; it shows in Status from then
@@ -430,15 +426,12 @@ type ModelResult struct {
 	ResultStatus
 }
 
-// millis is a duration in the API's unit, fractional milliseconds.
-func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
 func resultStatus(r eval.Result) ResultStatus {
 	return ResultStatus{
 		MRR: r.MRR, Hits1: r.Hits1, Hits3: r.Hits3, Hits10: r.Hits10,
 		MR: r.MR, Queries: r.Queries,
 		CandidatesScored: r.CandidatesScored,
-		ElapsedMS:        millis(r.Elapsed),
+		ElapsedMS:        float64(r.Elapsed) / float64(time.Millisecond),
 	}
 }
 
@@ -472,15 +465,12 @@ type Status struct {
 	// ModelCacheHit reports that every model of the job came out of the
 	// registry already loaded (or being loaded by another job); LoadMS is
 	// the run time spent obtaining the models either way, FitMS the time
-	// spent obtaining the fitted framework (see CacheHit), PlanMS the time
-	// spent grouping the queries and drawing the candidate pools the job's
-	// models share. With the results' elapsed_ms (scoring and ranking, per
-	// model) they account for started_at → finished_at. Each is stated once
+	// spent obtaining the fitted framework (see CacheHit). What remains of
+	// started_at → finished_at is the evaluation itself. Each is stated once
 	// the job has run that far.
 	ModelCacheHit bool     `json:"model_cache_hit"`
 	LoadMS        float64  `json:"load_ms,omitempty"`
 	FitMS         float64  `json:"fit_ms,omitempty"`
-	PlanMS        float64  `json:"plan_ms,omitempty"`
 	Progress      Progress `json:"progress"`
 	// ThroughputTPS and ETAMS enrich progress snapshots of running jobs:
 	// evaluated triples per second since the job started, and the linear
@@ -518,9 +508,8 @@ func (j *Job) Status() Status {
 		CacheHit:          j.cacheHit,
 		ModelID:           j.Spec.Model.ModelID,
 		ModelCacheHit:     j.stages.modelHit,
-		LoadMS:            millis(j.stages.load),
-		FitMS:             millis(j.stages.fit),
-		PlanMS:            millis(j.stages.plan),
+		LoadMS:            float64(j.stages.load) / float64(time.Millisecond),
+		FitMS:             float64(j.stages.fit) / float64(time.Millisecond),
 		Progress:          j.progress,
 		Error:             j.errMsg,
 		CreatedAt:         j.created,
@@ -528,12 +517,12 @@ func (j *Job) Status() Status {
 	}
 	switch {
 	case !j.started.IsZero():
-		st.QueueWaitMS = millis(j.started.Sub(j.created))
+		st.QueueWaitMS = float64(j.started.Sub(j.created)) / float64(time.Millisecond)
 	case j.state == StateQueued:
-		st.QueueWaitMS = millis(time.Since(j.created))
+		st.QueueWaitMS = float64(time.Since(j.created)) / float64(time.Millisecond)
 	case !j.finished.IsZero():
 		// Cancelled while queued: the wait ended at cancellation.
-		st.QueueWaitMS = millis(j.finished.Sub(j.created))
+		st.QueueWaitMS = float64(j.finished.Sub(j.created)) / float64(time.Millisecond)
 	}
 	for _, ms := range j.Spec.Models {
 		st.Models = append(st.Models, ms.Name)

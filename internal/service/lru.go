@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -103,6 +104,21 @@ func (c *lru[K, V]) lookup(key K) (*slot[K, V], bool) {
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*slot[K, V]), true
+}
+
+// shrink evicts from the cold end, passing over the slots of spare, until
+// the total cost is at most target or nothing else can go.
+func (c *lru[K, V]) shrink(target int64, spare []K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Back(); el != nil && c.used > target; {
+		prev := el.Prev()
+		if !slices.Contains(spare, el.Value.(*slot[K, V]).key) {
+			c.unlink(el)
+			c.evictions++
+		}
+		el = prev
+	}
 }
 
 // resolve returns s's built value. The first caller runs build on the

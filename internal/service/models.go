@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"sync"
 
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
@@ -17,19 +16,17 @@ import (
 )
 
 // ErrUnknownModel is returned by Submit for a model_id the registry does
-// not hold — never uploaded, evicted since, or last used under different
-// constructor arguments. The HTTP layer maps it to 404 with code
-// "unknown_model": upload the bytes again.
-var ErrUnknownModel = errors.New("service: unknown model_id (not uploaded, or evicted since: upload it again)")
+// not hold under the job's constructor arguments — never uploaded with that
+// name, dim and seed, or evicted since. The HTTP layer maps it to 404 with
+// code "unknown_model": upload the bytes again.
+var ErrUnknownModel = errors.New("service: unknown model_id (not uploaded with this name, dim and seed, or evicted since: upload it again)")
 
 // ErrModelTooLarge is returned by PutModel for bytes the registry could
 // not keep resident once loaded. The HTTP layer maps it to 413.
 var ErrModelTooLarge = errors.New("service: model does not fit the model cache")
 
 // modelKey identifies a registry slot: the SHA-256 of the kgc.Save bytes
-// plus the constructor arguments they are loaded under. The zero arguments
-// key an upload no job has named yet, which holds bytes only; the first job
-// that names it turns it into a slot under that job's arguments.
+// plus the constructor arguments they are loaded under.
 type modelKey struct {
 	ID   string
 	Name string
@@ -51,16 +48,13 @@ type modelRef = slot[modelKey, registered]
 
 // modelRegistry is the engine's byte-bounded, single-flight LRU of loaded,
 // immutable models. Every model a job evaluates comes out of it: an uploaded
-// or inline snapshot is hashed, registered under its digest, parsed by the
-// first worker that needs it and shared — together with the float32/int8
-// entity stores the model builds on first use — by every job that names the
-// same bytes and constructor arguments.
+// or inline snapshot is hashed, registered under its digest and constructor
+// arguments, parsed by the first worker that needs it and shared — together
+// with the float32/int8 entity stores the model builds on first use — by
+// every job that names the same bytes and arguments.
 type modelRegistry struct {
 	graph *kg.Graph
 	lru   *lru[modelKey, registered]
-	// refMu makes reference's look-up-then-register one step, so two jobs
-	// naming a fresh upload at once cannot both claim it.
-	refMu sync.Mutex
 }
 
 func newModelRegistry(g *kg.Graph, capacityBytes int64) *modelRegistry {
@@ -73,13 +67,13 @@ func modelDigest(raw []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// put registers uploaded bytes under their digest, taking ownership of raw.
-// A slot charges the capacity len(raw) whether it holds the bytes or the
-// model loaded from them: the float64 weight tables are the same size to
-// within a header. Reduced-precision entity stores a model builds later (at
-// most 5/8 of its entity table) ride uncharged.
-func (r *modelRegistry) put(id string, raw []byte) {
-	r.lru.reserve(modelKey{ID: id}, int64(len(raw)), registered{raw: raw})
+// put registers raw under key unless the registry holds key already, taking
+// ownership of raw. A slot charges the capacity len(raw) whether it holds
+// the bytes or the model loaded from them: the float64 weight tables are the
+// same size to within a header. Reduced-precision entity stores a model
+// builds later (at most 5/8 of its entity table) ride uncharged.
+func (r *modelRegistry) put(key modelKey, raw []byte) *modelRef {
+	return r.lru.reserve(key, int64(len(raw)), registered{raw: raw})
 }
 
 // holds reports whether key's model is resident (loaded or about to be).
@@ -88,25 +82,16 @@ func (r *modelRegistry) holds(key modelKey) bool {
 	return ok
 }
 
-// reference returns the slot for key, registering it on first sight: from
-// an upload of the same digest, which it consumes — the registry holds a
-// model once, as bytes or loaded — or, failing that, from a copy of raw (the
-// inline snapshot; nil when the job named a model_id only).
+// reference returns the slot for key, registering a copy of raw (the inline
+// snapshot; nil when the job named a model_id only) on first sight.
 func (r *modelRegistry) reference(key modelKey, raw []byte) (*modelRef, error) {
-	r.refMu.Lock()
-	defer r.refMu.Unlock()
 	if s, ok := r.lru.lookup(key); ok {
 		return s, nil
 	}
-	if up, ok := r.lru.lookup(modelKey{ID: key.ID}); ok {
-		raw = up.val.raw
-		r.lru.remove(up)
-	} else if raw != nil {
-		raw = bytes.Clone(raw) // the caller's buffer is theirs to reuse
-	} else {
+	if raw == nil {
 		return nil, ErrUnknownModel
 	}
-	return r.lru.reserve(key, int64(len(raw)), registered{raw: raw}), nil
+	return r.put(key, bytes.Clone(raw)), nil // the caller's buffer is theirs to reuse
 }
 
 // load returns ref's model, parsing it if this is the first job to need it.
@@ -143,15 +128,22 @@ func (r *modelRegistry) parse(key modelKey, raw []byte) (v registered, err error
 	return registered{model: m}, nil
 }
 
+// maxUploadReserve caps what an upload, raw or inline, allocates on the
+// strength of a declared length alone; past it the buffer grows as bytes
+// actually arrive.
+const maxUploadReserve = 16 << 20
+
 // PutModel registers a model ahead of the jobs that will evaluate it: it
 // reads kgc.Save bytes from r (size is the expected length, or ≤ 0 when
-// unknown), hashing them as they arrive, and returns the id jobs name in
-// ModelSpec.ModelID plus the byte count. The bytes are held as they are
-// until the first job supplies the constructor arguments to load them
-// under; from then on the id stands for the model loaded under those
-// arguments. An inline ModelSpec.Snapshot is sugar for the same step and
-// yields the same id.
-func (e *Engine) PutModel(r io.Reader, size int64) (string, int64, error) {
+// unknown), hashing them as they arrive, and files them under the
+// constructor arguments ms.Name, ms.Dim and ms.Seed. It returns the id jobs
+// with those arguments name in ModelSpec.ModelID, plus the byte count. An
+// inline ModelSpec.Snapshot is sugar for the same step and yields the same
+// id.
+func (e *Engine) PutModel(ms ModelSpec, r io.Reader, size int64) (string, int64, error) {
+	if err := validateModelArgs(ms); err != nil {
+		return "", 0, fmt.Errorf("service: %w", err)
+	}
 	if e.Draining() {
 		return "", 0, ErrDraining
 	}
@@ -161,7 +153,7 @@ func (e *Engine) PutModel(r io.Reader, size int64) (string, int64, error) {
 	}
 	var buf bytes.Buffer
 	if size > 0 {
-		buf.Grow(int(size) + bytes.MinRead) // one allocation, no regrowth
+		buf.Grow(int(min(size, maxUploadReserve)) + bytes.MinRead)
 	}
 	h := sha256.New()
 	n, err := buf.ReadFrom(io.TeeReader(r, h))
@@ -174,7 +166,7 @@ func (e *Engine) PutModel(r io.Reader, size int64) (string, int64, error) {
 		return "", n, ErrModelTooLarge
 	}
 	id := hex.EncodeToString(h.Sum(nil))
-	e.models.put(id, buf.Bytes())
+	e.models.put(modelKey{ID: id, Name: ms.Name, Dim: ms.Dim, Seed: ms.Seed}, buf.Bytes())
 	return id, n, nil
 }
 

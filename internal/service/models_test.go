@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -179,7 +180,7 @@ func TestRegistryByteBoundEvictionOrder(t *testing.T) {
 	ids := make([]string, len(snaps))
 	put := func(i int) {
 		t.Helper()
-		id, n, err := e.PutModel(bytes.NewReader(snaps[i]), size)
+		id, n, err := e.PutModel(ModelSpec{Name: "DistMult", Dim: 8, Seed: int64(i + 1)}, bytes.NewReader(snaps[i]), size)
 		if err != nil || n != size || id != modelDigest(snaps[i]) {
 			t.Fatalf("PutModel(%d) = %q, %d, %v", i, id, n, err)
 		}
@@ -214,7 +215,7 @@ func TestRegistryByteBoundEvictionOrder(t *testing.T) {
 			t.Fatalf("job over id %d: %s (%s)", i, st.State, st.Error)
 		}
 	}
-	// The loaded model replaced its upload rather than joining it.
+	// A loaded model takes its upload's place rather than joining it.
 	if ms := e.Stats().Models; ms.Entries != 2 {
 		t.Fatalf("registry holds %d entries for 2 models", ms.Entries)
 	}
@@ -323,9 +324,175 @@ func TestRegistryFailedLoadFailsJoinersAndRetries(t *testing.T) {
 	}
 }
 
-func putModel(t *testing.T, base string, body io.Reader) (*http.Response, map[string]any) {
+// Idle models never turn a job away: with a memory budget that fits one job
+// and a half, any number of distinct models evaluated one after another are
+// all admitted, the registry giving up the coldest to make room.
+func TestRegistryBudgetEvictsIdleModels(t *testing.T) {
+	g := serviceGraph(t)
+	sizer, err := NewEngine(EngineConfig{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := sizer.estimateJobBytes(JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 16}}, nil, store.Float64)
+	sizer.Close()
+	budget := one + one/2
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1, MemoryBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if got := e.Stats().Models.CapBytes; got != budget {
+		t.Fatalf("registry capacity %d with a %d-byte budget: the registry counts against it", got, budget)
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		snap := snapshotModel(t, g, "DistMult", 16, seed)
+		spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 16, Seed: seed, Snapshot: snap}, Strategy: "R", MaxQueries: 10, Precision: "float64"}
+		j, err := e.Submit(spec)
+		if err != nil {
+			t.Fatalf("model %d of 6, each fitting the budget alone: %v (registry %+v)", seed, err, e.Stats().Models)
+		}
+		if st := waitJob(t, j); st.State != StateSucceeded || st.PrecisionDegraded {
+			t.Fatalf("model %d: %s (%s), degraded %v", seed, st.State, st.Error, st.PrecisionDegraded)
+		}
+		// Room was made for the whole job before its model moved in.
+		if ms := e.Stats().Models; ms.Bytes > budget-one+int64(len(snap)) {
+			t.Fatalf("after model %d the registry holds %d bytes: no room was made under a %d budget", seed, ms.Bytes, budget)
+		}
+		// The model just evaluated is the one worth keeping.
+		if !e.models.holds(modelKey{ID: modelDigest(snap), Name: "DistMult", Dim: 16, Seed: seed}) {
+			t.Fatalf("model %d was evicted to make room for itself", seed)
+		}
+	}
+	if ms := e.Stats().Models; ms.Evictions == 0 || ms.Misses != 6 {
+		t.Fatalf("six models through a 1.5-job budget: %+v, want evictions and 6 parses", ms)
+	}
+	// A job that does not fit on its own is still refused, whatever is resident.
+	big := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 64, Seed: 1, Snapshot: snapshotModel(t, g, "DistMult", 64, 1)}, Precision: "float64"}
+	var memErr *MemoryBudgetError
+	if _, err := e.Submit(big); !errors.As(err, &memErr) {
+		t.Fatalf("job over the budget on its own: err = %v, want *MemoryBudgetError", err)
+	}
+}
+
+// An upload is filed under its constructor arguments, so a job naming the id
+// with other arguments is told the model is unknown at submission — and
+// leaves the upload as it was for the jobs that name it properly.
+func TestRegistryWrongArgsLeaveUploadIntact(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	snap := snapshotModel(t, g, "DistMult", 8, 6)
+	right := ModelSpec{Name: "DistMult", Dim: 8, Seed: 6}
+	id, _, err := e.PutModel(right, bytes.NewReader(snap), int64(len(snap)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wrong := range []ModelSpec{
+		{Name: "DistMult", Dim: 16, Seed: 6},
+		{Name: "DistMult", Dim: 8, Seed: 7},
+		{Name: "TransE", Dim: 8, Seed: 6},
+	} {
+		wrong.ModelID = id
+		if _, err := e.Submit(JobSpec{Model: wrong}); !errors.Is(err, ErrUnknownModel) {
+			t.Fatalf("job naming the upload as %s/%d/%d: err = %v, want ErrUnknownModel", wrong.Name, wrong.Dim, wrong.Seed, err)
+		}
+	}
+	if ms := e.Stats().Models; ms.Entries != 1 || ms.Misses != 0 {
+		t.Fatalf("mismatched jobs touched the upload: %+v", ms)
+	}
+	right.ModelID = id
+	j, err := e.Submit(JobSpec{Model: right, Strategy: "R", MaxQueries: 10})
+	if err != nil {
+		t.Fatalf("job naming the upload with its own arguments: %v", err)
+	}
+	if st := waitJob(t, j); st.State != StateSucceeded {
+		t.Fatalf("job by id after mismatched ones: %s (%s)", st.State, st.Error)
+	}
+	// The same bytes under other arguments are another model: upload them so.
+	other := ModelSpec{Name: "DistMult", Dim: 8, Seed: 7}
+	if again, _, err := e.PutModel(other, bytes.NewReader(snap), 0); err != nil || again != id {
+		t.Fatalf("second upload of the same bytes = %q, %v; want the same id", again, err)
+	}
+	other.ModelID = id
+	if j, err = e.Submit(JobSpec{Model: other, Strategy: "R", MaxQueries: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateSucceeded {
+		t.Fatalf("job under the second upload's arguments: %s (%s)", st.State, st.Error)
+	}
+	if _, _, err := e.PutModel(ModelSpec{Name: "NoSuchModel", Dim: 8}, bytes.NewReader(snap), 0); err == nil {
+		t.Fatal("upload under an unknown model name accepted")
+	}
+}
+
+// A submission the engine sheds — queue full, draining — has not been hashed
+// into the registry and has evicted nothing jobs in flight share.
+func TestRegistryShedSubmissionsLeaveItAlone(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	armFault(t, faults.SiteWorker, faults.Plan{Action: faults.Stall, Stall: 10 * time.Second, Limit: 1})
+	spec := func(seed int64) JobSpec {
+		return JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: seed, Snapshot: snapshotModel(t, g, "DistMult", 8, seed)}, Strategy: "R", MaxQueries: 10}
+	}
+	running, err := e.Submit(spec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for running.State() == StateQueued {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := e.Submit(spec(2)); err != nil { // fills the queue
+		t.Fatal(err)
+	}
+	before := e.Stats().Models
+	if _, err := e.Submit(spec(3)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submission into a full queue: err = %v, want ErrQueueFull", err)
+	}
+	e.Drain(time.Millisecond)
+	if _, err := e.Submit(spec(4)); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submission after a drain: err = %v, want ErrDraining", err)
+	}
+	if after := e.Stats().Models; after != before {
+		t.Fatalf("shed submissions changed the registry: %+v → %+v", before, after)
+	}
+}
+
+// PutModel does not reserve a buffer on the say-so of a declared length.
+func TestRegistryPutModelReservesByArrival(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	snap := snapshotModel(t, g, "DistMult", 8, 6)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := e.PutModel(ModelSpec{Name: "DistMult", Dim: 8, Seed: 6}, bytes.NewReader(snap), 512<<20); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("a %d-byte upload declaring 512 MiB allocated %d bytes", len(snap), grew)
+	}
+}
+
+// distMultArgs are the upload arguments of the DistMult/8/6 snapshot several
+// tests below use.
+const distMultArgs = "name=DistMult&dim=8&seed=6"
+
+// putModel uploads body under the constructor arguments in query, e.g.
+// "name=DistMult&dim=8&seed=6".
+func putModel(t *testing.T, base, query string, body io.Reader) (*http.Response, map[string]any) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, base+"/v1/models", body)
+	req, err := http.NewRequest(http.MethodPut, base+"/v1/models?"+query, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +529,7 @@ func TestServerPutModelThenJobsByID(t *testing.T) {
 	g := e.Graph()
 	snap := snapshotModel(t, g, "ComplEx", 16, 3)
 
-	resp, out := putModel(t, srv.URL, bytes.NewReader(snap))
+	resp, out := putModel(t, srv.URL, "name=ComplEx&dim=16&seed=3", bytes.NewReader(snap))
 	if resp.StatusCode != http.StatusCreated || out["model_id"] != modelDigest(snap) || out["bytes"] != float64(len(snap)) {
 		t.Fatalf("PUT /v1/models = %s %v", resp.Status, out)
 	}
@@ -389,10 +556,10 @@ func TestServerPutModelThenJobsByID(t *testing.T) {
 	if want := libraryMRR(t, e, "ComplEx", 16, 3, snap, byID); first.Result.MRR != want {
 		t.Fatalf("job by id MRR %v, library %v", first.Result.MRR, want)
 	}
-	// run = load + fit + plan + scoring, as the Status itself states it.
+	// load and fit come before the evaluation, inside the run.
 	run := second.FinishedAt.Sub(*second.StartedAt).Seconds() * 1000
-	if stated := second.LoadMS + second.FitMS + second.PlanMS + second.Result.ElapsedMS; stated > run || second.PlanMS <= 0 {
-		t.Fatalf("stated stages %v ms (plan %v) exceed the %v ms run", stated, second.PlanMS, run)
+	if stated := second.LoadMS + second.FitMS + second.Result.ElapsedMS; stated > run {
+		t.Fatalf("stated stages %v ms exceed the %v ms run", stated, run)
 	}
 
 	// The terminal SSE event is the same Status.
@@ -463,8 +630,16 @@ func TestServerModelSubmissionErrors(t *testing.T) {
 	if resp, out = postRaw(t, srv.URL, ok+" \n\t"); resp.StatusCode != http.StatusAccepted {
 		t.Errorf("body with trailing whitespace: %s %v, want 202", resp.Status, out)
 	}
-	if resp, out = putModel(t, srv.URL, bytes.NewReader(nil)); resp.StatusCode != http.StatusBadRequest {
+	if resp, out = putModel(t, srv.URL, distMultArgs, bytes.NewReader(nil)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty upload: %s %v, want 400", resp.Status, out)
+	}
+	for _, args := range []string{"", "dim=8&seed=6", "name=DistMult&dim=eight", "name=DistMult&dim=8&sead=6", "name=NoSuchModel&dim=8"} {
+		if resp, out = putModel(t, srv.URL, args, bytes.NewReader(snap)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("upload with arguments %q: %s %v, want 400", args, resp.Status, out)
+		}
+	}
+	if ms := e.Stats().Models; ms.Entries != 1 { // the accepted job's inline snapshot
+		t.Errorf("refused uploads were registered: %+v", ms)
 	}
 
 	old := maxSubmitBytes
@@ -473,11 +648,11 @@ func TestServerModelSubmissionErrors(t *testing.T) {
 	if resp, out = postRaw(t, srv.URL, ok); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized POST /v1/jobs: %s %v, want 413", resp.Status, out)
 	}
-	if resp, out = putModel(t, srv.URL, bytes.NewReader(snap)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+	if resp, out = putModel(t, srv.URL, distMultArgs, bytes.NewReader(snap)); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized PUT /v1/models: %s %v, want 413", resp.Status, out)
 	}
 	// Unknown length (chunked): the cap still holds.
-	if resp, out = putModel(t, srv.URL, io.MultiReader(bytes.NewReader(snap))); resp.StatusCode != http.StatusRequestEntityTooLarge {
+	if resp, out = putModel(t, srv.URL, distMultArgs, io.MultiReader(bytes.NewReader(snap))); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized chunked PUT /v1/models: %s %v, want 413", resp.Status, out)
 	}
 }
@@ -486,7 +661,7 @@ func TestServerModelSubmissionErrors(t *testing.T) {
 func TestServerPutModelLargerThanCache(t *testing.T) {
 	srv, e := newTestServer(t, EngineConfig{Workers: 1, ModelCacheBytes: 64})
 	snap := snapshotModel(t, e.Graph(), "DistMult", 8, 6)
-	if resp, out := putModel(t, srv.URL, bytes.NewReader(snap)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+	if resp, out := putModel(t, srv.URL, distMultArgs, bytes.NewReader(snap)); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("upload over -model-cache-mb: %s %v, want 413", resp.Status, out)
 	}
 }
@@ -496,7 +671,7 @@ func TestServerPutModelDuringDrain(t *testing.T) {
 	srv, e := newTestServer(t, EngineConfig{Workers: 1})
 	snap := snapshotModel(t, e.Graph(), "DistMult", 8, 6)
 	e.Drain(time.Second)
-	resp, out := putModel(t, srv.URL, bytes.NewReader(snap))
+	resp, out := putModel(t, srv.URL, distMultArgs, bytes.NewReader(snap))
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("PUT during drain: %s (Retry-After %q) %v, want 503 with Retry-After", resp.Status, resp.Header.Get("Retry-After"), out)
 	}

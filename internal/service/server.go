@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
+	"strconv"
 	"time"
 
 	"kgeval/internal/obs"
@@ -14,7 +16,7 @@ import (
 
 // NewServer wraps an Engine in the kgevald HTTP/JSON API:
 //
-//	PUT    /v1/models            upload kgc.Save bytes, returns their model_id (201)
+//	PUT    /v1/models            upload kgc.Save bytes (?name=&dim=&seed=), returns their model_id (201)
 //	POST   /v1/jobs              submit a JobSpec, returns the job Status (202)
 //	GET    /v1/jobs              list job Statuses in submission order
 //	GET    /v1/jobs/{id}         one job's Status
@@ -264,16 +266,44 @@ func writeBodyError(w http.ResponseWriter, what string, err error) {
 	writeError(w, http.StatusBadRequest, fmt.Errorf("%s: %w", what, err))
 }
 
+// uploadArgs reads the constructor arguments of PUT /v1/models from its
+// query string: name and dim are required, seed defaults to 0 as it does in
+// a JobSpec. Anything else is refused, so a misspelt argument cannot file
+// the model under a key no job will name.
+func uploadArgs(q url.Values) (ms ModelSpec, err error) {
+	for k, v := range q {
+		switch k {
+		case "name":
+			ms.Name = v[0]
+		case "dim":
+			ms.Dim, err = strconv.Atoi(v[0])
+		case "seed":
+			ms.Seed, err = strconv.ParseInt(v[0], 10, 64)
+		default:
+			err = fmt.Errorf("unknown query parameter %q (want name, dim, seed)", k)
+		}
+		if err != nil {
+			return ms, fmt.Errorf("service: %w", err)
+		}
+	}
+	return ms, nil
+}
+
 // handlePutModel registers raw kgc.Save bytes — no JSON, no base64 — ahead
 // of the jobs that will evaluate them, streaming the body through the
 // hasher straight into the registry's buffer.
 func (s *server) handlePutModel(w http.ResponseWriter, r *http.Request) {
+	ms, err := uploadArgs(r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	if r.ContentLength > maxSubmitBytes {
-		// Refused on the header: PutModel sizes its buffer from the length.
+		// Refused on the header, before a byte is read.
 		writeBodyError(w, "uploading model", &http.MaxBytesError{Limit: maxSubmitBytes})
 		return
 	}
-	id, n, err := s.engine.PutModel(http.MaxBytesReader(w, r.Body, maxSubmitBytes), r.ContentLength)
+	id, n, err := s.engine.PutModel(ms, http.MaxBytesReader(w, r.Body, maxSubmitBytes), r.ContentLength)
 	switch {
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", retryAfterSeconds(defaultRetryAfter))

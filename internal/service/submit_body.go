@@ -303,7 +303,7 @@ func (d *bodyDecoder) startSnapshot() {
 	// size: one allocation for a buffer the pool did not already have. The
 	// cap keeps a Content-Length nobody has sent yet from reserving much.
 	left := d.size - d.consumed + int64(len(d.in))
-	if need := min(base64.StdEncoding.DecodedLen(int(left)), 16<<20); cap(*d.cur.buf) < need {
+	if need := min(base64.StdEncoding.DecodedLen(int(left)), maxUploadReserve); cap(*d.cur.buf) < need {
 		*d.cur.buf = make([]byte, 0, need)
 	}
 }

@@ -23,7 +23,9 @@
 // chrome://tracing), browse retained traces under GET /debug/traces, and
 // jobs slower than -slow-job-ms log their trace ID and slowest spans. -pprof additionally mounts net/http/pprof
 // under /debug/pprof/. Logs are structured (log/slog); -log-level selects
-// the threshold (debug includes per-request access logs).
+// the threshold (debug includes per-request access logs). The "serving" line
+// names the scoring lane of the process (kernel=avx2 or kernel=go), which
+// every job's eval.pass span repeats.
 //
 // Production hardening (see README "Operations"): jobs carry end-to-end
 // deadlines (timeout_ms, or the -job-timeout default) and expire terminally
@@ -77,6 +79,7 @@ import (
 
 	"kgeval/internal/faults"
 	"kgeval/internal/kg"
+	"kgeval/internal/kgc"
 	"kgeval/internal/obs"
 	"kgeval/internal/obs/trace"
 	"kgeval/internal/service"
@@ -205,7 +208,7 @@ func main() {
 	apiHandler.Store(&handler)
 
 	logger.Info("serving", "addr", ln.Addr().String(), "workers", *workers,
-		"cache", *cacheSize, "model_cache_mb", *modelCache, "pprof", *pprofOn,
+		"kernel", kgc.Kernel(), "cache", *cacheSize, "model_cache_mb", *modelCache, "pprof", *pprofOn,
 		"job_timeout", *jobTimeout, "drain_timeout", *drainTimeout)
 
 	// Graceful shutdown: the first SIGTERM/SIGINT flips /readyz to 503 and

@@ -45,12 +45,15 @@
 //	internal/kgc          TransE/DistMult/ComplEx/RESCAL/RotatE/TuckER/ConvE;
 //	                      the embedding models implement BatchScorer, scoring
 //	                      all queries of a relation chunk against L1-sized
-//	                      tiles of candidate rows: read in place from the
-//	                      float64 table where the pool's ids are consecutive
-//	                      (always, under the full protocol), otherwise copied
-//	                      or dequantized one tile at a time — one lane and
-//	                      one kernel per model at every precision, never a
-//	                      pool-sized candidate block
+//	                      tiles of candidates filled from the entity store
+//	                      one tile at a time — one kernel per model at every
+//	                      precision, never a pool-sized candidate block. Two
+//	                      lanes with the same bits: AVX2 assembly kernels
+//	                      with four candidates per vector register where the
+//	                      CPU has them, the Go kernels (which also read the
+//	                      float64 table in place) everywhere else
+//	internal/cpu          the CPUID/XGETBV check that fixes the lane once
+//	                      per process; -tags purego turns it off
 //	internal/kp           Knowledge Persistence baseline
 //	internal/synth        typed synthetic KG generator (dataset substitute)
 //	internal/experiments  regenerates every table and figure of the paper

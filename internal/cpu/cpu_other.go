@@ -1,0 +1,6 @@
+//go:build !amd64 || purego
+
+package cpu
+
+// AVX2 is false off amd64 and under the purego build tag: the Go kernels run.
+const AVX2 = false

@@ -32,10 +32,11 @@ func TestRotatEPassAllocatesNoMoreThanDistMult(t *testing.T) {
 }
 
 // Under the full protocol every pool is the whole entity set. A worker's
-// candidate state is still one kernel tile — the float64 table is scored in
-// place, a reduced-precision one a tile at a time — so the bytes a pass
-// allocates stay far below one |E| × dim block, where the gather lane
-// allocated one such block per worker.
+// candidate state is still one kernel tile — the table is transposed
+// (vector lane) or dequantized a tile at a time, or, on the Go lane at
+// float64, scored in place — so the bytes a pass allocates stay far below
+// one |E| × dim block, where the gather lane allocated one such block per
+// worker.
 func TestFullProtocolPassAllocatesTilesNotPools(t *testing.T) {
 	old := batchFloatBudget
 	batchFloatBudget = 4096 // keep the score buffer out of the measurement's way

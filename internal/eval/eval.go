@@ -20,9 +20,11 @@
 // about: the relation. An evaluation pass compiles the split into a
 // relation-grouped plan (plan.go) — queries bucketed per relation, pools in
 // flat slices — and scores each relation's queries in batches via
-// kgc.BatchScorer, which walks the pool in small tiles of candidate rows
-// read from the entity table in place (or copied/dequantized a tile at a
-// time) and scores every query of the batch against each tile. EvaluateMany
+// kgc.BatchScorer, which walks the pool in small tiles of candidate rows —
+// transposed a tile at a time for the AVX2 kernels, or read from the entity
+// table in place (copied/dequantized where that is not possible) by the Go
+// kernels, with the same bits either way — and scores every query of the
+// batch against each tile. EvaluateMany
 // reuses a single plan across many models, amortizing pool construction for
 // multi-model workloads.
 package eval
@@ -85,6 +87,11 @@ type StageTimings struct {
 	// KernelTile is the batch-kernel candidate tile the pass selected at
 	// plan compile time (kgc.TileFor over pool size × dim × precision).
 	KernelTile int
+	// Kernel names the scoring lane that produced Score: "avx2" (the vector
+	// tile kernels) or "go" (kgc.Kernel). The lane is fixed per process by
+	// the CPU and the build, and both give the same scores bit for bit; it is
+	// recorded so that a timing can be read against the right floor.
+	Kernel string
 }
 
 // Options configure an evaluation pass.
@@ -105,7 +112,7 @@ type Options struct {
 	Seed int64
 	// Precision selects the embedding-store precision the executor reads
 	// candidate (and answer) entities at. The zero value, Float64, is
-	// the bit-exact reference and scores candidate rows in the weight table
+	// the bit-exact reference and reads candidate rows from the weight table
 	// itself; Float32 and Int8 trade a bounded metric deviation (< 1e-3 MRR
 	// on this repo's equivalence gate) for 2×/4× smaller entity stores,
 	// dequantized one kernel tile at a time into the same kernels. Ignored

@@ -205,7 +205,7 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 		ranks: make([]float64, 2*len(p.queries)),
 		span: trace.FromContext(opts.Ctx).Child("eval.pass",
 			trace.String("model", m.Name()), trace.Int("dim", m.Dim()),
-			trace.String("precision", opts.Precision.String())),
+			trace.String("precision", opts.Precision.String()), trace.String("kernel", kgc.Kernel())),
 	}
 	var cancel <-chan struct{} // nil (never ready) without a context
 	if opts.Ctx != nil {
@@ -228,7 +228,7 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 	})
 
 	res := Result{Metrics: metricsFromRanks(ps.ranks)}
-	res.Stages = StageTimings{PlanCompile: p.compileTime, PoolDraw: p.poolTime, KernelTile: ps.tile}
+	res.Stages = StageTimings{PlanCompile: p.compileTime, PoolDraw: p.poolTime, KernelTile: ps.tile, Kernel: kgc.Kernel()}
 	for i := range workers {
 		res.CandidatesScored += workers[i].scored
 		res.Stages.Score += time.Duration(workers[i].scoreNS)

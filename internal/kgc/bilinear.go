@@ -101,6 +101,8 @@ func (m *DistMult) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64)
 	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
+func (m *DistMult) tileKind() tileKind { return kindDot }
+
 func (m *DistMult) gradStep(h, r, t int32, coeff, lr float64) {
 	hv, rv, tv := m.ent.vec(h), m.rel.vec(r), m.ent.vec(t)
 	gh := make([]float64, m.dim)
@@ -233,6 +235,8 @@ func (m *ComplEx) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch
 func (m *ComplEx) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
 	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
+
+func (m *ComplEx) tileKind() tileKind { return kindDot }
 
 func (m *ComplEx) gradStep(h, r, t int32, coeff, lr float64) {
 	hv, rv, tv := m.ent.vec(h), m.rel.vec(r), m.ent.vec(t)
@@ -368,6 +372,8 @@ func (m *RESCAL) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch)
 func (m *RESCAL) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
 	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
+
+func (m *RESCAL) tileKind() tileKind { return kindDot }
 
 func (m *RESCAL) gradStep(h, r, t int32, coeff, lr float64) {
 	hv, tv := m.ent.vec(h), m.ent.vec(t)

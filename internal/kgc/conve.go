@@ -328,6 +328,8 @@ func (m *ConvE) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
 	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
+func (m *ConvE) tileKind() tileKind { return kindDot }
+
 func (m *ConvE) gradStep(h, r, t int32, coeff, lr float64) {
 	ih, iw := 2*m.dh, m.dw
 	flat := m.channels * ih * iw

@@ -134,6 +134,8 @@ func (m *RotatE) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
 	scoreRotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
+func (m *RotatE) tileKind() tileKind { return kindRot }
+
 func (m *RotatE) gradStep(h, r, t int32, coeff, lr float64) {
 	d := m.half
 	hv, tv := m.ent.vec(h), m.ent.vec(t)

@@ -10,11 +10,12 @@ import (
 type BatchOptions struct {
 	// Precision is the entity-store precision candidate (and, for non-default
 	// precisions, answer-side) embeddings are read at. Float64 is the
-	// bit-exact reference and scores consecutive candidate rows in place;
-	// Float32 and Int8 trade a bounded score error for a smaller table,
-	// dequantized one kernel tile at a time. The kernel is the same at every
-	// precision. Ignored for models without a native batch lane, which
-	// always score at float64.
+	// bit-exact reference, read from the live weight table (in place by the
+	// Go kernels where the ids are consecutive, transposed a tile at a time
+	// for the vector kernels); Float32 and Int8 trade a bounded score error
+	// for a smaller table, dequantized one kernel tile at a time. The kernel
+	// is the same at every precision. Ignored for models without a native
+	// batch lane, which always score at float64.
 	Precision store.Precision
 	// Tile is the kernel candidate-tile size; 0 uses the built-in default.
 	// TileFor sizes it from the dim.
@@ -45,6 +46,9 @@ type batchNative interface {
 	// nc-candidate pool, whose vectors are the rows of tbuf, writing
 	// out[i*nc+j]. tbuf may alias the live entity table: read-only.
 	tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64)
+	// tileKind names the kernel tileKernel runs, which is how the scorer
+	// finds its vector twin.
+	tileKind() tileKind
 	// singleViaBatch reports whether the scorer's ScoreTriple should route
 	// through buildTailQueries+tileKernel even at float64, as its
 	// ScoreTails/ScoreHeads always do. Models whose own ScoreTriple
@@ -56,11 +60,46 @@ type batchNative interface {
 	singleViaBatch() bool
 }
 
+// tileKind names one of the three tile micro-kernels of batch.go.
+type tileKind uint8
+
+const (
+	kindDot tileKind = iota // scoreDotTile
+	kindL1                  // scoreL1Tile
+	kindRot                 // scoreRotTile
+	numKinds
+)
+
+// tileFunc is the signature the Go tile kernels and their vector twins
+// share; the two differ in the layout of tbuf (rows for the Go kernels,
+// store.TileColumns' candidate-minor columns for the vector ones), never in
+// a bit of out.
+type tileFunc func(qs, tbuf []float64, dim, j0, j1, nc int, out []float64)
+
+// vecKernels holds the vector twin of each Go tile kernel, or nil. It is
+// filled once at start-up, by the amd64 build on a CPU with AVX2
+// (tile_amd64.go), and never after: the scoring lane is a property of the
+// process, not something a caller selects. Everywhere else — other
+// architectures, the purego build tag, older x86 — it stays nil and the Go
+// kernels score everything.
+var vecKernels [numKinds]tileFunc
+
+// Kernel names the scoring lane of this process: "avx2" when the vector tile
+// kernels run, "go" otherwise. Both produce the same scores, bit for bit; the
+// name is for traces and logs, so a timing says which code produced it. (A
+// plain third-party Model is scored through its own methods either way.)
+func Kernel() string {
+	if vecKernels[kindDot] != nil {
+		return "avx2"
+	}
+	return "go"
+}
+
 // scratch holds one scorer's reusable buffers. Sizes are high-water marks:
 // buffers grow to the largest chunk seen and are reused verbatim after.
 // None of them scales with the candidate pool.
 type scratch struct {
-	tbuf  []float64 // one kernel tile of candidate rows, when not scored in place
+	tbuf  []float64 // one kernel tile of candidates: columns (vector lane) or rows not scored in place (Go lane)
 	qs    []float64 // query vectors, one per chunk query
 	img   []float64 // ConvE stacked input image
 	feat  []float64 // ConvE flattened conv features, one row per query
@@ -142,8 +181,9 @@ func ResetStores(m Model) {
 // The returned scorer owns reusable scratch buffers and is NOT safe for
 // concurrent use: create one per worker goroutine. Scorers for the same
 // model share the underlying (immutable) entity store — at Float64 the live
-// weight table itself, which they read in place — so per-worker creation is
-// cheap after the first.
+// weight table itself — so per-worker creation is cheap after the first.
+// Which kernels the scorer runs (Kernel) is not the caller's choice and does
+// not change a score.
 func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 	if bn, ok := m.(batchNative); ok {
 		tile := opts.Tile
@@ -156,6 +196,7 @@ func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 			bias: bn.entityBias(),
 			prec: opts.Precision,
 			tile: tile,
+			vec:  vecKernels[bn.tileKind()],
 		}
 	}
 	if bs, ok := m.(BatchScorer); ok {
@@ -166,16 +207,19 @@ func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 
 // storeScorer is the universal batch lane: it asks the model to build the
 // chunk's query vectors, then walks the candidate pool in kernel tiles,
-// asking the entity store for each tile's rows (store.Tile: the table
-// itself where it can, one tile-sized buffer where it cannot) and handing
-// them to the model's tile micro-kernel. One instance owns the scratch, so
-// it is not safe for concurrent use.
+// asking the entity store for each tile's rows and handing them to the
+// model's tile micro-kernel. On the vector lane (vec != nil) the store
+// transposes every tile into sc.tbuf (store.TileColumns) for the kernel's
+// vector twin; on the Go lane it hands out the table itself where it can and
+// fills sc.tbuf where it cannot (store.Tile). One instance owns the scratch,
+// so it is not safe for concurrent use.
 type storeScorer struct {
 	m    batchNative
 	st   *store.Store
 	bias *table
 	prec store.Precision
 	tile int
+	vec  tileFunc // the vector twin of m.tileKernel; nil on the Go lane
 	sc   scratch
 
 	oneID [1]int32 // single-query/candidate id buffers for the routed paths
@@ -202,8 +246,14 @@ func (s *storeScorer) ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []
 
 // score runs every query in qs over cands one kernel tile at a time, then
 // adds the per-entity bias when the model has one. The only candidate state
-// it ever holds is one tile: rows the store could not hand out in place
-// land in sc.tbuf, which stays L1-resident while the queries stream over it.
+// it ever holds is one tile in sc.tbuf, which stays L1-resident while the
+// queries stream over it.
+//
+// The vector kernels take whole groups of four candidates. What a tile has
+// beyond its last whole group — at most three candidates at the end of a
+// pool, or the single candidate of a ScoreTriple — goes through the Go
+// kernel, which gives a score the same bits, so where the split falls never
+// shows in out.
 func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
 	dim := s.m.Dim()
 	nc := len(cands)
@@ -211,7 +261,16 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
 	s.sc.tbuf = Grow(s.sc.tbuf, tile*dim)
 	for j0 := 0; j0 < nc; j0 += tile {
 		j1 := min(j0+tile, nc)
-		s.m.tileKernel(qs, s.st.Tile(cands[j0:j1], s.sc.tbuf), j0, j1, nc, out)
+		jv := j0 // candidates j0..jv are scored by the vector kernel
+		if s.vec != nil {
+			jv += (j1 - j0) &^ 3
+		}
+		if jv > j0 {
+			s.vec(qs, s.st.TileColumns(cands[j0:jv], s.sc.tbuf), dim, j0, jv, nc, out)
+		}
+		if jv < j1 {
+			s.m.tileKernel(qs, s.st.Tile(cands[jv:j1], s.sc.tbuf), jv, j1, nc, out)
+		}
 	}
 	if s.bias != nil {
 		nq := len(qs) / dim

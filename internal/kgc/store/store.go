@@ -4,11 +4,14 @@
 // scale/zero-point quantization — behind one row-access API.
 //
 // The store exists for the evaluation hot path: batch kernels walk a
-// candidate pool one kernel tile at a time and ask Tile for that tile's rows
-// as float64. A Float64 store answers a run of consecutive ids with a
+// candidate pool one kernel tile at a time and ask for that tile's rows as
+// float64, in the layout they read. The vector kernels ask TileColumns,
+// which transposes (Float64, in assembly) or dequantizes the tile
+// candidate-minor into the caller's small, cache-resident buffer. The Go
+// kernels ask Tile: a Float64 store answers a run of consecutive ids with a
 // sub-slice of the table itself — nothing is copied, which is every tile of
 // the full protocol — and otherwise copies or dequantizes at most one tile
-// of rows into the caller's small, cache-resident buffer. Reduced precision
+// of rows into that buffer. Both yield the same values. Reduced precision
 // shrinks the table a pass reads (2× for float32, 4× for int8 with its
 // block parameters) and so raises how much of it stays cached between
 // tiles; the kernel behind the tile is the same one at every precision,
@@ -224,6 +227,27 @@ func (s *Store) Tile(ids []int32, buf []float64) []float64 {
 	return buf
 }
 
+// TileColumns is Tile for the vector kernels: it fills buf, which must hold
+// len(ids)*Dim values, with the rows of ids candidate-minor —
+// buf[k*len(ids)+t] = row(ids[t])[k] — and returns that prefix. A vector
+// kernel then finds dimension k of consecutive candidates in adjacent
+// lanes. The values are the ones Tile yields, bit for bit: Float64 rows are
+// moved (transposed four at a time in assembly where the CPU has AVX2),
+// Float32 and Int8 rows are dequantized with Gather's arithmetic. Nothing is
+// handed out in place, so consecutive and scattered ids cost the same.
+func (s *Store) TileColumns(ids []int32, buf []float64) []float64 {
+	n := len(ids)
+	buf = buf[:n*s.dim]
+	t := 0
+	if s.prec == Float64 {
+		t = s.columnsAVX(ids, buf)
+	}
+	for ; t < n; t++ {
+		s.scatterRow(int(ids[t]), buf[t:], n)
+	}
+	return buf
+}
+
 // consecutive reports whether ids is one ascending run id, id+1, id+2, ...
 func consecutive(ids []int32) bool {
 	for i := 1; i < len(ids); i++ {
@@ -293,6 +317,34 @@ func (s *Store) gatherRow(id int, dst []float64) {
 			z := float64(s.zero[id*nb+b])
 			for k := lo; k < hi; k++ {
 				dst[k] = z + sc*float64(int(row[k])+128)
+			}
+		}
+	}
+}
+
+// scatterRow is gatherRow with a stride: it dequantizes row id into
+// dst[0], dst[stride], dst[2*stride], ... with the same arithmetic.
+func (s *Store) scatterRow(id int, dst []float64, stride int) {
+	d := s.dim
+	switch s.prec {
+	case Float64:
+		for k, v := range s.f64[id*d : (id+1)*d] {
+			dst[k*stride] = v
+		}
+	case Float32:
+		for k, v := range s.f32[id*d : (id+1)*d] {
+			dst[k*stride] = float64(v)
+		}
+	case Int8:
+		row := s.i8[id*d : (id+1)*d]
+		nb := s.nblocks()
+		for b := 0; b < nb; b++ {
+			lo := b * BlockDim
+			hi := min(lo+BlockDim, d)
+			sc := float64(s.scale[id*nb+b])
+			z := float64(s.zero[id*nb+b])
+			for k := lo; k < hi; k++ {
+				dst[k*stride] = z + sc*float64(int(row[k])+128)
 			}
 		}
 	}

@@ -448,3 +448,91 @@ func TestTileAliasesConsecutiveRuns(t *testing.T) {
 		}
 	}
 }
+
+// TileColumns holds Gather's values, bit for bit, at the transposed
+// positions — on the assembly path (float64, whole groups of four) and the
+// Go path (sub-group tails, reduced precision) alike — and writes nothing
+// outside buf[:len(ids)*dim]: the guard words on both sides survive.
+func TestTileColumnsMatchesGather(t *testing.T) {
+	const rows, guard = 70, 8
+	sentinel := math.Float64frombits(0x7ff8dead0000beef)
+	rng := rand.New(rand.NewSource(21))
+	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 12, 33, 64} {
+		data := randRows(rows, dim, int64(dim))
+		data[3*dim] = math.Copysign(0, -1)
+		data[4*dim+dim-1] = math.Inf(-1)
+		for _, p := range []Precision{Float64, Float32, Int8} {
+			s, err := FromRows(data, rows, dim, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{0, 1, 3, 4, 5, 8, 11, 32, 67} {
+				for _, scattered := range []bool{false, true} {
+					ids := make([]int32, n)
+					for i := range ids {
+						ids[i] = int32(rows - n + i) // a run touching the table's last row
+						if scattered {
+							ids[i] = int32(rng.Intn(rows))
+						}
+					}
+					want := make([]float64, n*dim)
+					s.Gather(ids, want)
+					mem := make([]float64, guard+n*dim+guard)
+					for i := range mem {
+						mem[i] = sentinel
+					}
+					got := s.TileColumns(ids, mem[guard:guard+n*dim:guard+n*dim])
+					if len(got) != n*dim {
+						t.Fatalf("%v dim=%d n=%d: %d values returned", p, dim, n, len(got))
+					}
+					for j := 0; j < n; j++ {
+						for k := 0; k < dim; k++ {
+							if g, w := got[k*n+j], want[j*dim+k]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("%v dim=%d n=%d scattered=%v: column %d dim %d = %x, Gather %x",
+									p, dim, n, scattered, j, k, math.Float64bits(g), math.Float64bits(w))
+							}
+						}
+					}
+					for i := 0; i < guard; i++ {
+						if math.Float64bits(mem[i]) != math.Float64bits(sentinel) ||
+							math.Float64bits(mem[guard+n*dim+i]) != math.Float64bits(sentinel) {
+							t.Fatalf("%v dim=%d n=%d: guard word %d overwritten", p, dim, n, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// An id outside the table or a buffer shorter than the tile panics in Go,
+// before any row pointer is formed for the assembly.
+func TestTileColumnsRejectsBadInput(t *testing.T) {
+	const rows, dim = 16, 8
+	data := randRows(rows, dim, 3)
+	for _, p := range []Precision{Float64, Float32, Int8} {
+		s, err := FromRows(data, rows, dim, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]struct {
+			ids []int32
+			buf int
+		}{
+			"id == rows":   {[]int32{0, 1, 2, rows}, 4 * dim},
+			"id past rows": {[]int32{0, 1 << 20, 2, 3}, 4 * dim},
+			"negative id":  {[]int32{-1, 1, 2, 3}, 4 * dim},
+			"short buffer": {[]int32{0, 1, 2, 3}, 4*dim - 1},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v/%s: TileColumns did not panic", p, name)
+					}
+				}()
+				buf := make([]float64, c.buf)
+				s.TileColumns(c.ids, buf[:c.buf:c.buf])
+			}()
+		}
+	}
+}

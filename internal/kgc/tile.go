@@ -9,18 +9,23 @@ const tileBytes = 32 << 10
 // TileFor picks the batch-kernel candidate tile for a (pool size, dim,
 // precision) shape. The tile is the number of candidate rows kept hot
 // across the queries of a chunk: too small wastes the amortization (each
-// row is fetched — and, off the in-place path, copied or dequantized — for
-// fewer (query, row) products in flight), too large spills the tile out of
-// L1 and every query re-streams it from L2/memory.
+// row is fetched — and, unless the Go lane scores it in place, transposed,
+// copied or dequantized — for fewer (query, row) products in flight), too
+// large spills the tile out of L1 and every query re-streams it from
+// L2/memory.
 //
 // The tile is sized to tileBytes of float64 rows, rounded down to a
-// multiple of 4 to keep the kernels' four-row path busy and clamped to
-// [4, 64]. An earlier per-dim lookup table, with separate Int8 rows, was
-// tuned for a lane that re-read raw int8 rows next to a pool-sized block;
-// on the tile-fed lane no entry of it beats this formula outside run-to-run
-// noise (±3 %) on BenchmarkScoreDotBatchTile at any dim from 32 to 512, at
-// float64 or int8. Every precision hands the kernel the same float64 tile,
-// so the precision does not enter; the parameter stays for callers.
+// multiple of 4 — the Go kernels' four-row step and the vector kernels'
+// four-candidate register — and clamped to [4, 64]. An earlier per-dim
+// lookup table, with separate Int8 rows, was tuned for a lane that re-read
+// raw int8 rows next to a pool-sized block; on the tile-fed lane no entry of
+// it beats this formula outside run-to-run noise on
+// BenchmarkScoreDotBatchTile at any dim from 32 to 512, at float64 or int8.
+// The sweep was repeated on the vector lane, whose widest step takes 32
+// candidates at once: the formula's tile is the fastest or within noise of
+// it at every dim (at dim 256, 16 rows beat 24, 32, 48 and 64 by 15–35 %),
+// so both lanes share it. Every precision hands the kernel the same float64
+// tile, so the precision does not enter; the parameter stays for callers.
 func TileFor(pool, dim int, _ store.Precision) int {
 	tile := defaultTile
 	if dim > 0 {

@@ -1,0 +1,48 @@
+//go:build amd64 && !purego
+
+package kgc
+
+import "kgeval/internal/cpu"
+
+// The assembly kernels of tile_amd64.s. Each scores nq queries of dim values
+// (qs) against the n candidates of a candidate-minor tile (cols, n a
+// positive multiple of four) and writes query i's scores to out[i*nc:][:n].
+// They trust their arguments; vecTile is the only caller.
+
+//go:noescape
+func dotTileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+
+//go:noescape
+func l1TileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+
+//go:noescape
+func rotTileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+
+func init() {
+	if cpu.AVX2 {
+		vecKernels = [numKinds]tileFunc{
+			kindDot: vecTile(dotTileAVX2, 1),
+			kindL1:  vecTile(l1TileAVX2, 1),
+			kindRot: vecTile(rotTileAVX2, 2),
+		}
+	}
+}
+
+// vecTile gives an assembly kernel the Go tile kernels' signature and is the
+// memory-safety boundary in front of it: the slice expressions below panic,
+// as the Go kernels' own would, on query, tile or score storage shorter than
+// the shape asks for, so the assembly only ever sees pointers with the
+// extents it will touch. minDim is the fewest dims the kernel's inner loop
+// can count down from (RotatE needs one complex dim).
+func vecTile(kernel func(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int), minDim int) tileFunc {
+	return func(qs, cols []float64, dim, j0, j1, nc int, out []float64) {
+		nq, n := len(qs)/dim, j1-j0
+		if dim < minDim || n <= 0 || n%4 != 0 || j0 < 0 || j1 > nc {
+			panic("kgc: vector tile kernel called off its shape: whole groups of four candidates inside the pool")
+		}
+		cols, out = cols[:n*dim], out[:nq*nc]
+		if nq > 0 {
+			kernel(&qs[0], nq, &cols[0], dim, n, &out[j0], nc)
+		}
+	}
+}

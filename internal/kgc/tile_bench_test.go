@@ -19,10 +19,21 @@ func randVec(rng *rand.Rand, n int) []float64 {
 }
 
 // perCandDim reports the benchmark's cost per (query, candidate, dim) — the
-// unit the kernels are compared in, and against the machine's scalar FMA
-// roofline (bench/roofline.go).
+// unit the kernels are compared in. The machine's scalar FMA roofline
+// (bench/roofline.go) bounds the Go lane in this unit, not the vector lane.
 func perCandDim(b *testing.B, nq, nc, dim int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nq*nc*dim), "ns/cand·dim")
+}
+
+// benchLanes runs fn once per scoring lane this process has, as
+// sub-benchmarks "go" and — where the vector kernels are available — "avx2",
+// so one binary reports both and a host without the vector lane reports the
+// lane it runs.
+func benchLanes(b *testing.B, fn func(b *testing.B, vector bool)) {
+	b.Run("go", func(b *testing.B) { fn(b, false) })
+	if Kernel() != "go" {
+		b.Run(Kernel(), func(b *testing.B) { fn(b, true) })
+	}
 }
 
 // benchPool is a sorted pool of k distinct ids below n: one consecutive run
@@ -43,35 +54,42 @@ func benchPool(rng *rand.Rand, n, k int, consecutive bool) []int32 {
 	return ids
 }
 
-// BenchmarkScoreTile times the three tile micro-kernels alone on an
-// L1-resident tile (8 rows × dim 128 = 8 KB, 16 queries = 16 KB): the floor
-// each model family's scoring can reach in this lane.
+// BenchmarkScoreTile times the three tile micro-kernels alone, on both lanes,
+// over one tile as the planner sizes it at dim 128 (TileFor: 32 rows = 32 KB)
+// and 16 queries: the floor each model family's scoring can reach. The Go
+// kernels read the tile row-major, their vector twins candidate-minor; the
+// fill is not timed here (BenchmarkScoreBlock includes it).
 func BenchmarkScoreTile(b *testing.B) {
-	const nq, tile, dim = 16, 8, 128
+	const nq, dim = 16, 128
+	tile := TileFor(0, dim, store.Float64)
 	rng := rand.New(rand.NewSource(11))
 	qs, tbuf := randVec(rng, nq*dim), randVec(rng, tile*dim)
 	out := make([]float64, nq*tile)
-	for _, k := range []struct {
-		name string
-		fn   func(qs, tbuf []float64, dim, j0, j1, nc int, out []float64)
-	}{{"Dot", scoreDotTile}, {"L1", scoreL1Tile}, {"Rot", scoreRotTile}} {
-		b.Run(k.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				k.fn(qs, tbuf, dim, 0, tile, tile, out)
-			}
-			perCandDim(b, nq, tile, dim)
+	for kind := kindDot; kind < numKinds; kind++ {
+		b.Run(kind.String(), func(b *testing.B) {
+			benchLanes(b, func(b *testing.B, vector bool) {
+				fn := goKernels[kind]
+				if vector {
+					fn = vecKernels[kind]
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					fn(qs, tbuf, dim, 0, tile, tile, out)
+				}
+				perCandDim(b, nq, tile, dim)
+			})
 		})
 	}
 }
 
 // BenchmarkScoreBlock times one relation chunk through the whole lane —
-// query build, tile walk, row access, kernel — at the two chunk shapes the
-// planner produces on a 12 000-entity graph at dim 128: 5 queries × every
-// entity (the full protocol: consecutive ids, scored in place at float64)
-// and 54 queries × a 1 200-candidate sample (scattered ids, one tile copied
-// or dequantized at a time). The scattered pool also runs at 5 queries, the
-// last chunk of a relation, where row access is least amortized.
+// query build, tile walk, tile fill, kernel — on both lanes, at the two chunk
+// shapes the planner produces on a 12 000-entity graph at dim 128: 5 queries
+// × every entity (the full protocol: consecutive ids, which the Go lane
+// scores in place at float64 and the vector lane transposes like any other)
+// and 54 queries × a 1 200-candidate sample (scattered ids, one tile filled
+// at a time). The scattered pool also runs at 5 queries, the last chunk of a
+// relation, where the fill is least amortized.
 func BenchmarkScoreBlock(b *testing.B) {
 	const rows, dim = 12000, 128
 	g := &kg.Graph{NumEntities: rows, NumRelations: 4}
@@ -89,14 +107,19 @@ func BenchmarkScoreBlock(b *testing.B) {
 				hs := benchPool(rng, rows, nq, false)
 				out := make([]float64, nq*nc)
 				b.Run(fmt.Sprintf("%s/%v/%dx%d", kind, p, nq, nc), func(b *testing.B) {
-					bs := NewBatchScorer(m, BatchOptions{Precision: p, Tile: TileFor(nc, dim, p)})
-					bs.ScoreTailsBatch(hs, 1, cands, out) // build the store, size the scratch
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						bs.ScoreTailsBatch(hs, 1, cands, out)
-					}
-					perCandDim(b, nq, nc, dim)
+					benchLanes(b, func(b *testing.B, vector bool) {
+						bs := NewBatchScorer(m, BatchOptions{Precision: p, Tile: TileFor(nc, dim, p)}).(*storeScorer)
+						if !vector {
+							bs.vec = nil
+						}
+						bs.ScoreTailsBatch(hs, 1, cands, out) // build the store, size the scratch
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							bs.ScoreTailsBatch(hs, 1, cands, out)
+						}
+						perCandDim(b, nq, nc, dim)
+					})
 				})
 			}
 		}
@@ -106,9 +129,10 @@ func BenchmarkScoreBlock(b *testing.B) {
 // BenchmarkScoreDotBatchTile sweeps the kernel tile across embedding widths
 // on a pool/chunk shape matching the evaluation planner's defaults (64
 // queries, 800 scattered candidates — n_s = 10% of an 8k-entity graph), at
-// the float64 store (tile rows copied) and the int8 store (tile rows
-// dequantized). TileFor is maintained against this sweep: re-run it after
-// kernel changes and check that no tile beats TileFor's outside noise.
+// the float64 store (tile rows copied, or transposed on the vector lane) and
+// the int8 store (tile rows dequantized), on the lane the process runs.
+// TileFor is maintained against this sweep: re-run it after kernel changes
+// and check that no tile beats TileFor's outside noise.
 func BenchmarkScoreDotBatchTile(b *testing.B) {
 	const nq, nc, rows = 64, 800, 8000
 	g := &kg.Graph{NumEntities: rows, NumRelations: 4}

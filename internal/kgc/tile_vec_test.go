@@ -1,0 +1,320 @@
+package kgc
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+
+	"kgeval/internal/kg"
+	"kgeval/internal/kgc/store"
+)
+
+// The vector lane's gate. The Go tile kernels — untouched, and themselves
+// held to the gather oracle in tile_lane_test.go — are the oracle for their
+// assembly twins: every score must have the same bits, because the protocol
+// ranks by float equality. On a host without the vector lane (non-amd64,
+// -tags purego, no AVX2) there is nothing to compare and these tests skip.
+
+var goKernels = [numKinds]tileFunc{kindDot: scoreDotTile, kindL1: scoreL1Tile, kindRot: scoreRotTile}
+
+func (k tileKind) String() string { return [...]string{"Dot", "L1", "Rot"}[k] }
+
+func needVectorLane(t testing.TB) {
+	t.Helper()
+	if Kernel() == "go" {
+		t.Skip("no vector lane in this build or on this CPU: the Go kernels are the only lane")
+	}
+}
+
+// sameScore is equality of bits, except that any NaN equals any NaN: which
+// payload survives an operation on two NaNs is not part of the contract.
+func sameScore(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// sentinel marks memory a kernel must not write. It is a NaN with a payload
+// no arithmetic produces, compared by bits.
+var sentinel = math.Float64frombits(0x7ff8dead0000beef)
+
+// guarded returns a length-n slice whose capacity ends at its length, cut
+// from the middle of a sentinel-filled array, and a check that the words on
+// either side are still sentinels.
+func guarded(n int) (buf []float64, intact func() bool) {
+	const guard = 16
+	mem := make([]float64, guard+n+guard)
+	for i := range mem {
+		mem[i] = sentinel
+	}
+	return mem[guard : guard+n : guard+n], func() bool {
+		for i := 0; i < guard; i++ {
+			if math.Float64bits(mem[i]) != math.Float64bits(sentinel) ||
+				math.Float64bits(mem[guard+n+i]) != math.Float64bits(sentinel) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// transposed returns the candidate-minor layout of n row-major rows.
+func transposed(rows []float64, n, dim int) []float64 {
+	cols := make([]float64, n*dim)
+	for t := 0; t < n; t++ {
+		for k := 0; k < dim; k++ {
+			cols[k*n+t] = rows[t*dim+k]
+		}
+	}
+	return cols
+}
+
+// checkTileKernels runs one kernel pair on one shape and reports the first
+// difference: the vector kernel must write exactly what the Go kernel
+// writes — out[i*nc+j] for j0 <= j < j1 — and nothing else, inside out or
+// around it.
+func checkTileKernels(kind tileKind, qs, rows []float64, dim, j0, j1, nc int) error {
+	nq, n := len(qs)/dim, j1-j0
+	want := make([]float64, nq*nc)
+	for i := range want {
+		want[i] = sentinel
+	}
+	goKernels[kind](qs, rows, dim, j0, j1, nc, want)
+
+	got, outIntact := guarded(nq * nc)
+	for i := range got {
+		got[i] = sentinel
+	}
+	cols, colsIntact := guarded(n * dim)
+	copy(cols, transposed(rows, n, dim))
+	vecKernels[kind](qs, cols, dim, j0, j1, nc, got)
+	for i := range want {
+		if !sameScore(got[i], want[i]) {
+			return fmt.Errorf("%v dim=%d nq=%d tile=[%d,%d) of %d: out[%d] = %x (%v), Go kernel %x (%v)",
+				kind, dim, nq, j0, j1, nc, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+	if !outIntact() || !colsIntact() {
+		return fmt.Errorf("%v dim=%d nq=%d tile=[%d,%d) of %d: wrote outside its buffers", kind, dim, nq, j0, j1, nc)
+	}
+	return nil
+}
+
+// specials are planted among random values so that signed zeros, infinities
+// (and the NaNs their differences and products make) and exact ties reach
+// every lane position.
+var specials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1, 0.5, math.SmallestNonzeroFloat64, math.MaxFloat64}
+
+func plantedVec(rng *rand.Rand, n int) []float64 {
+	v := randVec(rng, n)
+	for i := range v {
+		if rng.Intn(16) == 0 {
+			v[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return v
+}
+
+// The three assembly kernels against the three Go kernels, directly: every
+// accumulator width (tiles of 4 to 100 candidates), odd and tiny dims, a
+// tile in the middle of a wider pool, and no write outside the tile's scores.
+func TestVectorKernelsMatchGoKernels(t *testing.T) {
+	needVectorLane(t)
+	rng := rand.New(rand.NewSource(5))
+	for kind := kindDot; kind < numKinds; kind++ {
+		for _, dim := range []int{1, 2, 3, 4, 7, 32, 64, 100, 128, 256} {
+			if kind == kindRot && dim < 2 {
+				continue // no complex dim: vecTile rejects it
+			}
+			for _, n := range []int{4, 8, 12, 16, 24, 28, 32, 36, 60, 64, 100} {
+				for _, nq := range []int{1, 5, 54} {
+					qs, rows := plantedVec(rng, nq*dim), plantedVec(rng, n*dim)
+					copy(rows[dim:2*dim], rows[:dim]) // candidates 0 and 1 tie exactly
+					j0 := rng.Intn(7)
+					if err := checkTileKernels(kind, qs, rows, dim, j0, j0+n, j0+n+rng.Intn(5)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// vecTile is the boundary in front of the assembly: a shape the kernels do
+// not take, or storage shorter than the shape, panics in Go.
+func TestVectorKernelRejectsBadShapes(t *testing.T) {
+	needVectorLane(t)
+	const dim, nq = 8, 3
+	for name, c := range map[string]struct {
+		kind            tileKind
+		qs, cols, out   int
+		dim, j0, j1, nc int
+	}{
+		"not a multiple of four": {kindDot, nq * dim, 6 * dim, nq * 6, dim, 0, 6, 6},
+		"empty tile":             {kindL1, nq * dim, 4 * dim, nq * 4, dim, 2, 2, 4},
+		"tile past the pool":     {kindDot, nq * dim, 8 * dim, nq * 8, dim, 4, 12, 8},
+		"negative start":         {kindDot, nq * dim, 4 * dim, nq * 4, dim, -4, 0, 4},
+		"short tile":             {kindL1, nq * dim, 4*dim - 1, nq * 4, dim, 0, 4, 4},
+		"short scores":           {kindRot, nq * dim, 4 * dim, nq*4 - 1, dim, 0, 4, 4},
+		"RotatE without a dim":   {kindRot, nq, 4, nq * 4, 1, 0, 4, 4},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the vector kernel wrapper did not panic", name)
+				}
+			}()
+			vecKernels[c.kind](make([]float64, c.qs), make([]float64, c.cols), c.dim, c.j0, c.j1, c.nc, make([]float64, c.out))
+		}()
+	}
+}
+
+// A candidate id outside the entity table — what a faulty third-party
+// CandidateProvider could hand the executor — is a Go bounds panic on both
+// lanes, raised before any row pointer exists for the assembly to follow.
+func TestOutOfRangeCandidatePanicsInGo(t *testing.T) {
+	const rows, dim = 64, 16
+	g := &kg.Graph{NumEntities: rows, NumRelations: 2}
+	for _, m := range []Model{NewDistMult(g, dim, 1), NewTransE(g, dim, 1), NewRotatE(g, dim, 1)} {
+		for _, p := range []store.Precision{store.Float64, store.Float32, store.Int8} {
+			for _, bad := range []int32{rows, rows + 1000, -1} {
+				for _, at := range []int{0, 5, 8, 10} { // inside a vector group, and in a pool's Go-scored tail
+					cands := []int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+					cands[at] = bad
+					func() {
+						defer func() {
+							err, ok := recover().(runtime.Error)
+							if !ok || !strings.Contains(err.Error(), "out of range") {
+								t.Errorf("%s %v id=%d at %d: recovered %v, want a bounds panic", m.Name(), p, bad, at, err)
+							}
+						}()
+						bs := NewBatchScorer(m, BatchOptions{Precision: p, Tile: 8})
+						bs.ScoreTailsBatch([]int32{0, 1}, 0, cands, make([]float64, 2*len(cands)))
+					}()
+				}
+			}
+		}
+	}
+}
+
+// TestVectorLaneMatchesGoKernels is the whole lane against the whole lane
+// through NewBatchScorer: two scorers over the same model and store, one with
+// its vector kernel taken away, must fill out with the same bits — over
+// every dim and tile the kernels specialise on, chunk sizes from one query to
+// the planner's 54, consecutive and scattered pools whose length leaves
+// sub-group tails, all three precisions, both directions, all seven models,
+// and entity rows planted with exact duplicates, signed zeros and
+// infinities.
+func TestVectorLaneMatchesGoKernels(t *testing.T) {
+	needVectorLane(t)
+	const rows = 260
+	g := &kg.Graph{NumEntities: rows, NumRelations: 3}
+	dims := []int{1, 2, 3, 4, 7, 32, 64, 100, 128, 256}
+	if testing.Short() {
+		dims = []int{3, 4, 32, 100}
+	}
+	tiles := []int{1, 3, 4, 5, 8, 24, 32, 64, 100}
+	ents := make([]int32, 54)
+	rng := rand.New(rand.NewSource(17))
+	for i := range ents {
+		ents[i] = int32(rng.Intn(rows))
+	}
+	compared := 0
+	for _, dim := range dims {
+		for _, m := range laneModels(t, g, dim, 23) {
+			if m.Name() == "TuckER" && dim > 64 {
+				continue // its core tensor is dim³ values: 134 MB at 256, and its kernel is DistMult's
+			}
+			// Plant before the first scorer: the reduced-precision stores
+			// snapshot the table when first used.
+			w, d := m.(batchNative).entityTable().w, m.Dim()
+			copy(w[41*d:42*d], w[40*d:41*d])
+			copy(w[200*d:201*d], w[40*d:41*d])
+			for i, v := range specials[:4] {
+				w[(50+i)*d+i%d] = v
+				w[(120+i)*d+(d-1)] = v
+			}
+			for _, p := range []store.Precision{store.Float64, store.Float32, store.Int8} {
+				for _, tile := range tiles {
+					vec := NewBatchScorer(m, BatchOptions{Precision: p, Tile: tile}).(*storeScorer)
+					ref := NewBatchScorer(m, BatchOptions{Precision: p, Tile: tile}).(*storeScorer)
+					ref.vec = nil
+					n := 2*tile + 3
+					pools := map[string][]int32{"consecutive": make([]int32, n), "scattered": make([]int32, n)}
+					for j := 0; j < n; j++ {
+						pools["consecutive"][j] = int32(38 + j)
+						pools["scattered"][j] = int32(rng.Intn(rows))
+					}
+					copy(pools["scattered"], []int32{40, 200, 41, 50, 51, 52, 53})
+					for pname, cands := range pools {
+						for _, nq := range []int{1, 5, 54} {
+							for _, tails := range []bool{true, false} {
+								got, want := make([]float64, nq*n), make([]float64, nq*n)
+								if tails {
+									vec.ScoreTailsBatch(ents[:nq], 1, cands, got)
+									ref.ScoreTailsBatch(ents[:nq], 1, cands, want)
+								} else {
+									vec.ScoreHeadsBatch(ents[:nq], 1, cands, got)
+									ref.ScoreHeadsBatch(ents[:nq], 1, cands, want)
+								}
+								for i := range want {
+									if !sameScore(got[i], want[i]) {
+										t.Fatalf("%s dim=%d %v tile=%d %s nq=%d tails=%v: score[%d] = %x (%v), Go lane %x (%v)",
+											m.Name(), dim, p, tile, pname, nq, tails, i,
+											math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+									}
+								}
+								compared += len(want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d scores compared by bits", compared)
+}
+
+// FuzzTileKernels lets the fuzzer pick the shape (kernel, dim, candidate
+// groups, queries, where the tile sits in its pool) and the bytes of every
+// query and candidate value, and holds the assembly to the Go kernels by
+// bits and to its buffers by guard words.
+func FuzzTileKernels(f *testing.F) {
+	needVectorLane(f)
+	special := make([]byte, 0, 8*len(specials))
+	for _, v := range specials {
+		special = binary.LittleEndian.AppendUint64(special, math.Float64bits(v))
+	}
+	f.Add(uint8(0), uint8(8), uint8(8), uint8(3), uint8(0), special)
+	f.Add(uint8(1), uint8(5), uint8(1), uint8(1), uint8(2), special)
+	f.Add(uint8(2), uint8(6), uint8(9), uint8(5), uint8(1), special)
+	f.Add(uint8(2), uint8(3), uint8(13), uint8(2), uint8(3), []byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, kindB, dimB, groupsB, nqB, padB uint8, data []byte) {
+		kind := tileKind(kindB % uint8(numKinds))
+		dim := 1 + int(dimB)%80
+		if kind == kindRot && dim < 2 {
+			dim = 2
+		}
+		n := 4 * (1 + int(groupsB)%18)
+		nq := 1 + int(nqB)%6
+		j0 := int(padB) % 5
+		nc := j0 + n + int(padB)/5%4
+		// Values are the fuzzer's bytes, eight at a time, repeated to fill.
+		vals := make([]float64, (nq+n)*dim)
+		var word [8]byte
+		for i := range vals {
+			for b := range word {
+				word[b] = 0
+				if len(data) > 0 {
+					word[b] = data[(8*i+b)%len(data)]
+				}
+			}
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
+		}
+		if err := checkTileKernels(kind, vals[:nq*dim], vals[nq*dim:], dim, j0, j0+n, nc); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -111,6 +111,8 @@ func (m *TransE) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
 	scoreL1Tile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
+func (m *TransE) tileKind() tileKind { return kindL1 }
+
 // gradStep: d(−‖h+r−t‖₁)/dh_i = −sign(h_i+r_i−t_i), etc.
 func (m *TransE) gradStep(h, r, t int32, coeff, lr float64) {
 	hv, rv, tv := m.ent.vec(h), m.rel.vec(r), m.ent.vec(t)

@@ -163,6 +163,8 @@ func (m *TuckER) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
 	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
 }
 
+func (m *TuckER) tileKind() tileKind { return kindDot }
+
 func (m *TuckER) gradStep(h, r, t int32, coeff, lr float64) {
 	d := m.dim
 	hv, rv, tv := m.ent.vec(h), m.rel.vec(r), m.ent.vec(t)

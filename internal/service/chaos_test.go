@@ -299,6 +299,11 @@ func TestServerQueueFullRetryAfter(t *testing.T) {
 	srv, engine := newTestServer(t, EngineConfig{Workers: 1, EvalWorkers: 1, QueueDepth: 1})
 	g := engine.Graph()
 	blocker := snapshotModel(t, g, "ComplEx", 512, 5)
+	// The first job stalls in the one worker, so the queue behind it fills
+	// whatever a full-protocol pass costs: the test used to count on that
+	// pass outlasting a few submissions, which under -race (Go slowed ~10×,
+	// the assembly kernels not at all) it no longer does.
+	armFault(t, faults.SiteWorker, faults.Plan{Action: faults.Stall, Stall: time.Minute, Limit: 1})
 
 	post := func() *http.Response {
 		t.Helper()

@@ -44,9 +44,9 @@
 //	                      sites cost one atomic load
 //	internal/kgc          TransE/DistMult/ComplEx/RESCAL/RotatE/TuckER/ConvE;
 //	                      the embedding models implement BatchScorer, scoring
-//	                      all queries of a relation chunk against L1-sized
-//	                      tiles of candidates filled from the entity store
-//	                      one tile at a time — one kernel per model at every
+//	                      a block of up to 64 directed queries that share a
+//	                      pool against L1-sized tiles of candidates filled
+//	                      from the entity store one tile at a time — one kernel per model at every
 //	                      precision, never a pool-sized candidate block. Two
 //	                      lanes with the same bits: AVX2 assembly kernels
 //	                      with four candidates per vector register where the

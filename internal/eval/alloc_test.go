@@ -38,9 +38,9 @@ func TestRotatEPassAllocatesNoMoreThanDistMult(t *testing.T) {
 // one |E| × dim block, where the gather lane allocated one such block per
 // worker.
 func TestFullProtocolPassAllocatesTilesNotPools(t *testing.T) {
-	old := batchFloatBudget
-	batchFloatBudget = 4096 // keep the score buffer out of the measurement's way
-	defer func() { batchFloatBudget = old }()
+	// Keep the block's own buffers — 8 query rows of 512, 4096 scores — out
+	// of the measurement's way.
+	shrinkChunks(t, 8, 4096)
 
 	const dim, workers = 512, 2
 	g := evalGraph(t)

@@ -45,33 +45,49 @@ func TestExecutorMatchesOracleAllModelsAllStrategies(t *testing.T) {
 	}
 }
 
-// A pool larger than the whole score-buffer budget runs one query per
-// task: the chunk-of-one still goes through the batch kernels and must
-// still rank exactly as the oracle does. Shrinking the budget forces that
-// regime (what a >65k-entity graph sees under the full protocol) on a small
-// graph.
-func TestOneQueryChunksMatchOracle(t *testing.T) {
-	old := batchFloatBudget
-	batchFloatBudget = 16 // pools of 30 and |E| both exceed it
-	defer func() { batchFloatBudget = old }()
+// shrinkChunks runs the rest of the test with blocks of at most queries
+// directed queries and a score buffer of budget floats, so that a full block
+// is swept in strips of budget/queries candidates: every pool of the small
+// test graphs takes several strips, as a pool of a million entities does
+// under the real parameters.
+func shrinkChunks(t *testing.T, queries, budget int) {
+	oldQ, oldB := maxBatchQueries, batchFloatBudget
+	maxBatchQueries, batchFloatBudget = queries, budget
+	t.Cleanup(func() { maxBatchQueries, batchFloatBudget = oldQ, oldB })
+}
 
+// A pool longer than one strip is scored and ranked strip by strip, with the
+// rank counters and the known-positive cursor carried across strip edges:
+// with strips of four candidates under blocks of six queries (longer ones
+// under the shorter blocks that end a relation) the answers and known
+// positives of the test graph fall on both sides of, and right at, those
+// edges. Every model, on every strategy, must still rank exactly as the
+// oracle does.
+func TestMultiStripPoolsMatchOracle(t *testing.T) {
+	shrinkChunks(t, 6, 24)
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
-	providers := map[string]CandidateProvider{
-		"Random": &RandomProvider{NumEntities: g.NumEntities, N: 30},
-		"Full":   NewFullProvider(g.NumEntities),
-	}
-	for _, name := range []string{"TransE", "DistMult", "RotatE", "ConvE"} {
+	providers := equivalenceProviders(t, g)
+	for _, name := range kgc.ModelNames() {
 		m, err := kgc.New(name, g, 16, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for pname, p := range providers {
-			queries := subsample(g.Test, Options{})
-			if pl := newPlan(queries, p, Options{Seed: 9}); len(pl.tasks) != len(queries) {
-				t.Fatalf("%s: %d tasks for %d queries, want one query per task", pname, len(pl.tasks), len(queries))
+			opts := Options{Filter: filter, Seed: 9, Workers: 2}
+			pl := newPlan(g.Test, p, opts)
+			for _, task := range pl.tasks {
+				gr := &pl.groups[task.group]
+				nq, pool := task.triples, min(len(gr.tailPool), len(gr.headPool))
+				if samePool(gr.tailPool, gr.headPool) {
+					nq *= 2
+				}
+				if nq > maxBatchQueries || (nq == maxBatchQueries && pool < 3*batchFloatBudget/nq) {
+					t.Fatalf("%s: a block of %d queries over a pool of %d: want at most %d, swept in several strips of %d",
+						pname, nq, pool, maxBatchQueries, batchFloatBudget/nq)
+				}
 			}
-			checkAgainstOracle(t, name+"/"+pname+"/one-query chunks", m, m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 2})
+			checkAgainstOracle(t, name+"/"+pname+"/strips", m, m, g, g.Test, p, opts)
 		}
 	}
 }

@@ -17,16 +17,18 @@
 // sampling events per evaluation, the paper's key complexity reduction.
 //
 // Execution is organized around the same unit the complexity argument is
-// about: the relation. An evaluation pass compiles the split into a
-// relation-grouped plan (plan.go) — queries bucketed per relation, pools in
-// flat slices — and scores each relation's queries in batches via
-// kgc.BatchScorer, which walks the pool in small tiles of candidate rows —
-// transposed a tile at a time for the AVX2 kernels, or read from the entity
-// table in place (copied/dequantized where that is not possible) by the Go
-// kernels, with the same bits either way — and scores every query of the
-// batch against each tile. EvaluateMany
-// reuses a single plan across many models, amortizing pool construction for
-// multi-model workloads.
+// about: the pool. A pass compiles the split into a relation-grouped plan
+// (plan.go) — queries bucketed per relation, pools in flat slices — cut into
+// tasks: runs of triples whose queries rank against the same pool. A task is
+// scored as a block of up to 64 directed queries swept over its pool once, in
+// strips: kgc.BatchScorer scores the block against a few hundred candidates,
+// a kernel tile at a time, and the strip is ranked before the next is scored,
+// so the score buffer is block × strip whatever the pool's size. Queries
+// share a block when their pools are the same slice (samePool): never for
+// drawn samples — a sampled task is one relation's tail block, then its head
+// block — always under the full protocol, whose blocks mix relations and both
+// directions and so read the entity table once per 64 queries. EvaluateMany
+// reuses a single plan across many models, amortizing pool construction.
 package eval
 
 import (
@@ -34,6 +36,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -79,13 +82,13 @@ type StageTimings struct {
 	PlanCompile time.Duration
 	// PoolDraw covers the 2·|R| candidate pool samplings.
 	PoolDraw time.Duration
-	// Score covers model scoring: query building, the tile-fed batch
-	// kernels and true-triple scoring.
+	// Score covers model scoring: building each block's queries, true-triple
+	// scoring and the tile-fed batch kernels over every strip.
 	Score time.Duration
-	// RankMerge covers rank counting with the known-positive merge sweep.
+	// RankMerge covers rank counting, strip by strip (count, then correct).
 	RankMerge time.Duration
-	// KernelTile is the batch-kernel candidate tile the pass selected at
-	// plan compile time (kgc.TileFor over pool size × dim × precision).
+	// KernelTile is the batch-kernel candidate tile the pass selected for
+	// its model (kgc.TileFor over the plan's largest pool × dim × precision).
 	KernelTile int
 	// Kernel names the scoring lane that produced Score: "avx2" (the vector
 	// tile kernels) or "go" (kgc.Kernel). The lane is fixed per process by
@@ -119,19 +122,19 @@ type Options struct {
 	// for plain third-party Models (no native batch lane), which always score
 	// at float64 through their own methods.
 	Precision store.Precision
-	// Ctx, when non-nil, allows cancelling an evaluation mid-pass. On
-	// cancellation Evaluate returns early with metrics computed over the
-	// queries completed so far (Result.Queries reflects the partial count).
+	// Ctx, when non-nil, allows cancelling an evaluation mid-pass, between
+	// two strips. On cancellation Evaluate returns early with metrics over
+	// the queries completed so far (Result.Queries is the partial count).
 	//
 	// Ctx also carries the trace span, if any (obs/trace.ContextWith): when
 	// present, the pass records a span tree under it — plan compile, pool
-	// draw, one pass span per model, and per-relation-chunk child spans with
-	// relation/pool/precision/tile attributes. Without a span in Ctx the
+	// draw, one pass span per model, and per-task "eval.chunk" child spans with
+	// relations/queries/pool/strips/precision/tile attributes. Without a span in Ctx the
 	// tracing call sites reduce to nil-pointer checks.
 	Ctx context.Context
 	// TraceChunkSample throttles per-chunk span recording on traced passes:
 	// 0 or 1 records every batch task (the default — a task is tens of
-	// queries, so this is cheap), N > 1 records every Nth task, and a
+	// triples, so this is cheap), N > 1 records every Nth task, and a
 	// negative value disables chunk spans while keeping the pass-level
 	// spans. Irrelevant when Ctx carries no trace.
 	TraceChunkSample int
@@ -172,11 +175,11 @@ type CandidateProvider interface {
 // and a head query (?, r, t) ranked against its domain pool.
 //
 // Execution is relation-grouped: the split is partitioned by relation, each
-// relation's pools are drawn once (2·|R| sampling events), and all queries
-// of a relation are scored in batches over the pool's candidate tiles
-// (kgc.BatchScorer). Any kgc.Model is accepted: the built-in models score
+// relation's pools are drawn once (2·|R| sampling events), and queries that
+// rank against the same pool are scored in blocks over the pool's candidate
+// tiles (kgc.BatchScorer; see the package comment). Any kgc.Model is accepted: the built-in models score
 // through the store-backed batch lane, a plain third-party Model through an
-// adapter that loops its own ScoreTails/ScoreHeads per query.
+// adapter that loops its own ScoreTails/ScoreHeads per query and strip.
 //
 // Evaluate is EvaluateMany over a fleet of one, with the plan's construction
 // time counted in Elapsed.
@@ -202,6 +205,9 @@ func EvaluateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, provider Candi
 	if opts.Filter == nil {
 		opts.Filter = kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	}
+	if opts.Ctx == nil {
+		opts.Ctx = context.Background()
+	}
 	queries := subsample(split, opts)
 	traceID := trace.FromContext(opts.Ctx).TraceID()
 	p := newPlan(queries, provider, opts)
@@ -209,7 +215,7 @@ func EvaluateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, provider Candi
 	results := make([]Result, len(ms))
 	var done atomic.Int64
 	for i, m := range ms {
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
+		if opts.Ctx.Err() != nil {
 			break
 		}
 		results[i] = runPass(m, p, opts, len(ms)*len(queries), &done)
@@ -218,33 +224,82 @@ func EvaluateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, provider Candi
 	return results
 }
 
-// rankScores ranks the true entity against candidate scores, filtering known
-// positives: rank = 1 + #{strictly better} + #{ties}/2 (LibKGE's "realistic"
-// tie policy). cands and known are both sorted ascending (the
-// CandidateProvider contract and the FilterIndex layout), so known-positive
-// filtering is a single merge sweep instead of one binary search per
-// candidate.
-func rankScores(truth int32, trueScore float64, cands []int32, scores []float64, known []int32) float64 {
+// blockQuery is one directed query of a block while its pool is swept, one
+// strip at a time in pool order (count); the counters are integers, so where
+// the strips are cut does not show in the rank.
+type blockQuery struct {
+	slot         int     // index into pass.ranks: 2·query for the tail side, +1 for the head side
+	truth        int32   // the answer entity
+	score        float64 // the true triple's score
+	known        []int32 // known positives (sorted, the FilterIndex layout) the sweep has not passed
+	better, ties int
+}
+
+// count adds one strip to the counters: how many of cands that are neither
+// the answer nor a known positive score strictly better than the true triple,
+// and how many tie with it. It counts first and corrects after: every score
+// is compared with no filtering in the loop, then the answer and the known
+// positives inside the strip are looked up (both lists are sorted ascending,
+// so uncount walks them in step) and what they added is taken back. cands may
+// repeat an id; known must not (FilterIndex lists are sortedUnique), or an
+// id would be taken back twice. An empty strip counts nothing.
+func (q *blockQuery) count(cands []int32, scores []float64) {
+	if len(cands) == 0 {
+		return
+	}
 	better, ties := 0, 0
-	ki := 0
-	for i, c := range cands {
-		if c == truth {
-			continue
-		}
-		for ki < len(known) && known[ki] < c {
-			ki++
-		}
-		if ki < len(known) && known[ki] == c {
-			continue
-		}
-		switch {
-		case scores[i] > trueScore:
+	for _, s := range scores {
+		if s > q.score {
 			better++
-		case scores[i] == trueScore:
+		}
+		if s == q.score {
 			ties++
 		}
 	}
-	return 1 + float64(better) + float64(ties)/2
+	q.better += better
+	q.ties += ties
+
+	last := cands[len(cands)-1]
+	q.uncount(cands, scores, 0, q.truth)
+	i, ki := 0, 0
+	for ; ki < len(q.known) && q.known[ki] <= last; ki++ {
+		if k := q.known[ki]; k != q.truth {
+			i = q.uncount(cands, scores, i, k)
+		}
+	}
+	if ki > 0 && q.known[ki-1] == last {
+		ki-- // a pool that repeats an id may repeat it across the strip's edge
+	}
+	q.known = q.known[ki:]
+}
+
+// uncount takes back what the candidates equal to id added and returns where
+// they start, or would: every candidate before from is below id. It gallops
+// there, so a long known list costs a step per entry on a short strip and a
+// short one a binary search each.
+func (q *blockQuery) uncount(cands []int32, scores []float64, from int, id int32) int {
+	step := 1
+	for from+step < len(cands) && cands[from+step] < id {
+		from += step
+		step *= 2
+	}
+	i, _ := slices.BinarySearch(cands[from:min(from+step, len(cands))], id)
+	from += i
+	for i = from; i < len(cands) && cands[i] == id; i++ {
+		switch {
+		case scores[i] > q.score:
+			q.better--
+		case scores[i] == q.score:
+			q.ties--
+		}
+	}
+	return from
+}
+
+// rank is the filtered rank once the whole pool has been counted:
+// 1 + #{strictly better} + #{ties}/2 (LibKGE's "realistic" tie policy).
+func (q *blockQuery) rank() float64 {
+	return 1 + float64(q.better) + float64(q.ties)/2
 }
 
 // oneHead is the one-candidate pool scoreHeadOne scores through. Both

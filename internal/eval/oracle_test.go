@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"kgeval/internal/kg"
@@ -190,6 +193,104 @@ func TestOracleGatePlainModelsAndProperties(t *testing.T) {
 		others = len(filter.Heads(q.R, q.T)) - 1
 		if want := 1 + float64(g.NumEntities-others-1)/2; ranks[2*i+1] != want {
 			t.Errorf("const model, head query %d: rank %v, want %v", i, ranks[2*i+1], want)
+		}
+	}
+}
+
+// blockQuery.count is resumable: fed a pool in strips of any length it ends
+// on the rank naiveRank gives the whole pool. The pools here repeat ids (the
+// provider contract says sorted, not distinct), so an answer or a known
+// positive can sit on both sides of a strip edge, and every strip length from
+// one candidate to the whole pool puts the edges everywhere.
+func TestStripCountsMatchNaiveRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		pool := make([]int32, n)
+		scores := make([]float64, n)
+		for i := range pool {
+			pool[i] = int32(rng.Intn(30))
+			scores[i] = float64(rng.Intn(5)) // few levels: ties everywhere
+		}
+		slices.Sort(pool)
+		var known []int32
+		for e := int32(0); e < 32; e++ {
+			if rng.Intn(3) == 0 {
+				known = append(known, e)
+			}
+		}
+		truth, trueScore := int32(rng.Intn(32)), float64(rng.Intn(5))
+		want := naiveRank(pool, scores, trueScore, truth, known)
+		for strip := 1; strip <= n; strip++ {
+			q := blockQuery{truth: truth, score: trueScore, known: known}
+			for j0 := 0; j0 < n; j0 += strip {
+				j1 := min(j0+strip, n)
+				q.count(pool[j0:j0], nil) // an empty strip counts nothing
+				q.count(pool[j0:j1], scores[j0:j1])
+			}
+			if got := q.rank(); got != want {
+				t.Fatalf("trial %d, strips of %d: rank %v, naive %v (pool %v, known %v, truth %d)",
+					trial, strip, got, want, pool, known, truth)
+			}
+		}
+	}
+}
+
+// Under the full protocol every pool is one slice, so a block mixes the
+// relations of a run of triples and both directions of each. The models whose
+// scorers keep per-relation state (TuckER's relation matrix, ConvE's
+// reciprocal relation and conv stack, RotatE's routed true-triple scores) and
+// plain third-party models replayed by batchAdapter must come out of such
+// blocks with the oracle's metrics — at any worker count, which moves the
+// cuts between blocks, and with pools swept in one strip or in many.
+func TestMixedRelationBlocksMatchOracle(t *testing.T) {
+	g := evalGraph(t)
+	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
+	full := NewFullProvider(g.NumEntities)
+	var ms []kgc.Model
+	for _, name := range []string{"TuckER", "ConvE", "RotatE"} {
+		m, err := kgc.New(name, g, 16, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	ms = append(ms, plainModel{ms[0]}, plainModel{ms[1]}, formulaModel{})
+
+	// 40 triples over 8 relations: a handful per relation. Blocks of the
+	// real size take the pool in one strip; blocks of 12 triples (24 directed
+	// queries) over a 96-float buffer take it four candidates at a time, so
+	// the native scorers' multi-query, multi-relation blocks cross 75 strip
+	// edges each.
+	opts := Options{Filter: filter, Seed: 9, MaxQueries: 40}
+	for _, strips := range []string{"one strip", "many strips"} {
+		if strips == "many strips" {
+			shrinkChunks(t, 24, 96)
+		}
+		for _, workers := range []int{1, 2} {
+			opts.Workers = workers
+			mixed := 0
+			for _, task := range newPlan(subsample(g.Test, opts), full, opts).tasks {
+				mixed = max(mixed, task.relations)
+			}
+			if mixed < 3 {
+				t.Fatalf("%s, %d workers: no task mixes 3 relations (most: %d)", strips, workers, mixed)
+			}
+		}
+		for _, m := range ms {
+			var first Result
+			for _, workers := range []int{1, 2, 7} {
+				opts.Workers = workers
+				label := fmt.Sprintf("%s/%s/%d workers", m.Name(), strips, workers)
+				checkAgainstOracle(t, label, m, m, g, g.Test, full, opts)
+				res := Evaluate(m, g, g.Test, full, opts)
+				if workers == 1 {
+					first = res
+				} else if res.Metrics != first.Metrics || res.CandidatesScored != first.CandidatesScored {
+					t.Errorf("%s: %+v (%d scored) != one worker's %+v (%d scored)",
+						label, res.Metrics, res.CandidatesScored, first.Metrics, first.CandidatesScored)
+				}
+			}
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // relGroup is the unit of the relation-grouped execution plan: all queries
 // of one relation, plus the relation's two candidate pools. Keeping pools on
 // the group (flat slices, no map lookups) is what lets the hot loop batch
-// every query of the relation over each tile of candidate rows.
+// queries over each tile of candidate rows.
 type relGroup struct {
 	r        int32
 	idx      []int // indices into plan.queries, ascending
@@ -24,39 +24,44 @@ type relGroup struct {
 	headPool []int32
 }
 
-// batchTask is one worker-schedulable slice of a relation group. Groups are
-// chunked so large relations parallelize across workers and so the score
-// buffer (chunk × pool) stays bounded; cancellation takes effect between
-// tasks.
+// batchTask is one worker-schedulable run of triples in plan order: it starts
+// at triple lo of groups[group] and runs on through relations groups in all,
+// crossing only into groups whose two pools are the very slices of the one
+// before (samePool) — one block over one pool, or a tail and a head block.
 type batchTask struct {
-	group  *relGroup
-	lo, hi int // range within group.idx
+	group, lo, triples, relations int
+}
+
+// samePool reports whether two pools are the same slice — base pointer and
+// length, not equal contents: what the provider handed out (one slice for all
+// of the full protocol, a fresh one per drawn sample) decides who shares a sweep.
+func samePool(a, b []int32) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Chunking parameters. Variables rather than constants so tests can shrink
-// them to exercise the large-pool regime on small graphs.
+// them, each on its own, to put many strips and block edges on small graphs.
 var (
-	// batchFloatBudget caps a batch task's score buffer at 64k floats
-	// (512 KB per worker) — or at one query's pool, when a single pool is
-	// larger than that.
-	batchFloatBudget = 1 << 16
-	// maxBatchQueries caps queries per task so cancellation latency and
-	// worker load imbalance stay small even for tiny pools.
+	// batchFloatBudget caps a worker's score buffer (block queries × strip)
+	// at 32k floats (256 KB) whatever the pool's size; more buys nothing
+	// (BenchmarkFullPass runs as fast on strips of 384 as of 1 024).
+	batchFloatBudget = 1 << 15
+	// maxBatchQueries caps the directed queries of a block: enough to
+	// amortize each tile of candidate rows, few enough to balance workers.
 	maxBatchQueries = 64
 )
 
 // plan is the shared, read-only structure of one evaluation pass: the (possibly
 // subsampled) query set grouped by relation, each group's candidate pools
-// drawn exactly once (2·|R| sampling events), and the group chunking. One
+// drawn exactly once (2·|R| sampling events), and the cut into tasks. One
 // plan can execute any number of models, which is how EvaluateMany amortizes
 // pool construction across a model fleet.
 type plan struct {
 	queries []kg.Triple
 	groups  []relGroup
 	tasks   []batchTask
-	// maxPool is the largest candidate pool over all groups, set by chunk();
-	// together with model dim and precision it keys the kernel tile
-	// selection (kgc.TileFor).
+	// maxPool is the largest candidate pool over all groups; together with
+	// model dim and precision it keys the kernel tile selection (kgc.TileFor).
 	maxPool int
 	// compileTime and poolTime are the plan's one-time setup costs
 	// (grouping + chunking, and the 2·|R| pool draws), recorded here so
@@ -112,32 +117,45 @@ func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *pla
 		g := &p.groups[gi]
 		g.tailPool = provider.Candidates(g.r, true, rng)
 		g.headPool = provider.Candidates(g.r, false, rng)
+		p.maxPool = max(p.maxPool, len(g.tailPool), len(g.headPool))
 	}
 	p.poolTime = time.Since(drawStart)
 	compileSpan.ChildRecord("eval.pool_draw", drawStart, drawStart.Add(p.poolTime),
 		trace.Int("pools", 2*len(p.groups)), trace.String("provider", provider.Name()))
-	p.chunk()
+	p.chunk(opts.workers())
 	p.compileTime = time.Since(start) - p.poolTime
 	compileSpan.End(trace.Int("relations", len(p.groups)), trace.Int("tasks", len(p.tasks)),
 		trace.Int("queries", len(queries)), trace.Int("max_pool", p.maxPool))
 	return p
 }
 
-// chunk slices each group into batchTasks sized to the float budget: the
-// score buffer (chunk × pool) is the only per-task state that grows with
-// the pool, so a pool larger than the whole budget runs one query per task.
-func (p *plan) chunk() {
+// chunk cuts the plan into tasks. A task holds the triples of one block:
+// maxBatchQueries directed queries — half as many triples when the tail and
+// head pools are one slice and both directions share the block — and never so
+// many that there are fewer tasks than workers. The pool's size does not
+// enter (runBlock sweeps it in strips); ranks do not depend on the cuts.
+func (p *plan) chunk(workers int) {
+	perWorker := (len(p.queries) + workers - 1) / workers
 	for gi := range p.groups {
 		g := &p.groups[gi]
-		pool := max(len(g.tailPool), len(g.headPool))
-		p.maxPool = max(p.maxPool, pool)
-		b := maxBatchQueries
-		if pool > 0 {
-			b = max(1, min(b, batchFloatBudget/pool))
+		limit := maxBatchQueries
+		if samePool(g.tailPool, g.headPool) {
+			limit /= 2
 		}
-		for lo := 0; lo < len(g.idx); lo += b {
-			hi := min(lo+b, len(g.idx))
-			p.tasks = append(p.tasks, batchTask{group: g, lo: lo, hi: hi})
+		limit = max(1, min(limit, perWorker))
+		lo := 0
+		if n := len(p.tasks); n > 0 {
+			// The last task ends where this group begins: top it up when it
+			// sweeps the same pools (and so has the same limit).
+			t, first := &p.tasks[n-1], &p.groups[p.tasks[n-1].group]
+			if t.triples < limit && samePool(first.tailPool, g.tailPool) && samePool(first.headPool, g.headPool) {
+				lo = min(limit-t.triples, len(g.idx))
+				t.triples += lo
+				t.relations++
+			}
+		}
+		for ; lo < len(g.idx); lo += limit {
+			p.tasks = append(p.tasks, batchTask{group: gi, lo: lo, triples: min(limit, len(g.idx)-lo), relations: 1})
 		}
 	}
 }
@@ -172,30 +190,26 @@ type pass struct {
 	span  *trace.Span
 }
 
-// worker is one scoring goroutine's private state. The scorer carries
-// per-scorer scratch (query rows, one candidate tile) that is reused across
-// the worker's tasks but is not safe to share between goroutines, so each
-// worker builds its own; the buffers are reused the same way. The tallies
-// are folded into the Result after the join: scoreNS and rankNS add section
-// durations at task granularity, so their totals measure CPU time spent per
-// stage (they exceed wall time on a parallel pass).
+// worker is one scoring goroutine's private state: its own scorer (whose
+// scratch — the block's query vectors, one candidate tile — is not safe to
+// share) and buffers, reused across its tasks. The tallies are folded into
+// the Result after the join; scoreNS and rankNS are CPU time, strip by strip.
 type worker struct {
 	bs     kgc.BatchScorer
-	scores []float64 // chunk × pool score block
-	ents   []int32   // the chunk's query entities
-	trues  []float64 // true-triple scores of the chunk
+	scores []float64    // block queries × strip
+	ents   []int32      // one relation's query entities, while its queries are built
+	qs     []blockQuery // the block's directed queries
 	head   oneHead
 
-	scored, scoreNS, rankNS int64
+	scored, scoreNS, rankNS, strips int64
 }
 
-// runPass executes one model over the plan — the relation-grouped executor:
-// workers claim batchTasks one at a time (par.Run) and score whole chunks
-// through the model's BatchScorer. Result.Elapsed and the eval.pass span
-// cover exactly this scoring pass; the plan-level Stages are copied in from
-// the plan. A panic in a scoring goroutine resurfaces on the caller with the
-// worker's stack, where the service layer's job-level recovery turns it into
-// one failed job.
+// runPass executes one model over the plan: workers claim batchTasks one at a
+// time (par.Run) and score each as one or two blocks through the model's
+// BatchScorer. Result.Elapsed and the eval.pass span cover exactly this
+// scoring pass; the plan-level Stages are copied in from the plan. A panic in
+// a scoring goroutine resurfaces on the caller with the worker's stack, where
+// the service layer's job-level recovery turns it into one failed job.
 func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic.Int64) Result {
 	start := time.Now()
 	ps := &pass{
@@ -207,22 +221,13 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 			trace.String("model", m.Name()), trace.Int("dim", m.Dim()),
 			trace.String("precision", opts.Precision.String()), trace.String("kernel", kgc.Kernel())),
 	}
-	var cancel <-chan struct{} // nil (never ready) without a context
-	if opts.Ctx != nil {
-		cancel = opts.Ctx.Done()
-	}
 	workers := make([]worker, min(opts.workers(), len(p.tasks)))
 	par.Run(len(p.tasks), len(workers), 1, func(wi, lo, hi int) {
 		w := &workers[wi]
 		if w.bs == nil {
 			w.bs = kgc.NewBatchScorer(m, kgc.BatchOptions{Precision: opts.Precision, Tile: ps.tile})
 		}
-		for ti := lo; ti < hi; ti++ {
-			select {
-			case <-cancel:
-				return
-			default:
-			}
+		for ti := lo; ti < hi && opts.Ctx.Err() == nil; ti++ {
 			ps.runTask(w, ti)
 		}
 	})
@@ -250,94 +255,113 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 	return res
 }
 
-// runTask ranks task ti — one chunk of a relation group — in both
-// directions. The true tail is scored through the scorer's ScoreTriple and
-// the true head through its ScoreHeads over the one id, the rule the test
-// oracle applies through the plain Model methods. Section timings accumulate
-// locally and land on the worker once per task — two timed sections per
-// direction — keeping the instrumentation overhead far below one timestamp
-// per query. On a traced pass the task also records itself as one completed
-// "eval.chunk" child span carrying the relation, pool sizes, precision,
-// kernel tile and its stage split; chunk spans are sampled by task index so
-// the Nth-task selection is deterministic regardless of which worker draws
-// the task.
+// runTask ranks task ti: one block holding both directions of its triples
+// when their tail and head pools are one slice, otherwise a tail block and
+// then a head block. Progress is reported once both directions are ranked; a
+// task cancelled mid-sweep reports none. On a traced pass the task records
+// one "eval.chunk" child span (what it mixed, pool sizes, strips, tile, stage
+// split), sampled by task index, not by which worker draws the task.
 func (ps *pass) runTask(w *worker, ti int) {
-	p, opts := ps.plan, &ps.opts
-	t := p.tasks[ti]
-	g := t.group
-	idx := g.idx[t.lo:t.hi]
-	nq := len(idx)
+	t := ps.plan.tasks[ti]
+	g := &ps.plan.groups[t.group]
 	span := ps.span
-	if s := opts.TraceChunkSample; s < 0 || (s > 1 && ti%s != 0) {
+	if s := ps.opts.TraceChunkSample; s < 0 || (s > 1 && ti%s != 0) {
 		span = nil
 	}
-	var chunkStart time.Time
+	chunkStart := time.Now()
+	score0, rank0, strips0 := w.scoreNS, w.rankNS, w.strips
+	both := samePool(g.tailPool, g.headPool)
+	ranked := ps.runBlock(w, t, g.tailPool, true, both) && (both || ps.runBlock(w, t, g.headPool, false, true))
 	if span != nil {
-		chunkStart = time.Now()
+		span.ChildRecord("eval.chunk", chunkStart, time.Now(),
+			trace.Int("relations", t.relations), trace.Int("queries", 2*t.triples),
+			trace.Int("pool_tail", len(g.tailPool)), trace.Int("pool_head", len(g.headPool)),
+			trace.Int("strips", int(w.strips-strips0)), trace.Int("tile", ps.tile),
+			trace.String("precision", ps.opts.Precision.String()),
+			trace.Int64("score_ns", w.scoreNS-score0), trace.Int64("rank_ns", w.rankNS-rank0))
 	}
-	var scoreNS, rankNS int64
-	defer func() {
-		w.scoreNS += scoreNS
-		w.rankNS += rankNS
-		if span != nil {
-			span.ChildRecord("eval.chunk", chunkStart, time.Now(),
-				trace.Int("relation", int(g.r)), trace.Int("queries", nq),
-				trace.Int("pool_tail", len(g.tailPool)), trace.Int("pool_head", len(g.headPool)),
-				trace.String("precision", opts.Precision.String()), trace.Int("tile", ps.tile),
-				trace.Int64("score_ns", scoreNS), trace.Int64("rank_ns", rankNS))
-		}
-	}()
-
-	w.ents = kgc.Grow(w.ents, nq)
-	w.trues = kgc.Grow(w.trues, nq)
-	ents, trues, bs := w.ents, w.trues, w.bs
-
-	scoreStart := time.Now()
-	nc := len(g.tailPool)
-	for i, qi := range idx {
-		ents[i] = p.queries[qi].H
-	}
-	w.scores = kgc.Grow(w.scores, nq*nc)
-	scores := w.scores
-	bs.ScoreTailsBatch(ents, g.r, g.tailPool, scores)
-	for i, qi := range idx {
-		q := p.queries[qi]
-		trues[i] = bs.ScoreTriple(q.H, q.R, q.T)
-	}
-	scoreNS += int64(time.Since(scoreStart))
-
-	rankStart := time.Now()
-	for i, qi := range idx {
-		q := p.queries[qi]
-		ps.ranks[2*qi] = rankScores(q.T, trues[i], g.tailPool, scores[i*nc:(i+1)*nc], opts.Filter.Tails(q.H, q.R))
-	}
-	rankNS += int64(time.Since(rankStart))
-
-	scoreStart = time.Now()
-	hc := len(g.headPool)
-	for i, qi := range idx {
-		ents[i] = p.queries[qi].T
-	}
-	w.scores = kgc.Grow(w.scores, nq*hc)
-	scores = w.scores
-	bs.ScoreHeadsBatch(ents, g.r, g.headPool, scores)
-	for i, qi := range idx {
-		trues[i] = scoreHeadOne(bs, p.queries[qi], &w.head)
-	}
-	scoreNS += int64(time.Since(scoreStart))
-
-	rankStart = time.Now()
-	for i, qi := range idx {
-		q := p.queries[qi]
-		ps.ranks[2*qi+1] = rankScores(q.H, trues[i], g.headPool, scores[i*hc:(i+1)*hc], opts.Filter.Heads(q.R, q.T))
-	}
-	rankNS += int64(time.Since(rankStart))
-	w.scored += int64(nq) * int64(nc+hc)
-
-	for range idx {
+	for i := 0; ranked && i < t.triples; i++ {
 		d := ps.done.Add(1)
-		if opts.Progress != nil {
-			opts.Progress(int(d), ps.progressTotal)
+		if ps.opts.Progress != nil {
+			ps.opts.Progress(int(d), ps.progressTotal)
 		}
 	}
+}
+
+// runBlock builds one block of directed queries — the tail and/or head
+// queries of task t's triples, which all rank against pool — and sweeps it
+// over the pool once, in strips of as many whole kernel tiles as keep block ×
+// strip scores inside batchFloatBudget, ranking each strip as it is scored.
+// It reports false, with no rank written, when cancelled between two strips.
+// Queries are built and their true triples scored relation by relation, so
+// per-relation scorer state is computed once per relation of the block; the
+// true tail goes through ScoreTriple and the true head through ScoreHeads
+// over the one id, the rule the test oracle applies.
+func (ps *pass) runBlock(w *worker, t batchTask, pool []int32, tails, heads bool) bool {
+	p, filter, bs := ps.plan, ps.opts.Filter, w.bs
+	start := time.Now()
+	nq := t.triples
+	if tails && heads {
+		nq *= 2
+	}
+	bs.BeginBlock(nq)
+	qs := kgc.Grow(w.qs, nq)[:0]
+	gi, lo := t.group, t.lo
+	for left := t.triples; left > 0; gi, lo = gi+1, 0 {
+		g := &p.groups[gi]
+		idx := g.idx[lo:min(len(g.idx), lo+left)]
+		left -= len(idx)
+		w.ents = kgc.Grow(w.ents, len(idx))
+		if tails {
+			for i, qi := range idx {
+				w.ents[i] = p.queries[qi].H
+			}
+			bs.AddTails(w.ents, g.r)
+			for _, qi := range idx {
+				q := p.queries[qi]
+				qs = append(qs, blockQuery{slot: 2 * qi, truth: q.T,
+					score: bs.ScoreTriple(q.H, q.R, q.T), known: filter.Tails(q.H, q.R)})
+			}
+		}
+		if heads {
+			for i, qi := range idx {
+				w.ents[i] = p.queries[qi].T
+			}
+			bs.AddHeads(w.ents, g.r)
+			for _, qi := range idx {
+				q := p.queries[qi]
+				qs = append(qs, blockQuery{slot: 2*qi + 1, truth: q.H,
+					score: scoreHeadOne(bs, q, &w.head), known: filter.Heads(q.R, q.T)})
+			}
+		}
+	}
+	w.qs = qs
+
+	strip := max(1, batchFloatBudget/nq)
+	if strip > ps.tile {
+		strip -= strip % ps.tile
+	}
+	w.scores = kgc.Grow(w.scores, nq*min(strip, len(pool)))
+	for j0 := 0; j0 < len(pool) && ps.opts.Ctx.Err() == nil; j0 += strip {
+		cands := pool[j0:min(j0+strip, len(pool))]
+		nc := len(cands)
+		bs.ScoreBlock(cands, w.scores[:nq*nc])
+		scored := time.Now()
+		w.scoreNS += int64(scored.Sub(start))
+		for i := range qs {
+			qs[i].count(cands, w.scores[i*nc:(i+1)*nc])
+		}
+		start = time.Now()
+		w.rankNS += int64(start.Sub(scored))
+		w.strips++
+		w.scored += int64(nq * nc)
+	}
+	w.scoreNS += int64(time.Since(start))
+	if ps.opts.Ctx.Err() != nil {
+		return false
+	}
+	for i := range qs {
+		ps.ranks[qs[i].slot] = qs[i].rank()
+	}
+	return true
 }

@@ -11,8 +11,8 @@ import (
 
 // TestEvaluateTraced runs a traced pass and checks the span tree the eval
 // pipeline records: plan compile with pool draw under it, one pass span per
-// model, and per-relation-chunk children carrying the relation, pool,
-// precision and tile attributes.
+// model, and per-task chunk children carrying the relations and directed
+// queries the task mixed, pool sizes, strips swept, precision and tile.
 func TestEvaluateTraced(t *testing.T) {
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
@@ -86,10 +86,14 @@ func TestEvaluateTraced(t *testing.T) {
 		if !passIDs[c.Parent] {
 			t.Fatalf("chunk %s not parented under a pass span", c.SpanID)
 		}
-		for _, key := range []string{"relation", "queries", "pool_tail", "pool_head", "tile"} {
-			if _, ok := c.Attr(key).(int); !ok {
-				t.Fatalf("chunk missing int attr %q: %v", key, c.Attrs)
+		for _, key := range []string{"relations", "queries", "pool_tail", "pool_head", "strips", "tile"} {
+			if v, ok := c.Attr(key).(int); !ok || v <= 0 {
+				t.Fatalf("chunk missing positive int attr %q: %v", key, c.Attrs)
 			}
+		}
+		// Drawn pools are never shared: one relation, its two directions.
+		if c.Attr("relations") != 1 || c.Attr("queries").(int)%2 != 0 {
+			t.Fatalf("chunk over drawn pools mixes relations or lacks a direction: %v", c.Attrs)
 		}
 		if c.Attr("precision") != "float64" {
 			t.Fatalf("chunk precision attr = %v", c.Attr("precision"))

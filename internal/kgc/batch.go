@@ -2,49 +2,84 @@ package kgc
 
 import "math"
 
-// BatchScorer is an optional Model capability for relation-grouped
-// evaluation: it scores many queries that share one (relation, direction)
-// candidate pool in a single call. Implementations walk the pool in small
-// tiles of candidate rows and score every query against a tile while it is
-// cache-resident, so the caller should batch all queries of a relation (or
-// a large chunk of them) into one invocation.
+// BatchScorer is an optional Model capability for block-wise evaluation: it
+// scores many directed queries that share one candidate pool. A block is
+// built once — BeginBlock, then AddTails/AddHeads relation by relation, in
+// the order the scores are wanted — and scored against any number of
+// candidate slices (a large pool in strips: the score buffer is block ×
+// strip), each walked in small tiles of rows that every query meets while hot.
 //
 // Batch scoring is an execution strategy, not a different protocol: for any
-// model, ScoreTailsBatch must produce bit-identical scores to the equivalent
-// sequence of ScoreTails calls (and likewise for heads). The evaluation
-// engine ranks raw float scores by equality, and its test oracle scores
-// through the per-query methods.
+// model, a block's scores must be bit-identical to the equivalent sequence of
+// ScoreTails/ScoreHeads calls. The evaluation engine ranks raw float scores
+// by equality, and its test oracle scores through the per-query methods,
+// which may be called between the block calls without disturbing the block.
 type BatchScorer interface {
 	Model
-	// ScoreTailsBatch writes the score of (hs[i], r, cands[j]) into
-	// out[i*len(cands)+j]. len(out) must be len(hs)*len(cands).
+	// BeginBlock empties the block and reserves room for n queries.
+	BeginBlock(n int)
+	// AddTails appends the queries (hs[i], r, ?) to the block.
+	AddTails(hs []int32, r int32)
+	// AddHeads appends the queries (?, r, ts[i]) to the block.
+	AddHeads(ts []int32, r int32)
+	// ScoreBlock writes the score of the block's i-th query against cands[j]
+	// into out[i*len(cands)+j]. len(out) must be block queries × len(cands).
+	ScoreBlock(cands []int32, out []float64)
+	// ScoreTailsBatch is a block of tail queries in one call: the score of
+	// (hs[i], r, cands[j]) goes into out[i*len(cands)+j].
 	ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64)
-	// ScoreHeadsBatch writes the score of (cands[j], r, ts[i]) into
-	// out[i*len(cands)+j].
+	// ScoreHeadsBatch is its head-direction analogue, (cands[j], r, ts[i]).
 	ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []float64)
 }
 
 // batchAdapter is how a plain third-party Model — one that implements
 // neither BatchScorer nor this package's native contract — runs through the
-// relation-grouped executor: it loops the model's own ScoreTails/ScoreHeads
-// per query, at float64, whatever precision and tile were asked for. The
-// evaluation framework is model-agnostic (the paper's Figure 1 contract), so
-// this is a supported input, not a fallback awaiting deletion; eval's oracle
-// gate runs a plain Model through it.
-type batchAdapter struct{ Model }
+// block executor: it replays the model's own ScoreTails/ScoreHeads for each
+// query of the block over every candidate slice, at float64, whatever
+// precision and tile were asked for. The evaluation framework is
+// model-agnostic (the paper's Figure 1 contract), so this is a supported
+// input, not a fallback awaiting deletion; eval's oracle gate runs it.
+type batchAdapter struct {
+	Model
+	block []adapterQuery
+}
 
-func (a batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64) {
-	nc := len(cands)
-	for i, h := range hs {
-		a.ScoreTails(h, r, cands, out[i*nc:(i+1)*nc])
+type adapterQuery struct {
+	e, r int32
+	tail bool
+}
+
+func (a *batchAdapter) BeginBlock(n int)             { a.block = Grow(a.block, n)[:0] }
+func (a *batchAdapter) AddTails(hs []int32, r int32) { a.add(hs, r, true) }
+func (a *batchAdapter) AddHeads(ts []int32, r int32) { a.add(ts, r, false) }
+
+func (a *batchAdapter) add(es []int32, r int32, tail bool) {
+	for _, e := range es {
+		a.block = append(a.block, adapterQuery{e, r, tail})
 	}
 }
 
-func (a batchAdapter) ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []float64) {
+func (a *batchAdapter) ScoreBlock(cands []int32, out []float64) {
 	nc := len(cands)
-	for i, t := range ts {
-		a.ScoreHeads(r, t, cands, out[i*nc:(i+1)*nc])
+	for i, q := range a.block {
+		if row := out[i*nc : (i+1)*nc]; q.tail {
+			a.ScoreTails(q.e, q.r, cands, row)
+		} else {
+			a.ScoreHeads(q.r, q.e, cands, row)
+		}
 	}
+}
+
+func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64) {
+	a.BeginBlock(len(hs))
+	a.AddTails(hs, r)
+	a.ScoreBlock(cands, out)
+}
+
+func (a *batchAdapter) ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []float64) {
+	a.BeginBlock(len(ts))
+	a.AddHeads(ts, r)
+	a.ScoreBlock(cands, out)
 }
 
 // defaultTile is the kernel tile used when the caller doesn't pass one: 8

@@ -74,7 +74,7 @@ func TestNewBatchScorerDispatch(t *testing.T) {
 	}
 	m, _ := New("TransE", g, 8, 1)
 	bs := NewBatchScorer(plainModel{m}, BatchOptions{Precision: store.Int8, Tile: 3})
-	if _, ok := bs.(batchAdapter); !ok {
+	if _, ok := bs.(*batchAdapter); !ok {
 		t.Fatalf("plain Model: NewBatchScorer = %T, want batchAdapter", bs)
 	}
 	// Idempotent: an existing BatchScorer must not be re-wrapped.

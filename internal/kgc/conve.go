@@ -90,7 +90,7 @@ func (m *ConvE) numRelations() int { return m.nrel }
 
 const bnEps = 1e-5
 
-// fcGroup is the number of chunk queries whose FC accumulators are kept hot
+// fcGroup is the number of block queries whose FC accumulators are kept hot
 // at once during the batched projection; 16 queries × dim 256 ≈ 32 KB, an
 // L1-sized working set.
 const fcGroup = 16
@@ -231,12 +231,12 @@ func (m *ConvE) entityStores() *entStores { return &m.stores }
 func (m *ConvE) entityBias() *table       { return m.entBias }
 func (m *ConvE) singleViaBatch() bool     { return true }
 
-// buildTailQueries computes f(h_i, r) for the whole chunk: conv features
-// per query, then one u-outer pass over the FC weight matrix shared by all
-// queries — the 2·dh·dw·C×dim matrix streams from memory once per chunk
-// instead of once per query. Each query still accumulates its FC sum in the
-// same ascending-u order as forward, so scores stay bit-identical to the
-// per-query path.
+// buildTailQueries computes f(h_i, r) for all of a relation's queries in a
+// block: conv features per query, then one u-outer pass over the FC weight
+// matrix shared by all of them — the 2·dh·dw·C×dim matrix streams from
+// memory once per call instead of once per query. Each query still
+// accumulates its FC sum in the same ascending-u order as forward, so scores
+// stay bit-identical to the per-query path.
 func (m *ConvE) buildTailQueries(hs []int32, r int32, qs []float64, sc *scratch) {
 	ih, iw := 2*m.dh, m.dw
 	flat := m.channels * ih * iw
@@ -248,7 +248,7 @@ func (m *ConvE) buildTailQueries(hs []int32, r int32, qs []float64, sc *scratch)
 	}
 
 	// Transpose the features to u-major so the FC pass reads each unit's
-	// chunk activations from one contiguous run instead of striding by flat.
+	// activations from one contiguous run instead of striding by flat.
 	sc.featT = Grow(sc.featT, flat*nq)
 	for i := 0; i < nq; i++ {
 		f := sc.feat[i*flat : (i+1)*flat]

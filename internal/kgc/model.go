@@ -21,8 +21,8 @@ import (
 // Model scores candidate triples; higher scores mean more plausible.
 // Implementations are safe for concurrent use after training completes.
 //
-// Models may additionally implement BatchScorer to score many queries of one
-// (relation, direction) against a shared candidate pool in a single call;
+// Models may additionally implement BatchScorer to score a block of queries
+// — any relations, either direction — against the candidate pool they share;
 // the embedding models here all do. NewBatchScorer adapts any plain Model.
 type Model interface {
 	// Name identifies the model in tables ("TransE", "ComplEx", ...).

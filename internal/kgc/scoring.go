@@ -1,6 +1,7 @@
 package kgc
 
 import (
+	"slices"
 	"sync"
 
 	"kgeval/internal/kgc/store"
@@ -36,7 +37,7 @@ type batchNative interface {
 	entityBias() *table
 	// buildTailQueries writes, for each head hs[i], the query vector q such
 	// that score(hs[i], r, c) = kernel(q, c) (+ bias[c]) into
-	// qs[i*Dim():(i+1)*Dim()]. qs may hold stale data from a previous chunk;
+	// qs[i*Dim():(i+1)*Dim()]. qs may hold stale data from a previous block;
 	// implementations must overwrite every element.
 	buildTailQueries(hs []int32, r int32, qs []float64, sc *scratch)
 	// buildHeadQueries is the head-direction analogue: score(c, r, ts[i]) =
@@ -55,7 +56,7 @@ type batchNative interface {
 	// recomputes expensive per-relation state (TuckER's core contraction,
 	// ConvE's conv+FC stack) or allocates per call (RotatE's rotated query)
 	// opt in; the scorer's scratch then carries that state across the calls
-	// of a relation chunk. Opting in requires the model's ScoreTriple to be
+	// made for one relation of a block. Opting in requires the model's ScoreTriple to be
 	// bit-identical to its ScoreTails over the one candidate.
 	singleViaBatch() bool
 }
@@ -96,17 +97,17 @@ func Kernel() string {
 }
 
 // scratch holds one scorer's reusable buffers. Sizes are high-water marks:
-// buffers grow to the largest chunk seen and are reused verbatim after.
+// buffers grow to the largest block seen and are reused verbatim after.
 // None of them scales with the candidate pool.
 type scratch struct {
 	tbuf  []float64 // one kernel tile of candidates: columns (vector lane) or rows not scored in place (Go lane)
-	qs    []float64 // query vectors, one per chunk query
+	qs    []float64 // query vectors, one per block query
 	img   []float64 // ConvE stacked input image
 	feat  []float64 // ConvE flattened conv features, one row per query
 	featT []float64 // ConvE conv features transposed to unit-major
 
-	// TuckER's relation matrix M_r = W ×₂ r, cached across the calls of a
-	// relation chunk (tails, trues and heads all share it).
+	// TuckER's relation matrix M_r = W ×₂ r, cached across the calls made
+	// for one relation of a block (tails, trues and heads all share it).
 	relMat   []float64
 	relMatR  int32
 	relMatOK bool
@@ -202,17 +203,17 @@ func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 	if bs, ok := m.(BatchScorer); ok {
 		return bs
 	}
-	return batchAdapter{m}
+	return &batchAdapter{Model: m}
 }
 
 // storeScorer is the universal batch lane: it asks the model to build the
-// chunk's query vectors, then walks the candidate pool in kernel tiles,
-// asking the entity store for each tile's rows and handing them to the
-// model's tile micro-kernel. On the vector lane (vec != nil) the store
-// transposes every tile into sc.tbuf (store.TileColumns) for the kernel's
-// vector twin; on the Go lane it hands out the table itself where it can and
-// fills sc.tbuf where it cannot (store.Tile). One instance owns the scratch,
-// so it is not safe for concurrent use.
+// block's query vectors, then walks each candidate slice it is handed (a
+// strip of the pool, or all of it) in kernel tiles, asking the entity store
+// for each tile's rows and handing them to the model's tile micro-kernel. On
+// the vector lane (vec != nil) the store transposes every tile into sc.tbuf
+// (store.TileColumns) for the kernel's vector twin; on the Go lane it hands
+// out the table itself where it can and fills sc.tbuf where it cannot
+// (store.Tile). One instance owns the scratch: not safe for concurrent use.
 type storeScorer struct {
 	m    batchNative
 	st   *store.Store
@@ -222,7 +223,7 @@ type storeScorer struct {
 	vec  tileFunc // the vector twin of m.tileKernel; nil on the Go lane
 	sc   scratch
 
-	oneID [1]int32 // single-query/candidate id buffers for the routed paths
+	oneID [1]int32 // single-query/candidate buffers for the routed paths
 	oneC  [1]int32
 	oneS  [1]float64
 }
@@ -230,18 +231,47 @@ type storeScorer struct {
 func (s *storeScorer) Name() string { return s.m.Name() }
 func (s *storeScorer) Dim() int     { return s.m.Dim() }
 
+// BeginBlock empties the block's query vectors, with room for n and for the
+// one query the routed single-query paths put after them.
+func (s *storeScorer) BeginBlock(n int) { s.sc.qs = Grow(s.sc.qs, (n+1)*s.m.Dim())[:0] }
+
+// AddTails builds the query vectors of (hs[i], r, ?) after the block's last.
+func (s *storeScorer) AddTails(hs []int32, r int32) {
+	s.m.buildTailQueries(hs, r, s.room(len(hs), true), &s.sc)
+}
+
+// AddHeads builds the query vectors of (?, r, ts[i]) after the block's last.
+func (s *storeScorer) AddHeads(ts []int32, r int32) {
+	s.m.buildHeadQueries(ts, r, s.room(len(ts), true), &s.sc)
+}
+
+// room returns storage for n query vectors past the block's last, and adds
+// them to the block when keep is set. Without it the block is left alone: the
+// routed single-query paths build there, and the next Add overwrites it.
+func (s *storeScorer) room(n int, keep bool) []float64 {
+	old, add := len(s.sc.qs), n*s.m.Dim()
+	s.sc.qs = slices.Grow(s.sc.qs, add)
+	if keep {
+		s.sc.qs = s.sc.qs[:old+add]
+	}
+	return s.sc.qs[old : old+add]
+}
+
+// ScoreBlock scores the block's queries against cands.
+func (s *storeScorer) ScoreBlock(cands []int32, out []float64) { s.score(s.sc.qs, cands, out) }
+
 // ScoreTailsBatch scores (hs[i], r, cands[j]) into out[i*len(cands)+j].
 func (s *storeScorer) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64) {
-	s.sc.qs = Grow(s.sc.qs, len(hs)*s.m.Dim())
-	s.m.buildTailQueries(hs, r, s.sc.qs, &s.sc)
-	s.score(s.sc.qs, cands, out)
+	s.BeginBlock(len(hs))
+	s.AddTails(hs, r)
+	s.ScoreBlock(cands, out)
 }
 
 // ScoreHeadsBatch scores (cands[j], r, ts[i]) into out[i*len(cands)+j].
 func (s *storeScorer) ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []float64) {
-	s.sc.qs = Grow(s.sc.qs, len(ts)*s.m.Dim())
-	s.m.buildHeadQueries(ts, r, s.sc.qs, &s.sc)
-	s.score(s.sc.qs, cands, out)
+	s.BeginBlock(len(ts))
+	s.AddHeads(ts, r)
+	s.ScoreBlock(cands, out)
 }
 
 // score runs every query in qs over cands one kernel tile at a time, then
@@ -258,7 +288,7 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
 	dim := s.m.Dim()
 	nc := len(cands)
 	tile := min(s.tile, nc)
-	s.sc.tbuf = Grow(s.sc.tbuf, tile*dim)
+	s.sc.tbuf = Grow(s.sc.tbuf, s.tile*dim) // a full tile, so a one-candidate call first does not size it twice
 	for j0 := 0; j0 < nc; j0 += tile {
 		j1 := min(j0+tile, nc)
 		jv := j0 // candidates j0..jv are scored by the vector kernel
@@ -302,16 +332,20 @@ func (s *storeScorer) ScoreTriple(h, r, t int32) float64 {
 }
 
 // ScoreTails scores (h, r, cand) for every candidate tail: a single query
-// is a chunk of one through the batch lane, which is bit-identical to the
-// model's own ScoreTails and builds the query in scorer scratch instead of
-// allocating it per call.
+// through the batch lane, which is bit-identical to the model's own
+// ScoreTails and builds the query in scorer scratch instead of allocating it
+// per call.
 func (s *storeScorer) ScoreTails(h, r int32, cands []int32, out []float64) {
 	s.oneID[0] = h
-	s.ScoreTailsBatch(s.oneID[:], r, cands, out)
+	q := s.room(1, false)
+	s.m.buildTailQueries(s.oneID[:], r, q, &s.sc)
+	s.score(q, cands, out)
 }
 
 // ScoreHeads scores (cand, r, t) for every candidate head, as ScoreTails.
 func (s *storeScorer) ScoreHeads(r, t int32, cands []int32, out []float64) {
 	s.oneID[0] = t
-	s.ScoreHeadsBatch(s.oneID[:], r, cands, out)
+	q := s.room(1, false)
+	s.m.buildHeadQueries(s.oneID[:], r, q, &s.sc)
+	s.score(q, cands, out)
 }

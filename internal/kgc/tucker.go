@@ -42,7 +42,7 @@ func (m *TuckER) numRelations() int { return len(m.rel.w) / m.dim }
 // contracted with the relation once. Every query of the relation then needs
 // only an O(d²) product with M_r: tails use q = hᵀM_r, heads q = M_r·t.
 // This factorization is what makes TuckER's batch lane pay the O(d³)
-// contraction once per relation chunk instead of once per query.
+// contraction once per relation of a block instead of once per query.
 func (m *TuckER) relMatInto(rv, mat []float64) {
 	d := m.dim
 	w := m.core.vec(0)
@@ -91,8 +91,8 @@ func headQuery(tv, mat, q []float64) {
 }
 
 // relMat returns M_r, from the scratch cache when it already holds this
-// relation (one contraction serves a whole relation chunk: batch queries,
-// true-triple scores and both directions).
+// relation (one contraction serves all of a relation's queries in a block:
+// batch queries, true-triple scores and both directions).
 func (m *TuckER) relMat(r int32, sc *scratch) []float64 {
 	d := m.dim
 	if sc == nil {
@@ -136,7 +136,7 @@ func (m *TuckER) ScoreHeads(r, t int32, cands []int32, out []float64) {
 
 // Universal batch-lane contract (see scoring.go). singleViaBatch is on:
 // the model's own per-query methods recompute the O(d³) core contraction
-// per call, while the routed path reuses the chunk's cached M_r.
+// per call, while the routed path reuses the block's cached M_r.
 
 func (m *TuckER) entityTable() *table      { return m.ent }
 func (m *TuckER) entityStores() *entStores { return &m.stores }

@@ -67,8 +67,8 @@ type EngineConfig struct {
 	// evicts it.
 	SlowJob time.Duration
 	// TraceChunkSample is passed through to eval.Options.TraceChunkSample:
-	// 0 or 1 records a span per relation chunk on traced jobs, N > 1 every
-	// Nth chunk, negative none.
+	// 0 or 1 records a chunk span per scoring task on traced jobs, N > 1
+	// every Nth task, negative none.
 	TraceChunkSample int
 	// DefaultTimeout is the end-to-end deadline applied to jobs that leave
 	// TimeoutMS 0 (queue wait + Fit + evaluation). 0 means no default —

@@ -33,7 +33,7 @@ import (
 //
 // Every request is access-logged through slog at Debug level (Info for job
 // mutations), and POST /v1/jobs starts a trace whose span tree follows the
-// job through queue, evaluation plan and per-relation chunks.
+// job through queue, evaluation plan and per-task scoring chunks.
 //
 // The handler is safe for concurrent use; all state lives in the Engine.
 func NewServer(e *Engine) http.Handler {
@@ -228,7 +228,7 @@ func (s *server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobTrace serves the trace of one job — the span tree from HTTP
-// submission through queue wait, plan compile, and per-relation chunks.
+// submission through queue wait, plan compile, and per-task scoring chunks.
 // For running jobs it returns the spans completed so far.
 func (s *server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)

@@ -30,8 +30,8 @@ func getJSON(t *testing.T, url string, v any) int {
 
 // TestTracePropagation submits a job over HTTP and checks the end-to-end
 // span tree: HTTP request → job → queue wait, plan compile (with pool draw
-// under it), the evaluation pass, and per-relation-chunk spans with the
-// relation/pool/precision/tile attributes. Also covers the trace endpoints
+// under it), the evaluation pass, and per-task chunk spans with the
+// relations/queries/pool/strips/precision/tile attributes. Also covers the trace endpoints
 // themselves: /v1/jobs/{id}/trace, its chrome format, and /debug/traces.
 func TestTracePropagation(t *testing.T) {
 	ts, _ := newTestServer(t, EngineConfig{Workers: 1})
@@ -113,7 +113,7 @@ func TestTracePropagation(t *testing.T) {
 		if s.Parent != pass.SpanID {
 			t.Fatalf("chunk span parented under %s, want the pass span", s.Parent)
 		}
-		for _, key := range []string{"relation", "pool_tail", "pool_head", "tile"} {
+		for _, key := range []string{"relations", "queries", "pool_tail", "pool_head", "strips", "tile"} {
 			if _, ok := s.Attr(key).(float64); !ok { // JSON numbers decode as float64
 				t.Fatalf("chunk attr %q missing or non-numeric: %v", key, s.Attrs)
 			}

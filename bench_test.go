@@ -321,39 +321,3 @@ func BenchmarkSynthGenerate(b *testing.B) {
 		}
 	}
 }
-
-// --- ablations (DESIGN.md §5) ---
-
-// BenchmarkEstimateProbabilisticWR is the with-replacement ablation of the
-// probabilistic strategy (alias draws instead of Efraimidis–Spirakis).
-func BenchmarkEstimateProbabilisticWR(b *testing.B) {
-	e := env(b)
-	rec := recommender.NewLWD()
-	if err := rec.Fit(e.g); err != nil {
-		b.Fatal(err)
-	}
-	prov := &eval.ProbabilisticWRProvider{Scores: rec.Scores(), N: e.g.NumEntities / 10}
-	opts := eval.Options{Filter: e.filter, Seed: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eval.Evaluate(e.model, e.g, e.g.Test, prov, opts)
-	}
-}
-
-// BenchmarkTrainEpochGuidedNegatives measures the §7 future-work trainer:
-// corruption candidates drawn from recommender scores instead of uniformly.
-func BenchmarkTrainEpochGuidedNegatives(b *testing.B) {
-	e := env(b)
-	rec := recommender.NewLWD()
-	if err := rec.Fit(e.g); err != nil {
-		b.Fatal(err)
-	}
-	m := kgc.NewDistMult(e.g, 32, 2)
-	cfg := kgc.DefaultTrainConfig()
-	cfg.Epochs = 1
-	cfg.Negatives = core.NewRecNegativeSampler(rec.Scores())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kgc.Train(m, e.g, cfg)
-	}
-}

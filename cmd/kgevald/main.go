@@ -104,7 +104,6 @@ func main() {
 		slowJobMS     = flag.Int("slow-job-ms", 30000, "dump the full trace of jobs running longer than this to the log (0 = off)")
 		traceStore    = flag.Int("trace-store", trace.DefaultStoreTraces, "retained traces in the flight-recorder store")
 		traceSpans    = flag.Int("trace-spans", trace.DefaultTraceSpans, "span records retained per trace")
-		chunkSample   = flag.Int("trace-chunk-sample", 1, "record an eval.chunk span every Nth scoring task (1 = all, negative = none)")
 		runtimeSample = flag.Duration("runtime-sample", 10*time.Second, "runtime gauge sampling interval (0 = off)")
 
 		jobTimeout   = flag.Duration("job-timeout", 0, "default end-to-end deadline per job, queue wait included (0 = none; jobs can set timeout_ms themselves)")
@@ -184,7 +183,6 @@ func main() {
 		DefaultSeed:       *seed,
 		Traces:            trace.NewStore(*traceStore, *traceSpans),
 		SlowJob:           time.Duration(*slowJobMS) * time.Millisecond,
-		TraceChunkSample:  *chunkSample,
 		DefaultTimeout:    *jobTimeout,
 		MemoryBudget:      *memBudgetMB << 20,
 	})

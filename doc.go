@@ -2,8 +2,10 @@
 // A Fast, Accurate Performance Evaluation Framework for Knowledge Graph Link
 // Predictors" (Cornell et al., ICDE 2025; arXiv:2402.00053).
 //
-// The repository root package only anchors the module and its benchmark
-// harness (bench_test.go). The implementation lives under internal/:
+// The repository root package only anchors the module, its benchmark
+// harness (bench_test.go) and the gate that every export under internal/ has
+// a non-test caller (orphans_test.go). The implementation lives under
+// internal/:
 //
 //	internal/core         the evaluation framework (the paper's contribution):
 //	                      Estimate, and EstimateMany for evaluating a model
@@ -19,8 +21,8 @@
 //	                      the naive oracle in oracle_test.go);
 //	                      every Result carries a StageTimings breakdown of
 //	                      plan compile / pool draw / score / rank-merge time
-//	internal/obs          dependency-free metrics: counters, gauges, exact
-//	                      mergeable histograms, Prometheus text exposition
+//	internal/obs          dependency-free metrics: counters, gauges,
+//	                      fixed-bucket histograms, Prometheus text exposition
 //	                      (trace-ID exemplars when OpenMetrics is
 //	                      negotiated), runtime gauges; obs/trace
 //	                      adds context-propagated spans and the bounded

@@ -138,12 +138,6 @@ func (f *Framework) FitCtx(ctx context.Context, g *kg.Graph) error {
 	return nil
 }
 
-// Sets returns the discretized candidate sets, building them if this is the
-// first request since Fit. Before Fit it returns nil.
-func (f *Framework) Sets() *recommender.CandidateSets {
-	return f.staticSets(context.Background())
-}
-
 // staticSets returns the fitted graph's static candidate sets, discretizing
 // the score matrix on the first call after a Fit. Callers are serialized on
 // the framework mutex, so concurrent first requests build once and all get

@@ -26,6 +26,12 @@ func (c *countingRec) Scores() *recommender.ScoreMatrix {
 	return c.Recommender.Scores()
 }
 
+// Sets returns the discretized candidate sets the way a Static provider
+// gets them: built on the first request since Fit, nil before Fit.
+func (f *Framework) Sets() *recommender.CandidateSets {
+	return f.staticSets(context.Background())
+}
+
 func TestStaticSetsBuiltOnceOnFirstNeed(t *testing.T) {
 	g, _ := coreGraph(t)
 	rec := &countingRec{Recommender: recommender.NewLWD()}

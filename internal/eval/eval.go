@@ -87,9 +87,6 @@ type StageTimings struct {
 	Score time.Duration
 	// RankMerge covers rank counting, strip by strip (count, then correct).
 	RankMerge time.Duration
-	// KernelTile is the batch-kernel candidate tile the pass selected for
-	// its model (kgc.TileFor over the plan's largest pool × dim × precision).
-	KernelTile int
 	// Kernel names the scoring lane that produced Score: "avx2" (the vector
 	// tile kernels) or "go" (kgc.Kernel). The lane is fixed per process by
 	// the CPU and the build, and both give the same scores bit for bit; it is
@@ -129,15 +126,9 @@ type Options struct {
 	// Ctx also carries the trace span, if any (obs/trace.ContextWith): when
 	// present, the pass records a span tree under it — plan compile, pool
 	// draw, one pass span per model, and per-task "eval.chunk" child spans with
-	// relations/queries/pool/strips/precision/tile attributes. Without a span in Ctx the
+	// relations/queries/pool/strips/precision attributes. Without a span in Ctx the
 	// tracing call sites reduce to nil-pointer checks.
 	Ctx context.Context
-	// TraceChunkSample throttles per-chunk span recording on traced passes:
-	// 0 or 1 records every batch task (the default — a task is tens of
-	// triples, so this is cheap), N > 1 records every Nth task, and a
-	// negative value disables chunk spans while keeping the pass-level
-	// spans. Irrelevant when Ctx carries no trace.
-	TraceChunkSample int
 	// Progress, when non-nil, is invoked after each evaluated triple with
 	// the number of triples completed and the total. It is called
 	// concurrently from worker goroutines and must be safe for that.

@@ -11,7 +11,7 @@ import "kgeval/internal/obs"
 // package init. This is an invariant of the observation path, not a style
 // choice: Registry lookups take the registry mutex and build a label
 // signature per call, so re-resolving "kgeval_eval_stage_seconds"{stage=X}
-// on every ObserveSince/Observe would put a lock and an allocation inside
+// on every Observe would put a lock and an allocation inside
 // the per-pass hot path. Observations through a cached *Histogram handle
 // are a few atomic adds.
 type evalInstruments struct {

@@ -60,9 +60,6 @@ type plan struct {
 	queries []kg.Triple
 	groups  []relGroup
 	tasks   []batchTask
-	// maxPool is the largest candidate pool over all groups; together with
-	// model dim and precision it keys the kernel tile selection (kgc.TileFor).
-	maxPool int
 	// compileTime and poolTime are the plan's one-time setup costs
 	// (grouping + chunking, and the 2·|R| pool draws), recorded here so
 	// every pass over the plan can report them in Result.Stages.
@@ -117,7 +114,6 @@ func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *pla
 		g := &p.groups[gi]
 		g.tailPool = provider.Candidates(g.r, true, rng)
 		g.headPool = provider.Candidates(g.r, false, rng)
-		p.maxPool = max(p.maxPool, len(g.tailPool), len(g.headPool))
 	}
 	p.poolTime = time.Since(drawStart)
 	compileSpan.ChildRecord("eval.pool_draw", drawStart, drawStart.Add(p.poolTime),
@@ -125,7 +121,7 @@ func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *pla
 	p.chunk(opts.workers())
 	p.compileTime = time.Since(start) - p.poolTime
 	compileSpan.End(trace.Int("relations", len(p.groups)), trace.Int("tasks", len(p.tasks)),
-		trace.Int("queries", len(queries)), trace.Int("max_pool", p.maxPool))
+		trace.Int("queries", len(queries)))
 	return p
 }
 
@@ -176,9 +172,6 @@ func subsample(split []kg.Triple, opts Options) []kg.Triple {
 type pass struct {
 	plan *plan
 	opts Options
-	// tile is the kernel candidate tile selected for this model and plan
-	// (kgc.TileFor over pool size × dim × precision).
-	tile int
 	// done is the cross-model triple counter driving the Progress hook and
 	// progressTotal the hook's total: #models × len(queries).
 	done          *atomic.Int64
@@ -214,7 +207,6 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 	start := time.Now()
 	ps := &pass{
 		plan: p, opts: opts,
-		tile: kgc.TileFor(p.maxPool, m.Dim(), opts.Precision),
 		done: done, progressTotal: progressTotal,
 		ranks: make([]float64, 2*len(p.queries)),
 		span: trace.FromContext(opts.Ctx).Child("eval.pass",
@@ -225,7 +217,7 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 	par.Run(len(p.tasks), len(workers), 1, func(wi, lo, hi int) {
 		w := &workers[wi]
 		if w.bs == nil {
-			w.bs = kgc.NewBatchScorer(m, kgc.BatchOptions{Precision: opts.Precision, Tile: ps.tile})
+			w.bs = kgc.NewBatchScorer(m, kgc.BatchOptions{Precision: opts.Precision})
 		}
 		for ti := lo; ti < hi && opts.Ctx.Err() == nil; ti++ {
 			ps.runTask(w, ti)
@@ -233,7 +225,7 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 	})
 
 	res := Result{Metrics: metricsFromRanks(ps.ranks)}
-	res.Stages = StageTimings{PlanCompile: p.compileTime, PoolDraw: p.poolTime, KernelTile: ps.tile, Kernel: kgc.Kernel()}
+	res.Stages = StageTimings{PlanCompile: p.compileTime, PoolDraw: p.poolTime, Kernel: kgc.Kernel()}
 	for i := range workers {
 		res.CandidatesScored += workers[i].scored
 		res.Stages.Score += time.Duration(workers[i].scoreNS)
@@ -248,8 +240,7 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 			trace.String("timing", "cpu-summed"))
 		ps.span.ChildRecord("eval.rank_merge", start, start.Add(res.Stages.RankMerge),
 			trace.String("timing", "cpu-summed"))
-		ps.span.End(trace.Int("queries", res.Queries), trace.Int64("candidates_scored", res.CandidatesScored),
-			trace.Int("tile", ps.tile))
+		ps.span.End(trace.Int("queries", res.Queries), trace.Int64("candidates_scored", res.CandidatesScored))
 	}
 	res.Elapsed = time.Since(start)
 	return res
@@ -259,25 +250,20 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 // when their tail and head pools are one slice, otherwise a tail block and
 // then a head block. Progress is reported once both directions are ranked; a
 // task cancelled mid-sweep reports none. On a traced pass the task records
-// one "eval.chunk" child span (what it mixed, pool sizes, strips, tile, stage
-// split), sampled by task index, not by which worker draws the task.
+// one "eval.chunk" child span (what it mixed, pool sizes, strips, stage
+// split); the trace's per-trace ring bounds how many are kept.
 func (ps *pass) runTask(w *worker, ti int) {
 	t := ps.plan.tasks[ti]
 	g := &ps.plan.groups[t.group]
-	span := ps.span
-	if s := ps.opts.TraceChunkSample; s < 0 || (s > 1 && ti%s != 0) {
-		span = nil
-	}
 	chunkStart := time.Now()
 	score0, rank0, strips0 := w.scoreNS, w.rankNS, w.strips
 	both := samePool(g.tailPool, g.headPool)
 	ranked := ps.runBlock(w, t, g.tailPool, true, both) && (both || ps.runBlock(w, t, g.headPool, false, true))
-	if span != nil {
-		span.ChildRecord("eval.chunk", chunkStart, time.Now(),
+	if ps.span != nil {
+		ps.span.ChildRecord("eval.chunk", chunkStart, time.Now(),
 			trace.Int("relations", t.relations), trace.Int("queries", 2*t.triples),
 			trace.Int("pool_tail", len(g.tailPool)), trace.Int("pool_head", len(g.headPool)),
-			trace.Int("strips", int(w.strips-strips0)), trace.Int("tile", ps.tile),
-			trace.String("precision", ps.opts.Precision.String()),
+			trace.Int("strips", int(w.strips-strips0)), trace.String("precision", ps.opts.Precision.String()),
 			trace.Int64("score_ns", w.scoreNS-score0), trace.Int64("rank_ns", w.rankNS-rank0))
 	}
 	for i := 0; ranked && i < t.triples; i++ {
@@ -290,8 +276,8 @@ func (ps *pass) runTask(w *worker, ti int) {
 
 // runBlock builds one block of directed queries — the tail and/or head
 // queries of task t's triples, which all rank against pool — and sweeps it
-// over the pool once, in strips of as many whole kernel tiles as keep block ×
-// strip scores inside batchFloatBudget, ranking each strip as it is scored.
+// over the pool once, in strips that keep block × strip scores inside
+// batchFloatBudget, ranking each strip as it is scored.
 // It reports false, with no rank written, when cancelled between two strips.
 // Queries are built and their true triples scored relation by relation, so
 // per-relation scorer state is computed once per relation of the block; the
@@ -337,9 +323,11 @@ func (ps *pass) runBlock(w *worker, t batchTask, pool []int32, tails, heads bool
 	}
 	w.qs = qs
 
+	// Whole groups of four candidates, the vector kernels' step, so only a
+	// pool's last strip can leave the scorer a remainder.
 	strip := max(1, batchFloatBudget/nq)
-	if strip > ps.tile {
-		strip -= strip % ps.tile
+	if strip > 4 {
+		strip &^= 3
 	}
 	w.scores = kgc.Grow(w.scores, nq*min(strip, len(pool)))
 	for j0 := 0; j0 < len(pool) && ps.opts.Ctx.Err() == nil; j0 += strip {

@@ -12,7 +12,7 @@ import (
 	"kgeval/internal/recommender"
 )
 
-// fittedProviders returns the five providers over one fitted L-WD recommender.
+// fittedProviders returns the four providers over one fitted L-WD recommender.
 func fittedProviders(t *testing.T, g *kg.Graph, ns int) []CandidateProvider {
 	t.Helper()
 	lwd := recommender.NewLWD()
@@ -24,7 +24,6 @@ func fittedProviders(t *testing.T, g *kg.Graph, ns int) []CandidateProvider {
 		&RandomProvider{NumEntities: g.NumEntities, N: ns},
 		&StaticProvider{Sets: sets, N: ns},
 		&ProbabilisticProvider{Scores: lwd.Scores(), N: ns},
-		&ProbabilisticWRProvider{Scores: lwd.Scores(), N: ns},
 		NewFullProvider(g.NumEntities),
 	}
 }
@@ -40,10 +39,7 @@ func sweep(p CandidateProvider, numRelations int, rng *rand.Rand) [][]int32 {
 
 // TestProvidersConcurrentCandidates holds every provider to the
 // CandidateProvider contract: concurrent callers, each with its own rng, get
-// exactly the pools a lone caller with that rng gets. Under -race it is also
-// the regression test for ProbabilisticWRProvider's lazily built alias
-// tables, which used to be published without synchronization — a second
-// caller could find a half-filled table and return an empty pool.
+// exactly the pools a lone caller with that rng gets.
 func TestProvidersConcurrentCandidates(t *testing.T) {
 	g := evalGraph(t)
 	const callers = 8

@@ -49,7 +49,6 @@ func TestPrecisionDeviationWithinBound(t *testing.T) {
 		cfg := kgc.DefaultTrainConfig()
 		cfg.Epochs = 10
 		kgc.Train(m.(kgc.Trainable), g, cfg)
-		kgc.ResetStores(m) // training mutated the entity table after any store build
 
 		for pname, p := range providers {
 			ref := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 2})

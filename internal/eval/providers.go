@@ -3,7 +3,6 @@ package eval
 import (
 	"math/rand"
 	"slices"
-	"sync"
 
 	"kgeval/internal/recommender"
 	"kgeval/internal/sample"
@@ -93,54 +92,4 @@ func (p *ProbabilisticProvider) Candidates(r int32, tail bool, rng *rand.Rand) [
 	s := sample.Weighted(rng, ids, scores, p.N)
 	slices.Sort(s)
 	return s
-}
-
-// ProbabilisticWRProvider is the with-replacement ablation of the
-// probabilistic strategy: n_s draws from a Walker alias table, duplicates
-// collapsed. Cheaper per draw (O(1) vs O(log k)) but yields smaller
-// effective pools when the score distribution is peaked — the benchmark
-// suite compares both (DESIGN.md ablations).
-type ProbabilisticWRProvider struct {
-	Scores *recommender.ScoreMatrix
-	N      int
-
-	once    sync.Once       // guards the one-time build of aliases and ids
-	aliases []*sample.Alias // per column; nil where no score is positive
-	ids     [][]int32
-}
-
-// Name identifies the strategy.
-func (*ProbabilisticWRProvider) Name() string { return "Probabilistic-WR" }
-
-// buildAliases builds every column's alias table. It runs once per provider,
-// on the first Candidates call, so concurrent first callers all see complete
-// tables.
-func (p *ProbabilisticWRProvider) buildAliases() {
-	cols := 2 * p.Scores.NumRelations
-	p.aliases = make([]*sample.Alias, cols)
-	p.ids = make([][]int32, cols)
-	for c := 0; c < cols; c++ {
-		ids, scores := p.Scores.Column(c)
-		p.ids[c] = ids
-		p.aliases[c] = sample.NewAlias(scores)
-	}
-}
-
-// Candidates draws n_s times with replacement and deduplicates.
-func (p *ProbabilisticWRProvider) Candidates(r int32, tail bool, rng *rand.Rand) []int32 {
-	p.once.Do(p.buildAliases)
-	col := recommender.DomainCol(int(r), p.Scores.NumRelations)
-	if tail {
-		col = recommender.RangeCol(int(r), p.Scores.NumRelations)
-	}
-	a := p.aliases[col]
-	if a == nil {
-		return nil
-	}
-	out := make([]int32, p.N)
-	for i := range out {
-		out[i] = p.ids[col][a.Draw(rng)]
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }

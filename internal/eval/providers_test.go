@@ -1,82 +1,9 @@
 package eval
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-
-	"kgeval/internal/kg"
-	"kgeval/internal/kgc"
-	"kgeval/internal/recommender"
 )
-
-func TestProbabilisticWRProvider(t *testing.T) {
-	g := evalGraph(t)
-	lwd := recommender.NewLWD()
-	if err := lwd.Fit(g); err != nil {
-		t.Fatal(err)
-	}
-	p := &ProbabilisticWRProvider{Scores: lwd.Scores(), N: 50}
-	rng := rand.New(rand.NewSource(3))
-	pool := p.Candidates(0, true, rng)
-	if len(pool) == 0 || len(pool) > 50 {
-		t.Fatalf("WR pool size = %d, want in (0, 50]", len(pool))
-	}
-	seen := map[int32]bool{}
-	for i, id := range pool {
-		if seen[id] {
-			t.Fatalf("duplicate %d in deduplicated pool", id)
-		}
-		seen[id] = true
-		if i > 0 && pool[i] <= pool[i-1] {
-			t.Fatal("pool not sorted")
-		}
-		col := recommender.RangeCol(0, g.NumRelations)
-		if lwd.Scores().Score(id, col) <= 0 {
-			t.Fatalf("WR sampled zero-score entity %d", id)
-		}
-	}
-	if p.Name() != "Probabilistic-WR" {
-		t.Fatalf("Name() = %q", p.Name())
-	}
-}
-
-// Ablation: with- and without-replacement probabilistic pools must give
-// similar MRR estimates (WR pools are a bit smaller → slightly more
-// optimistic), and both must beat Random on a *trained* model, whose
-// outrankers concentrate on type-plausible entities. (A random scorer's
-// outrankers are uniform, so guided pools cannot beat random there.)
-func TestProbabilisticWithVsWithoutReplacement(t *testing.T) {
-	g := evalGraph(t)
-	m := kgc.NewComplEx(g, 16, 6)
-	cfg := kgc.DefaultTrainConfig()
-	cfg.Epochs = 8
-	kgc.Train(m, g, cfg)
-
-	lwd := recommender.NewLWD()
-	if err := lwd.Fit(g); err != nil {
-		t.Fatal(err)
-	}
-	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
-	opts := Options{Filter: filter, Seed: 9}
-
-	full := Evaluate(m, g, g.Test, NewFullProvider(g.NumEntities), opts)
-	ns := g.NumEntities / 10
-	wor := Evaluate(m, g, g.Test, &ProbabilisticProvider{Scores: lwd.Scores(), N: ns}, opts)
-	wr := Evaluate(m, g, g.Test, &ProbabilisticWRProvider{Scores: lwd.Scores(), N: ns}, opts)
-	rnd := Evaluate(m, g, g.Test, &RandomProvider{NumEntities: g.NumEntities, N: ns}, opts)
-
-	errWOR := math.Abs(wor.MRR - full.MRR)
-	errWR := math.Abs(wr.MRR - full.MRR)
-	errRnd := math.Abs(rnd.MRR - full.MRR)
-	if errWR > errRnd || errWOR > errRnd {
-		t.Fatalf("probabilistic variants must beat random: WOR=%.3f WR=%.3f Rnd=%.3f (full=%.3f)",
-			wor.MRR, wr.MRR, rnd.MRR, full.MRR)
-	}
-	if math.Abs(wor.MRR-wr.MRR) > 0.15 {
-		t.Fatalf("WR and WOR estimates too far apart: %.3f vs %.3f", wr.MRR, wor.MRR)
-	}
-}
 
 func TestFullProviderStable(t *testing.T) {
 	p := NewFullProvider(5)

@@ -156,13 +156,6 @@ func shrink(cfg synth.Config) synth.Config {
 	return cfg
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // filter returns the cached train+valid+test filter index of a dataset.
 func (r *Runner) filter(name string) (*kg.FilterIndex, error) {
 	if f, ok := r.filters[name]; ok {
@@ -187,9 +180,9 @@ func (r *Runner) recommenderFor(dataset, recName string) (recommender.Recommende
 	if err != nil {
 		return nil, err
 	}
-	rec := newRecommender(recName)
-	if rec == nil {
-		return nil, fmt.Errorf("experiments: unknown recommender %q", recName)
+	rec, err := recommender.ByName(recName, recommenderSeed)
+	if err != nil {
+		return nil, err
 	}
 	if err := rec.Fit(ds.Graph); err != nil {
 		return nil, err
@@ -198,26 +191,8 @@ func (r *Runner) recommenderFor(dataset, recName string) (recommender.Recommende
 	return rec, nil
 }
 
-func newRecommender(name string) recommender.Recommender {
-	switch name {
-	case "PT":
-		return recommender.NewPT()
-	case "DBH":
-		return recommender.NewDBH()
-	case "DBH-T":
-		return recommender.NewDBHT()
-	case "OntoSim":
-		return recommender.NewOntoSim()
-	case "PIE":
-		p := recommender.NewPIESim(7)
-		return p
-	case "L-WD":
-		return recommender.NewLWD()
-	case "L-WD-T":
-		return recommender.NewLWDT()
-	}
-	return nil
-}
+// recommenderSeed seeds the recommenders with learned parameters (PIE-Sim).
+const recommenderSeed = 7
 
 // recommenderNames is Table 5's method order.
 func recommenderNames() []string {

@@ -72,7 +72,10 @@ func (r *Runner) ExtNoisyTypes() error {
 			if variant.graph == "noisy" {
 				target = corrupted
 			}
-			rec := newRecommender(recName)
+			rec, err := recommender.ByName(recName, recommenderSeed)
+			if err != nil {
+				return err
+			}
 			if err := rec.Fit(target); err != nil {
 				return err
 			}

@@ -99,7 +99,10 @@ func (r *Runner) Table5() error {
 			return err
 		}
 		for _, recName := range recommenderNames() {
-			rec := newRecommender(recName)
+			rec, err := recommender.ByName(recName, recommenderSeed)
+			if err != nil {
+				return err
+			}
 			start := time.Now()
 			if err := rec.Fit(ds.Graph); err != nil {
 				return err

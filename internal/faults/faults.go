@@ -13,7 +13,7 @@
 //
 // Sites are plain strings; the Site* constants name the ones wired into
 // the repository's pipeline (framework-cache Fit, engine workers, candidate
-// pool draw, entity-store open and build).
+// pool draw, entity-store build).
 package faults
 
 import (
@@ -40,8 +40,6 @@ const (
 	// error-mode faults surface as panics there (recovered by the engine's
 	// worker panic handler into a failed job).
 	SitePoolDraw = "eval/pooldraw"
-	// SiteStoreOpen fires in store.Open before the file is opened/mmapped.
-	SiteStoreOpen = "store/open"
 	// SiteStoreBuild fires in store.FromRows, the in-memory entity-store
 	// build on the batch-scoring hot path.
 	SiteStoreBuild = "store/build"
@@ -119,9 +117,6 @@ var (
 	sites = map[string]*site{}
 )
 
-// Enabled reports whether any site is armed.
-func Enabled() bool { return armedCount.Load() != 0 }
-
 // Arm installs (or replaces) the plan for a site and resets its counters.
 func Arm(name string, p Plan) {
 	if p.Every <= 0 && p.Prob <= 0 {
@@ -135,43 +130,12 @@ func Arm(name string, p Plan) {
 	mu.Unlock()
 }
 
-// Disarm removes a site's plan. Hits at the site become free again.
-func Disarm(name string) {
-	mu.Lock()
-	if _, ok := sites[name]; ok {
-		delete(sites, name)
-		armedCount.Add(-1)
-	}
-	mu.Unlock()
-}
-
 // Reset disarms every site.
 func Reset() {
 	mu.Lock()
 	armedCount.Add(-int32(len(sites)))
 	sites = map[string]*site{}
 	mu.Unlock()
-}
-
-// Hits returns how many times an armed site has been checked. Zero for
-// unarmed sites (counters reset on Arm).
-func Hits(name string) int64 {
-	if s := lookup(name); s != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.hits
-	}
-	return 0
-}
-
-// Fires returns how many times an armed site has fired.
-func Fires(name string) int64 {
-	if s := lookup(name); s != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.fires
-	}
-	return 0
 }
 
 func lookup(name string) *site {
@@ -255,7 +219,7 @@ func unitFloat(seed, n int64) float64 {
 // seed=N, limit=N, stall=DURATION, msg=TEXT (msg sets the injected error
 // text). Example:
 //
-//	service/fit=panic,limit=3;store/open=error,every=2;service/worker=stall,stall=5s
+//	service/fit=panic,limit=3;store/build=error,every=2;service/worker=stall,stall=5s
 func Parse(spec string) error {
 	for _, entry := range strings.Split(spec, ";") {
 		entry = strings.TrimSpace(entry)

@@ -7,6 +7,20 @@ import (
 	"time"
 )
 
+// Enabled reports whether any site is armed.
+func Enabled() bool { return armedCount.Load() != 0 }
+
+// counters reads an armed site's counters: how often it was checked and how
+// often it fired. Zero for unarmed sites (Arm resets them).
+func counters(name string) (hits, fires int64) {
+	if s := lookup(name); s != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.hits, s.fires
+	}
+	return 0, 0
+}
+
 func TestDisabledIsFree(t *testing.T) {
 	Reset()
 	if Enabled() {
@@ -41,8 +55,8 @@ func TestEveryNthDeterministic(t *testing.T) {
 			t.Fatalf("fired on %v, want %v", fired, want)
 		}
 	}
-	if Hits("s") != 9 || Fires("s") != 3 {
-		t.Fatalf("Hits=%d Fires=%d, want 9/3", Hits("s"), Fires("s"))
+	if hits, fires := counters("s"); hits != 9 || fires != 3 {
+		t.Fatalf("hits=%d fires=%d, want 9/3", hits, fires)
 	}
 }
 
@@ -157,11 +171,11 @@ func TestParse(t *testing.T) {
 }
 
 func TestDisarm(t *testing.T) {
-	defer Reset()
 	Arm("d", Plan{Action: Error})
-	Disarm("d")
+	Arm("d2", Plan{Action: Panic})
+	Reset()
 	if Enabled() {
-		t.Fatal("still enabled after disarming the only site")
+		t.Fatal("still enabled after Reset")
 	}
 	if err := Hit("d"); err != nil {
 		t.Fatalf("disarmed site fired: %v", err)

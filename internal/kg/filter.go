@@ -68,20 +68,7 @@ func (f *FilterIndex) IsKnownTail(h, r, t int32) bool {
 	return contains(f.tails[pairKey(h, r)], t)
 }
 
-// IsKnownHead reports whether (h, r, t) is a known positive triple, looked
-// up from the head side.
-func (f *FilterIndex) IsKnownHead(h, r, t int32) bool {
-	return contains(f.heads[pairKey(t, r)], h)
-}
-
 func contains(sorted []int32, x int32) bool {
 	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= x })
 	return i < len(sorted) && sorted[i] == x
-}
-
-// NumQueries returns the number of distinct (h,r)- and (r,t)-pairs indexed,
-// i.e. the number of distinct ranking queries a per-query candidate
-// generator would need to sample for (Table 3 of the paper).
-func (f *FilterIndex) NumQueries() (hrPairs, rtPairs int) {
-	return len(f.tails), len(f.heads)
 }

@@ -94,65 +94,3 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
-
-// HasType reports whether entity e carries type t. Requires EntityTypes.
-func (g *Graph) HasType(e, t int32) bool {
-	if g.EntityTypes == nil {
-		return false
-	}
-	ts := g.EntityTypes[e]
-	i := sort.Search(len(ts), func(i int) bool { return ts[i] >= t })
-	return i < len(ts) && ts[i] == t
-}
-
-// TypeMembers inverts EntityTypes: result[t] is the sorted list of entities
-// carrying type t.
-func (g *Graph) TypeMembers() [][]int32 {
-	members := make([][]int32, g.NumTypes)
-	if g.EntityTypes == nil {
-		return members
-	}
-	counts := make([]int, g.NumTypes)
-	for _, ts := range g.EntityTypes {
-		for _, t := range ts {
-			counts[t]++
-		}
-	}
-	for t := range members {
-		members[t] = make([]int32, 0, counts[t])
-	}
-	for e, ts := range g.EntityTypes {
-		for _, t := range ts {
-			members[t] = append(members[t], int32(e))
-		}
-	}
-	return members
-}
-
-// SortTriples sorts ts in (R, H, T) order in place. Deterministic ordering is
-// used by tests and by index construction.
-func SortTriples(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.R != b.R {
-			return a.R < b.R
-		}
-		if a.H != b.H {
-			return a.H < b.H
-		}
-		return a.T < b.T
-	})
-}
-
-// DedupTriples returns ts with exact duplicates removed. The input slice is
-// sorted in place; the returned slice aliases it.
-func DedupTriples(ts []Triple) []Triple {
-	SortTriples(ts)
-	out := ts[:0]
-	for i, t := range ts {
-		if i == 0 || t != ts[i-1] {
-			out = append(out, t)
-		}
-	}
-	return out
-}

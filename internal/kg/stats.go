@@ -57,17 +57,6 @@ func DistinctRelations(triples []Triple) int {
 	return len(seen)
 }
 
-// EntityDegrees returns, for each entity, the number of triples it
-// participates in (as head or tail) across the given triples.
-func EntityDegrees(triples []Triple, numEntities int) []int {
-	deg := make([]int, numEntities)
-	for _, t := range triples {
-		deg[t.H]++
-		deg[t.T]++
-	}
-	return deg
-}
-
 // DomainsRanges extracts, from a set of triples, the observed domain (head
 // set) and range (tail set) of every relation, as sorted unique entity id
 // lists. This is the PseudoTyped (PT) view of the graph. The lists are carved

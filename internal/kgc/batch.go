@@ -82,15 +82,11 @@ func (a *batchAdapter) ScoreHeadsBatch(ts []int32, r int32, cands []int32, out [
 	a.ScoreBlock(cands, out)
 }
 
-// defaultTile is the kernel tile used when the caller doesn't pass one: 8
-// candidate rows at dim 128 is 8 KB — comfortably L1-resident. TileFor
-// sizes it from the dim at plan compile time. Tiling only reorders the
-// (query, candidate) iteration; each score remains one sequential
-// reduction, so results are bit-identical to the per-query path at any
-// tile size.
-const defaultTile = 8
-
-// The tile micro-kernels below define the scoring lane's arithmetic:
+// The tile micro-kernels below define the scoring lane's arithmetic. Tiling
+// only reorders the (query, candidate) iteration; each score remains one
+// sequential reduction, so results are bit-identical to the per-query path at
+// any tile size.
+//
 // storeScorer.score feeds them one tile of candidate rows at a time — a
 // sub-slice of the entity table, or a tile-sized buffer the store copied or
 // dequantized the rows into — so they are the same code at every precision.

@@ -31,7 +31,6 @@ func (m *DistMult) Name() string      { return "DistMult" }
 func (m *DistMult) Dim() int          { return m.dim }
 func (m *DistMult) defaultLoss() Loss { return LossLogistic }
 func (m *DistMult) reciprocal() bool  { return false }
-func (m *DistMult) numRelations() int { return len(m.rel.w) / m.dim }
 
 // ScoreTriple returns Σᵢ hᵢrᵢtᵢ.
 func (m *DistMult) ScoreTriple(h, r, t int32) float64 {
@@ -148,7 +147,6 @@ func (m *ComplEx) Name() string      { return "ComplEx" }
 func (m *ComplEx) Dim() int          { return m.dim }
 func (m *ComplEx) defaultLoss() Loss { return LossLogistic }
 func (m *ComplEx) reciprocal() bool  { return false }
-func (m *ComplEx) numRelations() int { return len(m.rel.w) / m.dim }
 
 // ScoreTriple returns Re(⟨h, r, conj(t)⟩) =
 // Σ (h_re·r_re·t_re + h_im·r_re·t_im + h_re·r_im·t_im − h_im·r_im·t_re).
@@ -283,7 +281,6 @@ func (m *RESCAL) Name() string      { return "RESCAL" }
 func (m *RESCAL) Dim() int          { return m.dim }
 func (m *RESCAL) defaultLoss() Loss { return LossLogistic }
 func (m *RESCAL) reciprocal() bool  { return false }
-func (m *RESCAL) numRelations() int { return len(m.rel.w) / (m.dim * m.dim) }
 
 // ScoreTriple returns hᵀ·W_r·t.
 func (m *RESCAL) ScoreTriple(h, r, t int32) float64 {

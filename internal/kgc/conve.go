@@ -86,7 +86,6 @@ func (m *ConvE) Name() string      { return "ConvE" }
 func (m *ConvE) Dim() int          { return m.dim }
 func (m *ConvE) defaultLoss() Loss { return LossLogistic }
 func (m *ConvE) reciprocal() bool  { return true }
-func (m *ConvE) numRelations() int { return m.nrel }
 
 const bnEps = 1e-5
 

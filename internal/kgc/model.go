@@ -62,7 +62,6 @@ type Trainable interface {
 	// inverse relations (ids r+|R|), in which case the trainer corrupts
 	// tails only but presents both triple directions.
 	reciprocal() bool
-	numRelations() int
 	// gradStep applies dLoss/dScore = coeff for the triple (h, r, t),
 	// updating parameters in place with Adagrad at learning rate lr.
 	gradStep(h, r, t int32, coeff, lr float64)

@@ -39,7 +39,6 @@ func (m *RotatE) Name() string      { return "RotatE" }
 func (m *RotatE) Dim() int          { return m.dim }
 func (m *RotatE) defaultLoss() Loss { return LossMargin }
 func (m *RotatE) reciprocal() bool  { return false }
-func (m *RotatE) numRelations() int { return len(m.rel.w) / m.half }
 
 // rotated writes the complex rotation of h by sign·phases into (qre, qim):
 // h∘r for sign = 1, the inverse rotation h∘r⁻¹ for sign = −1.

@@ -18,8 +18,8 @@ type BatchOptions struct {
 	// is the same at every precision. Ignored for models without a native
 	// batch lane, which always score at float64.
 	Precision store.Precision
-	// Tile is the kernel candidate-tile size; 0 uses the built-in default.
-	// TileFor sizes it from the dim.
+	// Tile is the kernel candidate-tile size; 0, what every caller but a
+	// tile sweep passes, sizes it from the model's dim (TileFor).
 	Tile int
 }
 
@@ -129,8 +129,7 @@ const numPrec = 3
 // entStores lazily builds and caches a model's entity store, one per
 // precision. The Float64 store aliases the live weight table (always
 // current); Float32/Int8 stores snapshot the weights at first use — fit a
-// model before evaluating it at reduced precision, or call ResetStores
-// after further training.
+// model before evaluating it at reduced precision.
 type entStores struct {
 	mu sync.Mutex
 	s  [numPrec]*store.Store
@@ -151,33 +150,11 @@ func (c *entStores) get(t *table, p store.Precision) *store.Store {
 	return st
 }
 
-func (c *entStores) attach(st *store.Store) {
-	c.mu.Lock()
-	c.s[st.Precision()] = st
-	c.mu.Unlock()
-}
-
-func (c *entStores) reset() {
-	c.mu.Lock()
-	c.s = [numPrec]*store.Store{}
-	c.mu.Unlock()
-}
-
-// ResetStores drops m's cached entity stores so they are rebuilt from the
-// current weights on next use. Call it after training a model further once
-// it has been evaluated at reduced precision (the float64 store aliases the
-// live weights and never goes stale).
-func ResetStores(m Model) {
-	if bn, ok := m.(batchNative); ok {
-		bn.entityStores().reset()
-	}
-}
-
 // NewBatchScorer returns a batch lane for m, the one way to get one. Models
 // implementing the native contract (all seven built-in models) get a
-// store-backed scorer at opts' precision and tile; a model that already
-// implements BatchScorer is returned as-is; any other Model is wrapped in
-// batchAdapter, which ignores opts.
+// store-backed scorer at opts' precision, its tile sized from the model's
+// dim; a model that already implements BatchScorer is returned as-is; any
+// other Model is wrapped in batchAdapter, which ignores opts.
 //
 // The returned scorer owns reusable scratch buffers and is NOT safe for
 // concurrent use: create one per worker goroutine. Scorers for the same
@@ -189,7 +166,7 @@ func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 	if bn, ok := m.(batchNative); ok {
 		tile := opts.Tile
 		if tile <= 0 {
-			tile = defaultTile
+			tile = TileFor(0, m.Dim(), opts.Precision)
 		}
 		return &storeScorer{
 			m:    bn,

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"kgeval/internal/kgc/store"
 )
 
 // Model persistence: a small versioned binary format so trained models can
@@ -142,55 +140,6 @@ func Load(r io.Reader, m Model) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// SaveEntityStore writes m's entity-embedding table as a columnar store
-// file (the versioned mmap-able format of internal/kgc/store) at the given
-// precision. Serving processes then OpenEntityStore the file and share one
-// read-only copy through the page cache instead of each re-deriving the
-// table from a checkpoint.
-func SaveEntityStore(w io.Writer, m Model, p store.Precision) error {
-	bn, ok := m.(batchNative)
-	if !ok {
-		return fmt.Errorf("kgc: model %s has no entity store", m.Name())
-	}
-	st := bn.entityStores().get(bn.entityTable(), p)
-	_, err := st.WriteTo(w)
-	return err
-}
-
-// OpenEntityStore memory-maps an entity store file written by
-// SaveEntityStore and attaches it to m: batch scorers for the store's
-// precision read rows from the mapping from then on. The load is O(1) in the
-// table size, and concurrent processes opening the same file share one
-// physical copy. The caller owns the returned store and should Close it
-// once m is no longer in use.
-func OpenEntityStore(m Model, path string) (*store.Store, error) {
-	st, err := store.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := AttachEntityStore(m, st); err != nil {
-		st.Close()
-		return nil, err
-	}
-	return st, nil
-}
-
-// AttachEntityStore installs st as m's cached entity store for st's
-// precision after validating that its shape matches m's entity table.
-func AttachEntityStore(m Model, st *store.Store) error {
-	bn, ok := m.(batchNative)
-	if !ok {
-		return fmt.Errorf("kgc: model %s has no entity store", m.Name())
-	}
-	t := bn.entityTable()
-	if st.Rows() != len(t.w)/t.dim || st.Dim() != t.dim {
-		return fmt.Errorf("kgc: store shape %d×%d does not match %s entity table %d×%d",
-			st.Rows(), st.Dim(), m.Name(), len(t.w)/t.dim, t.dim)
-	}
-	bn.entityStores().attach(st)
 	return nil
 }
 

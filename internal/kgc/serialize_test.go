@@ -7,12 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
-	"kgeval/internal/kgc/store"
 	"kgeval/internal/synth"
 )
 
@@ -91,63 +88,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if err := Load(bytes.NewReader(nil), m); err == nil {
 		t.Fatal("empty input must fail")
-	}
-}
-
-// TestEntityStoreSaveOpenAttach round-trips the entity table through the
-// columnar store file at every precision: a scorer gathering from the
-// mmap'd store must score identically to one gathering from a heap-built
-// store of the same precision.
-func TestEntityStoreSaveOpenAttach(t *testing.T) {
-	g := trainGraph(t)
-	dir := t.TempDir()
-	for _, p := range []store.Precision{store.Float64, store.Float32, store.Int8} {
-		m := NewDistMult(g, 8, 31)
-		cands := []int32{0, 5, 9, 77, 149}
-		hs := []int32{3, 11}
-		want := make([]float64, len(hs)*len(cands))
-		NewBatchScorer(m, BatchOptions{Precision: p}).ScoreTailsBatch(hs, 2, cands, want)
-
-		path := filepath.Join(dir, "ent."+p.String())
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := SaveEntityStore(f, m, p); err != nil {
-			t.Fatalf("%v: SaveEntityStore: %v", p, err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		// Fresh model, same weights restored, store attached from disk.
-		m2 := NewDistMult(g, 8, 31)
-		st, err := OpenEntityStore(m2, path)
-		if err != nil {
-			t.Fatalf("%v: OpenEntityStore: %v", p, err)
-		}
-		got := make([]float64, len(want))
-		NewBatchScorer(m2, BatchOptions{Precision: p}).ScoreTailsBatch(hs, 2, cands, got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: score[%d] via mmap store = %v, heap store = %v", p, i, got[i], want[i])
-			}
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestAttachEntityStoreRejectsShapeMismatch(t *testing.T) {
-	g := trainGraph(t)
-	m := NewDistMult(g, 8, 1)
-	st, err := store.FromRows(make([]float64, 10*16), 10, 16, store.Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := AttachEntityStore(m, st); err == nil {
-		t.Fatal("attaching a mismatched store must fail")
 	}
 }
 

@@ -16,10 +16,6 @@
 // block parameters) and so raises how much of it stays cached between
 // tiles; the kernel behind the tile is the same one at every precision,
 // and what it costs is a bounded per-value dequantization error.
-//
-// Stores serialize to a versioned, mmap-able on-disk format (file.go):
-// several processes can Open the same file and share one read-only copy
-// through the page cache, making model load O(1) in the table size.
 package store
 
 import (
@@ -43,8 +39,6 @@ const (
 	// error is bounded by half a quantization step: (max−min)/510 over the
 	// block.
 	Int8
-
-	numPrecisions = 3
 )
 
 // String returns the wire name: "float64", "float32" or "int8".
@@ -82,8 +76,8 @@ const BlockDim = 8
 // Store is a read-only dense rows×dim embedding matrix at one precision.
 // All methods are safe for concurrent use.
 type Store struct {
-	rows, dim int
-	prec      Precision
+	dim  int
+	prec Precision
 
 	f64 []float64
 	f32 []float32
@@ -92,8 +86,6 @@ type Store struct {
 	// value ≈ zero + scale·(q+128), q ∈ [−128, 127].
 	scale []float32
 	zero  []float32
-
-	mapped []byte // retained mmap region; nil for heap-backed stores
 }
 
 // nblocks returns the per-row quantization block count.
@@ -117,7 +109,7 @@ func FromRows(data []float64, rows, dim int, p Precision) (*Store, error) {
 	if dim <= 0 || rows < 0 || len(data) != rows*dim {
 		return nil, fmt.Errorf("store: shape %d×%d does not match %d values", rows, dim, len(data))
 	}
-	s := &Store{rows: rows, dim: dim, prec: p}
+	s := &Store{dim: dim, prec: p}
 	switch p {
 	case Float64:
 		s.f64 = data
@@ -180,33 +172,6 @@ func quantizeRow(src []float64, dst []int8, scale, zero []float32) {
 			dst[k] = int8(q - 128)
 		}
 	}
-}
-
-// Rows returns the row count.
-func (s *Store) Rows() int { return s.rows }
-
-// Dim returns the row dimensionality.
-func (s *Store) Dim() int { return s.dim }
-
-// Precision returns the storage precision.
-func (s *Store) Precision() Precision { return s.prec }
-
-// Bytes returns the payload footprint: values plus quantization parameters.
-func (s *Store) Bytes() int {
-	switch s.prec {
-	case Float64:
-		return len(s.f64) * 8
-	case Float32:
-		return len(s.f32) * 4
-	case Int8:
-		return len(s.i8) + 4*len(s.scale) + 4*len(s.zero)
-	}
-	return 0
-}
-
-// Row dequantizes row id into dst, which must hold Dim values.
-func (s *Store) Row(id int32, dst []float64) {
-	s.gatherRow(int(id), dst[:s.dim])
 }
 
 // Tile returns the rows of ids as one contiguous len(ids)×Dim float64 block

@@ -1,13 +1,8 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -18,6 +13,17 @@ func randRows(rows, dim int, seed int64) []float64 {
 		data[i] = rng.NormFloat64() * 0.3
 	}
 	return data
+}
+
+// Row reads one row through gatherRow: the per-row reference Gather, Tile
+// and TileColumns are checked against.
+func (s *Store) Row(id int32, dst []float64) {
+	s.gatherRow(int(id), dst[:s.dim])
+}
+
+// Bytes is the payload footprint: values plus quantization parameters.
+func (s *Store) Bytes() int {
+	return len(s.f64)*8 + len(s.f32)*4 + len(s.i8) + 4*len(s.scale) + 4*len(s.zero)
 }
 
 func TestParsePrecision(t *testing.T) {
@@ -121,132 +127,6 @@ func TestGatherMatchesRows(t *testing.T) {
 	}
 }
 
-// TestRoundTripAllPrecisions serializes and reloads each precision variant
-// and checks the reconstructed rows are identical to the original store's.
-func TestRoundTripAllPrecisions(t *testing.T) {
-	const rows, dim = 40, 33 // odd dim: exercises section padding
-	data := randRows(rows, dim, 4)
-	for _, p := range []Precision{Float64, Float32, Int8} {
-		orig, err := FromRows(data, rows, dim, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if n, err := orig.WriteTo(&buf); err != nil || n != int64(buf.Len()) {
-			t.Fatalf("%v: WriteTo = %d, %v; buffer has %d", p, n, err, buf.Len())
-		}
-		back, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%v: Read: %v", p, err)
-		}
-		if back.Rows() != rows || back.Dim() != dim || back.Precision() != p {
-			t.Fatalf("%v: reloaded shape %d×%d precision %v", p, back.Rows(), back.Dim(), back.Precision())
-		}
-		a, b := make([]float64, dim), make([]float64, dim)
-		for r := 0; r < rows; r++ {
-			orig.Row(int32(r), a)
-			back.Row(int32(r), b)
-			for k := range a {
-				if a[k] != b[k] {
-					t.Fatalf("%v: row %d dim %d: %g != %g after round-trip", p, r, k, a[k], b[k])
-				}
-			}
-		}
-	}
-}
-
-func TestRejectUnknownVersion(t *testing.T) {
-	s, err := FromRows(randRows(4, 8, 5), 4, 8, Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	binary.LittleEndian.PutUint32(raw[8:12], 99)
-	if _, err := Read(bytes.NewReader(raw)); err == nil ||
-		!strings.Contains(err.Error(), "version 99") {
-		t.Fatalf("want unsupported-version error naming version 99, got %v", err)
-	}
-
-	raw[0] = 'X'
-	if _, err := Read(bytes.NewReader(raw)); err == nil ||
-		!strings.Contains(err.Error(), "magic") {
-		t.Fatalf("want bad-magic error, got %v", err)
-	}
-}
-
-func TestRejectTruncated(t *testing.T) {
-	s, _ := FromRows(randRows(4, 8, 6), 4, 8, Int8)
-	var buf bytes.Buffer
-	s.WriteTo(&buf)
-	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()-5])); err == nil {
-		t.Fatal("truncated payload should be rejected")
-	}
-	if _, err := Read(bytes.NewReader(buf.Bytes()[:10])); err == nil {
-		t.Fatal("truncated header should be rejected")
-	}
-}
-
-// TestMmapSharedReaders writes a store to disk, opens it twice (two
-// independent mmap readers over one file), and checks both see identical
-// rows while each can be closed independently.
-func TestMmapSharedReaders(t *testing.T) {
-	const rows, dim = 50, 32
-	data := randRows(rows, dim, 7)
-	for _, p := range []Precision{Float64, Float32, Int8} {
-		orig, err := FromRows(data, rows, dim, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "ent."+p.String()+".kgs")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := orig.WriteTo(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		r1, err := Open(path)
-		if err != nil {
-			t.Fatalf("%v: first Open: %v", p, err)
-		}
-		r2, err := Open(path)
-		if err != nil {
-			t.Fatalf("%v: second Open: %v", p, err)
-		}
-		want, a, b := make([]float64, dim), make([]float64, dim), make([]float64, dim)
-		for r := 0; r < rows; r++ {
-			orig.Row(int32(r), want)
-			r1.Row(int32(r), a)
-			r2.Row(int32(r), b)
-			for k := range want {
-				if a[k] != want[k] || b[k] != want[k] {
-					t.Fatalf("%v: row %d dim %d: readers %g/%g, want %g", p, r, k, a[k], b[k], want[k])
-				}
-			}
-		}
-		// Closing one reader must not disturb the other.
-		if err := r1.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r2.Row(3, b)
-		orig.Row(3, want)
-		if b[0] != want[0] {
-			t.Fatalf("%v: second reader corrupted after first Close", p)
-		}
-		if err := r2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestGatherQuantizedMatchesGather checks that dequantizing the raw blocks
 // GatherQuantized returns — value = zero + scale·(q+128) — reproduces
 // exactly what Gather writes, including on a tail block (dim % BlockDim != 0)
@@ -310,95 +190,6 @@ func TestBytesFootprint(t *testing.T) {
 	if ratio := float64(f64.Bytes()) / float64(i8.Bytes()); ratio < 4 {
 		t.Fatalf("int8 should be ≥4× smaller than float64, got %.2f×", ratio)
 	}
-}
-
-// header builds a bare 64-byte store header; the payload is whatever the
-// caller appends.
-func header(p Precision, rows, dim, valBytes, quantBytes uint64) []byte {
-	hdr := make([]byte, headerSize)
-	copy(hdr, fileMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], fileVersion)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(p))
-	binary.LittleEndian.PutUint64(hdr[16:24], rows)
-	binary.LittleEndian.PutUint64(hdr[24:32], dim)
-	if p == Int8 {
-		binary.LittleEndian.PutUint64(hdr[32:40], BlockDim)
-	}
-	binary.LittleEndian.PutUint64(hdr[40:48], valBytes)
-	binary.LittleEndian.PutUint64(hdr[48:56], quantBytes)
-	return hdr
-}
-
-// A header is input from outside the program: shapes whose section sizes
-// overflow int — to a negative value, or all the way round to a small
-// positive one — must be reported as a truncated payload, not slip past the
-// length guard and panic in a slice expression. Section sizes the header
-// declares must agree with its shape.
-func TestRejectImplausibleSections(t *testing.T) {
-	const maxDim = math.MaxInt32
-	// rows·dim·8 = 2⁶⁴ + 64: as an int, a value section of 64 bytes. Only
-	// Float64's element size can carry a shape within the MaxInt32 bounds
-	// past 2⁶⁴.
-	wrapRows, wrapDim := uint64(20*107367629), uint64(2*536903681)
-	if wrapped := wrapRows * wrapDim * 8; wrapped != 64 {
-		t.Fatalf("wrap shape gives %d value bytes mod 2⁶⁴, want 64", wrapped)
-	}
-	type tc struct {
-		name      string
-		p         Precision
-		rows, dim uint64
-		val, q    uint64 // declared section sizes
-		payload   int
-		want      string
-	}
-	var cases []tc
-	for _, p := range []Precision{Float64, Float32, Int8} {
-		cases = append(cases,
-			tc{"max shape", p, maxDim, maxDim, 0, 0, 64, "truncated payload"},
-			tc{"max rows", p, maxDim, 8, 0, 0, 64, "truncated payload"},
-		)
-	}
-	cases = append(cases,
-		tc{"wraps to 64", Float64, wrapRows, wrapDim, 64, 0, 64, "truncated payload"},
-		// 2×8 tables with the right payload length, wrong declared sizes.
-		tc{"declared values short", Float64, 2, 8, 64, 0, 128, "header declares"},
-		tc{"declared values short", Float32, 2, 8, 32, 0, 64, "header declares"},
-		tc{"declared quant missing", Int8, 2, 8, 16, 0, 32, "header declares"},
-		tc{"declared quant on float", Float32, 2, 8, 64, 16, 64, "header declares"},
-	)
-	for _, c := range cases {
-		raw := append(header(c.p, c.rows, c.dim, c.val, c.q), make([]byte, c.payload)...)
-		s, err := Read(bytes.NewReader(raw))
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%v/%s: Read = %v, %v; want an error containing %q", c.p, c.name, s, err, c.want)
-		}
-	}
-}
-
-// FuzzFromBytes: no input, however its header lies, may panic the parser,
-// and anything it accepts must be a store whose every row is readable.
-func FuzzFromBytes(f *testing.F) {
-	for _, p := range []Precision{Float64, Float32, Int8} {
-		s, err := FromRows(randRows(5, 12, 9), 5, 12, p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := s.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		s, err := fromBytes(raw, nil)
-		if err != nil {
-			return
-		}
-		row := make([]float64, s.Dim())
-		for id := 0; id < s.Rows(); id++ {
-			s.Row(int32(id), row)
-		}
-	})
 }
 
 // Tile hands out the table itself for a consecutive run on a Float64 store

@@ -27,12 +27,9 @@ const tileBytes = 32 << 10
 // so both lanes share it. Every precision hands the kernel the same float64
 // tile, so the precision does not enter; the parameter stays for callers.
 func TileFor(pool, dim int, _ store.Precision) int {
-	tile := defaultTile
-	if dim > 0 {
-		tile = tileBytes / (dim * 8)
-		tile -= tile % 4
-		tile = max(4, min(tile, 64))
-	}
+	tile := tileBytes / (max(dim, 1) * 8)
+	tile -= tile % 4
+	tile = max(4, min(tile, 64))
 	// A tile larger than the pool is just the pool; no need to exceed it.
 	if pool > 0 && tile > pool {
 		tile = pool

@@ -6,17 +6,6 @@ import (
 	"kgeval/internal/kg"
 )
 
-// NegativeSampler supplies corruption candidates during training. The
-// paper's §7 future-work item — using relation recommenders as negative
-// sample probabilities during training — is implemented by
-// core.RecNegativeSampler; nil means uniform corruption.
-type NegativeSampler interface {
-	// SampleTail draws a tail-corruption candidate for relation r.
-	SampleTail(r int32, rng *rand.Rand) int32
-	// SampleHead draws a head-corruption candidate for relation r.
-	SampleHead(r int32, rng *rand.Rand) int32
-}
-
 // TrainConfig controls the negative-sampling trainer.
 type TrainConfig struct {
 	Epochs     int     // passes over the training split
@@ -24,8 +13,6 @@ type TrainConfig struct {
 	NegSamples int     // corrupted triples per positive
 	Margin     float64 // margin for LossMargin models
 	Seed       int64
-	// Negatives overrides uniform corruption when non-nil.
-	Negatives NegativeSampler
 	// EpochCallback, when non-nil, runs after each epoch (1-based); the
 	// correlation experiments evaluate the model here. Returning false
 	// stops training early.
@@ -60,21 +47,7 @@ func Train(m Trainable, g *kg.Graph, cfg TrainConfig) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	loss := m.defaultLoss()
 	triples := append([]kg.Triple(nil), g.Train...)
-	nrel := int32(m.numRelations())
 	n := int32(g.NumEntities)
-
-	drawHead := func(r int32) int32 {
-		if cfg.Negatives != nil {
-			return cfg.Negatives.SampleHead(r, rng)
-		}
-		return rng.Int31n(n)
-	}
-	drawTail := func(r int32) int32 {
-		if cfg.Negatives != nil {
-			return cfg.Negatives.SampleTail(r, rng)
-		}
-		return rng.Int31n(n)
-	}
 
 	trainOne := func(h, r, t int32, corruptHead bool) {
 		switch loss {
@@ -84,12 +57,12 @@ func Train(m Trainable, g *kg.Graph, cfg TrainConfig) {
 			for k := 0; k < cfg.NegSamples; k++ {
 				nh, nt := h, t
 				if corruptHead && k%2 == 1 {
-					nh = drawHead(r)
+					nh = rng.Int31n(n)
 					if nh == h {
 						continue
 					}
 				} else {
-					nt = drawTail(r)
+					nt = rng.Int31n(n)
 					if nt == t {
 						continue
 					}
@@ -102,12 +75,12 @@ func Train(m Trainable, g *kg.Graph, cfg TrainConfig) {
 			for k := 0; k < cfg.NegSamples; k++ {
 				nh, nt := h, t
 				if corruptHead && k%2 == 1 {
-					nh = drawHead(r)
+					nh = rng.Int31n(n)
 					if nh == h {
 						continue
 					}
 				} else {
-					nt = drawTail(r)
+					nt = rng.Int31n(n)
 					if nt == t {
 						continue
 					}
@@ -128,7 +101,6 @@ func Train(m Trainable, g *kg.Graph, cfg TrainConfig) {
 				// Tail corruption in both directions covers head queries.
 				trainOne(tr.H, tr.R, tr.T, false)
 				trainOne(tr.T, tr.R+int32(g.NumRelations), tr.H, false)
-				_ = nrel
 			} else {
 				trainOne(tr.H, tr.R, tr.T, true)
 			}

@@ -31,7 +31,6 @@ func (m *TransE) Name() string      { return "TransE" }
 func (m *TransE) Dim() int          { return m.dim }
 func (m *TransE) defaultLoss() Loss { return LossMargin }
 func (m *TransE) reciprocal() bool  { return false }
-func (m *TransE) numRelations() int { return len(m.rel.w) / m.dim }
 
 // ScoreTriple returns −‖h + r − t‖₁.
 func (m *TransE) ScoreTriple(h, r, t int32) float64 {

@@ -36,7 +36,6 @@ func (m *TuckER) Name() string      { return "TuckER" }
 func (m *TuckER) Dim() int          { return m.dim }
 func (m *TuckER) defaultLoss() Loss { return LossLogistic }
 func (m *TuckER) reciprocal() bool  { return false }
-func (m *TuckER) numRelations() int { return len(m.rel.w) / m.dim }
 
 // relMatInto computes M_r[i*d+k] = Σ_j r_j·W[i][j][k] — the core tensor
 // contracted with the relation once. Every query of the relation then needs

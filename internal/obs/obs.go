@@ -1,7 +1,6 @@
 // Package obs is the dependency-free observability layer of the kgeval
-// system: atomic counters and gauges, labeled histograms with exact
-// mergeable buckets, lightweight timing spans, and a Prometheus
-// text-format exposition writer (prometheus.go).
+// system: atomic counters and gauges, labeled histograms over fixed
+// buckets, and a Prometheus text-format exposition writer (prometheus.go).
 //
 // Instruments are created through a Registry and identified by a family
 // name plus an optional set of constant labels; requesting the same
@@ -10,12 +9,6 @@
 // goroutines. Every mutating operation is a single atomic instruction —
 // no locks on the observation path — which is what lets the eval workers
 // hammer the same counters from every scoring goroutine.
-//
-// Histogram buckets are plain per-bucket counts over fixed upper bounds,
-// so two snapshots with identical bounds merge exactly (bucket-wise
-// integer addition). That property is what makes per-worker or per-shard
-// histograms safe to aggregate — the planned coordinator/worker scale-out
-// merges rank and latency histograms the same way Metrics already merge.
 package obs
 
 import (
@@ -103,9 +96,8 @@ func (g *Gauge) Value() float64 {
 
 // Histogram counts observations into fixed buckets. Bounds are ascending
 // upper limits; an implicit +Inf bucket catches the overflow. Buckets hold
-// plain (non-cumulative) counts so snapshots with identical bounds merge
-// exactly; the exposition writer emits the cumulative form Prometheus
-// expects.
+// plain (non-cumulative) counts; the exposition writer emits the cumulative
+// form Prometheus expects.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
@@ -152,18 +144,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since t0 and returns the duration.
-//
-// Callers on per-observation paths must hold the resolved *Histogram
-// handle, not re-look it up through Registry.Histogram each time: the
-// labeled-series lookup takes the registry lock and allocates the
-// canonical label signature, which dwarfs the observation itself.
-func (h *Histogram) ObserveSince(t0 time.Time) time.Duration {
-	d := time.Since(t0)
-	h.Observe(d.Seconds())
-	return d
-}
-
 // ObserveExemplar records v and stores (v, traceID, now) as the
 // histogram's exemplar. An empty traceID observes without touching the
 // exemplar, so call sites need not branch on whether tracing was active.
@@ -185,21 +165,7 @@ func (h *Histogram) LastExemplar() *Exemplar {
 	return h.exemplar.Load()
 }
 
-// Start opens a timing span ending in the histogram.
-func (h *Histogram) Start() Span { return Span{h: h, t0: time.Now()} }
-
-// Span is an in-flight timing measurement.
-type Span struct {
-	h  *Histogram
-	t0 time.Time
-}
-
-// Stop observes the span's elapsed seconds and returns the duration.
-func (s Span) Stop() time.Duration { return s.h.ObserveSince(s.t0) }
-
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
-// Snapshots with identical bounds merge exactly and associatively
-// (bucket counts are integers); see Merge.
 type HistogramSnapshot struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"` // per-bucket; last entry is +Inf
@@ -221,31 +187,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Merge returns the exact bucket-wise sum of two snapshots. The bounds
-// must be identical — merging is only defined within one metric family —
-// and the operation is associative and commutative on Counts/Count
-// (integer addition).
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) (HistogramSnapshot, error) {
-	if len(s.Bounds) != len(o.Bounds) {
-		return HistogramSnapshot{}, fmt.Errorf("obs: merging histograms with %d vs %d bounds", len(s.Bounds), len(o.Bounds))
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != o.Bounds[i] {
-			return HistogramSnapshot{}, fmt.Errorf("obs: merging histograms with mismatched bound %d: %g vs %g", i, s.Bounds[i], o.Bounds[i])
-		}
-	}
-	out := HistogramSnapshot{
-		Bounds: append([]float64(nil), s.Bounds...),
-		Counts: make([]int64, len(s.Counts)),
-		Count:  s.Count + o.Count,
-		Sum:    s.Sum + o.Sum,
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return out, nil
 }
 
 // --- registry ---

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"math"
-	"math/rand"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -65,83 +62,6 @@ func TestHistogramObserve(t *testing.T) {
 	}
 	if s.Count != 5 || s.Sum != 106 {
 		t.Fatalf("count=%d sum=%g, want 5/106", s.Count, s.Sum)
-	}
-}
-
-func TestHistogramSpan(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("span_seconds", "", DurationBuckets)
-	sp := h.Start()
-	time.Sleep(time.Millisecond)
-	if d := sp.Stop(); d < time.Millisecond {
-		t.Fatalf("span measured %v, want >= 1ms", d)
-	}
-	if s := h.Snapshot(); s.Count != 1 || s.Sum <= 0 {
-		t.Fatalf("snapshot after span = %+v", s)
-	}
-}
-
-// TestHistogramMergeAssociativity is the property test behind the
-// "exact mergeable buckets" claim: for randomly filled histograms a, b, c
-// over the same bounds, (a ∪ b) ∪ c and a ∪ (b ∪ c) agree bucket-for-bucket.
-// Counts are integers, so agreement is exact; sums are floats and checked
-// to a relative tolerance.
-func TestHistogramMergeAssociativity(t *testing.T) {
-	bounds := []float64{0.001, 0.01, 0.1, 1, 10}
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 100; trial++ {
-		snaps := make([]HistogramSnapshot, 3)
-		for i := range snaps {
-			h := newHistogram(bounds)
-			for n := rng.Intn(200); n > 0; n-- {
-				h.Observe(math.Exp(rng.NormFloat64()*3 - 3))
-			}
-			snaps[i] = h.Snapshot()
-		}
-		ab, err := snaps[0].Merge(snaps[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		left, err := ab.Merge(snaps[2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		bc, err := snaps[1].Merge(snaps[2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		right, err := snaps[0].Merge(bc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if left.Count != right.Count {
-			t.Fatalf("trial %d: count %d != %d", trial, left.Count, right.Count)
-		}
-		total := int64(0)
-		for i := range left.Counts {
-			if left.Counts[i] != right.Counts[i] {
-				t.Fatalf("trial %d: bucket %d: %d != %d", trial, i, left.Counts[i], right.Counts[i])
-			}
-			total += left.Counts[i]
-		}
-		if total != left.Count {
-			t.Fatalf("trial %d: buckets sum to %d, count says %d", trial, total, left.Count)
-		}
-		if diff := math.Abs(left.Sum - right.Sum); diff > 1e-9*math.Abs(left.Sum)+1e-12 {
-			t.Fatalf("trial %d: sums diverge: %g vs %g", trial, left.Sum, right.Sum)
-		}
-	}
-}
-
-func TestHistogramMergeBoundMismatch(t *testing.T) {
-	a := newHistogram([]float64{1, 2}).Snapshot()
-	b := newHistogram([]float64{1, 3}).Snapshot()
-	if _, err := a.Merge(b); err == nil {
-		t.Fatal("merging histograms with different bounds did not error")
-	}
-	c := newHistogram([]float64{1}).Snapshot()
-	if _, err := a.Merge(c); err == nil {
-		t.Fatal("merging histograms with different bound counts did not error")
 	}
 }
 

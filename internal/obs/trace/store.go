@@ -257,13 +257,3 @@ func (s *Store) Traces() []*Recorder {
 	}
 	return out
 }
-
-// Len returns the number of retained traces.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.order)
-}

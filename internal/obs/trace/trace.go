@@ -40,9 +40,6 @@ type TraceID [16]byte
 // String returns the 32-digit lowercase hex form.
 func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 
-// IsZero reports whether the ID is unset.
-func (t TraceID) IsZero() bool { return t == TraceID{} }
-
 // SpanID identifies one span within a trace.
 type SpanID [8]byte
 
@@ -138,17 +135,8 @@ func Int(k string, v int) Attr { return Attr{Key: k, Value: v} }
 // Int64 builds a 64-bit integer attribute.
 func Int64(k string, v int64) Attr { return Attr{Key: k, Value: v} }
 
-// Float64 builds a float attribute.
-func Float64(k string, v float64) Attr { return Attr{Key: k, Value: v} }
-
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
-
-// DurationMS builds a duration attribute in (fractional) milliseconds —
-// the trace JSON's uniform time unit.
-func DurationMS(k string, d time.Duration) Attr {
-	return Attr{Key: k, Value: float64(d) / float64(time.Millisecond)}
-}
 
 // Event is a timestamped point annotation on a span (a cache hit, a
 // single-flight join) — cheaper than a child span when there is no
@@ -160,7 +148,7 @@ type Event struct {
 }
 
 // Span is one in-flight timed operation of a trace. Spans are created from
-// a parent (Child, StartSpan) or as a trace root (Store.StartTrace), carry
+// a parent (Child) or as a trace root (Store.StartTrace), carry
 // attributes and events, and on End append their immutable record to the
 // trace's flight recorder.
 //
@@ -301,16 +289,4 @@ func FromContext(ctx context.Context) *Span {
 	}
 	s, _ := ctx.Value(ctxKey{}).(*Span)
 	return s
-}
-
-// StartSpan starts a child of the context's span and returns a context
-// carrying it. Without a span in ctx it returns (ctx, nil): the nil span
-// no-ops and downstream calls stay untraced.
-func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	c := parent.Child(name, attrs...)
-	return context.WithValue(ctx, ctxKey{}, c), c
 }

@@ -8,6 +8,17 @@ import (
 	"time"
 )
 
+// StartSpan starts a child of the context's span and returns a context
+// carrying it; without a span in ctx it returns (ctx, nil).
+func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
+	parent := FromContext(ctx)
+	if parent == nil {
+		return ctx, nil
+	}
+	c := parent.Child(name, attrs...)
+	return ContextWith(ctx, c), c
+}
+
 func TestSpanTreeParentage(t *testing.T) {
 	store := NewStore(4, 64)
 	ctx, root := store.StartTrace(context.Background(), "request", String("method", "POST"))
@@ -161,8 +172,8 @@ func TestStoreEviction(t *testing.T) {
 		ids = append(ids, root.TraceID())
 		root.End()
 	}
-	if store.Len() != 3 {
-		t.Fatalf("store retains %d traces, want 3", store.Len())
+	if len(store.Traces()) != 3 {
+		t.Fatalf("store retains %d traces, want 3", len(store.Traces()))
 	}
 	for _, id := range ids[:2] {
 		if _, ok := store.Get(id); ok {
@@ -196,8 +207,8 @@ func TestStoreRemove(t *testing.T) {
 	rejected.End()
 	store.Remove(rejected.Recorder())
 
-	if store.Len() != 1 {
-		t.Fatalf("store retains %d traces after Remove, want 1", store.Len())
+	if len(store.Traces()) != 1 {
+		t.Fatalf("store retains %d traces after Remove, want 1", len(store.Traces()))
 	}
 	if _, ok := store.Get(rejected.TraceID()); ok {
 		t.Fatal("removed trace still resolvable")
@@ -210,8 +221,8 @@ func TestStoreRemove(t *testing.T) {
 	store.Remove(nil)
 	var nilStore *Store
 	nilStore.Remove(kept.Recorder())
-	if store.Len() != 1 {
-		t.Fatalf("no-op removals changed Len to %d", store.Len())
+	if len(store.Traces()) != 1 {
+		t.Fatalf("no-op removals changed Len to %d", len(store.Traces()))
 	}
 	// The freed slot means two more traces fit without evicting "kept".
 	store.StartTrace(context.Background(), "a")
@@ -341,7 +352,7 @@ func TestIDUniqueness(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if newTraceID().IsZero() {
+	if newTraceID() == (TraceID{}) {
 		t.Fatal("fresh trace ID is zero")
 	}
 	if (SpanID{}).String() != "" {

@@ -24,8 +24,3 @@ func ByName(name string, seed int64) (Recommender, error) {
 	}
 	return nil, fmt.Errorf("recommender: unknown recommender %q", name)
 }
-
-// Names lists the recommenders ByName accepts, in the paper's Table 1 order.
-func Names() []string {
-	return []string{"PT", "DBH", "DBH-T", "OntoSim", "PIE", "L-WD", "L-WD-T"}
-}

@@ -50,6 +50,11 @@ func sameCSR(t *testing.T, what string, got, want *sparse.CSR) {
 	}
 }
 
+// Names lists the recommenders ByName accepts, in the paper's Table 1 order.
+func Names() []string {
+	return []string{"PT", "DBH", "DBH-T", "OntoSim", "PIE", "L-WD", "L-WD-T"}
+}
+
 // TestFitAndBuildStaticMatchOracle is the bit-identity gate of the fast
 // recommender path: on every synth preset and for every recommender, the
 // fitted score matrix (both orientations), the chosen thresholds and the

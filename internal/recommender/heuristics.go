@@ -77,7 +77,7 @@ func (*DBHT) SupportsUnseen() bool { return true }
 
 // Fit propagates domain/range membership through types.
 func (d *DBHT) Fit(g *kg.Graph) error {
-	if err := requireTypes(d.Name(), g); err != nil {
+	if err := RequireTypes(d.Name(), g); err != nil {
 		return err
 	}
 	b := incidence(g)
@@ -109,7 +109,7 @@ func (*OntoSim) SupportsUnseen() bool { return true }
 
 // Fit computes type-reachable membership and binarizes it.
 func (o *OntoSim) Fit(g *kg.Graph) error {
-	if err := requireTypes(o.Name(), g); err != nil {
+	if err := RequireTypes(o.Name(), g); err != nil {
 		return err
 	}
 	b := incidence(g)

@@ -59,7 +59,7 @@ func (*LWDT) SupportsUnseen() bool { return true }
 
 // Fit runs Algorithm 1 with the type set.
 func (l *LWDT) Fit(g *kg.Graph) error {
-	if err := requireTypes(l.Name(), g); err != nil {
+	if err := RequireTypes(l.Name(), g); err != nil {
 		return err
 	}
 	nr2 := 2 * g.NumRelations

@@ -171,7 +171,7 @@ func oracleFitDBH(g *kg.Graph) (*ScoreMatrix, error) {
 }
 
 func oracleFitDBHT(g *kg.Graph) (*ScoreMatrix, error) {
-	if err := requireTypes("DBH-T", g); err != nil {
+	if err := RequireTypes("DBH-T", g); err != nil {
 		return nil, err
 	}
 	b := oracleIncidence(g)
@@ -183,7 +183,7 @@ func oracleFitDBHT(g *kg.Graph) (*ScoreMatrix, error) {
 }
 
 func oracleFitOntoSim(g *kg.Graph) (*ScoreMatrix, error) {
-	if err := requireTypes("OntoSim", g); err != nil {
+	if err := RequireTypes("OntoSim", g); err != nil {
 		return nil, err
 	}
 	b := oracleIncidence(g)
@@ -209,7 +209,7 @@ func oracleFitLWD(g *kg.Graph) (*ScoreMatrix, error) {
 }
 
 func oracleFitLWDT(g *kg.Graph) (*ScoreMatrix, error) {
-	if err := requireTypes("L-WD-T", g); err != nil {
+	if err := RequireTypes("L-WD-T", g); err != nil {
 		return nil, err
 	}
 	nr2 := 2 * g.NumRelations

@@ -87,9 +87,6 @@ func NewScoreMatrix(x *sparse.CSR, numRelations int) *ScoreMatrix {
 	}
 }
 
-// Matrix returns the underlying row-major CSR.
-func (s *ScoreMatrix) Matrix() *sparse.CSR { return s.byRow }
-
 // Column returns the entity ids and scores with nonzero entries in the given
 // domain/range column. Returned slices alias internal storage.
 func (s *ScoreMatrix) Column(col int) (ids []int32, scores []float64) {
@@ -154,8 +151,9 @@ func typeMatrix(g *kg.Graph) *sparse.CSR {
 	return sparse.NewBinaryCSR(g.NumEntities, g.NumTypes, entries)
 }
 
-// requireTypes errors when a type-aware method is fitted on an untyped graph.
-func requireTypes(name string, g *kg.Graph) error {
+// RequireTypes errors when a type-aware method (NeedsTypes) meets an untyped
+// graph: the error its Fit returns, which a caller can have before fitting.
+func RequireTypes(name string, g *kg.Graph) error {
 	if g.EntityTypes == nil || g.NumTypes == 0 {
 		return fmt.Errorf("recommender: %s requires entity types, but graph %q has none", name, g.Name)
 	}

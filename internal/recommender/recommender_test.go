@@ -124,8 +124,8 @@ func TestLWDTUsesTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := l.Scores()
-	if s.Matrix().NumCols != 2*g.NumRelations {
-		t.Fatalf("L-WD-T must truncate to 2|R| columns, got %d", s.Matrix().NumCols)
+	if s.byRow.NumCols != 2*g.NumRelations {
+		t.Fatalf("L-WD-T must truncate to 2|R| columns, got %d", s.byRow.NumCols)
 	}
 	// Type sharing must boost melinda for domain(bornIn) — she shares type
 	// People with the observed members.

@@ -1,6 +1,5 @@
 // Package sample provides the deterministic sampling primitives used by the
-// evaluation framework: uniform and weighted sampling without replacement,
-// plus an alias table for weighted sampling with replacement.
+// evaluation framework: uniform and weighted sampling without replacement.
 //
 // All functions take an explicit *rand.Rand so that every experiment in the
 // repository is reproducible from a seed.
@@ -136,72 +135,4 @@ func (h *keyHeap) replaceMin(id int32, key float64) {
 		h.swap(i, child)
 		i = child
 	}
-}
-
-// Alias is a Walker alias table for O(1) weighted sampling with replacement.
-// It backs the ablation that compares with- vs without-replacement
-// probabilistic candidate pools.
-type Alias struct {
-	prob  []float64
-	alias []int32
-}
-
-// NewAlias builds an alias table over the given non-negative weights.
-// Returns nil if no weight is positive.
-func NewAlias(weights []float64) *Alias {
-	n := len(weights)
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total == 0 || n == 0 {
-		return nil
-	}
-	a := &Alias{prob: make([]float64, n), alias: make([]int32, n)}
-	scaled := make([]float64, n)
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
-	for i, w := range weights {
-		if w < 0 {
-			w = 0
-		}
-		scaled[i] = w * float64(n) / total
-		if scaled[i] < 1 {
-			small = append(small, int32(i))
-		} else {
-			large = append(large, int32(i))
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
-	}
-	for _, i := range large {
-		a.prob[i] = 1
-	}
-	for _, i := range small {
-		a.prob[i] = 1
-	}
-	return a
-}
-
-// Draw samples one index with probability proportional to its weight.
-func (a *Alias) Draw(rng *rand.Rand) int32 {
-	i := rng.Intn(len(a.prob))
-	if rng.Float64() < a.prob[i] {
-		return int32(i)
-	}
-	return a.alias[i]
 }

@@ -167,47 +167,6 @@ func TestWeightedBias(t *testing.T) {
 	}
 }
 
-func TestAliasNilOnZeroWeights(t *testing.T) {
-	if NewAlias([]float64{0, 0}) != nil {
-		t.Fatal("want nil alias for all-zero weights")
-	}
-	if NewAlias(nil) != nil {
-		t.Fatal("want nil alias for empty weights")
-	}
-}
-
-func TestAliasDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	weights := []float64{1, 3, 6}
-	a := NewAlias(weights)
-	if a == nil {
-		t.Fatal("alias is nil")
-	}
-	const trials = 60000
-	counts := make([]int, 3)
-	for i := 0; i < trials; i++ {
-		counts[a.Draw(rng)]++
-	}
-	total := 10.0
-	for i, w := range weights {
-		want := w / total
-		got := float64(counts[i]) / trials
-		if math.Abs(got-want) > 0.02 {
-			t.Fatalf("item %d frequency %.3f, want %.3f", i, got, want)
-		}
-	}
-}
-
-func TestAliasNegativeWeightsTreatedAsZero(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := NewAlias([]float64{-5, 1})
-	for i := 0; i < 1000; i++ {
-		if a.Draw(rng) == 0 {
-			t.Fatal("negative-weight item drawn")
-		}
-	}
-}
-
 // referenceWeighted is Efraimidis–Spirakis without a heap: key every
 // positive-weight item from the same rng stream, sort all keys, keep the k
 // largest. Ties between keys cannot occur short of identical draws.

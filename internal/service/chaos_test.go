@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -80,12 +78,10 @@ func serving(t *testing.T, base string) {
 // quarantine error, and recovers — fit works again — once the fault is gone
 // and the window passed. Metrics count every failure, trip and rejection.
 func TestChaosFitPanicQuarantine(t *testing.T) {
-	srv, engine := newTestServer(t, EngineConfig{
-		Workers:             1,
-		FitFailureThreshold: 2,
-		FitQuarantine:       time.Second,
-		FitRetries:          -1, // one failure per job, so counts are exact
-	})
+	setVar(t, &fitFailureThreshold, 2)
+	setVar(t, &fitQuarantine, time.Second)
+	setVar(t, &fitRetries, 0) // one failure per job, so counts are exact
+	srv, engine := newTestServer(t, EngineConfig{Workers: 1})
 	g := engine.Graph()
 	snap := snapshotModel(t, g, "DistMult", 8, 6)
 	spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snap}, Strategy: "P", MaxQueries: 20}
@@ -133,10 +129,8 @@ func TestChaosFitPanicQuarantine(t *testing.T) {
 // TestChaosFitRetryTransient: a fit that fails exactly once is retried with
 // backoff and the job still succeeds; the retry is counted.
 func TestChaosFitRetryTransient(t *testing.T) {
-	srv, engine := newTestServer(t, EngineConfig{
-		Workers:         1,
-		FitRetryBackoff: 5 * time.Millisecond,
-	})
+	setVar(t, &fitRetryBackoff, 5*time.Millisecond)
+	srv, engine := newTestServer(t, EngineConfig{Workers: 1})
 	g := engine.Graph()
 	armFault(t, faults.SiteFit, faults.Plan{Action: faults.Error, Limit: 1})
 
@@ -253,17 +247,6 @@ func TestChaosStoreBuildError(t *testing.T) {
 	st = waitTerminal(t, srv.URL, submitJob(t, srv.URL, spec).ID)
 	if st.State != StateSucceeded {
 		t.Fatalf("job after store fault: state %s, error %q", st.State, st.Error)
-	}
-}
-
-// TestChaosStoreOpenError checks the store/open wiring: an armed site makes
-// Open fail with the injected error before touching the file.
-func TestChaosStoreOpenError(t *testing.T) {
-	armFault(t, faults.SiteStoreOpen, faults.Plan{Action: faults.Error})
-	_, err := store.Open(filepath.Join(t.TempDir(), "does-not-matter.kgstore"))
-	var inj *faults.Injected
-	if !errors.As(err, &inj) || inj.Site != faults.SiteStoreOpen {
-		t.Fatalf("store.Open under fault = %v, want injected %s", err, faults.SiteStoreOpen)
 	}
 }
 

@@ -50,13 +50,6 @@ type EngineConfig struct {
 	// always seeds recommender fitting so cached Frameworks stay
 	// deterministic per server (default 1).
 	DefaultSeed int64
-	// RetainJobs bounds the job index: once exceeded, the oldest terminal
-	// jobs are evicted on submission (default 4096).
-	RetainJobs int
-	// Metrics is the registry the engine's instruments register in. When
-	// nil the engine creates a private registry, so several engines in one
-	// process never share counters; read it back via Engine.Metrics().
-	Metrics *obs.Registry
 	// Traces is the flight-recorder store jobs record their span trees
 	// into. When nil the engine creates one with the trace package's
 	// defaults (256 traces × 4096 spans); read it back via Engine.Traces().
@@ -66,10 +59,6 @@ type EngineConfig struct {
 	// that one slow" record survives in the logs even after the trace store
 	// evicts it.
 	SlowJob time.Duration
-	// TraceChunkSample is passed through to eval.Options.TraceChunkSample:
-	// 0 or 1 records a chunk span per scoring task on traced jobs, N > 1
-	// every Nth task, negative none.
-	TraceChunkSample int
 	// DefaultTimeout is the end-to-end deadline applied to jobs that leave
 	// TimeoutMS 0 (queue wait + Fit + evaluation). 0 means no default —
 	// only jobs that ask for a deadline get one.
@@ -81,22 +70,27 @@ type EngineConfig struct {
 	// budget even then (or explicitly requesting float64) are rejected with
 	// a *MemoryBudgetError instead of being allowed to OOM the process.
 	MemoryBudget int64
-	// FitFailureThreshold is the number of consecutive Fit failures (or
-	// panics) for one cache key before the circuit breaker quarantines it
-	// (default 3).
-	FitFailureThreshold int
-	// FitQuarantine is the first quarantine window; each re-trip doubles it
-	// up to FitQuarantineMax (defaults 1s and 5m).
-	FitQuarantine    time.Duration
-	FitQuarantineMax time.Duration
-	// FitRetries is how many times one job retries a transiently failing
-	// Fit with jittered backoff before giving up (default 2; negative
-	// disables retries).
-	FitRetries int
-	// FitRetryBackoff is the base retry backoff, doubled per attempt and
-	// jittered (default 100ms).
-	FitRetryBackoff time.Duration
 }
+
+// Settings with one value in every deployment. They are variables only so a
+// test can shrink them; an engine reads them when it is built and while it
+// runs, so a test sets them before NewEngine and restores them after Close.
+var (
+	// retainJobs bounds the job index: once exceeded, the oldest terminal
+	// jobs are evicted on submission.
+	retainJobs = 4096
+	// fitFailureThreshold is the number of consecutive Fit failures (or
+	// panics) for one cache key before the circuit breaker quarantines it.
+	fitFailureThreshold = 3
+	// fitQuarantine is the first quarantine window; each re-trip doubles it
+	// up to fitQuarantineMax.
+	fitQuarantine    = time.Second
+	fitQuarantineMax = 5 * time.Minute
+	// fitRetries is how many times one job retries a transiently failing
+	// Fit, waiting a jittered fitRetryBackoff doubled per attempt.
+	fitRetries      = 2
+	fitRetryBackoff = 100 * time.Millisecond
+)
 
 // ErrQueueFull is returned by Submit when the job queue is saturated. The
 // HTTP layer maps it to 429 with a Retry-After computed from queue depth
@@ -171,32 +165,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.DefaultSeed == 0 {
 		cfg.DefaultSeed = 1
 	}
-	if cfg.RetainJobs <= 0 {
-		cfg.RetainJobs = 4096
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
 	if cfg.Traces == nil {
 		cfg.Traces = trace.NewStore(0, 0)
-	}
-	if cfg.FitFailureThreshold <= 0 {
-		cfg.FitFailureThreshold = 3
-	}
-	if cfg.FitQuarantine <= 0 {
-		cfg.FitQuarantine = time.Second
-	}
-	if cfg.FitQuarantineMax <= 0 {
-		cfg.FitQuarantineMax = 5 * time.Minute
-	}
-	switch {
-	case cfg.FitRetries == 0:
-		cfg.FitRetries = 2
-	case cfg.FitRetries < 0:
-		cfg.FitRetries = 0
-	}
-	if cfg.FitRetryBackoff <= 0 {
-		cfg.FitRetryBackoff = 100 * time.Millisecond
 	}
 	e := &Engine{
 		cfg:         cfg,
@@ -208,9 +178,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		queue:       make(chan *Job, cfg.QueueDepth),
 		quit:        make(chan struct{}),
 		jobs:        map[string]*Job{},
-		reg:         cfg.Metrics,
+		reg:         obs.NewRegistry(),
 		traces:      cfg.Traces,
-		breaker:     newFitBreaker(cfg.FitFailureThreshold, cfg.FitQuarantine, cfg.FitQuarantineMax),
+		breaker:     newFitBreaker(fitFailureThreshold, fitQuarantine, fitQuarantineMax),
 		completions: &completionWindow{},
 	}
 	e.metrics = newEngineMetrics(e.reg, e)
@@ -381,7 +351,7 @@ func (e *Engine) countRejection(err error) {
 // a long-lived server's job index stays bounded. Queued/running jobs are
 // never evicted. Caller holds e.mu.
 func (e *Engine) pruneLocked() {
-	excess := len(e.order) - e.cfg.RetainJobs
+	excess := len(e.order) - retainJobs
 	if excess <= 0 {
 		return
 	}
@@ -532,8 +502,16 @@ func (e *Engine) validate(spec JobSpec) error {
 		if _, err := core.ParseStrategy(spec.Strategy); err != nil {
 			return fmt.Errorf("service: %w (or \"full\")", err)
 		}
-		if _, err := recommender.ByName(spec.Recommender, e.cfg.DefaultSeed); err != nil {
+		rec, err := recommender.ByName(spec.Recommender, e.cfg.DefaultSeed)
+		if err != nil {
 			return err
+		}
+		// Known now and the same on every attempt: refused here, it never
+		// reaches the retry loop or the breaker.
+		if rec.NeedsTypes() {
+			if err := recommender.RequireTypes(rec.Name(), e.graph); err != nil {
+				return fmt.Errorf("service: %w", err)
+			}
 		}
 	}
 	if spec.MaxQueries < 0 {
@@ -777,14 +755,13 @@ func (e *Engine) execute(j *Job) ([]eval.Result, bool, error) {
 		return nil, false, err
 	}
 	opts := eval.Options{
-		Filter:           e.filter,
-		Workers:          e.cfg.EvalWorkers,
-		MaxQueries:       spec.MaxQueries,
-		Seed:             spec.Seed,
-		Precision:        prec,
-		Ctx:              j.ctx,
-		Progress:         j.setProgress,
-		TraceChunkSample: e.cfg.TraceChunkSample,
+		Filter:     e.filter,
+		Workers:    e.cfg.EvalWorkers,
+		MaxQueries: spec.MaxQueries,
+		Seed:       spec.Seed,
+		Precision:  prec,
+		Ctx:        j.ctx,
+		Progress:   j.setProgress,
 	}
 
 	if spec.Strategy == "full" {
@@ -838,11 +815,11 @@ func (e *Engine) fitFramework(j *Job, spec JobSpec) (*core.Framework, bool, erro
 					"window", window, "err", err)
 			}
 		}
-		if attempt >= e.cfg.FitRetries {
+		if attempt >= fitRetries {
 			return nil, cacheHit, err
 		}
 		e.metrics.fitRetries.Inc()
-		if !sleepJittered(j.ctx, e.cfg.FitRetryBackoff<<attempt) {
+		if !sleepJittered(j.ctx, fitRetryBackoff<<attempt) {
 			return nil, cacheHit, j.ctx.Err()
 		}
 	}

@@ -57,9 +57,21 @@ func snapshotModel(t *testing.T, g *kg.Graph, name string, dim int, seed int64) 
 	return buf.Bytes()
 }
 
+// setVar gives a package variable another value for the length of one test.
+// Call it before building the engine that reads the variable: cleanups run
+// last in, first out, so the engine is closed before the value is restored.
+func setVar[T any](t *testing.T, p *T, v T) {
+	t.Helper()
+	old := *p
+	*p = v
+	t.Cleanup(func() { *p = old })
+}
+
 func newTestServer(t *testing.T, cfg EngineConfig) (*httptest.Server, *Engine) {
 	t.Helper()
-	cfg.Graph = serviceGraph(t)
+	if cfg.Graph == nil {
+		cfg.Graph = serviceGraph(t)
+	}
 	engine, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -379,6 +391,58 @@ func TestServerValidationAndNotFound(t *testing.T) {
 	}
 }
 
+// On a graph without entity types a job naming a type-aware recommender can
+// never be fitted, and that is known when it is submitted: POST /v1/jobs
+// answers 400 and Engine.Submit an error, both with Fit's own reason. Nothing
+// is queued or retried and the breaker never hears of it, so the jobs behind
+// are not told to wait out a quarantine no retry can end.
+func TestUntypedGraphRefusesTypeAwareRecommenders(t *testing.T) {
+	untyped := *serviceGraph(t)
+	untyped.EntityTypes, untyped.NumTypes = nil, 0
+	srv, engine := newTestServer(t, EngineConfig{Graph: &untyped, Workers: 1})
+	spec := JobSpec{
+		Model:    ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snapshotModel(t, &untyped, "DistMult", 8, 6)},
+		Strategy: "S", MaxQueries: 20,
+	}
+	const reason = "requires entity types"
+	for _, rec := range []string{"DBH-T", "OntoSim", "L-WD-T"} {
+		spec.Recommender = rec
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, out := postRaw(t, srv.URL, string(body))
+		if msg, _ := out["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, reason) {
+			t.Errorf("%s over HTTP: %s %v, want 400 naming %q", rec, resp.Status, out, reason)
+		}
+		if _, err := engine.Submit(spec); err == nil || !strings.Contains(err.Error(), reason) {
+			t.Errorf("%s through Submit: error %v, want one naming %q", rec, err, reason)
+		}
+	}
+	if n := len(engine.Jobs()); n != 0 {
+		t.Errorf("%d refused jobs were registered", n)
+	}
+	engine.breaker.mu.Lock()
+	tracked := len(engine.breaker.entries)
+	engine.breaker.mu.Unlock()
+	if tracked != 0 {
+		t.Errorf("the breaker tracks %d keys after refusals only", tracked)
+	}
+
+	// The same graph still serves every recommender that needs no types.
+	spec.Recommender = "L-WD"
+	if st := waitTerminal(t, srv.URL, submitJob(t, srv.URL, spec).ID); st.State != StateSucceeded {
+		t.Fatalf("L-WD on the untyped graph: state %s, error %q", st.State, st.Error)
+	}
+	metrics := fetchMetrics(t, srv.URL)
+	for _, name := range []string{"kgeval_fit_failures_total", "kgeval_fit_retries_total",
+		"kgeval_fit_quarantine_trips_total", "kgeval_fit_quarantined_total"} {
+		if got := metricValue(metrics, name); got != 0 {
+			t.Errorf("%s = %v after refusals and one good job, want 0", name, got)
+		}
+	}
+}
+
 // TestJobPrecision submits the same evaluation at every precision: each job
 // must succeed, echo its precision in Status, and land near the float64
 // reference (reduced precision is an approximation, not a different
@@ -414,11 +478,12 @@ func TestJobPrecision(t *testing.T) {
 }
 
 // TestEngineRetentionAndSnapshotRelease checks the two memory bounds of a
-// long-lived server: terminal jobs are pruned beyond RetainJobs, and a
+// long-lived server: terminal jobs are pruned beyond retainJobs, and a
 // retained job holds neither snapshot bytes nor its models.
 func TestEngineRetentionAndSnapshotRelease(t *testing.T) {
 	g := serviceGraph(t)
-	engine, err := NewEngine(EngineConfig{Graph: g, Workers: 1, RetainJobs: 2})
+	setVar(t, &retainJobs, 2)
+	engine, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +510,7 @@ func TestEngineRetentionAndSnapshotRelease(t *testing.T) {
 		last = j
 	}
 	if n := len(engine.Jobs()); n > 3 {
-		t.Fatalf("engine retains %d jobs, want <= 3 with RetainJobs=2", n)
+		t.Fatalf("engine retains %d jobs, want <= 3 with retainJobs=2", n)
 	}
 	if _, ok := engine.Get(last.ID); !ok {
 		t.Fatal("most recent job was pruned")
@@ -492,7 +557,7 @@ func TestEngineQueueFull(t *testing.T) {
 	}
 	// Rejected submissions must not occupy trace-store slots: a rejection
 	// burst would otherwise evict the flight recorders of real jobs.
-	if n := engine.Traces().Len(); n != accepted {
+	if n := len(engine.Traces().Traces()); n != accepted {
 		t.Fatalf("trace store holds %d traces after %d accepted / %d rejected submissions", n, accepted, rejected)
 	}
 }

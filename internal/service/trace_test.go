@@ -113,7 +113,7 @@ func TestTracePropagation(t *testing.T) {
 		if s.Parent != pass.SpanID {
 			t.Fatalf("chunk span parented under %s, want the pass span", s.Parent)
 		}
-		for _, key := range []string{"relations", "queries", "pool_tail", "pool_head", "strips", "tile"} {
+		for _, key := range []string{"relations", "queries", "pool_tail", "pool_head", "strips"} {
 			if _, ok := s.Attr(key).(float64); !ok { // JSON numbers decode as float64
 				t.Fatalf("chunk attr %q missing or non-numeric: %v", key, s.Attrs)
 			}

@@ -334,25 +334,3 @@ func RowNormalize(m *CSR) *CSR {
 	}
 	return out
 }
-
-// Dense expands the matrix into a row-major dense [][]float64. Intended for
-// tests and tiny matrices only.
-func (m *CSR) Dense() [][]float64 {
-	out := make([][]float64, m.NumRows)
-	for r := range out {
-		out[r] = make([]float64, m.NumCols)
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			out[r][m.ColIdx[k]] = m.valueAt(k)
-		}
-	}
-	return out
-}
-
-// ColumnNNZ returns the number of stored nonzeros per column.
-func (m *CSR) ColumnNNZ() []int {
-	counts := make([]int, m.NumCols)
-	for _, c := range m.ColIdx {
-		counts[c]++
-	}
-	return counts
-}

@@ -227,13 +227,6 @@ func TestRowNormalizeSumsToOne(t *testing.T) {
 	}
 }
 
-func TestColumnNNZ(t *testing.T) {
-	m := NewCSR(2, 3, []Entry{{0, 0, 1}, {1, 0, 1}, {1, 2, 1}})
-	if got := m.ColumnNNZ(); !reflect.DeepEqual(got, []int{2, 0, 1}) {
-		t.Fatalf("ColumnNNZ = %v, want [2 0 1]", got)
-	}
-}
-
 // The L-WD pipeline on the Figure 2 shape: B → W = norm(BᵀB) → X = BW must
 // produce scores in [0, 1] with row sums equal to the number of incident
 // columns (each W row sums to 1).

@@ -8,6 +8,18 @@ import (
 	"testing"
 )
 
+// Dense expands the matrix into a row-major dense [][]float64.
+func (m *CSR) Dense() [][]float64 {
+	out := make([][]float64, m.NumRows)
+	for r := range out {
+		out[r] = make([]float64, m.NumCols)
+		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
+			out[r][m.ColIdx[k]] = m.valueAt(k)
+		}
+	}
+	return out
+}
+
 // denseRef is a dense matrix that also remembers which cells are stored, so
 // a stored zero and an absent cell stay distinguishable.
 type denseRef struct {

@@ -7,6 +7,8 @@ import (
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
 	"kgeval/internal/kgc/store"
+	"kgeval/internal/recommender"
+	"kgeval/internal/synth"
 )
 
 // RotatE's true-triple scores route through the scorer's scratch like every
@@ -66,5 +68,49 @@ func TestFullProtocolPassAllocatesTilesNotPools(t *testing.T) {
 			t.Errorf("%v: a full-protocol pass allocated %d bytes; one %d×%d block is %d (tile %d×%d = %d)",
 				p, got, g.NumEntities, dim, block, tile, dim, tile*dim*8)
 		}
+	}
+}
+
+// A Probabilistic plan allocates its pools at their exact size — 4 bytes per
+// drawn id, where the heap sampler allocated 12 per slot of n_s whatever the
+// column held — plus one sample.Scratch per draw worker: two float64 per
+// entity of the longest column the worker met, times the slack of growing
+// there geometrically. Nothing else scales with the pools or the workers.
+func TestProbabilisticPlanAllocatesPoolsAndWorkerScratch(t *testing.T) {
+	ds, err := synth.Generate(synth.Config{
+		Name: "alloc-test", NumEntities: 1000, NumRelations: 30, NumTypes: 10,
+		NumTriples: 15000, ValidFrac: 0.05, TestFrac: 0.05, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	lwd := recommender.NewLWD()
+	if err := lwd.Fit(g); err != nil {
+		t.Fatal(err)
+	}
+	prov := &ProbabilisticProvider{Scores: lwd.Scores(), N: 300}
+	for _, workers := range []int{1, 2} {
+		opts := Options{Seed: 4, Workers: workers}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		p := newPlan(g.Test, prov, opts)
+		runtime.ReadMemStats(&m1)
+		got := int(m1.TotalAlloc - m0.TotalAlloc)
+		ids := 0
+		for _, pool := range planPools(p) {
+			ids += len(pool)
+		}
+		pools := 2 * len(p.groups)
+		// Size classes round a pool up by at most an eighth; the plan's own
+		// structure is the query index, the groups and the tasks.
+		budget := ids*4*9/8 + pools*64 + len(g.Test)*16 + 8<<10 + workers*5*8*g.NumEntities
+		if heap := ids * 12; budget >= heap {
+			t.Fatalf("the budget (%d B) would pass the heap sampler (%d B): pick a graph with more pools", budget, heap)
+		}
+		if got > budget {
+			t.Errorf("%d workers: newPlan allocated %d B for %d pools of %d ids in all; budget %d B", workers, got, pools, ids, budget)
+		}
+		t.Logf("%d workers: %d B allocated, %d B of pool ids, budget %d B", workers, got, ids*4, budget)
 	}
 }

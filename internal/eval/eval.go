@@ -14,7 +14,12 @@
 //	                (§4.1 "Probabilistic").
 //
 // All sampled strategies draw one pool per (relation, direction) — 2·|R|
-// sampling events per evaluation, the paper's key complexity reduction.
+// sampling events per evaluation, the paper's key complexity reduction. The
+// samplers (package sample) return ascending ids in one O(n) sweep, so a
+// drawn pool is never sorted; every pool of a plan reads the same seeded
+// stream in the same order, and what a Probabilistic draw does after its
+// last read runs on every worker (plan.drawPools), so the pools are the same
+// on any number of them.
 //
 // Execution is organized around the same unit the complexity argument is
 // about: the pool. A pass compiles the split into a relation-grouped plan
@@ -73,14 +78,20 @@ type Result struct {
 // observability counterpart of the paper's complexity argument, showing
 // where a pass actually spends its time.
 //
-// PlanCompile and PoolDraw are wall-clock (they run once, serially, per
-// plan). Score and RankMerge are summed across worker goroutines, so on a
-// parallel pass they measure CPU time and can exceed Elapsed.
+// PlanCompile and PoolDraw are wall-clock and paid once per plan: the compile
+// on the calling goroutine, the draw on as many of Options.Workers as it can
+// use (see PoolDraw). Score and RankMerge are summed across worker
+// goroutines, so on a parallel pass they measure CPU time and can exceed
+// Elapsed.
 type StageTimings struct {
 	// PlanCompile covers grouping the split by relation and chunking the
 	// groups into batch tasks.
 	PlanCompile time.Duration
-	// PoolDraw covers the 2·|R| candidate pool samplings.
+	// PoolDraw covers the 2·|R| candidate pool samplings, start to join. The
+	// rng reads of every pool are made in one fixed order on one stream; a
+	// Probabilistic draw's keying, selection and emission, most of its cost,
+	// run off that stream on up to Workers goroutines, and every other
+	// provider's draw on one. The pools do not depend on Workers.
 	PoolDraw time.Duration
 	// Score covers model scoring: building each block's queries, true-triple
 	// scoring and the tile-fed batch kernels over every strip.
@@ -125,7 +136,7 @@ type Options struct {
 	//
 	// Ctx also carries the trace span, if any (obs/trace.ContextWith): when
 	// present, the pass records a span tree under it — plan compile, pool
-	// draw, one pass span per model, and per-task "eval.chunk" child spans with
+	// draw (with the goroutines it ran on), one pass span per model, and per-task "eval.chunk" child spans with
 	// relations/queries/pool/strips/precision attributes. Without a span in Ctx the
 	// tracing call sites reduce to nil-pointer checks.
 	Ctx context.Context

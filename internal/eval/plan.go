@@ -3,6 +3,7 @@ package eval
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"kgeval/internal/kgc"
 	"kgeval/internal/obs/trace"
 	"kgeval/internal/par"
+	"kgeval/internal/sample"
 )
 
 // relGroup is the unit of the relation-grouped execution plan: all queries
@@ -61,8 +63,9 @@ type plan struct {
 	groups  []relGroup
 	tasks   []batchTask
 	// compileTime and poolTime are the plan's one-time setup costs
-	// (grouping + chunking, and the 2·|R| pool draws), recorded here so
-	// every pass over the plan can report them in Result.Stages.
+	// (grouping + chunking, and the 2·|R| pool draws), wall-clock both,
+	// recorded here so every pass over the plan can report them in
+	// Result.Stages.
 	compileTime time.Duration
 	poolTime    time.Duration
 }
@@ -70,7 +73,8 @@ type plan struct {
 // newPlan groups the queries by relation and draws every pool. Pools are
 // drawn in ascending relation order, tail before head, from a generator
 // seeded with Seed+1 — the draw sequence is part of the protocol: any two
-// executions (one model or many) with the same Seed see identical pools.
+// executions (one model or many, on any number of workers) with the same
+// Seed see identical pools; see drawPools.
 func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *plan {
 	// On traced passes the compile span covers all of newPlan, with the
 	// 2·|R| pool draws as a child — mirroring how compileTime/poolTime are
@@ -109,20 +113,71 @@ func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *pla
 	if err := faults.Hit(faults.SitePoolDraw); err != nil {
 		panic(err)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	for gi := range p.groups {
-		g := &p.groups[gi]
-		g.tailPool = provider.Candidates(g.r, true, rng)
-		g.headPool = provider.Candidates(g.r, false, rng)
-	}
+	drawWorkers := p.drawPools(provider, opts)
 	p.poolTime = time.Since(drawStart)
 	compileSpan.ChildRecord("eval.pool_draw", drawStart, drawStart.Add(p.poolTime),
-		trace.Int("pools", 2*len(p.groups)), trace.String("provider", provider.Name()))
+		trace.Int("pools", 2*len(p.groups)), trace.String("provider", provider.Name()),
+		trace.Int("workers", drawWorkers))
 	p.chunk(opts.workers())
 	p.compileTime = time.Since(start) - p.poolTime
 	compileSpan.End(trace.Int("relations", len(p.groups)), trace.Int("tasks", len(p.tasks)),
 		trace.Int("queries", len(queries)))
 	return p
+}
+
+// drawPools draws every group's two pools and reports how many goroutines
+// drew. All pools read one generator, and a draw's place in that stream is
+// part of the protocol, so only what a draw does after its last read of the
+// rng can leave the one stream's order. The Probabilistic draw has such a
+// remainder and it is most of the draw: its pools are drawn from up to
+// opts.workers() goroutines, each claiming the next pool in draw order and
+// taking that pool's uniforms inside one critical section, then keying,
+// selecting and emitting outside it in its own sample.Scratch — the plan's
+// only memory that grows with the worker count. Any other provider's
+// Candidates, a third party's included, would run whole under the lock, so it
+// runs on the calling goroutine with no lock at all. Either way the pools are
+// the ones a single goroutine draws. A panic in a drawing goroutine
+// resurfaces on the caller (par.Run) once the others have drawn what is left.
+func (p *plan) drawPools(provider CandidateProvider, opts Options) (workers int) {
+	rng := rand.New(rand.NewSource(opts.Seed + 1))
+	prob, split := provider.(*ProbabilisticProvider)
+	if !split {
+		for gi := range p.groups {
+			g := &p.groups[gi]
+			g.tailPool = provider.Candidates(g.r, true, rng)
+			g.headPool = provider.Candidates(g.r, false, rng)
+		}
+		return 1
+	}
+	pools := 2 * len(p.groups)
+	workers = max(1, min(opts.workers(), pools))
+	scratch := make([]sample.Scratch, workers)
+	var mu sync.Mutex
+	next := 0
+	// claim takes the next pool in draw order and the rng's share of its
+	// draw: where the pool goes, and the column whose uniforms are now in s.
+	claim := func(s *sample.Scratch) (pool *[]int32, ids []int32, weights []float64) {
+		mu.Lock()
+		defer mu.Unlock() // on a panic too, or the other workers wait forever
+		g, tail := &p.groups[next/2], next%2 == 0
+		next++
+		pool = &g.headPool
+		if tail {
+			pool = &g.tailPool
+		}
+		ids, weights = prob.column(g.r, tail)
+		s.Draw(rng, weights, prob.N)
+		return pool, ids, weights
+	}
+	// par.Run deals out how many pools a worker draws; which ones is settled
+	// under the lock.
+	par.Run(pools, workers, 1, func(w, lo, hi int) {
+		for range hi - lo {
+			pool, ids, weights := claim(&scratch[w])
+			*pool = scratch[w].Select(ids, weights, prob.N)
+		}
+	})
+	return workers
 }
 
 // chunk cuts the plan into tasks. A task holds the triples of one block:

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"math/rand"
-	"slices"
 
 	"kgeval/internal/recommender"
 	"kgeval/internal/sample"
@@ -44,9 +43,7 @@ func (*RandomProvider) Name() string { return "Random" }
 
 // Candidates draws a fresh uniform sample for the relation.
 func (p *RandomProvider) Candidates(r int32, tail bool, rng *rand.Rand) []int32 {
-	s := sample.Uniform(rng, p.NumEntities, p.N)
-	slices.Sort(s)
-	return s
+	return sample.Uniform(rng, p.NumEntities, p.N)
 }
 
 // StaticProvider samples uniformly from a relation recommender's
@@ -60,15 +57,14 @@ type StaticProvider struct {
 // Name identifies the strategy.
 func (*StaticProvider) Name() string { return "Static" }
 
-// Candidates draws from the domain or range set of r.
+// Candidates draws from the domain or range set of r; the sets are sorted,
+// so the sample is.
 func (p *StaticProvider) Candidates(r int32, tail bool, rng *rand.Rand) []int32 {
 	col := recommender.DomainCol(int(r), p.Sets.NumRelations)
 	if tail {
 		col = recommender.RangeCol(int(r), p.Sets.NumRelations)
 	}
-	s := sample.UniformFromSet(rng, p.Sets.Sets[col], p.N)
-	slices.Sort(s)
-	return s
+	return sample.UniformFromSet(rng, p.Sets.Sets[col], p.N)
 }
 
 // ProbabilisticProvider samples n_s entities without replacement with
@@ -82,14 +78,20 @@ type ProbabilisticProvider struct {
 // Name identifies the strategy.
 func (*ProbabilisticProvider) Name() string { return "Probabilistic" }
 
-// Candidates draws a weighted sample from the relation's score column.
+// Candidates draws a weighted sample from the relation's score column, whose
+// ids are ascending, so the sample is. newPlan runs the same two halves that
+// sample.Weighted composes, apart: Scratch.Draw under its rng lock and
+// Scratch.Select outside it.
 func (p *ProbabilisticProvider) Candidates(r int32, tail bool, rng *rand.Rand) []int32 {
+	ids, scores := p.column(r, tail)
+	return sample.Weighted(rng, ids, scores, p.N)
+}
+
+// column is the recommender's score column a (relation, direction) draws from.
+func (p *ProbabilisticProvider) column(r int32, tail bool) (ids []int32, scores []float64) {
 	col := recommender.DomainCol(int(r), p.Scores.NumRelations)
 	if tail {
 		col = recommender.RangeCol(int(r), p.Scores.NumRelations)
 	}
-	ids, scores := p.Scores.Column(col)
-	s := sample.Weighted(rng, ids, scores, p.N)
-	slices.Sort(s)
-	return s
+	return p.Scores.Column(col)
 }

@@ -49,8 +49,13 @@ func TestEvaluateTraced(t *testing.T) {
 	if n := len(byName["eval.pool_draw"]); n != 1 {
 		t.Fatalf("got %d pool_draw spans, want 1", n)
 	}
-	if byName["eval.pool_draw"][0].Parent != compile.SpanID {
+	draw := byName["eval.pool_draw"][0]
+	if draw.Parent != compile.SpanID {
 		t.Fatal("pool_draw is not a child of plan_compile")
+	}
+	// A Random draw never leaves the rng's stream, so one goroutine makes it.
+	if draw.Attr("workers") != 1 || draw.Attr("provider") != "Random" {
+		t.Fatalf("pool_draw attrs = %v, want workers 1 for Random", draw.Attrs)
 	}
 	if v, ok := compile.Attr("relations").(int); !ok || v <= 0 {
 		t.Fatalf("plan_compile relations attr = %v", compile.Attr("relations"))

@@ -60,7 +60,7 @@
 //	internal/synth        typed synthetic KG generator (dataset substitute)
 //	internal/experiments  regenerates every table and figure of the paper
 //	internal/{kg,sparse,sample,stats,par}  substrates; par is the one
-//	                      worker pool: sparse.Mul, recommender.BuildStatic
+//	                      worker pool: sparse.MulT, recommender.BuildStatic
 //	                      and the evaluation pass run on it, with results
 //	                      independent of the core count
 //

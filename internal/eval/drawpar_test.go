@@ -125,7 +125,7 @@ func TestPoolDrawFaultAndPanicReachCaller(t *testing.T) {
 
 	// A score matrix fitted for one relation: the draw for any other indexes
 	// past its columns, inside the lock, on a worker goroutine.
-	narrow := recommender.NewScoreMatrix(sparse.NewCSR(g.NumEntities, 2, []sparse.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 1}}), 1)
+	narrow := recommender.NewScoreMatrix(sparse.NewBinaryCSR(2, g.NumEntities, []sparse.Entry{{Row: 0, Col: 0}, {Row: 1, Col: 1}}), 1)
 	broken := &ProbabilisticProvider{Scores: narrow, N: 30}
 	for _, workers := range []int{1, 4} {
 		msg := recovered(func() { newPlan(g.Test, broken, Options{Workers: workers}) })

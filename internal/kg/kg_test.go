@@ -154,17 +154,6 @@ func TestDistinctRelations(t *testing.T) {
 	}
 }
 
-func TestDomainsRanges(t *testing.T) {
-	ts := []Triple{{0, 0, 1}, {2, 0, 1}, {0, 0, 3}, {4, 1, 5}}
-	d, r := DomainsRanges(ts, 2)
-	if !reflect.DeepEqual(d[0], []int32{0, 2}) || !reflect.DeepEqual(r[0], []int32{1, 3}) {
-		t.Fatalf("relation 0: domain=%v range=%v", d[0], r[0])
-	}
-	if !reflect.DeepEqual(d[1], []int32{4}) || !reflect.DeepEqual(r[1], []int32{5}) {
-		t.Fatalf("relation 1: domain=%v range=%v", d[1], r[1])
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	g := smallGraph()
 	s := ComputeStats(g)

@@ -56,33 +56,3 @@ func DistinctRelations(triples []Triple) int {
 	}
 	return len(seen)
 }
-
-// DomainsRanges extracts, from a set of triples, the observed domain (head
-// set) and range (tail set) of every relation, as sorted unique entity id
-// lists. This is the PseudoTyped (PT) view of the graph. The lists are carved
-// out of two arrays sized by a counting pass, so nothing grows by append.
-func DomainsRanges(triples []Triple, numRelations int) (domains, ranges [][]int32) {
-	counts := make([]int, numRelations)
-	for _, t := range triples {
-		counts[t.R]++
-	}
-	domains = make([][]int32, numRelations)
-	ranges = make([][]int32, numRelations)
-	heads := make([]int32, len(triples))
-	tails := make([]int32, len(triples))
-	off := 0
-	for r, n := range counts {
-		domains[r] = heads[off : off : off+n]
-		ranges[r] = tails[off : off : off+n]
-		off += n
-	}
-	for _, t := range triples {
-		domains[t.R] = append(domains[t.R], t.H)
-		ranges[t.R] = append(ranges[t.R], t.T)
-	}
-	for r := 0; r < numRelations; r++ {
-		domains[r] = sortedUnique(domains[r])
-		ranges[r] = sortedUnique(ranges[r])
-	}
-	return domains, ranges
-}

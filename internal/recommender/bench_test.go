@@ -10,19 +10,25 @@ import (
 // benchGraph is the benchmark of record's host graph (bench/README.md).
 func benchGraph(b *testing.B) *kg.Graph {
 	b.Helper()
-	ds, err := synth.Generate(synth.WikiKG2Sim())
+	return generate(b, synth.WikiKG2Sim())
+}
+
+func generate(tb testing.TB, cfg synth.Config) *kg.Graph {
+	tb.Helper()
+	ds, err := synth.Generate(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ds.Graph
 }
 
 // BenchmarkFit times one cold Fit per recommender: the rung below
-// kgebench's recommender.fit_ms.*.
+// kgebench's recommender.fit_ms.*. The fb15k-sim sub-run is the opposite
+// shape to the host graph's — 240 columns and a sparse W — so a product
+// kernel that only wins against a near-dense W shows.
 func BenchmarkFit(b *testing.B) {
-	g := benchGraph(b)
-	for _, name := range Names() {
-		b.Run(name, func(b *testing.B) {
+	fit := func(g *kg.Graph, name string) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				rec, err := ByName(name, 1)
@@ -33,7 +39,15 @@ func BenchmarkFit(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
+	}
+	g := benchGraph(b)
+	for _, name := range Names() {
+		b.Run(name, fit(g, name))
+	}
+	sparseW := generate(b, synth.FB15kSim())
+	for _, name := range []string{"DBH-T", "L-WD"} {
+		b.Run("fb15k-sim/"+name, fit(sparseW, name))
 	}
 }
 

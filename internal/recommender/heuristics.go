@@ -22,7 +22,7 @@ func (*PT) SupportsUnseen() bool { return false }
 
 // Fit records the observed domains and ranges.
 func (p *PT) Fit(g *kg.Graph) error {
-	p.scores = NewScoreMatrix(incidence(g), g.NumRelations)
+	p.scores = NewScoreMatrix(incidenceT(g, false), g.NumRelations)
 	return nil
 }
 
@@ -46,14 +46,7 @@ func (*DBH) SupportsUnseen() bool { return false }
 
 // Fit counts occurrences per (entity, domain/range) pair.
 func (d *DBH) Fit(g *kg.Graph) error {
-	entries := make([]sparse.Entry, 0, 2*len(g.Train))
-	for _, t := range g.Train {
-		entries = append(entries,
-			sparse.Entry{Row: t.H, Col: t.R, Val: 1},
-			sparse.Entry{Row: t.T, Col: int32(g.NumRelations) + t.R, Val: 1},
-		)
-	}
-	d.scores = NewScoreMatrix(sparse.NewCSR(g.NumEntities, 2*g.NumRelations, entries), g.NumRelations)
+	d.scores = NewScoreMatrix(incidenceT(g, true), g.NumRelations)
 	return nil
 }
 
@@ -80,13 +73,19 @@ func (d *DBHT) Fit(g *kg.Graph) error {
 	if err := RequireTypes(d.Name(), g); err != nil {
 		return err
 	}
-	b := incidence(g)
+	d.scores = NewScoreMatrix(typePropagated(g), g.NumRelations)
+	return nil
+}
+
+// typePropagated returns (T·(Tᵀ·B))ᵀ, column-major: for every entity and
+// domain/range column, the number of (type, entity) pairs — over the entity's
+// types and the distinct entities of that type observed in the column — that
+// vouch for it. Every stored value is a sum of positive counts.
+func typePropagated(g *kg.Graph) *sparse.CSR {
 	t := typeMatrix(g)
 	// typeCounts[t][col] = #distinct entities of type t observed in col.
-	typeCounts := sparse.Mul(t.Transpose(), b)
-	x := sparse.Mul(t, typeCounts)
-	d.scores = NewScoreMatrix(x, g.NumRelations)
-	return nil
+	typeCounts := sparse.Mul(t.Transpose(), incidence(g))
+	return sparse.MulT(t, typeCounts)
 }
 
 // Scores returns the fitted score matrix.
@@ -112,34 +111,14 @@ func (o *OntoSim) Fit(g *kg.Graph) error {
 	if err := RequireTypes(o.Name(), g); err != nil {
 		return err
 	}
-	b := incidence(g)
-	t := typeMatrix(g)
-	x := sparse.Mul(t, sparse.Mul(t.Transpose(), b))
-	o.scores = NewScoreMatrix(positivePattern(x), g.NumRelations)
+	// Any positive propagated count means membership, and every stored count
+	// is positive: binarize in place.
+	xt := typePropagated(g)
+	for i := range xt.Val {
+		xt.Val[i] = 1
+	}
+	o.scores = NewScoreMatrix(xt, g.NumRelations)
 	return nil
-}
-
-// positivePattern binarizes x: the all-ones matrix over x's positive
-// entries — any positive propagated count means membership. x's rows are
-// already sorted and duplicate-free, so the pattern is copied row by row
-// with no sort.
-func positivePattern(x *sparse.CSR) *sparse.CSR {
-	out := &sparse.CSR{
-		NumRows: x.NumRows,
-		NumCols: x.NumCols,
-		RowPtr:  make([]int, x.NumRows+1),
-		ColIdx:  make([]int32, 0, x.NNZ()),
-	}
-	for r := 0; r < x.NumRows; r++ {
-		cols, vals := x.Row(r)
-		for i, c := range cols {
-			if vals[i] > 0 {
-				out.ColIdx = append(out.ColIdx, c)
-			}
-		}
-		out.RowPtr[r+1] = len(out.ColIdx)
-	}
-	return out
 }
 
 // Scores returns the fitted score matrix.

@@ -1,8 +1,6 @@
 package recommender
 
 import (
-	"slices"
-
 	"kgeval/internal/kg"
 	"kgeval/internal/sparse"
 )
@@ -35,7 +33,7 @@ func (*LWD) SupportsUnseen() bool { return true }
 func (l *LWD) Fit(g *kg.Graph) error {
 	b := incidence(g)
 	w := sparse.RowNormalize(sparse.GramT(b))
-	l.scores = NewScoreMatrix(sparse.Mul(b, w), g.NumRelations)
+	l.scores = NewScoreMatrix(sparse.MulT(b, w), g.NumRelations)
 	return nil
 }
 
@@ -77,35 +75,18 @@ func (l *LWDT) Fit(g *kg.Graph) error {
 	}
 	b := sparse.NewBinaryCSR(g.NumEntities, nr2+g.NumTypes, entries)
 	w := sparse.RowNormalize(sparse.GramT(b))
-	x := sparse.Mul(b, w)
-	l.scores = NewScoreMatrix(truncateCols(x, nr2), g.NumRelations)
+	// Only W's first 2·|R| columns reach the output, so only they are
+	// multiplied: a column of B·W is B against that column of W.
+	w = firstRows(w.Transpose(), nr2).Transpose()
+	l.scores = NewScoreMatrix(sparse.MulT(b, w), g.NumRelations)
 	return nil
 }
 
 // Scores returns the fitted score matrix.
 func (l *LWDT) Scores() *ScoreMatrix { return l.scores }
 
-// truncateCols keeps the first cols columns of m. Rows are sorted by column,
-// so the kept part of each row is a prefix; it is counted first so the output
-// is allocated once at its exact size.
-func truncateCols(m *sparse.CSR, cols int) *sparse.CSR {
-	out := &sparse.CSR{
-		NumRows: m.NumRows,
-		NumCols: cols,
-		RowPtr:  make([]int, m.NumRows+1),
-	}
-	for r := 0; r < m.NumRows; r++ {
-		cs, _ := m.Row(r)
-		keep, _ := slices.BinarySearch(cs, int32(cols))
-		out.RowPtr[r+1] = out.RowPtr[r] + keep
-	}
-	out.ColIdx = make([]int32, 0, out.RowPtr[m.NumRows])
-	out.Val = make([]float64, 0, out.RowPtr[m.NumRows])
-	for r := 0; r < m.NumRows; r++ {
-		cs, vs := m.Row(r)
-		keep := out.RowPtr[r+1] - out.RowPtr[r]
-		out.ColIdx = append(out.ColIdx, cs[:keep]...)
-		out.Val = append(out.Val, vs[:keep]...)
-	}
-	return out
+// firstRows keeps the first n rows of m, sharing its storage.
+func firstRows(m *sparse.CSR, n int) *sparse.CSR {
+	nnz := m.RowPtr[n]
+	return &sparse.CSR{NumRows: n, NumCols: m.NumCols, RowPtr: m.RowPtr[:n+1], ColIdx: m.ColIdx[:nnz], Val: m.Val[:nnz]}
 }

@@ -1,11 +1,13 @@
 package recommender
 
 // The implementations this file holds are the ones the package shipped before
-// its kernels were rebuilt for speed (typed sorts, two-pass parallel sparse
-// product, column-parallel discretization): sort.Slice everywhere, a serial
-// append-grown Gustavson product, a map per column. They are kept verbatim,
-// renamed with an "oracle" prefix, as the reference the fast path must match
-// bit for bit; differential_test.go runs the comparison.
+// its kernels were rebuilt for speed (counting and radix sorts, a parallel
+// sparse product born column-major, column-parallel discretization):
+// sort.Slice everywhere, a serial append-grown row-major Gustavson product, a
+// map per column. They are kept verbatim, renamed with an "oracle" prefix, as
+// the reference the fast path must match bit for bit; differential_test.go
+// runs the comparison. The oracle fits return X row-major, as they always
+// built it; the test transposes it, production never does.
 
 import (
 	"fmt"
@@ -155,11 +157,11 @@ func oracleTypeMatrix(g *kg.Graph) *sparse.CSR {
 	return oracleNewBinaryCSR(g.NumEntities, g.NumTypes, entries)
 }
 
-func oracleFitPT(g *kg.Graph) (*ScoreMatrix, error) {
-	return NewScoreMatrix(oracleIncidence(g), g.NumRelations), nil
+func oracleFitPT(g *kg.Graph) (*sparse.CSR, error) {
+	return oracleIncidence(g), nil
 }
 
-func oracleFitDBH(g *kg.Graph) (*ScoreMatrix, error) {
+func oracleFitDBH(g *kg.Graph) (*sparse.CSR, error) {
 	entries := make([]sparse.Entry, 0, 2*len(g.Train))
 	for _, t := range g.Train {
 		entries = append(entries,
@@ -167,10 +169,10 @@ func oracleFitDBH(g *kg.Graph) (*ScoreMatrix, error) {
 			sparse.Entry{Row: t.T, Col: int32(g.NumRelations) + t.R, Val: 1},
 		)
 	}
-	return NewScoreMatrix(oracleNewCSR(g.NumEntities, 2*g.NumRelations, entries), g.NumRelations), nil
+	return oracleNewCSR(g.NumEntities, 2*g.NumRelations, entries), nil
 }
 
-func oracleFitDBHT(g *kg.Graph) (*ScoreMatrix, error) {
+func oracleFitDBHT(g *kg.Graph) (*sparse.CSR, error) {
 	if err := RequireTypes("DBH-T", g); err != nil {
 		return nil, err
 	}
@@ -178,11 +180,10 @@ func oracleFitDBHT(g *kg.Graph) (*ScoreMatrix, error) {
 	t := oracleTypeMatrix(g)
 	// typeCounts[t][col] = #distinct entities of type t observed in col.
 	typeCounts := oracleMul(t.Transpose(), b)
-	x := oracleMul(t, typeCounts)
-	return NewScoreMatrix(x, g.NumRelations), nil
+	return oracleMul(t, typeCounts), nil
 }
 
-func oracleFitOntoSim(g *kg.Graph) (*ScoreMatrix, error) {
+func oracleFitOntoSim(g *kg.Graph) (*sparse.CSR, error) {
 	if err := RequireTypes("OntoSim", g); err != nil {
 		return nil, err
 	}
@@ -199,16 +200,16 @@ func oracleFitOntoSim(g *kg.Graph) (*ScoreMatrix, error) {
 			}
 		}
 	}
-	return NewScoreMatrix(oracleNewBinaryCSR(g.NumEntities, 2*g.NumRelations, bin), g.NumRelations), nil
+	return oracleNewBinaryCSR(g.NumEntities, 2*g.NumRelations, bin), nil
 }
 
-func oracleFitLWD(g *kg.Graph) (*ScoreMatrix, error) {
+func oracleFitLWD(g *kg.Graph) (*sparse.CSR, error) {
 	b := oracleIncidence(g)
 	w := sparse.RowNormalize(oracleGramT(b))
-	return NewScoreMatrix(oracleMul(b, w), g.NumRelations), nil
+	return oracleMul(b, w), nil
 }
 
-func oracleFitLWDT(g *kg.Graph) (*ScoreMatrix, error) {
+func oracleFitLWDT(g *kg.Graph) (*sparse.CSR, error) {
 	if err := RequireTypes("L-WD-T", g); err != nil {
 		return nil, err
 	}
@@ -228,7 +229,7 @@ func oracleFitLWDT(g *kg.Graph) (*ScoreMatrix, error) {
 	b := oracleNewBinaryCSR(g.NumEntities, nr2+g.NumTypes, entries)
 	w := sparse.RowNormalize(oracleGramT(b))
 	x := oracleMul(b, w)
-	return NewScoreMatrix(oracleTruncateCols(x, nr2), g.NumRelations), nil
+	return oracleTruncateCols(x, nr2), nil
 }
 
 func oracleTruncateCols(m *sparse.CSR, cols int) *sparse.CSR {
@@ -250,7 +251,7 @@ func oracleTruncateCols(m *sparse.CSR, cols int) *sparse.CSR {
 	return out
 }
 
-func oracleFitPIE(p *PIESim, g *kg.Graph) (*ScoreMatrix, error) {
+func oracleFitPIE(p *PIESim, g *kg.Graph) (*sparse.CSR, error) {
 	rng := rand.New(rand.NewSource(p.Seed))
 	nr2 := 2 * g.NumRelations
 	inDim := nr2 + g.NumTypes
@@ -393,7 +394,7 @@ func oracleFitPIE(p *PIESim, g *kg.Graph) (*ScoreMatrix, error) {
 			}
 		}
 	}
-	return NewScoreMatrix(oracleNewCSR(g.NumEntities, nr2, entries), g.NumRelations), nil
+	return oracleNewCSR(g.NumEntities, nr2, entries), nil
 }
 
 func oracleBuildStatic(s *ScoreMatrix, g *kg.Graph, opts StaticOpts) *CandidateSets {
@@ -493,8 +494,9 @@ func oracleDedupSorted(xs []int32) []int32 {
 	return out
 }
 
-// oracleDomainsRanges is kg.DomainsRanges as it was: append-grown lists,
-// sorted and deduplicated with sort.Slice.
+// oracleDomainsRanges is the train-observed domains and ranges as kg once
+// extracted them: append-grown lists, sorted and deduplicated with sort.Slice.
+// incidenceT's rows must equal them (TestIncidenceTMatchesOracle).
 func oracleDomainsRanges(triples []kg.Triple, numRelations int) (domains, ranges [][]int32) {
 	domains = make([][]int32, numRelations)
 	ranges = make([][]int32, numRelations)

@@ -168,7 +168,8 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 	}
 
 	// Materialize scores with the full (undropped) input, row by row and in
-	// column order — which is CSR order, so the matrix is written directly.
+	// column order — which is CSR order, so X is written directly and handed
+	// over transposed (a linear sweep, nothing next to the training above).
 	// All of a row's logits advance together through the hidden units, which
 	// reads w2 contiguously; each logit still adds its h products in the
 	// order j = 0..h-1.
@@ -201,7 +202,7 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 		}
 		x.RowPtr[e+1] = len(x.ColIdx)
 	}
-	p.scores = NewScoreMatrix(x, g.NumRelations)
+	p.scores = NewScoreMatrix(x.Transpose(), g.NumRelations)
 	return nil
 }
 

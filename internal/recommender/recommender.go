@@ -18,7 +18,10 @@
 //
 // Score-matrix convention: X has |E| rows and 2·|R| columns; column r holds
 // domain (head) scores for relation r and column |R|+r holds range (tail)
-// scores.
+// scores. It is stored once, column-major (a 2·|R|×|E| CSR), because its
+// consumers — pool draw and discretization — read whole columns; every
+// recommender builds it in that orientation. Score, the single-cell lookup,
+// is a binary search in the column: O(log nnz(column)).
 package recommender
 
 import (
@@ -53,54 +56,45 @@ type Recommender interface {
 	SupportsUnseen() bool
 }
 
-// ScoreMatrix is the fitted |E|×2|R| relational score matrix with fast
-// access by row (entity) and column (domain/range), the latter being what
-// candidate sampling consumes.
+// ScoreMatrix is the fitted |E|×2|R| relational score matrix, stored by
+// column (domain/range), which is what candidate sampling consumes.
 type ScoreMatrix struct {
 	NumEntities  int
 	NumRelations int
-	byRow        *sparse.CSR // |E| × 2|R|
-	byCol        *sparse.CSR // transpose: 2|R| × |E|
+	byCol        *sparse.CSR // Xᵀ: 2|R| × |E|
 }
 
-// NewScoreMatrix wraps a row-major CSR score matrix. The matrix must have
-// exactly 2·numRelations columns.
-func NewScoreMatrix(x *sparse.CSR, numRelations int) *ScoreMatrix {
-	if x.NumCols != 2*numRelations {
-		panic(fmt.Sprintf("recommender: score matrix has %d cols, want %d", x.NumCols, 2*numRelations))
+// NewScoreMatrix wraps a column-major score matrix: xt is Xᵀ, one row per
+// domain/range column, and must have exactly 2·numRelations rows. A binary
+// xt gets explicit ones, so Column always returns values.
+func NewScoreMatrix(xt *sparse.CSR, numRelations int) *ScoreMatrix {
+	if xt.NumRows != 2*numRelations {
+		panic(fmt.Sprintf("recommender: score matrix has %d columns, want %d", xt.NumRows, 2*numRelations))
 	}
-	if x.Binary() {
-		// Materialize explicit ones so Column/Row always return values.
-		x = &sparse.CSR{
-			NumRows: x.NumRows,
-			NumCols: x.NumCols,
-			RowPtr:  x.RowPtr,
-			ColIdx:  x.ColIdx,
-			Val:     ones(x.NNZ()),
+	if xt.Binary() {
+		ones := make([]float64, xt.NNZ())
+		for i := range ones {
+			ones[i] = 1
 		}
+		xt = &sparse.CSR{NumRows: xt.NumRows, NumCols: xt.NumCols, RowPtr: xt.RowPtr, ColIdx: xt.ColIdx, Val: ones}
 	}
-	return &ScoreMatrix{
-		NumEntities:  x.NumRows,
-		NumRelations: numRelations,
-		byRow:        x,
-		byCol:        x.Transpose(),
-	}
+	return &ScoreMatrix{NumEntities: xt.NumCols, NumRelations: numRelations, byCol: xt}
 }
 
 // Column returns the entity ids and scores with nonzero entries in the given
 // domain/range column. Returned slices alias internal storage.
 func (s *ScoreMatrix) Column(col int) (ids []int32, scores []float64) {
-	ids, scores = s.byCol.Row(col)
-	return ids, scores
+	return s.byCol.Row(col)
 }
 
-// Score returns the score of entity e in column col (0 if unscored).
+// Score returns the score of entity e in column col (0 if unscored), by
+// binary search in the column.
 func (s *ScoreMatrix) Score(e int32, col int) float64 {
-	return s.byRow.At(int(e), col)
+	return s.byCol.At(col, int(e))
 }
 
 // NNZ returns the number of nonzero (entity, column) scores.
-func (s *ScoreMatrix) NNZ() int { return s.byRow.NNZ() }
+func (s *ScoreMatrix) NNZ() int { return s.byCol.NNZ() }
 
 // EasyNegatives counts the zero-score (entity, column) pairs — the paper's
 // "easy negatives" that can be ruled out without scoring (Table 2) — and the
@@ -114,27 +108,74 @@ func (s *ScoreMatrix) EasyNegatives() (count int, fraction float64) {
 	return count, float64(count) / float64(total)
 }
 
-func ones(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
+// incidenceT builds Bᵀ, the 2|R|×|E| transpose of the domain/range incidence
+// matrix, straight from the training split: row r lists the entities seen as
+// head of relation r and row |R|+r those seen as tail, ascending and
+// duplicate-free — the PseudoTyped view of the graph. With counts, Val holds
+// how many training triples put the entity there (DBH's score); without, the
+// matrix is binary.
+//
+// Two counting sorts and no comparison sort: the 2·|Train| (entity, column)
+// pairs are bucketed by entity, then dealt to their columns in entity order.
+// A column's repeats of one entity arrive together, so remembering the last
+// entity each column took (mark) is enough to merge them.
+func incidenceT(g *kg.Graph, counts bool) *sparse.CSR {
+	nr, ne, numCols := int32(g.NumRelations), g.NumEntities, 2*g.NumRelations
+	end := make([]int, ne+1) // once the pairs are bucketed, where entity e's end
+	for _, t := range g.Train {
+		end[t.H]++
+		end[t.T]++
 	}
-	return v
+	for e, n := 0, 0; e <= ne; e++ {
+		end[e], n = n, n+end[e]
+	}
+	pairCol := make([]int32, 2*len(g.Train))
+	for _, t := range g.Train {
+		pairCol[end[t.H]] = t.R
+		end[t.H]++
+		pairCol[end[t.T]] = nr + t.R
+		end[t.T]++
+	}
+	bt := &sparse.CSR{NumRows: numCols, NumCols: ne, RowPtr: make([]int, numCols+1)}
+	mark := make([]int32, numCols) // last entity the column took, plus one
+	for e, lo := int32(0), 0; int(e) < ne; e++ {
+		for _, c := range pairCol[lo:end[e]] {
+			if mark[c] != e+1 {
+				mark[c] = e + 1
+				bt.RowPtr[c+1]++
+			}
+		}
+		lo = end[e]
+	}
+	for c := 0; c < numCols; c++ {
+		bt.RowPtr[c+1] += bt.RowPtr[c]
+	}
+	bt.ColIdx = make([]int32, bt.RowPtr[numCols])
+	if counts {
+		bt.Val = make([]float64, bt.RowPtr[numCols])
+	}
+	next := append([]int(nil), bt.RowPtr[:numCols]...)
+	clear(mark)
+	for e, lo := int32(0), 0; int(e) < ne; e++ {
+		for _, c := range pairCol[lo:end[e]] {
+			if mark[c] != e+1 {
+				mark[c] = e + 1
+				bt.ColIdx[next[c]] = e
+				next[c]++
+			}
+			if counts {
+				bt.Val[next[c]-1]++
+			}
+		}
+		lo = end[e]
+	}
+	return bt
 }
 
 // incidence builds the binary |E|×2|R| domain/range incidence matrix B from
 // the training split: B[e][r]=1 iff e seen as head of r, B[e][|R|+r]=1 iff
 // seen as tail.
-func incidence(g *kg.Graph) *sparse.CSR {
-	entries := make([]sparse.Entry, 0, 2*len(g.Train))
-	for _, t := range g.Train {
-		entries = append(entries,
-			sparse.Entry{Row: t.H, Col: t.R},
-			sparse.Entry{Row: t.T, Col: int32(g.NumRelations) + t.R},
-		)
-	}
-	return sparse.NewBinaryCSR(g.NumEntities, 2*g.NumRelations, entries)
-}
+func incidence(g *kg.Graph) *sparse.CSR { return incidenceT(g, false).Transpose() }
 
 // typeMatrix builds the binary |E|×|T| entity-type matrix.
 func typeMatrix(g *kg.Graph) *sparse.CSR {

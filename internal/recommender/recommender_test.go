@@ -124,8 +124,8 @@ func TestLWDTUsesTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := l.Scores()
-	if s.byRow.NumCols != 2*g.NumRelations {
-		t.Fatalf("L-WD-T must truncate to 2|R| columns, got %d", s.byRow.NumCols)
+	if s.byCol.NumRows != 2*g.NumRelations {
+		t.Fatalf("L-WD-T must truncate to 2|R| columns, got %d", s.byCol.NumRows)
 	}
 	// Type sharing must boost melinda for domain(bornIn) — she shares type
 	// People with the observed members.
@@ -264,7 +264,7 @@ func TestBuildStaticProperties(t *testing.T) {
 		t.Fatalf("got %d sets, want %d", len(cs.Sets), 2*g.NumRelations)
 	}
 	// With IncludeSeen, every train-observed member must be contained.
-	domains, ranges := kg.DomainsRanges(g.Train, g.NumRelations)
+	domains, ranges := oracleDomainsRanges(g.Train, g.NumRelations)
 	for r := 0; r < g.NumRelations; r++ {
 		for _, e := range domains[r] {
 			if !cs.Contains(DomainCol(r, g.NumRelations), e) {

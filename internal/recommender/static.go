@@ -1,9 +1,10 @@
 package recommender
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"kgeval/internal/kg"
 	"kgeval/internal/par"
@@ -39,8 +40,9 @@ func DefaultStaticOpts() StaticOpts { return StaticOpts{IncludeSeen: true} }
 // Columns are independent and are processed on par.Workers(2·|R|)
 // goroutines; each writes only its own Sets[col] and Thresholds[col], so the
 // result does not depend on the worker count. Every set is allocated once at
-// its final size; the only other allocation is one score buffer per worker,
-// reused across its columns.
+// its final size; the only other allocations are the train-observed members
+// (the transposed incidence matrix) and one sort buffer per worker, sized by
+// the longest column and reused across the worker's columns.
 func BuildStatic(s *ScoreMatrix, g *kg.Graph, opts StaticOpts) *CandidateSets {
 	numCols := 2 * s.NumRelations
 	cs := &CandidateSets{
@@ -49,18 +51,22 @@ func BuildStatic(s *ScoreMatrix, g *kg.Graph, opts StaticOpts) *CandidateSets {
 		Sets:         make([][]int32, numCols),
 		Thresholds:   make([]float64, numCols),
 	}
-	domains, ranges := kg.DomainsRanges(g.Train, g.NumRelations)
-	scratch := make([][]float64, par.Workers(numCols))
+	seen := incidenceT(g, false)
+	longest := 0
+	for col := 0; col < numCols; col++ {
+		ids, _ := s.Column(col)
+		longest = max(longest, len(ids))
+	}
+	// A worker's sort buffer holds the longest column's keys, its known
+	// members' (at most as many), and as much again for the sorts to work in.
+	perWorker := 4 * longest
+	scratch := make([]uint64, par.Workers(numCols)*perWorker)
 	par.Blocks(numCols, func(w, lo, hi int) {
+		buf := scratch[w*perWorker : (w+1)*perWorker]
 		for col := lo; col < hi; col++ {
-			known := domains
-			if col >= s.NumRelations {
-				known = ranges
-			}
-			members := known[col%s.NumRelations]
+			members, _ := seen.Row(col)
 			ids, scores := s.Column(col)
-			var thr float64
-			thr, scratch[w] = optimalThreshold(ids, scores, members, s.NumEntities, scratch[w])
+			thr := optimalThreshold(col, ids, scores, members, s.NumEntities, buf)
 			cs.Thresholds[col] = thr
 			if !opts.IncludeSeen {
 				members = nil
@@ -75,32 +81,39 @@ func BuildStatic(s *ScoreMatrix, g *kg.Graph, opts StaticOpts) *CandidateSets {
 	return cs
 }
 
-// optimalThreshold picks, among the distinct score values of a column, the
+// optimalThreshold picks, among the distinct score values of column col, the
 // threshold minimizing √((1−CR)² + (1−RR)²), where CR is recall over the
 // knownMembers and RR = 1 − |set|/|E|. ids and knownMembers are both sorted
-// ascending. buf is scratch, returned (possibly grown) for reuse.
+// ascending. buf is scratch of at least 4·len(ids) words.
 //
 // The sweep needs, per distinct score, how many entities and how many known
 // members score at least that much. Both follow from two plain sorted score
 // lists — the column's, and the known members' within it — so no per-entity
-// record has to be sorted.
-func optimalThreshold(ids []int32, scores []float64, knownMembers []int32, numEntities int, buf []float64) (float64, []float64) {
+// record has to be sorted; and the lists are sorted as integer keys in score
+// order (sortKey), by radix rather than by comparison.
+func optimalThreshold(col int, ids []int32, scores []float64, knownMembers []int32, numEntities int, buf []uint64) float64 {
 	if len(ids) == 0 {
-		return math.Inf(1), buf
+		return math.Inf(1)
 	}
-	buf = append(buf[:0], scores...)
+	buf = buf[:0]
+	for _, s := range scores {
+		if s != s {
+			panic(fmt.Sprintf("recommender: NaN score in column %d", col))
+		}
+		buf = append(buf, sortKey(s))
+	}
 	ki := 0
 	for i, id := range ids {
 		for ki < len(knownMembers) && knownMembers[ki] < id {
 			ki++
 		}
 		if ki < len(knownMembers) && knownMembers[ki] == id {
-			buf = append(buf, scores[i])
+			buf = append(buf, buf[i])
 		}
 	}
-	all, known := buf[:len(ids)], buf[len(ids):]
-	slices.Sort(all)
-	slices.Sort(known)
+	n, m := len(ids), len(buf)
+	all := sortKeys(buf[:n], buf[m:m+n])
+	known := sortKeys(buf[n:m], buf[m+n:2*m])
 
 	bestThr := math.Inf(1)
 	// Distance of the empty set: CR=0 (or 1 if nothing is known), RR=1.
@@ -127,10 +140,75 @@ func optimalThreshold(ids []int32, scores []float64, knownMembers []int32, numEn
 		dist := (1-cr)*(1-cr) + (1-rr)*(1-rr)
 		if dist < bestDist {
 			bestDist = dist
-			bestThr = thr
+			bestThr = keyScore(thr)
 		}
 	}
-	return bestThr, buf
+	return bestThr
+}
+
+// sortKey maps a score to an integer with the same order: a < b as float64
+// exactly when sortKey(a) < sortKey(b), for negative, subnormal and infinite
+// values, and -0 and +0 — equal as floats — share a key. Not defined on NaN.
+func sortKey(s float64) uint64 {
+	if s == 0 {
+		s = 0 // -0 becomes +0
+	}
+	b := math.Float64bits(s)
+	if b>>63 != 0 {
+		return ^b // negative: larger magnitude sorts lower
+	}
+	return b | 1<<63
+}
+
+// keyScore inverts sortKey.
+func keyScore(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// Below radixMin keys sortKeys leaves a list to slices.Sort: a radix pass
+// costs its 1<<radixBits counters whatever the length.
+const (
+	radixMin  = 256
+	radixBits = 11
+)
+
+// sortKeys sorts keys ascending and returns the sorted list, which is keys or
+// tmp (scratch of the same length): an LSD radix sort over only the bit
+// positions on which the keys differ — scores of one column share most of
+// their exponent, and counts most of their mantissa.
+func sortKeys(keys, tmp []uint64) []uint64 {
+	if len(keys) < radixMin {
+		slices.Sort(keys)
+		return keys
+	}
+	first, diff := keys[0], uint64(0)
+	for _, k := range keys {
+		diff |= k ^ first
+	}
+	for shift := bits.TrailingZeros64(diff); shift < bits.Len64(diff); shift += radixBits {
+		const mask = 1<<radixBits - 1
+		if diff>>shift&mask == 0 {
+			continue
+		}
+		var next [1 << radixBits]int32 // where the next key with each digit goes
+		for _, k := range keys {
+			next[k>>shift&mask]++
+		}
+		pos := int32(0)
+		for d, n := range next {
+			next[d], pos = pos, pos+n
+		}
+		for _, k := range keys {
+			d := k >> shift & mask
+			tmp[next[d]] = k
+			next[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // unionAbove merges {ids[i] : scores[i] ≥ thr} with members into dst and
@@ -164,9 +242,8 @@ func unionAbove(dst, ids []int32, scores []float64, thr float64, members []int32
 
 // Contains reports whether entity e is in column col's candidate set.
 func (cs *CandidateSets) Contains(col int, e int32) bool {
-	set := cs.Sets[col]
-	i := sort.Search(len(set), func(i int) bool { return set[i] >= e })
-	return i < len(set) && set[i] == e
+	_, found := slices.BinarySearch(cs.Sets[col], e)
+	return found
 }
 
 // SetSize returns the size of column col's candidate set.

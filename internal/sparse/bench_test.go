@@ -31,7 +31,8 @@ func BenchmarkNewBinaryCSR(b *testing.B) {
 }
 
 // BenchmarkMul times the two products of L-WD's Algorithm 1: the Gram matrix
-// BᵀB (few heavy rows) and B·W (many light rows against a near-dense W).
+// BᵀB (few heavy rows, transposed back) and B·W (many light rows against a
+// near-dense W), which is wanted column-major and so is MulT alone.
 func BenchmarkMul(b *testing.B) {
 	rows, cols, entries := benchIncidence()
 	inc := NewBinaryCSR(rows, cols, entries)
@@ -46,7 +47,7 @@ func BenchmarkMul(b *testing.B) {
 	b.Run("BW", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			Mul(inc, w)
+			MulT(inc, w)
 		}
 	})
 }

@@ -7,15 +7,17 @@
 //	X = B·W                 (relational scores)
 //
 // Matrices are immutable after construction and safe for concurrent reads.
-// Construction is a counting sort, Mul runs on all cores; Transpose and
-// RowNormalize are single linear sweeps and stay serial. No result depends
-// on the number of cores.
+// Construction and Transpose are counting sorts and RowNormalize a linear
+// sweep, all serial. There is one product kernel, MulT, which runs on all
+// cores and writes (a·b)ᵀ directly — the orientation the score matrix is read
+// in — so a product is never sorted or transposed afterwards; Mul is MulT
+// plus a Transpose, for the two small products. No result depends on the
+// number of cores.
 package sparse
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"kgeval/internal/par"
@@ -51,26 +53,16 @@ func (m *CSR) valueAt(k int) float64 {
 	return m.Val[k]
 }
 
-// NewCSR builds a CSR matrix from coordinate entries. Duplicate (row, col)
-// coordinates are summed in input order. Entries out of bounds cause a panic:
-// builders are internal and bounds violations are programming errors. The
-// entries slice is only read.
-func NewCSR(rows, cols int, entries []Entry) *CSR {
-	return fromEntries(rows, cols, entries, false)
-}
-
 // NewBinaryCSR builds an all-ones CSR matrix from (row, col) pairs encoded
-// as entries (Val ignored). Duplicates collapse to a single nonzero.
+// as entries (Val ignored). Duplicates collapse to a single nonzero. Entries
+// out of bounds cause a panic: builders are internal and bounds violations
+// are programming errors. The entries slice is only read.
+//
+// The entries are ordered by (row, col) with two stable counting sorts — by
+// column, then by row — in O(nnz + rows + cols) and without a comparison
+// sort, then runs of equal coordinates are merged in place. ColIdx is
+// allocated at len(entries), plus one int32 per entry of scratch.
 func NewBinaryCSR(rows, cols int, entries []Entry) *CSR {
-	return fromEntries(rows, cols, entries, true)
-}
-
-// fromEntries orders the entries by (row, col) with two stable counting
-// sorts — by column, then by row — in O(nnz + rows + cols) and without a
-// comparison sort, then merges runs of equal coordinates in place. It
-// allocates the output arrays at len(entries) plus one int32 per entry of
-// scratch; stability is what fixes the order in which duplicates are summed.
-func fromEntries(rows, cols int, entries []Entry, binary bool) *CSR {
 	if len(entries) > math.MaxInt32 {
 		panic(fmt.Sprintf("sparse: %d entries exceed the int32 index range", len(entries)))
 	}
@@ -96,17 +88,10 @@ func fromEntries(rows, cols int, entries []Entry, binary bool) *CSR {
 	}
 	rowEnd := append([]int(nil), m.RowPtr[:rows]...)
 	m.ColIdx = make([]int32, len(entries))
-	if !binary {
-		m.Val = make([]float64, len(entries))
-	}
 	for _, i := range byCol {
 		e := entries[i]
-		k := rowEnd[e.Row]
+		m.ColIdx[rowEnd[e.Row]] = e.Col
 		rowEnd[e.Row]++
-		m.ColIdx[k] = e.Col
-		if !binary {
-			m.Val[k] = e.Val
-		}
 	}
 	// rowEnd[r] is now the end of row r in the duplicate-carrying layout;
 	// compact towards the front, rewriting RowPtr as rows shrink.
@@ -114,27 +99,16 @@ func fromEntries(rows, cols int, entries []Entry, binary bool) *CSR {
 	for r := 0; r < rows; r++ {
 		rowStart := w
 		m.RowPtr[r] = rowStart
-		for k := lo; k < rowEnd[r]; k++ {
-			c := m.ColIdx[k]
-			if w > rowStart && m.ColIdx[w-1] == c {
-				if !binary {
-					m.Val[w-1] += m.Val[k]
-				}
-				continue
+		for _, c := range m.ColIdx[lo:rowEnd[r]] {
+			if w == rowStart || m.ColIdx[w-1] != c {
+				m.ColIdx[w] = c
+				w++
 			}
-			m.ColIdx[w] = c
-			if !binary {
-				m.Val[w] = m.Val[k]
-			}
-			w++
 		}
 		lo = rowEnd[r]
 	}
 	m.RowPtr[rows] = w
 	m.ColIdx = m.ColIdx[:w]
-	if !binary {
-		m.Val = m.Val[:w]
-	}
 	return m
 }
 
@@ -194,55 +168,80 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// Mul computes the sparse product a·b with a two-pass Gustavson algorithm.
-// A symbolic pass counts each output row's nonzeros, which sizes RowPtr and
-// lets ColIdx and Val be allocated once at their exact length; a numeric pass
-// then accumulates every row in a dense per-worker accumulator and writes it
-// straight into its slot. Both passes run over contiguous row blocks on
-// par.Workers(a.NumRows) goroutines, each with its own O(b.NumCols) scratch.
-// A row's products are added in the same order whatever the worker count —
-// a's nonzeros left to right, each against b's row left to right — so the
-// result is bit-identical for any GOMAXPROCS. Panics if the inner dimensions
-// disagree.
-func Mul(a, b *CSR) *CSR {
+// mulChunks is how many row chunks MulT cuts a into. A chunk is the unit of
+// work the workers claim and the unit of output layout, so its boundaries
+// depend on a.NumRows alone: enough chunks that a heavy one (hub entities)
+// leaves no worker idle, few enough that the chunk×column position table
+// stays small next to the output.
+const mulChunks = 256
+
+// MulT computes (a·b)ᵀ — the product in column-major order — with a two-pass
+// Gustavson algorithm. a's rows are cut into fixed chunks. A symbolic pass
+// counts, per chunk and output column, the rows with a nonzero there; prefix
+// sums over (column, chunk) size the output exactly and give every chunk its
+// own slot in every column. The numeric pass then accumulates each row of a·b
+// in a dense per-worker accumulator and appends (row, value) to its chunk's
+// slot of every column the row touched. Rows ascend inside a chunk and chunks
+// are laid out in order, so each column comes out sorted with no sort and no
+// transpose.
+//
+// Chunks run on par.Workers goroutines, each with its own O(b.NumCols)
+// scratch. Neither the layout nor a value depends on which worker ran which
+// chunk: a row's products are added in the same order whatever the worker
+// count — a's nonzeros left to right, each against b's row left to right — so
+// the result is bit-identical for any GOMAXPROCS. Panics if the inner
+// dimensions disagree.
+func MulT(a, b *CSR) *CSR {
 	if a.NumCols != b.NumRows {
 		panic(fmt.Sprintf("sparse: Mul dimension mismatch %dx%d · %dx%d", a.NumRows, a.NumCols, b.NumRows, b.NumCols))
 	}
-	out := &CSR{
-		NumRows: a.NumRows,
-		NumCols: b.NumCols,
-		RowPtr:  make([]int, a.NumRows+1),
-	}
-	scratch := make([]mulScratch, par.Workers(a.NumRows))
+	rows, cols := a.NumRows, b.NumCols
+	out := &CSR{NumRows: cols, NumCols: rows, RowPtr: make([]int, cols+1)}
+	size := max(1, (rows+mulChunks-1)/mulChunks)
+	chunks := (rows + size - 1) / size
+	scratch := make([]mulScratch, par.Workers(chunks))
 	for w := range scratch {
-		scratch[w].init(b.NumCols)
+		scratch[w].init(cols)
 	}
-	par.Blocks(a.NumRows, func(w, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			out.RowPtr[r+1] = scratch[w].countRow(a, b, r)
+	// pos[k*cols+c]: first the number of chunk k's rows with a nonzero in
+	// output column c, then where the next of them goes in ColIdx and Val.
+	pos := make([]int, chunks*cols)
+	par.Blocks(chunks, func(w, k0, k1 int) {
+		for k := k0; k < k1; k++ {
+			scratch[w].count(a, b, k*size, min((k+1)*size, rows), pos[k*cols:(k+1)*cols])
 		}
 	})
-	for r := 0; r < a.NumRows; r++ {
-		out.RowPtr[r+1] += out.RowPtr[r]
+	n := 0
+	for c := 0; c < cols; c++ {
+		out.RowPtr[c] = n
+		for k := 0; k < chunks; k++ {
+			pos[k*cols+c], n = n, n+pos[k*cols+c]
+		}
 	}
-	out.ColIdx = make([]int32, out.RowPtr[a.NumRows])
-	out.Val = make([]float64, out.RowPtr[a.NumRows])
-	par.Blocks(a.NumRows, func(w, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			k0, k1 := out.RowPtr[r], out.RowPtr[r+1]
-			scratch[w].fillRow(a, b, r, out.ColIdx[k0:k0:k1], out.Val[k0:k1])
+	out.RowPtr[cols] = n
+	out.ColIdx = make([]int32, n)
+	out.Val = make([]float64, n)
+	par.Blocks(chunks, func(w, k0, k1 int) {
+		for k := k0; k < k1; k++ {
+			scratch[w].fill(a, b, k*size, min((k+1)*size, rows), pos[k*cols:(k+1)*cols], out)
 		}
 	})
 	return out
 }
 
-// mulScratch is one Mul worker's dense row state. mark[c] holds the tag of
+// Mul computes the sparse product a·b: MulT's result transposed back. It is
+// for the small products (BᵀB, Tᵀ·B: a handful of rows); a large product is
+// wanted column-major and takes MulT's output as it is.
+func Mul(a, b *CSR) *CSR { return MulT(a, b).Transpose() }
+
+// mulScratch is one MulT worker's dense row state. mark[c] holds the tag of
 // the last row that touched column c; the symbolic pass tags with the row
 // index and the numeric pass with NumRows + row, so no reset is needed
 // between rows or between passes.
 type mulScratch struct {
-	mark []int
-	acc  []float64
+	mark    []int
+	acc     []float64
+	touched []int32 // the columns of the row in hand, in first-touch order
 }
 
 func (s *mulScratch) init(cols int) {
@@ -251,54 +250,63 @@ func (s *mulScratch) init(cols int) {
 		s.mark[i] = -1
 	}
 	s.acc = make([]float64, cols)
+	s.touched = make([]int32, 0, cols)
 }
 
-// countRow returns the number of distinct columns row r of a·b touches.
-func (s *mulScratch) countRow(a, b *CSR, r int) int {
-	n := 0
-	for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
-		for _, c := range b.ColIdx[b.RowPtr[j]:b.RowPtr[j+1]] {
-			if s.mark[c] != r {
-				s.mark[c] = r
-				n++
+// count adds to n[c] the number of rows in [lo, hi) of a·b that touch
+// column c.
+func (s *mulScratch) count(a, b *CSR, lo, hi int, n []int) {
+	for r := lo; r < hi; r++ {
+		seen := 0
+		for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
+			for _, c := range b.ColIdx[b.RowPtr[j]:b.RowPtr[j+1]] {
+				if s.mark[c] != r {
+					s.mark[c] = r
+					n[c]++
+					seen++
+				}
+			}
+			if seen == len(s.mark) {
+				break // the row is already full
 			}
 		}
-		if n == len(s.mark) {
-			break // the row is already full
-		}
 	}
-	return n
 }
 
-// fillRow computes row r of a·b into cols (length 0, capacity the row's
-// count) and vals, columns ascending.
-func (s *mulScratch) fillRow(a, b *CSR, r int, cols []int32, vals []float64) {
-	tag := a.NumRows + r
+// fill computes rows [lo, hi) of a·b and appends each row's nonzeros to the
+// columns of out, at the positions pos holds for this chunk.
+func (s *mulScratch) fill(a, b *CSR, lo, hi int, pos []int, out *CSR) {
 	mark, acc := s.mark, s.acc
-	for ka := a.RowPtr[r]; ka < a.RowPtr[r+1]; ka++ {
-		j := a.ColIdx[ka]
-		av := a.valueAt(ka)
-		k0, k1 := b.RowPtr[j], b.RowPtr[j+1]
-		var bvals []float64 // nil for a binary b: every value is 1
-		if b.Val != nil {
-			bvals = b.Val[k0:k1]
-		}
-		for kb, c := range b.ColIdx[k0:k1] {
-			if mark[c] != tag {
-				mark[c] = tag
-				acc[c] = 0
-				cols = append(cols, c)
+	for r := lo; r < hi; r++ {
+		tag := a.NumRows + r
+		touched := s.touched[:0]
+		for ka := a.RowPtr[r]; ka < a.RowPtr[r+1]; ka++ {
+			j := a.ColIdx[ka]
+			av := a.valueAt(ka)
+			k0, k1 := b.RowPtr[j], b.RowPtr[j+1]
+			var bvals []float64 // nil for a binary b: every value is 1
+			if b.Val != nil {
+				bvals = b.Val[k0:k1]
 			}
-			if bvals != nil {
-				acc[c] += av * bvals[kb]
-			} else {
-				acc[c] += av // av·1
+			for kb, c := range b.ColIdx[k0:k1] {
+				if mark[c] != tag {
+					mark[c] = tag
+					acc[c] = 0
+					touched = append(touched, c)
+				}
+				if bvals != nil {
+					acc[c] += av * bvals[kb]
+				} else {
+					acc[c] += av // av·1
+				}
 			}
 		}
-	}
-	slices.Sort(cols)
-	for i, c := range cols {
-		vals[i] = acc[c]
+		for _, c := range touched {
+			k := pos[c]
+			pos[c] = k + 1
+			out.ColIdx[k] = int32(r)
+			out.Val[k] = acc[c]
+		}
 	}
 }
 

@@ -2,11 +2,28 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
+
+	"kgeval/internal/synth"
 )
+
+// NewCSR builds a valued matrix from coordinate entries, duplicate (row, col)
+// coordinates summed in input order. Production code only ever gets a valued
+// matrix as a product or a normalization; the tests need arbitrary ones.
+func NewCSR(rows, cols int, entries []Entry) *CSR {
+	m := NewBinaryCSR(rows, cols, entries)
+	m.Val = make([]float64, m.NNZ())
+	for _, e := range entries {
+		lo := m.RowPtr[e.Row]
+		i, _ := slices.BinarySearch(m.ColIdx[lo:m.RowPtr[e.Row+1]], e.Col)
+		m.Val[lo+i] += e.Val
+	}
+	return m
+}
 
 // Dense expands the matrix into a row-major dense [][]float64.
 func (m *CSR) Dense() [][]float64 {
@@ -208,19 +225,120 @@ func TestGramTMatchesDenseExactly(t *testing.T) {
 	})
 }
 
+// sameBits checks got is want exactly: shape, RowPtr, ColIdx, and every
+// value by its bit pattern, so a -0 for a +0 or a reordered sum shows.
+func sameBits(got, want *CSR) error {
+	if got.NumRows != want.NumRows || got.NumCols != want.NumCols {
+		return fmt.Errorf("shape %dx%d, want %dx%d", got.NumRows, got.NumCols, want.NumRows, want.NumCols)
+	}
+	if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+		return fmt.Errorf("pattern differs")
+	}
+	if len(got.Val) != len(want.Val) {
+		return fmt.Errorf("%d values, want %d", len(got.Val), len(want.Val))
+	}
+	for k, v := range got.Val {
+		if math.Float64bits(v) != math.Float64bits(want.Val[k]) {
+			return fmt.Errorf("value %d = %v, want %v", k, v, want.Val[k])
+		}
+	}
+	return nil
+}
+
+// TestMulTMatchesOracleTransposed holds the one product kernel to the kernel
+// it replaced: MulT(a, b) is oracleMul(a, b) transposed, bit for bit, on
+// binary and valued operands with empty rows, empty columns, an all-zero a,
+// and 1-row and 1-column shapes, whatever the worker count.
+func TestMulTMatchesOracleTransposed(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(15))
+		check := func(what string, a, b *CSR) {
+			t.Helper()
+			if err := sameBits(MulT(a, b), oracleMul(a, b).Transpose()); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+		for trial := 0; trial < 150; trial++ {
+			// Dimensions of 1 are frequent; a and b leave trailing rows (and
+			// so columns of the other operand's product) empty.
+			rows, inner, cols := 1+rng.Intn(40)*rng.Intn(2), 1+rng.Intn(8)*rng.Intn(2), 1+rng.Intn(8)*rng.Intn(2)
+			aEntries := randomEntries(rng, 1+rng.Intn(rows), inner, rng.Intn(120))
+			bEntries := randomEntries(rng, 1+rng.Intn(inner), 1+rng.Intn(cols), rng.Intn(40))
+			for _, aBin := range []bool{false, true} {
+				for _, bBin := range []bool{false, true} {
+					a, b := NewCSR(rows, inner, aEntries), NewCSR(inner, cols, bEntries)
+					if aBin {
+						a = NewBinaryCSR(rows, inner, aEntries)
+					}
+					if bBin {
+						b = NewBinaryCSR(inner, cols, bEntries)
+					}
+					check(fmt.Sprintf("trial %d (a binary=%v, b binary=%v)", trial, aBin, bBin), a, b)
+					check(fmt.Sprintf("trial %d, all-zero a", trial), NewCSR(rows, inner, nil), b)
+				}
+			}
+		}
+		// More rows than chunks, so chunks hold several rows and some columns
+		// get nothing from whole chunks.
+		a := NewCSR(3000, 90, randomEntries(rng, 2000, 90, 30000))
+		b := NewCSR(90, 70, randomEntries(rng, 90, 60, 2500))
+		check("large", a, b)
+	})
+}
+
+// lwdOperands returns the L-WD pipeline's two large operands on a synth
+// preset: the incidence matrix B and W = rownorm(BᵀB).
+func lwdOperands(t *testing.T, cfg synth.Config) (b, w *CSR) {
+	t.Helper()
+	ds, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	entries := make([]Entry, 0, 2*len(g.Train))
+	for _, tr := range g.Train {
+		entries = append(entries, Entry{Row: tr.H, Col: tr.R}, Entry{Row: tr.T, Col: int32(g.NumRelations) + tr.R})
+	}
+	b = NewBinaryCSR(g.NumEntities, 2*g.NumRelations, entries)
+	return b, RowNormalize(oracleMul(b.Transpose(), b))
+}
+
 // TestMulLargeIndependentOfProcs multiplies matrices big enough for every
-// worker to get several blocks and requires the same bits at every setting.
+// worker to get several blocks — a random pair, and B·W of the L-WD pipeline
+// on every synth preset — and requires, at every setting, the bits of the
+// serial result and of the row-major oracle transposed.
 func TestMulLargeIndependentOfProcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	a := NewCSR(3000, 90, randomEntries(rng, 3000, 90, 30000))
-	b := NewCSR(90, 70, randomEntries(rng, 90, 70, 2500))
+	type operands struct {
+		name string
+		a, b *CSR
+	}
+	cases := []operands{{"random",
+		NewCSR(3000, 90, randomEntries(rng, 3000, 90, 30000)),
+		NewCSR(90, 70, randomEntries(rng, 90, 70, 2500))}}
+	presets := synth.AllPresets()
+	if testing.Short() {
+		presets = []synth.Config{synth.CoDExSSim()}
+	}
+	for _, cfg := range presets {
+		b, w := lwdOperands(t, cfg)
+		cases = append(cases, operands{cfg.Name, b, w})
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	want := Mul(a, b)
-	for _, procs := range []int{2, 8} {
-		runtime.GOMAXPROCS(procs)
-		got := Mul(a, b)
-		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) || !slices.Equal(got.Val, want.Val) {
-			t.Fatalf("Mul at GOMAXPROCS=%d differs from the serial result", procs)
+	for _, c := range cases {
+		runtime.GOMAXPROCS(1)
+		want := MulT(c.a, c.b)
+		if err := sameBits(want, oracleMul(c.a, c.b).Transpose()); err != nil {
+			t.Fatalf("%s: MulT differs from the oracle transposed: %v", c.name, err)
+		}
+		for _, procs := range []int{2, 8} {
+			runtime.GOMAXPROCS(procs)
+			if err := sameBits(MulT(c.a, c.b), want); err != nil {
+				t.Fatalf("%s: MulT at GOMAXPROCS=%d differs from the serial result: %v", c.name, procs, err)
+			}
+			if err := sameBits(Mul(c.a, c.b), want.Transpose()); err != nil {
+				t.Fatalf("%s: Mul at GOMAXPROCS=%d differs from the serial MulT transposed: %v", c.name, procs, err)
+			}
 		}
 	}
 }

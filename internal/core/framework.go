@@ -11,8 +11,11 @@
 // The framework is model-agnostic: anything implementing kgc.Model can be
 // estimated. Fitting the recommender happens once per graph, and so does
 // discretizing its scores into static candidate sets — on the first Static
-// request, not in Fit; each Estimate call then performs only 2·|R| candidate
-// samplings plus the ranking work on the small pools.
+// request, not in Fit. An Estimate call then performs only 2·|R| candidate
+// samplings plus the ranking work on the small pools, and the samplings only
+// the first time: a fitted Framework remembers the pool sets its plans drew
+// (eval.PoolMemo; 32 MiB, least recently used first out), so the next model
+// with the same strategy, n_s, seed and relations ranks against those slices.
 package core
 
 import (
@@ -79,9 +82,11 @@ func ParseStrategy(s string) (Strategy, error) {
 // exposes the paper's estimation pipeline.
 //
 // A fitted Framework may be shared: Fit is idempotent per graph and safe for
-// concurrent callers, and Estimate only reads fitted state, so one Framework
-// can serve many evaluations in parallel (the service layer relies on this
-// to amortize Fit cost across requests).
+// concurrent callers, and one Framework can serve many evaluations in
+// parallel (the service layer relies on this to amortize Fit cost across
+// requests). Concurrent Estimates share the recommender's scores, the static
+// candidate sets and the remembered pool sets, all read-only once built; all
+// an Estimate writes is a new entry of the pool memo, under the memo's lock.
 type Framework struct {
 	Rec        recommender.Recommender
 	NumSamples int // n_s: candidates per (relation, direction)
@@ -90,7 +95,12 @@ type Framework struct {
 	mu    sync.Mutex
 	graph *kg.Graph
 	sets  *recommender.CandidateSets // built on first need, see staticSets
+	pools *eval.PoolMemo             // the fitted graph's drawn pool sets, see provider
 }
+
+// poolMemoBytes bounds the pool ids one fitted Framework remembers: about a
+// hundred plans' pools at n_s = 1 200 over some tens of relations.
+const poolMemoBytes = 32 << 20
 
 // New builds an unfitted Framework.
 func New(rec recommender.Recommender, numSamples int, seed int64) *Framework {
@@ -134,7 +144,9 @@ func (f *Framework) FitCtx(ctx context.Context, g *kg.Graph) error {
 		return fmt.Errorf("core: fitting %s: %w", f.Rec.Name(), err)
 	}
 	f.graph = g
-	f.sets = nil // discretized from the previous graph's scores
+	// Discretized from, and drawn over, the previous graph's scores.
+	f.sets = nil
+	f.pools = &eval.PoolMemo{MaxBytes: poolMemoBytes}
 	span.End(trace.String("recommender", f.Rec.Name()), trace.Bool("already_fitted", false))
 	return nil
 }
@@ -158,30 +170,38 @@ func (f *Framework) staticSets(ctx context.Context) *recommender.CandidateSets {
 	return f.sets
 }
 
-// Provider returns the candidate provider implementing the strategy.
-// Fit must have been called.
+// Provider returns the candidate provider implementing the strategy: every
+// Candidates call is a draw, and so is every plan eval.Evaluate compiles over
+// it. Fit must have been called.
 func (f *Framework) Provider(s Strategy) eval.CandidateProvider {
-	return f.provider(context.Background(), s)
+	return f.provider(context.Background(), s, false)
 }
 
 // provider is Provider with the trace context an on-demand static-set build
-// should be recorded under.
-func (f *Framework) provider(ctx context.Context, s Strategy) eval.CandidateProvider {
+// should be recorded under and, when remember is set (the Estimate methods),
+// with the fitted graph's pool memo behind it: a plan whose pools an earlier
+// call drew — same strategy, n_s, seed and relations — is handed those.
+func (f *Framework) provider(ctx context.Context, s Strategy, remember bool) (p eval.CandidateProvider) {
 	f.mu.Lock()
-	graph := f.graph
+	graph, pools := f.graph, f.pools
 	f.mu.Unlock()
 	if graph == nil {
 		panic("core: Framework used before Fit")
 	}
 	switch s {
 	case StrategyRandom:
-		return &eval.RandomProvider{NumEntities: graph.NumEntities, N: f.NumSamples}
+		p = &eval.RandomProvider{NumEntities: graph.NumEntities, N: f.NumSamples}
 	case StrategyStatic:
-		return &eval.StaticProvider{Sets: f.staticSets(ctx), N: f.NumSamples}
+		p = &eval.StaticProvider{Sets: f.staticSets(ctx), N: f.NumSamples}
 	case StrategyProbabilistic:
-		return &eval.ProbabilisticProvider{Scores: f.Rec.Scores(), N: f.NumSamples}
+		p = &eval.ProbabilisticProvider{Scores: f.Rec.Scores(), N: f.NumSamples}
+	default:
+		panic(fmt.Sprintf("core: unknown strategy %d", int(s)))
 	}
-	panic(fmt.Sprintf("core: unknown strategy %d", int(s)))
+	if remember {
+		p = pools.Remember(p, f.NumSamples)
+	}
+	return p
 }
 
 // seeded reads an opts.Seed of 0 as the framework's seed.
@@ -195,9 +215,10 @@ func (f *Framework) seeded(opts eval.Options) eval.Options {
 // Estimate runs a sampled filtered evaluation of the model over the split
 // with the given strategy, returning estimated ranking metrics. A Seed of 0
 // means the framework's seed; for a literal seed 0 call
-// eval.Evaluate(m, g, split, f.Provider(s), opts) directly.
+// eval.Evaluate(m, g, split, f.Provider(s), opts) directly (which always
+// draws: only the Estimate methods consult the pool memo).
 func (f *Framework) Estimate(m kgc.Model, g *kg.Graph, split []kg.Triple, s Strategy, opts eval.Options) eval.Result {
-	return eval.Evaluate(m, g, split, f.provider(opts.Ctx, s), f.seeded(opts))
+	return eval.Evaluate(m, g, split, f.provider(opts.Ctx, s, true), f.seeded(opts))
 }
 
 // EstimateMany evaluates several models over one shared set of candidate
@@ -208,7 +229,7 @@ func (f *Framework) Estimate(m kgc.Model, g *kg.Graph, split []kg.Triple, s Stra
 // results[i] corresponds to ms[i] and equals what Estimate would return for
 // that model with the same options.
 func (f *Framework) EstimateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, s Strategy, opts eval.Options) []eval.Result {
-	return eval.EvaluateMany(ms, g, split, f.provider(opts.Ctx, s), f.seeded(opts))
+	return eval.EvaluateMany(ms, g, split, f.provider(opts.Ctx, s, true), f.seeded(opts))
 }
 
 // FullEvaluate runs the standard full filtered ranking protocol — the

@@ -114,3 +114,47 @@ func TestProbabilisticPlanAllocatesPoolsAndWorkerScratch(t *testing.T) {
 		t.Logf("%d workers: %d B allocated, %d B of pool ids, budget %d B", workers, got, ids*4, budget)
 	}
 }
+
+// A pass whose plan is in the pool memo allocates no pool: on the benchmark
+// of record's graph and window, a Probabilistic pass that hits allocates at
+// least the pools' bytes less than the pass that drew them.
+func TestMemoHitPassAllocatesNoPools(t *testing.T) {
+	ds, err := synth.Generate(synth.WikiKG2Sim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	lwd := recommender.NewLWD()
+	if err := lwd.Fit(g); err != nil {
+		t.Fatal(err)
+	}
+	m, err := kgc.New("DistMult", g, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := g.Test[:min(1024, len(g.Test))]
+	opts := Options{Filter: kg.NewFilterIndex(g.Train, g.Valid, g.Test), Seed: 4, Workers: 1}
+	bare := &ProbabilisticProvider{Scores: lwd.Scores(), N: g.NumEntities / 10}
+	prov := (&PoolMemo{MaxBytes: 32 << 20}).Remember(bare, bare.N)
+	Evaluate(m, g, window, bare, opts) // the model's entity store is built once
+	pass := func() (uint64, Result) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res := Evaluate(m, g, window, prov, opts)
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc, res
+	}
+	cold, drew := pass()
+	hit, served := pass()
+	ids := 0
+	for _, pool := range planPools(newPlan(window, bare, opts)) {
+		ids += len(pool)
+	}
+	if served.Metrics != drew.Metrics {
+		t.Fatalf("hit pass %+v, cold pass %+v", served.Metrics, drew.Metrics)
+	}
+	if uint64(ids*4)+hit > cold {
+		t.Errorf("a hit pass allocated %d B, the cold pass %d B: not %d B of pool ids less", hit, cold, ids*4)
+	}
+	t.Logf("cold %d B, hit %d B, pools %d B", cold, hit, ids*4)
+}

@@ -18,8 +18,12 @@
 // samplers (package sample) return ascending ids in one O(n) sweep, so a
 // drawn pool is never sorted; every pool of a plan reads the same seeded
 // stream in the same order, and what a Probabilistic draw does after its
-// last read runs on every worker (plan.drawPools), so the pools are the same
-// on any number of them.
+// last read runs on every worker (plan.draw), so the pools are the same
+// on any number of them. A plan's pool set is thus a value, a function of
+// strategy, n_s, seed and the plan's relations alone: a provider that
+// remembers plans (PoolMemo, owned by a fitted core.Framework) hands newPlan
+// the slices an earlier plan with that key drew, and the next model on the
+// same ground skips the samplings.
 //
 // Execution is organized around the same unit the complexity argument is
 // about: the pool. A pass compiles the split into a relation-grouped plan
@@ -91,7 +95,9 @@ type StageTimings struct {
 	// rng reads of every pool are made in one fixed order on one stream; a
 	// Probabilistic draw's keying, selection and emission, most of its cost,
 	// run off that stream on up to Workers goroutines, and every other
-	// provider's draw on one. The pools do not depend on Workers.
+	// provider's draw on one. The pools do not depend on Workers. When they
+	// came out of a PoolMemo nothing was drawn and this is the lookup's wall
+	// time; the eval.pool_draw span then says cached=true, workers=0.
 	PoolDraw time.Duration
 	// Score covers model scoring: building each block's queries, true-triple
 	// scoring and the tile-fed batch kernels over every strip.
@@ -302,22 +308,6 @@ func (q *blockQuery) uncount(cands []int32, scores []float64, from int, id int32
 // 1 + #{strictly better} + #{ties}/2 (LibKGE's "realistic" tie policy).
 func (q *blockQuery) rank() float64 {
 	return 1 + float64(q.better) + float64(q.ties)/2
-}
-
-// oneHead is the one-candidate pool scoreHeadOne scores through. Both
-// arrays escape through the Model interface call, so they live in the
-// worker's scratch instead of being allocated per query.
-type oneHead struct {
-	id    [1]int32
-	score [1]float64
-}
-
-// scoreHeadOne scores the true head through the same code path used for the
-// candidates, so that reciprocal-relation models (ConvE) stay consistent.
-func scoreHeadOne(m kgc.Model, q kg.Triple, one *oneHead) float64 {
-	one.id[0] = q.H
-	m.ScoreHeads(q.R, q.T, one.id[:], one.score[:])
-	return one.score[0]
 }
 
 func metricsFromRanks(ranks []float64) Metrics {

@@ -20,6 +20,8 @@ type evalInstruments struct {
 	stageScore *obs.Histogram
 	stageRank  *obs.Histogram
 
+	poolPlansHit, poolPlansMiss *obs.Counter
+
 	passSeconds     *obs.Histogram
 	passesTotal     *obs.Counter
 	queriesTotal    *obs.Counter
@@ -31,7 +33,13 @@ func newEvalInstruments(reg *obs.Registry) *evalInstruments {
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("kgeval_eval_stage_seconds", stageHelp, obs.DurationBuckets, obs.Label{Key: "stage", Value: name})
 	}
+	poolPlans := func(outcome string) *obs.Counter {
+		return reg.Counter("kgeval_eval_pool_plans_total",
+			"Compiled plans by where their 2·|R| candidate pools came from: hit = a fitted Framework's pool memo had the set an earlier plan drew (same strategy, n_s, seed and relations); miss = drawn (every plan without a memo — the full protocol, a bare provider — is one).",
+			obs.Label{Key: "outcome", Value: outcome})
+	}
 	return &evalInstruments{
+		poolPlansHit: poolPlans("hit"), poolPlansMiss: poolPlans("miss"),
 		stagePlan:  stage("plan_compile"),
 		stagePool:  stage("pool_draw"),
 		stageScore: stage("score"),
@@ -51,9 +59,15 @@ var instruments = newEvalInstruments(obs.Default)
 
 // observePlan records the one-time setup stages of a compiled plan. A
 // non-empty traceID attaches an OpenMetrics exemplar linking the histogram
-// observation back to the trace that produced it.
+// observation back to the trace that produced it. The pool_draw histogram
+// holds real draws only: a plan served from a PoolMemo just counts as a hit.
 func observePlan(p *plan, traceID string) {
 	instruments.stagePlan.ObserveExemplar(p.compileTime.Seconds(), traceID)
+	if p.poolsCached {
+		instruments.poolPlansHit.Inc()
+		return
+	}
+	instruments.poolPlansMiss.Inc()
 	instruments.stagePool.ObserveExemplar(p.poolTime.Seconds(), traceID)
 }
 

@@ -68,13 +68,15 @@ type plan struct {
 	// Result.Stages.
 	compileTime time.Duration
 	poolTime    time.Duration
+	poolsCached bool // the pools came out of a PoolMemo; poolTime is the lookup's
 }
 
 // newPlan groups the queries by relation and draws every pool. Pools are
 // drawn in ascending relation order, tail before head, from a generator
 // seeded with Seed+1 — the draw sequence is part of the protocol: any two
 // executions (one model or many, on any number of workers) with the same
-// Seed see identical pools; see drawPools.
+// Seed see identical pools; see draw. A provider that remembers plans is
+// handed the pools an earlier plan drew instead (drawPools), which are those.
 func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *plan {
 	// On traced passes the compile span covers all of newPlan, with the
 	// 2·|R| pool draws as a child — mirroring how compileTime/poolTime are
@@ -114,10 +116,10 @@ func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *pla
 		panic(err)
 	}
 	drawWorkers := p.drawPools(provider, opts)
-	p.poolTime = time.Since(drawStart)
+	p.poolTime, p.poolsCached = time.Since(drawStart), drawWorkers == 0
 	compileSpan.ChildRecord("eval.pool_draw", drawStart, drawStart.Add(p.poolTime),
 		trace.Int("pools", 2*len(p.groups)), trace.String("provider", provider.Name()),
-		trace.Int("workers", drawWorkers))
+		trace.Int("workers", drawWorkers), trace.Bool("cached", p.poolsCached))
 	p.chunk(opts.workers())
 	p.compileTime = time.Since(start) - p.poolTime
 	compileSpan.End(trace.Int("relations", len(p.groups)), trace.Int("tasks", len(p.tasks)),
@@ -125,7 +127,24 @@ func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *pla
 	return p
 }
 
-// drawPools draws every group's two pools and reports how many goroutines
+// drawPools gives every group its two pools and reports how many goroutines
+// drew them: none when the provider remembers plans (PoolMemo.Remember) and
+// has this one — the groups then hold the slices the first such plan drew —
+// and otherwise what draw says, the set filed for the next plan to find.
+func (p *plan) drawPools(provider CandidateProvider, opts Options) (workers int) {
+	mp, ok := provider.(*memoProvider)
+	if !ok {
+		return p.draw(provider, opts)
+	}
+	key := poolKey{mp.Name(), mp.n, opts.Seed}
+	if !mp.memo.install(key, p.groups) {
+		workers = p.draw(mp.CandidateProvider, opts)
+		mp.memo.file(key, p.groups)
+	}
+	return workers
+}
+
+// draw draws every group's two pools and reports how many goroutines
 // drew. All pools read one generator, and a draw's place in that stream is
 // part of the protocol, so only what a draw does after its last read of the
 // rng can leave the one stream's order. The Probabilistic draw has such a
@@ -138,7 +157,7 @@ func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *pla
 // runs on the calling goroutine with no lock at all. Either way the pools are
 // the ones a single goroutine draws. A panic in a drawing goroutine
 // resurfaces on the caller (par.Run) once the others have drawn what is left.
-func (p *plan) drawPools(provider CandidateProvider, opts Options) (workers int) {
+func (p *plan) draw(provider CandidateProvider, opts Options) (workers int) {
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	prob, split := provider.(*ProbabilisticProvider)
 	if !split {
@@ -247,7 +266,6 @@ type worker struct {
 	scores []float64    // block queries × strip
 	ents   []int32      // one relation's query entities, while its queries are built
 	qs     []blockQuery // the block's directed queries
-	head   oneHead
 
 	scored, scoreNS, rankNS, strips int64
 }
@@ -334,10 +352,11 @@ func (ps *pass) runTask(w *worker, ti int) {
 // over the pool once, in strips that keep block × strip scores inside
 // batchFloatBudget, ranking each strip as it is scored.
 // It reports false, with no rank written, when cancelled between two strips.
-// Queries are built and their true triples scored relation by relation, so
-// per-relation scorer state is computed once per relation of the block; the
-// true tail goes through ScoreTriple and the true head through ScoreHeads
-// over the one id, the rule the test oracle applies.
+// Queries are built relation by relation, so per-relation scorer state is
+// computed once per relation of the block, and each true triple is scored
+// from the query just built (BatchScorer.ScoreAnswer, which owns the rule the
+// test oracle applies: ScoreTriple for a tail, ScoreHeads over the one id for
+// a head).
 func (ps *pass) runBlock(w *worker, t batchTask, pool []int32, tails, heads bool) bool {
 	p, filter, bs := ps.plan, ps.opts.Filter, w.bs
 	start := time.Now()
@@ -361,7 +380,7 @@ func (ps *pass) runBlock(w *worker, t batchTask, pool []int32, tails, heads bool
 			for _, qi := range idx {
 				q := p.queries[qi]
 				qs = append(qs, blockQuery{slot: 2 * qi, truth: q.T,
-					score: bs.ScoreTriple(q.H, q.R, q.T), known: filter.Tails(q.H, q.R)})
+					score: bs.ScoreAnswer(len(qs), q.T), known: filter.Tails(q.H, q.R)})
 			}
 		}
 		if heads {
@@ -372,7 +391,7 @@ func (ps *pass) runBlock(w *worker, t batchTask, pool []int32, tails, heads bool
 			for _, qi := range idx {
 				q := p.queries[qi]
 				qs = append(qs, blockQuery{slot: 2*qi + 1, truth: q.H,
-					score: scoreHeadOne(bs, q, &w.head), known: filter.Heads(q.R, q.T)})
+					score: bs.ScoreAnswer(len(qs), q.H), known: filter.Heads(q.R, q.T)})
 			}
 		}
 	}

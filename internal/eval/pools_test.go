@@ -111,3 +111,45 @@ func TestPlanPoolsGolden(t *testing.T) {
 		}
 	}
 }
+
+// A plan that finds its pool set in the memo is the plan that drew it: its
+// groups hold the very slices (so samePool, the cut into tasks and every rank
+// are what a draw gives), and they are the golden pools. A different seed or
+// a different set of relations is a different draw and misses.
+func TestPoolMemoHitInstallsTheDrawnSlices(t *testing.T) {
+	g := evalGraph(t)
+	for _, p := range fittedProviders(t, g, 30)[:3] {
+		memo := &PoolMemo{MaxBytes: 1 << 20}
+		remembered := memo.Remember(p, 30)
+		opts := Options{Seed: 7}
+		drawn, first, second := newPlan(g.Test, p, opts), newPlan(g.Test, remembered, opts), newPlan(g.Test, remembered, opts)
+		if first.poolsCached || !second.poolsCached {
+			t.Fatalf("%s: cached = %v then %v, want a draw then a hit", p.Name(), first.poolsCached, second.poolsCached)
+		}
+		if poolDigest(first) != poolDigest(drawn) || poolDigest(second) != poolDigest(drawn) {
+			t.Errorf("%s: pools through the memo differ from a bare draw's", p.Name())
+		}
+		for gi := range first.groups {
+			a, b := &first.groups[gi], &second.groups[gi]
+			if !samePool(a.tailPool, b.tailPool) || !samePool(a.headPool, b.headPool) {
+				t.Fatalf("%s: relation %d: the hit did not install the first plan's slices", p.Name(), a.r)
+			}
+		}
+		if !slices.Equal(first.tasks, second.tasks) {
+			t.Errorf("%s: a hit cut the plan into other tasks", p.Name())
+		}
+		fewer := slices.DeleteFunc(slices.Clone(g.Test), func(q kg.Triple) bool { return q.R == g.Test[0].R })
+		for what, miss := range map[string]*plan{
+			"another seed":      newPlan(g.Test, remembered, Options{Seed: 8}),
+			"one relation less": newPlan(fewer, remembered, opts),
+			"another n_s":       newPlan(g.Test, memo.Remember(p, 31), opts),
+		} {
+			if miss.poolsCached {
+				t.Errorf("%s: %s was served from the memo", p.Name(), what)
+			}
+		}
+		if len(memo.sets) != 4 || memo.used <= 0 || memo.used > memo.MaxBytes {
+			t.Errorf("%s: memo holds %d sets in %d bytes, want the 4 drawn", p.Name(), len(memo.sets), memo.used)
+		}
+	}
+}

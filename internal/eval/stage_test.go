@@ -108,6 +108,32 @@ func TestPassSecondsCoversScoringOnly(t *testing.T) {
 	}
 }
 
+// A plan served from the pool memo must not read as a draw anywhere: the
+// pool_draw histogram takes the real draw only, pool_plans_total says which
+// plan was which, and the hit's Stages.PoolDraw is the lookup, not the draws
+// the first plan slept through.
+func TestMemoHitIsNotObservedAsADraw(t *testing.T) {
+	g := evalGraph(t)
+	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
+	const delay = 5 * time.Millisecond
+	prov := (&PoolMemo{MaxBytes: 1 << 20}).Remember(
+		slowProvider{&RandomProvider{NumEntities: g.NumEntities, N: 20}, delay}, 20)
+	opts := Options{Filter: filter, Seed: 3, Workers: 2}
+
+	draws, hits, misses := instruments.stagePool.Snapshot().Count, instruments.poolPlansHit.Value(), instruments.poolPlansMiss.Value()
+	drew := Evaluate(formulaModel{}, g, g.Test, prov, opts)
+	served := Evaluate(formulaModel{}, g, g.Test, prov, opts)
+	if d, h, m := instruments.stagePool.Snapshot().Count-draws, instruments.poolPlansHit.Value()-hits, instruments.poolPlansMiss.Value()-misses; d != 1 || h != 1 || m != 1 {
+		t.Errorf("a draw and a hit: pool_draw took %d observations, pool_plans_total moved by hit %d, miss %d; want 1 of each", d, h, m)
+	}
+	if drew.Stages.PoolDraw < 2*delay || served.Stages.PoolDraw >= delay {
+		t.Errorf("PoolDraw = %v for the draw and %v for the hit; each pool's draw slept %v", drew.Stages.PoolDraw, served.Stages.PoolDraw, delay)
+	}
+	if served.Metrics != drew.Metrics || served.CandidatesScored != drew.CandidatesScored {
+		t.Errorf("hit %+v, draw %+v", served.Metrics, drew.Metrics)
+	}
+}
+
 // TestParallelEvalHammersCounters runs several concurrent multi-worker
 // passes and checks the process-wide obs counters advanced by exactly the
 // work performed — the race-mode guarantee that per-worker atomic counting

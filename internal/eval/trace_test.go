@@ -54,8 +54,8 @@ func TestEvaluateTraced(t *testing.T) {
 		t.Fatal("pool_draw is not a child of plan_compile")
 	}
 	// A Random draw never leaves the rng's stream, so one goroutine makes it.
-	if draw.Attr("workers") != 1 || draw.Attr("provider") != "Random" {
-		t.Fatalf("pool_draw attrs = %v, want workers 1 for Random", draw.Attrs)
+	if draw.Attr("workers") != 1 || draw.Attr("provider") != "Random" || draw.Attr("cached") != false {
+		t.Fatalf("pool_draw attrs = %v, want a draw (cached false) on 1 worker for Random", draw.Attrs)
 	}
 	if v, ok := compile.Attr("relations").(int); !ok || v <= 0 {
 		t.Fatalf("plan_compile relations attr = %v", compile.Attr("relations"))
@@ -111,6 +111,35 @@ func TestEvaluateTraced(t *testing.T) {
 	}
 	if byName["eval.score"][0].Attr("timing") != "cpu-summed" {
 		t.Fatal("score stage span not tagged cpu-summed")
+	}
+
+	// Through a pool memo the first plan draws and says so; the second is
+	// served the set, and its span must not read as a draw: no worker drew.
+	remembered := (&PoolMemo{MaxBytes: 1 << 20}).Remember(prov, prov.N)
+	for _, wantCached := range []bool{false, true} {
+		ctx, root := store.StartTrace(context.Background(), "test-memo")
+		res := Evaluate(formulaModel{}, g, g.Test, remembered, Options{Filter: filter, Seed: 3, Workers: 2, Ctx: ctx})
+		root.End()
+		rec, _ := store.Get(root.TraceID())
+		draws, wantWorkers := 0, 1
+		if wantCached {
+			wantWorkers = 0
+		}
+		for _, s := range rec.Snapshot().Spans {
+			if s.Name != "eval.pool_draw" {
+				continue
+			}
+			draws++
+			if s.Attr("cached") != wantCached || s.Attr("workers") != wantWorkers || s.Attr("provider") != "Random" {
+				t.Fatalf("pool_draw attrs = %v, want cached %v on %d workers", s.Attrs, wantCached, wantWorkers)
+			}
+		}
+		if draws != 1 {
+			t.Fatalf("got %d pool_draw spans (cached %v), want 1", draws, wantCached)
+		}
+		if res.Metrics != results[0].Metrics {
+			t.Fatalf("pass through the memo (cached %v) = %+v, without = %+v", wantCached, res.Metrics, results[0].Metrics)
+		}
 	}
 
 	// Untraced context: same evaluation, no spans, no panic.

@@ -25,6 +25,11 @@ type BatchScorer interface {
 	// ScoreBlock writes the score of the block's i-th query against cands[j]
 	// into out[i*len(cands)+j]. len(out) must be block queries × len(cands).
 	ScoreBlock(cands []int32, out []float64)
+	// ScoreAnswer is the score of the block's i-th query against entity e,
+	// read off the query the block holds: bit for bit what ScoreTriple (tail
+	// query) or ScoreHeads over the one id e (head query) returns on this
+	// scorer after building the query again. It leaves the block as it was.
+	ScoreAnswer(i int, e int32) float64
 	// ScoreTailsBatch is a block of tail queries in one call: the score of
 	// (hs[i], r, cands[j]) goes into out[i*len(cands)+j].
 	ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64)
@@ -41,22 +46,26 @@ type BatchScorer interface {
 // input, not a fallback awaiting deletion; eval's oracle gate runs it.
 type batchAdapter struct {
 	Model
-	block []adapterQuery
+	block []directedQuery
+	oneID [1]int32 // ScoreAnswer's one-head pool: both escape through the Model call
+	oneS  [1]float64
 }
 
-type adapterQuery struct {
+// directedQuery names one query of a block: (e, r, ?) when tail, else (?, r, e).
+type directedQuery struct {
 	e, r int32
 	tail bool
 }
 
 func (a *batchAdapter) BeginBlock(n int)             { a.block = Grow(a.block, n)[:0] }
-func (a *batchAdapter) AddTails(hs []int32, r int32) { a.add(hs, r, true) }
-func (a *batchAdapter) AddHeads(ts []int32, r int32) { a.add(ts, r, false) }
+func (a *batchAdapter) AddTails(hs []int32, r int32) { a.block = addQueries(a.block, hs, r, true) }
+func (a *batchAdapter) AddHeads(ts []int32, r int32) { a.block = addQueries(a.block, ts, r, false) }
 
-func (a *batchAdapter) add(es []int32, r int32, tail bool) {
+func addQueries(block []directedQuery, es []int32, r int32, tail bool) []directedQuery {
 	for _, e := range es {
-		a.block = append(a.block, adapterQuery{e, r, tail})
+		block = append(block, directedQuery{e, r, tail})
 	}
+	return block
 }
 
 func (a *batchAdapter) ScoreBlock(cands []int32, out []float64) {
@@ -68,6 +77,19 @@ func (a *batchAdapter) ScoreBlock(cands []int32, out []float64) {
 			a.ScoreHeads(q.r, q.e, cands, row)
 		}
 	}
+}
+
+// ScoreAnswer replays what a third-party model has always seen for a true
+// triple: ScoreTriple for a tail query, ScoreHeads over the one id for a head
+// query (reciprocal-relation models score their candidates that way too).
+func (a *batchAdapter) ScoreAnswer(i int, e int32) float64 {
+	q := a.block[i]
+	if q.tail {
+		return a.ScoreTriple(q.e, q.r, e)
+	}
+	a.oneID[0] = e
+	a.ScoreHeads(q.r, q.e, a.oneID[:], a.oneS[:])
+	return a.oneS[0]
 }
 
 func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64) {

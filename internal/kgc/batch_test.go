@@ -1,7 +1,10 @@
 package kgc
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kgeval/internal/kgc/store"
@@ -127,5 +130,127 @@ func TestBatchScoringEmpty(t *testing.T) {
 		bs.ScoreTailsBatch([]int32{1, 2}, 0, nil, nil)
 		bs.ScoreHeadsBatch(nil, 0, []int32{1, 2}, nil)
 		bs.ScoreHeadsBatch([]int32{1, 2}, 0, nil, nil)
+	}
+}
+
+// A query's true answer is scored from the vector the block already holds.
+// On the same scorer that must be, bit for bit, what ScoreTriple returns for
+// a tail query and ScoreHeads over the one id for a head query — at every
+// precision, whether the block holds one relation or several in both
+// directions, and with per-query calls (which build past the block's end)
+// made between the Adds and the answers.
+func TestScoreAnswerMatchesPerQueryBits(t *testing.T) {
+	g := trainGraph(t)
+	rng := rand.New(rand.NewSource(5))
+	ents := func(n int) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(rng.Intn(g.NumEntities))
+		}
+		return out
+	}
+	type part struct {
+		es   []int32
+		r    int32
+		tail bool
+	}
+	blocks := map[string][]part{
+		"one relation, tails": {{ents(9), 1, true}},
+		"one relation, heads": {{ents(9), 1, false}},
+		"mixed": {{ents(5), 0, true}, {ents(5), 0, false}, {ents(1), 3, false},
+			{ents(7), 2, true}, {ents(3), 0, true}},
+	}
+	cands, scores := ents(11), make([]float64, 11)
+	one := make([]float64, 1)
+	for _, name := range ModelNames() {
+		m, err := New(name, g, 20, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prec := range []store.Precision{store.Float64, store.Float32, store.Int8} {
+			bs := NewBatchScorer(m, BatchOptions{Precision: prec})
+			for label, parts := range blocks {
+				nq := 0
+				for _, p := range parts {
+					nq += len(p.es)
+				}
+				bs.BeginBlock(nq)
+				var flat []directedQuery
+				for _, p := range parts {
+					if p.tail {
+						bs.AddTails(p.es, p.r)
+					} else {
+						bs.AddHeads(p.es, p.r)
+					}
+					flat = addQueries(flat, p.es, p.r, p.tail)
+					bs.ScoreTails(p.es[0], p.r, cands, scores) // leaves the block alone
+				}
+				block := make([]float64, nq*len(cands))
+				bs.ScoreBlock(cands, block)
+				for i, q := range flat {
+					e := cands[i%len(cands)]
+					got := bs.ScoreAnswer(i, e)
+					bs.ScoreHeads(q.r, e, cands, scores)
+					var want float64
+					if q.tail {
+						want = bs.ScoreTriple(q.e, q.r, e)
+					} else {
+						bs.ScoreHeads(q.r, q.e, []int32{e}, one)
+						want = one[0]
+					}
+					if again := bs.ScoreAnswer(i, e); math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(again) != math.Float64bits(want) {
+						t.Fatalf("%s/%s/%s: ScoreAnswer(%d, %d) = %v, then %v; per-query (tail=%v) = %v",
+							name, prec, label, i, e, got, again, q.tail, want)
+					}
+					if in := block[i*len(cands)+i%len(cands)]; !q.tail && in != want {
+						t.Fatalf("%s/%s/%s: block score %v, answer %v for the same head query and entity", name, prec, label, in, want)
+					}
+				}
+				again := make([]float64, len(block))
+				bs.ScoreBlock(cands, again)
+				if !slices.Equal(block, again) {
+					t.Fatalf("%s/%s/%s: the answers disturbed the block", name, prec, label)
+				}
+			}
+		}
+	}
+}
+
+// recordingModel is a third-party model that notes the calls it receives.
+type recordingModel struct {
+	plainModel
+	calls *[]string
+}
+
+func (m recordingModel) ScoreTriple(h, r, t int32) float64 {
+	*m.calls = append(*m.calls, fmt.Sprintf("ScoreTriple(%d,%d,%d)", h, r, t))
+	return m.plainModel.ScoreTriple(h, r, t)
+}
+
+func (m recordingModel) ScoreHeads(r, t int32, c []int32, o []float64) {
+	*m.calls = append(*m.calls, fmt.Sprintf("ScoreHeads(%d,%d,%v)", r, t, c))
+	m.plainModel.ScoreHeads(r, t, c, o)
+}
+
+// Through the adapter a third-party model sees, for each true triple, the
+// call it has always seen: ScoreTriple for a tail query, ScoreHeads over the
+// one id for a head query.
+func TestBatchAdapterAnswerCallSequence(t *testing.T) {
+	g := trainGraph(t)
+	m, _ := New("DistMult", g, 8, 1)
+	var calls []string
+	bs := NewBatchScorer(recordingModel{plainModel{m}, &calls}, BatchOptions{})
+	bs.BeginBlock(3)
+	bs.AddTails([]int32{4, 6}, 2)
+	bs.AddHeads([]int32{9}, 1)
+	got := []float64{bs.ScoreAnswer(0, 7), bs.ScoreAnswer(2, 5), bs.ScoreAnswer(1, 3)}
+	one := make([]float64, 1)
+	m.ScoreHeads(1, 9, []int32{5}, one)
+	want := []float64{m.ScoreTriple(4, 2, 7), one[0], m.ScoreTriple(6, 2, 3)}
+	if !slices.Equal(got, want) {
+		t.Errorf("answers = %v, the model's own = %v", got, want)
+	}
+	if seen := []string{"ScoreTriple(4,2,7)", "ScoreHeads(1,9,[5])", "ScoreTriple(6,2,3)"}; !slices.Equal(calls, seen) {
+		t.Errorf("model saw %v, want %v", calls, seen)
 	}
 }

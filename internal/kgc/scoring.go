@@ -200,6 +200,9 @@ type storeScorer struct {
 	vec  tileFunc // the vector twin of m.tileKernel; nil on the Go lane
 	sc   scratch
 
+	// block names the block's queries: ScoreAnswer needs the direction and,
+	// unrouted, (h, r).
+	block []directedQuery
 	oneID [1]int32 // single-query/candidate buffers for the routed paths
 	oneC  [1]int32
 	oneS  [1]float64
@@ -210,16 +213,21 @@ func (s *storeScorer) Dim() int     { return s.m.Dim() }
 
 // BeginBlock empties the block's query vectors, with room for n and for the
 // one query the routed single-query paths put after them.
-func (s *storeScorer) BeginBlock(n int) { s.sc.qs = Grow(s.sc.qs, (n+1)*s.m.Dim())[:0] }
+func (s *storeScorer) BeginBlock(n int) {
+	s.sc.qs = Grow(s.sc.qs, (n+1)*s.m.Dim())[:0]
+	s.block = Grow(s.block, n)[:0]
+}
 
 // AddTails builds the query vectors of (hs[i], r, ?) after the block's last.
 func (s *storeScorer) AddTails(hs []int32, r int32) {
 	s.m.buildTailQueries(hs, r, s.room(len(hs), true), &s.sc)
+	s.block = addQueries(s.block, hs, r, true)
 }
 
 // AddHeads builds the query vectors of (?, r, ts[i]) after the block's last.
 func (s *storeScorer) AddHeads(ts []int32, r int32) {
 	s.m.buildHeadQueries(ts, r, s.room(len(ts), true), &s.sc)
+	s.block = addQueries(s.block, ts, r, false)
 }
 
 // room returns storage for n query vectors past the block's last, and adds
@@ -236,6 +244,21 @@ func (s *storeScorer) room(n int, keep bool) []float64 {
 
 // ScoreBlock scores the block's queries against cands.
 func (s *storeScorer) ScoreBlock(cands []int32, out []float64) { s.score(s.sc.qs, cands, out) }
+
+// ScoreAnswer scores block query i against e from the vector the block holds,
+// through score's one-candidate path. ScoreHeads over [e] and a routed
+// ScoreTriple do the same with a vector they first build alone, which has the
+// same bits (batch ≡ per-query), so the score does. A tail answer of a model
+// that keeps its own float64 ScoreTriple goes there, as ScoreTriple sends it.
+func (s *storeScorer) ScoreAnswer(i int, e int32) float64 {
+	if q := s.block[i]; q.tail && !s.routeTriple() {
+		return s.m.ScoreTriple(q.e, q.r, e)
+	}
+	dim := s.m.Dim()
+	s.oneC[0] = e
+	s.score(s.sc.qs[i*dim:(i+1)*dim], s.oneC[:], s.oneS[:])
+	return s.oneS[0]
+}
 
 // ScoreTailsBatch scores (hs[i], r, cands[j]) into out[i*len(cands)+j].
 func (s *storeScorer) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -601,6 +602,14 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	for _, stage := range []string{"plan_compile", "pool_draw", "score", "rank_merge"} {
 		if !strings.Contains(body, `kgeval_eval_stage_seconds_bucket{stage="`+stage+`"`) {
 			t.Errorf("missing eval stage histogram for %q", stage)
+		}
+	}
+	// The two jobs share the cached Framework, strategy, seed and query
+	// sample, so the second found the first's pools in its memo.
+	for _, outcome := range []string{"hit", "miss"} {
+		_, after, ok := strings.Cut(body, `kgeval_eval_pool_plans_total{outcome="`+outcome+`"} `)
+		if n, _ := strconv.Atoi(strings.Fields(after + " 0")[0]); !ok || n < 1 {
+			t.Errorf("pool_plans_total{outcome=%q} = %d (present %v), want at least 1", outcome, n, ok)
 		}
 	}
 	// Engine-side instruments.

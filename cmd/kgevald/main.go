@@ -7,7 +7,7 @@
 // produced by datagen) and amortizes recommender fitting across jobs through
 // an LRU cache of fitted frameworks, and model upload and parsing through a
 // registry of loaded models keyed by the SHA-256 of their bytes
-// (PUT /v1/models, bounded by -model-cache-mb; a job names a model by
+// (PUT /v1/models, bounded by -mem-budget-mb or 1 GiB; a job names a model by
 // model_id, or carries it inline as a base64 snapshot, which is registered
 // under the same id on the way in). A job carries either one model
 // ({"model": {...}}) or a fleet ({"models": [...]}); fleets are evaluated in
@@ -21,15 +21,16 @@
 // to end through the internal/obs/trace flight recorder — read a job's
 // span tree at GET /v1/jobs/{id}/trace (?format=chrome for
 // chrome://tracing), browse retained traces under GET /debug/traces, and
-// jobs slower than -slow-job-ms log their trace ID and slowest spans. -pprof additionally mounts net/http/pprof
-// under /debug/pprof/. Logs are structured (log/slog); -log-level selects
-// the threshold (debug includes per-request access logs). The "serving" line
-// names the scoring lane of the process (kernel=avx2 or kernel=go), which
-// every job's eval.pass span repeats.
+// jobs slower than 30 s log their trace ID and slowest spans. -pprof
+// additionally mounts net/http/pprof under /debug/pprof/. Logs are
+// structured (log/slog); -log-level selects the threshold (debug includes
+// per-request access logs). The "serving" line names the scoring lane of
+// the process (kernel=avx2 or kernel=go), which every job's eval.pass span
+// repeats.
 //
 // Production hardening (see README "Operations"): jobs carry end-to-end
-// deadlines (timeout_ms, or the -job-timeout default) and expire terminally
-// when they pass; a full queue sheds load with 429 + Retry-After derived
+// deadlines (timeout_ms) and expire terminally when they pass; a full
+// queue sheds load with 429 + Retry-After derived
 // from recent throughput; -mem-budget-mb gates admission on the resident
 // models plus the job's estimated working set, evicting idle models to make
 // room and degrading precision to float32 before rejecting;
@@ -81,7 +82,6 @@ import (
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
 	"kgeval/internal/obs"
-	"kgeval/internal/obs/trace"
 	"kgeval/internal/service"
 	"kgeval/internal/synth"
 )
@@ -95,20 +95,11 @@ func main() {
 		evalWorkers = flag.Int("eval-workers", 0, "scoring goroutines per job (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 128, "queued-job limit")
 		cacheSize   = flag.Int("cache", 8, "fitted-framework LRU capacity")
-		modelCache  = flag.Int64("model-cache-mb", 1024, "model registry capacity in MiB: loaded models (and uploads not used yet) kept for jobs to share")
-		ns          = flag.Int("ns", 0, "default candidate samples per relation/direction (0 = 10% of |E|)")
-		seed        = flag.Int64("seed", 1, "default seed for sampling and recommender fitting")
 		logLevel    = flag.String("log-level", "info", "log threshold: debug, info, warn or error")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
-		slowJobMS     = flag.Int("slow-job-ms", 30000, "dump the full trace of jobs running longer than this to the log (0 = off)")
-		traceStore    = flag.Int("trace-store", trace.DefaultStoreTraces, "retained traces in the flight-recorder store")
-		traceSpans    = flag.Int("trace-spans", trace.DefaultTraceSpans, "span records retained per trace")
-		runtimeSample = flag.Duration("runtime-sample", 10*time.Second, "runtime gauge sampling interval (0 = off)")
-
-		jobTimeout   = flag.Duration("job-timeout", 0, "default end-to-end deadline per job, queue wait included (0 = none; jobs can set timeout_ms themselves)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM/SIGINT, how long running jobs get to finish before being canceled")
-		memBudgetMB  = flag.Int64("mem-budget-mb", 0, "memory budget in MiB for resident models plus a job's estimated working set; idle models are evicted to make room, jobs over budget on their own are degraded to float32 or rejected with 429 (0 = no gate)")
+		memBudgetMB  = flag.Int64("mem-budget-mb", 0, "memory budget in MiB for resident models plus a job's estimated working set, and the model registry's capacity (1024 MiB when 0); idle models are evicted to make room, jobs over budget on their own are degraded to float32 or rejected with 429 (0 = no gate)")
 		faultSpec    = flag.String("faults", "", "arm deterministic fault injection, e.g. 'service/fit=error,every=2;service/worker=stall,stall=5s' (testing only)")
 	)
 	flag.Parse()
@@ -167,24 +158,15 @@ func main() {
 		"graph", g.Name, "entities", g.NumEntities, "relations", g.NumRelations,
 		"train", len(g.Train), "valid", len(g.Valid), "test", len(g.Test))
 
-	if *runtimeSample > 0 {
-		stop := obs.StartRuntimeSampler(obs.Default, *runtimeSample)
-		defer stop()
-	}
+	defer obs.StartRuntimeSampler(obs.Default)()
 
 	engine, err := service.NewEngine(service.EngineConfig{
-		Graph:             g,
-		Workers:           *workers,
-		EvalWorkers:       *evalWorkers,
-		QueueDepth:        *queue,
-		CacheSize:         *cacheSize,
-		ModelCacheBytes:   *modelCache << 20,
-		DefaultNumSamples: *ns,
-		DefaultSeed:       *seed,
-		Traces:            trace.NewStore(*traceStore, *traceSpans),
-		SlowJob:           time.Duration(*slowJobMS) * time.Millisecond,
-		DefaultTimeout:    *jobTimeout,
-		MemoryBudget:      *memBudgetMB << 20,
+		Graph:        g,
+		Workers:      *workers,
+		EvalWorkers:  *evalWorkers,
+		QueueDepth:   *queue,
+		CacheSize:    *cacheSize,
+		MemoryBudget: *memBudgetMB << 20,
 	})
 	if err != nil {
 		fatal(logger, "starting engine", err)
@@ -206,8 +188,8 @@ func main() {
 	apiHandler.Store(&handler)
 
 	logger.Info("serving", "addr", ln.Addr().String(), "workers", *workers,
-		"kernel", kgc.Kernel(), "cache", *cacheSize, "model_cache_mb", *modelCache, "pprof", *pprofOn,
-		"job_timeout", *jobTimeout, "drain_timeout", *drainTimeout)
+		"kernel", kgc.Kernel(), "cache", *cacheSize, "model_cache_mb", engine.Stats().Models.CapBytes>>20,
+		"pprof", *pprofOn, "drain_timeout", *drainTimeout)
 
 	// Graceful shutdown: the first SIGTERM/SIGINT flips /readyz to 503 and
 	// stops admission (engine.Drain), queued jobs get a terminal "canceled by

@@ -8,20 +8,24 @@ import (
 
 // TrainConfig controls the negative-sampling trainer.
 type TrainConfig struct {
-	Epochs     int     // passes over the training split
-	LR         float64 // Adagrad learning rate
-	NegSamples int     // corrupted triples per positive
-	Margin     float64 // margin for LossMargin models
-	Seed       int64
+	Epochs int // passes over the training split
+	Seed   int64
 	// EpochCallback, when non-nil, runs after each epoch (1-based); the
 	// correlation experiments evaluate the model here. Returning false
 	// stops training early.
 	EpochCallback func(epoch int) bool
 }
 
+// The trainer's hyperparameters, tuned once for the synthetic datasets.
+const (
+	trainLR         = 0.1 // Adagrad learning rate
+	trainNegSamples = 4   // corrupted triples per positive
+	trainMargin     = 2   // margin for LossMargin models
+)
+
 // DefaultTrainConfig returns sensible defaults for the synthetic datasets.
 func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 15, LR: 0.1, NegSamples: 4, Margin: 2, Seed: 1}
+	return TrainConfig{Epochs: 15, Seed: 1}
 }
 
 // DefaultDim returns a per-model embedding size that keeps each model's
@@ -53,8 +57,8 @@ func Train(m Trainable, g *kg.Graph, cfg TrainConfig) {
 		switch loss {
 		case LossLogistic:
 			sPos := m.ScoreTriple(h, r, t)
-			m.gradStep(h, r, t, sigmoid(sPos)-1, cfg.LR)
-			for k := 0; k < cfg.NegSamples; k++ {
+			m.gradStep(h, r, t, sigmoid(sPos)-1, trainLR)
+			for k := 0; k < trainNegSamples; k++ {
 				nh, nt := h, t
 				if corruptHead && k%2 == 1 {
 					nh = rng.Int31n(n)
@@ -68,11 +72,11 @@ func Train(m Trainable, g *kg.Graph, cfg TrainConfig) {
 					}
 				}
 				sNeg := m.ScoreTriple(nh, r, nt)
-				m.gradStep(nh, r, nt, sigmoid(sNeg), cfg.LR)
+				m.gradStep(nh, r, nt, sigmoid(sNeg), trainLR)
 			}
 		case LossMargin:
 			sPos := m.ScoreTriple(h, r, t)
-			for k := 0; k < cfg.NegSamples; k++ {
+			for k := 0; k < trainNegSamples; k++ {
 				nh, nt := h, t
 				if corruptHead && k%2 == 1 {
 					nh = rng.Int31n(n)
@@ -86,9 +90,9 @@ func Train(m Trainable, g *kg.Graph, cfg TrainConfig) {
 					}
 				}
 				sNeg := m.ScoreTriple(nh, r, nt)
-				if cfg.Margin-sPos+sNeg > 0 {
-					m.gradStep(h, r, t, -1, cfg.LR)
-					m.gradStep(nh, r, nt, 1, cfg.LR)
+				if trainMargin-sPos+sNeg > 0 {
+					m.gradStep(h, r, t, -1, trainLR)
+					m.gradStep(nh, r, nt, 1, trainLR)
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestWritePrometheusGolden pins the full exposition format: family
@@ -183,7 +182,7 @@ func TestWriteOpenMetricsCounterFamily(t *testing.T) {
 // on start and that stop terminates the goroutine.
 func TestRuntimeSampler(t *testing.T) {
 	r := NewRegistry()
-	stop := StartRuntimeSampler(r, time.Hour)
+	stop := StartRuntimeSampler(r)
 	defer stop()
 
 	var out strings.Builder

@@ -10,8 +10,8 @@ import (
 // runtime health — heap, GC pauses, goroutine count — into gauges on reg,
 // and returns a function that stops it. Sampling is pull-from-runtime,
 // push-to-gauge rather than GaugeFunc because runtime.ReadMemStats
-// stops the world: it must run at a bounded cadence the operator chose,
-// not once per metric on every /metrics scrape.
+// stops the world: it must run at a bounded cadence (every 10 s), not once
+// per metric on every /metrics scrape.
 //
 // Gauges (all kgeval_runtime_*):
 //
@@ -24,12 +24,9 @@ import (
 //	gc_runs_total          completed GC cycles
 //	next_gc_bytes          heap size that triggers the next cycle
 //
-// An interval <= 0 defaults to 10s. The first sample is taken
-// synchronously so the gauges are live before the first scrape.
-func StartRuntimeSampler(reg *Registry, interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
+// The first sample is taken synchronously so the gauges are live before the
+// first scrape.
+func StartRuntimeSampler(reg *Registry) (stop func()) {
 	g := struct {
 		goroutines, heapAlloc, heapSys, heapObjects        *Gauge
 		gcPauseLast, gcPauseTotal, gcRuns, nextGC, sampled *Gauge
@@ -63,7 +60,7 @@ func StartRuntimeSampler(reg *Registry, interval time.Duration) (stop func()) {
 
 	quit := make(chan struct{})
 	go func() {
-		t := time.NewTicker(interval)
+		t := time.NewTicker(10 * time.Second)
 		defer t.Stop()
 		for {
 			select {

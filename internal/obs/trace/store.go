@@ -142,18 +142,18 @@ type Store struct {
 // without unbounded growth (256 traces × 4096 span records ≈ tens of MB
 // worst case, typically far less).
 const (
-	DefaultStoreTraces = 256
-	DefaultTraceSpans  = 4096
+	defaultStoreTraces = 256
+	defaultTraceSpans  = 4096
 )
 
 // NewStore creates a store retaining at most traces flight recorders of
 // spansPerTrace records each (non-positive values take the defaults).
 func NewStore(traces, spansPerTrace int) *Store {
 	if traces < 1 {
-		traces = DefaultStoreTraces
+		traces = defaultStoreTraces
 	}
 	if spansPerTrace < 1 {
-		spansPerTrace = DefaultTraceSpans
+		spansPerTrace = defaultTraceSpans
 	}
 	return &Store{capacity: traces, spanCap: spansPerTrace, byID: map[TraceID]*Recorder{}}
 }

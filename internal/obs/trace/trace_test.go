@@ -147,7 +147,7 @@ func TestRecorderRingEviction(t *testing.T) {
 // span) must cost what it recorded — a default-sized ring allocated up front
 // pinned ~0.65 MB per finished job in the service's job index.
 func TestRecorderRingGrowsOnDemand(t *testing.T) {
-	store := NewStore(2, DefaultTraceSpans)
+	store := NewStore(2, defaultTraceSpans)
 	_, root := store.StartTrace(context.Background(), "small")
 	root.Child("only").End()
 	root.End()

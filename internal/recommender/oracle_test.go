@@ -255,7 +255,7 @@ func oracleFitPIE(p *PIESim, g *kg.Graph) (*sparse.CSR, error) {
 	rng := rand.New(rand.NewSource(p.Seed))
 	nr2 := 2 * g.NumRelations
 	inDim := nr2 + g.NumTypes
-	h := p.Hidden
+	h := pieHidden
 
 	b := oracleIncidence(g)
 	t := oracleTypeMatrix(g)
@@ -290,7 +290,7 @@ func oracleFitPIE(p *PIESim, g *kg.Graph) (*sparse.CSR, error) {
 	hid := make([]float64, h)
 	gradHid := make([]float64, h)
 	order := rng.Perm(g.NumEntities)
-	for epoch := 0; epoch < p.Epochs; epoch++ {
+	for epoch := 0; epoch < pieEpochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, e := range order {
 			feats := features(e)
@@ -300,7 +300,7 @@ func oracleFitPIE(p *PIESim, g *kg.Graph) (*sparse.CSR, error) {
 			// Denoising dropout on input features.
 			active := feats[:0:0]
 			for _, f := range feats {
-				if rng.Float64() >= p.Dropout {
+				if rng.Float64() >= pieDropout {
 					active = append(active, f)
 				}
 			}
@@ -333,16 +333,16 @@ func oracleFitPIE(p *PIESim, g *kg.Graph) (*sparse.CSR, error) {
 				}
 				pred := 1 / (1 + math.Exp(-logit))
 				gradOut := pred - label // dBCE/dlogit
-				b2[wcol] -= p.LR * gradOut
+				b2[wcol] -= pieLR * gradOut
 				for j := 0; j < h; j++ {
 					gradHid[j] += gradOut * w2[j*nr2+wcol]
-					w2[j*nr2+wcol] -= p.LR * gradOut * hid[j]
+					w2[j*nr2+wcol] -= pieLR * gradOut * hid[j]
 				}
 			}
 			for _, c := range pos {
 				step(c, 1)
 			}
-			for k := 0; k < p.Negs; k++ {
+			for k := 0; k < pieNegs; k++ {
 				c := int32(rng.Intn(nr2))
 				if containsInt32(pos, c) {
 					continue
@@ -358,11 +358,11 @@ func oracleFitPIE(p *PIESim, g *kg.Graph) (*sparse.CSR, error) {
 			for _, f := range active {
 				row := w1[int(f)*h : int(f)*h+h]
 				for j := 0; j < h; j++ {
-					row[j] -= p.LR * gradHid[j]
+					row[j] -= pieLR * gradHid[j]
 				}
 			}
 			for j := 0; j < h; j++ {
-				b1[j] -= p.LR * gradHid[j]
+				b1[j] -= pieLR * gradHid[j]
 			}
 		}
 	}
@@ -389,7 +389,7 @@ func oracleFitPIE(p *PIESim, g *kg.Graph) (*sparse.CSR, error) {
 				logit += hid[j] * w2[j*nr2+c]
 			}
 			score := 1 / (1 + math.Exp(-logit))
-			if score >= p.Cutoff {
+			if score >= pieCutoff {
 				entries = append(entries, sparse.Entry{Row: int32(e), Col: int32(c), Val: score})
 			}
 		}

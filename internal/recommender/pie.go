@@ -24,20 +24,24 @@ import (
 // score unseen candidates and costs orders of magnitude more to fit than
 // L-WD, yet yields similar candidate quality (the paper's Table 5 point).
 type PIESim struct {
-	Hidden  int     // hidden width (default 32)
-	Epochs  int     // training epochs over all entities (default 25)
-	LR      float64 // SGD learning rate (default 0.05)
-	Dropout float64 // input feature dropout probability (default 0.3)
-	Negs    int     // sampled negative columns per entity per epoch (default 4)
-	Cutoff  float64 // minimum sigmoid score kept in the sparse output (default 0.01)
-	Seed    int64
+	Seed int64
 
 	scores *ScoreMatrix
 }
 
-// NewPIESim returns a PIE-Sim recommender with the default configuration.
+// PIE-Sim's hyperparameters.
+const (
+	pieHidden  = 32   // hidden width
+	pieEpochs  = 25   // training epochs over all entities
+	pieLR      = 0.05 // SGD learning rate
+	pieDropout = 0.3  // input feature dropout probability
+	pieNegs    = 4    // sampled negative columns per entity per epoch
+	pieCutoff  = 0.01 // minimum sigmoid score kept in the sparse output
+)
+
+// NewPIESim returns a PIE-Sim recommender seeded with seed.
 func NewPIESim(seed int64) *PIESim {
-	return &PIESim{Hidden: 32, Epochs: 25, LR: 0.05, Dropout: 0.3, Negs: 4, Cutoff: 0.01, Seed: seed}
+	return &PIESim{Seed: seed}
 }
 
 func (*PIESim) Name() string         { return "PIE" }
@@ -49,7 +53,7 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 	rng := rand.New(rand.NewSource(p.Seed))
 	nr2 := 2 * g.NumRelations
 	inDim := nr2 + g.NumTypes
-	h := p.Hidden
+	h := pieHidden
 
 	b := incidence(g)
 	t := typeMatrix(g)
@@ -89,7 +93,7 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 	gradHid := make([]float64, h)
 	var activeBuf []int32
 	order := rng.Perm(g.NumEntities)
-	for epoch := 0; epoch < p.Epochs; epoch++ {
+	for epoch := 0; epoch < pieEpochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, e := range order {
 			feats := features(e)
@@ -99,7 +103,7 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 			// Denoising dropout on input features.
 			active := activeBuf[:0]
 			for _, f := range feats {
-				if rng.Float64() >= p.Dropout {
+				if rng.Float64() >= pieDropout {
 					active = append(active, f)
 				}
 			}
@@ -133,16 +137,16 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 				}
 				pred := 1 / (1 + math.Exp(-logit))
 				gradOut := pred - label // dBCE/dlogit
-				b2[wcol] -= p.LR * gradOut
+				b2[wcol] -= pieLR * gradOut
 				for j := 0; j < h; j++ {
 					gradHid[j] += gradOut * w2[j*nr2+wcol]
-					w2[j*nr2+wcol] -= p.LR * gradOut * hid[j]
+					w2[j*nr2+wcol] -= pieLR * gradOut * hid[j]
 				}
 			}
 			for _, c := range pos {
 				step(c, 1)
 			}
-			for k := 0; k < p.Negs; k++ {
+			for k := 0; k < pieNegs; k++ {
 				c := int32(rng.Intn(nr2))
 				if containsInt32(pos, c) {
 					continue
@@ -158,11 +162,11 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 			for _, f := range active {
 				row := w1[int(f)*h : int(f)*h+h]
 				for j := 0; j < h; j++ {
-					row[j] -= p.LR * gradHid[j]
+					row[j] -= pieLR * gradHid[j]
 				}
 			}
 			for j := 0; j < h; j++ {
-				b1[j] -= p.LR * gradHid[j]
+				b1[j] -= pieLR * gradHid[j]
 			}
 		}
 	}
@@ -195,7 +199,7 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 		}
 		for c, logit := range logits {
 			score := 1 / (1 + math.Exp(-logit))
-			if score >= p.Cutoff {
+			if score >= pieCutoff {
 				x.ColIdx = append(x.ColIdx, int32(c))
 				x.Val = append(x.Val, score)
 			}

@@ -205,7 +205,6 @@ func TestPIESimFitsAndRanksTypesSensibly(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPIESim(1)
-	p.Epochs = 10
 	if err := p.Fit(ds.Graph); err != nil {
 		t.Fatal(err)
 	}

@@ -35,42 +35,22 @@ type EngineConfig struct {
 	QueueDepth int
 	// CacheSize bounds the fitted-Framework LRU (default 8 entries).
 	CacheSize int
-	// ModelCacheBytes bounds the model registry, the LRU of loaded models
-	// jobs share (default 1 GiB, and never more than MemoryBudget when that
-	// is set). It is a cache bound, not a limit on what can be evaluated: a
-	// job keeps its models for as long as it needs them whatever the
-	// registry evicts meanwhile.
-	ModelCacheBytes int64
 	// EvalWorkers is the per-job scoring parallelism (0 = GOMAXPROCS).
 	EvalWorkers int
-	// DefaultNumSamples is the n_s used when a job leaves it 0
-	// (default |E|/10, the paper's 10% budget).
-	DefaultNumSamples int
-	// DefaultSeed seeds candidate sampling for jobs that leave Seed 0, and
-	// always seeds recommender fitting so cached Frameworks stay
-	// deterministic per server (default 1).
-	DefaultSeed int64
-	// Traces is the flight-recorder store jobs record their span trees
-	// into. When nil the engine creates one with the trace package's
-	// defaults (256 traces × 4096 spans); read it back via Engine.Traces().
-	Traces *trace.Store
-	// SlowJob, when > 0, is the run-time threshold beyond which a finished
-	// job dumps its full trace through slog at Warn level — the "why was
-	// that one slow" record survives in the logs even after the trace store
-	// evicts it.
-	SlowJob time.Duration
-	// DefaultTimeout is the end-to-end deadline applied to jobs that leave
-	// TimeoutMS 0 (queue wait + Fit + evaluation). 0 means no default —
-	// only jobs that ask for a deadline get one.
-	DefaultTimeout time.Duration
 	// MemoryBudget, when > 0, gates admission on the bytes the registry
-	// holds plus the job's own estimated working set. Resident models no
-	// job named recently are evicted to make room; jobs over budget on
-	// their own at the default precision are degraded to float32; jobs over
-	// budget even then (or explicitly requesting float64) are rejected with
-	// a *MemoryBudgetError instead of being allowed to OOM the process.
+	// holds plus the job's own estimated working set, and is the registry's
+	// capacity. Resident models no job named recently are evicted to make
+	// room; jobs over budget on their own at the default precision are
+	// degraded to float32; jobs over budget even then (or explicitly
+	// requesting float64) are rejected with a *MemoryBudgetError instead of
+	// being allowed to OOM the process.
 	MemoryBudget int64
 }
+
+// defaultSeed seeds candidate sampling for jobs that leave Seed 0, and always
+// seeds recommender fitting, so cached Frameworks are the same on every
+// server.
+const defaultSeed = 1
 
 // Settings with one value in every deployment. They are variables only so a
 // test can shrink them; an engine reads them when it is built and while it
@@ -79,6 +59,15 @@ var (
 	// retainJobs bounds the job index: once exceeded, the oldest terminal
 	// jobs are evicted on submission.
 	retainJobs = 4096
+	// slowJob is the run time beyond which a finished job logs its trace ID
+	// and slowest spans at Warn level — the "why was that one slow" record
+	// survives in the logs after the engine forgets the job.
+	slowJob = 30 * time.Second
+	// modelCacheBytes bounds the model registry, the LRU of loaded models
+	// jobs share, when no MemoryBudget is set. It is a cache bound, not a
+	// limit on what can be evaluated: a job keeps its models for as long as
+	// it needs them whatever the registry evicts meanwhile.
+	modelCacheBytes int64 = 1 << 30
 	// fitFailureThreshold is the number of consecutive Fit failures (or
 	// panics) for one cache key before the circuit breaker quarantines it.
 	fitFailureThreshold = 3
@@ -150,23 +139,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 8
 	}
-	if cfg.ModelCacheBytes <= 0 {
-		cfg.ModelCacheBytes = 1 << 30
-	}
-	if cfg.MemoryBudget > 0 && cfg.ModelCacheBytes > cfg.MemoryBudget {
-		cfg.ModelCacheBytes = cfg.MemoryBudget // the registry counts against the budget
-	}
-	if cfg.DefaultNumSamples <= 0 {
-		cfg.DefaultNumSamples = cfg.Graph.NumEntities / 10
-		if cfg.DefaultNumSamples < 1 {
-			cfg.DefaultNumSamples = 1 // tiny graphs: never sample empty pools
-		}
-	}
-	if cfg.DefaultSeed == 0 {
-		cfg.DefaultSeed = 1
-	}
-	if cfg.Traces == nil {
-		cfg.Traces = trace.NewStore(0, 0)
+	registryBytes := modelCacheBytes
+	if cfg.MemoryBudget > 0 {
+		registryBytes = cfg.MemoryBudget // the registry counts against the budget
 	}
 	e := &Engine{
 		cfg:         cfg,
@@ -174,12 +149,12 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		fp:          core.Fingerprint(cfg.Graph),
 		filter:      kg.NewFilterIndex(cfg.Graph.Train, cfg.Graph.Valid, cfg.Graph.Test),
 		cache:       NewFrameworkCache(cfg.CacheSize),
-		models:      newModelRegistry(cfg.Graph, cfg.ModelCacheBytes),
+		models:      newModelRegistry(cfg.Graph, registryBytes),
 		queue:       make(chan *Job, cfg.QueueDepth),
 		quit:        make(chan struct{}),
 		jobs:        map[string]*Job{},
 		reg:         obs.NewRegistry(),
-		traces:      cfg.Traces,
+		traces:      trace.NewStore(0, 0),
 		breaker:     newFitBreaker(fitFailureThreshold, fitQuarantine, fitQuarantineMax),
 		completions: &completionWindow{},
 	}
@@ -201,8 +176,8 @@ func (e *Engine) Fingerprint() string { return e.fp }
 // it (together with obs.Default) on a /metrics endpoint.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
-// Traces returns the flight-recorder store the engine's jobs record into —
-// the backing of the /debug/traces and /v1/jobs/{id}/trace endpoints.
+// Traces returns the flight-recorder store the engine's jobs record into
+// (256 traces × 4096 spans) — the backing of the /debug/traces endpoints.
 func (e *Engine) Traces() *trace.Store { return e.traces }
 
 // Accepting reports whether Submit can currently succeed: the engine is
@@ -378,13 +353,11 @@ func (e *Engine) withDefaults(spec JobSpec) JobSpec {
 		spec.Recommender = "L-WD"
 	}
 	if spec.NumSamples <= 0 {
-		spec.NumSamples = e.cfg.DefaultNumSamples
+		// The paper's 10% budget; tiny graphs never sample empty pools.
+		spec.NumSamples = max(1, e.graph.NumEntities/10)
 	}
 	if spec.Seed == 0 {
-		spec.Seed = e.cfg.DefaultSeed
-	}
-	if spec.TimeoutMS == 0 && e.cfg.DefaultTimeout > 0 {
-		spec.TimeoutMS = int(e.cfg.DefaultTimeout / time.Millisecond)
+		spec.Seed = defaultSeed
 	}
 	return spec
 }
@@ -502,7 +475,7 @@ func (e *Engine) validate(spec JobSpec) error {
 		if _, err := core.ParseStrategy(spec.Strategy); err != nil {
 			return fmt.Errorf("service: %w (or \"full\")", err)
 		}
-		rec, err := recommender.ByName(spec.Recommender, e.cfg.DefaultSeed)
+		rec, err := recommender.ByName(spec.Recommender, defaultSeed)
 		if err != nil {
 			return err
 		}
@@ -646,9 +619,14 @@ func (e *Engine) run(j *Job) {
 		}
 	}()
 	// Chaos hook: an armed service/worker site can stall (deadline drills),
-	// fail or panic the job right where evaluation would start.
-	if err := faults.HitCtx(j.ctx, faults.SiteWorker); err != nil && j.ctx.Err() == nil {
-		j.fail(fmt.Errorf("service: worker fault: %w", err))
+	// fail or panic the job right where evaluation would start. A stall cut
+	// short by cancellation or the deadline returns the context's error: the
+	// job is being settled by whoever ended its context, and must not go on
+	// to load its models.
+	if err := faults.HitCtx(j.ctx, faults.SiteWorker); err != nil {
+		if j.ctx.Err() == nil {
+			j.fail(fmt.Errorf("service: worker fault: %w", err))
+		}
 		e.logSlowJob(j)
 		return
 	}
@@ -667,31 +645,27 @@ func (e *Engine) run(j *Job) {
 	e.logSlowJob(j)
 }
 
-// slowJobLogSpans bounds how many spans logSlowJob serializes. The trace
-// ring holds up to -trace-spans (default 4096) records with attrs and
-// events; dumping all of them would put a multi-megabyte line in the log.
-// The slowest few answer "where did the time go" — the full tree stays
-// readable at /v1/jobs/{id}/trace while the store retains it.
+// slowJobLogSpans bounds how many spans logSlowJob serializes. A trace's
+// ring holds up to 4096 records with attrs and events; dumping all of them
+// would put a multi-megabyte line in the log. The slowest few answer "where
+// did the time go" — the full tree stays readable at /v1/jobs/{id}/trace
+// while the engine retains the job.
 const slowJobLogSpans = 16
 
 // logSlowJob logs a bounded diagnosis record for a job whose run time
-// exceeded the SlowJob threshold: trace ID, span count, and the slowest
-// spans — enough to outlive the trace store's FIFO eviction without
-// multi-megabyte log lines.
+// exceeded slowJob: trace ID, span count, and the slowest spans — enough to
+// outlive the job index's eviction without multi-megabyte log lines.
 func (e *Engine) logSlowJob(j *Job) {
-	if e.cfg.SlowJob <= 0 {
-		return
-	}
 	j.mu.Lock()
 	elapsed := j.finished.Sub(j.started)
 	state := j.state
 	j.mu.Unlock()
-	if j.started.IsZero() || elapsed <= e.cfg.SlowJob {
+	if j.started.IsZero() || elapsed <= slowJob {
 		return
 	}
 	attrs := []any{
 		"job", j.ID, "state", state,
-		"elapsed", elapsed, "threshold", e.cfg.SlowJob,
+		"elapsed", elapsed, "threshold", slowJob,
 	}
 	if rec := j.span.Recorder(); rec != nil {
 		tr := rec.Snapshot()
@@ -727,8 +701,11 @@ func (e *Engine) execute(j *Job) ([]eval.Result, bool, error) {
 	j.mu.Lock()
 	refs := j.models
 	j.mu.Unlock()
-	if refs == nil {
-		return nil, false, j.ctx.Err() // settled between the worker's claim and here
+	// Settled, or being settled, since the worker's claim: Cancel and the
+	// deadline end the context before the terminal transition drops refs,
+	// and a terminal transition ends it too.
+	if err := j.ctx.Err(); err != nil {
+		return nil, false, err
 	}
 
 	stages := jobStages{modelHit: true}
@@ -838,11 +815,11 @@ func (e *Engine) buildFramework(j *Job, spec JobSpec) (fw *core.Framework, err e
 	if err := faults.HitCtx(j.ctx, faults.SiteFit); err != nil {
 		return nil, err
 	}
-	rec, err := recommender.ByName(spec.Recommender, e.cfg.DefaultSeed)
+	rec, err := recommender.ByName(spec.Recommender, defaultSeed)
 	if err != nil {
 		return nil, err
 	}
-	fw = core.New(rec, spec.NumSamples, e.cfg.DefaultSeed)
+	fw = core.New(rec, spec.NumSamples, defaultSeed)
 	if err := fw.FitCtx(j.ctx, e.graph); err != nil {
 		return nil, err
 	}

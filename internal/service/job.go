@@ -49,7 +49,7 @@ const (
 	StateFailed    State = "failed"
 	StateCanceled  State = "canceled"
 	// StateExpired is the terminal state of a job whose deadline
-	// (JobSpec.TimeoutMS, or the engine default) passed — whether it was
+	// (JobSpec.TimeoutMS) passed — whether it was
 	// still queued or already running. The deadline covers the job's whole
 	// lifetime: queue wait, framework Fit, and evaluation.
 	StateExpired State = "expired"
@@ -101,11 +101,11 @@ type JobSpec struct {
 	// default L-WD. Ignored for strategy "full".
 	Recommender string `json:"recommender,omitempty"`
 	// NumSamples is the per-(relation, direction) candidate budget n_s;
-	// 0 means the engine default (|E|/10).
+	// 0 means max(1, |E|/10), the paper's 10% budget.
 	NumSamples int `json:"num_samples,omitempty"`
 	// MaxQueries bounds the evaluated triples (0 = whole split).
 	MaxQueries int `json:"max_queries,omitempty"`
-	// Seed drives candidate sampling; 0 means the engine default.
+	// Seed drives candidate sampling; 0 means 1.
 	Seed int64 `json:"seed,omitempty"`
 	// Precision selects the embedding-store precision candidates are scored
 	// at: "float64" (default), "float32" or "int8" (store.ParsePrecision).
@@ -114,8 +114,7 @@ type JobSpec struct {
 	Precision string `json:"precision,omitempty"`
 	// TimeoutMS is the job's end-to-end deadline in milliseconds, counted
 	// from submission and covering queue wait, framework Fit and
-	// evaluation. 0 applies the engine default (EngineConfig.DefaultTimeout;
-	// no deadline if that is unset too). A job whose deadline passes reaches
+	// evaluation; 0 means no deadline. A job whose deadline passes reaches
 	// the terminal state "expired" — immediately if still queued, at the
 	// next cancellation point if running.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -452,8 +451,7 @@ type Status struct {
 	// PrecisionDegraded marks jobs whose precision the memory-budget
 	// admission gate lowered from the float64 default to float32.
 	PrecisionDegraded bool `json:"precision_degraded,omitempty"`
-	// TimeoutMS echoes the job's effective deadline (spec value, or the
-	// engine default applied at submission); 0 = no deadline.
+	// TimeoutMS echoes the job's deadline; 0 = no deadline.
 	TimeoutMS int  `json:"timeout_ms,omitempty"`
 	CacheHit  bool `json:"cache_hit"`
 	// ModelID (ModelIDs for a fleet) is the registry id of each model the

@@ -33,10 +33,11 @@ func waitJob(t *testing.T, j *Job) Status {
 	return j.Status()
 }
 
-// libraryMRR is what a job must return: Framework.Estimate, fitted the way
-// the engine fits (L-WD, engine n_s, engine seed), over a model this test
-// loads privately from the same bytes.
-func libraryMRR(t *testing.T, e *Engine, name string, dim int, seed int64, snap []byte, spec JobSpec) float64 {
+// libraryResult is what a job must return: Framework.Estimate, fitted the
+// way the paper fixes the protocol (L-WD, n_s = max(1, |E|/10), seed 1), over
+// a model this test loads privately from the same bytes. A spec's n_s and
+// seed left 0 are those constants too.
+func libraryResult(t *testing.T, e *Engine, name string, dim int, seed int64, snap []byte, spec JobSpec) eval.Result {
 	t.Helper()
 	g := e.Graph()
 	m, err := kgc.New(name, g, dim, seed)
@@ -46,7 +47,11 @@ func libraryMRR(t *testing.T, e *Engine, name string, dim int, seed int64, snap 
 	if err := kgc.Load(bytes.NewReader(snap), m); err != nil {
 		t.Fatal(err)
 	}
-	fw := core.New(recommender.NewLWD(), e.cfg.DefaultNumSamples, e.cfg.DefaultSeed)
+	ns := spec.NumSamples
+	if ns == 0 {
+		ns = max(1, g.NumEntities/10)
+	}
+	fw := core.New(recommender.NewLWD(), ns, 1)
 	if err := fw.Fit(g); err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +65,47 @@ func libraryMRR(t *testing.T, e *Engine, name string, dim int, seed int64, snap 
 	}
 	seedOpt := spec.Seed
 	if seedOpt == 0 {
-		seedOpt = e.cfg.DefaultSeed
+		seedOpt = 1
 	}
 	return fw.Estimate(m, g, g.Test, strategy, eval.Options{
 		Filter:     kg.NewFilterIndex(g.Train, g.Valid, g.Test),
 		MaxQueries: spec.MaxQueries, Seed: seedOpt, Precision: prec,
-	}).MRR
+	})
+}
+
+func libraryMRR(t *testing.T, e *Engine, name string, dim int, seed int64, snap []byte, spec JobSpec) float64 {
+	t.Helper()
+	return libraryResult(t, e, name, dim, seed, snap, spec).MRR
+}
+
+// A job that leaves num_samples and seed at 0 gets the paper's protocol:
+// n_s = max(1, |E|/10) and seed 1, for sampling and for the fit.
+func TestJobDefaultsAreThePapersProtocol(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	snap := snapshotModel(t, g, "DistMult", 8, 6)
+	spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snap}, Strategy: "P", MaxQueries: 40}
+	j, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, j)
+	if st.State != StateSucceeded {
+		t.Fatalf("job: %s (%s)", st.State, st.Error)
+	}
+	if want := max(1, g.NumEntities/10); st.NumSamples != want {
+		t.Fatalf("num_samples = %d, want %d", st.NumSamples, want)
+	}
+	want := resultStatus(libraryResult(t, e, "DistMult", 8, 6, snap, spec))
+	got := *st.Result
+	got.ElapsedMS, want.ElapsedMS = 0, 0
+	if got != want {
+		t.Fatalf("job with n_s and seed left 0 = %+v, library at max(1,|E|/10) and seed 1 = %+v", got, want)
+	}
 }
 
 // N concurrent submissions of one digest cost exactly one kgc.Load, however
@@ -172,7 +212,8 @@ func TestRegistryByteBoundEvictionOrder(t *testing.T) {
 		snapshotModel(t, g, "DistMult", 8, 3),
 	}
 	size := int64(len(snaps[0]))
-	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1, ModelCacheBytes: 2*size + size/2})
+	setVar(t, &modelCacheBytes, 2*size+size/2)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +267,8 @@ func TestRegistryByteBoundEvictionOrder(t *testing.T) {
 // library's numbers.
 func TestRegistryEvictWhileReferenced(t *testing.T) {
 	g := serviceGraph(t)
-	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1, ModelCacheBytes: 1})
+	setVar(t, &modelCacheBytes, 1)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,10 +701,62 @@ func TestServerModelSubmissionErrors(t *testing.T) {
 
 // An upload larger than the registry could ever hold is refused up front.
 func TestServerPutModelLargerThanCache(t *testing.T) {
-	srv, e := newTestServer(t, EngineConfig{Workers: 1, ModelCacheBytes: 64})
+	setVar(t, &modelCacheBytes, 64)
+	srv, e := newTestServer(t, EngineConfig{Workers: 1})
 	snap := snapshotModel(t, e.Graph(), "DistMult", 8, 6)
 	if resp, out := putModel(t, srv.URL, distMultArgs, bytes.NewReader(snap)); resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("upload over -model-cache-mb: %s %v, want 413", resp.Status, out)
+		t.Fatalf("upload over the registry's capacity: %s %v, want 413", resp.Status, out)
+	}
+}
+
+// The registry's capacity is the memory budget when one is set, larger than
+// the unbudgeted 1 GiB or not, and 1 GiB otherwise: one memory knob.
+func TestRegistryCapIsTheBudget(t *testing.T) {
+	g := serviceGraph(t)
+	for _, tc := range []struct{ budget, want int64 }{{0, 1 << 30}, {2 << 30, 2 << 30}} {
+		e, err := NewEngine(EngineConfig{Graph: g, Workers: 1, MemoryBudget: tc.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := e.Stats().Models.CapBytes
+		e.Close()
+		if got != tc.want {
+			t.Errorf("registry capacity with a %d-byte budget = %d, want %d", tc.budget, got, tc.want)
+		}
+	}
+}
+
+// A job cancelled while its worker stalls at the service/worker site returns
+// from the stall with its context's error and must not go on to load its
+// models: the registry stays untouched.
+func TestRegistryCancelledStallLoadsNothing(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	armFault(t, faults.SiteWorker, faults.Plan{Action: faults.Stall, Stall: 10 * time.Second, Limit: 1})
+	snap := snapshotModel(t, g, "DistMult", 8, 1)
+	j, err := e.Submit(JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 1, Snapshot: snap}, Strategy: "R", MaxQueries: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := func(want float64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); e.metrics.busyWorkers.Value() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("busy workers never reached %v", want)
+			}
+		}
+	}
+	busy(1) // the worker has claimed the job and is in the stall
+	// End the context alone, as Cancel and a drain do before the terminal
+	// transition drops the job's models: the worker sees exactly that window.
+	j.cancel()
+	busy(0)
+	if ms := e.Stats().Models; ms.Misses != 0 || ms.Hits != 0 {
+		t.Fatalf("cancelled job loaded its models: %+v", ms)
 	}
 }
 

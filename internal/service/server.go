@@ -229,23 +229,15 @@ func (s *server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 
 // handleJobTrace serves the trace of one job — the span tree from HTTP
 // submission through queue wait, plan compile, and per-task scoring chunks.
-// For running jobs it returns the spans completed so far.
+// For running jobs it returns the spans completed so far. Every job the
+// engine admits is traced and holds its own flight recorder, so the trace
+// lives as long as the job is retained, whatever the trace store has evicted.
 func (s *server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
 		return
 	}
-	id := j.TraceID()
-	if id == "" {
-		writeError(w, http.StatusNotFound, fmt.Errorf("job %s was not traced", j.ID))
-		return
-	}
-	rec, ok := s.engine.Traces().Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("trace %s evicted from the store", id))
-		return
-	}
-	writeTrace(w, r, rec.Snapshot())
+	writeTrace(w, r, j.span.Recorder().Snapshot())
 }
 
 // maxSubmitBytes caps a job submission or model upload body (snapshots are

@@ -297,6 +297,37 @@ func TestSubmitWithoutHTTPIsTraced(t *testing.T) {
 	}
 }
 
+// A retained job serves its trace from its own recorder: the store evicting
+// it (256 traces against 4096 retained jobs) does not turn the job's trace
+// into a 404.
+func TestJobTraceOutlivesTheStore(t *testing.T) {
+	ts, engine := newTestServer(t, EngineConfig{Workers: 1})
+	snap := snapshotModel(t, engine.Graph(), "DistMult", 8, 6)
+	st := submitJob(t, ts.URL, JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snap}, Strategy: "R", MaxQueries: 20})
+	if final := waitTerminal(t, ts.URL, st.ID); final.State != StateSucceeded {
+		t.Fatalf("job finished %s: %s", final.State, final.Error)
+	}
+	rec, ok := engine.Traces().Get(st.TraceID)
+	if !ok {
+		t.Fatal("job trace not in the engine store")
+	}
+	engine.Traces().Remove(rec)
+	if code := getJSON(t, ts.URL+"/debug/traces/"+st.TraceID, nil); code != http.StatusNotFound {
+		t.Fatalf("/debug/traces/{id} after eviction = %d, want 404", code)
+	}
+	var tr trace.Trace
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/trace", &tr); code != http.StatusOK {
+		t.Fatalf("GET job trace after the store evicted it = %d, want 200", code)
+	}
+	names := map[string]bool{}
+	for _, s := range tr.Spans {
+		names[s.Name] = true
+	}
+	if tr.TraceID != st.TraceID || !names["job"] || !names["eval.pass"] {
+		t.Fatalf("evicted job's trace %s has spans %v, want trace %s with job and eval.pass", tr.TraceID, names, st.TraceID)
+	}
+}
+
 // jobDone returns a channel closed when the job reaches a terminal state.
 func jobDone(j *Job) <-chan struct{} {
 	done := make(chan struct{})

@@ -14,8 +14,10 @@
 // request, not in Fit. An Estimate call then performs only 2·|R| candidate
 // samplings plus the ranking work on the small pools, and the samplings only
 // the first time: a fitted Framework remembers the pool sets its plans drew
-// (eval.PoolMemo; 32 MiB, least recently used first out), so the next model
-// with the same strategy, n_s, seed and relations ranks against those slices.
+// (eval.PoolMemo, an instance of the tree's one single-flight LRU,
+// internal/lru; 32 MiB, least recently used first out), so the next model
+// with the same strategy, n_s, seed and relations ranks against those slices,
+// and concurrent Estimates that want a set nobody has drawn yet draw it once.
 package core
 
 import (
@@ -86,7 +88,8 @@ func ParseStrategy(s string) (Strategy, error) {
 // parallel (the service layer relies on this to amortize Fit cost across
 // requests). Concurrent Estimates share the recommender's scores, the static
 // candidate sets and the remembered pool sets, all read-only once built; all
-// an Estimate writes is a new entry of the pool memo, under the memo's lock.
+// an Estimate writes is a new entry of the pool memo, which Estimates missing
+// the same set at once draw together, once.
 type Framework struct {
 	Rec        recommender.Recommender
 	NumSamples int // n_s: candidates per (relation, direction)
@@ -146,7 +149,7 @@ func (f *Framework) FitCtx(ctx context.Context, g *kg.Graph) error {
 	f.graph = g
 	// Discretized from, and drawn over, the previous graph's scores.
 	f.sets = nil
-	f.pools = &eval.PoolMemo{MaxBytes: poolMemoBytes}
+	f.pools = eval.NewPoolMemo(poolMemoBytes)
 	span.End(trace.String("recommender", f.Rec.Name()), trace.Bool("already_fitted", false))
 	return nil
 }

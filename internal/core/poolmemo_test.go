@@ -11,6 +11,7 @@ import (
 	"kgeval/internal/eval"
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
+	"kgeval/internal/obs"
 	"kgeval/internal/obs/trace"
 	"kgeval/internal/recommender"
 )
@@ -232,7 +233,7 @@ func TestPoolMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 	onePlan := 2 * len(rels) * fw.NumSamples * 4 // a Random plan's pools, exactly
 	cold := fitted(t, g)
-	cold.pools.MaxBytes = 0
+	cold.pools = eval.NewPoolMemo(0)
 	hits := func(seed int64) bool {
 		t.Helper()
 		opts := eval.Options{Filter: filter, Seed: seed}
@@ -245,7 +246,7 @@ func TestPoolMemoEvictsLeastRecentlyUsed(t *testing.T) {
 		return hit
 	}
 
-	fw.pools.MaxBytes = 2*onePlan + onePlan/2
+	fw.pools = eval.NewPoolMemo(2*onePlan + onePlan/2)
 	const a, b, c = 1, 2, 3
 	for i, step := range []struct {
 		seed int64
@@ -263,7 +264,7 @@ func TestPoolMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 
 	fw = fitted(t, g)
-	fw.pools.MaxBytes = onePlan - 1
+	fw.pools = eval.NewPoolMemo(onePlan - 1)
 	if hits(a) || hits(a) {
 		t.Fatal("a plan larger than the bound was kept")
 	}
@@ -292,7 +293,7 @@ func TestConcurrentEstimatesShareTheMemo(t *testing.T) {
 	}
 	for _, bound := range []int{poolMemoBytes, 8 << 10} { // everything fits; two or three plans fit
 		fw := fitted(t, g)
-		fw.pools.MaxBytes = bound
+		fw.pools = eval.NewPoolMemo(bound)
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -308,6 +309,69 @@ func TestConcurrentEstimatesShareTheMemo(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// Estimates that miss one key at once draw once: the first plan draws, the
+// others join that draw and are reported as hits (no worker drew for them),
+// and every one returns the serial numbers. Run under -race -count=10.
+func TestConcurrentMissesDrawOnce(t *testing.T) {
+	g, _ := coreGraph(t)
+	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
+	m := kgc.NewDistMult(g, 8, 3)
+	opts := eval.Options{Filter: filter, Seed: 9, Workers: 2}
+	want := fitted(t, g).Estimate(m, g, g.Test, StrategyProbabilistic, opts)
+	plans := func(outcome string) int64 {
+		return obs.Default.Counter("kgeval_eval_pool_plans_total", "", obs.Label{Key: "outcome", Value: outcome}).Value()
+	}
+	misses, hits := plans("miss"), plans("hit")
+
+	fw := fitted(t, g)
+	const callers = 8
+	store := trace.NewStore(callers, 4096)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	results := make([]eval.Result, callers)
+	roots := make([]*trace.Span, callers)
+	for i := range callers {
+		ctx, root := store.StartTrace(context.Background(), "estimate")
+		roots[i] = root
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := opts
+			o.Ctx = ctx
+			<-start
+			results[i] = fw.Estimate(m, g, g.Test, StrategyProbabilistic, o)
+			root.End()
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	drew := 0
+	for i, root := range roots {
+		same(t, fmt.Sprintf("caller %d", i), results[i], want)
+		rec, _ := store.Get(root.TraceID())
+		for _, sp := range rec.Snapshot().Spans {
+			if sp.Name != "eval.pool_draw" {
+				continue
+			}
+			if workers := sp.Attr("workers").(int); workers > 0 {
+				drew++
+				if sp.Attr("cached") != false {
+					t.Errorf("caller %d drew on %d workers but says cached", i, workers)
+				}
+			} else if sp.Attr("cached") != true {
+				t.Errorf("caller %d drew on no worker but says not cached", i)
+			}
+		}
+	}
+	if drew != 1 {
+		t.Errorf("%d of %d concurrent callers drew, want 1", drew, callers)
+	}
+	if m, h := plans("miss")-misses, plans("hit")-hits; m != 1 || h != callers-1 {
+		t.Errorf("pool_plans_total moved by miss %d, hit %d; want 1 and %d", m, h, callers-1)
 	}
 }
 

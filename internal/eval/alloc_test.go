@@ -135,7 +135,7 @@ func TestMemoHitPassAllocatesNoPools(t *testing.T) {
 	window := g.Test[:min(1024, len(g.Test))]
 	opts := Options{Filter: kg.NewFilterIndex(g.Train, g.Valid, g.Test), Seed: 4, Workers: 1}
 	bare := &ProbabilisticProvider{Scores: lwd.Scores(), N: g.NumEntities / 10}
-	prov := (&PoolMemo{MaxBytes: 32 << 20}).Remember(bare, bare.N)
+	prov := NewPoolMemo(32<<20).Remember(bare, bare.N)
 	Evaluate(m, g, window, bare, opts) // the model's entity store is built once
 	pass := func() (uint64, Result) {
 		var m0, m1 runtime.MemStats

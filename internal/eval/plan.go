@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"sync"
@@ -129,17 +130,34 @@ func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *pla
 
 // drawPools gives every group its two pools and reports how many goroutines
 // drew them: none when the provider remembers plans (PoolMemo.Remember) and
-// has this one — the groups then hold the slices the first such plan drew —
-// and otherwise what draw says, the set filed for the next plan to find.
+// has this one, or another plan is drawing it — the groups then hold the
+// slices that plan drew — and otherwise what draw says, the set filed for the
+// next plan to find. newPlan has no error return, so a draw that panicked
+// panics here, in every plan that was waiting for it.
 func (p *plan) drawPools(provider CandidateProvider, opts Options) (workers int) {
 	mp, ok := provider.(*memoProvider)
 	if !ok {
 		return p.draw(provider, opts)
 	}
-	key := poolKey{mp.Name(), mp.n, opts.Seed}
-	if !mp.memo.install(key, p.groups) {
+	rels := make([]byte, 0, 4*len(p.groups))
+	for _, g := range p.groups {
+		rels = binary.LittleEndian.AppendUint32(rels, uint32(g.r))
+	}
+	sets := mp.memo.sets
+	set := sets.Reserve(poolKey{mp.Name(), mp.n, opts.Seed, string(rels)}, int64(8*len(p.groups)*mp.n), nil)
+	pools, _, err := sets.Resolve(set, nil, func([]relGroup) ([]relGroup, error) {
 		workers = p.draw(mp.CandidateProvider, opts)
-		mp.memo.file(key, p.groups)
+		pools := make([]relGroup, len(p.groups))
+		for gi, g := range p.groups {
+			pools[gi] = relGroup{r: g.r, tailPool: g.tailPool, headPool: g.headPool}
+		}
+		return pools, nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	for gi := range p.groups {
+		p.groups[gi].tailPool, p.groups[gi].headPool = pools[gi].tailPool, pools[gi].headPool
 	}
 	return workers
 }

@@ -53,7 +53,7 @@ func BenchmarkPoolDraw(b *testing.B) {
 			})
 		}
 		b.Run(fmt.Sprintf("plan/%s/hit", c.name), func(b *testing.B) {
-			warm := (&PoolMemo{MaxBytes: 32 << 20}).Remember(c.p, ns)
+			warm := NewPoolMemo(32<<20).Remember(c.p, ns)
 			newPlan(window, warm, Options{Seed: 1})
 			b.ReportAllocs()
 			var draw time.Duration
@@ -86,7 +86,7 @@ func BenchmarkSampledPass(b *testing.B) {
 		for _, c := range providers[:2] {
 			b.Run(name+"/"+c.name, func(b *testing.B) {
 				opts := Options{Filter: filter, Seed: 1}
-				warm := (&PoolMemo{MaxBytes: 32 << 20}).Remember(c.p, ns)
+				warm := NewPoolMemo(32<<20).Remember(c.p, ns)
 				Evaluate(m, g, window, warm, opts)
 				b.ReportAllocs()
 				var score time.Duration

@@ -119,7 +119,7 @@ func TestPlanPoolsGolden(t *testing.T) {
 func TestPoolMemoHitInstallsTheDrawnSlices(t *testing.T) {
 	g := evalGraph(t)
 	for _, p := range fittedProviders(t, g, 30)[:3] {
-		memo := &PoolMemo{MaxBytes: 1 << 20}
+		memo := NewPoolMemo(1 << 20)
 		remembered := memo.Remember(p, 30)
 		opts := Options{Seed: 7}
 		drawn, first, second := newPlan(g.Test, p, opts), newPlan(g.Test, remembered, opts), newPlan(g.Test, remembered, opts)
@@ -148,8 +148,8 @@ func TestPoolMemoHitInstallsTheDrawnSlices(t *testing.T) {
 				t.Errorf("%s: %s was served from the memo", p.Name(), what)
 			}
 		}
-		if len(memo.sets) != 4 || memo.used <= 0 || memo.used > memo.MaxBytes {
-			t.Errorf("%s: memo holds %d sets in %d bytes, want the 4 drawn", p.Name(), len(memo.sets), memo.used)
+		if st := memo.sets.Stats(); st.Entries != 4 || st.Used <= 0 || st.Used > st.Cap {
+			t.Errorf("%s: memo holds %d sets in %d bytes, want the 4 drawn", p.Name(), st.Entries, st.Used)
 		}
 	}
 }

@@ -2,9 +2,8 @@ package eval
 
 import (
 	"math/rand"
-	"slices"
-	"sync"
 
+	"kgeval/internal/lru"
 	"kgeval/internal/recommender"
 	"kgeval/internal/sample"
 )
@@ -104,29 +103,28 @@ func (p *ProbabilisticProvider) column(r int32, tail bool) (ids []int32, scores 
 // under everything its draw read: strategy, n_s, seed and the plan's ordered
 // relation ids, all of them, because a pool's place in the plan's one rng
 // stream depends on every draw before it. Filed sets are never written again;
-// passes that hit one share it read-only. At most MaxBytes of pool ids are
-// kept, least recently used sets going first; a larger plan is served but not
-// kept. Safe for concurrent use; two plans that miss one key at once both
-// draw (equal pools) and the first to finish files.
+// passes that hit one share it read-only. Safe for concurrent use: plans that
+// miss one key at once draw once, the later ones joining the draw in flight.
 type PoolMemo struct {
-	MaxBytes int
-
-	mu   sync.Mutex
-	used int
-	sets []*poolSet // least recently used first
+	sets *lru.Cache[poolKey, []relGroup] // relation and pools only, in plan order
 }
 
-// poolKey is what a plan's draw reads besides its relations.
+// NewPoolMemo returns a memo that keeps at most capacity bytes of pool ids,
+// least recently used sets going first. A set is charged 4 bytes for each of
+// the n_s ids its 2·|R| pools can hold, which is what Random draws and at
+// least what Static and Probabilistic do; a plan larger than the capacity is
+// served but not kept.
+func NewPoolMemo(capacity int) *PoolMemo {
+	return &PoolMemo{lru.New[poolKey, []relGroup](int64(capacity))}
+}
+
+// poolKey is everything a plan's draw reads; rels is the plan's relation ids
+// in order, four bytes each.
 type poolKey struct {
 	strategy string
 	n        int
 	seed     int64
-}
-
-type poolSet struct {
-	poolKey
-	groups []relGroup // relation and pools only, in plan order
-	bytes  int
+	rels     string
 }
 
 // Remember returns provider, whose sample budget is n, as one whose plans
@@ -140,47 +138,4 @@ type memoProvider struct {
 	CandidateProvider
 	memo *PoolMemo
 	n    int
-}
-
-func (m *PoolMemo) find(key poolKey, groups []relGroup) int {
-	return slices.IndexFunc(m.sets, func(s *poolSet) bool {
-		return s.poolKey == key && slices.EqualFunc(s.groups, groups, func(a, b relGroup) bool { return a.r == b.r })
-	})
-}
-
-// install gives groups the pools of the set filed under key for exactly
-// their relations, and reports whether there was one.
-func (m *PoolMemo) install(key poolKey, groups []relGroup) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	i := m.find(key, groups)
-	if i < 0 {
-		return false
-	}
-	s := m.sets[i]
-	m.sets = append(slices.Delete(m.sets, i, i+1), s)
-	for gi := range groups {
-		groups[gi].tailPool, groups[gi].headPool = s.groups[gi].tailPool, s.groups[gi].headPool
-	}
-	return true
-}
-
-// file keeps the pools groups just drew under key.
-func (m *PoolMemo) file(key poolKey, groups []relGroup) {
-	s := &poolSet{poolKey: key, groups: make([]relGroup, len(groups))}
-	for gi, g := range groups {
-		s.groups[gi] = relGroup{r: g.r, tailPool: g.tailPool, headPool: g.headPool}
-		s.bytes += 4 * (len(g.tailPool) + len(g.headPool))
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s.bytes > m.MaxBytes || m.find(key, groups) >= 0 {
-		return // too large to keep, or a plan that missed alongside filed first
-	}
-	m.sets = append(m.sets, s)
-	m.used += s.bytes
-	for m.used > m.MaxBytes { // ends with s still in: s alone fits
-		m.used -= m.sets[0].bytes
-		m.sets = slices.Delete(m.sets, 0, 1)
-	}
 }

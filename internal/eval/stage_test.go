@@ -116,7 +116,7 @@ func TestMemoHitIsNotObservedAsADraw(t *testing.T) {
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	const delay = 5 * time.Millisecond
-	prov := (&PoolMemo{MaxBytes: 1 << 20}).Remember(
+	prov := NewPoolMemo(1<<20).Remember(
 		slowProvider{&RandomProvider{NumEntities: g.NumEntities, N: 20}, delay}, 20)
 	opts := Options{Filter: filter, Seed: 3, Workers: 2}
 

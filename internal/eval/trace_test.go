@@ -115,7 +115,7 @@ func TestEvaluateTraced(t *testing.T) {
 
 	// Through a pool memo the first plan draws and says so; the second is
 	// served the set, and its span must not read as a draw: no worker drew.
-	remembered := (&PoolMemo{MaxBytes: 1 << 20}).Remember(prov, prov.N)
+	remembered := NewPoolMemo(1<<20).Remember(prov, prov.N)
 	for _, wantCached := range []bool{false, true} {
 		ctx, root := store.StartTrace(context.Background(), "test-memo")
 		res := Evaluate(formulaModel{}, g, g.Test, remembered, Options{Filter: filter, Seed: 3, Workers: 2, Ctx: ctx})

@@ -99,8 +99,9 @@ func (r *Runner) suite(dataset string) (*suiteResult, error) {
 	}
 	ns := nsFor(g)
 	fw := core.New(rec, ns, 1234)
-	// The recommender is already fitted; Fit is idempotent for L-WD and
-	// also builds the static candidate sets.
+	// The recommender is already fitted; refitting L-WD on the same graph
+	// gives the same scores. The static candidate sets are built on the
+	// first Static estimate, not here.
 	if err := fw.Fit(g); err != nil {
 		return nil, err
 	}

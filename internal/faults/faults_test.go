@@ -181,3 +181,29 @@ func TestDisarm(t *testing.T) {
 		t.Fatalf("disarmed site fired: %v", err)
 	}
 }
+
+// FuzzParse: no -faults spec panics the parser, whatever it arms stays
+// consistent with the armed-site count Hit's fast path reads, and Reset
+// disarms it all.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"service/fit=panic,limit=3;store/build=error,every=2;service/worker=stall,stall=5s",
+		"a=error,p=0.5,seed=7;a=stall,stall=1ms,msg=x", "noequals", "x=error,every", "=panic", ";;",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		defer Reset()
+		Parse(spec) //nolint:errcheck // a rejected spec may have armed its earlier entries
+		mu.Lock()
+		armed, n := armedCount.Load(), len(sites)
+		mu.Unlock()
+		if int(armed) != n {
+			t.Fatalf("Parse(%q): %d sites armed, the fast path counts %d", spec, n, armed)
+		}
+		Reset()
+		if Enabled() {
+			t.Fatalf("Parse(%q): still enabled after Reset", spec)
+		}
+	})
+}

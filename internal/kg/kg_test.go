@@ -231,3 +231,66 @@ func TestReadTypesTSVErrors(t *testing.T) {
 		t.Error("non-integer: want error")
 	}
 }
+
+// FuzzReadTriplesTSV: any bytes a -data file can hold either fail to parse
+// or parse into triples that WriteTriplesTSV writes back to the same triples.
+func FuzzReadTriplesTSV(f *testing.F) {
+	for _, seed := range []string{"0\t0\t1\n5\t2\t3\n", "# c\n\n1\t2\t3\n", " 1 \t+2\t-3\r\n", "1\t2\n", "1\t2\t999999999999999999999\n"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		triples, err := ReadTriplesTSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTriplesTSV(&buf, triples); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTriplesTSV(&buf)
+		if err != nil {
+			t.Fatalf("reading back what was written: %v", err)
+		}
+		if len(back) != len(triples) || (len(back) > 0 && !reflect.DeepEqual(back, triples)) {
+			t.Fatalf("round trip = %v, want %v", back, triples)
+		}
+	})
+}
+
+// FuzzReadTypesTSV: any bytes a -data types file can hold either fail to
+// parse or give every entity a sorted, duplicate-free type list that
+// WriteTypesTSV writes back to the same lists.
+func FuzzReadTypesTSV(f *testing.F) {
+	for _, seed := range []string{"0\t1\n0\t0\n0\t1\n2\t5\n", "# c\n\n1\t2\n", "5\t0\n", "x\t0\n", "1\t-4\n1\t+4\n"} {
+		f.Add([]byte(seed), uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		types, err := ReadTypesTSV(bytes.NewReader(data), int(n))
+		if err != nil {
+			return
+		}
+		if len(types) != int(n) {
+			t.Fatalf("%d type lists for %d entities", len(types), n)
+		}
+		for e, ts := range types {
+			for i := 1; i < len(ts); i++ {
+				if ts[i-1] >= ts[i] {
+					t.Fatalf("entity %d: types %v are not sorted and duplicate-free", e, ts)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteTypesTSV(&buf, types); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTypesTSV(&buf, int(n))
+		if err != nil {
+			t.Fatalf("reading back what was written: %v", err)
+		}
+		for e := range types {
+			if len(back[e]) != len(types[e]) || (len(back[e]) > 0 && !reflect.DeepEqual(back[e], types[e])) {
+				t.Fatalf("entity %d: round trip = %v, want %v", e, back[e], types[e])
+			}
+		}
+	})
+}

@@ -198,7 +198,7 @@ func (e *Engine) admit(spec JobSpec, keys []modelKey) (JobSpec, bool, error) {
 		if e.estimateJobBytes(spec, nil, p) > budget {
 			continue
 		}
-		e.models.lru.shrink(budget-e.estimateJobBytes(spec, keys, p), keys)
+		e.models.lru.Shrink(budget-e.estimateJobBytes(spec, keys, p), keys)
 		if p != prec {
 			spec.Precision = p.String()
 		}

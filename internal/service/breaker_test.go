@@ -15,7 +15,7 @@ func testBreakerClock(b *fitBreaker) func(time.Duration) {
 func TestFitBreakerTripAndRecover(t *testing.T) {
 	b := newFitBreaker(3, time.Second, time.Minute)
 	advance := testBreakerClock(b)
-	key := CacheKey{Graph: "fp", Recommender: "L-WD", NumSamples: 10}
+	key := CacheKey{Recommender: "L-WD", NumSamples: 10}
 
 	// Below the threshold nothing trips.
 	for i := 0; i < 2; i++ {
@@ -65,7 +65,7 @@ func TestFitBreakerTripAndRecover(t *testing.T) {
 func TestFitBreakerWindowCap(t *testing.T) {
 	b := newFitBreaker(1, time.Second, 4*time.Second)
 	advance := testBreakerClock(b)
-	key := CacheKey{Graph: "fp", Recommender: "P-EX", NumSamples: 5}
+	key := CacheKey{Recommender: "P-EX", NumSamples: 5}
 	var last time.Duration
 	for i := 0; i < 6; i++ {
 		_, last = b.failure(key)
@@ -82,8 +82,8 @@ func TestFitBreakerWindowCap(t *testing.T) {
 func TestFitBreakerKeysAreIndependent(t *testing.T) {
 	b := newFitBreaker(1, time.Minute, time.Hour)
 	testBreakerClock(b)
-	bad := CacheKey{Graph: "fp", Recommender: "L-WD", NumSamples: 10}
-	good := CacheKey{Graph: "fp", Recommender: "L-WD", NumSamples: 20}
+	bad := CacheKey{Recommender: "L-WD", NumSamples: 10}
+	good := CacheKey{Recommender: "L-WD", NumSamples: 20}
 	b.failure(bad)
 	if err := b.allow(bad); err == nil {
 		t.Fatal("tripped key allowed")

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -9,8 +8,24 @@ import (
 	"time"
 
 	"kgeval/internal/core"
+	"kgeval/internal/lru"
 	"kgeval/internal/recommender"
 )
+
+// frameworkCache is an engine holding nothing but a fitted-Framework cache of
+// the given capacity, as NewEngine builds it.
+func frameworkCache(capacity int) *Engine {
+	return &Engine{frameworks: lru.New[CacheKey, *core.Framework](int64(capacity))}
+}
+
+// getFramework resolves key in e's framework cache the way fitFramework
+// does, with build in place of a Fit, and reports whether the caller was
+// spared the build.
+func getFramework(e *Engine, key CacheKey, build func() (*core.Framework, error)) (*core.Framework, bool, error) {
+	fw, o, err := e.frameworks.Resolve(e.frameworks.Reserve(key, 1, nil), nil,
+		func(*core.Framework) (*core.Framework, error) { return build() })
+	return fw, o != lru.Miss, err
+}
 
 func fwBuilder(builds *atomic.Int64, delay time.Duration) func() (*core.Framework, error) {
 	return func() (*core.Framework, error) {
@@ -21,8 +36,8 @@ func fwBuilder(builds *atomic.Int64, delay time.Duration) func() (*core.Framewor
 }
 
 func TestCacheSingleFlight(t *testing.T) {
-	c := NewFrameworkCache(4)
-	key := CacheKey{Graph: "g", Recommender: "L-WD", NumSamples: 10}
+	c := frameworkCache(4)
+	key := CacheKey{Recommender: "L-WD", NumSamples: 10}
 	var builds atomic.Int64
 	const callers = 8
 
@@ -33,7 +48,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fw, hit, err := c.Get(context.Background(), key, fwBuilder(&builds, 20*time.Millisecond))
+			fw, hit, err := getFramework(c, key, fwBuilder(&builds, 20*time.Millisecond))
 			if err != nil {
 				t.Error(err)
 			}
@@ -59,7 +74,7 @@ func TestCacheSingleFlight(t *testing.T) {
 	if nhits != callers-1 {
 		t.Fatalf("%d hits, want %d", nhits, callers-1)
 	}
-	st := c.Stats()
+	st := c.cacheStats()
 	if st.Hits != callers-1 || st.Misses != 1 || st.Size != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -74,11 +89,11 @@ func TestCacheSingleFlight(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewFrameworkCache(2)
+	c := frameworkCache(2)
 	var builds atomic.Int64
-	get := func(graph string) {
+	get := func(rec string) {
 		t.Helper()
-		if _, _, err := c.Get(context.Background(), CacheKey{Graph: graph}, fwBuilder(&builds, 0)); err != nil {
+		if _, _, err := getFramework(c, CacheKey{Recommender: rec}, fwBuilder(&builds, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +106,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if builds.Load() != 4 {
 		t.Fatalf("build ran %d times, want 4 (a, b, c, b-again)", builds.Load())
 	}
-	st := c.Stats()
+	st := c.cacheStats()
 	if st.Hits != 2 || st.Misses != 4 || st.Size != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -106,14 +121,14 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheErrorNotCached(t *testing.T) {
-	c := NewFrameworkCache(2)
-	key := CacheKey{Graph: "g"}
+	c := frameworkCache(2)
+	key := CacheKey{Recommender: "L-WD"}
 	boom := errors.New("fit failed")
-	if _, _, err := c.Get(context.Background(), key, func() (*core.Framework, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := getFramework(c, key, func() (*core.Framework, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	var builds atomic.Int64
-	fw, hit, err := c.Get(context.Background(), key, fwBuilder(&builds, 0))
+	fw, hit, err := getFramework(c, key, fwBuilder(&builds, 0))
 	if err != nil || fw == nil {
 		t.Fatalf("retry after failed build: fw=%v err=%v", fw, err)
 	}

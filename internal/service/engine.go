@@ -18,6 +18,7 @@ import (
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
 	"kgeval/internal/kgc/store"
+	"kgeval/internal/lru"
 	"kgeval/internal/obs"
 	"kgeval/internal/obs/trace"
 	"kgeval/internal/recommender"
@@ -101,8 +102,10 @@ type Engine struct {
 	graph  *kg.Graph
 	fp     string
 	filter *kg.FilterIndex
-	cache  *FrameworkCache
-	models *modelRegistry
+	// frameworks holds fitted Frameworks, cost 1 each, so CacheSize counts
+	// them; see fitFramework.
+	frameworks *lru.Cache[CacheKey, *core.Framework]
+	models     *modelRegistry
 
 	queue       chan *Job
 	quit        chan struct{}
@@ -148,7 +151,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		graph:       cfg.Graph,
 		fp:          core.Fingerprint(cfg.Graph),
 		filter:      kg.NewFilterIndex(cfg.Graph.Train, cfg.Graph.Valid, cfg.Graph.Test),
-		cache:       NewFrameworkCache(cfg.CacheSize),
+		frameworks:  lru.New[CacheKey, *core.Framework](int64(cfg.CacheSize)),
 		models:      newModelRegistry(cfg.Graph, registryBytes),
 		queue:       make(chan *Job, cfg.QueueDepth),
 		quit:        make(chan struct{}),
@@ -759,22 +762,37 @@ func (e *Engine) execute(j *Job) ([]eval.Result, bool, error) {
 	return fw.EstimateMany(models, e.graph, split, strategy, opts), cacheHit, nil
 }
 
-// fitFramework resolves (or builds) the fitted framework for a job, wrapped
-// in the fault-tolerance machinery: the circuit breaker fails quarantined
-// keys fast, build panics are converted to errors, and transient failures
-// are retried with jittered exponential backoff. Only the caller that
-// actually ran the failing build (not single-flight joiners) feeds the
-// breaker, so one failure counts once however many jobs were waiting on it.
+// CacheKey identifies a fitted Framework on the engine's graph: the
+// recommender and the candidate budget n_s. Jobs that agree on both share
+// one Fit.
+type CacheKey struct {
+	Recommender string
+	NumSamples  int
+}
+
+// fitFramework resolves (or builds) the fitted framework for a job in the
+// engine's single-flight cache: concurrent jobs with one key run one build,
+// the others wait for it and count as hits, and the outcome (hit, miss or
+// single-flight join) lands on the job's span as a cache.* event. Around it
+// is the fault-tolerance machinery: the circuit breaker fails quarantined
+// keys fast, and transient failures — a build panic included, which the
+// cache turns into an error carrying the stack — are retried with jittered
+// exponential backoff. Only the caller that actually ran the failing build
+// (not single-flight joiners) feeds the breaker, so one failure counts once
+// however many jobs were waiting on it.
 func (e *Engine) fitFramework(j *Job, spec JobSpec) (*core.Framework, bool, error) {
-	key := CacheKey{Graph: e.fp, Recommender: spec.Recommender, NumSamples: spec.NumSamples}
+	key := CacheKey{Recommender: spec.Recommender, NumSamples: spec.NumSamples}
 	for attempt := 0; ; attempt++ {
 		if qerr := e.breaker.allow(key); qerr != nil {
 			e.metrics.fitRejected.Inc()
 			return nil, false, qerr
 		}
-		fw, cacheHit, err := e.cache.Get(j.ctx, key, func() (*core.Framework, error) {
-			return e.buildFramework(j, spec)
-		})
+		fw, o, err := e.frameworks.Resolve(e.frameworks.Reserve(key, 1, nil),
+			func(o lru.Outcome) {
+				trace.FromContext(j.ctx).Event("cache."+o.String(), trace.String("recommender", key.Recommender))
+			},
+			func(*core.Framework) (*core.Framework, error) { return e.buildFramework(j, spec) })
+		cacheHit, err := o != lru.Miss, panicked("fit", err)
 		if err == nil {
 			e.breaker.success(key)
 			return fw, cacheHit, nil
@@ -802,16 +820,11 @@ func (e *Engine) fitFramework(j *Job, spec JobSpec) (*core.Framework, bool, erro
 	}
 }
 
-// buildFramework is the cache's build function: fit the recommender and
-// discretize its candidate sets. A panic inside Fit (a poison graph) is
-// recovered into an error carrying the stack, so it flows through the
-// retry/breaker path like any other failure instead of killing the worker.
-func (e *Engine) buildFramework(j *Job, spec JobSpec) (fw *core.Framework, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("service: fit panicked: %v\n\n%s", r, debug.Stack())
-		}
-	}()
+// buildFramework is the cache's build function: fit the recommender. A
+// panic inside Fit (a poison graph) reaches the caller as the cache's
+// *lru.PanicError, so it flows through the retry/breaker path like any other
+// failure instead of killing the worker.
+func (e *Engine) buildFramework(j *Job, spec JobSpec) (*core.Framework, error) {
 	if err := faults.HitCtx(j.ctx, faults.SiteFit); err != nil {
 		return nil, err
 	}
@@ -819,11 +832,20 @@ func (e *Engine) buildFramework(j *Job, spec JobSpec) (fw *core.Framework, err e
 	if err != nil {
 		return nil, err
 	}
-	fw = core.New(rec, spec.NumSamples, defaultSeed)
+	fw := core.New(rec, spec.NumSamples, defaultSeed)
 	if err := fw.FitCtx(j.ctx, e.graph); err != nil {
 		return nil, err
 	}
 	return fw, nil
+}
+
+// panicked names what was being built when a build's panic became err; any
+// other error passes through as it is.
+func panicked(what string, err error) error {
+	if _, ok := err.(*lru.PanicError); ok {
+		return fmt.Errorf("service: %s %w", what, err)
+	}
+	return err
 }
 
 // sleepJittered sleeps for a uniformly jittered duration in [d/2, 3d/2),
@@ -861,6 +883,29 @@ type EngineStats struct {
 	QuarantinedFitKeys int  `json:"quarantined_fit_keys,omitempty"`
 }
 
+// CacheStats reports the fitted-Framework cache's cumulative traffic and
+// current occupancy. Hits counts every fit served by an existing entry;
+// SingleFlight is the subset of hits that joined a build still in flight (a
+// deduplicated Fit).
+type CacheStats struct {
+	Hits         int64 `json:"hits"`
+	Misses       int64 `json:"misses"`
+	Evictions    int64 `json:"evictions"`
+	SingleFlight int64 `json:"singleflight"`
+	InFlight     int64 `json:"inflight"`
+	Size         int   `json:"size"`
+	Cap          int   `json:"cap"`
+}
+
+func (e *Engine) cacheStats() CacheStats {
+	s := e.frameworks.Stats()
+	return CacheStats{
+		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
+		SingleFlight: s.Joins, InFlight: s.InFlight,
+		Size: s.Entries, Cap: int(s.Cap),
+	}
+}
+
 // Stats snapshots job counts by state, queue occupancy and cache traffic.
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
@@ -871,7 +916,7 @@ func (e *Engine) Stats() EngineStats {
 		QueueLen:           len(e.queue),
 		QueueCap:           cap(e.queue),
 		Workers:            e.cfg.Workers,
-		Cache:              e.cache.Stats(),
+		Cache:              e.cacheStats(),
 		Models:             e.models.stats(),
 		GraphName:          e.graph.Name,
 		GraphFP:            e.fp,

@@ -6,20 +6,22 @@
 //
 // The package provides four layers:
 //
-//	Job             a queued evaluation request — one model or a fleet
-//	                evaluated over shared pools — with observable state
-//	                transitions, incremental progress and cancellation;
-//	FrameworkCache  an LRU of fitted core.Frameworks keyed by graph
-//	                fingerprint + recommender + n_s, so Fit cost is paid
-//	                once and amortized across requests;
-//	model registry  a byte-bounded LRU of loaded, immutable models keyed by
-//	                the SHA-256 of their kgc.Save bytes (Engine.PutModel,
-//	                PUT /v1/models, or an inline snapshot), so a model is
-//	                parsed once and shared by every job that names it;
-//	Engine          a bounded worker pool executing jobs against a host
-//	                graph, with per-job context cancellation.
+//	Job              a queued evaluation request — one model or a fleet
+//	                 evaluated over shared pools — with observable state
+//	                 transitions, incremental progress and cancellation;
+//	framework cache  an LRU of fitted core.Frameworks keyed by recommender
+//	                 + n_s on the engine's one graph, so Fit cost is paid
+//	                 once and amortized across requests;
+//	model registry   a byte-bounded LRU of loaded, immutable models keyed by
+//	                 the SHA-256 of their kgc.Save bytes (Engine.PutModel,
+//	                 PUT /v1/models, or an inline snapshot), so a model is
+//	                 parsed once and shared by every job that names it;
+//	Engine           a bounded worker pool executing jobs against a host
+//	                 graph, with per-job context cancellation.
 //
-// Both caches are instances of one cost-bounded single-flight LRU (lru.go).
+// Both caches, and the pool memo inside every cached Framework, are the
+// three instances of the tree's one cost-bounded single-flight LRU
+// (internal/lru).
 //
 // NewServer wraps an Engine in an HTTP/JSON API (job submission, status,
 // SSE progress streaming, cancellation); cmd/kgevald is the binary.

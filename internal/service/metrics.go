@@ -92,7 +92,7 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		func() float64 { return float64(e.breaker.openKeys()) })
 
 	cacheStat := func(f func(CacheStats) int64) func() int64 {
-		return func() int64 { return f(e.cache.Stats()) }
+		return func() int64 { return f(e.cacheStats()) }
 	}
 	reg.CounterFunc("kgeval_cache_hits_total", "Framework cache hits (including single-flight joins).",
 		cacheStat(func(s CacheStats) int64 { return s.Hits }))
@@ -103,9 +103,9 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	reg.CounterFunc("kgeval_cache_singleflight_total", "Hits that joined a Fit still in flight (deduplicated builds).",
 		cacheStat(func(s CacheStats) int64 { return s.SingleFlight }))
 	reg.GaugeFunc("kgeval_cache_inflight", "Framework builds currently running.",
-		func() float64 { return float64(e.cache.Stats().InFlight) })
+		func() float64 { return float64(e.cacheStats().InFlight) })
 	reg.GaugeFunc("kgeval_cache_size", "Fitted frameworks resident in the cache.",
-		func() float64 { return float64(e.cache.Stats().Size) })
+		func() float64 { return float64(e.cacheStats().Size) })
 
 	modelStat := func(f func(ModelCacheStats) int64) func() int64 {
 		return func() int64 { return f(e.models.stats()) }

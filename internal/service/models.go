@@ -8,10 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime/debug"
 
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
+	"kgeval/internal/lru"
 	"kgeval/internal/obs/trace"
 )
 
@@ -44,7 +44,7 @@ type registered struct {
 // modelRef is a job's hold on one registered model. It keeps working after
 // the registry evicts the slot, so a queued or running job never loses its
 // model to cache pressure and the registry needs no reference counts.
-type modelRef = slot[modelKey, registered]
+type modelRef = lru.Slot[modelKey, registered]
 
 // modelRegistry is the engine's byte-bounded, single-flight LRU of loaded,
 // immutable models. Every model a job evaluates comes out of it: an uploaded
@@ -54,11 +54,11 @@ type modelRef = slot[modelKey, registered]
 // every job that names the same bytes and arguments.
 type modelRegistry struct {
 	graph *kg.Graph
-	lru   *lru[modelKey, registered]
+	lru   *lru.Cache[modelKey, registered]
 }
 
 func newModelRegistry(g *kg.Graph, capacityBytes int64) *modelRegistry {
-	return &modelRegistry{graph: g, lru: newLRU[modelKey, registered](capacityBytes)}
+	return &modelRegistry{graph: g, lru: lru.New[modelKey, registered](capacityBytes)}
 }
 
 // modelDigest is the registry id of a snapshot: hex SHA-256 of its bytes.
@@ -73,19 +73,19 @@ func modelDigest(raw []byte) string {
 // same size to within a header. Reduced-precision entity stores a model
 // builds later (at most 5/8 of its entity table) ride uncharged.
 func (r *modelRegistry) put(key modelKey, raw []byte) *modelRef {
-	return r.lru.reserve(key, int64(len(raw)), registered{raw: raw})
+	return r.lru.Reserve(key, int64(len(raw)), registered{raw: raw})
 }
 
 // holds reports whether key's model is resident (loaded or about to be).
 func (r *modelRegistry) holds(key modelKey) bool {
-	_, ok := r.lru.lookup(key)
+	_, ok := r.lru.Lookup(key)
 	return ok
 }
 
 // reference returns the slot for key, registering a copy of raw (the inline
 // snapshot; nil when the job named a model_id only) on first sight.
 func (r *modelRegistry) reference(key modelKey, raw []byte) (*modelRef, error) {
-	if s, ok := r.lru.lookup(key); ok {
+	if s, ok := r.lru.Lookup(key); ok {
 		return s, nil
 	}
 	if raw == nil {
@@ -99,25 +99,21 @@ func (r *modelRegistry) reference(key modelKey, raw []byte) (*modelRef, error) {
 // join of a parse in flight); the outcome lands on ctx's span as a
 // model.hit / model.miss / model.singleflight_join event.
 func (r *modelRegistry) load(ctx context.Context, ref *modelRef) (kgc.Model, bool, error) {
-	v, o, err := r.lru.resolve(ref,
-		func(o outcome) {
-			trace.FromContext(ctx).Event("model."+o.event(),
-				trace.String("model", ref.key.Name), trace.String("model_id", ref.key.ID))
+	key := ref.Key()
+	v, o, err := r.lru.Resolve(ref,
+		func(o lru.Outcome) {
+			trace.FromContext(ctx).Event("model."+o.String(),
+				trace.String("model", key.Name), trace.String("model_id", key.ID))
 		},
-		func(seed registered) (registered, error) { return r.parse(ref.key, seed.raw) })
-	return v.model, o.hit(), err
+		func(seed registered) (registered, error) { return r.parse(key, seed.raw) })
+	return v.model, o != lru.Miss, panicked("loading "+key.Name+" snapshot", err)
 }
 
 // parse is the registry's build function, the one place a snapshot becomes a
 // model. A panic (a snapshot driving a constructor into an impossible state)
-// is recovered into an error carrying the stack, so it fails the jobs that
+// becomes the slot's error, carrying the stack, so it fails the jobs that
 // named the model instead of wedging everyone waiting on the slot.
-func (r *modelRegistry) parse(key modelKey, raw []byte) (v registered, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("service: loading %s snapshot panicked: %v\n\n%s", key.Name, p, debug.Stack())
-		}
-	}()
+func (r *modelRegistry) parse(key modelKey, raw []byte) (registered, error) {
 	m, err := kgc.New(key.Name, r.graph, key.Dim, key.Seed)
 	if err != nil {
 		return registered{}, err
@@ -147,7 +143,7 @@ func (e *Engine) PutModel(ms ModelSpec, r io.Reader, size int64) (string, int64,
 	if e.Draining() {
 		return "", 0, ErrDraining
 	}
-	limit := e.models.lru.cap
+	limit := e.models.lru.Stats().Cap
 	if size > limit {
 		return "", 0, ErrModelTooLarge
 	}
@@ -185,9 +181,9 @@ type ModelCacheStats struct {
 }
 
 func (r *modelRegistry) stats() ModelCacheStats {
-	s := r.lru.stats()
+	s := r.lru.Stats()
 	return ModelCacheStats{
-		Hits: s.hits, Misses: s.misses, SingleFlight: s.joins, Evictions: s.evictions,
-		Entries: s.entries, Bytes: s.used, CapBytes: s.cap,
+		Hits: s.Hits, Misses: s.Misses, SingleFlight: s.Joins, Evictions: s.Evictions,
+		Entries: s.Entries, Bytes: s.Used, CapBytes: s.Cap,
 	}
 }

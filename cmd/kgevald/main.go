@@ -32,8 +32,9 @@
 // deadlines (timeout_ms) and expire terminally when they pass; a full
 // queue sheds load with 429 + Retry-After derived
 // from recent throughput; -mem-budget-mb gates admission on the resident
-// models plus the job's estimated working set, evicting idle models to make
-// room and degrading precision to float32 before rejecting;
+// models' snapshot bytes plus what the job adds (its own snapshots and any
+// float32/int8 entity store), evicting idle models to make room and
+// rejecting with 429 what does not fit on its own;
 // SIGTERM drains gracefully — /readyz flips to 503, queued jobs get a
 // terminal SSE event, running jobs get up to -drain-timeout to finish; fit
 // keys that keep failing are quarantined by a circuit breaker; and -faults
@@ -99,7 +100,7 @@ func main() {
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM/SIGINT, how long running jobs get to finish before being canceled")
-		memBudgetMB  = flag.Int64("mem-budget-mb", 0, "memory budget in MiB for resident models plus a job's estimated working set, and the model registry's capacity (1024 MiB when 0); idle models are evicted to make room, jobs over budget on their own are degraded to float32 or rejected with 429 (0 = no gate)")
+		memBudgetMB  = flag.Int64("mem-budget-mb", 0, "memory budget in MiB for resident models (their snapshot bytes) plus what a job adds (snapshots not yet resident, float32/int8 entity stores), and the model registry's capacity (1024 MiB when 0); idle models are evicted to make room, jobs over budget on their own are rejected with 429 at any precision (0 = no gate)")
 		faultSpec    = flag.String("faults", "", "arm deterministic fault injection, e.g. 'service/fit=error,every=2;service/worker=stall,stall=5s' (testing only)")
 	)
 	flag.Parse()

@@ -36,9 +36,10 @@
 //	                      names it) and the engine, behind the kgevald HTTP
 //	                      API; production-hardened with end-to-end job
 //	                      deadlines (terminal state "expired"), admission
-//	                      control (429 + Retry-After, memory-budget gate
-//	                      with precision degradation), graceful drain, and a
-//	                      circuit breaker quarantining fit keys that keep
+//	                      control (429 + Retry-After, a memory-budget gate
+//	                      charging snapshot and entity-store bytes),
+//	                      graceful drain, and a circuit breaker
+//	                      quarantining fit keys that keep
 //	                      failing
 //	internal/faults       deterministic fault-injection registry for chaos
 //	                      tests and the kgevald -faults flag: named pipeline

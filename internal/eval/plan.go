@@ -2,6 +2,7 @@ package eval
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -144,7 +145,7 @@ func (p *plan) drawPools(provider CandidateProvider, opts Options) (workers int)
 		rels = binary.LittleEndian.AppendUint32(rels, uint32(g.r))
 	}
 	sets := mp.memo.sets
-	set := sets.Reserve(poolKey{mp.Name(), mp.n, opts.Seed, string(rels)}, int64(8*len(p.groups)*mp.n), nil)
+	set := sets.Reserve(poolKey{mp.Name(), mp.n, opts.Seed, string(rels)}, memoCharge(len(p.groups), mp.n), nil)
 	pools, _, err := sets.Resolve(set, nil, func([]relGroup) ([]relGroup, error) {
 		workers = p.draw(mp.CandidateProvider, opts)
 		pools := make([]relGroup, len(p.groups))
@@ -160,6 +161,16 @@ func (p *plan) drawPools(provider CandidateProvider, opts Options) (workers int)
 		p.groups[gi].tailPool, p.groups[gi].headPool = pools[gi].tailPool, pools[gi].headPool
 	}
 	return workers
+}
+
+// memoCharge is what a set of 2·groups pools of up to n ids each charges a
+// PoolMemo: 4 bytes an id. It saturates where the product would wrap, so a
+// set that large is served but never filed.
+func memoCharge(groups, n int) int64 {
+	if n > 0 && groups > math.MaxInt/8/n {
+		return math.MaxInt64
+	}
+	return int64(8 * groups * n)
 }
 
 // draw draws every group's two pools and reports how many goroutines

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -151,5 +152,31 @@ func TestPoolMemoHitInstallsTheDrawnSlices(t *testing.T) {
 		if st := memo.sets.Stats(); st.Entries != 4 || st.Used <= 0 || st.Used > st.Cap {
 			t.Errorf("%s: memo holds %d sets in %d bytes, want the 4 drawn", p.Name(), st.Entries, st.Used)
 		}
+	}
+}
+
+// An n_s sized to wrap the charge of 2·|R| pools of n ids in int must not
+// file full-|E| pools past the memo's bound: the charge saturates, and a set
+// charged more than the capacity is served but not kept.
+func TestPoolMemoChargeDoesNotWrap(t *testing.T) {
+	g := evalGraph(t)
+	rels := map[int32]bool{}
+	for _, q := range g.Test {
+		rels[q.R] = true
+	}
+	n := int(math.MaxUint64/uint64(8*len(rels)) + 1) // 8·|R|·n wraps to a few bytes
+	memo := NewPoolMemo(64 << 10)
+	remembered := memo.Remember(&RandomProvider{NumEntities: g.NumEntities, N: n}, n)
+	setBytes := int64(0)
+	for seed := int64(1); seed <= 20; seed++ {
+		p := newPlan(g.Test, remembered, Options{Seed: seed})
+		setBytes = 0
+		for _, g := range p.groups {
+			setBytes += 4 * int64(len(g.tailPool)+len(g.headPool))
+		}
+	}
+	if st := memo.sets.Stats(); int64(st.Entries)*setBytes > st.Cap || st.Used > st.Cap {
+		t.Fatalf("memo keeps %d sets of %d bytes of ids each, charged %d bytes in all, under a %d-byte capacity",
+			st.Entries, setBytes, st.Used, st.Cap)
 	}
 }

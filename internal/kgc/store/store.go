@@ -133,6 +133,21 @@ func FromRows(data []float64, rows, dim int, p Precision) (*Store, error) {
 	return s, nil
 }
 
+// CopyBytes is what FromRows allocates for a rows×dim store at precision p:
+// nothing at Float64, which aliases the caller's table, and the converted
+// copy otherwise — 4 bytes a value at Float32; 1 a value plus a float32 scale
+// and zero per block at Int8.
+func CopyBytes(rows, dim int, p Precision) int64 {
+	n := int64(rows) * int64(dim)
+	switch p {
+	case Float32:
+		return 4 * n
+	case Int8:
+		return n + 8*int64(rows)*int64((dim+BlockDim-1)/BlockDim)
+	}
+	return 0
+}
+
 // quantizeRow quantizes one row into int8 blocks with affine
 // scale/zero-point per BlockDim dims: q = round((v−min)/step) − 128 with
 // step = (max−min)/255, dequantized as min + step·(q+128).

@@ -190,6 +190,17 @@ func TestBytesFootprint(t *testing.T) {
 	if ratio := float64(f64.Bytes()) / float64(i8.Bytes()); ratio < 4 {
 		t.Fatalf("int8 should be ≥4× smaller than float64, got %.2f×", ratio)
 	}
+	// CopyBytes is what FromRows allocated: the reduced-precision payloads,
+	// and nothing for the Float64 view of the caller's table.
+	for p, want := range map[Precision]int{Float64: 0, Float32: f32.Bytes(), Int8: i8.Bytes()} {
+		if got := CopyBytes(rows, dim, p); got != int64(want) {
+			t.Errorf("CopyBytes(%s) = %d, want %d", p, got, want)
+		}
+	}
+	// An int8 row whose dim is not a whole number of blocks pays for the last one.
+	if got, want := CopyBytes(3, 9, Int8), int64(3*9+3*2*8); got != want {
+		t.Errorf("CopyBytes(3×9, int8) = %d, want %d", got, want)
+	}
 }
 
 // Tile hands out the table itself for a consecutive run on a Float64 store

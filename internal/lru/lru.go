@@ -50,6 +50,9 @@ type Slot[K comparable, V any] struct {
 // Key returns the key the slot was reserved under.
 func (s *Slot[K, V]) Key() K { return s.key }
 
+// Cost returns what the slot charges the capacity while the cache holds it.
+func (s *Slot[K, V]) Cost() int64 { return s.cost }
+
 // Outcome says how a Resolve was served.
 type Outcome int
 

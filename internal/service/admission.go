@@ -102,69 +102,44 @@ func (e *Engine) RetryAfter() time.Duration {
 }
 
 // MemoryBudgetError reports a job whose estimated working set exceeds the
-// engine's memory budget even after precision degradation, with nothing
-// else resident. It is a structured, client-actionable rejection: resubmit
-// with a smaller fleet, a lower dim, or a reduced precision.
+// engine's memory budget with nothing else resident. It is a structured,
+// client-actionable rejection: resubmit with a smaller fleet or a lower dim.
 type MemoryBudgetError struct {
 	EstimatedBytes int64
 	BudgetBytes    int64
 }
 
 func (e *MemoryBudgetError) Error() string {
-	return fmt.Sprintf("service: job needs an estimated %d MiB, over the %d MiB memory budget (reduce models, dim or precision)",
+	return fmt.Sprintf("service: job needs an estimated %d MiB, over the %d MiB memory budget (reduce models or dim)",
 		e.EstimatedBytes>>20, e.BudgetBytes>>20)
 }
 
-// modelWeightBytes approximates the float64 weight tables one model of the
-// given architecture pins at the given dim. The flat-embedding models hold
-// a dim-vector per entity and relation, but the structured architectures
-// are dominated by very different terms: RESCAL keeps a full d×d matrix
-// per relation, TuckER a shared d³ core tensor, and ConvE reciprocal
-// relation rows plus a flat·d fully-connected projection (flat = 8·d for
-// its fixed 4-channel 2d reshape). Modeling them all as (|E|+|R|)·d used
-// to under-estimate RESCAL/TuckER by orders of magnitude at service dims —
-// a TuckER at dim 512 holds a 1 GiB core that the gate waved through.
-func modelWeightBytes(name string, ents, rels, dim int64) int64 {
-	switch name {
-	case "RESCAL":
-		return (ents*dim + rels*dim*dim) * 8
-	case "TuckER":
-		return ((ents+rels)*dim + dim*dim*dim) * 8
-	case "ConvE":
-		return (ents*(dim+1) + 2*rels*dim + 8*dim*dim) * 8
-	default: // TransE, DistMult, ComplEx, RotatE: flat embedding vectors
-		return (ents + rels) * dim * 8
-	}
-}
-
-// estimateJobBytes approximates what admitting a job adds to the process:
-// per model, the entity store at the scoring precision (|E|·dim·bytes) plus,
-// when the registry does not hold the model yet, the architecture-aware
-// float64 weight tables loading it will pin (modelWeightBytes). A model the
-// registry holds is charged there, once, however many jobs name it — keys
-// are the job's registry keys; nil charges every model to the job, which is
-// what the job needs with nothing else resident. A coarse upper-ish bound —
-// the gate exists to refuse obviously-over-budget work before it OOMs the
-// process, not to do exact accounting.
-func (e *Engine) estimateJobBytes(spec JobSpec, keys []modelKey, prec store.Precision) int64 {
-	precBytes := int64(8)
-	switch prec {
-	case store.Float32:
-		precBytes = 4
-	case store.Int8:
-		precBytes = 1
-	}
-	var total int64
-	ents := int64(e.graph.NumEntities)
-	rels := int64(e.graph.NumRelations)
+// estimateJobBytes counts, from bytes the engine can see, what admitting a
+// job adds to what the registry holds (adds) and what the job needs with
+// nothing else resident (alone). keys are the job's registry keys. Per model:
+//
+//   - a model the registry holds adds nothing, being charged there once
+//     however many jobs name it, and counts its slot's charge alone;
+//   - an inline snapshot the registry does not hold costs its length, which
+//     is what the registry charges once it is registered;
+//   - a model_id the registry does not know costs nothing: the job is
+//     refused with ErrUnknownModel right after admission;
+//   - at float32 and int8, the entity store the scorer builds at that
+//     precision costs what store.FromRows allocates for it. A float64 store
+//     is a view of the weights the registry already charges.
+func (e *Engine) estimateJobBytes(spec JobSpec, keys []modelKey, prec store.Precision) (adds, alone int64) {
 	for i, ms := range specModels(&spec) {
-		dim := int64(ms.Dim)
-		total += ents * dim * precBytes
-		if keys == nil || !e.models.holds(keys[i]) {
-			total += modelWeightBytes(ms.Name, ents, rels, dim)
+		model := int64(len(ms.Snapshot))
+		if slot, held := e.models.lru.Lookup(keys[i]); held {
+			model = slot.Cost()
+		} else {
+			adds += model
 		}
+		st := store.CopyBytes(e.graph.NumEntities, ms.Dim, prec)
+		adds += st
+		alone += model + st
 	}
-	return total
+	return adds, alone
 }
 
 // admit applies the memory-budget gate to a validated spec: the bytes the
@@ -172,37 +147,21 @@ func (e *Engine) estimateJobBytes(spec JobSpec, keys []modelKey, prec store.Prec
 // registry is a cache, so it is what gives way: a job that fits the budget
 // on its own is admitted, after evicting the least recently used models
 // other than its own until the sum fits — idle models never turn a job away.
-// A job too large on its own at the default float64 precision degrades to
-// float32 (graceful degradation — a bounded-deviation estimate beats an
-// OOM-killed daemon); still (or explicitly) too large rejects with a
-// *MemoryBudgetError. The returned bool reports whether precision was
-// degraded.
+// A job too large on its own is refused with a *MemoryBudgetError, at any
+// precision: none costs less than float64.
 //
 // Evicting a model that queued or running jobs still hold frees nothing
 // until they finish; the gate is then as lenient as it was before models
 // were shared, when every job was judged on its own.
-func (e *Engine) admit(spec JobSpec, keys []modelKey) (JobSpec, bool, error) {
+func (e *Engine) admit(spec JobSpec, keys []modelKey, prec store.Precision) error {
 	budget := e.cfg.MemoryBudget
 	if budget <= 0 {
-		return spec, false, nil
+		return nil
 	}
-	prec, _ := store.ParsePrecision(spec.Precision) // validated earlier
-	// Only the implicit default is degraded: a caller who explicitly asked
-	// for float64 said they need the bit-exact reference, so they get a
-	// structured rejection instead of silently different numbers.
-	tries := []store.Precision{prec}
-	if spec.Precision == "" {
-		tries = append(tries, store.Float32)
+	adds, alone := e.estimateJobBytes(spec, keys, prec)
+	if alone > budget {
+		return &MemoryBudgetError{EstimatedBytes: alone, BudgetBytes: budget}
 	}
-	for _, p := range tries {
-		if e.estimateJobBytes(spec, nil, p) > budget {
-			continue
-		}
-		e.models.lru.Shrink(budget-e.estimateJobBytes(spec, keys, p), keys)
-		if p != prec {
-			spec.Precision = p.String()
-		}
-		return spec, p != prec, nil
-	}
-	return spec, false, &MemoryBudgetError{EstimatedBytes: e.estimateJobBytes(spec, nil, prec), BudgetBytes: budget}
+	e.models.lru.Shrink(budget-adds, keys)
+	return nil
 }

@@ -7,13 +7,14 @@ import (
 	"kgeval/internal/kgc/store"
 )
 
-// TestEstimateJobBytesModelAware regresses the flat-table memory estimate:
-// every architecture used to be costed as (|E|+|R|)·dim·8, which
-// under-estimates RESCAL (d×d per relation) and TuckER (d³ core) by orders
-// of magnitude at service dims. The estimate must separate the
-// architectures: at equal dim the structured models dominate the flat
-// ones, and their margin must reflect the actual dominant term.
-func TestEstimateJobBytesModelAware(t *testing.T) {
+// TestEstimateJobBytesCountsWhatItCanSee pins the memory gate to bytes the
+// engine can count. An inline model the registry does not hold costs its
+// snapshot's length, which is what the registry charges once it holds it; a
+// float32 or int8 job adds the entity store store.FromRows allocates at that
+// precision, and a float64 job nothing, its store being the weights. Once
+// the model is resident a job adds only its store, and alone still needs
+// the model's slot. No precision is cheaper than float64.
+func TestEstimateJobBytesCountsWhatItCanSee(t *testing.T) {
 	g := serviceGraph(t)
 	e, err := NewEngine(EngineConfig{Graph: g})
 	if err != nil {
@@ -21,31 +22,36 @@ func TestEstimateJobBytesModelAware(t *testing.T) {
 	}
 	defer e.Close()
 
-	const dim = 64
-	est := func(name string) int64 {
-		spec := JobSpec{Model: ModelSpec{Name: name, Dim: dim, Seed: 1}}
-		return e.estimateJobBytes(spec, nil, store.Float64)
+	const dim = 32
+	snap := snapshotModel(t, g, "DistMult", dim, 1)
+	spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: dim, Seed: 1, Snapshot: snap}}
+	keys := modelKeys(&spec)
+	model := int64(len(snap))
+	stores := map[store.Precision]int64{
+		store.Float64: 0,
+		store.Float32: int64(g.NumEntities) * dim * 4,
+		store.Int8:    store.CopyBytes(g.NumEntities, dim, store.Int8),
 	}
-
-	transe := est("TransE")
-	for _, name := range []string{"RESCAL", "TuckER", "ConvE"} {
-		if got := est(name); got <= transe {
-			t.Errorf("estimateJobBytes(%s, dim %d) = %d, not above TransE's %d", name, dim, got, transe)
+	check := func(when string, p store.Precision, wantAdds, wantAlone int64) {
+		t.Helper()
+		if adds, alone := e.estimateJobBytes(spec, keys, p); adds != wantAdds || alone != wantAlone {
+			t.Errorf("%s, %s: estimate adds %d and needs %d alone, want %d and %d", when, p, adds, alone, wantAdds, wantAlone)
 		}
 	}
-	// The flat-embedding architectures share one shape and one estimate.
-	if dm := est("DistMult"); dm != transe {
-		t.Errorf("estimateJobBytes(DistMult) = %d != TransE's %d; flat models should agree", dm, transe)
+	for p, st := range stores {
+		check("not registered", p, model+st, model+st)
 	}
-
-	// The margins must come from the right terms: RESCAL's relation
-	// matrices add |R|·d²·8 over TransE's |R|·d·8, TuckER's core adds d³·8.
-	rels := int64(g.NumRelations)
-	if got, want := est("RESCAL")-transe, rels*dim*dim*8-rels*dim*8; got != want {
-		t.Errorf("RESCAL margin over TransE = %d bytes, want %d (|R|·d² matrices)", got, want)
+	if _, err := e.referenceModels(&spec, keys); err != nil {
+		t.Fatal(err)
 	}
-	if got, core := est("TuckER")-transe, int64(dim*dim*dim*8); got != core {
-		t.Errorf("TuckER margin over TransE = %d bytes, want %d (d³ core)", got, core)
+	for p, st := range stores {
+		check("resident", p, st, model+st)
+	}
+	// A model_id the registry does not know costs nothing: Submit refuses
+	// the job with ErrUnknownModel right after admission.
+	unknown := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: dim, Seed: 2, ModelID: modelDigest(snap)}}
+	if adds, alone := e.estimateJobBytes(unknown, modelKeys(&unknown), store.Float64); adds != 0 || alone != 0 {
+		t.Errorf("unknown model_id: estimate adds %d and needs %d alone, want 0 and 0", adds, alone)
 	}
 }
 

@@ -39,12 +39,11 @@ type EngineConfig struct {
 	// EvalWorkers is the per-job scoring parallelism (0 = GOMAXPROCS).
 	EvalWorkers int
 	// MemoryBudget, when > 0, gates admission on the bytes the registry
-	// holds plus the job's own estimated working set, and is the registry's
-	// capacity. Resident models no job named recently are evicted to make
-	// room; jobs over budget on their own at the default precision are
-	// degraded to float32; jobs over budget even then (or explicitly
-	// requesting float64) are rejected with a *MemoryBudgetError instead of
-	// being allowed to OOM the process.
+	// holds plus what the job adds — the snapshots of models the registry
+	// does not hold, and the float32 or int8 entity stores the job builds —
+	// and is the registry's capacity. Resident models no job named recently
+	// are evicted to make room; jobs over budget on their own are rejected
+	// with a *MemoryBudgetError instead of being allowed to OOM the process.
 	MemoryBudget int64
 }
 
@@ -211,7 +210,8 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 // context.
 func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 	spec = e.withDefaults(spec)
-	if err := e.validate(spec); err != nil {
+	parsed, err := e.validate(spec)
+	if err != nil {
 		e.metrics.jobsRejected.Inc()
 		return nil, err
 	}
@@ -226,8 +226,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 	// One ingestion path: every model is named by the digest of its bytes
 	// from here on, and the job holds registry slots, never the bytes.
 	keys := modelKeys(&spec)
-	spec, degraded, err := e.admit(spec, keys)
-	if err != nil {
+	if err := e.admit(spec, keys, parsed.precision); err != nil {
 		e.metrics.shed(shedMemoryBudget)
 		return nil, err
 	}
@@ -254,11 +253,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 	j := newJob(id, spec, span)
 	j.metrics = e.metrics
 	j.models = refs
-	if degraded {
-		j.degraded = true
-		e.metrics.jobsDegraded.Inc()
-		span.SetAttrs(trace.Bool("precision_degraded", true))
-	}
+	j.parsed = parsed
 	// Registration and the non-blocking enqueue stay in one critical
 	// section so a queue-full rejection never rolls back another
 	// goroutine's registration.
@@ -359,6 +354,10 @@ func (e *Engine) withDefaults(spec JobSpec) JobSpec {
 		// The paper's 10% budget; tiny graphs never sample empty pools.
 		spec.NumSamples = max(1, e.graph.NumEntities/10)
 	}
+	// Every sampler takes all it can before it reads the rng, so any n_s ≥ |E|
+	// draws the very pools n_s = |E| does: one job, one Framework, and a pool
+	// memo charge bounded by the graph instead of by the client.
+	spec.NumSamples = min(spec.NumSamples, e.graph.NumEntities)
 	if spec.Seed == 0 {
 		spec.Seed = defaultSeed
 	}
@@ -458,48 +457,61 @@ func (e *Engine) referenceModels(spec *JobSpec, keys []modelKey) ([]*modelRef, e
 	return refs, nil
 }
 
-func (e *Engine) validate(spec JobSpec) error {
+// parsedSpec is what validate reads out of a JobSpec's strings; the job
+// keeps it, so nothing after submission parses them again.
+type parsedSpec struct {
+	full      bool          // strategy "full": the exhaustive protocol
+	strategy  core.Strategy // the sampling strategy otherwise
+	precision store.Precision
+}
+
+func (e *Engine) validate(spec JobSpec) (parsedSpec, error) {
+	var p parsedSpec
 	if len(spec.Models) > 0 {
 		if spec.Model.Name != "" || len(spec.Model.Snapshot) > 0 || spec.Model.ModelID != "" {
-			return errors.New("service: set model or models, not both")
+			return p, errors.New("service: set model or models, not both")
 		}
 		for i, ms := range spec.Models {
 			if err := validateModelSpec(ms); err != nil {
-				return fmt.Errorf("service: models[%d]: %w", i, err)
+				return p, fmt.Errorf("service: models[%d]: %w", i, err)
 			}
 		}
 	} else if err := validateModelSpec(spec.Model); err != nil {
-		return fmt.Errorf("service: %w", err)
+		return p, fmt.Errorf("service: %w", err)
 	}
 	if spec.Split != "test" && spec.Split != "valid" {
-		return fmt.Errorf("service: unknown split %q (want test or valid)", spec.Split)
+		return p, fmt.Errorf("service: unknown split %q (want test or valid)", spec.Split)
 	}
-	if spec.Strategy != "full" {
-		if _, err := core.ParseStrategy(spec.Strategy); err != nil {
-			return fmt.Errorf("service: %w (or \"full\")", err)
+	if p.full = spec.Strategy == "full"; !p.full {
+		s, err := core.ParseStrategy(spec.Strategy)
+		if err != nil {
+			return p, fmt.Errorf("service: %w (or \"full\")", err)
 		}
+		p.strategy = s
 		rec, err := recommender.ByName(spec.Recommender, defaultSeed)
 		if err != nil {
-			return err
+			return p, err
 		}
 		// Known now and the same on every attempt: refused here, it never
 		// reaches the retry loop or the breaker.
 		if rec.NeedsTypes() {
 			if err := recommender.RequireTypes(rec.Name(), e.graph); err != nil {
-				return fmt.Errorf("service: %w", err)
+				return p, fmt.Errorf("service: %w", err)
 			}
 		}
 	}
 	if spec.MaxQueries < 0 {
-		return errors.New("service: max_queries must be >= 0")
+		return p, errors.New("service: max_queries must be >= 0")
 	}
 	if spec.TimeoutMS < 0 {
-		return errors.New("service: timeout_ms must be >= 0")
+		return p, errors.New("service: timeout_ms must be >= 0")
 	}
-	if _, err := store.ParsePrecision(spec.Precision); err != nil {
-		return fmt.Errorf("service: %w", err)
+	prec, err := store.ParsePrecision(spec.Precision)
+	if err != nil {
+		return p, fmt.Errorf("service: %w", err)
 	}
-	return nil
+	p.precision = prec
+	return p, nil
 }
 
 // Get returns a job by id.
@@ -729,29 +741,20 @@ func (e *Engine) execute(j *Job) ([]eval.Result, bool, error) {
 	if spec.Split == "valid" {
 		split = e.graph.Valid
 	}
-	// Validated at submission; ParsePrecision maps "" to Float64.
-	prec, err := store.ParsePrecision(spec.Precision)
-	if err != nil {
-		return nil, false, err
-	}
 	opts := eval.Options{
 		Filter:     e.filter,
 		Workers:    e.cfg.EvalWorkers,
 		MaxQueries: spec.MaxQueries,
 		Seed:       spec.Seed,
-		Precision:  prec,
+		Precision:  j.parsed.precision,
 		Ctx:        j.ctx,
 		Progress:   j.setProgress,
 	}
 
-	if spec.Strategy == "full" {
+	if j.parsed.full {
 		return eval.EvaluateMany(models, e.graph, split, eval.NewFullProvider(e.graph.NumEntities), opts), false, nil
 	}
 
-	strategy, err := core.ParseStrategy(spec.Strategy)
-	if err != nil {
-		return nil, false, err
-	}
 	fitStart := time.Now()
 	fw, cacheHit, err := e.fitFramework(j, spec)
 	stages.fit = time.Since(fitStart)
@@ -759,7 +762,7 @@ func (e *Engine) execute(j *Job) ([]eval.Result, bool, error) {
 	if err != nil {
 		return nil, cacheHit, err
 	}
-	return fw.EstimateMany(models, e.graph, split, strategy, opts), cacheHit, nil
+	return fw.EstimateMany(models, e.graph, split, j.parsed.strategy, opts), cacheHit, nil
 }
 
 // CacheKey identifies a fitted Framework on the engine's graph: the

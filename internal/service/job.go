@@ -103,7 +103,8 @@ type JobSpec struct {
 	// default L-WD. Ignored for strategy "full".
 	Recommender string `json:"recommender,omitempty"`
 	// NumSamples is the per-(relation, direction) candidate budget n_s;
-	// 0 means max(1, |E|/10), the paper's 10% budget.
+	// 0 means max(1, |E|/10), the paper's 10% budget, and anything above |E|
+	// means |E|, which is what Status echoes.
 	NumSamples int `json:"num_samples,omitempty"`
 	// MaxQueries bounds the evaluated triples (0 = whole split).
 	MaxQueries int `json:"max_queries,omitempty"`
@@ -111,8 +112,9 @@ type JobSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Precision selects the embedding-store precision candidates are scored
 	// at: "float64" (default), "float32" or "int8" (store.ParsePrecision).
-	// Reduced precisions trade a bounded MRR deviation for smaller stores
-	// and faster scoring.
+	// Reduced precisions score from a converted copy of the entity table,
+	// built next to the float64 weights (so it costs memory, which the
+	// memory budget charges), at a bounded MRR deviation.
 	Precision string `json:"precision,omitempty"`
 	// TimeoutMS is the job's end-to-end deadline in milliseconds, counted
 	// from submission and covering queue wait, framework Fit and
@@ -140,6 +142,8 @@ type Event struct {
 type Job struct {
 	ID   string
 	Spec JobSpec
+	// parsed holds the typed values of Spec's strings, set at submission.
+	parsed parsedSpec
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -169,7 +173,6 @@ type Job struct {
 	// stages is the split of the run outside evaluation, stated once the
 	// worker knows it.
 	stages   jobStages
-	degraded bool // precision lowered by the memory-budget admission gate
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -450,9 +453,6 @@ type Status struct {
 	Recommender string   `json:"recommender,omitempty"`
 	NumSamples  int      `json:"num_samples,omitempty"`
 	Precision   string   `json:"precision,omitempty"`
-	// PrecisionDegraded marks jobs whose precision the memory-budget
-	// admission gate lowered from the float64 default to float32.
-	PrecisionDegraded bool `json:"precision_degraded,omitempty"`
 	// TimeoutMS echoes the job's deadline; 0 = no deadline.
 	TimeoutMS int  `json:"timeout_ms,omitempty"`
 	CacheHit  bool `json:"cache_hit"`
@@ -495,25 +495,24 @@ func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := Status{
-		ID:                j.ID,
-		State:             j.state,
-		Model:             j.Spec.Model.Name,
-		Split:             j.Spec.Split,
-		Strategy:          j.Spec.Strategy,
-		Recommender:       j.Spec.Recommender,
-		NumSamples:        j.Spec.NumSamples,
-		Precision:         j.Spec.Precision,
-		PrecisionDegraded: j.degraded,
-		TimeoutMS:         j.Spec.TimeoutMS,
-		CacheHit:          j.cacheHit,
-		ModelID:           j.Spec.Model.ModelID,
-		ModelCacheHit:     j.stages.modelHit,
-		LoadMS:            float64(j.stages.load) / float64(time.Millisecond),
-		FitMS:             float64(j.stages.fit) / float64(time.Millisecond),
-		Progress:          j.progress,
-		Error:             j.errMsg,
-		CreatedAt:         j.created,
-		TraceID:           j.span.TraceID(),
+		ID:            j.ID,
+		State:         j.state,
+		Model:         j.Spec.Model.Name,
+		Split:         j.Spec.Split,
+		Strategy:      j.Spec.Strategy,
+		Recommender:   j.Spec.Recommender,
+		NumSamples:    j.Spec.NumSamples,
+		Precision:     j.Spec.Precision,
+		TimeoutMS:     j.Spec.TimeoutMS,
+		CacheHit:      j.cacheHit,
+		ModelID:       j.Spec.Model.ModelID,
+		ModelCacheHit: j.stages.modelHit,
+		LoadMS:        float64(j.stages.load) / float64(time.Millisecond),
+		FitMS:         float64(j.stages.fit) / float64(time.Millisecond),
+		Progress:      j.progress,
+		Error:         j.errMsg,
+		CreatedAt:     j.created,
+		TraceID:       j.span.TraceID(),
 	}
 	switch {
 	case !j.started.IsZero():

@@ -24,7 +24,6 @@ type engineMetrics struct {
 	jobsRejected  *obs.Counter
 	jobsDone      map[State]*obs.Counter
 	jobsShed      map[string]*obs.Counter
-	jobsDegraded  *obs.Counter
 	jobsDrained   *obs.Counter
 	fitRetries    *obs.Counter
 	fitFailures   *obs.Counter
@@ -45,8 +44,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		jobsRejected:  reg.Counter("kgeval_jobs_rejected_total", "Jobs rejected at submission (validation failure, queue full, memory budget, draining, engine closed)."),
 		jobsDone:      map[State]*obs.Counter{},
 		jobsShed:      map[string]*obs.Counter{},
-		jobsDegraded: reg.Counter("kgeval_jobs_degraded_total",
-			"Jobs whose precision the memory-budget gate lowered from float64 to float32."),
 		jobsDrained: reg.Counter("kgeval_jobs_drained_total",
 			"Queued jobs canceled with a terminal event by a graceful drain."),
 		fitRetries: reg.Counter("kgeval_fit_retries_total",

@@ -70,16 +70,12 @@ func modelDigest(raw []byte) string {
 // put registers raw under key unless the registry holds key already, taking
 // ownership of raw. A slot charges the capacity len(raw) whether it holds
 // the bytes or the model loaded from them: the float64 weight tables are the
-// same size to within a header. Reduced-precision entity stores a model
-// builds later (at most 5/8 of its entity table) ride uncharged.
+// same size to within a header, and the float64 entity store is a view of
+// them. The float32 and int8 entity stores a model builds on first use are
+// not charged here; every job at those precisions pays for them at
+// admission instead (estimateJobBytes).
 func (r *modelRegistry) put(key modelKey, raw []byte) *modelRef {
 	return r.lru.Reserve(key, int64(len(raw)), registered{raw: raw})
-}
-
-// holds reports whether key's model is resident (loaded or about to be).
-func (r *modelRegistry) holds(key modelKey) bool {
-	_, ok := r.lru.Lookup(key)
-	return ok
 }
 
 // reference returns the slot for key, registering a copy of raw (the inline

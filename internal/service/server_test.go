@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,7 +28,7 @@ var (
 // serviceGraph returns a shared mid-sized graph: big enough that a "full"
 // protocol job runs for tens of milliseconds (so cancellation can land
 // mid-flight), small enough to keep the suite fast.
-func serviceGraph(t *testing.T) *kg.Graph {
+func serviceGraph(t testing.TB) *kg.Graph {
 	t.Helper()
 	testGraphOnce.Do(func() {
 		ds, err := synth.Generate(synth.Config{
@@ -68,8 +69,11 @@ func setVar[T any](t *testing.T, p *T, v T) {
 	t.Cleanup(func() { *p = old })
 }
 
+// newTestServer serves a fresh engine over HTTP for the length of one test,
+// and fails the test if goroutines outlive it (checkNoLeaks).
 func newTestServer(t *testing.T, cfg EngineConfig) (*httptest.Server, *Engine) {
 	t.Helper()
+	checkNoLeaks(t)
 	if cfg.Graph == nil {
 		cfg.Graph = serviceGraph(t)
 	}
@@ -81,6 +85,29 @@ func newTestServer(t *testing.T, cfg EngineConfig) (*httptest.Server, *Engine) {
 	srv := httptest.NewServer(NewServer(engine))
 	t.Cleanup(srv.Close)
 	return srv, engine
+}
+
+// leakSlack is how many goroutines above its starting count a test may
+// leave behind: runtime and net/http helpers come and go on their own.
+const leakSlack = 10
+
+// checkNoLeaks fails t unless, once t's later cleanups have run, the
+// goroutine count falls back to within leakSlack of what it is now. Call it
+// before registering those cleanups (a server's Close, an engine's Close):
+// cleanups run last in, first out, so this one runs after them.
+func checkNoLeaks(t *testing.T) {
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections()
+		deadline := time.Now().Add(10 * time.Second)
+		for n := runtime.NumGoroutine(); n > before+leakSlack; n = runtime.NumGoroutine() {
+			if time.Now().After(deadline) {
+				t.Errorf("goroutines: %d when the test started, %d after it ended", before, n)
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 }
 
 func submitJob(t *testing.T, base string, spec JobSpec) Status {

@@ -9,6 +9,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"kgeval/internal/core"
+	"kgeval/internal/kgc/store"
 )
 
 // chunkReader hands out at most n bytes per Read, so token and escape
@@ -200,5 +203,55 @@ func FuzzSubmitBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte, chunk uint8) {
 		checkAgainstPlainJSON(t, body, int(chunk))
+	})
+}
+
+// FuzzJobSpec drives untrusted bytes through what Submit does to a body
+// before admission: the streaming reader, the defaults and validation. None
+// of it may panic, and every spec validation accepts is one the engine can
+// run: 1 ≤ num_samples ≤ |E|, 0 < dim ≤ maxModelDim for every model, and the
+// strategy and precision parse to the values validate hands the job.
+func FuzzJobSpec(f *testing.F) {
+	for _, s := range []string{
+		`{"model":{"name":"DistMult","dim":8,"seed":6,"snapshot":"QUJD"},"strategy":"P","max_queries":10}`,
+		`{"model":{"name":"DistMult","dim":8,"model_id":"abc"},"num_samples":1152921504606846976}`,
+		`{"models":[{"name":"ComplEx","dim":8192,"model_id":"a"},{"name":"TransE","dim":1,"snapshot":"QUJD"}],"strategy":"full","precision":"int8"}`,
+		`{"model":{"name":"RESCAL","dim":8193,"model_id":"a"},"strategy":"S","recommender":"DBH-T","precision":"f32"}`,
+	} {
+		f.Add([]byte(s))
+	}
+	e, err := NewEngine(EngineConfig{Graph: serviceGraph(f), Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(e.Close)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, release, err := readJobSpec(bytes.NewReader(body), int64(len(body)))
+		defer release()
+		if err != nil {
+			return
+		}
+		spec = e.withDefaults(spec)
+		parsed, err := e.validate(spec)
+		if err != nil {
+			return
+		}
+		if spec.NumSamples < 1 || spec.NumSamples > e.graph.NumEntities {
+			t.Fatalf("accepted num_samples %d outside [1, %d]", spec.NumSamples, e.graph.NumEntities)
+		}
+		for _, ms := range specModels(&spec) {
+			if ms.Dim <= 0 || ms.Dim > maxModelDim {
+				t.Fatalf("accepted %s at dim %d", ms.Name, ms.Dim)
+			}
+		}
+		if prec, err := store.ParsePrecision(spec.Precision); err != nil || prec != parsed.precision {
+			t.Fatalf("accepted precision %q: parses to %v (%v), validate gave %v", spec.Precision, prec, err, parsed.precision)
+		}
+		if parsed.full != (spec.Strategy == "full") {
+			t.Fatalf("strategy %q: validate says full = %v", spec.Strategy, parsed.full)
+		}
+		if s, err := core.ParseStrategy(spec.Strategy); !parsed.full && (err != nil || s != parsed.strategy) {
+			t.Fatalf("accepted strategy %q: parses to %v (%v), validate gave %v", spec.Strategy, s, err, parsed.strategy)
+		}
 	})
 }

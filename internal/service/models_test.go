@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -727,6 +728,35 @@ func TestServerModelSubmissionErrors(t *testing.T) {
 	// Unknown length (chunked): the cap still holds.
 	if resp, out = putModel(t, srv.URL, distMultArgs, io.MultiReader(bytes.NewReader(snap))); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized chunked PUT /v1/models: %s %v, want 413", resp.Status, out)
+	}
+}
+
+// unreadBody is a request body no handler may read.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("the body of a request refused on its Content-Length was read")
+	return 0, io.ErrUnexpectedEOF
+}
+
+// A Content-Length over the cap is a 413 on both body-taking routes before a
+// byte is read, so an oversized job spec is never base64-decoded or hashed.
+func TestServerRefusesDeclaredOversizeOnTheHeader(t *testing.T) {
+	e, err := NewEngine(EngineConfig{Graph: serviceGraph(t), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	h := NewServer(e)
+	for _, target := range []string{"POST /v1/jobs", "PUT /v1/models?" + distMultArgs} {
+		method, url, _ := strings.Cut(target, " ")
+		req := httptest.NewRequest(method, url, unreadBody{t})
+		req.ContentLength = maxSubmitBytes + 1
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s declaring %d bytes: %d %s, want 413", target, req.ContentLength, rec.Code, rec.Body)
+		}
 	}
 }
 

@@ -258,6 +258,17 @@ func writeBodyError(w http.ResponseWriter, what string, err error) {
 	writeError(w, http.StatusBadRequest, fmt.Errorf("%s: %w", what, err))
 }
 
+// refuseDeclaredOversize answers 413 to a request whose Content-Length is
+// over maxSubmitBytes, on the header, before a byte of the body is read, and
+// reports whether it did.
+func refuseDeclaredOversize(w http.ResponseWriter, r *http.Request, what string) bool {
+	if r.ContentLength <= maxSubmitBytes {
+		return false
+	}
+	writeBodyError(w, what, &http.MaxBytesError{Limit: maxSubmitBytes})
+	return true
+}
+
 // uploadArgs reads the constructor arguments of PUT /v1/models from its
 // query string: name and dim are required, seed defaults to 0 as it does in
 // a JobSpec. Anything else is refused, so a misspelt argument cannot file
@@ -290,9 +301,7 @@ func (s *server) handlePutModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if r.ContentLength > maxSubmitBytes {
-		// Refused on the header, before a byte is read.
-		writeBodyError(w, "uploading model", &http.MaxBytesError{Limit: maxSubmitBytes})
+	if refuseDeclaredOversize(w, r, "uploading model") {
 		return
 	}
 	id, n, err := s.engine.PutModel(ms, http.MaxBytesReader(w, r.Body, maxSubmitBytes), r.ContentLength)
@@ -314,6 +323,9 @@ func (s *server) handlePutModel(w http.ResponseWriter, r *http.Request) {
 // hands back a spec whose snapshots are already hashed, so a job over a
 // model the registry holds costs one pass over its body.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	if refuseDeclaredOversize(w, r, "decoding job spec") {
+		return
+	}
 	spec, release, err := readJobSpec(http.MaxBytesReader(w, r.Body, maxSubmitBytes), r.ContentLength)
 	defer release()
 	if err != nil {

@@ -34,6 +34,16 @@ import (
 // exactly when the body is; it only has to be right about which strings to
 // divert when the body is well formed. FuzzSubmitBody holds the whole
 // arrangement to plain encoding/json: same accept/reject, same JobSpec.
+//
+// What a snapshot then costs is its base64 decode and its SHA-256. Where
+// internal/cpu finds AVX2, an assembly kernel (submit_body_amd64.s) decodes
+// 32-character blocks for as long as every character is in the alphabet.
+// The block it stops at — closing quote, escape, line break, padding, a
+// byte base64 rejects — goes to the scalar code (escapes, carried
+// characters, encoding/base64) one short window at a time. The kernel
+// decodes a block to the bytes encoding/base64 would, so every error,
+// escape and padding rule stays with the scalar code; FuzzSnapshotDecode
+// holds the kernel to encoding/base64.
 
 // snapshotPayload is one diverted snapshot string, decoded.
 type snapshotPayload struct {
@@ -64,6 +74,17 @@ const (
 	modeKey             // in an object key (stays, and is inspected)
 	modeSnapshot        // in a diverted snapshot string
 )
+
+// base64Blocks, when not nil, is the vector lane: it decodes the longest run
+// of whole 32-character blocks of alphabet at the start of src into dst and
+// returns the characters consumed. Set once at start-up, where the CPU has
+// the instructions.
+var base64Blocks func(dst, src []byte) int
+
+// scalarWindow bounds how much input the scalar code takes between two calls
+// of the vector lane: one block, less the characters carried, so that a
+// window free of escapes ends on a quantum boundary.
+const scalarWindow = 32
 
 // maxKeyLiteral bounds how much of a key literal is kept for inspection:
 // `"snapshot"` with every character \u-escaped is 50 bytes.
@@ -311,7 +332,8 @@ func (d *bodyDecoder) startSnapshot() {
 // snapshotBytes consumes input inside a diverted string, up to and including
 // its closing quote, returning how much it used. Runs free of quotes and
 // backslashes go to the base64 decoder whole; escapes are taken a byte at a
-// time.
+// time. With the vector lane, each quantum boundary outside an escape goes
+// to it first, and the run is cut to a window.
 func (d *bodyDecoder) snapshotBytes(b []byte) (int, error) {
 	i := 0
 	for i < len(b) {
@@ -323,6 +345,12 @@ func (d *bodyDecoder) snapshotBytes(b []byte) (int, error) {
 			continue
 		}
 		span, stop := b[i:], byte(0)
+		if base64Blocks != nil {
+			if d.ncarry == 0 && !d.padded {
+				i += d.decodeBlocks(b[i:])
+			}
+			span = b[i:min(len(b), i+scalarWindow-d.ncarry)]
+		}
 		if k := bytes.IndexByte(span, '"'); k >= 0 {
 			span, stop = span[:k], '"'
 		}
@@ -418,6 +446,25 @@ func (d *bodyDecoder) feed(p []byte) error {
 	}
 	d.ncarry = copy(d.carry[:], p[whole:])
 	return nil
+}
+
+// decodeBlocks runs the vector lane on string content that starts on a
+// quantum boundary, appends what it decodes to the current payload and its
+// hash, and returns how much of b it consumed. The buffer grows by what the
+// blocks decode to, never for the kernel's overrun: the lane leaves a block
+// whose store would not fit to the scalar code.
+func (d *bodyDecoder) decodeBlocks(b []byte) int {
+	if len(b) < 32 {
+		return 0
+	}
+	buf := slices.Grow(*d.cur.buf, len(b)/32*24)
+	off := len(buf)
+	n := base64Blocks(buf[off:cap(buf)], b)
+	if n > 0 {
+		*d.cur.buf = buf[:off+n/4*3]
+		d.hash.Write(buf[off : off+n/4*3])
+	}
+	return n
 }
 
 // decode appends the decoding of p, a whole number of quanta unless it is

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -69,7 +73,7 @@ func specModelsAll(spec *JobSpec) []*ModelSpec {
 	return out
 }
 
-var submitBodySeeds = []string{
+var submitBodySeeds = append([]string{
 	`{"model":{"name":"ComplEx","dim":16,"seed":3,"snapshot":"S0dFVkFMTTE="},"strategy":"P","max_queries":10}`,
 	`{"models":[{"name":"a","dim":1,"snapshot":"QUJD"},{"name":"b","dim":2,"snapshot":"REVGRw=="}],"seed":7}`,
 	`{"model":{"name":"x","dim":1,"model_id":"abc"}}`,
@@ -147,15 +151,64 @@ var submitBodySeeds = []string{
 	`"snapshot"`,
 	``,
 	strings.Repeat("[", 70) + `{"snapshot":"QUJD"}` + strings.Repeat("]", 70),
+}, stopSeeds()...)
+
+// stopSeeds put everything that stops the vector lane at every offset of a
+// snapshot's third block, after two blocks it decodes: the closing quote,
+// escapes that spell a character or a line break, raw line breaks, padding
+// in mid-string, a byte outside the alphabet and a multi-byte character.
+// The JSON after the string is long enough that the stopping block is whole.
+func stopSeeds() []string {
+	const prefix, suffix = `{"model":{"name":"x","dim":1,"snapshot":"`, `"},"strategy":"P","max_queries":10}`
+	b64 := base64.StdEncoding.EncodeToString(alphabetBytes) // 128 characters
+	var seeds []string
+	for k := 0; k < 32; k++ {
+		head, c, tail := b64[:64+k], b64[64+k:65+k], b64[65+k:]
+		for _, snap := range []string{
+			head,
+			head + `\/` + tail,
+			head + fmt.Sprintf(`\u00%02x`, c[0]) + tail,
+			head + `\n` + c + tail,
+			head + `\r` + c + tail,
+			head + "\n" + c + tail,
+			head + "\r" + c + tail,
+			head + "=" + tail,
+			head + "*" + tail,
+			head + "é" + tail,
+		} {
+			seeds = append(seeds, prefix+snap+suffix)
+		}
+	}
+	return seeds
 }
 
+// alphabetBytes encode to every base64 character, each twice.
+var alphabetBytes = func() []byte {
+	var chars strings.Builder
+	for range 2 {
+		chars.WriteString(b64Alphabet)
+	}
+	out, err := base64.StdEncoding.DecodeString(chars.String())
+	if err != nil {
+		panic(err)
+	}
+	return out
+}()
+
+const b64Alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
 // The seeds are the regression table: they run on every `go test`, each
-// delivered whole and in awkward pieces.
+// delivered whole and in awkward pieces, on every lane the process has.
 func TestSubmitBodyMatchesPlainJSON(t *testing.T) {
-	for _, body := range submitBodySeeds {
-		for _, chunk := range []int{0, 1, 3, 7} {
-			checkAgainstPlainJSON(t, []byte(body), chunk)
-		}
+	for _, l := range lanes() {
+		t.Run(l.name, func(t *testing.T) {
+			useLane(t, l)
+			for _, body := range submitBodySeeds {
+				for _, chunk := range []int{0, 1, 3, 7, 4093} {
+					checkAgainstPlainJSON(t, []byte(body), chunk)
+				}
+			}
+		})
 	}
 }
 
@@ -254,4 +307,158 @@ func FuzzJobSpec(f *testing.F) {
 			t.Fatalf("accepted strategy %q: parses to %v (%v), validate gave %v", spec.Strategy, s, err, parsed.strategy)
 		}
 	})
+}
+
+// lane is one way of decoding snapshot strings: the scalar code alone (nil
+// blocks), or with a vector lane in front of it.
+type lane struct {
+	name   string
+	blocks func(dst, src []byte) int
+}
+
+// lanes lists the lanes this process can run.
+func lanes() []lane {
+	out := []lane{{"go", nil}}
+	if base64Blocks != nil {
+		out = append(out, lane{"avx2", base64Blocks})
+	}
+	return out
+}
+
+// useLane makes readJobSpec decode on l until the test ends.
+func useLane(tb testing.TB, l lane) {
+	old := base64Blocks
+	base64Blocks = l.blocks
+	tb.Cleanup(func() { base64Blocks = old })
+}
+
+// checkVectorBlocks holds the vector lane, through its guard, to
+// encoding/base64 on one input, with dst short of what src could fill by
+// short bytes: it consumes whole blocks, decodes them to the bytes
+// encoding/base64 gives the same characters, stops at a block holding a byte
+// outside the alphabet or where src or dst runs out, and writes nothing past
+// the 8 bytes its last store spills.
+func checkVectorBlocks(t *testing.T, vec func(dst, src []byte) int, src []byte, short int) {
+	t.Helper()
+	room := max(len(src)/32*24+8-short, 0)
+	mem := bytes.Repeat([]byte{0xa5}, room+64)
+	n := vec(mem[:room:room], src)
+	if n < 0 || n%32 != 0 || n > len(src) {
+		t.Fatalf("%q: consumed %d characters, not whole blocks of the %d there are", src, n, len(src))
+	}
+	want, err := base64.StdEncoding.DecodeString(string(src[:n]))
+	if err != nil || !bytes.Equal(mem[:len(want)], want) {
+		t.Fatalf("%q: decoded %x from %d characters, encoding/base64 %x (%v)", src, mem[:n/4*3], n, want, err)
+	}
+	spill := 0
+	if n > 0 {
+		spill = 8
+	}
+	if i := slices.IndexFunc(mem[n/4*3+spill:], func(c byte) bool { return c != 0xa5 }); i >= 0 {
+		t.Fatalf("%q: wrote byte %d of dst, %d bytes past the %d it decoded", src, n/4*3+spill+i, spill+i, n/4*3)
+	}
+	next := src[n:min(n+32, len(src))]
+	fits := (n/32+1)*24+8 <= room
+	if len(next) == 32 && fits && !bytes.ContainsFunc(next, func(r rune) bool { return !strings.ContainsRune(b64Alphabet, r) }) {
+		t.Fatalf("%q: stopped after %d characters, before a block of alphabet %q", src, n, next)
+	}
+}
+
+// Every byte value at every offset of a block: the lane decodes the block
+// exactly when the byte is in the alphabet. And a dst a byte or more short
+// of a block's store ends the run before that block.
+func TestVectorLaneEveryByte(t *testing.T) {
+	vec := base64Blocks
+	if vec == nil {
+		t.Skip("no vector lane in this build or on this CPU")
+	}
+	src := []byte(base64.StdEncoding.EncodeToString(alphabetBytes))
+	for c := 0; c < 256; c++ {
+		for off := 0; off < 32; off++ {
+			mod := slices.Clone(src)
+			mod[32+off] = byte(c)
+			checkVectorBlocks(t, vec, mod, 0)
+		}
+	}
+	for short := 0; short <= 2*24+8; short++ {
+		checkVectorBlocks(t, vec, src, short)
+	}
+}
+
+// FuzzSnapshotDecode is the differential gate on the vector lane:
+// checkVectorBlocks on any input and any shortfall of dst.
+func FuzzSnapshotDecode(f *testing.F) {
+	vec := base64Blocks
+	if vec == nil {
+		f.Skip("no vector lane in this build or on this CPU")
+	}
+	for _, s := range stopSeeds() {
+		f.Add([]byte(s), uint8(0))
+		f.Add([]byte(s[len(`{"model":{"name":"x","dim":1,"snapshot":"`):]), uint8(9))
+	}
+	f.Fuzz(func(t *testing.T, src []byte, short uint8) {
+		checkVectorBlocks(t, vec, src, int(short))
+	})
+}
+
+// kgebenchSnapshot is the snapshot size of kgebench's service_small_jobs,
+// which posts it inline in an 8.25 MB body.
+const kgebenchSnapshot = 6_190_000
+
+// bigSpecBody is a job body around n random snapshot bytes.
+func bigSpecBody(n int) (body, raw []byte) {
+	raw = make([]byte, n)
+	rand.New(rand.NewSource(1)).Read(raw)
+	body = fmt.Appendf(nil, `{"model":{"name":"DistMult","dim":64,"seed":1,"snapshot":"%s"},"strategy":"P","max_queries":16}`,
+		base64.StdEncoding.EncodeToString(raw))
+	return body, raw
+}
+
+// A warm readJobSpec of a kgebench-sized body reuses the pooled decoder and
+// snapshot buffer on every lane: it allocates the spec, not the payload. On
+// the vector lane each store writes 8 bytes past the 24 it decodes; that
+// must never make the buffer regrow.
+func TestReadJobSpecWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of what it is given under the race detector")
+	}
+	body, raw := bigSpecBody(kgebenchSnapshot)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
+	for _, l := range lanes() {
+		useLane(t, l)
+		read := func() {
+			spec, release, err := readJobSpec(bytes.NewReader(body), int64(len(body)))
+			if err != nil || !bytes.Equal(spec.Model.Snapshot, raw) {
+				t.Fatalf("%s: the body did not decode to its snapshot (%v)", l.name, err)
+			}
+			release()
+		}
+		read()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		read()
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%s: a warm read of a %d-byte body allocated %d bytes", l.name, len(body), got)
+		}
+	}
+}
+
+// BenchmarkReadJobSpec reads a kgebench-sized job body on each lane; MB/s
+// counts body bytes.
+func BenchmarkReadJobSpec(b *testing.B) {
+	body, _ := bigSpecBody(kgebenchSnapshot)
+	for _, l := range lanes() {
+		b.Run(l.name, func(b *testing.B) {
+			useLane(b, l)
+			b.SetBytes(int64(len(body)))
+			for b.Loop() {
+				_, release, err := readJobSpec(bytes.NewReader(body), int64(len(body)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				release()
+			}
+		})
+	}
 }

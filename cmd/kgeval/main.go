@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"kgeval/internal/core"
@@ -27,7 +28,7 @@ func main() {
 	log.SetPrefix("kgeval: ")
 	var (
 		dataset = flag.String("dataset", "codexs-sim", "synthetic dataset preset")
-		model   = flag.String("model", "ComplEx", "KGC model (TransE, DistMult, ComplEx, RESCAL, RotatE, TuckER, ConvE)")
+		model   = flag.String("model", "ComplEx", "KGC model ("+strings.Join(kgc.ModelNames(), ", ")+")")
 		dim     = flag.Int("dim", 0, "embedding dimension (0 = model default)")
 		epochs  = flag.Int("epochs", 10, "training epochs")
 		rec     = flag.String("rec", "L-WD", "relation recommender (PT, DBH, DBH-T, OntoSim, PIE, L-WD, L-WD-T)")

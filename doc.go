@@ -46,8 +46,9 @@
 //	                      sites fire seeded error/panic/stall faults; unarmed
 //	                      sites cost one atomic load
 //	internal/kgc          TransE/DistMult/ComplEx/RESCAL/RotatE/TuckER/ConvE;
-//	                      the embedding models implement BatchScorer, scoring
-//	                      a block of up to 64 directed queries that share a
+//	                      each writes its query once, and NewBatchScorer's
+//	                      lane and its ScoreTails/ScoreHeads both run it. The
+//	                      lane scores a block of up to 64 directed queries that share a
 //	                      pool against L1-sized tiles of candidates filled
 //	                      from the entity store one tile at a time — one kernel per model at every
 //	                      precision, never a pool-sized candidate block. Two

@@ -130,11 +130,14 @@ type Options struct {
 	// Precision selects the embedding-store precision the executor reads
 	// candidate (and answer) entities at. The zero value, Float64, is
 	// the bit-exact reference and reads candidate rows from the weight table
-	// itself; Float32 and Int8 trade a bounded metric deviation (< 1e-3 MRR
-	// on this repo's equivalence gate) for 2×/4× smaller entity stores,
-	// dequantized one kernel tile at a time into the same kernels. Ignored
-	// for plain third-party Models (no native batch lane), which always score
-	// at float64 through their own methods.
+	// itself; Float32 and Int8 read a reduced copy of the entity table built
+	// beside the float64 weights, which stay because query building reads
+	// them (store.CopyBytes is the copy's size). So they cost memory rather
+	// than save it; what they buy, for a bounded metric deviation (< 1e-3 MRR
+	// on this repo's equivalence gate), is 2×/4× fewer candidate bytes read
+	// per pass, dequantized one kernel tile at a time into the same kernels.
+	// Ignored for plain third-party Models (no native batch lane), which
+	// always score at float64 through their own methods.
 	Precision store.Precision
 	// Ctx, when non-nil, allows cancelling an evaluation mid-pass, between
 	// two strips. On cancellation Evaluate returns early with metrics over

@@ -10,23 +10,37 @@ import (
 )
 
 // int8Oracle is the per-query view of the Int8 lane: a plain Model (no batch
-// contract visible) whose three methods read candidates and answers from
-// the model's Int8 store one row at a time. The naive oracle scores through
-// it, so the reference side shares nothing with the batch executor but the
-// store — no relation chunks, no multi-row tiles, no four-row kernel path.
-// The scorer behind it is pinned bit for bit against store.Gather plus plain
-// loops by kgc's TestTileLaneMatchesGatherOracle.
-type int8Oracle struct{ bs kgc.BatchScorer }
-
-func newInt8Oracle(m kgc.Model) int8Oracle {
-	return int8Oracle{kgc.NewBatchScorer(m, kgc.BatchOptions{Precision: store.Int8, Tile: 1})}
+// contract visible) whose three methods are one-query blocks of a scorer
+// with one-row tiles, reading candidates and answers from the model's Int8
+// store one row at a time. The naive oracle scores through it, so the
+// reference side shares nothing with the batch executor but the store — no
+// relation chunks, no multi-row tiles, no four-row kernel path. The scorer
+// behind it is pinned bit for bit against store.Gather plus plain loops by
+// kgc's TestTileLaneMatchesGatherOracle.
+type int8Oracle struct {
+	kgc.Model
+	bs kgc.BatchScorer
 }
 
-func (o int8Oracle) Name() string                                  { return o.bs.Name() }
-func (o int8Oracle) Dim() int                                      { return o.bs.Dim() }
-func (o int8Oracle) ScoreTriple(h, r, t int32) float64             { return o.bs.ScoreTriple(h, r, t) }
-func (o int8Oracle) ScoreTails(h, r int32, c []int32, s []float64) { o.bs.ScoreTails(h, r, c, s) }
-func (o int8Oracle) ScoreHeads(r, t int32, c []int32, s []float64) { o.bs.ScoreHeads(r, t, c, s) }
+func newInt8Oracle(m kgc.Model) int8Oracle {
+	return int8Oracle{m, kgc.NewBatchScorer(m, kgc.BatchOptions{Precision: store.Int8, Tile: 1})}
+}
+
+// ScoreTriple is the tail query's answer: at Int8, read off the query the
+// block holds, from the store.
+func (o int8Oracle) ScoreTriple(h, r, t int32) float64 {
+	o.bs.BeginBlock(1)
+	o.bs.AddTails([]int32{h}, r)
+	return o.bs.ScoreAnswer(0, t)
+}
+
+func (o int8Oracle) ScoreTails(h, r int32, c []int32, s []float64) {
+	o.bs.ScoreTailsBatch([]int32{h}, r, c, s)
+}
+
+func (o int8Oracle) ScoreHeads(r, t int32, c []int32, s []float64) {
+	o.bs.ScoreHeadsBatch([]int32{t}, r, c, s)
+}
 
 // Int8 is an execution precision, not a different protocol: for every model
 // and every sampling strategy the batch executor's Int8 metrics must equal

@@ -2,20 +2,20 @@ package kgc
 
 import "math"
 
-// BatchScorer is an optional Model capability for block-wise evaluation: it
-// scores many directed queries that share one candidate pool. A block is
-// built once — BeginBlock, then AddTails/AddHeads relation by relation, in
-// the order the scores are wanted — and scored against any number of
-// candidate slices (a large pool in strips: the score buffer is block ×
-// strip), each walked in small tiles of rows that every query meets while hot.
+// BatchScorer is a model's block-wise evaluation lane: it scores many
+// directed queries that share one candidate pool. A block is built once —
+// BeginBlock, then AddTails/AddHeads relation by relation, in the order the
+// scores are wanted — and scored against any number of candidate slices (a
+// large pool in strips: the score buffer is block × strip), each walked in
+// small tiles of rows that every query meets while hot. It is not a Model:
+// per-query scoring belongs to the model, which NewBatchScorer wraps.
 //
-// Batch scoring is an execution strategy, not a different protocol: for any
-// model, a block's scores must be bit-identical to the equivalent sequence of
-// ScoreTails/ScoreHeads calls. The evaluation engine ranks raw float scores
-// by equality, and its test oracle scores through the per-query methods,
-// which may be called between the block calls without disturbing the block.
+// Batch scoring is an execution strategy, not a different protocol: at
+// float64, a block's scores must be bit-identical to the model's own
+// ScoreTails/ScoreHeads for the same queries. The evaluation engine ranks raw
+// float scores by equality; its test oracle scores through the model's
+// per-query methods.
 type BatchScorer interface {
-	Model
 	// BeginBlock empties the block and reserves room for n queries.
 	BeginBlock(n int)
 	// AddTails appends the queries (hs[i], r, ?) to the block.
@@ -26,9 +26,11 @@ type BatchScorer interface {
 	// into out[i*len(cands)+j]. len(out) must be block queries × len(cands).
 	ScoreBlock(cands []int32, out []float64)
 	// ScoreAnswer is the score of the block's i-th query against entity e,
-	// read off the query the block holds: bit for bit what ScoreTriple (tail
-	// query) or ScoreHeads over the one id e (head query) returns on this
-	// scorer after building the query again. It leaves the block as it was.
+	// its true answer, read off the query the block holds. At float64 it is
+	// bit for bit the model's ScoreTriple (tail query) or its ScoreHeads over
+	// the one id e (head query); at reduced precision e's row comes from the
+	// store the candidates' do, so it is what ScoreBlock writes for e. It
+	// leaves the block as it was.
 	ScoreAnswer(i int, e int32) float64
 	// ScoreTailsBatch is a block of tail queries in one call: the score of
 	// (hs[i], r, cands[j]) goes into out[i*len(cands)+j].
@@ -170,7 +172,7 @@ func scoreDotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 
 // scoreL1Tile computes out[i*nc+j] = -Σ_k |qs[i][k] - cand_j[k]| (TransE).
 // math.Abs is sign-symmetric, so one kernel serves both directions even
-// though the per-query code writes q-c for tails and c-q for heads.
+// though a head query's score is ‖c − q‖₁, the difference the other way.
 //
 // In Go this kernel is at its floor; do not retry the following. math.Abs
 // is not an intrinsic on amd64 — the sign mask is applied through an

@@ -80,8 +80,9 @@ func TestNewBatchScorerDispatch(t *testing.T) {
 	if _, ok := bs.(*batchAdapter); !ok {
 		t.Fatalf("plain Model: NewBatchScorer = %T, want batchAdapter", bs)
 	}
-	// Idempotent: an existing BatchScorer must not be re-wrapped.
-	if again := NewBatchScorer(bs, BatchOptions{}); again != bs {
+	// Idempotent: a model that is already a BatchScorer, as the adapter is,
+	// must not be re-wrapped.
+	if again := NewBatchScorer(bs.(Model), BatchOptions{}); again != bs {
 		t.Error("NewBatchScorer re-wrapped an existing BatchScorer")
 	}
 	qs, cands := []int32{4, 0, 9}, []int32{7, 1, 1, 30, 2}
@@ -134,11 +135,12 @@ func TestBatchScoringEmpty(t *testing.T) {
 }
 
 // A query's true answer is scored from the vector the block already holds.
-// On the same scorer that must be, bit for bit, what ScoreTriple returns for
-// a tail query and ScoreHeads over the one id for a head query — at every
-// precision, whether the block holds one relation or several in both
-// directions, and with per-query calls (which build past the block's end)
-// made between the Adds and the answers.
+// That must be, bit for bit, what a one-query block of the same query writes
+// for the answer on a scorer with the same options (or, for a tail query
+// whose answer the scorer leaves to the model, the model's ScoreTriple), and
+// at float64 what the model's ScoreTriple (tail) or ScoreHeads over the one
+// id (head) returns — at every precision, whether the block holds one
+// relation or several in both directions, and without disturbing the block.
 func TestScoreAnswerMatchesPerQueryBits(t *testing.T) {
 	g := trainGraph(t)
 	rng := rand.New(rand.NewSource(5))
@@ -160,7 +162,7 @@ func TestScoreAnswerMatchesPerQueryBits(t *testing.T) {
 		"mixed": {{ents(5), 0, true}, {ents(5), 0, false}, {ents(1), 3, false},
 			{ents(7), 2, true}, {ents(3), 0, true}},
 	}
-	cands, scores := ents(11), make([]float64, 11)
+	cands := ents(11)
 	one := make([]float64, 1)
 	for _, name := range ModelNames() {
 		m, err := New(name, g, 20, 9)
@@ -169,6 +171,7 @@ func TestScoreAnswerMatchesPerQueryBits(t *testing.T) {
 		}
 		for _, prec := range []store.Precision{store.Float64, store.Float32, store.Int8} {
 			bs := NewBatchScorer(m, BatchOptions{Precision: prec})
+			ref := NewBatchScorer(m, BatchOptions{Precision: prec})
 			for label, parts := range blocks {
 				nq := 0
 				for _, p := range parts {
@@ -183,20 +186,28 @@ func TestScoreAnswerMatchesPerQueryBits(t *testing.T) {
 						bs.AddHeads(p.es, p.r)
 					}
 					flat = addQueries(flat, p.es, p.r, p.tail)
-					bs.ScoreTails(p.es[0], p.r, cands, scores) // leaves the block alone
 				}
 				block := make([]float64, nq*len(cands))
 				bs.ScoreBlock(cands, block)
 				for i, q := range flat {
 					e := cands[i%len(cands)]
 					got := bs.ScoreAnswer(i, e)
-					bs.ScoreHeads(q.r, e, cands, scores)
-					var want float64
+					var want, own float64
 					if q.tail {
-						want = bs.ScoreTriple(q.e, q.r, e)
+						ref.ScoreTailsBatch([]int32{q.e}, q.r, []int32{e}, one)
+						want, own = one[0], m.ScoreTriple(q.e, q.r, e)
+						if !bs.(*storeScorer).routeTriple() {
+							want = own
+						}
 					} else {
-						bs.ScoreHeads(q.r, q.e, []int32{e}, one)
+						ref.ScoreHeadsBatch([]int32{q.e}, q.r, []int32{e}, one)
 						want = one[0]
+						m.ScoreHeads(q.r, q.e, []int32{e}, one)
+						own = one[0]
+					}
+					if prec == store.Float64 && math.Float64bits(got) != math.Float64bits(own) {
+						t.Fatalf("%s/%s: ScoreAnswer(%d, %d) = %v, the model's own per-query score (tail=%v) %v",
+							name, label, i, e, got, q.tail, own)
 					}
 					if again := bs.ScoreAnswer(i, e); math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(again) != math.Float64bits(want) {
 						t.Fatalf("%s/%s/%s: ScoreAnswer(%d, %d) = %v, then %v; per-query (tail=%v) = %v",

@@ -42,32 +42,12 @@ func (m *DistMult) ScoreTriple(h, r, t int32) float64 {
 	return s
 }
 
-// ScoreTails scores all candidate tails after precomputing h∘r.
-func (m *DistMult) ScoreTails(h, r int32, cands []int32, out []float64) {
-	hv, rv := m.ent.vec(h), m.rel.vec(r)
-	q := make([]float64, m.dim)
-	for i := range q {
-		q[i] = hv[i] * rv[i]
-	}
-	for c, cand := range cands {
-		out[c] = dot(q, m.ent.vec(cand))
-	}
-}
+func (m *DistMult) ScoreTails(h, r int32, c []int32, o []float64) { scoreQuery(m, h, r, true, c, o) }
+func (m *DistMult) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, t, r, false, c, o) }
 
-// ScoreHeads scores all candidate heads after precomputing r∘t.
-func (m *DistMult) ScoreHeads(r, t int32, cands []int32, out []float64) {
-	rv, tv := m.rel.vec(r), m.ent.vec(t)
-	q := make([]float64, m.dim)
-	for i := range q {
-		q[i] = rv[i] * tv[i]
-	}
-	for c, cand := range cands {
-		out[c] = dot(q, m.ent.vec(cand))
-	}
-}
-
-// Universal batch-lane contract (see scoring.go): tail queries are h∘r,
-// head queries r∘t, scored by the dot kernel.
+// Universal batch-lane contract (see scoring.go), which ScoreTails and
+// ScoreHeads run too: tail queries are h∘r, head queries r∘t, scored by the
+// dot kernel.
 
 func (m *DistMult) entityTable() *table      { return m.ent }
 func (m *DistMult) entityStores() *entStores { return &m.stores }
@@ -174,34 +154,13 @@ func (m *ComplEx) queryTail(hv, rv []float64, q []float64) {
 	}
 }
 
-// ScoreTails scores all candidate tails.
-func (m *ComplEx) ScoreTails(h, r int32, cands []int32, out []float64) {
-	q := make([]float64, m.dim)
-	m.queryTail(m.ent.vec(h), m.rel.vec(r), q)
-	for c, cand := range cands {
-		out[c] = dot(q, m.ent.vec(cand))
-	}
-}
+func (m *ComplEx) ScoreTails(h, r int32, c []int32, o []float64) { scoreQuery(m, h, r, true, c, o) }
+func (m *ComplEx) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, t, r, false, c, o) }
 
-// ScoreHeads scores all candidate heads: score = Σ q_re·h_re + q_im·h_im
+// Universal batch-lane contract (see scoring.go), which ScoreTails and
+// ScoreHeads run too: complex-product queries in [re..., im...] layout,
+// scored by the dot kernel. A head query is score = Σ q_re·h_re + q_im·h_im
 // with q_re = r_re·t_re + r_im·t_im, q_im = r_re·t_im − r_im·t_re.
-func (m *ComplEx) ScoreHeads(r, t int32, cands []int32, out []float64) {
-	rv, tv := m.rel.vec(r), m.ent.vec(t)
-	d := m.half
-	q := make([]float64, m.dim)
-	for i := 0; i < d; i++ {
-		rr, ri := rv[i], rv[d+i]
-		tr, ti := tv[i], tv[d+i]
-		q[i] = rr*tr + ri*ti
-		q[d+i] = rr*ti - ri*tr
-	}
-	for c, cand := range cands {
-		out[c] = dot(q, m.ent.vec(cand))
-	}
-}
-
-// Universal batch-lane contract (see scoring.go): complex-product queries
-// in [re..., im...] layout, scored by the dot kernel.
 
 func (m *ComplEx) entityTable() *table      { return m.ent }
 func (m *ComplEx) entityStores() *entStores { return &m.stores }
@@ -295,40 +254,12 @@ func (m *RESCAL) ScoreTriple(h, r, t int32) float64 {
 	return s
 }
 
-// ScoreTails precomputes q = hᵀW_r then dots with each candidate.
-func (m *RESCAL) ScoreTails(h, r int32, cands []int32, out []float64) {
-	hv := m.ent.vec(h)
-	w := m.rel.vec(r)
-	d := m.dim
-	q := make([]float64, d)
-	for i := 0; i < d; i++ {
-		hi := hv[i]
-		row := w[i*d : i*d+d]
-		for j := 0; j < d; j++ {
-			q[j] += hi * row[j]
-		}
-	}
-	for c, cand := range cands {
-		out[c] = dot(q, m.ent.vec(cand))
-	}
-}
+func (m *RESCAL) ScoreTails(h, r int32, c []int32, o []float64) { scoreQuery(m, h, r, true, c, o) }
+func (m *RESCAL) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, t, r, false, c, o) }
 
-// ScoreHeads precomputes q = W_r·t then dots with each candidate.
-func (m *RESCAL) ScoreHeads(r, t int32, cands []int32, out []float64) {
-	tv := m.ent.vec(t)
-	w := m.rel.vec(r)
-	d := m.dim
-	q := make([]float64, d)
-	for i := 0; i < d; i++ {
-		q[i] = dot(w[i*d:i*d+d], tv)
-	}
-	for c, cand := range cands {
-		out[c] = dot(q, m.ent.vec(cand))
-	}
-}
-
-// Universal batch-lane contract (see scoring.go): tail queries are hᵀW_r,
-// head queries W_r·t, scored by the dot kernel.
+// Universal batch-lane contract (see scoring.go), which ScoreTails and
+// ScoreHeads run too: tail queries are hᵀW_r, head queries W_r·t, scored by
+// the dot kernel.
 
 func (m *RESCAL) entityTable() *table      { return m.ent }
 func (m *RESCAL) entityStores() *entStores { return &m.stores }

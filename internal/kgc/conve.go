@@ -206,24 +206,15 @@ func (m *ConvE) ScoreTriple(h, r, t int32) float64 {
 	return dot(f, m.ent.vec(t)) + m.entBias.vec(t)[0]
 }
 
-// ScoreTails computes f(h, r) once and dots it with every candidate.
-func (m *ConvE) ScoreTails(h, r int32, cands []int32, out []float64) {
-	f := m.forward(h, r, nil, nil, nil)
-	for c, cand := range cands {
-		out[c] = dot(f, m.ent.vec(cand)) + m.entBias.vec(cand)[0]
-	}
-}
+func (m *ConvE) ScoreTails(h, r int32, c []int32, o []float64) { scoreQuery(m, h, r, true, c, o) }
+func (m *ConvE) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, t, r, false, c, o) }
 
-// ScoreHeads answers head queries through the reciprocal relation.
-func (m *ConvE) ScoreHeads(r, t int32, cands []int32, out []float64) {
-	m.ScoreTails(t, r+int32(m.nrel), cands, out)
-}
-
-// Universal batch-lane contract (see scoring.go). The query vector is
-// f(h, r) itself, so candidate scoring is the dot kernel plus the
-// per-entity bias. singleViaBatch is on: the model's own per-query methods
-// allocate a fresh conv/FC stack per call, while the routed path reuses
-// scorer scratch.
+// Universal batch-lane contract (see scoring.go), which ScoreTails and
+// ScoreHeads run too. The query vector is f(h, r) itself, so candidate
+// scoring is the dot kernel plus the per-entity bias; head queries go
+// through the reciprocal relation. singleViaBatch is on: ScoreTriple
+// allocates a fresh conv/FC stack per call, while the block already holds
+// the query.
 
 func (m *ConvE) entityTable() *table      { return m.ent }
 func (m *ConvE) entityStores() *entStores { return &m.stores }
@@ -317,8 +308,8 @@ func (m *ConvE) buildTailQueries(hs []int32, r int32, qs []float64, sc *scratch)
 	}
 }
 
-// buildHeadQueries answers head queries through the reciprocal relation,
-// exactly like ScoreHeads.
+// buildHeadQueries answers head queries through the reciprocal relation:
+// (?, r, t) is the tail query (t, r+|R|, ?).
 func (m *ConvE) buildHeadQueries(ts []int32, r int32, qs []float64, sc *scratch) {
 	m.buildTailQueries(ts, r+int32(m.nrel), qs, sc)
 }

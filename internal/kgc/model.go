@@ -5,9 +5,16 @@
 // PyTorch models used in the original study.
 //
 // The evaluation framework (internal/eval) is model-agnostic and consumes
-// only the Model interface; training exists so that experiments can measure
-// how the estimated metrics track the true filtered metrics *during*
-// training, as the paper does over 100 epochs.
+// only the Model interface, through the BatchScorer NewBatchScorer makes of
+// it; training exists so that experiments can measure how the estimated
+// metrics track the true filtered metrics *during* training, as the paper
+// does over 100 epochs.
+//
+// Each built-in model writes its queries once, as the query builders of the
+// batch lane's native contract (batchNative): a block of queries and the
+// per-query ScoreTails/ScoreHeads run the same builder and the same tile
+// kernel arithmetic, so their scores agree bit for bit by construction.
+// ScoreTriple and the training gradient keep their closed forms.
 package kgc
 
 import (
@@ -19,11 +26,13 @@ import (
 )
 
 // Model scores candidate triples; higher scores mean more plausible.
-// Implementations are safe for concurrent use after training completes.
+// Implementations are safe for concurrent use after training completes: one
+// loaded model may serve every goroutine that evaluates it.
 //
-// Models may additionally implement BatchScorer to score a block of queries
-// — any relations, either direction — against the candidate pool they share;
-// the embedding models here all do. NewBatchScorer adapts any plain Model.
+// A block of queries — any relations, either direction — is scored against
+// the candidate pool it shares through NewBatchScorer, which gives the
+// built-in models a store-backed lane over their own query builders and any
+// other Model an adapter over these three methods.
 type Model interface {
 	// Name identifies the model in tables ("TransE", "ComplEx", ...).
 	Name() string

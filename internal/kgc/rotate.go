@@ -67,46 +67,14 @@ func (m *RotatE) ScoreTriple(h, r, t int32) float64 {
 	return -s
 }
 
-// ScoreTails scores all candidate tails after rotating h once.
-func (m *RotatE) ScoreTails(h, r int32, cands []int32, out []float64) {
-	d := m.half
-	qre := make([]float64, d)
-	qim := make([]float64, d)
-	m.rotated(m.ent.vec(h), m.rel.vec(r), 1, qre, qim)
-	for c, cand := range cands {
-		tv := m.ent.vec(cand)
-		s := 0.0
-		for i := 0; i < d; i++ {
-			dre, dim := qre[i]-tv[i], qim[i]-tv[d+i]
-			s += cmod(dre, dim)
-		}
-		out[c] = -s
-	}
-}
+func (m *RotatE) ScoreTails(h, r int32, c []int32, o []float64) { scoreQuery(m, h, r, true, c, o) }
+func (m *RotatE) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, t, r, false, c, o) }
 
-// ScoreHeads scores all candidate heads using the inverse rotation:
-// |h∘r − t| = |h − t∘r⁻¹|.
-func (m *RotatE) ScoreHeads(r, t int32, cands []int32, out []float64) {
-	d := m.half
-	qre := make([]float64, d)
-	qim := make([]float64, d)
-	m.rotated(m.ent.vec(t), m.rel.vec(r), -1, qre, qim)
-	for c, cand := range cands {
-		hv := m.ent.vec(cand)
-		s := 0.0
-		for i := 0; i < d; i++ {
-			dre, dim := hv[i]-qre[i], hv[d+i]-qim[i]
-			s += cmod(dre, dim)
-		}
-		out[c] = -s
-	}
-}
-
-// Universal batch-lane contract (see scoring.go): tail queries rotate h by
-// r's phases, head queries rotate t by the inverse phases (|h∘r − t| =
-// |h − t∘r⁻¹|), scored by the complex-modulus kernel. singleViaBatch is on:
-// the model's own per-query methods allocate the rotated query per call,
-// while the routed path builds it in scorer scratch.
+// Universal batch-lane contract (see scoring.go), which ScoreTails and
+// ScoreHeads run too: tail queries rotate h by r's phases, head queries
+// rotate t by the inverse phases (|h∘r − t| = |h − t∘r⁻¹|), scored by the
+// complex-modulus kernel. singleViaBatch is on: ScoreTriple allocates the
+// rotated query per call, while the block already holds it.
 
 func (m *RotatE) entityTable() *table      { return m.ent }
 func (m *RotatE) entityStores() *entStores { return &m.stores }

@@ -13,21 +13,25 @@ type BatchOptions struct {
 	// precisions, answer-side) embeddings are read at. Float64 is the
 	// bit-exact reference, read from the live weight table (in place by the
 	// Go kernels where the ids are consecutive, transposed a tile at a time
-	// for the vector kernels); Float32 and Int8 trade a bounded score error
-	// for a smaller table, dequantized one kernel tile at a time. The kernel
-	// is the same at every precision. Ignored for models without a native
-	// batch lane, which always score at float64.
+	// for the vector kernels). Float32 and Int8 read a copy of the entity
+	// table built beside the float64 weights, which stay (query building
+	// reads them; store.CopyBytes is its size): they save no memory, they
+	// trade a bounded score error for fewer bytes read per pass, dequantized
+	// one kernel tile at a time. The kernel is the same at every precision.
+	// Ignored for models without a native batch lane, which always score at
+	// float64.
 	Precision store.Precision
 	// Tile is the kernel candidate-tile size; 0, what every caller but a
 	// tile sweep passes, sizes it from the model's dim (TileFor).
 	Tile int
 }
 
-// batchNative is the per-model contract behind the universal batch lane.
-// A model implements it by exposing its entity table, two query-builder
-// hooks and its tile micro-kernel; the tile walk and row access live in
-// storeScorer, so every model shares one batch execution path instead of
-// reimplementing it.
+// batchNative is the per-model contract behind the universal batch lane and
+// the built-in models' per-query methods. A model implements it by exposing
+// its entity table, two query-builder hooks and its tile micro-kernel; the
+// tile walk and row access live in storeScorer, and a single query's
+// candidate loop in scoreQuery, so a model writes its query once and every
+// path that scores it runs that code.
 type batchNative interface {
 	Model
 	entityTable() *table
@@ -50,15 +54,38 @@ type batchNative interface {
 	// tileKind names the kernel tileKernel runs, which is how the scorer
 	// finds its vector twin.
 	tileKind() tileKind
-	// singleViaBatch reports whether the scorer's ScoreTriple should route
-	// through buildTailQueries+tileKernel even at float64, as its
-	// ScoreTails/ScoreHeads always do. Models whose own ScoreTriple
+	// singleViaBatch reports whether ScoreAnswer scores a tail query's answer
+	// from the query vector the block holds even at float64, instead of
+	// calling the model's ScoreTriple. Models whose own ScoreTriple
 	// recomputes expensive per-relation state (TuckER's core contraction,
 	// ConvE's conv+FC stack) or allocates per call (RotatE's rotated query)
-	// opt in; the scorer's scratch then carries that state across the calls
-	// made for one relation of a block. Opting in requires the model's ScoreTriple to be
-	// bit-identical to its ScoreTails over the one candidate.
+	// opt in. Opting in requires the model's ScoreTriple to be bit-identical
+	// to its ScoreTails over the one candidate.
 	singleViaBatch() bool
+}
+
+// scoreQuery is every built-in model's ScoreTails (tail: the query (e, r, ?))
+// and ScoreHeads (the query (?, r, e)): the model's own query builder and
+// tile kernel, so a per-query score is the batch lane's arithmetic by
+// construction. The query is built in a fresh scratch — a model is shared
+// by every goroutine that scores it — and each candidate is scored by the
+// Go kernel over its table row, the kernels' one-candidate path, then given
+// its entity bias.
+func scoreQuery(m batchNative, e, r int32, tail bool, cands []int32, out []float64) {
+	var sc scratch
+	q := make([]float64, m.Dim())
+	if one := []int32{e}; tail {
+		m.buildTailQueries(one, r, q, &sc)
+	} else {
+		m.buildHeadQueries(one, r, q, &sc)
+	}
+	ent, bias := m.entityTable(), m.entityBias()
+	for j, c := range cands {
+		m.tileKernel(q, ent.vec(c), j, j+1, len(cands), out)
+		if bias != nil {
+			out[j] += bias.vec(c)[0]
+		}
+	}
 }
 
 // tileKind names one of the three tile micro-kernels of batch.go.
@@ -203,53 +230,44 @@ type storeScorer struct {
 	// block names the block's queries: ScoreAnswer needs the direction and,
 	// unrouted, (h, r).
 	block []directedQuery
-	oneID [1]int32 // single-query/candidate buffers for the routed paths
-	oneC  [1]int32
+	oneC  [1]int32 // ScoreAnswer's one-candidate pool and its score
 	oneS  [1]float64
 }
 
-func (s *storeScorer) Name() string { return s.m.Name() }
-func (s *storeScorer) Dim() int     { return s.m.Dim() }
-
-// BeginBlock empties the block's query vectors, with room for n and for the
-// one query the routed single-query paths put after them.
+// BeginBlock empties the block's query vectors, with room for n.
 func (s *storeScorer) BeginBlock(n int) {
-	s.sc.qs = Grow(s.sc.qs, (n+1)*s.m.Dim())[:0]
+	s.sc.qs = Grow(s.sc.qs, n*s.m.Dim())[:0]
 	s.block = Grow(s.block, n)[:0]
 }
 
 // AddTails builds the query vectors of (hs[i], r, ?) after the block's last.
 func (s *storeScorer) AddTails(hs []int32, r int32) {
-	s.m.buildTailQueries(hs, r, s.room(len(hs), true), &s.sc)
+	s.m.buildTailQueries(hs, r, s.room(len(hs)), &s.sc)
 	s.block = addQueries(s.block, hs, r, true)
 }
 
 // AddHeads builds the query vectors of (?, r, ts[i]) after the block's last.
 func (s *storeScorer) AddHeads(ts []int32, r int32) {
-	s.m.buildHeadQueries(ts, r, s.room(len(ts), true), &s.sc)
+	s.m.buildHeadQueries(ts, r, s.room(len(ts)), &s.sc)
 	s.block = addQueries(s.block, ts, r, false)
 }
 
-// room returns storage for n query vectors past the block's last, and adds
-// them to the block when keep is set. Without it the block is left alone: the
-// routed single-query paths build there, and the next Add overwrites it.
-func (s *storeScorer) room(n int, keep bool) []float64 {
+// room adds storage for n query vectors to the block and returns it.
+func (s *storeScorer) room(n int) []float64 {
 	old, add := len(s.sc.qs), n*s.m.Dim()
-	s.sc.qs = slices.Grow(s.sc.qs, add)
-	if keep {
-		s.sc.qs = s.sc.qs[:old+add]
-	}
-	return s.sc.qs[old : old+add]
+	s.sc.qs = slices.Grow(s.sc.qs, add)[:old+add]
+	return s.sc.qs[old:]
 }
 
 // ScoreBlock scores the block's queries against cands.
 func (s *storeScorer) ScoreBlock(cands []int32, out []float64) { s.score(s.sc.qs, cands, out) }
 
 // ScoreAnswer scores block query i against e from the vector the block holds,
-// through score's one-candidate path. ScoreHeads over [e] and a routed
-// ScoreTriple do the same with a vector they first build alone, which has the
-// same bits (batch ≡ per-query), so the score does. A tail answer of a model
-// that keeps its own float64 ScoreTriple goes there, as ScoreTriple sends it.
+// through score's one-candidate path: what ScoreBlock writes for e, and at
+// float64 what the model's ScoreHeads over [e] (head query) or routed
+// ScoreTriple returns, since those run the same builder and the same Go
+// kernel. A tail answer of a model that keeps its own float64 ScoreTriple
+// goes there.
 func (s *storeScorer) ScoreAnswer(i int, e int32) float64 {
 	if q := s.block[i]; q.tail && !s.routeTriple() {
 		return s.m.ScoreTriple(q.e, q.r, e)
@@ -281,7 +299,7 @@ func (s *storeScorer) ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []
 //
 // The vector kernels take whole groups of four candidates. What a tile has
 // beyond its last whole group — at most three candidates at the end of a
-// pool, or the single candidate of a ScoreTriple — goes through the Go
+// pool, or the single candidate of a ScoreAnswer — goes through the Go
 // kernel, which gives a score the same bits, so where the split falls never
 // shows in out.
 func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
@@ -313,39 +331,10 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
 	}
 }
 
-// routeTriple reports whether ScoreTriple goes through the store-backed
-// path: always at reduced precision (the answer entity must come from the
-// same quantized store the batch kernels read), and at float64 only for
-// models that opt in via singleViaBatch.
+// routeTriple reports whether ScoreAnswer scores a tail answer from the
+// block's vector: always at reduced precision (the answer entity must come
+// from the same quantized store the batch kernels read), and at float64 only
+// for models that opt in via singleViaBatch.
 func (s *storeScorer) routeTriple() bool {
 	return s.prec != store.Float64 || s.m.singleViaBatch()
-}
-
-// ScoreTriple scores one triple, consistent with the batch lane.
-func (s *storeScorer) ScoreTriple(h, r, t int32) float64 {
-	if !s.routeTriple() {
-		return s.m.ScoreTriple(h, r, t)
-	}
-	s.oneC[0] = t
-	s.ScoreTails(h, r, s.oneC[:], s.oneS[:])
-	return s.oneS[0]
-}
-
-// ScoreTails scores (h, r, cand) for every candidate tail: a single query
-// through the batch lane, which is bit-identical to the model's own
-// ScoreTails and builds the query in scorer scratch instead of allocating it
-// per call.
-func (s *storeScorer) ScoreTails(h, r int32, cands []int32, out []float64) {
-	s.oneID[0] = h
-	q := s.room(1, false)
-	s.m.buildTailQueries(s.oneID[:], r, q, &s.sc)
-	s.score(q, cands, out)
-}
-
-// ScoreHeads scores (cand, r, t) for every candidate head, as ScoreTails.
-func (s *storeScorer) ScoreHeads(r, t int32, cands []int32, out []float64) {
-	s.oneID[0] = t
-	q := s.room(1, false)
-	s.m.buildHeadQueries(s.oneID[:], r, q, &s.sc)
-	s.score(q, cands, out)
 }

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+
+	"kgeval/internal/kg"
 )
 
 // Model persistence: a small versioned binary format so trained models can
@@ -71,6 +74,71 @@ func Save(w io.Writer, m Model) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// SnapshotBytes is the length of what Save writes for the model New(name, g,
+// dim, ·) builds, computed without building it: the constructors' table
+// shapes, dim rounding included, in overflow-checked arithmetic. A caller
+// handed constructor arguments it does not trust uses it to refuse a model
+// too large to build before anything is allocated, and to refuse a snapshot
+// of the wrong length before the model it would load into is.
+func SnapshotBytes(name string, g *kg.Graph, dim int) (int64, error) {
+	if dim <= 0 {
+		return 0, fmt.Errorf("kgc: dim %d is not positive", dim)
+	}
+	var c checked
+	d := int64(dim)
+	switch name {
+	case "ComplEx", "RotatE": // even: d/2 complex dims
+		d = c.add(d, d%2)
+	case "ConvE": // a multiple of 4: a (d/4)×4 grid
+		d = c.add(d, (4-d%4)%4)
+	}
+	e, r := int64(g.NumEntities), int64(g.NumRelations)
+	ed, rd := c.mul(e, d), c.mul(r, d)
+	var tables, extras []int64
+	switch name {
+	case "TransE", "DistMult", "ComplEx":
+		tables = []int64{ed, rd}
+	case "RESCAL":
+		tables = []int64{ed, c.mul(rd, d)}
+	case "RotatE":
+		tables = []int64{ed, r * (d / 2)}
+	case "TuckER":
+		tables = []int64{ed, rd, c.mul(c.mul(d, d), d)}
+	case "ConvE": // 4 channels of 3×3 kernels; the FC maps 8d conv features to d
+		tables = []int64{ed, e, c.mul(2, rd), 4 * 9, 4, c.mul(c.mul(8, d), d), d}
+		extras = []int64{4, 4, d, d}
+	default:
+		return 0, fmt.Errorf("kgc: unknown model %q", name)
+	}
+	// Magic, name, table count, extra count, then a length and values each.
+	n := int64(len(serializeMagic) + 8 + len(name) + 8 + 8)
+	for _, k := range append(tables, extras...) {
+		n = c.add(n, c.add(8, c.mul(8, k)))
+	}
+	if c.overflow {
+		return 0, fmt.Errorf("kgc: a %s snapshot at dim %d is larger than an int64 can count", name, dim)
+	}
+	return n, nil
+}
+
+// checked is int64 arithmetic on non-negative values that remembers an
+// overflow instead of wrapping.
+type checked struct{ overflow bool }
+
+func (c *checked) add(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		c.overflow = true
+	}
+	return a + b
+}
+
+func (c *checked) mul(a, b int64) int64 {
+	if hi, lo := bits.Mul64(uint64(a), uint64(b)); hi != 0 || lo > math.MaxInt64 {
+		c.overflow = true
+	}
+	return a * b
 }
 
 // Load restores parameters saved by Save into m, which must have been

@@ -13,6 +13,36 @@ import (
 	"kgeval/internal/synth"
 )
 
+// SnapshotBytes is the length Save writes, for every model at dims the
+// constructors keep and dims they round up (odd: ComplEx, RotatE; not a
+// multiple of four: ConvE).
+func TestSnapshotBytesIsWhatSaveWrites(t *testing.T) {
+	g := trainGraph(t)
+	for _, name := range ModelNames() {
+		for _, dim := range []int{1, 3, 7, 8, 20, 30} {
+			m, err := New(name, g, dim, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := Save(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := SnapshotBytes(name, g, dim); err != nil || got != int64(buf.Len()) {
+				t.Errorf("SnapshotBytes(%s, dim %d) = %d, %v; Save wrote %d bytes", name, dim, got, err, buf.Len())
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		dim  int
+	}{{"NoSuchModel", 8}, {"DistMult", 0}, {"TransE", -3}, {"ComplEx", math.MaxInt}, {"TuckER", 1 << 22}, {"RESCAL", 1 << 32}} {
+		if n, err := SnapshotBytes(c.name, g, c.dim); err == nil {
+			t.Errorf("SnapshotBytes(%s, dim %d) = %d, want an error", c.name, c.dim, n)
+		}
+	}
+}
+
 func TestSaveLoadRoundTripAllModels(t *testing.T) {
 	g := trainGraph(t)
 	for _, name := range ModelNames() {

@@ -156,24 +156,24 @@ func TestTileLaneMatchesGatherOracle(t *testing.T) {
 									t.Fatalf("%s: batch score[%d] = %v, oracle %v", name, i, got[i], want[i])
 								}
 							}
-							// The per-query entry points are chunks of one
-							// through the same lane: first query's row.
+							// A block of one query is a chunk of the same lane:
+							// the first query's row.
 							one := got[:len(cands)]
 							if tails {
-								bs.ScoreTails(ents[0], r, cands, one)
+								bs.ScoreTailsBatch(ents[:1], r, cands, one)
 							} else {
-								bs.ScoreHeads(r, ents[0], cands, one)
+								bs.ScoreHeadsBatch(ents[:1], r, cands, one)
 							}
 							for j := range one {
 								if one[j] != want[j] {
-									t.Fatalf("%s: single score[%d] = %v, oracle %v", name, j, one[j], want[j])
+									t.Fatalf("%s: one-query score[%d] = %v, oracle %v", name, j, one[j], want[j])
 								}
 							}
-							// ScoreTriple is the lane's only when routed; otherwise
-							// it is the model's own closed form.
+							// A tail answer is the lane's only when routed;
+							// otherwise it is the model's own closed form.
 							if tails && bs.(*storeScorer).routeTriple() {
-								if s := bs.ScoreTriple(ents[0], r, cands[0]); s != want[0] {
-									t.Fatalf("%s: ScoreTriple = %v, oracle %v", name, s, want[0])
+								if s := bs.ScoreAnswer(0, cands[0]); s != want[0] {
+									t.Fatalf("%s: ScoreAnswer = %v, oracle %v", name, s, want[0])
 								}
 							}
 						}

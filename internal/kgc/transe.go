@@ -42,42 +42,12 @@ func (m *TransE) ScoreTriple(h, r, t int32) float64 {
 	return -s
 }
 
-// ScoreTails scores (h, r, cand) for every candidate tail.
-func (m *TransE) ScoreTails(h, r int32, cands []int32, out []float64) {
-	hv, rv := m.ent.vec(h), m.rel.vec(r)
-	q := make([]float64, m.dim)
-	for i := range q {
-		q[i] = hv[i] + rv[i]
-	}
-	for c, cand := range cands {
-		tv := m.ent.vec(cand)
-		s := 0.0
-		for i := 0; i < m.dim; i++ {
-			s += math.Abs(q[i] - tv[i])
-		}
-		out[c] = -s
-	}
-}
+func (m *TransE) ScoreTails(h, r int32, c []int32, o []float64) { scoreQuery(m, h, r, true, c, o) }
+func (m *TransE) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, t, r, false, c, o) }
 
-// ScoreHeads scores (cand, r, t) for every candidate head.
-func (m *TransE) ScoreHeads(r, t int32, cands []int32, out []float64) {
-	rv, tv := m.rel.vec(r), m.ent.vec(t)
-	q := make([]float64, m.dim)
-	for i := range q {
-		q[i] = tv[i] - rv[i] // score = -||h - (t - r)||
-	}
-	for c, cand := range cands {
-		hv := m.ent.vec(cand)
-		s := 0.0
-		for i := 0; i < m.dim; i++ {
-			s += math.Abs(hv[i] - q[i])
-		}
-		out[c] = -s
-	}
-}
-
-// Universal batch-lane contract (see scoring.go): tail queries are h+r,
-// head queries t−r (score = -||h - (t - r)||), scored by the L1 kernel.
+// Universal batch-lane contract (see scoring.go), which ScoreTails and
+// ScoreHeads run too: tail queries are h+r, head queries t−r (score =
+// -||h - (t - r)||), scored by the L1 kernel.
 
 func (m *TransE) entityTable() *table      { return m.ent }
 func (m *TransE) entityStores() *entStores { return &m.stores }

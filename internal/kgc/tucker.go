@@ -115,27 +115,13 @@ func (m *TuckER) ScoreTriple(h, r, t int32) float64 {
 	return dot(q, m.ent.vec(t))
 }
 
-// ScoreTails contracts the core with (h, r) once, then dots per candidate.
-func (m *TuckER) ScoreTails(h, r int32, cands []int32, out []float64) {
-	q := make([]float64, m.dim)
-	tailQuery(m.ent.vec(h), m.relMat(r, nil), q)
-	for c, cand := range cands {
-		out[c] = dot(q, m.ent.vec(cand))
-	}
-}
+func (m *TuckER) ScoreTails(h, r int32, c []int32, o []float64) { scoreQuery(m, h, r, true, c, o) }
+func (m *TuckER) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, t, r, false, c, o) }
 
-// ScoreHeads contracts the core with (r, t) once, then dots per candidate.
-func (m *TuckER) ScoreHeads(r, t int32, cands []int32, out []float64) {
-	q := make([]float64, m.dim)
-	headQuery(m.ent.vec(t), m.relMat(r, nil), q)
-	for c, cand := range cands {
-		out[c] = dot(q, m.ent.vec(cand))
-	}
-}
-
-// Universal batch-lane contract (see scoring.go). singleViaBatch is on:
-// the model's own per-query methods recompute the O(d³) core contraction
-// per call, while the routed path reuses the block's cached M_r.
+// Universal batch-lane contract (see scoring.go), which ScoreTails and
+// ScoreHeads run too, contracting the core with r once per call.
+// singleViaBatch is on: ScoreTriple recomputes the O(d³) core contraction
+// per call, while the block's queries already hold it.
 
 func (m *TuckER) entityTable() *table      { return m.ent }
 func (m *TuckER) entityStores() *entStores { return &m.stores }

@@ -364,39 +364,30 @@ func (e *Engine) withDefaults(spec JobSpec) JobSpec {
 	return spec
 }
 
-// maxModelDim bounds model.dim in job specs: model construction allocates
-// before the snapshot is length-checked (RESCAL's relation table is
-// |R|·dim² floats), so an absurd dim must be rejected at submission instead
-// of panicking a worker via an overflowing make.
-const maxModelDim = 8192
-
-// validateModelArgs checks the constructor arguments of a model: what an
-// upload is filed under and what a job loads it with.
-func validateModelArgs(ms ModelSpec) error {
+// validateModelArgs checks the constructor arguments of a model over g: what
+// an upload is filed under and what a job loads it with. The model they
+// build must have a snapshot no larger than a request may carry, so no
+// accepted arguments ask a worker to allocate more than that: a dim bound
+// alone bounds neither TuckER's d³ core nor RESCAL's |R|·d² relations.
+func validateModelArgs(ms ModelSpec, g *kg.Graph) error {
 	if ms.Name == "" {
 		return errors.New("model.name is required")
-	}
-	known := false
-	for _, n := range kgc.ModelNames() {
-		if n == ms.Name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown model %q", ms.Name)
 	}
 	if ms.Dim <= 0 {
 		return errors.New("model.dim must be positive")
 	}
-	if ms.Dim > maxModelDim {
-		return fmt.Errorf("model.dim %d exceeds the maximum %d", ms.Dim, maxModelDim)
+	n, err := kgc.SnapshotBytes(ms.Name, g, ms.Dim)
+	if err != nil {
+		return err
+	}
+	if n > maxSubmitBytes {
+		return fmt.Errorf("a %s model at dim %d is %d bytes, over the %d a request may carry", ms.Name, ms.Dim, n, maxSubmitBytes)
 	}
 	return nil
 }
 
-func validateModelSpec(ms ModelSpec) error {
-	if err := validateModelArgs(ms); err != nil {
+func validateModelSpec(ms ModelSpec, g *kg.Graph) error {
+	if err := validateModelArgs(ms, g); err != nil {
 		return err
 	}
 	switch {
@@ -472,11 +463,11 @@ func (e *Engine) validate(spec JobSpec) (parsedSpec, error) {
 			return p, errors.New("service: set model or models, not both")
 		}
 		for i, ms := range spec.Models {
-			if err := validateModelSpec(ms); err != nil {
+			if err := validateModelSpec(ms, e.graph); err != nil {
 				return p, fmt.Errorf("service: models[%d]: %w", i, err)
 			}
 		}
-	} else if err := validateModelSpec(spec.Model); err != nil {
+	} else if err := validateModelSpec(spec.Model, e.graph); err != nil {
 		return p, fmt.Errorf("service: %w", err)
 	}
 	if spec.Split != "test" && spec.Split != "valid" {

@@ -106,10 +106,19 @@ func (r *modelRegistry) load(ctx context.Context, ref *modelRef) (kgc.Model, boo
 }
 
 // parse is the registry's build function, the one place a snapshot becomes a
-// model. A panic (a snapshot driving a constructor into an impossible state)
-// becomes the slot's error, carrying the stack, so it fails the jobs that
-// named the model instead of wedging everyone waiting on the slot.
+// model. Bytes of another length than the model's snapshot are refused
+// before the model is allocated, so what a model costs is what its slot
+// charges. A panic (a snapshot driving a constructor into an impossible
+// state) becomes the slot's error, carrying the stack, so it fails the jobs
+// that named the model instead of wedging everyone waiting on the slot.
 func (r *modelRegistry) parse(key modelKey, raw []byte) (registered, error) {
+	want, err := kgc.SnapshotBytes(key.Name, r.graph, key.Dim)
+	if err == nil && int64(len(raw)) != want {
+		err = fmt.Errorf("%d bytes, a %s model at dim %d saves %d", len(raw), key.Name, key.Dim, want)
+	}
+	if err != nil {
+		return registered{}, fmt.Errorf("service: loading %s snapshot: %w", key.Name, err)
+	}
 	m, err := kgc.New(key.Name, r.graph, key.Dim, key.Seed)
 	if err != nil {
 		return registered{}, err
@@ -133,7 +142,7 @@ const maxUploadReserve = 16 << 20
 // inline ModelSpec.Snapshot is sugar for the same step and yields the same
 // id.
 func (e *Engine) PutModel(ms ModelSpec, r io.Reader, size int64) (string, int64, error) {
-	if err := validateModelArgs(ms); err != nil {
+	if err := validateModelArgs(ms, e.graph); err != nil {
 		return "", 0, fmt.Errorf("service: %w", err)
 	}
 	if e.Draining() {

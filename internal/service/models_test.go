@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -558,6 +560,72 @@ func TestRegistryPutModelReservesByArrival(t *testing.T) {
 	}
 }
 
+// A snapshot with the right name and dim but the wrong length fails its job
+// before the model it names is allocated — a TuckER at dim 256 is a 134 MB
+// core — and the engine goes on serving.
+func TestRegistryWrongLengthSnapshotAllocatesNothing(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	size, err := kgc.SnapshotBytes("TuckER", g, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	j, err := e.Submit(JobSpec{Model: ModelSpec{Name: "TuckER", Dim: 256, Seed: 1, Snapshot: []byte("KGEVALM1")}, Strategy: "R", MaxQueries: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, j)
+	runtime.ReadMemStats(&after)
+	if st.State != StateFailed || !strings.Contains(st.Error, "loading TuckER snapshot") {
+		t.Fatalf("job over an 8-byte TuckER snapshot: %s (%q)", st.State, st.Error)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(size) {
+		t.Fatalf("refusing an 8-byte snapshot allocated %d bytes, the model is %d", grew, size)
+	}
+	spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snapshotModel(t, g, "DistMult", 8, 6)}, Strategy: "R", MaxQueries: 10}
+	if j, err = e.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateSucceeded {
+		t.Fatalf("job after the refused snapshot: %s (%s)", st.State, st.Error)
+	}
+}
+
+// Constructor arguments whose model would not fit in a request are a 400 on
+// both routes, whatever the bytes: a TuckER at dim 2048 is a 64 GiB core that
+// an 8-byte snapshot would otherwise have a worker allocate (and the process
+// die of), even under a memory budget, which charges the bytes it is sent.
+func TestServerOversizeModelSpec(t *testing.T) {
+	srv, e := newTestServer(t, EngineConfig{Workers: 1, MemoryBudget: 64 << 20})
+	magic := base64.StdEncoding.EncodeToString([]byte("KGEVALM1"))
+	for _, args := range []struct {
+		name string
+		dim  int
+	}{{"TuckER", 2048}, {"RESCAL", 4096}, {"ComplEx", 2147483647}} {
+		body := fmt.Sprintf(`{"model":{"name":%q,"dim":%d,"snapshot":%q}}`, args.name, args.dim, magic)
+		if resp, out := postRaw(t, srv.URL, body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /v1/jobs for %s at dim %d: %s %v, want 400", args.name, args.dim, resp.Status, out)
+		}
+		query := fmt.Sprintf("name=%s&dim=%d", args.name, args.dim)
+		if resp, out := putModel(t, srv.URL, query, strings.NewReader("KGEVALM1")); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("PUT /v1/models?%s: %s %v, want 400", query, resp.Status, out)
+		}
+	}
+	if ms := e.Stats().Models; ms.Entries != 0 {
+		t.Errorf("refused specs registered models: %+v", ms)
+	}
+	spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snapshotModel(t, e.Graph(), "DistMult", 8, 6)}, Strategy: "R", MaxQueries: 10}
+	if st := waitTerminal(t, srv.URL, submitJob(t, srv.URL, spec).ID); st.State != StateSucceeded {
+		t.Fatalf("job after the refused specs: %s (%s)", st.State, st.Error)
+	}
+}
+
 // distMultArgs are the upload arguments of the DistMult/8/6 snapshot several
 // tests below use.
 const distMultArgs = "name=DistMult&dim=8&seed=6"
@@ -725,8 +793,10 @@ func TestServerModelSubmissionErrors(t *testing.T) {
 	if resp, out = putModel(t, srv.URL, distMultArgs, bytes.NewReader(snap)); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized PUT /v1/models: %s %v, want 413", resp.Status, out)
 	}
-	// Unknown length (chunked): the cap still holds.
-	if resp, out = putModel(t, srv.URL, distMultArgs, io.MultiReader(bytes.NewReader(snap))); resp.StatusCode != http.StatusRequestEntityTooLarge {
+	// Unknown length (chunked): the cap still holds. DistMult/8 itself is now
+	// over the cap, a 400 before the body is read, so the bytes are filed
+	// under arguments whose model fits.
+	if resp, out = putModel(t, srv.URL, "name=DistMult&dim=1", io.MultiReader(bytes.NewReader(snap))); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized chunked PUT /v1/models: %s %v, want 413", resp.Status, out)
 	}
 }

@@ -254,17 +254,31 @@ type blockQuery struct {
 // so uncount walks them in step) and what they added is taken back. cands may
 // repeat an id; known must not (FilterIndex lists are sortedUnique), or an
 // id would be taken back twice. An empty strip counts nothing.
+//
+// NaN sorts below every number and ties with NaN. A NaN candidate therefore
+// needs nothing of the comparisons (both are false), but a NaN answer does:
+// every number beats it, so it takes a loop of its own.
 func (q *blockQuery) count(cands []int32, scores []float64) {
 	if len(cands) == 0 {
 		return
 	}
 	better, ties := 0, 0
-	for _, s := range scores {
-		if s > q.score {
-			better++
+	if q.score != q.score {
+		for _, s := range scores {
+			if s == s {
+				better++
+			} else {
+				ties++
+			}
 		}
-		if s == q.score {
-			ties++
+	} else {
+		for _, s := range scores {
+			if s > q.score {
+				better++
+			}
+			if s == q.score {
+				ties++
+			}
 		}
 	}
 	q.better += better
@@ -296,11 +310,12 @@ func (q *blockQuery) uncount(cands []int32, scores []float64, from int, id int32
 	}
 	i, _ := slices.BinarySearch(cands[from:min(from+step, len(cands))], id)
 	from += i
+	nan := q.score != q.score
 	for i = from; i < len(cands) && cands[i] == id; i++ {
-		switch {
-		case scores[i] > q.score:
+		switch s := scores[i]; {
+		case s > q.score, nan && s == s:
 			q.better--
-		case scores[i] == q.score:
+		case s == q.score, nan:
 			q.ties--
 		}
 	}
@@ -308,7 +323,8 @@ func (q *blockQuery) uncount(cands []int32, scores []float64, from int, id int32
 }
 
 // rank is the filtered rank once the whole pool has been counted:
-// 1 + #{strictly better} + #{ties}/2 (LibKGE's "realistic" tie policy).
+// 1 + #{strictly better} + #{ties}/2 (LibKGE's "realistic" tie policy),
+// NaN below every number and tied with NaN.
 func (q *blockQuery) rank() float64 {
 	return 1 + float64(q.better) + float64(q.ties)/2
 }

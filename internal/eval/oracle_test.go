@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -42,18 +43,20 @@ func oracleRanks(m kgc.Model, filter *kg.FilterIndex, p *plan) (ranks []float64,
 
 // naiveRank is 1 + #{strictly better} + #{ties}/2 over the candidates that
 // are neither the answer nor a known positive, with a map as the skip-set.
+// NaN sorts below every number and ties with NaN.
 func naiveRank(pool []int32, scores []float64, trueScore float64, truth int32, known []int32) float64 {
 	skip := map[int32]bool{truth: true}
 	for _, k := range known {
 		skip[k] = true
 	}
+	nan := trueScore != trueScore
 	better, ties := 0, 0
 	for i, c := range pool {
-		switch {
+		switch s := scores[i]; {
 		case skip[c]:
-		case scores[i] > trueScore:
+		case s > trueScore, nan && s == s:
 			better++
-		case scores[i] == trueScore:
+		case s == trueScore, nan:
 			ties++
 		}
 	}
@@ -117,20 +120,30 @@ func (p plainModel) ScoreTriple(h, r, t int32) float64             { return p.m.
 func (p plainModel) ScoreTails(h, r int32, c []int32, o []float64) { p.m.ScoreTails(h, r, c, o) }
 func (p plainModel) ScoreHeads(r, t int32, c []int32, o []float64) { p.m.ScoreHeads(r, t, c, o) }
 
-// constModel scores every triple the same: all candidates tie.
-type constModel struct{}
+// constModel scores every triple v but those in nan, which score NaN:
+// constModel{v: 0.25} ties every candidate, constModel{v: NaN} fails on
+// every triple, and a nan set of answers fails on exactly those.
+type constModel struct {
+	v   float64
+	nan map[kg.Triple]bool
+}
 
-func (constModel) Name() string                      { return "const" }
-func (constModel) Dim() int                          { return 1 }
-func (constModel) ScoreTriple(h, r, t int32) float64 { return 0.25 }
-func (constModel) ScoreTails(h, r int32, c []int32, out []float64) {
-	for i := range out {
-		out[i] = 0.25
+func (constModel) Name() string { return "const" }
+func (constModel) Dim() int     { return 1 }
+func (m constModel) ScoreTriple(h, r, t int32) float64 {
+	if m.nan[kg.Triple{H: h, R: r, T: t}] {
+		return math.NaN()
+	}
+	return m.v
+}
+func (m constModel) ScoreTails(h, r int32, c []int32, out []float64) {
+	for i, t := range c {
+		out[i] = m.ScoreTriple(h, r, t)
 	}
 }
-func (constModel) ScoreHeads(r, t int32, c []int32, out []float64) {
-	for i := range out {
-		out[i] = 0.25
+func (m constModel) ScoreHeads(r, t int32, c []int32, out []float64) {
+	for i, h := range c {
+		out[i] = m.ScoreTriple(h, r, t)
 	}
 }
 
@@ -183,16 +196,36 @@ func TestOracleGatePlainModelsAndProperties(t *testing.T) {
 
 	// All scores tied: under the full protocol each query ranks at exactly
 	// 1 + (filtered pool − 1)/2, the filtered pool being every entity that
-	// is not another known answer, in both directions.
-	ranks := checkAgainstOracle(t, "const", constModel{}, constModel{}, g, g.Test, full, Options{Filter: filter, Seed: 9, Workers: 4})
-	for i, q := range g.Test {
-		others := len(filter.Tails(q.H, q.R)) - 1
-		if want := 1 + float64(g.NumEntities-others-1)/2; ranks[2*i] != want {
-			t.Errorf("const model, tail query %d: rank %v, want %v", i, ranks[2*i], want)
-		}
-		others = len(filter.Heads(q.R, q.T)) - 1
-		if want := 1 + float64(g.NumEntities-others-1)/2; ranks[2*i+1] != want {
-			t.Errorf("const model, head query %d: rank %v, want %v", i, ranks[2*i+1], want)
+	// is not another known answer, in both directions. NaN ties with NaN, so
+	// a model that scores everything NaN ranks the same; NaN sorts below
+	// every number, so a model that scores exactly the answers NaN (the
+	// other answers are known positives, filtered) ranks every rival above.
+	answers := map[kg.Triple]bool{}
+	for _, q := range g.Test {
+		answers[q] = true
+	}
+	for _, c := range []struct {
+		label  string
+		m      constModel
+		beaten bool
+	}{
+		{"const", constModel{v: 0.25}, false},
+		{"all NaN", constModel{v: math.NaN()}, false},
+		{"NaN answers", constModel{v: 0.25, nan: answers}, true},
+	} {
+		ranks := checkAgainstOracle(t, c.label, c.m, c.m, g, g.Test, full, Options{Filter: filter, Seed: 9, Workers: 4})
+		for i, q := range g.Test {
+			others := [2]int{len(filter.Tails(q.H, q.R)) - 1, len(filter.Heads(q.R, q.T)) - 1}
+			for side, dir := range [2]string{"tail", "head"} {
+				rivals := float64(g.NumEntities - others[side] - 1)
+				want := 1 + rivals/2
+				if c.beaten {
+					want = 1 + rivals
+				}
+				if got := ranks[2*i+side]; got != want {
+					t.Errorf("%s model, %s query %d: rank %v, want %v", c.label, dir, i, got, want)
+				}
+			}
 		}
 	}
 }
@@ -204,13 +237,19 @@ func TestOracleGatePlainModelsAndProperties(t *testing.T) {
 // one candidate to the whole pool puts the edges everywhere.
 func TestStripCountsMatchNaiveRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	level := func() float64 { // few levels, ties everywhere, NaN among them
+		if v := rng.Intn(6); v < 5 {
+			return float64(v)
+		}
+		return math.NaN()
+	}
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(40)
 		pool := make([]int32, n)
 		scores := make([]float64, n)
 		for i := range pool {
 			pool[i] = int32(rng.Intn(30))
-			scores[i] = float64(rng.Intn(5)) // few levels: ties everywhere
+			scores[i] = level()
 		}
 		slices.Sort(pool)
 		var known []int32
@@ -219,7 +258,7 @@ func TestStripCountsMatchNaiveRank(t *testing.T) {
 				known = append(known, e)
 			}
 		}
-		truth, trueScore := int32(rng.Intn(32)), float64(rng.Intn(5))
+		truth, trueScore := int32(rng.Intn(32)), level()
 		want := naiveRank(pool, scores, trueScore, truth, known)
 		for strip := 1; strip <= n; strip++ {
 			q := blockQuery{truth: truth, score: trueScore, known: known}

@@ -266,22 +266,18 @@ func (m *RESCAL) entityStores() *entStores { return &m.stores }
 func (m *RESCAL) entityBias() *table       { return nil }
 func (m *RESCAL) singleViaBatch() bool     { return false }
 
+// buildTailQueries computes q = hᵀW_r. Unlike TuckER's tail query it does
+// not skip a zero h_a: with an infinite weight in its row, 0·∞ is NaN, and
+// skipping would change that score.
 func (m *RESCAL) buildTailQueries(hs []int32, r int32, qs []float64, _ *scratch) {
 	w := m.rel.vec(r)
 	d := m.dim
 	for i, h := range hs {
-		hv := m.ent.vec(h)
 		q := qs[i*d : (i+1)*d]
 		for j := range q {
 			q[j] = 0
 		}
-		for a := 0; a < d; a++ {
-			ha := hv[a]
-			row := w[a*d : a*d+d]
-			for j := 0; j < d; j++ {
-				q[j] += ha * row[j]
-			}
-		}
+		rowAcc(q, m.ent.vec(h), w, d, false)
 	}
 }
 
@@ -289,11 +285,7 @@ func (m *RESCAL) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch)
 	w := m.rel.vec(r)
 	d := m.dim
 	for i, t := range ts {
-		tv := m.ent.vec(t)
-		q := qs[i*d : (i+1)*d]
-		for a := 0; a < d; a++ {
-			q[a] = dot(w[a*d:a*d+d], tv)
-		}
+		headQuery(m.ent.vec(t), w, qs[i*d:(i+1)*d])
 	}
 }
 

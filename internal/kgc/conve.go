@@ -89,46 +89,53 @@ func (m *ConvE) reciprocal() bool  { return true }
 
 const bnEps = 1e-5
 
-// fcGroup is the number of block queries whose FC accumulators are kept hot
-// at once during the batched projection; 16 queries × dim 256 ≈ 32 KB, an
-// L1-sized working set.
-const fcGroup = 16
-
 // convFeatures computes the post-BN/ReLU flattened conv features of (h, r)
 // into feat. img is scratch for the stacked input image; convPre, when
 // non-nil, receives the pre-BN conv output for backprop.
+//
+// The four channels (NewConvE's count, and the snapshot format's) are
+// convolved together: each output pixel reads its input pixels once and
+// keeps four independent sums in flight, where one channel alone is a chain
+// of up to nine dependent adds. Each sum still starts from its channel's
+// bias and adds its terms in (ky, kx) order, so every feature keeps its bits.
 func (m *ConvE) convFeatures(h, r int32, img, convPre, feat []float64) {
 	ih, iw := 2*m.dh, m.dw
-	hv, rv := m.ent.vec(h), m.rel.vec(r)
-	copy(img[:m.dim], hv)
-	copy(img[m.dim:], rv)
+	copy(img[:m.dim], m.ent.vec(h))
+	copy(img[m.dim:], m.rel.vec(r))
 
-	for c := 0; c < m.channels; c++ {
-		k := m.kern.vec(int32(c))
-		bias := m.kernB.vec(0)[c]
-		inv := 1 / math.Sqrt(m.bnConvVar[c]+bnEps)
-		mean := m.bnConvMean[c]
-		for y := 0; y < ih; y++ {
-			for x := 0; x < iw; x++ {
-				s := bias
-				for ky := -1; ky <= 1; ky++ {
-					yy := y + ky
-					if yy < 0 || yy >= ih {
+	k0, k1, k2, k3 := m.kern.vec(0), m.kern.vec(1), m.kern.vec(2), m.kern.vec(3)
+	bias := m.kernB.vec(0)[:4]
+	var mean, inv [4]float64
+	for c := range mean {
+		mean[c] = m.bnConvMean[c]
+		inv[c] = 1 / math.Sqrt(m.bnConvVar[c]+bnEps)
+	}
+	for y := 0; y < ih; y++ {
+		for x := 0; x < iw; x++ {
+			s0, s1, s2, s3 := bias[0], bias[1], bias[2], bias[3]
+			for ky := -1; ky <= 1; ky++ {
+				yy := y + ky
+				if yy < 0 || yy >= ih {
+					continue
+				}
+				for kx := -1; kx <= 1; kx++ {
+					xx := x + kx
+					if xx < 0 || xx >= iw {
 						continue
 					}
-					for kx := -1; kx <= 1; kx++ {
-						xx := x + kx
-						if xx < 0 || xx >= iw {
-							continue
-						}
-						s += k[(ky+1)*3+kx+1] * img[yy*iw+xx]
-					}
+					t, v := (ky+1)*3+kx+1, img[yy*iw+xx]
+					s0 += k0[t] * v
+					s1 += k1[t] * v
+					s2 += k2[t] * v
+					s3 += k3[t] * v
 				}
+			}
+			for c, s := range [4]float64{s0, s1, s2, s3} {
 				idx := (c*ih+y)*iw + x
 				if convPre != nil {
 					convPre[idx] = s
 				}
-				norm := (s - mean) * inv
+				norm := (s - mean[c]) * inv[c]
 				if norm > 0 {
 					feat[idx] = norm
 				} else {
@@ -136,6 +143,17 @@ func (m *ConvE) convFeatures(h, r int32, img, convPre, feat []float64) {
 				}
 			}
 		}
+	}
+}
+
+// project writes BN(FC(feat)) into out: the FC bias plus, unit by unit in
+// ascending order, each active unit's feature times its weight row (rowAcc;
+// a unit the ReLU zeroed adds nothing), then the output batch norm.
+func (m *ConvE) project(feat, out []float64) {
+	copy(out, m.fcB.vec(0))
+	rowAcc(out, feat, m.fc.vec(0), m.dim, true)
+	for j := range out {
+		out[j] = (out[j] - m.bnFCMean[j]) / math.Sqrt(m.bnFCVar[j]+bnEps)
 	}
 }
 
@@ -147,29 +165,12 @@ func (m *ConvE) forward(h, r int32, img, convPre, feat []float64) []float64 {
 	if img == nil {
 		img = make([]float64, ih*iw)
 	}
-	flat := m.channels * ih * iw
 	if feat == nil {
-		feat = make([]float64, flat)
+		feat = make([]float64, m.channels*ih*iw)
 	}
 	m.convFeatures(h, r, img, convPre, feat)
-
-	// FC projection + output batch norm.
 	out := make([]float64, m.dim)
-	copy(out, m.fcB.vec(0))
-	w := m.fc.vec(0)
-	for u := 0; u < flat; u++ {
-		fu := feat[u]
-		if fu == 0 {
-			continue
-		}
-		row := w[u*m.dim : u*m.dim+m.dim]
-		for j := 0; j < m.dim; j++ {
-			out[j] += fu * row[j]
-		}
-	}
-	for j := 0; j < m.dim; j++ {
-		out[j] = (out[j] - m.bnFCMean[j]) / math.Sqrt(m.bnFCVar[j]+bnEps)
-	}
+	m.project(feat, out)
 	return out
 }
 
@@ -221,90 +222,15 @@ func (m *ConvE) entityStores() *entStores { return &m.stores }
 func (m *ConvE) entityBias() *table       { return m.entBias }
 func (m *ConvE) singleViaBatch() bool     { return true }
 
-// buildTailQueries computes f(h_i, r) for all of a relation's queries in a
-// block: conv features per query, then one u-outer pass over the FC weight
-// matrix shared by all of them — the 2·dh·dw·C×dim matrix streams from
-// memory once per call instead of once per query. Each query still
-// accumulates its FC sum in the same ascending-u order as forward, so scores
-// stay bit-identical to the per-query path.
+// buildTailQueries computes f(h_i, r) for each of a relation's queries in a
+// block: forward's conv features and projection, on the scorer's scratch.
 func (m *ConvE) buildTailQueries(hs []int32, r int32, qs []float64, sc *scratch) {
 	ih, iw := 2*m.dh, m.dw
-	flat := m.channels * ih * iw
-	nq := len(hs)
 	sc.img = Grow(sc.img, ih*iw)
-	sc.feat = Grow(sc.feat, nq*flat)
+	sc.feat = Grow(sc.feat, m.channels*ih*iw)
 	for i, h := range hs {
-		m.convFeatures(h, r, sc.img, nil, sc.feat[i*flat:(i+1)*flat])
-	}
-
-	// Transpose the features to u-major so the FC pass reads each unit's
-	// activations from one contiguous run instead of striding by flat.
-	sc.featT = Grow(sc.featT, flat*nq)
-	for i := 0; i < nq; i++ {
-		f := sc.feat[i*flat : (i+1)*flat]
-		for u, v := range f {
-			sc.featT[u*nq+i] = v
-		}
-	}
-
-	fcb := m.fcB.vec(0)
-	for i := 0; i < nq; i++ {
-		copy(qs[i*m.dim:(i+1)*m.dim], fcb)
-	}
-	// The FC pass runs u-outer over sub-groups of fcGroup queries: the
-	// group's accumulators (fcGroup × dim floats) stay L1-resident across
-	// the whole weight sweep, and the weight matrix streams sequentially
-	// once per group. Queries are paired within the group so each row load
-	// feeds two accumulations. Neither transform reorders a single query's
-	// sum — every q still adds its active units in ascending u — so scores
-	// stay bit-identical to forward.
-	w := m.fc.vec(0)
-	for i0 := 0; i0 < nq; i0 += fcGroup {
-		i1 := i0 + fcGroup
-		if i1 > nq {
-			i1 = nq
-		}
-		for u := 0; u < flat; u++ {
-			row := w[u*m.dim : u*m.dim+m.dim]
-			fus := sc.featT[u*nq : u*nq+nq]
-			i := i0
-			for ; i+1 < i1; i += 2 {
-				f0, f1 := fus[i], fus[i+1]
-				switch {
-				case f0 != 0 && f1 != 0:
-					q0 := qs[i*m.dim : (i+1)*m.dim][:len(row)]
-					q1 := qs[(i+1)*m.dim : (i+2)*m.dim][:len(row)]
-					for j, wj := range row {
-						q0[j] += f0 * wj
-						q1[j] += f1 * wj
-					}
-				case f0 != 0:
-					q0 := qs[i*m.dim : (i+1)*m.dim][:len(row)]
-					for j, wj := range row {
-						q0[j] += f0 * wj
-					}
-				case f1 != 0:
-					q1 := qs[(i+1)*m.dim : (i+2)*m.dim][:len(row)]
-					for j, wj := range row {
-						q1[j] += f1 * wj
-					}
-				}
-			}
-			if i < i1 {
-				if f0 := fus[i]; f0 != 0 {
-					q0 := qs[i*m.dim : (i+1)*m.dim][:len(row)]
-					for j, wj := range row {
-						q0[j] += f0 * wj
-					}
-				}
-			}
-		}
-	}
-	for i := 0; i < nq; i++ {
-		q := qs[i*m.dim : (i+1)*m.dim]
-		for j := 0; j < m.dim; j++ {
-			q[j] = (q[j] - m.bnFCMean[j]) / math.Sqrt(m.bnFCVar[j]+bnEps)
-		}
+		m.convFeatures(h, r, sc.img, nil, sc.feat)
+		m.project(sc.feat, qs[i*m.dim:(i+1)*m.dim])
 	}
 }
 

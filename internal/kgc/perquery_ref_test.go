@@ -169,7 +169,7 @@ func (m *RotatE) refScoreHeads(r, t int32, cands []int32, out []float64) {
 // refScoreTails contracts the core with (h, r) once, then dots per candidate.
 func (m *TuckER) refScoreTails(h, r int32, cands []int32, out []float64) {
 	q := make([]float64, m.dim)
-	tailQuery(m.ent.vec(h), m.relMat(r, nil), q)
+	refTailQuery(m.ent.vec(h), m.refRelMat(r), q)
 	for c, cand := range cands {
 		out[c] = dot(q, m.ent.vec(cand))
 	}
@@ -178,15 +178,141 @@ func (m *TuckER) refScoreTails(h, r int32, cands []int32, out []float64) {
 // refScoreHeads contracts the core with (r, t) once, then dots per candidate.
 func (m *TuckER) refScoreHeads(r, t int32, cands []int32, out []float64) {
 	q := make([]float64, m.dim)
-	headQuery(m.ent.vec(t), m.relMat(r, nil), q)
+	refHeadQuery(m.ent.vec(t), m.refRelMat(r), q)
 	for c, cand := range cands {
 		out[c] = dot(q, m.ent.vec(cand))
 	}
 }
 
+// The TuckER and ConvE query builders as scalar Go loops — one output at a
+// time, its terms in ascending order, each a multiply then an add, a zero
+// coefficient skipped — copied from before the builders ran on the
+// row-accumulate kernel, four head rows at a time and four conv channels at
+// once. The reference holds the builders to this arithmetic, not to
+// themselves.
+
+// refRelMat returns M_r[i*d+k] = Σ_j r_j·W[i][j][k].
+func (m *TuckER) refRelMat(r int32) []float64 {
+	d := m.dim
+	rv, mat := m.rel.vec(r), make([]float64, d*d)
+	w := m.core.vec(0)
+	for i := range mat {
+		mat[i] = 0
+	}
+	for i := 0; i < d; i++ {
+		out := mat[i*d : i*d+d]
+		for j := 0; j < d; j++ {
+			rj := rv[j]
+			if rj == 0 {
+				continue
+			}
+			row := w[(i*d+j)*d : (i*d+j)*d+d]
+			for k := range out {
+				out[k] += rj * row[k]
+			}
+		}
+	}
+	return mat
+}
+
+// refTailQuery computes q = hᵀM_r (q_k = Σ_i h_i·M_r[i][k]).
+func refTailQuery(hv, mat, q []float64) {
+	d := len(q)
+	for k := range q {
+		q[k] = 0
+	}
+	for i := 0; i < d; i++ {
+		hi := hv[i]
+		if hi == 0 {
+			continue
+		}
+		row := mat[i*d : i*d+d]
+		for k := range q {
+			q[k] += hi * row[k]
+		}
+	}
+}
+
+// refHeadQuery computes q = M_r·t (q_i = Σ_k M_r[i][k]·t_k).
+func refHeadQuery(tv, mat, q []float64) {
+	d := len(q)
+	for i := 0; i < d; i++ {
+		q[i] = dot(mat[i*d:i*d+d], tv)
+	}
+}
+
+// refConvFeatures computes the post-BN/ReLU flattened conv features of
+// (h, r) into feat, one channel at a time.
+func (m *ConvE) refConvFeatures(h, r int32, img, feat []float64) {
+	ih, iw := 2*m.dh, m.dw
+	hv, rv := m.ent.vec(h), m.rel.vec(r)
+	copy(img[:m.dim], hv)
+	copy(img[m.dim:], rv)
+
+	for c := 0; c < m.channels; c++ {
+		k := m.kern.vec(int32(c))
+		bias := m.kernB.vec(0)[c]
+		inv := 1 / math.Sqrt(m.bnConvVar[c]+bnEps)
+		mean := m.bnConvMean[c]
+		for y := 0; y < ih; y++ {
+			for x := 0; x < iw; x++ {
+				s := bias
+				for ky := -1; ky <= 1; ky++ {
+					yy := y + ky
+					if yy < 0 || yy >= ih {
+						continue
+					}
+					for kx := -1; kx <= 1; kx++ {
+						xx := x + kx
+						if xx < 0 || xx >= iw {
+							continue
+						}
+						s += k[(ky+1)*3+kx+1] * img[yy*iw+xx]
+					}
+				}
+				idx := (c*ih+y)*iw + x
+				norm := (s - mean) * inv
+				if norm > 0 {
+					feat[idx] = norm
+				} else {
+					feat[idx] = 0
+				}
+			}
+		}
+	}
+}
+
+// refForward computes f(h, r): the conv features, the FC sum over the
+// active units in ascending order, and the output batch norm.
+func (m *ConvE) refForward(h, r int32) []float64 {
+	ih, iw := 2*m.dh, m.dw
+	img := make([]float64, ih*iw)
+	flat := m.channels * ih * iw
+	feat := make([]float64, flat)
+	m.refConvFeatures(h, r, img, feat)
+
+	out := make([]float64, m.dim)
+	copy(out, m.fcB.vec(0))
+	w := m.fc.vec(0)
+	for u := 0; u < flat; u++ {
+		fu := feat[u]
+		if fu == 0 {
+			continue
+		}
+		row := w[u*m.dim : u*m.dim+m.dim]
+		for j := 0; j < m.dim; j++ {
+			out[j] += fu * row[j]
+		}
+	}
+	for j := 0; j < m.dim; j++ {
+		out[j] = (out[j] - m.bnFCMean[j]) / math.Sqrt(m.bnFCVar[j]+bnEps)
+	}
+	return out
+}
+
 // refScoreTails computes f(h, r) once and dots it with every candidate.
 func (m *ConvE) refScoreTails(h, r int32, cands []int32, out []float64) {
-	f := m.forward(h, r, nil, nil, nil)
+	f := m.refForward(h, r)
 	for c, cand := range cands {
 		out[c] = dot(f, m.ent.vec(cand)) + m.entBias.vec(cand)[0]
 	}

@@ -112,10 +112,34 @@ type tileFunc func(qs, tbuf []float64, dim, j0, j1, nc int, out []float64)
 // kernels score everything.
 var vecKernels [numKinds]tileFunc
 
+// rowAcc is the query builders' row-accumulate: rowAccGo, or — installed
+// with vecKernels, by the same build on the same CPUs — its AVX2 twin
+// (rowacc_amd64.s), which gives every output the same bits.
+var rowAcc = rowAccGo
+
+// rowAccGo adds c[u]·rows[u*stride:][:len(out)] into out for u = 0, 1, …
+// in turn, passing over a zero c[u] (+0 or −0; NaN is not zero) when
+// skipZero is set. Every output sums its terms one at a time in ascending u,
+// a rounded multiply then a rounded add each, so this loop defines the
+// arithmetic of ConvE's FC layer, TuckER's core contraction and TuckER's and
+// RESCAL's tail queries. out must not overlap rows.
+func rowAccGo(out, c, rows []float64, stride int, skipZero bool) {
+	for u, cu := range c {
+		if skipZero && cu == 0 {
+			continue
+		}
+		row := rows[u*stride:][:len(out)]
+		for k := range out {
+			out[k] += cu * row[k]
+		}
+	}
+}
+
 // Kernel names the scoring lane of this process: "avx2" when the vector tile
-// kernels run, "go" otherwise. Both produce the same scores, bit for bit; the
-// name is for traces and logs, so a timing says which code produced it. (A
-// plain third-party Model is scored through its own methods either way.)
+// kernels and the vector row-accumulate under the query builders run, "go"
+// otherwise. Both produce the same scores, bit for bit; the name is for
+// traces and logs, so a timing says which code produced it. (A plain
+// third-party Model is scored through its own methods either way.)
 func Kernel() string {
 	if vecKernels[kindDot] != nil {
 		return "avx2"
@@ -127,11 +151,10 @@ func Kernel() string {
 // buffers grow to the largest block seen and are reused verbatim after.
 // None of them scales with the candidate pool.
 type scratch struct {
-	tbuf  []float64 // one kernel tile of candidates: columns (vector lane) or rows not scored in place (Go lane)
-	qs    []float64 // query vectors, one per block query
-	img   []float64 // ConvE stacked input image
-	feat  []float64 // ConvE flattened conv features, one row per query
-	featT []float64 // ConvE conv features transposed to unit-major
+	tbuf []float64 // one kernel tile of candidates: columns (vector lane) or rows not scored in place (Go lane)
+	qs   []float64 // query vectors, one per block query
+	img  []float64 // ConvE stacked input image of the query being built
+	feat []float64 // ConvE flattened conv features of the query being built
 
 	// TuckER's relation matrix M_r = W ×₂ r, cached across the calls made
 	// for one relation of a block (tails, trues and heads all share it).

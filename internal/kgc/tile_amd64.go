@@ -18,6 +18,12 @@ func l1TileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc
 //go:noescape
 func rotTileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 
+// The assembly row-accumulate of rowacc_amd64.s: rowAccGo over n outputs
+// and nrows rows. It trusts its arguments; vecRowAcc is the only caller.
+//
+//go:noescape
+func rowAccAVX2(out *float64, n int, c *float64, nrows int, rows *float64, stride int, skipZero bool)
+
 func init() {
 	if cpu.AVX2 {
 		vecKernels = [numKinds]tileFunc{
@@ -25,6 +31,30 @@ func init() {
 			kindL1:  vecTile(l1TileAVX2, 1),
 			kindRot: vecTile(rotTileAVX2, 2),
 		}
+		rowAcc = vecRowAcc
+	}
+}
+
+// vecRowAcc gives rowAccAVX2 rowAccGo's signature and, like vecTile, is the
+// memory-safety boundary in front of it: the slice expression panics, as
+// rowAccGo's own would, on rows shorter than the last row it reads.
+//
+// It hands the kernel tileBytes of rows per call. The kernel sweeps its rows
+// once per group of outputs, so rows that fit in L1 come from memory once,
+// where a whole matrix larger than L2 (TuckER's core, ConvE's FC at dim 256)
+// would be fetched again, in strided strips, for every group. Each output
+// still adds its rows in ascending u, call after call.
+func vecRowAcc(out, c, rows []float64, stride int, skipZero bool) {
+	if len(out) == 0 || len(c) == 0 {
+		return
+	}
+	if stride < 0 {
+		panic("kgc: row-accumulate with a negative stride")
+	}
+	rows = rows[:(len(c)-1)*stride+len(out)]
+	per := max(1, tileBytes/(8*max(stride, len(out))))
+	for u := 0; u < len(c); u += per {
+		rowAccAVX2(&out[0], len(out), &c[u], min(per, len(c)-u), &rows[u*stride], stride, skipZero)
 	}
 }
 

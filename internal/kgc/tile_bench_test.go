@@ -124,6 +124,41 @@ func BenchmarkScoreBlock(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildQueries times the query builders where a query costs more
+// than scoring it against a sampled pool — ConvE's conv and FC layers,
+// TuckER's core contraction and d×d products, RESCAL's d×d products —
+// through the scorer: one block of 16 tail and 16 head queries of one
+// relation, the relation alternating between two so that TuckER contracts
+// its core once per block, as a pass does. It reports ns per query on the
+// lane the process runs (the row-accumulate's AVX2 twin, or under -tags
+// purego the Go loop). The rung under kgebench's
+// kgc.score_ns_per_cand_dim.{ConvE,TuckER,RESCAL}, which includes the
+// builders; at dim 256 TuckER's core is 134 MB.
+func BenchmarkBuildQueries(b *testing.B) {
+	const nq = 16
+	g := &kg.Graph{NumEntities: 256, NumRelations: 2}
+	es := benchPool(rand.New(rand.NewSource(11)), g.NumEntities, nq, false)
+	for _, name := range []string{"ConvE", "TuckER", "RESCAL"} {
+		for _, dim := range []int{64, 256} {
+			m, err := New(name, g, dim, 5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/dim%d", name, dim), func(b *testing.B) {
+				bs := NewBatchScorer(m, BatchOptions{})
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r := int32(i % 2)
+					bs.BeginBlock(2 * nq)
+					bs.AddTails(es, r)
+					bs.AddHeads(es, r)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*nq), "ns/query")
+			})
+		}
+	}
+}
+
 // BenchmarkScoreDotBatchTile sweeps the kernel tile across embedding widths
 // on a pool/chunk shape matching the evaluation planner's defaults (64
 // queries, 800 scattered candidates — n_s = 10% of an 8k-entity graph), at

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -171,6 +172,27 @@ func TestVectorKernelRejectsBadShapes(t *testing.T) {
 	}
 }
 
+// vecRowAcc is the same boundary in front of the row-accumulate: rows
+// shorter than the last row the shape reads, or a stride that steps back
+// into memory before them, panics in Go.
+func TestRowAccumulateRejectsBadShapes(t *testing.T) {
+	needVectorLane(t)
+	const n, nrows = 8, 3
+	for name, c := range map[string]struct{ rows, stride int }{
+		"short last row":  {2*n + n - 1, n},
+		"negative stride": {3 * n, -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the row-accumulate wrapper did not panic", name)
+				}
+			}()
+			rowAcc(make([]float64, n), make([]float64, nrows), make([]float64, c.rows), c.stride, false)
+		}()
+	}
+}
+
 // A candidate id outside the entity table — what a faulty third-party
 // CandidateProvider could hand the executor — is a Go bounds panic on both
 // lanes, raised before any row pointer exists for the assembly to follow.
@@ -301,20 +323,76 @@ func FuzzTileKernels(f *testing.F) {
 		nq := 1 + int(nqB)%6
 		j0 := int(padB) % 5
 		nc := j0 + n + int(padB)/5%4
-		// Values are the fuzzer's bytes, eight at a time, repeated to fill.
-		vals := make([]float64, (nq+n)*dim)
-		var word [8]byte
-		for i := range vals {
-			for b := range word {
-				word[b] = 0
-				if len(data) > 0 {
-					word[b] = data[(8*i+b)%len(data)]
-				}
-			}
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
-		}
+		vals := fuzzFloats(data, (nq+n)*dim)
 		if err := checkTileKernels(kind, vals[:nq*dim], vals[nq*dim:], dim, j0, j0+n, nc); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// fuzzFloats returns n values made of the fuzzer's bytes, eight at a time,
+// repeated to fill (zeros when there are none).
+func fuzzFloats(data []byte, n int) []float64 {
+	vals := make([]float64, n)
+	var word [8]byte
+	for i := range vals {
+		for b := range word {
+			word[b] = 0
+			if len(data) > 0 {
+				word[b] = data[(8*i+b)%len(data)]
+			}
+		}
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
+	}
+	return vals
+}
+
+// FuzzRowAccumulate holds the assembly row-accumulate under the query
+// builders to rowAccGo: the same bits in every output (sameScore) and no
+// write past out (guard words). The fuzzer picks the outputs n, the row
+// count (zero included), the row stride (n or more), whether zero
+// coefficients are skipped, and the bytes of the starting outputs, the
+// coefficients and the rows. The seeds cover every n mod 4 in each group
+// width, zero rows, strides past n (long enough to split the rows across
+// kernel calls), and ±0, NaN, ±Inf and subnormal coefficients and row
+// values, with and without the skip.
+func FuzzRowAccumulate(f *testing.F) {
+	needVectorLane(f)
+	var special []byte
+	for _, v := range append(slices.Clone(specials), math.NaN(), -math.SmallestNonzeroFloat64, 0x1p-1040) {
+		special = binary.LittleEndian.AppendUint64(special, math.Float64bits(v))
+	}
+	random := make([]byte, 8*97)
+	rand.New(rand.NewSource(3)).Read(random)
+	for n := 0; n <= 70; n += 1 + n/8 {
+		for _, rows := range []uint8{0, 1, 3, 17} {
+			for _, data := range [][]byte{special, random} {
+				f.Add(uint8(n), rows, uint8(n%3), false, data)
+				f.Add(uint8(n), rows, uint8(n%3)+15, true, data)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, nB, rowsB, padB uint8, skipZero bool, data []byte) {
+		// Strides up to n+1540 put as few as two rows in each kernel call
+		// (vecRowAcc hands it tileBytes of rows at a time).
+		n, nrows := int(nB)%80, int(rowsB)%40
+		stride := n + int(padB)%5 + 512*(int(padB)/5%4)
+		vals := fuzzFloats(data, n+nrows+nrows*stride)
+		start, c, rows := vals[:n], vals[n:n+nrows], vals[n+nrows:]
+
+		want := slices.Clone(start)
+		rowAccGo(want, c, rows, stride, skipZero)
+		got, intact := guarded(n)
+		copy(got, start)
+		rowAcc(got, c, rows, stride, skipZero)
+		for k := range want {
+			if !sameScore(got[k], want[k]) {
+				t.Fatalf("n=%d rows=%d stride=%d skipZero=%v: out[%d] = %x (%v), Go loop %x (%v)",
+					n, nrows, stride, skipZero, k, math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
+			}
+		}
+		if !intact() {
+			t.Fatalf("n=%d rows=%d stride=%d: wrote outside out", n, nrows, stride)
 		}
 	})
 }

@@ -49,42 +49,39 @@ func (m *TuckER) relMatInto(rv, mat []float64) {
 		mat[i] = 0
 	}
 	for i := 0; i < d; i++ {
-		out := mat[i*d : i*d+d]
-		for j := 0; j < d; j++ {
-			rj := rv[j]
-			if rj == 0 {
-				continue
-			}
-			row := w[(i*d+j)*d : (i*d+j)*d+d]
-			for k := range out {
-				out[k] += rj * row[k]
-			}
-		}
+		rowAcc(mat[i*d:i*d+d], rv[:d], w[i*d*d:], d, true)
 	}
 }
 
 // tailQuery computes q = hᵀM_r (q_k = Σ_i h_i·M_r[i][k]).
 func tailQuery(hv, mat, q []float64) {
-	d := len(q)
 	for k := range q {
 		q[k] = 0
 	}
-	for i := 0; i < d; i++ {
-		hi := hv[i]
-		if hi == 0 {
-			continue
-		}
-		row := mat[i*d : i*d+d]
-		for k := range q {
-			q[k] += hi * row[k]
-		}
-	}
+	rowAcc(q, hv[:len(q)], mat, len(q), true)
 }
 
-// headQuery computes q = M_r·t (q_i = Σ_k M_r[i][k]·t_k).
+// headQuery computes q = M·t (q_i = Σ_k M[i][k]·t_k, the dot product of row
+// i with t) for a d×d matrix: TuckER's M_r, RESCAL's W_r. Four rows are in
+// flight at a time, four independent sums that each add their terms in
+// ascending k, as dot does.
 func headQuery(tv, mat, q []float64) {
 	d := len(q)
-	for i := 0; i < d; i++ {
+	tv = tv[:d]
+	i := 0
+	for ; i+4 <= d; i += 4 {
+		m0, m1 := mat[i*d:][:d], mat[(i+1)*d:][:d]
+		m2, m3 := mat[(i+2)*d:][:d], mat[(i+3)*d:][:d]
+		var s0, s1, s2, s3 float64
+		for k, tk := range tv {
+			s0 += m0[k] * tk
+			s1 += m1[k] * tk
+			s2 += m2[k] * tk
+			s3 += m3[k] * tk
+		}
+		q[i], q[i+1], q[i+2], q[i+3] = s0, s1, s2, s3
+	}
+	for ; i < d; i++ {
 		q[i] = dot(mat[i*d:i*d+d], tv)
 	}
 }

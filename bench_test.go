@@ -199,12 +199,12 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 
 // BenchmarkEvaluateBatchTraced is BenchmarkEvaluateBatch with a live trace
 // span in the context, so every pass records plan-compile, pool-draw and
-// per-relation-chunk spans into a flight-recorder store. The delta against
+// per-relation-chunk spans into the trace's flight recorder. The delta against
 // BenchmarkEvaluateBatch is the tracing overhead (kgebench reports it as
 // obs.trace_overhead_pct).
 func BenchmarkEvaluateBatchTraced(b *testing.B) {
 	e := batchEnv(b)
-	st := trace.NewStore(4, 0)
+	st := trace.NewStore(0, 0)
 	for _, mc := range batchBenchModels {
 		key := fmt.Sprintf("%s/dim%d", mc.name, mc.dim)
 		m := e.models[key]

@@ -20,8 +20,9 @@
 // additionally get trace-ID exemplars); every submitted job is traced end
 // to end through the internal/obs/trace flight recorder — read a job's
 // span tree at GET /v1/jobs/{id}/trace (?format=chrome for
-// chrome://tracing), browse retained traces under GET /debug/traces, and
-// jobs slower than 30 s log their trace ID and slowest spans. -pprof
+// chrome://tracing), or by trace ID — from an exemplar or a log line — at
+// GET /debug/traces/{id}, for as long as the job is retained; jobs slower
+// than 30 s log their trace ID and slowest spans. -pprof
 // additionally mounts net/http/pprof under /debug/pprof/. Logs are
 // structured (log/slog); -log-level selects the threshold (debug includes
 // per-request access logs). The "serving" line names the scoring lane of
@@ -56,7 +57,7 @@
 //	curl -s localhost:8080/v1/jobs/j000001
 //	curl -N localhost:8080/v1/jobs/j000001/stream
 //	curl -s localhost:8080/v1/jobs/j000001/trace
-//	curl -s localhost:8080/debug/traces
+//	curl -s localhost:8080/debug/traces/<trace_id>
 //	curl -s -X POST localhost:8080/v1/jobs/j000001/cancel
 //	curl -s localhost:8080/metrics
 //	go tool pprof "localhost:8080/debug/pprof/profile?seconds=10"

@@ -26,7 +26,8 @@
 //	                      (trace-ID exemplars when OpenMetrics is
 //	                      negotiated), runtime gauges; obs/trace
 //	                      adds context-propagated spans and the bounded
-//	                      flight-recorder store behind /v1/jobs/{id}/trace
+//	                      per-trace flight recorder a job keeps, behind
+//	                      /v1/jobs/{id}/trace
 //	internal/service      evaluation-as-a-service in four layers: jobs (single-
 //	                      and multi-model), the fitted-framework cache, the
 //	                      model registry (a byte-bounded LRU of loaded models

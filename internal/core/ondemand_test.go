@@ -130,17 +130,13 @@ func TestOnDemandBuildIsTraced(t *testing.T) {
 	g, _ := coreGraph(t)
 	m := kgc.NewDistMult(g, 8, 3)
 	opts := eval.Options{Filter: kg.NewFilterIndex(g.Train, g.Valid, g.Test), MaxQueries: 50}
-	store := trace.NewStore(8, 4096)
+	store := trace.NewStore(0, 4096)
 	spans := func(name string, run func(ctx context.Context)) map[string][]trace.SpanRecord {
 		ctx, root := store.StartTrace(context.Background(), name)
 		run(ctx)
 		root.End()
-		rec, ok := store.Get(root.TraceID())
-		if !ok {
-			t.Fatalf("trace %s not recorded", name)
-		}
 		byName := map[string][]trace.SpanRecord{}
-		for _, s := range rec.Snapshot().Spans {
+		for _, s := range root.Recorder().Snapshot().Spans {
 			byName[s.Name] = append(byName[s.Name], s)
 		}
 		return byName

@@ -30,13 +30,12 @@ func fitted(t *testing.T, g *kg.Graph) *Framework {
 // eval.pool_draw span says about where the pools came from.
 func estimate(t *testing.T, fw *Framework, m kgc.Model, g *kg.Graph, split []kg.Triple, s Strategy, opts eval.Options) (res eval.Result, cached bool) {
 	t.Helper()
-	store := trace.NewStore(1, 4096)
+	store := trace.NewStore(0, 4096)
 	ctx, root := store.StartTrace(context.Background(), "estimate")
 	opts.Ctx = ctx
 	res = fw.Estimate(m, g, split, s, opts)
 	root.End()
-	rec, _ := store.Get(root.TraceID())
-	for _, sp := range rec.Snapshot().Spans {
+	for _, sp := range root.Recorder().Snapshot().Spans {
 		if sp.Name == "eval.pool_draw" {
 			if (sp.Attr("workers") == 0) != (sp.Attr("cached") == true) {
 				t.Fatalf("pool_draw span says cached %v on %v workers", sp.Attr("cached"), sp.Attr("workers"))
@@ -328,7 +327,7 @@ func TestConcurrentMissesDrawOnce(t *testing.T) {
 
 	fw := fitted(t, g)
 	const callers = 8
-	store := trace.NewStore(callers, 4096)
+	store := trace.NewStore(0, 4096)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	results := make([]eval.Result, callers)
@@ -352,8 +351,7 @@ func TestConcurrentMissesDrawOnce(t *testing.T) {
 	drew := 0
 	for i, root := range roots {
 		same(t, fmt.Sprintf("caller %d", i), results[i], want)
-		rec, _ := store.Get(root.TraceID())
-		for _, sp := range rec.Snapshot().Spans {
+		for _, sp := range root.Recorder().Snapshot().Spans {
 			if sp.Name != "eval.pool_draw" {
 				continue
 			}

@@ -18,7 +18,7 @@ func TestEvaluateTraced(t *testing.T) {
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	prov := &RandomProvider{NumEntities: g.NumEntities, N: 20}
 
-	store := trace.NewStore(4, 1024)
+	store := trace.NewStore(0, 1024)
 	ctx, root := store.StartTrace(context.Background(), "test-eval")
 	results := EvaluateMany([]kgc.Model{formulaModel{}, formulaModel{}}, g, g.Test, prov,
 		Options{Filter: filter, Seed: 3, Workers: 2, Ctx: ctx})
@@ -27,11 +27,7 @@ func TestEvaluateTraced(t *testing.T) {
 		t.Fatalf("evaluation failed under tracing: %+v", results)
 	}
 
-	rec, ok := store.Get(root.TraceID())
-	if !ok {
-		t.Fatal("trace not recorded")
-	}
-	tr := rec.Snapshot()
+	tr := root.Recorder().Snapshot()
 	byName := map[string][]trace.SpanRecord{}
 	spanByID := map[string]trace.SpanRecord{}
 	for _, s := range tr.Spans {
@@ -120,7 +116,7 @@ func TestEvaluateTraced(t *testing.T) {
 		ctx, root := store.StartTrace(context.Background(), "test-memo")
 		res := Evaluate(formulaModel{}, g, g.Test, remembered, Options{Filter: filter, Seed: 3, Workers: 2, Ctx: ctx})
 		root.End()
-		rec, _ := store.Get(root.TraceID())
+		rec := root.Recorder()
 		draws, wantWorkers := 0, 1
 		if wantCached {
 			wantWorkers = 0

@@ -57,19 +57,13 @@ func newRecorder(id TraceID, name string, capacity int) *Recorder {
 		capacity = 1
 	}
 	// The ring is not allocated up front: whoever retains a finished trace
-	// (the store, a retained job) holds what the trace recorded, not what it
-	// was allowed to.
+	// (a retained job) holds what the trace recorded, not what it was
+	// allowed to.
 	return &Recorder{traceID: id, name: name, start: time.Now(), limit: capacity}
 }
 
 // TraceID returns the hex trace ID.
 func (r *Recorder) TraceID() string { return r.traceID.String() }
-
-// Name returns the root span's name.
-func (r *Recorder) Name() string { return r.name }
-
-// Start returns the trace's creation time.
-func (r *Recorder) Start() time.Time { return r.start }
 
 func (r *Recorder) add(rec SpanRecord) {
 	r.mu.Lock()
@@ -119,141 +113,41 @@ func (r *Recorder) Snapshot() Trace {
 	return t
 }
 
-// SpanCount returns how many spans the recorder currently retains and how
-// many it has recorded in total.
-func (r *Recorder) SpanCount() (retained int, total int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.ring), r.total
-}
-
-// Store holds the flight recorders of recent traces, bounded FIFO: when
-// full, starting a new trace evicts the oldest. One Store serves a whole
-// process (the engine owns one); lookups are by hex trace ID.
+// Store starts traces. It keeps none of them: a root span's recorder lives
+// for as long as whoever holds Span.Recorder() keeps it (in the service, the
+// job index), and is dropped with it.
 type Store struct {
-	mu       sync.Mutex
-	capacity int
-	spanCap  int
-	order    []*Recorder // oldest first
-	byID     map[TraceID]*Recorder
+	spanCap int
 }
 
-// Default store bounds: enough history for a busy daemon's recent jobs
-// without unbounded growth (256 traces × 4096 span records ≈ tens of MB
-// worst case, typically far less).
-const (
-	defaultStoreTraces = 256
-	defaultTraceSpans  = 4096
-)
+// defaultTraceSpans is the ring bound of a trace started by a store built
+// with a non-positive spansPerTrace: enough for a large evaluation's chunk
+// spans, and a ring only grows to what its trace records.
+const defaultTraceSpans = 4096
 
-// NewStore creates a store retaining at most traces flight recorders of
-// spansPerTrace records each (non-positive values take the defaults).
+// NewStore creates a store whose traces each retain at most spansPerTrace
+// span records (non-positive takes the default, 4096). traces does nothing:
+// the store keeps no traces. It stays in the signature for the callers that
+// pass it.
 func NewStore(traces, spansPerTrace int) *Store {
-	if traces < 1 {
-		traces = defaultStoreTraces
-	}
 	if spansPerTrace < 1 {
 		spansPerTrace = defaultTraceSpans
 	}
-	return &Store{capacity: traces, spanCap: spansPerTrace, byID: map[TraceID]*Recorder{}}
+	return &Store{spanCap: spansPerTrace}
 }
 
-// StartTrace begins a new trace: it registers a flight recorder (evicting
-// the oldest when full) and returns the root span together with a context
-// carrying it, from which all child spans descend. A nil Store returns
-// (ctx, nil), so tracing can be disabled by simply not providing a store.
+// StartTrace begins a new trace: it makes a flight recorder and returns the
+// root span together with a context carrying it, from which all child spans
+// descend. A nil Store returns (ctx, nil), so tracing can be disabled by
+// simply not providing a store.
 func (s *Store) StartTrace(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
 	if s == nil {
 		return ctx, nil
 	}
-	id := newTraceID()
-	rec := newRecorder(id, name, s.spanCap)
-	s.mu.Lock()
-	s.order = append(s.order, rec)
-	s.byID[id] = rec
-	for len(s.order) > s.capacity {
-		old := s.order[0]
-		s.order = s.order[1:]
-		delete(s.byID, old.traceID)
-	}
-	s.mu.Unlock()
-
+	rec := newRecorder(newTraceID(), name, s.spanCap)
 	root := &Span{rec: rec, id: newSpanID(), name: name, start: rec.start}
 	if len(attrs) > 0 {
 		root.attrs = append([]Attr(nil), attrs...)
 	}
 	return ContextWith(ctx, root), root
-}
-
-// Remove drops a recorder from the store, freeing its slot. It exists for
-// work that registered a root trace and was then rejected before doing
-// anything (a queue-full submission): keeping such traces would let a
-// burst of rejections — exactly when the system is overloaded and the
-// retained history matters most — evict the flight recorders of real
-// completed jobs. Removing an unknown or nil recorder is a no-op.
-func (s *Store) Remove(rec *Recorder) {
-	if s == nil || rec == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.byID[rec.traceID]; !ok {
-		return
-	}
-	delete(s.byID, rec.traceID)
-	for i, r := range s.order {
-		if r == rec {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Get returns the flight recorder for a hex trace ID.
-func (s *Store) Get(id string) (*Recorder, bool) {
-	if s == nil {
-		return nil, false
-	}
-	var tid TraceID
-	if len(id) != 2*len(tid) {
-		return nil, false
-	}
-	for i := 0; i < len(tid); i++ {
-		hi, ok1 := unhex(id[2*i])
-		lo, ok2 := unhex(id[2*i+1])
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		tid[i] = hi<<4 | lo
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.byID[tid]
-	return r, ok
-}
-
-func unhex(c byte) (byte, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0', true
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10, true
-	case 'A' <= c && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
-}
-
-// Traces returns the retained flight recorders, newest first.
-func (s *Store) Traces() []*Recorder {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Recorder, len(s.order))
-	for i, r := range s.order {
-		out[len(s.order)-1-i] = r
-	}
-	return out
 }

@@ -1,8 +1,9 @@
 // Package trace is the dependency-free distributed-tracing layer of kgeval:
 // trace/span identifiers, parent links, attributes and events, propagated
-// through context.Context, with every finished span recorded into a bounded
-// in-memory flight recorder (store.go) that can be read back over HTTP long
-// after the traced work completed.
+// through context.Context, with every finished span recorded into its
+// trace's bounded in-memory flight recorder (store.go). The recorder belongs
+// to whoever holds the root span — the service keeps a job's with the job —
+// so a trace can be read back over HTTP for as long as that holder lives.
 //
 // The obs package answers fleet-wide questions ("what is the p99 queue
 // wait?"); this package answers per-request ones ("why was *this* job
@@ -54,8 +55,8 @@ func (s SpanID) String() string {
 
 // idState drives ID generation: a splitmix64 sequence over an atomic
 // counter. Lock-free and fast enough for per-chunk span creation; IDs are
-// unique within a process, which is all the in-memory store requires —
-// but exemplar trace IDs also leave the process (metrics exemplars, log
+// unique within a process, which is all in-process lookups require — but
+// exemplar trace IDs also leave the process (metrics exemplars, log
 // lines, cross-service correlation), so the seed must differ between
 // processes too. Seeding from the wall clock alone does not guarantee
 // that: replicas started by the same supervisor can observe the same

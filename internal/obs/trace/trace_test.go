@@ -20,7 +20,7 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 }
 
 func TestSpanTreeParentage(t *testing.T) {
-	store := NewStore(4, 64)
+	store := NewStore(0, 64)
 	ctx, root := store.StartTrace(context.Background(), "request", String("method", "POST"))
 	if root == nil {
 		t.Fatal("StartTrace returned nil root")
@@ -43,11 +43,10 @@ func TestSpanTreeParentage(t *testing.T) {
 	job.End(String("state", "succeeded"))
 	root.End()
 
-	rec, ok := store.Get(root.TraceID())
-	if !ok {
-		t.Fatalf("trace %s not found in store", root.TraceID())
+	tr := root.Recorder().Snapshot()
+	if tr.TraceID != root.TraceID() || tr.Name != "request" {
+		t.Fatalf("snapshot is trace %s %q, want %s \"request\"", tr.TraceID, tr.Name, root.TraceID())
 	}
-	tr := rec.Snapshot()
 	if len(tr.Spans) != 4 {
 		t.Fatalf("got %d spans, want 4: %+v", len(tr.Spans), tr.Spans)
 	}
@@ -111,7 +110,7 @@ func TestNilSpanIsSafe(t *testing.T) {
 // checks that only the most recent records survive, with the overflow
 // counted in Dropped.
 func TestRecorderRingEviction(t *testing.T) {
-	store := NewStore(2, 8)
+	store := NewStore(0, 8)
 	_, root := store.StartTrace(context.Background(), "big")
 	for i := 0; i < 20; i++ {
 		t0 := time.Unix(0, int64(i)*int64(time.Millisecond))
@@ -119,7 +118,7 @@ func TestRecorderRingEviction(t *testing.T) {
 	}
 	root.End()
 
-	tr := store.Traces()[0].Snapshot()
+	tr := root.Recorder().Snapshot()
 	if len(tr.Spans) != 8 {
 		t.Fatalf("ring retained %d spans, want 8", len(tr.Spans))
 	}
@@ -136,24 +135,20 @@ func TestRecorderRingEviction(t *testing.T) {
 	if tr.Spans[0].Name != "chunk-13" {
 		t.Fatalf("oldest retained span = %s, want chunk-13", tr.Spans[0].Name)
 	}
-	retained, total := store.Traces()[0].SpanCount()
-	if retained != 8 || total != 21 {
-		t.Fatalf("SpanCount = (%d, %d), want (8, 21)", retained, total)
-	}
 }
 
 // TestRecorderRingGrowsOnDemand: a trace's ring is a bound, not an
-// allocation. A retained recorder (in the store, or behind a finished job's
-// span) must cost what it recorded — a default-sized ring allocated up front
+// allocation. A retained recorder (behind a finished job's span) must cost
+// what it recorded — a default-sized ring allocated up front
 // pinned ~0.65 MB per finished job in the service's job index.
 func TestRecorderRingGrowsOnDemand(t *testing.T) {
-	store := NewStore(2, defaultTraceSpans)
+	store := NewStore(0, defaultTraceSpans)
 	_, root := store.StartTrace(context.Background(), "small")
 	root.Child("only").End()
 	root.End()
-	rec := store.Traces()[0]
-	if retained, _ := rec.SpanCount(); retained != 2 {
-		t.Fatalf("recorded %d spans, want 2", retained)
+	rec := root.Recorder()
+	if n := len(rec.Snapshot().Spans); n != 2 {
+		t.Fatalf("recorded %d spans, want 2", n)
 	}
 	rec.mu.Lock()
 	held := cap(rec.ring)
@@ -163,80 +158,11 @@ func TestRecorderRingGrowsOnDemand(t *testing.T) {
 	}
 }
 
-// TestStoreEviction checks the FIFO bound on retained traces.
-func TestStoreEviction(t *testing.T) {
-	store := NewStore(3, 16)
-	var ids []string
-	for i := 0; i < 5; i++ {
-		_, root := store.StartTrace(context.Background(), fmt.Sprintf("t%d", i))
-		ids = append(ids, root.TraceID())
-		root.End()
-	}
-	if len(store.Traces()) != 3 {
-		t.Fatalf("store retains %d traces, want 3", len(store.Traces()))
-	}
-	for _, id := range ids[:2] {
-		if _, ok := store.Get(id); ok {
-			t.Fatalf("evicted trace %s still resolvable", id)
-		}
-	}
-	for _, id := range ids[2:] {
-		if _, ok := store.Get(id); !ok {
-			t.Fatalf("recent trace %s was evicted", id)
-		}
-	}
-	recent := store.Traces()
-	if len(recent) != 3 || recent[0].TraceID() != ids[4] {
-		t.Fatalf("Traces() not newest-first: %v", recent)
-	}
-	if _, ok := store.Get("not-a-trace-id"); ok {
-		t.Fatal("garbage ID resolved")
-	}
-	if _, ok := store.Get(""); ok {
-		t.Fatal("empty ID resolved")
-	}
-}
-
-// TestStoreRemove checks that Remove frees a trace's slot (so rejected
-// work doesn't consume FIFO capacity) and that removing nil or unknown
-// recorders is a no-op.
-func TestStoreRemove(t *testing.T) {
-	store := NewStore(3, 16)
-	_, kept := store.StartTrace(context.Background(), "kept")
-	_, rejected := store.StartTrace(context.Background(), "rejected")
-	rejected.End()
-	store.Remove(rejected.Recorder())
-
-	if len(store.Traces()) != 1 {
-		t.Fatalf("store retains %d traces after Remove, want 1", len(store.Traces()))
-	}
-	if _, ok := store.Get(rejected.TraceID()); ok {
-		t.Fatal("removed trace still resolvable")
-	}
-	if _, ok := store.Get(kept.TraceID()); !ok {
-		t.Fatal("Remove dropped the wrong trace")
-	}
-	// Idempotent / nil-safe.
-	store.Remove(rejected.Recorder())
-	store.Remove(nil)
-	var nilStore *Store
-	nilStore.Remove(kept.Recorder())
-	if len(store.Traces()) != 1 {
-		t.Fatalf("no-op removals changed Len to %d", len(store.Traces()))
-	}
-	// The freed slot means two more traces fit without evicting "kept".
-	store.StartTrace(context.Background(), "a")
-	store.StartTrace(context.Background(), "b")
-	if _, ok := store.Get(kept.TraceID()); !ok {
-		t.Fatal("kept trace evicted despite the freed slot")
-	}
-}
-
 // TestConcurrentSpanHammer creates spans, events and chunk records from
 // many goroutines against one trace while snapshots are taken — the -race
 // gate on the recorder's synchronization.
 func TestConcurrentSpanHammer(t *testing.T) {
-	store := NewStore(2, 512)
+	store := NewStore(0, 512)
 	ctx, root := store.StartTrace(context.Background(), "hammer")
 	const workers = 8
 	var wg sync.WaitGroup
@@ -263,14 +189,14 @@ func TestConcurrentSpanHammer(t *testing.T) {
 	<-done
 	root.End()
 
-	_, total := root.Recorder().SpanCount()
-	if want := int64(workers*50*2 + 1); total != want {
-		t.Fatalf("recorded %d spans, want %d", total, want)
+	tr := root.Recorder().Snapshot()
+	if got, want := int64(len(tr.Spans))+tr.Dropped, int64(workers*50*2+1); got != want {
+		t.Fatalf("recorded %d spans, want %d", got, want)
 	}
 }
 
 func TestChromeExport(t *testing.T) {
-	store := NewStore(1, 64)
+	store := NewStore(0, 64)
 	_, root := store.StartTrace(context.Background(), "req")
 	base := time.Now()
 	// Two overlapping children must land on different lanes; a third that
@@ -280,7 +206,7 @@ func TestChromeExport(t *testing.T) {
 	root.ChildRecord("c", base.Add(12*time.Millisecond), base.Add(14*time.Millisecond))
 	root.End()
 
-	ct := store.Traces()[0].Snapshot().Chrome()
+	ct := root.Recorder().Snapshot().Chrome()
 	if ct.DisplayTimeUnit != "ms" {
 		t.Fatalf("DisplayTimeUnit = %q", ct.DisplayTimeUnit)
 	}

@@ -86,12 +86,10 @@ var (
 // and recent throughput (Engine.RetryAfter).
 var ErrQueueFull = errors.New("service: job queue full")
 
-// ErrClosed is returned by Submit after Close.
-var ErrClosed = errors.New("service: engine closed")
-
-// ErrDraining is returned by Submit while a graceful drain is in progress:
-// running jobs are finishing, queued jobs are being canceled, and no new
-// work is admitted.
+// ErrDraining is returned by Submit once Drain or Close has begun, and
+// ever after: no new work is admitted while running jobs finish (Drain) or
+// are canceled (Close), nor once they have. The HTTP layer maps it to 503
+// with a Retry-After.
 var ErrDraining = errors.New("service: engine draining, not accepting jobs")
 
 // Engine owns a graph, a fitted-Framework cache, a model registry and a
@@ -119,8 +117,7 @@ type Engine struct {
 	jobs     map[string]*Job
 	order    []*Job // submission order, for listing
 	nextID   int64
-	closed   bool
-	draining bool
+	draining bool // set by Drain or Close; admission never reopens
 }
 
 // NewEngine validates the config, builds the filtered-protocol index once,
@@ -178,13 +175,9 @@ func (e *Engine) Fingerprint() string { return e.fp }
 // it (together with obs.Default) on a /metrics endpoint.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
-// Traces returns the flight-recorder store the engine's jobs record into
-// (256 traces × 4096 spans) — the backing of the /debug/traces endpoints.
-func (e *Engine) Traces() *trace.Store { return e.traces }
-
 // Accepting reports whether Submit can currently succeed: the engine is
-// open, not draining, and the queue has room. This is the readiness signal
-// behind GET /readyz.
+// neither draining nor closed, and the queue has room. This is the
+// readiness signal behind GET /readyz.
 func (e *Engine) Accepting() bool { return e.unavailable() == nil }
 
 // Draining reports whether a graceful drain is in progress (or the engine
@@ -204,10 +197,10 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 // SubmitCtx is Submit with trace continuity: when ctx carries a span (the
 // HTTP request span), the job's span becomes its child, so the trace runs
 // request → job → evaluation. Without one, the job starts a fresh root
-// trace in the engine's store — every job is traceable regardless of entry
-// point. ctx is used only for trace parentage; the job's own lifetime is
-// governed by its cancellation, not the (typically short-lived) caller
-// context.
+// trace, so every job is traceable regardless of entry point; either way the
+// job holds its trace's recorder for as long as the engine retains the job.
+// ctx is used only for trace parentage; the job's own lifetime is governed
+// by its cancellation, not the (typically short-lived) caller context.
 func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 	spec = e.withDefaults(spec)
 	parsed, err := e.validate(spec)
@@ -244,8 +237,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 	e.nextID++
 	id := fmt.Sprintf("j%06d", e.nextID)
 	span := trace.FromContext(ctx).Child("job")
-	rooted := span == nil // this submission registered a fresh root trace
-	if rooted {
+	if span == nil {
 		_, span = e.traces.StartTrace(context.Background(), "job")
 	}
 	span.SetAttrs(trace.String("job_id", id), trace.String("strategy", spec.Strategy),
@@ -267,14 +259,6 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 		j.cancel()
 		j.queueSpan.End()
 		j.span.End(trace.String("state", "rejected"), trace.String("error", ErrQueueFull.Error()))
-		if rooted {
-			// Un-register the root trace this rejected submission created: a
-			// rejection burst (exactly when the daemon is overloaded) must
-			// not FIFO-evict the flight recorders of real completed jobs.
-			// HTTP-parented spans recorded into the request's trace, which
-			// stays.
-			e.traces.Remove(span.Recorder())
-		}
 		return nil, ErrQueueFull
 	}
 	e.jobs[j.ID] = j
@@ -287,11 +271,8 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 // stoppedLocked says why the engine admits nothing any more, if it does not.
 // Caller holds e.mu.
 func (e *Engine) stoppedLocked() error {
-	switch {
-	case e.draining:
+	if e.draining {
 		return ErrDraining
-	case e.closed:
-		return ErrClosed
 	}
 	return nil
 }
@@ -520,16 +501,30 @@ func (e *Engine) Jobs() []*Job {
 	return append([]*Job(nil), e.order...)
 }
 
-// Close stops accepting jobs, cancels everything pending or running, and
-// waits for the workers to exit. For a shutdown that lets running jobs
-// finish, use Drain. Close after (or during) a Drain is a no-op.
+// jobByTrace returns a retained job whose trace has the hex id. The job
+// index is the only place a trace is kept, so a trace lives exactly as long
+// as its job.
+func (e *Engine) jobByTrace(id string) (*Job, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, j := range e.order {
+		if j.TraceID() == id {
+			return j, true
+		}
+	}
+	return nil, false
+}
+
+// Close stops accepting jobs (Submit returns ErrDraining from then on),
+// cancels everything pending or running, and waits for the workers to exit.
+// For a shutdown that lets running jobs finish, use Drain. Close after (or
+// during) a Drain, and a second Close, are no-ops.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if e.closed || e.draining {
+	if e.draining {
 		e.mu.Unlock()
 		return
 	}
-	e.closed = true
 	e.draining = true
 	jobs := append([]*Job(nil), e.order...)
 	e.mu.Unlock()
@@ -546,10 +541,11 @@ func (e *Engine) Close() {
 // unavailable), queued jobs are canceled with a terminal event telling
 // clients the server is draining, and running jobs are given up to timeout
 // to finish before being canceled. Drain returns once every worker has
-// exited; the engine is closed afterwards.
+// exited; Submit keeps returning ErrDraining afterwards. Drain after (or
+// during) a Close or another Drain is a no-op.
 func (e *Engine) Drain(timeout time.Duration) {
 	e.mu.Lock()
-	if e.closed || e.draining {
+	if e.draining {
 		e.mu.Unlock()
 		return
 	}
@@ -588,10 +584,6 @@ func (e *Engine) Drain(timeout time.Duration) {
 		}
 		<-done
 	}
-
-	e.mu.Lock()
-	e.closed = true
-	e.mu.Unlock()
 }
 
 func (e *Engine) worker() {
@@ -643,10 +635,8 @@ func (e *Engine) run(j *Job) {
 		// canceled, the deadline watcher flips expired); nothing to record.
 	case err != nil:
 		j.fail(err)
-	case len(j.Spec.Models) > 0:
-		j.succeedMany(results, cacheHit)
 	default:
-		j.succeed(results[0], cacheHit)
+		j.succeed(results, cacheHit)
 	}
 	e.logSlowJob(j)
 }

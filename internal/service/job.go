@@ -162,8 +162,7 @@ type Job struct {
 	mu       sync.Mutex
 	state    State
 	progress Progress
-	result   *eval.Result
-	results  []ModelResult // multi-model jobs only
+	result   []eval.Result // one per model, in spec order, once succeeded
 	errMsg   string
 	cacheHit bool
 	// models are the job's holds on its registered models, in spec order,
@@ -336,20 +335,10 @@ func (j *Job) setStages(st jobStages) {
 	j.mu.Unlock()
 }
 
-func (j *Job) succeed(res eval.Result, cacheHit bool) bool {
+// succeed finalizes a job with one result per model, in spec order.
+func (j *Job) succeed(res []eval.Result, cacheHit bool) bool {
 	return j.transition(StateSucceeded, func() {
-		j.result = &res
-		j.cacheHit = cacheHit
-	})
-}
-
-// succeedMany finalizes a multi-model job with one result per model.
-func (j *Job) succeedMany(res []eval.Result, cacheHit bool) bool {
-	return j.transition(StateSucceeded, func() {
-		j.results = make([]ModelResult, len(res))
-		for i, r := range res {
-			j.results[i] = ModelResult{Model: j.Spec.Models[i].Name, ResultStatus: resultStatus(r)}
-		}
+		j.result = res
 		j.cacheHit = cacheHit
 	})
 }
@@ -541,12 +530,16 @@ func (j *Job) Status() Status {
 		t := j.finished
 		st.FinishedAt = &t
 	}
-	if j.result != nil {
-		rs := resultStatus(*j.result)
+	switch {
+	case j.result == nil:
+	case len(j.Spec.Models) == 0:
+		rs := resultStatus(j.result[0])
 		st.Result = &rs
-	}
-	if j.results != nil {
-		st.Results = append([]ModelResult(nil), j.results...)
+	default:
+		st.Results = make([]ModelResult, len(j.result))
+		for i, r := range j.result {
+			st.Results[i] = ModelResult{Model: j.Spec.Models[i].Name, ResultStatus: resultStatus(r)}
+		}
 	}
 	return st
 }

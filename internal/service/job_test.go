@@ -44,7 +44,7 @@ func TestJobLifecycle(t *testing.T) {
 	if j.Status().StartedAt == nil {
 		t.Fatal("running job has no StartedAt")
 	}
-	if !j.succeed(eval.Result{Metrics: eval.Metrics{MRR: 0.5, Queries: 10}}, true) {
+	if !j.succeed([]eval.Result{{Metrics: eval.Metrics{MRR: 0.5, Queries: 10}}}, true) {
 		t.Fatal("running → succeeded rejected")
 	}
 	st := j.Status()
@@ -54,7 +54,7 @@ func TestJobLifecycle(t *testing.T) {
 	if st.FinishedAt == nil {
 		t.Fatal("terminal job has no FinishedAt")
 	}
-	if j.succeed(eval.Result{}, false) {
+	if j.succeed([]eval.Result{{}}, false) {
 		t.Fatal("double succeed accepted")
 	}
 	if j.Cancel() {
@@ -92,7 +92,7 @@ func TestJobCancelWhileRunning(t *testing.T) {
 		t.Fatalf("state = %s, want canceled", j.State())
 	}
 	// The worker's completion attempt after cancellation must be a no-op.
-	if j.succeed(eval.Result{}, false) {
+	if j.succeed([]eval.Result{{}}, false) {
 		t.Fatal("succeed after cancel accepted")
 	}
 	if j.Status().Result != nil {
@@ -110,7 +110,7 @@ func TestJobSubscribeOrdering(t *testing.T) {
 		for i := 1; i <= 20; i++ {
 			j.setProgress(i, 20)
 		}
-		j.succeed(eval.Result{Metrics: eval.Metrics{MRR: 1}}, false)
+		j.succeed([]eval.Result{{Metrics: eval.Metrics{MRR: 1}}}, false)
 	}()
 
 	var events []Event

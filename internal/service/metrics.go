@@ -13,8 +13,7 @@ const (
 )
 
 // engineMetrics holds the engine's instruments. Each engine registers in
-// its own Registry (EngineConfig.Metrics, a fresh one by default), so
-// multiple engines in one process — the test suite, or a future
+// a Registry of its own (Engine.Metrics), so multiple engines in one process — the test suite, or a future
 // multi-graph daemon — never share counters; obs.Handler merges the
 // engine registry with obs.Default (where internal/eval registers) for
 // one /metrics exposition. All methods are nil-receiver safe so jobs

@@ -28,12 +28,14 @@ import (
 //	GET    /metrics              Prometheus text exposition (engine + eval)
 //	GET    /healthz              liveness + host graph summary
 //	GET    /readyz               readiness (engine open and queue not full)
-//	GET    /debug/traces         retained trace summaries, newest first
-//	GET    /debug/traces/{id}    one trace by hex ID (?format=chrome)
+//	GET    /debug/traces/{id}    a retained job's trace by hex trace ID (?format=chrome)
 //
 // Every request is access-logged through slog at Debug level (Info for job
 // mutations), and POST /v1/jobs starts a trace whose span tree follows the
-// job through queue, evaluation plan and per-task scoring chunks.
+// job through queue, evaluation plan and per-task scoring chunks. The job
+// keeps its trace: both trace routes serve it while the engine retains the
+// job, and neither afterwards. A rejected submission's trace is dropped; its
+// access-log line keeps the trace_id and status.
 //
 // The handler is safe for concurrent use; all state lives in the Engine.
 func NewServer(e *Engine) http.Handler {
@@ -53,7 +55,6 @@ func NewServer(e *Engine) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
 	return s.middleware(mux)
 }
@@ -90,8 +91,8 @@ func (w *statusWriter) Flush() {
 
 // middleware wraps the API mux with request tracing and access logging.
 // Job submissions get a root trace (so the span tree runs HTTP request →
-// job → evaluation); other endpoints are logged but not traced — tracing
-// every /metrics scrape would churn the bounded trace store with noise.
+// job → evaluation); other endpoints are logged but not traced — a trace
+// nothing keeps would be work for no reader.
 // Access logs go through slog: scrape/health endpoints at Debug, the rest
 // at Info, so `-log-level` chooses how chatty the daemon is.
 func (s *server) middleware(next http.Handler) http.Handler {
@@ -100,7 +101,7 @@ func (s *server) middleware(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		traceID := ""
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-			ctx, span := s.engine.Traces().StartTrace(r.Context(), "http "+r.Method+" "+r.URL.Path,
+			ctx, span := s.engine.traces.StartTrace(r.Context(), "http "+r.Method+" "+r.URL.Path,
 				trace.String("method", r.Method), trace.String("path", r.URL.Path),
 				trace.String("remote", r.RemoteAddr))
 			if span != nil {
@@ -184,28 +185,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.engine.Stats())
 }
 
-// traceSummary is one row of the GET /debug/traces listing.
-type traceSummary struct {
-	TraceID string    `json:"trace_id"`
-	Name    string    `json:"name"`
-	Start   time.Time `json:"start"`
-	Spans   int       `json:"spans"`
-	Total   int64     `json:"spans_total"`
-}
-
-func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	recs := s.engine.Traces().Traces()
-	out := make([]traceSummary, len(recs))
-	for i, rec := range recs {
-		retained, total := rec.SpanCount()
-		out[i] = traceSummary{
-			TraceID: rec.TraceID(), Name: rec.Name(), Start: rec.Start(),
-			Spans: retained, Total: total,
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 // writeTrace renders a trace snapshot as self-contained JSON, or — with
 // ?format=chrome — as a Chrome trace_event document loadable in
 // chrome://tracing or https://ui.perfetto.dev.
@@ -217,21 +196,23 @@ func writeTrace(w http.ResponseWriter, r *http.Request, tr trace.Trace) {
 	writeJSON(w, http.StatusOK, tr)
 }
 
+// handleTraceByID serves what handleJobTrace does, found by trace ID: the
+// link from a metrics exemplar or a log line to the job's span tree.
 func (s *server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rec, ok := s.engine.Traces().Get(id)
+	j, ok := s.engine.jobByTrace(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no trace %q (evicted or never recorded)", id))
+		writeError(w, http.StatusNotFound, fmt.Errorf("no retained job has trace %q", id))
 		return
 	}
-	writeTrace(w, r, rec.Snapshot())
+	writeTrace(w, r, j.span.Recorder().Snapshot())
 }
 
 // handleJobTrace serves the trace of one job — the span tree from HTTP
 // submission through queue wait, plan compile, and per-task scoring chunks.
 // For running jobs it returns the spans completed so far. Every job the
 // engine admits is traced and holds its own flight recorder, so the trace
-// lives as long as the job is retained, whatever the trace store has evicted.
+// lives exactly as long as the job is retained.
 func (s *server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
@@ -343,8 +324,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusTooManyRequests, err)
 		case errors.Is(err, ErrDraining):
 			w.Header().Set("Retry-After", retryAfterSeconds(defaultRetryAfter))
-			writeError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, ErrClosed):
 			writeError(w, http.StatusServiceUnavailable, err)
 		case errors.Is(err, ErrUnknownModel):
 			// The client holds the bytes: upload them again, then resubmit.

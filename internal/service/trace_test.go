@@ -1,15 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"testing"
+	"time"
 
+	"kgeval/internal/faults"
 	"kgeval/internal/obs/trace"
 )
 
-func getJSON(t *testing.T, url string, v any) int {
+// getBody returns the status and body of a GET.
+func getBody(t *testing.T, url string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -20,19 +24,25 @@ func getJSON(t *testing.T, url string, v any) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != nil && resp.StatusCode == http.StatusOK {
+	return resp.StatusCode, body
+}
+
+func getJSON(t *testing.T, url string, v any) int {
+	t.Helper()
+	code, body := getBody(t, url)
+	if v != nil && code == http.StatusOK {
 		if err := json.Unmarshal(body, v); err != nil {
 			t.Fatalf("decoding %s: %v\n%s", url, err, body)
 		}
 	}
-	return resp.StatusCode
+	return code
 }
 
 // TestTracePropagation submits a job over HTTP and checks the end-to-end
 // span tree: HTTP request → job → queue wait, plan compile (with pool draw
 // under it), the evaluation pass, and per-task chunk spans with the
 // relations/queries/pool/strips/precision/tile attributes. Also covers the trace endpoints
-// themselves: /v1/jobs/{id}/trace, its chrome format, and /debug/traces.
+// themselves: /v1/jobs/{id}/trace, its chrome format, and /debug/traces/{id}.
 func TestTracePropagation(t *testing.T) {
 	ts, _ := newTestServer(t, EngineConfig{Workers: 1})
 	g := serviceGraph(t)
@@ -146,25 +156,14 @@ func TestTracePropagation(t *testing.T) {
 		t.Fatalf("chrome export has %d events for %d spans", len(chrome.TraceEvents), len(tr.Spans))
 	}
 
-	// /debug/traces lists the trace; /debug/traces/{id} serves it.
-	var summaries []traceSummary
-	if code := getJSON(t, ts.URL+"/debug/traces", &summaries); code != http.StatusOK {
-		t.Fatalf("GET /debug/traces: %d", code)
-	}
-	found := false
-	for _, s := range summaries {
-		if s.TraceID == st.TraceID {
-			found = true
-			if s.Spans == 0 {
-				t.Fatal("trace summary reports zero spans")
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("trace %s not in /debug/traces listing", st.TraceID)
-	}
-	if code := getJSON(t, ts.URL+"/debug/traces/"+st.TraceID, &tr); code != http.StatusOK {
+	// /debug/traces/{id} serves the job's trace by its ID.
+	var byID trace.Trace
+	if code := getJSON(t, ts.URL+"/debug/traces/"+st.TraceID, &byID); code != http.StatusOK {
 		t.Fatalf("GET /debug/traces/{id}: %d", code)
+	}
+	if byID.TraceID != st.TraceID || len(byID.Spans) != len(tr.Spans) {
+		t.Fatalf("/debug/traces/{id} served trace %s with %d spans, want %s with %d",
+			byID.TraceID, len(byID.Spans), st.TraceID, len(tr.Spans))
 	}
 	if code := getJSON(t, ts.URL+"/debug/traces/ffffffffffffffffffffffffffffffff", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown trace ID returned %d, want 404", code)
@@ -264,15 +263,11 @@ func TestReadyz(t *testing.T) {
 }
 
 // TestSubmitWithoutHTTPIsTraced checks the programmatic path: Submit with
-// no request span still produces a complete trace rooted at the job span.
+// no request span still produces a complete trace rooted at the job span,
+// served by trace ID like an HTTP job's.
 func TestSubmitWithoutHTTPIsTraced(t *testing.T) {
-	g := serviceGraph(t)
-	engine, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
-	snap := snapshotModel(t, g, "DistMult", 8, 6)
+	ts, engine := newTestServer(t, EngineConfig{Workers: 1})
+	snap := snapshotModel(t, engine.Graph(), "DistMult", 8, 6)
 	j, err := engine.Submit(JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snap}, Strategy: "R", MaxQueries: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -281,11 +276,10 @@ func TestSubmitWithoutHTTPIsTraced(t *testing.T) {
 		t.Fatal("programmatic Submit produced an untraced job")
 	}
 	<-jobDone(j)
-	rec, ok := engine.Traces().Get(j.TraceID())
-	if !ok {
-		t.Fatal("job trace not in the engine store")
+	var tr trace.Trace
+	if code := getJSON(t, ts.URL+"/debug/traces/"+j.TraceID(), &tr); code != http.StatusOK {
+		t.Fatalf("GET /debug/traces/{id} for a programmatic job = %d, want 200", code)
 	}
-	tr := rec.Snapshot()
 	names := map[string]bool{}
 	for _, s := range tr.Spans {
 		names[s.Name] = true
@@ -297,34 +291,115 @@ func TestSubmitWithoutHTTPIsTraced(t *testing.T) {
 	}
 }
 
-// A retained job serves its trace from its own recorder: the store evicting
-// it (256 traces against 4096 retained jobs) does not turn the job's trace
-// into a 404.
-func TestJobTraceOutlivesTheStore(t *testing.T) {
+// postJob posts body to /v1/jobs and returns the response status.
+func postJob(t *testing.T, base string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestTraceByIDSurvivesRejectionBurst: a burst of rejected submissions —
+// malformed specs (400) and specs shed by a full queue behind a stalled
+// worker (429) — must not cost an accepted job its trace. Every accepted
+// job's trace_id resolves at /debug/traces/{id} to the document
+// /v1/jobs/{id}/trace serves.
+func TestTraceByIDSurvivesRejectionBurst(t *testing.T) {
+	ts, engine := newTestServer(t, EngineConfig{Workers: 1, EvalWorkers: 1, QueueDepth: 1})
+	snap := snapshotModel(t, engine.Graph(), "DistMult", 8, 6)
+	spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snap}, Strategy: "P", MaxQueries: 20}
+
+	var accepted []Status
+	for i := 0; i < 3; i++ {
+		st := submitJob(t, ts.URL, spec)
+		if final := waitTerminal(t, ts.URL, st.ID); final.State != StateSucceeded {
+			t.Fatalf("job %s: %s (%s)", st.ID, final.State, final.Error)
+		}
+		accepted = append(accepted, st)
+	}
+	// Later submissions name the registered model instead of resending it.
+	byID := spec
+	byID.Model.Snapshot, byID.Model.ModelID = nil, accepted[0].ModelID
+
+	// A stalled blocker holds the one worker and a second job fills the
+	// queue, so every further valid submission is shed with 429.
+	armFault(t, faults.SiteWorker, faults.Plan{Action: faults.Stall, Stall: time.Minute, Limit: 1})
+	blocker := submitJob(t, ts.URL, byID)
+	for getStatus(t, ts.URL, blocker.ID).State == StateQueued {
+		time.Sleep(time.Millisecond)
+	}
+	accepted = append(accepted, blocker, submitJob(t, ts.URL, byID))
+
+	bad := []byte(`{"split":"nope"}`)
+	full, err := json.Marshal(byID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := map[int]int{}
+	for i := 0; i < 320; i++ {
+		body := bad
+		if i%2 == 1 {
+			body = full
+		}
+		codes[postJob(t, ts.URL, body)]++
+	}
+	if codes[http.StatusBadRequest] != 160 || codes[http.StatusTooManyRequests] != 160 {
+		t.Fatalf("burst answered %v, want 160 × 400 and 160 × 429", codes)
+	}
+
+	// Release the blocker so the queued job runs, and let every trace settle.
+	if j, ok := engine.Get(blocker.ID); !ok || !j.Cancel() {
+		t.Fatal("blocker was not running")
+	}
+	for _, st := range accepted {
+		waitTerminal(t, ts.URL, st.ID)
+	}
+	for _, st := range accepted {
+		code, want := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/trace")
+		if code != http.StatusOK {
+			t.Fatalf("GET /v1/jobs/%s/trace = %d", st.ID, code)
+		}
+		code, got := getBody(t, ts.URL+"/debug/traces/"+st.TraceID)
+		if code != http.StatusOK {
+			t.Fatalf("job %s: GET /debug/traces/%s after the burst = %d, want 200", st.ID, st.TraceID, code)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("job %s: /debug/traces/{id} and /v1/jobs/{id}/trace differ:\n%s\n%s", st.ID, got, want)
+		}
+	}
+}
+
+// TestPrunedJobTraceIsGone: the job index is the only place a trace is
+// kept, so once the engine prunes a job its trace is 404 on both routes,
+// while the retained job's is served on both.
+func TestPrunedJobTraceIsGone(t *testing.T) {
+	setVar(t, &retainJobs, 1)
 	ts, engine := newTestServer(t, EngineConfig{Workers: 1})
 	snap := snapshotModel(t, engine.Graph(), "DistMult", 8, 6)
-	st := submitJob(t, ts.URL, JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snap}, Strategy: "R", MaxQueries: 20})
-	if final := waitTerminal(t, ts.URL, st.ID); final.State != StateSucceeded {
-		t.Fatalf("job finished %s: %s", final.State, final.Error)
+	spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snap}, Strategy: "R", MaxQueries: 20}
+	var jobs []Status
+	for i := 0; i < 2; i++ {
+		st := submitJob(t, ts.URL, spec)
+		if final := waitTerminal(t, ts.URL, st.ID); final.State != StateSucceeded {
+			t.Fatalf("job %s: %s (%s)", st.ID, final.State, final.Error)
+		}
+		jobs = append(jobs, st)
 	}
-	rec, ok := engine.Traces().Get(st.TraceID)
-	if !ok {
-		t.Fatal("job trace not in the engine store")
+	// The second submission pruned the first, terminal, job.
+	pruned, kept := jobs[0], jobs[1]
+	for _, url := range []string{"/v1/jobs/" + pruned.ID + "/trace", "/debug/traces/" + pruned.TraceID} {
+		if code := getJSON(t, ts.URL+url, nil); code != http.StatusNotFound {
+			t.Errorf("GET %s for a pruned job = %d, want 404", url, code)
+		}
 	}
-	engine.Traces().Remove(rec)
-	if code := getJSON(t, ts.URL+"/debug/traces/"+st.TraceID, nil); code != http.StatusNotFound {
-		t.Fatalf("/debug/traces/{id} after eviction = %d, want 404", code)
-	}
-	var tr trace.Trace
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/trace", &tr); code != http.StatusOK {
-		t.Fatalf("GET job trace after the store evicted it = %d, want 200", code)
-	}
-	names := map[string]bool{}
-	for _, s := range tr.Spans {
-		names[s.Name] = true
-	}
-	if tr.TraceID != st.TraceID || !names["job"] || !names["eval.pass"] {
-		t.Fatalf("evicted job's trace %s has spans %v, want trace %s with job and eval.pass", tr.TraceID, names, st.TraceID)
+	for _, url := range []string{"/v1/jobs/" + kept.ID + "/trace", "/debug/traces/" + kept.TraceID} {
+		if code := getJSON(t, ts.URL+url, nil); code != http.StatusOK {
+			t.Errorf("GET %s for a retained job = %d, want 200", url, code)
+		}
 	}
 }
 

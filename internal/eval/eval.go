@@ -104,11 +104,6 @@ type StageTimings struct {
 	Score time.Duration
 	// RankMerge covers rank counting, strip by strip (count, then correct).
 	RankMerge time.Duration
-	// Kernel names the scoring lane that produced Score: "avx2" (the vector
-	// tile kernels) or "go" (kgc.Kernel). The lane is fixed per process by
-	// the CPU and the build, and both give the same scores bit for bit; it is
-	// recorded so that a timing can be read against the right floor.
-	Kernel string
 }
 
 // Options configure an evaluation pass.

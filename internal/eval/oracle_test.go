@@ -120,6 +120,46 @@ func (p plainModel) ScoreTriple(h, r, t int32) float64             { return p.m.
 func (p plainModel) ScoreTails(h, r int32, c []int32, o []float64) { p.m.ScoreTails(h, r, c, o) }
 func (p plainModel) ScoreHeads(r, t int32, c []int32, o []float64) { p.m.ScoreHeads(r, t, c, o) }
 
+// relabeledModel is inner seen through a relabelling of the entities: it
+// scores (h, r, t) as inner(inv[h], r, inv[t]), candidates included, so the
+// entity that was e in inner's graph is π(e) in this one (inv = π⁻¹).
+type relabeledModel struct {
+	inner kgc.Model
+	inv   []int32
+}
+
+func (m relabeledModel) Name() string { return m.inner.Name() }
+func (m relabeledModel) Dim() int     { return m.inner.Dim() }
+func (m relabeledModel) ScoreTriple(h, r, t int32) float64 {
+	return m.inner.ScoreTriple(m.inv[h], r, m.inv[t])
+}
+func (m relabeledModel) ScoreTails(h, r int32, c []int32, o []float64) {
+	m.inner.ScoreTails(m.inv[h], r, m.mapped(c), o)
+}
+func (m relabeledModel) ScoreHeads(r, t int32, c []int32, o []float64) {
+	m.inner.ScoreHeads(r, m.inv[t], m.mapped(c), o)
+}
+func (m relabeledModel) mapped(c []int32) []int32 {
+	out := make([]int32, len(c))
+	for i, e := range c {
+		out[i] = m.inv[e]
+	}
+	return out
+}
+
+// relabelGraph returns g with every split's entities mapped through perm.
+func relabelGraph(g *kg.Graph, perm []int) *kg.Graph {
+	split := func(ts []kg.Triple) []kg.Triple {
+		out := make([]kg.Triple, len(ts))
+		for i, q := range ts {
+			out[i] = kg.Triple{H: int32(perm[q.H]), R: q.R, T: int32(perm[q.T])}
+		}
+		return out
+	}
+	return &kg.Graph{Name: g.Name + "-relabelled", NumEntities: g.NumEntities, NumRelations: g.NumRelations,
+		Train: split(g.Train), Valid: split(g.Valid), Test: split(g.Test)}
+}
+
 // constModel scores every triple v but those in nan, which score NaN:
 // constModel{v: 0.25} ties every candidate, constModel{v: NaN} fails on
 // every triple, and a nan set of answers fails on exactly those.
@@ -200,6 +240,53 @@ func TestOracleGatePlainModelsAndProperties(t *testing.T) {
 		for i := range small {
 			if small[i] > large[i] {
 				t.Errorf("%s query %d: rank %v on the pool, %v on its superset", pname, i, small[i], large[i])
+			}
+		}
+	}
+
+	// Relabelling the entities moves no rank (the filtering contract of Jain
+	// et al. 2020: a filtered rank depends on which triples are known, never
+	// on the ids). With the splits mapped through a permutation π, the filter
+	// rebuilt on them and the model scoring through π⁻¹, every query ranks
+	// as its unpermuted self, on the full pool and on the every-third pool
+	// mapped through π. ComplEx, TransE, RotatE and ConvE take every tile
+	// kernel, the entity bias and reciprocal relations through it.
+	perm := rand.New(rand.NewSource(13)).Perm(g.NumEntities)
+	inv := make([]int32, len(perm))
+	for e, pe := range perm {
+		inv[pe] = int32(e)
+	}
+	pg := relabelGraph(g, perm)
+	pfilter := kg.NewFilterIndex(pg.Train, pg.Valid, pg.Test)
+	pthird := make([]int32, len(third))
+	for i, e := range third {
+		pthird[i] = int32(perm[e])
+	}
+	slices.Sort(pthird)
+	for _, name := range []string{"ComplEx", "TransE", "RotatE", "ConvE"} {
+		m, err := kgc.New(name, g, 16, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm := relabeledModel{inner: m, inv: inv}
+		for _, row := range []struct {
+			label string
+			p, pp CandidateProvider
+		}{
+			{"full", full, full},
+			{"every third entity", fixedProvider{pool: third}, fixedProvider{pool: pthird}},
+		} {
+			label := name + " " + row.label
+			want := checkAgainstOracle(t, label, m, m, g, g.Test, row.p, Options{Filter: filter, Seed: 9, Workers: 4})
+			got := checkAgainstOracle(t, "relabelled "+label, pm, pm, pg, pg.Test, row.pp, Options{Filter: pfilter, Seed: 9, Workers: 4})
+			moved := 0
+			for i := range want {
+				if got[i] != want[i] {
+					moved++
+				}
+			}
+			if moved > 0 {
+				t.Errorf("relabelled %s: %d of %d ranks moved", label, moved, len(want))
 			}
 		}
 	}

@@ -327,7 +327,7 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 	})
 
 	res := Result{Metrics: metricsFromRanks(ps.ranks)}
-	res.Stages = StageTimings{PlanCompile: p.compileTime, PoolDraw: p.poolTime, Kernel: kgc.Kernel()}
+	res.Stages = StageTimings{PlanCompile: p.compileTime, PoolDraw: p.poolTime}
 	for i := range workers {
 		res.CandidatesScored += workers[i].scored
 		res.Stages.Score += time.Duration(workers[i].scoreNS)

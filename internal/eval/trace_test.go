@@ -69,9 +69,8 @@ func TestEvaluateTraced(t *testing.T) {
 		if p.Attr("model") != "formula" {
 			t.Fatalf("pass model attr = %v", p.Attr("model"))
 		}
-		if p.Attr("kernel") != kgc.Kernel() || results[0].Stages.Kernel != kgc.Kernel() {
-			t.Fatalf("pass kernel attr = %v, Stages.Kernel = %q, the process scores on %q",
-				p.Attr("kernel"), results[0].Stages.Kernel, kgc.Kernel())
+		if p.Attr("kernel") != kgc.Kernel() {
+			t.Fatalf("pass kernel attr = %v, the process scores on %q", p.Attr("kernel"), kgc.Kernel())
 		}
 		if q, ok := p.Attr("queries").(int); !ok || q != results[0].Queries {
 			t.Fatalf("pass queries attr = %v, want %d", p.Attr("queries"), results[0].Queries)

@@ -28,9 +28,10 @@ type BatchScorer interface {
 	// ScoreAnswer is the score of the block's i-th query against entity e,
 	// its true answer, read off the query the block holds. At float64 it is
 	// bit for bit the model's ScoreTriple (tail query) or its ScoreHeads over
-	// the one id e (head query); at reduced precision e's row comes from the
-	// store the candidates' do, so it is what ScoreBlock writes for e. It
-	// leaves the block as it was.
+	// the one id e (head query): for a built-in model, a base plus two query
+	// builders, both run the builder and its base's Go tile kernel. At
+	// reduced precision e's row comes from the store the candidates' do, so
+	// it is what ScoreBlock writes for e. It leaves the block as it was.
 	ScoreAnswer(i int, e int32) float64
 	// ScoreTailsBatch is a block of tail queries in one call: the score of
 	// (hs[i], r, cands[j]) goes into out[i*len(cands)+j].

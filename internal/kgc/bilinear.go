@@ -10,10 +10,8 @@ import (
 // DistMult (Yang et al. 2014) is the diagonal bilinear model:
 // score(h, r, t) = Σᵢ hᵢ·rᵢ·tᵢ.
 type DistMult struct {
-	dim    int
-	ent    *table
-	rel    *table
-	stores entStores
+	base
+	rel *table
 }
 
 // NewDistMult initializes a DistMult model for the graph.
@@ -21,16 +19,11 @@ func NewDistMult(g *kg.Graph, dim int, seed int64) *DistMult {
 	rng := rand.New(rand.NewSource(seed))
 	scale := 1 / math.Sqrt(float64(dim))
 	return &DistMult{
-		dim: dim,
-		ent: newTable(rng, g.NumEntities, dim, scale),
+		base: base{name: "DistMult", dim: dim, kind: kindDot, loss: LossLogistic,
+			ent: newTable(rng, g.NumEntities, dim, scale)},
 		rel: newTable(rng, g.NumRelations, dim, scale),
 	}
 }
-
-func (m *DistMult) Name() string      { return "DistMult" }
-func (m *DistMult) Dim() int          { return m.dim }
-func (m *DistMult) defaultLoss() Loss { return LossLogistic }
-func (m *DistMult) reciprocal() bool  { return false }
 
 // ScoreTriple returns Σᵢ hᵢrᵢtᵢ.
 func (m *DistMult) ScoreTriple(h, r, t int32) float64 {
@@ -48,11 +41,6 @@ func (m *DistMult) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m
 // Universal batch-lane contract (see scoring.go), which ScoreTails and
 // ScoreHeads run too: tail queries are h∘r, head queries r∘t, scored by the
 // dot kernel.
-
-func (m *DistMult) entityTable() *table      { return m.ent }
-func (m *DistMult) entityStores() *entStores { return &m.stores }
-func (m *DistMult) entityBias() *table       { return nil }
-func (m *DistMult) singleViaBatch() bool     { return false }
 
 func (m *DistMult) buildTailQueries(hs []int32, r int32, qs []float64, _ *scratch) {
 	rv := m.rel.vec(r)
@@ -76,12 +64,6 @@ func (m *DistMult) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratc
 	}
 }
 
-func (m *DistMult) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
-	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
-}
-
-func (m *DistMult) tileKind() tileKind { return kindDot }
-
 func (m *DistMult) gradStep(h, r, t int32, coeff, lr float64) {
 	hv, rv, tv := m.ent.vec(h), m.rel.vec(r), m.ent.vec(t)
 	gh := make([]float64, m.dim)
@@ -101,11 +83,9 @@ func (m *DistMult) gradStep(h, r, t int32, coeff, lr float64) {
 // scores with Re(⟨h, r, conj(t)⟩), fixing DistMult's inability to model
 // antisymmetric relations. Vectors are stored as [re₀..re_{d/2}, im₀..].
 type ComplEx struct {
-	dim    int // total real dimensionality (must be even); d/2 complex dims
-	half   int
-	ent    *table
-	rel    *table
-	stores entStores
+	base // dim is the total real dimensionality (even); d/2 complex dims
+	half int
+	rel  *table
 }
 
 // NewComplEx initializes a ComplEx model; dim must be even.
@@ -116,17 +96,12 @@ func NewComplEx(g *kg.Graph, dim int, seed int64) *ComplEx {
 	rng := rand.New(rand.NewSource(seed))
 	scale := 1 / math.Sqrt(float64(dim))
 	return &ComplEx{
-		dim:  dim,
+		base: base{name: "ComplEx", dim: dim, kind: kindDot, loss: LossLogistic,
+			ent: newTable(rng, g.NumEntities, dim, scale)},
 		half: dim / 2,
-		ent:  newTable(rng, g.NumEntities, dim, scale),
 		rel:  newTable(rng, g.NumRelations, dim, scale),
 	}
 }
-
-func (m *ComplEx) Name() string      { return "ComplEx" }
-func (m *ComplEx) Dim() int          { return m.dim }
-func (m *ComplEx) defaultLoss() Loss { return LossLogistic }
-func (m *ComplEx) reciprocal() bool  { return false }
 
 // ScoreTriple returns Re(⟨h, r, conj(t)⟩) =
 // Σ (h_re·r_re·t_re + h_im·r_re·t_im + h_re·r_im·t_im − h_im·r_im·t_re).
@@ -162,11 +137,6 @@ func (m *ComplEx) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m,
 // scored by the dot kernel. A head query is score = Σ q_re·h_re + q_im·h_im
 // with q_re = r_re·t_re + r_im·t_im, q_im = r_re·t_im − r_im·t_re.
 
-func (m *ComplEx) entityTable() *table      { return m.ent }
-func (m *ComplEx) entityStores() *entStores { return &m.stores }
-func (m *ComplEx) entityBias() *table       { return nil }
-func (m *ComplEx) singleViaBatch() bool     { return false }
-
 func (m *ComplEx) buildTailQueries(hs []int32, r int32, qs []float64, _ *scratch) {
 	rv := m.rel.vec(r)
 	for i, h := range hs {
@@ -188,12 +158,6 @@ func (m *ComplEx) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch
 		}
 	}
 }
-
-func (m *ComplEx) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
-	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
-}
-
-func (m *ComplEx) tileKind() tileKind { return kindDot }
 
 func (m *ComplEx) gradStep(h, r, t int32, coeff, lr float64) {
 	hv, rv, tv := m.ent.vec(h), m.rel.vec(r), m.ent.vec(t)
@@ -220,26 +184,19 @@ func (m *ComplEx) gradStep(h, r, t int32, coeff, lr float64) {
 // RESCAL (Nickel et al. 2011) scores with a full bilinear form per relation:
 // score(h, r, t) = hᵀ·W_r·t with W_r ∈ R^{d×d}.
 type RESCAL struct {
-	dim    int
-	ent    *table
-	rel    *table // each row is a flattened d×d matrix
-	stores entStores
+	base
+	rel *table // each row is a flattened d×d matrix
 }
 
 // NewRESCAL initializes a RESCAL model.
 func NewRESCAL(g *kg.Graph, dim int, seed int64) *RESCAL {
 	rng := rand.New(rand.NewSource(seed))
 	return &RESCAL{
-		dim: dim,
-		ent: newTable(rng, g.NumEntities, dim, 1/math.Sqrt(float64(dim))),
+		base: base{name: "RESCAL", dim: dim, kind: kindDot, loss: LossLogistic,
+			ent: newTable(rng, g.NumEntities, dim, 1/math.Sqrt(float64(dim)))},
 		rel: newTable(rng, g.NumRelations, dim*dim, 1/float64(dim)),
 	}
 }
-
-func (m *RESCAL) Name() string      { return "RESCAL" }
-func (m *RESCAL) Dim() int          { return m.dim }
-func (m *RESCAL) defaultLoss() Loss { return LossLogistic }
-func (m *RESCAL) reciprocal() bool  { return false }
 
 // ScoreTriple returns hᵀ·W_r·t.
 func (m *RESCAL) ScoreTriple(h, r, t int32) float64 {
@@ -260,11 +217,6 @@ func (m *RESCAL) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, 
 // Universal batch-lane contract (see scoring.go), which ScoreTails and
 // ScoreHeads run too: tail queries are hᵀW_r, head queries W_r·t, scored by
 // the dot kernel.
-
-func (m *RESCAL) entityTable() *table      { return m.ent }
-func (m *RESCAL) entityStores() *entStores { return &m.stores }
-func (m *RESCAL) entityBias() *table       { return nil }
-func (m *RESCAL) singleViaBatch() bool     { return false }
 
 // buildTailQueries computes q = hᵀW_r. Unlike TuckER's tail query it does
 // not skip a zero h_a: with an infinite weight in its row, 0·∞ is NaN, and
@@ -288,12 +240,6 @@ func (m *RESCAL) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch)
 		headQuery(m.ent.vec(t), w, qs[i*d:(i+1)*d])
 	}
 }
-
-func (m *RESCAL) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
-	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
-}
-
-func (m *RESCAL) tileKind() tileKind { return kindDot }
 
 func (m *RESCAL) gradStep(h, r, t int32, coeff, lr float64) {
 	hv, tv := m.ent.vec(h), m.ent.vec(t)

@@ -22,26 +22,22 @@ import (
 // trick: score(?, r, t) = score over tails of (t, r⁻¹, ?). The trainer
 // detects this via reciprocal() and corrupts tails only, in both directions.
 type ConvE struct {
-	dim      int
+	base         // bias is b_t, the per-entity additive bias
 	nrel     int // original relation count; rel table has 2·nrel rows
 	dw, dh   int // embedding reshape: dh rows × dw cols; image is 2dh × dw
 	channels int
 
-	ent     *table
-	entBias *table // per-entity additive bias
-	rel     *table
-	kern    *table // channels × 3×3 kernels (single input channel)
-	kernB   *table // per-channel bias
-	fc      *table // (channels·2dh·dw) × dim, stored row-major by input unit
-	fcB     *table // dim biases
+	rel   *table
+	kern  *table // channels × 3×3 kernels (single input channel)
+	kernB *table // per-channel bias
+	fc    *table // (channels·2dh·dw) × dim, stored row-major by input unit
+	fcB   *table // dim biases
 
 	// Running batch-norm statistics (momentum bnM). bnConv* are per
 	// channel over the conv output map; bnFC* are per output coordinate.
 	bnConvMean, bnConvVar []float64
 	bnFCMean, bnFCVar     []float64
 	bnM                   float64
-
-	stores entStores
 }
 
 // NewConvE initializes a ConvE model. dim is rounded up to a multiple of 4
@@ -52,7 +48,7 @@ func NewConvE(g *kg.Graph, dim int, seed int64) *ConvE {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	m := &ConvE{
-		dim:      dim,
+		base:     base{name: "ConvE", dim: dim, kind: kindDot, loss: LossLogistic, recip: true, viaBatch: true},
 		nrel:     g.NumRelations,
 		dw:       4,
 		dh:       dim / 4,
@@ -61,7 +57,7 @@ func NewConvE(g *kg.Graph, dim int, seed int64) *ConvE {
 	}
 	flat := m.channels * 2 * m.dh * m.dw
 	m.ent = newTable(rng, g.NumEntities, dim, 1/math.Sqrt(float64(dim)))
-	m.entBias = newTable(rng, g.NumEntities, 1, 0)
+	m.bias = newTable(rng, g.NumEntities, 1, 0)
 	m.rel = newTable(rng, 2*g.NumRelations, dim, 1/math.Sqrt(float64(dim)))
 	m.kern = newSharedTable(rng, m.channels, 9, 1.0/3)
 	m.kernB = newSharedTable(rng, 1, m.channels, 0)
@@ -81,11 +77,6 @@ func onesSlice(n int) []float64 {
 	}
 	return v
 }
-
-func (m *ConvE) Name() string      { return "ConvE" }
-func (m *ConvE) Dim() int          { return m.dim }
-func (m *ConvE) defaultLoss() Loss { return LossLogistic }
-func (m *ConvE) reciprocal() bool  { return true }
 
 const bnEps = 1e-5
 
@@ -204,7 +195,7 @@ func (m *ConvE) updateStats(convPre, fcPre []float64) {
 // ScoreTriple returns f(h, r)·t + b_t.
 func (m *ConvE) ScoreTriple(h, r, t int32) float64 {
 	f := m.forward(h, r, nil, nil, nil)
-	return dot(f, m.ent.vec(t)) + m.entBias.vec(t)[0]
+	return dot(f, m.ent.vec(t)) + m.bias.vec(t)[0]
 }
 
 func (m *ConvE) ScoreTails(h, r int32, c []int32, o []float64) { scoreQuery(m, h, r, true, c, o) }
@@ -213,14 +204,8 @@ func (m *ConvE) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, t
 // Universal batch-lane contract (see scoring.go), which ScoreTails and
 // ScoreHeads run too. The query vector is f(h, r) itself, so candidate
 // scoring is the dot kernel plus the per-entity bias; head queries go
-// through the reciprocal relation. singleViaBatch is on: ScoreTriple
-// allocates a fresh conv/FC stack per call, while the block already holds
-// the query.
-
-func (m *ConvE) entityTable() *table      { return m.ent }
-func (m *ConvE) entityStores() *entStores { return &m.stores }
-func (m *ConvE) entityBias() *table       { return m.entBias }
-func (m *ConvE) singleViaBatch() bool     { return true }
+// through the reciprocal relation. viaBatch is on: ScoreTriple allocates a
+// fresh conv/FC stack per call, while the block already holds the query.
 
 // buildTailQueries computes f(h_i, r) for each of a relation's queries in a
 // block: forward's conv features and projection, on the scorer's scratch.
@@ -239,12 +224,6 @@ func (m *ConvE) buildTailQueries(hs []int32, r int32, qs []float64, sc *scratch)
 func (m *ConvE) buildHeadQueries(ts []int32, r int32, qs []float64, sc *scratch) {
 	m.buildTailQueries(ts, r+int32(m.nrel), qs, sc)
 }
-
-func (m *ConvE) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
-	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
-}
-
-func (m *ConvE) tileKind() tileKind { return kindDot }
 
 func (m *ConvE) gradStep(h, r, t int32, coeff, lr float64) {
 	ih, iw := 2*m.dh, m.dw
@@ -267,7 +246,7 @@ func (m *ConvE) gradStep(h, r, t int32, coeff, lr float64) {
 		gt[j] = coeff * f[j]
 	}
 	m.ent.update(t, gt, lr)
-	m.entBias.update(t, []float64{coeff}, lr)
+	m.bias.update(t, []float64{coeff}, lr)
 
 	// Backprop through the output BN (stats treated as constants):
 	// dScore/dfcPre_j = t_j / √(var+ε).

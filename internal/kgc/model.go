@@ -10,11 +10,13 @@
 // metrics track the true filtered metrics *during* training, as the paper
 // does over 100 epochs.
 //
-// Each built-in model writes its queries once, as the query builders of the
-// batch lane's native contract (batchNative): a block of queries and the
-// per-query ScoreTails/ScoreHeads run the same builder and the same tile
-// kernel arithmetic, so their scores agree bit for bit by construction.
-// ScoreTriple and the training gradient keep their closed forms.
+// Each built-in model is a base plus two query builders (batchNative): the
+// embedded base states once its name, dim, entity table, bias, tile kernel
+// kind and training defaults, and the builders write its queries once. A
+// block of queries and the per-query ScoreTails/ScoreHeads run the same
+// builder and the same tile kernel, so their scores agree bit for bit by
+// construction. ScoreTriple and the training gradient keep their closed
+// forms.
 package kgc
 
 import (
@@ -61,9 +63,11 @@ const (
 	LossMargin
 )
 
-// Trainable is a Model that can be trained by this package's Trainer.
-// The gradient surface is deliberately minimal: gradStep applies one
-// Adagrad update for a single triple given dLoss/dScore.
+// Trainable is a Model that can be trained by this package's Trainer: a
+// built-in model, whose embedded base answers defaultLoss and reciprocal and
+// whose own gradStep is the one method it writes for training. The gradient
+// surface is deliberately minimal: gradStep applies one Adagrad update for a
+// single triple given dLoss/dScore.
 type Trainable interface {
 	Model
 	defaultLoss() Loss

@@ -314,7 +314,7 @@ func (m *ConvE) refForward(h, r int32) []float64 {
 func (m *ConvE) refScoreTails(h, r int32, cands []int32, out []float64) {
 	f := m.refForward(h, r)
 	for c, cand := range cands {
-		out[c] = dot(f, m.ent.vec(cand)) + m.entBias.vec(cand)[0]
+		out[c] = dot(f, m.ent.vec(cand)) + m.bias.vec(cand)[0]
 	}
 }
 

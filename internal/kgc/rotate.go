@@ -13,11 +13,9 @@ import (
 // complex moduli. Entity vectors are stored as [re..., im...]; relations
 // store d/2 phases.
 type RotatE struct {
-	dim    int // total real dimensionality (even); d/2 complex dims
-	half   int
-	ent    *table
-	rel    *table // phases, one per complex dimension
-	stores entStores
+	base // dim is the total real dimensionality (even); d/2 complex dims
+	half int
+	rel  *table // phases, one per complex dimension
 }
 
 // NewRotatE initializes a RotatE model; dim must be even.
@@ -26,19 +24,13 @@ func NewRotatE(g *kg.Graph, dim int, seed int64) *RotatE {
 		dim++
 	}
 	rng := rand.New(rand.NewSource(seed))
-	m := &RotatE{
-		dim:  dim,
+	return &RotatE{
+		base: base{name: "RotatE", dim: dim, kind: kindRot, loss: LossMargin, viaBatch: true,
+			ent: newTable(rng, g.NumEntities, dim, 0.5)},
 		half: dim / 2,
-		ent:  newTable(rng, g.NumEntities, dim, 0.5),
 		rel:  newTable(rng, g.NumRelations, dim/2, math.Pi),
 	}
-	return m
 }
-
-func (m *RotatE) Name() string      { return "RotatE" }
-func (m *RotatE) Dim() int          { return m.dim }
-func (m *RotatE) defaultLoss() Loss { return LossMargin }
-func (m *RotatE) reciprocal() bool  { return false }
 
 // rotated writes the complex rotation of h by sign·phases into (qre, qim):
 // h∘r for sign = 1, the inverse rotation h∘r⁻¹ for sign = −1.
@@ -73,13 +65,8 @@ func (m *RotatE) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, 
 // Universal batch-lane contract (see scoring.go), which ScoreTails and
 // ScoreHeads run too: tail queries rotate h by r's phases, head queries
 // rotate t by the inverse phases (|h∘r − t| = |h − t∘r⁻¹|), scored by the
-// complex-modulus kernel. singleViaBatch is on: ScoreTriple allocates the
+// complex-modulus kernel. viaBatch is on: ScoreTriple allocates the
 // rotated query per call, while the block already holds it.
-
-func (m *RotatE) entityTable() *table      { return m.ent }
-func (m *RotatE) entityStores() *entStores { return &m.stores }
-func (m *RotatE) entityBias() *table       { return nil }
-func (m *RotatE) singleViaBatch() bool     { return true }
 
 func (m *RotatE) buildTailQueries(hs []int32, r int32, qs []float64, _ *scratch) {
 	phases := m.rel.vec(r)
@@ -96,12 +83,6 @@ func (m *RotatE) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch)
 		m.rotated(m.ent.vec(t), phases, -1, q[:m.half], q[m.half:])
 	}
 }
-
-func (m *RotatE) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
-	scoreRotTile(qs, tbuf, m.dim, j0, j1, nc, out)
-}
-
-func (m *RotatE) tileKind() tileKind { return kindRot }
 
 func (m *RotatE) gradStep(h, r, t int32, coeff, lr float64) {
 	d := m.half

@@ -26,19 +26,47 @@ type BatchOptions struct {
 	Tile int
 }
 
+// base is what a built-in model states once about its scoring lane, and
+// embeds: its name and dim, the entity table its candidates are rows of (with
+// that table's store cache and, for ConvE, the per-entity bias added to every
+// score), the tile kernel that scores a query against a candidate row, and
+// what the trainer needs to know. Everything else a model is — its relation
+// parameters, its query builders, its closed-form ScoreTriple and its
+// gradient — it writes itself.
+type base struct {
+	name   string
+	dim    int
+	ent    *table
+	bias   *table   // per-entity additive score bias (one value per row), or nil
+	kind   tileKind // the tile kernel: goKernels[kind], vecKernels[kind]
+	loss   Loss
+	recip  bool // head queries run as tail queries of inverse relations r+|R|
+	stores entStores
+
+	// viaBatch sets ScoreAnswer to score a tail query's answer from the query
+	// vector the block holds even at float64, instead of calling the model's
+	// ScoreTriple. Models whose own ScoreTriple recomputes expensive
+	// per-relation state (TuckER's core contraction, ConvE's conv+FC stack)
+	// or allocates per call (RotatE's rotated query) opt in. Opting in
+	// requires the model's ScoreTriple to be bit-identical to its ScoreTails
+	// over the one candidate.
+	viaBatch bool
+}
+
+func (b *base) Name() string      { return b.name }
+func (b *base) Dim() int          { return b.dim }
+func (b *base) defaultLoss() Loss { return b.loss }
+func (b *base) reciprocal() bool  { return b.recip }
+func (b *base) lane() *base       { return b }
+
 // batchNative is the per-model contract behind the universal batch lane and
-// the built-in models' per-query methods. A model implements it by exposing
-// its entity table, two query-builder hooks and its tile micro-kernel; the
-// tile walk and row access live in storeScorer, and a single query's
+// the built-in models' per-query methods: a base plus two query builders.
+// The tile walk and row access live in storeScorer, and a single query's
 // candidate loop in scoreQuery, so a model writes its query once and every
 // path that scores it runs that code.
 type batchNative interface {
 	Model
-	entityTable() *table
-	entityStores() *entStores
-	// entityBias returns the per-entity additive score bias table (one value
-	// per row), or nil.
-	entityBias() *table
+	lane() *base
 	// buildTailQueries writes, for each head hs[i], the query vector q such
 	// that score(hs[i], r, c) = kernel(q, c) (+ bias[c]) into
 	// qs[i*Dim():(i+1)*Dim()]. qs may hold stale data from a previous block;
@@ -47,21 +75,6 @@ type batchNative interface {
 	// buildHeadQueries is the head-direction analogue: score(c, r, ts[i]) =
 	// kernel(q, c) (+ bias[c]).
 	buildHeadQueries(ts []int32, r int32, qs []float64, sc *scratch)
-	// tileKernel scores every query in qs against candidates j0..j1 of an
-	// nc-candidate pool, whose vectors are the rows of tbuf, writing
-	// out[i*nc+j]. tbuf may alias the live entity table: read-only.
-	tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64)
-	// tileKind names the kernel tileKernel runs, which is how the scorer
-	// finds its vector twin.
-	tileKind() tileKind
-	// singleViaBatch reports whether ScoreAnswer scores a tail query's answer
-	// from the query vector the block holds even at float64, instead of
-	// calling the model's ScoreTriple. Models whose own ScoreTriple
-	// recomputes expensive per-relation state (TuckER's core contraction,
-	// ConvE's conv+FC stack) or allocates per call (RotatE's rotated query)
-	// opt in. Opting in requires the model's ScoreTriple to be bit-identical
-	// to its ScoreTails over the one candidate.
-	singleViaBatch() bool
 }
 
 // scoreQuery is every built-in model's ScoreTails (tail: the query (e, r, ?))
@@ -72,18 +85,19 @@ type batchNative interface {
 // Go kernel over its table row, the kernels' one-candidate path, then given
 // its entity bias.
 func scoreQuery(m batchNative, e, r int32, tail bool, cands []int32, out []float64) {
+	b := m.lane()
 	var sc scratch
-	q := make([]float64, m.Dim())
+	q := make([]float64, b.dim)
 	if one := []int32{e}; tail {
 		m.buildTailQueries(one, r, q, &sc)
 	} else {
 		m.buildHeadQueries(one, r, q, &sc)
 	}
-	ent, bias := m.entityTable(), m.entityBias()
+	kern := goKernels[b.kind]
 	for j, c := range cands {
-		m.tileKernel(q, ent.vec(c), j, j+1, len(cands), out)
-		if bias != nil {
-			out[j] += bias.vec(c)[0]
+		kern(q, b.ent.vec(c), b.dim, j, j+1, len(cands), out)
+		if b.bias != nil {
+			out[j] += b.bias.vec(c)[0]
 		}
 	}
 }
@@ -103,6 +117,10 @@ const (
 // store.TileColumns' candidate-minor columns for the vector ones), never in
 // a bit of out.
 type tileFunc func(qs, tbuf []float64, dim, j0, j1, nc int, out []float64)
+
+// goKernels holds the Go tile kernel of each kind: the definition of a
+// score, and the lane wherever vecKernels is nil.
+var goKernels = [numKinds]tileFunc{kindDot: scoreDotTile, kindL1: scoreL1Tile, kindRot: scoreRotTile}
 
 // vecKernels holds the vector twin of each Go tile kernel, or nil. It is
 // filled once at start-up, by the amd64 build on a CPU with AVX2
@@ -214,17 +232,19 @@ func (c *entStores) get(t *table, p store.Precision) *store.Store {
 // not change a score.
 func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 	if bn, ok := m.(batchNative); ok {
+		b := bn.lane()
 		tile := opts.Tile
 		if tile <= 0 {
-			tile = TileFor(0, m.Dim(), opts.Precision)
+			tile = TileFor(0, b.dim, opts.Precision)
 		}
 		return &storeScorer{
 			m:    bn,
-			st:   bn.entityStores().get(bn.entityTable(), opts.Precision),
-			bias: bn.entityBias(),
+			st:   b.stores.get(b.ent, opts.Precision),
+			bias: b.bias,
 			prec: opts.Precision,
 			tile: tile,
-			vec:  vecKernels[bn.tileKind()],
+			kern: goKernels[b.kind],
+			vec:  vecKernels[b.kind],
 		}
 	}
 	if bs, ok := m.(BatchScorer); ok {
@@ -247,7 +267,8 @@ type storeScorer struct {
 	bias *table
 	prec store.Precision
 	tile int
-	vec  tileFunc // the vector twin of m.tileKernel; nil on the Go lane
+	kern tileFunc // the model's Go tile kernel
+	vec  tileFunc // its vector twin; nil on the Go lane
 	sc   scratch
 
 	// block names the block's queries: ScoreAnswer needs the direction and,
@@ -340,7 +361,7 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
 			s.vec(qs, s.st.TileColumns(cands[j0:jv], s.sc.tbuf), dim, j0, jv, nc, out)
 		}
 		if jv < j1 {
-			s.m.tileKernel(qs, s.st.Tile(cands[jv:j1], s.sc.tbuf), jv, j1, nc, out)
+			s.kern(qs, s.st.Tile(cands[jv:j1], s.sc.tbuf), dim, jv, j1, nc, out)
 		}
 	}
 	if s.bias != nil {
@@ -357,7 +378,7 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
 // routeTriple reports whether ScoreAnswer scores a tail answer from the
 // block's vector: always at reduced precision (the answer entity must come
 // from the same quantized store the batch kernels read), and at float64 only
-// for models that opt in via singleViaBatch.
+// for models that opt in via base.viaBatch.
 func (s *storeScorer) routeTriple() bool {
-	return s.prec != store.Float64 || s.m.singleViaBatch()
+	return s.prec != store.Float64 || s.m.lane().viaBatch
 }

@@ -32,7 +32,7 @@ func (m *RESCAL) tables() []*table   { return []*table{m.ent, m.rel} }
 func (m *RotatE) tables() []*table   { return []*table{m.ent, m.rel} }
 func (m *TuckER) tables() []*table   { return []*table{m.ent, m.rel, m.core} }
 func (m *ConvE) tables() []*table {
-	return []*table{m.ent, m.entBias, m.rel, m.kern, m.kernB, m.fc, m.fcB}
+	return []*table{m.ent, m.bias, m.rel, m.kern, m.kernB, m.fc, m.fcB}
 }
 
 // extraFloats lets a model persist non-table state (ConvE's BN statistics).

@@ -48,7 +48,7 @@ func oracleBatch(t *testing.T, m Model, p store.Precision, tails bool, ents []in
 	t.Helper()
 	bn := m.(batchNative)
 	dim, nc := m.Dim(), len(cands)
-	ent := bn.entityTable()
+	ent := bn.lane().ent
 	st, err := store.FromRows(ent.w, len(ent.w)/dim, dim, p)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func oracleBatch(t *testing.T, m Model, p store.Precision, tails bool, ents []in
 		q := qs[i*dim : (i+1)*dim]
 		for j, c := range cands {
 			s := ref(q, block[j*dim:(j+1)*dim])
-			if bias := bn.entityBias(); bias != nil {
+			if bias := bn.lane().bias; bias != nil {
 				s += bias.vec(c)[0]
 			}
 			out[i*nc+j] = s
@@ -121,8 +121,8 @@ func laneModels(t *testing.T, g *kg.Graph, dim int, seed int64) []Model {
 			// ConvE's per-entity bias starts at zero; give it values so the
 			// bias epilogue is actually compared.
 			rng := rand.New(rand.NewSource(seed))
-			for i := range c.entBias.w {
-				c.entBias.w[i] = rng.NormFloat64()
+			for i := range c.bias.w {
+				c.bias.w[i] = rng.NormFloat64()
 			}
 		}
 		models = append(models, m)

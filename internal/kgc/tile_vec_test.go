@@ -20,8 +20,6 @@ import (
 // ranks by float equality. On a host without the vector lane (non-amd64,
 // -tags purego, no AVX2) there is nothing to compare and these tests skip.
 
-var goKernels = [numKinds]tileFunc{kindDot: scoreDotTile, kindL1: scoreL1Tile, kindRot: scoreRotTile}
-
 func (k tileKind) String() string { return [...]string{"Dot", "L1", "Rot"}[k] }
 
 func needVectorLane(t testing.TB) {
@@ -251,7 +249,7 @@ func TestVectorLaneMatchesGoKernels(t *testing.T) {
 			}
 			// Plant before the first scorer: the reduced-precision stores
 			// snapshot the table when first used.
-			w, d := m.(batchNative).entityTable().w, m.Dim()
+			w, d := m.(batchNative).lane().ent.w, m.Dim()
 			copy(w[41*d:42*d], w[40*d:41*d])
 			copy(w[200*d:201*d], w[40*d:41*d])
 			for i, v := range specials[:4] {

@@ -10,10 +10,8 @@ import (
 // TransE (Bordes et al. 2013) models a relation as a translation in
 // embedding space: score(h, r, t) = −‖h + r − t‖₁.
 type TransE struct {
-	dim    int
-	ent    *table
-	rel    *table
-	stores entStores
+	base
+	rel *table
 }
 
 // NewTransE initializes a TransE model for the graph.
@@ -21,16 +19,11 @@ func NewTransE(g *kg.Graph, dim int, seed int64) *TransE {
 	rng := rand.New(rand.NewSource(seed))
 	scale := 6 / math.Sqrt(float64(dim))
 	return &TransE{
-		dim: dim,
-		ent: newTable(rng, g.NumEntities, dim, scale),
+		base: base{name: "TransE", dim: dim, kind: kindL1, loss: LossMargin,
+			ent: newTable(rng, g.NumEntities, dim, scale)},
 		rel: newTable(rng, g.NumRelations, dim, scale),
 	}
 }
-
-func (m *TransE) Name() string      { return "TransE" }
-func (m *TransE) Dim() int          { return m.dim }
-func (m *TransE) defaultLoss() Loss { return LossMargin }
-func (m *TransE) reciprocal() bool  { return false }
 
 // ScoreTriple returns −‖h + r − t‖₁.
 func (m *TransE) ScoreTriple(h, r, t int32) float64 {
@@ -48,11 +41,6 @@ func (m *TransE) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, 
 // Universal batch-lane contract (see scoring.go), which ScoreTails and
 // ScoreHeads run too: tail queries are h+r, head queries t−r (score =
 // -||h - (t - r)||), scored by the L1 kernel.
-
-func (m *TransE) entityTable() *table      { return m.ent }
-func (m *TransE) entityStores() *entStores { return &m.stores }
-func (m *TransE) entityBias() *table       { return nil }
-func (m *TransE) singleViaBatch() bool     { return false }
 
 func (m *TransE) buildTailQueries(hs []int32, r int32, qs []float64, _ *scratch) {
 	rv := m.rel.vec(r)
@@ -75,12 +63,6 @@ func (m *TransE) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch)
 		}
 	}
 }
-
-func (m *TransE) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
-	scoreL1Tile(qs, tbuf, m.dim, j0, j1, nc, out)
-}
-
-func (m *TransE) tileKind() tileKind { return kindL1 }
 
 // gradStep: d(−‖h+r−t‖₁)/dh_i = −sign(h_i+r_i−t_i), etc.
 func (m *TransE) gradStep(h, r, t int32, coeff, lr float64) {

@@ -12,30 +12,23 @@ import (
 // makes every gradient step O(d³), so experiments keep TuckER's d smaller
 // than the diagonal models', as the original does (d_r ≪ d_e).
 type TuckER struct {
-	dim    int
-	ent    *table
-	rel    *table
-	core   *table // single row of d³ weights
-	stores entStores
+	base
+	rel  *table
+	core *table // single row of d³ weights
 }
 
 // NewTuckER initializes a TuckER model.
 func NewTuckER(g *kg.Graph, dim int, seed int64) *TuckER {
 	rng := rand.New(rand.NewSource(seed))
 	m := &TuckER{
-		dim:  dim,
-		ent:  newTable(rng, g.NumEntities, dim, 1/math.Sqrt(float64(dim))),
+		base: base{name: "TuckER", dim: dim, kind: kindDot, loss: LossLogistic, viaBatch: true,
+			ent: newTable(rng, g.NumEntities, dim, 1/math.Sqrt(float64(dim)))},
 		rel:  newTable(rng, g.NumRelations, dim, 1/math.Sqrt(float64(dim))),
 		core: newSharedTable(rng, 1, dim*dim*dim, 1/float64(dim)),
 	}
 	m.core.l2 = 1e-4
 	return m
 }
-
-func (m *TuckER) Name() string      { return "TuckER" }
-func (m *TuckER) Dim() int          { return m.dim }
-func (m *TuckER) defaultLoss() Loss { return LossLogistic }
-func (m *TuckER) reciprocal() bool  { return false }
 
 // relMatInto computes M_r[i*d+k] = Σ_j r_j·W[i][j][k] — the core tensor
 // contracted with the relation once. Every query of the relation then needs
@@ -117,13 +110,8 @@ func (m *TuckER) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, 
 
 // Universal batch-lane contract (see scoring.go), which ScoreTails and
 // ScoreHeads run too, contracting the core with r once per call.
-// singleViaBatch is on: ScoreTriple recomputes the O(d³) core contraction
-// per call, while the block's queries already hold it.
-
-func (m *TuckER) entityTable() *table      { return m.ent }
-func (m *TuckER) entityStores() *entStores { return &m.stores }
-func (m *TuckER) entityBias() *table       { return nil }
-func (m *TuckER) singleViaBatch() bool     { return true }
+// viaBatch is on: ScoreTriple recomputes the O(d³) core contraction per
+// call, while the block's queries already hold it.
 
 func (m *TuckER) buildTailQueries(hs []int32, r int32, qs []float64, sc *scratch) {
 	d := m.dim
@@ -140,12 +128,6 @@ func (m *TuckER) buildHeadQueries(ts []int32, r int32, qs []float64, sc *scratch
 		headQuery(m.ent.vec(t), mat, qs[i*d:(i+1)*d])
 	}
 }
-
-func (m *TuckER) tileKernel(qs, tbuf []float64, j0, j1, nc int, out []float64) {
-	scoreDotTile(qs, tbuf, m.dim, j0, j1, nc, out)
-}
-
-func (m *TuckER) tileKind() tileKind { return kindDot }
 
 func (m *TuckER) gradStep(h, r, t int32, coeff, lr float64) {
 	d := m.dim

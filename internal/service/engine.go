@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"sort"
@@ -437,6 +438,11 @@ type parsedSpec struct {
 	precision store.Precision
 }
 
+// maxTimeoutMS is the longest timeout_ms a time.Duration holds: newJob's
+// conversion of a larger one would wrap into a deadline that is already past
+// or, negative, none at all.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 func (e *Engine) validate(spec JobSpec) (parsedSpec, error) {
 	var p parsedSpec
 	if len(spec.Models) > 0 {
@@ -475,8 +481,8 @@ func (e *Engine) validate(spec JobSpec) (parsedSpec, error) {
 	if spec.MaxQueries < 0 {
 		return p, errors.New("service: max_queries must be >= 0")
 	}
-	if spec.TimeoutMS < 0 {
-		return p, errors.New("service: timeout_ms must be >= 0")
+	if spec.TimeoutMS < 0 || int64(spec.TimeoutMS) > maxTimeoutMS {
+		return p, fmt.Errorf("service: timeout_ms must be in [0, %d]", maxTimeoutMS)
 	}
 	prec, err := store.ParsePrecision(spec.Precision)
 	if err != nil {

@@ -376,6 +376,8 @@ func TestServerValidationAndNotFound(t *testing.T) {
 		{Model: ModelSpec{Name: "ComplEx", Dim: 16, Snapshot: snap}, Split: "train"},
 		{Model: ModelSpec{Name: "ComplEx", Dim: 16, Snapshot: snap}, Recommender: "NotARec"},
 		{Model: ModelSpec{Name: "ComplEx", Dim: 16, Snapshot: snap}, Precision: "float16"},
+		// ~584 years, which time.Duration(ms)*time.Millisecond wraps to 448µs.
+		{Model: ModelSpec{Name: "ComplEx", Dim: 16, Snapshot: snap}, TimeoutMS: 18446744073710},
 	}
 	for i, spec := range bad {
 		if code := post(spec); code != http.StatusBadRequest {

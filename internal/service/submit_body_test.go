@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"kgeval/internal/core"
 	"kgeval/internal/kgc"
@@ -276,6 +277,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"model":{"name":"TuckER","dim":2048,"snapshot":"S0dFVkFMTTE="}}`,
 		`{"model":{"name":"RESCAL","dim":4096,"model_id":"a"}}`,
 		`{"model":{"name":"ComplEx","dim":2147483647,"model_id":"a"}}`,
+		`{"model":{"name":"DistMult","dim":8,"model_id":"a"},"strategy":"P","timeout_ms":18446744073710}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -297,6 +299,9 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if spec.NumSamples < 1 || spec.NumSamples > e.graph.NumEntities {
 			t.Fatalf("accepted num_samples %d outside [1, %d]", spec.NumSamples, e.graph.NumEntities)
+		}
+		if d := time.Duration(spec.TimeoutMS) * time.Millisecond; d < 0 || d/time.Millisecond != time.Duration(spec.TimeoutMS) {
+			t.Fatalf("accepted timeout_ms %d: converts to the deadline %v", spec.TimeoutMS, d)
 		}
 		for _, ms := range specModels(&spec) {
 			if n, err := kgc.SnapshotBytes(ms.Name, e.graph, ms.Dim); err != nil || n > maxSubmitBytes {

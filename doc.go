@@ -13,7 +13,7 @@
 //	                      fits the recommender only, the static candidate
 //	                      sets are built on demand by their first user
 //	internal/recommender  relation recommenders: PT, DBH(-T), OntoSim,
-//	                      L-WD(-T), PIE-Sim
+//	                      L-WD(-T), PIE
 //	internal/eval         full + sampled filtered ranking protocols, executed
 //	                      as a relation-grouped plan: queries bucketed per
 //	                      relation, pools drawn once, whole relations scored

@@ -191,7 +191,7 @@ func (r *Runner) recommenderFor(dataset, recName string) (recommender.Recommende
 	return rec, nil
 }
 
-// recommenderSeed seeds the recommenders with learned parameters (PIE-Sim).
+// recommenderSeed seeds the recommenders with learned parameters (PIE).
 const recommenderSeed = 7
 
 // recommenderNames is Table 5's method order.

@@ -3,7 +3,7 @@ package recommender
 import "fmt"
 
 // ByName constructs a recommender from its paper abbreviation. The seed is
-// used only by methods with learned parameters (PIE-Sim); the heuristic and
+// used only by methods with learned parameters (PIE); the heuristic and
 // linear methods are deterministic and ignore it.
 func ByName(name string, seed int64) (Recommender, error) {
 	switch name {

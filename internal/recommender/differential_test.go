@@ -41,7 +41,7 @@ func oracleFitKernels(name string, g *kg.Graph) (*sparse.CSR, error) {
 	case "L-WD-T":
 		return oracleFitLWDT(g)
 	case "PIE":
-		return oracleFitPIE(NewPIESim(1), g)
+		return oracleFitPIE(1, g)
 	}
 	return nil, fmt.Errorf("no oracle for %q", name)
 }

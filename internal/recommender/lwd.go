@@ -5,8 +5,8 @@ import (
 	"kgeval/internal/sparse"
 )
 
-// LWD is the paper's Linear-WD recommender (Algorithm 1, Figure 2): a
-// parameter-free linearization of association-rule-mining property
+// NewLWD returns the paper's Linear-WD recommender (Algorithm 1, Figure 2):
+// a parameter-free linearization of association-rule-mining property
 // recommendation.
 //
 //	B ∈ {0,1}^{|E|×2|R|}  — domain/range incidence from training triples
@@ -18,72 +18,41 @@ import (
 // receives score mass in the other — so L-WD proposes candidates that were
 // never observed in a relation, unlike PT/DBH. Only two sparse matrix
 // multiplications and a normalization; runs in (milli)seconds on a CPU.
-type LWD struct {
-	scores *ScoreMatrix
+func NewLWD() Recommender {
+	return &method{name: "L-WD", unseen: true, build: func(g *kg.Graph) *sparse.CSR {
+		b := incidence(g)
+		w := sparse.RowNormalize(sparse.GramT(b))
+		return sparse.MulT(b, w)
+	}}
 }
 
-// NewLWD returns an L-WD recommender.
-func NewLWD() *LWD { return &LWD{} }
-
-func (*LWD) Name() string         { return "L-WD" }
-func (*LWD) NeedsTypes() bool     { return false }
-func (*LWD) SupportsUnseen() bool { return true }
-
-// Fit runs Algorithm 1 without the optional type set.
-func (l *LWD) Fit(g *kg.Graph) error {
-	b := incidence(g)
-	w := sparse.RowNormalize(sparse.GramT(b))
-	l.scores = NewScoreMatrix(sparse.MulT(b, w), g.NumRelations)
-	return nil
-}
-
-// Scores returns the fitted score matrix.
-func (l *LWD) Scores() *ScoreMatrix { return l.scores }
-
-// LWDT is L-WD-T: Algorithm 1 with the optional type set, appending one
-// binary column per entity type to B so that type membership participates in
-// the co-occurrence graph. The output keeps only the 2·|R| domain/range
-// columns (type columns are auxiliary evidence).
-type LWDT struct {
-	scores *ScoreMatrix
-}
-
-// NewLWDT returns an L-WD-T recommender.
-func NewLWDT() *LWDT { return &LWDT{} }
-
-func (*LWDT) Name() string         { return "L-WD-T" }
-func (*LWDT) NeedsTypes() bool     { return true }
-func (*LWDT) SupportsUnseen() bool { return true }
-
-// Fit runs Algorithm 1 with the type set.
-func (l *LWDT) Fit(g *kg.Graph) error {
-	if err := RequireTypes(l.Name(), g); err != nil {
-		return err
-	}
-	nr2 := 2 * g.NumRelations
-	entries := make([]sparse.Entry, 0, 2*len(g.Train))
-	for _, t := range g.Train {
-		entries = append(entries,
-			sparse.Entry{Row: t.H, Col: t.R},
-			sparse.Entry{Row: t.T, Col: int32(g.NumRelations) + t.R},
-		)
-	}
-	for e, ts := range g.EntityTypes {
-		for _, t := range ts {
-			entries = append(entries, sparse.Entry{Row: int32(e), Col: int32(nr2) + t})
+// NewLWDT returns L-WD-T: Algorithm 1 with the optional type set, appending
+// one binary column per entity type to B so that type membership
+// participates in the co-occurrence graph. The output keeps only the 2·|R|
+// domain/range columns (type columns are auxiliary evidence).
+func NewLWDT() Recommender {
+	return &method{name: "L-WD-T", types: true, unseen: true, build: func(g *kg.Graph) *sparse.CSR {
+		nr2 := 2 * g.NumRelations
+		entries := make([]sparse.Entry, 0, 2*len(g.Train))
+		for _, t := range g.Train {
+			entries = append(entries,
+				sparse.Entry{Row: t.H, Col: t.R},
+				sparse.Entry{Row: t.T, Col: int32(g.NumRelations) + t.R},
+			)
 		}
-	}
-	b := sparse.NewBinaryCSR(g.NumEntities, nr2+g.NumTypes, entries)
-	w := sparse.RowNormalize(sparse.GramT(b))
-	// Only W's first 2·|R| columns reach the output, so only they are
-	// multiplied: a column of B·W is B against that column of W.
-	w = firstRows(w.Transpose(), nr2).Transpose()
-	l.scores = NewScoreMatrix(sparse.MulT(b, w), g.NumRelations)
-	return nil
+		for e, ts := range g.EntityTypes {
+			for _, t := range ts {
+				entries = append(entries, sparse.Entry{Row: int32(e), Col: int32(nr2) + t})
+			}
+		}
+		b := sparse.NewBinaryCSR(g.NumEntities, nr2+g.NumTypes, entries)
+		w := sparse.RowNormalize(sparse.GramT(b))
+		// Only W's first 2·|R| columns reach the output, so only they are
+		// multiplied: a column of B·W is B against that column of W.
+		w = firstRows(w.Transpose(), nr2).Transpose()
+		return sparse.MulT(b, w)
+	}}
 }
-
-// Scores returns the fitted score matrix.
-func (l *LWDT) Scores() *ScoreMatrix { return l.scores }
 
 // firstRows keeps the first n rows of m, sharing its storage.
 func firstRows(m *sparse.CSR, n int) *sparse.CSR {

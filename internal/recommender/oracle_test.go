@@ -251,8 +251,8 @@ func oracleTruncateCols(m *sparse.CSR, cols int) *sparse.CSR {
 	return out
 }
 
-func oracleFitPIE(p *PIESim, g *kg.Graph) (*sparse.CSR, error) {
-	rng := rand.New(rand.NewSource(p.Seed))
+func oracleFitPIE(seed int64, g *kg.Graph) (*sparse.CSR, error) {
+	rng := rand.New(rand.NewSource(seed))
 	nr2 := 2 * g.NumRelations
 	inDim := nr2 + g.NumTypes
 	h := pieHidden

@@ -8,10 +8,11 @@ import (
 	"kgeval/internal/sparse"
 )
 
-// PIESim stands in for PIE (Chao et al. 2022), the GCN-based self-supervised
-// entity-typing model used in the paper as the "advanced neural" relation
-// recommender. The original trains a GNN on GPU for hours; here we train a
-// shallow denoising autoencoder over the same structural evidence:
+// NewPIESim returns a stand-in for PIE (Chao et al. 2022), the GCN-based
+// self-supervised entity-typing model used in the paper as the "advanced
+// neural" relation recommender, trained from seed. The original trains a GNN
+// on GPU for hours; here we train a shallow denoising autoencoder over the
+// same structural evidence:
 //
 //	input   — an entity's domain/range incidence and type memberships,
 //	          with random feature dropout (denoising) so the model cannot
@@ -23,13 +24,12 @@ import (
 // This preserves PIE's role in the study: a *learned* recommender that can
 // score unseen candidates and costs orders of magnitude more to fit than
 // L-WD, yet yields similar candidate quality (the paper's Table 5 point).
-type PIESim struct {
-	Seed int64
-
-	scores *ScoreMatrix
+// It uses entity types when the graph has them but does not need them.
+func NewPIESim(seed int64) Recommender {
+	return &method{name: "PIE", unseen: true, build: func(g *kg.Graph) *sparse.CSR { return fitPIE(g, seed) }}
 }
 
-// PIE-Sim's hyperparameters.
+// PIE's hyperparameters.
 const (
 	pieHidden  = 32   // hidden width
 	pieEpochs  = 25   // training epochs over all entities
@@ -39,18 +39,10 @@ const (
 	pieCutoff  = 0.01 // minimum sigmoid score kept in the sparse output
 )
 
-// NewPIESim returns a PIE-Sim recommender seeded with seed.
-func NewPIESim(seed int64) *PIESim {
-	return &PIESim{Seed: seed}
-}
-
-func (*PIESim) Name() string         { return "PIE" }
-func (*PIESim) NeedsTypes() bool     { return false } // types used when present
-func (*PIESim) SupportsUnseen() bool { return true }
-
-// Fit trains the denoising autoencoder and materializes the score matrix.
-func (p *PIESim) Fit(g *kg.Graph) error {
-	rng := rand.New(rand.NewSource(p.Seed))
+// fitPIE trains the denoising autoencoder from seed and materializes its
+// score matrix, column-major.
+func fitPIE(g *kg.Graph, seed int64) *sparse.CSR {
+	rng := rand.New(rand.NewSource(seed))
 	nr2 := 2 * g.NumRelations
 	inDim := nr2 + g.NumTypes
 	h := pieHidden
@@ -206,12 +198,8 @@ func (p *PIESim) Fit(g *kg.Graph) error {
 		}
 		x.RowPtr[e+1] = len(x.ColIdx)
 	}
-	p.scores = NewScoreMatrix(x.Transpose(), g.NumRelations)
-	return nil
+	return x.Transpose()
 }
-
-// Scores returns the fitted score matrix.
-func (p *PIESim) Scores() *ScoreMatrix { return p.scores }
 
 func containsInt32(xs []int32, x int32) bool {
 	for _, v := range xs {

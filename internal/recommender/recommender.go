@@ -14,7 +14,13 @@
 //	L-WD     — linear Wikidata recommender via sparse co-occurrence
 //	           (Algorithm 1), parameter-free.
 //	L-WD-T   — L-WD with entity types appended to the incidence matrix.
-//	PIE-Sim  — a learned neural recommender standing in for PIE.
+//	PIE      — a learned neural recommender standing in for PIE
+//	           (Chao et al.); ByName also accepts "PIE-Sim".
+//
+// The recommenders differ only in how they build the score matrix, so each
+// is a method: its name, whether it needs entity types, whether it can
+// score unseen candidates (Table 1), and the function that builds its
+// matrix. One Fit serves all seven.
 //
 // Score-matrix convention: X has |E| rows and 2·|R| columns; column r holds
 // domain (head) scores for relation r and column |R|+r holds range (tail)
@@ -47,13 +53,40 @@ type Recommender interface {
 	// method is type-aware). It returns an error if the method's
 	// requirements (e.g. types) are not met by the graph.
 	Fit(g *kg.Graph) error
-	// Scores returns the fitted score matrix. Panics if called before Fit.
+	// Scores returns the fitted score matrix, or nil before Fit.
 	Scores() *ScoreMatrix
 	// NeedsTypes reports whether Fit requires g.EntityTypes.
 	NeedsTypes() bool
 	// SupportsUnseen reports whether the method can give nonzero score to an
 	// entity never observed in a relation's domain/range (Table 1).
 	SupportsUnseen() bool
+}
+
+// method is a Recommender: what sets one apart from another is its name,
+// its two Table 1 flags and the function that builds its score matrix.
+type method struct {
+	name   string
+	types  bool                        // Fit needs entity types
+	unseen bool                        // can score unseen candidates (Table 1)
+	build  func(*kg.Graph) *sparse.CSR // Xᵀ, column-major
+	scores *ScoreMatrix
+}
+
+func (m *method) Name() string         { return m.name }
+func (m *method) NeedsTypes() bool     { return m.types }
+func (m *method) SupportsUnseen() bool { return m.unseen }
+func (m *method) Scores() *ScoreMatrix { return m.scores }
+
+// Fit builds the score matrix, refusing an untyped graph if the method
+// needs types.
+func (m *method) Fit(g *kg.Graph) error {
+	if m.types {
+		if err := RequireTypes(m.name, g); err != nil {
+			return err
+		}
+	}
+	m.scores = NewScoreMatrix(m.build(g), g.NumRelations)
+	return nil
 }
 
 // ScoreMatrix is the fitted |E|×2|R| relational score matrix, stored by

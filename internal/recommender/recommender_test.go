@@ -304,7 +304,9 @@ func TestBuildStaticWithoutSeen(t *testing.T) {
 
 // On a synthetic typed dataset the paper's Table 5 ordering must hold:
 // PT has CR Unseen = 0; type-aware and L-WD methods recover unseen pairs;
-// OntoSim trades RR for recall.
+// OntoSim trades RR for recall. Every name ByName accepts is fitted, and
+// each recommender's Table 1 flag must describe its matrix: a nonzero score
+// outside the observed domains and ranges exactly when SupportsUnseen.
 func TestTable5ShapeOnSyntheticData(t *testing.T) {
 	ds, err := synth.Generate(synth.Config{
 		Name: "t5", NumEntities: 500, NumRelations: 12, NumTypes: 12,
@@ -314,16 +316,37 @@ func TestTable5ShapeOnSyntheticData(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := ds.Graph
-	fit := func(r Recommender) CandidateQuality {
+	seen := incidenceT(g, false)
+	fit := func(name string) CandidateQuality {
+		r, err := ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := ByName(r.Name(), 1); err != nil || again.Name() != r.Name() {
+			t.Fatalf("%s: Name() %q does not round-trip through ByName", name, r.Name())
+		}
 		if err := r.Fit(g); err != nil {
 			t.Fatalf("%s: %v", r.Name(), err)
 		}
+		unseen := false
+		for col := 0; col < 2*g.NumRelations; col++ {
+			ids, scores := r.Scores().Column(col)
+			for i, e := range ids {
+				if scores[i] != 0 && seen.At(col, int(e)) == 0 {
+					unseen = true
+				}
+			}
+		}
+		if unseen != r.SupportsUnseen() {
+			t.Fatalf("%s: SupportsUnseen() = %v, but a nonzero score off the observed domains/ranges: %v", name, r.SupportsUnseen(), unseen)
+		}
 		return EvaluateCandidates(BuildStatic(r.Scores(), g, DefaultStaticOpts()), g)
 	}
-	pt := fit(NewPT())
-	lwd := fit(NewLWD())
-	onto := fit(NewOntoSim())
-	dbht := fit(NewDBHT())
+	q := map[string]CandidateQuality{}
+	for _, name := range []string{"PT", "DBH", "DBH-T", "OntoSim", "PIE", "PIE-Sim", "L-WD", "L-WD-T"} {
+		q[name] = fit(name)
+	}
+	pt, lwd, onto, dbht := q["PT"], q["L-WD"], q["OntoSim"], q["DBH-T"]
 
 	if pt.CRUnseen != 0 {
 		t.Fatalf("PT CR Unseen = %v, want exactly 0", pt.CRUnseen)

@@ -332,6 +332,11 @@ func (e *Engine) withDefaults(spec JobSpec) JobSpec {
 	if spec.Recommender == "" {
 		spec.Recommender = "L-WD"
 	}
+	// One name per recommender: an alias ("PIE-Sim") shares the Framework,
+	// the breaker and the status of the name it stands for.
+	if rec, err := recommender.ByName(spec.Recommender, defaultSeed); err == nil {
+		spec.Recommender = rec.Name()
+	}
 	if spec.NumSamples <= 0 {
 		// The paper's 10% budget; tiny graphs never sample empty pools.
 		spec.NumSamples = max(1, e.graph.NumEntities/10)

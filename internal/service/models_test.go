@@ -145,6 +145,37 @@ func TestNumSamplesAboveEntitiesIsAllEntities(t *testing.T) {
 	}
 }
 
+// "PIE-Sim" is another name for "PIE", not another recommender: the second
+// spelling reuses the first one's Framework, and both jobs report the name
+// the recommender gives itself.
+func TestRecommenderAliasSharesTheFramework(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	snap := snapshotModel(t, g, "DistMult", 8, 6)
+	for i, name := range []string{"PIE", "PIE-Sim"} {
+		j, err := e.Submit(JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snap}, MaxQueries: 40, Recommender: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitJob(t, j)
+		switch {
+		case st.State != StateSucceeded:
+			t.Fatalf("recommender %q: %s (%s)", name, st.State, st.Error)
+		case st.Recommender != "PIE":
+			t.Fatalf("recommender %q reported as %q, want \"PIE\"", name, st.Recommender)
+		case i > 0 && !st.CacheHit:
+			t.Fatalf("recommender %q fitted a Framework of its own", name)
+		}
+	}
+	if cs := e.Stats().Cache; cs.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want 1 miss", cs)
+	}
+}
+
 // N concurrent submissions of one digest cost exactly one kgc.Load, however
 // the workers interleave: one miss, every other load a hit or a join.
 func TestRegistryConcurrentSubmissionsLoadOnce(t *testing.T) {

@@ -1,6 +1,6 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (run the full-scale versions with cmd/benchtables),
-// plus micro-benchmarks for the framework's hot paths.
+// Benchmark harness: BenchmarkExperiment has one sub-benchmark per table and
+// figure of the paper's evaluation section (run the full-scale versions with
+// cmd/benchtables), plus micro-benchmarks for the framework's hot paths.
 //
 //	go test -bench=. -benchmem
 package kgeval
@@ -23,37 +23,20 @@ import (
 	"kgeval/internal/synth"
 )
 
-// benchExperiment runs a paper artifact end to end at quick scale.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(experiments.ScaleQuick, io.Discard)
-		if err := r.Run(id); err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
+// BenchmarkExperiment runs each paper artifact end to end at quick scale,
+// one sub-benchmark per experiment id.
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range experiments.ExperimentIDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := experiments.NewRunner(experiments.ScaleQuick, io.Discard)
+				if err := r.Run(id); err != nil {
+					b.Fatalf("%s: %v", id, err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkTable2(b *testing.B)  { benchExperiment(b, "table2") }
-func BenchmarkTable3(b *testing.B)  { benchExperiment(b, "table3") }
-func BenchmarkTable4(b *testing.B)  { benchExperiment(b, "table4") }
-func BenchmarkTable5(b *testing.B)  { benchExperiment(b, "table5") }
-func BenchmarkTable6(b *testing.B)  { benchExperiment(b, "table6") }
-func BenchmarkTable7(b *testing.B)  { benchExperiment(b, "table7") }
-func BenchmarkTable8(b *testing.B)  { benchExperiment(b, "table8") }
-func BenchmarkTable9(b *testing.B)  { benchExperiment(b, "table9") }
-func BenchmarkTable12(b *testing.B) { benchExperiment(b, "table12") }
-func BenchmarkTable13(b *testing.B) { benchExperiment(b, "table13") }
-func BenchmarkTable14(b *testing.B) { benchExperiment(b, "table14") }
-func BenchmarkTable15(b *testing.B) { benchExperiment(b, "table15") }
-func BenchmarkFig3a(b *testing.B)   { benchExperiment(b, "fig3a") }
-func BenchmarkFig3b(b *testing.B)   { benchExperiment(b, "fig3b") }
-func BenchmarkFig3c(b *testing.B)   { benchExperiment(b, "fig3c") }
-func BenchmarkFig4(b *testing.B)    { benchExperiment(b, "fig4") }
-func BenchmarkFig6(b *testing.B)    { benchExperiment(b, "fig6") }
-func BenchmarkThm1(b *testing.B)    { benchExperiment(b, "thm1") }
-func BenchmarkExt1(b *testing.B)    { benchExperiment(b, "ext1") }
-func BenchmarkExt2(b *testing.B)    { benchExperiment(b, "ext2") }
 
 // --- micro-benchmarks of the framework's hot paths ---
 

@@ -29,16 +29,26 @@ func Classify(m kgc.Model, g *kg.Graph, split []kg.Triple, provider CandidatePro
 	if filter == nil {
 		filter = kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	}
-	if negPerPos <= 0 {
-		negPerPos = 1
+	pos, _, neg := CorruptTails(m, split, provider, max(1, negPerPos), filter, rand.New(rand.NewSource(seed)))
+	return ClassificationResult{
+		ROCAUC:    ROCAUC(pos, neg),
+		AUCPR:     AUCPR(pos, neg),
+		Positives: len(pos),
+		Negatives: len(neg),
 	}
-	rng := rand.New(rand.NewSource(seed))
+}
 
+// CorruptTails scores each split triple, then k tail corruptions of it. A
+// relation's pool is drawn from provider with rng on the relation's first
+// use; each corruption is a uniform pick from it with rng. A pick equal to
+// the triple's tail, or, when known is non-nil, a known tail, is dropped.
+// It returns the positives' scores in split order, and the kept corruptions
+// and their scores in draw order.
+func CorruptTails(m kgc.Model, split []kg.Triple, provider CandidateProvider, k int, known *kg.FilterIndex, rng *rand.Rand) (pos []float64, neg []kg.Triple, negScores []float64) {
 	pools := map[int32][]int32{}
-	var posScores, negScores []float64
 	var buf [1]float64
 	for _, tr := range split {
-		posScores = append(posScores, m.ScoreTriple(tr.H, tr.R, tr.T))
+		pos = append(pos, m.ScoreTriple(tr.H, tr.R, tr.T))
 		pool, ok := pools[tr.R]
 		if !ok {
 			pool = append([]int32(nil), provider.Candidates(tr.R, true, rng)...)
@@ -47,21 +57,17 @@ func Classify(m kgc.Model, g *kg.Graph, split []kg.Triple, provider CandidatePro
 		if len(pool) == 0 {
 			continue
 		}
-		for k := 0; k < negPerPos; k++ {
+		for range k {
 			cand := pool[rng.Intn(len(pool))]
-			if cand == tr.T || filter.IsKnownTail(tr.H, tr.R, cand) {
+			if cand == tr.T || known != nil && known.IsKnownTail(tr.H, tr.R, cand) {
 				continue
 			}
 			m.ScoreTails(tr.H, tr.R, []int32{cand}, buf[:])
+			neg = append(neg, kg.Triple{H: tr.H, R: tr.R, T: cand})
 			negScores = append(negScores, buf[0])
 		}
 	}
-	return ClassificationResult{
-		ROCAUC:    ROCAUC(posScores, negScores),
-		AUCPR:     AUCPR(posScores, negScores),
-		Positives: len(posScores),
-		Negatives: len(negScores),
-	}
+	return pos, neg, negScores
 }
 
 // ROCAUC computes the area under the ROC curve: the probability that a

@@ -11,36 +11,27 @@ import (
 )
 
 // largeDataset is the ogbl-wikikg2 analogue the large-scale figures run on.
-func (r *Runner) largeDataset() string { return "wikikg2-sim" }
+const largeDataset = "wikikg2-sim"
 
-// sweepFractions mirrors Figure 3's sample-size axis (fractions of |E|).
-func (r *Runner) sweepFractions() []float64 {
-	if r.Scale == ScaleQuick {
-		return []float64{0.02, 0.1, 0.3}
-	}
-	return []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4}
-}
-
-// Fig3a reproduces "Evaluation time vs sample size on the test set": the
+// fig3a reproduces "Evaluation time vs sample size on the test set": the
 // per-strategy wall-clock cost as n_s grows, with the full evaluation as the
 // reference line.
-func (r *Runner) Fig3a() error {
-	return r.largeSweep("Figure 3a: evaluation time (s) vs sample size — "+r.largeDataset(),
+func (r *Runner) fig3a() error {
+	return r.largeSweep("Figure 3a: evaluation time (s) vs sample size — "+largeDataset,
 		func(res eval.Result) string { return fmt.Sprintf("%.3f", res.Elapsed.Seconds()) })
 }
 
-// Fig3b reproduces "Filtered MRR vs sample size": Random stays optimistic
+// fig3b reproduces "Filtered MRR vs sample size": Random stays optimistic
 // while Probabilistic/Static converge to the true MRR with tiny samples.
-func (r *Runner) Fig3b() error {
-	return r.largeSweep("Figure 3b: filtered MRR estimate vs sample size — "+r.largeDataset(),
+func (r *Runner) fig3b() error {
+	return r.largeSweep("Figure 3b: filtered MRR estimate vs sample size — "+largeDataset,
 		func(res eval.Result) string { return fmt.Sprintf("%.3f", res.MRR) })
 }
 
-// Fig6 reproduces the Hits@1/3/10 versions of Figure 3b.
-func (r *Runner) Fig6() error {
+// fig6 reproduces the Hits@1/3/10 versions of Figure 3b.
+func (r *Runner) fig6() error {
 	for _, k := range []int{1, 3, 10} {
-		k := k
-		err := r.largeSweep(fmt.Sprintf("Figure 6: filtered Hits@%d estimate vs sample size — %s", k, r.largeDataset()),
+		err := r.largeSweep(fmt.Sprintf("Figure 6: filtered Hits@%d estimate vs sample size — %s", k, largeDataset),
 			func(res eval.Result) string {
 				v, _ := res.Hits(k)
 				return fmt.Sprintf("%.3f", v)
@@ -79,33 +70,25 @@ func (r *Runner) sweepResults() ([]sweepRow, eval.Result, error) {
 	if r.sweep != nil {
 		return r.sweep, r.sweepFull, nil
 	}
-	dataset := r.largeDataset()
-	m, _, err := r.trainedModel(dataset, "ComplEx")
+	m, err := r.trainedModel(largeDataset, "ComplEx")
 	if err != nil {
 		return nil, eval.Result{}, err
 	}
-	ds, err := r.dataset(dataset)
+	in, err := r.ground(largeDataset)
 	if err != nil {
 		return nil, eval.Result{}, err
 	}
-	g := ds.Graph
-	filter, err := r.filter(dataset)
-	if err != nil {
-		return nil, eval.Result{}, err
-	}
-	rec, err := r.recommenderFor(dataset, "L-WD")
+	g := in.g
+	rec, err := r.recommenderFor(largeDataset, "L-WD")
 	if err != nil {
 		return nil, eval.Result{}, err
 	}
 	sets := recommender.BuildStatic(rec.Scores(), g, recommender.DefaultStaticOpts())
 
-	opts := eval.Options{Filter: filter, Seed: 99}
+	opts := eval.Options{Filter: in.filter, Seed: 99}
 	r.sweepFull = core.FullEvaluate(m, g, g.Test, opts)
-	for _, f := range r.sweepFractions() {
-		ns := int(f * float64(g.NumEntities))
-		if ns < 1 {
-			ns = 1
-		}
+	for _, f := range r.size().sweepFractions {
+		ns := max(1, int(f*float64(g.NumEntities)))
 		r.sweep = append(r.sweep, sweepRow{
 			frac:   f,
 			random: eval.Evaluate(m, g, g.Test, &eval.RandomProvider{NumEntities: g.NumEntities, N: ns}, opts),
@@ -116,18 +99,17 @@ func (r *Runner) sweepResults() ([]sweepRow, eval.Result, error) {
 	return r.sweep, r.sweepFull, nil
 }
 
-// Fig3c reproduces "Estimated validation MRR across training": the paper's
+// fig3c reproduces "Estimated validation MRR across training": the paper's
 // money plot where Probabilistic coincides with the true curve while Random
 // floats far above it.
-func (r *Runner) Fig3c() error {
-	dataset := r.largeDataset()
-	s, err := r.suite(dataset)
+func (r *Runner) fig3c() error {
+	runs, err := r.suite(largeDataset)
 	if err != nil {
 		return err
 	}
-	t := newTable("Figure 3c: estimated validation MRR across training — "+dataset+" ("+s.runs[0].model+")",
+	t := newTable("Figure 3c: estimated validation MRR across training — "+largeDataset+" ("+runs[0].model+")",
 		"Epoch", "True MRR", "Random", "Static", "Probabilistic")
-	for _, pt := range s.runs[0].points {
+	for _, pt := range runs[0].points {
 		t.addRowf("%d\t%.3f\t%.3f\t%.3f\t%.3f",
 			pt.epoch, pt.full.MRR,
 			pt.est[core.StrategyRandom].MRR,
@@ -138,64 +120,36 @@ func (r *Runner) Fig3c() error {
 	return nil
 }
 
-// fig4Datasets mirrors Figures 4 and 5 (main text + appendix).
-func (r *Runner) fig4Datasets() []string {
-	if r.Scale == ScaleQuick {
-		return []string{"codexs-sim"}
-	}
-	return []string{"fb15k-sim", "codexm-sim", "yago310-sim", "fb15k237-sim", "codexs-sim", "codexl-sim"}
-}
-
-func (r *Runner) fig4Repeats() int {
-	if r.Scale == ScaleQuick {
-		return 2
-	}
-	return 5
-}
-
-func (r *Runner) fig4Fractions() []float64 {
-	if r.Scale == ScaleQuick {
-		return []float64{0.05, 0.3}
-	}
-	return []float64{0.01, 0.05, 0.1, 0.2, 0.3}
-}
-
-// Fig4 reproduces "MAPE (%) against the maximum sample size" per relation
+// fig4 reproduces "MAPE (%) against the maximum sample size" per relation
 // recommender: the error of the probabilistically sampled MRR estimate
 // relative to the true full-ranking MRR, with 95% CIs over repeats.
-func (r *Runner) Fig4() error {
-	for _, dataset := range r.fig4Datasets() {
-		m, _, err := r.trainedModel(dataset, "ComplEx")
+func (r *Runner) fig4() error {
+	sz := r.size()
+	for _, dataset := range sz.fig4Datasets {
+		m, err := r.trainedModel(dataset, "ComplEx")
 		if err != nil {
 			return err
 		}
-		ds, err := r.dataset(dataset)
+		in, err := r.ground(dataset)
 		if err != nil {
 			return err
 		}
-		g := ds.Graph
-		filter, err := r.filter(dataset)
-		if err != nil {
-			return err
-		}
-		opts := eval.Options{Filter: filter, Seed: 5}
+		g := in.g
+		opts := eval.Options{Filter: in.filter, Seed: 5}
 		full := core.FullEvaluate(m, g, g.Test, opts)
 
 		t := newTable("Figure 4/5: MAPE (%) of the MRR estimate vs sample size — "+dataset,
-			append([]string{"Method"}, fractionHeaders(r.fig4Fractions())...)...)
-		for _, recName := range recommenderNames() {
+			append([]string{"Method"}, fractionHeaders(sz.fig4Fractions)...)...)
+		for _, recName := range recommenderNames {
 			rec, err := r.recommenderFor(dataset, recName)
 			if err != nil {
 				return err
 			}
 			cells := []string{recName}
-			for _, f := range r.fig4Fractions() {
-				ns := int(f * float64(g.NumEntities))
-				if ns < 1 {
-					ns = 1
-				}
+			for _, f := range sz.fig4Fractions {
+				ns := max(1, int(f*float64(g.NumEntities)))
 				var mapes []float64
-				for rep := 0; rep < r.fig4Repeats(); rep++ {
+				for rep := 0; rep < sz.fig4Repeats; rep++ {
 					o := opts
 					o.Seed = int64(100*rep + 7)
 					prov := &eval.ProbabilisticProvider{Scores: rec.Scores(), N: ns}
@@ -220,10 +174,10 @@ func fractionHeaders(fs []float64) []string {
 	return out
 }
 
-// Thm1 empirically verifies Equation 1 and Theorem 1: the hypergeometric
+// thm1 empirically verifies Equation 1 and Theorem 1: the hypergeometric
 // expectation of uniformly sampled demotions matches simulation, and the
 // expected rank gain from sampling inside the range set is non-negative.
-func (r *Runner) Thm1() error {
+func (r *Runner) thm1() error {
 	rng := rand.New(rand.NewSource(42))
 	t := newTable("Theorem 1 / Equation 1: expected demotions under uniform vs range-set sampling",
 		"|E|", "|RS_r|", "|E_(h,r)|", "n_s", "E[X_u] (Eq.1)", "E[X_u] (sim)", "E[Y] (Thm.1)")

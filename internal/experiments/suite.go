@@ -30,15 +30,8 @@ type modelRun struct {
 	points []epochPoint
 }
 
-// suiteResult caches a dataset's full correlation-experiment run.
-type suiteResult struct {
-	dataset string
-	ns      int
-	runs    []modelRun
-}
-
-// suiteModels returns the paper's §5.2 model selection per dataset,
-// truncated at quick scale.
+// suiteModels returns the paper's §5.2 model selection per dataset, capped
+// by the scale.
 func (r *Runner) suiteModels(dataset string) []string {
 	var models []string
 	switch dataset {
@@ -53,52 +46,29 @@ func (r *Runner) suiteModels(dataset string) []string {
 	default: // yago310-sim, wikikg2-sim
 		models = []string{"ComplEx"}
 	}
-	if r.Scale == ScaleQuick && len(models) > 3 {
-		models = models[:3]
+	if n := r.size().suiteModels; n > 0 && len(models) > n {
+		models = models[:n]
 	}
 	return models
-}
-
-// suiteDatasets lists the datasets the correlation tables cover.
-func (r *Runner) suiteDatasets() []string {
-	if r.Scale == ScaleQuick {
-		return []string{"codexs-sim", "codexm-sim"}
-	}
-	return []string{
-		"fb15k237-sim", "fb15k-sim", "codexs-sim", "codexm-sim",
-		"codexl-sim", "yago310-sim", "wikikg2-sim",
-	}
-}
-
-func (r *Runner) suiteEpochs() int {
-	if r.Scale == ScaleQuick {
-		return 4
-	}
-	return 10
 }
 
 // suite trains every model configured for the dataset, evaluating the true
 // metric and every estimator each epoch (the paper's 100-epoch protocol,
 // scaled down). Results are cached per dataset.
-func (r *Runner) suite(dataset string) (*suiteResult, error) {
-	if s, ok := r.suites[dataset]; ok {
-		return s, nil
+func (r *Runner) suite(dataset string) ([]modelRun, error) {
+	if runs, ok := r.suites[dataset]; ok {
+		return runs, nil
 	}
-	ds, err := r.dataset(dataset)
+	in, err := r.ground(dataset)
 	if err != nil {
 		return nil, err
 	}
-	g := ds.Graph
-	filter, err := r.filter(dataset)
-	if err != nil {
-		return nil, err
-	}
+	g := in.g
 	rec, err := r.recommenderFor(dataset, "L-WD")
 	if err != nil {
 		return nil, err
 	}
-	ns := nsFor(g)
-	fw := core.New(rec, ns, 1234)
+	fw := core.New(rec, nsFor(g), 1234)
 	// The recommender is already fitted; refitting L-WD on the same graph
 	// gives the same scores. The static candidate sets are built on the
 	// first Static estimate, not here.
@@ -106,12 +76,7 @@ func (r *Runner) suite(dataset string) (*suiteResult, error) {
 		return nil, err
 	}
 
-	kpCfg := kp.DefaultConfig()
-	if kpCfg.NumPositives > len(g.Valid) {
-		kpCfg.NumPositives = len(g.Valid)
-	}
-
-	res := &suiteResult{dataset: dataset, ns: ns}
+	var runs []modelRun
 	for mi, name := range r.suiteModels(dataset) {
 		m, err := kgc.New(name, g, kgc.DefaultDim(name), int64(100+mi))
 		if err != nil {
@@ -119,7 +84,7 @@ func (r *Runner) suite(dataset string) (*suiteResult, error) {
 		}
 		run := modelRun{model: name}
 		cfg := kgc.DefaultTrainConfig()
-		cfg.Epochs = r.suiteEpochs()
+		cfg.Epochs = r.size().epochs
 		cfg.Seed = int64(7 + mi)
 		cfg.EpochCallback = func(epoch int) bool {
 			pt := epochPoint{
@@ -130,15 +95,15 @@ func (r *Runner) suite(dataset string) (*suiteResult, error) {
 				kpTime:  map[core.Strategy]time.Duration{},
 			}
 			seed := int64(1000*mi + epoch)
-			opts := eval.Options{Filter: filter, Seed: seed}
+			opts := eval.Options{Filter: in.filter, Seed: seed}
 			full := core.FullEvaluate(m, g, g.Valid, opts)
 			pt.full, pt.fullTime = full.Metrics, full.Elapsed
+			kpCfg := kp.DefaultConfig()
+			kpCfg.Seed = seed
 			for _, s := range core.Strategies() {
 				est := fw.Estimate(m, g, g.Valid, s, opts)
 				pt.est[s], pt.estTime[s] = est.Metrics, est.Elapsed
 
-				kpCfg := kpCfg
-				kpCfg.Seed = seed
 				kpRes := kp.Score(m, g, g.Valid, fw.Provider(s), kpCfg)
 				pt.kpScore[s], pt.kpTime[s] = kpRes.Score, kpRes.Elapsed
 			}
@@ -147,10 +112,10 @@ func (r *Runner) suite(dataset string) (*suiteResult, error) {
 		}
 		kgc.Train(m, g, cfg)
 		run.final = m
-		res.runs = append(res.runs, run)
+		runs = append(runs, run)
 	}
-	r.suites[dataset] = res
-	return res, nil
+	r.suites[dataset] = runs
+	return runs, nil
 }
 
 // series extracts per-epoch slices for correlation and error computation.
@@ -169,31 +134,3 @@ func (run *modelRun) series(metric func(eval.Metrics) float64) (full []float64, 
 
 // mrr is the metric accessor used by most tables.
 func mrr(m eval.Metrics) float64 { return m.MRR }
-
-// trainedModel returns the dataset's final trained model of the given name,
-// training the suite if needed.
-func (r *Runner) trainedModel(dataset, model string) (kgc.Model, *suiteResult, error) {
-	s, err := r.suite(dataset)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, run := range s.runs {
-		if run.model == model {
-			return run.final, s, nil
-		}
-	}
-	// Model not in the dataset's default suite: train it on demand.
-	ds, err := r.dataset(dataset)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := kgc.New(model, ds.Graph, kgc.DefaultDim(model), 55)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := kgc.DefaultTrainConfig()
-	cfg.Epochs = r.suiteEpochs()
-	kgc.Train(m, ds.Graph, cfg)
-	s.runs = append(s.runs, modelRun{model: model, final: m})
-	return m, s, nil
-}

@@ -14,17 +14,18 @@ import (
 type Config struct {
 	// NumPositives bounds the positive triples sampled into KP⁺ (0 = all).
 	NumPositives int
-	// NegativesPerPositive is the corrupted triples per positive in KP⁻.
-	NegativesPerPositive int
-	// Directions for the sliced Wasserstein approximation (0 = 16).
-	Directions int
-	Seed       int64
+	Seed         int64
 }
 
 // DefaultConfig mirrors the scale used by the reference implementation.
 func DefaultConfig() Config {
-	return Config{NumPositives: 1000, NegativesPerPositive: 1, Directions: 16, Seed: 1}
+	return Config{NumPositives: 1000, Seed: 1}
 }
+
+const (
+	negativesPerPositive = 1  // corrupted triples per positive in KP⁻
+	directions           = 16 // of the sliced Wasserstein approximation
+)
 
 // Result is one KP evaluation.
 type Result struct {
@@ -50,42 +51,20 @@ func Score(m kgc.Model, g *kg.Graph, split []kg.Triple, negatives eval.Candidate
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		positives = shuffled[:cfg.NumPositives]
 	}
-	if cfg.NegativesPerPositive <= 0 {
-		cfg.NegativesPerPositive = 1
+
+	// KP⁺ weighs each positive triple, KP⁻ each tail corruption drawn from
+	// the provider's per-relation pools, by the sigmoid of its model score.
+	posScores, negTriples, negScores := eval.CorruptTails(m, positives, negatives, negativesPerPositive, nil, rng)
+	pos := make([]Edge, len(positives))
+	for i, t := range positives {
+		pos[i] = Edge{U: t.H, V: t.T, W: sigmoid(posScores[i])}
+	}
+	neg := make([]Edge, len(negTriples))
+	for i, t := range negTriples {
+		neg[i] = Edge{U: t.H, V: t.T, W: sigmoid(negScores[i])}
 	}
 
-	// KP⁺: positive triples weighted by sigmoid of the model score.
-	pos := make([]Edge, 0, len(positives))
-	for _, t := range positives {
-		pos = append(pos, Edge{U: t.H, V: t.T, W: sigmoid(m.ScoreTriple(t.H, t.R, t.T))})
-	}
-
-	// KP⁻: tail-corrupted triples with candidates from the provider's
-	// per-relation pools.
-	pools := map[int32][]int32{}
-	neg := make([]Edge, 0, len(positives)*cfg.NegativesPerPositive)
-	var buf [1]float64
-	for _, t := range positives {
-		pool, ok := pools[t.R]
-		if !ok {
-			pool = negatives.Candidates(t.R, true, rng)
-			pools[t.R] = append([]int32(nil), pool...)
-			pool = pools[t.R]
-		}
-		if len(pool) == 0 {
-			continue
-		}
-		for k := 0; k < cfg.NegativesPerPositive; k++ {
-			cand := pool[rng.Intn(len(pool))]
-			if cand == t.T {
-				continue
-			}
-			m.ScoreTails(t.H, t.R, []int32{cand}, buf[:])
-			neg = append(neg, Edge{U: t.H, V: cand, W: sigmoid(buf[0])})
-		}
-	}
-
-	sw := SlicedWasserstein(Diagram(pos), Diagram(neg), cfg.Directions)
+	sw := SlicedWasserstein(Diagram(pos), Diagram(neg), directions)
 	return Result{Score: sw, Elapsed: time.Since(start)}
 }
 

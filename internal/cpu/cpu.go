@@ -1,11 +1,12 @@
 // Package cpu reports the one CPU feature this module selects code on.
 //
-// Three lanes have AVX2 assembly kernels next to their Go code: scoring
+// Four lanes have AVX2 assembly kernels next to their Go code: scoring
 // (internal/kgc's tile kernels, with their tile fill in
 // internal/kgc/store), query building (internal/kgc's row-accumulate under
-// ConvE's FC layer, TuckER's core contraction and RESCAL's tail queries)
-// and the base64 decode of inline snapshots in POST /v1/jobs bodies
-// (internal/service). Which code a process runs is decided here, once,
+// ConvE's FC layer, TuckER's core contraction and RESCAL's tail queries),
+// the base64 decode of inline snapshots in POST /v1/jobs bodies
+// (internal/service) and the rank count, the compare under every strip of
+// the evaluation's rank merge (internal/eval). Which code a process runs is decided here, once,
 // from what the machine is — there is no option, flag or environment
 // variable, because both versions of a lane produce the same bits and only
 // one of them is ever the faster choice on a given host.

@@ -1,8 +1,9 @@
 package eval
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
@@ -72,7 +73,8 @@ func CorruptTails(m kgc.Model, split []kg.Triple, provider CandidateProvider, k 
 
 // ROCAUC computes the area under the ROC curve: the probability that a
 // random positive scores above a random negative (ties count half), via the
-// rank-sum formulation.
+// rank-sum formulation. A NaN score sorts below every number and ties with
+// NaN, as in the ranking protocol.
 func ROCAUC(pos, neg []float64) float64 {
 	if len(pos) == 0 || len(neg) == 0 {
 		return 0
@@ -88,14 +90,14 @@ func ROCAUC(pos, neg []float64) float64 {
 	for _, s := range neg {
 		all = append(all, scored{s, false})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].s < all[j].s })
+	slices.SortFunc(all, func(a, b scored) int { return cmp.Compare(a.s, b.s) })
 
 	// Rank-sum with average ranks for ties.
 	rankSumPos := 0.0
 	i := 0
 	for i < len(all) {
 		j := i
-		for j < len(all) && all[j].s == all[i].s {
+		for j < len(all) && cmp.Compare(all[j].s, all[i].s) == 0 {
 			j++
 		}
 		avgRank := float64(i+j+1) / 2 // ranks are 1-based: (i+1 + j) / 2
@@ -113,6 +115,7 @@ func ROCAUC(pos, neg []float64) float64 {
 
 // AUCPR computes the area under the precision-recall curve by sweeping the
 // score threshold over the descending-sorted examples (step interpolation).
+// NaN scores sort below every number and form one tie group, as in ROCAUC.
 func AUCPR(pos, neg []float64) float64 {
 	if len(pos) == 0 {
 		return 0
@@ -128,7 +131,7 @@ func AUCPR(pos, neg []float64) float64 {
 	for _, s := range neg {
 		all = append(all, scored{s, false})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].s > all[j].s })
+	slices.SortFunc(all, func(a, b scored) int { return cmp.Compare(b.s, a.s) })
 
 	var tp, fp int
 	area := 0.0
@@ -138,7 +141,7 @@ func AUCPR(pos, neg []float64) float64 {
 	for i < len(all) {
 		// Advance through a tie group at once so ties don't order-bias.
 		j := i
-		for j < len(all) && all[j].s == all[i].s {
+		for j < len(all) && cmp.Compare(all[j].s, all[i].s) == 0 {
 			if all[j].pos {
 				tp++
 			} else {

@@ -3,6 +3,7 @@ package eval
 import (
 	"math"
 	"testing"
+	"time"
 
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
@@ -67,6 +68,36 @@ func TestAUCPRKnownValues(t *testing.T) {
 
 // The paper's point (§2/§7): triplet classification against random
 // negatives is much easier than against recommender-sampled hard negatives.
+// A NaN score sorts below every number and ties with NaN, as in the ranking
+// protocol, in both areas. Each value is computed under a deadline: an area
+// that never leaves a tie group holding a NaN fails here instead of hanging.
+func TestAUCNaNScoresSortLowest(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		label    string
+		area     func(pos, neg []float64) float64
+		pos, neg []float64
+		want     float64
+	}{
+		{"ROCAUC, NaN positive", ROCAUC, []float64{nan, 1}, []float64{0.5}, 0.5},
+		{"ROCAUC, NaN negative", ROCAUC, []float64{1}, []float64{nan, 2}, 0.5},
+		{"ROCAUC, all NaN", ROCAUC, []float64{nan, nan}, []float64{nan}, 0.5},
+		{"AUCPR, NaN positive", AUCPR, []float64{nan, 1}, []float64{0.5}, 0.5 + 0.5*2/3},
+		{"AUCPR, all NaN", AUCPR, []float64{nan}, []float64{nan}, 0.5},
+	} {
+		got := make(chan float64, 1)
+		go func() { got <- c.area(c.pos, c.neg) }()
+		select {
+		case v := <-got:
+			if math.Abs(v-c.want) > 1e-12 {
+				t.Errorf("%s: %v, want %v", c.label, v, c.want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: no result within 2s", c.label)
+		}
+	}
+}
+
 func TestClassificationHardNegativesAreHarder(t *testing.T) {
 	g := evalGraph(t)
 	m := kgc.NewComplEx(g, 16, 2)

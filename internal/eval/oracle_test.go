@@ -331,7 +331,11 @@ func TestOracleGatePlainModelsAndProperties(t *testing.T) {
 // on the rank naiveRank gives the whole pool. The pools here repeat ids (the
 // provider contract says sorted, not distinct), so an answer or a known
 // positive can sit on both sides of a strip edge, and every strip length from
-// one candidate to the whole pool puts the edges everywhere.
+// one candidate to the whole pool puts the edges everywhere. Each trial's
+// pool has its own length, id range and entity count (the position index's
+// length), and known and answer ids fall below the pool's smallest id and
+// above its largest, inside the index and past its end; one index serves
+// every sweep, so an entry a sweep fails to clear shows in a later one.
 func TestStripCountsMatchNaiveRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	level := func() float64 { // few levels, ties everywhere, NaN among them
@@ -340,35 +344,55 @@ func TestStripCountsMatchNaiveRank(t *testing.T) {
 		}
 		return math.NaN()
 	}
+	var x poolIndex
+	var below, above, pastIndex int
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(40)
+		n, lo, span := 1+rng.Intn(40), int32(rng.Intn(50+4*trial)), 1+rng.Intn(40)
 		pool := make([]int32, n)
 		scores := make([]float64, n)
 		for i := range pool {
-			pool[i] = int32(rng.Intn(30))
+			pool[i] = lo + int32(rng.Intn(span))
 			scores[i] = level()
 		}
 		slices.Sort(pool)
+		bottom, top := max(0, pool[0]-4), pool[n-1]+4
 		var known []int32
-		for e := int32(0); e < 32; e++ {
+		for e := bottom; e <= top; e++ {
 			if rng.Intn(3) == 0 {
 				known = append(known, e)
 			}
 		}
-		truth, trueScore := int32(rng.Intn(32)), level()
+		truth, trueScore := bottom+int32(rng.Intn(int(top-bottom)+1)), level()
+		entities := int(pool[n-1]) + 1 + rng.Intn(5) // the index ends anywhere past the pool
 		want := naiveRank(pool, scores, trueScore, truth, known)
 		for strip := 1; strip <= n; strip++ {
 			q := blockQuery{truth: truth, score: trueScore, known: known}
+			x.index(pool, entities)
+			if strip == 1 {
+				switch {
+				case truth < pool[0]:
+					below++
+				case int(truth) >= len(x.pos):
+					pastIndex++
+				case truth > pool[n-1]:
+					above++
+				}
+			}
 			for j0 := 0; j0 < n; j0 += strip {
 				j1 := min(j0+strip, n)
-				q.count(pool[j0:j0], nil) // an empty strip counts nothing
-				q.count(pool[j0:j1], scores[j0:j1])
+				q.count(&x, j0, nil) // an empty strip counts nothing
+				q.count(&x, j0, scores[j0:j1])
 			}
+			x.clear()
 			if got := q.rank(); got != want {
 				t.Fatalf("trial %d, strips of %d: rank %v, naive %v (pool %v, known %v, truth %d)",
 					trial, strip, got, want, pool, known, truth)
 			}
 		}
+	}
+	if below == 0 || above == 0 || pastIndex == 0 {
+		t.Fatalf("answers below the pool %d, above it inside the index %d, past the index %d: want each > 0",
+			below, above, pastIndex)
 	}
 }
 

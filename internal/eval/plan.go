@@ -273,8 +273,9 @@ func subsample(split []kg.Triple, opts Options) []kg.Triple {
 // pass is one model's execution over a plan: what every task of the pass
 // shares. Tasks write disjoint entries of ranks, so workers need no lock.
 type pass struct {
-	plan *plan
-	opts Options
+	plan     *plan
+	opts     Options
+	entities int // |E|, the length of the workers' position indexes
 	// done is the cross-model triple counter driving the Progress hook and
 	// progressTotal the hook's total: #models × len(queries).
 	done          *atomic.Int64
@@ -288,13 +289,15 @@ type pass struct {
 
 // worker is one scoring goroutine's private state: its own scorer (whose
 // scratch — the block's query vectors, one candidate tile — is not safe to
-// share) and buffers, reused across its tasks. The tallies are folded into
-// the Result after the join; scoreNS and rankNS are CPU time, strip by strip.
+// share) and buffers, reused across its tasks, and a position index taken
+// from indexes for the pass. The tallies are folded into the Result after
+// the join; scoreNS and rankNS are CPU time, strip by strip.
 type worker struct {
 	bs     kgc.BatchScorer
 	scores []float64    // block queries × strip
 	ents   []int32      // one relation's query entities, while its queries are built
 	qs     []blockQuery // the block's directed queries
+	ix     *poolIndex   // the position index of the block's pool
 
 	scored, scoreNS, rankNS, strips int64
 }
@@ -305,10 +308,10 @@ type worker struct {
 // scoring pass; the plan-level Stages are copied in from the plan. A panic in
 // a scoring goroutine resurfaces on the caller with the worker's stack, where
 // the service layer's job-level recovery turns it into one failed job.
-func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic.Int64) Result {
+func runPass(m kgc.Model, p *plan, opts Options, entities, progressTotal int, done *atomic.Int64) Result {
 	start := time.Now()
 	ps := &pass{
-		plan: p, opts: opts,
+		plan: p, opts: opts, entities: entities,
 		done: done, progressTotal: progressTotal,
 		ranks: make([]float64, 2*len(p.queries)),
 		span: trace.FromContext(opts.Ctx).Child("eval.pass",
@@ -320,11 +323,17 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 		w := &workers[wi]
 		if w.bs == nil {
 			w.bs = kgc.NewBatchScorer(m, kgc.BatchOptions{Precision: opts.Precision})
+			w.ix = indexes.Get().(*poolIndex)
 		}
 		for ti := lo; ti < hi && opts.Ctx.Err() == nil; ti++ {
 			ps.runTask(w, ti)
 		}
 	})
+	for i := range workers {
+		if workers[i].ix != nil {
+			indexes.Put(workers[i].ix) // every block cleared its entries
+		}
+	}
 
 	res := Result{Metrics: metricsFromRanks(ps.ranks)}
 	res.Stages = StageTimings{PlanCompile: p.compileTime, PoolDraw: p.poolTime}
@@ -379,7 +388,8 @@ func (ps *pass) runTask(w *worker, ti int) {
 // runBlock builds one block of directed queries — the tail and/or head
 // queries of task t's triples, which all rank against pool — and sweeps it
 // over the pool once, in strips that keep block × strip scores inside
-// batchFloatBudget, ranking each strip as it is scored.
+// batchFloatBudget, ranking each strip as it is scored against the pool's
+// position index, filled before the sweep and cleared after it.
 // It reports false, with no rank written, when cancelled between two strips.
 // Queries are built relation by relation, so per-relation scorer state is
 // computed once per relation of the block, and each true triple is scored
@@ -433,6 +443,11 @@ func (ps *pass) runBlock(w *worker, t batchTask, pool []int32, tails, heads bool
 		strip &^= 3
 	}
 	w.scores = kgc.Grow(w.scores, nq*min(strip, len(pool)))
+	built := time.Now()
+	w.scoreNS += int64(built.Sub(start))
+	w.ix.index(pool, ps.entities)
+	start = time.Now()
+	w.rankNS += int64(start.Sub(built))
 	for j0 := 0; j0 < len(pool) && ps.opts.Ctx.Err() == nil; j0 += strip {
 		cands := pool[j0:min(j0+strip, len(pool))]
 		nc := len(cands)
@@ -440,14 +455,17 @@ func (ps *pass) runBlock(w *worker, t batchTask, pool []int32, tails, heads bool
 		scored := time.Now()
 		w.scoreNS += int64(scored.Sub(start))
 		for i := range qs {
-			qs[i].count(cands, w.scores[i*nc:(i+1)*nc])
+			qs[i].count(w.ix, j0, w.scores[i*nc:(i+1)*nc])
 		}
 		start = time.Now()
 		w.rankNS += int64(start.Sub(scored))
 		w.strips++
 		w.scored += int64(nq * nc)
 	}
-	w.scoreNS += int64(time.Since(start))
+	swept := time.Now()
+	w.scoreNS += int64(swept.Sub(start))
+	w.ix.clear()
+	w.rankNS += int64(time.Since(swept))
 	if ps.opts.Ctx.Err() != nil {
 		return false
 	}

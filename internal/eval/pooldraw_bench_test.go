@@ -74,6 +74,8 @@ func BenchmarkPoolDraw(b *testing.B) {
 // window (1 024 test triples, n_s = |E|/10) at the dim its untrained fleet
 // runs at: ConvE, whose cost is building a query (conv + FC) and which used
 // to build each one twice, beside DistMult, whose queries cost nothing.
+// score-ms/op and rank-ms/op are the pass's Stages.Score and
+// Stages.RankMerge, CPU time summed over its workers.
 func BenchmarkSampledPass(b *testing.B) {
 	g, ns, providers := benchProviders(b)
 	window := g.Test[:min(1024, len(g.Test))]
@@ -89,11 +91,14 @@ func BenchmarkSampledPass(b *testing.B) {
 				warm := NewPoolMemo(32<<20).Remember(c.p, ns)
 				Evaluate(m, g, window, warm, opts)
 				b.ReportAllocs()
-				var score time.Duration
+				var score, rank time.Duration
 				for b.Loop() {
-					score += Evaluate(m, g, window, warm, opts).Stages.Score
+					st := Evaluate(m, g, window, warm, opts).Stages
+					score += st.Score
+					rank += st.RankMerge
 				}
 				b.ReportMetric(score.Seconds()*1e3/float64(b.N), "score-ms/op")
+				b.ReportMetric(rank.Seconds()*1e3/float64(b.N), "rank-ms/op")
 			})
 		}
 	}

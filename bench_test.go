@@ -276,10 +276,9 @@ func BenchmarkBuildStatic(b *testing.B) {
 func BenchmarkKPScore(b *testing.B) {
 	e := env(b)
 	prov := &eval.RandomProvider{NumEntities: e.g.NumEntities, N: 100}
-	cfg := kp.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kp.Score(e.model, e.g, e.g.Test, prov, cfg)
+		kp.Score(e.model, e.g, e.g.Test, prov, 1)
 	}
 }
 

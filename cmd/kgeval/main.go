@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -36,6 +37,11 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
+	if *dim < 0 || *ns < 0 {
+		fmt.Fprintf(flag.CommandLine.Output(), "-dim %d, -ns %d: neither may be negative (0 = default)\n", *dim, *ns)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg, ok := synth.PresetByName(*dataset)
 	if !ok {

@@ -55,8 +55,7 @@
 //	                      precision, never a pool-sized candidate block. Two
 //	                      lanes with the same bits: AVX2 assembly kernels
 //	                      with four candidates per vector register where the
-//	                      CPU has them, the Go kernels (which also read the
-//	                      float64 table in place) everywhere else
+//	                      CPU has them, the Go kernels everywhere else
 //	internal/cpu          the CPUID/XGETBV check that fixes the lane once
 //	                      per process; -tags purego turns it off
 //	internal/kp           Knowledge Persistence baseline

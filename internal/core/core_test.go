@@ -125,6 +125,21 @@ func TestFrameworkUnfittedPanics(t *testing.T) {
 	New(recommender.NewLWD(), 10, 1).Provider(StrategyRandom)
 }
 
+// n_s < 1 would draw empty pools, which rank every answer first: New
+// refuses it rather than report a perfect MRR.
+func TestFrameworkNonPositiveSamplesPanics(t *testing.T) {
+	for _, ns := range []int{0, -5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(rec, %d, 1) did not panic", ns)
+				}
+			}()
+			New(recommender.NewLWD(), ns, 1)
+		}()
+	}
+}
+
 func TestFrameworkFitErrorPropagates(t *testing.T) {
 	g := &kg.Graph{Name: "untyped", NumEntities: 3, NumRelations: 1,
 		Train: []kg.Triple{{H: 0, R: 0, T: 1}}}

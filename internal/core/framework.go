@@ -105,8 +105,12 @@ type Framework struct {
 // hundred plans' pools at n_s = 1 200 over some tens of relations.
 const poolMemoBytes = 32 << 20
 
-// New builds an unfitted Framework.
+// New builds an unfitted Framework. It panics unless numSamples (n_s) is at
+// least 1: an empty pool would rank every answer first.
 func New(rec recommender.Recommender, numSamples int, seed int64) *Framework {
+	if numSamples < 1 {
+		panic(fmt.Sprintf("core: n_s = %d, want at least 1", numSamples))
+	}
 	return &Framework{Rec: rec, NumSamples: numSamples, Seed: seed}
 }
 

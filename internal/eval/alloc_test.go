@@ -35,10 +35,9 @@ func TestRotatEPassAllocatesNoMoreThanDistMult(t *testing.T) {
 
 // Under the full protocol every pool is the whole entity set. A worker's
 // candidate state is still one kernel tile — the table is transposed
-// (vector lane) or dequantized a tile at a time, or, on the Go lane at
-// float64, scored in place — so the bytes a pass allocates stay far below
-// one |E| × dim block, where the gather lane allocated one such block per
-// worker.
+// (vector lane), copied or dequantized a tile at a time — so the bytes a
+// pass allocates stay far below one |E| × dim block, where the gather lane
+// allocated one such block per worker.
 func TestFullProtocolPassAllocatesTilesNotPools(t *testing.T) {
 	// Keep the block's own buffers — 8 query rows of 512, 4096 scores — out
 	// of the measurement's way.

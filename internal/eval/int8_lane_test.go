@@ -39,7 +39,9 @@ func (o int8Oracle) ScoreTails(h, r int32, c []int32, s []float64) {
 }
 
 func (o int8Oracle) ScoreHeads(r, t int32, c []int32, s []float64) {
-	o.bs.ScoreHeadsBatch([]int32{t}, r, c, s)
+	o.bs.BeginBlock(1)
+	o.bs.AddHeads([]int32{t}, r)
+	o.bs.ScoreBlock(c, s)
 }
 
 // Int8 is an execution precision, not a different protocol: for every model

@@ -98,13 +98,11 @@ func (r *Runner) suite(dataset string) ([]modelRun, error) {
 			opts := eval.Options{Filter: in.filter, Seed: seed}
 			full := core.FullEvaluate(m, g, g.Valid, opts)
 			pt.full, pt.fullTime = full.Metrics, full.Elapsed
-			kpCfg := kp.DefaultConfig()
-			kpCfg.Seed = seed
 			for _, s := range core.Strategies() {
 				est := fw.Estimate(m, g, g.Valid, s, opts)
 				pt.est[s], pt.estTime[s] = est.Metrics, est.Elapsed
 
-				kpRes := kp.Score(m, g, g.Valid, fw.Provider(s), kpCfg)
+				kpRes := kp.Score(m, g, g.Valid, fw.Provider(s), seed)
 				pt.kpScore[s], pt.kpTime[s] = kpRes.Score, kpRes.Elapsed
 			}
 			run.points = append(run.points, pt)

@@ -36,17 +36,15 @@ type BatchScorer interface {
 	// ScoreTailsBatch is a block of tail queries in one call: the score of
 	// (hs[i], r, cands[j]) goes into out[i*len(cands)+j].
 	ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64)
-	// ScoreHeadsBatch is its head-direction analogue, (cands[j], r, ts[i]).
-	ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []float64)
 }
 
-// batchAdapter is how a plain third-party Model — one that implements
-// neither BatchScorer nor this package's native contract — runs through the
-// block executor: it replays the model's own ScoreTails/ScoreHeads for each
-// query of the block over every candidate slice, at float64, whatever
-// precision and tile were asked for. The evaluation framework is
-// model-agnostic (the paper's Figure 1 contract), so this is a supported
-// input, not a fallback awaiting deletion; eval's oracle gate runs it.
+// batchAdapter is how a plain third-party Model — one that does not
+// implement this package's native contract — runs through the block
+// executor: it replays the model's own ScoreTails/ScoreHeads for each query
+// of the block over every candidate slice, at float64, whatever precision
+// and tile were asked for. The evaluation framework is model-agnostic (the
+// paper's Figure 1 contract), so this is a supported input, not a fallback
+// awaiting deletion; eval's oracle gate runs it.
 type batchAdapter struct {
 	Model
 	block []directedQuery
@@ -101,20 +99,14 @@ func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out [
 	a.ScoreBlock(cands, out)
 }
 
-func (a *batchAdapter) ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []float64) {
-	a.BeginBlock(len(ts))
-	a.AddHeads(ts, r)
-	a.ScoreBlock(cands, out)
-}
-
 // The tile micro-kernels below define the scoring lane's arithmetic. Tiling
 // only reorders the (query, candidate) iteration; each score remains one
 // sequential reduction, so results are bit-identical to the per-query path at
 // any tile size.
 //
 // storeScorer.score feeds them one tile of candidate rows at a time — a
-// sub-slice of the entity table, or a tile-sized buffer the store copied or
-// dequantized the rows into — so they are the same code at every precision.
+// tile-sized buffer the store copied or dequantized the rows into
+// (store.Gather) — so they are the same code at every precision.
 // Each scores every query in qs against candidate rows j0..j1 of the pool,
 // whose vectors are the rows of tbuf (local row t ↔ candidate j0+t),
 // writing out[i*nc+j].

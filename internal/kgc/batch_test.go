@@ -47,12 +47,12 @@ func TestBatchScoringBitIdentical(t *testing.T) {
 			}
 		}
 
-		bs.ScoreHeadsBatch(qsEnt, r, cands, batch)
+		scoreHeadsBatch(bs, qsEnt, r, cands, batch)
 		for i, tl := range qsEnt {
 			m.ScoreHeads(r, tl, cands, single)
 			for j := range single {
 				if batch[i*nc+j] != single[j] {
-					t.Fatalf("%s: ScoreHeadsBatch[%d,%d] = %v, per-query = %v", name, i, j, batch[i*nc+j], single[j])
+					t.Fatalf("%s: scoreHeadsBatch[%d,%d] = %v, per-query = %v", name, i, j, batch[i*nc+j], single[j])
 				}
 			}
 		}
@@ -80,18 +80,13 @@ func TestNewBatchScorerDispatch(t *testing.T) {
 	if _, ok := bs.(*batchAdapter); !ok {
 		t.Fatalf("plain Model: NewBatchScorer = %T, want batchAdapter", bs)
 	}
-	// Idempotent: a model that is already a BatchScorer, as the adapter is,
-	// must not be re-wrapped.
-	if again := NewBatchScorer(bs.(Model), BatchOptions{}); again != bs {
-		t.Error("NewBatchScorer re-wrapped an existing BatchScorer")
-	}
 	qs, cands := []int32{4, 0, 9}, []int32{7, 1, 1, 30, 2}
 	got, want := make([]float64, len(qs)*len(cands)), make([]float64, len(cands))
 	for _, tails := range []bool{true, false} {
 		if tails {
 			bs.ScoreTailsBatch(qs, 2, cands, got)
 		} else {
-			bs.ScoreHeadsBatch(qs, 2, cands, got)
+			scoreHeadsBatch(bs, qs, 2, cands, got)
 		}
 		for i, q := range qs {
 			if tails {
@@ -106,6 +101,14 @@ func TestNewBatchScorerDispatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scoreHeadsBatch scores the head queries (cands[j], r, ts[i]) as one block
+// into out[i*len(cands)+j]: BeginBlock, AddHeads, ScoreBlock.
+func scoreHeadsBatch(bs BatchScorer, ts []int32, r int32, cands []int32, out []float64) {
+	bs.BeginBlock(len(ts))
+	bs.AddHeads(ts, r)
+	bs.ScoreBlock(cands, out)
 }
 
 // plainModel hides a model's native batch contract, leaving only the Model
@@ -129,8 +132,8 @@ func TestBatchScoringEmpty(t *testing.T) {
 		bs := NewBatchScorer(m, BatchOptions{})
 		bs.ScoreTailsBatch(nil, 0, []int32{1, 2}, nil)
 		bs.ScoreTailsBatch([]int32{1, 2}, 0, nil, nil)
-		bs.ScoreHeadsBatch(nil, 0, []int32{1, 2}, nil)
-		bs.ScoreHeadsBatch([]int32{1, 2}, 0, nil, nil)
+		scoreHeadsBatch(bs, nil, 0, []int32{1, 2}, nil)
+		scoreHeadsBatch(bs, []int32{1, 2}, 0, nil, nil)
 	}
 }
 
@@ -200,7 +203,7 @@ func TestScoreAnswerMatchesPerQueryBits(t *testing.T) {
 							want = own
 						}
 					} else {
-						ref.ScoreHeadsBatch([]int32{q.e}, q.r, []int32{e}, one)
+						scoreHeadsBatch(ref, []int32{q.e}, q.r, []int32{e}, one)
 						want = one[0]
 						m.ScoreHeads(q.r, q.e, []int32{e}, one)
 						own = one[0]

@@ -160,6 +160,12 @@ func TestNewFactory(t *testing.T) {
 		if m.Name() != name {
 			t.Fatalf("New(%s).Name() = %s", name, m.Name())
 		}
+		// A dim below 1 is an error, not a panic inside the constructor.
+		for _, dim := range []int{0, -3} {
+			if m, err := New(name, g, dim, 1); err == nil {
+				t.Errorf("New(%s, dim %d) = %v, want an error", name, dim, m)
+			}
+		}
 	}
 	if _, err := New("Nonsense", g, 8, 1); err == nil {
 		t.Fatal("New(Nonsense): want error")

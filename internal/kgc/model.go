@@ -185,8 +185,12 @@ func dot(a, b []float64) float64 {
 }
 
 // New constructs a model by name with default hyperparameters. Supported
-// names: TransE, DistMult, ComplEx, RESCAL, RotatE, TuckER, ConvE.
+// names: TransE, DistMult, ComplEx, RESCAL, RotatE, TuckER, ConvE. A dim
+// below 1 is an error.
 func New(name string, g *kg.Graph, dim int, seed int64) (Trainable, error) {
+	if dim < 1 {
+		return nil, fmt.Errorf("kgc: %s dim %d, want at least 1", name, dim)
+	}
 	switch name {
 	case "TransE":
 		return NewTransE(g, dim, seed), nil

@@ -11,13 +11,12 @@ import (
 type BatchOptions struct {
 	// Precision is the entity-store precision candidate (and, for non-default
 	// precisions, answer-side) embeddings are read at. Float64 is the
-	// bit-exact reference, read from the live weight table (in place by the
-	// Go kernels where the ids are consecutive, transposed a tile at a time
-	// for the vector kernels). Float32 and Int8 read a copy of the entity
-	// table built beside the float64 weights, which stay (query building
-	// reads them; store.CopyBytes is its size): they save no memory, they
-	// trade a bounded score error for fewer bytes read per pass, dequantized
-	// one kernel tile at a time. The kernel is the same at every precision.
+	// bit-exact reference, read from the live weight table. Float32 and Int8
+	// read a copy of the entity table built beside the float64 weights,
+	// which stay (query building reads them; store.CopyBytes is its size):
+	// they save no memory, they trade a bounded score error for fewer bytes
+	// read per pass. Every precision is copied or dequantized into the
+	// scorer's tile buffer one kernel tile at a time, for the same kernel.
 	// Ignored for models without a native batch lane, which always score at
 	// float64.
 	Precision store.Precision
@@ -169,7 +168,7 @@ func Kernel() string {
 // buffers grow to the largest block seen and are reused verbatim after.
 // None of them scales with the candidate pool.
 type scratch struct {
-	tbuf []float64 // one kernel tile of candidates: columns (vector lane) or rows not scored in place (Go lane)
+	tbuf []float64 // one kernel tile of candidates: columns (vector lane) or rows (Go lane)
 	qs   []float64 // query vectors, one per block query
 	img  []float64 // ConvE stacked input image of the query being built
 	feat []float64 // ConvE flattened conv features of the query being built
@@ -221,8 +220,7 @@ func (c *entStores) get(t *table, p store.Precision) *store.Store {
 // NewBatchScorer returns a batch lane for m, the one way to get one. Models
 // implementing the native contract (all seven built-in models) get a
 // store-backed scorer at opts' precision, its tile sized from the model's
-// dim; a model that already implements BatchScorer is returned as-is; any
-// other Model is wrapped in batchAdapter, which ignores opts.
+// dim; any other Model is wrapped in batchAdapter, which ignores opts.
 //
 // The returned scorer owns reusable scratch buffers and is NOT safe for
 // concurrent use: create one per worker goroutine. Scorers for the same
@@ -247,20 +245,16 @@ func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 			vec:  vecKernels[b.kind],
 		}
 	}
-	if bs, ok := m.(BatchScorer); ok {
-		return bs
-	}
 	return &batchAdapter{Model: m}
 }
 
 // storeScorer is the universal batch lane: it asks the model to build the
 // block's query vectors, then walks each candidate slice it is handed (a
 // strip of the pool, or all of it) in kernel tiles, asking the entity store
-// for each tile's rows and handing them to the model's tile micro-kernel. On
-// the vector lane (vec != nil) the store transposes every tile into sc.tbuf
-// (store.TileColumns) for the kernel's vector twin; on the Go lane it hands
-// out the table itself where it can and fills sc.tbuf where it cannot
-// (store.Tile). One instance owns the scratch: not safe for concurrent use.
+// to copy or dequantize each tile's rows into sc.tbuf and handing that to the
+// model's tile micro-kernel: candidate-minor (store.TileColumns) for the
+// kernel's vector twin, row by row (store.Gather) for the Go kernel. One
+// instance owns the scratch: not safe for concurrent use.
 type storeScorer struct {
 	m    batchNative
 	st   *store.Store
@@ -329,13 +323,6 @@ func (s *storeScorer) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []
 	s.ScoreBlock(cands, out)
 }
 
-// ScoreHeadsBatch scores (cands[j], r, ts[i]) into out[i*len(cands)+j].
-func (s *storeScorer) ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []float64) {
-	s.BeginBlock(len(ts))
-	s.AddHeads(ts, r)
-	s.ScoreBlock(cands, out)
-}
-
 // score runs every query in qs over cands one kernel tile at a time, then
 // adds the per-entity bias when the model has one. The only candidate state
 // it ever holds is one tile in sc.tbuf, which stays L1-resident while the
@@ -361,7 +348,8 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
 			s.vec(qs, s.st.TileColumns(cands[j0:jv], s.sc.tbuf), dim, j0, jv, nc, out)
 		}
 		if jv < j1 {
-			s.kern(qs, s.st.Tile(cands[jv:j1], s.sc.tbuf), dim, jv, j1, nc, out)
+			s.st.Gather(cands[jv:j1], s.sc.tbuf)
+			s.kern(qs, s.sc.tbuf, dim, jv, j1, nc, out)
 		}
 	}
 	if s.bias != nil {

@@ -5,17 +5,17 @@
 //
 // The store exists for the evaluation hot path: batch kernels walk a
 // candidate pool one kernel tile at a time and ask for that tile's rows as
-// float64, in the layout they read. The vector kernels ask TileColumns,
-// which transposes (Float64, in assembly) or dequantizes the tile
-// candidate-minor into the caller's small, cache-resident buffer. The Go
-// kernels ask Tile: a Float64 store answers a run of consecutive ids with a
-// sub-slice of the table itself — nothing is copied, which is every tile of
-// the full protocol — and otherwise copies or dequantizes at most one tile
-// of rows into that buffer. Both yield the same values. Reduced precision
-// shrinks the table a pass reads (2× for float32, 4× for int8 with its
-// block parameters) and so raises how much of it stays cached between
-// tiles; the kernel behind the tile is the same one at every precision,
-// and what it costs is a bounded per-value dequantization error.
+// float64, in the layout they read, in the caller's small, cache-resident
+// buffer. The vector kernels ask TileColumns, which lays the tile out
+// candidate-minor; the Go kernels ask Gather, which lays it out row by row.
+// Both read every row through one strided row reader, scatterRow, which
+// copies (Float64) or dequantizes (Float32, Int8) it; only whole groups of
+// four Float64 rows take another road, an AVX2 transpose with the same
+// values. Nothing is handed out in place. Reduced precision shrinks the
+// table a pass reads (2× for float32, 4× for int8 with its block
+// parameters) and so raises how much of it stays cached between tiles; the
+// kernel behind the tile is the same one at every precision, and what it
+// costs is a bounded per-value dequantization error.
 package store
 
 import (
@@ -189,32 +189,12 @@ func quantizeRow(src []float64, dst []int8, scale, zero []float32) {
 	}
 }
 
-// Tile returns the rows of ids as one contiguous len(ids)×Dim float64 block
-// — the batch kernels' candidate access, called once per kernel tile. When
-// the store is Float64 and ids is a run of consecutive rows the result is a
-// sub-slice of the table itself: no copy, and the caller must treat it as
-// read-only. Otherwise the rows are copied (Float64) or dequantized
-// (Float32, Int8) into buf, which must hold len(ids)*Dim values, and buf's
-// prefix is returned.
-func (s *Store) Tile(ids []int32, buf []float64) []float64 {
-	n, d := len(ids), s.dim
-	if s.prec == Float64 && n > 0 && consecutive(ids) {
-		lo := int(ids[0]) * d
-		return s.f64[lo : lo+n*d]
-	}
-	buf = buf[:n*d]
-	s.Gather(ids, buf)
-	return buf
-}
-
-// TileColumns is Tile for the vector kernels: it fills buf, which must hold
-// len(ids)*Dim values, with the rows of ids candidate-minor —
-// buf[k*len(ids)+t] = row(ids[t])[k] — and returns that prefix. A vector
-// kernel then finds dimension k of consecutive candidates in adjacent
-// lanes. The values are the ones Tile yields, bit for bit: Float64 rows are
-// moved (transposed four at a time in assembly where the CPU has AVX2),
-// Float32 and Int8 rows are dequantized with Gather's arithmetic. Nothing is
-// handed out in place, so consecutive and scattered ids cost the same.
+// TileColumns fills buf, which must hold len(ids)*Dim values, with the
+// rows of ids candidate-minor — buf[k*len(ids)+t] = row(ids[t])[k] — and
+// returns that prefix. A vector kernel then finds dimension k of
+// consecutive candidates in adjacent lanes. The values are Gather's, bit for
+// bit: Float64 rows are moved (transposed four at a time in assembly where
+// the CPU has AVX2), every other row goes through scatterRow.
 func (s *Store) TileColumns(ids []int32, buf []float64) []float64 {
 	n := len(ids)
 	buf = buf[:n*s.dim]
@@ -228,25 +208,15 @@ func (s *Store) TileColumns(ids []int32, buf []float64) []float64 {
 	return buf
 }
 
-// consecutive reports whether ids is one ascending run id, id+1, id+2, ...
-func consecutive(ids []int32) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i] != ids[i-1]+1 {
-			return false
-		}
-	}
-	return true
-}
-
-// Gather dequantizes the rows of ids into dst as one contiguous
+// Gather copies or dequantizes the rows of ids into dst as one contiguous
 // len(ids)×dim block. dst must hold len(ids)*Dim values. It reads 8, 4 or
-// ~1.5 bytes per value depending on precision and writes 8. The scoring
-// lane calls it through Tile, a tile of rows at a time.
+// ~1.5 bytes per value depending on precision and writes 8. The Go kernels
+// read a tile of rows at a time through it.
 func (s *Store) Gather(ids []int32, dst []float64) {
 	d := s.dim
 	_ = dst[:len(ids)*d]
 	for j, id := range ids {
-		s.gatherRow(int(id), dst[j*d:(j+1)*d])
+		s.scatterRow(int(id), dst[j*d:], 1)
 	}
 }
 
@@ -256,8 +226,8 @@ func (s *Store) Gather(ids []int32, dst []float64) {
 // scale and zero hold len(ids)×NBlocks float32 parameters, with
 // value ≈ zero + scale·(q+128). It moves 1 byte per value (plus 8 bytes per
 // BlockDim-dim block) where Gather writes 8; the scoring lane does not use
-// it (Tile dequantizes straight from the table). Panics unless the store's
-// precision is Int8.
+// it (scatterRow dequantizes straight from the table). Panics unless the
+// store's precision is Int8.
 func (s *Store) GatherQuantized(ids []int32, vals []int8, scale, zero []float32) {
 	if s.prec != Int8 {
 		panic("store: GatherQuantized on a " + s.prec.String() + " store")
@@ -274,41 +244,20 @@ func (s *Store) GatherQuantized(ids []int32, vals []int8, scale, zero []float32)
 	}
 }
 
-func (s *Store) gatherRow(id int, dst []float64) {
-	d := s.dim
-	switch s.prec {
-	case Float64:
-		copy(dst, s.f64[id*d:(id+1)*d])
-	case Float32:
-		row := s.f32[id*d : (id+1)*d]
-		for k, v := range row {
-			dst[k] = float64(v)
-		}
-	case Int8:
-		row := s.i8[id*d : (id+1)*d]
-		nb := s.nblocks()
-		for b := 0; b < nb; b++ {
-			lo := b * BlockDim
-			hi := lo + BlockDim
-			if hi > d {
-				hi = d
-			}
-			sc := float64(s.scale[id*nb+b])
-			z := float64(s.zero[id*nb+b])
-			for k := lo; k < hi; k++ {
-				dst[k] = z + sc*float64(int(row[k])+128)
-			}
-		}
-	}
-}
-
-// scatterRow is gatherRow with a stride: it dequantizes row id into
-// dst[0], dst[stride], dst[2*stride], ... with the same arithmetic.
+// scatterRow is the store's one row reader: it copies or dequantizes row id
+// into dst[0], dst[stride], dst[2*stride], ... — stride 1 for Gather's
+// rows, len(ids) for TileColumns' columns. An Int8 value is
+// zero + scale·(q+128), in float64.
 func (s *Store) scatterRow(id int, dst []float64, stride int) {
 	d := s.dim
 	switch s.prec {
 	case Float64:
-		for k, v := range s.f64[id*d : (id+1)*d] {
+		row := s.f64[id*d : (id+1)*d]
+		if stride == 1 {
+			copy(dst[:d], row) // a memmove: Gather's rows cost what the table's bytes do
+			return
+		}
+		for k, v := range row {
 			dst[k*stride] = v
 		}
 	case Float32:

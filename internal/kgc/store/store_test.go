@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,10 +16,34 @@ func randRows(rows, dim int, seed int64) []float64 {
 	return data
 }
 
-// Row reads one row through gatherRow: the per-row reference Gather, Tile
-// and TileColumns are checked against.
+// Row reads one row with its own loop, sharing no code with scatterRow: the
+// per-row reference Gather and TileColumns are checked against.
 func (s *Store) Row(id int32, dst []float64) {
-	s.gatherRow(int(id), dst[:s.dim])
+	d, r := s.dim, int(id)
+	dst = dst[:d]
+	switch s.prec {
+	case Float64:
+		copy(dst, s.f64[r*d:(r+1)*d])
+	case Float32:
+		for k, v := range s.f32[r*d : (r+1)*d] {
+			dst[k] = float64(v)
+		}
+	case Int8:
+		row := s.i8[r*d : (r+1)*d]
+		nb := s.nblocks()
+		for b := 0; b < nb; b++ {
+			lo := b * BlockDim
+			hi := lo + BlockDim
+			if hi > d {
+				hi = d
+			}
+			sc := float64(s.scale[r*nb+b])
+			z := float64(s.zero[r*nb+b])
+			for k := lo; k < hi; k++ {
+				dst[k] = z + sc*float64(int(row[k])+128)
+			}
+		}
+	}
 }
 
 // Bytes is the payload footprint: values plus quantization parameters.
@@ -203,62 +228,43 @@ func TestBytesFootprint(t *testing.T) {
 	}
 }
 
-// Tile hands out the table itself for a consecutive run on a Float64 store
-// and fills the caller's buffer otherwise; either way its rows equal
-// Gather's.
-func TestTileAliasesConsecutiveRuns(t *testing.T) {
-	const rows, dim = 40, 12
-	data := randRows(rows, dim, 10)
-	pools := map[string][]int32{
+// Gather's rows and TileColumns' columns hold the per-row reference's
+// values (Row), bit for bit — TileColumns on the assembly path (float64,
+// whole groups of four) and the Go path (sub-group tails, reduced precision)
+// alike — over runs touching the table's last row, scattered pools, and the
+// named shapes below: a run, a run to the table's end, a single row, a run
+// with a gap, an unordered run, a repeated id and an empty pool. Neither
+// writes outside dst[:len(ids)*dim]: the guard words on both sides survive.
+func TestTileColumnsMatchesGather(t *testing.T) {
+	const rows, guard = 70, 8
+	sentinel := math.Float64frombits(0x7ff8dead0000beef)
+	rng := rand.New(rand.NewSource(21))
+	shapes := map[string][]int32{
 		"run":       {7, 8, 9, 10},
-		"to-end":    {37, 38, 39},
+		"to-end":    {rows - 3, rows - 2, rows - 1},
 		"single":    {5},
 		"gap":       {7, 8, 10, 11},
 		"unordered": {9, 8, 7},
 		"repeat":    {3, 3, 4},
 		"empty":     {},
 	}
-	inPlace := map[string]bool{"run": true, "to-end": true, "single": true}
-	for _, p := range []Precision{Float64, Float32, Int8} {
-		s, err := FromRows(data, rows, dim, p)
-		if err != nil {
-			t.Fatal(err)
+	// guarded returns an n-value window of a buffer with guard words on
+	// both sides, and a check that they survived.
+	guarded := func(n int) ([]float64, func() bool) {
+		mem := make([]float64, guard+n+guard)
+		for i := range mem {
+			mem[i] = sentinel
 		}
-		for name, ids := range pools {
-			buf := make([]float64, len(ids)*dim)
-			got := s.Tile(ids, buf)
-			want := make([]float64, len(ids)*dim)
-			s.Gather(ids, want)
-			if len(got) != len(want) {
-				t.Fatalf("%v/%s: Tile returned %d values, want %d", p, name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v/%s: value %d = %g, Gather %g", p, name, i, got[i], want[i])
+		return mem[guard : guard+n : guard+n], func() bool {
+			for i := 0; i < guard; i++ {
+				if math.Float64bits(mem[i]) != math.Float64bits(sentinel) ||
+					math.Float64bits(mem[guard+n+i]) != math.Float64bits(sentinel) {
+					return false
 				}
 			}
-			if len(ids) == 0 {
-				continue
-			}
-			aliased := &got[0] == &data[int(ids[0])*dim]
-			if want := p == Float64 && inPlace[name]; aliased != want {
-				t.Errorf("%v/%s: Tile aliases the table = %v, want %v", p, name, aliased, want)
-			}
-			if !aliased && &got[0] != &buf[0] {
-				t.Errorf("%v/%s: Tile returned neither the table nor the caller's buffer", p, name)
-			}
+			return true
 		}
 	}
-}
-
-// TileColumns holds Gather's values, bit for bit, at the transposed
-// positions — on the assembly path (float64, whole groups of four) and the
-// Go path (sub-group tails, reduced precision) alike — and writes nothing
-// outside buf[:len(ids)*dim]: the guard words on both sides survive.
-func TestTileColumnsMatchesGather(t *testing.T) {
-	const rows, guard = 70, 8
-	sentinel := math.Float64frombits(0x7ff8dead0000beef)
-	rng := rand.New(rand.NewSource(21))
 	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 12, 33, 64} {
 		data := randRows(rows, dim, int64(dim))
 		data[3*dim] = math.Copysign(0, -1)
@@ -268,39 +274,45 @@ func TestTileColumnsMatchesGather(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			pools := map[string][]int32{}
+			for name, ids := range shapes {
+				pools[name] = ids
+			}
 			for _, n := range []int{0, 1, 3, 4, 5, 8, 11, 32, 67} {
-				for _, scattered := range []bool{false, true} {
-					ids := make([]int32, n)
-					for i := range ids {
-						ids[i] = int32(rows - n + i) // a run touching the table's last row
-						if scattered {
-							ids[i] = int32(rng.Intn(rows))
+				run, scattered := make([]int32, n), make([]int32, n)
+				for i := range run {
+					run[i] = int32(rows - n + i) // a run touching the table's last row
+					scattered[i] = int32(rng.Intn(rows))
+				}
+				pools[fmt.Sprintf("run%d", n)] = run
+				pools[fmt.Sprintf("scattered%d", n)] = scattered
+			}
+			row := make([]float64, dim)
+			for name, ids := range pools {
+				n := len(ids)
+				rowsBuf, rowsOK := guarded(n * dim)
+				s.Gather(ids, rowsBuf)
+				colsBuf, colsOK := guarded(n * dim)
+				cols := s.TileColumns(ids, colsBuf)
+				if len(cols) != n*dim {
+					t.Fatalf("%v dim=%d %s: TileColumns returned %d values", p, dim, name, len(cols))
+				}
+				for j, id := range ids {
+					s.Row(id, row)
+					for k, w := range row {
+						if g := rowsBuf[j*dim+k]; math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%v dim=%d %s: Gather row %d dim %d = %x, Row %x",
+								p, dim, name, j, k, math.Float64bits(g), math.Float64bits(w))
+						}
+						if g := cols[k*n+j]; math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%v dim=%d %s: TileColumns column %d dim %d = %x, Row %x",
+								p, dim, name, j, k, math.Float64bits(g), math.Float64bits(w))
 						}
 					}
-					want := make([]float64, n*dim)
-					s.Gather(ids, want)
-					mem := make([]float64, guard+n*dim+guard)
-					for i := range mem {
-						mem[i] = sentinel
-					}
-					got := s.TileColumns(ids, mem[guard:guard+n*dim:guard+n*dim])
-					if len(got) != n*dim {
-						t.Fatalf("%v dim=%d n=%d: %d values returned", p, dim, n, len(got))
-					}
-					for j := 0; j < n; j++ {
-						for k := 0; k < dim; k++ {
-							if g, w := got[k*n+j], want[j*dim+k]; math.Float64bits(g) != math.Float64bits(w) {
-								t.Fatalf("%v dim=%d n=%d scattered=%v: column %d dim %d = %x, Gather %x",
-									p, dim, n, scattered, j, k, math.Float64bits(g), math.Float64bits(w))
-							}
-						}
-					}
-					for i := 0; i < guard; i++ {
-						if math.Float64bits(mem[i]) != math.Float64bits(sentinel) ||
-							math.Float64bits(mem[guard+n*dim+i]) != math.Float64bits(sentinel) {
-							t.Fatalf("%v dim=%d n=%d: guard word %d overwritten", p, dim, n, i)
-						}
-					}
+				}
+				if !rowsOK() || !colsOK() {
+					t.Fatalf("%v dim=%d %s: a guard word was overwritten (Gather %v, TileColumns %v)",
+						p, dim, name, rowsOK(), colsOK())
 				}
 			}
 		}

@@ -9,8 +9,8 @@ const tileBytes = 32 << 10
 // TileFor picks the batch-kernel candidate tile for a (pool size, dim,
 // precision) shape. The tile is the number of candidate rows kept hot
 // across the queries of a block: too small wastes the amortization (each
-// row is fetched — and, unless the Go lane scores it in place, transposed,
-// copied or dequantized — for fewer (query, row) products in flight), too
+// row is fetched — and copied, transposed or dequantized into the tile
+// buffer — for fewer (query, row) products in flight), too
 // large spills the tile out of L1 and every query re-streams it from
 // L2/memory.
 //

@@ -85,9 +85,9 @@ func BenchmarkScoreTile(b *testing.B) {
 // BenchmarkScoreBlock times one strip of a block through the lane — tile
 // walk, tile fill, kernel — on both lanes, at the shapes the planner produces
 // at dim 128: 64 directed queries against a 512-candidate strip, of
-// consecutive ids (a strip of the full protocol, which the Go lane scores in
-// place at float64 and the vector lane transposes like any other) and of
-// scattered ids (a strip of a drawn sample, one tile filled at a time). The
+// consecutive ids (a strip of the full protocol) and of scattered ids (a
+// strip of a drawn sample); both lanes fill the tile buffer one tile at a
+// time either way, the Go lane row by row, the vector lane transposed. The
 // scattered strip also runs under 5 queries, the last block of a small
 // relation, where the fill is least amortized — the shape every block of the
 // full protocol had before blocks were shared across relations. The block's

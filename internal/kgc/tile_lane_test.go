@@ -13,8 +13,8 @@ import (
 // The oracle lane: what the scorer did before it was tile-fed. The whole
 // pool is expanded with store.Gather into one pool-sized float64 block and
 // every (query, candidate) score is one plain sequential loop over it — no
-// tiles, no four-row interleaving, no in-place rows. The production lane
-// must reproduce it bit for bit.
+// tiles, no four-row interleaving. The production lane must reproduce it bit
+// for bit.
 
 func refDot(q, c []float64) float64 {
 	s := 0.0
@@ -83,10 +83,9 @@ func oracleBatch(t *testing.T, m Model, p store.Precision, tails bool, ents []in
 	return out
 }
 
-// lanePools returns the pool shapes that exercise every branch of
-// store.Tile on a table of n rows: in-place runs, runs broken inside a
-// tile, a run touching the table's end, a single row, and a scattered pool
-// with repeats.
+// lanePools returns the pool shapes the tile walk meets on a table of n
+// rows: a run, a run broken inside a tile, a run touching the table's end,
+// a single row, and a scattered pool with repeats.
 func lanePools(rng *rand.Rand, n int) map[string][]int32 {
 	run := func(lo, hi int32) []int32 {
 		ids := make([]int32, 0, hi-lo)
@@ -149,7 +148,7 @@ func TestTileLaneMatchesGatherOracle(t *testing.T) {
 							if tails {
 								bs.ScoreTailsBatch(ents, r, cands, got)
 							} else {
-								bs.ScoreHeadsBatch(ents, r, cands, got)
+								scoreHeadsBatch(bs, ents, r, cands, got)
 							}
 							for i := range want {
 								if got[i] != want[i] {
@@ -162,7 +161,7 @@ func TestTileLaneMatchesGatherOracle(t *testing.T) {
 							if tails {
 								bs.ScoreTailsBatch(ents[:1], r, cands, one)
 							} else {
-								bs.ScoreHeadsBatch(ents[:1], r, cands, one)
+								scoreHeadsBatch(bs, ents[:1], r, cands, one)
 							}
 							for j := range one {
 								if one[j] != want[j] {

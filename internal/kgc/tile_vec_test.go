@@ -276,8 +276,8 @@ func TestVectorLaneMatchesGoKernels(t *testing.T) {
 									vec.ScoreTailsBatch(ents[:nq], 1, cands, got)
 									ref.ScoreTailsBatch(ents[:nq], 1, cands, want)
 								} else {
-									vec.ScoreHeadsBatch(ents[:nq], 1, cands, got)
-									ref.ScoreHeadsBatch(ents[:nq], 1, cands, want)
+									scoreHeadsBatch(vec, ents[:nq], 1, cands, got)
+									scoreHeadsBatch(ref, ents[:nq], 1, cands, want)
 								}
 								for i := range want {
 									if !sameScore(got[i], want[i]) {

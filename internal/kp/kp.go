@@ -10,21 +10,10 @@ import (
 	"kgeval/internal/kgc"
 )
 
-// Config controls the KP evaluation proxy.
-type Config struct {
-	// NumPositives bounds the positive triples sampled into KP⁺ (0 = all).
-	NumPositives int
-	Seed         int64
-}
-
-// DefaultConfig mirrors the scale used by the reference implementation.
-func DefaultConfig() Config {
-	return Config{NumPositives: 1000, Seed: 1}
-}
-
 const (
-	negativesPerPositive = 1  // corrupted triples per positive in KP⁻
-	directions           = 16 // of the sliced Wasserstein approximation
+	numPositives         = 1000 // positive triples sampled into KP⁺, the reference implementation's scale
+	negativesPerPositive = 1    // corrupted triples per positive in KP⁻
+	directions           = 16   // of the sliced Wasserstein approximation
 )
 
 // Result is one KP evaluation.
@@ -40,16 +29,17 @@ type Result struct {
 // Score computes the KP metric for a model over a split. Negative triples
 // corrupt the tail with candidates drawn from the provider — this is how the
 // paper combines KP with its Random/Probabilistic/Static sampling (Table 7's
-// "K P" columns).
-func Score(m kgc.Model, g *kg.Graph, split []kg.Triple, negatives eval.CandidateProvider, cfg Config) Result {
+// "K P" columns). seed draws the positives (when the split has more than
+// numPositives) and their corruptions.
+func Score(m kgc.Model, g *kg.Graph, split []kg.Triple, negatives eval.CandidateProvider, seed int64) Result {
 	start := time.Now()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 
 	positives := split
-	if cfg.NumPositives > 0 && cfg.NumPositives < len(split) {
+	if numPositives < len(split) {
 		shuffled := append([]kg.Triple(nil), split...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		positives = shuffled[:cfg.NumPositives]
+		positives = shuffled[:numPositives]
 	}
 
 	// KP⁺ weighs each positive triple, KP⁻ each tail corruption drawn from

@@ -61,12 +61,8 @@ type Config struct {
 	ValidFrac float64 // fraction of triples held out for validation
 	TestFrac  float64 // fraction of triples held out for test
 
-	MaxTypesPerEntity int     // each entity gets 1..MaxTypesPerEntity types
-	MaxSignatureTypes int     // relations draw 1..MaxSignatureTypes domain and range types
-	NoiseRate         float64 // fraction of triples with a type-violating endpoint
-	ZipfEntity        float64 // Zipf exponent for entity popularity within a type
-	ZipfType          float64 // Zipf exponent for type sizes
-	ZipfRelation      float64 // Zipf exponent for relation frequency
+	NoiseRate float64 // fraction of triples with a type-violating endpoint
+	ZipfType  float64 // Zipf exponent for type sizes (0 = 1.0)
 
 	Seed int64
 }
@@ -109,25 +105,13 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.MaxTypesPerEntity == 0 {
-		out.MaxTypesPerEntity = 2
-	}
-	if out.MaxSignatureTypes == 0 {
-		out.MaxSignatureTypes = 2
-	}
-	if out.ZipfEntity == 0 {
-		out.ZipfEntity = 0.8
-	}
-	if out.ZipfType == 0 {
-		out.ZipfType = 1.0
-	}
-	if out.ZipfRelation == 0 {
-		out.ZipfRelation = 0.9
-	}
-	return out
-}
+// The generator's fixed shape, the same for every preset.
+const (
+	maxTypesPerEntity = 2   // each entity gets 1..maxTypesPerEntity types
+	maxSignatureTypes = 2   // relations draw 1..maxSignatureTypes domain and range types
+	zipfEntity        = 0.8 // Zipf exponent for entity popularity within a type
+	zipfRelation      = 0.9 // Zipf exponent for relation frequency
+)
 
 // zipfWeights returns weights w[i] = 1/(i+1)^s.
 func zipfWeights(n int, s float64) []float64 {
@@ -160,7 +144,9 @@ func Generate(cfg Config) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	if cfg.ZipfType == 0 {
+		cfg.ZipfType = 1.0
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// 1. Assign types. Type popularity is Zipf so a few types are large
@@ -169,7 +155,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	entityTypes := make([][]int32, cfg.NumEntities)
 	typeMembers := make([][]int32, cfg.NumTypes)
 	for e := 0; e < cfg.NumEntities; e++ {
-		n := 1 + rng.Intn(cfg.MaxTypesPerEntity)
+		n := 1 + rng.Intn(maxTypesPerEntity)
 		seen := map[int32]bool{}
 		for len(entityTypes[e]) < n {
 			t := int32(drawCDF(rng, typeCDF))
@@ -197,8 +183,8 @@ func Generate(cfg Config) (*Dataset, error) {
 	relations := make([]Relation, cfg.NumRelations)
 	for r := range relations {
 		relations[r] = Relation{
-			DomainTypes: drawSignature(rng, typeCDF, cfg.MaxSignatureTypes),
-			RangeTypes:  drawSignature(rng, typeCDF, cfg.MaxSignatureTypes),
+			DomainTypes: drawSignature(rng, typeCDF, maxSignatureTypes),
+			RangeTypes:  drawSignature(rng, typeCDF, maxSignatureTypes),
 			Card:        drawCardinality(rng),
 		}
 	}
@@ -207,12 +193,12 @@ func Generate(cfg Config) (*Dataset, error) {
 	domPool := make([]pool, cfg.NumRelations)
 	rngPool := make([]pool, cfg.NumRelations)
 	for r, rel := range relations {
-		domPool[r] = newPool(typeMembers, rel.DomainTypes, cfg.ZipfEntity)
-		rngPool[r] = newPool(typeMembers, rel.RangeTypes, cfg.ZipfEntity)
+		domPool[r] = newPool(typeMembers, rel.DomainTypes, zipfEntity)
+		rngPool[r] = newPool(typeMembers, rel.RangeTypes, zipfEntity)
 	}
 
 	// 4. Generate triples.
-	relCDF := cumulative(zipfWeights(cfg.NumRelations, cfg.ZipfRelation))
+	relCDF := cumulative(zipfWeights(cfg.NumRelations, zipfRelation))
 	var (
 		triples    []kg.Triple
 		noise      []kg.Triple

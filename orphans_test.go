@@ -17,8 +17,6 @@ var orphanAllowed = map[string]string{
 	"Error": "error", "String": "fmt.Stringer", "ServeHTTP": "http.Handler",
 	"Write": "http.ResponseWriter", "WriteHeader": "http.ResponseWriter", "Flush": "http.Flusher",
 	"Len": "sort.Interface", "Less": "sort.Interface", "Swap": "sort.Interface",
-	// Pinned by the frozen bench/ directory (ROADMAP 7, bench-pinned leftovers).
-	"ScoreHeadsBatch": "head-side twin of ScoreTailsBatch, which bench/ladder.go calls",
 }
 
 // TestNoOrphanExports holds the tree to "what ships is what runs": every

@@ -26,8 +26,9 @@
 // additionally mounts net/http/pprof under /debug/pprof/. Logs are
 // structured (log/slog); -log-level selects the threshold (debug includes
 // per-request access logs). The "serving" line names the scoring lane of
-// the process (kernel=avx2 or kernel=go), which every job's eval.pass span
-// repeats.
+// the process (kernel=avx512, avx2 or go), which every job's eval.pass span
+// repeats, and the worker count and framework-cache capacity the engine
+// runs with (a -workers or -cache value <= 0 is its default, 2 or 8).
 //
 // Production hardening (see README "Operations"): jobs carry end-to-end
 // deadlines (timeout_ms) and expire terminally when they pass; a full
@@ -189,8 +190,11 @@ func main() {
 	}
 	apiHandler.Store(&handler)
 
-	logger.Info("serving", "addr", ln.Addr().String(), "workers", *workers,
-		"kernel", kgc.Kernel(), "cache", *cacheSize, "model_cache_mb", engine.Stats().Models.CapBytes>>20,
+	// What runs, not what was asked for: NewEngine replaces a workers or
+	// cache value <= 0 with its default.
+	st := engine.Stats()
+	logger.Info("serving", "addr", ln.Addr().String(), "workers", st.Workers,
+		"kernel", kgc.Kernel(), "cache", st.Cache.Cap, "model_cache_mb", st.Models.CapBytes>>20,
 		"pprof", *pprofOn, "drain_timeout", *drainTimeout)
 
 	// Graceful shutdown: the first SIGTERM/SIGINT flips /readyz to 503 and

@@ -52,10 +52,11 @@
 //	                      lane scores a block of up to 64 directed queries that share a
 //	                      pool against L1-sized tiles of candidates filled
 //	                      from the entity store one tile at a time — one kernel per model at every
-//	                      precision, never a pool-sized candidate block. Two
-//	                      lanes with the same bits: AVX2 assembly kernels
-//	                      with four candidates per vector register where the
-//	                      CPU has them, the Go kernels everywhere else
+//	                      precision, never a pool-sized candidate block. Three
+//	                      lanes with the same bits: AVX-512F dot and L1
+//	                      kernels with eight candidates per ZMM register,
+//	                      AVX2 assembly kernels with four per YMM register
+//	                      (RotatE's on both), the Go kernels everywhere else
 //	internal/cpu          the CPUID/XGETBV check that fixes the lane once
 //	                      per process; -tags purego turns it off
 //	internal/kp           Knowledge Persistence baseline

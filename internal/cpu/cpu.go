@@ -1,4 +1,4 @@
-// Package cpu reports the one CPU feature this module selects code on.
+// Package cpu reports the two CPU features this module selects code on.
 //
 // Four lanes have AVX2 assembly kernels next to their Go code: scoring
 // (internal/kgc's tile kernels, with their tile fill in
@@ -6,8 +6,10 @@
 // ConvE's FC layer, TuckER's core contraction and RESCAL's tail queries),
 // the base64 decode of inline snapshots in POST /v1/jobs bodies
 // (internal/service) and the rank count, the compare under every strip of
-// the evaluation's rank merge (internal/eval). Which code a process runs is decided here, once,
-// from what the machine is — there is no option, flag or environment
-// variable, because both versions of a lane produce the same bits and only
-// one of them is ever the faster choice on a given host.
+// the evaluation's rank merge (internal/eval). Scoring has a third, 512-bit
+// version of its dot and L1 tile kernels for CPUs with AVX-512F. Which code
+// a process runs is decided here, once, from what the machine is — there is
+// no option, flag or environment variable, because every version of a lane
+// produces the same bits and only one of them is ever the faster choice on
+// a given host.
 package cpu

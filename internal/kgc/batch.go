@@ -111,15 +111,18 @@ func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out [
 // whose vectors are the rows of tbuf (local row t ↔ candidate j0+t),
 // writing out[i*nc+j].
 //
-// They are one of two lanes. Where the process has AVX2 (amd64, not built
+// They are one of three lanes. Where the process has AVX2 (amd64, not built
 // with -tags purego) each kernel has an assembly twin in tile_amd64.s that
 // puts four candidates in the lanes of a vector register and otherwise does
 // what the code below does, operation for operation, so its scores have the
-// same bits; storeScorer.score then sends whole groups of four candidates
-// there and only the sub-group tails here. Everywhere else these kernels
-// score everything. Either way they are the definition: the assembly is
-// tested against them with == on the bits (tile_vec_test.go), and they
-// against the gather oracle (tile_lane_test.go).
+// same bits; where it also has AVX-512F the dot and L1 kernels have a
+// second twin there with eight candidates per register, the same operations
+// in each lane. storeScorer.score then sends whole groups of four
+// candidates to the installed twin and only the sub-group tails here.
+// Everywhere else these kernels score everything. Either way they are the
+// definition: every twin the CPU can run is tested against them with == on
+// the bits (tile_vec_test.go), and they against the gather oracle
+// (tile_lane_test.go).
 //
 // Four candidate rows are scored in flight per step: their accumulator
 // chains are independent, hiding the FP add latency that serializes a lone
@@ -133,8 +136,8 @@ func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out [
 // whose score is a query-vector/candidate-vector dot product (DistMult,
 // ComplEx, RESCAL, TuckER, ConvE). It is as fast as scalar Go gets — one
 // multiply-add per cycle, the machine's measured scalar FMA roofline, 0.24–
-// 0.31 ns per candidate·dim on an L1-resident tile — and its vector twin
-// runs at 0.07.
+// 0.31 ns per candidate·dim on an L1-resident tile — and its vector twins
+// run at 0.08–0.10 (256-bit) and 0.06–0.07 (512-bit).
 func scoreDotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	nq := len(qs) / dim
 	for i := 0; i < nq; i++ {
@@ -172,8 +175,8 @@ func scoreDotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 // XMM→GPR→XMM round trip — which is why it costs 0.64–0.74 ns per
 // candidate·dim on an L1-resident tile against 0.24–0.31 for the dot
 // kernel. Writing the absolute value as max(d, -d) measured 1.4× slower and
-// as a branch 6× slower, both bit-identical. Its vector twin clears the
-// sign with one VANDPD and runs at 0.09.
+// as a branch 6× slower, both bit-identical. Its vector twins clear the
+// sign with one VANDPD (VPANDQ at 512 bits) and run at 0.11–0.13 and 0.08.
 func scoreL1Tile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	nq := len(qs) / dim
 	for i := 0; i < nq; i++ {

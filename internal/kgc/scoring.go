@@ -123,11 +123,23 @@ var goKernels = [numKinds]tileFunc{kindDot: scoreDotTile, kindL1: scoreL1Tile, k
 
 // vecKernels holds the vector twin of each Go tile kernel, or nil. It is
 // filled once at start-up, by the amd64 build on a CPU with AVX2
-// (tile_amd64.go), and never after: the scoring lane is a property of the
-// process, not something a caller selects. Everywhere else — other
-// architectures, the purego build tag, older x86 — it stays nil and the Go
-// kernels score everything.
+// (tile_amd64.go), with the widest lane of vecLanes, and never after: the
+// scoring lane is a property of the process, not something a caller selects.
+// Everywhere else — other architectures, the purego build tag, older x86 —
+// it stays nil and the Go kernels score everything.
 var vecKernels [numKinds]tileFunc
+
+// vecLane is one set of vector twins of the Go tile kernels, named as Kernel
+// reports it.
+type vecLane struct {
+	name    string
+	kernels [numKinds]tileFunc
+}
+
+// vecLanes lists every vector lane this CPU can run, narrowest first: avx2,
+// then avx512 where the CPU has it. The last is installed in vecKernels; the
+// tests hold each of them to the Go kernels.
+var vecLanes []vecLane
 
 // rowAcc is the query builders' row-accumulate: rowAccGo, or — installed
 // with vecKernels, by the same build on the same CPUs — its AVX2 twin
@@ -152,14 +164,16 @@ func rowAccGo(out, c, rows []float64, stride int, skipZero bool) {
 	}
 }
 
-// Kernel names the scoring lane of this process: "avx2" when the vector tile
-// kernels and the vector row-accumulate under the query builders run, "go"
-// otherwise. Both produce the same scores, bit for bit; the name is for
-// traces and logs, so a timing says which code produced it. (A plain
-// third-party Model is scored through its own methods either way.)
+// Kernel names the scoring lane of this process: "avx512" when the 512-bit
+// dot and L1 tile kernels run (RotatE's tile kernel and the query builders'
+// row-accumulate stay 256-bit), "avx2" when the 256-bit tile kernels and
+// row-accumulate run, "go" otherwise. All three produce the same scores,
+// bit for bit; the name is for traces and logs, so a timing says which code
+// produced it. (A plain third-party Model is scored through its own methods
+// either way.)
 func Kernel() string {
-	if vecKernels[kindDot] != nil {
-		return "avx2"
+	if n := len(vecLanes); n > 0 {
+		return vecLanes[n-1].name
 	}
 	return "go"
 }
@@ -168,7 +182,7 @@ func Kernel() string {
 // buffers grow to the largest block seen and are reused verbatim after.
 // None of them scales with the candidate pool.
 type scratch struct {
-	tbuf []float64 // one kernel tile of candidates: columns (vector lane) or rows (Go lane)
+	tbuf []float64 // one kernel tile of candidates: columns (vector lanes) or rows (Go lane)
 	qs   []float64 // query vectors, one per block query
 	img  []float64 // ConvE stacked input image of the query being built
 	feat []float64 // ConvE flattened conv features of the query being built

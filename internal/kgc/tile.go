@@ -21,11 +21,16 @@ const tileBytes = 32 << 10
 // raw int8 rows next to a pool-sized block; on the tile-fed lane no entry of
 // it beats this formula outside run-to-run noise on
 // BenchmarkScoreDotBatchTile at any dim from 32 to 512, at float64 or int8.
-// The sweep was repeated on the vector lane, whose widest step takes 32
+// The sweep was repeated on the AVX2 lane, whose widest step takes 32
 // candidates at once: the formula's tile is the fastest or within noise of
-// it at every dim (at dim 256, 16 rows beat 24, 32, 48 and 64 by 15–35 %),
-// so both lanes share it. Every precision hands the kernel the same float64
-// tile, so the precision does not enter; the parameter stays for callers.
+// it at every dim (at dim 256, 16 rows beat 24, 32, 48 and 64 by 15–35 %).
+// On the 512-bit lane two sweeps put 32 rows ahead of the formula's 64 at
+// dim 64 (float64, ~25 %) and 16–32 rows ahead of its 8 at dim 512, where
+// 8 rows leave the kernel two chains in flight; but a [16, 32] clamp on that
+// lane made no full-ranking pass of kgebench faster (its dim-64 ConvE and
+// TuckER passes ran a few percent slower), so every lane shares the formula.
+// Every precision hands the kernel the same float64 tile, so the precision
+// does not enter; the parameter stays for callers.
 func TileFor(pool, dim int, _ store.Precision) int {
 	tile := tileBytes / (max(dim, 1) * 8)
 	tile -= tile % 4

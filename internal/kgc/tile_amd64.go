@@ -18,21 +18,40 @@ func l1TileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc
 //go:noescape
 func rotTileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 
+//go:noescape
+func dotTileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+
+//go:noescape
+func l1TileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+
 // The assembly row-accumulate of rowacc_amd64.s: rowAccGo over n outputs
 // and nrows rows. It trusts its arguments; vecRowAcc is the only caller.
 //
 //go:noescape
 func rowAccAVX2(out *float64, n int, c *float64, nrows int, rows *float64, stride int, skipZero bool)
 
+// init lists the vector lanes this CPU runs, narrowest first, and installs
+// the widest. The 512-bit lane replaces the dot and L1 kernels only: RotatE's
+// 256-bit kernel measured as fast as a 512-bit one, its square root being
+// no faster per lane at the wider width.
 func init() {
-	if cpu.AVX2 {
-		vecKernels = [numKinds]tileFunc{
-			kindDot: vecTile(dotTileAVX2, 1),
-			kindL1:  vecTile(l1TileAVX2, 1),
-			kindRot: vecTile(rotTileAVX2, 2),
-		}
-		rowAcc = vecRowAcc
+	if !cpu.AVX2 {
+		return
 	}
+	avx2 := vecLane{name: "avx2", kernels: [numKinds]tileFunc{
+		kindDot: vecTile(dotTileAVX2, 1),
+		kindL1:  vecTile(l1TileAVX2, 1),
+		kindRot: vecTile(rotTileAVX2, 2),
+	}}
+	vecLanes = []vecLane{avx2}
+	if cpu.AVX512 {
+		avx512 := vecLane{name: "avx512", kernels: avx2.kernels}
+		avx512.kernels[kindDot] = vecTile(dotTileAVX512, 1)
+		avx512.kernels[kindL1] = vecTile(l1TileAVX512, 1)
+		vecLanes = append(vecLanes, avx512)
+	}
+	vecKernels = vecLanes[len(vecLanes)-1].kernels
+	rowAcc = vecRowAcc
 }
 
 // vecRowAcc gives rowAccAVX2 rowAccGo's signature and, like vecTile, is the

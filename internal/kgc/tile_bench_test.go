@@ -25,14 +25,13 @@ func perCandDim(b *testing.B, nq, nc, dim int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nq*nc*dim), "ns/cand·dim")
 }
 
-// benchLanes runs fn once per scoring lane this process has, as
-// sub-benchmarks "go" and — where the vector kernels are available — "avx2",
-// so one binary reports both and a host without the vector lane reports the
-// lane it runs.
-func benchLanes(b *testing.B, fn func(b *testing.B, vector bool)) {
-	b.Run("go", func(b *testing.B) { fn(b, false) })
-	if Kernel() != "go" {
-		b.Run(Kernel(), func(b *testing.B) { fn(b, true) })
+// benchLanes runs fn once per scoring lane this CPU can run, as
+// sub-benchmarks "go" and every lane of vecLanes ("avx2", then "avx512"
+// where the CPU has it), so one binary reports each step and a host without
+// a vector lane reports the lane it runs. The Go lane's kernels are nil.
+func benchLanes(b *testing.B, fn func(b *testing.B, lane vecLane)) {
+	for _, lane := range append([]vecLane{{name: "go"}}, vecLanes...) {
+		b.Run(lane.name, func(b *testing.B) { fn(b, lane) })
 	}
 }
 
@@ -54,7 +53,7 @@ func benchPool(rng *rand.Rand, n, k int, consecutive bool) []int32 {
 	return ids
 }
 
-// BenchmarkScoreTile times the three tile micro-kernels alone, on both lanes,
+// BenchmarkScoreTile times the three tile micro-kernels alone, on every lane,
 // over one tile as the planner sizes it at dim 128 (TileFor: 32 rows = 32 KB)
 // and 16 queries: the floor each model family's scoring can reach. The Go
 // kernels read the tile row-major, their vector twins candidate-minor; the
@@ -67,10 +66,10 @@ func BenchmarkScoreTile(b *testing.B) {
 	out := make([]float64, nq*tile)
 	for kind := kindDot; kind < numKinds; kind++ {
 		b.Run(kind.String(), func(b *testing.B) {
-			benchLanes(b, func(b *testing.B, vector bool) {
-				fn := goKernels[kind]
-				if vector {
-					fn = vecKernels[kind]
+			benchLanes(b, func(b *testing.B, lane vecLane) {
+				fn := lane.kernels[kind]
+				if fn == nil {
+					fn = goKernels[kind]
 				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -83,11 +82,11 @@ func BenchmarkScoreTile(b *testing.B) {
 }
 
 // BenchmarkScoreBlock times one strip of a block through the lane — tile
-// walk, tile fill, kernel — on both lanes, at the shapes the planner produces
+// walk, tile fill, kernel — on every lane, at the shapes the planner produces
 // at dim 128: 64 directed queries against a 512-candidate strip, of
 // consecutive ids (a strip of the full protocol) and of scattered ids (a
-// strip of a drawn sample); both lanes fill the tile buffer one tile at a
-// time either way, the Go lane row by row, the vector lane transposed. The
+// strip of a drawn sample); every lane fills the tile buffer one tile at a
+// time either way, the Go lane row by row, the vector lanes transposed. The
 // scattered strip also runs under 5 queries, the last block of a small
 // relation, where the fill is least amortized — the shape every block of the
 // full protocol had before blocks were shared across relations. The block's
@@ -105,11 +104,9 @@ func BenchmarkScoreBlock(b *testing.B) {
 				hs := benchPool(rng, rows, nq, false)
 				out := make([]float64, nq*strip)
 				b.Run(fmt.Sprintf("%s/%v/%dx%d", kind, p, nq, strip), func(b *testing.B) {
-					benchLanes(b, func(b *testing.B, vector bool) {
+					benchLanes(b, func(b *testing.B, lane vecLane) {
 						bs := NewBatchScorer(m, BatchOptions{Precision: p, Tile: TileFor(strip, dim, p)}).(*storeScorer)
-						if !vector {
-							bs.vec = nil
-						}
+						bs.vec = lane.kernels[kindDot]
 						bs.ScoreTailsBatch(hs, 1, cands, out) // build the store and the block, size the scratch
 						b.ReportAllocs()
 						b.ResetTimer()

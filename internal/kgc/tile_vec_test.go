@@ -9,22 +9,27 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"kgeval/internal/cpu"
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc/store"
 )
 
-// The vector lane's gate. The Go tile kernels — untouched, and themselves
+// The vector lanes' gate. The Go tile kernels — untouched, and themselves
 // held to the gather oracle in tile_lane_test.go — are the oracle for their
 // assembly twins: every score must have the same bits, because the protocol
-// ranks by float equality. On a host without the vector lane (non-amd64,
-// -tags purego, no AVX2) there is nothing to compare and these tests skip.
+// ranks by float equality. Every lane the CPU can run (vecLanes: avx2, and
+// avx512 where present) is held to them, not only the installed one, so the
+// 256-bit twins stay tested on a 512-bit host. On a host without a vector
+// lane (non-amd64, -tags purego, no AVX2) there is nothing to compare and
+// these tests skip.
 
 func (k tileKind) String() string { return [...]string{"Dot", "L1", "Rot"}[k] }
 
 func needVectorLane(t testing.TB) {
 	t.Helper()
-	if Kernel() == "go" {
+	if len(vecLanes) == 0 {
 		t.Skip("no vector lane in this build or on this CPU: the Go kernels are the only lane")
 	}
 }
@@ -71,10 +76,10 @@ func transposed(rows []float64, n, dim int) []float64 {
 }
 
 // checkTileKernels runs one kernel pair on one shape and reports the first
-// difference: the vector kernel must write exactly what the Go kernel
+// difference: lane's vector kernel must write exactly what the Go kernel
 // writes — out[i*nc+j] for j0 <= j < j1 — and nothing else, inside out or
 // around it.
-func checkTileKernels(kind tileKind, qs, rows []float64, dim, j0, j1, nc int) error {
+func checkTileKernels(lane vecLane, kind tileKind, qs, rows []float64, dim, j0, j1, nc int) error {
 	nq, n := len(qs)/dim, j1-j0
 	want := make([]float64, nq*nc)
 	for i := range want {
@@ -88,15 +93,15 @@ func checkTileKernels(kind tileKind, qs, rows []float64, dim, j0, j1, nc int) er
 	}
 	cols, colsIntact := guarded(n * dim)
 	copy(cols, transposed(rows, n, dim))
-	vecKernels[kind](qs, cols, dim, j0, j1, nc, got)
+	lane.kernels[kind](qs, cols, dim, j0, j1, nc, got)
 	for i := range want {
 		if !sameScore(got[i], want[i]) {
-			return fmt.Errorf("%v dim=%d nq=%d tile=[%d,%d) of %d: out[%d] = %x (%v), Go kernel %x (%v)",
-				kind, dim, nq, j0, j1, nc, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+			return fmt.Errorf("%s %v dim=%d nq=%d tile=[%d,%d) of %d: out[%d] = %x (%v), Go kernel %x (%v)",
+				lane.name, kind, dim, nq, j0, j1, nc, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
 		}
 	}
 	if !outIntact() || !colsIntact() {
-		return fmt.Errorf("%v dim=%d nq=%d tile=[%d,%d) of %d: wrote outside its buffers", kind, dim, nq, j0, j1, nc)
+		return fmt.Errorf("%s %v dim=%d nq=%d tile=[%d,%d) of %d: wrote outside its buffers", lane.name, kind, dim, nq, j0, j1, nc)
 	}
 	return nil
 }
@@ -116,26 +121,74 @@ func plantedVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// The three assembly kernels against the three Go kernels, directly: every
-// accumulator width (tiles of 4 to 100 candidates), odd and tiny dims, a
-// tile in the middle of a wider pool, and no write outside the tile's scores.
+// Each lane's assembly kernels against the three Go kernels, directly: every
+// accumulator width (tiles of 4 to 100 candidates, each remainder of the
+// 512-bit groups included), odd and tiny dims, even and odd query counts (the
+// 512-bit kernels take queries in pairs), a tile in the middle of a wider
+// pool, and no write outside the tile's scores.
 func TestVectorKernelsMatchGoKernels(t *testing.T) {
 	needVectorLane(t)
-	rng := rand.New(rand.NewSource(5))
-	for kind := kindDot; kind < numKinds; kind++ {
-		for _, dim := range []int{1, 2, 3, 4, 7, 32, 64, 100, 128, 256} {
-			if kind == kindRot && dim < 2 {
-				continue // no complex dim: vecTile rejects it
-			}
-			for _, n := range []int{4, 8, 12, 16, 24, 28, 32, 36, 60, 64, 100} {
-				for _, nq := range []int{1, 5, 54} {
-					qs, rows := plantedVec(rng, nq*dim), plantedVec(rng, n*dim)
-					copy(rows[dim:2*dim], rows[:dim]) // candidates 0 and 1 tie exactly
-					j0 := rng.Intn(7)
-					if err := checkTileKernels(kind, qs, rows, dim, j0, j0+n, j0+n+rng.Intn(5)); err != nil {
-						t.Fatal(err)
+	for _, lane := range vecLanes {
+		rng := rand.New(rand.NewSource(5))
+		for kind := kindDot; kind < numKinds; kind++ {
+			for _, dim := range []int{1, 2, 3, 4, 7, 32, 64, 100, 128, 256} {
+				if kind == kindRot && dim < 2 {
+					continue // no complex dim: vecTile rejects it
+				}
+				for _, n := range []int{4, 8, 12, 16, 24, 28, 32, 36, 44, 60, 64, 100} {
+					for _, nq := range []int{1, 2, 5, 54} {
+						qs, rows := plantedVec(rng, nq*dim), plantedVec(rng, n*dim)
+						copy(rows[dim:2*dim], rows[:dim]) // candidates 0 and 1 tie exactly
+						j0 := rng.Intn(7)
+						if err := checkTileKernels(lane, kind, qs, rows, dim, j0, j0+n, j0+n+rng.Intn(5)); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// funcID is the closure a func value points at: vecTile builds a fresh one
+// for every kernel it wraps, so two lanes' entries never share one.
+func funcID(f tileFunc) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&f)) }
+
+// The installed kernels are the widest lane's: on an AVX-512 host the dot
+// and L1 entries of vecKernels are the 512-bit twins and RotatE's is the
+// 256-bit one. The lanes give the same bits, so an init elsewhere in the
+// package that ran after tile_amd64.go's and put back the 256-bit twins
+// would pass every other test and show only in a timing.
+func TestWidestLaneIsInstalled(t *testing.T) {
+	want := "go"
+	switch {
+	case cpu.AVX512:
+		want = "avx512"
+	case cpu.AVX2:
+		want = "avx2"
+	}
+	if Kernel() != want {
+		t.Fatalf("Kernel() = %q, the CPU runs %q", Kernel(), want)
+	}
+	if want == "go" {
+		for kind, f := range vecKernels {
+			if f != nil {
+				t.Fatalf("%v: a vector kernel is installed on the Go lane", tileKind(kind))
+			}
+		}
+		return
+	}
+	widest := vecLanes[len(vecLanes)-1]
+	for kind, f := range vecKernels {
+		if funcID(f) != funcID(widest.kernels[kind]) {
+			t.Errorf("%v: the installed kernel is not the %s lane's", tileKind(kind), widest.name)
+		}
+	}
+	if cpu.AVX512 {
+		avx2 := vecLanes[0]
+		for kind := kindDot; kind < numKinds; kind++ {
+			if same := funcID(vecKernels[kind]) == funcID(avx2.kernels[kind]); same != (kind == kindRot) {
+				t.Errorf("%v: installed kernel is the avx2 twin: %v, want %v", kind, same, kind == kindRot)
 			}
 		}
 	}
@@ -159,14 +212,16 @@ func TestVectorKernelRejectsBadShapes(t *testing.T) {
 		"short scores":           {kindRot, nq * dim, 4 * dim, nq*4 - 1, dim, 0, 4, 4},
 		"RotatE without a dim":   {kindRot, nq, 4, nq * 4, 1, 0, 4, 4},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: the vector kernel wrapper did not panic", name)
-				}
+		for _, lane := range vecLanes {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s: the vector kernel wrapper did not panic", lane.name, name)
+					}
+				}()
+				lane.kernels[c.kind](make([]float64, c.qs), make([]float64, c.cols), c.dim, c.j0, c.j1, c.nc, make([]float64, c.out))
 			}()
-			vecKernels[c.kind](make([]float64, c.qs), make([]float64, c.cols), c.dim, c.j0, c.j1, c.nc, make([]float64, c.out))
-		}()
+		}
 	}
 }
 
@@ -219,14 +274,14 @@ func TestOutOfRangeCandidatePanicsInGo(t *testing.T) {
 	}
 }
 
-// TestVectorLaneMatchesGoKernels is the whole lane against the whole lane
-// through NewBatchScorer: two scorers over the same model and store, one with
-// its vector kernel taken away, must fill out with the same bits — over
-// every dim and tile the kernels specialise on, chunk sizes from one query to
-// the planner's 54, consecutive and scattered pools whose length leaves
-// sub-group tails, all three precisions, both directions, all seven models,
-// and entity rows planted with exact duplicates, signed zeros and
-// infinities.
+// TestVectorLaneMatchesGoKernels is each whole lane against the whole Go
+// lane through NewBatchScorer: scorers over the same model and store, one
+// with its vector kernel taken away and one per lane of vecLanes, must fill
+// out with the same bits — over every dim and tile the kernels specialise
+// on, chunk sizes from one query to the planner's 54, consecutive and
+// scattered pools whose length leaves sub-group tails, all three
+// precisions, both directions, all seven models, and entity rows planted
+// with exact duplicates, signed zeros and infinities.
 func TestVectorLaneMatchesGoKernels(t *testing.T) {
 	needVectorLane(t)
 	const rows = 260
@@ -235,7 +290,7 @@ func TestVectorLaneMatchesGoKernels(t *testing.T) {
 	if testing.Short() {
 		dims = []int{3, 4, 32, 100}
 	}
-	tiles := []int{1, 3, 4, 5, 8, 24, 32, 64, 100}
+	tiles := []int{1, 3, 4, 5, 8, 24, 28, 32, 64, 100}
 	ents := make([]int32, 54)
 	rng := rand.New(rand.NewSource(17))
 	for i := range ents {
@@ -258,9 +313,13 @@ func TestVectorLaneMatchesGoKernels(t *testing.T) {
 			}
 			for _, p := range []store.Precision{store.Float64, store.Float32, store.Int8} {
 				for _, tile := range tiles {
-					vec := NewBatchScorer(m, BatchOptions{Precision: p, Tile: tile}).(*storeScorer)
 					ref := NewBatchScorer(m, BatchOptions{Precision: p, Tile: tile}).(*storeScorer)
 					ref.vec = nil
+					vecs := make([]*storeScorer, len(vecLanes))
+					for l, lane := range vecLanes {
+						vecs[l] = NewBatchScorer(m, BatchOptions{Precision: p, Tile: tile}).(*storeScorer)
+						vecs[l].vec = lane.kernels[vecs[l].m.lane().kind]
+					}
 					n := 2*tile + 3
 					pools := map[string][]int32{"consecutive": make([]int32, n), "scattered": make([]int32, n)}
 					for j := 0; j < n; j++ {
@@ -271,22 +330,27 @@ func TestVectorLaneMatchesGoKernels(t *testing.T) {
 					for pname, cands := range pools {
 						for _, nq := range []int{1, 5, 54} {
 							for _, tails := range []bool{true, false} {
-								got, want := make([]float64, nq*n), make([]float64, nq*n)
-								if tails {
-									vec.ScoreTailsBatch(ents[:nq], 1, cands, got)
-									ref.ScoreTailsBatch(ents[:nq], 1, cands, want)
-								} else {
-									scoreHeadsBatch(vec, ents[:nq], 1, cands, got)
-									scoreHeadsBatch(ref, ents[:nq], 1, cands, want)
-								}
-								for i := range want {
-									if !sameScore(got[i], want[i]) {
-										t.Fatalf("%s dim=%d %v tile=%d %s nq=%d tails=%v: score[%d] = %x (%v), Go lane %x (%v)",
-											m.Name(), dim, p, tile, pname, nq, tails, i,
-											math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+								score := func(s *storeScorer, out []float64) {
+									if tails {
+										s.ScoreTailsBatch(ents[:nq], 1, cands, out)
+									} else {
+										scoreHeadsBatch(s, ents[:nq], 1, cands, out)
 									}
 								}
-								compared += len(want)
+								want := make([]float64, nq*n)
+								score(ref, want)
+								for l, vec := range vecs {
+									got := make([]float64, nq*n)
+									score(vec, got)
+									for i := range want {
+										if !sameScore(got[i], want[i]) {
+											t.Fatalf("%s %s dim=%d %v tile=%d %s nq=%d tails=%v: score[%d] = %x (%v), Go lane %x (%v)",
+												vecLanes[l].name, m.Name(), dim, p, tile, pname, nq, tails, i,
+												math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+										}
+									}
+									compared += len(want)
+								}
 							}
 						}
 					}
@@ -299,7 +363,8 @@ func TestVectorLaneMatchesGoKernels(t *testing.T) {
 
 // FuzzTileKernels lets the fuzzer pick the shape (kernel, dim, candidate
 // groups, queries, where the tile sits in its pool) and the bytes of every
-// query and candidate value, and holds the assembly to the Go kernels by
+// query and candidate value, and holds every lane's assembly (the 256-bit
+// twins, and the 512-bit ones where the CPU has them) to the Go kernels by
 // bits and to its buffers by guard words.
 func FuzzTileKernels(f *testing.F) {
 	needVectorLane(f)
@@ -322,8 +387,10 @@ func FuzzTileKernels(f *testing.F) {
 		j0 := int(padB) % 5
 		nc := j0 + n + int(padB)/5%4
 		vals := fuzzFloats(data, (nq+n)*dim)
-		if err := checkTileKernels(kind, vals[:nq*dim], vals[nq*dim:], dim, j0, j0+n, nc); err != nil {
-			t.Fatal(err)
+		for _, lane := range vecLanes {
+			if err := checkTileKernels(lane, kind, vals[:nq*dim], vals[nq*dim:], dim, j0, j0+n, nc); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

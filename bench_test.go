@@ -278,7 +278,7 @@ func BenchmarkKPScore(b *testing.B) {
 	prov := &eval.RandomProvider{NumEntities: e.g.NumEntities, N: 100}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kp.Score(e.model, e.g, e.g.Test, prov, 1)
+		kp.Score(e.model, e.g.Test, prov, 1)
 	}
 }
 

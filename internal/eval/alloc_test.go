@@ -1,12 +1,14 @@
 package eval
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"kgeval/internal/kg"
 	"kgeval/internal/kgc"
 	"kgeval/internal/kgc/store"
+	"kgeval/internal/obs/trace"
 	"kgeval/internal/recommender"
 	"kgeval/internal/synth"
 )
@@ -30,6 +32,49 @@ func TestRotatEPassAllocatesNoMoreThanDistMult(t *testing.T) {
 	}
 	if allocs["RotatE"] > allocs["DistMult"] {
 		t.Errorf("a RotatE pass makes %.0f allocations, a DistMult pass %.0f", allocs["RotatE"], allocs["DistMult"])
+	}
+}
+
+// Every service job is traced, so what tracing allocates is part of what a
+// pass costs. Over the same pass untraced (69 allocations on this graph at
+// dim 16, n_s 30, one worker), a pass in a fresh trace, as a job starts one,
+// allocates at most tracedAllocsPerChunk per eval.chunk span — the record,
+// its ids and its attributes — plus tracedAllocsFixed: the trace, the
+// pass-level spans and the growth of the trace's span ring. The pass has 9
+// chunks; the per-chunk term is the slope over passes cut into 8 to 33.
+func TestTracedPassAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a random share of the pass's pooled scratch")
+	}
+	const tracedAllocsPerChunk, tracedAllocsFixed = 10, 57
+	g := evalGraph(t)
+	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
+	prov := &RandomProvider{NumEntities: g.NumEntities, N: 30}
+	m, err := kgc.New("DistMult", g, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Filter: filter, Seed: 4, Workers: 1}
+	Evaluate(m, g, g.Test, prov, opts) // the entity store is built once per model
+	untraced := testing.AllocsPerRun(10, func() { Evaluate(m, g, g.Test, prov, opts) })
+	var root *trace.Span
+	traced := testing.AllocsPerRun(10, func() {
+		traced := opts
+		traced.Ctx, root = trace.NewStore(0, 0).StartTrace(context.Background(), "job")
+		Evaluate(m, g, g.Test, prov, traced)
+	})
+	chunks := 0
+	for _, s := range root.Recorder().Snapshot().Spans {
+		if s.Name == "eval.chunk" {
+			chunks++
+		}
+	}
+	if chunks != 9 {
+		t.Fatalf("the pass recorded %d eval.chunk spans; the budget is set for 9", chunks)
+	}
+	budget := float64(tracedAllocsPerChunk*chunks + tracedAllocsFixed)
+	if extra := traced - untraced; extra > budget {
+		t.Errorf("a traced pass makes %.0f allocations, %.0f more than untraced; budget %.0f for %d chunks", traced, extra, budget, chunks)
 	}
 }
 

@@ -102,7 +102,7 @@ func (r *Runner) suite(dataset string) ([]modelRun, error) {
 				est := fw.Estimate(m, g, g.Valid, s, opts)
 				pt.est[s], pt.estTime[s] = est.Metrics, est.Elapsed
 
-				kpRes := kp.Score(m, g, g.Valid, fw.Provider(s), seed)
+				kpRes := kp.Score(m, g.Valid, fw.Provider(s), seed)
 				pt.kpScore[s], pt.kpTime[s] = kpRes.Score, kpRes.Elapsed
 			}
 			run.points = append(run.points, pt)

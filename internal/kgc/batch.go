@@ -134,10 +134,12 @@ func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out [
 
 // scoreDotTile computes out[i*nc+j] = dot(qs[i], cand_j) for the models
 // whose score is a query-vector/candidate-vector dot product (DistMult,
-// ComplEx, RESCAL, TuckER, ConvE). It is as fast as scalar Go gets — one
-// multiply-add per cycle, the machine's measured scalar FMA roofline, 0.24–
-// 0.31 ns per candidate·dim on an L1-resident tile — and its vector twins
-// run at 0.08–0.10 (256-bit) and 0.06–0.07 (512-bit).
+// ComplEx, RESCAL, TuckER, ConvE). It also builds TuckER's and RESCAL's head
+// queries q = M·t for a d×d matrix M: one query t scored against the d rows
+// of M as candidates, scoreDotTile(t, M, d, 0, d, d, q). It is as fast as
+// scalar Go gets — one multiply-add per cycle, the machine's measured scalar
+// FMA roofline, 0.24–0.31 ns per candidate·dim on an L1-resident tile — and
+// its vector twins run at 0.08–0.10 (256-bit) and 0.06–0.07 (512-bit).
 func scoreDotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	nq := len(qs) / dim
 	for i := 0; i < nq; i++ {

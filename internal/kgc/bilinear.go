@@ -237,7 +237,7 @@ func (m *RESCAL) buildHeadQueries(ts []int32, r int32, qs []float64, _ *scratch)
 	w := m.rel.vec(r)
 	d := m.dim
 	for i, t := range ts {
-		headQuery(m.ent.vec(t), w, qs[i*d:(i+1)*d])
+		scoreDotTile(m.ent.vec(t), w, d, 0, d, d, qs[i*d:(i+1)*d])
 	}
 }
 

@@ -22,49 +22,57 @@ import (
 // trick: score(?, r, t) = score over tails of (t, r⁻¹, ?). The trainer
 // detects this via reciprocal() and corrupts tails only, in both directions.
 type ConvE struct {
-	base         // bias is b_t, the per-entity additive bias
-	nrel     int // original relation count; rel table has 2·nrel rows
-	dw, dh   int // embedding reshape: dh rows × dw cols; image is 2dh × dw
-	channels int
+	base     // bias is b_t, the per-entity additive bias
+	nrel int // original relation count; rel table has 2·nrel rows
+	dh   int // embedding reshape: dh rows × convDW cols; image is 2dh × convDW
 
 	rel   *table
-	kern  *table // channels × 3×3 kernels (single input channel)
+	kern  *table // convChannels × 3×3 kernels (single input channel)
 	kernB *table // per-channel bias
-	fc    *table // (channels·2dh·dw) × dim, stored row-major by input unit
+	fc    *table // (convChannels·2dh·convDW) × dim, stored row-major by input unit
 	fcB   *table // dim biases
 
-	// Running batch-norm statistics (momentum bnM). bnConv* are per
+	// Running batch-norm statistics (momentum bnMomentum). bnConv* are per
 	// channel over the conv output map; bnFC* are per output coordinate.
 	bnConvMean, bnConvVar []float64
 	bnFCMean, bnFCVar     []float64
-	bnM                   float64
 }
 
-// NewConvE initializes a ConvE model. dim is rounded up to a multiple of 4
-// so the embedding reshapes into a (dim/4)×4 grid.
+// ConvE's fixed architecture, which the snapshot format (SnapshotBytes) reads
+// too: the embedding's reshape width, the conv channel count, and the
+// momentum of the running batch-norm statistics. bnMomentum is typed so that
+// it is rounded to a float64 first and 1−bnMomentum is the float64
+// difference; untyped, the compiler would fold the exact 0.01 instead and
+// move the statistics' last bits.
+const (
+	convDW       = 4
+	convChannels = 4
+
+	bnMomentum float64 = 0.99
+)
+
+// NewConvE initializes a ConvE model. dim is rounded up to a multiple of
+// convDW so the embedding reshapes into a (dim/convDW)×convDW grid.
 func NewConvE(g *kg.Graph, dim int, seed int64) *ConvE {
-	if dim%4 != 0 {
-		dim += 4 - dim%4
+	if dim%convDW != 0 {
+		dim += convDW - dim%convDW
 	}
 	rng := rand.New(rand.NewSource(seed))
 	m := &ConvE{
-		base:     base{name: "ConvE", dim: dim, kind: kindDot, loss: LossLogistic, recip: true, viaBatch: true},
-		nrel:     g.NumRelations,
-		dw:       4,
-		dh:       dim / 4,
-		channels: 4,
-		bnM:      0.99,
+		base: base{name: "ConvE", dim: dim, kind: kindDot, loss: LossLogistic, recip: true, viaBatch: true},
+		nrel: g.NumRelations,
+		dh:   dim / convDW,
 	}
-	flat := m.channels * 2 * m.dh * m.dw
+	flat := convChannels * 2 * m.dh * convDW
 	m.ent = newTable(rng, g.NumEntities, dim, 1/math.Sqrt(float64(dim)))
 	m.bias = newTable(rng, g.NumEntities, 1, 0)
 	m.rel = newTable(rng, 2*g.NumRelations, dim, 1/math.Sqrt(float64(dim)))
-	m.kern = newSharedTable(rng, m.channels, 9, 1.0/3)
-	m.kernB = newSharedTable(rng, 1, m.channels, 0)
+	m.kern = newSharedTable(rng, convChannels, 9, 1.0/3)
+	m.kernB = newSharedTable(rng, 1, convChannels, 0)
 	m.fc = newSharedTable(rng, 1, flat*dim, 1/math.Sqrt(float64(flat)))
 	m.fcB = newSharedTable(rng, 1, dim, 0)
-	m.bnConvMean = make([]float64, m.channels)
-	m.bnConvVar = onesSlice(m.channels)
+	m.bnConvMean = make([]float64, convChannels)
+	m.bnConvVar = onesSlice(convChannels)
 	m.bnFCMean = make([]float64, dim)
 	m.bnFCVar = onesSlice(dim)
 	return m
@@ -84,19 +92,18 @@ const bnEps = 1e-5
 // into feat. img is scratch for the stacked input image; convPre, when
 // non-nil, receives the pre-BN conv output for backprop.
 //
-// The four channels (NewConvE's count, and the snapshot format's) are
-// convolved together: each output pixel reads its input pixels once and
-// keeps four independent sums in flight, where one channel alone is a chain
-// of up to nine dependent adds. Each sum still starts from its channel's
+// The convChannels = 4 channels are convolved together: each output pixel
+// reads its input pixels once and keeps four independent sums in flight,
+// where one channel alone is a chain of up to nine dependent adds. Each sum still starts from its channel's
 // bias and adds its terms in (ky, kx) order, so every feature keeps its bits.
 func (m *ConvE) convFeatures(h, r int32, img, convPre, feat []float64) {
-	ih, iw := 2*m.dh, m.dw
+	ih, iw := 2*m.dh, convDW
 	copy(img[:m.dim], m.ent.vec(h))
 	copy(img[m.dim:], m.rel.vec(r))
 
 	k0, k1, k2, k3 := m.kern.vec(0), m.kern.vec(1), m.kern.vec(2), m.kern.vec(3)
-	bias := m.kernB.vec(0)[:4]
-	var mean, inv [4]float64
+	bias := m.kernB.vec(0)[:convChannels]
+	var mean, inv [convChannels]float64
 	for c := range mean {
 		mean[c] = m.bnConvMean[c]
 		inv[c] = 1 / math.Sqrt(m.bnConvVar[c]+bnEps)
@@ -121,7 +128,7 @@ func (m *ConvE) convFeatures(h, r int32, img, convPre, feat []float64) {
 					s3 += k3[t] * v
 				}
 			}
-			for c, s := range [4]float64{s0, s1, s2, s3} {
+			for c, s := range [convChannels]float64{s0, s1, s2, s3} {
 				idx := (c*ih+y)*iw + x
 				if convPre != nil {
 					convPre[idx] = s
@@ -152,12 +159,12 @@ func (m *ConvE) project(feat, out []float64) {
 // intermediate activations needed for backprop: the stacked image, the
 // pre-BN conv output, and the post-BN/ReLU flattened features.
 func (m *ConvE) forward(h, r int32, img, convPre, feat []float64) []float64 {
-	ih, iw := 2*m.dh, m.dw
+	ih, iw := 2*m.dh, convDW
 	if img == nil {
 		img = make([]float64, ih*iw)
 	}
 	if feat == nil {
-		feat = make([]float64, m.channels*ih*iw)
+		feat = make([]float64, convChannels*ih*iw)
 	}
 	m.convFeatures(h, r, img, convPre, feat)
 	out := make([]float64, m.dim)
@@ -167,9 +174,9 @@ func (m *ConvE) forward(h, r int32, img, convPre, feat []float64) []float64 {
 
 // updateStats folds one sample's activations into the running BN statistics.
 func (m *ConvE) updateStats(convPre, fcPre []float64) {
-	ih, iw := 2*m.dh, m.dw
+	ih, iw := 2*m.dh, convDW
 	area := float64(ih * iw)
-	for c := 0; c < m.channels; c++ {
+	for c := 0; c < convChannels; c++ {
 		mean, sq := 0.0, 0.0
 		for i := 0; i < ih*iw; i++ {
 			v := convPre[c*ih*iw+i]
@@ -181,14 +188,14 @@ func (m *ConvE) updateStats(convPre, fcPre []float64) {
 		if variance < 0 {
 			variance = 0
 		}
-		m.bnConvMean[c] = m.bnM*m.bnConvMean[c] + (1-m.bnM)*mean
-		m.bnConvVar[c] = m.bnM*m.bnConvVar[c] + (1-m.bnM)*variance
+		m.bnConvMean[c] = bnMomentum*m.bnConvMean[c] + (1-bnMomentum)*mean
+		m.bnConvVar[c] = bnMomentum*m.bnConvVar[c] + (1-bnMomentum)*variance
 	}
 	for j := 0; j < m.dim; j++ {
 		v := fcPre[j]
-		m.bnFCMean[j] = m.bnM*m.bnFCMean[j] + (1-m.bnM)*v
+		m.bnFCMean[j] = bnMomentum*m.bnFCMean[j] + (1-bnMomentum)*v
 		d := v - m.bnFCMean[j]
-		m.bnFCVar[j] = m.bnM*m.bnFCVar[j] + (1-m.bnM)*d*d
+		m.bnFCVar[j] = bnMomentum*m.bnFCVar[j] + (1-bnMomentum)*d*d
 	}
 }
 
@@ -210,9 +217,9 @@ func (m *ConvE) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, t
 // buildTailQueries computes f(h_i, r) for each of a relation's queries in a
 // block: forward's conv features and projection, on the scorer's scratch.
 func (m *ConvE) buildTailQueries(hs []int32, r int32, qs []float64, sc *scratch) {
-	ih, iw := 2*m.dh, m.dw
+	ih, iw := 2*m.dh, convDW
 	sc.img = Grow(sc.img, ih*iw)
-	sc.feat = Grow(sc.feat, m.channels*ih*iw)
+	sc.feat = Grow(sc.feat, convChannels*ih*iw)
 	for i, h := range hs {
 		m.convFeatures(h, r, sc.img, nil, sc.feat)
 		m.project(sc.feat, qs[i*m.dim:(i+1)*m.dim])
@@ -226,8 +233,8 @@ func (m *ConvE) buildHeadQueries(ts []int32, r int32, qs []float64, sc *scratch)
 }
 
 func (m *ConvE) gradStep(h, r, t int32, coeff, lr float64) {
-	ih, iw := 2*m.dh, m.dw
-	flat := m.channels * ih * iw
+	ih, iw := 2*m.dh, convDW
+	flat := convChannels * ih * iw
 	img := make([]float64, ih*iw)
 	convPre := make([]float64, flat)
 	feat := make([]float64, flat)
@@ -277,8 +284,8 @@ func (m *ConvE) gradStep(h, r, t int32, coeff, lr float64) {
 	// Backprop through ReLU, conv BN and conv into kernels and the image.
 	gradImg := make([]float64, ih*iw)
 	gk := make([]float64, 9)
-	gkb := make([]float64, m.channels)
-	for c := 0; c < m.channels; c++ {
+	gkb := make([]float64, convChannels)
+	for c := 0; c < convChannels; c++ {
 		k := m.kern.vec(int32(c))
 		inv := 1 / math.Sqrt(m.bnConvVar[c]+bnEps)
 		mean := m.bnConvMean[c]

@@ -260,3 +260,15 @@ func TestGradientDirectionImprovesScore(t *testing.T) {
 		})
 	}
 }
+
+// RotatE's ScoreTriple is its tail query scored by the tile kernel's
+// one-candidate path, so the rotated query is its one allocation. The
+// trainer scores every positive and every corruption through it.
+func TestRotatEScoreTripleAllocatesOnlyItsQuery(t *testing.T) {
+	g := trainGraph(t)
+	m := NewRotatE(g, 16, 3)
+	tr := g.Train[0]
+	if got := testing.AllocsPerRun(20, func() { m.ScoreTriple(tr.H, tr.R, tr.T) }); got != 1 {
+		t.Errorf("RotatE.ScoreTriple makes %.0f allocations, want 1", got)
+	}
+}

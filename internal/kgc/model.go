@@ -1,8 +1,9 @@
 // Package kgc implements the knowledge-graph-completion models the paper
 // evaluates its framework on (§5.2): TransE, DistMult, ComplEx, RESCAL,
 // RotatE, TuckER and ConvE, together with a negative-sampling trainer using
-// per-parameter Adagrad — a pure-Go, CPU-only stand-in for the LibKGE /
-// PyTorch models used in the original study.
+// per-parameter Adagrad for embedding rows and SGD for shared dense
+// parameters — a pure-Go, CPU-only stand-in for the LibKGE / PyTorch models
+// used in the original study.
 //
 // The evaluation framework (internal/eval) is model-agnostic and consumes
 // only the Model interface, through the BatchScorer NewBatchScorer makes of
@@ -15,8 +16,9 @@
 // kind and training defaults, and the builders write its queries once. A
 // block of queries and the per-query ScoreTails/ScoreHeads run the same
 // builder and the same tile kernel, so their scores agree bit for bit by
-// construction. ScoreTriple and the training gradient keep their closed
-// forms.
+// construction. The training gradients keep their closed forms, and so do
+// the ScoreTriple of every model but RotatE, whose ScoreTriple is its
+// builder's rotation scored by its tile kernel.
 package kgc
 
 import (
@@ -80,21 +82,16 @@ type Trainable interface {
 	gradStep(h, r, t int32, coeff, lr float64)
 }
 
-// table is a dense embedding table with per-parameter adaptive-gradient
-// accumulators. With decay == 0 updates are Adagrad (right for sparse,
-// per-row embedding tables); with decay ∈ (0,1) they are RMSProp, which
-// shared dense parameters (ConvE's kernels/FC, TuckER's core) need because
-// they receive a gradient on *every* step and plain Adagrad's ever-growing
-// accumulator would stall them.
+// table is a dense embedding table with one of two optimizers. A per-row
+// embedding table (newTable) steps with Adagrad, right for rows that a step
+// touches only now and then. A shared dense parameter (newSharedTable:
+// ConvE's kernels and FC, TuckER's core) receives a gradient on every step
+// and steps with plain SGD, with weight decay and a clipped gradient.
 type table struct {
-	dim     int
-	sgd     bool    // plain SGD (no adaptive normalization)
-	decay   float64 // 0 = Adagrad; (0,1) = RMSProp second-moment decay
-	l2      float64 // weight decay added to the gradient of touched rows
-	clip    float64 // per-coordinate gradient clip (0 = off)
-	lrScale float64 // multiplier on the trainer's learning rate (0 = 1)
-	w       []float64
-	g2      []float64 // allocated by the first adaptive update: a model that is only loaded and scored never pays for it
+	dim    int
+	shared bool // SGD with the shared* constants; otherwise Adagrad
+	w      []float64
+	g2     []float64 // Adagrad's accumulators, allocated by the first update: a model that is only loaded and scored never pays for them
 }
 
 func newTable(rng *rand.Rand, n, dim int, scale float64) *table {
@@ -108,6 +105,15 @@ func newTable(rng *rand.Rand, n, dim int, scale float64) *table {
 	return t
 }
 
+// The shared tables' SGD: the trainer's learning rate times sharedLRScale,
+// weight decay sharedL2 added to the gradient, each coordinate clipped to
+// ±sharedClip.
+const (
+	sharedLRScale = 0.1
+	sharedL2      = 1e-4
+	sharedClip    = 1
+)
+
 // newSharedTable returns a table tuned for dense, every-step parameters.
 // These use plain SGD: adaptive methods renormalize even the vanishing
 // gradients of a saturated loss back to full-size steps, so any persistent
@@ -115,10 +121,7 @@ func newTable(rng *rand.Rand, n, dim int, scale float64) *table {
 // SGD steps shrink with the loss and stay stable.
 func newSharedTable(rng *rand.Rand, n, dim int, scale float64) *table {
 	t := newTable(rng, n, dim, scale)
-	t.sgd = true
-	t.l2 = 1e-4
-	t.clip = 1
-	t.lrScale = 0.1
+	t.shared = true
 	return t
 }
 
@@ -128,41 +131,39 @@ func (t *table) vec(i int32) []float64 {
 	return t.w[off : off+t.dim]
 }
 
-// update applies one adaptive step to row i: w -= lr·g/√(G+ε) with G the
-// (possibly decayed) accumulated squared gradients.
+// update applies one optimizer step to row i. A zero coordinate of the
+// gradient (after weight decay) leaves its weight and accumulator as they
+// are.
 func (t *table) update(i int32, grad []float64, lr float64) {
 	const eps = 1e-8
-	if t.lrScale > 0 {
-		lr *= t.lrScale
+	w := t.vec(i)
+	if t.shared {
+		lr *= sharedLRScale
+		for j, g := range grad {
+			g += sharedL2 * w[j]
+			if g == 0 {
+				continue
+			}
+			if g > sharedClip {
+				g = sharedClip
+			} else if g < -sharedClip {
+				g = -sharedClip
+			}
+			w[j] -= lr * g
+		}
+		return
 	}
-	if t.g2 == nil && !t.sgd {
+	if t.g2 == nil {
 		t.g2 = make([]float64, len(t.w))
 	}
-	off := int(i) * t.dim
+	g2 := t.g2[int(i)*t.dim:][:t.dim]
 	for j, g := range grad {
-		if t.l2 > 0 {
-			g += t.l2 * t.w[off+j]
-		}
 		if g == 0 {
 			continue
 		}
-		if t.clip > 0 {
-			if g > t.clip {
-				g = t.clip
-			} else if g < -t.clip {
-				g = -t.clip
-			}
-		}
-		if t.sgd {
-			t.w[off+j] -= lr * g
-			continue
-		}
-		if t.decay > 0 {
-			t.g2[off+j] = t.decay*t.g2[off+j] + (1-t.decay)*g*g
-		} else {
-			t.g2[off+j] += g * g
-		}
-		t.w[off+j] -= lr * g / math.Sqrt(t.g2[off+j]+eps)
+		// Adagrad: w -= lr·g/√(G+ε), G the accumulated squared gradients.
+		g2[j] += g * g
+		w[j] -= lr * g / math.Sqrt(g2[j]+eps)
 	}
 }
 

@@ -244,12 +244,12 @@ func refHeadQuery(tv, mat, q []float64) {
 // refConvFeatures computes the post-BN/ReLU flattened conv features of
 // (h, r) into feat, one channel at a time.
 func (m *ConvE) refConvFeatures(h, r int32, img, feat []float64) {
-	ih, iw := 2*m.dh, m.dw
+	ih, iw := 2*m.dh, convDW
 	hv, rv := m.ent.vec(h), m.rel.vec(r)
 	copy(img[:m.dim], hv)
 	copy(img[m.dim:], rv)
 
-	for c := 0; c < m.channels; c++ {
+	for c := 0; c < convChannels; c++ {
 		k := m.kern.vec(int32(c))
 		bias := m.kernB.vec(0)[c]
 		inv := 1 / math.Sqrt(m.bnConvVar[c]+bnEps)
@@ -285,9 +285,9 @@ func (m *ConvE) refConvFeatures(h, r int32, img, feat []float64) {
 // refForward computes f(h, r): the conv features, the FC sum over the
 // active units in ascending order, and the output batch norm.
 func (m *ConvE) refForward(h, r int32) []float64 {
-	ih, iw := 2*m.dh, m.dw
+	ih, iw := 2*m.dh, convDW
 	img := make([]float64, ih*iw)
-	flat := m.channels * ih * iw
+	flat := convChannels * ih * iw
 	feat := make([]float64, flat)
 	m.refConvFeatures(h, r, img, feat)
 

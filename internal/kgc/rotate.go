@@ -44,19 +44,14 @@ func (m *RotatE) rotated(hv, phases []float64, sign float64, qre, qim []float64)
 	}
 }
 
-// ScoreTriple returns −Σ |h∘r − t| (complex modulus per dimension).
+// ScoreTriple returns −Σ |h∘r − t| (complex modulus per dimension): the
+// rotated query scored against t by the tile kernel's one-candidate path.
 func (m *RotatE) ScoreTriple(h, r, t int32) float64 {
-	d := m.half
-	qre := make([]float64, d)
-	qim := make([]float64, d)
-	m.rotated(m.ent.vec(h), m.rel.vec(r), 1, qre, qim)
-	tv := m.ent.vec(t)
-	s := 0.0
-	for i := 0; i < d; i++ {
-		dre, dim := qre[i]-tv[i], qim[i]-tv[d+i]
-		s += cmod(dre, dim)
-	}
-	return -s
+	q := make([]float64, m.dim)
+	m.rotated(m.ent.vec(h), m.rel.vec(r), 1, q[:m.half], q[m.half:])
+	var s [1]float64
+	scoreRotTile(q, m.ent.vec(t), m.dim, 0, 1, 1, s[:])
+	return s[0]
 }
 
 func (m *RotatE) ScoreTails(h, r int32, c []int32, o []float64) { scoreQuery(m, h, r, true, c, o) }

@@ -30,8 +30,8 @@ type BatchOptions struct {
 // that table's store cache and, for ConvE, the per-entity bias added to every
 // score), the tile kernel that scores a query against a candidate row, and
 // what the trainer needs to know. Everything else a model is — its relation
-// parameters, its query builders, its closed-form ScoreTriple and its
-// gradient — it writes itself.
+// parameters, its query builders, its ScoreTriple and its gradient — it
+// writes itself.
 type base struct {
 	name   string
 	dim    int

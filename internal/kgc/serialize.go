@@ -91,8 +91,8 @@ func SnapshotBytes(name string, g *kg.Graph, dim int) (int64, error) {
 	switch name {
 	case "ComplEx", "RotatE": // even: d/2 complex dims
 		d = c.add(d, d%2)
-	case "ConvE": // a multiple of 4: a (d/4)×4 grid
-		d = c.add(d, (4-d%4)%4)
+	case "ConvE": // a multiple of convDW: a (d/convDW)×convDW grid
+		d = c.add(d, (convDW-d%convDW)%convDW)
 	}
 	e, r := int64(g.NumEntities), int64(g.NumRelations)
 	ed, rd := c.mul(e, d), c.mul(r, d)
@@ -106,9 +106,9 @@ func SnapshotBytes(name string, g *kg.Graph, dim int) (int64, error) {
 		tables = []int64{ed, r * (d / 2)}
 	case "TuckER":
 		tables = []int64{ed, rd, c.mul(c.mul(d, d), d)}
-	case "ConvE": // 4 channels of 3×3 kernels; the FC maps 8d conv features to d
-		tables = []int64{ed, e, c.mul(2, rd), 4 * 9, 4, c.mul(c.mul(8, d), d), d}
-		extras = []int64{4, 4, d, d}
+	case "ConvE": // convChannels 3×3 kernels; the FC maps convChannels·2d conv features to d
+		tables = []int64{ed, e, c.mul(2, rd), convChannels * 9, convChannels, c.mul(c.mul(2*convChannels, d), d), d}
+		extras = []int64{convChannels, convChannels, d, d}
 	default:
 		return 0, fmt.Errorf("kgc: unknown model %q", name)
 	}

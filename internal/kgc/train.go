@@ -53,47 +53,34 @@ func Train(m Trainable, g *kg.Graph, cfg TrainConfig) {
 	triples := append([]kg.Triple(nil), g.Train...)
 	n := int32(g.NumEntities)
 
+	// trainOne presents (h, r, t) and trainNegSamples corruptions of it. The
+	// logistic loss steps on the positive at once and on each negative alone;
+	// the margin loss steps on a pair only when it violates the margin.
 	trainOne := func(h, r, t int32, corruptHead bool) {
-		switch loss {
-		case LossLogistic:
-			sPos := m.ScoreTriple(h, r, t)
+		sPos := m.ScoreTriple(h, r, t)
+		if loss == LossLogistic {
 			m.gradStep(h, r, t, sigmoid(sPos)-1, trainLR)
-			for k := 0; k < trainNegSamples; k++ {
-				nh, nt := h, t
-				if corruptHead && k%2 == 1 {
-					nh = rng.Int31n(n)
-					if nh == h {
-						continue
-					}
-				} else {
-					nt = rng.Int31n(n)
-					if nt == t {
-						continue
-					}
+		}
+		for k := 0; k < trainNegSamples; k++ {
+			nh, nt := h, t
+			if corruptHead && k%2 == 1 {
+				nh = rng.Int31n(n)
+				if nh == h {
+					continue
 				}
-				sNeg := m.ScoreTriple(nh, r, nt)
-				m.gradStep(nh, r, nt, sigmoid(sNeg), trainLR)
+			} else {
+				nt = rng.Int31n(n)
+				if nt == t {
+					continue
+				}
 			}
-		case LossMargin:
-			sPos := m.ScoreTriple(h, r, t)
-			for k := 0; k < trainNegSamples; k++ {
-				nh, nt := h, t
-				if corruptHead && k%2 == 1 {
-					nh = rng.Int31n(n)
-					if nh == h {
-						continue
-					}
-				} else {
-					nt = rng.Int31n(n)
-					if nt == t {
-						continue
-					}
-				}
-				sNeg := m.ScoreTriple(nh, r, nt)
-				if trainMargin-sPos+sNeg > 0 {
-					m.gradStep(h, r, t, -1, trainLR)
-					m.gradStep(nh, r, nt, 1, trainLR)
-				}
+			sNeg := m.ScoreTriple(nh, r, nt)
+			switch {
+			case loss == LossLogistic:
+				m.gradStep(nh, r, nt, sigmoid(sNeg), trainLR)
+			case trainMargin-sPos+sNeg > 0:
+				m.gradStep(h, r, t, -1, trainLR)
+				m.gradStep(nh, r, nt, 1, trainLR)
 			}
 		}
 	}

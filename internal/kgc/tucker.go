@@ -20,14 +20,12 @@ type TuckER struct {
 // NewTuckER initializes a TuckER model.
 func NewTuckER(g *kg.Graph, dim int, seed int64) *TuckER {
 	rng := rand.New(rand.NewSource(seed))
-	m := &TuckER{
+	return &TuckER{
 		base: base{name: "TuckER", dim: dim, kind: kindDot, loss: LossLogistic, viaBatch: true,
 			ent: newTable(rng, g.NumEntities, dim, 1/math.Sqrt(float64(dim)))},
 		rel:  newTable(rng, g.NumRelations, dim, 1/math.Sqrt(float64(dim))),
 		core: newSharedTable(rng, 1, dim*dim*dim, 1/float64(dim)),
 	}
-	m.core.l2 = 1e-4
-	return m
 }
 
 // relMatInto computes M_r[i*d+k] = Σ_j r_j·W[i][j][k] — the core tensor
@@ -54,41 +52,12 @@ func tailQuery(hv, mat, q []float64) {
 	rowAcc(q, hv[:len(q)], mat, len(q), true)
 }
 
-// headQuery computes q = M·t (q_i = Σ_k M[i][k]·t_k, the dot product of row
-// i with t) for a d×d matrix: TuckER's M_r, RESCAL's W_r. Four rows are in
-// flight at a time, four independent sums that each add their terms in
-// ascending k, as dot does.
-func headQuery(tv, mat, q []float64) {
-	d := len(q)
-	tv = tv[:d]
-	i := 0
-	for ; i+4 <= d; i += 4 {
-		m0, m1 := mat[i*d:][:d], mat[(i+1)*d:][:d]
-		m2, m3 := mat[(i+2)*d:][:d], mat[(i+3)*d:][:d]
-		var s0, s1, s2, s3 float64
-		for k, tk := range tv {
-			s0 += m0[k] * tk
-			s1 += m1[k] * tk
-			s2 += m2[k] * tk
-			s3 += m3[k] * tk
-		}
-		q[i], q[i+1], q[i+2], q[i+3] = s0, s1, s2, s3
-	}
-	for ; i < d; i++ {
-		q[i] = dot(mat[i*d:i*d+d], tv)
-	}
-}
-
-// relMat returns M_r, from the scratch cache when it already holds this
-// relation (one contraction serves all of a relation's queries in a block:
-// batch queries, true-triple scores and both directions).
+// relMat returns M_r from sc, contracting the core with r only when sc does
+// not already hold this relation's: one contraction serves all of a
+// relation's queries in a block (batch queries, true-triple scores and both
+// directions). ScoreTriple hands it a scratch of its own.
 func (m *TuckER) relMat(r int32, sc *scratch) []float64 {
 	d := m.dim
-	if sc == nil {
-		mat := make([]float64, d*d)
-		m.relMatInto(m.rel.vec(r), mat)
-		return mat
-	}
 	if sc.relMatOK && sc.relMatR == r && len(sc.relMat) == d*d {
 		return sc.relMat
 	}
@@ -100,8 +69,9 @@ func (m *TuckER) relMat(r int32, sc *scratch) []float64 {
 
 // ScoreTriple returns W ×₁ h ×₂ r ×₃ t.
 func (m *TuckER) ScoreTriple(h, r, t int32) float64 {
+	var sc scratch
 	q := make([]float64, m.dim)
-	tailQuery(m.ent.vec(h), m.relMat(r, nil), q)
+	tailQuery(m.ent.vec(h), m.relMat(r, &sc), q)
 	return dot(q, m.ent.vec(t))
 }
 
@@ -125,7 +95,7 @@ func (m *TuckER) buildHeadQueries(ts []int32, r int32, qs []float64, sc *scratch
 	d := m.dim
 	mat := m.relMat(r, sc)
 	for i, t := range ts {
-		headQuery(m.ent.vec(t), mat, qs[i*d:(i+1)*d])
+		scoreDotTile(m.ent.vec(t), mat, d, 0, d, d, qs[i*d:(i+1)*d])
 	}
 }
 

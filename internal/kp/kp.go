@@ -31,7 +31,7 @@ type Result struct {
 // paper combines KP with its Random/Probabilistic/Static sampling (Table 7's
 // "K P" columns). seed draws the positives (when the split has more than
 // numPositives) and their corruptions.
-func Score(m kgc.Model, g *kg.Graph, split []kg.Triple, negatives eval.CandidateProvider, seed int64) Result {
+func Score(m kgc.Model, split []kg.Triple, negatives eval.CandidateProvider, seed int64) Result {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(seed))
 

@@ -205,8 +205,8 @@ func TestKPScoreSeparatesGoodFromRandom(t *testing.T) {
 	g := ds.Graph
 	prov := &eval.RandomProvider{NumEntities: g.NumEntities, N: 50}
 
-	good := Score(oracle{idx: kg.NewFilterIndex(g.Train, g.Valid, g.Test)}, g, g.Test, prov, 1)
-	rnd := Score(randomModel{}, g, g.Test, prov, 1)
+	good := Score(oracle{idx: kg.NewFilterIndex(g.Train, g.Valid, g.Test)}, g.Test, prov, 1)
+	rnd := Score(randomModel{}, g.Test, prov, 1)
 	if good.Score <= rnd.Score {
 		t.Fatalf("KP(oracle)=%v must exceed KP(random)=%v", good.Score, rnd.Score)
 	}
@@ -225,8 +225,8 @@ func TestKPScoreDeterministic(t *testing.T) {
 	}
 	g := ds.Graph
 	prov := &eval.RandomProvider{NumEntities: g.NumEntities, N: 40}
-	a := Score(randomModel{}, g, g.Test, prov, 1)
-	b := Score(randomModel{}, g, g.Test, prov, 1)
+	a := Score(randomModel{}, g.Test, prov, 1)
+	b := Score(randomModel{}, g.Test, prov, 1)
 	if a.Score != b.Score {
 		t.Fatalf("KP not deterministic: %v vs %v", a.Score, b.Score)
 	}
@@ -247,7 +247,7 @@ func TestKPWithTrainedModelAndProviders(t *testing.T) {
 	tc.Epochs = 4
 	kgc.Train(m, g, tc)
 
-	res := Score(m, g, g.Test, &eval.RandomProvider{NumEntities: g.NumEntities, N: 30}, 1)
+	res := Score(m, g.Test, &eval.RandomProvider{NumEntities: g.NumEntities, N: 30}, 1)
 	if res.Score <= 0 {
 		t.Fatalf("KP score = %v, want > 0 for a trained model", res.Score)
 	}

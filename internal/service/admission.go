@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -110,13 +111,15 @@ type MemoryBudgetError struct {
 }
 
 func (e *MemoryBudgetError) Error() string {
-	return fmt.Sprintf("service: job needs an estimated %d MiB, over the %d MiB memory budget (reduce models or dim)",
-		e.EstimatedBytes>>20, e.BudgetBytes>>20)
+	return fmt.Sprintf("service: job needs an estimated %d bytes, over the %d-byte memory budget (reduce models or dim)",
+		e.EstimatedBytes, e.BudgetBytes)
 }
 
 // estimateJobBytes counts, from bytes the engine can see, what admitting a
 // job adds to what the registry holds (adds) and what the job needs with
-// nothing else resident (alone). keys are the job's registry keys. Per model:
+// nothing else resident (alone). keys are the job's registry keys. A key a
+// fleet names twice is one registry slot and one loaded model, so it is
+// charged once. Per model:
 //
 //   - a model the registry holds adds nothing, being charged there once
 //     however many jobs name it, and counts its slot's charge alone;
@@ -129,6 +132,9 @@ func (e *MemoryBudgetError) Error() string {
 //     is a view of the weights the registry already charges.
 func (e *Engine) estimateJobBytes(spec JobSpec, keys []modelKey, prec store.Precision) (adds, alone int64) {
 	for i, ms := range specModels(&spec) {
+		if slices.Contains(keys[:i], keys[i]) {
+			continue
+		}
 		model := int64(len(ms.Snapshot))
 		if slot, held := e.models.lru.Lookup(keys[i]); held {
 			model = slot.Cost()

@@ -258,7 +258,6 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 		// spec carried a timeout) can never fire an expired transition for a
 		// job that was never admitted.
 		j.cancel()
-		j.queueSpan.End()
 		j.span.End(trace.String("state", "rejected"), trace.String("error", ErrQueueFull.Error()))
 		return nil, ErrQueueFull
 	}

@@ -153,11 +153,10 @@ type Job struct {
 	metrics *engineMetrics
 
 	// span is the job's trace span (child of the submitting request's span,
-	// or a trace root), carried by ctx into the evaluation; queueSpan times
-	// the queued→running wait under it. Both are nil-safe, so jobs created
-	// without tracing (unit tests) behave identically.
-	span      *trace.Span
-	queueSpan *trace.Span
+	// or a trace root), carried by ctx into the evaluation; transition
+	// records the queued wait under it as queue_wait. It is nil-safe, so jobs
+	// created without tracing (unit tests) behave identically.
+	span *trace.Span
 
 	mu       sync.Mutex
 	state    State
@@ -199,15 +198,14 @@ func newJob(id string, spec JobSpec, span *trace.Span) *Job {
 		ctx, cancel = context.WithCancel(base)
 	}
 	j := &Job{
-		ID:        id,
-		Spec:      spec,
-		ctx:       ctx,
-		cancel:    cancel,
-		span:      span,
-		queueSpan: span.Child("queue_wait"),
-		state:     StateQueued,
-		created:   time.Now(),
-		subs:      map[chan Event]struct{}{},
+		ID:      id,
+		Spec:    spec,
+		ctx:     ctx,
+		cancel:  cancel,
+		span:    span,
+		state:   StateQueued,
+		created: time.Now(),
+		subs:    map[chan Event]struct{}{},
 	}
 	if timeout > 0 {
 		// AfterFunc also runs when the job finishes (terminal transitions
@@ -247,14 +245,16 @@ func (j *Job) transition(next State, onApply func()) bool {
 	if onApply != nil {
 		onApply()
 	}
+	// The queue_wait span is the wait Status and the queue-wait histogram
+	// report, on the same two clock readings: created to started, or to
+	// finished for a job cancelled while queued.
 	switch {
 	case next == StateRunning:
-		j.queueSpan.End()
+		j.span.ChildRecord("queue_wait", j.created, j.started)
 	case next.Terminal():
-		// A job cancelled while queued never ran; its queue-wait span ends
-		// here with it (End is idempotent for the common ran-then-finished
-		// path).
-		j.queueSpan.End()
+		if j.started.IsZero() {
+			j.span.ChildRecord("queue_wait", j.created, j.finished)
+		}
 		j.span.End(trace.String("state", string(next)), trace.Bool("cache_hit", j.cacheHit),
 			trace.Bool("model_cache_hit", j.stages.modelHit))
 		// A terminal job stays in the index for a while; it must not pin its

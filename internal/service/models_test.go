@@ -481,6 +481,48 @@ func TestRegistryBudgetEvictsIdleModels(t *testing.T) {
 	}
 }
 
+// A fleet that names one model twice is charged for it once, snapshot and
+// reduced-precision store alike: both entries are one registry slot and one
+// loaded model. The budget fits the model and one and a half float32 stores,
+// not two of either, and the fleet is admitted inline at float64 and float32
+// and, with the model resident, by model_id.
+func TestRegistryBudgetChargesRepeatedModelOnce(t *testing.T) {
+	g := serviceGraph(t)
+	const dim = 16
+	snap := snapshotModel(t, g, "DistMult", dim, 1)
+	store32 := int64(g.NumEntities) * dim * 4
+	budget := int64(len(snap)) + store32*3/2
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1, MemoryBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	inline := ModelSpec{Name: "DistMult", Dim: dim, Seed: 1, Snapshot: snap}
+	byID := ModelSpec{Name: "DistMult", Dim: dim, Seed: 1, ModelID: modelDigest(snap)}
+	for _, tc := range []struct {
+		what string
+		m    ModelSpec
+		prec string
+	}{{"inline", inline, "float64"}, {"inline", inline, "float32"}, {"by model_id", byID, "float64"}} {
+		spec := JobSpec{Models: []ModelSpec{tc.m, tc.m}, Strategy: "R", MaxQueries: 10, Precision: tc.prec}
+		j, err := e.Submit(spec)
+		if err != nil {
+			t.Fatalf("fleet naming one model twice, %s at %s, under a %d-byte budget: %v", tc.what, tc.prec, budget, err)
+		}
+		if st := waitJob(t, j); st.State != StateSucceeded {
+			t.Fatalf("fleet %s at %s: %s (%s)", tc.what, tc.prec, st.State, st.Error)
+		}
+	}
+}
+
+// The refusal states its figures in bytes: a budget under a MiB is not "0 MiB".
+func TestMemoryBudgetErrorStatesBytes(t *testing.T) {
+	err := &MemoryBudgetError{EstimatedBytes: 300_000, BudgetBytes: 200_000}
+	if msg := err.Error(); !strings.Contains(msg, "300000 bytes") || !strings.Contains(msg, "200000-byte") {
+		t.Errorf("MemoryBudgetError says %q, want both figures in bytes", msg)
+	}
+}
+
 // An upload is filed under its constructor arguments, so a job naming the id
 // with other arguments is told the model is unknown at submission — and
 // leaves the upload as it was for the jobs that name it properly.

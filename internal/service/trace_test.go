@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -414,4 +415,52 @@ func jobDone(j *Job) <-chan struct{} {
 		}
 	}()
 	return done
+}
+
+// The queue_wait span is the wait Status.queue_wait_ms and the queue-wait
+// histogram report, read off the same clock readings: its duration is
+// StartedAt − CreatedAt exactly for a job that ran, and FinishedAt −
+// CreatedAt for one cancelled while queued.
+func TestQueueWaitSpanIsTheStatusWait(t *testing.T) {
+	queueWait := func(t *testing.T, j *Job) trace.SpanRecord {
+		t.Helper()
+		var found []trace.SpanRecord
+		for _, s := range j.span.Recorder().Snapshot().Spans {
+			if s.Name == "queue_wait" {
+				found = append(found, s)
+			}
+		}
+		if len(found) != 1 {
+			t.Fatalf("job %s: %d queue_wait spans, want 1", j.ID, len(found))
+		}
+		return found[0]
+	}
+
+	e, err := NewEngine(EngineConfig{Graph: serviceGraph(t), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	snap := snapshotModel(t, e.Graph(), "DistMult", 8, 6)
+	j, err := e.Submit(JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snap}, Strategy: "R", MaxQueries: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, j)
+	if st.State != StateSucceeded {
+		t.Fatalf("job: %s (%s)", st.State, st.Error)
+	}
+	if got, want := queueWait(t, j).Duration(), st.StartedAt.Sub(st.CreatedAt); got != want {
+		t.Errorf("queue_wait span lasts %v, Status's wait is %v", got, want)
+	}
+
+	_, root := trace.NewStore(0, 0).StartTrace(context.Background(), "job")
+	queued := newJob("j-queued", JobSpec{}, root)
+	if !queued.Cancel() {
+		t.Fatal("a queued job refused to cancel")
+	}
+	st = queued.Status()
+	if got, want := queueWait(t, queued).Duration(), st.FinishedAt.Sub(st.CreatedAt); got != want {
+		t.Errorf("cancelled while queued: queue_wait span lasts %v, Status's wait is %v", got, want)
+	}
 }

@@ -53,10 +53,11 @@
 //	                      pool against L1-sized tiles of candidates filled
 //	                      from the entity store one tile at a time — one kernel per model at every
 //	                      precision, never a pool-sized candidate block. Three
-//	                      lanes with the same bits: AVX-512F dot and L1
-//	                      kernels with eight candidates per ZMM register,
-//	                      AVX2 assembly kernels with four per YMM register
-//	                      (RotatE's on both), the Go kernels everywhere else
+//	                      lanes with the same bits: AVX-512F kernels with
+//	                      eight candidates per ZMM register (RotatE's square
+//	                      roots split between VSQRTPD and a verified FMA
+//	                      root), AVX2 assembly kernels with four per YMM
+//	                      register, the Go kernels everywhere else
 //	internal/cpu          the CPUID/XGETBV check that fixes the lane once
 //	                      per process; -tags purego turns it off
 //	internal/kp           Knowledge Persistence baseline

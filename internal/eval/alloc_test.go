@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"kgeval/internal/kg"
@@ -13,6 +14,15 @@ import (
 	"kgeval/internal/synth"
 )
 
+// pauseGC collects once and turns the collector off until the test ends. A
+// collection empties the sync.Pool'd scratch a pass reuses, and the refills
+// would read as the allocations of whatever the test measures.
+func pauseGC(t *testing.T) {
+	runtime.GC()
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+}
+
 // RotatE's true-triple scores route through the scorer's scratch like every
 // other model's batch scores, and the true-head id buffer lives in the
 // worker's scratch: a RotatE pass makes no more allocations than a DistMult
@@ -22,6 +32,7 @@ func TestRotatEPassAllocatesNoMoreThanDistMult(t *testing.T) {
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	prov := &RandomProvider{NumEntities: g.NumEntities, N: 30}
 	opts := Options{Filter: filter, Seed: 4, Workers: 1}
+	pauseGC(t)
 	allocs := map[string]float64{}
 	for _, name := range []string{"DistMult", "RotatE"} {
 		m, err := kgc.New(name, g, 16, 5)
@@ -36,17 +47,24 @@ func TestRotatEPassAllocatesNoMoreThanDistMult(t *testing.T) {
 }
 
 // Every service job is traced, so what tracing allocates is part of what a
-// pass costs. Over the same pass untraced (69 allocations on this graph at
-// dim 16, n_s 30, one worker), a pass in a fresh trace, as a job starts one,
-// allocates at most tracedAllocsPerChunk per eval.chunk span — the record,
-// its ids and its attributes — plus tracedAllocsFixed: the trace, the
+// pass costs. Over the same pass untraced (69 allocations and 59 256 bytes on
+// this graph at dim 16, n_s 30, one worker), a pass in a fresh trace, as a
+// job starts one, allocates at most tracedAllocsPerChunk and
+// tracedBytesPerChunk per eval.chunk span — the record, its ids and its
+// attributes — plus tracedAllocsFixed and tracedBytesFixed: the trace, the
 // pass-level spans and the growth of the trace's span ring. The pass has 9
-// chunks; the per-chunk term is the slope over passes cut into 8 to 33.
+// chunks; each per-chunk term is the slope over passes cut into 8 to 33
+// (11 248 bytes more at 9 chunks, 37 488 at 33). The collector is paused: a
+// collection during either measurement empties the pooled scratch, and the
+// refills would read as tracing's.
 func TestTracedPassAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops a random share of the pass's pooled scratch")
 	}
-	const tracedAllocsPerChunk, tracedAllocsFixed = 10, 57
+	const (
+		tracedAllocsPerChunk, tracedAllocsFixed = 10, 57
+		tracedBytesPerChunk, tracedBytesFixed   = 1100, 1500
+	)
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	prov := &RandomProvider{NumEntities: g.NumEntities, N: 30}
@@ -56,13 +74,15 @@ func TestTracedPassAllocations(t *testing.T) {
 	}
 	opts := Options{Filter: filter, Seed: 4, Workers: 1}
 	Evaluate(m, g, g.Test, prov, opts) // the entity store is built once per model
-	untraced := testing.AllocsPerRun(10, func() { Evaluate(m, g, g.Test, prov, opts) })
+	pauseGC(t)
 	var root *trace.Span
-	traced := testing.AllocsPerRun(10, func() {
+	untracedPass := func() { Evaluate(m, g, g.Test, prov, opts) }
+	tracedPass := func() {
 		traced := opts
 		traced.Ctx, root = trace.NewStore(0, 0).StartTrace(context.Background(), "job")
 		Evaluate(m, g, g.Test, prov, traced)
-	})
+	}
+	untraced, traced := testing.AllocsPerRun(10, untracedPass), testing.AllocsPerRun(10, tracedPass)
 	chunks := 0
 	for _, s := range root.Recorder().Snapshot().Spans {
 		if s.Name == "eval.chunk" {
@@ -76,6 +96,31 @@ func TestTracedPassAllocations(t *testing.T) {
 	if extra := traced - untraced; extra > budget {
 		t.Errorf("a traced pass makes %.0f allocations, %.0f more than untraced; budget %.0f for %d chunks", traced, extra, budget, chunks)
 	}
+	byteBudget := int64(tracedBytesPerChunk*chunks + tracedBytesFixed)
+	untracedB, tracedB := passBytes(untracedPass), passBytes(tracedPass)
+	if extra := tracedB - untracedB; extra > byteBudget {
+		t.Errorf("a traced pass allocates %d bytes, %d more than untraced; budget %d for %d chunks", tracedB, extra, byteBudget, chunks)
+	}
+}
+
+// passBytes is what one run of pass allocates, in bytes: the least of three
+// means over ten warm runs, since TotalAlloc also counts any other goroutine
+// still winding down from an earlier test.
+func passBytes(pass func()) int64 {
+	var least int64
+	for k := 0; k < 3; k++ {
+		pass()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < 10; i++ {
+			pass()
+		}
+		runtime.ReadMemStats(&m1)
+		if b := int64(m1.TotalAlloc-m0.TotalAlloc) / 10; k == 0 || b < least {
+			least = b
+		}
+	}
+	return least
 }
 
 // Under the full protocol every pool is the whole entity set. A worker's

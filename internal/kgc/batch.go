@@ -227,9 +227,10 @@ func cmod(re, im float64) float64 {
 // complex moduli (RotatE), with vectors in the [re..., im...] layout of
 // half complex dims. The modulus is sign-symmetric like Abs, so one kernel
 // serves both directions. The square roots do not pipeline as deeply as the
-// dot kernel's multiply-adds, so this kernel is sqrt-bound, not add-bound —
-// and so is its vector twin (VSQRTPD: four roots for about the price of
-// two), at 0.47 ns per candidate·dim against 0.95 here.
+// dot kernel's multiply-adds, so this kernel is sqrt-bound, not add-bound
+// (1.2–1.3 ns per candidate·dim), and so is its AVX2 twin on the divider
+// (VSQRTPD, 0.64–0.66). The 512-bit twin takes half its roots from the FMA
+// units instead, each verified to be the correctly rounded one, at 0.33–0.35.
 func scoreRotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	half := dim / 2
 	nq := len(qs) / dim

@@ -165,9 +165,9 @@ func rowAccGo(out, c, rows []float64, stride int, skipZero bool) {
 }
 
 // Kernel names the scoring lane of this process: "avx512" when the 512-bit
-// dot and L1 tile kernels run (RotatE's tile kernel and the query builders'
-// row-accumulate stay 256-bit), "avx2" when the 256-bit tile kernels and
-// row-accumulate run, "go" otherwise. All three produce the same scores,
+// tile kernels run (the query builders' row-accumulate stays 256-bit),
+// "avx2" when the 256-bit tile kernels and row-accumulate run, "go"
+// otherwise. All three produce the same scores,
 // bit for bit; the name is for traces and logs, so a timing says which code
 // produced it. (A plain third-party Model is scored through its own methods
 // either way.)

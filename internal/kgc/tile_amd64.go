@@ -24,6 +24,12 @@ func dotTileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64,
 //go:noescape
 func l1TileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 
+// rotTileAVX512 also returns how many eight-candidate vectors its FMA square
+// root handed back to VSQRTPD. The lane ignores the count; the tests pin it.
+//
+//go:noescape
+func rotTileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int) (fallbacks int)
+
 // The assembly row-accumulate of rowacc_amd64.s: rowAccGo over n outputs
 // and nrows rows. It trusts its arguments; vecRowAcc is the only caller.
 //
@@ -31,9 +37,8 @@ func l1TileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, 
 func rowAccAVX2(out *float64, n int, c *float64, nrows int, rows *float64, stride int, skipZero bool)
 
 // init lists the vector lanes this CPU runs, narrowest first, and installs
-// the widest. The 512-bit lane replaces the dot and L1 kernels only: RotatE's
-// 256-bit kernel measured as fast as a 512-bit one, its square root being
-// no faster per lane at the wider width.
+// the widest. The 512-bit lane has a twin of every tile kernel; the
+// row-accumulate under the query builders stays 256-bit on both lanes.
 func init() {
 	if !cpu.AVX2 {
 		return
@@ -45,10 +50,13 @@ func init() {
 	}}
 	vecLanes = []vecLane{avx2}
 	if cpu.AVX512 {
-		avx512 := vecLane{name: "avx512", kernels: avx2.kernels}
-		avx512.kernels[kindDot] = vecTile(dotTileAVX512, 1)
-		avx512.kernels[kindL1] = vecTile(l1TileAVX512, 1)
-		vecLanes = append(vecLanes, avx512)
+		vecLanes = append(vecLanes, vecLane{name: "avx512", kernels: [numKinds]tileFunc{
+			kindDot: vecTile(dotTileAVX512, 1),
+			kindL1:  vecTile(l1TileAVX512, 1),
+			kindRot: vecTile(func(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int) {
+				rotTileAVX512(qs, nq, cols, dim, n, out, nc)
+			}, 2),
+		}})
 	}
 	vecKernels = vecLanes[len(vecLanes)-1].kernels
 	rowAcc = vecRowAcc

@@ -2,8 +2,8 @@
 
 #include "textflag.h"
 
-// AVX2 twins of the Go tile kernels in batch.go, and AVX-512F twins of the
-// dot and L1 kernels (after the AVX2 ones), over a candidate-minor tile
+// AVX2 twins of the Go tile kernels in batch.go, and AVX-512F twins of them
+// (after the AVX2 ones), over a candidate-minor tile
 // (cols[k*n+t] is dimension k of the tile's t-th candidate; n, a multiple of
 // four, is also the column stride). tile_amd64.go's init installs the 512-bit
 // twins where cpu.AVX512 holds and the AVX2 ones elsewhere.
@@ -14,8 +14,10 @@
 // rounded add per dim for the dot product (VMULPD then VADDPD — never a
 // fused multiply-add, which would round once), subtract / clear sign / add
 // for L1, and subtract, subtract, square, square, add, square root, add for
-// the complex modulus. No reduction runs across lanes, so every score has
-// the bits the Go kernel gives it.
+// the complex modulus (the 512-bit RotatE kernel takes some roots from FMA
+// steps, but only roots proven to be the correctly rounded ones). No
+// reduction runs across lanes, so every score has the bits the Go kernel
+// gives it.
 //
 // Each kernel walks the tile in groups of 32, 16, 8 and 4 candidates — 8, 4,
 // 2 or 1 independent accumulators — and streams every query over a group
@@ -231,8 +233,8 @@ rdone:
 // two at a time and share every column load: a 32-candidate group keeps
 // eight independent chains in flight. An odd last query goes alone. Only
 // AVX-512F instructions appear (VPANDQ and VPXORQ, not the DQ subset's
-// VANDPD and VXORPD on ZMM); the YMM step is VEX-encoded AVX. RotatE has no
-// 512-bit twin: its square root is as slow per lane at either width.
+// VANDPD and VXORPD on ZMM); the YMM step is VEX-encoded AVX. RotatE's
+// 512-bit twin, after these, walks its groups differently.
 //
 // Registers beyond those of the YMM kernels:
 //	R10      bytes from one query to the next in qs (dim*8); the pair's
@@ -420,3 +422,186 @@ TEXT ·l1TileAVX512(SB), NOSPLIT, $0-56
 lzdone:
 	VZEROUPPER
 	RET
+
+// The 512-bit twin of the RotatE kernel. Its square roots run on two units at
+// once: in every 32-candidate group, the lanes of two ZMM registers (groups A
+// and C) take VSQRTPD, the divider, and those of the other two (B and D) an
+// FMA root, the multiply-add units. VSQRTPD alone is no faster at 512 bits
+// than at 256, the divider being 256 bits wide, and the FMA root alone only a
+// little faster; split, each unit does half the roots in parallel with the
+// other. A group of 16 gives one register to each unit, a group of 8
+// alternates them from one complex dim to the next, and a last group of four
+// takes the YMM step of rotTileAVX2. The queries go one at a time. Each lane
+// forms x = Δre² + Δim² as kgc.cmod does (VMULPD, VMULPD, VADDPD), takes a
+// root with math.Sqrt's bits from one unit or the other, and adds its roots
+// in dim order, so every score has the bits of the Go kernel. FMA appears
+// inside the root only, never in the sum. Only AVX-512F instructions appear.
+//
+// The FMA root of x, and why it is the IEEE root. With y ≈ 1/√x from
+// VRSQRT14PD (relative error below 2⁻¹⁴), g = x·y and h = y/2, a Goldschmidt
+// step (r = ½ − g·h, g += g·r, h += h·r) takes g to √x and h to 1/(2√x)
+// within about 2⁻²⁷, and a second one, of g alone, takes g within an ulp or
+// so. Markstein's correction s = g + (x − g²)·h, whose residual x − g² the
+// FMA gives exactly, then misses √x by about 2⁻⁷⁹ of it before its one
+// rounding, so s is the correctly rounded root unless √x lies that close to a
+// midpoint between two floats (h would have to be exact to the last bits to
+// settle those, and is left as the first step made it). Whether s is the root
+// is then decided exactly, not trusted.
+// Let s > 0 be a normal float, u its ulp, and s⁻ and s⁺ its neighbours (its
+// bit pattern − 1 and + 1). √x rounds to s under round-to-nearest iff it lies
+// strictly between the midpoints (s⁻+s)/2 and (s+s⁺)/2 (the root of a float
+// is never a midpoint), that is iff ((s⁻+s)/2)² < x < ((s+s⁺)/2)². Now x, s·s⁻
+// and s·s⁺ are whole multiples of u²/2, and each squared midpoint exceeds
+// s·s⁻ (or s·s⁺) by u²/4, or u²/16 at a binade's lower edge: no x lies in
+// between, and the condition is Tuckerman's test
+//	s·s⁻ < x ≤ s·s⁺.
+// The kernel reads it off the signs of two FMA residuals, x − s·s⁻ > 0 and
+// x − s·s⁺ ≤ 0. An FMA rounds once, and a rounded value keeps the sign of the
+// exact one unless it underflows to zero or overflows. While x lies in
+// [2⁻⁹⁰⁰, 2⁹⁰⁰], u²/2 is at least 2⁻¹⁰⁰⁵ and the products near x, so neither
+// can happen, and y, g, h and s stay positive and normal. A vector is
+// accepted only if each of its lanes is in that range and passes the test;
+// otherwise (a lane off by an ulp, or x zero, subnormal, infinite, NaN or an
+// overflowed square) the whole vector is recomputed with VSQRTPD on an
+// out-of-line branch, and the kernel returns how many vectors took it.
+//
+// Registers beyond those of rotTileAVX2:
+//	Z0-Z3    accumulators, groups A-D (Y0 in the YMM step)
+//	Z4-Z7    x, groups A-D; A's and C's root replaces their x
+//	Z8-Z9    Δim²
+//	Z10      sign bit
+//	Z16-Z18  the FMA root of group B (and of the 16 and 8 groups): s, h, r
+//	Z20      0.5 in every lane, Z21 the integer 1, Z22 2⁻⁹⁰⁰, Z23 2⁹⁰⁰, Z24 zero
+//	Z26-Z28  the FMA root of group D
+//	K1, K2   lanes that pass, groups B and D; K7 0xff00, so KORTESTW with K7
+//	         sets CF iff all eight lanes pass
+
+// x = (q.re − cols.re)² + (q.im − cols.im)² for one register of candidates.
+#define MODX(off, x, t) \
+	VSUBPD off(R11), Z12, x; \
+	VSUBPD off(R11)(BX*1), Z13, t; \
+	VMULPD x, x, x; \
+	VMULPD t, t, t; \
+	VADDPD t, x, x
+
+// FMAROOT sets s to √x, correctly rounded, in the lanes it sets in k; when
+// one lane is not set, fix recomputes the vector and comes back to back.
+#define FMAROOT(x, s, h, r, k, fix, back) \
+	VRSQRT14PD   x, h; \
+	VMULPD       h, x, s; \
+	VMULPD       Z20, h, h; \
+	VMOVAPD      Z20, r; \
+	VFNMADD231PD h, s, r; \
+	VFMADD231PD  r, s, s; \
+	VFMADD231PD  r, h, h; \
+	VMOVAPD      Z20, r; \
+	VFNMADD231PD h, s, r; \
+	VFMADD231PD  r, s, s; \
+	VMOVAPD      x, r; \
+	VFNMADD231PD s, s, r; \
+	VFMADD231PD  r, h, s; \
+	VCMPPD       $0x1d, Z22, x, k; \
+	VCMPPD       $0x12, Z23, x, k, k; \
+	VPSUBQ       Z21, s, h; \
+	VFNMADD213PD x, s, h; \
+	VPADDQ       Z21, s, r; \
+	VFNMADD213PD x, s, r; \
+	VCMPPD       $0x1e, Z24, h, k, k; \
+	VCMPPD       $0x12, Z24, r, k, k; \
+	KORTESTW     K7, k; \
+	JCC          fix; \
+back:
+
+#define BCAST2Z \
+	VBROADCASTSD (SI), Z12; \
+	VBROADCASTSD (SI)(R10*1), Z13
+
+#define ZEROR32 ZZ(Z0); ZZ(Z1); ZZ(Z2); ZZ(Z3)
+#define ZEROR16 ZZ(Z0); ZZ(Z1)
+#define ZEROR8 ZZ(Z0)
+
+#define ROTZ32 \
+	MODX(0, Z4, Z8); \
+	MODX(128, Z6, Z9); \
+	VSQRTPD Z4, Z4; \
+	VSQRTPD Z6, Z6; \
+	MODX(64, Z5, Z8); \
+	MODX(192, Z7, Z9); \
+	FMAROOT(Z5, Z16, Z17, Z18, K1, rz32fixb, rz32b); \
+	FMAROOT(Z7, Z26, Z27, Z28, K2, rz32fixd, rz32d); \
+	VADDPD Z4, Z0, Z0; \
+	VADDPD Z16, Z1, Z1; \
+	VADDPD Z6, Z2, Z2; \
+	VADDPD Z26, Z3, Z3
+
+#define ROTZ16 \
+	MODX(0, Z4, Z8); \
+	VSQRTPD Z4, Z4; \
+	MODX(64, Z5, Z9); \
+	FMAROOT(Z5, Z16, Z17, Z18, K1, rz16fix, rz16b); \
+	VADDPD Z4, Z0, Z0; \
+	VADDPD Z16, Z1, Z1
+
+// The group of eight takes the divider when an even number of complex dims
+// is left and the FMA root when an odd one is.
+#define ROTZ8 \
+	MODX(0, Z4, Z8); \
+	BTL     $0, AX; \
+	JCS     rz8fma; \
+	VSQRTPD Z4, Z16; \
+	JMP     rz8add; \
+rz8fma: \
+	FMAROOT(Z4, Z16, Z17, Z18, K1, rz8fix, rz8b); \
+rz8add: \
+	VADDPD Z16, Z0, Z0
+
+// func rotTileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int) (fallbacks int)
+TEXT ·rotTileAVX512(SB), NOSPLIT, $0-64
+	MOVQ         $0, fallbacks+56(FP)
+	MOVQ         $0x8000000000000000, AX
+	VPBROADCASTQ AX, Z10
+	MOVQ         $0x3fe0000000000000, AX
+	VPBROADCASTQ AX, Z20
+	MOVQ         $1, AX
+	VPBROADCASTQ AX, Z21
+	MOVQ         $0x07b0000000000000, AX
+	VPBROADCASTQ AX, Z22
+	MOVQ         $0x7830000000000000, AX
+	VPBROADCASTQ AX, Z23
+	VPXORQ       Z24, Z24, Z24
+	MOVQ         $0xff00, AX
+	KMOVW        AX, K7
+	SETUP
+	MOVQ  dim+24(FP), R14
+	MOVQ  R14, R10
+	SHRQ  $1, R10           // half
+	MOVQ  R10, BX
+	IMULQ R13, BX           // half rows of cols, in bytes
+	SHLQ  $3, R10           // half values of a query, in bytes
+	SHLQ  $3, R14
+	SUBQ  R10, R14          // (dim - half)*8: from the end of the real half to the next query
+	WALK(32, rz32, rz32q, rz32k, rz16, HALFDIMS, ZEROR32, BCAST2Z, ROTZ32, SKIPIM, NEGA32)
+	WALK(16, rz16, rz16q, rz16k, rz8, HALFDIMS, ZEROR16, BCAST2Z, ROTZ16, SKIPIM, NEGA16)
+	WALK(8, rz8, rz8q, rz8k, rz4, HALFDIMS, ZEROR8, BCAST2Z, ROTZ8, SKIPIM, NEGA8)
+	WALK(4, rz4, rz4q, rz4k, rzdone, HALFDIMS, ZERO1, BCAST2, ROT1, SKIPIM, NEG1)
+rzdone:
+	VZEROUPPER
+	RET
+
+// The out-of-line fallbacks of the FMA roots: the whole vector on the divider.
+rz32fixb:
+	VSQRTPD Z5, Z16
+	INCQ    fallbacks+56(FP)
+	JMP     rz32b
+rz32fixd:
+	VSQRTPD Z7, Z26
+	INCQ    fallbacks+56(FP)
+	JMP     rz32d
+rz16fix:
+	VSQRTPD Z5, Z16
+	INCQ    fallbacks+56(FP)
+	JMP     rz16b
+rz8fix:
+	VSQRTPD Z4, Z16
+	INCQ    fallbacks+56(FP)
+	JMP     rz8b

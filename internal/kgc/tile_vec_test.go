@@ -154,11 +154,11 @@ func TestVectorKernelsMatchGoKernels(t *testing.T) {
 // for every kernel it wraps, so two lanes' entries never share one.
 func funcID(f tileFunc) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&f)) }
 
-// The installed kernels are the widest lane's: on an AVX-512 host the dot
-// and L1 entries of vecKernels are the 512-bit twins and RotatE's is the
-// 256-bit one. The lanes give the same bits, so an init elsewhere in the
-// package that ran after tile_amd64.go's and put back the 256-bit twins
-// would pass every other test and show only in a timing.
+// The installed kernels are the widest lane's: on an AVX-512 host every entry
+// of vecKernels is a 512-bit twin, none the 256-bit one. The lanes give the
+// same bits, so an init elsewhere in the package that ran after
+// tile_amd64.go's and put back the 256-bit twins would pass every other test
+// and show only in a timing.
 func TestWidestLaneIsInstalled(t *testing.T) {
 	want := "go"
 	switch {
@@ -187,8 +187,8 @@ func TestWidestLaneIsInstalled(t *testing.T) {
 	if cpu.AVX512 {
 		avx2 := vecLanes[0]
 		for kind := kindDot; kind < numKinds; kind++ {
-			if same := funcID(vecKernels[kind]) == funcID(avx2.kernels[kind]); same != (kind == kindRot) {
-				t.Errorf("%v: installed kernel is the avx2 twin: %v, want %v", kind, same, kind == kindRot)
+			if funcID(vecKernels[kind]) == funcID(avx2.kernels[kind]) {
+				t.Errorf("%v: the installed kernel is the avx2 twin", kind)
 			}
 		}
 	}
@@ -376,6 +376,25 @@ func FuzzTileKernels(f *testing.F) {
 	f.Add(uint8(1), uint8(5), uint8(1), uint8(1), uint8(2), special)
 	f.Add(uint8(2), uint8(6), uint8(9), uint8(5), uint8(1), special)
 	f.Add(uint8(2), uint8(3), uint8(13), uint8(2), uint8(3), []byte{1, 2, 3})
+	// RotatE at dim 2, one query at zero against 32 candidates, so each
+	// candidate's x = Δre² + Δim² is a chosen value and half of them take the
+	// 512-bit lane's FMA root: the edges of its [2⁻⁹⁰⁰, 2⁹⁰⁰] guard band,
+	// perfect squares and their neighbours, and sums of squares that are
+	// subnormal or zero.
+	p900 := math.Ldexp(1, 900)
+	guard := []float64{
+		math.Nextafter(1/p900, 0), 1 / p900, math.Nextafter(1/p900, 1),
+		math.Nextafter(p900, 0), p900, math.Nextafter(p900, math.Inf(1)),
+	}
+	squares := []float64{9, math.Nextafter(9, 0), math.Nextafter(9, 10), 0x1p-600 * 49, math.Nextafter(0x1p-600*49, 0), 0x1p600 * 25}
+	for _, xs := range [][]float64{guard, squares} {
+		f.Add(uint8(2), uint8(1), uint8(7), uint8(0), uint8(0), rotSeed(xs))
+	}
+	subnormal := make([]byte, 16, 16+8*4)
+	for _, v := range []float64{0x1p-530, 0x1p-537, math.SmallestNonzeroFloat64, 0} {
+		subnormal = binary.LittleEndian.AppendUint64(subnormal, math.Float64bits(v))
+	}
+	f.Add(uint8(2), uint8(1), uint8(7), uint8(0), uint8(0), subnormal)
 	f.Fuzz(func(t *testing.T, kindB, dimB, groupsB, nqB, padB uint8, data []byte) {
 		kind := tileKind(kindB % uint8(numKinds))
 		dim := 1 + int(dimB)%80
@@ -393,6 +412,32 @@ func FuzzTileKernels(f *testing.F) {
 			}
 		}
 	})
+}
+
+// modPair returns (a, b) such that a² + b², each square and the sum rounded
+// as kgc.cmod rounds them, is exactly x, for a normal x far enough above the
+// subnormals that b² is normal too: a is √x cut to 26 significant bits (one
+// step of that grid lower if √x rounded up to it), so a² is exact and within
+// 2⁻²⁴·x below x, and b = √(x − a²) brings the rest, whose rounding is far
+// below half an ulp of x.
+func modPair(x float64) (a, b float64) {
+	bits := math.Float64bits(math.Sqrt(x)) &^ (1<<27 - 1)
+	if a = math.Float64frombits(bits); a*a > x {
+		a = math.Float64frombits(bits - 1<<27)
+	}
+	return a, math.Sqrt(x - a*a)
+}
+
+// rotSeed is FuzzTileKernels input for RotatE at dim 2: a query at zero, then
+// candidates whose squared moduli are xs, in turn.
+func rotSeed(xs []float64) []byte {
+	data := make([]byte, 16, 16*(1+len(xs)))
+	for _, x := range xs {
+		a, b := modPair(x)
+		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(a))
+		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(b))
+	}
+	return data
 }
 
 // fuzzFloats returns n values made of the fuzzer's bytes, eight at a time,

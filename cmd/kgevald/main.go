@@ -28,7 +28,10 @@
 // per-request access logs). The "serving" line names the scoring lane of
 // the process (kernel=avx512, avx2 or go), which every job's eval.pass span
 // repeats, and the worker count and framework-cache capacity the engine
-// runs with (a -workers or -cache value <= 0 is its default, 2 or 8).
+// runs with (a -workers or -cache value of 0 is its default, 2 or 8). A
+// negative -workers, -eval-workers, -queue, -cache or -mem-budget-mb, or a
+// -mem-budget-mb whose bytes do not fit in an int64, exits 2 with the usage
+// message before anything starts.
 //
 // Production hardening (see README "Operations"): jobs carry end-to-end
 // deadlines (timeout_ms) and expire terminally when they pass; a full
@@ -70,6 +73,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -106,6 +110,11 @@ func main() {
 		faultSpec    = flag.String("faults", "", "arm deterministic fault injection, e.g. 'service/fit=error,every=2;service/worker=stall,stall=5s' (testing only)")
 	)
 	flag.Parse()
+	if err := checkSizes(*workers, *evalWorkers, *queue, *cacheSize, *memBudgetMB); err != nil {
+		fmt.Fprintln(flag.CommandLine.Output(), "kgevald:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	logger, err := newLogger(*logLevel)
 	if err != nil {
@@ -224,6 +233,26 @@ func main() {
 		}
 		logger.Info("drained, exiting")
 	}
+}
+
+// checkSizes refuses the size flags the engine would otherwise take in
+// silence: a negative count, which NewEngine would replace with its default,
+// and a memory budget that is negative or whose MiB overflow an int64 in
+// bytes, either of which would turn the memory gate off. 0 keeps meaning the
+// default (no gate, for the budget).
+func checkSizes(workers, evalWorkers, queue, cache int, memBudgetMB int64) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-workers", workers}, {"-eval-workers", evalWorkers}, {"-queue", queue}, {"-cache", cache}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d: may not be negative (0 = default)", f.name, f.v)
+		}
+	}
+	if memBudgetMB < 0 || memBudgetMB > math.MaxInt64>>20 {
+		return fmt.Errorf("-mem-budget-mb %d: want 0 (no gate) to %d", memBudgetMB, int64(math.MaxInt64>>20))
+	}
+	return nil
 }
 
 // bootstrapHandler serves while the dataset loads and the engine starts:

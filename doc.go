@@ -53,11 +53,15 @@
 //	                      pool against L1-sized tiles of candidates filled
 //	                      from the entity store one tile at a time — one kernel per model at every
 //	                      precision, never a pool-sized candidate block. Three
-//	                      lanes with the same bits: AVX-512F kernels with
-//	                      eight candidates per ZMM register (RotatE's square
-//	                      roots split between VSQRTPD and a verified FMA
-//	                      root), AVX2 assembly kernels with four per YMM
-//	                      register, the Go kernels everywhere else
+//	                      lanes whose scores have the same bits and whose
+//	                      ranks are the same: AVX-512F kernels with eight
+//	                      candidates per ZMM register (for ranks an FMA dot
+//	                      product and RotatE's approximate root, within a
+//	                      proven bound that eval's rank count settles or
+//	                      rescores; exact scores from the AVX2 dot and RotatE
+//	                      twins and a 512-bit L1 twin), AVX2 assembly kernels
+//	                      with four per YMM register, the Go kernels
+//	                      everywhere else
 //	internal/cpu          the CPUID/XGETBV check that fixes the lane once
 //	                      per process; -tags purego turns it off
 //	internal/kp           Knowledge Persistence baseline

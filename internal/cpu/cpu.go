@@ -7,9 +7,11 @@
 // the base64 decode of inline snapshots in POST /v1/jobs bodies
 // (internal/service) and the rank count, the compare under every strip of
 // the evaluation's rank merge (internal/eval). Scoring has a third, 512-bit
-// version of its dot and L1 tile kernels for CPUs with AVX-512F. Which code
-// a process runs is decided here, once, from what the machine is — there is
-// no option, flag or environment variable, because every version of a lane
-// produces the same bits and only one of them is ever the faster choice on
-// a given host.
+// lane for CPUs with AVX-512F: an L1 tile kernel with the same bits, and an
+// FMA dot kernel and an approximate RotatE kernel that the rank path runs
+// within a proven error bound. Which code a process runs is decided here,
+// once, from what the machine is — there is no option, flag or environment
+// variable, because every version of a lane produces the same scores where
+// scores are handed out and the same ranks, and only one of them is ever
+// the faster choice on a given host.
 package cpu

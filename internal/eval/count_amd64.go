@@ -4,15 +4,19 @@ package eval
 
 import "kgeval/internal/cpu"
 
-// countAVX2 is countGo over n scores, n a multiple of eight (count_amd64.s).
-// It trusts its arguments; vecCount is the only caller.
+// countAVX2 is countGo and outsideAVX2 is outsideGo, over n scores, n a
+// multiple of eight (count_amd64.s). They trust their arguments; vecCount
+// and vecOutside are the only callers.
 //
 //go:noescape
 func countAVX2(scores *float64, n int, t float64) (better, ties int)
 
+//go:noescape
+func outsideAVX2(scores *float64, n int, lo, hi float64) (above, below int)
+
 func init() {
 	if cpu.AVX2 {
-		countScores = vecCount
+		countScores, countOutside = vecCount, vecOutside
 	}
 }
 
@@ -27,4 +31,14 @@ func vecCount(scores []float64, t float64) (better, ties int) {
 	}
 	b, e := countGo(scores[n:], t)
 	return better + b, ties + e
+}
+
+// vecOutside is the same boundary in front of outsideAVX2.
+func vecOutside(scores []float64, lo, hi float64) (above, below int) {
+	n := len(scores) &^ 7
+	if n > 0 {
+		above, below = outsideAVX2(&scores[0], n, lo, hi)
+	}
+	a, b := outsideGo(scores[n:], lo, hi)
+	return above + a, below + b
 }

@@ -42,7 +42,11 @@
 // Ranking a strip is the rank merge (blockQuery.count): every score of the
 // strip is compared with the true triple's score — countGo, or on AVX2 its
 // vector twin (count_amd64.s), eight scores a step — and then what the answer
-// and the known positives inside the strip added is taken back. Each of them
+// and the known positives inside the strip added is taken back. On the
+// 512-bit lane the strip holds approximate scores within a proven bound
+// (kgc.BatchScorer.RankBlock): the compare is then against a window around
+// the true triple's score, and what falls inside it is rescored exactly
+// (count.go proves why the ranks stay exact). Each of them
 // is one lookup in a position index of the block's pool (poolIndex: 1 plus
 // the first index of each id), which the worker fills once per block and
 // clears when the block ends. The index is |E|·4 bytes per worker, 48 KB at
@@ -114,7 +118,8 @@ type StageTimings struct {
 	// every score with the true triple's, then the correction for the answer
 	// and the known positives, each looked up in the pool's position index.
 	// Filling that index before a block's sweep and clearing it after are
-	// booked here too.
+	// booked here too, and so is the exact rescoring of the candidates an
+	// approximate score could not place.
 	RankMerge time.Duration
 }
 
@@ -251,72 +256,6 @@ type blockQuery struct {
 	score        float64 // the true triple's score
 	known        []int32 // known positives (sorted, the FilterIndex layout) the sweep has not passed
 	better, ties int
-}
-
-// count adds one strip to the counters — the scores of the pool's
-// candidates x.pool[j0:j0+len(scores)]: how many that are neither the answer
-// nor a known positive score strictly better than the true triple, and how
-// many tie with it. It counts first and corrects after: every score is
-// compared with no filtering in the loop (countScores, a vector compare
-// where there is one), then the answer and the known positives up to the
-// strip's last id are each looked up once in the pool's position index and
-// what their copies inside the strip added is taken back. The pool may repeat
-// an id; known must not (FilterIndex lists are sortedUnique), or an id would
-// be taken back twice. An empty strip counts nothing.
-//
-// NaN sorts below every number and ties with NaN. A NaN candidate therefore
-// needs nothing of the comparisons (both are false), but a NaN answer does:
-// every number beats it, so it takes a loop of its own.
-func (q *blockQuery) count(x *poolIndex, j0 int, scores []float64) {
-	if len(scores) == 0 {
-		return
-	}
-	better, ties := 0, 0
-	if q.score != q.score {
-		for _, s := range scores {
-			if s == s {
-				better++
-			} else {
-				ties++
-			}
-		}
-	} else {
-		better, ties = countScores(scores, q.score)
-	}
-	q.better += better
-	q.ties += ties
-
-	last := x.pool[j0+len(scores)-1]
-	q.uncount(x, j0, scores, q.truth)
-	ki := 0
-	for ; ki < len(q.known) && q.known[ki] <= last; ki++ {
-		if k := q.known[ki]; k != q.truth {
-			q.uncount(x, j0, scores, k)
-		}
-	}
-	if ki > 0 && q.known[ki-1] == last {
-		ki-- // a pool that repeats an id may repeat it across the strip's edge
-	}
-	q.known = q.known[ki:]
-}
-
-// uncount takes back what the copies of id in the strip (the candidates
-// x.pool[j0:j0+len(scores)]) added. The index says where id's first copy
-// sits; the copies are consecutive from there.
-func (q *blockQuery) uncount(x *poolIndex, j0 int, scores []float64, id int32) {
-	i := x.first(id)
-	if i < 0 {
-		return
-	}
-	nan, end := q.score != q.score, j0+len(scores)
-	for i = max(i, j0); i < end && x.pool[i] == id; i++ {
-		switch s := scores[i-j0]; {
-		case s > q.score, nan && s == s:
-			q.better--
-		case s == q.score, nan:
-			q.ties--
-		}
-	}
 }
 
 // rank is the filtered rank once the whole pool has been counted:

@@ -26,6 +26,7 @@ type evalInstruments struct {
 	passesTotal     *obs.Counter
 	queriesTotal    *obs.Counter
 	candidatesTotal *obs.Counter
+	rescoredTotal   *obs.Counter
 }
 
 func newEvalInstruments(reg *obs.Registry) *evalInstruments {
@@ -52,6 +53,8 @@ func newEvalInstruments(reg *obs.Registry) *evalInstruments {
 			"Ranking queries evaluated (two per triple: tail and head)."),
 		candidatesTotal: reg.Counter("kgeval_eval_candidates_scored_total",
 			"Candidate entity scorings performed — the evaluation's true workload."),
+		rescoredTotal: reg.Counter("kgeval_eval_candidates_rescored_total",
+			"Candidates the rank count scored a second time, exactly, because an approximate score (the 512-bit lane's FMA dot product or RotatE root) lay too close to the true triple's to settle its rank, or no error bound held. Always 0 on the avx2 and go lanes."),
 	}
 }
 

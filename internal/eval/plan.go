@@ -295,9 +295,11 @@ type pass struct {
 type worker struct {
 	bs     kgc.BatchScorer
 	scores []float64    // block queries × strip
+	bounds []kgc.Bound  // each block query's Bound over the strip (RankBlock)
 	ents   []int32      // one relation's query entities, while its queries are built
 	qs     []blockQuery // the block's directed queries
 	ix     *poolIndex   // the position index of the block's pool
+	win    window       // the strip's window, one query at a time; win.rescored is the pass's tally
 
 	scored, scoreNS, rankNS, strips int64
 }
@@ -337,11 +339,14 @@ func runPass(m kgc.Model, p *plan, opts Options, entities, progressTotal int, do
 
 	res := Result{Metrics: metricsFromRanks(ps.ranks)}
 	res.Stages = StageTimings{PlanCompile: p.compileTime, PoolDraw: p.poolTime}
+	var rescored int64
 	for i := range workers {
 		res.CandidatesScored += workers[i].scored
 		res.Stages.Score += time.Duration(workers[i].scoreNS)
 		res.Stages.RankMerge += time.Duration(workers[i].rankNS)
+		rescored += workers[i].win.rescored
 	}
+	instruments.rescoredTotal.Add(rescored)
 	if ps.span != nil {
 		// Score and rank_merge are CPU time summed across workers (see
 		// StageTimings), not wall intervals; they are rendered as synthetic
@@ -351,7 +356,8 @@ func runPass(m kgc.Model, p *plan, opts Options, entities, progressTotal int, do
 			trace.String("timing", "cpu-summed"))
 		ps.span.ChildRecord("eval.rank_merge", start, start.Add(res.Stages.RankMerge),
 			trace.String("timing", "cpu-summed"))
-		ps.span.End(trace.Int("queries", res.Queries), trace.Int64("candidates_scored", res.CandidatesScored))
+		ps.span.End(trace.Int("queries", res.Queries), trace.Int64("candidates_scored", res.CandidatesScored),
+			trace.Int64("rescored", rescored))
 	}
 	res.Elapsed = time.Since(start)
 	return res
@@ -443,6 +449,8 @@ func (ps *pass) runBlock(w *worker, t batchTask, pool []int32, tails, heads bool
 		strip &^= 3
 	}
 	w.scores = kgc.Grow(w.scores, nq*min(strip, len(pool)))
+	w.bounds = kgc.Grow(w.bounds, nq)
+	w.win.bs = bs
 	built := time.Now()
 	w.scoreNS += int64(built.Sub(start))
 	w.ix.index(pool, ps.entities)
@@ -451,11 +459,13 @@ func (ps *pass) runBlock(w *worker, t batchTask, pool []int32, tails, heads bool
 	for j0 := 0; j0 < len(pool) && ps.opts.Ctx.Err() == nil; j0 += strip {
 		cands := pool[j0:min(j0+strip, len(pool))]
 		nc := len(cands)
-		bs.ScoreBlock(cands, w.scores[:nq*nc])
+		bs.RankBlock(cands, w.scores[:nq*nc], w.bounds)
 		scored := time.Now()
 		w.scoreNS += int64(scored.Sub(start))
+		w.win.cands = cands
 		for i := range qs {
-			qs[i].count(w.ix, j0, w.scores[i*nc:(i+1)*nc])
+			w.win.i, w.win.b = i, w.bounds[i]
+			qs[i].countWithin(w.ix, j0, w.scores[i*nc:(i+1)*nc], &w.win)
 		}
 		start = time.Now()
 		w.rankNS += int64(start.Sub(scored))

@@ -72,6 +72,9 @@ func TestEvaluateTraced(t *testing.T) {
 		if p.Attr("kernel") != kgc.Kernel() {
 			t.Fatalf("pass kernel attr = %v, the process scores on %q", p.Attr("kernel"), kgc.Kernel())
 		}
+		if r, ok := p.Attr("rescored").(int64); !ok || r != 0 {
+			t.Fatalf("pass rescored attr = %v, want 0: a plain model's scores are exact", p.Attr("rescored"))
+		}
 		if q, ok := p.Attr("queries").(int); !ok || q != results[0].Queries {
 			t.Fatalf("pass queries attr = %v, want %d", p.Attr("queries"), results[0].Queries)
 		}

@@ -14,7 +14,9 @@ import "math"
 // float64, a block's scores must be bit-identical to the model's own
 // ScoreTails/ScoreHeads for the same queries. The evaluation engine ranks raw
 // float scores by equality; its test oracle scores through the model's
-// per-query methods.
+// per-query methods. The one exception is RankBlock, which is for ranking
+// alone: its scores may miss ScoreBlock's by a stated Bound, and what that
+// Bound cannot settle is settled with Rescore.
 type BatchScorer interface {
 	// BeginBlock empties the block and reserves room for n queries.
 	BeginBlock(n int)
@@ -25,6 +27,15 @@ type BatchScorer interface {
 	// ScoreBlock writes the score of the block's i-th query against cands[j]
 	// into out[i*len(cands)+j]. len(out) must be block queries × len(cands).
 	ScoreBlock(cands []int32, out []float64)
+	// RankBlock is ScoreBlock for a rank: each score of query i it writes
+	// that is a number lies within bounds[i] of what ScoreBlock writes, and a
+	// NaN may stand for any score. len(bounds) must be at least the block's
+	// queries. Where every Bound is zero the scores are ScoreBlock's bits.
+	RankBlock(cands []int32, out []float64, bounds []Bound)
+	// Rescore writes the block's i-th query's ScoreBlock scores against cands
+	// into out[:len(cands)]: what a rank turns to where a Bound cannot settle
+	// a comparison.
+	Rescore(i int, cands []int32, out []float64)
 	// ScoreAnswer is the score of the block's i-th query against entity e,
 	// its true answer, read off the query the block holds. At float64 it is
 	// bit for bit the model's ScoreTriple (tail query) or its ScoreHeads over
@@ -80,6 +91,21 @@ func (a *batchAdapter) ScoreBlock(cands []int32, out []float64) {
 	}
 }
 
+// RankBlock is ScoreBlock: a third-party model's scores are its own.
+func (a *batchAdapter) RankBlock(cands []int32, out []float64, bounds []Bound) {
+	a.ScoreBlock(cands, out)
+	clear(bounds[:len(a.block)])
+}
+
+// Rescore replays query i's own ScoreTails or ScoreHeads over cands.
+func (a *batchAdapter) Rescore(i int, cands []int32, out []float64) {
+	if q := a.block[i]; q.tail {
+		a.ScoreTails(q.e, q.r, cands, out[:len(cands)])
+	} else {
+		a.ScoreHeads(q.r, q.e, cands, out[:len(cands)])
+	}
+}
+
 // ScoreAnswer replays what a third-party model has always seen for a true
 // triple: ScoreTriple for a tail query, ScoreHeads over the one id for a head
 // query (reciprocal-relation models score their candidates that way too).
@@ -115,14 +141,16 @@ func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out [
 // with -tags purego) each kernel has an assembly twin in tile_amd64.s that
 // puts four candidates in the lanes of a vector register and otherwise does
 // what the code below does, operation for operation, so its scores have the
-// same bits; where it also has AVX-512F the dot and L1 kernels have a
-// second twin there with eight candidates per register, the same operations
-// in each lane. storeScorer.score then sends whole groups of four
-// candidates to the installed twin and only the sub-group tails here.
-// Everywhere else these kernels score everything. Either way they are the
-// definition: every twin the CPU can run is tested against them with == on
-// the bits (tile_vec_test.go), and they against the gather oracle
-// (tile_lane_test.go).
+// same bits; where it also has AVX-512F the L1 kernel has a second twin
+// there with eight candidates per register, the same operations in each
+// lane. storeScorer.score then sends whole groups of four candidates to the
+// installed twin and only the sub-group tails here. Everywhere else these
+// kernels score everything. Either way they are the definition: every twin
+// the CPU can run is tested against them with == on the bits
+// (tile_vec_test.go), and they against the gather oracle
+// (tile_lane_test.go). The 512-bit lane's two approximate kernels (an FMA
+// dot product and RotatE's approximate root) serve RankBlock alone, and are
+// tested against these within certBound (tile_cert_test.go).
 //
 // Four candidate rows are scored in flight per step: their accumulator
 // chains are independent, hiding the FP add latency that serializes a lone
@@ -139,7 +167,8 @@ func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out [
 // of M as candidates, scoreDotTile(t, M, d, 0, d, d, q). It is as fast as
 // scalar Go gets — one multiply-add per cycle, the machine's measured scalar
 // FMA roofline, 0.24–0.31 ns per candidate·dim on an L1-resident tile — and
-// its vector twins run at 0.08–0.10 (256-bit) and 0.06–0.07 (512-bit).
+// its AVX2 twin runs at 0.08–0.10, the 512-bit lane's FMA kernel, for
+// ranks, at 0.03–0.04.
 func scoreDotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	nq := len(qs) / dim
 	for i := 0; i < nq; i++ {
@@ -229,8 +258,8 @@ func cmod(re, im float64) float64 {
 // serves both directions. The square roots do not pipeline as deeply as the
 // dot kernel's multiply-adds, so this kernel is sqrt-bound, not add-bound
 // (1.2–1.3 ns per candidate·dim), and so is its AVX2 twin on the divider
-// (VSQRTPD, 0.64–0.66). The 512-bit twin takes half its roots from the FMA
-// units instead, each verified to be the correctly rounded one, at 0.33–0.35.
+// (VSQRTPD, 0.64–0.66). The 512-bit lane's kernel for ranks takes an
+// approximate root from the FMA units instead, within 2⁻²⁷ of it.
 func scoreRotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	half := dim / 2
 	nq := len(qs) / dim

@@ -1,6 +1,7 @@
 package kgc
 
 import (
+	"math"
 	"slices"
 	"sync"
 
@@ -129,17 +130,70 @@ var goKernels = [numKinds]tileFunc{kindDot: scoreDotTile, kindL1: scoreL1Tile, k
 // it stays nil and the Go kernels score everything.
 var vecKernels [numKinds]tileFunc
 
+// certKernels holds, for each kind, the rank path's approximate kernel, or
+// nil where the rank path runs the exact one. It is installed with
+// vecKernels, from the same lane; only the 512-bit lane has entries (the
+// FMA dot kernel and RotatE's approximate root). Its scores are within
+// certBound of the Go kernel's, not equal to them: it serves RankBlock of a
+// float64 scorer, and nothing that hands a score to a caller.
+var certKernels [numKinds]tileFunc
+
 // vecLane is one set of vector twins of the Go tile kernels, named as Kernel
-// reports it.
+// reports it, and the rank path's approximate kernels of that lane.
 type vecLane struct {
 	name    string
-	kernels [numKinds]tileFunc
+	kernels [numKinds]tileFunc // the same bits as goKernels
+	cert    [numKinds]tileFunc // within certBound of goKernels, or nil
 }
 
 // vecLanes lists every vector lane this CPU can run, narrowest first: avx2,
-// then avx512 where the CPU has it. The last is installed in vecKernels; the
-// tests hold each of them to the Go kernels.
+// then avx512 where the CPU has it. The last is installed in vecKernels and
+// certKernels; the tests hold each of them to the Go kernels.
 var vecLanes []vecLane
+
+// Bound is how far the rank path may write one query's scores from their
+// definition, the Go kernel's: |written − defined| ≤ Abs + Rel·|written| for
+// every written score that is a number. A NaN may stand for any score. The
+// zero Bound says the scores are the definition's bits.
+type Bound struct{ Abs, Rel float64 }
+
+// certBound is the Bound of one query's scores from kind's approximate
+// kernel, over dim values a candidate: norm is the query's ‖q‖₁ (the dot
+// kernel's only), maxAbs the largest |value| of the candidates the kernel
+// scored (store.TileColumns), maxBias the largest |bias| added after it, or
+// 0 without one. ok is false where no bound holds: a value or product large
+// enough that one sum could overflow where the other does not, a NaN or
+// infinity among the query's values, or a dim past what the proof covers.
+// The kernels' headers in tile_amd64.s prove the bounds; this states them,
+// rounded up:
+//
+//   - dot: 2γₙ·‖q‖₁·max|c| + n·2⁻¹⁰⁷⁴ over n = dim products. For n ≤ 2²⁶,
+//     2γₙ/(1 − γₙ) ≤ n·2⁻⁵²·(1 + 2⁻²⁴), the 1/(1 − γₙ) covering the
+//     rounding of norm itself; the factor 1 + 2⁻²⁰ covers the roundings
+//     here, and 4·2⁻¹⁰⁷⁴ more the products below that underflow.
+//     ‖q‖₁·max|c| ≤ 2¹⁰⁰⁰ keeps every product and sum of both kernels finite.
+//   - a bias b added after a dot score rounds once more on both sides:
+//     |fl(s+b) − fl(f+b)| ≤ Abs·(1 + u) + 2u/(1 − u)·|fl(f+b)|, so Rel grows
+//     by 2⁻⁵¹ and the 2⁻²⁰ slack takes the (1 + u); |b| ≤ 2¹⁰⁰⁰ keeps the sum
+//     finite.
+//   - RotatE: |f − s| ≤ 2⁻²⁴·|f| for n = dim/2 ≤ 2²⁴ complex dims.
+func certBound(kind tileKind, dim int, norm, maxAbs, maxBias float64) (b Bound, ok bool) {
+	switch kind {
+	case kindDot:
+		if dim > 1<<26 || !(norm*maxAbs <= 0x1p1000) || !(maxBias <= 0x1p1000) {
+			return Bound{}, false
+		}
+		n := float64(dim)
+		b.Abs = n*0x1p-52*norm*maxAbs*(1+0x1p-20) + (n+4)*0x1p-1074
+		if maxBias > 0 {
+			b.Rel = 0x1p-51
+		}
+		return b, true
+	case kindRot:
+		return Bound{Rel: 0x1p-24}, dim/2 <= 1<<24
+	}
+	return Bound{}, true
+}
 
 // rowAcc is the query builders' row-accumulate: rowAccGo, or — installed
 // with vecKernels, by the same build on the same CPUs — its AVX2 twin
@@ -165,12 +219,17 @@ func rowAccGo(out, c, rows []float64, stride int, skipZero bool) {
 }
 
 // Kernel names the scoring lane of this process: "avx512" when the 512-bit
-// tile kernels run (the query builders' row-accumulate stays 256-bit),
-// "avx2" when the 256-bit tile kernels and row-accumulate run, "go"
-// otherwise. All three produce the same scores,
-// bit for bit; the name is for traces and logs, so a timing says which code
-// produced it. (A plain third-party Model is scored through its own methods
-// either way.)
+// kernels run, "avx2" when the 256-bit tile kernels and row-accumulate run,
+// "go" otherwise. Every lane gives a score the same bits wherever a score is
+// handed out (ScoreTails, ScoreHeads, ScoreTriple, the BatchScorer's
+// ScoreBlock, ScoreTailsBatch, ScoreAnswer and Rescore): on the 512-bit lane
+// these run its L1 twin and the AVX2 dot and RotatE twins. What the lanes
+// may not share is the rank path's RankBlock: on the 512-bit lane it runs
+// the FMA dot kernel and RotatE's approximate root, within a Bound that
+// eval's rank count turns into the ranks the exact scores give. The query
+// builders' row-accumulate stays 256-bit on both vector lanes. The name is
+// for traces and logs, so a timing says which code produced it. (A plain
+// third-party Model is scored through its own methods either way.)
 func Kernel() string {
 	if n := len(vecLanes); n > 0 {
 		return vecLanes[n-1].name
@@ -249,7 +308,7 @@ func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 		if tile <= 0 {
 			tile = TileFor(0, b.dim, opts.Precision)
 		}
-		return &storeScorer{
+		s := &storeScorer{
 			m:    bn,
 			st:   b.stores.get(b.ent, opts.Precision),
 			bias: b.bias,
@@ -258,6 +317,13 @@ func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 			kern: goKernels[b.kind],
 			vec:  vecKernels[b.kind],
 		}
+		if opts.Precision == store.Float64 {
+			// Only the transpose of float64 rows knows the tile's largest
+			// |value| (store.TileColumns); a reduced-precision pass trades
+			// bytes, not arithmetic, and ranks from its exact kernels.
+			s.cert = certKernels[b.kind]
+		}
+		return s
 	}
 	return &batchAdapter{Model: m}
 }
@@ -277,6 +343,7 @@ type storeScorer struct {
 	tile int
 	kern tileFunc // the model's Go tile kernel
 	vec  tileFunc // its vector twin; nil on the Go lane
+	cert tileFunc // RankBlock's approximate kernel; nil where RankBlock runs vec
 	sc   scratch
 
 	// block names the block's queries: ScoreAnswer needs the direction and,
@@ -284,24 +351,30 @@ type storeScorer struct {
 	block []directedQuery
 	oneC  [1]int32 // ScoreAnswer's one-candidate pool and its score
 	oneS  [1]float64
+	norms []float64 // ‖q‖₁ of each block query, where the approximate dot kernel runs
 }
 
 // BeginBlock empties the block's query vectors, with room for n.
 func (s *storeScorer) BeginBlock(n int) {
 	s.sc.qs = Grow(s.sc.qs, n*s.m.Dim())[:0]
 	s.block = Grow(s.block, n)[:0]
+	if s.cert != nil && s.m.lane().kind == kindDot {
+		s.norms = Grow(s.norms, n)[:0]
+	}
 }
 
 // AddTails builds the query vectors of (hs[i], r, ?) after the block's last.
 func (s *storeScorer) AddTails(hs []int32, r int32) {
 	s.m.buildTailQueries(hs, r, s.room(len(hs)), &s.sc)
 	s.block = addQueries(s.block, hs, r, true)
+	s.addNorms(len(hs))
 }
 
 // AddHeads builds the query vectors of (?, r, ts[i]) after the block's last.
 func (s *storeScorer) AddHeads(ts []int32, r int32) {
 	s.m.buildHeadQueries(ts, r, s.room(len(ts)), &s.sc)
 	s.block = addQueries(s.block, ts, r, false)
+	s.addNorms(len(ts))
 }
 
 // room adds storage for n query vectors to the block and returns it.
@@ -311,8 +384,63 @@ func (s *storeScorer) room(n int) []float64 {
 	return s.sc.qs[old:]
 }
 
+// addNorms appends ‖q‖₁ of the block's last n queries to norms, where
+// certBound asks for it: the approximate dot kernel's.
+func (s *storeScorer) addNorms(n int) {
+	if s.cert == nil || s.m.lane().kind != kindDot {
+		return
+	}
+	dim := s.m.Dim()
+	for q := range slices.Chunk(s.sc.qs[len(s.sc.qs)-n*dim:], dim) {
+		norm := 0.0
+		for _, v := range q {
+			norm += math.Abs(v)
+		}
+		s.norms = append(s.norms, norm)
+	}
+}
+
 // ScoreBlock scores the block's queries against cands.
-func (s *storeScorer) ScoreBlock(cands []int32, out []float64) { s.score(s.sc.qs, cands, out) }
+func (s *storeScorer) ScoreBlock(cands []int32, out []float64) { s.score(s.sc.qs, cands, out, s.vec) }
+
+// RankBlock is ScoreBlock through the lane's approximate kernel where it has
+// one, each query's scores within bounds[i] of ScoreBlock's (certBound).
+// A query no bound holds for is rescored with the exact kernels before it
+// returns, and gets the zero Bound. Without an approximate kernel it is
+// ScoreBlock, every Bound zero.
+func (s *storeScorer) RankBlock(cands []int32, out []float64, bounds []Bound) {
+	bounds = bounds[:len(s.block)]
+	if s.cert == nil {
+		s.ScoreBlock(cands, out)
+		clear(bounds)
+		return
+	}
+	maxAbs := s.score(s.sc.qs, cands, out, s.cert)
+	maxBias := 0.0
+	if s.bias != nil {
+		for _, c := range cands {
+			maxBias = max(maxBias, math.Abs(s.bias.vec(c)[0]))
+		}
+	}
+	kind, dim, nc := s.m.lane().kind, s.m.Dim(), len(cands)
+	for i := range bounds {
+		norm := 0.0
+		if kind == kindDot {
+			norm = s.norms[i]
+		}
+		b, ok := certBound(kind, dim, norm, maxAbs, maxBias)
+		if !ok {
+			s.Rescore(i, cands, out[i*nc:(i+1)*nc])
+		}
+		bounds[i] = b
+	}
+}
+
+// Rescore writes block query i's ScoreBlock scores against cands into out.
+func (s *storeScorer) Rescore(i int, cands []int32, out []float64) {
+	dim := s.m.Dim()
+	s.score(s.sc.qs[i*dim:(i+1)*dim], cands, out[:len(cands)], s.vec)
+}
 
 // ScoreAnswer scores block query i against e from the vector the block holds,
 // through score's one-candidate path: what ScoreBlock writes for e, and at
@@ -324,9 +452,8 @@ func (s *storeScorer) ScoreAnswer(i int, e int32) float64 {
 	if q := s.block[i]; q.tail && !s.routeTriple() {
 		return s.m.ScoreTriple(q.e, q.r, e)
 	}
-	dim := s.m.Dim()
 	s.oneC[0] = e
-	s.score(s.sc.qs[i*dim:(i+1)*dim], s.oneC[:], s.oneS[:])
+	s.Rescore(i, s.oneC[:], s.oneS[:])
 	return s.oneS[0]
 }
 
@@ -337,17 +464,18 @@ func (s *storeScorer) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []
 	s.ScoreBlock(cands, out)
 }
 
-// score runs every query in qs over cands one kernel tile at a time, then
-// adds the per-entity bias when the model has one. The only candidate state
-// it ever holds is one tile in sc.tbuf, which stays L1-resident while the
-// queries stream over it.
+// score runs every query in qs over cands one kernel tile at a time, vec
+// taking whole groups of four candidates, then adds the per-entity bias when
+// the model has one. It returns the largest |value| of the rows vec read
+// (store.TileColumns), for certBound. The only candidate state it ever holds
+// is one tile in sc.tbuf, which stays L1-resident while the queries stream
+// over it.
 //
-// The vector kernels take whole groups of four candidates. What a tile has
-// beyond its last whole group — at most three candidates at the end of a
-// pool, or the single candidate of a ScoreAnswer — goes through the Go
-// kernel, which gives a score the same bits, so where the split falls never
-// shows in out.
-func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
+// What a tile has beyond its last whole group — at most three candidates at
+// the end of a pool, or the single candidate of a ScoreAnswer — goes through
+// the Go kernel, which gives a score the same bits as an exact twin, so where
+// the split falls never shows in ScoreBlock's out.
+func (s *storeScorer) score(qs []float64, cands []int32, out []float64, vec tileFunc) (maxAbs float64) {
 	dim := s.m.Dim()
 	nc := len(cands)
 	tile := min(s.tile, nc)
@@ -355,11 +483,13 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
 	for j0 := 0; j0 < nc; j0 += tile {
 		j1 := min(j0+tile, nc)
 		jv := j0 // candidates j0..jv are scored by the vector kernel
-		if s.vec != nil {
+		if vec != nil {
 			jv += (j1 - j0) &^ 3
 		}
 		if jv > j0 {
-			s.vec(qs, s.st.TileColumns(cands[j0:jv], s.sc.tbuf), dim, j0, jv, nc, out)
+			cols, m := s.st.TileColumns(cands[j0:jv], s.sc.tbuf)
+			vec(qs, cols, dim, j0, jv, nc, out)
+			maxAbs = max(maxAbs, m)
 		}
 		if jv < j1 {
 			s.st.Gather(cands[jv:j1], s.sc.tbuf)
@@ -375,6 +505,7 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
 			}
 		}
 	}
+	return maxAbs
 }
 
 // routeTriple reports whether ScoreAnswer scores a tail answer from the

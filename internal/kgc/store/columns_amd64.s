@@ -2,26 +2,35 @@
 
 #include "textflag.h"
 
-// func transpose4AVX(r0, r1, r2, r3 *float64, dim int, dst *float64, stride int)
+// func transpose4AVX(r0, r1, r2, r3 *float64, dim int, dst *float64, stride int) (maxAbs float64)
 //
 // Writes dst[k*stride+l] = r_l[k] for k < dim, l < 4: four table rows become
 // four adjacent columns of a candidate-minor tile. Four dims at a time are a
 // 4×4 transpose (two 128-bit halves per row pair, then unpack low/high); the
-// dim%4 remainder is assembled one column at a time. Moves only, no
-// arithmetic: the values are the table's bits.
-TEXT ·transpose4AVX(SB), NOSPLIT, $0-56
-	MOVQ r0+0(FP), R8
-	MOVQ r1+8(FP), R9
-	MOVQ r2+16(FP), R10
-	MOVQ r3+24(FP), R11
-	MOVQ dim+32(FP), CX
-	MOVQ dst+40(FP), DI
-	MOVQ stride+48(FP), R13
-	SHLQ $3, R13            // column stride in bytes
-	MOVQ CX, BX
-	ANDQ $3, BX             // BX = dim % 4
-	SHRQ $2, CX             // CX = dim / 4
-	JZ   tail
+// dim%4 remainder is assembled one column at a time. The values are moved,
+// never rounded: they are the table's bits.
+//
+// It also returns the largest |value| it moved, for the rank path's error
+// bound: every output vector has its signs cleared (VANDPD, Y9 holds every
+// bit but the sign) and is folded into Y8 with VMAXPD. VMAXPD does not keep
+// a NaN, so the result bounds every value that is a number (an infinity
+// included), and that is all it promises.
+TEXT ·transpose4AVX(SB), NOSPLIT, $0-64
+	MOVQ      r0+0(FP), R8
+	MOVQ      r1+8(FP), R9
+	MOVQ      r2+16(FP), R10
+	MOVQ      r3+24(FP), R11
+	MOVQ      dim+32(FP), CX
+	MOVQ      dst+40(FP), DI
+	MOVQ      stride+48(FP), R13
+	SHLQ      $3, R13       // column stride in bytes
+	VXORPD    Y8, Y8, Y8    // running max of |value|
+	VPCMPEQD  Y9, Y9, Y9
+	VPSRLQ    $1, Y9, Y9    // every bit but the sign
+	MOVQ      CX, BX
+	ANDQ      $3, BX        // BX = dim % 4
+	SHRQ      $2, CX        // CX = dim / 4
+	JZ        tail
 
 block:
 	VMOVUPD     (R8), X0
@@ -41,6 +50,14 @@ block:
 	VMOVUPD     Y5, (DI)(R13*1)
 	VMOVUPD     Y6, (DX)
 	VMOVUPD     Y7, (DX)(R13*1)
+	VANDPD      Y9, Y4, Y4
+	VANDPD      Y9, Y5, Y5
+	VANDPD      Y9, Y6, Y6
+	VANDPD      Y9, Y7, Y7
+	VMAXPD      Y5, Y4, Y4
+	VMAXPD      Y7, Y6, Y6
+	VMAXPD      Y6, Y4, Y4
+	VMAXPD      Y4, Y8, Y8
 	ADDQ        $32, R8
 	ADDQ        $32, R9
 	ADDQ        $32, R10
@@ -60,6 +77,8 @@ column:
 	VMOVHPD     (R11), X1, X1       // c d
 	VINSERTF128 $1, X1, Y0, Y0
 	VMOVUPD     Y0, (DI)
+	VANDPD      Y9, Y0, Y0
+	VMAXPD      Y0, Y8, Y8
 	ADDQ        $8, R8
 	ADDQ        $8, R9
 	ADDQ        $8, R10
@@ -69,5 +88,10 @@ column:
 	JNZ         column
 
 done:
+	VEXTRACTF128 $1, Y8, X0
+	VMAXPD       X0, X8, X8
+	VPERMILPD    $1, X8, X0
+	VMAXPD       X0, X8, X8
+	VMOVSD       X8, maxAbs+56(FP)
 	VZEROUPPER
 	RET

@@ -20,6 +20,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 
 	"kgeval/internal/faults"
 )
@@ -195,17 +196,27 @@ func quantizeRow(src []float64, dst []int8, scale, zero []float32) {
 // consecutive candidates in adjacent lanes. The values are Gather's, bit for
 // bit: Float64 rows are moved (transposed four at a time in assembly where
 // the CPU has AVX2), every other row goes through scatterRow.
-func (s *Store) TileColumns(ids []int32, buf []float64) []float64 {
+//
+// It also returns maxAbs, the largest |v| over the values v it placed that
+// are numbers (or NaN where one is not), for the rank path's error bound,
+// or +Inf where it does not know it: the transpose takes it on the way
+// through whole groups of four Float64 rows (the fill is memory-bound, so
+// it costs nothing measurable), and a row placed one at a time reports
+// +Inf, which no bound accepts.
+func (s *Store) TileColumns(ids []int32, buf []float64) (cols []float64, maxAbs float64) {
 	n := len(ids)
 	buf = buf[:n*s.dim]
 	t := 0
 	if s.prec == Float64 {
-		t = s.columnsAVX(ids, buf)
+		t, maxAbs = s.columnsAVX(ids, buf)
+	}
+	if t < n {
+		maxAbs = math.Inf(1)
 	}
 	for ; t < n; t++ {
 		s.scatterRow(int(ids[t]), buf[t:], n)
 	}
-	return buf
+	return buf, maxAbs
 }
 
 // Gather copies or dequantizes the rows of ids into dst as one contiguous

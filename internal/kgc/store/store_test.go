@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"kgeval/internal/cpu"
 )
 
 func randRows(rows, dim int, seed int64) []float64 {
@@ -235,6 +237,9 @@ func TestBytesFootprint(t *testing.T) {
 // named shapes below: a run, a run to the table's end, a single row, a run
 // with a gap, an unordered run, a repeated id and an empty pool. Neither
 // writes outside dst[:len(ids)*dim]: the guard words on both sides survive.
+// The largest |value| TileColumns reports is the rows' own, -Inf included,
+// where the transpose placed them all (whole groups of four float64 rows on
+// AVX2), and +Inf, unknown, where a row went through scatterRow.
 func TestTileColumnsMatchesGather(t *testing.T) {
 	const rows, guard = 70, 8
 	sentinel := math.Float64frombits(0x7ff8dead0000beef)
@@ -293,13 +298,15 @@ func TestTileColumnsMatchesGather(t *testing.T) {
 				rowsBuf, rowsOK := guarded(n * dim)
 				s.Gather(ids, rowsBuf)
 				colsBuf, colsOK := guarded(n * dim)
-				cols := s.TileColumns(ids, colsBuf)
+				cols, maxAbs := s.TileColumns(ids, colsBuf)
 				if len(cols) != n*dim {
 					t.Fatalf("%v dim=%d %s: TileColumns returned %d values", p, dim, name, len(cols))
 				}
+				wantMax := 0.0
 				for j, id := range ids {
 					s.Row(id, row)
 					for k, w := range row {
+						wantMax = max(wantMax, math.Abs(w))
 						if g := rowsBuf[j*dim+k]; math.Float64bits(g) != math.Float64bits(w) {
 							t.Fatalf("%v dim=%d %s: Gather row %d dim %d = %x, Row %x",
 								p, dim, name, j, k, math.Float64bits(g), math.Float64bits(w))
@@ -309,6 +316,10 @@ func TestTileColumnsMatchesGather(t *testing.T) {
 								p, dim, name, j, k, math.Float64bits(g), math.Float64bits(w))
 						}
 					}
+				}
+				transposed := cpu.AVX2 && p == Float64 && n%4 == 0 && n > 0
+				if transposed && maxAbs != wantMax || !transposed && n > 0 && !math.IsInf(maxAbs, 1) {
+					t.Fatalf("%v dim=%d %s: TileColumns reports max |value| %v, the rows hold %v (transposed: %v)", p, dim, name, maxAbs, wantMax, transposed)
 				}
 				if !rowsOK() || !colsOK() {
 					t.Fatalf("%v dim=%d %s: a guard word was overwritten (Gather %v, TileColumns %v)",

@@ -7,7 +7,9 @@ import "kgeval/internal/cpu"
 // The assembly kernels of tile_amd64.s. Each scores nq queries of dim values
 // (qs) against the n candidates of a candidate-minor tile (cols, n a
 // positive multiple of four) and writes query i's scores to out[i*nc:][:n].
-// They trust their arguments; vecTile is the only caller.
+// They trust their arguments; vecTile is the only caller. The AVX2 kernels
+// and l1TileAVX512 give every score the Go kernel's bits; dotTileFMA512 and
+// rotTileApprox512 give it within certBound, for ranks only.
 
 //go:noescape
 func dotTileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
@@ -19,16 +21,13 @@ func l1TileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc
 func rotTileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 
 //go:noescape
-func dotTileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
-
-//go:noescape
 func l1TileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 
-// rotTileAVX512 also returns how many eight-candidate vectors its FMA square
-// root handed back to VSQRTPD. The lane ignores the count; the tests pin it.
-//
 //go:noescape
-func rotTileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int) (fallbacks int)
+func dotTileFMA512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+
+//go:noescape
+func rotTileApprox512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 
 // The assembly row-accumulate of rowacc_amd64.s: rowAccGo over n outputs
 // and nrows rows. It trusts its arguments; vecRowAcc is the only caller.
@@ -37,8 +36,10 @@ func rotTileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64,
 func rowAccAVX2(out *float64, n int, c *float64, nrows int, rows *float64, stride int, skipZero bool)
 
 // init lists the vector lanes this CPU runs, narrowest first, and installs
-// the widest. The 512-bit lane has a twin of every tile kernel; the
-// row-accumulate under the query builders stays 256-bit on both lanes.
+// the widest. The 512-bit lane scores L1 with its own twin and the dot and
+// RotatE kernels with the AVX2 twins, which keep the bits; its rank path
+// runs the FMA dot kernel and RotatE's approximate root. The row-accumulate
+// under the query builders stays 256-bit on both lanes.
 func init() {
 	if !cpu.AVX2 {
 		return
@@ -50,15 +51,20 @@ func init() {
 	}}
 	vecLanes = []vecLane{avx2}
 	if cpu.AVX512 {
-		vecLanes = append(vecLanes, vecLane{name: "avx512", kernels: [numKinds]tileFunc{
-			kindDot: vecTile(dotTileAVX512, 1),
-			kindL1:  vecTile(l1TileAVX512, 1),
-			kindRot: vecTile(func(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int) {
-				rotTileAVX512(qs, nq, cols, dim, n, out, nc)
-			}, 2),
-		}})
+		vecLanes = append(vecLanes, vecLane{name: "avx512",
+			kernels: [numKinds]tileFunc{
+				kindDot: avx2.kernels[kindDot],
+				kindL1:  vecTile(l1TileAVX512, 1),
+				kindRot: avx2.kernels[kindRot],
+			},
+			cert: [numKinds]tileFunc{
+				kindDot: vecTile(dotTileFMA512, 1),
+				kindRot: vecTile(rotTileApprox512, 2),
+			},
+		})
 	}
-	vecKernels = vecLanes[len(vecLanes)-1].kernels
+	widest := vecLanes[len(vecLanes)-1]
+	vecKernels, certKernels = widest.kernels, widest.cert
 	rowAcc = vecRowAcc
 }
 

@@ -2,22 +2,24 @@
 
 #include "textflag.h"
 
-// AVX2 twins of the Go tile kernels in batch.go, and AVX-512F twins of them
-// (after the AVX2 ones), over a candidate-minor tile
+// AVX2 twins of the Go tile kernels in batch.go, an AVX-512F twin of the L1
+// kernel (after the AVX2 ones), and two AVX-512F kernels that approximate the
+// dot and RotatE scores for the rank path, all over a candidate-minor tile
 // (cols[k*n+t] is dimension k of the tile's t-th candidate; n, a multiple of
-// four, is also the column stride). tile_amd64.go's init installs the 512-bit
-// twins where cpu.AVX512 holds and the AVX2 ones elsewhere.
+// four, is also the column stride). tile_amd64.go's init installs them.
 //
 // The four lanes of a YMM register (eight of a ZMM register) hold
-// *candidates*, never dims of one candidate. A lane therefore performs, in order, exactly the scalar
-// kernel's operations for its candidate: one rounded multiply and one
-// rounded add per dim for the dot product (VMULPD then VADDPD — never a
-// fused multiply-add, which would round once), subtract / clear sign / add
-// for L1, and subtract, subtract, square, square, add, square root, add for
-// the complex modulus (the 512-bit RotatE kernel takes some roots from FMA
-// steps, but only roots proven to be the correctly rounded ones). No
-// reduction runs across lanes, so every score has the bits the Go kernel
-// gives it.
+// *candidates*, never dims of one candidate. A twin's lane therefore
+// performs, in order, exactly the scalar kernel's operations for its
+// candidate: one rounded multiply and one rounded add per dim for the dot
+// product (VMULPD then VADDPD — never a fused multiply-add, which would round
+// once), subtract / clear sign / add for L1, and subtract, subtract, square,
+// square, add, square root, add for the complex modulus. No reduction runs
+// across lanes, so every score a twin writes has the bits the Go kernel gives
+// it. The two approximate kernels, dotTileFMA512 and rotTileApprox512, keep
+// the lane layout and the dim order but not the bits: each promises a bound
+// on its distance from the Go kernel's score, proved where it is defined
+// below, and the rank path rescores whatever that bound cannot settle.
 //
 // Each kernel walks the tile in groups of 32, 16, 8 and 4 candidates — 8, 4,
 // 2 or 1 independent accumulators — and streams every query over a group
@@ -225,16 +227,16 @@ rdone:
 	VZEROUPPER
 	RET
 
-// The 512-bit twins of the dot and L1 kernels. A ZMM register holds eight
-// candidates, and each lane runs, in dim order, the operations of the YMM
-// kernels above, so the scores keep their bits. They walk the tile in groups
-// of 32, 16 and 8 candidates (four, two or one ZMM accumulators per query),
-// then one YMM step for a last group of four. Over a group the queries go
-// two at a time and share every column load: a 32-candidate group keeps
-// eight independent chains in flight. An odd last query goes alone. Only
-// AVX-512F instructions appear (VPANDQ and VPXORQ, not the DQ subset's
-// VANDPD and VXORPD on ZMM); the YMM step is VEX-encoded AVX. RotatE's
-// 512-bit twin, after these, walks its groups differently.
+// The 512-bit dot and L1 kernels. A ZMM register holds eight candidates.
+// They walk the tile in groups of 32, 16 and 8 candidates (four, two or one
+// ZMM accumulators per query), then one YMM step for a last group of four.
+// Over a group the queries go two at a time and share every column load: a
+// 32-candidate group keeps eight independent chains in flight. An odd last
+// query goes alone. Only AVX-512F instructions appear (VPANDQ and VPXORQ,
+// not the DQ subset's VANDPD and VXORPD on ZMM); the YMM step is VEX-encoded
+// AVX. The L1 kernel's lanes run, in dim order, the operations of the YMM
+// kernel above, so its scores keep their bits. RotatE's kernel, after these,
+// walks its groups differently.
 //
 // Registers beyond those of the YMM kernels:
 //	R10      bytes from one query to the next in qs (dim*8); the pair's
@@ -326,17 +328,37 @@ done: \
 #define COLS4 \
 	VMOVUPD (R11), Y14
 
-// acc += q * col (either width)
+// The dot kernel fuses each dim's multiply and add: acc += q·col rounds once
+// (VFMADD231PD), where the Go kernel rounds the product and then the sum.
+// The YMM step for a last group of four keeps VMULPD then VADDPD.
+//
+// Why that is safe for a rank. Both sums add the same n products
+// pₖ = q[k]·col[k] in dim order, one rounding per step, so each lies within
+// γₙ·Σ|pₖ| of the exact Σpₖ, γₙ = nu/(1 − nu) with u = 2⁻⁵³ (Higham,
+// Accuracy and Stability of Numerical Algorithms, §3.1), as long as no step
+// underflows; a step that does (a product or a sum below 2⁻¹⁰²², where
+// rounding is absolute) adds at most 2⁻¹⁰⁷⁵. Hence
+//	|fma − mul+add| ≤ 2γₙ·‖q‖₁·max|col[k]| + n·2⁻¹⁰⁷⁴,
+// while ‖q‖₁·max|col[k]| is far enough below the overflow threshold that
+// neither sum can overflow where the other does not. kgc's certBound states
+// that bound per query and gates the rest; eval's count settles every
+// candidate outside it and rescores the others with the Go kernel.
+
+// acc += q * col, rounded twice (the YMM step)
 #define DOTV(col, q, tmp, acc) \
 	VMULPD col, q, tmp; \
 	VADDPD tmp, acc, acc
 
-#define DOTA32 DOTV(Z16, Z12, Z8, Z0); DOTV(Z17, Z12, Z8, Z1); DOTV(Z18, Z12, Z8, Z2); DOTV(Z19, Z12, Z8, Z3)
-#define DOTB32 DOTV(Z16, Z13, Z9, Z4); DOTV(Z17, Z13, Z9, Z5); DOTV(Z18, Z13, Z9, Z6); DOTV(Z19, Z13, Z9, Z7)
-#define DOTA16 DOTV(Z16, Z12, Z8, Z0); DOTV(Z17, Z12, Z8, Z1)
-#define DOTB16 DOTV(Z16, Z13, Z9, Z4); DOTV(Z17, Z13, Z9, Z5)
-#define DOTA8 DOTV(Z16, Z12, Z8, Z0)
-#define DOTB8 DOTV(Z16, Z13, Z9, Z4)
+// acc += q * col, rounded once
+#define FMAV(col, q, acc) \
+	VFMADD231PD col, q, acc
+
+#define FMAA32 FMAV(Z16, Z12, Z0); FMAV(Z17, Z12, Z1); FMAV(Z18, Z12, Z2); FMAV(Z19, Z12, Z3)
+#define FMAB32 FMAV(Z16, Z13, Z4); FMAV(Z17, Z13, Z5); FMAV(Z18, Z13, Z6); FMAV(Z19, Z13, Z7)
+#define FMAA16 FMAV(Z16, Z12, Z0); FMAV(Z17, Z12, Z1)
+#define FMAB16 FMAV(Z16, Z13, Z4); FMAV(Z17, Z13, Z5)
+#define FMAA8 FMAV(Z16, Z12, Z0)
+#define FMAB8 FMAV(Z16, Z13, Z4)
 #define DOTA4 DOTV(Y14, Y12, Y8, Y0)
 #define DOTB4 DOTV(Y14, Y13, Y9, Y4)
 
@@ -353,12 +375,12 @@ done: \
 #define PUTA4 PUT(Y0, 0)
 #define PUTB4 PUTB(Y4, 0)
 
-// func dotTileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
-TEXT ·dotTileAVX512(SB), NOSPLIT, $0-56
+// func dotTileFMA512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+TEXT ·dotTileFMA512(SB), NOSPLIT, $0-56
 	SETUPZ
-	WALKZ(32, dz32, dz32p, dz32pk, dz32o, dz32ok, dz32d, dz16, ZEROZ32, COLS32, DOTA32, DOTB32, PUTA32, PUTB32)
-	WALKZ(16, dz16, dz16p, dz16pk, dz16o, dz16ok, dz16d, dz8, ZEROZ16, COLS16, DOTA16, DOTB16, PUTA16, PUTB16)
-	WALKZ(8, dz8, dz8p, dz8pk, dz8o, dz8ok, dz8d, dz4, ZEROZ8, COLS8, DOTA8, DOTB8, PUTA8, PUTB8)
+	WALKZ(32, dz32, dz32p, dz32pk, dz32o, dz32ok, dz32d, dz16, ZEROZ32, COLS32, FMAA32, FMAB32, PUTA32, PUTB32)
+	WALKZ(16, dz16, dz16p, dz16pk, dz16o, dz16ok, dz16d, dz8, ZEROZ16, COLS16, FMAA16, FMAB16, PUTA16, PUTB16)
+	WALKZ(8, dz8, dz8p, dz8pk, dz8o, dz8ok, dz8d, dz4, ZEROZ8, COLS8, FMAA8, FMAB8, PUTA8, PUTB8)
 	WALKZ(4, dz4, dz4p, dz4pk, dz4o, dz4ok, dz4d, dzdone, ZEROY4, COLS4, DOTA4, DOTB4, PUTA4, PUTB4)
 dzdone:
 	VZEROUPPER
@@ -423,58 +445,40 @@ lzdone:
 	VZEROUPPER
 	RET
 
-// The 512-bit twin of the RotatE kernel. Its square roots run on two units at
-// once: in every 32-candidate group, the lanes of two ZMM registers (groups A
-// and C) take VSQRTPD, the divider, and those of the other two (B and D) an
-// FMA root, the multiply-add units. VSQRTPD alone is no faster at 512 bits
-// than at 256, the divider being 256 bits wide, and the FMA root alone only a
-// little faster; split, each unit does half the roots in parallel with the
-// other. A group of 16 gives one register to each unit, a group of 8
-// alternates them from one complex dim to the next, and a last group of four
-// takes the YMM step of rotTileAVX2. The queries go one at a time. Each lane
-// forms x = Δre² + Δim² as kgc.cmod does (VMULPD, VMULPD, VADDPD), takes a
-// root with math.Sqrt's bits from one unit or the other, and adds its roots
-// in dim order, so every score has the bits of the Go kernel. FMA appears
-// inside the root only, never in the sum. Only AVX-512F instructions appear.
+// The RotatE kernel of the rank path. Each lane forms x = Δre² + Δim² as
+// kgc.cmod does (VMULPD, VMULPD, VADDPD: the same x, bit for bit), takes an
+// approximate root of it on the FMA units, and adds the roots in dim order.
+// The groups of 32, 16 and 8 candidates hold four, two and one ZMM
+// accumulators, the queries go one at a time, and a last group of four takes
+// the YMM step of rotTileAVX2 (VSQRTPD, exact). The divider, which VSQRTPD
+// needs, is 256 bits wide and the bottleneck of every exact RotatE kernel;
+// this one leaves it idle.
 //
-// The FMA root of x, and why it is the IEEE root. With y ≈ 1/√x from
-// VRSQRT14PD (relative error below 2⁻¹⁴), g = x·y and h = y/2, a Goldschmidt
-// step (r = ½ − g·h, g += g·r, h += h·r) takes g to √x and h to 1/(2√x)
-// within about 2⁻²⁷, and a second one, of g alone, takes g within an ulp or
-// so. Markstein's correction s = g + (x − g²)·h, whose residual x − g² the
-// FMA gives exactly, then misses √x by about 2⁻⁷⁹ of it before its one
-// rounding, so s is the correctly rounded root unless √x lies that close to a
-// midpoint between two floats (h would have to be exact to the last bits to
-// settle those, and is left as the first step made it). Whether s is the root
-// is then decided exactly, not trusted.
-// Let s > 0 be a normal float, u its ulp, and s⁻ and s⁺ its neighbours (its
-// bit pattern − 1 and + 1). √x rounds to s under round-to-nearest iff it lies
-// strictly between the midpoints (s⁻+s)/2 and (s+s⁺)/2 (the root of a float
-// is never a midpoint), that is iff ((s⁻+s)/2)² < x < ((s+s⁺)/2)². Now x, s·s⁻
-// and s·s⁺ are whole multiples of u²/2, and each squared midpoint exceeds
-// s·s⁻ (or s·s⁺) by u²/4, or u²/16 at a binade's lower edge: no x lies in
-// between, and the condition is Tuckerman's test
-//	s·s⁻ < x ≤ s·s⁺.
-// The kernel reads it off the signs of two FMA residuals, x − s·s⁻ > 0 and
-// x − s·s⁺ ≤ 0. An FMA rounds once, and a rounded value keeps the sign of the
-// exact one unless it underflows to zero or overflows. While x lies in
-// [2⁻⁹⁰⁰, 2⁹⁰⁰], u²/2 is at least 2⁻¹⁰⁰⁵ and the products near x, so neither
-// can happen, and y, g, h and s stay positive and normal. A vector is
-// accepted only if each of its lanes is in that range and passes the test;
-// otherwise (a lane off by an ulp, or x zero, subnormal, infinite, NaN or an
-// overflowed square) the whole vector is recomputed with VSQRTPD on an
-// out-of-line branch, and the kernel returns how many vectors took it.
+// The root, and its error. y = VRSQRT14PD(x) has |y·√x − 1| < 2⁻¹⁴ for every
+// positive finite x, subnormal included. One Goldschmidt step follows:
+//	g = x·y,  e = 1 − g·y (one FMA),  g += (g/2)·e (one FMA).
+// With (1 + η)² = x·y²·(1 + ε₁), ε₁ the rounding of x·y, the step computes
+// g = √x·√(1 + ε₁)·(1 − 3η²/2 − η³/2) before the roundings of e and of the
+// last FMA, which add at most |η|·u and u relative; |η| < 2⁻¹⁴ + u, so the
+// root's relative error is below 2⁻²⁷. y, g and g/2 stay normal for every
+// positive finite x, since √x lies in [2⁻⁵³⁷, 2⁵¹²). x = 0 gives y = +Inf and
+// g = 0·∞, x = +Inf gives g = ∞·0, and x = NaN gives NaN: the approximation
+// of every such candidate is NaN, which the rank path never settles.
+//
+// The score. Every root is ≥ 0, so the kernel's sum f and the Go kernel's s
+// (correctly rounded roots, the same n additions) each lie within γₙ of
+// their exact sums of n terms, whose terms differ by less than 2⁻²⁷ + u
+// relative. Hence |f − s| ≤ c·|f| with c a little above 2⁻²⁷ + 2γₙ, which
+// kgc's certBound rounds up to 2⁻²⁴ while n ≤ 2²⁴ and refuses to bound
+// beyond. Only AVX-512F instructions appear.
 //
 // Registers beyond those of rotTileAVX2:
 //	Z0-Z3    accumulators, groups A-D (Y0 in the YMM step)
-//	Z4-Z7    x, groups A-D; A's and C's root replaces their x
-//	Z8-Z9    Δim²
+//	Z4-Z7    x, groups A-D, then g/2
+//	Z8-Z9, Z14-Z15   Δim², then y, then e, groups A-D
+//	Z16-Z19  g, groups A-D
 //	Z10      sign bit
-//	Z16-Z18  the FMA root of group B (and of the 16 and 8 groups): s, h, r
-//	Z20      0.5 in every lane, Z21 the integer 1, Z22 2⁻⁹⁰⁰, Z23 2⁹⁰⁰, Z24 zero
-//	Z26-Z28  the FMA root of group D
-//	K1, K2   lanes that pass, groups B and D; K7 0xff00, so KORTESTW with K7
-//	         sets CF iff all eight lanes pass
+//	Z20      0.5 in every lane, Z21 1.0
 
 // x = (q.re − cols.re)² + (q.im − cols.im)² for one register of candidates.
 #define MODX(off, x, t) \
@@ -484,33 +488,14 @@ lzdone:
 	VMULPD t, t, t; \
 	VADDPD t, x, x
 
-// FMAROOT sets s to √x, correctly rounded, in the lanes it sets in k; when
-// one lane is not set, fix recomputes the vector and comes back to back.
-#define FMAROOT(x, s, h, r, k, fix, back) \
-	VRSQRT14PD   x, h; \
-	VMULPD       h, x, s; \
-	VMULPD       Z20, h, h; \
-	VMOVAPD      Z20, r; \
-	VFNMADD231PD h, s, r; \
-	VFMADD231PD  r, s, s; \
-	VFMADD231PD  r, h, h; \
-	VMOVAPD      Z20, r; \
-	VFNMADD231PD h, s, r; \
-	VFMADD231PD  r, s, s; \
-	VMOVAPD      x, r; \
-	VFNMADD231PD s, s, r; \
-	VFMADD231PD  r, h, s; \
-	VCMPPD       $0x1d, Z22, x, k; \
-	VCMPPD       $0x12, Z23, x, k, k; \
-	VPSUBQ       Z21, s, h; \
-	VFNMADD213PD x, s, h; \
-	VPADDQ       Z21, s, r; \
-	VFNMADD213PD x, s, r; \
-	VCMPPD       $0x1e, Z24, h, k, k; \
-	VCMPPD       $0x12, Z24, r, k, k; \
-	KORTESTW     K7, k; \
-	JCC          fix; \
-back:
+// acc += √x, approximately; y and g are temporaries, x is overwritten.
+#define ROOTADD(x, y, g, acc) \
+	VRSQRT14PD   x, y; \
+	VMULPD       y, x, g; \
+	VFNMADD132PD g, Z21, y; \
+	VMULPD       Z20, g, x; \
+	VFMADD231PD  y, x, g; \
+	VADDPD       g, acc, acc
 
 #define BCAST2Z \
 	VBROADCASTSD (SI), Z12; \
@@ -520,57 +505,34 @@ back:
 #define ZEROR16 ZZ(Z0); ZZ(Z1)
 #define ZEROR8 ZZ(Z0)
 
-#define ROTZ32 \
+#define ROTA32 \
 	MODX(0, Z4, Z8); \
-	MODX(128, Z6, Z9); \
-	VSQRTPD Z4, Z4; \
-	VSQRTPD Z6, Z6; \
-	MODX(64, Z5, Z8); \
-	MODX(192, Z7, Z9); \
-	FMAROOT(Z5, Z16, Z17, Z18, K1, rz32fixb, rz32b); \
-	FMAROOT(Z7, Z26, Z27, Z28, K2, rz32fixd, rz32d); \
-	VADDPD Z4, Z0, Z0; \
-	VADDPD Z16, Z1, Z1; \
-	VADDPD Z6, Z2, Z2; \
-	VADDPD Z26, Z3, Z3
-
-#define ROTZ16 \
-	MODX(0, Z4, Z8); \
-	VSQRTPD Z4, Z4; \
 	MODX(64, Z5, Z9); \
-	FMAROOT(Z5, Z16, Z17, Z18, K1, rz16fix, rz16b); \
-	VADDPD Z4, Z0, Z0; \
-	VADDPD Z16, Z1, Z1
+	MODX(128, Z6, Z14); \
+	MODX(192, Z7, Z15); \
+	ROOTADD(Z4, Z8, Z16, Z0); \
+	ROOTADD(Z5, Z9, Z17, Z1); \
+	ROOTADD(Z6, Z14, Z18, Z2); \
+	ROOTADD(Z7, Z15, Z19, Z3)
 
-// The group of eight takes the divider when an even number of complex dims
-// is left and the FMA root when an odd one is.
-#define ROTZ8 \
+#define ROTA16 \
 	MODX(0, Z4, Z8); \
-	BTL     $0, AX; \
-	JCS     rz8fma; \
-	VSQRTPD Z4, Z16; \
-	JMP     rz8add; \
-rz8fma: \
-	FMAROOT(Z4, Z16, Z17, Z18, K1, rz8fix, rz8b); \
-rz8add: \
-	VADDPD Z16, Z0, Z0
+	MODX(64, Z5, Z9); \
+	ROOTADD(Z4, Z8, Z16, Z0); \
+	ROOTADD(Z5, Z9, Z17, Z1)
 
-// func rotTileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int) (fallbacks int)
-TEXT ·rotTileAVX512(SB), NOSPLIT, $0-64
-	MOVQ         $0, fallbacks+56(FP)
+#define ROTA8 \
+	MODX(0, Z4, Z8); \
+	ROOTADD(Z4, Z8, Z16, Z0)
+
+// func rotTileApprox512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+TEXT ·rotTileApprox512(SB), NOSPLIT, $0-56
 	MOVQ         $0x8000000000000000, AX
 	VPBROADCASTQ AX, Z10
 	MOVQ         $0x3fe0000000000000, AX
 	VPBROADCASTQ AX, Z20
-	MOVQ         $1, AX
+	MOVQ         $0x3ff0000000000000, AX
 	VPBROADCASTQ AX, Z21
-	MOVQ         $0x07b0000000000000, AX
-	VPBROADCASTQ AX, Z22
-	MOVQ         $0x7830000000000000, AX
-	VPBROADCASTQ AX, Z23
-	VPXORQ       Z24, Z24, Z24
-	MOVQ         $0xff00, AX
-	KMOVW        AX, K7
 	SETUP
 	MOVQ  dim+24(FP), R14
 	MOVQ  R14, R10
@@ -580,28 +542,10 @@ TEXT ·rotTileAVX512(SB), NOSPLIT, $0-64
 	SHLQ  $3, R10           // half values of a query, in bytes
 	SHLQ  $3, R14
 	SUBQ  R10, R14          // (dim - half)*8: from the end of the real half to the next query
-	WALK(32, rz32, rz32q, rz32k, rz16, HALFDIMS, ZEROR32, BCAST2Z, ROTZ32, SKIPIM, NEGA32)
-	WALK(16, rz16, rz16q, rz16k, rz8, HALFDIMS, ZEROR16, BCAST2Z, ROTZ16, SKIPIM, NEGA16)
-	WALK(8, rz8, rz8q, rz8k, rz4, HALFDIMS, ZEROR8, BCAST2Z, ROTZ8, SKIPIM, NEGA8)
-	WALK(4, rz4, rz4q, rz4k, rzdone, HALFDIMS, ZERO1, BCAST2, ROT1, SKIPIM, NEG1)
-rzdone:
+	WALK(32, ra32, ra32q, ra32k, ra16, HALFDIMS, ZEROR32, BCAST2Z, ROTA32, SKIPIM, NEGA32)
+	WALK(16, ra16, ra16q, ra16k, ra8, HALFDIMS, ZEROR16, BCAST2Z, ROTA16, SKIPIM, NEGA16)
+	WALK(8, ra8, ra8q, ra8k, ra4, HALFDIMS, ZEROR8, BCAST2Z, ROTA8, SKIPIM, NEGA8)
+	WALK(4, ra4, ra4q, ra4k, radone, HALFDIMS, ZERO1, BCAST2, ROT1, SKIPIM, NEG1)
+radone:
 	VZEROUPPER
 	RET
-
-// The out-of-line fallbacks of the FMA roots: the whole vector on the divider.
-rz32fixb:
-	VSQRTPD Z5, Z16
-	INCQ    fallbacks+56(FP)
-	JMP     rz32b
-rz32fixd:
-	VSQRTPD Z7, Z26
-	INCQ    fallbacks+56(FP)
-	JMP     rz32d
-rz16fix:
-	VSQRTPD Z5, Z16
-	INCQ    fallbacks+56(FP)
-	JMP     rz16b
-rz8fix:
-	VSQRTPD Z4, Z16
-	INCQ    fallbacks+56(FP)
-	JMP     rz8b

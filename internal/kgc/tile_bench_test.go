@@ -28,10 +28,15 @@ func perCandDim(b *testing.B, nq, nc, dim int) {
 // benchLanes runs fn once per scoring lane this CPU can run, as
 // sub-benchmarks "go" and every lane of vecLanes ("avx2", then "avx512"
 // where the CPU has it), so one binary reports each step and a host without
-// a vector lane reports the lane it runs. The Go lane's kernels are nil.
-func benchLanes(b *testing.B, fn func(b *testing.B, lane vecLane)) {
+// a vector lane reports the lane it runs. The Go lane's kernels are nil. A
+// lane with approximate kernels runs once more as "<lane>-rank", rank set:
+// what its rank path (RankBlock) runs.
+func benchLanes(b *testing.B, fn func(b *testing.B, lane vecLane, rank bool)) {
 	for _, lane := range append([]vecLane{{name: "go"}}, vecLanes...) {
-		b.Run(lane.name, func(b *testing.B) { fn(b, lane) })
+		b.Run(lane.name, func(b *testing.B) { fn(b, lane, false) })
+		if slices.ContainsFunc(lane.cert[:], func(f tileFunc) bool { return f != nil }) {
+			b.Run(lane.name+"-rank", func(b *testing.B) { fn(b, lane, true) })
+		}
 	}
 }
 
@@ -53,7 +58,8 @@ func benchPool(rng *rand.Rand, n, k int, consecutive bool) []int32 {
 	return ids
 }
 
-// BenchmarkScoreTile times the three tile micro-kernels alone, on every lane,
+// BenchmarkScoreTile times the three tile micro-kernels alone, on every lane
+// (the approximate dot and RotatE kernels on a -rank lane),
 // over one tile as the planner sizes it at dim 128 (TileFor: 32 rows = 32 KB)
 // and 16 queries: the floor each model family's scoring can reach. The Go
 // kernels read the tile row-major, their vector twins candidate-minor; the
@@ -66,8 +72,11 @@ func BenchmarkScoreTile(b *testing.B) {
 	out := make([]float64, nq*tile)
 	for kind := kindDot; kind < numKinds; kind++ {
 		b.Run(kind.String(), func(b *testing.B) {
-			benchLanes(b, func(b *testing.B, lane vecLane) {
+			benchLanes(b, func(b *testing.B, lane vecLane, rank bool) {
 				fn := lane.kernels[kind]
+				if rank && lane.cert[kind] != nil {
+					fn = lane.cert[kind]
+				}
 				if fn == nil {
 					fn = goKernels[kind]
 				}
@@ -82,7 +91,8 @@ func BenchmarkScoreTile(b *testing.B) {
 }
 
 // BenchmarkScoreBlock times one strip of a block through the lane — tile
-// walk, tile fill, kernel — on every lane, at the shapes the planner produces
+// walk, tile fill, kernel, and on a -rank lane the error bound — on every
+// lane, at the shapes the planner produces
 // at dim 128: 64 directed queries against a 512-candidate strip, of
 // consecutive ids (a strip of the full protocol) and of scattered ids (a
 // strip of a drawn sample); every lane fills the tile buffer one tile at a
@@ -104,14 +114,18 @@ func BenchmarkScoreBlock(b *testing.B) {
 				hs := benchPool(rng, rows, nq, false)
 				out := make([]float64, nq*strip)
 				b.Run(fmt.Sprintf("%s/%v/%dx%d", kind, p, nq, strip), func(b *testing.B) {
-					benchLanes(b, func(b *testing.B, lane vecLane) {
+					benchLanes(b, func(b *testing.B, lane vecLane, rank bool) {
 						bs := NewBatchScorer(m, BatchOptions{Precision: p, Tile: TileFor(strip, dim, p)}).(*storeScorer)
-						bs.vec = lane.kernels[kindDot]
+						bs.vec, bs.cert = lane.kernels[kindDot], nil
+						if rank {
+							bs.cert = lane.cert[kindDot]
+						}
 						bs.ScoreTailsBatch(hs, 1, cands, out) // build the store and the block, size the scratch
+						bounds := make([]Bound, nq)
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							bs.ScoreBlock(cands, out)
+							bs.RankBlock(cands, out, bounds)
 						}
 						perCandDim(b, nq, strip, dim)
 					})

@@ -154,11 +154,14 @@ func TestVectorKernelsMatchGoKernels(t *testing.T) {
 // for every kernel it wraps, so two lanes' entries never share one.
 func funcID(f tileFunc) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&f)) }
 
-// The installed kernels are the widest lane's: on an AVX-512 host every entry
-// of vecKernels is a 512-bit twin, none the 256-bit one. The lanes give the
-// same bits, so an init elsewhere in the package that ran after
-// tile_amd64.go's and put back the 256-bit twins would pass every other test
-// and show only in a timing.
+// The installed kernels are the widest lane's: vecKernels and certKernels
+// are its two sets, and on an AVX-512 host the rank path runs no 256-bit
+// kernel — its L1 twin where it scores exactly, its approximate dot and
+// RotatE kernels where it may. The exact dot and RotatE scores there come
+// from the AVX2 twins by design, since the 512-bit lane has no exact twin
+// of those two. The lanes' ranks are the same, so an init elsewhere in the
+// package that ran after tile_amd64.go's and put back the 256-bit kernels
+// would pass every other test and show only in a timing.
 func TestWidestLaneIsInstalled(t *testing.T) {
 	want := "go"
 	switch {
@@ -171,25 +174,32 @@ func TestWidestLaneIsInstalled(t *testing.T) {
 		t.Fatalf("Kernel() = %q, the CPU runs %q", Kernel(), want)
 	}
 	if want == "go" {
-		for kind, f := range vecKernels {
-			if f != nil {
-				t.Fatalf("%v: a vector kernel is installed on the Go lane", tileKind(kind))
+		for kind := kindDot; kind < numKinds; kind++ {
+			if vecKernels[kind] != nil || certKernels[kind] != nil {
+				t.Fatalf("%v: a vector kernel is installed on the Go lane", kind)
 			}
 		}
 		return
 	}
 	widest := vecLanes[len(vecLanes)-1]
-	for kind, f := range vecKernels {
-		if funcID(f) != funcID(widest.kernels[kind]) {
-			t.Errorf("%v: the installed kernel is not the %s lane's", tileKind(kind), widest.name)
+	for kind := kindDot; kind < numKinds; kind++ {
+		if funcID(vecKernels[kind]) != funcID(widest.kernels[kind]) || funcID(certKernels[kind]) != funcID(widest.cert[kind]) {
+			t.Errorf("%v: the installed kernels are not the %s lane's", kind, widest.name)
 		}
 	}
 	if cpu.AVX512 {
 		avx2 := vecLanes[0]
 		for kind := kindDot; kind < numKinds; kind++ {
-			if funcID(vecKernels[kind]) == funcID(avx2.kernels[kind]) {
-				t.Errorf("%v: the installed kernel is the avx2 twin", kind)
+			rank := certKernels[kind]
+			if rank == nil {
+				rank = vecKernels[kind]
 			}
+			if funcID(rank) == funcID(avx2.kernels[kind]) {
+				t.Errorf("%v: the rank path runs the avx2 twin", kind)
+			}
+		}
+		if certKernels[kindDot] == nil || certKernels[kindRot] == nil || certKernels[kindL1] != nil {
+			t.Errorf("the 512-bit lane's approximate kernels are dot and RotatE, not L1: %v", certKernels)
 		}
 	}
 }
@@ -363,9 +373,10 @@ func TestVectorLaneMatchesGoKernels(t *testing.T) {
 
 // FuzzTileKernels lets the fuzzer pick the shape (kernel, dim, candidate
 // groups, queries, where the tile sits in its pool) and the bytes of every
-// query and candidate value, and holds every lane's assembly (the 256-bit
-// twins, and the 512-bit ones where the CPU has them) to the Go kernels by
-// bits and to its buffers by guard words.
+// query and candidate value, and holds every lane's exact assembly (the
+// 256-bit twins, and the 512-bit L1 twin where the CPU has it) to the Go
+// kernels by bits and to its buffers by guard words, and the 512-bit lane's
+// approximate dot and RotatE kernels to them within certBound.
 func FuzzTileKernels(f *testing.F) {
 	needVectorLane(f)
 	special := make([]byte, 0, 8*len(specials))
@@ -377,10 +388,9 @@ func FuzzTileKernels(f *testing.F) {
 	f.Add(uint8(2), uint8(6), uint8(9), uint8(5), uint8(1), special)
 	f.Add(uint8(2), uint8(3), uint8(13), uint8(2), uint8(3), []byte{1, 2, 3})
 	// RotatE at dim 2, one query at zero against 32 candidates, so each
-	// candidate's x = Δre² + Δim² is a chosen value and half of them take the
-	// 512-bit lane's FMA root: the edges of its [2⁻⁹⁰⁰, 2⁹⁰⁰] guard band,
-	// perfect squares and their neighbours, and sums of squares that are
-	// subnormal or zero.
+	// candidate's x = Δre² + Δim² is a chosen value for the 512-bit lane's
+	// approximate root: near 2^±900, perfect squares and their neighbours,
+	// and sums of squares that are subnormal or zero.
 	p900 := math.Ldexp(1, 900)
 	guard := []float64{
 		math.Nextafter(1/p900, 0), 1 / p900, math.Nextafter(1/p900, 1),
@@ -409,6 +419,11 @@ func FuzzTileKernels(f *testing.F) {
 		for _, lane := range vecLanes {
 			if err := checkTileKernels(lane, kind, vals[:nq*dim], vals[nq*dim:], dim, j0, j0+n, nc); err != nil {
 				t.Fatal(err)
+			}
+			if lane.cert[kind] != nil {
+				if _, err := checkCertKernel(lane, kind, vals[:nq*dim], vals[nq*dim:], dim); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	})

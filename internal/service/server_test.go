@@ -689,6 +689,11 @@ func TestServerMetricsEndpoint(t *testing.T) {
 			t.Errorf("pool_plans_total{outcome=%q} = %d (present %v), want at least 1", outcome, n, ok)
 		}
 	}
+	// The rank count's second, exact scorings of candidates an approximate
+	// score could not place (0 off the 512-bit lane).
+	if !strings.Contains(body, "# TYPE kgeval_eval_candidates_rescored_total counter") {
+		t.Errorf("metrics exposition missing the rescored-candidates counter")
+	}
 	// Engine-side instruments.
 	for _, want := range []string{
 		"# TYPE kgeval_job_run_seconds histogram",

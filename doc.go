@@ -67,10 +67,13 @@
 //	internal/kp           Knowledge Persistence baseline
 //	internal/synth        typed synthetic KG generator (dataset substitute)
 //	internal/experiments  regenerates every table and figure of the paper
-//	internal/{kg,sparse,sample,stats,par}  substrates; par is the one
-//	                      worker pool: sparse.MulT, recommender.BuildStatic
-//	                      and the evaluation pass run on it, with results
-//	                      independent of the core count
+//	internal/{kg,sparse,sample,stats,par}  substrates; sparse.Mul is the
+//	                      one product kernel (a score matrix is the product
+//	                      of the transposed operands, born column-major);
+//	                      par is the one worker pool: sparse.Mul,
+//	                      recommender.BuildStatic and the evaluation pass
+//	                      run on it, with results independent of the core
+//	                      count
 //
 // See README.md for a tour, including the kgevald server walkthrough.
 package kgeval

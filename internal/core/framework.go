@@ -124,7 +124,7 @@ func New(rec recommender.Recommender, numSamples int, seed int64) *Framework {
 // an Estimate with StrategyStatic, or Sets — once per fitted graph, so a
 // Probabilistic- or Random-only user never pays for them. The recommender's
 // Fit builds the score matrix once, column-major, and it and the later
-// discretization each use every core (see sparse.MulT and
+// discretization each use every core (see sparse.Mul and
 // recommender.BuildStatic); their results do not depend on the core count.
 func (f *Framework) Fit(g *kg.Graph) error {
 	return f.FitCtx(context.Background(), g)

@@ -15,8 +15,20 @@ func pairKey(a, b int32) uint64 {
 // candidates for (h, r, ?), every known true tail other than the one under
 // evaluation is excluded so it cannot demote the rank.
 //
-// The index is built once over any set of splits (conventionally
-// train+valid+test) and is safe for concurrent reads.
+// What counts as known (TestFilterIndexContract tests each point):
+//   - exactly the triples of the splits it was built over (conventionally
+//     train+valid+test), as a set: a triple repeated within or across
+//     splits is listed once;
+//   - the query's own answer: Tails(h, r) lists t for a known (h, r, t), so
+//     a caller ranking t filters the other entries, not t;
+//   - nothing inferred: (h, r, t) does not make h a known tail of (t, r, ?)
+//     or t a known head of (?, r, h) — no inverse or symmetric relation;
+//   - a self-loop (e, r, e) lists e both as a tail of (e, r, ?) and as a
+//     head of (?, r, e);
+//   - every id of the int32 range, the largest included, keys its own
+//     entry.
+//
+// The index is built once and is safe for concurrent reads.
 type FilterIndex struct {
 	tails map[uint64][]int32 // key(h,r) -> sorted known tails
 	heads map[uint64][]int32 // key(t,r) -> sorted known heads

@@ -2,8 +2,10 @@ package kg
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -101,6 +103,71 @@ func TestFilterIndex(t *testing.T) {
 	}
 	if hr, rt := len(f.tails), len(f.heads); hr == 0 || rt == 0 {
 		t.Fatalf("indexed (%d,%d) (h,r)- and (r,t)-pairs, want nonzero", hr, rt)
+	}
+}
+
+// TestFilterIndexContract checks each point of FilterIndex's contract
+// directly: the union of the splits, duplicates once, the answer listed, no
+// inverse inferred, self-loops on both sides, the largest id keyed exactly.
+func TestFilterIndexContract(t *testing.T) {
+	train := []Triple{{0, 0, 1}, {0, 0, 1}, {4, 1, 4}}
+	valid := []Triple{{0, 0, 2}, {0, 0, 1}}
+	test := []Triple{{3, 0, 1}}
+	f := NewFilterIndex(train, valid, test)
+
+	// The union of the splits it was given, each (h, r) or (r, t) once.
+	if got := f.Tails(0, 0); !reflect.DeepEqual(got, []int32{1, 2}) {
+		t.Errorf("Tails(0,0) = %v, want [1 2]: train's and valid's tails, (0,0,1) once", got)
+	}
+	if got := f.Heads(0, 1); !reflect.DeepEqual(got, []int32{0, 3}) {
+		t.Errorf("Heads(0,1) = %v, want [0 3]: train's and test's heads, (0,0,1) once", got)
+	}
+	if got := NewFilterIndex(train).Tails(0, 0); !reflect.DeepEqual(got, []int32{1}) {
+		t.Errorf("over train alone Tails(0,0) = %v, want [1]: a split not given is not known", got)
+	}
+
+	// The query's own answer is listed.
+	for _, tr := range slices.Concat(train, valid, test) {
+		if !slices.Contains(f.Tails(tr.H, tr.R), tr.T) || !slices.Contains(f.Heads(tr.R, tr.T), tr.H) {
+			t.Errorf("%v: the answer is missing from its own query's list", tr)
+		}
+	}
+
+	// No inverse: (0, 0, 1) makes 0 neither a tail of (1, 0, ?) nor 1 a
+	// head of (?, 0, 0).
+	if f.IsKnownTail(1, 0, 0) || len(f.Tails(1, 0)) != 0 {
+		t.Errorf("Tails(1,0) = %v: (0,0,1) was read as (1,0,0)", f.Tails(1, 0))
+	}
+	if f.IsKnownHead(1, 0, 0) || len(f.Heads(0, 0)) != 0 {
+		t.Errorf("Heads(0,0) = %v: (0,0,1) was read as (1,0,0)", f.Heads(0, 0))
+	}
+
+	// A self-loop is on both sides.
+	if got := f.Tails(4, 1); !reflect.DeepEqual(got, []int32{4}) {
+		t.Errorf("Tails(4,1) = %v, want [4] for the self-loop (4,1,4)", got)
+	}
+	if got := f.Heads(1, 4); !reflect.DeepEqual(got, []int32{4}) {
+		t.Errorf("Heads(1,4) = %v, want [4] for the self-loop (4,1,4)", got)
+	}
+
+	// The largest int32 id round-trips through pairKey and keys its own
+	// entry, apart from its neighbours and from the smallest id.
+	const top = math.MaxInt32
+	if k := pairKey(top, top-1); int32(k>>32) != top || int32(uint32(k)) != top-1 {
+		t.Errorf("pairKey(%d, %d) = %#x does not round-trip", top, top-1, k)
+	}
+	big := NewFilterIndex([]Triple{{top, top, top}, {top - 1, top, 0}, {0, top, top}})
+	if got := big.Tails(top, top); !reflect.DeepEqual(got, []int32{top}) {
+		t.Errorf("Tails(max,max) = %v, want [%d]", got, top)
+	}
+	if got := big.Heads(top, top); !reflect.DeepEqual(got, []int32{0, top}) {
+		t.Errorf("Heads(max,max) = %v, want [0 %d]", got, top)
+	}
+	if got := big.Tails(top-1, top); !reflect.DeepEqual(got, []int32{0}) {
+		t.Errorf("Tails(max-1,max) = %v, want [0]", got)
+	}
+	if got := big.Tails(0, top); !reflect.DeepEqual(got, []int32{top}) {
+		t.Errorf("Tails(0,max) = %v, want [%d]", got, top)
 	}
 }
 

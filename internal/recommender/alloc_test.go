@@ -20,13 +20,13 @@ func allocated(fn func()) uint64 {
 
 // The score matrix exists once. A Fit whose product is the score matrix
 // allocates that matrix — 12 bytes a nonzero plus its row pointers — and,
-// next to it, only operands a fraction its size (B, Bᵀ, T, W, the chunk
-// table): a second copy in another orientation, which is what Fit used to
-// build (41 MB and 38 MB against 17.3 MB and 15.6 MB on this graph), does
-// not fit under the limit.
+// next to it, only operands a fraction its size (B, Bᵀ, T, Tᵀ, W, Wᵀ, the
+// type counts, each product worker's accumulator): a second copy in another
+// orientation, which is what Fit used to build (41 MB and 38 MB against
+// 17.3 MB and 15.6 MB on this graph), does not fit under the limit.
 func TestFitAllocatesOneScoreMatrix(t *testing.T) {
 	g := generate(t, synth.WikiKG2Sim())
-	for _, name := range []string{"L-WD", "DBH-T"} {
+	for _, name := range []string{"L-WD", "L-WD-T", "DBH-T", "OntoSim"} {
 		rec, err := ByName(name, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -31,15 +31,16 @@ func NewDBHT() Recommender {
 	return &method{name: "DBH-T", types: true, unseen: true, build: typePropagated}
 }
 
-// typePropagated returns (T·(Tᵀ·B))ᵀ, column-major: for every entity and
-// domain/range column, the number of (type, entity) pairs — over the entity's
-// types and the distinct entities of that type observed in the column — that
-// vouch for it. Every stored value is a sum of positive counts.
+// typePropagated returns (T·(Tᵀ·B))ᵀ = (Tᵀ·B)ᵀ·Tᵀ, column-major: for every
+// entity and domain/range column, the number of (type, entity) pairs — over
+// the entity's types and the distinct entities of that type observed in the
+// column — that vouch for it. Every stored value is a sum of positive counts.
 func typePropagated(g *kg.Graph) *sparse.CSR {
 	t := typeMatrix(g)
-	// typeCounts[t][col] = #distinct entities of type t observed in col.
-	typeCounts := sparse.Mul(t.Transpose(), incidence(g))
-	return sparse.MulT(t, typeCounts)
+	// typeCountsT[col][t] = #distinct entities of type t observed in col,
+	// formed as Bᵀ·T: a count is a sum of ones, exact in any order.
+	typeCountsT := sparse.Mul(incidenceT(g, false), t)
+	return sparse.Mul(typeCountsT, t.Transpose())
 }
 
 // NewOntoSim returns OntoSim, which assigns all entities of type t to a

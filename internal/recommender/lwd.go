@@ -1,6 +1,8 @@
 package recommender
 
 import (
+	"slices"
+
 	"kgeval/internal/kg"
 	"kgeval/internal/sparse"
 )
@@ -20,9 +22,7 @@ import (
 // multiplications and a normalization; runs in (milli)seconds on a CPU.
 func NewLWD() Recommender {
 	return &method{name: "L-WD", unseen: true, build: func(g *kg.Graph) *sparse.CSR {
-		b := incidence(g)
-		w := sparse.RowNormalize(sparse.GramT(b))
-		return sparse.MulT(b, w)
+		return lwdScores(incidenceT(g, false), 2*g.NumRelations)
 	}}
 }
 
@@ -32,30 +32,31 @@ func NewLWD() Recommender {
 // domain/range columns (type columns are auxiliary evidence).
 func NewLWDT() Recommender {
 	return &method{name: "L-WD-T", types: true, unseen: true, build: func(g *kg.Graph) *sparse.CSR {
-		nr2 := 2 * g.NumRelations
-		entries := make([]sparse.Entry, 0, 2*len(g.Train))
-		for _, t := range g.Train {
-			entries = append(entries,
-				sparse.Entry{Row: t.H, Col: t.R},
-				sparse.Entry{Row: t.T, Col: int32(g.NumRelations) + t.R},
-			)
-		}
-		for e, ts := range g.EntityTypes {
-			for _, t := range ts {
-				entries = append(entries, sparse.Entry{Row: int32(e), Col: int32(nr2) + t})
-			}
-		}
-		b := sparse.NewBinaryCSR(g.NumEntities, nr2+g.NumTypes, entries)
-		w := sparse.RowNormalize(sparse.GramT(b))
-		// Only W's first 2·|R| columns reach the output, so only they are
-		// multiplied: a column of B·W is B against that column of W.
-		w = firstRows(w.Transpose(), nr2).Transpose()
-		return sparse.MulT(b, w)
+		return lwdScores(stackRows(incidenceT(g, false), typeMatrix(g).Transpose()), 2*g.NumRelations)
 	}}
+}
+
+// lwdScores returns the first n columns of X = B·W, W = rownorm(BᵀB),
+// column-major, given Bᵀ: Xᵀ = Wᵀ·Bᵀ, with only Wᵀ's first n rows
+// multiplied, since a row of Xᵀ is Bᵀ against that row of Wᵀ.
+func lwdScores(bt *sparse.CSR, n int) *sparse.CSR {
+	w := sparse.RowNormalize(sparse.Mul(bt, bt.Transpose()))
+	return sparse.Mul(firstRows(w.Transpose(), n), bt)
 }
 
 // firstRows keeps the first n rows of m, sharing its storage.
 func firstRows(m *sparse.CSR, n int) *sparse.CSR {
 	nnz := m.RowPtr[n]
 	return &sparse.CSR{NumRows: n, NumCols: m.NumCols, RowPtr: m.RowPtr[:n+1], ColIdx: m.ColIdx[:nnz], Val: m.Val[:nnz]}
+}
+
+// stackRows returns the binary matrix whose rows are a's followed by b's;
+// a and b have the same number of columns.
+func stackRows(a, b *sparse.CSR) *sparse.CSR {
+	m := &sparse.CSR{NumRows: a.NumRows + b.NumRows, NumCols: a.NumCols,
+		RowPtr: slices.Concat(a.RowPtr, b.RowPtr[1:]), ColIdx: slices.Concat(a.ColIdx, b.ColIdx)}
+	for i := a.NumRows + 1; i < len(m.RowPtr); i++ {
+		m.RowPtr[i] += a.NNZ()
+	}
+	return m
 }

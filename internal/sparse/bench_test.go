@@ -3,11 +3,13 @@ package sparse
 import (
 	"math/rand"
 	"testing"
+
+	"kgeval/internal/synth"
 )
 
-// benchIncidence is shaped like the benchmark of record's L-WD input: a
-// 12 000 × 160 binary incidence matrix built from ~226 k (row, col) pairs
-// with Zipf-skewed columns, so a few columns are hubs and pairs repeat.
+// benchIncidence is a 12 000 × 160 binary matrix built from ~226 k (row,
+// col) pairs — 2·|Train| of the benchmark of record's host graph — with
+// Zipf-skewed columns, so a few columns are hubs and pairs repeat.
 func benchIncidence() (rows, cols int, entries []Entry) {
 	rows, cols = 12000, 160
 	rng := rand.New(rand.NewSource(1))
@@ -30,24 +32,28 @@ func BenchmarkNewBinaryCSR(b *testing.B) {
 	}
 }
 
-// BenchmarkMul times the two products of L-WD's Algorithm 1: the Gram matrix
-// BᵀB (few heavy rows, transposed back) and B·W (many light rows against a
-// near-dense W), which is wanted column-major and so is MulT alone.
+// BenchmarkMul times the products of the fitted recommenders on the inputs
+// they get: on wikikg2-sim (the benchmark of record's host graph) L-WD's Gram
+// matrix Bᵀ·B and score matrix Wᵀ·Bᵀ, against a W that is 62 % dense, and
+// DBH-T's type counts Bᵀ·T and score matrix (Bᵀ·T)·Tᵀ; on fb15k-sim L-WD's
+// score matrix against a sparse W.
 func BenchmarkMul(b *testing.B) {
-	rows, cols, entries := benchIncidence()
-	inc := NewBinaryCSR(rows, cols, entries)
+	run := func(name string, x, y *CSR) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Mul(x, y)
+			}
+		})
+	}
+	inc, types := graphOperands(b, synth.WikiKG2Sim())
 	incT := inc.Transpose()
 	w := RowNormalize(Mul(incT, inc))
-	b.Run("GramT", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			Mul(incT, inc)
-		}
-	})
-	b.Run("BW", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			MulT(inc, w)
-		}
-	})
+	typeCountsT := Mul(incT, types)
+	run("wikikg2-sim/Gram", incT, inc)
+	run("wikikg2-sim/L-WD", w.Transpose(), incT)
+	run("wikikg2-sim/TypeCounts", incT, types)
+	run("wikikg2-sim/DBH-T", typeCountsT, types.Transpose())
+	inc, w = lwdOperands(b, synth.FB15kSim())
+	run("fb15k-sim/L-WD", w.Transpose(), inc.Transpose())
 }

@@ -8,16 +8,17 @@
 //
 // Matrices are immutable after construction and safe for concurrent reads.
 // Construction and Transpose are counting sorts and RowNormalize a linear
-// sweep, all serial. There is one product kernel, MulT, which runs on all
-// cores and writes (a·b)ᵀ directly — the orientation the score matrix is read
-// in — so a product is never sorted or transposed afterwards; Mul is MulT
-// plus a Transpose, for the two small products. No result depends on the
-// number of cores.
+// sweep, all serial. There is one product kernel, Mul, a row-major Gustavson
+// product that runs on all cores and writes each row in ascending column
+// order, so a product is never sorted. The score matrix is read column-major;
+// it is formed as Xᵀ = Wᵀ·Bᵀ, the product of the transposed operands, so it is
+// never transposed either. No result depends on the number of cores.
 package sparse
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"kgeval/internal/par"
@@ -168,153 +169,103 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// mulChunks is how many row chunks MulT cuts a into. A chunk is the unit of
-// work the workers claim and the unit of output layout, so its boundaries
-// depend on a.NumRows alone: enough chunks that a heavy one (hub entities)
-// leaves no worker idle, few enough that the chunk×column position table
-// stays small next to the output.
-const mulChunks = 256
-
-// MulT computes (a·b)ᵀ — the product in column-major order — with a two-pass
-// Gustavson algorithm. a's rows are cut into fixed chunks. A symbolic pass
-// counts, per chunk and output column, the rows with a nonzero there; prefix
-// sums over (column, chunk) size the output exactly and give every chunk its
-// own slot in every column. The numeric pass then accumulates each row of a·b
-// in a dense per-worker accumulator and appends (row, value) to its chunk's
-// slot of every column the row touched. Rows ascend inside a chunk and chunks
-// are laid out in order, so each column comes out sorted with no sort and no
-// transpose.
+// Mul computes the sparse product a·b, row-major, with a two-pass Gustavson
+// algorithm. The symbolic pass marks the columns each output row touches in a
+// dense per-worker bitmap and counts them, which sizes the output exactly;
+// the numeric pass adds a[r][j]·b[j][:] into a dense per-worker accumulator
+// of b.NumCols floats for each nonzero j of row r, left to right, then reads
+// the marked columns out of the bitmap in ascending order, clearing each slot
+// as it goes. A row comes out sorted with no sort and no transpose; a score
+// matrix wanted column-major, (x·y)ᵀ, is Mul(yᵀ, xᵀ).
 //
-// Chunks run on par.Workers goroutines, each with its own O(b.NumCols)
-// scratch. Neither the layout nor a value depends on which worker ran which
-// chunk: a row's products are added in the same order whatever the worker
-// count — a's nonzeros left to right, each against b's row left to right — so
-// the result is bit-identical for any GOMAXPROCS. Panics if the inner
-// dimensions disagree.
-func MulT(a, b *CSR) *CSR {
+// Rows are dealt to par.Workers goroutines in blocks (par.Blocks), several
+// per worker, so a hub row leaves no worker idle. Scratch is O(workers ×
+// b.NumCols). Neither the layout nor a value depends on which worker ran
+// which row: each entry adds its products in ascending j, one rounded
+// multiply and one rounded add apiece (a binary b adds a's value without
+// multiplying; a binary a multiplies by one, exactly), so the result is
+// bit-identical for any GOMAXPROCS. Panics if the inner dimensions disagree.
+func Mul(a, b *CSR) *CSR {
 	if a.NumCols != b.NumRows {
 		panic(fmt.Sprintf("sparse: Mul dimension mismatch %dx%d · %dx%d", a.NumRows, a.NumCols, b.NumRows, b.NumCols))
 	}
-	rows, cols := a.NumRows, b.NumCols
-	out := &CSR{NumRows: cols, NumCols: rows, RowPtr: make([]int, cols+1)}
-	size := max(1, (rows+mulChunks-1)/mulChunks)
-	chunks := (rows + size - 1) / size
-	scratch := make([]mulScratch, par.Workers(chunks))
+	rows := a.NumRows
+	out := &CSR{NumRows: rows, NumCols: b.NumCols, RowPtr: make([]int, rows+1)}
+	scratch := make([]mulScratch, par.Workers(rows))
 	for w := range scratch {
-		scratch[w].init(cols)
+		scratch[w] = mulScratch{touched: make([]uint64, (b.NumCols+63)/64), acc: make([]float64, b.NumCols)}
 	}
-	// pos[k*cols+c]: first the number of chunk k's rows with a nonzero in
-	// output column c, then where the next of them goes in ColIdx and Val.
-	pos := make([]int, chunks*cols)
-	par.Blocks(chunks, func(w, k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			scratch[w].count(a, b, k*size, min((k+1)*size, rows), pos[k*cols:(k+1)*cols])
+	par.Blocks(rows, func(w, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			out.RowPtr[r+1] = scratch[w].count(a, b, r)
 		}
 	})
-	n := 0
-	for c := 0; c < cols; c++ {
-		out.RowPtr[c] = n
-		for k := 0; k < chunks; k++ {
-			pos[k*cols+c], n = n, n+pos[k*cols+c]
-		}
+	for r := 0; r < rows; r++ {
+		out.RowPtr[r+1] += out.RowPtr[r]
 	}
-	out.RowPtr[cols] = n
-	out.ColIdx = make([]int32, n)
-	out.Val = make([]float64, n)
-	par.Blocks(chunks, func(w, k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			scratch[w].fill(a, b, k*size, min((k+1)*size, rows), pos[k*cols:(k+1)*cols], out)
+	out.ColIdx = make([]int32, out.RowPtr[rows])
+	out.Val = make([]float64, out.RowPtr[rows])
+	par.Blocks(rows, func(w, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			scratch[w].fill(a, b, r, out)
 		}
 	})
 	return out
 }
 
-// Mul computes the sparse product a·b: MulT's result transposed back. It is
-// for the small products (BᵀB, Tᵀ·B: a handful of rows); a large product is
-// wanted column-major and takes MulT's output as it is.
-func Mul(a, b *CSR) *CSR { return MulT(a, b).Transpose() }
-
-// mulScratch is one MulT worker's dense row state. mark[c] holds the tag of
-// the last row that touched column c; the symbolic pass tags with the row
-// index and the numeric pass with NumRows + row, so no reset is needed
-// between rows or between passes.
+// mulScratch is one Mul worker's dense row state: a bitmap of the columns the
+// row in hand touches and their running sums. Both are all zero between rows.
 type mulScratch struct {
-	mark    []int
+	touched []uint64
 	acc     []float64
-	touched []int32 // the columns of the row in hand, in first-touch order
 }
 
-func (s *mulScratch) init(cols int) {
-	s.mark = make([]int, cols)
-	for i := range s.mark {
-		s.mark[i] = -1
-	}
-	s.acc = make([]float64, cols)
-	s.touched = make([]int32, 0, cols)
-}
-
-// count adds to n[c] the number of rows in [lo, hi) of a·b that touch
-// column c.
-func (s *mulScratch) count(a, b *CSR, lo, hi int, n []int) {
-	for r := lo; r < hi; r++ {
-		seen := 0
-		for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
-			for _, c := range b.ColIdx[b.RowPtr[j]:b.RowPtr[j+1]] {
-				if s.mark[c] != r {
-					s.mark[c] = r
-					n[c]++
-					seen++
-				}
-			}
-			if seen == len(s.mark) {
-				break // the row is already full
-			}
+// count returns the number of distinct columns row r of a·b touches.
+func (s *mulScratch) count(a, b *CSR, r int) int {
+	touched := s.touched
+	for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
+		for _, c := range b.ColIdx[b.RowPtr[j]:b.RowPtr[j+1]] {
+			touched[c>>6] |= 1 << (c & 63)
 		}
 	}
+	n := 0
+	for i, word := range touched {
+		n += bits.OnesCount64(word)
+		touched[i] = 0
+	}
+	return n
 }
 
-// fill computes rows [lo, hi) of a·b and appends each row's nonzeros to the
-// columns of out, at the positions pos holds for this chunk.
-func (s *mulScratch) fill(a, b *CSR, lo, hi int, pos []int, out *CSR) {
-	mark, acc := s.mark, s.acc
-	for r := lo; r < hi; r++ {
-		tag := a.NumRows + r
-		touched := s.touched[:0]
-		for ka := a.RowPtr[r]; ka < a.RowPtr[r+1]; ka++ {
-			j := a.ColIdx[ka]
-			av := a.valueAt(ka)
-			k0, k1 := b.RowPtr[j], b.RowPtr[j+1]
-			var bvals []float64 // nil for a binary b: every value is 1
-			if b.Val != nil {
-				bvals = b.Val[k0:k1]
+// fill computes row r of a·b into out at out.RowPtr[r], columns ascending.
+func (s *mulScratch) fill(a, b *CSR, r int, out *CSR) {
+	touched, acc := s.touched, s.acc
+	for ka := a.RowPtr[r]; ka < a.RowPtr[r+1]; ka++ {
+		j := a.ColIdx[ka]
+		av := a.valueAt(ka)
+		k0, k1 := b.RowPtr[j], b.RowPtr[j+1]
+		if b.Val == nil { // every value is 1: add av·1
+			for _, c := range b.ColIdx[k0:k1] {
+				touched[c>>6] |= 1 << (c & 63)
+				acc[c] += av
 			}
-			for kb, c := range b.ColIdx[k0:k1] {
-				if mark[c] != tag {
-					mark[c] = tag
-					acc[c] = 0
-					touched = append(touched, c)
-				}
-				if bvals != nil {
-					acc[c] += av * bvals[kb]
-				} else {
-					acc[c] += av // av·1
-				}
-			}
+			continue
 		}
-		for _, c := range touched {
-			k := pos[c]
-			pos[c] = k + 1
-			out.ColIdx[k] = int32(r)
-			out.Val[k] = acc[c]
+		bvals := b.Val[k0:k1]
+		for kb, c := range b.ColIdx[k0:k1] {
+			touched[c>>6] |= 1 << (c & 63)
+			acc[c] += float64(av * bvals[kb]) // the conversion forbids an FMA
 		}
 	}
-}
-
-// GramT computes AᵀA — the co-occurrence matrix at the heart of L-WD, where
-// entry (i, j) counts entities that belong to both domain/range column i and
-// column j.
-func GramT(a *CSR) *CSR {
-	return Mul(a.Transpose(), a)
+	cols, vals := out.ColIdx[out.RowPtr[r]:out.RowPtr[r+1]], out.Val[out.RowPtr[r]:out.RowPtr[r+1]]
+	k := 0
+	for i, word := range touched {
+		for ; word != 0; word &= word - 1 {
+			c := i<<6 | bits.TrailingZeros64(word)
+			cols[k], vals[k], acc[c] = int32(c), acc[c], 0
+			k++
+		}
+		touched[i] = 0
+	}
 }
 
 // RowNormalize returns a copy of m with each row rescaled to sum to 1

@@ -176,14 +176,16 @@ func TestMulMatchesDense(t *testing.T) {
 	}
 }
 
+// TestGramT checks the Gram matrix BᵀB that L-WD's W is made of, formed as
+// the product of Bᵀ and B.
 func TestGramT(t *testing.T) {
 	// B as in a tiny L-WD: 3 entities × 2 columns.
 	b := NewBinaryCSR(3, 2, []Entry{{0, 0, 0}, {1, 0, 0}, {1, 1, 0}, {2, 1, 0}})
-	w := GramT(b).Dense()
+	w := Mul(b.Transpose(), b).Dense()
 	// Column 0 has members {0,1}; column 1 has {1,2}; overlap {1}.
 	want := [][]float64{{2, 1}, {1, 2}}
 	if !denseEqual(w, want, 0) {
-		t.Fatalf("GramT = %v, want %v", w, want)
+		t.Fatalf("BᵀB = %v, want %v", w, want)
 	}
 }
 
@@ -237,7 +239,7 @@ func TestLWDPipelineShape(t *testing.T) {
 		entries[i] = Entry{Row: int32(rng.Intn(20)), Col: int32(rng.Intn(6))}
 	}
 	b := NewBinaryCSR(20, 6, entries)
-	w := RowNormalize(GramT(b))
+	w := RowNormalize(Mul(b.Transpose(), b))
 	x := Mul(b, w)
 	for r := 0; r < x.NumRows; r++ {
 		bCols, _ := b.Row(r)

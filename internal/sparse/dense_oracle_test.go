@@ -199,6 +199,8 @@ func TestMulMatchesDenseExactly(t *testing.T) {
 	})
 }
 
+// TestGramTMatchesDenseExactly checks the Gram matrix AᵀA, formed as the
+// product of Aᵀ and A, against the dense reference.
 func TestGramTMatchesDenseExactly(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
@@ -217,7 +219,7 @@ func TestGramTMatchesDenseExactly(t *testing.T) {
 						dt.val[c][r], dt.stored[c][r] = d.val[r][c], d.stored[r][c]
 					}
 				}
-				if err := matchesDense(GramT(a), denseMul(dt, d), false); err != nil {
+				if err := matchesDense(Mul(a.Transpose(), a), denseMul(dt, d), false); err != nil {
 					t.Fatalf("trial %d binary=%v: %v", trial, binary, err)
 				}
 			}
@@ -226,8 +228,10 @@ func TestGramTMatchesDenseExactly(t *testing.T) {
 }
 
 // sameBits checks got is want exactly: shape, RowPtr, ColIdx, and every
-// value by its bit pattern, so a -0 for a +0 or a reordered sum shows.
-func sameBits(got, want *CSR) error {
+// value by its bit pattern, so a -0 for a +0 or a reordered sum shows. With
+// anyNaN a NaN matches any NaN: an operand that holds a NaN may reach the
+// result with another payload when a product's factors are commuted.
+func sameBits(got, want *CSR, anyNaN bool) error {
 	if got.NumRows != want.NumRows || got.NumCols != want.NumCols {
 		return fmt.Errorf("shape %dx%d, want %dx%d", got.NumRows, got.NumCols, want.NumRows, want.NumCols)
 	}
@@ -238,23 +242,62 @@ func sameBits(got, want *CSR) error {
 		return fmt.Errorf("%d values, want %d", len(got.Val), len(want.Val))
 	}
 	for k, v := range got.Val {
+		if anyNaN && math.IsNaN(v) && math.IsNaN(want.Val[k]) {
+			continue
+		}
 		if math.Float64bits(v) != math.Float64bits(want.Val[k]) {
-			return fmt.Errorf("value %d = %v, want %v", k, v, want.Val[k])
+			return fmt.Errorf("value %d = %v (%#x), want %v (%#x)", k, v, math.Float64bits(v), want.Val[k], math.Float64bits(want.Val[k]))
 		}
 	}
 	return nil
 }
 
+// matchesOracle checks both orientations of the product against oracleMul:
+// Mul(a, b) is oracleMul(a, b), and Mul(bᵀ, aᵀ) — the way the score matrix
+// is formed column-major — is oracleMul(a, b) transposed.
+func matchesOracle(a, b *CSR, anyNaN bool) error {
+	want := oracleMul(a, b)
+	if err := sameBits(Mul(a, b), want, anyNaN); err != nil {
+		return fmt.Errorf("Mul(a, b): %v", err)
+	}
+	if err := sameBits(Mul(b.Transpose(), a.Transpose()), want.Transpose(), anyNaN); err != nil {
+		return fmt.Errorf("Mul(bᵀ, aᵀ): %v", err)
+	}
+	return nil
+}
+
+// edgeValues are the stored values floating point gets wrong first: signed
+// zeros, subnormals, the largest finites, infinities and NaNs with payloads
+// (the last two). Inf·0 and Inf−Inf make NaN from operands without one.
+var edgeValues = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.1, -3.7, 5e-324, -5e-324,
+	2.2250738585072014e-308, 1e-310, math.MaxFloat64, -math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000abc),
+}
+
+// withValues returns m's pattern holding vals in turn, stored as they are,
+// so a -0 survives (NewCSR sums onto +0).
+func withValues(m *CSR, vals []float64) *CSR {
+	v := &CSR{NumRows: m.NumRows, NumCols: m.NumCols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: make([]float64, m.NNZ())}
+	for k := range v.Val {
+		v.Val[k] = vals[k%len(vals)]
+	}
+	return v
+}
+
 // TestMulTMatchesOracleTransposed holds the one product kernel to the kernel
-// it replaced: MulT(a, b) is oracleMul(a, b) transposed, bit for bit, on
-// binary and valued operands with empty rows, empty columns, an all-zero a,
-// and 1-row and 1-column shapes, whatever the worker count.
+// it replaced, bit for bit, in both orientations (matchesOracle): on binary
+// and valued operands with empty rows, empty columns, an all-zero a, and
+// 1-row and 1-column shapes; at output widths either side of the touched
+// bitmap's 64-column words; on operands with no rows, no columns or no inner
+// dimension; on ±0, subnormals and ±Inf by their bits, and on NaN as NaN;
+// whatever the worker count.
 func TestMulTMatchesOracleTransposed(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(15))
-		check := func(what string, a, b *CSR) {
+		check := func(what string, a, b *CSR, anyNaN bool) {
 			t.Helper()
-			if err := sameBits(MulT(a, b), oracleMul(a, b).Transpose()); err != nil {
+			if err := matchesOracle(a, b, anyNaN); err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
 		}
@@ -273,40 +316,143 @@ func TestMulTMatchesOracleTransposed(t *testing.T) {
 					if bBin {
 						b = NewBinaryCSR(inner, cols, bEntries)
 					}
-					check(fmt.Sprintf("trial %d (a binary=%v, b binary=%v)", trial, aBin, bBin), a, b)
-					check(fmt.Sprintf("trial %d, all-zero a", trial), NewCSR(rows, inner, nil), b)
+					check(fmt.Sprintf("trial %d (a binary=%v, b binary=%v)", trial, aBin, bBin), a, b, false)
+					check(fmt.Sprintf("trial %d, all-zero a", trial), NewCSR(rows, inner, nil), b, false)
 				}
 			}
 		}
-		// More rows than chunks, so chunks hold several rows and some columns
-		// get nothing from whole chunks.
+		// More rows than a worker's block, so blocks hold several rows.
 		a := NewCSR(3000, 90, randomEntries(rng, 2000, 90, 30000))
 		b := NewCSR(90, 70, randomEntries(rng, 90, 60, 2500))
-		check("large", a, b)
+		check("large", a, b, false)
+
+		// Widths either side of a bitmap word, in both orientations: a has
+		// as many rows as b has columns. The last column is always hit.
+		for _, width := range []int{63, 64, 65, 127, 128, 129} {
+			aEntries := append(randomEntries(rng, width, 12, 4*width), Entry{Row: int32(width - 1), Col: 11, Val: 1})
+			bEntries := append(randomEntries(rng, 12, width, 4*width), Entry{Row: 11, Col: int32(width - 1), Val: 2})
+			a, b := NewCSR(width, 12, aEntries), NewCSR(12, width, bEntries)
+			check(fmt.Sprintf("width %d", width), a, b, false)
+			check(fmt.Sprintf("width %d, binary a", width), NewBinaryCSR(width, 12, aEntries), b, false)
+			check(fmt.Sprintf("width %d, binary b", width), a, NewBinaryCSR(12, width, bEntries), false)
+		}
+
+		// No rows, no inner dimension, no columns.
+		for _, shape := range [][3]int{{0, 5, 7}, {6, 0, 7}, {6, 5, 0}, {0, 0, 0}, {0, 5, 0}} {
+			rows, inner, cols := shape[0], shape[1], shape[2]
+			var aEntries, bEntries []Entry
+			if rows > 0 && inner > 0 {
+				aEntries = randomEntries(rng, rows, inner, 20)
+			}
+			if inner > 0 && cols > 0 {
+				bEntries = randomEntries(rng, inner, cols, 20)
+			}
+			check(fmt.Sprintf("shape %v", shape), NewCSR(rows, inner, aEntries), NewCSR(inner, cols, bEntries), false)
+			check(fmt.Sprintf("shape %v, binary", shape), NewBinaryCSR(rows, inner, aEntries), NewBinaryCSR(inner, cols, bEntries), false)
+		}
+
+		// Signed zeros, subnormals, the largest finites and infinities by
+		// their bits; then NaNs too, as NaN.
+		finite := edgeValues[:len(edgeValues)-2]
+		for trial := 0; trial < 40; trial++ {
+			rows, inner, cols := 1+rng.Intn(70), 1+rng.Intn(6), 1+rng.Intn(70)
+			a := NewBinaryCSR(rows, inner, randomEntries(rng, rows, inner, rng.Intn(3*rows)))
+			b := NewBinaryCSR(inner, cols, randomEntries(rng, inner, cols, rng.Intn(3*cols)))
+			for _, vals := range [][]float64{finite, edgeValues} {
+				anyNaN := len(vals) == len(edgeValues)
+				perm := func() []float64 {
+					p := slices.Clone(vals)
+					rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+					return p
+				}
+				va, vb := withValues(a, perm()), withValues(b, perm())
+				what := fmt.Sprintf("edge values trial %d (NaN=%v)", trial, anyNaN)
+				check(what, va, vb, anyNaN)
+				check(what+", binary a", a, vb, anyNaN)
+				check(what+", binary b", va, b, anyNaN)
+			}
+		}
 	})
 }
 
-// lwdOperands returns the L-WD pipeline's two large operands on a synth
-// preset: the incidence matrix B and W = rownorm(BᵀB).
-func lwdOperands(t *testing.T, cfg synth.Config) (b, w *CSR) {
-	t.Helper()
+// FuzzMul builds both operands from the fuzz bytes — shapes, patterns, which
+// of them is binary, and values drawn from edgeValues or from the byte — and
+// holds Mul to oracleMul in both orientations, bit for bit (a NaN as NaN
+// when an operand holds one).
+func FuzzMul(f *testing.F) {
+	f.Add([]byte{5, 3, 65, 0, 0, 0, 2, 1, 1, 3, 4, 64, 29, 2, 2, 5})
+	f.Add([]byte{64, 2, 129, 3, 63, 1, 26, 1, 128, 27, 0, 0, 28, 1, 0, 30})
+	f.Add([]byte{0, 4, 3, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		rows, inner, cols, flags := int(data[0]%80), int(data[1]%24), int(data[2]), data[3]
+		var aEntries, bEntries []Entry
+		var aVals, bVals []float64
+		for p := data[4:]; len(p) >= 3; p = p[3:] {
+			x, y, v := int32(p[0]), int32(p[1]), p[2]
+			val := float64(v>>1)*0.37 - 20
+			if int(v>>1) < len(edgeValues) {
+				val = edgeValues[v>>1]
+			}
+			if v&1 == 0 && rows > 0 && inner > 0 {
+				aEntries = append(aEntries, Entry{Row: x % int32(rows), Col: y % int32(inner)})
+				aVals = append(aVals, val)
+			} else if v&1 == 1 && inner > 0 && cols > 0 {
+				bEntries = append(bEntries, Entry{Row: x % int32(inner), Col: y % int32(cols)})
+				bVals = append(bVals, val)
+			}
+		}
+		a, b := NewBinaryCSR(rows, inner, aEntries), NewBinaryCSR(inner, cols, bEntries)
+		if flags&1 == 0 && len(aVals) > 0 {
+			a = withValues(a, aVals)
+		}
+		if flags&2 == 0 && len(bVals) > 0 {
+			b = withValues(b, bVals)
+		}
+		anyNaN := slices.ContainsFunc(a.Val, math.IsNaN) || slices.ContainsFunc(b.Val, math.IsNaN)
+		if err := matchesOracle(a, b, anyNaN); err != nil {
+			t.Fatalf("%dx%d · %dx%d (a binary=%v, b binary=%v): %v", rows, inner, inner, cols, a.Binary(), b.Binary(), err)
+		}
+	})
+}
+
+// graphOperands returns the incidence matrix B and the entity-type matrix T
+// of a synth preset, the operands of every product recommender.
+func graphOperands(tb testing.TB, cfg synth.Config) (b, types *CSR) {
+	tb.Helper()
 	ds, err := synth.Generate(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	g := ds.Graph
 	entries := make([]Entry, 0, 2*len(g.Train))
 	for _, tr := range g.Train {
 		entries = append(entries, Entry{Row: tr.H, Col: tr.R}, Entry{Row: tr.T, Col: int32(g.NumRelations) + tr.R})
 	}
-	b = NewBinaryCSR(g.NumEntities, 2*g.NumRelations, entries)
+	var typed []Entry
+	for e, ts := range g.EntityTypes {
+		for _, ty := range ts {
+			typed = append(typed, Entry{Row: int32(e), Col: ty})
+		}
+	}
+	return NewBinaryCSR(g.NumEntities, 2*g.NumRelations, entries), NewBinaryCSR(g.NumEntities, g.NumTypes, typed)
+}
+
+// lwdOperands returns the L-WD pipeline's two large operands on a synth
+// preset: the incidence matrix B and W = rownorm(BᵀB).
+func lwdOperands(tb testing.TB, cfg synth.Config) (b, w *CSR) {
+	tb.Helper()
+	b, _ = graphOperands(tb, cfg)
 	return b, RowNormalize(oracleMul(b.Transpose(), b))
 }
 
 // TestMulLargeIndependentOfProcs multiplies matrices big enough for every
 // worker to get several blocks — a random pair, and B·W of the L-WD pipeline
 // on every synth preset — and requires, at every setting, the bits of the
-// serial result and of the row-major oracle transposed.
+// row-major oracle, and of the oracle transposed from the score matrix's
+// orientation Wᵀ·Bᵀ.
 func TestMulLargeIndependentOfProcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	type operands struct {
@@ -327,17 +473,16 @@ func TestMulLargeIndependentOfProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range cases {
 		runtime.GOMAXPROCS(1)
-		want := MulT(c.a, c.b)
-		if err := sameBits(want, oracleMul(c.a, c.b).Transpose()); err != nil {
-			t.Fatalf("%s: MulT differs from the oracle transposed: %v", c.name, err)
-		}
-		for _, procs := range []int{2, 8} {
+		want := oracleMul(c.a, c.b)
+		wantT := want.Transpose()
+		at, bt := c.a.Transpose(), c.b.Transpose()
+		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
-			if err := sameBits(MulT(c.a, c.b), want); err != nil {
-				t.Fatalf("%s: MulT at GOMAXPROCS=%d differs from the serial result: %v", c.name, procs, err)
+			if err := sameBits(Mul(c.a, c.b), want, false); err != nil {
+				t.Fatalf("%s: Mul at GOMAXPROCS=%d differs from the oracle: %v", c.name, procs, err)
 			}
-			if err := sameBits(Mul(c.a, c.b), want.Transpose()); err != nil {
-				t.Fatalf("%s: Mul at GOMAXPROCS=%d differs from the serial MulT transposed: %v", c.name, procs, err)
+			if err := sameBits(Mul(bt, at), wantT, false); err != nil {
+				t.Fatalf("%s: Mul of the transposes at GOMAXPROCS=%d differs from the oracle transposed: %v", c.name, procs, err)
 			}
 		}
 	}

@@ -1,9 +1,10 @@
 package sparse
 
-// oracleMul is the product kernel the package shipped before MulT: a two-pass
-// Gustavson product that writes a·b row-major and comparison-sorts every
-// row's column list. It is kept verbatim as the reference MulT must match bit
-// for bit once transposed.
+// oracleMul is the product kernel the package shipped before the column-major
+// product that preceded Mul: a two-pass Gustavson product that writes a·b
+// row-major and comparison-sorts every row's column list. It is kept verbatim
+// as the reference Mul must match bit for bit, and Mul(bᵀ, aᵀ) once
+// transposed.
 
 import (
 	"fmt"

@@ -123,8 +123,10 @@ func New(rec recommender.Recommender, numSamples int, seed int64) *Framework {
 // built the first time something asks for them — Provider(StrategyStatic),
 // an Estimate with StrategyStatic, or Sets — once per fitted graph, so a
 // Probabilistic- or Random-only user never pays for them. The recommender's
-// Fit builds the score matrix once, column-major, and it and the later
-// discretization each use every core (see sparse.Mul and
+// Fit builds Bᵀ, the graph's train-observed domain/range members, once and
+// the score matrix from it, once, column-major; the matrix keeps Bᵀ, which
+// the later discretization reads as its known members instead of building
+// them again. Both use every core (see sparse.Mul and
 // recommender.BuildStatic); their results do not depend on the core count.
 func (f *Framework) Fit(g *kg.Graph) error {
 	return f.FitCtx(context.Background(), g)

@@ -21,8 +21,8 @@ import (
 // never observed in a relation, unlike PT/DBH. Only two sparse matrix
 // multiplications and a normalization; runs in (milli)seconds on a CPU.
 func NewLWD() Recommender {
-	return &method{name: "L-WD", unseen: true, build: func(g *kg.Graph) *sparse.CSR {
-		return lwdScores(incidenceT(g, false), 2*g.NumRelations)
+	return &method{name: "L-WD", unseen: true, build: func(g *kg.Graph, bt *sparse.CSR) *sparse.CSR {
+		return lwdScores(bt, 2*g.NumRelations)
 	}}
 }
 
@@ -31,8 +31,8 @@ func NewLWD() Recommender {
 // participates in the co-occurrence graph. The output keeps only the 2·|R|
 // domain/range columns (type columns are auxiliary evidence).
 func NewLWDT() Recommender {
-	return &method{name: "L-WD-T", types: true, unseen: true, build: func(g *kg.Graph) *sparse.CSR {
-		return lwdScores(stackRows(incidenceT(g, false), typeMatrix(g).Transpose()), 2*g.NumRelations)
+	return &method{name: "L-WD-T", types: true, unseen: true, build: func(g *kg.Graph, bt *sparse.CSR) *sparse.CSR {
+		return lwdScores(stackRows(bt, typeMatrix(g).Transpose()), 2*g.NumRelations)
 	}}
 }
 

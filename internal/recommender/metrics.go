@@ -38,18 +38,16 @@ func EvaluateCandidates(cs *CandidateSets, g *kg.Graph) CandidateQuality {
 		pairs[pair{RangeCol(int(t.R), g.NumRelations), t.T}] = true
 	}
 
-	var (
-		hit, unseenHit   int
-		total, unseenTot int
-		rrSum            float64
-	)
+	// Every sum is of integers, so no order of the map walk changes a bit:
+	// RR, the mean of 1 − |set|/|E| over the pairs, is 1 − Σ|set|/(|E|·pairs).
+	var hit, unseenHit, total, unseenTot, sizes int
 	for p := range pairs {
 		total++
 		contained := cs.Contains(p.col, p.e)
 		if contained {
 			hit++
 		}
-		rrSum += 1 - float64(cs.SetSize(p.col))/float64(g.NumEntities)
+		sizes += cs.SetSize(p.col)
 
 		var wasSeen bool
 		if p.col < g.NumRelations {
@@ -70,7 +68,7 @@ func EvaluateCandidates(cs *CandidateSets, g *kg.Graph) CandidateQuality {
 	q := CandidateQuality{Pairs: total, UnseenPairs: unseenTot}
 	if total > 0 {
 		q.CRTest = float64(hit) / float64(total)
-		q.RR = rrSum / float64(total)
+		q.RR = 1 - float64(sizes)/(float64(total)*float64(g.NumEntities))
 	}
 	if unseenTot > 0 {
 		q.CRUnseen = float64(unseenHit) / float64(unseenTot)

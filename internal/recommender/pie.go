@@ -26,7 +26,7 @@ import (
 // L-WD, yet yields similar candidate quality (the paper's Table 5 point).
 // It uses entity types when the graph has them but does not need them.
 func NewPIESim(seed int64) Recommender {
-	return &method{name: "PIE", unseen: true, build: func(g *kg.Graph) *sparse.CSR { return fitPIE(g, seed) }}
+	return &method{name: "PIE", unseen: true, build: func(g *kg.Graph, bt *sparse.CSR) *sparse.CSR { return fitPIE(g, bt, seed) }}
 }
 
 // PIE's hyperparameters.
@@ -40,14 +40,14 @@ const (
 )
 
 // fitPIE trains the denoising autoencoder from seed and materializes its
-// score matrix, column-major.
-func fitPIE(g *kg.Graph, seed int64) *sparse.CSR {
+// score matrix, column-major, given the binary Bᵀ.
+func fitPIE(g *kg.Graph, bt *sparse.CSR, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
 	nr2 := 2 * g.NumRelations
 	inDim := nr2 + g.NumTypes
 	h := pieHidden
 
-	b := incidence(g)
+	b := bt.Transpose() // B: an entity's incidence columns are its row
 	t := typeMatrix(g)
 
 	// featIdx[featPtr[e]:featPtr[e+1]] are the input feature ids of entity e:

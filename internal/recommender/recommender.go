@@ -20,7 +20,10 @@
 // The recommenders differ only in how they build the score matrix, so each
 // is a method: its name, whether it needs entity types, whether it can
 // score unseen candidates (Table 1), and the function that builds its
-// matrix. One Fit serves all seven.
+// matrix. One Fit serves all seven: it builds Bᵀ, the train-observed
+// domain/range incidence every method starts from, once, hands it to the
+// method's build, and keeps it beside the fitted matrix, where BuildStatic
+// finds the known members it measures recall against.
 //
 // Score-matrix convention: X has |E| rows and 2·|R| columns; column r holds
 // domain (head) scores for relation r and column |R|+r holds range (tail)
@@ -63,12 +66,16 @@ type Recommender interface {
 }
 
 // method is a Recommender: what sets one apart from another is its name,
-// its two Table 1 flags and the function that builds its score matrix.
+// its two Table 1 flags and the function that builds its score matrix from
+// the graph and its Bᵀ.
 type method struct {
 	name   string
-	types  bool                        // Fit needs entity types
-	unseen bool                        // can score unseen candidates (Table 1)
-	build  func(*kg.Graph) *sparse.CSR // Xᵀ, column-major
+	types  bool // Fit needs entity types
+	unseen bool // can score unseen candidates (Table 1)
+	counts bool // Bᵀ carries DBH's counts rather than ones
+	// build returns Xᵀ, column-major, from the graph and its Bᵀ
+	// (incidenceT); it reads bt and does not change it.
+	build  func(g *kg.Graph, bt *sparse.CSR) *sparse.CSR
 	scores *ScoreMatrix
 }
 
@@ -77,15 +84,18 @@ func (m *method) NeedsTypes() bool     { return m.types }
 func (m *method) SupportsUnseen() bool { return m.unseen }
 func (m *method) Scores() *ScoreMatrix { return m.scores }
 
-// Fit builds the score matrix, refusing an untyped graph if the method
-// needs types.
+// Fit builds Bᵀ once and the score matrix from it, refusing an untyped
+// graph if the method needs types. The matrix keeps Bᵀ and g, so that
+// BuildStatic on g reads its known members instead of building them again.
 func (m *method) Fit(g *kg.Graph) error {
 	if m.types {
 		if err := RequireTypes(m.name, g); err != nil {
 			return err
 		}
 	}
-	m.scores = NewScoreMatrix(m.build(g), g.NumRelations)
+	bt := incidenceT(g, m.counts)
+	m.scores = NewScoreMatrix(m.build(g, bt), g.NumRelations)
+	m.scores.fitted, m.scores.seen = g, bt
 	return nil
 }
 
@@ -95,6 +105,12 @@ type ScoreMatrix struct {
 	NumEntities  int
 	NumRelations int
 	byCol        *sparse.CSR // Xᵀ: 2|R| × |E|
+	// fitted is the graph Fit built the matrix from, and seen its Bᵀ (the
+	// train-observed members of each column; with DBH's counts as values,
+	// which nothing reads from here). A matrix from NewScoreMatrix has
+	// neither.
+	fitted *kg.Graph
+	seen   *sparse.CSR
 }
 
 // NewScoreMatrix wraps a column-major score matrix: xt is Xᵀ, one row per
@@ -204,11 +220,6 @@ func incidenceT(g *kg.Graph, counts bool) *sparse.CSR {
 	}
 	return bt
 }
-
-// incidence builds the binary |E|×2|R| domain/range incidence matrix B from
-// the training split: B[e][r]=1 iff e seen as head of r, B[e][|R|+r]=1 iff
-// seen as tail.
-func incidence(g *kg.Graph) *sparse.CSR { return incidenceT(g, false).Transpose() }
 
 // typeMatrix builds the binary |E|×|T| entity-type matrix.
 func typeMatrix(g *kg.Graph) *sparse.CSR {

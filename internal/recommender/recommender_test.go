@@ -1,6 +1,7 @@
 package recommender
 
 import (
+	"math"
 	"testing"
 
 	"kgeval/internal/kg"
@@ -298,6 +299,30 @@ func TestBuildStaticWithoutSeen(t *testing.T) {
 		if len(without.Sets[col]) > len(with.Sets[col]) {
 			t.Fatalf("column %d: IncludeSeen shrank the set (%d > %d)",
 				col, len(without.Sets[col]), len(with.Sets[col]))
+		}
+	}
+}
+
+// EvaluateCandidates walks a map of test pairs, whose order changes from
+// call to call; its result must not. On wikikg2-sim's L-WD sets a sum of
+// float64 terms in map order gave 15 bit patterns of RR in 20 calls.
+func TestEvaluateCandidatesIsRepeatable(t *testing.T) {
+	g := generate(t, synth.WikiKG2Sim())
+	rec := NewLWD()
+	if err := rec.Fit(g); err != nil {
+		t.Fatal(err)
+	}
+	cs := BuildStatic(rec.Scores(), g, DefaultStaticOpts())
+	first := EvaluateCandidates(cs, g)
+	for call := 1; call < 20; call++ {
+		q := EvaluateCandidates(cs, g)
+		for _, p := range [][2]float64{{q.RR, first.RR}, {q.CRTest, first.CRTest}, {q.CRUnseen, first.CRUnseen}} {
+			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+				t.Fatalf("call %d: %+v, first call %+v", call, q, first)
+			}
+		}
+		if q.Pairs != first.Pairs || q.UnseenPairs != first.UnseenPairs {
+			t.Fatalf("call %d: %+v, first call %+v", call, q, first)
 		}
 	}
 }

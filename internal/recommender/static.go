@@ -35,14 +35,22 @@ func DefaultStaticOpts() StaticOpts { return StaticOpts{IncludeSeen: true} }
 // column it sweeps thresholds over the column's distinct scores and keeps
 // the one whose (CR, RR) point — recall over the train-observed members and
 // fraction of entities filtered out — minimizes the l2 distance to the
-// optimum (1, 1).
+// optimum (1, 1). The winner is always a train-observed member's score (or
+// +Inf, the empty set), so optimalThreshold finds it without sorting every
+// score: only the score ranges that hold a member and can still win.
+//
+// The train-observed members are g's Bᵀ. When g is the graph s was fitted
+// on (the same *kg.Graph, whose training split Fit read as it is now), Fit
+// kept that Bᵀ beside the matrix and it is read from there; for any other
+// graph (a matrix fitted on one graph and discretized against another's
+// training split) BuildStatic builds g's.
 //
 // Columns are independent and are processed on par.Workers(2·|R|)
 // goroutines; each writes only its own Sets[col] and Thresholds[col], so the
 // result does not depend on the worker count. Every set is allocated once at
-// its final size; the only other allocations are the train-observed members
-// (the transposed incidence matrix) and one sort buffer per worker, sized by
-// the longest column and reused across the worker's columns.
+// its final size; the only other allocation on the fitted graph is one
+// scratch buffer per worker, sized by the longest column and reused across
+// the worker's columns.
 func BuildStatic(s *ScoreMatrix, g *kg.Graph, opts StaticOpts) *CandidateSets {
 	numCols := 2 * s.NumRelations
 	cs := &CandidateSets{
@@ -51,14 +59,18 @@ func BuildStatic(s *ScoreMatrix, g *kg.Graph, opts StaticOpts) *CandidateSets {
 		Sets:         make([][]int32, numCols),
 		Thresholds:   make([]float64, numCols),
 	}
-	seen := incidenceT(g, false)
+	seen := s.seen
+	if s.fitted != g {
+		seen = incidenceT(g, false)
+	}
 	longest := 0
 	for col := 0; col < numCols; col++ {
 		ids, _ := s.Column(col)
 		longest = max(longest, len(ids))
 	}
-	// A worker's sort buffer holds the longest column's keys, its known
-	// members' (at most as many), and as much again for the sorts to work in.
+	// A worker's scratch holds the longest column's keys, its known
+	// members' (at most as many), and as much again for the search to
+	// partition and sort them into.
 	perWorker := 4 * longest
 	scratch := make([]uint64, par.Workers(numCols)*perWorker)
 	par.Blocks(numCols, func(w, lo, hi int) {
@@ -66,13 +78,15 @@ func BuildStatic(s *ScoreMatrix, g *kg.Graph, opts StaticOpts) *CandidateSets {
 		for col := lo; col < hi; col++ {
 			members, _ := seen.Row(col)
 			ids, scores := s.Column(col)
-			thr := optimalThreshold(col, ids, scores, members, s.NumEntities, buf)
+			thr, kept, knownKept := optimalThreshold(col, ids, scores, members, s.NumEntities, buf)
 			cs.Thresholds[col] = thr
-			if !opts.IncludeSeen {
+			n := kept // the set: the kept entities, and the members not among them
+			if opts.IncludeSeen {
+				n += len(members) - knownKept
+			} else {
 				members = nil
 			}
-			// Size the set with a counting merge, then fill it.
-			if n := unionAbove(nil, ids, scores, thr, members); n > 0 {
+			if n > 0 {
 				cs.Sets[col] = make([]int32, n)
 				unionAbove(cs.Sets[col], ids, scores, thr, members)
 			}
@@ -83,81 +97,228 @@ func BuildStatic(s *ScoreMatrix, g *kg.Graph, opts StaticOpts) *CandidateSets {
 
 // optimalThreshold picks, among the distinct score values of column col, the
 // threshold minimizing √((1−CR)² + (1−RR)²), where CR is recall over the
-// knownMembers and RR = 1 − |set|/|E|. ids and knownMembers are both sorted
-// ascending. buf is scratch of at least 4·len(ids) words.
+// knownMembers and RR = 1 − |set|/|E|; of equally near thresholds it picks
+// the highest, and +Inf (the empty set) unless one is strictly nearer than
+// the empty set. It also returns how many of the column's entities score
+// at least the threshold (kept), and how many of those are known members
+// (knownKept). ids and knownMembers are both sorted ascending; a known
+// member need not be in the column. buf is scratch of at least 4·len(ids)
+// words.
 //
-// The sweep needs, per distinct score, how many entities and how many known
-// members score at least that much. Both follow from two plain sorted score
-// lists — the column's, and the known members' within it — so no per-entity
-// record has to be sorted; and the lists are sorted as integer keys in score
-// order (sortKey), by radix rather than by comparison.
-func optimalThreshold(col int, ids []int32, scores []float64, knownMembers []int32, numEntities int, buf []uint64) float64 {
+// A threshold's distance needs how many entities and how many known members
+// score at least that much; both follow from two plain score lists — the
+// column's, and the known members' within it — as integer keys in score
+// order (sortKey). A sweep over every distinct score, highest first,
+// would sort both lists whole. It need not, because the answer is always a
+// known member's score (or +Inf): lowering the threshold from one score to
+// the next lower one that no known member has adds entities and no recall,
+// so CR stays, RR cannot rise, and — every step of the distance being
+// monotone in floating point too — the distance cannot fall. Such a
+// threshold never beats the one above it (or, at the top, the empty set,
+// whose distance it matches at best). search therefore sorts only the
+// score ranges that hold a known member and can reach the best distance
+// already known exactly.
+func optimalThreshold(col int, ids []int32, scores []float64, knownMembers []int32, numEntities int, buf []uint64) (thr float64, kept, knownKept int) {
 	if len(ids) == 0 {
-		return math.Inf(1)
+		return math.Inf(1), 0, 0
 	}
-	buf = buf[:0]
-	for _, s := range scores {
+	// The keys, their range, and how many are +Inf's: the entities that the
+	// empty set's threshold, +Inf, keeps all the same.
+	n := len(ids)
+	keys := buf[:n]
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	infKey, infs := sortKey(math.Inf(1)), 0
+	for i, s := range scores {
 		if s != s {
 			panic(fmt.Sprintf("recommender: NaN score in column %d", col))
 		}
-		buf = append(buf, sortKey(s))
-	}
-	ki := 0
-	for i, id := range ids {
-		for ki < len(knownMembers) && knownMembers[ki] < id {
-			ki++
-		}
-		if ki < len(knownMembers) && knownMembers[ki] == id {
-			buf = append(buf, buf[i])
+		k := sortKey(s)
+		keys[i] = k
+		lo, hi = min(lo, k), max(hi, k)
+		if k == infKey {
+			infs++
 		}
 	}
-	n, m := len(ids), len(buf)
-	all := sortKeys(buf[:n], buf[m:m+n])
-	known := sortKeys(buf[n:m], buf[m+n:2*m])
-
-	bestThr := math.Inf(1)
+	// The known members' keys, by a merge of the two id lists.
+	known, knownInfs, i := buf[n:n], 0, 0
+	for _, id := range knownMembers {
+		for i < n && ids[i] < id {
+			i++
+		}
+		if i < n && ids[i] == id {
+			known = append(known, keys[i])
+			if keys[i] == infKey {
+				knownInfs++
+			}
+		}
+	}
+	m := n + len(known)
+	c := cut{numKnown: len(knownMembers), numEntities: numEntities, bestKey: emptySet}
 	// Distance of the empty set: CR=0 (or 1 if nothing is known), RR=1.
-	bestDist := 1.0
+	c.bestDist = 1.0
 	if len(knownMembers) == 0 {
-		bestDist = 0
+		c.bestDist = 0
 	}
-	// Sweep thresholds from the highest score down.
-	i, k := len(all)-1, len(known)-1
-	for i >= 0 {
-		thr := all[i]
-		for i >= 0 && all[i] == thr {
-			i--
+	c.bound = c.bestDist
+	c.search(keys, buf[m:m+n], known, buf[m+n:2*m], lo, hi, 0, 0)
+	if c.bestKey == emptySet {
+		return math.Inf(1), infs, knownInfs
+	}
+	return keyScore(c.bestKey), c.kept, c.knownKept
+}
+
+// Below pruneMin keys, search sorts a range whole: a bucket pass costs its
+// 1<<pruneBits counters whatever the length.
+const (
+	pruneMin  = 1024
+	pruneBits = 8
+)
+
+// emptySet is cut's best key while the empty set is best. No score has it:
+// sortKey(+Inf) is below it, and NaN has no key.
+const emptySet = math.MaxUint64
+
+// cut is one column's threshold search: the sweep's best distance so far,
+// its threshold's key (emptySet at first) with what it keeps, and bound,
+// the least distance any threshold is known to reach — the sweep's best,
+// or a range's lowest key's, whichever is less.
+type cut struct {
+	numKnown, numEntities int
+	bestDist, bound       float64
+	bestKey               uint64
+	kept, knownKept       int
+}
+
+// dist is the squared distance to (1, 1) of the threshold that keeps kept
+// entities, knownKept of them known members. It is non-increasing in
+// knownKept and non-decreasing in kept, in floating point as in the reals:
+// every operation on the way is monotone.
+func (c *cut) dist(kept, knownKept int) float64 {
+	cr := 1.0
+	if c.numKnown > 0 {
+		cr = float64(knownKept) / float64(c.numKnown)
+	}
+	rr := 1 - float64(kept)/float64(c.numEntities)
+	return (1-cr)*(1-cr) + (1-rr)*(1-rr)
+}
+
+// try offers the threshold with key thr; thresholds are offered highest
+// first, so a later one wins only if strictly nearer.
+func (c *cut) try(thr uint64, kept, knownKept int) {
+	d := c.dist(kept, knownKept)
+	if d < c.bestDist {
+		c.bestDist, c.bestKey, c.kept, c.knownKept = d, thr, kept, knownKept
+	}
+	c.bound = min(c.bound, d)
+}
+
+// search offers every threshold of a key range that can win, highest
+// first. all holds the range's keys, lo and hi the least and greatest of
+// them, and known the known members' keys among them, both unsorted;
+// allTmp and knownTmp are scratch of the same lengths, and all four may be
+// overwritten. aboveAll and aboveKnown count the keys above the range.
+//
+// A range without a known member holds no winner. A range of one distinct
+// key is one threshold. A short range is sorted and swept. A longer one is
+// cut into 1<<pruneBits buckets of equal key width: for each, the exact
+// distance at its lowest key tightens bound, and a lower bound on the
+// distance of any threshold inside it (all of its known members kept, and
+// only one more entity) says whether it can reach bound. The keys of the
+// buckets that hold a known member and can are moved to the scratch and
+// searched in turn, highest first; every other key is dropped unsorted.
+func (c *cut) search(all, allTmp, known, knownTmp []uint64, lo, hi uint64, aboveAll, aboveKnown int) {
+	if len(known) == 0 {
+		return
+	}
+	if lo == hi {
+		c.try(lo, aboveAll+len(all), aboveKnown+len(known))
+		return
+	}
+	if len(all) < pruneMin {
+		all, known = sortKeys(all, allTmp), sortKeys(known, knownTmp)
+		i, k := len(all)-1, len(known)-1
+		for i >= 0 {
+			thr := all[i]
+			for i >= 0 && all[i] == thr {
+				i--
+			}
+			for k >= 0 && known[k] >= thr {
+				k--
+			}
+			c.try(thr, aboveAll+len(all)-1-i, aboveKnown+len(known)-1-k)
 		}
-		for k >= 0 && known[k] >= thr {
-			k--
-		}
-		kept, knownKept := len(all)-1-i, len(known)-1-k
-		cr := 1.0
-		if len(knownMembers) > 0 {
-			cr = float64(knownKept) / float64(len(knownMembers))
-		}
-		rr := 1 - float64(kept)/float64(numEntities)
-		dist := (1-cr)*(1-cr) + (1-rr)*(1-rr)
-		if dist < bestDist {
-			bestDist = dist
-			bestThr = keyScore(thr)
+		return
+	}
+	const buckets = 1 << pruneBits
+	shift := max(bits.Len64(hi-lo)-pruneBits, 0)
+	var nAll, nKnown [buckets]int32
+	for _, k := range all {
+		nAll[(k-lo)>>shift]++
+	}
+	for _, k := range known {
+		nKnown[(k-lo)>>shift]++
+	}
+	keptAll, keptKnown := aboveAll, aboveKnown
+	for b := buckets - 1; b >= 0; b-- {
+		if nAll[b] > 0 {
+			keptAll, keptKnown = keptAll+int(nAll[b]), keptKnown+int(nKnown[b])
+			c.bound = min(c.bound, c.dist(keptAll, keptKnown))
 		}
 	}
-	return bestThr
+	var deeper [buckets]bool
+	keptAll, keptKnown = aboveAll, aboveKnown
+	for b := buckets - 1; b >= 0; b-- {
+		deeper[b] = nKnown[b] > 0 && c.dist(keptAll+1, keptKnown+int(nKnown[b])) <= c.bound
+		keptAll, keptKnown = keptAll+int(nAll[b]), keptKnown+int(nKnown[b])
+	}
+	// Move the deeper buckets' keys to the scratch, bucket after bucket,
+	// ascending, then find each one's least and greatest key.
+	var (
+		next        [buckets]int32
+		least, most [buckets]uint64
+	)
+	move := func(keys, dst []uint64, count *[buckets]int32) int {
+		pos := int32(0)
+		for b := range next {
+			if deeper[b] {
+				next[b], pos = pos, pos+count[b]
+			}
+		}
+		for _, k := range keys {
+			if b := (k - lo) >> shift; deeper[b] {
+				dst[next[b]] = k
+				next[b]++
+			}
+		}
+		return int(pos)
+	}
+	endAll, endKnown := move(all, allTmp, &nAll), move(known, knownTmp, &nKnown)
+	for b := range least {
+		least[b] = math.MaxUint64
+	}
+	for _, k := range allTmp[:endAll] {
+		b := (k - lo) >> shift
+		least[b], most[b] = min(least[b], k), max(most[b], k)
+	}
+	keptAll, keptKnown = aboveAll, aboveKnown
+	for b := buckets - 1; b >= 0; b-- {
+		if deeper[b] {
+			a, k := endAll-int(nAll[b]), endKnown-int(nKnown[b])
+			c.search(allTmp[a:endAll], all[a:endAll], knownTmp[k:endKnown], known[k:endKnown], least[b], most[b], keptAll, keptKnown)
+			endAll, endKnown = a, k
+		}
+		keptAll, keptKnown = keptAll+int(nAll[b]), keptKnown+int(nKnown[b])
+	}
 }
 
 // sortKey maps a score to an integer with the same order: a < b as float64
 // exactly when sortKey(a) < sortKey(b), for negative, subnormal and infinite
 // values, and -0 and +0 — equal as floats — share a key. Not defined on NaN.
 func sortKey(s float64) uint64 {
-	if s == 0 {
-		s = 0 // -0 becomes +0
-	}
-	b := math.Float64bits(s)
-	if b>>63 != 0 {
-		return ^b // negative: larger magnitude sorts lower
-	}
-	return b | 1<<63
+	b := math.Float64bits(s + 0) // -0 + 0 is +0; any other s is itself
+	// A negative score's bits all flip (larger magnitude sorts lower), a
+	// positive one's sign bit only.
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // keyScore inverts sortKey.

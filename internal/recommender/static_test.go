@@ -1,6 +1,7 @@
 package recommender
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -75,14 +76,15 @@ func TestSortKeysMatchesComparisonSort(t *testing.T) {
 }
 
 // optimalThreshold picks the oracle's threshold on columns whose scores are
-// negative, zero of either sign, subnormal or infinite, on both sort paths.
+// negative, zero of either sign, subnormal or infinite, at column sizes on
+// both sides of each cutoff: slices.Sort or radix below pruneMin, and the
+// bucketed search above it.
 func TestOptimalThresholdOnEdgeScores(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
+	sizes := [][2]int{{1, 40}, {41, radixMin}, {radixMin - 40, radixMin + 40}, {pruneMin - 60, pruneMin + 60}, {1, 3 * pruneMin}}
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(40)
-		if trial%4 == 0 {
-			n += 2 * radixMin
-		}
+		lo, hi := sizes[trial%len(sizes)][0], sizes[trial%len(sizes)][1]
+		n := lo + rng.Intn(hi-lo+1)
 		numEntities := 2 * n
 		var ids, known []int32
 		var scores []float64
@@ -95,7 +97,7 @@ func TestOptimalThresholdOnEdgeScores(t *testing.T) {
 				known = append(known, int32(e))
 			}
 		}
-		got := optimalThreshold(0, ids, scores, known, numEntities, make([]uint64, 4*len(ids)))
+		got, _, _ := optimalThreshold(0, ids, scores, known, numEntities, make([]uint64, 4*len(ids)))
 		if want := oracleOptimalThreshold(ids, scores, known, numEntities); got != want {
 			t.Fatalf("trial %d: threshold %v, want %v (scores %v)", trial, got, want, scores)
 		}
@@ -111,4 +113,113 @@ func TestOptimalThresholdPanicsOnNaN(t *testing.T) {
 		}
 	}()
 	optimalThreshold(7, []int32{0, 1}, []float64{0.5, math.NaN()}, nil, 4, make([]uint64, 8))
+}
+
+// FuzzOptimalThreshold holds the bucketed search to the oracle's full sort
+// and sweep on columns whose values come from the fuzz bytes: eight bytes a
+// value (NaNs dropped), or with mode&1 each value a few thousand ulps from
+// the first, so that buckets split again and again. Each entity of up to
+// 4·pruneMin is in the column at a rate mode picks, with one of the values
+// drawn from seed, and is a known member at knownRate/256, whether in the
+// column or not. The kept counts must be what the threshold keeps.
+func FuzzOptimalThreshold(f *testing.F) {
+	bytesOf := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	f.Add(uint64(1), uint16(3000), uint8(64), uint8(0), bytesOf(edgeScores...))
+	f.Add(uint64(2), uint16(2000), uint8(30), uint8(6), bytesOf(0.25))                           // one distinct score
+	f.Add(uint64(3), uint16(1500), uint8(10), uint8(4), bytesOf(negZero, 0))                     // ±0 only
+	f.Add(uint64(4), uint16(1100), uint8(40), uint8(2), bytesOf(tiny, 2*tiny, 0x1p-1022, -tiny)) // subnormals
+	f.Add(uint64(5), uint16(1200), uint8(20), uint8(6), bytesOf(math.Inf(-1), math.Inf(1), 1))
+	f.Add(uint64(6), uint16(4000), uint8(0), uint8(4), bytesOf(edgeScores...))          // no known members
+	f.Add(uint64(7), uint16(4000), uint8(2), uint8(6), bytesOf(1, 2))                   // long ties
+	f.Add(uint64(8), uint16(4000), uint8(200), uint8(0), bytesOf(0.5, 0.7, 0.9))        // members outside the column
+	f.Add(uint64(9), uint16(4000), uint8(12), uint8(7), bytesOf(1, 1.5, 3, 0x1p-40, 7)) // a few ulps apart
+	f.Add(uint64(10), uint16(30), uint8(90), uint8(3), bytesOf(math.Inf(1), negZero, -1))
+	f.Fuzz(func(t *testing.T, seed uint64, size uint16, knownRate, mode uint8, data []byte) {
+		var values []float64
+		for ; len(data) >= 8; data = data[8:] {
+			bits := binary.LittleEndian.Uint64(data)
+			if mode&1 != 0 && len(values) > 0 {
+				bits = math.Float64bits(values[0]) + bits%4096
+			}
+			if v := math.Float64frombits(bits); v == v {
+				values = append(values, v)
+			}
+		}
+		if len(values) == 0 {
+			return
+		}
+		rng := rand.New(rand.NewSource(int64(seed)))
+		numEntities := 1 + int(size)%(4*pruneMin)
+		inColumn := 1 + int(mode>>1)%4 // in quarters
+		var ids, known []int32
+		var scores []float64
+		for e := 0; e < numEntities; e++ {
+			if rng.Intn(4) < inColumn {
+				ids = append(ids, int32(e))
+				scores = append(scores, values[rng.Intn(len(values))])
+			}
+			if rng.Intn(256) < int(knownRate) {
+				known = append(known, int32(e))
+			}
+		}
+		got, kept, knownKept := optimalThreshold(0, ids, scores, known, numEntities, make([]uint64, 4*len(ids)))
+		if want := oracleOptimalThreshold(ids, scores, known, numEntities); got != want {
+			t.Fatalf("threshold %v, want %v (%d scores, %d known)", got, want, len(ids), len(known))
+		}
+		wantKept, wantKnown := 0, 0
+		for i, id := range ids {
+			if scores[i] >= got {
+				wantKept++
+				if _, found := slices.BinarySearch(known, id); found {
+					wantKnown++
+				}
+			}
+		}
+		if kept != wantKept || knownKept != wantKnown {
+			t.Fatalf("threshold %v keeps %d entities, %d known; reported %d, %d", got, wantKept, wantKnown, kept, knownKept)
+		}
+	})
+}
+
+// Two thresholds in different buckets can be equally near (1, 1) to the
+// last bit; the higher one wins, as in the sweep. Here, of 1 950 entities
+// and 5 known members, the top score (1 entity, known) and the score 1 (1 351
+// entities, 3 known) both sit at 0.64000026…: the search may drop the top
+// bucket only when its bound is strictly above the best distance known.
+func TestOptimalThresholdTieAcrossBucketsGoesHigh(t *testing.T) {
+	const numEntities = 1950
+	var ids, known []int32
+	var scores []float64
+	add := func(score float64, isKnown bool) {
+		e := int32(len(ids))
+		ids, scores = append(ids, e), append(scores, score)
+		if isKnown {
+			known = append(known, e)
+		}
+	}
+	add(1000, true)
+	for range 1348 {
+		add(2, false)
+	}
+	add(1, true)
+	add(1, true)
+	for range 400 {
+		add(0.5, false)
+	}
+	known = append(known, numEntities-2, numEntities-1) // not in the column
+	c := cut{numKnown: len(known), numEntities: numEntities}
+	if top, one := c.dist(1, 1), c.dist(1351, 3); top != one {
+		t.Fatalf("distances %v and %v: the column no longer holds a tie", top, one)
+	}
+	got, kept, knownKept := optimalThreshold(0, ids, scores, known, numEntities, make([]uint64, 4*len(ids)))
+	if want := oracleOptimalThreshold(ids, scores, known, numEntities); got != want || got != 1000 || kept != 1 || knownKept != 1 {
+		t.Fatalf("threshold %v keeping %d (%d known), want %v (oracle) = 1000 keeping 1 (1 known)", got, kept, knownKept, want)
+	}
 }

@@ -128,48 +128,6 @@ func TestFitAndBuildStaticMatchOracle(t *testing.T) {
 	}
 }
 
-// BuildStatic reads the known members Fit kept only for the graph the
-// matrix was fitted on. Handed another graph — experiments' extension tables
-// discretize against the graph they pass, and core's tests against a second
-// graph — it measures recall against that graph's training split: here half
-// of the fitted one's, and, separately, a copy that is equal but not the same
-// graph. Its sets must be the oracle's on that graph, and the half split's
-// must differ from the fitted graph's, or the test shows nothing (except
-// PT's: its matrix is the fitted graph's members, which take in any half of
-// them).
-func TestBuildStaticOnAnotherGraphUsesItsMembers(t *testing.T) {
-	g := generate(t, synth.CoDExSSim())
-	half, same := *g, *g
-	half.Train = nil
-	for i, tr := range g.Train {
-		if i%2 == 0 {
-			half.Train = append(half.Train, tr)
-		}
-	}
-	same.Train = slices.Clone(g.Train)
-	for _, name := range []string{"PT", "DBH-T", "L-WD"} {
-		rec, err := ByName(name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.Fit(g); err != nil {
-			t.Fatal(err)
-		}
-		for _, opts := range []StaticOpts{{IncludeSeen: true}, {IncludeSeen: false}} {
-			fitted := BuildStatic(rec.Scores(), g, opts)
-			for _, other := range []*kg.Graph{&half, &same} {
-				got := BuildStatic(rec.Scores(), other, opts)
-				sameSets(t, fmt.Sprintf("%s on %d of %d triples, %+v", name, len(other.Train), len(g.Train), opts),
-					got, oracleBuildStatic(rec.Scores(), other, opts))
-				if other == &half && name != "PT" && slices.Equal(got.Thresholds, fitted.Thresholds) &&
-					slices.EqualFunc(got.Sets, fitted.Sets, slices.Equal) {
-					t.Fatalf("%s, %+v: half the training split gives the fitted graph's sets", name, opts)
-				}
-			}
-		}
-	}
-}
-
 func sameSets(t *testing.T, what string, got, want *CandidateSets) {
 	t.Helper()
 	if got.NumEntities != want.NumEntities || got.NumRelations != want.NumRelations {

@@ -85,8 +85,8 @@ func (m *method) SupportsUnseen() bool { return m.unseen }
 func (m *method) Scores() *ScoreMatrix { return m.scores }
 
 // Fit builds Bᵀ once and the score matrix from it, refusing an untyped
-// graph if the method needs types. The matrix keeps Bᵀ and g, so that
-// BuildStatic on g reads its known members instead of building them again.
+// graph if the method needs types. The matrix keeps Bᵀ, so that BuildStatic
+// reads its known members instead of building them again.
 func (m *method) Fit(g *kg.Graph) error {
 	if m.types {
 		if err := RequireTypes(m.name, g); err != nil {
@@ -95,7 +95,7 @@ func (m *method) Fit(g *kg.Graph) error {
 	}
 	bt := incidenceT(g, m.counts)
 	m.scores = NewScoreMatrix(m.build(g, bt), g.NumRelations)
-	m.scores.fitted, m.scores.seen = g, bt
+	m.scores.seen = bt
 	return nil
 }
 
@@ -105,12 +105,10 @@ type ScoreMatrix struct {
 	NumEntities  int
 	NumRelations int
 	byCol        *sparse.CSR // Xᵀ: 2|R| × |E|
-	// fitted is the graph Fit built the matrix from, and seen its Bᵀ (the
-	// train-observed members of each column; with DBH's counts as values,
-	// which nothing reads from here). A matrix from NewScoreMatrix has
-	// neither.
-	fitted *kg.Graph
-	seen   *sparse.CSR
+	// seen is the Bᵀ Fit built the matrix from: the train-observed members
+	// of each column (with DBH's counts as values, which nothing reads from
+	// here). A matrix from NewScoreMatrix has none.
+	seen *sparse.CSR
 }
 
 // NewScoreMatrix wraps a column-major score matrix: xt is Xᵀ, one row per

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"kgeval/internal/kg"
 )
 
 // edgeScores are the values on which an integer key order could part from
@@ -77,11 +79,11 @@ func TestSortKeysMatchesComparisonSort(t *testing.T) {
 
 // optimalThreshold picks the oracle's threshold on columns whose scores are
 // negative, zero of either sign, subnormal or infinite, at column sizes on
-// both sides of each cutoff: slices.Sort or radix below pruneMin, and the
-// bucketed search above it.
+// both sides of sortKeys' cutoff (slices.Sort below radixMin, radix above)
+// and up to thousands of scores, where a bucket can hold hundreds.
 func TestOptimalThresholdOnEdgeScores(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	sizes := [][2]int{{1, 40}, {41, radixMin}, {radixMin - 40, radixMin + 40}, {pruneMin - 60, pruneMin + 60}, {1, 3 * pruneMin}}
+	sizes := [][2]int{{1, 40}, {41, radixMin}, {radixMin - 40, radixMin + 40}, {radixMin + 41, 3072}}
 	for trial := 0; trial < 200; trial++ {
 		lo, hi := sizes[trial%len(sizes)][0], sizes[trial%len(sizes)][1]
 		n := lo + rng.Intn(hi-lo+1)
@@ -115,11 +117,42 @@ func TestOptimalThresholdPanicsOnNaN(t *testing.T) {
 	optimalThreshold(7, []int32{0, 1}, []float64{0.5, math.NaN()}, nil, 4, make([]uint64, 8))
 }
 
+// BuildStatic reads its known members from the Bᵀ Fit kept, so it refuses a
+// matrix Fit did not build and a graph other than the one it was fitted on,
+// rather than measuring recall against the wrong members.
+func TestBuildStaticRefusesAMatrixItCannotReadMembersOf(t *testing.T) {
+	g := &kg.Graph{NumEntities: 4, NumRelations: 1, Train: []kg.Triple{{H: 0, R: 0, T: 1}, {H: 2, R: 0, T: 3}}}
+	pt := NewPT()
+	if err := pt.Fit(g); err != nil {
+		t.Fatal(err)
+	}
+	if cs := BuildStatic(pt.Scores(), g, DefaultStaticOpts()); !slices.Equal(cs.Sets[0], []int32{0, 2}) {
+		t.Fatalf("PT's domain set %v, want [0 2]", cs.Sets[0])
+	}
+	wider := *g
+	wider.NumEntities++
+	for what, call := range map[string]func(){
+		"a matrix from NewScoreMatrix": func() {
+			BuildStatic(NewScoreMatrix(pt.Scores().byCol, 1), g, DefaultStaticOpts())
+		},
+		"a graph of another shape": func() { BuildStatic(pt.Scores(), &wider, DefaultStaticOpts()) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "fitted on") {
+					t.Errorf("%s: recovered %q, want a panic naming the fitted graph", what, msg)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 // FuzzOptimalThreshold holds the bucketed search to the oracle's full sort
 // and sweep on columns whose values come from the fuzz bytes: eight bytes a
 // value (NaNs dropped), or with mode&1 each value a few thousand ulps from
-// the first, so that buckets split again and again. Each entity of up to
-// 4·pruneMin is in the column at a rate mode picks, with one of the values
+// the first, so that many distinct keys share a bucket. Each entity of up
+// to 4 096 is in the column at a rate mode picks, with one of the values
 // drawn from seed, and is a known member at knownRate/256, whether in the
 // column or not. The kept counts must be what the threshold keeps.
 func FuzzOptimalThreshold(f *testing.F) {
@@ -156,7 +189,7 @@ func FuzzOptimalThreshold(f *testing.F) {
 			return
 		}
 		rng := rand.New(rand.NewSource(int64(seed)))
-		numEntities := 1 + int(size)%(4*pruneMin)
+		numEntities := 1 + int(size)%4096
 		inColumn := 1 + int(mode>>1)%4 // in quarters
 		var ids, known []int32
 		var scores []float64
@@ -189,12 +222,23 @@ func FuzzOptimalThreshold(f *testing.F) {
 }
 
 // Two thresholds in different buckets can be equally near (1, 1) to the
-// last bit; the higher one wins, as in the sweep. Here, of 1 950 entities
-// and 5 known members, the top score (1 entity, known) and the score 1 (1 351
-// entities, 3 known) both sit at 0.64000026…: the search may drop the top
-// bucket only when its bound is strictly above the best distance known.
+// last bit; the higher one wins, as in the sweep. Of 1 950 entities and 5
+// known members, the top score keeps 1 entity, known, and the score 1 keeps
+// the n that make the two distances tie (n = 1 351 when dist rounds each
+// operation, both at 0.64000026…). n is found from dist as this build
+// computes it, since a target that fuses dist's multiply-adds may round the
+// tie away; the search may drop the top bucket only when its bound is
+// strictly above the best distance known.
 func TestOptimalThresholdTieAcrossBucketsGoesHigh(t *testing.T) {
-	const numEntities = 1950
+	const numEntities, numKnown, filler = 1950, 5, 400
+	c := cut{numKnown: numKnown, numEntities: numEntities}
+	n := 4
+	for n+filler+2 <= numEntities && c.dist(n, 3) != c.dist(1, 1) {
+		n++
+	}
+	if n+filler+2 > numEntities {
+		t.Skip("no column of this shape ties its top score with the score 1 here")
+	}
 	var ids, known []int32
 	var scores []float64
 	add := func(score float64, isKnown bool) {
@@ -205,21 +249,17 @@ func TestOptimalThresholdTieAcrossBucketsGoesHigh(t *testing.T) {
 		}
 	}
 	add(1000, true)
-	for range 1348 {
+	for range n - 3 {
 		add(2, false)
 	}
 	add(1, true)
 	add(1, true)
-	for range 400 {
+	for range filler {
 		add(0.5, false)
 	}
 	known = append(known, numEntities-2, numEntities-1) // not in the column
-	c := cut{numKnown: len(known), numEntities: numEntities}
-	if top, one := c.dist(1, 1), c.dist(1351, 3); top != one {
-		t.Fatalf("distances %v and %v: the column no longer holds a tie", top, one)
-	}
 	got, kept, knownKept := optimalThreshold(0, ids, scores, known, numEntities, make([]uint64, 4*len(ids)))
 	if want := oracleOptimalThreshold(ids, scores, known, numEntities); got != want || got != 1000 || kept != 1 || knownKept != 1 {
-		t.Fatalf("threshold %v keeping %d (%d known), want %v (oracle) = 1000 keeping 1 (1 known)", got, kept, knownKept, want)
+		t.Fatalf("n=%d: threshold %v keeping %d (%d known), want %v (oracle) = 1000 keeping 1 (1 known)", n, got, kept, knownKept, want)
 	}
 }

@@ -174,22 +174,25 @@ func memoCharge(groups, n int) int64 {
 }
 
 // draw draws every group's two pools and reports how many goroutines
-// drew. All pools read one generator, and a draw's place in that stream is
-// part of the protocol, so only what a draw does after its last read of the
-// rng can leave the one stream's order. The Probabilistic draw has such a
-// remainder and it is most of the draw: its pools are drawn from up to
-// opts.workers() goroutines, each claiming the next pool in draw order and
-// taking that pool's uniforms inside one critical section, then keying,
-// selecting and emitting outside it in its own sample.Scratch — the plan's
-// only memory that grows with the worker count. Any other provider's
-// Candidates, a third party's included, would run whole under the lock, so it
-// runs on the calling goroutine with no lock at all. Either way the pools are
-// the ones a single goroutine draws. A panic in a drawing goroutine
-// resurfaces on the caller (par.Run) once the others have drawn what is left.
+// drew. All pools read one generator, rand.NewSource(opts.Seed+1)'s stream,
+// and a draw's place in that stream is part of the protocol, so only what a
+// draw does after its last read of the stream can leave the one stream's
+// order. The Probabilistic draw has such a remainder and it is most of the
+// draw: its pools are drawn from up to opts.workers() goroutines, each
+// claiming the next pool in draw order and taking that pool's uniforms from
+// the sample.Stream in bulk inside one critical section, then keying,
+// selecting and emitting outside it in a sample.Scratch from sample's pool,
+// so a plan grows no buffers of its own. Any other provider's Candidates, a
+// third party's included, would run whole under the lock, so it runs on the
+// calling goroutine, on rand.New over the same stream, with no lock at all.
+// Either way the pools are the ones a single goroutine draws. A panic in a
+// drawing goroutine resurfaces on the caller (par.Run) once the others have
+// drawn what is left.
 func (p *plan) draw(provider CandidateProvider, opts Options) (workers int) {
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
+	stream := sample.NewStream(opts.Seed + 1)
 	prob, split := provider.(*ProbabilisticProvider)
 	if !split {
+		rng := rand.New(stream)
 		for gi := range p.groups {
 			g := &p.groups[gi]
 			g.tailPool = provider.Candidates(g.r, true, rng)
@@ -199,10 +202,9 @@ func (p *plan) draw(provider CandidateProvider, opts Options) (workers int) {
 	}
 	pools := 2 * len(p.groups)
 	workers = max(1, min(opts.workers(), pools))
-	scratch := make([]sample.Scratch, workers)
 	var mu sync.Mutex
 	next := 0
-	// claim takes the next pool in draw order and the rng's share of its
+	// claim takes the next pool in draw order and the stream's share of its
 	// draw: where the pool goes, and the column whose uniforms are now in s.
 	claim := func(s *sample.Scratch) (pool *[]int32, ids []int32, weights []float64) {
 		mu.Lock()
@@ -214,15 +216,17 @@ func (p *plan) draw(provider CandidateProvider, opts Options) (workers int) {
 			pool = &g.tailPool
 		}
 		ids, weights = prob.column(g.r, tail)
-		s.Draw(rng, weights, prob.N)
+		s.Draw(stream, weights, prob.N)
 		return pool, ids, weights
 	}
 	// par.Run deals out how many pools a worker draws; which ones is settled
 	// under the lock.
-	par.Run(pools, workers, 1, func(w, lo, hi int) {
+	par.Run(pools, workers, 1, func(_, lo, hi int) {
+		s := sample.GetScratch()
+		defer sample.PutScratch(s)
 		for range hi - lo {
-			pool, ids, weights := claim(&scratch[w])
-			*pool = scratch[w].Select(ids, weights, prob.N)
+			pool, ids, weights := claim(s)
+			*pool = s.Select(ids, weights, prob.N)
 		}
 	})
 	return workers

@@ -80,9 +80,10 @@ type ProbabilisticProvider struct {
 func (*ProbabilisticProvider) Name() string { return "Probabilistic" }
 
 // Candidates draws a weighted sample from the relation's score column, whose
-// ids are ascending, so the sample is. newPlan runs the same two halves that
-// sample.Weighted composes, apart: Scratch.Draw under its rng lock and
-// Scratch.Select outside it.
+// ids are ascending, so the sample is. newPlan draws the same pools in two
+// halves: Scratch.Draw takes the uniforms in bulk from a sample.Stream over
+// rng's seed, under the plan's lock, and Scratch.Select keys and selects
+// outside it.
 func (p *ProbabilisticProvider) Candidates(r int32, tail bool, rng *rand.Rand) []int32 {
 	ids, scores := p.column(r, tail)
 	return sample.Weighted(rng, ids, scores, p.N)

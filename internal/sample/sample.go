@@ -6,8 +6,12 @@
 // ascending order of index (ascending ids when the input ids or set are
 // ascending), which is what the evaluation plan's pools have to be: nothing
 // downstream sorts. The weighted draw also comes apart into the half that
-// reads the rng and the half that does not (Scratch), so that a caller who
-// must keep many draws on one stream can serialize only the first.
+// reads the generator and the half that does not (Scratch), so that a
+// caller who must keep many draws on one stream can serialize only the
+// first; that caller draws from a Stream, math/rand's own generator computed
+// here, which hands out a draw's uniforms in bulk. The second half takes
+// each uniform's log in AVX2 assembly where the CPU has it (draw_amd64.s),
+// with math.Log's bits, and selects over the keys that can win.
 package sample
 
 import (
@@ -73,110 +77,247 @@ func UniformFromSet(rng *rand.Rand, set []int32, k int) []int32 {
 // weights[i]; pass nil ids to mean ids[i] = i. The winners are returned in
 // index order, so ascending when ids is.
 //
-// Runs in O(n): every key is computed, the k-th largest is found by
-// quickselect, and the items whose key beats that threshold are emitted in
-// one more sweep. An item whose key equals the threshold is taken only while
-// the pool is short of k, lowest index first; equal keys need identical
-// draws or weights at the edge of the float range, so this decides nothing
-// in practice, but it is the rule. This is what makes the Probabilistic
-// sampling strategy cost only 2·|R| sampling passes per evaluation. A call
-// allocates the result, min(k, #positive weights) ids, and nothing else: the
-// keys live in pooled scratch. It consumes one rng.Float64 per positive
-// weight in index order, so the selected set depends only on the rng stream.
+// Runs in O(n): every key is computed, the k-th largest is found by a
+// Floyd–Rivest select over the keys that can be among the k largest, and
+// those of them that beat that threshold are emitted in index order. An
+// item whose key equals the threshold is taken only while the pool is short
+// of k, lowest index first; equal keys need identical draws or weights at
+// the edge of the float range, so this decides nothing in practice, but it
+// is the rule. This is what makes the Probabilistic sampling strategy cost
+// only 2·|R| sampling passes per evaluation. A call allocates the result,
+// min(k, #positive weights) ids, and nothing else: the keys live in pooled
+// scratch. It reads one rng.Float64 per positive weight in index order, and
+// another for each of those that came out 0, so the selected set depends
+// only on the rng stream.
 //
-// Weighted is Scratch.Draw followed by Scratch.Select, for callers with
-// nothing to overlap.
+// Weighted is Scratch.Draw's per-value twin followed by Scratch.Select, for
+// callers with a *rand.Rand and nothing to overlap.
 func Weighted(rng *rand.Rand, ids []int32, weights []float64, k int) []int32 {
-	s := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(s)
-	s.Draw(rng, weights, k)
+	s := GetScratch()
+	defer PutScratch(s)
+	s.keys = s.keys[:0]
+	if k > 0 {
+		s.keys = slices.Grow(s.keys, len(weights))
+		for _, w := range weights {
+			if !(w > 0) { // zero, negative or NaN
+				continue
+			}
+			u := rng.Float64()
+			for u == 0 {
+				u = rng.Float64()
+			}
+			s.keys = append(s.keys, u)
+		}
+	}
 	return s.Select(ids, weights, k)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
+// GetScratch takes a Scratch from the package's pool, the one Weighted
+// draws in; PutScratch returns it. A caller that draws many pools takes one
+// per goroutine and so grows no buffers of its own.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// PutScratch returns s to the pool; s must not be used after.
+func PutScratch(s *Scratch) { scratchPool.Put(s) }
+
 // Scratch holds one weighted draw between its two halves, and the buffers
-// of both: two float64 per positive weight, kept and reused from draw to
-// draw. The zero value is ready; a Scratch serves one goroutine at a time.
+// of both, kept and reused from draw to draw: per positive weight two
+// float64 and an int32, and one of each more for the compacted weights when
+// some weight is not positive. The zero value is ready; a Scratch serves one
+// goroutine at a time.
 type Scratch struct {
 	keys []float64 // one per positive weight, in index order: u after Draw, log(u)/w in Select
-	work []float64 // the copy of keys that the quickselect reorders
+	ws   []float64 // the positive weights, compacted, when some weight is not
+	at   []int32   // the index in weights of each of ws
+	work []float64 // what the selects reorder: a sample of keys, then the keys that can win
+	cand []int32   // the positions in keys of the keys that can win, ascending
 }
 
-// Draw is the half of Weighted that reads the rng: one uniform in (0, 1)
-// per positive weight, in index order, and none at all when k <= 0.
-func (s *Scratch) Draw(rng *rand.Rand, weights []float64, k int) {
-	s.keys = s.keys[:0]
-	if k <= 0 {
-		return
+// Draw is the half of Weighted that reads the stream: one uniform in (0, 1)
+// per positive weight, in index order, and none at all when k <= 0, taken
+// from st in bulk. It leaves st, and the draw, where Weighted on rand.New(st)
+// would.
+func (s *Scratch) Draw(st *Stream, weights []float64, k int) {
+	n := 0
+	if k > 0 {
+		n = positive(weights)
 	}
-	s.keys = slices.Grow(s.keys, len(weights))
-	for _, w := range weights {
-		if !(w > 0) { // zero, negative or NaN
-			continue
-		}
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		s.keys = append(s.keys, u)
-	}
+	s.keys = slices.Grow(s.keys[:0], n)[:n]
+	st.uniforms(s.keys)
 }
 
 // Select is the rest of Weighted: it keys the uniforms that Draw left for
-// these same weights and k, and returns the winners. It reads no rng and no
-// state but s, so any number of Selects may run at once on their own
+// these same weights and k, and returns the winners. It reads no stream and
+// no state but s, so any number of Selects may run at once on their own
 // Scratches.
 func (s *Scratch) Select(ids []int32, weights []float64, k int) []int32 {
 	if k <= 0 {
 		return nil
 	}
-	keys := s.keys
-	k = min(k, len(keys))
-	// With room for every positive weight nothing is keyed: each u beats
-	// this threshold as it stands.
-	threshold, ties := math.Inf(-1), 0
+	k = min(k, len(s.keys))
+	return s.pick(ids, s.key(weights, k), k)
+}
+
+// key turns the uniforms into keys, unless all k of them win as they
+// stand, and returns at: keys[j] belongs to weights[at[j]], and at is nil
+// when every weight is positive and j is that index.
+func (s *Scratch) key(weights []float64, k int) (at []int32) {
+	keys, ws := s.keys, weights
+	if len(keys) < len(weights) {
+		s.ws, s.at = s.ws[:0], s.at[:0]
+		for i, w := range weights {
+			if w > 0 { // not zero, negative or NaN
+				s.ws = append(s.ws, w)
+				s.at = append(s.at, int32(i))
+			}
+		}
+		ws, at = s.ws, s.at
+	}
 	if k < len(keys) {
 		// key = u^(1/w); computed in log space for numerical stability:
 		// log key = log(u)/w, and log is monotone, so compare log keys.
-		j := 0
-		for _, w := range weights {
-			if !(w > 0) { // zero, negative or NaN
-				continue
-			}
-			keys[j] = math.Log(keys[j]) / w
-			j++
+		logKeys(keys, ws)
+	}
+	return at
+}
+
+// pick returns the ids of the k winners among the keys key left.
+func (s *Scratch) pick(ids, at []int32, k int) []int32 {
+	keys := s.keys
+	// out collects positions in keys and is turned into ids at the end.
+	out := make([]int32, k)
+	if k == len(keys) {
+		// Room for every positive weight: each u beats the threshold of
+		// -Inf as it stands.
+		for j := range out {
+			out[j] = int32(j)
 		}
-		s.work = append(s.work[:0], keys...)
-		threshold = kthLargest(s.work, k)
-		// work[len-k:] now holds the k largest; those that only equal the
-		// threshold are the ties the pool has room for.
-		for _, key := range s.work[len(s.work)-k:] {
-			if key == threshold {
-				ties++
+	} else {
+		threshold, ties, cand := s.cut(k)
+		// Exactly k candidates win; each is written where the next winner
+		// goes, and kept if it is one.
+		for x, o := 0, 0; o < k; x++ {
+			j := cand[x]
+			key := keys[j]
+			win := 0
+			if key > threshold {
+				win = 1
 			}
+			if key == threshold && ties > 0 {
+				win = 1
+				ties--
+			}
+			out[o] = j
+			o += win
 		}
 	}
-	out := make([]int32, 0, k)
-	j := 0
-	for i, w := range weights {
-		if !(w > 0) { // zero, negative or NaN
-			continue
+	if at != nil {
+		for x, j := range out {
+			out[x] = at[j]
 		}
-		key := keys[j]
-		j++
-		if key == threshold && ties > 0 {
-			ties--
-		} else if !(key > threshold) {
-			continue
-		}
-		if ids != nil {
-			out = append(out, ids[i])
-		} else {
-			out = append(out, int32(i))
+	}
+	if ids != nil {
+		for x, i := range out {
+			out[x] = ids[i]
 		}
 	}
 	return out
+}
+
+// bracketSample is the most keys cut samples to place its bracket.
+const bracketSample = 256
+
+// cut returns the threshold, the k-th largest of s.keys (1 <= k <
+// len(s.keys)), how many of the k largest equal it, and cand: the
+// positions, ascending, of keys that include the k largest. A fixed strided
+// sample of the keys places a bracket [lo, hi) around the k-th largest
+// (bracket). One sweep keeps the positions of the keys at or above lo —
+// about a fifth of L-WD's keys at n_s = |E|/10 — and a second copies out
+// those of them below hi; the keys at or above hi win whatever the
+// threshold, so the Floyd–Rivest select runs over the keys inside the
+// bracket alone. If the k-th largest turns out to lie outside it, the
+// select runs over all the keys. The threshold and its ties are a property
+// of the k largest keys alone, so they are the same either way.
+func (s *Scratch) cut(k int) (threshold float64, ties int, cand []int32) {
+	keys := s.keys
+	m := len(keys)
+	s.work = slices.Grow(s.work[:0], m)[:m]
+	s.cand = slices.Grow(s.cand[:0], m)[:m]
+	work, cand := s.work, s.cand
+	c, d := 0, 0 // keys at or above lo, and those of them below hi
+	if lo, hi, ok := bracket(keys, work, k); ok {
+		// Every position is written and only those of keys at or above lo
+		// are kept; c never passes j, so nothing kept is overwritten. The
+		// keys inside the bracket are then copied out, in the same way.
+		for j, key := range keys {
+			cand[c] = int32(j)
+			in := 0
+			if key >= lo {
+				in = 1
+			}
+			c += in
+		}
+		for _, j := range cand[:c] {
+			key := keys[j]
+			work[d] = key
+			below := 0
+			if key < hi {
+				below = 1
+			}
+			d += below
+		}
+	}
+	above := c - d // winners whatever the threshold
+	if c < k || above >= k {
+		copy(work, keys)
+		for j := range cand {
+			cand[j] = int32(j)
+		}
+		c, d, above = m, m, 0
+	}
+	mid := work[:d]
+	threshold = kthLargest(mid, k-above)
+	// mid[d-(k-above):] now holds the rest of the k largest; those that only
+	// equal the threshold are the ties the pool has room for.
+	for _, key := range mid[d-(k-above):] {
+		if key == threshold {
+			ties++
+		}
+	}
+	return threshold, ties, cand[:c]
+}
+
+// bracket places cut's bracket from every (len(keys)/n)-th key, n up to
+// bracketSample, selected in buf: lo and hi are the sample keys whose ranks
+// from the top lie three standard deviations of the sample's count below
+// and above the rank where the k-th largest of all is expected; hi is +Inf
+// when that rank would be the top. ok is false when the sample would be too
+// small to place a bracket, or lo would keep more than half the keys.
+func bracket(keys, buf []float64, k int) (lo, hi float64, ok bool) {
+	n := min(bracketSample, len(keys)/4)
+	if n < 16 {
+		return 0, 0, false
+	}
+	p := float64(k) / float64(len(keys))
+	mean := p * float64(n)
+	margin := 3*math.Sqrt(mean*(1-p)) + 2
+	rlo, rhi := int(mean+margin), int(mean-margin) // ranks from the top
+	if 2*rlo > n {
+		return 0, 0, false
+	}
+	stride := len(keys) / n
+	sample := buf[:n]
+	for i := range sample {
+		sample[i] = keys[i*stride]
+	}
+	lo, hi = kthLargest(sample, rlo), math.Inf(1)
+	if rhi >= 1 {
+		// The rlo largest sit at the end of sample.
+		hi = kthLargest(sample[n-rlo:], rhi)
+	}
+	return lo, hi, true
 }
 
 // kthLargest returns the k-th largest element of a, 1 <= k <= len(a), and

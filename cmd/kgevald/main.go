@@ -41,8 +41,8 @@
 // float32/int8 entity store), evicting idle models to make room and
 // rejecting with 429 what does not fit on its own;
 // SIGTERM drains gracefully — /readyz flips to 503, queued jobs get a
-// terminal SSE event, running jobs get up to -drain-timeout to finish; fit
-// keys that keep failing are quarantined by a circuit breaker; and -faults
+// terminal SSE event, running jobs get up to -drain-timeout to finish; a
+// failed Fit fails its job and caches nothing; and -faults
 // arms the deterministic chaos-injection registry (testing only). The
 // listener binds before the dataset loads, so early probes see an honest
 // 503 "starting" instead of connection refused.

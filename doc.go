@@ -39,9 +39,9 @@
 //	                      deadlines (terminal state "expired"), admission
 //	                      control (429 + Retry-After, a memory-budget gate
 //	                      charging snapshot and entity-store bytes),
-//	                      graceful drain, and a circuit breaker
-//	                      quarantining fit keys that keep
-//	                      failing
+//	                      graceful drain, and one Fit per job: a
+//	                      failed Fit fails its job and the jobs that
+//	                      joined it, and caches nothing
 //	internal/faults       deterministic fault-injection registry for chaos
 //	                      tests and the kgevald -faults flag: named pipeline
 //	                      sites fire seeded error/panic/stall faults; unarmed

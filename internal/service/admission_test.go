@@ -113,3 +113,74 @@ func TestRetryAfterStaleWindowFallsBack(t *testing.T) {
 		t.Fatalf("stale window: RetryAfter() = %v, want default %v", d, defaultRetryAfter)
 	}
 }
+
+func TestCompletionWindowRate(t *testing.T) {
+	base := time.Unix(2000, 0)
+	// Pin the staleness clock just past the synthetic timestamps so the
+	// test exercises the rate math, not the staleness horizon.
+	w := &completionWindow{now: func() time.Time { return base.Add(time.Second) }}
+	if r := w.rate(); r != 0 {
+		t.Fatalf("empty window rate = %v", r)
+	}
+	w.note(base)
+	if r := w.rate(); r != 0 {
+		t.Fatalf("single-completion rate = %v", r)
+	}
+	// 4 more completions, one per 100ms: 5 samples over 400ms = 10/s.
+	for i := 1; i <= 4; i++ {
+		w.note(base.Add(time.Duration(i) * 100 * time.Millisecond))
+	}
+	if r := w.rate(); r < 9.9 || r > 10.1 {
+		t.Fatalf("rate = %v, want ~10/s", r)
+	}
+	// Nil windows (jobs outside an engine) are silently ignored.
+	var nilW *completionWindow
+	nilW.note(base)
+}
+
+func TestEngineRetryAfterBounds(t *testing.T) {
+	g := serviceGraph(t)
+	e, err := NewEngine(EngineConfig{Graph: g, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// No history: the default.
+	if d := e.RetryAfter(); d != defaultRetryAfter {
+		t.Fatalf("RetryAfter with no history = %s, want %s", d, defaultRetryAfter)
+	}
+	// Fast drain: clamped up to the minimum. The synthetic timestamps need
+	// a matching clock or the staleness horizon would discard them.
+	base := time.Unix(3000, 0)
+	e.completions.now = func() time.Time { return base.Add(time.Millisecond) }
+	for i := 0; i < 32; i++ {
+		e.completions.note(base.Add(time.Duration(i) * time.Microsecond))
+	}
+	if d := e.RetryAfter(); d != minRetryAfter {
+		t.Fatalf("RetryAfter under fast drain = %s, want clamped %s", d, minRetryAfter)
+	}
+	// Glacial drain: clamped down to the maximum.
+	e.completions = &completionWindow{now: func() time.Time { return base.Add(time.Hour) }}
+	e.completions.note(base)
+	e.completions.note(base.Add(time.Hour))
+	if d := e.RetryAfter(); d != maxRetryAfter {
+		t.Fatalf("RetryAfter under glacial drain = %s, want clamped %s", d, maxRetryAfter)
+	}
+}
+
+func TestRetryAfterSeconds(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{0, "1"},
+		{300 * time.Millisecond, "1"},
+		{time.Second, "1"},
+		{1200 * time.Millisecond, "2"},
+		{2 * time.Minute, "120"},
+	} {
+		if got := retryAfterSeconds(tc.d); got != tc.want {
+			t.Errorf("retryAfterSeconds(%s) = %q, want %q", tc.d, got, tc.want)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,13 +17,13 @@ import (
 // frameworkCache is an engine holding nothing but a fitted-Framework cache of
 // the given capacity, as NewEngine builds it.
 func frameworkCache(capacity int) *Engine {
-	return &Engine{frameworks: lru.New[CacheKey, *core.Framework](int64(capacity))}
+	return &Engine{frameworks: lru.New[fitKey, *core.Framework](int64(capacity))}
 }
 
 // getFramework resolves key in e's framework cache the way fitFramework
 // does, with build in place of a Fit, and reports whether the caller was
 // spared the build.
-func getFramework(e *Engine, key CacheKey, build func() (*core.Framework, error)) (*core.Framework, bool, error) {
+func getFramework(e *Engine, key fitKey, build func() (*core.Framework, error)) (*core.Framework, bool, error) {
 	fw, o, err := e.frameworks.Resolve(e.frameworks.Reserve(key, 1, nil), nil,
 		func(*core.Framework) (*core.Framework, error) { return build() })
 	return fw, o != lru.Miss, err
@@ -37,7 +39,7 @@ func fwBuilder(builds *atomic.Int64, delay time.Duration) func() (*core.Framewor
 
 func TestCacheSingleFlight(t *testing.T) {
 	c := frameworkCache(4)
-	key := CacheKey{Recommender: "L-WD", NumSamples: 10}
+	key := fitKey{Recommender: "L-WD", NumSamples: 10}
 	var builds atomic.Int64
 	const callers = 8
 
@@ -93,7 +95,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	var builds atomic.Int64
 	get := func(rec string) {
 		t.Helper()
-		if _, _, err := getFramework(c, CacheKey{Recommender: rec}, fwBuilder(&builds, 0)); err != nil {
+		if _, _, err := getFramework(c, fitKey{Recommender: rec}, fwBuilder(&builds, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +124,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheErrorNotCached(t *testing.T) {
 	c := frameworkCache(2)
-	key := CacheKey{Recommender: "L-WD"}
+	key := fitKey{Recommender: "L-WD"}
 	boom := errors.New("fit failed")
 	if _, _, err := getFramework(c, key, func() (*core.Framework, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
@@ -137,5 +139,59 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 	if builds.Load() != 1 {
 		t.Fatal("retry did not rebuild")
+	}
+}
+
+// A failed build counts once, against the job that ran it: the jobs that
+// joined it fail with its error, panic included, count nothing, and leave
+// nothing cached. The build here runs outside fitFramework and holds until
+// every job has joined it, so no failure is the jobs' own.
+func TestFitFailureCountsOnlyTheBuild(t *testing.T) {
+	e, err := NewEngine(EngineConfig{Graph: serviceGraph(t), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	spec := e.withDefaults(JobSpec{})
+	key := fitKey{Recommender: spec.Recommender, NumSamples: spec.NumSamples}
+
+	release, built := make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, _, err := e.frameworks.Resolve(e.frameworks.Reserve(key, 1, nil), nil,
+			func(*core.Framework) (*core.Framework, error) {
+				<-release
+				panic("poison graph")
+			})
+		built <- err
+	}()
+	for e.cacheStats().InFlight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	const joiners = 4
+	errs := make(chan error, joiners)
+	for range joiners {
+		go func() {
+			_, hit, err := e.fitFramework(&Job{ctx: context.Background()}, spec)
+			if !hit {
+				err = errors.New("a joiner ran its own build")
+			}
+			errs <- err
+		}()
+	}
+	for e.cacheStats().SingleFlight < joiners {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-built
+	for range joiners {
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "fit panicked: poison graph") {
+			t.Errorf("joiner's error = %v, want the build's panic", err)
+		}
+	}
+	if n := e.metrics.fitFailures.Value(); n != 0 {
+		t.Errorf("kgeval_fit_failures_total = %d from joiners alone, want 0", n)
+	}
+	if st := e.cacheStats(); st.Size != 0 || st.InFlight != 0 {
+		t.Errorf("cache after the failed build: %+v, want empty", st)
 	}
 }

@@ -70,82 +70,79 @@ func serving(t *testing.T, base string) {
 	}
 }
 
-// TestChaosFitPanicQuarantine: a poison fit key (its build panics every
-// time) fails jobs with the panic visible in their status, trips the
-// circuit breaker at the threshold, fails the next job fast with a
-// quarantine error, and recovers — fit works again — once the fault is gone
-// and the window passed. Metrics count every failure, trip and rejection.
-func TestChaosFitPanicQuarantine(t *testing.T) {
-	setVar(t, &fitFailureThreshold, 2)
-	setVar(t, &fitQuarantine, time.Second)
-	setVar(t, &fitRetries, 0) // one failure per job, so counts are exact
-	srv, engine := newTestServer(t, EngineConfig{Workers: 1})
-	g := engine.Graph()
-	snap := snapshotModel(t, g, "DistMult", 8, 6)
-	spec := JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snap}, Strategy: "P", MaxQueries: 20}
+// TestChaosFitPoisonKey: a failed Fit fails its job and every job that
+// joined its build, and leaves nothing behind — no cached failure, no wait —
+// so the next job naming the key fits again as soon as the fault is gone.
+// /metrics counts each failed build once, not once per joiner (whether jobs
+// here join a build is up to the scheduler; TestFitFailureCountsOnlyTheBuild
+// makes them).
+func TestChaosFitPoisonKey(t *testing.T) {
+	t.Run("panic", func(t *testing.T) {
+		srv, engine := newTestServer(t, EngineConfig{Workers: 2})
+		armFault(t, faults.SiteFit, faults.Plan{Action: faults.Panic})
 
-	armFault(t, faults.SiteFit, faults.Plan{Action: faults.Panic})
-
-	// Two failing builds cross the threshold.
-	for i := 0; i < 2; i++ {
-		st := waitTerminal(t, srv.URL, submitJob(t, srv.URL, spec).ID)
-		if st.State != StateFailed {
-			t.Fatalf("job %d under fit panic: state %s, error %q", i, st.State, st.Error)
+		spec := chaosFitSpec(t, engine)
+		const jobs = 6
+		ids := make([]string, jobs)
+		for i := range ids {
+			ids[i] = submitJob(t, srv.URL, spec).ID
 		}
-		if !strings.Contains(st.Error, "fit panicked") || !strings.Contains(st.Error, "buildFramework") {
-			t.Fatalf("job %d error carries no panic stack: %q", i, st.Error)
+		for i, id := range ids {
+			st := waitTerminal(t, srv.URL, id)
+			if st.State != StateFailed {
+				t.Fatalf("job %d under fit panic: state %s, error %q", i, st.State, st.Error)
+			}
+			if !strings.Contains(st.Error, "fit panicked") || !strings.Contains(st.Error, "buildFramework") {
+				t.Fatalf("job %d error carries no panic stack: %q", i, st.Error)
+			}
 		}
-	}
-	// Third job fails fast on the quarantine, without running the build.
-	st := waitTerminal(t, srv.URL, submitJob(t, srv.URL, spec).ID)
-	if st.State != StateFailed || !strings.Contains(st.Error, "quarantined") {
-		t.Fatalf("job during quarantine: state %s, error %q", st.State, st.Error)
-	}
-	serving(t, srv.URL)
+		serving(t, srv.URL)
 
-	body := fetchMetrics(t, srv.URL)
-	for metric, want := range map[string]float64{
-		"kgeval_fit_failures_total":                   2,
-		"kgeval_fit_quarantine_trips_total":           1,
-		"kgeval_fit_quarantined_total":                1,
-		`kgeval_jobs_completed_total{state="failed"}`: 3,
-	} {
-		if got := metricValue(body, metric); got != want {
-			t.Errorf("%s = %v, want %v", metric, got, want)
+		body := fetchMetrics(t, srv.URL)
+		misses := metricValue(body, "kgeval_cache_misses_total")
+		if got := metricValue(body, "kgeval_fit_failures_total"); got != misses {
+			t.Errorf("kgeval_fit_failures_total = %v, want kgeval_cache_misses_total = %v (one per build)", got, misses)
 		}
-	}
+		for metric, want := range map[string]float64{
+			"kgeval_cache_size":                           0,
+			`kgeval_jobs_completed_total{state="failed"}`: jobs,
+		} {
+			if got := metricValue(body, metric); got != want {
+				t.Errorf("%s = %v, want %v", metric, got, want)
+			}
+		}
 
-	// Fault gone + window passed: the half-open probe closes the breaker.
-	faults.Reset()
-	time.Sleep(1100 * time.Millisecond)
-	st = waitTerminal(t, srv.URL, submitJob(t, srv.URL, spec).ID)
-	if st.State != StateSucceeded {
-		t.Fatalf("job after quarantine window: state %s, error %q", st.State, st.Error)
-	}
+		// Fault gone: the very next job fits and succeeds.
+		faults.Reset()
+		if st := waitTerminal(t, srv.URL, submitJob(t, srv.URL, spec).ID); st.State != StateSucceeded {
+			t.Fatalf("job after the fault: state %s, error %q", st.State, st.Error)
+		}
+		if got := metricValue(fetchMetrics(t, srv.URL), "kgeval_cache_misses_total"); got != misses+1 {
+			t.Errorf("kgeval_cache_misses_total = %v after the good job, want %v", got, misses+1)
+		}
+	})
+
+	t.Run("error_once", func(t *testing.T) {
+		srv, engine := newTestServer(t, EngineConfig{Workers: 2})
+		spec := chaosFitSpec(t, engine)
+		armFault(t, faults.SiteFit, faults.Plan{Action: faults.Error, Limit: 1})
+
+		if st := waitTerminal(t, srv.URL, submitJob(t, srv.URL, spec).ID); st.State != StateFailed {
+			t.Fatalf("job under one fit error: state %s, error %q", st.State, st.Error)
+		}
+		if st := waitTerminal(t, srv.URL, submitJob(t, srv.URL, spec).ID); st.State != StateSucceeded {
+			t.Fatalf("job after the fit error: state %s, error %q", st.State, st.Error)
+		}
+		if got := metricValue(fetchMetrics(t, srv.URL), "kgeval_fit_failures_total"); got != 1 {
+			t.Errorf("kgeval_fit_failures_total = %v, want 1", got)
+		}
+	})
 }
 
-// TestChaosFitRetryTransient: a fit that fails exactly once is retried with
-// backoff and the job still succeeds; the retry is counted.
-func TestChaosFitRetryTransient(t *testing.T) {
-	setVar(t, &fitRetryBackoff, 5*time.Millisecond)
-	srv, engine := newTestServer(t, EngineConfig{Workers: 1})
-	g := engine.Graph()
-	armFault(t, faults.SiteFit, faults.Plan{Action: faults.Error, Limit: 1})
-
-	st := waitTerminal(t, srv.URL, submitJob(t, srv.URL, JobSpec{
-		Model:    ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snapshotModel(t, g, "DistMult", 8, 6)},
-		Strategy: "P", MaxQueries: 20,
-	}).ID)
-	if st.State != StateSucceeded {
-		t.Fatalf("job with one transient fit failure: state %s, error %q", st.State, st.Error)
-	}
-	body := fetchMetrics(t, srv.URL)
-	if got := metricValue(body, "kgeval_fit_retries_total"); got != 1 {
-		t.Errorf("kgeval_fit_retries_total = %v, want 1", got)
-	}
-	if got := metricValue(body, "kgeval_fit_failures_total"); got != 1 {
-		t.Errorf("kgeval_fit_failures_total = %v, want 1", got)
-	}
+func chaosFitSpec(t *testing.T, engine *Engine) JobSpec {
+	t.Helper()
+	snap := snapshotModel(t, engine.Graph(), "DistMult", 8, 6)
+	return JobSpec{Model: ModelSpec{Name: "DistMult", Dim: 8, Seed: 6, Snapshot: snap}, Strategy: "P", MaxQueries: 20}
 }
 
 // TestChaosWorkerStallPastDeadline: a worker stalled (injected hang) past

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"math/rand"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -69,17 +68,6 @@ var (
 	// limit on what can be evaluated: a job keeps its models for as long as
 	// it needs them whatever the registry evicts meanwhile.
 	modelCacheBytes int64 = 1 << 30
-	// fitFailureThreshold is the number of consecutive Fit failures (or
-	// panics) for one cache key before the circuit breaker quarantines it.
-	fitFailureThreshold = 3
-	// fitQuarantine is the first quarantine window; each re-trip doubles it
-	// up to fitQuarantineMax.
-	fitQuarantine    = time.Second
-	fitQuarantineMax = 5 * time.Minute
-	// fitRetries is how many times one job retries a transiently failing
-	// Fit, waiting a jittered fitRetryBackoff doubled per attempt.
-	fitRetries      = 2
-	fitRetryBackoff = 100 * time.Millisecond
 )
 
 // ErrQueueFull is returned by Submit when the job queue is saturated. The
@@ -102,7 +90,7 @@ type Engine struct {
 	filter *kg.FilterIndex
 	// frameworks holds fitted Frameworks, cost 1 each, so CacheSize counts
 	// them; see fitFramework.
-	frameworks *lru.Cache[CacheKey, *core.Framework]
+	frameworks *lru.Cache[fitKey, *core.Framework]
 	models     *modelRegistry
 
 	queue       chan *Job
@@ -111,7 +99,6 @@ type Engine struct {
 	reg         *obs.Registry
 	metrics     *engineMetrics
 	traces      *trace.Store
-	breaker     *fitBreaker
 	completions *completionWindow
 
 	mu       sync.Mutex
@@ -148,14 +135,13 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		graph:       cfg.Graph,
 		fp:          core.Fingerprint(cfg.Graph),
 		filter:      kg.NewFilterIndex(cfg.Graph.Train, cfg.Graph.Valid, cfg.Graph.Test),
-		frameworks:  lru.New[CacheKey, *core.Framework](int64(cfg.CacheSize)),
+		frameworks:  lru.New[fitKey, *core.Framework](int64(cfg.CacheSize)),
 		models:      newModelRegistry(cfg.Graph, registryBytes),
 		queue:       make(chan *Job, cfg.QueueDepth),
 		quit:        make(chan struct{}),
 		jobs:        map[string]*Job{},
 		reg:         obs.NewRegistry(),
 		traces:      trace.NewStore(0, 0),
-		breaker:     newFitBreaker(fitFailureThreshold, fitQuarantine, fitQuarantineMax),
 		completions: &completionWindow{},
 	}
 	e.metrics = newEngineMetrics(e.reg, e)
@@ -331,8 +317,8 @@ func (e *Engine) withDefaults(spec JobSpec) JobSpec {
 	if spec.Recommender == "" {
 		spec.Recommender = "L-WD"
 	}
-	// One name per recommender: an alias ("PIE-Sim") shares the Framework,
-	// the breaker and the status of the name it stands for.
+	// One name per recommender: an alias ("PIE-Sim") shares the Framework
+	// and the status of the name it stands for.
 	if rec, err := recommender.ByName(spec.Recommender, defaultSeed); err == nil {
 		spec.Recommender = rec.Name()
 	}
@@ -474,8 +460,8 @@ func (e *Engine) validate(spec JobSpec) (parsedSpec, error) {
 		if err != nil {
 			return p, err
 		}
-		// Known now and the same on every attempt: refused here, it never
-		// reaches the retry loop or the breaker.
+		// Known now and the same on every attempt: refused here, it queues
+		// no job and runs no Fit.
 		if rec.NeedsTypes() {
 			if err := recommender.RequireTypes(rec.Name(), e.graph); err != nil {
 				return p, fmt.Errorf("service: %w", err)
@@ -756,10 +742,10 @@ func (e *Engine) execute(j *Job) ([]eval.Result, bool, error) {
 	return fw.EstimateMany(models, e.graph, split, j.parsed.strategy, opts), cacheHit, nil
 }
 
-// CacheKey identifies a fitted Framework on the engine's graph: the
+// fitKey identifies a fitted Framework on the engine's graph: the
 // recommender and the candidate budget n_s. Jobs that agree on both share
 // one Fit.
-type CacheKey struct {
+type fitKey struct {
 	Recommender string
 	NumSamples  int
 }
@@ -767,57 +753,28 @@ type CacheKey struct {
 // fitFramework resolves (or builds) the fitted framework for a job in the
 // engine's single-flight cache: concurrent jobs with one key run one build,
 // the others wait for it and count as hits, and the outcome (hit, miss or
-// single-flight join) lands on the job's span as a cache.* event. Around it
-// is the fault-tolerance machinery: the circuit breaker fails quarantined
-// keys fast, and transient failures — a build panic included, which the
-// cache turns into an error carrying the stack — are retried with jittered
-// exponential backoff. Only the caller that actually ran the failing build
-// (not single-flight joiners) feeds the breaker, so one failure counts once
-// however many jobs were waiting on it.
+// single-flight join) lands on the job's span as a cache.* event. A failed
+// build — a panic included, which the cache turns into an error carrying the
+// stack — fails its job and every job that joined it. The cache keeps no
+// failure, so the next job naming the key fits again. Only the job that ran
+// the build counts the failure, and not when its own context ended it.
 func (e *Engine) fitFramework(j *Job, spec JobSpec) (*core.Framework, bool, error) {
-	key := CacheKey{Recommender: spec.Recommender, NumSamples: spec.NumSamples}
-	for attempt := 0; ; attempt++ {
-		if qerr := e.breaker.allow(key); qerr != nil {
-			e.metrics.fitRejected.Inc()
-			return nil, false, qerr
-		}
-		fw, o, err := e.frameworks.Resolve(e.frameworks.Reserve(key, 1, nil),
-			func(o lru.Outcome) {
-				trace.FromContext(j.ctx).Event("cache."+o.String(), trace.String("recommender", key.Recommender))
-			},
-			func(*core.Framework) (*core.Framework, error) { return e.buildFramework(j, spec) })
-		cacheHit, err := o != lru.Miss, panicked("fit", err)
-		if err == nil {
-			e.breaker.success(key)
-			return fw, cacheHit, nil
-		}
-		// A canceled or expired job is not evidence against the key.
-		if j.ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, cacheHit, err
-		}
-		if !cacheHit {
-			e.metrics.fitFailures.Inc()
-			if tripped, window := e.breaker.failure(key); tripped {
-				e.metrics.fitTrips.Inc()
-				slog.Warn("fit quarantined",
-					"recommender", key.Recommender, "num_samples", key.NumSamples,
-					"window", window, "err", err)
-			}
-		}
-		if attempt >= fitRetries {
-			return nil, cacheHit, err
-		}
-		e.metrics.fitRetries.Inc()
-		if !sleepJittered(j.ctx, fitRetryBackoff<<attempt) {
-			return nil, cacheHit, j.ctx.Err()
-		}
+	key := fitKey{Recommender: spec.Recommender, NumSamples: spec.NumSamples}
+	fw, o, err := e.frameworks.Resolve(e.frameworks.Reserve(key, 1, nil),
+		func(o lru.Outcome) {
+			trace.FromContext(j.ctx).Event("cache."+o.String(), trace.String("recommender", key.Recommender))
+		},
+		func(*core.Framework) (*core.Framework, error) { return e.buildFramework(j, spec) })
+	if err != nil && o == lru.Miss && j.ctx.Err() == nil {
+		e.metrics.fitFailures.Inc()
 	}
+	return fw, o != lru.Miss, panicked("fit", err)
 }
 
 // buildFramework is the cache's build function: fit the recommender. A
 // panic inside Fit (a poison graph) reaches the caller as the cache's
-// *lru.PanicError, so it flows through the retry/breaker path like any other
-// failure instead of killing the worker.
+// *lru.PanicError and fails the job like any other error instead of killing
+// the worker.
 func (e *Engine) buildFramework(j *Job, spec JobSpec) (*core.Framework, error) {
 	if err := faults.HitCtx(j.ctx, faults.SiteFit); err != nil {
 		return nil, err
@@ -842,24 +799,6 @@ func panicked(what string, err error) error {
 	return err
 }
 
-// sleepJittered sleeps for a uniformly jittered duration in [d/2, 3d/2),
-// returning false if ctx ended the wait early. Jitter decorrelates the
-// retry storms of jobs that failed together.
-func sleepJittered(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	d = d/2 + time.Duration(rand.Int63n(int64(d)))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // EngineStats aggregates engine-level counters for the stats endpoint.
 type EngineStats struct {
 	Jobs     map[State]int `json:"jobs"`
@@ -871,10 +810,8 @@ type EngineStats struct {
 	Models    ModelCacheStats `json:"models"`
 	GraphName string          `json:"graph"`
 	GraphFP   string          `json:"graph_fingerprint"`
-	// Draining reports a graceful drain in progress (or a closed engine);
-	// QuarantinedFitKeys counts fit keys currently circuit-broken.
-	Draining           bool `json:"draining,omitempty"`
-	QuarantinedFitKeys int  `json:"quarantined_fit_keys,omitempty"`
+	// Draining reports a graceful drain in progress (or a closed engine).
+	Draining bool `json:"draining,omitempty"`
 }
 
 // CacheStats reports the fitted-Framework cache's cumulative traffic and
@@ -906,16 +843,15 @@ func (e *Engine) Stats() EngineStats {
 	jobs := append([]*Job(nil), e.order...)
 	e.mu.Unlock()
 	st := EngineStats{
-		Jobs:               map[State]int{},
-		QueueLen:           len(e.queue),
-		QueueCap:           cap(e.queue),
-		Workers:            e.cfg.Workers,
-		Cache:              e.cacheStats(),
-		Models:             e.models.stats(),
-		GraphName:          e.graph.Name,
-		GraphFP:            e.fp,
-		Draining:           e.Draining(),
-		QuarantinedFitKeys: e.breaker.openKeys(),
+		Jobs:      map[State]int{},
+		QueueLen:  len(e.queue),
+		QueueCap:  cap(e.queue),
+		Workers:   e.cfg.Workers,
+		Cache:     e.cacheStats(),
+		Models:    e.models.stats(),
+		GraphName: e.graph.Name,
+		GraphFP:   e.fp,
+		Draining:  e.Draining(),
 	}
 	for _, j := range jobs {
 		st.Jobs[j.State()]++

@@ -24,10 +24,7 @@ type engineMetrics struct {
 	jobsDone      map[State]*obs.Counter
 	jobsShed      map[string]*obs.Counter
 	jobsDrained   *obs.Counter
-	fitRetries    *obs.Counter
 	fitFailures   *obs.Counter
-	fitTrips      *obs.Counter
-	fitRejected   *obs.Counter
 	queueWait     *obs.Histogram
 	runSeconds    map[State]*obs.Histogram
 	busyWorkers   *obs.Gauge
@@ -45,14 +42,8 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		jobsShed:      map[string]*obs.Counter{},
 		jobsDrained: reg.Counter("kgeval_jobs_drained_total",
 			"Queued jobs canceled with a terminal event by a graceful drain."),
-		fitRetries: reg.Counter("kgeval_fit_retries_total",
-			"Transient framework-Fit failures retried with backoff."),
 		fitFailures: reg.Counter("kgeval_fit_failures_total",
 			"Framework Fit builds that failed or panicked (excludes cancellations)."),
-		fitTrips: reg.Counter("kgeval_fit_quarantine_trips_total",
-			"Times a fit key crossed the failure threshold and entered quarantine."),
-		fitRejected: reg.Counter("kgeval_fit_quarantined_total",
-			"Jobs failed fast because their fit key was quarantined by the circuit breaker."),
 		queueWait: reg.Histogram("kgeval_job_queue_wait_seconds",
 			"Time jobs spend queued before a worker picks them up.", obs.DurationBuckets),
 		runSeconds:  map[State]*obs.Histogram{},
@@ -84,8 +75,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 			}
 			return 0
 		})
-	reg.GaugeFunc("kgeval_fit_quarantined_keys", "Fit keys currently quarantined by the circuit breaker.",
-		func() float64 { return float64(e.breaker.openKeys()) })
 
 	cacheStat := func(f func(CacheStats) int64) func() int64 {
 		return func() int64 { return f(e.cacheStats()) }

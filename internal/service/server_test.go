@@ -425,8 +425,8 @@ func TestServerValidationAndNotFound(t *testing.T) {
 // On a graph without entity types a job naming a type-aware recommender can
 // never be fitted, and that is known when it is submitted: POST /v1/jobs
 // answers 400 and Engine.Submit an error, both with Fit's own reason. Nothing
-// is queued or retried and the breaker never hears of it, so the jobs behind
-// are not told to wait out a quarantine no retry can end.
+// is queued and no Fit runs: the framework cache sees its first miss only
+// with the L-WD job after them, and no Fit fails.
 func TestUntypedGraphRefusesTypeAwareRecommenders(t *testing.T) {
 	untyped := *serviceGraph(t)
 	untyped.EntityTypes, untyped.NumTypes = nil, 0
@@ -453,11 +453,8 @@ func TestUntypedGraphRefusesTypeAwareRecommenders(t *testing.T) {
 	if n := len(engine.Jobs()); n != 0 {
 		t.Errorf("%d refused jobs were registered", n)
 	}
-	engine.breaker.mu.Lock()
-	tracked := len(engine.breaker.entries)
-	engine.breaker.mu.Unlock()
-	if tracked != 0 {
-		t.Errorf("the breaker tracks %d keys after refusals only", tracked)
+	if got := metricValue(fetchMetrics(t, srv.URL), "kgeval_cache_misses_total"); got != 0 {
+		t.Errorf("kgeval_cache_misses_total = %v after refusals only, want 0", got)
 	}
 
 	// The same graph still serves every recommender that needs no types.
@@ -466,10 +463,9 @@ func TestUntypedGraphRefusesTypeAwareRecommenders(t *testing.T) {
 		t.Fatalf("L-WD on the untyped graph: state %s, error %q", st.State, st.Error)
 	}
 	metrics := fetchMetrics(t, srv.URL)
-	for _, name := range []string{"kgeval_fit_failures_total", "kgeval_fit_retries_total",
-		"kgeval_fit_quarantine_trips_total", "kgeval_fit_quarantined_total"} {
-		if got := metricValue(metrics, name); got != 0 {
-			t.Errorf("%s = %v after refusals and one good job, want 0", name, got)
+	for name, want := range map[string]float64{"kgeval_cache_misses_total": 1, "kgeval_fit_failures_total": 0} {
+		if got := metricValue(metrics, name); got != want {
+			t.Errorf("%s = %v after refusals and one good job, want %v", name, got, want)
 		}
 	}
 }

@@ -88,29 +88,62 @@ func onesSlice(n int) []float64 {
 
 const bnEps = 1e-5
 
+// convWeights is the conv layer as the conv loops read it, with the channel
+// as the minor index: each of the nine kernel taps in (ky, kx) order, then
+// the channels' biases, and their batch norm's running mean and
+// 1/√(var+ε). convAVX2 reads one row of four channels as one vector.
+type convWeights struct {
+	taps            [9][convChannels]float64
+	bias, mean, inv [convChannels]float64
+}
+
+// loadConv lays the conv layer's current weights and statistics out in w.
+func (m *ConvE) loadConv(w *convWeights) {
+	for c := range convChannels {
+		for t, k := range m.kern.vec(int32(c)) {
+			w.taps[t][c] = k
+		}
+		w.bias[c] = m.kernB.vec(0)[c]
+		w.mean[c] = m.bnConvMean[c]
+		w.inv[c] = 1 / math.Sqrt(m.bnConvVar[c]+bnEps)
+	}
+}
+
 // convFeatures computes the post-BN/ReLU flattened conv features of (h, r)
-// into feat. img is scratch for the stacked input image; convPre, when
-// non-nil, receives the pre-BN conv output for backprop.
+// into feat, with the conv layer w (loadConv), through conv: convGo or its
+// AVX2 twin, the same bits either way. img is scratch for the stacked input
+// image; convPre, when non-nil, receives the pre-BN conv output for
+// backprop.
+func (m *ConvE) convFeatures(w *convWeights, h, r int32, img, convPre, feat []float64) {
+	copy(img[:m.dim], m.ent.vec(h))
+	copy(img[m.dim:], m.rel.vec(r))
+	conv(w, img, convPre, feat)
+}
+
+// conv is the conv layer under convFeatures: convGo, or — installed with
+// rowAcc, on both vector lanes — its AVX2 twin (conv_amd64.s), which gives
+// every feature and pre-BN sum the same bits.
+var conv convFunc = convGo
+
+// convFunc is the signature convGo and its vector twin share.
+type convFunc func(w *convWeights, img, convPre, feat []float64)
+
+// convGo defines the conv layer: the 3×3 convolution of the
+// (len(img)/convDW)×convDW image with each channel's kernel, taps past the
+// border skipped, then the channel's batch norm, (s − mean)·inv, and a ReLU
+// that writes +0 for a norm that is not above zero (−0 and NaN included).
+// feat and convPre hold the channels one after another, each row-major.
 //
 // The convChannels = 4 channels are convolved together: each output pixel
 // reads its input pixels once and keeps four independent sums in flight,
-// where one channel alone is a chain of up to nine dependent adds. Each sum still starts from its channel's
-// bias and adds its terms in (ky, kx) order, so every feature keeps its bits.
-func (m *ConvE) convFeatures(h, r int32, img, convPre, feat []float64) {
-	ih, iw := 2*m.dh, convDW
-	copy(img[:m.dim], m.ent.vec(h))
-	copy(img[m.dim:], m.rel.vec(r))
-
-	k0, k1, k2, k3 := m.kern.vec(0), m.kern.vec(1), m.kern.vec(2), m.kern.vec(3)
-	bias := m.kernB.vec(0)[:convChannels]
-	var mean, inv [convChannels]float64
-	for c := range mean {
-		mean[c] = m.bnConvMean[c]
-		inv[c] = 1 / math.Sqrt(m.bnConvVar[c]+bnEps)
-	}
+// where one channel alone is a chain of up to nine dependent adds. Each sum
+// starts from its channel's bias and adds its terms in (ky, kx) order, a
+// rounded multiply then a rounded add each.
+func convGo(w *convWeights, img, convPre, feat []float64) {
+	ih, iw := len(img)/convDW, convDW
 	for y := 0; y < ih; y++ {
 		for x := 0; x < iw; x++ {
-			s0, s1, s2, s3 := bias[0], bias[1], bias[2], bias[3]
+			s0, s1, s2, s3 := w.bias[0], w.bias[1], w.bias[2], w.bias[3]
 			for ky := -1; ky <= 1; ky++ {
 				yy := y + ky
 				if yy < 0 || yy >= ih {
@@ -121,11 +154,11 @@ func (m *ConvE) convFeatures(h, r int32, img, convPre, feat []float64) {
 					if xx < 0 || xx >= iw {
 						continue
 					}
-					t, v := (ky+1)*3+kx+1, img[yy*iw+xx]
-					s0 += k0[t] * v
-					s1 += k1[t] * v
-					s2 += k2[t] * v
-					s3 += k3[t] * v
+					k, v := &w.taps[(ky+1)*3+kx+1], img[yy*iw+xx]
+					s0 += k[0] * v
+					s1 += k[1] * v
+					s2 += k[2] * v
+					s3 += k[3] * v
 				}
 			}
 			for c, s := range [convChannels]float64{s0, s1, s2, s3} {
@@ -133,7 +166,7 @@ func (m *ConvE) convFeatures(h, r int32, img, convPre, feat []float64) {
 				if convPre != nil {
 					convPre[idx] = s
 				}
-				norm := (s - mean[c]) * inv[c]
+				norm := (s - w.mean[c]) * w.inv[c]
 				if norm > 0 {
 					feat[idx] = norm
 				} else {
@@ -146,13 +179,23 @@ func (m *ConvE) convFeatures(h, r int32, img, convPre, feat []float64) {
 
 // project writes BN(FC(feat)) into out: the FC bias plus, unit by unit in
 // ascending order, each active unit's feature times its weight row (rowAcc;
-// a unit the ReLU zeroed adds nothing), then the output batch norm.
-func (m *ConvE) project(feat, out []float64) {
+// a unit the ReLU zeroed adds nothing), then the output batch norm, which
+// divides by dev, each coordinate's √(var+ε) (fcDeviations).
+func (m *ConvE) project(feat, dev, out []float64) {
 	copy(out, m.fcB.vec(0))
 	rowAcc(out, feat, m.fc.vec(0), m.dim, true)
 	for j := range out {
-		out[j] = (out[j] - m.bnFCMean[j]) / math.Sqrt(m.bnFCVar[j]+bnEps)
+		out[j] = (out[j] - m.bnFCMean[j]) / dev[j]
 	}
+}
+
+// fcDeviations writes each output coordinate's √(var+ε), the divisor of
+// the output batch norm, into dev and returns it.
+func (m *ConvE) fcDeviations(dev []float64) []float64 {
+	for j := range dev {
+		dev[j] = math.Sqrt(m.bnFCVar[j] + bnEps)
+	}
+	return dev
 }
 
 // forward computes f(h, r). When caches are non-nil they receive the
@@ -166,9 +209,11 @@ func (m *ConvE) forward(h, r int32, img, convPre, feat []float64) []float64 {
 	if feat == nil {
 		feat = make([]float64, convChannels*ih*iw)
 	}
-	m.convFeatures(h, r, img, convPre, feat)
+	w := new(convWeights)
+	m.loadConv(w)
+	m.convFeatures(w, h, r, img, convPre, feat)
 	out := make([]float64, m.dim)
-	m.project(feat, out)
+	m.project(feat, m.fcDeviations(make([]float64, m.dim)), out)
 	return out
 }
 
@@ -216,13 +261,17 @@ func (m *ConvE) ScoreHeads(r, t int32, c []int32, o []float64) { scoreQuery(m, t
 
 // buildTailQueries computes f(h_i, r) for each of a relation's queries in a
 // block: forward's conv features and projection, on the scorer's scratch.
+// The conv layer's layout and the output batch norm's divisors are the same
+// for every query, so they are laid out once per call.
 func (m *ConvE) buildTailQueries(hs []int32, r int32, qs []float64, sc *scratch) {
 	ih, iw := 2*m.dh, convDW
 	sc.img = Grow(sc.img, ih*iw)
 	sc.feat = Grow(sc.feat, convChannels*ih*iw)
+	sc.fcDev = m.fcDeviations(Grow(sc.fcDev, m.dim))
+	m.loadConv(&sc.conv)
 	for i, h := range hs {
-		m.convFeatures(h, r, sc.img, nil, sc.feat)
-		m.project(sc.feat, qs[i*m.dim:(i+1)*m.dim])
+		m.convFeatures(&sc.conv, h, r, sc.img, nil, sc.feat)
+		m.project(sc.feat, sc.fcDev, qs[i*m.dim:(i+1)*m.dim])
 	}
 }
 

@@ -144,11 +144,14 @@ type vecLane struct {
 	name    string
 	kernels [numKinds]tileFunc // the same bits as goKernels
 	cert    [numKinds]tileFunc // within certBound of goKernels, or nil
+	rowAcc  rowAccFunc         // the same bits as rowAccGo
+	conv    convFunc           // the same bits as convGo
 }
 
 // vecLanes lists every vector lane this CPU can run, narrowest first: avx2,
-// then avx512 where the CPU has it. The last is installed in vecKernels and
-// certKernels; the tests hold each of them to the Go kernels.
+// then avx512 where the CPU has it. The last is installed in vecKernels,
+// certKernels, rowAcc and conv; the tests hold each of them to the Go
+// kernels and loops.
 var vecLanes []vecLane
 
 // Bound is how far the rank path may write one query's scores from their
@@ -196,9 +199,12 @@ func certBound(kind tileKind, dim int, norm, maxAbs, maxBias float64) (b Bound, 
 }
 
 // rowAcc is the query builders' row-accumulate: rowAccGo, or — installed
-// with vecKernels, by the same build on the same CPUs — its AVX2 twin
+// with vecKernels, from the same lane — its AVX2 or AVX-512F twin
 // (rowacc_amd64.s), which gives every output the same bits.
-var rowAcc = rowAccGo
+var rowAcc rowAccFunc = rowAccGo
+
+// rowAccFunc is the signature rowAccGo and its vector twins share.
+type rowAccFunc func(out, c, rows []float64, stride int, skipZero bool)
 
 // rowAccGo adds c[u]·rows[u*stride:][:len(out)] into out for u = 0, 1, …
 // in turn, passing over a zero c[u] (+0 or −0; NaN is not zero) when
@@ -227,7 +233,8 @@ func rowAccGo(out, c, rows []float64, stride int, skipZero bool) {
 // may not share is the rank path's RankBlock: on the 512-bit lane it runs
 // the FMA dot kernel and RotatE's approximate root, within a Bound that
 // eval's rank count turns into the ranks the exact scores give. The query
-// builders' row-accumulate stays 256-bit on both vector lanes. The name is
+// builders run the lane's own row-accumulate and, on both vector lanes, the
+// AVX2 conv layer, with the Go loops' bits. The name is
 // for traces and logs, so a timing says which code produced it. (A plain
 // third-party Model is scored through its own methods either way.)
 func Kernel() string {
@@ -245,6 +252,11 @@ type scratch struct {
 	qs   []float64 // query vectors, one per block query
 	img  []float64 // ConvE stacked input image of the query being built
 	feat []float64 // ConvE flattened conv features of the query being built
+
+	// ConvE's conv layer and output batch-norm divisors, laid out once for
+	// all of a call's queries.
+	conv  convWeights
+	fcDev []float64
 
 	// TuckER's relation matrix M_r = W ×₂ r, cached across the calls made
 	// for one relation of a block (tails, trues and heads all share it).

@@ -29,17 +29,29 @@ func dotTileFMA512(qs *float64, nq int, cols *float64, dim, n int, out *float64,
 //go:noescape
 func rotTileApprox512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 
-// The assembly row-accumulate of rowacc_amd64.s: rowAccGo over n outputs
-// and nrows rows. It trusts its arguments; vecRowAcc is the only caller.
-//
+// The assembly row-accumulates of rowacc_amd64.s: rowAccGo over n outputs
+// and nrows rows, four and eight outputs a register. They trust their
+// arguments; vecRowAcc is the only caller.
+
 //go:noescape
 func rowAccAVX2(out *float64, n int, c *float64, nrows int, rows *float64, stride int, skipZero bool)
+
+//go:noescape
+func rowAccAVX512(out *float64, n int, c *float64, nrows int, rows *float64, stride int, skipZero bool)
+
+// The assembly conv layer of conv_amd64.s: convGo over an ih×convDW image,
+// ih at least two, convPre nil or as long as feat. It trusts its arguments;
+// vecConv is the only caller.
+//
+//go:noescape
+func convAVX2(w *convWeights, img *float64, ih int, convPre *float64, feat *float64)
 
 // init lists the vector lanes this CPU runs, narrowest first, and installs
 // the widest. The 512-bit lane scores L1 with its own twin and the dot and
 // RotatE kernels with the AVX2 twins, which keep the bits; its rank path
-// runs the FMA dot kernel and RotatE's approximate root. The row-accumulate
-// under the query builders stays 256-bit on both lanes.
+// runs the FMA dot kernel and RotatE's approximate root. Under the query
+// builders each lane runs its own row-accumulate, four and eight outputs a
+// register, and both run ConvE's AVX2 conv layer.
 func init() {
 	if !cpu.AVX2 {
 		return
@@ -48,7 +60,7 @@ func init() {
 		kindDot: vecTile(dotTileAVX2, 1),
 		kindL1:  vecTile(l1TileAVX2, 1),
 		kindRot: vecTile(rotTileAVX2, 2),
-	}}
+	}, rowAcc: vecRowAcc(rowAccAVX2), conv: vecConv}
 	vecLanes = []vecLane{avx2}
 	if cpu.AVX512 {
 		vecLanes = append(vecLanes, vecLane{name: "avx512",
@@ -61,34 +73,57 @@ func init() {
 				kindDot: vecTile(dotTileFMA512, 1),
 				kindRot: vecTile(rotTileApprox512, 2),
 			},
+			rowAcc: vecRowAcc(rowAccAVX512),
+			conv:   vecConv,
 		})
 	}
 	widest := vecLanes[len(vecLanes)-1]
 	vecKernels, certKernels = widest.kernels, widest.cert
-	rowAcc = vecRowAcc
+	rowAcc, conv = widest.rowAcc, widest.conv
 }
 
-// vecRowAcc gives rowAccAVX2 rowAccGo's signature and, like vecTile, is the
-// memory-safety boundary in front of it: the slice expression panics, as
-// rowAccGo's own would, on rows shorter than the last row it reads.
+// vecRowAcc gives an assembly row-accumulate rowAccGo's signature and, like
+// vecTile, is the memory-safety boundary in front of it: the slice
+// expression panics, as rowAccGo's own would, on rows shorter than the last
+// row it reads.
 //
 // It hands the kernel tileBytes of rows per call. The kernel sweeps its rows
 // once per group of outputs, so rows that fit in L1 come from memory once,
 // where a whole matrix larger than L2 (TuckER's core, ConvE's FC at dim 256)
 // would be fetched again, in strided strips, for every group. Each output
 // still adds its rows in ascending u, call after call.
-func vecRowAcc(out, c, rows []float64, stride int, skipZero bool) {
-	if len(out) == 0 || len(c) == 0 {
+func vecRowAcc(kernel func(out *float64, n int, c *float64, nrows int, rows *float64, stride int, skipZero bool)) rowAccFunc {
+	return func(out, c, rows []float64, stride int, skipZero bool) {
+		if len(out) == 0 || len(c) == 0 {
+			return
+		}
+		if stride < 0 {
+			panic("kgc: row-accumulate with a negative stride")
+		}
+		rows = rows[:(len(c)-1)*stride+len(out)]
+		per := max(1, tileBytes/(8*max(stride, len(out))))
+		for u := 0; u < len(c); u += per {
+			kernel(&out[0], len(out), &c[u], min(per, len(c)-u), &rows[u*stride], stride, skipZero)
+		}
+	}
+}
+
+// vecConv gives convAVX2 convGo's signature and is the memory-safety
+// boundary in front of it: the slice expressions panic, as convGo's own
+// indexing would, on features or pre-BN sums shorter than the image's four
+// channels. An image of fewer than two rows goes to convGo.
+func vecConv(w *convWeights, img, convPre, feat []float64) {
+	ih := len(img) / convDW
+	if ih < 2 {
+		convGo(w, img, convPre, feat)
 		return
 	}
-	if stride < 0 {
-		panic("kgc: row-accumulate with a negative stride")
+	n := convChannels * ih * convDW
+	var pre *float64
+	if convPre != nil {
+		pre = &convPre[:n][0]
 	}
-	rows = rows[:(len(c)-1)*stride+len(out)]
-	per := max(1, tileBytes/(8*max(stride, len(out))))
-	for u := 0; u < len(c); u += per {
-		rowAccAVX2(&out[0], len(out), &c[u], min(per, len(c)-u), &rows[u*stride], stride, skipZero)
-	}
+	convAVX2(w, &img[0], ih, pre, &feat[:n][0])
 }
 
 // vecTile gives an assembly kernel the Go tile kernels' signature and is the

@@ -140,9 +140,10 @@ func BenchmarkScoreBlock(b *testing.B) {
 // TuckER's core contraction and d×d products, RESCAL's d×d products —
 // through the scorer: one block of 16 tail and 16 head queries of one
 // relation, the relation alternating between two so that TuckER contracts
-// its core once per block, as a pass does. It reports ns per query on the
-// lane the process runs (the row-accumulate's AVX2 twin, or under -tags
-// purego the Go loop). The rung under kgebench's
+// its core once per block, as a pass does. It reports ns per query on every
+// lane (benchLanes): "go" runs rowAccGo and convGo, a vector lane its
+// row-accumulate (four outputs a register on avx2, eight on avx512) and the
+// AVX2 conv layer. The rung under kgebench's
 // kgc.score_ns_per_cand_dim.{ConvE,TuckER,RESCAL}, which includes the
 // builders; at dim 256 TuckER's core is 134 MB.
 func BenchmarkBuildQueries(b *testing.B) {
@@ -156,15 +157,25 @@ func BenchmarkBuildQueries(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("%s/dim%d", name, dim), func(b *testing.B) {
-				bs := NewBatchScorer(m, BatchOptions{})
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					r := int32(i % 2)
-					bs.BeginBlock(2 * nq)
-					bs.AddTails(es, r)
-					bs.AddHeads(es, r)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*nq), "ns/query")
+				benchLanes(b, func(b *testing.B, lane vecLane, rank bool) {
+					if rank {
+						b.Skip("the rank path builds its queries as the lane does")
+					}
+					defer func(r rowAccFunc, c convFunc) { rowAcc, conv = r, c }(rowAcc, conv)
+					rowAcc, conv = rowAccGo, convGo
+					if lane.rowAcc != nil {
+						rowAcc, conv = lane.rowAcc, lane.conv
+					}
+					bs := NewBatchScorer(m, BatchOptions{})
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						r := int32(i % 2)
+						bs.BeginBlock(2 * nq)
+						bs.AddTails(es, r)
+						bs.AddHeads(es, r)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*nq), "ns/query")
+				})
 			})
 		}
 	}

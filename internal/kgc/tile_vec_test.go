@@ -150,9 +150,12 @@ func TestVectorKernelsMatchGoKernels(t *testing.T) {
 	}
 }
 
-// funcID is the closure a func value points at: vecTile builds a fresh one
-// for every kernel it wraps, so two lanes' entries never share one.
-func funcID(f tileFunc) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&f)) }
+// funcID is the closure a func value points at: vecTile and vecRowAcc build
+// a fresh one for every kernel they wrap, so two lanes' entries never share
+// one.
+func funcID[F any](f F) unsafe.Pointer {
+	return *(*unsafe.Pointer)(unsafe.Pointer(&f))
+}
 
 // The installed kernels are the widest lane's: vecKernels and certKernels
 // are its two sets, and on an AVX-512 host the rank path runs no 256-bit
@@ -179,6 +182,9 @@ func TestWidestLaneIsInstalled(t *testing.T) {
 				t.Fatalf("%v: a vector kernel is installed on the Go lane", kind)
 			}
 		}
+		if funcID(rowAcc) != funcID(rowAccGo) || funcID(conv) != funcID(convGo) {
+			t.Fatal("a vector query builder is installed on the Go lane")
+		}
 		return
 	}
 	widest := vecLanes[len(vecLanes)-1]
@@ -186,6 +192,9 @@ func TestWidestLaneIsInstalled(t *testing.T) {
 		if funcID(vecKernels[kind]) != funcID(widest.kernels[kind]) || funcID(certKernels[kind]) != funcID(widest.cert[kind]) {
 			t.Errorf("%v: the installed kernels are not the %s lane's", kind, widest.name)
 		}
+	}
+	if funcID(rowAcc) != funcID(widest.rowAcc) || funcID(conv) != funcID(widest.conv) {
+		t.Errorf("the installed query builders are not the %s lane's", widest.name)
 	}
 	if cpu.AVX512 {
 		avx2 := vecLanes[0]
@@ -197,6 +206,9 @@ func TestWidestLaneIsInstalled(t *testing.T) {
 			if funcID(rank) == funcID(avx2.kernels[kind]) {
 				t.Errorf("%v: the rank path runs the avx2 twin", kind)
 			}
+		}
+		if funcID(rowAcc) == funcID(avx2.rowAcc) {
+			t.Error("the query builders run the avx2 row-accumulate")
 		}
 		if certKernels[kindDot] == nil || certKernels[kindRot] == nil || certKernels[kindL1] != nil {
 			t.Errorf("the 512-bit lane's approximate kernels are dot and RotatE, not L1: %v", certKernels)
@@ -241,18 +253,46 @@ func TestVectorKernelRejectsBadShapes(t *testing.T) {
 func TestRowAccumulateRejectsBadShapes(t *testing.T) {
 	needVectorLane(t)
 	const n, nrows = 8, 3
-	for name, c := range map[string]struct{ rows, stride int }{
-		"short last row":  {2*n + n - 1, n},
-		"negative stride": {3 * n, -1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: the row-accumulate wrapper did not panic", name)
-				}
+	for _, lane := range vecLanes {
+		for name, c := range map[string]struct{ rows, stride int }{
+			"short last row":  {2*n + n - 1, n},
+			"negative stride": {3 * n, -1},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s: the row-accumulate wrapper did not panic", lane.name, name)
+					}
+				}()
+				lane.rowAcc(make([]float64, n), make([]float64, nrows), make([]float64, c.rows), c.stride, false)
 			}()
-			rowAcc(make([]float64, n), make([]float64, nrows), make([]float64, c.rows), c.stride, false)
-		}()
+		}
+	}
+}
+
+// vecConv is the boundary in front of the conv layer: features or pre-BN
+// sums shorter than the image's four channels panic in Go.
+func TestConvRejectsBadShapes(t *testing.T) {
+	needVectorLane(t)
+	for _, lane := range vecLanes {
+		const img = 6 * convDW
+		for name, c := range map[string]struct{ pre, feat int }{
+			"short features":    {-1, convChannels*img - 1},
+			"short pre-BN sums": {convChannels*img - 1, convChannels * img},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s: the conv wrapper did not panic", lane.name, name)
+					}
+				}()
+				var pre []float64
+				if c.pre >= 0 {
+					pre = make([]float64, c.pre)
+				}
+				lane.conv(new(convWeights), make([]float64, img), pre, make([]float64, c.feat))
+			}()
+		}
 	}
 }
 
@@ -472,15 +512,16 @@ func fuzzFloats(data []byte, n int) []float64 {
 	return vals
 }
 
-// FuzzRowAccumulate holds the assembly row-accumulate under the query
-// builders to rowAccGo: the same bits in every output (sameScore) and no
-// write past out (guard words). The fuzzer picks the outputs n, the row
+// FuzzRowAccumulate holds each lane's assembly row-accumulate under the
+// query builders (four and eight outputs a register) to rowAccGo: the same
+// bits in every output (sameScore) and no write past out (guard words). The
+// fuzzer picks the outputs n, the row
 // count (zero included), the row stride (n or more), whether zero
 // coefficients are skipped, and the bytes of the starting outputs, the
 // coefficients and the rows. The seeds cover every n mod 4 in each group
 // width, zero rows, strides past n (long enough to split the rows across
 // kernel calls), and ±0, NaN, ±Inf and subnormal coefficients and row
-// values, with and without the skip.
+// values, with and without the skip. n runs past 64, the widest group.
 func FuzzRowAccumulate(f *testing.F) {
 	needVectorLane(f)
 	var special []byte
@@ -507,17 +548,109 @@ func FuzzRowAccumulate(f *testing.F) {
 
 		want := slices.Clone(start)
 		rowAccGo(want, c, rows, stride, skipZero)
-		got, intact := guarded(n)
-		copy(got, start)
-		rowAcc(got, c, rows, stride, skipZero)
-		for k := range want {
-			if !sameScore(got[k], want[k]) {
-				t.Fatalf("n=%d rows=%d stride=%d skipZero=%v: out[%d] = %x (%v), Go loop %x (%v)",
-					n, nrows, stride, skipZero, k, math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
+		for _, lane := range vecLanes {
+			got, intact := guarded(n)
+			copy(got, start)
+			lane.rowAcc(got, c, rows, stride, skipZero)
+			for k := range want {
+				if !sameScore(got[k], want[k]) {
+					t.Fatalf("%s n=%d rows=%d stride=%d skipZero=%v: out[%d] = %x (%v), Go loop %x (%v)",
+						lane.name, n, nrows, stride, skipZero, k, math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
+				}
+			}
+			if !intact() {
+				t.Fatalf("%s n=%d rows=%d stride=%d: wrote outside out", lane.name, n, nrows, stride)
 			}
 		}
-		if !intact() {
-			t.Fatalf("n=%d rows=%d stride=%d: wrote outside out", n, nrows, stride)
+	})
+}
+
+// FuzzConvFeatures holds each lane's conv layer under ConvE's query
+// builder to convGo: the same bits in every feature and every pre-BN sum,
+// and no write past either (guard words). The fuzzer picks the dim (4, 8,
+// 20, 28 or 64: images of 2, 4, 10, 14 and 32 rows, so the top and bottom
+// rows meet with and without rows between them), and the bytes of the
+// image, the four kernels, their biases and the running batch-norm
+// statistics, which loadConv lays out as the model does; one channel's
+// variance may be −ε, which makes its inv +Inf. The seeds plant ±0,
+// subnormals, ±Inf and NaN, ordinary values, and a layer whose every norm is
+// −0.
+func FuzzConvFeatures(f *testing.F) {
+	needVectorLane(f)
+	dims := []int{4, 8, 20, 28, 64}
+	var special, normal []byte
+	for _, v := range append(slices.Clone(specials), math.NaN(), -math.SmallestNonzeroFloat64, 0x1p-1040) {
+		special = binary.LittleEndian.AppendUint64(special, math.Float64bits(v))
+	}
+	rng := rand.New(rand.NewSource(5))
+	for range 101 {
+		normal = binary.LittleEndian.AppendUint64(normal, math.Float64bits(rng.NormFloat64()))
+	}
+	random := make([]byte, 8*97)
+	rng.Read(random)
+	for dimB := range uint8(len(dims)) {
+		// Every norm −0, which the ReLU must write as +0: a +0 image,
+		// negative taps, −0 biases, mean +0 and variance 1.
+		pixels := dims[dimB] / 2 * convDW
+		var negZero []byte
+		for i := range pixels + convChannels*12 {
+			v := 0.0
+			switch i -= pixels; {
+			case i >= 0 && i < convChannels*9:
+				v = -1
+			case i >= convChannels*9 && i < convChannels*10:
+				v = math.Copysign(0, -1)
+			case i >= convChannels*11:
+				v = 1
+			}
+			negZero = binary.LittleEndian.AppendUint64(negZero, math.Float64bits(v))
+		}
+		for _, data := range [][]byte{special, normal, random, negZero} {
+			f.Add(dimB, uint8(4), data)
+			f.Add(dimB, dimB%4, data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, dimB, infB uint8, data []byte) {
+		dim := dims[int(dimB)%len(dims)]
+		vals := fuzzFloats(data, dim/2*convDW+convChannels*(9+3))
+		img, vals := vals[:dim/2*convDW], vals[dim/2*convDW:]
+		m := &ConvE{
+			kern:       &table{dim: 9, w: vals[:convChannels*9]},
+			kernB:      &table{dim: convChannels, w: vals[convChannels*9:][:convChannels]},
+			bnConvMean: vals[convChannels*10:][:convChannels],
+			bnConvVar:  vals[convChannels*11:][:convChannels],
+		}
+		if c := int(infB); c < convChannels {
+			m.bnConvVar[c] = -bnEps
+		}
+		var w convWeights
+		m.loadConv(&w)
+		n := convChannels * len(img)
+		wantPre, wantFeat := make([]float64, n), make([]float64, n)
+		convGo(&w, img, wantPre, wantFeat)
+		for _, lane := range vecLanes {
+			for _, withPre := range []bool{true, false} {
+				pre, preIntact := guarded(n)
+				feat, featIntact := guarded(n)
+				if withPre {
+					lane.conv(&w, img, pre, feat)
+				} else {
+					lane.conv(&w, img, nil, feat)
+				}
+				for i := range n {
+					if withPre && !sameScore(pre[i], wantPre[i]) {
+						t.Fatalf("%s dim=%d: pre-BN sum %d = %x (%v), Go loop %x (%v)",
+							lane.name, dim, i, math.Float64bits(pre[i]), pre[i], math.Float64bits(wantPre[i]), wantPre[i])
+					}
+					if !sameScore(feat[i], wantFeat[i]) {
+						t.Fatalf("%s dim=%d pre=%v: feature %d = %x (%v), Go loop %x (%v)",
+							lane.name, dim, withPre, i, math.Float64bits(feat[i]), feat[i], math.Float64bits(wantFeat[i]), wantFeat[i])
+					}
+				}
+				if !featIntact() || !preIntact() {
+					t.Fatalf("%s dim=%d pre=%v: wrote outside feat or convPre", lane.name, dim, withPre)
+				}
+			}
 		}
 	})
 }

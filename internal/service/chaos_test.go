@@ -139,6 +139,36 @@ func TestChaosFitPoisonKey(t *testing.T) {
 	})
 }
 
+// TestJoinedFitOutlivesTheStartingJob: a Fit belongs to every job that
+// waits for it, not to the job that happened to start it. With the build
+// stalled (service/fit=stall,2s), job A at timeout_ms=300 starts it and job
+// B, with no deadline, joins it 50 ms later: A expires at its deadline, B
+// gets the fitted framework and succeeds, and no fit failure is counted.
+func TestJoinedFitOutlivesTheStartingJob(t *testing.T) {
+	srv, engine := newTestServer(t, EngineConfig{Workers: 2})
+	armFault(t, faults.SiteFit, faults.Plan{Action: faults.Stall, Stall: 2 * time.Second, Limit: 1})
+
+	spec := chaosFitSpec(t, engine)
+	short := spec
+	short.TimeoutMS = 300
+	a := submitJob(t, srv.URL, short).ID
+	time.Sleep(50 * time.Millisecond)
+	b := submitJob(t, srv.URL, spec).ID
+	if st := waitTerminal(t, srv.URL, a); st.State != StateExpired {
+		t.Fatalf("job A (timeout_ms=300, started the stalled Fit): state %s, error %q", st.State, st.Error)
+	}
+	if st := waitTerminal(t, srv.URL, b); st.State != StateSucceeded {
+		t.Fatalf("job B (no deadline, joined A's Fit): state %s, error %q", st.State, st.Error)
+	}
+	body := fetchMetrics(t, srv.URL)
+	if got := metricValue(body, "kgeval_fit_failures_total"); got != 0 {
+		t.Errorf("kgeval_fit_failures_total = %v, want 0", got)
+	}
+	if got := metricValue(body, "kgeval_cache_misses_total"); got != 1 {
+		t.Errorf("kgeval_cache_misses_total = %v, want 1: B joined A's build", got)
+	}
+}
+
 func chaosFitSpec(t *testing.T, engine *Engine) JobSpec {
 	t.Helper()
 	snap := snapshotModel(t, engine.Graph(), "DistMult", 8, 6)

@@ -757,7 +757,8 @@ type fitKey struct {
 // build — a panic included, which the cache turns into an error carrying the
 // stack — fails its job and every job that joined it. The cache keeps no
 // failure, so the next job naming the key fits again. Only the job that ran
-// the build counts the failure, and not when its own context ended it.
+// the build counts the failure; the build runs detached from that job's
+// context (buildFramework), so every failure it returns is the Fit's own.
 func (e *Engine) fitFramework(j *Job, spec JobSpec) (*core.Framework, bool, error) {
 	key := fitKey{Recommender: spec.Recommender, NumSamples: spec.NumSamples}
 	fw, o, err := e.frameworks.Resolve(e.frameworks.Reserve(key, 1, nil),
@@ -765,7 +766,7 @@ func (e *Engine) fitFramework(j *Job, spec JobSpec) (*core.Framework, bool, erro
 			trace.FromContext(j.ctx).Event("cache."+o.String(), trace.String("recommender", key.Recommender))
 		},
 		func(*core.Framework) (*core.Framework, error) { return e.buildFramework(j, spec) })
-	if err != nil && o == lru.Miss && j.ctx.Err() == nil {
+	if err != nil && o == lru.Miss {
 		e.metrics.fitFailures.Inc()
 	}
 	return fw, o != lru.Miss, panicked("fit", err)
@@ -775,8 +776,15 @@ func (e *Engine) fitFramework(j *Job, spec JobSpec) (*core.Framework, bool, erro
 // panic inside Fit (a poison graph) reaches the caller as the cache's
 // *lru.PanicError and fails the job like any other error instead of killing
 // the worker.
+//
+// The build serves every job that joins it, so it runs detached from the
+// cancellation and deadline of the job that started it (its trace stays):
+// that job's end must not fail the joiners with its context's error. The job
+// itself still ends when its context does; only its worker waits for the
+// build.
 func (e *Engine) buildFramework(j *Job, spec JobSpec) (*core.Framework, error) {
-	if err := faults.HitCtx(j.ctx, faults.SiteFit); err != nil {
+	ctx := context.WithoutCancel(j.ctx)
+	if err := faults.HitCtx(ctx, faults.SiteFit); err != nil {
 		return nil, err
 	}
 	rec, err := recommender.ByName(spec.Recommender, defaultSeed)
@@ -784,7 +792,7 @@ func (e *Engine) buildFramework(j *Job, spec JobSpec) (*core.Framework, error) {
 		return nil, err
 	}
 	fw := core.New(rec, spec.NumSamples, defaultSeed)
-	if err := fw.FitCtx(j.ctx, e.graph); err != nil {
+	if err := fw.FitCtx(ctx, e.graph); err != nil {
 		return nil, err
 	}
 	return fw, nil

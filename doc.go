@@ -56,7 +56,8 @@
 //	                      lanes whose scores have the same bits and whose
 //	                      ranks are the same: AVX-512F kernels with eight
 //	                      candidates per ZMM register (for ranks an FMA dot
-//	                      product and RotatE's approximate root, within a
+//	                      product, an L1 distance from Σmax(q, c) and
+//	                      RotatE's one-step root, each within a
 //	                      proven bound that eval's rank count settles or
 //	                      rescores; exact scores from the AVX2 dot and RotatE
 //	                      twins and a 512-bit L1 twin), AVX2 assembly kernels

@@ -10,9 +10,8 @@
 // Probabilistic pool draw: its stream, count of drawing weights, uniforms
 // and log(u)/w keys (internal/sample). Scoring and query building have a
 // third, 512-bit lane for CPUs with AVX-512F: an L1 tile kernel and a
-// row-accumulate with the same bits, and an FMA dot kernel and an
-// approximate RotatE kernel that the rank path runs within a proven error
-// bound. Which code a process runs is decided here,
+// row-accumulate with the same bits, and certified dot, L1 and RotatE
+// kernels that the rank path runs within a proven error bound. Which code a process runs is decided here,
 // once, from what the machine is — there is no option, flag or environment
 // variable, because every version of a lane produces the same scores where
 // scores are handed out and the same ranks, and only one of them is ever

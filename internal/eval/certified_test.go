@@ -23,7 +23,7 @@ import (
 // count and hold it to the same oracle.
 
 // certifiedModels are the models the 512-bit lane scores approximately.
-var certifiedModels = []string{"DistMult", "ComplEx", "RESCAL", "TuckER", "ConvE", "RotatE"}
+var certifiedModels = []string{"TransE", "DistMult", "ComplEx", "RESCAL", "TuckER", "ConvE", "RotatE"}
 
 // editEntities rewrites m's entity table, the first table kgc.Save writes,
 // through a Save/Load round trip: edit gets the table as rows of m.Dim()
@@ -129,10 +129,23 @@ func TestCertifiedRanksMatchOracleOnPlantedTies(t *testing.T) {
 	}
 }
 
-// On the embeddings kgc.New gives the six models, untrained and after one
+// rotRescoreBudget is the share of a full-protocol block's candidates that
+// RotatE's window may send to an exact rescore, besides the answer's own
+// copies. Its one-step root is within 2⁻¹⁴ + 2⁻²⁶ of the score, relative, so
+// a window holds the candidates whose distance lies within about 2⁻¹³ of the
+// answer's: measured on the embeddings kgc.New gives, 0 to 19 of 14 400
+// candidates (0.13 %) per block pair at dims 2 to 512, untrained and after
+// an epoch, in TestCertifiedWindowHoldsOnlyTheAnswer, and 9 of 36 000 in
+// TestCertifiedFullPassRescoresNothing's dim-16 pass. The budget is about
+// twice the worst of those.
+const rotRescoreBudget = 0.003
+
+// On the embeddings kgc.New gives the seven models, untrained and after one
 // epoch (over 64 training triples), at dims 2 to 512, the window settles
 // every candidate of a full-protocol block but the answer's own copies,
-// which count and uncount leave alone: none is rescored. TuckER stops at dim 64, where its core already holds 2.6·10⁵
+// which count and uncount leave alone: none is rescored. RotatE's window,
+// wider by its root's 2⁻¹⁴, may hold rotRescoreBudget of the candidates
+// besides. TuckER stops at dim 64, where its core already holds 2.6·10⁵
 // values and an epoch costs dim³ a triple (512 would be 1 GiB and minutes),
 // and every model stops there under -short. On a lane without approximate
 // kernels every Bound is zero and the test skips.
@@ -161,6 +174,7 @@ func TestCertifiedWindowHoldsOnlyTheAnswer(t *testing.T) {
 					kgc.Train(m, &small, kgc.TrainConfig{Epochs: 1, Seed: 1})
 				}
 				bs := kgc.NewBatchScorer(m, kgc.BatchOptions{})
+				inside, seen := 0, 0
 				for _, tails := range []bool{true, false} {
 					bs.BeginBlock(len(queries))
 					for i, q := range queries {
@@ -192,12 +206,23 @@ func TestCertifiedWindowHoldsOnlyTheAnswer(t *testing.T) {
 						if !ok {
 							t.Fatalf("%s dim=%d epoch=%d: no window for t = %v, bound %+v", name, dim, epoch, t0, bounds[i])
 						}
+						seen += len(pool)
 						for j, f := range scores[i*len(pool) : (i+1)*len(pool)] {
 							if !(f > hi) && !(f < lo) && pool[j] != truth {
-								t.Errorf("%s dim=%d epoch=%d tails=%v query %d: candidate %d (%v) falls in [%v, %v] around %v and would be rescored",
-									name, dim, epoch, tails, i, pool[j], f, lo, hi, t0)
+								inside++
+								if name != "RotatE" {
+									t.Errorf("%s dim=%d epoch=%d tails=%v query %d: candidate %d (%v) falls in [%v, %v] around %v and would be rescored",
+										name, dim, epoch, tails, i, pool[j], f, lo, hi, t0)
+								}
 							}
 						}
+					}
+				}
+				if name == "RotatE" {
+					t.Logf("RotatE dim=%d epoch=%d: %d of %d candidates inside the window", dim, epoch, inside, seen)
+					if float64(inside) > rotRescoreBudget*float64(seen) {
+						t.Errorf("RotatE dim=%d epoch=%d: %d of %d candidates fall inside the window, past the budget of %v",
+							dim, epoch, inside, seen, rotRescoreBudget)
 					}
 				}
 			}
@@ -208,9 +233,10 @@ func TestCertifiedWindowHoldsOnlyTheAnswer(t *testing.T) {
 	}
 }
 
-// The same end to end: a traced full-protocol pass of each of the six
+// The same end to end: a traced full-protocol pass of each of the seven
 // models rescores no candidate (the eval.pass span's rescored attribute),
-// and ranks as the oracle does.
+// RotatE's no more than rotRescoreBudget of the candidates it scored, and
+// ranks as the oracle does.
 func TestCertifiedFullPassRescoresNothing(t *testing.T) {
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
@@ -225,7 +251,17 @@ func TestCertifiedFullPassRescoresNothing(t *testing.T) {
 		checkAgainstOracle(t, name, m, m, g, g.Test, NewFullProvider(g.NumEntities), opts)
 		root.End()
 		for _, s := range root.Recorder().Snapshot().Spans {
-			if s.Name == "eval.pass" && s.Attr("rescored") != int64(0) {
+			if s.Name != "eval.pass" {
+				continue
+			}
+			rescored, _ := s.Attr("rescored").(int64)
+			scored, _ := s.Attr("candidates_scored").(int64)
+			if name == "RotatE" {
+				t.Logf("RotatE: a full pass rescored %d of %d candidates", rescored, scored)
+				if float64(rescored) > rotRescoreBudget*float64(scored) {
+					t.Errorf("RotatE: a full pass rescored %d of %d candidates, past the budget of %v", rescored, scored, rotRescoreBudget)
+				}
+			} else if s.Attr("rescored") != int64(0) {
 				t.Errorf("%s: a full pass rescored %v candidates, want 0", name, s.Attr("rescored"))
 			}
 		}

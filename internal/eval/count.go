@@ -10,7 +10,8 @@ import (
 // Certified counts. A rank needs of each candidate's score s only whether
 // s > t, s == t or s < t, t being the true triple's score. On the 512-bit
 // lane the scorer's RankBlock writes approximations f of the scores (an FMA
-// dot product, RotatE's approximate root) within a kgc.Bound for each query,
+// dot product, an L1 distance from Σmax(q, c), RotatE's one-step root)
+// within a kgc.Bound for each query,
 // |s − f| ≤ a + r·|f| for every f that is a number, proved per kernel in
 // tile_amd64.s and stated by kgc's certBound. The strip's count turns the
 // Bound into a window [lo, hi] around t (edges):

@@ -148,9 +148,10 @@ func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out [
 // kernels score everything. Either way they are the definition: every twin
 // the CPU can run is tested against them with == on the bits
 // (tile_vec_test.go), and they against the gather oracle
-// (tile_lane_test.go). The 512-bit lane's two approximate kernels (an FMA
-// dot product and RotatE's approximate root) serve RankBlock alone, and are
-// tested against these within certBound (tile_cert_test.go).
+// (tile_lane_test.go). The 512-bit lane's three certified kernels (an FMA
+// dot product, an L1 sum of max(q, c) and RotatE's one-step root) serve
+// RankBlock alone, and are tested against these within certBound
+// (tile_cert_test.go).
 //
 // Four candidate rows are scored in flight per step: their accumulator
 // chains are independent, hiding the FP add latency that serializes a lone
@@ -168,7 +169,8 @@ func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out [
 // scalar Go gets — one multiply-add per cycle, the machine's measured scalar
 // FMA roofline, 0.24–0.31 ns per candidate·dim on an L1-resident tile — and
 // its AVX2 twin runs at 0.08–0.10, the 512-bit lane's FMA kernel, for
-// ranks, at 0.03–0.04.
+// ranks, at 0.032–0.035 (its floor, one ZMM FMA per 0.20–0.22 ns, is
+// 0.025–0.027).
 func scoreDotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	nq := len(qs) / dim
 	for i := 0; i < nq; i++ {
@@ -207,7 +209,9 @@ func scoreDotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 // candidate·dim on an L1-resident tile against 0.24–0.31 for the dot
 // kernel. Writing the absolute value as max(d, -d) measured 1.4× slower and
 // as a branch 6× slower, both bit-identical. Its vector twins clear the
-// sign with one VANDPD (VPANDQ at 512 bits) and run at 0.11–0.13 and 0.08.
+// sign with one VANDPD (VPANDQ at 512 bits) and run at 0.11–0.13 and 0.08;
+// the 512-bit lane's certified kernel, for ranks, sums max(q, c) instead
+// (one operation fewer a dim) and runs at 0.07.
 func scoreL1Tile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	nq := len(qs) / dim
 	for i := 0; i < nq; i++ {
@@ -258,8 +262,8 @@ func cmod(re, im float64) float64 {
 // serves both directions. The square roots do not pipeline as deeply as the
 // dot kernel's multiply-adds, so this kernel is sqrt-bound, not add-bound
 // (1.2–1.3 ns per candidate·dim), and so is its AVX2 twin on the divider
-// (VSQRTPD, 0.64–0.66). The 512-bit lane's kernel for ranks takes an
-// approximate root from the FMA units instead, within 2⁻²⁷ of it.
+// (VSQRTPD, 0.64–0.66). The 512-bit lane's kernel for ranks takes the root
+// from VRSQRT14PD alone instead, within 2⁻¹⁴ of it, at 0.11–0.13.
 func scoreRotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	half := dim / 2
 	nq := len(qs) / dim

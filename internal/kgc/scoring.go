@@ -133,9 +133,10 @@ var vecKernels [numKinds]tileFunc
 // certKernels holds, for each kind, the rank path's approximate kernel, or
 // nil where the rank path runs the exact one. It is installed with
 // vecKernels, from the same lane; only the 512-bit lane has entries (the
-// FMA dot kernel and RotatE's approximate root). Its scores are within
-// certBound of the Go kernel's, not equal to them: it serves RankBlock of a
-// float64 scorer, and nothing that hands a score to a caller.
+// FMA dot kernel, the VMAXPD L1 kernel and RotatE's one-step root). Its
+// scores are within certBound of the Go kernel's, not equal to them: it
+// serves RankBlock of a float64 scorer, and nothing that hands a score to a
+// caller.
 var certKernels [numKinds]tileFunc
 
 // vecLane is one set of vector twins of the Go tile kernels, named as Kernel
@@ -161,8 +162,8 @@ var vecLanes []vecLane
 type Bound struct{ Abs, Rel float64 }
 
 // certBound is the Bound of one query's scores from kind's approximate
-// kernel, over dim values a candidate: norm is the query's ‖q‖₁ (the dot
-// kernel's only), maxAbs the largest |value| of the candidates the kernel
+// kernel, over dim values a candidate: norm is the query's ‖q‖₁ (the dot and
+// L1 kernels'), maxAbs the largest |value| of the candidates the kernel
 // scored (store.TileColumns), maxBias the largest |bias| added after it, or
 // 0 without one. ok is false where no bound holds: a value or product large
 // enough that one sum could overflow where the other does not, a NaN or
@@ -173,29 +174,46 @@ type Bound struct{ Abs, Rel float64 }
 //   - dot: 2γₙ·‖q‖₁·max|c| + n·2⁻¹⁰⁷⁴ over n = dim products. For n ≤ 2²⁶,
 //     2γₙ/(1 − γₙ) ≤ n·2⁻⁵²·(1 + 2⁻²⁴), the 1/(1 − γₙ) covering the
 //     rounding of norm itself; the factor 1 + 2⁻²⁰ covers the roundings
-//     here, and 4·2⁻¹⁰⁷⁴ more the products below that underflow.
+//     here, and 4·2⁻¹⁰⁷⁴ more the products below that underflow. ‖q‖₁·max|c|
+//     is taken first: a subnormal norm times n·2⁻⁵² would underflow before
+//     max|c| could lift it.
 //     ‖q‖₁·max|c| ≤ 2¹⁰⁰⁰ keeps every product and sum of both kernels finite.
-//   - a bias b added after a dot score rounds once more on both sides:
+//   - L1: (4n + 1)·u·A over n = dim values, A = ‖q‖₁ + n·max|c|. For
+//     n ≤ 2²⁶ the γ's of the proof and the rounding of norm stay within the
+//     factor 1 + 2⁻²⁰, which also covers the roundings here; no step of the
+//     kernels adds an absolute error, and 2⁻¹⁰⁷³ covers the products here
+//     that underflow. A ≤ 2¹⁰⁰⁰ keeps every sum of both kernels finite.
+//   - a bias b added after a dot or L1 score rounds once more on both sides:
 //     |fl(s+b) − fl(f+b)| ≤ Abs·(1 + u) + 2u/(1 − u)·|fl(f+b)|, so Rel grows
 //     by 2⁻⁵¹ and the 2⁻²⁰ slack takes the (1 + u); |b| ≤ 2¹⁰⁰⁰ keeps the sum
 //     finite.
-//   - RotatE: |f − s| ≤ 2⁻²⁴·|f| for n = dim/2 ≤ 2²⁴ complex dims.
+//   - RotatE: |f − s| ≤ (2⁻¹⁴ + 2⁻²⁶)·|f| + n·2⁻⁵³⁵ for n = dim/2 ≤ 2²⁴
+//     complex dims: the one-step root's 2⁻¹⁴, and the subnormal squares'
+//     absolute error, which sits far below any score's ulp.
 func certBound(kind tileKind, dim int, norm, maxAbs, maxBias float64) (b Bound, ok bool) {
+	n := float64(dim)
 	switch kind {
 	case kindDot:
-		if dim > 1<<26 || !(norm*maxAbs <= 0x1p1000) || !(maxBias <= 0x1p1000) {
+		if !(norm*maxAbs <= 0x1p1000) {
 			return Bound{}, false
 		}
-		n := float64(dim)
-		b.Abs = n*0x1p-52*norm*maxAbs*(1+0x1p-20) + (n+4)*0x1p-1074
-		if maxBias > 0 {
-			b.Rel = 0x1p-51
+		b.Abs = norm*maxAbs*(n*0x1p-52)*(1+0x1p-20) + (n+4)*0x1p-1074
+	case kindL1:
+		a := norm + n*maxAbs
+		if !(a <= 0x1p1000) {
+			return Bound{}, false
 		}
-		return b, true
+		b.Abs = a*((4*n+1)*0x1p-53)*(1+0x1p-20) + 0x1p-1073
 	case kindRot:
-		return Bound{Rel: 0x1p-24}, dim/2 <= 1<<24
+		return Bound{Abs: float64(dim/2) * 0x1p-535, Rel: 0x1p-14 + 0x1p-26}, dim/2 <= 1<<24
 	}
-	return Bound{}, true
+	if dim > 1<<26 || !(maxBias <= 0x1p1000) {
+		return Bound{}, false
+	}
+	if maxBias > 0 {
+		b.Rel = 0x1p-51
+	}
+	return b, true
 }
 
 // rowAcc is the query builders' row-accumulate: rowAccGo, or — installed
@@ -230,12 +248,14 @@ func rowAccGo(out, c, rows []float64, stride int, skipZero bool) {
 // handed out (ScoreTails, ScoreHeads, ScoreTriple, the BatchScorer's
 // ScoreBlock, ScoreTailsBatch, ScoreAnswer and Rescore): on the 512-bit lane
 // these run its L1 twin and the AVX2 dot and RotatE twins. What the lanes
-// may not share is the rank path's RankBlock: on the 512-bit lane it runs
-// the FMA dot kernel and RotatE's approximate root, within a Bound that
-// eval's rank count turns into the ranks the exact scores give. The query
-// builders run the lane's own row-accumulate and, on both vector lanes, the
-// AVX2 conv layer, with the Go loops' bits. The name is
-// for traces and logs, so a timing says which code produced it. (A plain
+// may not share is the rank path's RankBlock: on the 512-bit lane it runs a
+// certified kernel of every kind — the FMA dot kernel (four queries at a
+// time), an L1 kernel that sums max(q, c) and takes the query's and each
+// candidate's sums off at the store, and RotatE's root as one VRSQRT14PD —
+// each within a Bound that eval's rank count turns into the ranks the exact
+// scores give. The query builders run the lane's own row-accumulate and, on
+// both vector lanes, the AVX2 conv layer, with the Go loops' bits. The name
+// is for traces and logs, so a timing says which code produced it. (A plain
 // third-party Model is scored through its own methods either way.)
 func Kernel() string {
 	if n := len(vecLanes); n > 0 {
@@ -363,14 +383,14 @@ type storeScorer struct {
 	block []directedQuery
 	oneC  [1]int32 // ScoreAnswer's one-candidate pool and its score
 	oneS  [1]float64
-	norms []float64 // ‖q‖₁ of each block query, where the approximate dot kernel runs
+	norms []float64 // ‖q‖₁ of each block query, where the approximate dot or L1 kernel runs
 }
 
 // BeginBlock empties the block's query vectors, with room for n.
 func (s *storeScorer) BeginBlock(n int) {
 	s.sc.qs = Grow(s.sc.qs, n*s.m.Dim())[:0]
 	s.block = Grow(s.block, n)[:0]
-	if s.cert != nil && s.m.lane().kind == kindDot {
+	if s.wantNorms() {
 		s.norms = Grow(s.norms, n)[:0]
 	}
 }
@@ -396,10 +416,16 @@ func (s *storeScorer) room(n int) []float64 {
 	return s.sc.qs[old:]
 }
 
+// wantNorms reports whether certBound asks for each query's ‖q‖₁: the
+// approximate dot and L1 kernels' bounds scale with it, RotatE's does not.
+func (s *storeScorer) wantNorms() bool {
+	return s.cert != nil && s.m.lane().kind != kindRot
+}
+
 // addNorms appends ‖q‖₁ of the block's last n queries to norms, where
-// certBound asks for it: the approximate dot kernel's.
+// wantNorms.
 func (s *storeScorer) addNorms(n int) {
-	if s.cert == nil || s.m.lane().kind != kindDot {
+	if !s.wantNorms() {
 		return
 	}
 	dim := s.m.Dim()
@@ -437,7 +463,7 @@ func (s *storeScorer) RankBlock(cands []int32, out []float64, bounds []Bound) {
 	kind, dim, nc := s.m.lane().kind, s.m.Dim(), len(cands)
 	for i := range bounds {
 		norm := 0.0
-		if kind == kindDot {
+		if kind != kindRot {
 			norm = s.norms[i]
 		}
 		b, ok := certBound(kind, dim, norm, maxAbs, maxBias)

@@ -8,8 +8,10 @@ import "kgeval/internal/cpu"
 // (qs) against the n candidates of a candidate-minor tile (cols, n a
 // positive multiple of four) and writes query i's scores to out[i*nc:][:n].
 // They trust their arguments; vecTile is the only caller. The AVX2 kernels
-// and l1TileAVX512 give every score the Go kernel's bits; dotTileFMA512 and
-// rotTileApprox512 give it within certBound, for ranks only.
+// and l1TileAVX512 give every score the Go kernel's bits; the rank path's
+// dotTileFMA512 (four queries at a time over a 32-candidate group),
+// l1TileMax512 (Σmax(q, c) against the two sums) and rotTileApprox512
+// (VRSQRT14PD alone) give it within certBound, for ranks only.
 
 //go:noescape
 func dotTileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
@@ -25,6 +27,9 @@ func l1TileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, 
 
 //go:noescape
 func dotTileFMA512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+
+//go:noescape
+func l1TileMax512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 
 //go:noescape
 func rotTileApprox512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
@@ -49,7 +54,8 @@ func convAVX2(w *convWeights, img *float64, ih int, convPre *float64, feat *floa
 // init lists the vector lanes this CPU runs, narrowest first, and installs
 // the widest. The 512-bit lane scores L1 with its own twin and the dot and
 // RotatE kernels with the AVX2 twins, which keep the bits; its rank path
-// runs the FMA dot kernel and RotatE's approximate root. Under the query
+// runs a certified kernel of each kind: the FMA dot kernel, the L1 kernel
+// built on VMAXPD, and RotatE's one-step root. Under the query
 // builders each lane runs its own row-accumulate, four and eight outputs a
 // register, and both run ConvE's AVX2 conv layer.
 func init() {
@@ -71,6 +77,7 @@ func init() {
 			},
 			cert: [numKinds]tileFunc{
 				kindDot: vecTile(dotTileFMA512, 1),
+				kindL1:  vecTile(l1TileMax512, 1),
 				kindRot: vecTile(rotTileApprox512, 2),
 			},
 			rowAcc: vecRowAcc(rowAccAVX512),

@@ -3,8 +3,11 @@
 #include "textflag.h"
 
 // AVX2 twins of the Go tile kernels in batch.go, an AVX-512F twin of the L1
-// kernel (after the AVX2 ones), and two AVX-512F kernels that approximate the
-// dot and RotatE scores for the rank path, all over a candidate-minor tile
+// kernel (after the AVX2 ones), and three certified AVX-512F kernels that
+// approximate the dot, L1 and RotatE scores for the rank path — an FMA dot
+// product walked four queries at a time, an L1 distance summed as
+// Q + C − 2·Σmax(q, c), and RotatE's modulus with VRSQRT14PD as its root —
+// all over a candidate-minor tile
 // (cols[k*n+t] is dimension k of the tile's t-th candidate; n, a multiple of
 // four, is also the column stride). tile_amd64.go's init installs them.
 //
@@ -16,8 +19,9 @@
 // once), subtract / clear sign / add for L1, and subtract, subtract, square,
 // square, add, square root, add for the complex modulus. No reduction runs
 // across lanes, so every score a twin writes has the bits the Go kernel gives
-// it. The two approximate kernels, dotTileFMA512 and rotTileApprox512, keep
-// the lane layout and the dim order but not the bits: each promises a bound
+// it. The three certified kernels, dotTileFMA512, l1TileMax512 and
+// rotTileApprox512, keep the lane layout and the dim order but not the
+// bits: each promises a bound
 // on its distance from the Go kernel's score, proved where it is defined
 // below, and the rank path rescores whatever that bound cannot settle.
 //
@@ -232,11 +236,13 @@ rdone:
 // ZMM accumulators per query), then one YMM step for a last group of four.
 // Over a group the queries go two at a time and share every column load: a
 // 32-candidate group keeps eight independent chains in flight. An odd last
-// query goes alone. Only AVX-512F instructions appear (VPANDQ and VPXORQ,
-// not the DQ subset's VANDPD and VXORPD on ZMM); the YMM step is VEX-encoded
-// AVX. The L1 kernel's lanes run, in dim order, the operations of the YMM
-// kernel above, so its scores keep their bits. RotatE's kernel, after these,
-// walks its groups differently.
+// query goes alone. The FMA dot kernel walks its 32-candidate groups four
+// queries at a time first (sixteen chains), then in pairs. Only AVX-512F
+// instructions appear (VPANDQ and VPXORQ, not the DQ subset's VANDPD and
+// VXORPD on ZMM); the YMM step is VEX-encoded AVX. The exact L1 twin's lanes
+// run, in dim order, the operations of the YMM kernel above, so its scores
+// keep their bits. RotatE's kernel, after these, walks its groups
+// differently.
 //
 // Registers beyond those of the YMM kernels:
 //	R10      bytes from one query to the next in qs (dim*8); the pair's
@@ -248,17 +254,18 @@ rdone:
 //	Z12-Z13  broadcast q[k] of the two queries
 //	Z16-Z19  the group's candidates at dim k (Y14 in the YMM step)
 
-// WALKZ is WALK over a pair of queries at a time. ZERO clears the
-// accumulators, COLS loads the group's candidates at one dim, STEPA and
-// STEPB are that dim for the first and second query, STOREA and STOREB
-// write their W scores.
-#define WALKZ(W, group, pair, pdims, one, odims, done, next, ZERO, COLS, STEPA, STEPB, STOREA, STOREB) \
+// WALKZ is WALK over a pair of queries at a time. PRE runs once a group,
+// before its first query, ZERO clears the accumulators, COLS loads the
+// group's candidates at one dim, STEPA and STEPB are that dim for the first
+// and second query, STOREA and STOREB write their W scores.
+#define WALKZ(W, group, pair, pdims, one, odims, done, next, PRE, ZERO, COLS, STEPA, STEPB, STOREA, STOREB) \
 group: \
 	CMPQ CX, $W; \
 	JLT  next; \
 	MOVQ qs+0(FP), SI; \
 	MOVQ nq+8(FP), R8; \
 	MOVQ DI, DX; \
+	PRE; \
 pair: \
 	CMPQ R8, $2; \
 	JLT  one; \
@@ -343,6 +350,19 @@ done: \
 // neither sum can overflow where the other does not. kgc's certBound states
 // that bound per query and gates the rest; eval's count settles every
 // candidate outside it and rescores the others with the Go kernel.
+//
+// The four-query walk of a 32-candidate group keeps the FMA ZMM units fed:
+// a pair issues six loads and eight FMAs a dim, a quad eight loads and
+// sixteen, so the loop's own four instructions weigh half as much. Each
+// accumulator still runs acc += q[k]·col[k] for k in order, the same FMA on
+// the same values whichever walk it is in, so a score has the same bits for
+// every query count and the bound above holds unchanged.
+//
+// Registers of the four-query walk:
+//	BX       three query strides (3·dim·8): the quad's fourth query
+//	R14      three out rows (3·nc·8): its scores
+//	Z0-Z15   accumulators, four per query
+//	Z20-Z23  broadcast q[k] of the four queries
 
 // acc += q * col, rounded twice (the YMM step)
 #define DOTV(col, q, tmp, acc) \
@@ -375,13 +395,59 @@ done: \
 #define PUTA4 PUT(Y0, 0)
 #define PUTB4 PUTB(Y4, 0)
 
+// One dim of a query's 32 candidates: acc0..acc3 += q * Z16..Z19.
+#define FMA32(q, a0, a1, a2, a3) \
+	FMAV(Z16, q, a0); FMAV(Z17, q, a1); FMAV(Z18, q, a2); FMAV(Z19, q, a3)
+
+// QUADS32 scores the queries of a 32-candidate group four at a time while
+// four remain, and leaves the rest to the pairs.
+#define QUADS32 \
+dz32x: \
+	CMPQ R8, $4; \
+	JLT  dz32xe; \
+	MOVQ dim+24(FP), AX; \
+	MOVQ R9, R11; \
+	ZEROZ32; \
+	ZZ(Z8); ZZ(Z9); ZZ(Z10); ZZ(Z11); ZZ(Z12); ZZ(Z13); ZZ(Z14); ZZ(Z15); \
+dz32xk: \
+	VBROADCASTSD (SI), Z20; \
+	VBROADCASTSD (SI)(R10*1), Z21; \
+	VBROADCASTSD (SI)(R10*2), Z22; \
+	VBROADCASTSD (SI)(BX*1), Z23; \
+	COLS32; \
+	FMA32(Z20, Z0, Z1, Z2, Z3); \
+	FMA32(Z21, Z4, Z5, Z6, Z7); \
+	FMA32(Z22, Z8, Z9, Z10, Z11); \
+	FMA32(Z23, Z12, Z13, Z14, Z15); \
+	ADDQ $8, SI; \
+	ADDQ R13, R11; \
+	DECQ AX; \
+	JNZ  dz32xk; \
+	ADDQ BX, SI; \
+	PUTA32; \
+	PUTB32; \
+	VMOVUPD Z8, (DX)(R12*2); \
+	VMOVUPD Z9, 64(DX)(R12*2); \
+	VMOVUPD Z10, 128(DX)(R12*2); \
+	VMOVUPD Z11, 192(DX)(R12*2); \
+	VMOVUPD Z12, (DX)(R14*1); \
+	VMOVUPD Z13, 64(DX)(R14*1); \
+	VMOVUPD Z14, 128(DX)(R14*1); \
+	VMOVUPD Z15, 192(DX)(R14*1); \
+	LEAQ (DX)(R12*4), DX; \
+	SUBQ $4, R8; \
+	JMP  dz32x; \
+dz32xe:
+
 // func dotTileFMA512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 TEXT ·dotTileFMA512(SB), NOSPLIT, $0-56
 	SETUPZ
-	WALKZ(32, dz32, dz32p, dz32pk, dz32o, dz32ok, dz32d, dz16, ZEROZ32, COLS32, FMAA32, FMAB32, PUTA32, PUTB32)
-	WALKZ(16, dz16, dz16p, dz16pk, dz16o, dz16ok, dz16d, dz8, ZEROZ16, COLS16, FMAA16, FMAB16, PUTA16, PUTB16)
-	WALKZ(8, dz8, dz8p, dz8pk, dz8o, dz8ok, dz8d, dz4, ZEROZ8, COLS8, FMAA8, FMAB8, PUTA8, PUTB8)
-	WALKZ(4, dz4, dz4p, dz4pk, dz4o, dz4ok, dz4d, dzdone, ZEROY4, COLS4, DOTA4, DOTB4, PUTA4, PUTB4)
+	LEAQ (R10)(R10*2), BX
+	LEAQ (R12)(R12*2), R14
+	WALKZ(32, dz32, dz32p, dz32pk, dz32o, dz32ok, dz32d, dz16, QUADS32, ZEROZ32, COLS32, FMAA32, FMAB32, PUTA32, PUTB32)
+	WALKZ(16, dz16, dz16p, dz16pk, dz16o, dz16ok, dz16d, dz8, NOP0, ZEROZ16, COLS16, FMAA16, FMAB16, PUTA16, PUTB16)
+	WALKZ(8, dz8, dz8p, dz8pk, dz8o, dz8ok, dz8d, dz4, NOP0, ZEROZ8, COLS8, FMAA8, FMAB8, PUTA8, PUTB8)
+	WALKZ(4, dz4, dz4p, dz4pk, dz4o, dz4ok, dz4d, dzdone, NOP0, ZEROY4, COLS4, DOTA4, DOTB4, PUTA4, PUTB4)
 dzdone:
 	VZEROUPPER
 	RET
@@ -437,65 +503,168 @@ dzdone:
 TEXT ·l1TileAVX512(SB), NOSPLIT, $0-56
 	SETUPZ
 	SIGNMASKSZ
-	WALKZ(32, lz32, lz32p, lz32pk, lz32o, lz32ok, lz32d, lz16, ZEROZ32, COLS32, L1A32, L1B32, NEGA32, NEGB32)
-	WALKZ(16, lz16, lz16p, lz16pk, lz16o, lz16ok, lz16d, lz8, ZEROZ16, COLS16, L1A16, L1B16, NEGA16, NEGB16)
-	WALKZ(8, lz8, lz8p, lz8pk, lz8o, lz8ok, lz8d, lz4, ZEROZ8, COLS8, L1A8, L1B8, NEGA8, NEGB8)
-	WALKZ(4, lz4, lz4p, lz4pk, lz4o, lz4ok, lz4d, lzdone, ZEROY4, COLS4, L1A4, L1B4, NEGA4, NEGB4)
+	WALKZ(32, lz32, lz32p, lz32pk, lz32o, lz32ok, lz32d, lz16, NOP0, ZEROZ32, COLS32, L1A32, L1B32, NEGA32, NEGB32)
+	WALKZ(16, lz16, lz16p, lz16pk, lz16o, lz16ok, lz16d, lz8, NOP0, ZEROZ16, COLS16, L1A16, L1B16, NEGA16, NEGB16)
+	WALKZ(8, lz8, lz8p, lz8pk, lz8o, lz8ok, lz8d, lz4, NOP0, ZEROZ8, COLS8, L1A8, L1B8, NEGA8, NEGB8)
+	WALKZ(4, lz4, lz4p, lz4pk, lz4o, lz4ok, lz4d, lzdone, NOP0, ZEROY4, COLS4, L1A4, L1B4, NEGA4, NEGB4)
 lzdone:
 	VZEROUPPER
 	RET
 
-// The RotatE kernel of the rank path. Each lane forms x = Δre² + Δim² as
-// kgc.cmod does (VMULPD, VMULPD, VADDPD: the same x, bit for bit), takes an
-// approximate root of it on the FMA units, and adds the roots in dim order.
-// The groups of 32, 16 and 8 candidates hold four, two and one ZMM
+// The L1 kernel of the rank path. It writes each score as
+//	f = fl(fl(Q + C) − 2M),  −Σₖ|q[k] − c[k]| = Σₖq[k] + Σₖc[k] − 2·Σₖmax(q[k], c[k]),
+// M the lane's running sum of max(q[k], c[k]) (VMAXPD then VADDPD: one
+// operation fewer a dim than subtract, clear the sign, add), Q the query's
+// sum of q[k] and C the candidate's sum of c[k], each added in dim order
+// from zero. C is taken once a group, before its first query, and the last
+// step is one VFNMADD231PD: T − 2·M, rounded once. The groups of 32, 16 and 8
+// candidates walk the queries in pairs as the exact twin does; a last group
+// of four takes its YMM step, the Go kernel's bits.
+//
+// Why that is safe for a rank. With A = ‖q‖₁ + n·max|c|, u = 2⁻⁵³ and γₖ as
+// above, and n = dim:
+//   - the Go kernel's s = Σ fl(|q[k] − c[k]|) in dim order is within γₙ·D of
+//     D = Σ|q[k] − c[k]| ≤ A (n terms ≥ 0, one rounding each, n − 1 sums);
+//   - M, Q and C are sums of n terms whose magnitudes add up to at most A,
+//     ‖q‖₁ and n·max|c| (|max(a, b)| ≤ |a| + |b|), so the three miss the
+//     exact sums by at most γₙ₋₁·(2A + A) counted with M's factor two;
+//   - fl(Q + C) and the final step round twice more, by at most u·(1 + γₙ₋₁)·A
+//     and u·(3 + u)·(1 + γₙ₋₁)·A.
+// Together |f − (−s)| ≤ (3γₙ₋₁ + γₙ + u·(4 + u)·(1 + γₙ₋₁))·A, a little
+// above (4n + 1)·u·A. No step adds an absolute error: there are only sums,
+// exact where they underflow, and 2·M, exact. With A ≤ 2¹⁰⁰⁰ no sum of
+// either kernel overflows. kgc's certBound states the bound per query and
+// gates the rest. A NaN among a candidate's values makes its C, and so its f,
+// NaN whichever operand VMAXPD passes on, which the rank path never
+// settles; the gate refuses a query that holds one.
+//
+// A candidate row equal to the query scores exactly 0, as in the Go kernel:
+// M, Q and C then add the same values in the same order, and T − 2·M is
+// 2Q − 2Q.
+//
+// Registers beyond those of the exact twin:
+//	Z8-Z9    Q of the pair's first and second query
+//	Z14-Z15  max(q[k], c[k]), then T, of the first and second query
+//	Z20-Z23  C of the group's candidates
+//	Z24      2.0 in every lane
+
+// C of a group of four, two or one ZMM registers of candidates; AX and R11
+// are free until the group's first query sets them.
+#define CSUM(lbl, STEP) \
+	MOVQ dim+24(FP), AX; \
+	MOVQ R9, R11; \
+	ZZ(Z20); ZZ(Z21); ZZ(Z22); ZZ(Z23); \
+lbl: \
+	STEP; \
+	ADDQ R13, R11; \
+	DECQ AX; \
+	JNZ  lbl
+#define CADD8 VADDPD (R11), Z20, Z20
+#define CADD16 CADD8; VADDPD 64(R11), Z21, Z21
+#define CADD32 CADD16; VADDPD 128(R11), Z22, Z22; VADDPD 192(R11), Z23, Z23
+#define CSUM32 CSUM(lm32c, CADD32)
+#define CSUM16 CSUM(lm16c, CADD16)
+#define CSUM8 CSUM(lm8c, CADD8)
+
+// acc += max(q, col)
+#define MAXZ(col, q, tmp, acc) \
+	VMAXPD col, q, tmp; \
+	VADDPD tmp, acc, acc
+
+#define MAXA32 VADDPD Z12, Z8, Z8; MAXZ(Z16, Z12, Z14, Z0); MAXZ(Z17, Z12, Z14, Z1); MAXZ(Z18, Z12, Z14, Z2); MAXZ(Z19, Z12, Z14, Z3)
+#define MAXB32 VADDPD Z13, Z9, Z9; MAXZ(Z16, Z13, Z15, Z4); MAXZ(Z17, Z13, Z15, Z5); MAXZ(Z18, Z13, Z15, Z6); MAXZ(Z19, Z13, Z15, Z7)
+#define MAXA16 VADDPD Z12, Z8, Z8; MAXZ(Z16, Z12, Z14, Z0); MAXZ(Z17, Z12, Z14, Z1)
+#define MAXB16 VADDPD Z13, Z9, Z9; MAXZ(Z16, Z13, Z15, Z4); MAXZ(Z17, Z13, Z15, Z5)
+#define MAXA8 VADDPD Z12, Z8, Z8; MAXZ(Z16, Z12, Z14, Z0)
+#define MAXB8 VADDPD Z13, Z9, Z9; MAXZ(Z16, Z13, Z15, Z4)
+
+#define ZEROM32 ZEROZ32; ZZ(Z8); ZZ(Z9)
+#define ZEROM16 ZEROZ16; ZZ(Z8); ZZ(Z9)
+#define ZEROM8 ZEROZ8; ZZ(Z8); ZZ(Z9)
+
+// The score of one register of candidates: T = Q + C, then T − 2·M.
+#define FIN(acc, c, qsum, t) \
+	VADDPD       c, qsum, t; \
+	VFNMADD231PD Z24, acc, t
+#define FINA(acc, c, off) \
+	FIN(acc, c, Z8, Z14); \
+	VMOVUPD Z14, off(DX)
+#define FINB(acc, c, off) \
+	FIN(acc, c, Z9, Z15); \
+	PUTB(Z15, off)
+
+#define FINA32 FINA(Z0, Z20, 0); FINA(Z1, Z21, 64); FINA(Z2, Z22, 128); FINA(Z3, Z23, 192)
+#define FINB32 FINB(Z4, Z20, 0); FINB(Z5, Z21, 64); FINB(Z6, Z22, 128); FINB(Z7, Z23, 192)
+#define FINA16 FINA(Z0, Z20, 0); FINA(Z1, Z21, 64)
+#define FINB16 FINB(Z4, Z20, 0); FINB(Z5, Z21, 64)
+#define FINA8 FINA(Z0, Z20, 0)
+#define FINB8 FINB(Z4, Z20, 0)
+
+// func l1TileMax512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+TEXT ·l1TileMax512(SB), NOSPLIT, $0-56
+	SETUPZ
+	SIGNMASKSZ
+	MOVQ         $0x4000000000000000, AX
+	VPBROADCASTQ AX, Z24
+	WALKZ(32, lm32, lm32p, lm32pk, lm32o, lm32ok, lm32d, lm16, CSUM32, ZEROM32, COLS32, MAXA32, MAXB32, FINA32, FINB32)
+	WALKZ(16, lm16, lm16p, lm16pk, lm16o, lm16ok, lm16d, lm8, CSUM16, ZEROM16, COLS16, MAXA16, MAXB16, FINA16, FINB16)
+	WALKZ(8, lm8, lm8p, lm8pk, lm8o, lm8ok, lm8d, lm4, CSUM8, ZEROM8, COLS8, MAXA8, MAXB8, FINA8, FINB8)
+	WALKZ(4, lm4, lm4p, lm4pk, lm4o, lm4ok, lm4d, lmdone, NOP0, ZEROY4, COLS4, L1A4, L1B4, NEGA4, NEGB4)
+lmdone:
+	VZEROUPPER
+	RET
+
+// The RotatE kernel of the rank path. Each lane forms x = Δre² + Δim² with
+// one multiply and one FMA (Δre·Δre + fl(Δim²), rounded once), takes
+// y = VRSQRT14PD(x), and adds x·y ≈ √x to its sum with one more FMA. The
+// groups of 32, 16 and 8 candidates hold four, two and one ZMM
 // accumulators, the queries go one at a time, and a last group of four takes
 // the YMM step of rotTileAVX2 (VSQRTPD, exact). The divider, which VSQRTPD
 // needs, is 256 bits wide and the bottleneck of every exact RotatE kernel;
-// this one leaves it idle.
+// this one leaves it idle, and spends six instructions a register of
+// candidates where the exact one spends seven on a half as wide register.
 //
-// The root, and its error. y = VRSQRT14PD(x) has |y·√x − 1| < 2⁻¹⁴ for every
-// positive finite x, subnormal included. One Goldschmidt step follows:
-//	g = x·y,  e = 1 − g·y (one FMA),  g += (g/2)·e (one FMA).
-// With (1 + η)² = x·y²·(1 + ε₁), ε₁ the rounding of x·y, the step computes
-// g = √x·√(1 + ε₁)·(1 − 3η²/2 − η³/2) before the roundings of e and of the
-// last FMA, which add at most |η|·u and u relative; |η| < 2⁻¹⁴ + u, so the
-// root's relative error is below 2⁻²⁷. y, g and g/2 stay normal for every
-// positive finite x, since √x lies in [2⁻⁵³⁷, 2⁵¹²). x = 0 gives y = +Inf and
-// g = 0·∞, x = +Inf gives g = ∞·0, and x = NaN gives NaN: the approximation
-// of every such candidate is NaN, which the rank path never settles.
+// The root, and its error. y = VRSQRT14PD(x) has |y·√x − 1| < ε = 2⁻¹⁴ for
+// every positive finite x, subnormal included, so the term t = x·y, exact
+// inside the FMA, is √x·(1 + η) with |η| < ε. t lies in [2⁻⁵³⁸, 2⁵¹³) for
+// every positive finite x, so the FMA's sum, of terms ≥ 0, rounds by u
+// relative. x = 0 gives y = +Inf and t = 0·∞, x = +Inf gives t = ∞·0, and
+// x = NaN gives NaN: the approximation of every such candidate is NaN,
+// which the rank path never settles.
 //
-// The score. Every root is ≥ 0, so the kernel's sum f and the Go kernel's s
-// (correctly rounded roots, the same n additions) each lie within γₙ of
-// their exact sums of n terms, whose terms differ by less than 2⁻²⁷ + u
-// relative. Hence |f − s| ≤ c·|f| with c a little above 2⁻²⁷ + 2γₙ, which
-// kgc's certBound rounds up to 2⁻²⁴ while n ≤ 2²⁴ and refuses to bound
-// beyond. Only AVX-512F instructions appear.
+// x itself. The Go kernel's x (kgc.cmod: two products, one sum) and this
+// one's (one product, one FMA) both lie within γ₂·X of X = Δre² + Δim² (the
+// same rounded differences) plus, where a product or the FMA falls below
+// 2⁻¹⁰²² and rounds absolutely, at most 2⁻¹⁰⁷⁴. Their roots therefore differ
+// by at most γ₂·√X + 2⁻⁵³⁶ (|√a − √b| ≤ √|a − b|).
+//
+// The score. The kernel's sum f adds n = dim/2 terms tₖ with n roundings,
+// the Go kernel's s the correctly rounded roots rₖ with n − 1, so
+// |f − Σt| ≤ γₙ·Σt and |s − Σr| ≤ γₙ₋₁·Σr, and by the two paragraphs above
+// |tₖ − rₖ| ≤ (ε + 3u)/(1 − ε)·tₖ + 2⁻⁵³⁶·(1 + 2⁻¹⁰). Hence
+//	|f − s| ≤ (ε·(1 + ε) + 2γₙ + 4u)·(1 + 2⁻⁴⁰)·|f| + n·2⁻⁵³⁶·(1 + 2⁻¹⁰),
+// and for n ≤ 2²⁴ kgc's certBound states it as Rel = 2⁻¹⁴ + 2⁻²⁶ and
+// Abs = n·2⁻⁵³⁵, and refuses to bound beyond. Only AVX-512F instructions
+// appear.
 //
 // Registers beyond those of rotTileAVX2:
 //	Z0-Z3    accumulators, groups A-D (Y0 in the YMM step)
-//	Z4-Z7    x, groups A-D, then g/2
-//	Z8-Z9, Z14-Z15   Δim², then y, then e, groups A-D
-//	Z16-Z19  g, groups A-D
+//	Z4-Z7    Δre, groups A-D, then y
+//	Z8-Z9, Z14-Z15   Δim, then x, groups A-D
 //	Z10      sign bit
-//	Z20      0.5 in every lane, Z21 1.0
 
-// x = (q.re − cols.re)² + (q.im − cols.im)² for one register of candidates.
-#define MODX(off, x, t) \
-	VSUBPD off(R11), Z12, x; \
-	VSUBPD off(R11)(BX*1), Z13, t; \
-	VMULPD x, x, x; \
-	VMULPD t, t, t; \
-	VADDPD t, x, x
+// x = (q.re − cols.re)² + (q.im − cols.im)² for one register of candidates,
+// into t; d is a temporary.
+#define MODX(off, d, t) \
+	VSUBPD      off(R11), Z12, d; \
+	VSUBPD      off(R11)(BX*1), Z13, t; \
+	VMULPD      t, t, t; \
+	VFMADD231PD d, d, t
 
-// acc += √x, approximately; y and g are temporaries, x is overwritten.
-#define ROOTADD(x, y, g, acc) \
-	VRSQRT14PD   x, y; \
-	VMULPD       y, x, g; \
-	VFNMADD132PD g, Z21, y; \
-	VMULPD       Z20, g, x; \
-	VFMADD231PD  y, x, g; \
-	VADDPD       g, acc, acc
+// acc += √x, approximately, as x·VRSQRT14PD(x); y is a temporary.
+#define ROOTADD(x, y, acc) \
+	VRSQRT14PD  x, y; \
+	VFMADD231PD y, x, acc
 
 #define BCAST2Z \
 	VBROADCASTSD (SI), Z12; \
@@ -510,29 +679,25 @@ lzdone:
 	MODX(64, Z5, Z9); \
 	MODX(128, Z6, Z14); \
 	MODX(192, Z7, Z15); \
-	ROOTADD(Z4, Z8, Z16, Z0); \
-	ROOTADD(Z5, Z9, Z17, Z1); \
-	ROOTADD(Z6, Z14, Z18, Z2); \
-	ROOTADD(Z7, Z15, Z19, Z3)
+	ROOTADD(Z8, Z4, Z0); \
+	ROOTADD(Z9, Z5, Z1); \
+	ROOTADD(Z14, Z6, Z2); \
+	ROOTADD(Z15, Z7, Z3)
 
 #define ROTA16 \
 	MODX(0, Z4, Z8); \
 	MODX(64, Z5, Z9); \
-	ROOTADD(Z4, Z8, Z16, Z0); \
-	ROOTADD(Z5, Z9, Z17, Z1)
+	ROOTADD(Z8, Z4, Z0); \
+	ROOTADD(Z9, Z5, Z1)
 
 #define ROTA8 \
 	MODX(0, Z4, Z8); \
-	ROOTADD(Z4, Z8, Z16, Z0)
+	ROOTADD(Z8, Z4, Z0)
 
 // func rotTileApprox512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 TEXT ·rotTileApprox512(SB), NOSPLIT, $0-56
 	MOVQ         $0x8000000000000000, AX
 	VPBROADCASTQ AX, Z10
-	MOVQ         $0x3fe0000000000000, AX
-	VPBROADCASTQ AX, Z20
-	MOVQ         $0x3ff0000000000000, AX
-	VPBROADCASTQ AX, Z21
 	SETUP
 	MOVQ  dim+24(FP), R14
 	MOVQ  R14, R10

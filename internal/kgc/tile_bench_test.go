@@ -59,7 +59,7 @@ func benchPool(rng *rand.Rand, n, k int, consecutive bool) []int32 {
 }
 
 // BenchmarkScoreTile times the three tile micro-kernels alone, on every lane
-// (the approximate dot and RotatE kernels on a -rank lane),
+// (the certified dot, L1 and RotatE kernels on a -rank lane),
 // over one tile as the planner sizes it at dim 128 (TileFor: 32 rows = 32 KB)
 // and 16 queries: the floor each model family's scoring can reach. The Go
 // kernels read the tile row-major, their vector twins candidate-minor; the

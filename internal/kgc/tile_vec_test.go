@@ -210,8 +210,10 @@ func TestWidestLaneIsInstalled(t *testing.T) {
 		if funcID(rowAcc) == funcID(avx2.rowAcc) {
 			t.Error("the query builders run the avx2 row-accumulate")
 		}
-		if certKernels[kindDot] == nil || certKernels[kindRot] == nil || certKernels[kindL1] != nil {
-			t.Errorf("the 512-bit lane's approximate kernels are dot and RotatE, not L1: %v", certKernels)
+		for kind := kindDot; kind < numKinds; kind++ {
+			if certKernels[kind] == nil {
+				t.Errorf("%v: the 512-bit lane ranks without a certified kernel", kind)
+			}
 		}
 	}
 }
@@ -416,7 +418,8 @@ func TestVectorLaneMatchesGoKernels(t *testing.T) {
 // query and candidate value, and holds every lane's exact assembly (the
 // 256-bit twins, and the 512-bit L1 twin where the CPU has it) to the Go
 // kernels by bits and to its buffers by guard words, and the 512-bit lane's
-// approximate dot and RotatE kernels to them within certBound.
+// certified dot (four queries at a time), L1 and RotatE kernels to them
+// within certBound.
 func FuzzTileKernels(f *testing.F) {
 	needVectorLane(f)
 	special := make([]byte, 0, 8*len(specials))
@@ -445,6 +448,24 @@ func FuzzTileKernels(f *testing.F) {
 		subnormal = binary.LittleEndian.AppendUint64(subnormal, math.Float64bits(v))
 	}
 	f.Add(uint8(2), uint8(1), uint8(7), uint8(0), uint8(0), subnormal)
+	// L1 where the certified kernel's Q + C − 2M nearly cancels: values a
+	// relative 2⁻⁴⁵ apart at 2^±600, seven of them cycled over rows of six,
+	// so every candidate lies near every query; rows of five repeating five
+	// values, so every candidate equals the query (score 0); and the
+	// specials (±0, subnormal, ±Inf, the largest float) under four queries.
+	for _, e := range []int{-600, 600} {
+		near := make([]byte, 0, 8*7)
+		for k := range 7 {
+			near = binary.LittleEndian.AppendUint64(near, math.Float64bits(math.Ldexp(1+float64(k)*0x1p-45, e)))
+		}
+		f.Add(uint8(1), uint8(5), uint8(14), uint8(1), uint8(0), near)
+		f.Add(uint8(1), uint8(4), uint8(9), uint8(3), uint8(2), near[:8*5])
+	}
+	f.Add(uint8(1), uint8(8), uint8(17), uint8(3), uint8(1), special)
+	// A dot query of subnormal values against candidates near 2¹⁷⁹: the
+	// bound's n·2⁻⁵²·‖q‖₁ underflowed before max|c| could lift it when
+	// certBound multiplied in that order.
+	f.Add(uint8(0), uint8(2), uint8(4), uint8(1), uint8(0), []byte("A\x00\x009c1\x02\x000\x00\x001e"))
 	f.Fuzz(func(t *testing.T, kindB, dimB, groupsB, nqB, padB uint8, data []byte) {
 		kind := tileKind(kindB % uint8(numKinds))
 		dim := 1 + int(dimB)%80

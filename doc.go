@@ -54,13 +54,14 @@
 //	                      from the entity store one tile at a time — one kernel per model at every
 //	                      precision, never a pool-sized candidate block. Three
 //	                      lanes whose scores have the same bits and whose
-//	                      ranks are the same: AVX-512F kernels with eight
-//	                      candidates per ZMM register (for ranks an FMA dot
-//	                      product, an L1 distance from Σmax(q, c) and
-//	                      RotatE's one-step root, each within a
+//	                      ranks are the same: AVX-512F kernels (for ranks
+//	                      float32 ones, sixteen candidates per ZMM register:
+//	                      an FMA dot product, an L1 distance from Σmax(q, c)
+//	                      and RotatE's VRSQRT14PS root, each within a
 //	                      proven bound that eval's rank count settles or
 //	                      rescores; exact scores from the AVX2 dot and RotatE
-//	                      twins and a 512-bit L1 twin), AVX2 assembly kernels
+//	                      twins and a 512-bit L1 twin with eight float64
+//	                      candidates per register), AVX2 assembly kernels
 //	                      with four per YMM register, the Go kernels
 //	                      everywhere else
 //	internal/cpu          the CPUID/XGETBV check that fixes the lane once

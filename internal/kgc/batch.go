@@ -148,9 +148,9 @@ func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out [
 // kernels score everything. Either way they are the definition: every twin
 // the CPU can run is tested against them with == on the bits
 // (tile_vec_test.go), and they against the gather oracle
-// (tile_lane_test.go). The 512-bit lane's three certified kernels (an FMA
-// dot product, an L1 sum of max(q, c) and RotatE's one-step root) serve
-// RankBlock alone, and are tested against these within certBound
+// (tile_lane_test.go). The 512-bit lane's three certified float32 kernels
+// (an FMA dot product, an L1 sum of max(q, c) and RotatE's VRSQRT14PS root)
+// serve RankBlock alone, and are tested against these within certBound
 // (tile_cert_test.go).
 //
 // Four candidate rows are scored in flight per step: their accumulator
@@ -262,8 +262,9 @@ func cmod(re, im float64) float64 {
 // serves both directions. The square roots do not pipeline as deeply as the
 // dot kernel's multiply-adds, so this kernel is sqrt-bound, not add-bound
 // (1.2–1.3 ns per candidate·dim), and so is its AVX2 twin on the divider
-// (VSQRTPD, 0.64–0.66). The 512-bit lane's kernel for ranks takes the root
-// from VRSQRT14PD alone instead, within 2⁻¹⁴ of it, at 0.11–0.13.
+// (VSQRTPD, 0.64–0.66). The 512-bit lane's kernel for ranks works in
+// float32 and takes the root from VRSQRT14PS alone instead, within 2⁻¹⁴ of
+// it, at 0.057–0.060.
 func scoreRotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	half := dim / 2
 	nq := len(qs) / dim

@@ -132,19 +132,33 @@ var vecKernels [numKinds]tileFunc
 
 // certKernels holds, for each kind, the rank path's approximate kernel, or
 // nil where the rank path runs the exact one. It is installed with
-// vecKernels, from the same lane; only the 512-bit lane has entries (the
-// FMA dot kernel, the VMAXPD L1 kernel and RotatE's one-step root). Its
-// scores are within certBound of the Go kernel's, not equal to them: it
-// serves RankBlock of a float64 scorer, and nothing that hands a score to a
-// caller.
-var certKernels [numKinds]tileFunc
+// vecKernels, from the same lane; only the 512-bit lane has entries, one
+// float32 kernel of each kind, sixteen candidates a register (the FMA dot
+// walk, the VMAXPS L1 kernel and RotatE's VRSQRT14PS root). Its scores are
+// within certBound of the Go kernel's, not equal to them: it serves
+// RankBlock of a float64 scorer, and nothing that hands a score to a caller.
+var certKernels [numKinds]rankFunc
+
+// rankFunc is the signature of the rank path's float32 kernels: tileFunc's,
+// over the block's queries rounded to float32 and a float32 candidate-minor
+// tile of column stride rankStride(j1−j0) (store.TileColumns32). Every score
+// is written widened to float64. Any j1 > j0 is a shape: the kernels store
+// under a mask, so no candidate is left to the Go kernel.
+type rankFunc func(qs, cols []float32, dim, j0, j1, nc int, out []float64)
+
+// rankLanes is how many candidates a register of the rank kernels holds.
+const rankLanes = 16
+
+// rankStride is the column stride of the rank kernels' tile of n
+// candidates: n rounded up to whole registers.
+func rankStride(n int) int { return (n + rankLanes - 1) &^ (rankLanes - 1) }
 
 // vecLane is one set of vector twins of the Go tile kernels, named as Kernel
 // reports it, and the rank path's approximate kernels of that lane.
 type vecLane struct {
 	name    string
 	kernels [numKinds]tileFunc // the same bits as goKernels
-	cert    [numKinds]tileFunc // within certBound of goKernels, or nil
+	cert    [numKinds]rankFunc // within certBound of goKernels, or nil
 	rowAcc  rowAccFunc         // the same bits as rowAccGo
 	conv    convFunc           // the same bits as convGo
 }
@@ -161,58 +175,69 @@ var vecLanes []vecLane
 // zero Bound says the scores are the definition's bits.
 type Bound struct{ Abs, Rel float64 }
 
-// certBound is the Bound of one query's scores from kind's approximate
-// kernel, over dim values a candidate: norm is the query's ‖q‖₁ (the dot and
-// L1 kernels'), maxAbs the largest |value| of the candidates the kernel
-// scored (store.TileColumns), maxBias the largest |bias| added after it, or
-// 0 without one. ok is false where no bound holds: a value or product large
-// enough that one sum could overflow where the other does not, a NaN or
-// infinity among the query's values, or a dim past what the proof covers.
-// The kernels' headers in tile_amd64.s prove the bounds; this states them,
-// rounded up:
+// certBound is the Bound of one query's scores from kind's float32 kernel,
+// over dim values a candidate: norm is the query's ‖q‖₁ (storeScorer.addRank),
+// maxAbs the largest |value| of the float64 candidate rows the kernel scored
+// (store.TileColumns32), maxBias the largest |bias| added after it, or 0
+// without one. ok is false where no bound holds: a value large enough that a
+// float32 value, product or sum could overflow, a NaN or infinity among the
+// query's values, or a dim past what the proof covers. The kernels' headers
+// in tile_amd64.s prove the bounds; this states them, rounded up, with
+// u = 2⁻²⁴ and the factor 1 + 2⁻⁷ where the proofs have 1 + 2⁻⁸ (the rest
+// covers the float64 roundings of norm and of the bound itself):
 //
-//   - dot: 2γₙ·‖q‖₁·max|c| + n·2⁻¹⁰⁷⁴ over n = dim products. For n ≤ 2²⁶,
-//     2γₙ/(1 − γₙ) ≤ n·2⁻⁵²·(1 + 2⁻²⁴), the 1/(1 − γₙ) covering the
-//     rounding of norm itself; the factor 1 + 2⁻²⁰ covers the roundings
-//     here, and 4·2⁻¹⁰⁷⁴ more the products below that underflow. ‖q‖₁·max|c|
-//     is taken first: a subnormal norm times n·2⁻⁵² would underflow before
-//     max|c| could lift it.
-//     ‖q‖₁·max|c| ≤ 2¹⁰⁰⁰ keeps every product and sum of both kernels finite.
-//   - L1: (4n + 1)·u·A over n = dim values, A = ‖q‖₁ + n·max|c|. For
-//     n ≤ 2²⁶ the γ's of the proof and the rounding of norm stay within the
-//     factor 1 + 2⁻²⁰, which also covers the roundings here; no step of the
-//     kernels adds an absolute error, and 2⁻¹⁰⁷³ covers the products here
-//     that underflow. A ≤ 2¹⁰⁰⁰ keeps every sum of both kernels finite.
-//   - a bias b added after a dot or L1 score rounds once more on both sides:
-//     |fl(s+b) − fl(f+b)| ≤ Abs·(1 + u) + 2u/(1 − u)·|fl(f+b)|, so Rel grows
-//     by 2⁻⁵¹ and the 2⁻²⁰ slack takes the (1 + u); |b| ≤ 2¹⁰⁰⁰ keeps the sum
-//     finite.
-//   - RotatE: |f − s| ≤ (2⁻¹⁴ + 2⁻²⁶)·|f| + n·2⁻⁵³⁵ for n = dim/2 ≤ 2²⁴
-//     complex dims: the one-step root's 2⁻¹⁴, and the subnormal squares'
-//     absolute error, which sits far below any score's ulp.
+//   - dot: (n + 2)·u·‖q‖₁·max|c| + 2⁻¹⁵⁰·(‖q‖₁ + n·max|c| + n) over n = dim
+//     products, for ‖q‖₁, max|c| and their product up to 2¹⁰⁰.
+//     ‖q‖₁·max|c| is taken first, so a subnormal norm is lifted before it is
+//     scaled down.
+//   - L1: Abs = (3n − 1)·u·A + n·2⁻¹⁴⁹ and Rel = u over n = dim values,
+//     A = ‖q‖₁ + n·max|c|, for A up to 2¹⁰⁰.
+//   - a bias b added in float64 after a dot score rounds once more on both
+//     sides: |fl(s+b) − fl(f+b)| ≤ Abs·(1 + 2⁻⁵³) + 2⁻⁵²/(1 − 2⁻⁵³)·|fl(f+b)|,
+//     so Rel grows from 0 to 2⁻⁵¹ and the slack takes the rest; |b| ≤ 2¹⁰⁰⁰
+//     keeps the sum finite. A bound with a Rel of its own (L1, RotatE) would
+//     not carry over a bias that cancels the score, and is refused with one;
+//     no such model has one.
+//   - RotatE: Rel = 2⁻¹⁴ + (n + 4)·u and Abs = u·(‖q‖₁ + 2n·max|c|) + n·2⁻⁷⁴
+//     over n = dim/2 complex dims, for ‖q‖₁ and max|c| up to 2⁶⁰: the root's
+//     2⁻¹⁴, the float32 sum's n·u, and the rounding of each value to float32,
+//     which is absolute in the differences a modulus takes.
+//
+// Every dim is at most 2¹⁴, so that n·u ≤ 2⁻¹⁰.
 func certBound(kind tileKind, dim int, norm, maxAbs, maxBias float64) (b Bound, ok bool) {
+	const slack = 1 + 0x1p-7
 	n := float64(dim)
-	switch kind {
-	case kindDot:
-		if !(norm*maxAbs <= 0x1p1000) {
-			return Bound{}, false
-		}
-		b.Abs = norm*maxAbs*(n*0x1p-52)*(1+0x1p-20) + (n+4)*0x1p-1074
-	case kindL1:
-		a := norm + n*maxAbs
-		if !(a <= 0x1p1000) {
-			return Bound{}, false
-		}
-		b.Abs = a*((4*n+1)*0x1p-53)*(1+0x1p-20) + 0x1p-1073
-	case kindRot:
-		return Bound{Abs: float64(dim/2) * 0x1p-535, Rel: 0x1p-14 + 0x1p-26}, dim/2 <= 1<<24
-	}
-	if dim > 1<<26 || !(maxBias <= 0x1p1000) {
+	if dim > 1<<14 {
 		return Bound{}, false
 	}
-	if maxBias > 0 {
-		b.Rel = 0x1p-51
+	switch kind {
+	case kindDot:
+		if !(norm <= 0x1p100 && maxAbs <= 0x1p100 && norm*maxAbs <= 0x1p100) {
+			return Bound{}, false
+		}
+		b.Abs = norm*maxAbs*((n+2)*0x1p-24*slack) + (norm+n*maxAbs+n)*(0x1p-150*slack)
+	case kindL1:
+		a := norm + n*maxAbs
+		if !(a <= 0x1p100) {
+			return Bound{}, false
+		}
+		b.Abs = a*((3*n-1)*0x1p-24*slack) + n*(0x1p-149*slack)
+		b.Rel = 0x1p-24 * slack
+	case kindRot:
+		h := float64(dim / 2)
+		if !(norm <= 0x1p60 && maxAbs <= 0x1p60) {
+			return Bound{}, false
+		}
+		b.Abs = (norm+2*h*maxAbs)*(0x1p-24*slack) + h*0x1p-74
+		b.Rel = 0x1p-14 + (h+4)*0x1p-24*slack
 	}
+	switch {
+	case maxBias == 0:
+		return b, true
+	case b.Rel != 0 || !(maxBias <= 0x1p1000):
+		return Bound{}, false
+	}
+	b.Rel = 0x1p-51
 	return b, true
 }
 
@@ -247,15 +272,16 @@ func rowAccGo(out, c, rows []float64, stride int, skipZero bool) {
 // "go" otherwise. Every lane gives a score the same bits wherever a score is
 // handed out (ScoreTails, ScoreHeads, ScoreTriple, the BatchScorer's
 // ScoreBlock, ScoreTailsBatch, ScoreAnswer and Rescore): on the 512-bit lane
-// these run its L1 twin and the AVX2 dot and RotatE twins. What the lanes
-// may not share is the rank path's RankBlock: on the 512-bit lane it runs a
-// certified kernel of every kind — the FMA dot kernel (four queries at a
-// time), an L1 kernel that sums max(q, c) and takes the query's and each
-// candidate's sums off at the store, and RotatE's root as one VRSQRT14PD —
-// each within a Bound that eval's rank count turns into the ranks the exact
-// scores give. The query builders run the lane's own row-accumulate and, on
-// both vector lanes, the AVX2 conv layer, with the Go loops' bits. The name
-// is for traces and logs, so a timing says which code produced it. (A plain
+// these run its L1 twin and the AVX2 dot and RotatE twins, in float64. What
+// the lanes may not share is the rank path's RankBlock: on the 512-bit lane
+// it scores in float32, sixteen candidates a register, with a certified
+// kernel of every kind — the FMA dot kernel (four queries at a time), an L1
+// kernel that sums max(q, c) and takes the query's and each candidate's sums
+// off at the store, and RotatE's root as one VRSQRT14PS — each within a
+// Bound that eval's rank count turns into the ranks the exact scores give.
+// The query builders run the lane's own row-accumulate and, on both vector
+// lanes, the AVX2 conv layer, with the Go loops' bits. The name is for
+// traces and logs, so a timing says which code produced it. (A plain
 // third-party Model is scored through its own methods either way.)
 func Kernel() string {
 	if n := len(vecLanes); n > 0 {
@@ -270,6 +296,15 @@ func Kernel() string {
 type scratch struct {
 	tbuf []float64 // one kernel tile of candidates: columns (vector lanes) or rows (Go lane)
 	qs   []float64 // query vectors, one per block query
+
+	// The rank path's float32 tile (store.TileColumns32) and the block's
+	// query vectors rounded to float32 once, as they are added.
+	tbuf32 []float32
+	qs32   []float32
+	// The per-entity biases of a strip's candidates (ConvE), gathered once
+	// for all of its queries: one value per candidate of the strip.
+	bias []float64
+
 	img  []float64 // ConvE stacked input image of the query being built
 	feat []float64 // ConvE flattened conv features of the query being built
 
@@ -350,9 +385,10 @@ func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 			vec:  vecKernels[b.kind],
 		}
 		if opts.Precision == store.Float64 {
-			// Only the transpose of float64 rows knows the tile's largest
-			// |value| (store.TileColumns); a reduced-precision pass trades
-			// bytes, not arithmetic, and ranks from its exact kernels.
+			// The rank path's fill rounds a float64 table's rows to float32
+			// and knows their largest |value| (store.TileColumns32); a
+			// reduced-precision pass trades bytes, not arithmetic, and ranks
+			// from its exact kernels.
 			s.cert = certKernels[b.kind]
 		}
 		return s
@@ -375,7 +411,7 @@ type storeScorer struct {
 	tile int
 	kern tileFunc // the model's Go tile kernel
 	vec  tileFunc // its vector twin; nil on the Go lane
-	cert tileFunc // RankBlock's approximate kernel; nil where RankBlock runs vec
+	cert rankFunc // RankBlock's float32 kernel; nil where RankBlock runs vec
 	sc   scratch
 
 	// block names the block's queries: ScoreAnswer needs the direction and,
@@ -383,15 +419,16 @@ type storeScorer struct {
 	block []directedQuery
 	oneC  [1]int32 // ScoreAnswer's one-candidate pool and its score
 	oneS  [1]float64
-	norms []float64 // ‖q‖₁ of each block query, where the approximate dot or L1 kernel runs
+	norms []float64 // ‖q‖₁ of each block query, where RankBlock's float32 kernel runs
 }
 
 // BeginBlock empties the block's query vectors, with room for n.
 func (s *storeScorer) BeginBlock(n int) {
 	s.sc.qs = Grow(s.sc.qs, n*s.m.Dim())[:0]
 	s.block = Grow(s.block, n)[:0]
-	if s.wantNorms() {
+	if s.cert != nil {
 		s.norms = Grow(s.norms, n)[:0]
+		s.sc.qs32 = Grow(s.sc.qs32, n*s.m.Dim())[:0]
 	}
 }
 
@@ -399,14 +436,14 @@ func (s *storeScorer) BeginBlock(n int) {
 func (s *storeScorer) AddTails(hs []int32, r int32) {
 	s.m.buildTailQueries(hs, r, s.room(len(hs)), &s.sc)
 	s.block = addQueries(s.block, hs, r, true)
-	s.addNorms(len(hs))
+	s.addRank(len(hs))
 }
 
 // AddHeads builds the query vectors of (?, r, ts[i]) after the block's last.
 func (s *storeScorer) AddHeads(ts []int32, r int32) {
 	s.m.buildHeadQueries(ts, r, s.room(len(ts)), &s.sc)
 	s.block = addQueries(s.block, ts, r, false)
-	s.addNorms(len(ts))
+	s.addRank(len(ts))
 }
 
 // room adds storage for n query vectors to the block and returns it.
@@ -416,16 +453,12 @@ func (s *storeScorer) room(n int) []float64 {
 	return s.sc.qs[old:]
 }
 
-// wantNorms reports whether certBound asks for each query's ‖q‖₁: the
-// approximate dot and L1 kernels' bounds scale with it, RotatE's does not.
-func (s *storeScorer) wantNorms() bool {
-	return s.cert != nil && s.m.lane().kind != kindRot
-}
-
-// addNorms appends ‖q‖₁ of the block's last n queries to norms, where
-// wantNorms.
-func (s *storeScorer) addNorms(n int) {
-	if !s.wantNorms() {
+// addRank readies the block's last n queries for RankBlock, where it runs
+// a float32 kernel: it appends each one's ‖q‖₁ to norms, for certBound, and
+// its values rounded to float32 to sc.qs32, once for every strip the block
+// is ranked against.
+func (s *storeScorer) addRank(n int) {
+	if s.cert == nil {
 		return
 	}
 	dim := s.m.Dim()
@@ -433,6 +466,7 @@ func (s *storeScorer) addNorms(n int) {
 		norm := 0.0
 		for _, v := range q {
 			norm += math.Abs(v)
+			s.sc.qs32 = append(s.sc.qs32, float32(v))
 		}
 		s.norms = append(s.norms, norm)
 	}
@@ -441,11 +475,13 @@ func (s *storeScorer) addNorms(n int) {
 // ScoreBlock scores the block's queries against cands.
 func (s *storeScorer) ScoreBlock(cands []int32, out []float64) { s.score(s.sc.qs, cands, out, s.vec) }
 
-// RankBlock is ScoreBlock through the lane's approximate kernel where it has
+// RankBlock is ScoreBlock through the lane's float32 kernel where it has
 // one, each query's scores within bounds[i] of ScoreBlock's (certBound).
-// A query no bound holds for is rescored with the exact kernels before it
-// returns, and gets the zero Bound. Without an approximate kernel it is
-// ScoreBlock, every Bound zero.
+// It walks cands in tiles as score does, each tile's float64 rows rounded to
+// float32 by the fill (store.TileColumns32) and scored by the kernel whole,
+// then adds the strip's biases in float64. A query no bound holds for is
+// rescored with the exact kernels before it returns, and gets the zero
+// Bound. Without a float32 kernel it is ScoreBlock, every Bound zero.
 func (s *storeScorer) RankBlock(cands []int32, out []float64, bounds []Bound) {
 	bounds = bounds[:len(s.block)]
 	if s.cert == nil {
@@ -453,20 +489,20 @@ func (s *storeScorer) RankBlock(cands []int32, out []float64, bounds []Bound) {
 		clear(bounds)
 		return
 	}
-	maxAbs := s.score(s.sc.qs, cands, out, s.cert)
-	maxBias := 0.0
-	if s.bias != nil {
-		for _, c := range cands {
-			maxBias = max(maxBias, math.Abs(s.bias.vec(c)[0]))
-		}
+	dim, nc := s.m.Dim(), len(cands)
+	tile := min(s.tile, nc)
+	s.sc.tbuf32 = Grow(s.sc.tbuf32, rankStride(s.tile)*dim)
+	maxAbs := 0.0
+	for j0 := 0; j0 < nc; j0 += tile {
+		j1 := min(j0+tile, nc)
+		cols, m := s.st.TileColumns32(cands[j0:j1], rankStride(j1-j0), s.sc.tbuf32)
+		s.cert(s.sc.qs32, cols, dim, j0, j1, nc, out)
+		maxAbs = max(maxAbs, m)
 	}
-	kind, dim, nc := s.m.lane().kind, s.m.Dim(), len(cands)
+	maxBias := s.addBias(cands, out, len(s.block))
+	kind := s.m.lane().kind
 	for i := range bounds {
-		norm := 0.0
-		if kind != kindRot {
-			norm = s.norms[i]
-		}
-		b, ok := certBound(kind, dim, norm, maxAbs, maxBias)
+		b, ok := certBound(kind, dim, s.norms[i], maxAbs, maxBias)
 		if !ok {
 			s.Rescore(i, cands, out[i*nc:(i+1)*nc])
 		}
@@ -504,20 +540,18 @@ func (s *storeScorer) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []
 
 // score runs every query in qs over cands one kernel tile at a time, vec
 // taking whole groups of four candidates, then adds the per-entity bias when
-// the model has one. It returns the largest |value| of the rows vec read
-// (store.TileColumns), for certBound. The only candidate state it ever holds
-// is one tile in sc.tbuf, which stays L1-resident while the queries stream
-// over it.
+// the model has one. The only candidate state it ever holds is one tile in
+// sc.tbuf, which stays L1-resident while the queries stream over it.
 //
 // What a tile has beyond its last whole group — at most three candidates at
 // the end of a pool, or the single candidate of a ScoreAnswer — goes through
 // the Go kernel, which gives a score the same bits as an exact twin, so where
 // the split falls never shows in ScoreBlock's out.
-func (s *storeScorer) score(qs []float64, cands []int32, out []float64, vec tileFunc) (maxAbs float64) {
+func (s *storeScorer) score(qs []float64, cands []int32, out []float64, vec tileFunc) {
 	dim := s.m.Dim()
 	nc := len(cands)
 	tile := min(s.tile, nc)
-	s.sc.tbuf = Grow(s.sc.tbuf, s.tile*dim) // a full tile, so a one-candidate call first does not size it twice
+	s.sc.tbuf = Grow(s.sc.tbuf, s.tbufLen(tile))
 	for j0 := 0; j0 < nc; j0 += tile {
 		j1 := min(j0+tile, nc)
 		jv := j0 // candidates j0..jv are scored by the vector kernel
@@ -525,25 +559,49 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64, vec tile
 			jv += (j1 - j0) &^ 3
 		}
 		if jv > j0 {
-			cols, m := s.st.TileColumns(cands[j0:jv], s.sc.tbuf)
-			vec(qs, cols, dim, j0, jv, nc, out)
-			maxAbs = max(maxAbs, m)
+			vec(qs, s.st.TileColumns(cands[j0:jv], s.sc.tbuf), dim, j0, jv, nc, out)
 		}
 		if jv < j1 {
 			s.st.Gather(cands[jv:j1], s.sc.tbuf)
 			s.kern(qs, s.sc.tbuf, dim, jv, j1, nc, out)
 		}
 	}
-	if s.bias != nil {
-		nq := len(qs) / dim
-		for i := 0; i < nq; i++ {
-			row := out[i*nc : (i+1)*nc]
-			for j, c := range cands {
-				row[j] += s.bias.vec(c)[0]
-			}
+	s.addBias(cands, out, len(qs)/dim)
+}
+
+// tbufLen is how many values sc.tbuf needs for a walk whose tiles hold up
+// to tile candidates: a full tile, so a one-candidate call first does not
+// size it twice — except where RankBlock scores the tiles in float32 and
+// this walk only rescores, a candidate or a few at a time.
+func (s *storeScorer) tbufLen(tile int) int {
+	if s.cert != nil {
+		return tile * s.m.Dim()
+	}
+	return s.tile * s.m.Dim()
+}
+
+// addBias adds each candidate's entity bias, where the model has one, to
+// the nq score rows of out: the strip's biases are gathered into scratch
+// once and added row by row, each score getting its one rounded add. It
+// returns the largest |bias| (NaN where a bias is NaN), for certBound.
+func (s *storeScorer) addBias(cands []int32, out []float64, nq int) (maxBias float64) {
+	if s.bias == nil {
+		return 0
+	}
+	nc := len(cands)
+	s.sc.bias = Grow(s.sc.bias, nc)
+	bias := s.sc.bias
+	for j, c := range cands {
+		bias[j] = s.bias.vec(c)[0]
+		maxBias = max(maxBias, math.Abs(bias[j]))
+	}
+	for i := 0; i < nq; i++ {
+		row := out[i*nc : (i+1)*nc]
+		for j, b := range bias {
+			row[j] += b
 		}
 	}
-	return maxAbs
+	return maxBias
 }
 
 // routeTriple reports whether ScoreAnswer scores a tail answer from the

@@ -11,7 +11,9 @@
 // Both read every row through one strided row reader, scatterRow, which
 // copies (Float64) or dequantizes (Float32, Int8) it; only whole groups of
 // four Float64 rows take another road, an AVX2 transpose with the same
-// values. Nothing is handed out in place. Reduced precision shrinks the
+// values. The rank path's float32 kernels ask TileColumns32, which rounds a
+// Float64 store's rows to float32 as it transposes them, one tile at a time.
+// Nothing is handed out in place. Reduced precision shrinks the
 // table a pass reads (2× for float32, 4× for int8 with its block
 // parameters) and so raises how much of it stays cached between tiles; the
 // kernel behind the tile is the same one at every precision, and what it
@@ -196,25 +198,50 @@ func quantizeRow(src []float64, dst []int8, scale, zero []float32) {
 // consecutive candidates in adjacent lanes. The values are Gather's, bit for
 // bit: Float64 rows are moved (transposed four at a time in assembly where
 // the CPU has AVX2), every other row goes through scatterRow.
-//
-// It also returns maxAbs, the largest |v| over the values v it placed that
-// are numbers (or NaN where one is not), for the rank path's error bound,
-// or +Inf where it does not know it: the transpose takes it on the way
-// through whole groups of four Float64 rows (the fill is memory-bound, so
-// it costs nothing measurable), and a row placed one at a time reports
-// +Inf, which no bound accepts.
-func (s *Store) TileColumns(ids []int32, buf []float64) (cols []float64, maxAbs float64) {
+func (s *Store) TileColumns(ids []int32, buf []float64) []float64 {
 	n := len(ids)
 	buf = buf[:n*s.dim]
 	t := 0
 	if s.prec == Float64 {
-		t, maxAbs = s.columnsAVX(ids, buf)
-	}
-	if t < n {
-		maxAbs = math.Inf(1)
+		t = s.columnsAVX(ids, buf)
 	}
 	for ; t < n; t++ {
 		s.scatterRow(int(ids[t]), buf[t:], n)
+	}
+	return buf
+}
+
+// TileColumns32 is the rank path's fill: it lays the float64 rows of ids
+// out candidate-minor as TileColumns does, each value rounded to float32 on
+// the way — buf[k*stride+t] = float32(row(ids[t])[k]) for k < Dim and
+// t < len(ids) — and returns buf[:Dim*stride]. What lies at t ≥ len(ids) is
+// left as it was: a kernel that reads whole registers of a column finds its
+// own stale lanes there. buf must hold Dim*stride values, stride at least
+// len(ids). Whole groups of four rows take the AVX transpose, which rounds
+// each value after the transpose; the rest are placed one row at a time. No
+// float32 copy of the table is kept: each tile is converted as it is
+// filled.
+//
+// maxAbs is the largest |v| over the float64 row values v that are numbers,
+// every row included, for the rank path's error bound. Only a Float64 store
+// fills a float32 tile; any other precision panics.
+func (s *Store) TileColumns32(ids []int32, stride int, buf []float32) (cols []float32, maxAbs float64) {
+	if s.prec != Float64 {
+		panic("store: TileColumns32 on a " + s.prec.String() + " store")
+	}
+	n, d := len(ids), s.dim
+	if stride < n {
+		panic("store: TileColumns32 with a stride shorter than its tile")
+	}
+	buf = buf[:d*stride]
+	t, maxAbs := s.columns32AVX(ids, stride, buf)
+	for ; t < n; t++ {
+		for k, v := range s.f64[int(ids[t])*d:][:d] {
+			buf[k*stride+t] = float32(v)
+			if v == v {
+				maxAbs = max(maxAbs, math.Abs(v))
+			}
+		}
 	}
 	return buf, maxAbs
 }

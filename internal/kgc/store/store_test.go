@@ -1,12 +1,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-
-	"kgeval/internal/cpu"
 )
 
 func randRows(rows, dim int, seed int64) []float64 {
@@ -235,11 +234,9 @@ func TestBytesFootprint(t *testing.T) {
 // whole groups of four) and the Go path (sub-group tails, reduced precision)
 // alike — over runs touching the table's last row, scattered pools, and the
 // named shapes below: a run, a run to the table's end, a single row, a run
-// with a gap, an unordered run, a repeated id and an empty pool. Neither
-// writes outside dst[:len(ids)*dim]: the guard words on both sides survive.
-// The largest |value| TileColumns reports is the rows' own, -Inf included,
-// where the transpose placed them all (whole groups of four float64 rows on
-// AVX2), and +Inf, unknown, where a row went through scatterRow.
+// with a gap, an unordered run, a repeated id and an empty pool, over rows
+// holding −0, −Inf and NaN. Neither writes outside dst[:len(ids)*dim]: the
+// guard words on both sides survive.
 func TestTileColumnsMatchesGather(t *testing.T) {
 	const rows, guard = 70, 8
 	sentinel := math.Float64frombits(0x7ff8dead0000beef)
@@ -274,6 +271,8 @@ func TestTileColumnsMatchesGather(t *testing.T) {
 		data := randRows(rows, dim, int64(dim))
 		data[3*dim] = math.Copysign(0, -1)
 		data[4*dim+dim-1] = math.Inf(-1)
+		data[8*dim] = math.NaN()
+		data[(rows-2)*dim+dim/2] = math.NaN()
 		for _, p := range []Precision{Float64, Float32, Int8} {
 			s, err := FromRows(data, rows, dim, p)
 			if err != nil {
@@ -298,15 +297,13 @@ func TestTileColumnsMatchesGather(t *testing.T) {
 				rowsBuf, rowsOK := guarded(n * dim)
 				s.Gather(ids, rowsBuf)
 				colsBuf, colsOK := guarded(n * dim)
-				cols, maxAbs := s.TileColumns(ids, colsBuf)
+				cols := s.TileColumns(ids, colsBuf)
 				if len(cols) != n*dim {
 					t.Fatalf("%v dim=%d %s: TileColumns returned %d values", p, dim, name, len(cols))
 				}
-				wantMax := 0.0
 				for j, id := range ids {
 					s.Row(id, row)
 					for k, w := range row {
-						wantMax = max(wantMax, math.Abs(w))
 						if g := rowsBuf[j*dim+k]; math.Float64bits(g) != math.Float64bits(w) {
 							t.Fatalf("%v dim=%d %s: Gather row %d dim %d = %x, Row %x",
 								p, dim, name, j, k, math.Float64bits(g), math.Float64bits(w))
@@ -316,10 +313,6 @@ func TestTileColumnsMatchesGather(t *testing.T) {
 								p, dim, name, j, k, math.Float64bits(g), math.Float64bits(w))
 						}
 					}
-				}
-				transposed := cpu.AVX2 && p == Float64 && n%4 == 0 && n > 0
-				if transposed && maxAbs != wantMax || !transposed && n > 0 && !math.IsInf(maxAbs, 1) {
-					t.Fatalf("%v dim=%d %s: TileColumns reports max |value| %v, the rows hold %v (transposed: %v)", p, dim, name, maxAbs, wantMax, transposed)
 				}
 				if !rowsOK() || !colsOK() {
 					t.Fatalf("%v dim=%d %s: a guard word was overwritten (Gather %v, TileColumns %v)",
@@ -360,4 +353,161 @@ func TestTileColumnsRejectsBadInput(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// tile32Specials are the values the converting fill must round as Go's
+// float32 conversion does: ±0, float64 and float32 subnormals and both sides
+// of float32's smallest subnormal and normal, values on and past float32's
+// largest and at 2¹²⁸, ±Inf and NaN.
+var tile32Specials = []float64{
+	0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1060,
+	0x1p-149, 0x1p-150, 0x1.8p-150, -0x1p-151, 0x1p-126, math.Nextafter(0x1p-126, 0), 0x1.fffffp-127,
+	math.MaxFloat32, -math.MaxFloat32, math.Nextafter(math.MaxFloat32, math.Inf(1)), 0x1.ffffffp127,
+	0x1p128, -0x1p200, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1.0000000596046448,
+}
+
+// checkTile32 fills a float32 tile of ids at stride from s and holds it to
+// the rows: every value float32(row value) bit for bit, the lanes past
+// len(ids) and the words past the tile untouched, and maxAbs the float64
+// rows' largest |value| that is a number.
+func checkTile32(s *Store, data []float64, ids []int32, stride int) error {
+	const guard = 8
+	sentinel := math.Float32frombits(0x7fc0beef)
+	d, n := s.dim, len(ids)
+	mem := make([]float32, d*stride+guard)
+	for i := range mem {
+		mem[i] = sentinel
+	}
+	cols, maxAbs := s.TileColumns32(ids, stride, mem[:d*stride])
+	if len(cols) != d*stride {
+		return fmt.Errorf("dim=%d n=%d stride=%d: %d values returned", d, n, stride, len(cols))
+	}
+	wantMax := 0.0
+	for t := 0; t < stride; t++ {
+		for k := 0; k < d; k++ {
+			got := math.Float32bits(mem[k*stride+t])
+			want := math.Float32bits(sentinel)
+			if t < n {
+				v := data[int(ids[t])*d+k]
+				want = math.Float32bits(float32(v))
+				if v == v {
+					wantMax = max(wantMax, math.Abs(v))
+				}
+			}
+			if got != want {
+				return fmt.Errorf("dim=%d n=%d stride=%d: lane %d dim %d holds %#x, want %#x", d, n, stride, t, k, got, want)
+			}
+		}
+	}
+	for _, v := range mem[d*stride:] {
+		if math.Float32bits(v) != math.Float32bits(sentinel) {
+			return fmt.Errorf("dim=%d n=%d stride=%d: a guard word past the tile was overwritten", d, n, stride)
+		}
+	}
+	if maxAbs != wantMax {
+		return fmt.Errorf("dim=%d n=%d stride=%d: max |value| %v, the rows hold %v", d, n, stride, maxAbs, wantMax)
+	}
+	return nil
+}
+
+// TileColumns32 against the rows, over every pool size from 0 to 37 (whole
+// groups of four through the transpose, the rest one row at a time),
+// strides past the pool, dims 1 to 65, and rows planted with
+// tile32Specials.
+func TestTileColumns32MatchesRows(t *testing.T) {
+	const rows = 50
+	rng := rand.New(rand.NewSource(5))
+	for _, dim := range []int{1, 2, 3, 4, 5, 8, 13, 64, 65} {
+		data := randRows(rows, dim, int64(dim))
+		for i := 0; i < rows*dim; i += 3 {
+			data[i] = tile32Specials[rng.Intn(len(tile32Specials))]
+		}
+		s, err := FromRows(data, rows, dim, Float64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= 37; n++ {
+			ids := make([]int32, n)
+			for i := range ids {
+				ids[i] = int32(rng.Intn(rows))
+			}
+			for _, stride := range []int{n, (n + 15) &^ 15, n + 5} {
+				if err := checkTile32(s, data, ids, stride); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	// Only a float64 store fills a float32 tile, and a stride shorter than
+	// the tile, a short buffer or an id outside the table panics in Go.
+	data := randRows(8, 4, 1)
+	for name, c := range map[string]struct {
+		p           Precision
+		ids         []int32
+		stride, buf int
+	}{
+		"float32 store":  {Float32, []int32{0}, 4, 16},
+		"int8 store":     {Int8, []int32{0}, 4, 16},
+		"short stride":   {Float64, []int32{0, 1, 2, 3, 4}, 4, 32},
+		"short buffer":   {Float64, []int32{0, 1, 2, 3}, 4, 15},
+		"id past rows":   {Float64, []int32{0, 1, 2, 8}, 4, 16},
+		"negative id":    {Float64, []int32{-1, 1, 2, 3}, 4, 16},
+		"tail past rows": {Float64, []int32{0, 1, 2, 3, 9}, 8, 32},
+	} {
+		s, err := FromRows(data, 8, 4, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: TileColumns32 did not panic", name)
+				}
+			}()
+			buf := make([]float32, c.buf)
+			s.TileColumns32(c.ids, c.stride, buf[:c.buf:c.buf])
+		}()
+	}
+}
+
+// FuzzTileColumns32 lets the fuzzer pick the dim, the pool (any size, so
+// groups of four and a remainder), the stride's padding and the bytes of
+// every row value, and holds the converting fill to float32(row value) bit
+// for bit and its max to the float64 rows'. The seeds hold tile32Specials.
+func FuzzTileColumns32(f *testing.F) {
+	special := make([]byte, 0, 8*len(tile32Specials))
+	for _, v := range tile32Specials {
+		special = binary.LittleEndian.AppendUint64(special, math.Float64bits(v))
+	}
+	f.Add(uint8(7), uint8(9), uint8(3), special)
+	f.Add(uint8(4), uint8(16), uint8(0), special)
+	f.Add(uint8(1), uint8(3), uint8(13), special[8:])
+	f.Add(uint8(22), uint8(21), uint8(1), []byte{0x80, 0, 0, 0, 0, 0, 0xf0, 0x47})
+	f.Fuzz(func(t *testing.T, dimB, nB, padB uint8, data []byte) {
+		const rows = 24
+		dim := 1 + int(dimB)%40
+		n := int(nB) % 40
+		vals := make([]float64, rows*dim)
+		var word [8]byte
+		for i := range vals {
+			for b := range word {
+				word[b] = 0
+				if len(data) > 0 {
+					word[b] = data[(8*i+b)%len(data)]
+				}
+			}
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
+		}
+		s, err := FromRows(vals, rows, dim, Float64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32((i*7 + int(padB)) % rows)
+		}
+		if err := checkTile32(s, vals, ids, n+int(padB)%17); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

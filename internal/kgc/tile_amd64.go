@@ -4,14 +4,11 @@ package kgc
 
 import "kgeval/internal/cpu"
 
-// The assembly kernels of tile_amd64.s. Each scores nq queries of dim values
-// (qs) against the n candidates of a candidate-minor tile (cols, n a
-// positive multiple of four) and writes query i's scores to out[i*nc:][:n].
-// They trust their arguments; vecTile is the only caller. The AVX2 kernels
-// and l1TileAVX512 give every score the Go kernel's bits; the rank path's
-// dotTileFMA512 (four queries at a time over a 32-candidate group),
-// l1TileMax512 (Σmax(q, c) against the two sums) and rotTileApprox512
-// (VRSQRT14PD alone) give it within certBound, for ranks only.
+// The assembly kernels of tile_amd64.s. Each exact one scores nq queries of
+// dim values (qs) against the n candidates of a candidate-minor tile (cols,
+// n a positive multiple of four) and writes query i's scores to
+// out[i*nc:][:n], with the Go kernel's bits. They trust their arguments;
+// vecTile is the only caller.
 
 //go:noescape
 func dotTileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
@@ -25,14 +22,20 @@ func rotTileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, n
 //go:noescape
 func l1TileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 
-//go:noescape
-func dotTileFMA512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+// The rank path's kernels of tile_amd64.s, in float32, sixteen candidates a
+// register: the queries rounded to float32 against a float32 tile of n ≥ 1
+// candidates (store.TileColumns32, column stride rankStride(n)), each score
+// within certBound of the Go kernel's, widened to float64 into
+// out[i*nc:][:n]. They trust their arguments; vecRank is the only caller.
 
 //go:noescape
-func l1TileMax512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+func dotTile16(qs *float32, nq int, cols *float32, dim, n int, out *float64, nc int)
 
 //go:noescape
-func rotTileApprox512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
+func l1Tile16(qs *float32, nq int, cols *float32, dim, n int, out *float64, nc int)
+
+//go:noescape
+func rotTile16(qs *float32, nq int, cols *float32, dim, n int, out *float64, nc int)
 
 // The assembly row-accumulates of rowacc_amd64.s: rowAccGo over n outputs
 // and nrows rows, four and eight outputs a register. They trust their
@@ -54,8 +57,9 @@ func convAVX2(w *convWeights, img *float64, ih int, convPre *float64, feat *floa
 // init lists the vector lanes this CPU runs, narrowest first, and installs
 // the widest. The 512-bit lane scores L1 with its own twin and the dot and
 // RotatE kernels with the AVX2 twins, which keep the bits; its rank path
-// runs a certified kernel of each kind: the FMA dot kernel, the L1 kernel
-// built on VMAXPD, and RotatE's one-step root. Under the query
+// runs a certified float32 kernel of each kind, sixteen candidates a
+// register: the FMA dot walk, the L1 kernel built on VMAXPS, and RotatE's
+// VRSQRT14PS root. Under the query
 // builders each lane runs its own row-accumulate, four and eight outputs a
 // register, and both run ConvE's AVX2 conv layer.
 func init() {
@@ -75,10 +79,10 @@ func init() {
 				kindL1:  vecTile(l1TileAVX512, 1),
 				kindRot: avx2.kernels[kindRot],
 			},
-			cert: [numKinds]tileFunc{
-				kindDot: vecTile(dotTileFMA512, 1),
-				kindL1:  vecTile(l1TileMax512, 1),
-				kindRot: vecTile(rotTileApprox512, 2),
+			cert: [numKinds]rankFunc{
+				kindDot: vecRank(dotTile16, 1),
+				kindL1:  vecRank(l1Tile16, 1),
+				kindRot: vecRank(rotTile16, 2),
 			},
 			rowAcc: vecRowAcc(rowAccAVX512),
 			conv:   vecConv,
@@ -146,6 +150,24 @@ func vecTile(kernel func(qs *float64, nq int, cols *float64, dim, n int, out *fl
 			panic("kgc: vector tile kernel called off its shape: whole groups of four candidates inside the pool")
 		}
 		cols, out = cols[:n*dim], out[:nq*nc]
+		if nq > 0 {
+			kernel(&qs[0], nq, &cols[0], dim, n, &out[j0], nc)
+		}
+	}
+}
+
+// vecRank gives a float32 rank kernel rankFunc's signature and is the
+// memory-safety boundary in front of it, as vecTile is for the exact ones:
+// the slice expressions panic on queries, a tile or score storage shorter
+// than the shape asks for. The kernel reads whole registers of every column
+// (rankStride(n) lanes) and stores only the n candidates' scores.
+func vecRank(kernel func(qs *float32, nq int, cols *float32, dim, n int, out *float64, nc int), minDim int) rankFunc {
+	return func(qs, cols []float32, dim, j0, j1, nc int, out []float64) {
+		nq, n := len(qs)/dim, j1-j0
+		if dim < minDim || n <= 0 || j0 < 0 || j1 > nc {
+			panic("kgc: rank kernel called off its shape: a non-empty tile inside the pool")
+		}
+		cols, out = cols[:rankStride(n)*dim], out[:nq*nc]
 		if nq > 0 {
 			kernel(&qs[0], nq, &cols[0], dim, n, &out[j0], nc)
 		}

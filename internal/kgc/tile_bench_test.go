@@ -34,7 +34,7 @@ func perCandDim(b *testing.B, nq, nc, dim int) {
 func benchLanes(b *testing.B, fn func(b *testing.B, lane vecLane, rank bool)) {
 	for _, lane := range append([]vecLane{{name: "go"}}, vecLanes...) {
 		b.Run(lane.name, func(b *testing.B) { fn(b, lane, false) })
-		if slices.ContainsFunc(lane.cert[:], func(f tileFunc) bool { return f != nil }) {
+		if slices.ContainsFunc(lane.cert[:], func(f rankFunc) bool { return f != nil }) {
 			b.Run(lane.name+"-rank", func(b *testing.B) { fn(b, lane, true) })
 		}
 	}
@@ -59,28 +59,43 @@ func benchPool(rng *rand.Rand, n, k int, consecutive bool) []int32 {
 }
 
 // BenchmarkScoreTile times the three tile micro-kernels alone, on every lane
-// (the certified dot, L1 and RotatE kernels on a -rank lane),
-// over one tile as the planner sizes it at dim 128 (TileFor: 32 rows = 32 KB)
-// and 16 queries: the floor each model family's scoring can reach. The Go
-// kernels read the tile row-major, their vector twins candidate-minor; the
-// fill is not timed here (BenchmarkScoreBlock includes it).
+// (the certified float32 dot, L1 and RotatE kernels on a -rank lane, over
+// the same values rounded to float32), over one tile as the planner sizes it
+// at dim 128 (TileFor: 32 rows = 32 KB) and 16 queries: the floor each model
+// family's scoring can reach. The Go kernels read the tile row-major, their
+// vector twins candidate-minor; the fill is not timed here
+// (BenchmarkScoreBlock includes it).
 func BenchmarkScoreTile(b *testing.B) {
 	const nq, dim = 16, 128
 	tile := TileFor(0, dim, store.Float64)
 	rng := rand.New(rand.NewSource(11))
 	qs, tbuf := randVec(rng, nq*dim), randVec(rng, tile*dim)
+	qs32, tbuf32 := make([]float32, len(qs)), make([]float32, rankStride(tile)*dim)
+	for i, v := range qs {
+		qs32[i] = float32(v)
+	}
+	for k := range dim {
+		for t := range tile {
+			tbuf32[k*rankStride(tile)+t] = float32(tbuf[k*tile+t])
+		}
+	}
 	out := make([]float64, nq*tile)
 	for kind := kindDot; kind < numKinds; kind++ {
 		b.Run(kind.String(), func(b *testing.B) {
 			benchLanes(b, func(b *testing.B, lane vecLane, rank bool) {
-				fn := lane.kernels[kind]
-				if rank && lane.cert[kind] != nil {
-					fn = lane.cert[kind]
+				b.ReportAllocs()
+				if rank {
+					fn := lane.cert[kind]
+					for i := 0; i < b.N; i++ {
+						fn(qs32, tbuf32, dim, 0, tile, tile, out)
+					}
+					perCandDim(b, nq, tile, dim)
+					return
 				}
+				fn := lane.kernels[kind]
 				if fn == nil {
 					fn = goKernels[kind]
 				}
-				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					fn(qs, tbuf, dim, 0, tile, tile, out)
 				}

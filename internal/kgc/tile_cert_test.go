@@ -3,8 +3,6 @@ package kgc
 import (
 	"fmt"
 	"math"
-	"math/big"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,20 +11,24 @@ import (
 	"kgeval/internal/kgc/store"
 )
 
-// The approximate kernels' gate. The 512-bit lane's FMA dot kernel, its L1
-// kernel built on VMAXPD and RotatE's one-step root do not keep the Go
-// kernels' bits; what they promise is certBound, which eval's rank count
-// relies on to keep every rank exact. So these tests hold each score they
-// write to the Go kernel's within that bound (or to NaN, which stands for
-// any score), on random and adversarial inputs, at dims 2 to 512, over every
-// group width and query count; and the RotatE root to its proven error
-// alone, root by root. On a host without such a lane they skip.
+// The approximate kernels' gate. The 512-bit lane's rank path scores in
+// float32 — an FMA dot walk, an L1 kernel built on VMAXPS and RotatE's
+// VRSQRT14PS root — and does not keep the Go kernels' bits; what it
+// promises is certBound, which eval's rank count relies on to keep every
+// rank exact. So these tests feed each kernel as RankBlock does (the queries
+// rounded to float32, the rows through store.TileColumns32) and hold each
+// score it writes to the Go kernel's within that bound (or to NaN, which
+// stands for any score): on random inputs, on inputs at the edges of
+// float32's range, and on adversarial ones whose roundings all fall one
+// way, which must come within half of each kind's bound, so that the bound
+// is shown to be near what the kernels do and not only above it. On a host
+// without such a lane they skip.
 
 // certLanes lists the lanes of vecLanes that have approximate kernels.
 func certLanes() []vecLane {
 	var lanes []vecLane
 	for _, l := range vecLanes {
-		if slices.ContainsFunc(l.cert[:], func(f tileFunc) bool { return f != nil }) {
+		if slices.ContainsFunc(l.cert[:], func(f rankFunc) bool { return f != nil }) {
 			lanes = append(lanes, l)
 		}
 	}
@@ -43,7 +45,7 @@ func needCertLane(t testing.TB) []vecLane {
 }
 
 // maxAbsOf is the largest |v| over the values that are numbers, as
-// store.TileColumns reports it.
+// store.TileColumns32 reports it.
 func maxAbsOf(vs []float64) float64 {
 	m := 0.0
 	for _, v := range vs {
@@ -54,7 +56,7 @@ func maxAbsOf(vs []float64) float64 {
 	return m
 }
 
-// norm1 is ‖q‖₁ summed as storeScorer.addNorms sums it.
+// norm1 is ‖q‖₁ summed as storeScorer.addRank sums it.
 func norm1(q []float64) float64 {
 	n := 0.0
 	for _, v := range q {
@@ -69,22 +71,75 @@ func within(f, s float64, b Bound) bool {
 	return f != f || f == s || math.Abs(f-s) <= b.Abs+b.Rel*math.Abs(f)
 }
 
+// share is |f − s| as a share of what b allows f (0 where f is s or NaN).
+func share(f, s float64, b Bound) float64 {
+	if f != f || f == s {
+		return 0
+	}
+	return math.Abs(f-s) / (b.Abs + b.Rel*math.Abs(f))
+}
+
+// certScores scores the queries qs against the row-major rows with lane's
+// float32 kernel of kind, fed as RankBlock feeds it: the queries rounded to
+// float32, the rows through store.TileColumns32 at rankStride, the scores
+// into the columns [j0, j0+n) of out rows nc wide. It returns the nq×n
+// scores and the tile's max|c|, or an error where the kernel wrote anything
+// outside its scores.
+func certScores(lane vecLane, kind tileKind, qs, rows []float64, dim, j0, nc int) (got []float64, maxAbs float64, err error) {
+	n, nq := len(rows)/dim, len(qs)/dim
+	st, err := store.FromRows(rows, n, dim, store.Float64)
+	if err != nil {
+		return nil, 0, err
+	}
+	ids := make([]int32, n)
+	for j := range ids {
+		ids[j] = int32(j)
+	}
+	cols, maxAbs := st.TileColumns32(ids, rankStride(n), make([]float32, rankStride(n)*dim))
+	q32 := make([]float32, len(qs))
+	for i, v := range qs {
+		q32[i] = float32(v)
+	}
+	out, intact := guarded(nq * nc)
+	for i := range out {
+		out[i] = sentinel
+	}
+	lane.cert[kind](q32, cols, dim, j0, j0+n, nc, out)
+	got = make([]float64, nq*n)
+	for i := range nq {
+		for j := range nc {
+			v := out[i*nc+j]
+			if j < j0 || j >= j0+n {
+				if math.Float64bits(v) != math.Float64bits(sentinel) {
+					return nil, 0, fmt.Errorf("%s %v dim=%d nq=%d n=%d: wrote out[%d][%d], outside [%d, %d)", lane.name, kind, dim, nq, n, i, j, j0, j0+n)
+				}
+				continue
+			}
+			got[i*n+j-j0] = v
+		}
+	}
+	if !intact() {
+		return nil, 0, fmt.Errorf("%s %v dim=%d nq=%d n=%d: wrote outside its buffers", lane.name, kind, dim, nq, n)
+	}
+	return got, maxAbs, nil
+}
+
 // checkCertKernel scores the queries qs against the row-major rows with
-// lane's approximate kernel of kind and with the Go kernel, and reports the
-// first score outside certBound, or a write outside the tile's scores. It
-// returns the largest |f − s| seen as a share of its bound.
-func checkCertKernel(lane vecLane, kind tileKind, qs, rows []float64, dim int) (worst float64, err error) {
+// lane's float32 kernel of kind (certScores, the tile j0 columns into out
+// rows pad wider than it) and with the Go kernel, and reports the first
+// score outside certBound, or a write outside the tile's scores. It returns
+// the largest |f − s| seen as a share of its bound.
+func checkCertKernel(lane vecLane, kind tileKind, qs, rows []float64, dim, j0, pad int) (worst float64, err error) {
 	n, nq := len(rows)/dim, len(qs)/dim
 	want := make([]float64, nq*n)
 	goKernels[kind](qs, rows, dim, 0, n, n, want)
-	got, outIntact := guarded(nq * n)
-	cols, colsIntact := guarded(n * dim)
-	copy(cols, transposed(rows, n, dim))
-	lane.cert[kind](qs, cols, dim, 0, n, n, got)
-	if !outIntact() || !colsIntact() {
-		return 0, fmt.Errorf("%s %v dim=%d nq=%d n=%d: wrote outside its buffers", lane.name, kind, dim, nq, n)
+	got, maxAbs, err := certScores(lane, kind, qs, rows, dim, j0, j0+n+pad)
+	if err != nil {
+		return 0, err
 	}
-	maxAbs := maxAbsOf(rows)
+	if m := maxAbsOf(rows); m != maxAbs {
+		return 0, fmt.Errorf("%s %v dim=%d n=%d: the fill reports max|c| %v, the rows hold %v", lane.name, kind, dim, n, maxAbs, m)
+	}
 	for i := 0; i < nq; i++ {
 		b, ok := certBound(kind, dim, norm1(qs[i*dim:(i+1)*dim]), maxAbs, 0)
 		if !ok {
@@ -96,9 +151,7 @@ func checkCertKernel(lane vecLane, kind tileKind, qs, rows []float64, dim int) (
 				return worst, fmt.Errorf("%s %v dim=%d nq=%d n=%d: query %d candidate %d: %v (%x), Go kernel %v (%x), bound %+v",
 					lane.name, kind, dim, nq, n, i, j, f, math.Float64bits(f), s, math.Float64bits(s), b)
 			}
-			if f == f && f != s {
-				worst = max(worst, math.Abs(f-s)/(b.Abs+b.Rel*math.Abs(f)))
-			}
+			worst = max(worst, share(f, s, b))
 		}
 	}
 	return worst, nil
@@ -116,33 +169,58 @@ func wideVec(rng *rand.Rand, n, s int) []float64 {
 	return v
 }
 
-// Every approximate kernel against the Go kernels within certBound: dims 2
-// to 512, tiles of 4 to 100 candidates (every group width and remainder),
-// one, two, five and seven queries (the dot kernel takes them four at a
-// time over a 32-candidate group, then in pairs), over
-// normal values, magnitudes spread over 2⁻⁶⁰⁰ to 2⁶⁰⁰ (subnormal products
-// and sums, overflowing squares), planted specials, and near-cancelling dot
-// products, whose sums are orders of magnitude below their terms.
+// edgeVec is n values of random sign about 2ᵉ, each a float32 moved by a
+// random share of its spacing, so most do not round to themselves.
+func edgeVec(rng *rand.Rand, n, e int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		f := float32(math.Ldexp(rng.Float64()+0.5, e+rng.Intn(5)-2))
+		v[i] = float64(f) + (rng.Float64()-0.5)*ulp32(f)
+		if rng.Intn(2) == 0 {
+			v[i] = -v[i]
+		}
+	}
+	return v
+}
+
+// ulp32 is the spacing of the float32 values at |f|.
+func ulp32(f float32) float64 {
+	a := math.Abs(float64(f))
+	return float64(math.Nextafter32(float32(a), float32(math.Inf(1)))) - a
+}
+
+// Every float32 kernel against the Go kernels within certBound: dims 1 to
+// 512, tiles of 1 to 100 candidates (every group of 64, 32 and 16 lanes and
+// every masked remainder), one to nine queries (the dot and L1 kernels take
+// them four at a time, then alone), the tile at the start of a pool and in
+// the middle of a wider one, over normal values, magnitudes spread over
+// 2⁻⁶⁰ to 2⁶⁰ and over 2⁻¹⁶⁰ to 2¹⁶⁰ (past the gates, and below float32's
+// subnormals), values about float32's smallest normal, planted specials, and
+// near-cancelling dot products, whose sums are orders of magnitude below
+// their terms.
 func TestCertKernelsWithinBound(t *testing.T) {
 	lanes := needCertLane(t)
 	rng := rand.New(rand.NewSource(61))
 	inputs := map[string]func(n int) []float64{
-		"normal":  func(n int) []float64 { return randVec(rng, n) },
-		"wide":    func(n int) []float64 { return wideVec(rng, n, 600) },
-		"planted": func(n int) []float64 { return plantedVec(rng, n) },
+		"normal":    func(n int) []float64 { return randVec(rng, n) },
+		"wide":      func(n int) []float64 { return wideVec(rng, n, 60) },
+		"wider":     func(n int) []float64 { return wideVec(rng, n, 160) },
+		"subnormal": func(n int) []float64 { return edgeVec(rng, n, -126) },
+		"planted":   func(n int) []float64 { return plantedVec(rng, n) },
 	}
 	worst := map[tileKind]float64{}
 	for _, lane := range lanes {
 		for kind := kindDot; kind < numKinds; kind++ {
-			if lane.cert[kind] == nil {
-				continue
-			}
-			for _, dim := range []int{2, 3, 4, 7, 16, 33, 64, 100, 128, 256, 512} {
-				for _, n := range []int{4, 8, 12, 16, 28, 32, 36, 60, 100} {
-					for _, nq := range []int{1, 2, 5, 7} {
+			for _, dim := range []int{1, 2, 3, 4, 7, 16, 33, 64, 100, 128, 256, 512} {
+				if kind == kindRot && dim < 2 {
+					continue
+				}
+				for _, n := range []int{1, 3, 4, 12, 16, 17, 31, 32, 48, 63, 64, 65, 100} {
+					for _, nq := range []int{1, 2, 4, 5, 9} {
+						j0, pad := rng.Intn(3), rng.Intn(3)
 						for name, gen := range inputs {
 							qs, rows := gen(nq*dim), gen(n*dim)
-							w, err := checkCertKernel(lane, kind, qs, rows, dim)
+							w, err := checkCertKernel(lane, kind, qs, rows, dim, j0, pad)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
@@ -162,7 +240,7 @@ func TestCertKernelsWithinBound(t *testing.T) {
 								rows[j*dim+k] = v
 							}
 						}
-						if _, err := checkCertKernel(lane, kind, qs, rows, dim); err != nil {
+						if _, err := checkCertKernel(lane, kind, qs, rows, dim, j0, pad); err != nil {
 							t.Fatalf("cancelling: %v", err)
 						}
 					}
@@ -175,25 +253,29 @@ func TestCertKernelsWithinBound(t *testing.T) {
 	}
 }
 
-// The dot kernel walks a 32-candidate group four queries at a time, then in
-// pairs, then the odd one alone; each accumulator runs the same FMAs in the
-// same order in every walk, so a query's scores have the same bits whatever
-// queries ride with it. Scored alone and among one to nine queries, at every
-// position, over every group width, they must.
+// The dot kernel walks the queries four at a time, then alone; each
+// accumulator runs the same FMAs in the same order in both walks, so a
+// query's scores have the same bits whatever queries ride with it. Scored
+// alone and among one to nine queries, at every position, over every group
+// width, they must.
 func TestCertDotScoresDoNotDependOnQueryCount(t *testing.T) {
 	lanes := needCertLane(t)
 	rng := rand.New(rand.NewSource(71))
-	const n = 60 // a group of 32, 16, 8 and 4
+	const n = 107 // groups of 64, 32 and 16 lanes, the last one masked
 	for _, lane := range lanes {
 		for _, dim := range []int{1, 3, 16, 65} {
-			rows := transposed(randVec(rng, n*dim), n, dim)
+			rows := randVec(rng, n*dim)
 			for nq := 1; nq <= 9; nq++ {
 				qs := randVec(rng, nq*dim)
-				all := make([]float64, nq*n)
-				lane.cert[kindDot](qs, rows, dim, 0, n, n, all)
-				one := make([]float64, n)
+				all, _, err := certScores(lane, kindDot, qs, rows, dim, 0, n)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for i := 0; i < nq; i++ {
-					lane.cert[kindDot](qs[i*dim:(i+1)*dim], rows, dim, 0, n, n, one)
+					one, _, err := certScores(lane, kindDot, qs[i*dim:(i+1)*dim], rows, dim, 0, n)
+					if err != nil {
+						t.Fatal(err)
+					}
 					for j := range one {
 						if math.Float64bits(one[j]) != math.Float64bits(all[i*n+j]) {
 							t.Fatalf("%s dim=%d: query %d of %d, candidate %d: %v among the others, %v alone",
@@ -208,8 +290,9 @@ func TestCertDotScoresDoNotDependOnQueryCount(t *testing.T) {
 
 // The L1 kernel writes Q + C − 2M, three sums that nearly cancel wherever a
 // candidate lies near the query, which is where a rank is decided. On such
-// inputs — candidates within a few ulps or a relative 2⁻⁴⁰ of a query, at
-// magnitudes 2⁻⁶⁰⁰, 1 and 2⁶⁰⁰, with ±0 and subnormal values among them —
+// inputs — candidates within a few float32 ulps or a relative 2⁻²⁰ of a
+// query, at magnitudes about 2⁻¹²⁰ (where the sums and differences run into
+// float32's subnormals), 1 and 2⁹⁰, with ±0 and subnormal values among them —
 // every score must lie within certBound of the Go kernel's, and a candidate
 // equal to its query must score exactly 0, as the Go kernel's does. A
 // candidate with a NaN value scores NaN; a query or candidate with an
@@ -217,17 +300,19 @@ func TestCertDotScoresDoNotDependOnQueryCount(t *testing.T) {
 func TestCertL1NearCancelling(t *testing.T) {
 	lanes := needCertLane(t)
 	rng := rand.New(rand.NewSource(67))
-	const n = 60 // a group of 32, 16, 8 and 4
+	const n = 60 // groups of 32 and 16 lanes, the last one masked
 	for _, lane := range lanes {
 		for _, dim := range []int{1, 2, 7, 16, 64, 257} {
-			for _, nq := range []int{1, 2, 3} {
-				for _, scale := range []int{-600, 0, 600} {
+			for _, nq := range []int{1, 2, 3, 5} {
+				for _, scale := range []int{-120, 0, 90} {
 					qs := randVec(rng, nq*dim)
 					for k := range qs {
 						switch rng.Intn(8) {
 						case 0:
 							qs[k] = math.Copysign(0, float64(rng.Intn(2)*2-1))
 						case 1:
+							qs[k] = 0x1p-149 * float64(rng.Intn(9)-4)
+						case 2:
 							qs[k] = math.SmallestNonzeroFloat64 * float64(rng.Intn(9)-4)
 						default:
 							qs[k] = math.Ldexp(qs[k], scale)
@@ -241,13 +326,14 @@ func TestCertL1NearCancelling(t *testing.T) {
 							switch j % 4 {
 							case 0: // the query itself
 								c[k] = v
-							case 1: // a relative 2⁻⁴⁰ away
-								c[k] = v * (1 + 0x1p-40*rng.NormFloat64())
-							case 2: // a few ulps away, through zero and the subnormals
-								c[k] = v
+							case 1: // a relative 2⁻²⁰ away
+								c[k] = v * (1 + 0x1p-20*rng.NormFloat64())
+							case 2: // a few float32 ulps away, through zero and the subnormals
+								f := float32(v)
 								for range rng.Intn(4) {
-									c[k] = math.Nextafter(c[k], math.Inf(rng.Intn(2)*2-1))
+									f = math.Nextafter32(f, float32(math.Inf(rng.Intn(2)*2-1)))
 								}
+								c[k] = float64(f)
 							case 3: // the query with its signs of zero flipped
 								c[k] = v
 								if v == 0 {
@@ -256,11 +342,13 @@ func TestCertL1NearCancelling(t *testing.T) {
 							}
 						}
 					}
-					if _, err := checkCertKernel(lane, kindL1, qs, rows, dim); err != nil {
+					if _, err := checkCertKernel(lane, kindL1, qs, rows, dim, 0, 0); err != nil {
 						t.Fatalf("scale 2^%d: %v", scale, err)
 					}
-					got := make([]float64, nq*n)
-					lane.cert[kindL1](qs, transposed(rows, n, dim), dim, 0, n, n, got)
+					got, _, err := certScores(lane, kindL1, qs, rows, dim, 0, n)
+					if err != nil {
+						t.Fatal(err)
+					}
 					for j := 0; j < n; j += 4 {
 						if f := got[j%nq*n+j]; f != 0 {
 							t.Fatalf("%s dim=%d scale 2^%d: candidate %d equals query %d and scores %v, not 0", lane.name, dim, scale, j, j%nq, f)
@@ -276,14 +364,15 @@ func TestCertL1NearCancelling(t *testing.T) {
 		for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
 			rows := randVec(rng, n*dim)
 			rows[7*dim+3] = v
-			got, want := make([]float64, n), make([]float64, n)
-			scoreL1Tile(q, rows, dim, 0, n, n, want)
-			lane.cert[kindL1](q, transposed(rows, n, dim), dim, 0, n, n, got)
+			got, maxAbs, err := certScores(lane, kindL1, q, rows, dim, 0, n)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if v != v {
 				if f := got[7]; f == f {
 					t.Errorf("%s: a candidate holding NaN scores %v, not NaN", lane.name, f)
 				}
-			} else if b, ok := certBound(kindL1, dim, norm1(q), math.Abs(v), 0); ok {
+			} else if b, ok := certBound(kindL1, dim, norm1(q), maxAbs, 0); ok {
 				t.Errorf("%s: a candidate holding %s is bounded by %+v", lane.name, name, b)
 			}
 			bad := slices.Clone(q)
@@ -295,96 +384,70 @@ func TestCertL1NearCancelling(t *testing.T) {
 	}
 }
 
-// overflowPair returns a dim-2 query q and a candidate c, c = (M, M), with
-// ‖q‖₁·M finite, whose sum of products overflows when each product is
-// rounded first (the Go kernel, s = +Inf) and stays finite when the second
-// is fused into the add (the FMA kernel): q₁·M is exact and q₂·M rounds up
-// onto the midpoint between the largest float and 2¹⁰²⁴, which rounds to
-// +Inf, while the exact sum lies below it. It searches M and q₂ for such a
-// pair whose q₁ + q₂, and so ‖q‖₁·M, rounds down.
-func overflowPair(t *testing.T) (q, c []float64) {
-	t.Helper()
-	const q1 = 0x1p523
-	mid := new(big.Float).SetPrec(300).SetMantExp(big.NewFloat(1), 1024)
-	mid.Sub(mid, new(big.Float).SetMantExp(big.NewFloat(1), 970))
-	for k := 1; k < 1<<14; k++ {
-		m := 0x1p500 * (1 + float64(k)*0x1p-40)
-		a := q1 * m // exact: q1 is a power of two
-		rest := new(big.Float).SetPrec(300).Sub(mid, big.NewFloat(a))
-		target, _ := rest.Quo(rest, big.NewFloat(m)).Float64()
-		for q2 := math.Nextafter(target, 0); q2 <= math.Nextafter(target, 2*target); q2 = math.Nextafter(q2, 2*q2) {
-			exact := new(big.Float).SetPrec(300).Mul(big.NewFloat(q2), big.NewFloat(m))
-			exact.Add(exact, big.NewFloat(a))
-			if exact.Cmp(mid) < 0 && math.IsInf(float64(a)+float64(q2*m), 1) &&
-				!math.IsInf(math.FMA(q2, m, a), 0) && !math.IsInf(float64(q1+q2)*m, 0) {
-				return []float64{q1, q2}, []float64{m, m}
-			}
-		}
-	}
-	t.Fatal("overflowPair: no pair found")
-	return nil, nil
-}
-
-// A product ‖q‖₁·max|c| past 2¹⁰⁰⁰ is where one sum can overflow and the
-// other not: certBound must refuse to bound it (the rank path then rescores
-// the query), because the FMA kernel's finite score is no bound away from the
-// Go kernel's +Inf.
+// A product ‖q‖₁·max|c| past 2¹⁰⁰, or a query or candidate value past 2¹⁰⁰,
+// is where a float32 product or sum can overflow while the Go kernel's
+// float64 sum stays finite: q = c = (2⁶⁵, 2⁶⁵) scores +Inf in float32 and
+// 2¹³¹ in float64. certBound must refuse to bound it (the rank path then
+// rescores the query), and it must bound a product, norm and max just below
+// 2¹⁰⁰ and refuse each just above.
 func TestCertDotOverflowGate(t *testing.T) {
 	lanes := needCertLane(t)
-	q, c := overflowPair(t)
+	q := []float64{0x1p65, 0x1p65}
 	rows := make([]float64, 0, 8*2)
 	for j := 0; j < 8; j++ {
-		rows = append(rows, c...)
+		rows = append(rows, q...)
 	}
 	for _, lane := range lanes {
-		got, want := make([]float64, 8), make([]float64, 8)
+		want := make([]float64, 8)
 		scoreDotTile(q, rows, 2, 0, 8, 8, want)
-		lane.cert[kindDot](q, transposed(rows, 8, 2), 2, 0, 8, 8, got)
-		if !math.IsInf(want[0], 1) || math.IsInf(got[0], 0) {
-			t.Fatalf("%s: the Go kernel scores %v and the FMA kernel %v: the input does not split them", lane.name, want[0], got[0])
+		got, maxAbs, err := certScores(lane, kindDot, q, rows, 2, 0, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if b, ok := certBound(kindDot, 2, norm1(q), maxAbsOf(c), 0); ok {
-			t.Fatalf("%s: certBound bounds ‖q‖₁·max|c| = %v by %+v, which %v and %v do not meet", lane.name, norm1(q)*maxAbsOf(c), b, got[0], want[0])
+		if math.IsInf(want[0], 0) || !math.IsInf(got[0], 1) {
+			t.Fatalf("%s: the Go kernel scores %v and the float32 kernel %v: the input does not split them", lane.name, want[0], got[0])
+		}
+		if b, ok := certBound(kindDot, 2, norm1(q), maxAbs, 0); ok {
+			t.Fatalf("%s: certBound bounds ‖q‖₁·max|c| = %v by %+v, which %v and %v do not meet", lane.name, norm1(q)*maxAbs, b, got[0], want[0])
 		}
 	}
-}
-
-// rootBound is what the proof of rotTileApprox512 allows one root: the
-// Bound of a one-complex-dim score, 2⁻¹⁴ + 2⁻²⁶ relative and 2⁻⁵³⁵ absolute.
-func rootBound() Bound {
-	b, _ := certBound(kindRot, 2, 0, 0, 0)
-	return b
-}
-
-// rootMiss is how far the approximate root -f misses the correctly rounded
-// -s, relative to s (0 where they are equal).
-func rootMiss(f, s float64) float64 {
-	if f == s {
-		return 0
+	below, above := 0x1p100*(1-0x1p-40), 0x1p100*(1+0x1p-40)
+	for _, c := range []struct {
+		norm, maxAbs float64
+		ok           bool
+	}{
+		{below, 1, true}, {1, below, true}, {0x1p50, below / 0x1p50, true},
+		{above, 0x1p-10, false}, {0x1p-10, above, false}, {0x1p50, above / 0x1p50, false},
+	} {
+		if _, ok := certBound(kindDot, 2, c.norm, c.maxAbs, 0); ok != c.ok {
+			t.Errorf("certBound(dot, ‖q‖₁ = %v, max|c| = %v) ok = %v, want %v", c.norm, c.maxAbs, ok, c.ok)
+		}
 	}
-	return math.Abs(f-s) / math.Abs(s)
 }
 
 // The L1 kernel's sums can overflow where the Go kernel's cannot: a
-// candidate equal to a query of values near the largest float scores 0 in
-// the Go kernel, while Q + C overflows to +Inf. certBound refuses such a
-// query, and every query whose ‖q‖₁ + n·max|c| lies above 2¹⁰⁰⁰; through
-// TransE's scorer, RankBlock then rescores the block with the exact
-// kernels, every Bound reads 0, and the scores are ScoreBlock's bits. Just
-// below 2¹⁰⁰⁰ the bound holds and RankBlock keeps its approximations.
+// candidate equal to a query of values near float32's largest scores 0 in
+// the Go kernel, while Q + C overflows to +Inf and T − 2M is NaN. certBound
+// refuses such a query, and every query whose ‖q‖₁ + n·max|c| lies above
+// 2¹⁰⁰; through TransE's scorer, RankBlock then rescores the block with the
+// exact kernels, every Bound reads 0, and the scores are ScoreBlock's bits.
+// Just below 2¹⁰⁰ the bound holds and RankBlock keeps its approximations.
 func TestCertL1OverflowGate(t *testing.T) {
 	lanes := needCertLane(t)
-	q := []float64{0x1.8p1023}
+	q := []float64{0x1.8p127}
 	rows := []float64{q[0], q[0], q[0], q[0], q[0], q[0], q[0], q[0]}
 	for _, lane := range lanes {
-		got, want := make([]float64, 8), make([]float64, 8)
+		want := make([]float64, 8)
 		scoreL1Tile(q, rows, 1, 0, 8, 8, want)
-		lane.cert[kindL1](q, rows, 1, 0, 8, 8, got)
-		if want[0] != 0 || !math.IsInf(got[0], 0) {
+		got, maxAbs, err := certScores(lane, kindL1, q, rows, 1, 0, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[0] != 0 || got[0] == 0 || !math.IsInf(got[0], 0) && got[0] == got[0] {
 			t.Fatalf("%s: the Go kernel scores %v and the L1 kernel %v: the input does not split them", lane.name, want[0], got[0])
 		}
-		if b, ok := certBound(kindL1, 1, norm1(q), maxAbsOf(rows), 0); ok {
-			t.Fatalf("%s: certBound bounds ‖q‖₁ + n·max|c| = %v by %+v", lane.name, norm1(q)+maxAbsOf(rows), b)
+		if b, ok := certBound(kindL1, 1, norm1(q), maxAbs, 0); ok {
+			t.Fatalf("%s: certBound bounds ‖q‖₁ + n·max|c| = %v by %+v", lane.name, norm1(q)+maxAbs, b)
 		}
 	}
 
@@ -394,9 +457,9 @@ func TestCertL1OverflowGate(t *testing.T) {
 	clear(m.rel.w)
 	for _, c := range []struct {
 		name  string
-		v     float64 // the one large value: n·v is 2¹⁰⁰⁰·(1 ± 2⁻⁴⁰)
+		v     float64 // the one large value: n·v is 2¹⁰⁰·(1 ± 2⁻⁴⁰)
 		bound bool
-	}{{"above", 0x1p997 * (1 + 0x1p-40), false}, {"below", 0x1p997 * (1 - 0x1p-40), true}} {
+	}{{"above", 0x1p97 * (1 + 0x1p-40), false}, {"below", 0x1p97 * (1 - 0x1p-40), true}} {
 		m.ent.w[40*dim+3] = c.v
 		if b, ok := certBound(kindL1, dim, 1, c.v, 0); ok != c.bound {
 			t.Fatalf("%s: certBound(‖q‖₁ = 1, max|c| = %v) = %+v, %v", c.name, c.v, b, ok)
@@ -427,127 +490,75 @@ func TestCertL1OverflowGate(t *testing.T) {
 	}
 }
 
-// modRoots scores one complex dim against a query at zero, so each score is
-// the root of a chosen x: -f and -s are the approximate and the correctly
-// rounded √x. It fails the test where the approximation misses √x by more
-// than rootBound, except that x = 0, +Inf or NaN may give NaN, and returns
-// the largest relative miss.
-func modRoots(t *testing.T, lane vecLane, what string, xs []float64) (worst float64) {
+// rootScores scores one complex dim against a query at zero, so that each
+// score is minus the root of x = fl32(a²), a = float32(√target) for each
+// target: the float32 kernel's against the Go kernel's. It fails the test
+// where one lies outside certBound (x = 0 may give NaN), and returns the
+// largest share of the bound and the largest relative miss.
+func rootScores(t *testing.T, lane vecLane, what string, targets []float64) (worst, miss float64) {
 	t.Helper()
-	n := (len(xs) + 3) &^ 3
-	rows := make([]float64, 2*n)
-	for j := range n {
-		a, b := modPair(xs[j%len(xs)])
-		rows[2*j], rows[2*j+1] = a, b
+	rows := make([]float64, 0, 2*len(targets))
+	for _, x := range targets {
+		rows = append(rows, float64(float32(math.Sqrt(x))), 0)
 	}
-	got, want := make([]float64, n), make([]float64, n)
-	scoreRotTile([]float64{0, 0}, rows, 2, 0, n, n, want)
-	lane.cert[kindRot]([]float64{0, 0}, transposed(rows, n, 2), 2, 0, n, n, got)
-	for j := range n {
-		f, s := got[j], want[j]
-		x := rows[2*j]*rows[2*j] + rows[2*j+1]*rows[2*j+1]
-		if f != f && (x == 0 || math.IsInf(x, 1) || x != x) {
-			continue
-		}
-		if f != f || !within(f, s, rootBound()) {
-			t.Fatalf("%s %s: root of %v (%x) is %v, √x rounds to %v: off by %.3g of it", lane.name, what, x, math.Float64bits(x), -f, -s, rootMiss(f, s))
-		}
-		worst = max(worst, rootMiss(f, s))
+	want := make([]float64, len(targets))
+	scoreRotTile([]float64{0, 0}, rows, 2, 0, len(targets), len(targets), want)
+	got, maxAbs, err := certScores(lane, kindRot, []float64{0, 0}, rows, 2, 0, len(targets))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return worst
+	b, ok := certBound(kindRot, 2, 0, maxAbs, 0)
+	if !ok {
+		t.Fatalf("%s %s: no bound for max|c| = %v", lane.name, what, maxAbs)
+	}
+	for j, s := range want {
+		f := got[j]
+		if f != f && rows[2*j] != 0 || !within(f, s, b) {
+			t.Fatalf("%s %s: the root of %v scores %v, the Go kernel %v, bound %+v", lane.name, what, rows[2*j]*rows[2*j], f, s, b)
+		}
+		worst = max(worst, share(f, s, b))
+		if f == f && s != 0 {
+			miss = max(miss, math.Abs(f-s)/math.Abs(s))
+		}
+	}
+	return worst, miss
 }
 
-// nearMidpoint returns, for an even c, x = (M² + M + c)·2⁻¹⁰⁴ for the one M in
-// [2⁵², 2⁵³) that makes x a float: √x lies about (c − ¼)·2⁻¹⁰⁶ from the
-// midpoint of M·2⁻⁵² and its successor, among the hardest x a square root has
-// to round. M² + M + c ≡ 0 (mod 2⁵³) is solved a bit at a time: adding 2ᵏ to
-// M flips bit k of the sum, since 2M + 1 is odd.
-func nearMidpoint(c int64) float64 {
-	m := uint64(0)
-	for k := 1; k < 53; k++ {
-		if (m*m+m+uint64(c))>>k&1 != 0 {
-			m += 1 << k
-		}
-	}
-	if m < 1<<52 {
-		m = 1<<53 - 1 - m // the other root
-	}
-	hi, lo := bits.Mul64(m, m)
-	lo, carry := bits.Add64(lo, m, 0)
-	hi += carry
-	if c >= 0 {
-		lo, carry = bits.Add64(lo, uint64(c), 0)
-		hi += carry
-	} else {
-		lo, carry = bits.Sub64(lo, uint64(-c), 0)
-		hi -= carry
-	}
-	if lo&(1<<53-1) != 0 {
-		panic("nearMidpoint: M² + M + c is not a multiple of 2⁵³")
-	}
-	return math.Ldexp(float64(hi<<11|lo>>53), -51)
-}
-
-// RotatE's approximate root on every class of hard input at dim 2: perfect
-// squares and their neighbours, powers of two across the exponent range and
-// theirs, roots near a midpoint between two floats, subnormal and smallest
-// sums, the largest finite x, and zero, infinite and NaN x, which must give
-// NaN or the root.
+// RotatE's float32 root on every class of hard input at dim 2: x at the
+// edges of every binade of float32's range and at a few ulps from them,
+// squares of float32 values with long mantissas, x in float32's subnormals,
+// and zero, which must give NaN or the root.
 func TestCertRotHardRoots(t *testing.T) {
 	lanes := needCertLane(t)
 	rng := rand.New(rand.NewSource(41))
 	classes := map[string][]float64{}
-	for i := 0; i < 400; i++ {
-		m := float64(1 + rng.Intn(1<<26))
-		sq := math.Ldexp(m*m, 2*(rng.Intn(800)-400)) // exact: m has 26 bits
-		classes["perfect squares"] = append(classes["perfect squares"], sq, math.Nextafter(sq, 0), math.Nextafter(sq, math.Inf(1)))
-	}
-	for k := -1000; k <= 1000; k++ {
+	for k := -140; k <= 110; k++ {
 		p := math.Ldexp(1, k)
-		classes["2ᵏ and its neighbours"] = append(classes["2ᵏ and its neighbours"], p, math.Nextafter(p, 0), math.Nextafter(p, 2*p))
-	}
-	for c := int64(-200); c <= 200; c += 2 {
-		for _, j := range []int{-400, 0, 400} {
-			classes["near a midpoint"] = append(classes["near a midpoint"], math.Ldexp(nearMidpoint(c), 2*j))
+		for m := -3; m <= 3; m++ {
+			classes["binade edges"] = append(classes["binade edges"], p*(1+float64(m)*0x1p-23))
 		}
 	}
+	for i := 0; i < 2000; i++ {
+		a := math.Ldexp(1+float64(rng.Intn(1<<23))*0x1p-23, rng.Intn(110)-55)
+		classes["long mantissas"] = append(classes["long mantissas"], a*a)
+	}
+	for k := 0; k < 24; k++ {
+		classes["subnormal x"] = append(classes["subnormal x"], math.Ldexp(1+rng.Float64(), -149+k))
+	}
+	classes["zero"] = []float64{0, 0, 0}
 	for _, lane := range lanes {
-		worst := 0.0
+		worst, miss := 0.0, 0.0
 		for name, xs := range classes {
-			worst = max(worst, modRoots(t, lane, name, xs))
+			w, m := rootScores(t, lane, name, xs)
+			worst, miss = max(worst, w), max(miss, m)
 		}
-		// Sums of squares built directly, where modPair cannot reach.
-		for name, p := range map[string][2]float64{
-			"+0":                 {0, 0},
-			"-0":                 {math.Copysign(0, -1), math.Copysign(0, -1)},
-			"smallest subnormal": {math.SmallestNonzeroFloat64, 0x1p-537},
-			"subnormal sum":      {0x1p-530, 0x1p-537},
-			"largest finite":     {math.MaxFloat64, 0},
-			"√ of the largest":   {0x1p511 * 1.9, 0x1p511},
-			"+Inf":               {math.Inf(1), 1},
-			"-Inf":               {math.Inf(-1), 1},
-			"NaN":                {math.NaN(), 1},
-			"overflowed squares": {0x1p600, 0x1p600},
-		} {
-			rows := make([]float64, 0, 2*32) // every lane of a 32-candidate group
-			for range 32 {
-				rows = append(rows, p[0], p[1])
-			}
-			got, want := make([]float64, 32), make([]float64, 32)
-			scoreRotTile([]float64{0, 0}, rows, 2, 0, 32, 32, want)
-			lane.cert[kindRot]([]float64{0, 0}, transposed(rows, 32, 2), 2, 0, 32, 32, got)
-			for j := range got {
-				if !within(got[j], want[j], rootBound()) {
-					t.Errorf("%s %s: score %v, Go kernel %v", lane.name, name, got[j], want[j])
-				}
-			}
-		}
-		t.Logf("%s: the largest relative miss 2^%.2f, the bound 2^%.2f", lane.name, math.Log2(worst), math.Log2(rootBound().Rel))
+		t.Logf("%s: the largest relative miss 2^%.2f, %.3g of the bound", lane.name, math.Log2(miss), worst)
 	}
 }
 
-// Random normal inputs, 10⁷ roots (10⁶ under -short), with exponents from
-// 2⁻⁴⁷⁰ to 2⁴⁷⁰, root by root within rootBound, and the largest miss logged.
+// Random inputs, 10⁷ roots (10⁶ under -short), with exponents from 2⁻⁵⁷ to
+// 2⁵⁷ (the gate is 2⁶⁰), each score within its bound, and the largest share
+// logged.
 func TestCertRotRandomRoots(t *testing.T) {
 	lanes := needCertLane(t)
 	total := 10_000_000
@@ -557,11 +568,11 @@ func TestCertRotRandomRoots(t *testing.T) {
 	const n = 4096
 	rng := rand.New(rand.NewSource(43))
 	normal := func() float64 {
-		bits := rng.Uint64()&(1<<52-1) | uint64(1023+rng.Intn(940)-470)<<52 | rng.Uint64()&(1<<63)
+		bits := rng.Uint64()&(1<<52-1) | uint64(1023+rng.Intn(115)-57)<<52 | rng.Uint64()&(1<<63)
 		return math.Float64frombits(bits)
 	}
 	qs, rows := make([]float64, 2), make([]float64, 2*n)
-	got, want := make([]float64, n), make([]float64, n)
+	want := make([]float64, n)
 	for _, lane := range lanes {
 		worst := 0.0
 		for done := 0; done < total; done += n {
@@ -570,16 +581,162 @@ func TestCertRotRandomRoots(t *testing.T) {
 				rows[i] = normal()
 			}
 			scoreRotTile(qs, rows, 2, 0, n, n, want)
-			lane.cert[kindRot](qs, transposed(rows, n, 2), 2, 0, n, n, got)
+			got, maxAbs, err := certScores(lane, kindRot, qs, rows, 2, 0, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, ok := certBound(kindRot, 2, norm1(qs), maxAbs, 0)
+			if !ok {
+				t.Fatalf("no bound for ‖q‖₁ = %v, max|c| = %v", norm1(qs), maxAbs)
+			}
 			for j, s := range want {
 				f := got[j]
-				if f != f || !within(f, s, rootBound()) {
-					t.Fatalf("%s: score %v, Go kernel %v: off by %.3g of it", lane.name, f, s, rootMiss(f, s))
+				if f != f || !within(f, s, b) {
+					t.Fatalf("%s: score %v, Go kernel %v: %.3g of the bound %+v", lane.name, f, s, share(f, s, b), b)
 				}
-				worst = max(worst, rootMiss(f, s))
+				worst = max(worst, share(f, s, b))
 			}
 		}
-		t.Logf("%s: %d roots, the largest relative miss 2^%.2f, the bound 2^%.2f", lane.name, total, math.Log2(worst), math.Log2(rootBound().Rel))
+		t.Logf("%s: %d roots, the largest share of the bound %.3g", lane.name, total, worst)
+	}
+}
+
+// adversary makes inputs whose float32 roundings all fall one way: it
+// returns the float32 f moved by just under half its spacing, away from
+// zero (away) or toward it, so that float32(v) = f misses v by nearly
+// u·|v| and always on the same side.
+func adversary(f float32, away bool) float64 {
+	d := (0.5 - 0x1p-12) * ulp32(f)
+	if !away {
+		d = -(0.5 - 0x1p-12) * ulp32(math.Nextafter32(f, 0))
+	}
+	if f < 0 {
+		d = -d
+	}
+	return float64(f) + d
+}
+
+// near is a random float32 in [1, 1 + spread)·2ᵉ.
+func near(rng *rand.Rand, spread float64, e int) float32 {
+	return float32(math.Ldexp(1+spread*rng.Float64(), e))
+}
+
+// Adversarial inputs must come within half of each kind's bound, and stay
+// inside it: the dot kernel over values that all round away from zero at
+// dims 1 to 3 (the inputs' 2u and the sum's roundings add up), and over
+// values on both sides of float32's subnormal edge (absolute roundings of
+// 2⁻¹⁵⁰); the L1 kernel over a query that rounds down and candidates that
+// round up near it, over values of two scales (a query near 1, candidates
+// of the other sign far smaller: the inputs, Q + C and the last step each
+// round by up to u of the same size, which is what the bound's Rel is
+// for), and over float32 subnormals; RotatE's root at the edges of binades,
+// where VRSQRT14PS misses most, and candidates whose float32 roundings
+// pull them a whole spacing from a query half a spacing away (what the
+// bound's Abs is for). The search keeps the worst of many draws; each
+// family's worst share is logged.
+func TestCertAdversarialReachHalfTheBound(t *testing.T) {
+	lanes := needCertLane(t)
+	const draws = 4000
+	for _, lane := range lanes {
+		best := map[tileKind]float64{}
+		run := func(family string, kind tileKind, dim int, gen func(rng *rand.Rand) (qs, rows []float64)) {
+			rng := rand.New(rand.NewSource(int64(dim)*131 + int64(kind)))
+			worst := 0.0
+			for range draws / 16 {
+				qs, rows := gen(rng)
+				w, err := checkCertKernel(lane, kind, qs, rows, dim, 0, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", family, err)
+				}
+				worst = max(worst, w)
+			}
+			t.Logf("%s %v dim=%d %s: the worst is %.3g of the bound", lane.name, kind, dim, family, worst)
+			best[kind] = max(best[kind], worst)
+		}
+		for dim := 1; dim <= 3; dim++ {
+			run("one-way", kindDot, dim, func(rng *rand.Rand) (qs, rows []float64) {
+				qs = make([]float64, dim)
+				for k := range qs {
+					qs[k] = adversary(near(rng, 1, 0), true)
+				}
+				rows = make([]float64, 16*dim)
+				for k := range rows {
+					rows[k] = adversary(near(rng, 1, 0), true)
+				}
+				return qs, rows
+			})
+			run("subnormal edge", kindDot, dim, func(rng *rand.Rand) (qs, rows []float64) {
+				qs = make([]float64, dim)
+				for k := range qs {
+					qs[k] = adversary(near(rng, 1, -140+rng.Intn(20)), true)
+				}
+				rows = make([]float64, 16*dim)
+				for k := range rows {
+					rows[k] = adversary(near(rng, 1, -1+rng.Intn(2)), true)
+				}
+				return qs, rows
+			})
+			run("one-way", kindL1, dim, func(rng *rand.Rand) (qs, rows []float64) {
+				qs = make([]float64, dim)
+				for k := range qs {
+					qs[k] = adversary(near(rng, 1, 0), false)
+				}
+				rows = make([]float64, 16*dim)
+				for j := 0; j < 16; j++ {
+					for k := range dim {
+						rows[j*dim+k] = adversary(near(rng, 1, 0), true)
+						if rows[j*dim+k] > qs[k] {
+							rows[j*dim+k] = math.Nextafter(qs[k]-float64(ulp32(float32(qs[k])))*float64(1+rng.Intn(4)), 0)
+						}
+					}
+				}
+				return qs, rows
+			})
+			run("two scales", kindL1, dim, func(rng *rand.Rand) (qs, rows []float64) {
+				qs = make([]float64, dim)
+				for k := range qs {
+					qs[k] = adversary(near(rng, 0.1, 0), false)
+				}
+				rows = make([]float64, 16*dim)
+				for k := range rows {
+					rows[k] = adversary(-near(rng, 1, -4-rng.Intn(16)), false)
+				}
+				return qs, rows
+			})
+			run("subnormal edge", kindL1, dim, func(rng *rand.Rand) (qs, rows []float64) {
+				qs = make([]float64, dim)
+				for k := range qs {
+					qs[k] = 0x1p-149 * (float64(rng.Intn(64)) + 0.5 - 0x1p-12)
+				}
+				rows = make([]float64, 16*dim)
+				for k := range rows {
+					rows[k] = -0x1p-149 * (float64(rng.Intn(64)) + 0.5 - 0x1p-12)
+				}
+				return qs, rows
+			})
+		}
+		run("a spacing apart", kindRot, 2, func(rng *rand.Rand) (qs, rows []float64) {
+			re, im := near(rng, 0.05, 0), near(rng, 0.05, 0)
+			qs = []float64{adversary(re, true), adversary(im, true)}
+			rows = make([]float64, 0, 32)
+			for range 16 {
+				rows = append(rows, adversary(math.Nextafter32(re, 2), false), adversary(math.Nextafter32(im, 2), false))
+			}
+			return qs, rows
+		})
+		run("binade edges", kindRot, 2, func(rng *rand.Rand) (qs, rows []float64) {
+			rows = make([]float64, 0, 32)
+			for range 16 {
+				x := math.Ldexp(1+float64(rng.Intn(64)-32)*0x1p-23, rng.Intn(100)-50)
+				rows = append(rows, float64(float32(math.Sqrt(x))), 0)
+			}
+			return []float64{0, 0}, rows
+		})
+		for kind := kindDot; kind < numKinds; kind++ {
+			if best[kind] < 0.5 {
+				t.Errorf("%s %v: the adversarial inputs reach %.3g of the bound, not half", lane.name, kind, best[kind])
+			}
+		}
 	}
 }
 

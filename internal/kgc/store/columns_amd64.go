@@ -20,9 +20,10 @@ func transpose4Cvt(r0, r1, r2, r3 *float64, dim int, dst *float32, stride int) (
 
 // columnsAVX transposes the float64 rows of ids, four at a time, into
 // buf[k*len(ids)+t] and returns how many ids it placed — len(ids) rounded
-// down to a multiple of four, or 0 without AVX. Every pointer handed to the assembly comes from
-// a slice expression that has already been bounds checked against the table
-// and the buffer, so an out-of-range id or a short buffer panics here, in Go.
+// down to a multiple of four, or 0 without AVX. Every pointer handed to the
+// assembly comes from a slice expression that has already been bounds
+// checked against the table and the buffer, so an out-of-range id or a
+// short buffer panics here, in Go.
 func (s *Store) columnsAVX(ids []int32, buf []float64) (placed int) {
 	if !cpu.AVX2 {
 		return 0
@@ -30,12 +31,8 @@ func (s *Store) columnsAVX(ids []int32, buf []float64) (placed int) {
 	n, d := len(ids), s.dim
 	n4 := n &^ 3
 	for t := 0; t < n4; t += 4 {
-		r0 := s.f64[int(ids[t])*d:][:d]
-		r1 := s.f64[int(ids[t+1])*d:][:d]
-		r2 := s.f64[int(ids[t+2])*d:][:d]
-		r3 := s.f64[int(ids[t+3])*d:][:d]
-		dst := buf[t : (d-1)*n+t+4]
-		transpose4AVX(&r0[0], &r1[0], &r2[0], &r3[0], d, &dst[0], n)
+		r0, r1, r2, r3 := s.rows4(ids[t:])
+		transpose4AVX(r0, r1, r2, r3, d, &buf[t : (d-1)*n+t+4][0], n)
 	}
 	return n4
 }
@@ -49,12 +46,15 @@ func (s *Store) columns32AVX(ids []int32, stride int, buf []float32) (placed int
 	n, d := len(ids), s.dim
 	n4 := n &^ 3
 	for t := 0; t < n4; t += 4 {
-		r0 := s.f64[int(ids[t])*d:][:d]
-		r1 := s.f64[int(ids[t+1])*d:][:d]
-		r2 := s.f64[int(ids[t+2])*d:][:d]
-		r3 := s.f64[int(ids[t+3])*d:][:d]
-		dst := buf[t : (d-1)*stride+t+4]
-		maxAbs = max(maxAbs, transpose4Cvt(&r0[0], &r1[0], &r2[0], &r3[0], d, &dst[0], stride))
+		r0, r1, r2, r3 := s.rows4(ids[t:])
+		maxAbs = max(maxAbs, transpose4Cvt(r0, r1, r2, r3, d, &buf[t : (d-1)*stride+t+4][0], stride))
 	}
 	return n4, maxAbs
+}
+
+// rows4 points at the table rows of ids[0:4], each bounds checked.
+func (s *Store) rows4(ids []int32) (r0, r1, r2, r3 *float64) {
+	d := s.dim
+	return &s.f64[int(ids[0])*d:][:d][0], &s.f64[int(ids[1])*d:][:d][0],
+		&s.f64[int(ids[2])*d:][:d][0], &s.f64[int(ids[3])*d:][:d][0]
 }

@@ -59,9 +59,9 @@ func convAVX2(w *convWeights, img *float64, ih int, convPre *float64, feat *floa
 // RotatE kernels with the AVX2 twins, which keep the bits; its rank path
 // runs a certified float32 kernel of each kind, sixteen candidates a
 // register: the FMA dot walk, the L1 kernel built on VMAXPS, and RotatE's
-// VRSQRT14PS root. Under the query
-// builders each lane runs its own row-accumulate, four and eight outputs a
-// register, and both run ConvE's AVX2 conv layer.
+// VRSQRT14PS root. Under the query builders each lane runs its own
+// row-accumulate, four and eight outputs a register, and both run ConvE's
+// AVX2 conv layer.
 func init() {
 	if !cpu.AVX2 {
 		return

@@ -26,8 +26,13 @@ func pauseGC(t *testing.T) {
 // RotatE's true-triple scores route through the scorer's scratch like every
 // other model's batch scores, and the true-head id buffer lives in the
 // worker's scratch: a RotatE pass makes no more allocations than a DistMult
-// pass over the same plan (it used to make two to three per query).
+// pass over the same plan (it used to make two to three per query). The two
+// passes allocate the same scratch, so the comparison holds where sync.Pool
+// keeps its items, and not under -race.
 func TestRotatEPassAllocatesNoMoreThanDistMult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a random share of the pass's pooled scratch")
+	}
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	prov := &RandomProvider{NumEntities: g.NumEntities, N: 30}

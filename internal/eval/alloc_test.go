@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -27,16 +28,18 @@ func pauseGC(t *testing.T) {
 // other model's batch scores, and the true-head id buffer lives in the
 // worker's scratch: a RotatE pass makes no more allocations than a DistMult
 // pass over the same plan (it used to make two to three per query). The two
-// passes allocate the same scratch, so the comparison holds where sync.Pool
-// keeps its items, and not under -race.
+// passes allocate the same scratch, so under -race, where sync.Pool drops a
+// random share of what it is given, each model's count is the least of
+// several measurements: the one where the pool kept its items.
 func TestRotatEPassAllocatesNoMoreThanDistMult(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under -race sync.Pool drops a random share of the pass's pooled scratch")
-	}
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	prov := &RandomProvider{NumEntities: g.NumEntities, N: 30}
 	opts := Options{Filter: filter, Seed: 4, Workers: 1}
+	reps := 1
+	if raceEnabled {
+		reps = 12
+	}
 	pauseGC(t)
 	allocs := map[string]float64{}
 	for _, name := range []string{"DistMult", "RotatE"} {
@@ -44,7 +47,10 @@ func TestRotatEPassAllocatesNoMoreThanDistMult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs[name] = testing.AllocsPerRun(3, func() { Evaluate(m, g, g.Test, prov, opts) })
+		allocs[name] = math.Inf(1)
+		for range reps {
+			allocs[name] = min(allocs[name], testing.AllocsPerRun(3, func() { Evaluate(m, g, g.Test, prov, opts) }))
+		}
 	}
 	if allocs["RotatE"] > allocs["DistMult"] {
 		t.Errorf("a RotatE pass makes %.0f allocations, a DistMult pass %.0f", allocs["RotatE"], allocs["DistMult"])

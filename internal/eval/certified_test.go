@@ -306,12 +306,13 @@ func FuzzCertifiedCount(f *testing.F) {
 	f.Add(uint8(64), uint8(0), uint8(9), uint8(2), uint16(900), uint8(31), int64(2))
 	f.Add(uint8(9), uint8(8), uint8(1), uint8(5), uint16(2000), uint8(2), int64(3))
 	f.Add(uint8(33), uint8(1), uint8(30), uint8(6), uint16(1075), uint8(0), int64(4))
-	// RotatE's float32 Rel at dim 64 (n = 32) with its Abs near 2⁻²⁰, and a
+	// RotatE's float32 Rel at dim 64 (n = 32) with its Abs near 2⁻²⁰, a
 	// float32 dot bound at dim 128: Rel 0, Abs (n + 2)·2⁻²⁴·‖q‖₁·max|c| near
-	// 2⁻¹⁶, over normal scores with near-ties.
+	// 2⁻¹⁶, and a Rel of 2⁻¹¹ with an Abs of 2⁻¹⁰, over normal scores with
+	// near-ties.
 	f.Add(uint8(70), uint8(6), uint8(20), uint8(231), uint16(1080), uint8(3), int64(5))
 	f.Add(uint8(70), uint8(6), uint8(20), uint8(3), uint16(1084), uint8(3), int64(6))
-	f.Add(uint8(50), uint8(0), uint8(11), uint8(1), uint16(1090), uint8(0), int64(7))
+	f.Add(uint8(50), uint8(0), uint8(11), uint8(101), uint16(1090), uint8(0), int64(7))
 	f.Fuzz(func(t *testing.T, nB, tB, cutB, relB uint8, absB uint16, mixB uint8, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(nB)%80
@@ -338,8 +339,9 @@ func FuzzCertifiedCount(f *testing.F) {
 			}
 		}
 		// A bound: Abs from 0 to 2^(absB-1100), so from subnormal to
-		// huge, and Rel from 0 to 2⁻¹⁰, or RotatE's float32 Rel over
-		// n = relB − 199 complex dims.
+		// huge, and Rel from 0 to 2⁻²⁴ (relB below 100, the seeds' first
+		// range), from 2⁻⁵³ to 2⁻¹⁰ (below 200), or RotatE's float32 Rel
+		// over n = relB − 199 complex dims.
 		b := kgc.Bound{}
 		if absB%5 != 0 {
 			b.Abs = math.Ldexp(1, int(absB)%2200-1100)
@@ -347,8 +349,10 @@ func FuzzCertifiedCount(f *testing.F) {
 		switch {
 		case relB >= 200:
 			b.Rel = 0x1p-14 + float64(int(relB)-199+4)*0x1p-24*(1+0x1p-7)
+		case relB >= 100:
+			b.Rel = math.Ldexp(1, -10-int(relB-100)%44)
 		case relB%3 != 0:
-			b.Rel = math.Ldexp(1, -10-int(relB)%44)
+			b.Rel = math.Ldexp(1, -24-int(relB)%30)
 		}
 		// Approximations anywhere within the bound; the zero Bound promises
 		// the exact bits.

@@ -551,7 +551,7 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64, vec tile
 	dim := s.m.Dim()
 	nc := len(cands)
 	tile := min(s.tile, nc)
-	s.sc.tbuf = Grow(s.sc.tbuf, s.tbufLen(tile))
+	s.sc.tbuf = Grow(s.sc.tbuf, s.tile*dim) // a full tile, so a one-candidate call first does not size it twice
 	for j0 := 0; j0 < nc; j0 += tile {
 		j1 := min(j0+tile, nc)
 		jv := j0 // candidates j0..jv are scored by the vector kernel
@@ -567,17 +567,6 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64, vec tile
 		}
 	}
 	s.addBias(cands, out, len(qs)/dim)
-}
-
-// tbufLen is how many values sc.tbuf needs for a walk whose tiles hold up
-// to tile candidates: a full tile, so a one-candidate call first does not
-// size it twice — except where RankBlock scores the tiles in float32 and
-// this walk only rescores, a candidate or a few at a time.
-func (s *storeScorer) tbufLen(tile int) int {
-	if s.cert != nil {
-		return tile * s.m.Dim()
-	}
-	return s.tile * s.m.Dim()
 }
 
 // addBias adds each candidate's entity bias, where the model has one, to

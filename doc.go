@@ -59,11 +59,9 @@
 //	                      an FMA dot product, an L1 distance from Σmax(q, c)
 //	                      and RotatE's VRSQRT14PS root, each within a
 //	                      proven bound that eval's rank count settles or
-//	                      rescores; exact scores from the AVX2 dot and RotatE
-//	                      twins and a 512-bit L1 twin with eight float64
-//	                      candidates per register), AVX2 assembly kernels
-//	                      with four per YMM register, the Go kernels
-//	                      everywhere else
+//	                      rescores; exact scores from the AVX2 twins),
+//	                      AVX2 assembly kernels with four per YMM register,
+//	                      the Go kernels everywhere else
 //	internal/cpu          the CPUID/XGETBV check that fixes the lane once
 //	                      per process; -tags purego turns it off
 //	internal/kp           Knowledge Persistence baseline

@@ -141,12 +141,10 @@ func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out [
 // with -tags purego) each kernel has an assembly twin in tile_amd64.s that
 // puts four candidates in the lanes of a vector register and otherwise does
 // what the code below does, operation for operation, so its scores have the
-// same bits; where it also has AVX-512F the L1 kernel has a second twin
-// there with eight candidates per register, the same operations in each
-// lane. storeScorer.score then sends whole groups of four candidates to the
-// installed twin and only the sub-group tails here. Everywhere else these
-// kernels score everything. Either way they are the definition: every twin
-// the CPU can run is tested against them with == on the bits
+// same bits, and which the 512-bit lane runs too. storeScorer.score sends
+// whole groups of four candidates to the twin and only the sub-group tails
+// here. Everywhere else these kernels score everything. Either way they are
+// the definition: every twin is tested against them with == on the bits
 // (tile_vec_test.go), and they against the gather oracle
 // (tile_lane_test.go). The 512-bit lane's three certified float32 kernels
 // (an FMA dot product, an L1 sum of max(q, c) and RotatE's VRSQRT14PS root)
@@ -168,9 +166,9 @@ func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out [
 // of M as candidates, scoreDotTile(t, M, d, 0, d, d, q). It is as fast as
 // scalar Go gets — one multiply-add per cycle, the machine's measured scalar
 // FMA roofline, 0.24–0.31 ns per candidate·dim on an L1-resident tile — and
-// its AVX2 twin runs at 0.08–0.10, the 512-bit lane's FMA kernel, for
-// ranks, at 0.032–0.035 (its floor, one ZMM FMA per 0.20–0.22 ns, is
-// 0.025–0.027).
+// its AVX2 twin runs at 0.08–0.10, the 512-bit lane's float32 FMA kernel,
+// for ranks, at 0.016–0.021 (its floor, one ZMM FMA per 0.19–0.22 ns over
+// sixteen candidates, is 0.012–0.014).
 func scoreDotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	nq := len(qs) / dim
 	for i := 0; i < nq; i++ {
@@ -208,10 +206,10 @@ func scoreDotTile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 // XMM→GPR→XMM round trip — which is why it costs 0.64–0.74 ns per
 // candidate·dim on an L1-resident tile against 0.24–0.31 for the dot
 // kernel. Writing the absolute value as max(d, -d) measured 1.4× slower and
-// as a branch 6× slower, both bit-identical. Its vector twins clear the
-// sign with one VANDPD (VPANDQ at 512 bits) and run at 0.11–0.13 and 0.08;
-// the 512-bit lane's certified kernel, for ranks, sums max(q, c) instead
-// (one operation fewer a dim) and runs at 0.07.
+// as a branch 6× slower, both bit-identical. Its AVX2 twin clears the sign
+// with one VANDPD and runs at 0.11–0.13; the 512-bit lane's certified
+// float32 kernel, for ranks, sums max(q, c) instead (one operation fewer a
+// dim) and runs at 0.036–0.042.
 func scoreL1Tile(qs, tbuf []float64, dim, j0, j1, nc int, out []float64) {
 	nq := len(qs) / dim
 	for i := 0; i < nq; i++ {

@@ -124,15 +124,16 @@ var goKernels = [numKinds]tileFunc{kindDot: scoreDotTile, kindL1: scoreL1Tile, k
 
 // vecKernels holds the vector twin of each Go tile kernel, or nil. It is
 // filled once at start-up, by the amd64 build on a CPU with AVX2
-// (tile_amd64.go), with the widest lane of vecLanes, and never after: the
-// scoring lane is a property of the process, not something a caller selects.
+// (tile_amd64.go), with the AVX2 twins, which both vector lanes run, and
+// never after: the scoring lane is a property of the process, not something
+// a caller selects.
 // Everywhere else — other architectures, the purego build tag, older x86 —
 // it stays nil and the Go kernels score everything.
 var vecKernels [numKinds]tileFunc
 
 // certKernels holds, for each kind, the rank path's approximate kernel, or
 // nil where the rank path runs the exact one. It is installed with
-// vecKernels, from the same lane; only the 512-bit lane has entries, one
+// vecKernels, from the widest lane; only the 512-bit lane has entries, one
 // float32 kernel of each kind, sixteen candidates a register (the FMA dot
 // walk, the VMAXPS L1 kernel and RotatE's VRSQRT14PS root). Its scores are
 // within certBound of the Go kernel's, not equal to them: it serves
@@ -153,20 +154,19 @@ const rankLanes = 16
 // candidates: n rounded up to whole registers.
 func rankStride(n int) int { return (n + rankLanes - 1) &^ (rankLanes - 1) }
 
-// vecLane is one set of vector twins of the Go tile kernels, named as Kernel
-// reports it, and the rank path's approximate kernels of that lane.
+// vecLane is what one vector lane runs beyond the exact tile kernels and the
+// conv layer, which every vector lane shares (vecKernels, conv): its
+// row-accumulate and the rank path's approximate kernels, named as Kernel
+// reports it.
 type vecLane struct {
-	name    string
-	kernels [numKinds]tileFunc // the same bits as goKernels
-	cert    [numKinds]rankFunc // within certBound of goKernels, or nil
-	rowAcc  rowAccFunc         // the same bits as rowAccGo
-	conv    convFunc           // the same bits as convGo
+	name   string
+	cert   [numKinds]rankFunc // within certBound of goKernels, or nil
+	rowAcc rowAccFunc         // the same bits as rowAccGo
 }
 
 // vecLanes lists every vector lane this CPU can run, narrowest first: avx2,
-// then avx512 where the CPU has it. The last is installed in vecKernels,
-// certKernels, rowAcc and conv; the tests hold each of them to the Go
-// kernels and loops.
+// then avx512 where the CPU has it. The last is installed in certKernels and
+// rowAcc; the tests hold each of them to the Go kernels and loops.
 var vecLanes []vecLane
 
 // Bound is how far the rank path may write one query's scores from their
@@ -271,18 +271,18 @@ func rowAccGo(out, c, rows []float64, stride int, skipZero bool) {
 // kernels run, "avx2" when the 256-bit tile kernels and row-accumulate run,
 // "go" otherwise. Every lane gives a score the same bits wherever a score is
 // handed out (ScoreTails, ScoreHeads, ScoreTriple, the BatchScorer's
-// ScoreBlock, ScoreTailsBatch, ScoreAnswer and Rescore): on the 512-bit lane
-// these run its L1 twin and the AVX2 dot and RotatE twins, in float64. What
-// the lanes may not share is the rank path's RankBlock: on the 512-bit lane
-// it scores in float32, sixteen candidates a register, with a certified
-// kernel of every kind — the FMA dot kernel (four queries at a time), an L1
-// kernel that sums max(q, c) and takes the query's and each candidate's sums
-// off at the store, and RotatE's root as one VRSQRT14PS — each within a
-// Bound that eval's rank count turns into the ranks the exact scores give.
-// The query builders run the lane's own row-accumulate and, on both vector
-// lanes, the AVX2 conv layer, with the Go loops' bits. The name is for
-// traces and logs, so a timing says which code produced it. (A plain
-// third-party Model is scored through its own methods either way.)
+// ScoreBlock, ScoreTailsBatch, ScoreAnswer and Rescore): on both vector
+// lanes these run the AVX2 twins, in float64. What the lanes may not share
+// is the rank path's RankBlock: on the 512-bit lane it scores in float32,
+// sixteen candidates a register, with a certified kernel of every kind —
+// the FMA dot kernel (four queries at a time), an L1 kernel that sums
+// max(q, c) and takes the query's and each candidate's sums off at the
+// store, and RotatE's root as one VRSQRT14PS — each within a Bound that
+// eval's rank count turns into the ranks the exact scores give. The query
+// builders run the lane's own row-accumulate and, on both vector lanes, the
+// AVX2 conv layer, with the Go loops' bits. The name is for traces and
+// logs, so a timing says which code produced it. (A plain third-party Model
+// is scored through its own methods either way.)
 func Kernel() string {
 	if n := len(vecLanes); n > 0 {
 		return vecLanes[n-1].name

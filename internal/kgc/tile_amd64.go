@@ -4,11 +4,11 @@ package kgc
 
 import "kgeval/internal/cpu"
 
-// The assembly kernels of tile_amd64.s. Each exact one scores nq queries of
-// dim values (qs) against the n candidates of a candidate-minor tile (cols,
-// n a positive multiple of four) and writes query i's scores to
-// out[i*nc:][:n], with the Go kernel's bits. They trust their arguments;
-// vecTile is the only caller.
+// The exact kernels of tile_amd64.s, the AVX2 twins that both vector lanes
+// score with. Each scores nq queries of dim values (qs) against the n
+// candidates of a candidate-minor tile (cols, n a positive multiple of four)
+// and writes query i's scores to out[i*nc:][:n], with the Go kernel's bits.
+// They trust their arguments; vecTile is the only caller.
 
 //go:noescape
 func dotTileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
@@ -18,9 +18,6 @@ func l1TileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc
 
 //go:noescape
 func rotTileAVX2(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
-
-//go:noescape
-func l1TileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
 
 // The rank path's kernels of tile_amd64.s, in float32, sixteen candidates a
 // register: the queries rounded to float32 against a float32 tile of n ≥ 1
@@ -55,42 +52,35 @@ func rowAccAVX512(out *float64, n int, c *float64, nrows int, rows *float64, str
 func convAVX2(w *convWeights, img *float64, ih int, convPre *float64, feat *float64)
 
 // init lists the vector lanes this CPU runs, narrowest first, and installs
-// the widest. The 512-bit lane scores L1 with its own twin and the dot and
-// RotatE kernels with the AVX2 twins, which keep the bits; its rank path
-// runs a certified float32 kernel of each kind, sixteen candidates a
-// register: the FMA dot walk, the L1 kernel built on VMAXPS, and RotatE's
-// VRSQRT14PS root. Under the query builders each lane runs its own
-// row-accumulate, four and eight outputs a register, and both run ConvE's
-// AVX2 conv layer.
+// the widest. Both lanes score with the AVX2 twins, which keep the bits, and
+// run ConvE's AVX2 conv layer; the 512-bit lane adds what it has measured:
+// its own row-accumulate, eight outputs a register, and a rank path of one
+// certified float32 kernel of each kind, sixteen candidates a register —
+// the FMA dot walk, the L1 kernel built on VMAXPS, and RotatE's VRSQRT14PS
+// root.
 func init() {
 	if !cpu.AVX2 {
 		return
 	}
-	avx2 := vecLane{name: "avx2", kernels: [numKinds]tileFunc{
+	vecKernels = [numKinds]tileFunc{
 		kindDot: vecTile(dotTileAVX2, 1),
 		kindL1:  vecTile(l1TileAVX2, 1),
 		kindRot: vecTile(rotTileAVX2, 2),
-	}, rowAcc: vecRowAcc(rowAccAVX2), conv: vecConv}
-	vecLanes = []vecLane{avx2}
+	}
+	conv = vecConv
+	vecLanes = []vecLane{{name: "avx2", rowAcc: vecRowAcc(rowAccAVX2)}}
 	if cpu.AVX512 {
 		vecLanes = append(vecLanes, vecLane{name: "avx512",
-			kernels: [numKinds]tileFunc{
-				kindDot: avx2.kernels[kindDot],
-				kindL1:  vecTile(l1TileAVX512, 1),
-				kindRot: avx2.kernels[kindRot],
-			},
 			cert: [numKinds]rankFunc{
 				kindDot: vecRank(dotTile16, 1),
 				kindL1:  vecRank(l1Tile16, 1),
 				kindRot: vecRank(rotTile16, 2),
 			},
 			rowAcc: vecRowAcc(rowAccAVX512),
-			conv:   vecConv,
 		})
 	}
 	widest := vecLanes[len(vecLanes)-1]
-	vecKernels, certKernels = widest.kernels, widest.cert
-	rowAcc, conv = widest.rowAcc, widest.conv
+	certKernels, rowAcc = widest.cert, widest.rowAcc
 }
 
 // vecRowAcc gives an assembly row-accumulate rowAccGo's signature and, like

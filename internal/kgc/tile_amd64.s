@@ -2,18 +2,18 @@
 
 #include "textflag.h"
 
-// AVX2 twins of the Go tile kernels in batch.go and an AVX-512F twin of the
-// L1 kernel (after the AVX2 ones), over a float64 candidate-minor tile
-// (cols[k*n+t] is dimension k of the tile's t-th candidate; n, a multiple of
-// four, is also the column stride); then, at the end of the file, three
-// certified AVX-512F kernels that approximate the dot, L1 and RotatE scores
-// in float32 for the rank path, sixteen candidates a ZMM register — an FMA
-// dot product walked four queries at a time, an L1 distance summed as
+// AVX2 twins of the Go tile kernels in batch.go, over a float64
+// candidate-minor tile (cols[k*n+t] is dimension k of the tile's t-th
+// candidate; n, a multiple of four, is also the column stride), which both
+// vector lanes install; then, at the end of the file, three certified
+// AVX-512F kernels that approximate the dot, L1 and RotatE scores in float32
+// for the 512-bit lane's rank path, sixteen candidates a ZMM register — an
+// FMA dot product walked four queries at a time, an L1 distance summed as
 // Q + C − 2·Σmax(q, c), and RotatE's modulus with VRSQRT14PS as its root —
 // over a float32 tile whose column stride is n rounded up to 16.
 // tile_amd64.go's init installs them.
 //
-// The four lanes of a YMM register (eight of a ZMM register) hold
+// The four lanes of a YMM register (sixteen of a ZMM register) hold
 // *candidates*, never dims of one candidate. A twin's lane therefore
 // performs, in order, exactly the scalar kernel's operations for its
 // candidate: one rounded multiply and one rounded add per dim for the dot
@@ -32,7 +32,7 @@
 // group before moving on. All three share one loop nest, WALK; they differ
 // in the per-dim step and in how a finished accumulator is stored.
 //
-// Registers, the AVX2 kernels (the 512-bit ones add theirs below):
+// Registers, the AVX2 kernels (the 512-bit ones list theirs below):
 //	SI   cursor in qs (the query values are read once, front to back)
 //	R8   queries left in this group
 //	R9   cols of this group's first candidate
@@ -233,169 +233,6 @@ rdone:
 	VZEROUPPER
 	RET
 
-// The exact 512-bit L1 kernel. A ZMM register holds eight float64
-// candidates. It walks the tile in groups of 32, 16 and 8 candidates (four,
-// two or one ZMM accumulators per query), then one YMM step for a last group
-// of four. Over a group the queries go two at a time and share every column
-// load: a 32-candidate group keeps eight independent chains in flight. An
-// odd last query goes alone. Only AVX-512F instructions appear (VPANDQ and
-// VPXORQ, not the DQ subset's VANDPD and VXORPD on ZMM); the YMM step is
-// VEX-encoded AVX. Its lanes run, in dim order, the operations of the YMM
-// kernel above, so its scores keep their bits.
-//
-// Registers beyond those of the YMM kernels:
-//	R10      bytes from one query to the next in qs (dim*8); the pair's
-//	         second query is at (SI)(R10*1), its scores at (DX)(R12*1)
-//	Z0-Z3    accumulators of the pair's first query (or of the lone query)
-//	Z4-Z7    accumulators of its second query
-//	Z8-Z9    temporaries
-//	Z10-Z11  sign bit / every other bit (L1)
-//	Z12-Z13  broadcast q[k] of the two queries
-//	Z16-Z19  the group's candidates at dim k (Y14 in the YMM step)
-
-// WALKZ is WALK over a pair of queries at a time. ZERO clears the
-// accumulators, COLS loads the group's candidates at one dim, STEPA and
-// STEPB are that dim for the first and second query, STOREA and STOREB
-// write their W scores.
-#define WALKZ(W, group, pair, pdims, one, odims, done, next, ZERO, COLS, STEPA, STEPB, STOREA, STOREB) \
-group: \
-	CMPQ CX, $W; \
-	JLT  next; \
-	MOVQ qs+0(FP), SI; \
-	MOVQ nq+8(FP), R8; \
-	MOVQ DI, DX; \
-pair: \
-	CMPQ R8, $2; \
-	JLT  one; \
-	MOVQ dim+24(FP), AX; \
-	MOVQ R9, R11; \
-	ZERO; \
-pdims: \
-	VBROADCASTSD (SI), Z12; \
-	VBROADCASTSD (SI)(R10*1), Z13; \
-	COLS; \
-	STEPA; \
-	STEPB; \
-	ADDQ $8, SI; \
-	ADDQ R13, R11; \
-	DECQ AX; \
-	JNZ  pdims; \
-	ADDQ R10, SI; \
-	STOREA; \
-	STOREB; \
-	LEAQ (DX)(R12*2), DX; \
-	SUBQ $2, R8; \
-	JMP  pair; \
-one: \
-	TESTQ R8, R8; \
-	JZ    done; \
-	MOVQ  dim+24(FP), AX; \
-	MOVQ  R9, R11; \
-	ZERO; \
-odims: \
-	VBROADCASTSD (SI), Z12; \
-	COLS; \
-	STEPA; \
-	ADDQ $8, SI; \
-	ADDQ R13, R11; \
-	DECQ AX; \
-	JNZ  odims; \
-	STOREA; \
-done: \
-	ADDQ $(W*8), R9; \
-	ADDQ $(W*8), DI; \
-	SUBQ $W, CX; \
-	JMP  group
-
-// SETUPZ adds the query stride to SETUP.
-#define SETUPZ \
-	SETUP; \
-	MOVQ dim+24(FP), R10; \
-	SHLQ $3, R10
-
-#define ZZ(r) \
-	VPXORQ r, r, r
-#define ZEROZ32 ZZ(Z0); ZZ(Z1); ZZ(Z2); ZZ(Z3); ZZ(Z4); ZZ(Z5); ZZ(Z6); ZZ(Z7)
-#define ZEROZ16 ZZ(Z0); ZZ(Z1); ZZ(Z4); ZZ(Z5)
-#define ZEROZ8 ZZ(Z0); ZZ(Z4)
-#define ZEROY4 VXORPD Y0, Y0, Y0; VXORPD Y4, Y4, Y4
-
-#define COLS32 \
-	VMOVUPD (R11), Z16; \
-	VMOVUPD 64(R11), Z17; \
-	VMOVUPD 128(R11), Z18; \
-	VMOVUPD 192(R11), Z19
-#define COLS16 \
-	VMOVUPD (R11), Z16; \
-	VMOVUPD 64(R11), Z17
-#define COLS8 \
-	VMOVUPD (R11), Z16
-#define COLS4 \
-	VMOVUPD (R11), Y14
-
-// The second query's scores, one out row further.
-#define PUTB(acc, off) \
-	VMOVUPD acc, off(DX)(R12*1)
-
-// acc += |q - col|; Z11 (Y11) holds every bit but the sign.
-#define L1Z(col, q, tmp, acc) \
-	VSUBPD col, q, tmp; \
-	VPANDQ Z11, tmp, tmp; \
-	VADDPD tmp, acc, acc
-#define L1Y(col, q, tmp, acc) \
-	VSUBPD col, q, tmp; \
-	VANDPD Y11, tmp, tmp; \
-	VADDPD tmp, acc, acc
-
-#define L1A32 L1Z(Z16, Z12, Z8, Z0); L1Z(Z17, Z12, Z8, Z1); L1Z(Z18, Z12, Z8, Z2); L1Z(Z19, Z12, Z8, Z3)
-#define L1B32 L1Z(Z16, Z13, Z9, Z4); L1Z(Z17, Z13, Z9, Z5); L1Z(Z18, Z13, Z9, Z6); L1Z(Z19, Z13, Z9, Z7)
-#define L1A16 L1Z(Z16, Z12, Z8, Z0); L1Z(Z17, Z12, Z8, Z1)
-#define L1B16 L1Z(Z16, Z13, Z9, Z4); L1Z(Z17, Z13, Z9, Z5)
-#define L1A8 L1Z(Z16, Z12, Z8, Z0)
-#define L1B8 L1Z(Z16, Z13, Z9, Z4)
-#define L1A4 L1Y(Y14, Y12, Y8, Y0)
-#define L1B4 L1Y(Y14, Y13, Y9, Y4)
-
-// Negated stores, as PUTNEG; Z10 (Y10) holds the sign bit.
-#define PUTNEGZ(acc, off) \
-	VPXORQ  Z10, acc, acc; \
-	VMOVUPD acc, off(DX)
-#define PUTNEGZB(acc, off) \
-	VPXORQ  Z10, acc, acc; \
-	PUTB(acc, off)
-#define PUTNEGB(acc, off) \
-	VXORPD Y10, acc, acc; \
-	PUTB(acc, off)
-
-#define NEGA32 PUTNEGZ(Z0, 0); PUTNEGZ(Z1, 64); PUTNEGZ(Z2, 128); PUTNEGZ(Z3, 192)
-#define NEGB32 PUTNEGZB(Z4, 0); PUTNEGZB(Z5, 64); PUTNEGZB(Z6, 128); PUTNEGZB(Z7, 192)
-#define NEGA16 PUTNEGZ(Z0, 0); PUTNEGZ(Z1, 64)
-#define NEGB16 PUTNEGZB(Z4, 0); PUTNEGZB(Z5, 64)
-#define NEGA8 PUTNEGZ(Z0, 0)
-#define NEGB8 PUTNEGZB(Z4, 0)
-#define NEGA4 PUTNEG(Y0, 0)
-#define NEGB4 PUTNEGB(Y4, 0)
-
-// SIGNMASKSZ sets Z10 to the sign bit and Z11 to every other bit of each
-// lane, broadcast from a general register rather than loaded from memory.
-#define SIGNMASKSZ \
-	MOVQ         $0x8000000000000000, BX; \
-	VPBROADCASTQ BX, Z10; \
-	NOTQ         BX; \
-	VPBROADCASTQ BX, Z11
-
-// func l1TileAVX512(qs *float64, nq int, cols *float64, dim, n int, out *float64, nc int)
-TEXT ·l1TileAVX512(SB), NOSPLIT, $0-56
-	SETUPZ
-	SIGNMASKSZ
-	WALKZ(32, lz32, lz32p, lz32pk, lz32o, lz32ok, lz32d, lz16, ZEROZ32, COLS32, L1A32, L1B32, NEGA32, NEGB32)
-	WALKZ(16, lz16, lz16p, lz16pk, lz16o, lz16ok, lz16d, lz8, ZEROZ16, COLS16, L1A16, L1B16, NEGA16, NEGB16)
-	WALKZ(8, lz8, lz8p, lz8pk, lz8o, lz8ok, lz8d, lz4, ZEROZ8, COLS8, L1A8, L1B8, NEGA8, NEGB8)
-	WALKZ(4, lz4, lz4p, lz4pk, lz4o, lz4ok, lz4d, lzdone, ZEROY4, COLS4, L1A4, L1B4, NEGA4, NEGB4)
-lzdone:
-	VZEROUPPER
-	RET
-
 // The rank path's kernels, in float32 on the 512-bit lane. A ZMM register
 // holds sixteen candidates. Each kernel reads the block's queries rounded to
 // float32 (qs) and a float32 candidate-minor tile filled by
@@ -440,6 +277,11 @@ lzdone:
 //	R10  query stride in bytes (dim*4); RotatE: from a real part to its
 //	     imaginary part in qs (half*4)
 //	Z30-Z31  the two float64 halves of a register being stored
+
+// ZZ clears a ZMM register with an AVX-512F instruction (VPXORQ, not the DQ
+// subset's VXORPS on ZMM).
+#define ZZ(r) \
+	VPXORQ r, r, r
 
 // SETUP16 loads the arguments and sets the store masks: K1 every float64
 // lane, K2 and K3 the low and high halves of the candidates of the tile's

@@ -25,18 +25,20 @@ func perCandDim(b *testing.B, nq, nc, dim int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nq*nc*dim), "ns/cand·dim")
 }
 
-// benchLanes runs fn once per scoring lane this CPU can run, as
-// sub-benchmarks "go" and every lane of vecLanes ("avx2", then "avx512"
-// where the CPU has it), so one binary reports each step and a host without
-// a vector lane reports the lane it runs. The Go lane's kernels are nil. A
-// lane with approximate kernels runs once more as "<lane>-rank", rank set:
-// what its rank path (RankBlock) runs.
-func benchLanes(b *testing.B, fn func(b *testing.B, lane vecLane, rank bool)) {
-	for _, lane := range append([]vecLane{{name: "go"}}, vecLanes...) {
-		b.Run(lane.name, func(b *testing.B) { fn(b, lane, false) })
-		if slices.ContainsFunc(lane.cert[:], func(f rankFunc) bool { return f != nil }) {
-			b.Run(lane.name+"-rank", func(b *testing.B) { fn(b, lane, true) })
-		}
+// benchLanes runs fn once per set of scoring kernels this CPU can run, so
+// one binary reports each step and a host without a vector lane reports the
+// lane it runs: "go" with no vector kernels, "avx2" with the exact AVX2 twins
+// every vector lane scores with (vecKernels), and "<lane>-rank" with them
+// and the certified kernels of each lane that has some: what its rank path
+// (RankBlock) runs.
+func benchLanes(b *testing.B, fn func(b *testing.B, exact [numKinds]tileFunc, cert [numKinds]rankFunc)) {
+	b.Run("go", func(b *testing.B) { fn(b, [numKinds]tileFunc{}, [numKinds]rankFunc{}) })
+	if len(vecLanes) == 0 {
+		return
+	}
+	b.Run(vecLanes[0].name, func(b *testing.B) { fn(b, vecKernels, [numKinds]rankFunc{}) })
+	for _, lane := range certLanes() {
+		b.Run(lane.name+"-rank", func(b *testing.B) { fn(b, vecKernels, lane.cert) })
 	}
 }
 
@@ -82,17 +84,16 @@ func BenchmarkScoreTile(b *testing.B) {
 	out := make([]float64, nq*tile)
 	for kind := kindDot; kind < numKinds; kind++ {
 		b.Run(kind.String(), func(b *testing.B) {
-			benchLanes(b, func(b *testing.B, lane vecLane, rank bool) {
+			benchLanes(b, func(b *testing.B, exact [numKinds]tileFunc, cert [numKinds]rankFunc) {
 				b.ReportAllocs()
-				if rank {
-					fn := lane.cert[kind]
+				if fn := cert[kind]; fn != nil {
 					for i := 0; i < b.N; i++ {
 						fn(qs32, tbuf32, dim, 0, tile, tile, out)
 					}
 					perCandDim(b, nq, tile, dim)
 					return
 				}
-				fn := lane.kernels[kind]
+				fn := exact[kind]
 				if fn == nil {
 					fn = goKernels[kind]
 				}
@@ -129,12 +130,9 @@ func BenchmarkScoreBlock(b *testing.B) {
 				hs := benchPool(rng, rows, nq, false)
 				out := make([]float64, nq*strip)
 				b.Run(fmt.Sprintf("%s/%v/%dx%d", kind, p, nq, strip), func(b *testing.B) {
-					benchLanes(b, func(b *testing.B, lane vecLane, rank bool) {
+					benchLanes(b, func(b *testing.B, exact [numKinds]tileFunc, cert [numKinds]rankFunc) {
 						bs := NewBatchScorer(m, BatchOptions{Precision: p, Tile: TileFor(strip, dim, p)}).(*storeScorer)
-						bs.vec, bs.cert = lane.kernels[kindDot], nil
-						if rank {
-							bs.cert = lane.cert[kindDot]
-						}
+						bs.vec, bs.cert = exact[kindDot], cert[kindDot]
 						bs.ScoreTailsBatch(hs, 1, cands, out) // build the store and the block, size the scratch
 						bounds := make([]Bound, nq)
 						b.ReportAllocs()
@@ -156,9 +154,9 @@ func BenchmarkScoreBlock(b *testing.B) {
 // through the scorer: one block of 16 tail and 16 head queries of one
 // relation, the relation alternating between two so that TuckER contracts
 // its core once per block, as a pass does. It reports ns per query on every
-// lane (benchLanes): "go" runs rowAccGo and convGo, a vector lane its
-// row-accumulate (four outputs a register on avx2, eight on avx512) and the
-// AVX2 conv layer. The rung under kgebench's
+// lane the CPU can run: "go" runs rowAccGo and convGo, a vector lane of
+// vecLanes its row-accumulate (four outputs a register on avx2, eight on
+// avx512) and the AVX2 conv layer. The rung under kgebench's
 // kgc.score_ns_per_cand_dim.{ConvE,TuckER,RESCAL}, which includes the
 // builders; at dim 256 TuckER's core is 134 MB.
 func BenchmarkBuildQueries(b *testing.B) {
@@ -172,25 +170,25 @@ func BenchmarkBuildQueries(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("%s/dim%d", name, dim), func(b *testing.B) {
-				benchLanes(b, func(b *testing.B, lane vecLane, rank bool) {
-					if rank {
-						b.Skip("the rank path builds its queries as the lane does")
-					}
-					defer func(r rowAccFunc, c convFunc) { rowAcc, conv = r, c }(rowAcc, conv)
-					rowAcc, conv = rowAccGo, convGo
-					if lane.rowAcc != nil {
-						rowAcc, conv = lane.rowAcc, lane.conv
-					}
-					bs := NewBatchScorer(m, BatchOptions{})
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						r := int32(i % 2)
-						bs.BeginBlock(2 * nq)
-						bs.AddTails(es, r)
-						bs.AddHeads(es, r)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*nq), "ns/query")
-				})
+				installed := conv
+				for _, lane := range append([]vecLane{{name: "go"}}, vecLanes...) {
+					b.Run(lane.name, func(b *testing.B) {
+						defer func(r rowAccFunc, c convFunc) { rowAcc, conv = r, c }(rowAcc, conv)
+						rowAcc, conv = rowAccGo, convGo
+						if lane.rowAcc != nil {
+							rowAcc, conv = lane.rowAcc, installed
+						}
+						bs := NewBatchScorer(m, BatchOptions{})
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							r := int32(i % 2)
+							bs.BeginBlock(2 * nq)
+							bs.AddTails(es, r)
+							bs.AddHeads(es, r)
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*nq), "ns/query")
+					})
+				}
 			})
 		}
 	}

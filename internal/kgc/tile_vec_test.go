@@ -19,11 +19,13 @@ import (
 // The vector lanes' gate. The Go tile kernels — untouched, and themselves
 // held to the gather oracle in tile_lane_test.go — are the oracle for their
 // assembly twins: every score must have the same bits, because the protocol
-// ranks by float equality. Every lane the CPU can run (vecLanes: avx2, and
-// avx512 where present) is held to them, not only the installed one, so the
-// 256-bit twins stay tested on a 512-bit host. On a host without a vector
-// lane (non-amd64, -tags purego, no AVX2) there is nothing to compare and
-// these tests skip.
+// ranks by float equality. The exact twins and the conv layer are one set
+// that every vector lane runs (vecKernels, conv), held to the Go code once;
+// what differs by lane, the row-accumulate, is held to it on every lane the
+// CPU can run (vecLanes: avx2, and avx512 where present), not only the
+// installed one, so the 256-bit twin stays tested on a 512-bit host. On a
+// host without a vector lane (non-amd64, -tags purego, no AVX2) there is
+// nothing to compare and these tests skip.
 
 func (k tileKind) String() string { return [...]string{"Dot", "L1", "Rot"}[k] }
 
@@ -76,10 +78,10 @@ func transposed(rows []float64, n, dim int) []float64 {
 }
 
 // checkTileKernels runs one kernel pair on one shape and reports the first
-// difference: lane's vector kernel must write exactly what the Go kernel
-// writes — out[i*nc+j] for j0 <= j < j1 — and nothing else, inside out or
-// around it.
-func checkTileKernels(lane vecLane, kind tileKind, qs, rows []float64, dim, j0, j1, nc int) error {
+// difference: the vector kernel must write exactly what the Go kernel writes
+// — out[i*nc+j] for j0 <= j < j1 — and nothing else, inside out or around
+// it.
+func checkTileKernels(kind tileKind, qs, rows []float64, dim, j0, j1, nc int) error {
 	nq, n := len(qs)/dim, j1-j0
 	want := make([]float64, nq*nc)
 	for i := range want {
@@ -93,15 +95,15 @@ func checkTileKernels(lane vecLane, kind tileKind, qs, rows []float64, dim, j0, 
 	}
 	cols, colsIntact := guarded(n * dim)
 	copy(cols, transposed(rows, n, dim))
-	lane.kernels[kind](qs, cols, dim, j0, j1, nc, got)
+	vecKernels[kind](qs, cols, dim, j0, j1, nc, got)
 	for i := range want {
 		if !sameScore(got[i], want[i]) {
-			return fmt.Errorf("%s %v dim=%d nq=%d tile=[%d,%d) of %d: out[%d] = %x (%v), Go kernel %x (%v)",
-				lane.name, kind, dim, nq, j0, j1, nc, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+			return fmt.Errorf("%v dim=%d nq=%d tile=[%d,%d) of %d: out[%d] = %x (%v), Go kernel %x (%v)",
+				kind, dim, nq, j0, j1, nc, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
 		}
 	}
 	if !outIntact() || !colsIntact() {
-		return fmt.Errorf("%s %v dim=%d nq=%d tile=[%d,%d) of %d: wrote outside its buffers", lane.name, kind, dim, nq, j0, j1, nc)
+		return fmt.Errorf("%v dim=%d nq=%d tile=[%d,%d) of %d: wrote outside its buffers", kind, dim, nq, j0, j1, nc)
 	}
 	return nil
 }
@@ -121,28 +123,26 @@ func plantedVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// Each lane's assembly kernels against the three Go kernels, directly: every
+// The assembly tile kernels against the three Go kernels, directly: every
 // accumulator width (tiles of 4 to 100 candidates, each remainder of the
-// 512-bit groups included), odd and tiny dims, even and odd query counts (the
-// 512-bit kernels take queries in pairs), a tile in the middle of a wider
-// pool, and no write outside the tile's scores.
+// groups of 32, 16, 8 and 4 included), odd and tiny dims, even and odd query
+// counts, a tile in the middle of a wider pool, and no write outside the
+// tile's scores.
 func TestVectorKernelsMatchGoKernels(t *testing.T) {
 	needVectorLane(t)
-	for _, lane := range vecLanes {
-		rng := rand.New(rand.NewSource(5))
-		for kind := kindDot; kind < numKinds; kind++ {
-			for _, dim := range []int{1, 2, 3, 4, 7, 32, 64, 100, 128, 256} {
-				if kind == kindRot && dim < 2 {
-					continue // no complex dim: vecTile rejects it
-				}
-				for _, n := range []int{4, 8, 12, 16, 24, 28, 32, 36, 44, 60, 64, 100} {
-					for _, nq := range []int{1, 2, 5, 54} {
-						qs, rows := plantedVec(rng, nq*dim), plantedVec(rng, n*dim)
-						copy(rows[dim:2*dim], rows[:dim]) // candidates 0 and 1 tie exactly
-						j0 := rng.Intn(7)
-						if err := checkTileKernels(lane, kind, qs, rows, dim, j0, j0+n, j0+n+rng.Intn(5)); err != nil {
-							t.Fatal(err)
-						}
+	rng := rand.New(rand.NewSource(5))
+	for kind := kindDot; kind < numKinds; kind++ {
+		for _, dim := range []int{1, 2, 3, 4, 7, 32, 64, 100, 128, 256} {
+			if kind == kindRot && dim < 2 {
+				continue // no complex dim: vecTile rejects it
+			}
+			for _, n := range []int{4, 8, 12, 16, 24, 28, 32, 36, 44, 60, 64, 100} {
+				for _, nq := range []int{1, 2, 5, 54} {
+					qs, rows := plantedVec(rng, nq*dim), plantedVec(rng, n*dim)
+					copy(rows[dim:2*dim], rows[:dim]) // candidates 0 and 1 tie exactly
+					j0 := rng.Intn(7)
+					if err := checkTileKernels(kind, qs, rows, dim, j0, j0+n, j0+n+rng.Intn(5)); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
@@ -150,20 +150,21 @@ func TestVectorKernelsMatchGoKernels(t *testing.T) {
 	}
 }
 
-// funcID is the closure a func value points at: vecTile and vecRowAcc build
-// a fresh one for every kernel they wrap, so two lanes' entries never share
-// one.
+// funcID is the closure a func value points at: vecTile, vecRank and
+// vecRowAcc build a fresh one for every kernel they wrap, so two lanes'
+// entries never share one.
 func funcID[F any](f F) unsafe.Pointer {
 	return *(*unsafe.Pointer)(unsafe.Pointer(&f))
 }
 
-// The installed kernels are the widest lane's: vecKernels and certKernels
-// are its two sets, and on an AVX-512 host the rank path runs no 256-bit
-// kernel — a certified float32 kernel of every kind. The exact dot and
-// RotatE scores there come from the AVX2 twins by design, since the 512-bit
-// lane has no exact twin of those two. The lanes' ranks are the same, so an init elsewhere in the
-// package that ran after tile_amd64.go's and put back the 256-bit kernels
-// would pass every other test and show only in a timing.
+// The installed code is the shape the lanes have: both vector lanes score
+// with the AVX2 exact twins and build ConvE's queries with the AVX2 conv
+// layer, and only the 512-bit lane has certified kernels — one of every
+// kind, so its rank path runs no exact kernel — and a row-accumulate of its
+// own, which is the installed one there. The lanes' ranks are the same, so
+// an init elsewhere in the package that ran after tile_amd64.go's and put
+// back the 256-bit row-accumulate or dropped the certified kernels would
+// pass every other test and show only in a timing.
 func TestWidestLaneIsInstalled(t *testing.T) {
 	want := "go"
 	switch {
@@ -186,19 +187,29 @@ func TestWidestLaneIsInstalled(t *testing.T) {
 		}
 		return
 	}
-	widest := vecLanes[len(vecLanes)-1]
 	for kind := kindDot; kind < numKinds; kind++ {
-		if funcID(vecKernels[kind]) != funcID(widest.kernels[kind]) || funcID(certKernels[kind]) != funcID(widest.cert[kind]) {
-			t.Errorf("%v: the installed kernels are not the %s lane's", kind, widest.name)
+		if vecKernels[kind] == nil {
+			t.Errorf("%v: no exact vector kernel is installed", kind)
 		}
 	}
-	if funcID(rowAcc) != funcID(widest.rowAcc) || funcID(conv) != funcID(widest.conv) {
-		t.Errorf("the installed query builders are not the %s lane's", widest.name)
+	if funcID(conv) == funcID(convGo) {
+		t.Error("the vector lanes build ConvE's queries with the Go conv layer")
+	}
+	avx2, widest := vecLanes[0], vecLanes[len(vecLanes)-1]
+	if funcID(rowAcc) != funcID(widest.rowAcc) {
+		t.Errorf("the installed row-accumulate is not the %s lane's", widest.name)
+	}
+	for kind := kindDot; kind < numKinds; kind++ {
+		if avx2.cert[kind] != nil {
+			t.Errorf("%v: the avx2 lane has a certified kernel", kind)
+		}
+		if funcID(certKernels[kind]) != funcID(widest.cert[kind]) {
+			t.Errorf("%v: the installed certified kernel is not the %s lane's", kind, widest.name)
+		}
 	}
 	if cpu.AVX512 {
-		avx2 := vecLanes[0]
 		if funcID(rowAcc) == funcID(avx2.rowAcc) {
-			t.Error("the query builders run the avx2 row-accumulate")
+			t.Error("the 512-bit lane runs the avx2 row-accumulate")
 		}
 		for kind := kindDot; kind < numKinds; kind++ {
 			if certKernels[kind] == nil {
@@ -226,16 +237,14 @@ func TestVectorKernelRejectsBadShapes(t *testing.T) {
 		"short scores":           {kindRot, nq * dim, 4 * dim, nq*4 - 1, dim, 0, 4, 4},
 		"RotatE without a dim":   {kindRot, nq, 4, nq * 4, 1, 0, 4, 4},
 	} {
-		for _, lane := range vecLanes {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s %s: the vector kernel wrapper did not panic", lane.name, name)
-					}
-				}()
-				lane.kernels[c.kind](make([]float64, c.qs), make([]float64, c.cols), c.dim, c.j0, c.j1, c.nc, make([]float64, c.out))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the vector kernel wrapper did not panic", name)
+				}
 			}()
-		}
+			vecKernels[c.kind](make([]float64, c.qs), make([]float64, c.cols), c.dim, c.j0, c.j1, c.nc, make([]float64, c.out))
+		}()
 	}
 }
 
@@ -266,25 +275,23 @@ func TestRowAccumulateRejectsBadShapes(t *testing.T) {
 // sums shorter than the image's four channels panic in Go.
 func TestConvRejectsBadShapes(t *testing.T) {
 	needVectorLane(t)
-	for _, lane := range vecLanes {
-		const img = 6 * convDW
-		for name, c := range map[string]struct{ pre, feat int }{
-			"short features":    {-1, convChannels*img - 1},
-			"short pre-BN sums": {convChannels*img - 1, convChannels * img},
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s %s: the conv wrapper did not panic", lane.name, name)
-					}
-				}()
-				var pre []float64
-				if c.pre >= 0 {
-					pre = make([]float64, c.pre)
+	const img = 6 * convDW
+	for name, c := range map[string]struct{ pre, feat int }{
+		"short features":    {-1, convChannels*img - 1},
+		"short pre-BN sums": {convChannels*img - 1, convChannels * img},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the conv wrapper did not panic", name)
 				}
-				lane.conv(new(convWeights), make([]float64, img), pre, make([]float64, c.feat))
 			}()
-		}
+			var pre []float64
+			if c.pre >= 0 {
+				pre = make([]float64, c.pre)
+			}
+			conv(new(convWeights), make([]float64, img), pre, make([]float64, c.feat))
+		}()
 	}
 }
 
@@ -316,10 +323,10 @@ func TestOutOfRangeCandidatePanicsInGo(t *testing.T) {
 	}
 }
 
-// TestVectorLaneMatchesGoKernels is each whole lane against the whole Go
-// lane through NewBatchScorer: scorers over the same model and store, one
-// with its vector kernel taken away and one per lane of vecLanes, must fill
-// out with the same bits — over every dim and tile the kernels specialise
+// TestVectorLaneMatchesGoKernels is the whole vector lane against the whole
+// Go lane through NewBatchScorer: scorers over the same model and store, one
+// with its vector kernel taken away and one as installed, must fill out
+// with the same bits — over every dim and tile the kernels specialise
 // on, chunk sizes from one query to the planner's 54, consecutive and
 // scattered pools whose length leaves sub-group tails, all three
 // precisions, both directions, all seven models, and entity rows planted
@@ -357,11 +364,7 @@ func TestVectorLaneMatchesGoKernels(t *testing.T) {
 				for _, tile := range tiles {
 					ref := NewBatchScorer(m, BatchOptions{Precision: p, Tile: tile}).(*storeScorer)
 					ref.vec = nil
-					vecs := make([]*storeScorer, len(vecLanes))
-					for l, lane := range vecLanes {
-						vecs[l] = NewBatchScorer(m, BatchOptions{Precision: p, Tile: tile}).(*storeScorer)
-						vecs[l].vec = lane.kernels[vecs[l].m.lane().kind]
-					}
+					vec := NewBatchScorer(m, BatchOptions{Precision: p, Tile: tile}).(*storeScorer)
 					n := 2*tile + 3
 					pools := map[string][]int32{"consecutive": make([]int32, n), "scattered": make([]int32, n)}
 					for j := 0; j < n; j++ {
@@ -379,20 +382,17 @@ func TestVectorLaneMatchesGoKernels(t *testing.T) {
 										scoreHeadsBatch(s, ents[:nq], 1, cands, out)
 									}
 								}
-								want := make([]float64, nq*n)
+								want, got := make([]float64, nq*n), make([]float64, nq*n)
 								score(ref, want)
-								for l, vec := range vecs {
-									got := make([]float64, nq*n)
-									score(vec, got)
-									for i := range want {
-										if !sameScore(got[i], want[i]) {
-											t.Fatalf("%s %s dim=%d %v tile=%d %s nq=%d tails=%v: score[%d] = %x (%v), Go lane %x (%v)",
-												vecLanes[l].name, m.Name(), dim, p, tile, pname, nq, tails, i,
-												math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
-										}
+								score(vec, got)
+								for i := range want {
+									if !sameScore(got[i], want[i]) {
+										t.Fatalf("%s dim=%d %v tile=%d %s nq=%d tails=%v: score[%d] = %x (%v), Go lane %x (%v)",
+											m.Name(), dim, p, tile, pname, nq, tails, i,
+											math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
 									}
-									compared += len(want)
 								}
+								compared += len(want)
 							}
 						}
 					}
@@ -405,9 +405,9 @@ func TestVectorLaneMatchesGoKernels(t *testing.T) {
 
 // FuzzTileKernels lets the fuzzer pick the shape (kernel, dim, candidate
 // groups, queries, where the tile sits in its pool) and the bytes of every
-// query and candidate value, and holds every lane's exact assembly (the
-// 256-bit twins, and the 512-bit L1 twin where the CPU has it) to the Go
-// kernels by bits and to its buffers by guard words, and the 512-bit lane's
+// query and candidate value, and holds the exact assembly (the AVX2 twins,
+// which every vector lane runs) to the Go kernels by bits and to its buffers
+// by guard words, and the 512-bit lane's
 // certified float32 dot (four queries at a time), L1 and RotatE kernels to
 // them within certBound, over a tile of any width (the group's candidates
 // less padB mod 4, so the last register's masked store sees every count).
@@ -468,15 +468,13 @@ func FuzzTileKernels(f *testing.F) {
 		j0 := int(padB) % 5
 		nc := j0 + n + int(padB)/5%4
 		vals := fuzzFloats(data, (nq+n)*dim)
-		for _, lane := range vecLanes {
-			if err := checkTileKernels(lane, kind, vals[:nq*dim], vals[nq*dim:], dim, j0, j0+n, nc); err != nil {
+		if err := checkTileKernels(kind, vals[:nq*dim], vals[nq*dim:], dim, j0, j0+n, nc); err != nil {
+			t.Fatal(err)
+		}
+		for _, lane := range certLanes() {
+			cn := n - int(padB)%4
+			if _, err := checkCertKernel(lane, kind, vals[:nq*dim], vals[nq*dim:(nq+cn)*dim], dim, j0, nc-j0-cn); err != nil {
 				t.Fatal(err)
-			}
-			if lane.cert[kind] != nil {
-				cn := n - int(padB)%4
-				if _, err := checkCertKernel(lane, kind, vals[:nq*dim], vals[nq*dim:(nq+cn)*dim], dim, j0, nc-j0-cn); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 	})
@@ -578,7 +576,7 @@ func FuzzRowAccumulate(f *testing.F) {
 	})
 }
 
-// FuzzConvFeatures holds each lane's conv layer under ConvE's query
+// FuzzConvFeatures holds the vector lanes' conv layer under ConvE's query
 // builder to convGo: the same bits in every feature and every pre-BN sum,
 // and no write past either (guard words). The fuzzer picks the dim (4, 8,
 // 20, 28 or 64: images of 2, 4, 10, 14 and 32 rows, so the top and bottom
@@ -641,28 +639,26 @@ func FuzzConvFeatures(f *testing.F) {
 		n := convChannels * len(img)
 		wantPre, wantFeat := make([]float64, n), make([]float64, n)
 		convGo(&w, img, wantPre, wantFeat)
-		for _, lane := range vecLanes {
-			for _, withPre := range []bool{true, false} {
-				pre, preIntact := guarded(n)
-				feat, featIntact := guarded(n)
-				if withPre {
-					lane.conv(&w, img, pre, feat)
-				} else {
-					lane.conv(&w, img, nil, feat)
+		for _, withPre := range []bool{true, false} {
+			pre, preIntact := guarded(n)
+			feat, featIntact := guarded(n)
+			if withPre {
+				conv(&w, img, pre, feat)
+			} else {
+				conv(&w, img, nil, feat)
+			}
+			for i := range n {
+				if withPre && !sameScore(pre[i], wantPre[i]) {
+					t.Fatalf("dim=%d: pre-BN sum %d = %x (%v), Go loop %x (%v)",
+						dim, i, math.Float64bits(pre[i]), pre[i], math.Float64bits(wantPre[i]), wantPre[i])
 				}
-				for i := range n {
-					if withPre && !sameScore(pre[i], wantPre[i]) {
-						t.Fatalf("%s dim=%d: pre-BN sum %d = %x (%v), Go loop %x (%v)",
-							lane.name, dim, i, math.Float64bits(pre[i]), pre[i], math.Float64bits(wantPre[i]), wantPre[i])
-					}
-					if !sameScore(feat[i], wantFeat[i]) {
-						t.Fatalf("%s dim=%d pre=%v: feature %d = %x (%v), Go loop %x (%v)",
-							lane.name, dim, withPre, i, math.Float64bits(feat[i]), feat[i], math.Float64bits(wantFeat[i]), wantFeat[i])
-					}
+				if !sameScore(feat[i], wantFeat[i]) {
+					t.Fatalf("dim=%d pre=%v: feature %d = %x (%v), Go loop %x (%v)",
+						dim, withPre, i, math.Float64bits(feat[i]), feat[i], math.Float64bits(wantFeat[i]), wantFeat[i])
 				}
-				if !featIntact() || !preIntact() {
-					t.Fatalf("%s dim=%d pre=%v: wrote outside feat or convPre", lane.name, dim, withPre)
-				}
+			}
+			if !featIntact() || !preIntact() {
+				t.Fatalf("dim=%d pre=%v: wrote outside feat or convPre", dim, withPre)
 			}
 		}
 	})

@@ -19,8 +19,8 @@ import (
 // (count.go); these tests plant what that is hardest for — exact ties,
 // near-ties, NaN and infinite rows, values past the overflow gate, constant
 // scores — and hold the ranks to the oracle's, which scores every candidate
-// exactly through the model's own methods. Elsewhere they run the exact
-// count and hold it to the same oracle.
+// exactly through the model's own methods. Elsewhere every Bound is zero,
+// and they hold the same count, over exact scores, to the same oracle.
 
 // certifiedModels are the models the 512-bit lane scores approximately.
 var certifiedModels = []string{"TransE", "DistMult", "ComplEx", "RESCAL", "TuckER", "ConvE", "RotatE"}
@@ -277,22 +277,69 @@ func TestCertifiedFullPassRescoresNothing(t *testing.T) {
 	}
 }
 
+// A TransE row past the L1 kernel's overflow gate (kgc's
+// TestCertL1OverflowGate, "above": one value of 2⁹⁷·(1 + 2⁻⁴⁰) at dim 8, so
+// n·max|c| passes 2¹⁰⁰) leaves every strip that holds it without a bound:
+// RankBlock writes NaN scores and an infinite Abs, and the count rescores
+// the strip whole. A full-protocol pass must still rank as the oracle does,
+// and its traced rescored count is exactly the candidates it scored on the
+// 512-bit lane, where each block's one strip holds the row, and 0 elsewhere,
+// where the scores are exact.
+func TestCertifiedRankAboveTheL1Gate(t *testing.T) {
+	g := evalGraph(t)
+	shrinkChunks(t, 16, 16*g.NumEntities) // one strip a block
+	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
+	m, err := kgc.New("TransE", g, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	editEntities(t, m, g.NumEntities, func(rows [][]float64) {
+		rows[40][3] = 0x1p97 * (1 + 0x1p-40)
+	})
+	store := trace.NewStore(0, 1024)
+	ctx, root := store.StartTrace(context.Background(), "overflow")
+	opts := Options{Filter: filter, Seed: 9, MaxQueries: 60, Workers: 2, Ctx: ctx}
+	checkAgainstOracle(t, "TransE above the gate", m, m, g, g.Test, NewFullProvider(g.NumEntities), opts)
+	root.End()
+	passes := 0
+	for _, s := range root.Recorder().Snapshot().Spans {
+		if s.Name != "eval.pass" {
+			continue
+		}
+		passes++
+		rescored, _ := s.Attr("rescored").(int64)
+		want, _ := s.Attr("candidates_scored").(int64)
+		if kgc.Kernel() != "avx512" {
+			want = 0
+		}
+		if rescored != want {
+			t.Errorf("%s lane: the pass rescored %v candidates, want %d", kgc.Kernel(), s.Attr("rescored"), want)
+		}
+	}
+	if passes != 1 {
+		t.Fatalf("%d eval.pass spans, want 1", passes)
+	}
+}
+
 // stripScorer is a kgc.BatchScorer whose only method in use is Rescore: the
-// exact scores of one strip, for countWithin.
+// exact scores of one strip, for countWithin. calls counts the Rescores.
 type stripScorer struct {
 	kgc.BatchScorer
 	exact []float64
+	calls int
 }
 
 // Rescore copies the exact scores of cands, a sub-slice of the strip's
 // candidates whose capacity ends with the strip's: where it starts is what
 // its capacity says.
 func (s *stripScorer) Rescore(i int, cands []int32, out []float64) {
+	s.calls++
 	j := len(s.exact) - cap(cands)
 	copy(out, s.exact[j:j+len(cands)])
 }
 
-// FuzzCertifiedCount holds countWithin to the exact count. The fuzzer picks
+// FuzzCertifiedCount holds countWithin to naiveCounts over the exact scores
+// (oracle_test.go's scalar filtered count). The fuzzer picks
 // a strip of exact scores (planted with exact ties, near-ties one to four
 // ulps from t, NaN, ±Inf, ±0 and subnormals), the answer's score t among
 // them or not, a Bound from zero to huge — Rel from 2⁻⁵³ to 2⁻¹⁰, or the
@@ -300,7 +347,8 @@ func (s *stripScorer) Rescore(i int, cands []int32, out []float64) {
 // that move each score anywhere the Bound allows (or to NaN, which may stand
 // for any score); the answer and some known positives sit in the pool,
 // which repeats ids, and the strip is counted whole or cut at a chosen
-// point. Every cut must give the exact count's better and tie counts.
+// point. Every cut must give the exact scores' better and tie counts, and
+// under the zero Bound, whose scores are exact, none may call Rescore.
 func FuzzCertifiedCount(f *testing.F) {
 	f.Add(uint8(20), uint8(3), uint8(5), uint8(0), uint16(40), uint8(7), int64(1))
 	f.Add(uint8(64), uint8(0), uint8(9), uint8(2), uint16(900), uint8(31), int64(2))
@@ -394,8 +442,7 @@ func FuzzCertifiedCount(f *testing.F) {
 		x.index(pool, int(id)+2)
 		defer x.clear()
 
-		want := blockQuery{truth: truth, score: tv, known: known}
-		want.count(&x, 0, exact)
+		wantBetter, wantTies := naiveCounts(pool, exact, tv, truth, known)
 		cut := int(cutB) % (n + 1)
 		got := blockQuery{truth: truth, score: tv, known: known}
 		for _, r := range [][2]int{{0, cut}, {cut, n}} {
@@ -403,10 +450,13 @@ func FuzzCertifiedCount(f *testing.F) {
 			bs := &stripScorer{exact: exact[r[0]:r[1]:r[1]]}
 			w := window{b: b, bs: bs, cands: pool[r[0]:r[1]:r[1]]}
 			got.countWithin(&x, r[0], scores, &w)
+			if b == (kgc.Bound{}) && bs.calls > 0 {
+				t.Fatalf("n=%d t=%v cut %d: the zero Bound called Rescore %d times", n, tv, cut, bs.calls)
+			}
 		}
-		if got.better != want.better || got.ties != want.ties {
-			t.Fatalf("n=%d t=%v bound %+v cut %d: %d better, %d ties; exact count %d, %d\nexact %v\napprox %v",
-				n, tv, b, cut, got.better, got.ties, want.better, want.ties, exact, approx)
+		if got.better != wantBetter || got.ties != wantTies {
+			t.Fatalf("n=%d t=%v bound %+v cut %d: %d better, %d ties; naive count %d, %d\nexact %v\napprox %v",
+				n, tv, b, cut, got.better, got.ties, wantBetter, wantTies, exact, approx)
 		}
 	})
 }

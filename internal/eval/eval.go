@@ -39,18 +39,20 @@
 // directions and so read the entity table once per 64 queries. EvaluateMany
 // reuses a single plan across many models, amortizing pool construction.
 //
-// Ranking a strip is the rank merge (blockQuery.count): every score of the
-// strip is compared with the true triple's score — countGo, or on AVX2 its
-// vector twin (count_amd64.s), eight scores a step — and then what the answer
-// and the known positives inside the strip added is taken back. On the
-// 512-bit lane the strip holds approximate scores within a proven bound
-// (kgc.BatchScorer.RankBlock): the compare is then against a window around
-// the true triple's score, and what falls inside it is rescored exactly
-// (count.go proves why the ranks stay exact). Each of them
-// is one lookup in a position index of the block's pool (poolIndex: 1 plus
-// the first index of each id), which the worker fills once per block and
-// clears when the block ends. The index is |E|·4 bytes per worker, 48 KB at
-// 12 000 entities, and is kept across blocks and passes.
+// Ranking a strip is the rank merge (blockQuery.countWithin), one count for
+// every strip: each score is compared with a window around the true
+// triple's score — outsideGo, or on AVX2 its vector twin (count_amd64.s),
+// eight scores a step — what falls inside it is compared exactly, and then
+// what the known positives inside the strip added is taken back. The
+// window is [t, t] where the strip's scores are exact (the zero
+// kgc.Bound); on the 512-bit lane the strip holds approximate scores within
+// a proven bound (kgc.BatchScorer.RankBlock), the window widens by it, and
+// what falls inside is rescored exactly (count.go proves why the ranks stay
+// exact). The answer and each known positive cost one lookup in a position
+// index of the block's pool (poolIndex: 1 plus the first index of each id),
+// which the worker fills once per block and clears when the block ends. The
+// index is |E|·4 bytes per worker, 48 KB at 12 000 entities, and is kept
+// across blocks and passes.
 package eval
 
 import (
@@ -248,7 +250,7 @@ func EvaluateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, provider Candi
 }
 
 // blockQuery is one directed query of a block while its pool is swept, one
-// strip at a time in pool order (count); the counters are integers, so where
+// strip at a time in pool order (countWithin); the counters are integers, so where
 // the strips are cut does not show in the rank.
 type blockQuery struct {
 	slot         int     // index into pass.ranks: 2·query for the tail side, +1 for the head side

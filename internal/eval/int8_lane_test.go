@@ -41,7 +41,7 @@ func (o int8Oracle) ScoreTails(h, r int32, c []int32, s []float64) {
 func (o int8Oracle) ScoreHeads(r, t int32, c []int32, s []float64) {
 	o.bs.BeginBlock(1)
 	o.bs.AddHeads([]int32{t}, r)
-	o.bs.ScoreBlock(c, s)
+	o.bs.Rescore(0, c, s)
 }
 
 // Int8 is an execution precision, not a different protocol: for every model

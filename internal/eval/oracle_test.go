@@ -42,15 +42,22 @@ func oracleRanks(m kgc.Model, filter *kg.FilterIndex, p *plan) (ranks []float64,
 }
 
 // naiveRank is 1 + #{strictly better} + #{ties}/2 over the candidates that
-// are neither the answer nor a known positive, with a map as the skip-set.
-// NaN sorts below every number and ties with NaN.
+// are neither the answer nor a known positive (naiveCounts).
 func naiveRank(pool []int32, scores []float64, trueScore float64, truth int32, known []int32) float64 {
+	better, ties := naiveCounts(pool, scores, trueScore, truth, known)
+	return 1 + float64(better) + float64(ties)/2
+}
+
+// naiveCounts counts the candidates that are neither the answer nor a known
+// positive and score strictly better than the true triple or tie with it,
+// with a map as the skip-set. NaN sorts below every number and ties with
+// NaN.
+func naiveCounts(pool []int32, scores []float64, trueScore float64, truth int32, known []int32) (better, ties int) {
 	skip := map[int32]bool{truth: true}
 	for _, k := range known {
 		skip[k] = true
 	}
 	nan := trueScore != trueScore
-	better, ties := 0, 0
 	for i, c := range pool {
 		switch s := scores[i]; {
 		case skip[c]:
@@ -60,7 +67,7 @@ func naiveRank(pool []int32, scores []float64, trueScore float64, truth int32, k
 			ties++
 		}
 	}
-	return 1 + float64(better) + float64(ties)/2
+	return better, ties
 }
 
 // oracleMetrics reduces ranks the way the Metrics fields are defined,
@@ -327,8 +334,9 @@ func TestOracleGatePlainModelsAndProperties(t *testing.T) {
 	}
 }
 
-// blockQuery.count is resumable: fed a pool in strips of any length it ends
-// on the rank naiveRank gives the whole pool. The pools here repeat ids (the
+// blockQuery.countWithin is resumable: fed a pool of exact scores (the zero
+// Bound) in strips of any length it ends on the rank naiveRank gives the
+// whole pool. The pools here repeat ids (the
 // provider contract says sorted, not distinct), so an answer or a known
 // positive can sit on both sides of a strip edge, and every strip length from
 // one candidate to the whole pool puts the edges everywhere. Each trial's
@@ -378,10 +386,11 @@ func TestStripCountsMatchNaiveRank(t *testing.T) {
 					above++
 				}
 			}
+			var w window // the zero Bound: the scores are exact, and none is rescored
 			for j0 := 0; j0 < n; j0 += strip {
 				j1 := min(j0+strip, n)
-				q.count(&x, j0, nil) // an empty strip counts nothing
-				q.count(&x, j0, scores[j0:j1])
+				q.countWithin(&x, j0, nil, &w) // an empty strip counts nothing
+				q.countWithin(&x, j0, scores[j0:j1], &w)
 			}
 			x.clear()
 			if got := q.rank(); got != want {

@@ -15,7 +15,7 @@ import "math"
 // ScoreTails/ScoreHeads for the same queries. The evaluation engine ranks raw
 // float scores by equality; its test oracle scores through the model's
 // per-query methods. The one exception is RankBlock, which is for ranking
-// alone: its scores may miss ScoreBlock's by a stated Bound, and what that
+// alone: its scores may miss the exact ones by a stated Bound, and what that
 // Bound cannot settle is settled with Rescore.
 type BatchScorer interface {
 	// BeginBlock empties the block and reserves room for n queries.
@@ -24,15 +24,15 @@ type BatchScorer interface {
 	AddTails(hs []int32, r int32)
 	// AddHeads appends the queries (?, r, ts[i]) to the block.
 	AddHeads(ts []int32, r int32)
-	// ScoreBlock writes the score of the block's i-th query against cands[j]
-	// into out[i*len(cands)+j]. len(out) must be block queries × len(cands).
-	ScoreBlock(cands []int32, out []float64)
-	// RankBlock is ScoreBlock for a rank: each score of query i it writes
-	// that is a number lies within bounds[i] of what ScoreBlock writes, and a
-	// NaN may stand for any score. len(bounds) must be at least the block's
-	// queries. Where every Bound is zero the scores are ScoreBlock's bits.
+	// RankBlock writes a score of the block's i-th query against cands[j]
+	// into out[i*len(cands)+j], for a rank: each one that is a number lies
+	// within bounds[i] of the exact score (what Rescore writes), and a NaN
+	// may stand for any score. len(out) must be block queries × len(cands),
+	// len(bounds) at least the block's queries. A zero Bound says its
+	// query's scores are the exact bits; a query no Bound holds for gets NaN
+	// scores and an infinite Abs, which leave every comparison to Rescore.
 	RankBlock(cands []int32, out []float64, bounds []Bound)
-	// Rescore writes the block's i-th query's ScoreBlock scores against cands
+	// Rescore writes the block's i-th query's exact scores against cands
 	// into out[:len(cands)]: what a rank turns to where a Bound cannot settle
 	// a comparison.
 	Rescore(i int, cands []int32, out []float64)
@@ -42,7 +42,7 @@ type BatchScorer interface {
 	// the one id e (head query): for a built-in model, a base plus two query
 	// builders, both run the builder and its base's Go tile kernel. At
 	// reduced precision e's row comes from the store the candidates' do, so
-	// it is what ScoreBlock writes for e. It leaves the block as it was.
+	// it is what Rescore writes for e. It leaves the block as it was.
 	ScoreAnswer(i int, e int32) float64
 	// ScoreTailsBatch is a block of tail queries in one call: the score of
 	// (hs[i], r, cands[j]) goes into out[i*len(cands)+j].
@@ -80,7 +80,8 @@ func addQueries(block []directedQuery, es []int32, r int32, tail bool) []directe
 	return block
 }
 
-func (a *batchAdapter) ScoreBlock(cands []int32, out []float64) {
+// scoreBlock replays each block query's own ScoreTails or ScoreHeads over cands.
+func (a *batchAdapter) scoreBlock(cands []int32, out []float64) {
 	nc := len(cands)
 	for i, q := range a.block {
 		if row := out[i*nc : (i+1)*nc]; q.tail {
@@ -91,9 +92,9 @@ func (a *batchAdapter) ScoreBlock(cands []int32, out []float64) {
 	}
 }
 
-// RankBlock is ScoreBlock: a third-party model's scores are its own.
+// RankBlock is scoreBlock: a third-party model's scores are its own.
 func (a *batchAdapter) RankBlock(cands []int32, out []float64, bounds []Bound) {
-	a.ScoreBlock(cands, out)
+	a.scoreBlock(cands, out)
 	clear(bounds[:len(a.block)])
 }
 
@@ -122,7 +123,7 @@ func (a *batchAdapter) ScoreAnswer(i int, e int32) float64 {
 func (a *batchAdapter) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64) {
 	a.BeginBlock(len(hs))
 	a.AddTails(hs, r)
-	a.ScoreBlock(cands, out)
+	a.scoreBlock(cands, out)
 }
 
 // The tile micro-kernels below define the scoring lane's arithmetic. Tiling

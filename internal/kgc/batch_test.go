@@ -104,11 +104,18 @@ func TestNewBatchScorerDispatch(t *testing.T) {
 }
 
 // scoreHeadsBatch scores the head queries (cands[j], r, ts[i]) as one block
-// into out[i*len(cands)+j]: BeginBlock, AddHeads, ScoreBlock.
+// into out[i*len(cands)+j]: BeginBlock, AddHeads, scoreBlock.
 func scoreHeadsBatch(bs BatchScorer, ts []int32, r int32, cands []int32, out []float64) {
 	bs.BeginBlock(len(ts))
 	bs.AddHeads(ts, r)
-	bs.ScoreBlock(cands, out)
+	scoreBlock(bs, cands, out)
+}
+
+// scoreBlock writes the exact scores of bs's block against cands, through
+// the method both of this package's BatchScorers have and the interface
+// leaves out.
+func scoreBlock(bs BatchScorer, cands []int32, out []float64) {
+	bs.(interface{ scoreBlock([]int32, []float64) }).scoreBlock(cands, out)
 }
 
 // plainModel hides a model's native batch contract, leaving only the Model
@@ -191,7 +198,7 @@ func TestScoreAnswerMatchesPerQueryBits(t *testing.T) {
 					flat = addQueries(flat, p.es, p.r, p.tail)
 				}
 				block := make([]float64, nq*len(cands))
-				bs.ScoreBlock(cands, block)
+				scoreBlock(bs, cands, block)
 				for i, q := range flat {
 					e := cands[i%len(cands)]
 					got := bs.ScoreAnswer(i, e)
@@ -221,7 +228,7 @@ func TestScoreAnswerMatchesPerQueryBits(t *testing.T) {
 					}
 				}
 				again := make([]float64, len(block))
-				bs.ScoreBlock(cands, again)
+				scoreBlock(bs, cands, again)
 				if !slices.Equal(block, again) {
 					t.Fatalf("%s/%s/%s: the answers disturbed the block", name, prec, label)
 				}

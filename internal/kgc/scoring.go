@@ -172,7 +172,8 @@ var vecLanes []vecLane
 // Bound is how far the rank path may write one query's scores from their
 // definition, the Go kernel's: |written − defined| ≤ Abs + Rel·|written| for
 // every written score that is a number. A NaN may stand for any score. The
-// zero Bound says the scores are the definition's bits.
+// zero Bound says the scores are the definition's bits; a query no bound
+// holds for has NaN scores and an infinite Abs, which settle no comparison.
 type Bound struct{ Abs, Rel float64 }
 
 // certBound is the Bound of one query's scores from kind's float32 kernel,
@@ -271,7 +272,7 @@ func rowAccGo(out, c, rows []float64, stride int, skipZero bool) {
 // kernels run, "avx2" when the 256-bit tile kernels and row-accumulate run,
 // "go" otherwise. Every lane gives a score the same bits wherever a score is
 // handed out (ScoreTails, ScoreHeads, ScoreTriple, the BatchScorer's
-// ScoreBlock, ScoreTailsBatch, ScoreAnswer and Rescore): on both vector
+// ScoreTailsBatch, ScoreAnswer and Rescore): on both vector
 // lanes these run the AVX2 twins, in float64. What the lanes may not share
 // is the rank path's RankBlock: on the 512-bit lane it scores in float32,
 // sixteen candidates a register, with a certified kernel of every kind —
@@ -472,20 +473,20 @@ func (s *storeScorer) addRank(n int) {
 	}
 }
 
-// ScoreBlock scores the block's queries against cands.
-func (s *storeScorer) ScoreBlock(cands []int32, out []float64) { s.score(s.sc.qs, cands, out, s.vec) }
+// scoreBlock scores the block's queries against cands, exactly.
+func (s *storeScorer) scoreBlock(cands []int32, out []float64) { s.score(s.sc.qs, cands, out) }
 
-// RankBlock is ScoreBlock through the lane's float32 kernel where it has
-// one, each query's scores within bounds[i] of ScoreBlock's (certBound).
+// RankBlock is scoreBlock through the lane's float32 kernel where it has
+// one, each query's scores within bounds[i] of scoreBlock's (certBound).
 // It walks cands in tiles as score does, each tile's float64 rows rounded to
 // float32 by the fill (store.TileColumns32) and scored by the kernel whole,
-// then adds the strip's biases in float64. A query no bound holds for is
-// rescored with the exact kernels before it returns, and gets the zero
-// Bound. Without a float32 kernel it is ScoreBlock, every Bound zero.
+// then adds the strip's biases in float64. A query no bound holds for gets
+// NaN scores and Bound{Abs: +Inf}: its caller rescores what it needs.
+// Without a float32 kernel it is scoreBlock, every Bound zero.
 func (s *storeScorer) RankBlock(cands []int32, out []float64, bounds []Bound) {
 	bounds = bounds[:len(s.block)]
 	if s.cert == nil {
-		s.ScoreBlock(cands, out)
+		s.scoreBlock(cands, out)
 		clear(bounds)
 		return
 	}
@@ -504,20 +505,23 @@ func (s *storeScorer) RankBlock(cands []int32, out []float64, bounds []Bound) {
 	for i := range bounds {
 		b, ok := certBound(kind, dim, s.norms[i], maxAbs, maxBias)
 		if !ok {
-			s.Rescore(i, cands, out[i*nc:(i+1)*nc])
+			b = Bound{Abs: math.Inf(1)}
+			for j := i * nc; j < (i+1)*nc; j++ {
+				out[j] = math.NaN()
+			}
 		}
 		bounds[i] = b
 	}
 }
 
-// Rescore writes block query i's ScoreBlock scores against cands into out.
+// Rescore writes block query i's scoreBlock scores against cands into out.
 func (s *storeScorer) Rescore(i int, cands []int32, out []float64) {
 	dim := s.m.Dim()
-	s.score(s.sc.qs[i*dim:(i+1)*dim], cands, out[:len(cands)], s.vec)
+	s.score(s.sc.qs[i*dim:(i+1)*dim], cands, out[:len(cands)])
 }
 
 // ScoreAnswer scores block query i against e from the vector the block holds,
-// through score's one-candidate path: what ScoreBlock writes for e, and at
+// through score's one-candidate path: what scoreBlock writes for e, and at
 // float64 what the model's ScoreHeads over [e] (head query) or routed
 // ScoreTriple returns, since those run the same builder and the same Go
 // kernel. A tail answer of a model that keeps its own float64 ScoreTriple
@@ -535,10 +539,10 @@ func (s *storeScorer) ScoreAnswer(i int, e int32) float64 {
 func (s *storeScorer) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []float64) {
 	s.BeginBlock(len(hs))
 	s.AddTails(hs, r)
-	s.ScoreBlock(cands, out)
+	s.scoreBlock(cands, out)
 }
 
-// score runs every query in qs over cands one kernel tile at a time, vec
+// score runs every query in qs over cands one kernel tile at a time, s.vec
 // taking whole groups of four candidates, then adds the per-entity bias when
 // the model has one. The only candidate state it ever holds is one tile in
 // sc.tbuf, which stays L1-resident while the queries stream over it.
@@ -546,8 +550,8 @@ func (s *storeScorer) ScoreTailsBatch(hs []int32, r int32, cands []int32, out []
 // What a tile has beyond its last whole group — at most three candidates at
 // the end of a pool, or the single candidate of a ScoreAnswer — goes through
 // the Go kernel, which gives a score the same bits as an exact twin, so where
-// the split falls never shows in ScoreBlock's out.
-func (s *storeScorer) score(qs []float64, cands []int32, out []float64, vec tileFunc) {
+// the split falls never shows in scoreBlock's out.
+func (s *storeScorer) score(qs []float64, cands []int32, out []float64) {
 	dim := s.m.Dim()
 	nc := len(cands)
 	tile := min(s.tile, nc)
@@ -555,11 +559,11 @@ func (s *storeScorer) score(qs []float64, cands []int32, out []float64, vec tile
 	for j0 := 0; j0 < nc; j0 += tile {
 		j1 := min(j0+tile, nc)
 		jv := j0 // candidates j0..jv are scored by the vector kernel
-		if vec != nil {
+		if s.vec != nil {
 			jv += (j1 - j0) &^ 3
 		}
 		if jv > j0 {
-			vec(qs, s.st.TileColumns(cands[j0:jv], s.sc.tbuf), dim, j0, jv, nc, out)
+			s.vec(qs, s.st.TileColumns(cands[j0:jv], s.sc.tbuf), dim, j0, jv, nc, out)
 		}
 		if jv < j1 {
 			s.st.Gather(cands[jv:j1], s.sc.tbuf)

@@ -3,6 +3,7 @@ package kgc
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -429,9 +430,10 @@ func TestCertDotOverflowGate(t *testing.T) {
 // candidate equal to a query of values near float32's largest scores 0 in
 // the Go kernel, while Q + C overflows to +Inf and T − 2M is NaN. certBound
 // refuses such a query, and every query whose ‖q‖₁ + n·max|c| lies above
-// 2¹⁰⁰; through TransE's scorer, RankBlock then rescores the block with the
-// exact kernels, every Bound reads 0, and the scores are ScoreBlock's bits.
-// Just below 2¹⁰⁰ the bound holds and RankBlock keeps its approximations.
+// 2¹⁰⁰; through TransE's scorer, RankBlock then writes every score NaN and
+// every Bound {Abs: +Inf}, leaving the ranks to the exact rescore (eval's
+// TestCertifiedRankAboveTheL1Gate ranks such a pass). Just below 2¹⁰⁰ the
+// bound holds and RankBlock keeps its approximations.
 func TestCertL1OverflowGate(t *testing.T) {
 	lanes := needCertLane(t)
 	q := []float64{0x1.8p127}
@@ -474,16 +476,16 @@ func TestCertL1OverflowGate(t *testing.T) {
 		s.AddTails(hs, 0)
 		want, got := make([]float64, len(hs)*ents), make([]float64, len(hs)*ents)
 		bounds := make([]Bound, len(hs))
-		s.ScoreBlock(cands, want)
+		s.scoreBlock(cands, want)
 		s.RankBlock(cands, got, bounds)
 		for i, b := range bounds {
-			if (b != Bound{}) != c.bound {
+			if c.bound && b == (Bound{}) || !c.bound && b != (Bound{Abs: math.Inf(1)}) {
 				t.Fatalf("%s: query %d has Bound %+v", c.name, i, b)
 			}
 			for j := range ents {
 				f, e := got[i*ents+j], want[i*ents+j]
-				if !c.bound && !sameScore(f, e) || !within(f, e, b) {
-					t.Fatalf("%s: query %d candidate %d: RankBlock %v, ScoreBlock %v, bound %+v", c.name, i, j, f, e, b)
+				if !c.bound && f == f || !within(f, e, b) {
+					t.Fatalf("%s: query %d candidate %d: RankBlock %v, scoreBlock %v, bound %+v", c.name, i, j, f, e, b)
 				}
 			}
 		}
@@ -740,13 +742,125 @@ func TestCertAdversarialReachHalfTheBound(t *testing.T) {
 	}
 }
 
+// Two of certBound's terms each cover one error source that an input can
+// drive to nearly the whole term while every other source of the score is
+// zero, so here each is measured alone against the term certBound states,
+// and must stay within it and pass half of it: halving the term's constant
+// fails this test.
+//
+//   - L1's Rel u is the last step's rounding, f = fl(T − 2M). At dim 1, with
+//     q = 1.5 and c = −(0.5 + 2⁻²³) (float32 values), T = q + c = 1 − 2⁻²³ is
+//     exact and T − 2M = −(2 + 2⁻²³) lies halfway between two float32s: the
+//     last step rounds it to −2, by 2⁻²³ = u·|f|, and nothing else rounds, so
+//     |f − s| is that rounding alone. The same at other scales.
+//   - RotatE's (n + 4)·u is mostly the float32 sum's n·u. With q = 0 and
+//     each difference in the real part alone (or equal in both) and a power
+//     of two, every x is a power of two, so each term t = x·VRSQRT14PS(x) is a
+//     float32 the kernel writes on its own at dim 2. A first term t₀ just
+//     above a power of two and n − 1 terms of half its float32 spacing make
+//     each of the n − 1 adds round by half a spacing, all one way. The sum's
+//     error is taken against the exact sum of the same terms (math/big).
+//
+// The other two constants that no test held cannot be held this way: a
+// subnormal x rounds a root by at most (1 − √½)·2⁻⁷⁴, about 0.29 of
+// RotatE's n·2⁻⁷⁴ per complex dim (the adversary that reaches it is logged
+// here), and the bias's two float64 roundings reach at most 2⁻⁵²·|f|, half
+// of its 2⁻⁵¹. Halved, both constants still cover their sources.
+func TestCertTermsHeldAlone(t *testing.T) {
+	lanes := needCertLane(t)
+	for _, lane := range lanes {
+		for _, e := range []int{-40, 0, 40} {
+			q, c := math.Ldexp(1.5, e), math.Ldexp(-(0.5+0x1p-23), e)
+			if float64(float32(q)+float32(c)) != q+c {
+				t.Fatalf("scale 2^%d: T = q + c rounds, so the last step is not alone", e)
+			}
+			rows := []float64{c}
+			got, maxAbs, err := certScores(lane, kindL1, []float64{q}, rows, 1, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, 1)
+			scoreL1Tile([]float64{q}, rows, 1, 0, 1, 1, want)
+			b, ok := certBound(kindL1, 1, q, maxAbs, 0)
+			f, s := got[0], want[0]
+			reach := math.Abs(f-s) / (b.Rel * math.Abs(f))
+			t.Logf("%s L1 at 2^%d: the last step rounds by %.3g of Rel·|f|", lane.name, e, reach)
+			if !ok || !(reach > 0.5 && reach <= 1) {
+				t.Errorf("%s L1 at 2^%d: f = %v, s = %v, bound %+v (%v): the last step's rounding is %v of Rel·|f|, not in (½, 1]",
+					lane.name, e, f, s, b, ok, reach)
+			}
+		}
+
+		// term is t = x·VRSQRT14PS(x) for the difference (re, im), x a power of two.
+		term := func(re, im float64) float64 {
+			got, _, err := certScores(lane, kindRot, []float64{0, 0}, []float64{-re, -im}, 2, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return -got[0]
+		}
+		// The first term: x = 1 or x = 2, whichever puts t₀ nearer above a
+		// power of two, where half its spacing is the largest share of it.
+		re0, im0, t0 := 1.0, 0.0, term(1, 0)
+		if t2 := term(1, 1); t2/math.Exp2(math.Floor(math.Log2(t2))) < t0/math.Exp2(math.Floor(math.Log2(t0))) {
+			im0, t0 = 1, t2
+		}
+		half := ulp32(float32(t0)) / 2
+		tk := term(half, 0)
+		for _, n := range []int{16, 256} {
+			dim := 2 * n
+			row := make([]float64, dim)
+			row[0], row[n] = -re0, -im0
+			for k := 1; k < n; k++ {
+				row[k] = -half
+			}
+			got, maxAbs, err := certScores(lane, kindRot, make([]float64, dim), row, dim, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact := new(big.Float).SetPrec(256).SetFloat64(tk)
+			exact.Mul(exact, big.NewFloat(float64(n-1)))
+			exact.Add(exact, big.NewFloat(t0))
+			sumErr, _ := new(big.Float).Sub(big.NewFloat(-got[0]), exact).Float64()
+			b, ok := certBound(kindRot, dim, 0, maxAbs, 0)
+			reach := math.Abs(sumErr) / ((b.Rel - 0x1p-14) * math.Abs(got[0]))
+			t.Logf("%s RotatE n=%d: the float32 sum errs by %.3g of (n + 4)·u·|f|", lane.name, n, reach)
+			if !ok || !(reach > 0.5 && reach <= 1) {
+				t.Errorf("%s RotatE n=%d: t₀ = %v, n − 1 terms of %v sum to %v, exactly %v: %v of (n + 4)·u·|f| (bound %+v, %v), not in (½, 1]",
+					lane.name, n, t0, tk, -got[0], exact, reach, b, ok)
+			}
+		}
+
+		// The subnormal root: both differences 2⁻⁷⁵·(1 + 2⁻²³), so Δim² rounds
+		// up to 2⁻¹⁴⁹ and x to 2⁻¹⁴⁸, whose root is 2⁻⁷⁴ for r̃ ≈ √½·2⁻⁷⁴.
+		const n = 64
+		d := float64(math.Nextafter32(0x1p-75, 1))
+		row := make([]float64, 2*n)
+		for k := range row {
+			row[k] = -d
+		}
+		q := make([]float64, 2*n)
+		got, maxAbs, err := certScores(lane, kindRot, q, row, 2*n, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, 1)
+		scoreRotTile(q, row, 2*n, 0, 1, 1, want)
+		b, ok := certBound(kindRot, 2*n, 0, maxAbs, 0)
+		if !ok || !within(got[0], want[0], b) {
+			t.Errorf("%s RotatE subnormal x: %v, Go kernel %v, bound %+v (%v)", lane.name, got[0], want[0], b, ok)
+		}
+		t.Logf("%s RotatE subnormal x: |f − s| is %.3g of n·2⁻⁷⁴", lane.name, math.Abs(got[0]-want[0])/(n*0x1p-74))
+	}
+}
+
 // TestRankBlockWithinBounds is the whole rank path of each scorer against
-// its ScoreBlock: all seven models, all three precisions, both directions,
+// its scoreBlock: all seven models, all three precisions, both directions,
 // dims 2 to 128, pools that leave sub-group tails, and entity rows planted
 // with exact duplicates, huge values (past the overflow gate), infinities and
 // NaNs. Every score RankBlock writes is within the Bound it reports for its
-// query, and a query reported with the zero Bound has ScoreBlock's bits.
-// Rescore writes ScoreBlock's bits for any query and candidates.
+// query, and a query reported with the zero Bound has scoreBlock's bits.
+// Rescore writes scoreBlock's bits for any query and candidates.
 func TestRankBlockWithinBounds(t *testing.T) {
 	const rows = 200
 	g := &kg.Graph{NumEntities: rows, NumRelations: 3}
@@ -786,7 +900,7 @@ func TestRankBlockWithinBounds(t *testing.T) {
 						nc := len(cands)
 						want, got := make([]float64, len(ents)*nc), make([]float64, len(ents)*nc)
 						bounds := make([]Bound, len(ents))
-						s.ScoreBlock(cands, want)
+						s.scoreBlock(cands, want)
 						s.RankBlock(cands, got, bounds)
 						for i, b := range bounds {
 							if b != (Bound{}) {
@@ -795,7 +909,7 @@ func TestRankBlockWithinBounds(t *testing.T) {
 							for j := range nc {
 								f, e := got[i*nc+j], want[i*nc+j]
 								if b == (Bound{}) && !sameScore(f, e) || !within(f, e, b) {
-									t.Fatalf("%s dim=%d %v tails=%v planted=%v: query %d candidate %d: RankBlock %v, ScoreBlock %v, bound %+v",
+									t.Fatalf("%s dim=%d %v tails=%v planted=%v: query %d candidate %d: RankBlock %v, scoreBlock %v, bound %+v",
 										m.Name(), dim, p, tails, planted, i, cands[j], f, e, b)
 								}
 							}
@@ -803,7 +917,7 @@ func TestRankBlockWithinBounds(t *testing.T) {
 							s.Rescore(i, cands, again)
 							for j := range nc {
 								if !sameScore(again[j], want[i*nc+j]) {
-									t.Fatalf("%s dim=%d %v: Rescore of query %d candidate %d is %v, ScoreBlock %v",
+									t.Fatalf("%s dim=%d %v: Rescore of query %d candidate %d is %v, scoreBlock %v",
 										m.Name(), dim, p, i, cands[j], again[j], want[i*nc+j])
 								}
 							}
